@@ -240,9 +240,8 @@ def bench_plan_tuning() -> dict:
 
     Runs the wall-clock :class:`repro.autotune.plan_tuner.PlanTuner`
     search for two Plonk shapes -- MVM/8 (the service-path headline) and
-    Image Crop/8 (n=2048, LDE length 16384: the Merkle levels are big
-    enough that the ``permute_chunk`` knob's cache-blocking pays) --
-    then re-measures the default and the winning
+    Image Crop/8 (n=2048, LDE length 16384: the biggest Merkle levels
+    of any shipped shape) -- then re-measures the default and the winning
     :class:`repro.tunables.PlanTuning` as *interleaved* A/B pairs (best
     of N pairs): the knob effects are percents-to-tens-of-percents, and
     measuring the two arms minutes apart lets machine drift swamp them;

@@ -31,8 +31,10 @@ from typing import Any, Dict, Optional
 from ..hw.config import HwConfig
 from ..mapping.params import DEFAULT_MAPPING, MappingParams
 
-#: Cache-format version; bump when the entry schema changes.
-CACHE_VERSION = 1
+#: Cache-format version; bump when the entry schema changes (2: the
+#: software tunings lost ``permute_chunk``, so stored winners that moved
+#: only that knob are stale).
+CACHE_VERSION = 2
 
 #: Pseudo hardware key for software-side (wall-clock) plan tunings.
 SOFTWARE_HW_KEY = "software"

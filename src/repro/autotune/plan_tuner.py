@@ -36,7 +36,6 @@ KNOB_VALUES: Dict[str, Tuple[int, ...]] = {
     "scalar_batch_limit": (0, 4, 8, 16, 32),
     "ntt_row_block": (0, 2, 4, 8, 16, 64),
     "leaf_hash_chunk": (0, 64, 256, 1024),
-    "permute_chunk": (0, 512, 1024, 2048),
 }
 
 

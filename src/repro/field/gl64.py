@@ -59,7 +59,7 @@ ArrayLike = Union[np.ndarray, int]
 class Workspace:
     """A pool of reusable scratch arrays for the in-place kernels.
 
-    Buffers are keyed by ``(slot, shape)`` so each call site gets stable
+    Buffers are keyed by ``(slot, shape, dtype)`` so each call site gets stable
     storage that is reused on the next call with the same shape -- the
     software analogue of the fixed SRAM scratchpads a UniZK PE cluster
     cycles through.  A workspace is *not* thread-safe; each proving
@@ -71,16 +71,17 @@ class Workspace:
     def __init__(self) -> None:
         self._bufs: dict = {}
 
-    def temp(self, shape, slot: str) -> np.ndarray:
-        """Return a reusable uint64 scratch array of ``shape``.
+    def temp(self, shape, slot: str, dtype=np.uint64) -> np.ndarray:
+        """Return a reusable scratch array of ``shape`` (uint64 unless
+        ``dtype`` says otherwise -- the limb GEMM keeps float64 there).
 
-        Contents are unspecified; the same ``(slot, shape)`` always
-        returns the same storage.
+        Contents are unspecified; the same ``(slot, shape, dtype)``
+        always returns the same storage.
         """
-        key = (slot, shape)
+        key = (slot, shape, dtype)
         buf = self._bufs.get(key)
         if buf is None:
-            buf = self._bufs[key] = np.empty(shape, dtype=np.uint64)
+            buf = self._bufs[key] = np.empty(shape, dtype=dtype)
         return buf
 
     def nbytes(self) -> int:

@@ -21,7 +21,7 @@ from typing import Callable, Dict, List
 import numpy as np
 
 from ..field import extension as fext, gl64, goldilocks as gl
-from ..hashing import optimized, poseidon
+from ..hashing import optimized, poseidon, sponge
 from ..ntt import intt, ntt
 
 
@@ -96,20 +96,78 @@ def check_gl_kernels(rng: np.random.Generator) -> List[str]:
     return problems
 
 
+#: Batch sizes on both sides of the scalar/vector crossover (default
+#: ``scalar_batch_limit`` 8) and of the limb GEMM's 256-row block.
+_POSEIDON_BATCHES = (8, 9, 255, 256, 257, 513)
+
+#: Lane values at the limb boundaries of the GEMM kernel: the ends of the
+#: canonical range, the 32-bit split, and words whose 16-bit limbs are
+#: all-ones or all-zeros in every pattern that stays below ``p``.
+_LIMB_EDGES = (
+    0,
+    1,
+    0xFFFF,
+    0x1_0000,
+    0xFFFF_FFFF,
+    0x1_0000_0000,
+    0xFFFF_0000_FFFF,
+    0xFFFF_FFFF_FFFF,
+    0xFFFF_0000_FFFF_FFFF,
+    0xFFFF_FFFE_FFFF_FFFF,
+    gl.P - 1,
+)
+
+
+def _edge_rows(shape: tuple, rng: np.random.Generator) -> np.ndarray:
+    """A random canonical ``(rows, width)`` array whose leading rows hold
+    limb-edge values: one constant row per edge, then as many rows
+    mixing edges across columns."""
+    out = gl64.random(shape, rng)
+    edges = np.array(_LIMB_EDGES, dtype=np.uint64)
+    rows = min(shape[0], len(edges))
+    out[:rows] = edges[:rows, None]
+    mixed = out[rows : 2 * rows]
+    mixed[...] = rng.choice(edges, size=mixed.shape)
+    return out
+
+
+def _naive_hash_batch(inputs: np.ndarray) -> np.ndarray:
+    """Overwrite-mode sponge over ``permute_naive`` (reference)."""
+    state = np.zeros((inputs.shape[0], poseidon.WIDTH), dtype=np.uint64)
+    for start in range(0, inputs.shape[1], sponge.RATE):
+        chunk = inputs[:, start : start + sponge.RATE]
+        state[:, : chunk.shape[1]] = chunk
+        state = poseidon.permute_naive(state)
+    return state[:, : sponge.DIGEST_LEN]
+
+
 def check_poseidon(rng: np.random.Generator) -> List[str]:
-    """Fused/sparse Poseidon vs the naive permutation, plus scalar form."""
+    """Batched (limb-GEMM) and scalar Poseidon vs the naive permutation.
+
+    One small batch exercises the scalar path as dispatched by
+    ``permute_into``; every size in ``_POSEIDON_BATCHES`` exercises the
+    vectorised kernel through ``permute``, ``permute_into`` and the
+    sponge's ``hash_batch``, on states seeded with limb-edge rows.
+    """
     problems: List[str] = []
-    batch = int(rng.integers(1, 9))
-    states = gl64.random((batch, poseidon.WIDTH), rng)
+    top = max(_POSEIDON_BATCHES)
+    states = _edge_rows((top, poseidon.WIDTH), rng)
     ref = poseidon.permute_naive(states)
-    opt = optimized.permute(states)
-    if not np.array_equal(opt, ref):
-        problems.append(f"optimized.permute diverges from permute_naive (batch {batch})")
-    buf = states.copy()
-    optimized.permute_into(buf)
-    if not np.array_equal(buf, ref):
-        problems.append(f"optimized.permute_into diverges from permute_naive (batch {batch})")
-    row = int(rng.integers(0, batch))
+    length = int(rng.integers(1, 2 * sponge.RATE + 2))
+    inputs = _edge_rows((top, length), rng)
+    ref_digests = _naive_hash_batch(inputs)
+    for batch in (int(rng.integers(1, 9)),) + _POSEIDON_BATCHES:
+        if not np.array_equal(optimized.permute(states[:batch]), ref[:batch]):
+            problems.append(f"optimized.permute diverges from permute_naive (batch {batch})")
+        buf = states[:batch].copy()
+        optimized.permute_into(buf)
+        if not np.array_equal(buf, ref[:batch]):
+            problems.append(f"optimized.permute_into diverges from permute_naive (batch {batch})")
+        if not np.array_equal(sponge.hash_batch(inputs[:batch]), ref_digests[:batch]):
+            problems.append(
+                f"sponge.hash_batch diverges from the naive sponge (batch {batch}, length {length})"
+            )
+    row = int(rng.integers(0, top))
     scalar = optimized.permute_scalar([int(v) for v in states[row]])
     if [int(v) for v in ref[row]] != scalar:
         problems.append("optimized.permute_scalar diverges from permute_naive")

@@ -25,10 +25,20 @@ Derivation (row-vector convention, ``state <- state @ M``):
   exactly over GF(p).
 
 Equivalence with the naive permutation is property-tested.
+
+The sparse form is what the scalar path (:func:`permute_scalar`) and the
+hardware mapping run: there a multiply is the unit of cost.  The batched
+path (:func:`permute_into`) maps every layer's linear part onto the
+host's matrix unit instead, as one exact float64 limb GEMM with a single
+reduction per output lane (:func:`_matmul_into`, the software analogue of
+the VSA matrix product with the reduction at the array edge, paper
+Fig. 5a); a GEMM costs the same for a sparse matrix as for a dense one,
+so that path keeps the plain round structure.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -239,118 +249,149 @@ def permute_scalar(state: list[int]) -> list[int]:
     return full_rounds(state, HALF_FULL, FULL_ROUNDS)
 
 
-#: Batches at or below this size take the scalar path (measured
-#: crossover: the vectorised permutation is launch-bound below ~10).
-#: The plan tuner can override the crossover per proof via
-#: :mod:`repro.tunables`; both paths are extensionally equal, so the
-#: knob only moves wall-clock time.
-_SCALAR_BATCH_LIMIT = 8
+#: 16-bit limbs per state lane (what a float64 GEMM can carry exactly).
+_LIMBS = 4
+#: GEMM depth: every lane limb plus the constant-one column whose weight
+#: row carries the layer's addend.
+_GEMM_DEPTH = _LIMBS * WIDTH + 1
+#: Rows per ``np.matmul`` call.  One GEMM over >= 1024 rows wakes
+#: OpenBLAS's thread pool (measured 7.4 ms for 4096 rows against 0.26 ms
+#: as sixteen 256-row calls on a 2-vCPU host); small blocks stay on the
+#: calling thread, which also keeps a proof's CPU seconds honest.
+_GEMM_ROWS = 256
+#: Rows per pass of the whole permutation.  Rows are independent, so
+#: blocking is bit-exact; a layer's scratch is ~2.3 KB a row, so past
+#: ~8k rows an unblocked pass streams tens of MB through every kernel
+#: (measured 19-26 us a permutation at 8k-32k rows unblocked, 15-16 in
+#: 2048-row blocks; at or below 2048 rows there is only one block).
+_PERMUTE_ROWS = 2048
+#: The addend row is stored as ``addend - 2**54`` and the bias is added
+#: back as a plain integer after the fold, which keeps the signed fold
+#: term non-negative (see :func:`_matmul_into`).
+_FOLD_BIAS = 1 << 54
+#: Layers of one permutation, each an S-box step and one affine map.
+_LAYERS = FULL_ROUNDS + PARTIAL_ROUNDS
+
+_I32 = np.int64(32)
+_U32 = np.uint64(32)
+_EPSILON_I64 = np.int64(gl.EPSILON)
+_FOLD_BIAS_I64 = np.int64(_FOLD_BIAS)
+
+
+def _signed_limbs(value: int) -> tuple[int, int]:
+    """``(lo, hi)`` with ``lo + hi * 2**32 = value (mod p)`` and both
+    limbs in ``[-2**31, 2**31]``: the balanced representative of
+    ``value`` split at bit 32 with a balanced low half."""
+    v = gl.canonical(value)
+    if v >= 1 << 63:
+        v -= gl.P
+    lo = ((v + (1 << 31)) & 0xFFFF_FFFF) - (1 << 31)
+    return lo, (v - lo) >> 32
+
+
+def _limb_weights(matrix, addend, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` -- a ``(_GEMM_DEPTH, 2 * WIDTH)`` float64 table --
+    with the limb-GEMM weights of ``state -> state @ matrix + addend``.
+
+    Row ``4 * i + a`` holds, for every output lane ``j``, the signed
+    32-bit limbs of ``matrix[i][j] * 2**(16 a) mod p`` (low limbs in
+    columns ``[:WIDTH]``, high limbs in ``[WIDTH:]``): the power of two
+    that limb ``a`` of lane ``i`` stands for is folded into the constant,
+    so the product needs only two output limbs per lane.  The last row
+    holds ``addend - 2**54`` the same way.  ``matrix`` is ``WIDTH`` rows
+    of Python ints, ``addend`` ``WIDTH`` Python ints.
+    """
+    little = sys.byteorder == "little"  # limb order of the uint16 view
+    for i, row in enumerate(matrix):
+        for a in range(_LIMBS):
+            r = _LIMBS * i + (a if little else _LIMBS - 1 - a)
+            for j, m in enumerate(row):
+                out[r, j], out[r, WIDTH + j] = _signed_limbs(m << (16 * a))
+    for j, c in enumerate(addend):
+        out[-1, j], out[-1, WIDTH + j] = _signed_limbs(c - _FOLD_BIAS)
+    return out
 
 
 @lru_cache(maxsize=1)
 def _fused_tables():
-    """Round tensors re-packed for the zero-copy batched permutation.
+    """``(rc0, weights)`` for the batched permutation.
 
-    * ``full_post[r]``: the constant vector applied *after* round ``r``'s
-      MDS multiply -- round ``r+1``'s pre-S-box constants (or the
-      partial block's pre-constants after the last leading full round).
-      Fusing the adds into the matmul kernel removes the separate
-      add-constants pass of the naive round structure; the arithmetic is
-      identical because ``(state @ M) + rc`` is exactly the next round's
-      input.
-    * ``sparse_vec[k]``: the 23-wide constant vector
-      ``[col_hat | m00 | row]`` of sparse round ``k``, letting one
-      vectorised multiply cover the ``v``-dot, the ``m00`` product and
-      the ``u``-column update of Figure 5b in a single kernel launch.
+    The batched path runs the permutation as ``state += rc0`` followed
+    by ``_LAYERS`` layers of *S-box, then one affine map*, and
+    ``weights[l]`` is layer ``l``'s map in :func:`_limb_weights` form:
+    the MDS matrix plus the *next* round's pre-S-box constants
+    (``(state @ M) + rc`` is exactly the next round's input; the last
+    layer adds nothing).  A GEMM costs the same whatever the matrix's
+    sparsity, so the partial rounds here are the plain ones -- lane-0
+    S-box, dense MDS -- and the sparse factorisation above serves the
+    scalar path and the hardware mapping, where multiplies are what
+    cost.
     """
-    params = optimized_params()
-    full_rc, _ = round_constants()
-    mds = np.ascontiguousarray(mds_matrix())
-    rc = [np.ascontiguousarray(full_rc[r]) for r in range(FULL_ROUNDS)]
-    full_post: list[np.ndarray | None] = []
-    for r in range(FULL_ROUNDS):
-        if r == HALF_FULL - 1:
-            full_post.append(np.ascontiguousarray(params.pre_constants))
-        elif r + 1 < FULL_ROUNDS and r + 1 != HALF_FULL:
-            full_post.append(rc[r + 1])
-        else:
-            full_post.append(None)
-    sparse_vec = np.empty((PARTIAL_ROUNDS, 2 * WIDTH - 1), dtype=np.uint64)
-    sparse_post = np.empty(PARTIAL_ROUNDS, dtype=np.uint64)
-    for k, rnd in enumerate(params.rounds):
-        sparse_vec[k, : WIDTH - 1] = rnd.col_hat
-        sparse_vec[k, WIDTH - 1] = np.uint64(rnd.m00)
-        sparse_vec[k, WIDTH:] = rnd.row
-        sparse_post[k] = np.uint64(rnd.post_constant)
-    for arr in (mds, sparse_vec, sparse_post, *rc, *(p for p in full_post if p is not None)):
+    full_rc, partial_rc = round_constants()
+    consts = [*full_rc[:HALF_FULL], *partial_rc, *full_rc[HALF_FULL:]]
+    addends = [c.tolist() for c in consts[1:]] + [[0] * WIDTH]
+    mds = mds_matrix().tolist()
+    weights = np.empty((_LAYERS, _GEMM_DEPTH, 2 * WIDTH), dtype=np.float64)
+    for table, addend in zip(weights, addends):
+        _limb_weights(mds, addend, table)
+    rc0 = np.ascontiguousarray(consts[0])
+    for arr in (rc0, weights):
         arr.flags.writeable = False
-    pre_matrix = np.ascontiguousarray(params.pre_matrix)
-    pre_matrix.flags.writeable = False
-    return mds, pre_matrix, rc, full_post, sparse_vec, sparse_post
+    return rc0, weights
 
 
-def _matmul_into(
-    states: np.ndarray,
-    matrix: np.ndarray,
-    post: np.ndarray | None,
-    ws: gl64.Workspace,
-) -> None:
-    """``states <- states @ matrix (+ post)`` in place, batched.
+def _matmul_into(states: np.ndarray, weights: np.ndarray, ws: gl64.Workspace) -> None:
+    """``states <- states @ M + c`` in place on a canonical ``(B, 12)``
+    buffer, as one exact float64 GEMM with a single reduction per lane.
 
-    One broadcast multiply into a scratch tensor, then a pairwise tree
-    reduction written back into ``states`` (the same associativity the
-    old ``apply_mds`` + ``sum_along_axis`` pair used, so results are
-    bit-identical); the optional constant add rides the final reduction
-    step instead of costing its own pass.
+    ``weights`` is the :func:`_limb_weights` table of ``(M, c)``.  The
+    state is viewed as ``4 * 12`` 16-bit limbs and multiplied, in
+    float64, by signed 32-bit weight limbs: every product is below
+    ``2**47`` in magnitude and an output limb sums 48 of them plus one
+    constant, so every partial sum is an integer below ``2**53`` and the
+    GEMM is exact whatever order BLAS adds in.  That leaves
+    ``S0 + S1 * 2**32`` per lane; writing ``S1 = h * 2**32 + l`` and
+    using ``2**64 = 2**32 - 1 (mod p)`` it equals
+    ``(l << 32) + (S0 + h * (2**32 - 1))``: a canonical word plus a term
+    of magnitude below ``2**54``, made non-negative by the bias the table
+    builder subtracted, so one ``add_into`` finishes the lane.
+
+    Aliasing: ``states`` is both input and output (it is fully consumed
+    into the limb scratch before the final write) and must have
+    contiguous rows; ``weights`` must not overlap it.
     """
     b = states.shape[0]
-    prods = ws.temp((b, WIDTH, WIDTH), "pm:prods")
-    gl64.mul_into(states[:, :, None], matrix, prods, ws)
-    r6 = ws.temp((b, 6, WIDTH), "pm:r6")
-    gl64.add_into(prods[:, :6, :], prods[:, 6:, :], r6, ws)
-    r3 = ws.temp((b, 3, WIDTH), "pm:r3")
-    gl64.add_into(r6[:, :3, :], r6[:, 3:, :], r3, ws)
-    gl64.add_into(r3[:, 0, :], r3[:, 1, :], states, ws)
-    gl64.add_into(states, r3[:, 2, :], states, ws)
-    if post is not None:
-        gl64.add_into(states, post, states, ws)
-
-
-def _sparse_round_into(
-    states: np.ndarray, vec: np.ndarray, post: np.uint64, ws: gl64.Workspace
-) -> None:
-    """One optimised partial round, in place on a (B, 12) state buffer."""
-    b = states.shape[0]
-    lane = ws.temp((b,), "sp:lane")
-    gl64.pow7_into(states[:, 0], lane, ws)
-    gl64.add_into(lane, post, lane, ws)
-    buf = ws.temp((b, 2 * WIDTH - 1), "sp:buf")
-    np.copyto(buf[:, : WIDTH - 1], states[:, 1:])
-    buf[:, WIDTH - 1] = lane
-    buf[:, WIDTH:] = lane[:, None]
-    prod = ws.temp((b, 2 * WIDTH - 1), "sp:prod")
-    gl64.mul_into(buf, vec, prod, ws)
-    # out lane 0 = lane*m00 + rest . col_hat: tree-sum of prod[:, :12].
-    s6 = ws.temp((b, 6), "sp:s6")
-    gl64.add_into(prod[:, :6], prod[:, 6:WIDTH], s6, ws)
-    s3 = ws.temp((b, 3), "sp:s3")
-    gl64.add_into(s6[:, :3], s6[:, 3:], s3, ws)
-    gl64.add_into(s3[:, 0], s3[:, 1], lane, ws)
-    gl64.add_into(lane, s3[:, 2], lane, ws)
-    # out lanes 1..11 = lane0 * row + rest.
-    gl64.add_into(prod[:, WIDTH:], states[:, 1:], states[:, 1:], ws)
-    states[:, 0] = lane
+    limbs = ws.temp((b, _GEMM_DEPTH), "pm:limbs", np.float64)
+    np.copyto(limbs[:, :-1], states.view(np.uint16))
+    limbs[:, -1] = 1.0
+    acc = ws.temp((b, 2 * WIDTH), "pm:acc", np.float64)
+    for start in range(0, b, _GEMM_ROWS):
+        stop = start + _GEMM_ROWS
+        np.matmul(limbs[start:stop], weights, out=acc[start:stop])
+    sums = ws.temp((b, 2 * WIDTH), "pm:sums", np.int64)
+    np.copyto(sums, acc, casting="unsafe")
+    s0, s1 = sums[:, :WIDTH], sums[:, WIDTH:]
+    fold = ws.temp((2, b, WIDTH), "pm:fold", np.int64)
+    small, word = fold[0], fold[1].view(np.uint64)
+    np.right_shift(s1, _I32, out=small)  # h = floor(S1 / 2**32), signed
+    np.multiply(small, _EPSILON_I64, out=small)
+    np.add(small, s0, out=small)
+    np.add(small, _FOLD_BIAS_I64, out=small)  # now in [0, 2**55)
+    np.left_shift(s1.view(np.uint64), _U32, out=word)  # l << 32 <= p - 1
+    gl64.add_into(word, small.view(np.uint64), states, ws)
 
 
 def permute_into(states: np.ndarray, ws: gl64.Workspace | None = None) -> np.ndarray:
-    """The Poseidon permutation, in place on a writable (..., 12) buffer.
+    """The Poseidon permutation, in place on a writable (..., 12) buffer
+    with contiguous rows.
 
     This is the zero-copy engine behind :func:`permute` and the fused
-    Merkle level sweep: full-round constants are pre-fused into the MDS
-    matmul, the 22 sparse partial rounds run off the packed
-    ``[col_hat | m00 | row]`` vectors, and every intermediate lives in
-    the workspace arena.  Small batches dispatch to the Python-int
-    scalar path (extensionally equal).
+    Merkle level sweep: every layer is an S-box (all lanes in the full
+    rounds, lane 0 in the partial block) followed by one
+    :func:`_matmul_into`, with all round constants folded into the
+    layer tables, and every intermediate lives in the workspace arena.
+    Small batches dispatch to the Python-int scalar path (extensionally
+    equal).
     """
     if states.shape[-1] != WIDTH:
         raise ValueError(f"state width must be {WIDTH}, got {states.shape[-1]}")
@@ -360,35 +401,27 @@ def permute_into(states: np.ndarray, ws: gl64.Workspace | None = None) -> np.nda
             flat[i] = permute_scalar([int(v) for v in flat[i]])
         return states
     ws = ws or gl64.default_workspace()
-    chunk = tunables.current().permute_chunk
-    if chunk and flat.shape[0] > chunk:
-        # Rows are independent, so running the permutation per chunk is
-        # bit-exact while keeping the (rows, 12, 12) matmul scratch
-        # cache-resident at large Merkle levels.
-        for start in range(0, flat.shape[0], chunk):
-            permute_into(flat[start : start + chunk], ws)
+    if flat.shape[0] > _PERMUTE_ROWS:
+        for start in range(0, flat.shape[0], _PERMUTE_ROWS):
+            permute_into(flat[start : start + _PERMUTE_ROWS], ws)
         return states
-    mds, pre_matrix, rc, full_post, sparse_vec, sparse_post = _fused_tables()
-    gl64.add_into(flat, rc[0], flat, ws)
-    for r in range(HALF_FULL):
-        gl64.pow7_into(flat, flat, ws)
-        _matmul_into(flat, mds, full_post[r], ws)
-    _matmul_into(flat, pre_matrix, None, ws)
-    for k in range(PARTIAL_ROUNDS):
-        _sparse_round_into(flat, sparse_vec[k], sparse_post[k], ws)
-    gl64.add_into(flat, rc[HALF_FULL], flat, ws)
-    for r in range(HALF_FULL, FULL_ROUNDS):
-        gl64.pow7_into(flat, flat, ws)
-        _matmul_into(flat, mds, full_post[r], ws)
+    rc0, weights = _fused_tables()
+    lane0 = flat[:, 0]
+    gl64.add_into(flat, rc0, flat, ws)
+    for layer in range(_LAYERS):
+        partial = HALF_FULL <= layer < HALF_FULL + PARTIAL_ROUNDS
+        sbox = lane0 if partial else flat
+        gl64.pow7_into(sbox, sbox, ws)
+        _matmul_into(flat, weights[layer], ws)
     return states
 
 
 def permute(states: np.ndarray) -> np.ndarray:
     """The Poseidon permutation, optimised form (default for the sponge).
 
-    Extensionally equal to :func:`repro.hashing.poseidon.permute_naive`;
-    ~6x fewer multiplications in the partial block.  Allocates a fresh
-    output; the hot paths call :func:`permute_into` on a reused buffer.
+    Extensionally equal to :func:`repro.hashing.poseidon.permute_naive`.
+    Allocates a fresh output; the hot paths call :func:`permute_into`
+    on a reused buffer.
     """
     states = np.array(states, dtype=np.uint64, copy=True)
     return permute_into(states)

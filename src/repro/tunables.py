@@ -20,12 +20,6 @@ knobs, "never" for the crossover):
 ``leaf_hash_chunk``
     Hash Merkle leaves in row chunks of this size instead of one giant
     batch (:mod:`repro.hashing.sponge`), bounding the transient arrays.
-``permute_chunk``
-    Run the vectorised Poseidon permutation over row chunks of this
-    size.  The full-round MDS matmul materialises a ``(rows, 12, 12)``
-    scratch tensor; at large Merkle levels that tensor spills the CPU
-    caches, and bounding the rows keeps every round's working set
-    cache-resident (rows are independent, so chunking is bit-exact).
 
 The active tuning travels via a :class:`contextvars.ContextVar`, so
 ``with tunables.applied(plan.tuning):`` scopes it to one proof without
@@ -49,7 +43,6 @@ class PlanTuning:
     scalar_batch_limit: int = 8
     ntt_row_block: int = 0
     leaf_hash_chunk: int = 0
-    permute_chunk: int = 0
 
     def __post_init__(self) -> None:
         if self.scalar_batch_limit < 0:
@@ -64,10 +57,6 @@ class PlanTuning:
             raise ValueError(
                 f"leaf_hash_chunk must be >= 0, got {self.leaf_hash_chunk}"
             )
-        if self.permute_chunk < 0:
-            raise ValueError(
-                f"permute_chunk must be >= 0, got {self.permute_chunk}"
-            )
 
     def to_dict(self) -> Dict[str, int]:
         """JSON-safe form (stored in the tuning cache)."""
@@ -75,7 +64,6 @@ class PlanTuning:
             "scalar_batch_limit": self.scalar_batch_limit,
             "ntt_row_block": self.ntt_row_block,
             "leaf_hash_chunk": self.leaf_hash_chunk,
-            "permute_chunk": self.permute_chunk,
         }
 
     @classmethod

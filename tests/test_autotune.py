@@ -283,9 +283,10 @@ def test_plan_tuning_defaults_and_validation():
     with pytest.raises(ValueError):
         PlanTuning(ntt_row_block=-1)
     with pytest.raises(ValueError):
-        PlanTuning(permute_chunk=-1)
-    # Unknown keys are ignored; known ones round-trip.
-    t = PlanTuning.from_dict({"ntt_row_block": 4, "bogus": 1})
+        PlanTuning(leaf_hash_chunk=-1)
+    # Unknown keys (incl. the retired permute_chunk a v1 cache may
+    # still carry) are ignored; known ones round-trip.
+    t = PlanTuning.from_dict({"ntt_row_block": 4, "bogus": 1, "permute_chunk": 512})
     assert t.ntt_row_block == 4
     assert PlanTuning.from_dict(t.to_dict()) == t
 
@@ -300,7 +301,7 @@ def test_applied_scopes_the_tuning():
     assert tunables.current() == DEFAULT_TUNING
 
 
-def test_tunables_are_bit_identical(rng):
+def test_tunables_are_bit_identical(rng, monkeypatch):
     from repro.field import goldilocks as gl
     from repro.hashing import optimized
     from repro.hashing.sponge import hash_or_noop
@@ -309,21 +310,17 @@ def test_tunables_are_bit_identical(rng):
     rows = rng.integers(0, gl.P, size=(64, 256), dtype=np.uint64)
     base_ntt = transforms.ntt(rows.copy())
     base_leaves = hash_or_noop(rows.copy())
-    custom = PlanTuning(
-        scalar_batch_limit=0, ntt_row_block=4, leaf_hash_chunk=16, permute_chunk=16
-    )
+    custom = PlanTuning(scalar_batch_limit=0, ntt_row_block=4, leaf_hash_chunk=16)
     with tunables.applied(custom):
         np.testing.assert_array_equal(transforms.ntt(rows.copy()), base_ntt)
         np.testing.assert_array_equal(hash_or_noop(rows.copy()), base_leaves)
 
-    # permute_chunk slices the vectorised Poseidon batch; a chunk size
-    # that leaves a ragged tail must still match the unchunked result.
+    # The permutation's fixed row blocking (no longer a knob) must match
+    # one unblocked pass, ragged tail and scalar-sized tail included.
     states = rng.integers(0, gl.P, size=(53, 12), dtype=np.uint64)
     base_perm = optimized.permute_into(states.copy())
-    with tunables.applied(PlanTuning(permute_chunk=16)):
-        np.testing.assert_array_equal(
-            optimized.permute_into(states.copy()), base_perm
-        )
+    monkeypatch.setattr(optimized, "_PERMUTE_ROWS", 16)
+    np.testing.assert_array_equal(optimized.permute_into(states.copy()), base_perm)
 
 
 def test_stark_proof_digest_invariant_under_tuning(stark_test_config):
@@ -334,7 +331,7 @@ def test_stark_proof_digest_invariant_under_tuning(stark_test_config):
     spec = by_name("Fibonacci")
     air, trace_rows, publics = spec.build_air(6)
     base = stark_proof_digest(prove(air, trace_rows, publics, stark_test_config))
-    custom = PlanTuning(ntt_row_block=2, leaf_hash_chunk=8, permute_chunk=16)
+    custom = PlanTuning(ntt_row_block=2, leaf_hash_chunk=8)
     with tunables.applied(custom):
         tuned = stark_proof_digest(
             prove(air, trace_rows, publics, stark_test_config)

@@ -202,6 +202,24 @@ def test_workspace_reuse_is_deterministic():
     assert ws.nbytes() > 0
 
 
+def test_workspace_temp_is_keyed_by_dtype():
+    """One slot and shape can hold a uint64 and a float64 scratch (the
+    limb GEMM's float operands live in the arena too); each is stable
+    across calls and ``nbytes`` counts both."""
+    ws = gl64.Workspace()
+    words = ws.temp((4, 6), "slot")
+    floats = ws.temp((4, 6), "slot", np.float64)
+    small = ws.temp((4, 6), "slot", np.uint16)
+    assert words.dtype == np.uint64 and floats.dtype == np.float64
+    assert small.dtype == np.uint16
+    assert not np.shares_memory(words, floats)
+    assert ws.temp((4, 6), "slot") is words
+    assert ws.temp((4, 6), "slot", np.float64) is floats
+    assert ws.nbytes() == 4 * 6 * (8 + 8 + 2)
+    ws.clear()
+    assert ws.nbytes() == 0
+
+
 def test_out_buffers_are_caller_owned():
     a = _random_canonical((4, 64))
     out = np.empty_like(a)

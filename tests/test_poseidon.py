@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.field import gl64, goldilocks as gl, matrix as fm
+from repro.fuzz import oracles
 from repro.hashing import constants as pc
 from repro.hashing import optimized, poseidon
 
@@ -146,3 +147,102 @@ class TestHadesDerivation:
             for j in range(12)
         ]
         assert [int(x) for x in out] == expect
+
+
+def _weights(matrix, addend):
+    """Limb-GEMM table of ``state -> state @ matrix + addend``."""
+    out = np.empty((optimized._GEMM_DEPTH, 2 * pc.WIDTH), dtype=np.float64)
+    return optimized._limb_weights(matrix, addend, out)
+
+
+def _affine_reference(states, matrix, addend):
+    """``(states @ matrix + addend) mod p`` with Python ints."""
+    return [
+        [
+            (sum(row[i] * matrix[i][j] for i in range(pc.WIDTH)) + addend[j]) % gl.P
+            for j in range(pc.WIDTH)
+        ]
+        for row in states
+    ]
+
+
+#: Lane values at the kernel's limb boundaries (the fuzz oracle's list).
+LIMB_EDGES = list(oracles._LIMB_EDGES)
+lane_strategy = st.one_of(
+    st.integers(min_value=0, max_value=gl.P - 1), st.sampled_from(LIMB_EDGES)
+)
+vector_strategy = st.lists(lane_strategy, min_size=12, max_size=12)
+
+
+class TestLimbGemm:
+    """The dense layers as exact float64 GEMMs (``optimized._matmul_into``)."""
+
+    def test_accumulators_stay_exact_for_the_real_tables(self):
+        # Worst case per output limb column: every state limb at 2**16-1
+        # against |weight|, plus the constant row.  Below 2**53 every
+        # partial sum is an exactly representable integer, so the GEMM
+        # is exact in any summation order; derived from the shipped
+        # tables so a constant or limb-width change that breaks the
+        # bound fails here rather than in a digest.
+        _, weights = optimized._fused_tables()
+        assert weights.shape == (pc.FULL_ROUNDS + pc.PARTIAL_ROUNDS,
+                                 4 * pc.WIDTH + 1, 2 * pc.WIDTH)
+        assert np.array_equal(weights, np.rint(weights))
+        assert float(np.abs(weights).max()) <= 2.0**31
+        mags = [[int(abs(v)) for v in row] for table in weights for row in table.T]
+        worst = max(sum(col[:-1]) * 0xFFFF + col[-1] for col in mags)
+        assert worst < 1 << 53
+        # The fold: |S0 + floor(S1 / 2**32) * (2**32 - 1)| must stay
+        # below the bias that makes it non-negative.
+        assert worst + ((worst >> 32) + 1) * gl.EPSILON < optimized._FOLD_BIAS
+
+    def test_limb_split_is_balanced_and_congruent(self):
+        for value in LIMB_EDGES + [1 << 63, (1 << 63) - 1, gl.P - (1 << 31), -5]:
+            lo, hi = optimized._signed_limbs(value)
+            assert (lo + (hi << 32) - value) % gl.P == 0
+            assert -(1 << 31) <= lo < 1 << 31
+            assert abs(hi) <= 1 << 31
+
+    @given(
+        st.lists(vector_strategy, min_size=1, max_size=5),
+        st.sampled_from(["mds", "pre", "random"]),
+        vector_strategy,
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matmul_into_is_the_affine_map(self, states, which, addend, seed):
+        if which == "mds":
+            matrix = pc.mds_matrix().tolist()
+        elif which == "pre":
+            matrix = optimized.optimized_params().pre_matrix.tolist()
+        else:
+            matrix = gl64.random((12, 12), np.random.default_rng(seed)).tolist()
+        buf = np.array(states, dtype=np.uint64)
+        optimized._matmul_into(buf, _weights(matrix, addend), gl64.Workspace())
+        assert buf.tolist() == _affine_reference(states, matrix, addend)
+
+    def test_matmul_into_extreme_matrices_across_gemm_blocks(self, rng):
+        # All-(p-1) and all-2**63 matrices put every weight limb at its
+        # largest magnitude; 600 rows span three 256-row GEMM blocks.
+        states = gl64.random((600, 12), rng)
+        states[: len(LIMB_EDGES)] = np.array(LIMB_EDGES, dtype=np.uint64)[:, None]
+        for entry in (gl.P - 1, 1 << 63, (1 << 63) - 1):
+            matrix = [[entry] * 12 for _ in range(12)]
+            addend = [gl.P - 1] * 12
+            buf = states.copy()
+            optimized._matmul_into(buf, _weights(matrix, addend), gl64.Workspace())
+            assert buf.tolist() == _affine_reference(states.tolist(), matrix, addend)
+
+    @pytest.mark.parametrize("batch", [9, 255, 256, 257, 513])
+    def test_vector_path_equals_naive(self, batch, rng):
+        s = gl64.random((batch, 12), rng)
+        s[: len(LIMB_EDGES)] = np.array(LIMB_EDGES, dtype=np.uint64)[:batch, None]
+        assert np.array_equal(optimized.permute(s), poseidon.permute_naive(s))
+
+    def test_permute_into_allocates_nothing_when_warm(self, rng):
+        ws = gl64.Workspace()
+        s = gl64.random((300, 12), rng)
+        optimized.permute_into(s, ws)
+        held = ws.nbytes()
+        optimized.permute_into(s, ws)
+        assert ws.nbytes() == held
