@@ -342,12 +342,12 @@ def bench_sharded() -> dict:
                     t0 = time.perf_counter()
                     ref = prove(air, trace, publics, CONFIG, plan=plan)
                     serial_s = min(serial_s, time.perf_counter() - t0)
-                ref_counters = dict(c.as_dict())
+                ref_counters = c.as_dict()
                 with metrics.counting() as c:
                     t0 = time.perf_counter()
                     got = prove(air, trace, publics, CONFIG, plan=plan, pool=pool)
                     sharded_s = min(sharded_s, time.perf_counter() - t0)
-                got_counters = dict(c.as_dict())
+                got_counters = c.as_dict()
                 assert stark_proof_digest(got) == stark_proof_digest(ref), (
                     f"{name}/{scale}: sharded proof digest diverged from serial"
                 )

@@ -8,9 +8,11 @@ work is executed (in place, fused, batched, shared sequencing) but
 never *how much* work the protocol does; a drift here means a rewrite
 silently changed the algorithm, not just the implementation.
 
-All proofs then run again under a forced 2-worker
-:class:`repro.parallel.ShardPool` against the *same* goldens: stage
-sharding redistributes the work across processes but must not change
+Every proof is the same shard graphs whatever pool runs them.  The
+first pass scopes no pool, so each protocol must execute at least one
+shard on the process-default inline executor; all proofs then run again
+under a forced 2-worker :class:`repro.parallel.ShardPool` against the
+*same* goldens: fanning the shards out across processes must not change
 the digest or a single operation count.
 
 Usage: PYTHONPATH=src python benchmarks/check_perf_counters.py
@@ -20,16 +22,9 @@ from __future__ import annotations
 
 import sys
 
-from repro import metrics, parallel
+from repro import metrics, parallel, protocols
 from repro.fri.config import FriConfig
-from repro.hyperplonk import HyperPlonkConfig, prove as hp_prove, setup as hp_setup
-from repro.plonk import prove as plonk_prove, setup
-from repro.serialize import (
-    hyperplonk_proof_digest,
-    plonk_proof_digest,
-    stark_proof_digest,
-)
-from repro.stark import prove
+from repro.hyperplonk import HyperPlonkConfig
 from repro.workloads import fibonacci
 
 CONFIG = FriConfig(
@@ -84,11 +79,24 @@ HYPERPLONK_GOLDEN_DIGEST = (
 )
 
 
-def _check(label: str, got: dict, golden: dict, digest: str, want_digest: str):
+#: (registry name, config, counter goldens, digest golden) per protocol.
+CASES = (
+    ("stark", CONFIG, GOLDEN, GOLDEN_DIGEST),
+    ("plonk", PLONK_CONFIG, PLONK_GOLDEN, PLONK_GOLDEN_DIGEST),
+    ("hyperplonk", HYPERPLONK_CONFIG, HYPERPLONK_GOLDEN, HYPERPLONK_GOLDEN_DIGEST),
+)
+
+
+def _prove_and_check(label: str, system, setup, golden: dict, want_digest: str, pool=None):
+    """Prove (setup excluded from the counters) and diff against the goldens."""
+    with metrics.counting() as counts:
+        proof = system.prove(setup, pool=pool)
+    got = counts.as_dict()
     failures = []
     for name, want in golden.items():
         if got.get(name) != want:
             failures.append(f"{label} {name}: expected {want}, got {got.get(name)}")
+    digest = system.digest(proof)
     if digest != want_digest:
         failures.append(f"{label} proof digest drifted: {digest}")
     return failures
@@ -96,71 +104,37 @@ def _check(label: str, got: dict, golden: dict, digest: str, want_digest: str):
 
 def main() -> int:
     failures = []
+    inline = parallel.default_pool()
+    instances = []
+    for name, config, golden, want_digest in CASES:
+        system = protocols.get(name)
+        setup = system.setup(fibonacci.SPEC, SCALE, config)
+        instances.append((name, system, setup, golden, want_digest))
+        before = inline.stats["inline_shards"]
+        failures += _prove_and_check(name, system, setup, golden, want_digest)
+        if inline.stats["inline_shards"] == before:
+            failures.append(f"{name}: the no-pool prove ran no inline shard")
 
-    air, trace, publics = fibonacci.SPEC.build_air(SCALE)
-    with metrics.counting() as counts:
-        proof = prove(air, trace, publics, CONFIG)
-    failures += _check(
-        "stark", counts.as_dict(), GOLDEN, stark_proof_digest(proof), GOLDEN_DIGEST
-    )
-
-    circuit, inputs, _ = fibonacci.SPEC.build_circuit(SCALE)
-    data = setup(circuit, PLONK_CONFIG)
-    with metrics.counting() as counts:
-        pproof = plonk_prove(data, inputs)
-    failures += _check(
-        "plonk", counts.as_dict(), PLONK_GOLDEN,
-        plonk_proof_digest(pproof), PLONK_GOLDEN_DIGEST,
-    )
-
-    hp_data = hp_setup(circuit, HYPERPLONK_CONFIG)
-    with metrics.counting() as counts:
-        hproof = hp_prove(hp_data, inputs)
-    failures += _check(
-        "hyperplonk", counts.as_dict(), HYPERPLONK_GOLDEN,
-        hyperplonk_proof_digest(hproof), HYPERPLONK_GOLDEN_DIGEST,
-    )
-
-    # Same proofs, sharded across 2 workers (thresholds forced low so
-    # the tiny CI proofs actually fan out) -- same goldens, bit for bit.
-    with parallel.ShardPool(
-        2, min_rows=1, min_tree_leaves=2, min_queries=1
-    ) as pool, parallel.sharding(pool):
-        with metrics.counting() as counts:
-            proof = prove(air, trace, publics, CONFIG)
-        failures += _check(
-            "stark[sharded]", dict(counts.as_dict()), GOLDEN,
-            stark_proof_digest(proof), GOLDEN_DIGEST,
-        )
-        with metrics.counting() as counts:
-            pproof = plonk_prove(data, inputs)
-        failures += _check(
-            "plonk[sharded]", dict(counts.as_dict()), PLONK_GOLDEN,
-            plonk_proof_digest(pproof), PLONK_GOLDEN_DIGEST,
-        )
-        # The sumcheck prover shards its hashing-bound stages (wires/Z
-        # commits, fused fold+commit rounds, batched openings) through
-        # the ambient pool; digest and every counter must still match
-        # the serial goldens bit for bit.
-        with metrics.counting() as counts:
-            hproof = hp_prove(hp_data, inputs)
-        failures += _check(
-            "hyperplonk[sharded]", dict(counts.as_dict()), HYPERPLONK_GOLDEN,
-            hyperplonk_proof_digest(hproof), HYPERPLONK_GOLDEN_DIGEST,
-        )
+    # Same proofs, fanned out across 2 workers (thresholds forced low so
+    # the tiny CI proofs actually leave the process) -- same goldens,
+    # bit for bit.
+    with parallel.ShardPool(2, min_rows=1, min_tree_leaves=2, min_queries=1) as pool:
+        for name, system, setup, golden, want_digest in instances:
+            failures += _prove_and_check(
+                f"{name}[sharded]", system, setup, golden, want_digest, pool=pool
+            )
+        if pool.stats["inline_shards"] or not pool.stats["shards"]:
+            failures.append(f"2-worker pool did not run its shards in workers: {pool.stats}")
 
     if failures:
         print("PERF-COUNTER REGRESSION:")
         for line in failures:
             print(f"  {line}")
         return 1
-    print(f"stark counters OK: {', '.join(f'{k}={v}' for k, v in GOLDEN.items())}")
-    print(f"plonk counters OK: {', '.join(f'{k}={v}' for k, v in PLONK_GOLDEN.items())}")
-    print(
-        "hyperplonk counters OK: "
-        + ", ".join(f"{k}={v}" for k, v in HYPERPLONK_GOLDEN.items())
-    )
+    for name, _, golden, _ in CASES:
+        print(f"{name} counters OK: {', '.join(f'{k}={v}' for k, v in golden.items())}")
     print("proof digests OK (stark + plonk + hyperplonk)")
+    print("no-pool proves ran inline shards (stark + plonk + hyperplonk)")
     print("sharded (2 workers) counters + digests OK (stark + plonk + hyperplonk)")
     return 0
 

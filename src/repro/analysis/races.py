@@ -24,9 +24,10 @@ graph:
 
 :class:`~repro.parallel.pool.ShardPool` runs this check on every graph
 submission (``validate=True``), and :func:`run_race_checks` verifies
-representative instances of every *shipped* graph shape for ``repro
-analyze`` -- so a refactor that breaks a builder's dependency topology
-fails the CI gate even if no sharded test happens to race.
+representative instances of every *shipped* graph shape, as built for
+the inline executor and for a fanned-out pool, for ``repro analyze`` --
+so a refactor that breaks a builder's dependency topology fails the CI
+gate even if no multi-worker test happens to race.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import numpy as np
 
 from ..hashing import Challenger
 from ..parallel.footprints import Access, footprint
+from ..parallel.pool import ShardPool, default_pool
 from ..parallel.scheduler import ShardGraph
 from .findings import Finding
 
@@ -173,80 +175,76 @@ def graph_findings(graph: ShardGraph, name: Optional[str] = None) -> List[Findin
 # ---------------------------------------------------------------------------
 
 
-def _representative_graphs():
-    """Build one small instance of every shipped graph shape.
+#: Worker counts whose shipped graph shapes are checked: the inline
+#: executor's one-part graphs and a fanned-out split (which rounds Merkle
+#: subtrees to 4 and adds the cap climb).
+_CHECKED_WORKERS = (1, 4)
 
-    Uses a 4-worker pool that is never started (graph *construction*
-    allocates arena buffers but runs nothing), so the checked
-    topologies -- shard splits, merkle alignment, dependency edges --
-    are exactly what :mod:`repro.parallel.ops` ships at ``workers=4``.
-    Yields ``(label, graph)`` pairs; the caller closes the pool.
+
+def _representative_graphs(pool):
+    """Build one small instance of every shipped graph shape on ``pool``.
+
+    The pool is never started (graph *construction* allocates buffers
+    but runs nothing), so the checked topologies -- shard splits, merkle
+    alignment, dependency edges -- are exactly what
+    :mod:`repro.parallel.ops` ships at ``pool.workers``.  Yields
+    ``(label, graph)`` pairs.
     """
     from ..fri.prover import FriOpenings, PolynomialBatch
     from ..parallel import ops
-    from ..parallel.pool import ShardPool
 
-    pool = ShardPool(workers=4, validate=False)
-    graphs: List[Tuple[str, ShardGraph]] = []
-    rng_rows = np.arange(4 * 16, dtype=np.uint64).reshape(4, 16)
-
-    graph, _ = ops.from_coeffs_graph(pool, rng_rows, 1, 1, "chk:coeffs")
-    graphs.append(("commit:from_coeffs", graph))
-
-    graph, _ = ops.from_values_graph(pool, rng_rows, 1, 1, "chk:values")
-    graphs.append(("commit:from_values", graph))
+    ws = None  # no plan workspace: every stage owns its buffers
+    rows = np.arange(4 * 16, dtype=np.uint64).reshape(4, 16)
+    yield "commit:from_coeffs", ops.from_coeffs_graph(pool, ws, rows, 1, 1, "chk:coeffs").graph
+    yield "commit:from_values", ops.from_values_graph(pool, ws, rows, 1, 1, "chk:values").graph
 
     ext = np.arange(32 * 2, dtype=np.uint64).reshape(32, 2)
-    graph, _ = ops.quotient_commit_graph(pool, ext, 16, 2, 1, 1, "chk:quotient")
-    graphs.append(("commit:quotient", graph))
+    yield "commit:quotient", ops.quotient_commit_graph(
+        pool, ws, ext, 16, 2, 1, 1, "chk:quotient"
+    ).graph
 
     layer_vals = np.arange(32 * 2, dtype=np.uint64).reshape(32, 2)
-    graph, _ = ops.layer_tree_graph(pool, layer_vals, 1, 1)
-    graphs.append(("fri:layer_tree", graph))
+    yield "fri:layer_tree", ops.layer_tree_graph(pool, ws, layer_vals, 1, 1).graph
 
-    # Combine + queries need committed batches; a tiny serial commit is
-    # enough (the graphs only reference its buffers).
-    batch = PolynomialBatch.from_values(rng_rows, 1, 1)
+    # Combine + queries need a committed batch and layer tree; tiny
+    # in-process commits are enough (the graphs only reference their
+    # buffers).
+    batch = PolynomialBatch.from_values(rows, 1, 1)
     openings = FriOpenings(
         points=[np.array([3, 5], dtype=np.uint64)],
         columns=[[(0, 0), (0, 1)]],
         values=[np.array([[1, 2], [3, 4]], dtype=np.uint64)],
     )
     alpha = np.array([7, 9], dtype=np.uint64)
-    graph, _ = ops.combine_graph(pool, [batch], openings, alpha)
-    graphs.append(("fri:combine", graph))
+    yield "fri:combine", ops.combine_graph(pool, ws, [batch], openings, alpha).graph
 
-    with ShardPool(workers=1, validate=False) as inline:
-        tree = ops.sharded_layer_tree(inline, layer_vals, 1, 0)
-    layer_args = [ops.layer_ref_args(pool, tree, layer_vals, 0)]
-    graph, _ = ops.query_rounds_graph(pool, [batch], layer_args, list(range(6)))
-    graphs.append(("fri:queries", graph))
+    tree = ops.layer_tree_graph(default_pool(), ws, layer_vals, 1, 0).run()
+    yield "fri:queries", ops.query_rounds_graph(
+        pool, ws, [batch], [tree], list(range(6))
+    ).graph
 
     # HyperPlonk-lite shapes: a multilinear-PCS commit and one fused
     # sumcheck fold + fold-level commit round.
     ml_rows = np.arange(16 * 3, dtype=np.uint64).reshape(16, 3)
-    graph, _ = ops.multilinear_commit_graph(pool, ml_rows, 1, "chk:ml")
-    graphs.append(("mlpcs:commit", graph))
+    yield "mlpcs:commit", ops.multilinear_commit_graph(pool, ml_rows, 1, "chk:ml").graph
 
-    buf = ops.sumcheck_table_buffer(pool, np.arange(16, dtype=np.uint64), "chk:sc")
-    graph, _, _ = ops.sumcheck_fold_graph(pool, buf, 7, 0, 1)
-    graphs.append(("sumcheck:round", graph))
-
-    return pool, graphs
+    table = np.arange(16, dtype=np.uint64).reshape(16, 1)
+    yield "sumcheck:round", ops.sumcheck_fold_graph(pool, table, 7, 0, 1).graph
 
 
 def run_race_checks() -> Tuple[List[Finding], List[str]]:
-    """Race-check representative instances of every shipped graph shape.
+    """Race-check representative instances of every shipped graph shape,
+    as built for each of :data:`_CHECKED_WORKERS`.
 
     Returns ``(findings, graphs_checked)`` for the analysis runner.
     """
-    pool, graphs = _representative_graphs()
-    try:
-        findings: List[Finding] = []
-        checked: List[str] = []
-        for label, graph in graphs:
-            findings.extend(graph_findings(graph, name=label))
-            checked.append(label)
-        return findings, checked
-    finally:
-        pool.close()
+    findings: List[Finding] = []
+    checked: List[str] = []
+    for workers in _CHECKED_WORKERS:
+        gates = {"min_rows": 1, "min_tree_leaves": 1, "min_queries": 1}
+        with ShardPool(workers=workers, validate=False, **gates) as pool:
+            for label, graph in _representative_graphs(pool):
+                label = f"{label}@{workers}"
+                findings.extend(graph_findings(graph, name=label))
+                checked.append(label)
+    return findings, checked

@@ -204,16 +204,10 @@ def cmd_prove(args) -> int:
     config = system.make_config(overrides)
     psetup = system.setup(spec, args.scale, config)
     print(f"circuit: {psetup.rows} rows")
-    pool = parallel.ShardPool(workers) if workers > 1 else None
-    if pool is not None:
-        print(f"sharding across {workers} workers")
+    print(f"proving on {workers} shard worker{'s' if workers > 1 else ''}")
     t0 = time.time()
-    try:
-        with tracing.trace() as session:
-            proof = system.prove(psetup, pool=pool)
-    finally:
-        if pool is not None:
-            pool.close()
+    with parallel.ShardPool(workers) as pool, tracing.trace() as session:
+        proof = system.prove(psetup, pool=pool)
     t_prove = time.time() - t0
     t0 = time.time()
     system.verify(psetup, proof)
@@ -475,7 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="query rounds (FRI or multilinear-PCS)")
     p.add_argument("--workers", type=int, default=1, metavar="N",
                    help="shard the proof across N worker processes "
-                        "(1 = serial; clamped to effective CPUs)")
+                        "(1 = run every shard in this process; clamped "
+                        "to effective CPUs)")
     p.add_argument("--trace-out", default=None, metavar="PATH",
                    help="write per-stage prover spans as Chrome Trace Event JSON")
 
@@ -488,7 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=2, help="worker processes")
     p.add_argument("--shard-workers", type=int, default=1, metavar="N",
                    help="shard processes per proving worker (stage-level "
-                        "parallelism inside each proof; 1 = serial proofs)")
+                        "parallelism inside each proof; 1 = shards run "
+                        "in the proving worker itself)")
     p.add_argument("--no-batch", action="store_true", help="disable batching")
     p.add_argument("--no-cache", action="store_true", help="disable result cache")
     p.add_argument("--batch-window", type=float, default=0.05,

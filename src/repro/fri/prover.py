@@ -26,15 +26,10 @@ from .. import parallel, tracing
 from ..field import extension as fext, gl64, goldilocks as gl
 from ..hashing import Challenger
 from ..merkle import MerkleTree
-from ..ntt import coset_intt_ext, intt, lde_coeffs
+from ..ntt import coset_intt_ext
 from ..parallel import ops as par_ops
 from .config import FriConfig
-from .proof import (
-    FriInitialOpening,
-    FriLayerOpening,
-    FriProof,
-    FriQueryRound,
-)
+from .proof import FriProof
 
 
 @dataclass
@@ -62,23 +57,14 @@ class PolynomialBatch:
     ) -> "PolynomialBatch":
         """Commit polynomials given by coefficient rows (num_polys, n).
 
-        ``ws``/``slot`` let a prover plan pin the LDE scratch and Merkle
-        arena in its reusable workspace.
+        The commit is one LDE -> Merkle shard graph run on the current
+        pool.  ``ws``/``slot`` let a prover plan pin the batch's buffers
+        in its reusable workspace (one live batch per slot per proof);
+        without both, the batch owns fresh buffers.
         """
-        coeffs = np.atleast_2d(np.asarray(coeffs, dtype=np.uint64))
-        pool = parallel.current_pool()
-        if (
-            pool is not None
-            and slot is not None
-            and pool.wants_commit(coeffs.shape[1] << rate_bits)
-        ):
-            return par_ops.sharded_from_coeffs(
-                pool, coeffs, rate_bits, cap_height, f"commit:{slot}"
-            )
-        ldes = lde_coeffs(coeffs, rate_bits, ws=ws)  # (num_polys, N_lde)
-        values = np.ascontiguousarray(ldes.T)  # (N_lde, num_polys)
-        tree = MerkleTree(values, cap_height=cap_height, ws=ws, arena_slot=slot)
-        return cls(coeffs=coeffs, values=values, tree=tree, rate_bits=rate_bits)
+        return par_ops.from_coeffs_graph(
+            parallel.current_pool(), ws, coeffs, rate_bits, cap_height, slot
+        ).run()
 
     @classmethod
     def from_values(
@@ -89,21 +75,14 @@ class PolynomialBatch:
         ws: gl64.Workspace | None = None,
         slot: str | None = None,
     ) -> "PolynomialBatch":
-        """Commit polynomials given by their subgroup evaluations."""
-        vals = np.atleast_2d(np.asarray(subgroup_values, dtype=np.uint64))
-        pool = parallel.current_pool()
-        if (
-            pool is not None
-            and slot is not None
-            and pool.wants_commit(vals.shape[1] << rate_bits)
-        ):
-            # Fused path: each row shard interpolates (iNTT) its own rows
-            # before extending them, so the two transforms pipeline per
-            # shard instead of barriering between stages.
-            return par_ops.sharded_from_values(
-                pool, vals, rate_bits, cap_height, f"commit:{slot}"
-            )
-        return cls.from_coeffs(intt(vals, ws=ws), rate_bits, cap_height, ws=ws, slot=slot)
+        """Commit polynomials given by their subgroup evaluations.
+
+        Each row shard interpolates (iNTT) its own rows before extending
+        them, so the two transforms pipeline per shard.
+        """
+        return par_ops.from_values_graph(
+            parallel.current_pool(), ws, subgroup_values, rate_bits, cap_height, slot
+        ).run()
 
     @property
     def degree_n(self) -> int:
@@ -190,35 +169,50 @@ def _fold_weights(log_n: int, shift: int) -> np.ndarray:
     return weights
 
 
+def combine_rows(
+    batch_values: Sequence[np.ndarray],
+    openings: FriOpenings,
+    alpha: np.ndarray,
+    lo: int,
+    hi: int,
+) -> np.ndarray:
+    """Rows ``[lo, hi)`` of the combined quotient values.
+
+    ``batch_values[b]`` is batch ``b``'s (N_lde, num_polys) LDE matrix.
+    Returns an (hi - lo, 2) extension array:
+    ``sum_k [ (sum_j a^t F_t(x)) - (sum_j a^t y_t) ] / (x - z_k)``.
+    This is exactly the element-wise polynomial kernel UniZK runs in
+    vector mode before FRI folding; the alpha-power ladder is a scalar
+    recurrence independent of the row, so any row split is bit-exact.
+    """
+    m = hi - lo
+    alpha = np.asarray(alpha, dtype=np.uint64).reshape(2)
+    log_lde = batch_values[0].shape[0].bit_length() - 1
+    xs = lde_points(log_lde)[lo:hi]
+    total = fext.from_base(gl64.zeros(m))
+    alpha_t = fext.one()
+    for point, cols, vals in zip(openings.points, openings.columns, openings.values):
+        num = fext.from_base(gl64.zeros(m))
+        const = fext.zero()
+        for (b, c), y in zip(cols, np.atleast_2d(vals)):
+            f_vals = batch_values[b][lo:hi, c]
+            num = fext.add(num, fext.scalar_mul(np.broadcast_to(alpha_t, (m, 2)), f_vals))
+            const = fext.add(const, fext.mul(alpha_t, y))
+            alpha_t = fext.mul(alpha_t, alpha)
+        num = fext.sub(num, np.broadcast_to(const, (m, 2)))
+        denom = fext.sub(fext.from_base(xs), np.broadcast_to(point.reshape(2), (m, 2)))
+        total = fext.add(total, fext.mul(num, fext.inv(denom)))
+    return total
+
+
 def combine_openings(
     batches: Sequence[PolynomialBatch],
     openings: FriOpenings,
     alpha: np.ndarray,
 ) -> np.ndarray:
-    """Build the combined quotient values over the LDE domain.
-
-    Returns an (N_lde, 2) extension array:
-    ``sum_k [ (sum_j a^t F_t(x)) - (sum_j a^t y_t) ] / (x - z_k)``.
-    This is exactly the element-wise polynomial kernel UniZK runs in
-    vector mode before FRI folding.
-    """
-    n_lde = batches[0].values.shape[0]
-    log_lde = n_lde.bit_length() - 1
-    xs = lde_points(log_lde)
-    total = fext.from_base(gl64.zeros(n_lde))
-    alpha_t = fext.one()
-    for point, cols, vals in zip(openings.points, openings.columns, openings.values):
-        num = fext.from_base(gl64.zeros(n_lde))
-        const = fext.zero()
-        for (b, c), y in zip(cols, vals):
-            f_vals = batches[b].values[:, c]
-            num = fext.add(num, fext.scalar_mul(np.broadcast_to(alpha_t, (n_lde, 2)), f_vals))
-            const = fext.add(const, fext.mul(alpha_t, y))
-            alpha_t = fext.mul(alpha_t, alpha.reshape(2))
-        num = fext.sub(num, np.broadcast_to(const, (n_lde, 2)))
-        denom = fext.sub(fext.from_base(xs), np.broadcast_to(point.reshape(2), (n_lde, 2)))
-        total = fext.add(total, fext.mul(num, fext.inv(denom)))
-    return total
+    """The combined quotient values over the whole LDE domain, (N_lde, 2)."""
+    values = [b.values for b in batches]
+    return combine_rows(values, openings, alpha, 0, values[0].shape[0])
 
 
 def fold_values(values: np.ndarray, beta: np.ndarray, shift: int, log_n: int) -> np.ndarray:
@@ -235,21 +229,6 @@ def fold_values(values: np.ndarray, beta: np.ndarray, shift: int, log_n: int) ->
     even = fext.scalar_mul(fext.add(lo, hi), inv2)
     odd = fext.scalar_mul(fext.sub(lo, hi), _fold_weights(log_n, int(shift)))
     return fext.add(even, fext.mul(np.broadcast_to(beta.reshape(2), odd.shape), odd))
-
-
-def _layer_tree(
-    values: np.ndarray,
-    cap_height: int,
-    ws: gl64.Workspace | None = None,
-    slot: str | None = None,
-) -> MerkleTree:
-    """Commit a layer: leaf ``i`` packs the pair (v[i], v[i + N/2])."""
-    n = values.shape[0]
-    half = n // 2
-    leaves = np.concatenate([values[:half], values[half:]], axis=1)  # (half, 4)
-    return MerkleTree(
-        leaves, cap_height=min(cap_height, (half.bit_length() - 1)), ws=ws, arena_slot=slot
-    )
 
 
 def grind(challenger: Challenger, pow_bits: int) -> int:
@@ -287,49 +266,33 @@ def fri_prove(
     challenger.observe_elements(openings.flat_values())
     alpha = challenger.get_ext_challenge()
 
-    # Sharding happens strictly *between* transcript interactions: the
-    # challenger runs only in this function, so caps and challenges keep
-    # the serial order no matter how shard graphs are scheduled.
+    # Shard graphs run strictly *between* transcript interactions: the
+    # challenger lives only in this function, so caps and challenges
+    # keep one order no matter how the graphs were split or scheduled.
     pool = parallel.current_pool()
     n_lde = batches[0].values.shape[0]
-    shard_rows = pool is not None and pool.parallel and n_lde >= pool.min_rows
-
     with tracing.span("fri:combine", category="fri"):
-        if shard_rows:
-            values = par_ops.sharded_combine(pool, batches, openings, alpha)
-        else:
-            values = combine_openings(batches, openings, alpha)
+        values = par_ops.combine_graph(pool, ws, batches, openings, alpha).run()
     n = batches[0].degree_n
     log_lde = n_lde.bit_length() - 1
 
     # Commit phase.
     num_rounds = config.num_fold_rounds(n.bit_length() - 1)
     trees: List[MerkleTree] = []
-    layer_values: List[np.ndarray] = [values]
     shift = gl.coset_shift()
     cur_log = log_lde
     with tracing.span("fri:fold", category="fri", rounds=num_rounds):
         for i in range(num_rounds):
-            cur_vals = layer_values[-1]
-            if (
-                pool is not None
-                and pool.parallel
-                and cur_vals.shape[0] // 2 >= pool.min_tree_leaves
-            ):
-                tree = par_ops.sharded_layer_tree(pool, cur_vals, config.cap_height, i)
-            else:
-                tree = _layer_tree(cur_vals, config.cap_height, ws, f"fri{i}")
+            tree = par_ops.layer_tree_graph(pool, ws, values, config.cap_height, i).run()
             trees.append(tree)
             challenger.observe_cap(tree.cap)
             beta = challenger.get_ext_challenge()
-            folded = fold_values(layer_values[-1], beta, shift, cur_log)
-            layer_values.append(folded)
+            values = fold_values(values, beta, shift, cur_log)
             shift = gl.mul(shift, shift)
             cur_log -= 1
 
         # Final polynomial (coefficients over the remaining coset).
-        final_values = layer_values[-1]
-        final_coeffs = coset_intt_ext(final_values, shift)
+        final_coeffs = coset_intt_ext(values, shift)
         final_len = max(1, n >> num_rounds)
         final_poly = np.ascontiguousarray(final_coeffs[:final_len])
         challenger.observe_elements(final_poly)
@@ -342,34 +305,7 @@ def fri_prove(
     # Query phase.
     with tracing.span("fri:query", category="fri", queries=config.num_queries):
         indices = challenger.get_indices(config.num_queries, n_lde)
-        if pool is not None and pool.parallel and len(indices) >= pool.min_queries:
-            layer_args = [
-                par_ops.layer_ref_args(pool, tree, vals, i)
-                for i, (tree, vals) in enumerate(zip(trees, layer_values[:-1]))
-            ]
-            query_rounds = par_ops.sharded_query_rounds(
-                pool, batches, layer_args, indices
-            )
-        else:
-            query_rounds = []
-            for idx in indices:
-                initial = FriInitialOpening(
-                    leaves=[b.values[idx].copy() for b in batches],
-                    proofs=[b.tree.prove(idx) for b in batches],
-                )
-                layers = []
-                cur = idx
-                for tree, vals in zip(trees, layer_values[:-1]):
-                    half = vals.shape[0] // 2
-                    pair = cur % half
-                    leaf = np.concatenate([vals[pair], vals[pair + half]])
-                    layers.append(
-                        FriLayerOpening(pair_leaf=leaf, proof=tree.prove(pair))
-                    )
-                    cur = pair
-                query_rounds.append(
-                    FriQueryRound(index=idx, initial=initial, layers=layers)
-                )
+        query_rounds = par_ops.query_rounds_graph(pool, ws, batches, trees, indices).run()
 
     return FriProof(
         commit_caps=[t.cap.copy() for t in trees],

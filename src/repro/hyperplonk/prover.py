@@ -28,15 +28,14 @@ The hot path executes **zero NTT butterflies** (asserted in CI):
    every committed tree ships one deduplicated multiproof covering all
    the rows those positions touch.
 
-With a shard pool active (:func:`repro.parallel.current_pool`, or the
-``pool`` argument), the hashing-bound stages fan out: the wires / Z
-commitments run as ``merkle_subtree``/``merkle_top`` shard graphs, and
-each sumcheck round's fold + fold-level commit is one fused graph
-(``sumcheck_fold`` row shards feeding Merkle shards).  Fiat-Shamir
-stays pinned in the coordinator between graph runs -- challenges are
-squeezed before a graph is built and caps observed after it runs -- so
-sharded proofs are bit-identical to serial (same digests, same op
-counters).
+The hashing-bound stages are shard graphs run on
+:func:`repro.parallel.current_pool` (or the ``pool`` argument): the
+wires / Z commitments are ``merkle_subtree`` graphs, and each sumcheck
+round's fold + fold-level commit is one fused graph (``sumcheck_fold``
+row shards feeding Merkle shards).  Fiat-Shamir stays pinned in the
+coordinator between graph runs -- challenges are squeezed before a
+graph is built and caps observed after it runs -- so proofs are
+bit-identical at every worker count (same digests, same op counters).
 
 No quotient polynomial, no coset division, no FRI -- proof size is
 traded for a prover that is all element-wise kernels, sums, and
@@ -56,7 +55,8 @@ from ..merkle import MerkleTree, prove_multi
 from ..pcs import MultilinearPCS, eq_table
 from ..plonk.circuit import Circuit
 from ..plonk.permutation import compute_z, id_values, sigma_values
-from ..sumcheck import SumcheckProof, fold_table, prove as sumcheck_prove
+from ..parallel import ops as par_ops
+from ..sumcheck import SumcheckProof
 from .proof import (
     HyperPlonkConfig,
     HyperPlonkData,
@@ -71,9 +71,9 @@ def setup(circuit: Circuit, config: HyperPlonkConfig) -> HyperPlonkData:
 
     Unlike the univariate setup there is no low-degree extension -- the
     leaves are the ``(n, 8)`` subgroup rows themselves, so even setup
-    runs NTT-free.  The commitment deliberately stays serial (no
-    ``slot``): setup artifacts outlive any one proof, and a shard-arena
-    slot would be recycled by the next same-shape commit.
+    runs NTT-free.  The commitment deliberately has no ``slot``: setup
+    artifacts outlive any one proof, and a slot's buffers would be
+    recycled by the next same-shape commit.
     """
     sigmas = sigma_values(circuit)
     ids = id_values(circuit.n)
@@ -136,33 +136,25 @@ def _constraint_table(
     )
 
 
-def _sharded_committed_sumcheck(
-    pool,
-    pcs: MultilinearPCS,
-    q_table: np.ndarray,
-    challenger: Challenger,
-    cap_height: int,
+def _committed_sumcheck(
+    q_table: np.ndarray, challenger: Challenger, cap_height: int
 ) -> Tuple[SumcheckProof, List[MerkleTree]]:
-    """The committed sumcheck with each round's fold + commit sharded.
+    """Sumcheck over ``q_table`` with every folded level committed.
 
-    Mirrors :func:`repro.sumcheck.prove` round by round -- same sums,
-    same transcript order -- but runs each fold and its fold-level
-    Merkle commit as one fused shard graph
-    (:func:`repro.parallel.ops.sharded_sumcheck_round`).  The
+    The rounds of :func:`repro.sumcheck.prove` -- same sums, same
+    transcript order -- with each fold and its fold-level Merkle commit
+    run as one fused shard graph
+    (:func:`repro.parallel.ops.sumcheck_fold_graph`) and the level's cap
+    bound into the transcript before the next round's values.  The
     challenger never leaves the coordinator: ``r`` is squeezed before
-    the round's graph is built, the finished cap observed after it
-    runs.  Rounds below the pool's sharding threshold take the serial
-    tail (``fold_table`` + :meth:`MultilinearPCS.commit`), which is
-    bit-identical by construction.
+    the round's graph is built, the finished cap observed after it runs.
     """
-    from ..parallel import ops as par_ops
-
+    pool = parallel.current_pool()
     claimed = int(gl64.sum_array(q_table))
     challenger.observe_element(claimed)
     rounds: List[Tuple[int, int]] = []
     level_trees: List[MerkleTree] = []
-    table = par_ops.sumcheck_table_buffer(pool, q_table)
-    level = 0
+    table = q_table.reshape(-1, 1)
     while table.shape[0] > 1:
         half = table.shape[0] // 2
         y0 = int(gl64.sum_array(table[:half]))
@@ -171,23 +163,18 @@ def _sharded_committed_sumcheck(
         challenger.observe_element(y0)
         challenger.observe_element(y1)
         r = challenger.get_challenge()
-        if half >= max(2, pool.min_rows):
-            with tracing.span(
-                "pcs:commit", category="commit", label="fold", rows=half
-            ):
-                table, tree = par_ops.sharded_sumcheck_round(
-                    pool, table, r, level, cap_height
-                )
-        else:
-            table = fold_table(np.asarray(table), r)
-            tree = pcs.commit(table, "fold") if table.shape[0] > 1 else None
-        if tree is not None:
+        stage = par_ops.sumcheck_fold_graph(pool, table, r, len(rounds) - 1, cap_height)
+        if half > 1:
+            with tracing.span("pcs:commit", category="commit", label="fold", rows=half):
+                table, tree = stage.run()
             level_trees.append(tree)
             challenger.observe_cap(tree.cap)
-        level += 1
-    final = int(np.asarray(table).reshape(-1)[0])
+        else:
+            table, _ = stage.run()
     return (
-        SumcheckProof(claimed_sum=claimed, round_values=rounds, final_value=final),
+        SumcheckProof(
+            claimed_sum=claimed, round_values=rounds, final_value=int(table[0, 0])
+        ),
         level_trees,
     )
 
@@ -210,9 +197,7 @@ def prove(
     ``inputs`` maps variable indices to values, exactly as
     :func:`repro.plonk.prove` -- the two backends prove the same
     circuits.  ``pool`` scopes a shard pool for the duration of the
-    proof (``None`` inherits the ambient
-    :func:`repro.parallel.current_pool`, so ``prove --workers`` callers
-    that set the context variable need not pass it).
+    proof (``None`` inherits :func:`repro.parallel.current_pool`).
     """
     circuit = data.circuit
     config = data.config
@@ -221,7 +206,7 @@ def prove(
     challenger = challenger or Challenger()
     pcs = MultilinearPCS(config.cap_height)
 
-    with parallel.maybe_sharding(pool) as eff, tracing.span(
+    with parallel.maybe_sharding(pool), tracing.span(
         "prove:hyperplonk", category="prove", n=n
     ):
         with tracing.span("witness", category="witness"):
@@ -256,20 +241,9 @@ def prove(
         # Committed sumcheck: Merkle-commit every folded level (down to
         # size 2) and bind its cap before the next round's values.
         with tracing.span("sumcheck", category="sumcheck"):
-            if eff is not None and eff.parallel and n // 2 >= max(2, eff.min_rows):
-                sc_proof, level_trees = _sharded_committed_sumcheck(
-                    eff, pcs, q_table, challenger, config.cap_height
-                )
-            else:
-                level_trees = []
-
-                def commit_level(_round: int, folded: np.ndarray) -> None:
-                    if folded.shape[0] > 1:
-                        tree = pcs.commit(folded, "fold")
-                        level_trees.append(tree)
-                        challenger.observe_cap(tree.cap)
-
-                sc_proof = sumcheck_prove(q_table, challenger, on_fold=commit_level)
+            sc_proof, level_trees = _committed_sumcheck(
+                q_table, challenger, config.cap_height
+            )
 
         with tracing.span("queries", category="open"):
             # Queries sample the pair index j directly: position pairs

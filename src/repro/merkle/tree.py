@@ -27,8 +27,8 @@ def level_sizes(num_leaves: int, cap_height: int) -> List[int]:
     """Digest counts per level, leaves first, down to the cap.
 
     The contiguous level-order arena layout (Section 5.3) is
-    ``sum(level_sizes(...))`` rows; sharded tree builders use this to
-    size shared arenas identically to :class:`MerkleTree` itself.
+    ``sum(level_sizes(...))`` rows; shard-graph builders use this to
+    size their arenas identically to :class:`MerkleTree` itself.
     """
     sizes = []
     width = num_leaves
@@ -48,6 +48,46 @@ class MerkleProof:
         return len(self.siblings)
 
 
+def level_views(arena: np.ndarray, sizes) -> List[np.ndarray]:
+    """Split a level-order arena into per-level views, leaves first."""
+    views: List[np.ndarray] = []
+    offset = 0
+    for size in sizes:
+        views.append(arena[offset : offset + int(size)])
+        offset += int(size)
+    return views
+
+
+def build_subtree(
+    levels: List[np.ndarray],
+    start: int,
+    count: int,
+    ws: gl64.Workspace,
+    leaf_rows: np.ndarray | None = None,
+    base: int = 0,
+) -> None:
+    """Fill the aligned slice of ``levels`` that one subtree owns.
+
+    Rows ``[start, start + count)`` of ``levels[base]`` are the
+    subtree's bottom row: hashed here from ``leaf_rows`` (``base`` 0),
+    or already filled by the subtrees below (``leaf_rows`` ``None``).
+    Every level above is compressed for as far as the subtree reaches
+    (``count >> k >= 1``).  ``start`` and ``count`` are power-of-two
+    aligned, so sibling pairs never straddle two subtrees and each
+    level range has exactly one writer.  The whole tree is the call
+    ``(0, num_leaves)``; shard graphs restrict it to leaf ranges and
+    finish with one call over the row of subtree roots.
+    """
+    if leaf_rows is not None:
+        sponge.hash_leaves_into(leaf_rows, levels[base][start : start + count], ws)
+    for k in range(1, len(levels) - base):
+        if (count >> k) < 1:
+            break
+        prev = levels[base + k - 1][start >> (k - 1) : (start + count) >> (k - 1)]
+        out = levels[base + k][start >> k : (start + count) >> k]
+        sponge.compress_level_into(prev, out, ws)
+
+
 class MerkleTree:
     """Merkle tree over a (num_leaves, leaf_width) matrix of elements."""
 
@@ -56,7 +96,6 @@ class MerkleTree:
         leaves: np.ndarray,
         cap_height: int = 0,
         ws: gl64.Workspace | None = None,
-        arena_slot: str | None = None,
     ) -> None:
         leaves = np.atleast_2d(gl64.asarray(leaves, trusted=True))
         num_leaves = leaves.shape[0]
@@ -67,27 +106,15 @@ class MerkleTree:
             raise ValueError(f"cap_height must be in [0, {depth}]")
         self.leaves = leaves
         self.cap_height = cap_height
-        ws = ws or gl64.default_workspace()
         # All levels live in one contiguous level-order arena (the
-        # paper's Section 5.3 layout); ``levels`` are views into it.  A
-        # plan can pin the arena in its workspace via ``arena_slot`` so
-        # repeated proofs of the same shape reuse the buffer, but each
-        # slot then belongs to exactly one tree per proof.
+        # paper's Section 5.3 layout); ``levels`` are views into it.
         sizes = level_sizes(num_leaves, cap_height)
-        total = sum(sizes)
-        if arena_slot is not None:
-            self.arena = ws.temp((total, sponge.DIGEST_LEN), f"merkle:{arena_slot}")
-        else:
-            self.arena = np.empty((total, sponge.DIGEST_LEN), dtype=np.uint64)
+        self.arena = np.empty((sum(sizes), sponge.DIGEST_LEN), dtype=np.uint64)
         #: levels[0] = leaf digests; levels[-1] = the cap.
-        self.levels: List[np.ndarray] = []
-        offset = 0
-        for size in sizes:
-            self.levels.append(self.arena[offset : offset + size])
-            offset += size
-        sponge.hash_leaves_into(leaves, self.levels[0], ws)
-        for i in range(1, len(self.levels)):
-            sponge.compress_level_into(self.levels[i - 1], self.levels[i], ws)
+        self.levels: List[np.ndarray] = level_views(self.arena, sizes)
+        build_subtree(
+            self.levels, 0, num_leaves, ws or gl64.default_workspace(), leaves
+        )
 
     @classmethod
     def from_levels(
@@ -99,10 +126,10 @@ class MerkleTree:
     ) -> "MerkleTree":
         """Wrap an already-hashed level-order arena as a tree.
 
-        The sharded prover fills the arena through parallel subtree
-        kernels (same layout, same digests) and adopts it here without
-        re-hashing; ``sizes`` must be ``level_sizes(len(leaves),
-        cap_height)`` and the arena ``sum(sizes)`` digest rows.
+        Shard graphs fill the arena through :func:`build_subtree`
+        kernels and adopt it here without re-hashing; ``sizes`` must be
+        ``level_sizes(len(leaves), cap_height)`` and the arena
+        ``sum(sizes)`` digest rows.
         """
         if list(sizes) != level_sizes(leaves.shape[0], cap_height):
             raise ValueError("sizes do not match the leaf count and cap height")
@@ -112,11 +139,7 @@ class MerkleTree:
         tree.leaves = leaves
         tree.cap_height = cap_height
         tree.arena = arena
-        tree.levels = []
-        offset = 0
-        for size in sizes:
-            tree.levels.append(arena[offset : offset + size])
-            offset += size
+        tree.levels = level_views(arena, sizes)
         return tree
 
     @property

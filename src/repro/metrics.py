@@ -14,7 +14,8 @@ Usage::
     print(c.sponge_permutations, c.ntt_butterflies)
 
 Counting is always on (one integer add per call -- negligible); the
-context manager just snapshots deltas.
+context manager just snapshots deltas, live inside the block and frozen
+once it exits.
 
 Concurrency
 -----------
@@ -123,14 +124,23 @@ GLOBAL = _ContextCounters()
 
 @contextmanager
 def counting():
-    """Yield a live view of the operations executed inside the block."""
+    """Yield a view of the operations executed inside the block.
+
+    Reads inside the block are live; on exit the view freezes at the
+    block's totals, so later work in the same context never leaks into
+    an already-measured region.
+    """
     start = GLOBAL.snapshot()
+    frozen = None
 
     class _View:
         def __getattr__(self, name):
-            return getattr(GLOBAL.delta(start), name)
+            return getattr(GLOBAL.delta(start) if frozen is None else frozen, name)
 
-    yield _View()
+    try:
+        yield _View()
+    finally:
+        frozen = GLOBAL.delta(start)
 
 
 def merge_counts(d: dict) -> None:

@@ -1,21 +1,22 @@
-"""Intra-proof parallel execution: shard graphs over a worker pool.
+"""The prover's execution layer: shard graphs and the pool that runs them.
 
-This package is the single-node half of the roadmap's "distributed,
-stage-sharded proving" item: one proof's independent work -- per-batch
-iNTT/LDE/Merkle commits, Merkle leaf ranges, FRI combine rows and query
-chunks -- fans out across persistent shared-memory workers, scheduled
-longest-path-first from measured stage costs.
+One proof's independent work -- per-batch iNTT/LDE/Merkle commits,
+Merkle leaf ranges, FRI combine rows and query chunks, sumcheck folds --
+is expressed once, as the shard graphs of :mod:`repro.parallel.ops`,
+and run by a :class:`ShardPool`: inline in the calling process with one
+worker, or fanned out across persistent shared-memory workers,
+scheduled longest-path-first from measured stage costs.
 
-Provers discover the active pool through a context variable
-(:func:`sharding` / :func:`current_pool`), mirroring how
-:mod:`repro.tunables` scopes plan tuning and :mod:`repro.metrics`
-scopes counters: no prover signature carries a pool, and nested proofs
-inherit the enclosing pool.  With no pool active (or ``workers=1``)
-every prover takes its serial path unchanged.
+Provers discover the pool through a context variable (:func:`sharding`
+/ :func:`current_pool`), mirroring how :mod:`repro.tunables` scopes plan
+tuning and :mod:`repro.metrics` scopes counters: no prover signature
+needs a pool, and nested proofs inherit the enclosing one.  With no
+pool scoped, :func:`current_pool` is the process-default inline
+executor (:func:`default_pool`) -- the same graphs, one worker.
 
-Correctness contract: sharded and serial proofs are bit-identical --
-same digests, same operation counters.  Fiat-Shamir order is pinned by
-the provers (caps observed in batch-index order between graph runs);
+Correctness contract: proofs are bit-identical at every worker count
+-- same digests, same operation counters.  Fiat-Shamir order is pinned
+by the provers (caps observed in batch-index order between graph runs);
 shards only ever compute.  Every kernel declares its read/write
 footprint (:mod:`repro.parallel.footprints`) and the pool race-checks
 each graph at submission (``validate=True``, raising
@@ -32,7 +33,7 @@ import os
 from typing import Iterator, Optional
 
 from .footprints import FOOTPRINTS, Access, buffer_key, footprint
-from .pool import GraphRaceError, ShardError, ShardPool
+from .pool import GraphRaceError, ShardError, ShardPool, default_pool
 from .scheduler import CriticalPathScheduler, Shard, ShardGraph, StageProfile, static_order
 from .shm import SharedArena, ShmRef, resolve
 
@@ -50,6 +51,7 @@ __all__ = [
     "StageProfile",
     "buffer_key",
     "current_pool",
+    "default_pool",
     "effective_cpus",
     "footprint",
     "maybe_sharding",
@@ -66,27 +68,28 @@ _ACTIVE: contextvars.ContextVar[Optional[ShardPool]] = contextvars.ContextVar(
 )
 
 
-def current_pool() -> Optional[ShardPool]:
-    """The shard pool provers should use, or ``None`` (serial)."""
-    return _ACTIVE.get()
+def current_pool() -> ShardPool:
+    """The pool provers run their graphs on: the scoped one, or the
+    process-default inline executor."""
+    return _ACTIVE.get() or default_pool()
 
 
 @contextlib.contextmanager
-def sharding(pool: Optional[ShardPool]) -> Iterator[Optional[ShardPool]]:
-    """Scope a shard pool: provers inside the block shard through it.
+def sharding(pool: Optional[ShardPool]) -> Iterator[ShardPool]:
+    """Scope a shard pool: provers inside the block run through it.
 
-    ``sharding(None)`` explicitly forces the serial path (useful to
-    exclude sharding from a region inside a sharded caller).
+    ``sharding(None)`` scopes the default inline executor (useful to
+    keep a region inside a fanned-out caller in this process).
     """
     token = _ACTIVE.set(pool)
     try:
-        yield pool
+        yield current_pool()
     finally:
         _ACTIVE.reset(token)
 
 
 @contextlib.contextmanager
-def maybe_sharding(pool: Optional[ShardPool]) -> Iterator[Optional[ShardPool]]:
+def maybe_sharding(pool: Optional[ShardPool]) -> Iterator[ShardPool]:
     """Like :func:`sharding`, but ``None`` inherits the enclosing pool."""
     if pool is None:
         yield current_pool()

@@ -1,7 +1,7 @@
 """Declared read/write footprints of the shard kernels.
 
 Every kernel in :mod:`repro.parallel.kernels` is a *range restriction*
-of a serial prover kernel: it reads and writes statically-describable
+of one prover computation: it reads and writes statically-describable
 regions of shared buffers.  This module makes those regions explicit --
 :func:`footprint` maps a shard's ``(kind, args)`` to a list of
 :class:`Access` records over the buffers the args reference -- so the
@@ -139,42 +139,26 @@ def _fp_merkle_subtree(args: Dict[str, Any]) -> List[Access]:
     start, count = int(args["start"]), int(args["count"])
     sizes = [int(s) for s in args["sizes"]]
     offsets = _level_offsets(sizes)
-    out: List[Access] = []
-    pair_from = args.get("pair_from")
-    if pair_from is not None:
-        shape = _shape(pair_from)
-        half = (shape[0] // 2) if shape else 0
-        out += _acc(pair_from, "r", axis=0, lo=start, hi=start + count)
-        out += _acc(pair_from, "r", axis=0, lo=half + start, hi=half + start + count)
-    else:
-        out += _acc(args["leaves"], "r", axis=0, lo=start, hi=start + count)
-    # Aligned level ranges: the subtree fully owns rows [start>>i,
-    # (start+count)>>i) of every level it covers (count >> i >= 1).
+    base = int(args.get("base", 0))
     arena = args["arena"]
-    for i in range(len(sizes)):
-        if (count >> i) < 1:
+    # With leaves the bottom row is hashed (written) from them; a climb
+    # from an already-filled level only reads its bottom row.
+    hashes_leaves = "leaves" in args
+    out: List[Access] = []
+    if hashes_leaves:
+        out += _acc(args["leaves"], "r", axis=0, lo=start, hi=start + count)
+    # Aligned level ranges: the subtree fully owns rows [start>>k,
+    # (start+count)>>k) of every level base+k it covers (count >> k >= 1).
+    for k in range(len(sizes) - base):
+        if (count >> k) < 1:
             break
         out += _acc(
             arena,
-            "w",
+            "w" if k or hashes_leaves else "r",
             axis=0,
-            lo=offsets[i] + (start >> i),
-            hi=offsets[i] + ((start + count) >> i),
+            lo=offsets[base + k] + (start >> k),
+            hi=offsets[base + k] + ((start + count) >> k),
         )
-    return out
-
-
-def _fp_merkle_top(args: Dict[str, Any]) -> List[Access]:
-    sizes = [int(s) for s in args["sizes"]]
-    offsets = _level_offsets(sizes)
-    sub_depth = int(args["sub_depth"])
-    arena = args["arena"]
-    total = sum(sizes)
-    out = _acc(
-        arena, "r", axis=0, lo=offsets[sub_depth], hi=offsets[sub_depth] + sizes[sub_depth]
-    )
-    if sub_depth + 1 < len(sizes):
-        out += _acc(arena, "w", axis=0, lo=offsets[sub_depth + 1], hi=total)
     return out
 
 
@@ -217,7 +201,6 @@ FOOTPRINTS: Dict[str, Callable[[Dict[str, Any]], List[Access]]] = {
     "lde_rows": _fp_lde_rows,
     "intt_limb": _fp_intt_limb,
     "merkle_subtree": _fp_merkle_subtree,
-    "merkle_top": _fp_merkle_top,
     "sumcheck_fold": _fp_sumcheck_fold,
     "fri_combine": _fp_fri_combine,
     "fri_queries": _fp_fri_queries,

@@ -1,19 +1,23 @@
-"""Shard kernels: the work units executed by shard workers.
+"""Shard kernels: the work units every prover stage is made of.
 
 Each kernel takes one picklable ``args`` dict whose array-valued
-entries are either :class:`~repro.parallel.shm.ShmRef` handles (worker
-execution -- the arrays live in shared memory) or plain ndarrays
-(inline execution in the coordinator, the ``workers=1`` fallback);
-:func:`repro.parallel.shm.resolve` makes both look the same.
+entries are either :class:`~repro.parallel.shm.ShmRef` handles (the
+shared-memory transport: the arrays live in segments a worker process
+attaches) or plain ndarrays (the local transport: the graph runs inline
+in the coordinator); :func:`repro.parallel.shm.resolve` makes both look
+the same.
 
-Every kernel is a *row-range restriction* of an existing serial prover
-kernel: iNTT/LDE rows, Merkle leaf/compress ranges, FRI combine rows
-and query index chunks are all independent across rows, so a sharded
-run produces bit-identical field elements, digests and operation
-counters to the serial path (the counters charge per row/leaf, so
-disjoint ranges sum to exactly the serial totals).  Kernels write their
-outputs into disjoint regions of shared buffers and return only small
-gather results, keeping IPC off the data path.
+Every kernel is the *row-range restriction* of one prover computation:
+iNTT/LDE rows, Merkle leaf/compress ranges, FRI combine rows and query
+index chunks are all independent across rows, so any split produces
+bit-identical field elements, digests and operation counters (the
+counters charge per row/leaf, so disjoint ranges sum to exactly the
+one-shard totals).  The arithmetic itself lives with its protocol
+(:func:`repro.merkle.tree.build_subtree`,
+:func:`repro.fri.prover.combine_rows`, :func:`repro.sumcheck.fold_table`);
+the kernels only restrict it to a range.  Kernels write their outputs
+into disjoint regions of shared buffers and return only small gather
+results, keeping IPC off the data path.
 
 Imports from the proving modules happen lazily inside the kernels:
 those modules import :mod:`repro.parallel` to reach the active pool,
@@ -27,27 +31,6 @@ from typing import Any, Callable, Dict, List
 import numpy as np
 
 from .shm import resolve
-
-
-def _levels(arena: np.ndarray, sizes) -> List[np.ndarray]:
-    """Split a level-order Merkle arena into per-level views."""
-    views: List[np.ndarray] = []
-    offset = 0
-    for size in sizes:
-        views.append(arena[offset : offset + int(size)])
-        offset += int(size)
-    return views
-
-
-def _merkle_path(arena: np.ndarray, sizes, index: int) -> np.ndarray:
-    """Gather the sibling path for a leaf (mirrors ``MerkleTree.prove``)."""
-    sibs = []
-    for level in _levels(arena, sizes)[:-1]:
-        sibs.append(level[index ^ 1])
-        index >>= 1
-    if sibs:
-        return np.stack(sibs)
-    return np.zeros((0, 4), dtype=np.uint64)
 
 
 def lde_commit_rows(args: Dict[str, Any]):
@@ -110,58 +93,26 @@ def coset_intt_limb(args: Dict[str, Any]):
 def merkle_subtree(args: Dict[str, Any]):
     """Hash one aligned leaf range and compress its subtree levels.
 
-    Fills rows ``[start, start + count)`` of level 0 (leaf digests) and
-    the corresponding aligned ranges of every level the subtree fully
-    covers (``count >> i >= 1``).  ``count`` and ``start`` are both
-    powers-of-two-aligned, so sibling pairs never straddle a shard
-    boundary and each level range is written by exactly one shard.
-
-    Leaves come either from rows of a ``leaves`` matrix, or -- for FRI
-    layer trees -- from ``pair_from`` values ``v`` where leaf ``i``
-    packs ``(v[i], v[i + half])``, exactly the serial layer-leaf
-    layout.
+    The ``[start, start + count)`` restriction of
+    :func:`repro.merkle.tree.build_subtree`.  With ``leaves`` the
+    subtree starts from rows of the leaf matrix; without, from the
+    already-filled rows of level ``base`` -- the cap climb over the row
+    of subtree roots that finishes a tree split across several shards.
     """
     from ..field import gl64
-    from ..hashing import sponge
+    from ..merkle.tree import build_subtree, level_views
 
-    arena = resolve(args["arena"])
-    levels = _levels(arena, args["sizes"])
+    levels = level_views(resolve(args["arena"]), args["sizes"])
     start, count = int(args["start"]), int(args["count"])
-    ws = gl64.default_workspace()
-    pair_from = args.get("pair_from")
-    if pair_from is not None:
-        vals = resolve(pair_from)
-        half = vals.shape[0] // 2
-        leaf_rows = np.concatenate(
-            [vals[start : start + count], vals[half + start : half + start + count]],
-            axis=1,
-        )
-    else:
-        leaf_rows = resolve(args["leaves"])[start : start + count]
-    sponge.hash_leaves_into(leaf_rows, levels[0][start : start + count], ws)
-    for i in range(1, len(levels)):
-        if (count >> i) < 1:
-            break
-        prev = levels[i - 1][start >> (i - 1) : (start + count) >> (i - 1)]
-        sponge.compress_level_into(prev, levels[i][start >> i : (start + count) >> i], ws)
-    return None
-
-
-def merkle_top(args: Dict[str, Any]):
-    """Compress the levels above the subtree roots down to the cap.
-
-    Runs after every ``merkle_subtree`` shard of the tree: levels up to
-    ``sub_depth`` (the per-subtree height) are already filled, the rest
-    of the climb is a small serial tail.
-    """
-    from ..field import gl64
-    from ..hashing import sponge
-
-    arena = resolve(args["arena"])
-    levels = _levels(arena, args["sizes"])
-    ws = gl64.default_workspace()
-    for i in range(int(args["sub_depth"]) + 1, len(levels)):
-        sponge.compress_level_into(levels[i - 1], levels[i], ws)
+    leaves = args.get("leaves")
+    build_subtree(
+        levels,
+        start,
+        count,
+        gl64.default_workspace(),
+        None if leaves is None else resolve(leaves)[start : start + count],
+        int(args.get("base", 0)),
+    )
     return None
 
 
@@ -173,8 +124,8 @@ def sumcheck_fold_range(args: Dict[str, Any]):
     ``j + half``, so a shard reads the aligned pair of source ranges
     and writes its own disjoint output range.  The fold is pure
     ``gl64`` element-wise arithmetic (never counted by the op
-    counters), so sharding perturbs neither digests nor counter
-    goldens -- the folded table is bit-identical to the serial fold.
+    counters), so the split perturbs neither digests nor counter
+    goldens.
     """
     from ..sumcheck import fold_table
 
@@ -190,69 +141,62 @@ def sumcheck_fold_range(args: Dict[str, Any]):
 def fri_combine_range(args: Dict[str, Any]):
     """Rows ``[lo, hi)`` of the combined FRI quotient values.
 
-    A row-range restriction of
-    :func:`repro.fri.prover.combine_openings`: every operation there is
+    The row-range restriction of
+    :func:`repro.fri.prover.combine_rows`: every operation there is
     element-wise over the LDE domain (the alpha-power ladder is a pure
     scalar recurrence replayed identically in each shard), so disjoint
     row ranges compose to the bit-identical full array.
     """
-    from ..field import extension as fext, gl64
-    from ..fri.prover import lde_points
+    from ..fri.prover import combine_rows
 
     lo, hi = int(args["lo"]), int(args["hi"])
-    m = hi - lo
-    out = resolve(args["out"])
-    batch_values = [resolve(r) for r in args["values"]]
-    alpha = np.asarray(args["alpha"], dtype=np.uint64).reshape(2)
-    xs = lde_points(int(args["log_lde"]))[lo:hi]
-    total = fext.from_base(gl64.zeros(m))
-    alpha_t = fext.one()
-    for point, cols, vals in zip(args["points"], args["columns"], args["opening_values"]):
-        num = fext.from_base(gl64.zeros(m))
-        const = fext.zero()
-        for (b, c), y in zip(cols, vals):
-            f_vals = batch_values[b][lo:hi, c]
-            num = fext.add(num, fext.scalar_mul(np.broadcast_to(alpha_t, (m, 2)), f_vals))
-            const = fext.add(const, fext.mul(alpha_t, y))
-            alpha_t = fext.mul(alpha_t, alpha)
-        num = fext.sub(num, np.broadcast_to(const, (m, 2)))
-        denom = fext.sub(
-            fext.from_base(xs),
-            np.broadcast_to(np.asarray(point, dtype=np.uint64).reshape(2), (m, 2)),
-        )
-        total = fext.add(total, fext.mul(num, fext.inv(denom)))
-    out[lo:hi] = total
+    values = [resolve(r) for r in args["values"]]
+    resolve(args["out"])[lo:hi] = combine_rows(
+        values, args["openings"], args["alpha"], lo, hi
+    )
     return None
 
 
-def fri_query_chunk(args: Dict[str, Any]) -> List[Dict[str, Any]]:
+def _tree(ref: Dict[str, Any]):
+    """The committed tree behind a ``{values, arena, sizes}`` ref."""
+    from ..merkle.tree import MerkleTree
+
+    sizes = ref["sizes"]
+    cap_height = int(sizes[-1]).bit_length() - 1
+    return MerkleTree.from_levels(
+        resolve(ref["values"]), cap_height, resolve(ref["arena"]), sizes
+    )
+
+
+def fri_query_chunk(args: Dict[str, Any]) -> List[Any]:
     """Gather the openings for a chunk of FRI query indices.
 
     Pure reads: initial leaves and Merkle paths from every batch, then
-    pair leaves and paths down the layer trees -- no hashing, exactly
-    like the serial query loop.  Returns one payload per index, in the
-    chunk's (transcript-pinned) index order.
+    pair leaves and paths down the layer trees (leaf ``j`` of a layer
+    tree packs the pair ``(v[j], v[j + half])``) -- no hashing.
+    Returns one :class:`~repro.fri.proof.FriQueryRound` per index, in
+    the chunk's (transcript-pinned) index order.
     """
-    batches = args["batches"]
-    layers = args["layers"]
-    out: List[Dict[str, Any]] = []
+    from ..fri.proof import FriInitialOpening, FriLayerOpening, FriQueryRound
+
+    batches = [_tree(b) for b in args["batches"]]
+    layers = [_tree(layer) for layer in args["layers"]]
+    rounds: List[Any] = []
     for idx in args["indices"]:
         idx = int(idx)
-        leaves = [resolve(b["values"])[idx].copy() for b in batches]
-        paths = [_merkle_path(resolve(b["arena"]), b["sizes"], idx) for b in batches]
-        layer_rows = []
+        initial = FriInitialOpening(
+            leaves=[t.leaves[idx].copy() for t in batches],
+            proofs=[t.prove(idx) for t in batches],
+        )
+        openings = []
         cur = idx
-        for layer in layers:
-            vals = resolve(layer["values"])
-            half = vals.shape[0] // 2
-            pair = cur % half
-            leaf = np.concatenate([vals[pair], vals[pair + half]])
-            layer_rows.append(
-                (leaf, _merkle_path(resolve(layer["arena"]), layer["sizes"], pair))
+        for t in layers:
+            cur %= t.num_leaves()
+            openings.append(
+                FriLayerOpening(pair_leaf=t.leaves[cur].copy(), proof=t.prove(cur))
             )
-            cur = pair
-        out.append({"leaves": leaves, "paths": paths, "layers": layer_rows})
-    return out
+        rounds.append(FriQueryRound(index=idx, initial=initial, layers=openings))
+    return rounds
 
 
 #: Kernel registry: shard ``kind`` -> callable.
@@ -260,7 +204,6 @@ KERNELS: Dict[str, Callable[[Dict[str, Any]], Any]] = {
     "lde_rows": lde_commit_rows,
     "intt_limb": coset_intt_limb,
     "merkle_subtree": merkle_subtree,
-    "merkle_top": merkle_top,
     "sumcheck_fold": sumcheck_fold_range,
     "fri_combine": fri_combine_range,
     "fri_queries": fri_query_chunk,

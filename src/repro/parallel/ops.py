@@ -1,38 +1,107 @@
-"""Shard-graph builders: prover stages decomposed for the pool.
+"""Shard-graph builders: every prover stage, expressed once.
 
-Each ``sharded_*`` function is the parallel twin of one serial prover
-stage -- same inputs, same outputs, bit-identical results:
+A batch commit, quotient commit, multilinear commit, FRI combine, FRI
+layer commit, query gather or committed-sumcheck round is one function
+here that builds a :class:`Stage` -- the shard graph, the pool that
+runs it and the assembler of its result.  Provers call
+``builder(...).run()``; the race analyzer inspects ``.graph`` without
+executing a kernel.  There is no other implementation of these stages.
 
-* :func:`sharded_from_coeffs` / :func:`sharded_from_values` mirror
-  :meth:`repro.fri.prover.PolynomialBatch.from_coeffs` /
-  ``from_values`` (iNTT rows -> LDE rows -> Merkle subtrees -> cap);
-* :func:`sharded_commit_quotient` fuses the per-limb coset iNTT of
-  :meth:`repro.pipeline.commitment.CommitmentPipeline.commit_quotient`
-  with the chunk commit into one graph (the iNTT shards feed the LDE
-  shards with no barrier in between);
-* :func:`sharded_combine` / :func:`sharded_layer_tree` /
-  :func:`sharded_query_rounds` cover the FRI combine, layer commits and
-  query gathers of :func:`repro.fri.prover.fri_prove`.
+A stage picks one of two transports (:class:`_Plane`):
+
+* **shared memory** -- on a pool with worker processes, for a stage at
+  or above the pool's ``min_*`` threshold that has an arena slot: the
+  work splits into ``pool.workers`` parts, buffers are
+  :class:`~repro.parallel.shm.SharedArena` segments and kernel args are
+  :class:`~repro.parallel.shm.ShmRef` handles;
+* **local** -- everything else (a one-worker pool, no pool scoped, a
+  stage below threshold, a slot-less setup-lifetime commit): one part,
+  run inline in the calling process, buffers from the calling plan's
+  :class:`~repro.field.gl64.Workspace` under the same ``(shape, slot)``
+  discipline, kernel args the arrays themselves.
 
 The transcript-order invariant lives one level up: these builders never
-touch a challenger.  A prover calls them *between* Fiat-Shamir
-interactions, so caps are observed in exactly the serial order no
-matter how shards were scheduled.
+touch a challenger.  A prover runs them *between* Fiat-Shamir
+interactions, so caps are observed in one order no matter how shards
+were split or scheduled.
 
 Buffers follow the arena discipline: slots are derived from the commit
 label (unique within a proof), so repeated proofs of one shape reuse
-their segments -- and like workspace Merkle arenas, a slot belongs to
-exactly one live batch per proof.
+their buffers -- a slot belongs to exactly one live batch per proof.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..field import gl64
+from ..hashing import sponge
+from ..merkle.tree import MerkleTree, level_sizes
+from .pool import ShardPool, default_pool
 from .scheduler import ShardGraph
-from .shm import ShmRef
+
+
+@dataclass
+class Stage:
+    """One built prover stage: run it, or inspect its graph."""
+
+    pool: ShardPool
+    graph: ShardGraph
+    #: ``{shard_id: result}`` -> the stage's value.
+    finish: Callable[[Dict[str, Any]], Any]
+
+    def run(self):
+        """Execute the graph on its pool and assemble the result."""
+        return self.finish(self.pool.run(self.graph))
+
+
+class _Plane:
+    """One stage's transport: who runs it and where its buffers live."""
+
+    def __init__(
+        self,
+        pool: ShardPool,
+        ws: Optional[gl64.Workspace],
+        slot: Optional[str],
+        units: int,
+        threshold: int,
+    ) -> None:
+        self.shm = pool.parallel and slot is not None and units >= threshold
+        if self.shm:
+            self.pool, self.parts, self._bufs = pool, pool.workers, pool.arena
+            return
+        # Work that stays in this process runs on the inline executor;
+        # a parallel pool's stats and profile describe its workers only.
+        self.pool = default_pool() if pool.parallel else pool
+        self.parts = 1
+        # Reuse needs both a plan workspace and a slot naming the
+        # buffer's one owner; anything else gets buffers of its own.
+        self._bufs = ws if ws is not None and slot is not None else gl64.Workspace()
+
+    def buf(self, shape, slot: str) -> np.ndarray:
+        """A shard-visible ``uint64`` buffer, stable per ``(shape, slot)``."""
+        return self._bufs.temp(tuple(int(d) for d in shape), slot)
+
+    def ref(self, arr: np.ndarray):
+        """The kernel-args form of a shard-visible array."""
+        if not self.shm:
+            return arr
+        ref = self.pool.arena.ref_of(arr)
+        assert ref is not None, "buffer must come from the pool arena"
+        return ref
+
+    def stage(self, arr: np.ndarray, slot: str) -> np.ndarray:
+        """A shard-visible array holding ``arr``: itself when the graph
+        runs in this process or the arena already owns it, else a copy
+        in the ``slot`` segment."""
+        if not self.shm or self.pool.arena.ref_of(arr) is not None:
+            return arr
+        buf = self.buf(arr.shape, slot)
+        buf[:] = arr
+        return buf
 
 
 def _split(total: int, parts: int) -> List[Tuple[int, int]]:
@@ -48,590 +117,371 @@ def _split(total: int, parts: int) -> List[Tuple[int, int]]:
     return out
 
 
-def _pow2_subtrees(workers: int, num_leaves: int) -> int:
-    """Number of Merkle subtree shards: workers rounded up to a power of
-    two (alignment: every shard must cover a power-of-two leaf range so
-    sibling pairs never straddle shards), clamped to the leaf count."""
-    sub = 1 << max(0, workers - 1).bit_length()
-    return min(sub, num_leaves)
-
-
-def _ref_or_copy(pool, arr: np.ndarray, slot: str):
-    """Ship an array to workers: its existing arena ref, or a shm copy.
-
-    Inline pools (``workers=1``) skip shm entirely -- kernels accept the
-    array itself.
-    """
-    if not pool.parallel:
-        return arr
-    ref = pool.arena.ref_of(arr)
-    if ref is not None:
-        return ref
-    buf = pool.arena.temp(arr.shape, slot)
-    buf[:] = arr
-    return pool.arena.ref_of(buf)
-
-
-def _buf(pool, shape, slot: str) -> np.ndarray:
-    """A shard-visible output buffer (shm when parallel, heap inline)."""
-    if pool.parallel:
-        return pool.arena.temp(shape, slot)
-    return np.empty(tuple(int(d) for d in shape), dtype=np.uint64)
-
-
-def _out_ref(pool, arr: np.ndarray):
-    """The kernel-args form of a ``_buf`` array."""
-    if pool.parallel:
-        ref = pool.arena.ref_of(arr)
-        assert ref is not None, "output buffer must come from the pool arena"
-        return ref
-    return arr
-
-
 def _add_merkle_shards(
-    pool,
+    plane: _Plane,
     graph: ShardGraph,
     prefix: str,
-    arena_args: Dict[str, Any],
-    num_leaves: int,
-    leaf_width: int,
-    deps: Sequence[str],
-) -> None:
-    """Add the subtree + cap-climb shards for one Merkle tree."""
-    sizes = arena_args["sizes"]
-    sub = _pow2_subtrees(pool.workers, num_leaves)
+    leaves: np.ndarray,
+    cap_height: int,
+    slot: str,
+    deps: Sequence[str] = (),
+) -> Callable[[], MerkleTree]:
+    """Add the shards that commit ``leaves`` (one row per leaf).
+
+    One ``merkle_subtree`` shard per aligned leaf range -- the part
+    count rounded up to a power of two, so sibling pairs never straddle
+    shards -- plus, when that leaves levels above the subtree roots, the
+    climb from the root row to the cap.  Returns the tree assembler.
+    """
+    num_leaves, leaf_width = leaves.shape
+    sizes = level_sizes(num_leaves, cap_height)
+    arena = plane.buf((sum(sizes), sponge.DIGEST_LEN), slot)
+    args = {"arena": plane.ref(arena), "sizes": sizes}
+    sub = min(1 << (plane.parts - 1).bit_length(), num_leaves)
     leaves_per = num_leaves // sub
     sub_depth = leaves_per.bit_length() - 1
-    sub_ids = []
-    for j in range(sub):
-        sub_ids.append(
-            graph.add(
-                f"{prefix}:sub{j}",
-                "merkle_subtree",
-                {**arena_args, "start": j * leaves_per, "count": leaves_per},
-                deps=tuple(deps),
-                units=leaves_per * leaf_width,
-            )
+    sub_ids = [
+        graph.add(
+            f"{prefix}:sub{j}",
+            "merkle_subtree",
+            {**args, "leaves": plane.ref(leaves), "start": j * leaves_per, "count": leaves_per},
+            deps=deps,
+            units=leaves_per * leaf_width,
         )
+        for j in range(sub)
+    ]
     if len(sizes) > sub_depth + 1:
         graph.add(
             f"{prefix}:top",
-            "merkle_top",
-            {
-                "arena": arena_args["arena"],
-                "sizes": sizes,
-                "sub_depth": sub_depth,
-            },
-            deps=tuple(sub_ids),
-            units=sum(sizes[sub_depth + 1 :]),
+            "merkle_subtree",
+            {**args, "base": sub_depth, "start": 0, "count": sub},
+            deps=sub_ids,
+            units=2 * sponge.DIGEST_LEN * sum(sizes[sub_depth + 1 :]),
         )
-
-
-def _assemble_batch(pool, coeffs, values, arena, sizes, cap_height, rate_bits):
-    """Wrap shard-filled buffers into a PolynomialBatch + tree."""
-    from ..fri.prover import PolynomialBatch
-    from ..merkle.tree import MerkleTree
-
-    tree = MerkleTree.from_levels(values, cap_height, arena, sizes)
-    batch = PolynomialBatch(
-        coeffs=coeffs, values=values, tree=tree, rate_bits=rate_bits
-    )
-    refs = {
-        "values": _out_ref(pool, values),
-        "arena": _out_ref(pool, arena),
-        "sizes": list(sizes),
-    }
-    batch._shard_refs = (pool.uid, refs)  # noqa: SLF001 - adoption cache
-    return batch
+    return lambda: MerkleTree.from_levels(leaves, cap_height, arena, sizes)
 
 
 def _commit_graph(
-    pool,
+    plane: _Plane,
+    graph: ShardGraph,
     slot: str,
-    *,
-    mode: str,
-    src,
+    lde_args: Dict[str, Any],
     num_polys: int,
     n: int,
     rate_bits: int,
     cap_height: int,
-    chunks: int = 0,
-    extra_deps: Sequence[str] = (),
-    graph: Optional[ShardGraph] = None,
-):
-    """Build the iNTT/LDE/Merkle graph for one batch commit.
+    deps: Sequence[str] = (),
+    coeffs: Optional[np.ndarray] = None,
+) -> Stage:
+    """The LDE-rows -> Merkle part of a batch commit.
 
-    Returns ``(graph, finish)`` where ``finish()`` (called after the
-    pool ran the graph) assembles the :class:`PolynomialBatch`.
+    ``lde_args`` says where the coefficient rows come from (the
+    ``lde_rows`` kernel's ``mode`` plus its source), unless the caller
+    already holds them in ``coeffs``; the batch's ``values`` and tree
+    buffers are allocated here.
     """
-    from ..merkle.tree import level_sizes
-    from ..hashing import sponge
+    from ..fri.prover import PolynomialBatch
 
     n_lde = n << rate_bits
-    graph = graph if graph is not None else ShardGraph(f"commit:{slot}")
-    coeffs_out = _buf(pool, (num_polys, n), f"{slot}:coeffs")
-    values_out = _buf(pool, (n_lde, num_polys), f"{slot}:values")
-    if mode == "direct":
-        coeffs_out[:] = src
-        src_arg = None
+    if coeffs is None:
+        coeffs = plane.buf((num_polys, n), f"{slot}:coeffs")
     else:
-        src_arg = src
-    sizes = level_sizes(n_lde, cap_height)
-    arena = _buf(pool, (sum(sizes), sponge.DIGEST_LEN), f"{slot}:tree")
-    lde_ids = []
-    base_args = {
-        "mode": mode,
-        "coeffs_out": _out_ref(pool, coeffs_out),
-        "values_out": _out_ref(pool, values_out),
+        coeffs = plane.stage(coeffs, f"{slot}:coeffs")
+    values = plane.buf((n_lde, num_polys), f"{slot}:values")
+    lde_args = {
+        **lde_args,
+        "coeffs_out": plane.ref(coeffs),
+        "values_out": plane.ref(values),
         "rate_bits": rate_bits,
     }
-    if src_arg is not None:
-        base_args["src"] = src_arg
-    if mode == "chunks":
-        base_args["n"] = n
-        base_args["chunks"] = chunks
-    for i, (lo, hi) in enumerate(_split(num_polys, pool.workers)):
-        lde_ids.append(
-            graph.add(
-                f"{slot}:lde{i}",
-                "lde_rows",
-                {**base_args, "lo": lo, "hi": hi},
-                deps=tuple(extra_deps),
-                units=(hi - lo) * n_lde,
-            )
+    lde_ids = [
+        graph.add(
+            f"{slot}:lde{i}",
+            "lde_rows",
+            {**lde_args, "lo": lo, "hi": hi},
+            deps=deps,
+            units=(hi - lo) * n_lde,
         )
-    _add_merkle_shards(
-        pool,
-        graph,
+        for i, (lo, hi) in enumerate(_split(num_polys, plane.parts))
+    ]
+    tree = _add_merkle_shards(
+        plane, graph, slot, values, cap_height, f"{slot}:tree", lde_ids
+    )
+
+    def finish(_results) -> "PolynomialBatch":
+        return PolynomialBatch(
+            coeffs=coeffs, values=values, tree=tree(), rate_bits=rate_bits
+        )
+
+    return Stage(plane.pool, graph, finish)
+
+
+def _rows(rows) -> np.ndarray:
+    return np.atleast_2d(np.asarray(rows, dtype=np.uint64))
+
+
+def from_coeffs_graph(
+    pool: ShardPool,
+    ws: Optional[gl64.Workspace],
+    coeffs: np.ndarray,
+    rate_bits: int,
+    cap_height: int,
+    slot: Optional[str],
+) -> Stage:
+    """Commit coefficient rows: the :class:`PolynomialBatch` stage."""
+    coeffs = _rows(coeffs)
+    num_polys, n = coeffs.shape
+    plane = _Plane(pool, ws, slot, n << rate_bits, pool.min_rows)
+    slot = f"commit:{slot or 'batch'}"
+    return _commit_graph(
+        plane,
+        ShardGraph(slot),
         slot,
-        {"arena": _out_ref(pool, arena), "sizes": sizes, "leaves": _out_ref(pool, values_out)},
-        n_lde,
+        {"mode": "direct"},
         num_polys,
-        deps=lde_ids,
+        n,
+        rate_bits,
+        cap_height,
+        coeffs=coeffs,
     )
 
-    def finish():
-        return _assemble_batch(
-            pool, coeffs_out, values_out, arena, sizes, cap_height, rate_bits
-        )
 
-    return graph, finish
-
-
-def from_coeffs_graph(pool, coeffs: np.ndarray, rate_bits: int, cap_height: int, slot: str):
-    """Build (don't run) the ``from_coeffs`` commit graph.
-
-    Returns ``(graph, finish)``; run the graph through the pool, then
-    call ``finish()`` to assemble the batch.  The build/run split lets
-    the race analyzer inspect the exact shipped graph shapes without
-    executing any kernel.
-    """
-    coeffs = np.atleast_2d(np.asarray(coeffs, dtype=np.uint64))
+def from_values_graph(
+    pool: ShardPool,
+    ws: Optional[gl64.Workspace],
+    rows: np.ndarray,
+    rate_bits: int,
+    cap_height: int,
+    slot: Optional[str],
+) -> Stage:
+    """Commit subgroup evaluations: iNTT folded into the LDE shards."""
+    rows = _rows(rows)
+    num_polys, n = rows.shape
+    plane = _Plane(pool, ws, slot, n << rate_bits, pool.min_rows)
+    slot = f"commit:{slot or 'batch'}"
+    src = plane.stage(rows, f"{slot}:src")
     return _commit_graph(
-        pool,
+        plane,
+        ShardGraph(slot),
         slot,
-        mode="direct",
-        src=coeffs,
-        num_polys=coeffs.shape[0],
-        n=coeffs.shape[1],
-        rate_bits=rate_bits,
-        cap_height=cap_height,
+        {"mode": "intt", "src": plane.ref(src)},
+        num_polys,
+        n,
+        rate_bits,
+        cap_height,
     )
-
-
-def sharded_from_coeffs(pool, coeffs: np.ndarray, rate_bits: int, cap_height: int, slot: str):
-    """Sharded ``PolynomialBatch.from_coeffs`` (bit-identical result)."""
-    graph, finish = from_coeffs_graph(pool, coeffs, rate_bits, cap_height, slot)
-    pool.run(graph)
-    return finish()
-
-
-def from_values_graph(pool, rows: np.ndarray, rate_bits: int, cap_height: int, slot: str):
-    """Build (don't run) the ``from_values`` commit graph."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.uint64))
-    src = _buf(pool, rows.shape, f"{slot}:src")
-    src[:] = rows
-    return _commit_graph(
-        pool,
-        slot,
-        mode="intt",
-        src=_out_ref(pool, src),
-        num_polys=rows.shape[0],
-        n=rows.shape[1],
-        rate_bits=rate_bits,
-        cap_height=cap_height,
-    )
-
-
-def sharded_from_values(pool, rows: np.ndarray, rate_bits: int, cap_height: int, slot: str):
-    """Sharded ``PolynomialBatch.from_values``: iNTT folded into the
-    LDE shards (each row shard interpolates its own rows first)."""
-    graph, finish = from_values_graph(pool, rows, rate_bits, cap_height, slot)
-    pool.run(graph)
-    return finish()
 
 
 def quotient_commit_graph(
-    pool,
+    pool: ShardPool,
+    ws: Optional[gl64.Workspace],
     ext_values: np.ndarray,
     n: int,
     chunks: int,
     rate_bits: int,
     cap_height: int,
     slot: str,
-):
-    """Build (don't run) the fused quotient-commit graph."""
+) -> Stage:
+    """Interpolate and commit a quotient evaluated on the LDE coset.
+
+    One fused graph: a coset iNTT per extension limb feeds the chunk
+    LDE shards with no barrier, so on several workers the second limb's
+    interpolation overlaps the first limb's extensions.
+    """
     ext_values = np.asarray(ext_values, dtype=np.uint64)
     big_n = ext_values.shape[0]
-    src = _buf(pool, ext_values.shape, f"{slot}:ext")
-    src[:] = ext_values
-    limbs = _buf(pool, (2, big_n), f"{slot}:limbs")
-    graph = ShardGraph(f"commit:{slot}")
+    plane = _Plane(pool, ws, slot, n << rate_bits, pool.min_rows)
+    slot = f"commit:{slot}"
+    src = plane.stage(ext_values, f"{slot}:ext")
+    limbs = plane.buf((2, big_n), f"{slot}:limbs")
+    graph = ShardGraph(slot)
     intt_ids = [
         graph.add(
             f"{slot}:intt{limb}",
             "intt_limb",
-            {
-                "src": _out_ref(pool, src),
-                "out": _out_ref(pool, limbs),
-                "limb": limb,
-            },
+            {"src": plane.ref(src), "out": plane.ref(limbs), "limb": limb},
             units=big_n,
         )
         for limb in range(2)
     ]
     return _commit_graph(
-        pool,
-        slot,
-        mode="chunks",
-        src=_out_ref(pool, limbs),
-        num_polys=2 * chunks,
-        n=n,
-        rate_bits=rate_bits,
-        cap_height=cap_height,
-        chunks=chunks,
-        extra_deps=intt_ids,
-        graph=graph,
-    )
-
-
-def sharded_commit_quotient(
-    pool,
-    ext_values: np.ndarray,
-    n: int,
-    chunks: int,
-    rate_bits: int,
-    cap_height: int,
-    slot: str,
-):
-    """Sharded quotient commit: one fused graph for both coset-iNTT
-    limbs and the chunk LDE/Merkle, so the second limb's interpolation
-    overlaps the first limb's extensions."""
-    graph, finish = quotient_commit_graph(
-        pool, ext_values, n, chunks, rate_bits, cap_height, slot
-    )
-    pool.run(graph)
-    return finish()
-
-
-def multilinear_commit_graph(pool, rows: np.ndarray, cap_height: int, slot: str):
-    """Build (don't run) a multilinear-PCS commit graph.
-
-    The hypercube evaluation rows *are* the leaves (no LDE stage, the
-    whole point of the sumcheck-native path), so the graph is pure
-    Merkle work: aligned ``merkle_subtree`` shards plus the
-    ``merkle_top`` cap climb.  Returns ``(graph, finish)``;
-    ``finish()`` wraps the shard-filled arena into a
-    :class:`~repro.merkle.MerkleTree` without re-hashing.
-    """
-    from ..hashing import sponge
-    from ..merkle.tree import MerkleTree, level_sizes
-
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.uint64))
-    n = rows.shape[0]
-    leaves = _buf(pool, rows.shape, f"{slot}:leaves")
-    leaves[:] = rows
-    sizes = level_sizes(n, cap_height)
-    arena = _buf(pool, (sum(sizes), sponge.DIGEST_LEN), f"{slot}:tree")
-    graph = ShardGraph(f"mlpcs:{slot}")
-    _add_merkle_shards(
-        pool,
+        plane,
         graph,
         slot,
-        {"arena": _out_ref(pool, arena), "sizes": sizes, "leaves": _out_ref(pool, leaves)},
+        {"mode": "chunks", "src": plane.ref(limbs), "n": n, "chunks": chunks},
+        2 * chunks,
         n,
-        rows.shape[1],
-        deps=(),
+        rate_bits,
+        cap_height,
+        deps=intt_ids,
     )
 
-    def finish():
-        return MerkleTree.from_levels(leaves, cap_height, arena, sizes)
 
-    return graph, finish
+def multilinear_commit_graph(
+    pool: ShardPool, rows: np.ndarray, cap_height: int, slot: Optional[str]
+) -> Stage:
+    """Commit a hypercube table row-wise: the :class:`MerkleTree` stage.
 
-
-def sharded_multilinear_commit(pool, rows: np.ndarray, cap_height: int, slot: str):
-    """Sharded :meth:`repro.pcs.MultilinearPCS.commit` (bit-identical)."""
-    graph, finish = multilinear_commit_graph(pool, rows, cap_height, slot)
-    pool.run(graph)
-    return finish()
-
-
-def sumcheck_table_buffer(pool, table: np.ndarray, slot: str = "sumcheck:q") -> np.ndarray:
-    """Copy a sumcheck table into a shard-visible ``(n, 1)`` buffer.
-
-    The column shape matches what the fold-level Merkle commits expect
-    as leaves, so each round's output buffer doubles as the committed
-    level's leaf matrix with no reshuffling.
+    The evaluation rows *are* the leaves (no LDE stage, the whole point
+    of the sumcheck-native path), so the graph is pure Merkle work.
     """
-    table = np.asarray(table, dtype=np.uint64)
-    buf = _buf(pool, (table.shape[0], 1), slot)
-    buf[:] = table.reshape(-1, 1)
-    return buf
+    rows = _rows(rows)
+    plane = _Plane(pool, None, slot, rows.shape[0], pool.min_tree_leaves)
+    slot = slot or "table"
+    leaves = plane.stage(rows, f"{slot}:leaves")
+    graph = ShardGraph(f"mlpcs:{slot}")
+    tree = _add_merkle_shards(plane, graph, slot, leaves, cap_height, f"{slot}:tree")
+    return Stage(plane.pool, graph, lambda _results: tree())
 
 
-def sumcheck_fold_graph(pool, table: np.ndarray, r: int, level: int, cap_height: int):
-    """Build (don't run) one sumcheck fold + fold-level commit graph.
+def sumcheck_fold_graph(
+    pool: ShardPool, table: np.ndarray, r: int, level: int, cap_height: int
+) -> Stage:
+    """One committed-sumcheck round: fold, then commit the folded level.
 
-    ``table`` is the current ``(2m, 1)`` round table in a shard-visible
-    buffer; the graph fans the fold ``out[j] = table[j] (1-r) +
-    table[j+m] r`` across ``sumcheck_fold`` row-range shards, and --
-    when the folded level has more than one row -- feeds the fold
-    shards straight into the level's Merkle subtree shards (the fused
-    per-round pipeline; no barrier between fold and hash).  Returns
-    ``(graph, out, finish)`` where ``finish()`` is the committed
-    :class:`~repro.merkle.MerkleTree`, or ``None`` for the final
-    single-row level.
+    ``table`` is the current ``(2m, 1)`` round table (a column, so each
+    round's output doubles as the committed level's leaf matrix).  The
+    fold ``out[j] = table[j] (1-r) + table[j+m] r`` fans across
+    ``sumcheck_fold`` row-range shards which -- when the folded level
+    has more than one row -- feed straight into the level's Merkle
+    shards (no barrier between fold and hash).  The stage's value is
+    ``(out, tree)``, ``tree`` being ``None`` for the final one-row level.
 
     Fiat-Shamir discipline: ``r`` was squeezed by the coordinator
     *before* this graph is built, and the coordinator observes the
-    finished cap after the run -- workers never see a challenger.
+    finished cap after the run -- shards never see a challenger.
     """
-    from ..hashing import sponge
-    from ..merkle.tree import MerkleTree, level_sizes
-
     half = table.shape[0] // 2
-    out = _buf(pool, (half, 1), f"sumcheck:lvl{level}")
+    plane = _Plane(pool, None, "sumcheck", half, max(2, pool.min_rows))
+    src = plane.stage(table, f"sumcheck:src{level}")
+    out = plane.buf((half, 1), f"sumcheck:lvl{level}")
     graph = ShardGraph(f"sumcheck:round{level}")
-    fold_ids = []
-    for i, (lo, hi) in enumerate(_split(half, pool.workers)):
-        fold_ids.append(
-            graph.add(
-                f"sc:fold{i}",
-                "sumcheck_fold",
-                {
-                    "src": _out_ref(pool, table),
-                    "out": _out_ref(pool, out),
-                    "lo": lo,
-                    "hi": hi,
-                    "r": int(r),
-                },
-                units=hi - lo,
-            )
-        )
-    if half <= 1:
-        return graph, out, (lambda: None)
-    cap = min(cap_height, half.bit_length() - 1)
-    sizes = level_sizes(half, cap)
-    arena = _buf(pool, (sum(sizes), sponge.DIGEST_LEN), f"sumcheck:tree{level}")
-    _add_merkle_shards(
-        pool,
-        graph,
-        f"sc:tree{level}",
-        {"arena": _out_ref(pool, arena), "sizes": sizes, "leaves": _out_ref(pool, out)},
-        half,
-        1,
-        deps=fold_ids,
-    )
-
-    def finish():
-        return MerkleTree.from_levels(out, cap, arena, sizes)
-
-    return graph, out, finish
-
-
-def sharded_sumcheck_round(pool, table: np.ndarray, r: int, level: int, cap_height: int):
-    """Run one fused fold+commit sumcheck round; returns ``(out, tree)``."""
-    graph, out, finish = sumcheck_fold_graph(pool, table, r, level, cap_height)
-    pool.run(graph)
-    return out, finish()
-
-
-def adopt_batch(pool, batch) -> Dict[str, Any]:
-    """Worker-visible refs for a batch's values + tree arena.
-
-    Batches committed through this pool already carry refs; foreign
-    batches (e.g. a preprocessed setup commitment built serially) are
-    copied into fresh adoption slots once and cached on the batch.  The
-    originals are never mutated.
-    """
-    cached = getattr(batch, "_shard_refs", None)
-    if cached is not None and cached[0] == pool.uid:
-        return cached[1]
-    aslot = pool.adopt_slot()
-    refs = {
-        "values": _ref_or_copy(pool, np.ascontiguousarray(batch.values), f"{aslot}:values"),
-        "arena": _ref_or_copy(pool, np.ascontiguousarray(batch.tree.arena), f"{aslot}:tree"),
-        "sizes": [len(level) for level in batch.tree.levels],
-    }
-    batch._shard_refs = (pool.uid, refs)  # noqa: SLF001 - adoption cache
-    return refs
-
-
-def combine_graph(pool, batches: Sequence, openings, alpha: np.ndarray):
-    """Build (don't run) the FRI combine graph; returns ``(graph, out)``."""
-    n_lde = batches[0].values.shape[0]
-    out = _buf(pool, (n_lde, 2), "fri:vals0")
-    refs = [adopt_batch(pool, b) for b in batches]
-    args_common = {
-        "out": _out_ref(pool, out),
-        "values": [r["values"] for r in refs],
-        "alpha": np.asarray(alpha, dtype=np.uint64).reshape(2),
-        "log_lde": n_lde.bit_length() - 1,
-        "points": [np.asarray(p, dtype=np.uint64).reshape(2) for p in openings.points],
-        "columns": [list(c) for c in openings.columns],
-        "opening_values": [np.atleast_2d(v) for v in openings.values],
-    }
-    graph = ShardGraph("fri:combine")
-    for i, (lo, hi) in enumerate(_split(n_lde, pool.workers)):
+    fold_ids = [
         graph.add(
-            f"fri:combine{i}",
-            "fri_combine",
-            {**args_common, "lo": lo, "hi": hi},
+            f"sc:fold{i}",
+            "sumcheck_fold",
+            {"src": plane.ref(src), "out": plane.ref(out), "lo": lo, "hi": hi, "r": int(r)},
             units=hi - lo,
         )
-    return graph, out
-
-
-def sharded_combine(pool, batches: Sequence, openings, alpha: np.ndarray) -> np.ndarray:
-    """Sharded ``combine_openings``: row ranges of the LDE domain.
-
-    The alpha-power ladder is a scalar recurrence independent of the
-    row, so each shard replays it locally; rows compose bit-exactly.
-    """
-    graph, out = combine_graph(pool, batches, openings, alpha)
-    pool.run(graph)
-    return out
-
-
-def layer_tree_graph(pool, values: np.ndarray, cap_height: int, layer: int):
-    """Build (don't run) one FRI layer-commit graph.
-
-    Returns ``(graph, finish)``; ``finish()`` wraps the shard-filled
-    arena into the :class:`MerkleTree` once the graph ran.
-    """
-    from ..hashing import sponge
-    from ..merkle.tree import MerkleTree, level_sizes
-
-    n = values.shape[0]
-    half = n // 2
-    vals = values
-    if pool.parallel and pool.arena.ref_of(values) is None:
-        vals = _buf(pool, values.shape, f"fri:vals{layer}")
-        vals[:] = values
-    cap = min(cap_height, half.bit_length() - 1)
-    sizes = level_sizes(half, cap)
-    arena = _buf(pool, (sum(sizes), sponge.DIGEST_LEN), f"fri:tree{layer}")
-    graph = ShardGraph(f"fri:tree{layer}")
-    _add_merkle_shards(
-        pool,
+        for i, (lo, hi) in enumerate(_split(half, plane.parts))
+    ]
+    if half <= 1:
+        return Stage(plane.pool, graph, lambda _results: (out, None))
+    tree = _add_merkle_shards(
+        plane,
         graph,
-        f"fri:tree{layer}",
-        {
-            "arena": _out_ref(pool, arena),
-            "sizes": sizes,
-            "pair_from": _out_ref(pool, vals),
-        },
-        half,
-        2 * values.shape[1],
-        deps=(),
+        f"sc:tree{level}",
+        out,
+        min(cap_height, half.bit_length() - 1),
+        f"sumcheck:tree{level}",
+        fold_ids,
     )
-
-    def finish():
-        leaves = np.concatenate([vals[:half], vals[half:]], axis=1)
-        return MerkleTree.from_levels(leaves, cap, arena, sizes)
-
-    return graph, finish
+    return Stage(plane.pool, graph, lambda _results: (out, tree()))
 
 
-def sharded_layer_tree(pool, values: np.ndarray, cap_height: int, layer: int):
-    """Sharded ``_layer_tree``: commit one FRI fold layer.
+def _tree_refs(plane: _Plane, tree: MerkleTree, slot: str) -> Dict[str, Any]:
+    """Shard-visible ``{values, arena, sizes}`` refs for a committed tree.
 
-    The layer values land in the ``fri:vals{layer}`` arena slot and the
-    digests in ``fri:tree{layer}``, where :func:`layer_ref_args` finds
-    them again at query time without copying.
-    """
-    graph, finish = layer_tree_graph(pool, values, cap_height, layer)
-    pool.run(graph)
-    return finish()
-
-
-def layer_ref_args(pool, tree, values: np.ndarray, layer: int) -> Dict[str, Any]:
-    """Worker-visible refs for one FRI layer (values + tree arena).
-
-    Layers committed through :func:`sharded_layer_tree` resolve to their
-    existing segments; serially-built small tail layers are copied into
-    the same slots once.
+    A tree committed on this plane's transport resolves to its existing
+    buffers; under shared memory a foreign one (committed in-process
+    below threshold, or at setup) is copied into ``slot`` segments,
+    which the next proof's tree in the same role reuses.  The originals
+    are never mutated.
     """
     return {
-        "values": _ref_or_copy(pool, np.ascontiguousarray(values), f"fri:vals{layer}"),
-        "arena": _ref_or_copy(pool, np.ascontiguousarray(tree.arena), f"fri:tree{layer}"),
+        "values": plane.ref(plane.stage(tree.leaves, f"{slot}:values")),
+        "arena": plane.ref(plane.stage(tree.arena, f"{slot}:tree")),
         "sizes": [len(level) for level in tree.levels],
     }
 
 
+def _batch_refs(plane: _Plane, batches: Sequence) -> List[Dict[str, Any]]:
+    """:func:`_tree_refs` per batch, slotted by FRI opening index."""
+    return [_tree_refs(plane, b.tree, f"fri:batch{i}") for i, b in enumerate(batches)]
+
+
+def combine_graph(
+    pool: ShardPool,
+    ws: Optional[gl64.Workspace],
+    batches: Sequence,
+    openings,
+    alpha: np.ndarray,
+) -> Stage:
+    """The combined FRI quotient values, split by LDE row range."""
+    n_lde = batches[0].values.shape[0]
+    plane = _Plane(pool, ws, "fri", n_lde, pool.min_rows)
+    out = plane.buf((n_lde, 2), "fri:vals0")
+    args = {
+        "out": plane.ref(out),
+        "values": [refs["values"] for refs in _batch_refs(plane, batches)],
+        "openings": openings,
+        "alpha": np.asarray(alpha, dtype=np.uint64).reshape(2),
+    }
+    graph = ShardGraph("fri:combine")
+    for i, (lo, hi) in enumerate(_split(n_lde, plane.parts)):
+        graph.add(f"fri:combine{i}", "fri_combine", {**args, "lo": lo, "hi": hi}, units=hi - lo)
+    return Stage(plane.pool, graph, lambda _results: out)
+
+
+def layer_tree_graph(
+    pool: ShardPool,
+    ws: Optional[gl64.Workspace],
+    values: np.ndarray,
+    cap_height: int,
+    layer: int,
+) -> Stage:
+    """Commit one FRI fold layer: leaf ``i`` packs ``(v[i], v[i + N/2])``.
+
+    The pair leaves land in the ``fri:leaves{layer}`` slot and the
+    digests in ``fri:tree{layer}``, where :func:`query_rounds_graph`
+    finds them again without copying.
+    """
+    half, width = values.shape[0] // 2, values.shape[1]
+    plane = _Plane(pool, ws, "fri", half, pool.min_tree_leaves)
+    leaves = plane.buf((half, 2 * width), f"fri:leaves{layer}")
+    leaves[:, :width] = values[:half]
+    leaves[:, width:] = values[half:]
+    graph = ShardGraph(f"fri:tree{layer}")
+    tree = _add_merkle_shards(
+        plane,
+        graph,
+        f"fri:tree{layer}",
+        leaves,
+        min(cap_height, half.bit_length() - 1),
+        f"fri:tree{layer}",
+    )
+    return Stage(plane.pool, graph, lambda _results: tree())
+
+
 def query_rounds_graph(
-    pool,
+    pool: ShardPool,
+    ws: Optional[gl64.Workspace],
     batches: Sequence,
-    layer_args: List[Dict[str, Any]],
+    layer_trees: Sequence[MerkleTree],
     indices: Sequence[int],
-):
-    """Build (don't run) the query-gather graph; returns ``(graph, chunks)``."""
-    batch_refs = [adopt_batch(pool, b) for b in batches]
-    chunks = _split(len(indices), pool.workers)
-    graph = ShardGraph("fri:queries")
-    for i, (lo, hi) in enumerate(chunks):
-        graph.add(
-            f"fri:queries{i}",
-            "fri_queries",
-            {
-                "indices": [int(x) for x in indices[lo:hi]],
-                "batches": batch_refs,
-                "layers": layer_args,
-            },
-            units=hi - lo,
-        )
-    return graph, chunks
-
-
-def sharded_query_rounds(
-    pool,
-    batches: Sequence,
-    layer_args: List[Dict[str, Any]],
-    indices: Sequence[int],
-) -> List:
-    """Sharded FRI query phase: chunks of query indices fan out.
+) -> Stage:
+    """The FRI query phase, split by chunks of query indices.
 
     Queries are pure reads (no hashing, no transcript), so any split is
     exact; rounds are assembled in the transcript-pinned index order.
     """
-    from ..fri.proof import FriInitialOpening, FriLayerOpening, FriQueryRound
-    from ..merkle.tree import MerkleProof
-
-    graph, chunks = query_rounds_graph(pool, batches, layer_args, indices)
-    results = pool.run(graph)
-    rounds: List = []
-    for i, (lo, hi) in enumerate(chunks):
-        payloads = results[f"fri:queries{i}"]
-        for offset, payload in enumerate(payloads):
-            idx = int(indices[lo + offset])
-            initial = FriInitialOpening(
-                leaves=payload["leaves"],
-                proofs=[MerkleProof(siblings=p) for p in payload["paths"]],
-            )
-            layers = [
-                FriLayerOpening(pair_leaf=leaf, proof=MerkleProof(siblings=path))
-                for leaf, path in payload["layers"]
-            ]
-            rounds.append(FriQueryRound(index=idx, initial=initial, layers=layers))
-    return rounds
+    plane = _Plane(pool, ws, "fri", len(indices), pool.min_queries)
+    args = {
+        "batches": _batch_refs(plane, batches),
+        "layers": [
+            _tree_refs(plane, tree, f"fri:layer{i}") for i, tree in enumerate(layer_trees)
+        ],
+    }
+    graph = ShardGraph("fri:queries")
+    ids = [
+        graph.add(
+            f"fri:queries{i}",
+            "fri_queries",
+            {**args, "indices": [int(x) for x in indices[lo:hi]]},
+            units=hi - lo,
+        )
+        for i, (lo, hi) in enumerate(_split(len(indices), plane.parts))
+    ]
+    return Stage(
+        plane.pool, graph, lambda results: [r for sid in ids for r in results[sid]]
+    )

@@ -1,26 +1,29 @@
-"""The intra-proof shard pool: persistent workers over shared memory.
+"""The shard-graph executor: one scheduler, two transports.
 
-A :class:`ShardPool` owns a :class:`~repro.parallel.shm.SharedArena`
-(the cross-process zero-copy plane) and a set of persistent forked
-worker processes.  Provers hand it :class:`~repro.parallel.scheduler.ShardGraph`
-instances; the pool dispatches ready shards longest-path-first (the
-:class:`~repro.parallel.scheduler.CriticalPathScheduler`), collects
-results, and folds each shard's operation counters and trace spans
-back into the coordinator's context -- so a sharded proof reports the
-same counter totals, and a traced proof shows ``shard:*`` spans nested
-under the stage that spawned them.
+Provers express every commit / combine / fold / query stage as a
+:class:`~repro.parallel.scheduler.ShardGraph` and hand it to a
+:class:`ShardPool`, which race-checks it, dispatches ready shards
+longest-path-first (the
+:class:`~repro.parallel.scheduler.CriticalPathScheduler`) and records
+each shard's cost in its :class:`~repro.parallel.scheduler.StageProfile`.
 
-With ``workers=1`` (the serial fallback -- also what
-:func:`~repro.parallel.resolve_workers` produces when CPU affinity
-reports a single core) no processes are spawned: graphs execute inline
-in critical-path order through the exact same kernels, and counters
-accumulate directly.
+With ``workers=1`` -- what :func:`default_pool` (no pool scoped) and
+:func:`~repro.parallel.resolve_workers` on a single core give -- the
+pool is the *inline executor*: no processes, no shared memory, shards
+run in the calling process in critical-path order and counters and
+``shard:*`` spans accumulate directly.  With more workers it owns a
+:class:`~repro.parallel.shm.SharedArena` (the cross-process zero-copy
+plane) and persistent forked worker processes, and folds each shard's
+operation counters and trace spans back into the coordinator's context
+-- so a proof reports the same counter totals, and a traced proof shows
+``shard:*`` spans nested under the stage that spawned them, on either
+transport.
 
 Determinism: shard completion order is non-deterministic, but every
 kernel writes a disjoint region of a shared buffer and the coordinator
-assembles gather results by shard id, so proofs are bit-identical to
-the serial path regardless of scheduling.  Fiat-Shamir interaction
-stays entirely in the coordinator (workers never touch a challenger).
+assembles gather results by shard id, so proofs are bit-identical
+regardless of worker count or scheduling.  Fiat-Shamir interaction
+stays entirely in the coordinator (shards never touch a challenger).
 """
 
 from __future__ import annotations
@@ -124,11 +127,11 @@ class ShardPool:
 
     ``workers`` defaults to the effective CPU count; validation mirrors
     the :class:`~repro.hw.HwConfig` style (typed errors, fail fast).
-    The ``min_*`` thresholds gate when provers bother sharding a stage
-    (below them, per-shard IPC overhead exceeds the kernel work; tests
-    and CI force them low to exercise the parallel path on small
-    proofs).  Construction is cheap: worker processes fork lazily on
-    the first parallel :meth:`run`.
+    The ``min_*`` thresholds set a stage's shard count: ``workers``
+    parts at or above them, one part run in the calling process below
+    (there per-shard IPC overhead exceeds the kernel work; tests and CI
+    force them low to fan small proofs out).  Construction is cheap:
+    worker processes fork lazily on the first parallel :meth:`run`.
 
     With ``validate=True`` (the default -- mirroring how the schedule
     sanitizer arms :class:`repro.hw.GridEmulator`) every submitted
@@ -181,14 +184,13 @@ class ShardPool:
         self._task_qs: List[Any] = []
         self._result_q = None
         self._run_seq = itertools.count()
-        self._adopt_seq = itertools.count()
         self._closed = False
         #: Lifetime stats (exported through service stats / benches).
         self.stats: Dict[str, int] = {"graphs": 0, "shards": 0, "inline_shards": 0}
 
     @property
     def parallel(self) -> bool:
-        """Whether this pool shards at all (more than one worker)."""
+        """Whether this pool has worker processes (more than one worker)."""
         return self.workers > 1
 
     # -- lifecycle -------------------------------------------------------
@@ -243,28 +245,13 @@ class ShardPool:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- thresholds ------------------------------------------------------
-
-    def wants_commit(self, n_lde: int) -> bool:
-        """Whether a batch commit of ``n_lde`` LDE rows is worth sharding."""
-        return self.parallel and n_lde >= self.min_rows
-
-    def wants_tree(self, num_leaves: int) -> bool:
-        """Whether a bare Merkle commit (no LDE stage -- the multilinear
-        PCS path) of ``num_leaves`` leaves is worth sharding."""
-        return self.parallel and num_leaves >= self.min_tree_leaves
-
-    def adopt_slot(self) -> str:
-        """A fresh arena slot prefix for adopting an external buffer."""
-        return f"adopt{next(self._adopt_seq)}"
-
     # -- execution -------------------------------------------------------
 
     def run(self, graph: ShardGraph) -> Dict[str, Any]:
         """Execute a shard graph; returns ``{shard_id: result}``.
 
         Counters and trace spans from worker shards are merged into the
-        calling context, so totals match a serial execution exactly.
+        calling context, so totals match an inline execution exactly.
         Raises :class:`ShardError` if any shard fails or a worker dies.
         """
         if self._closed:
@@ -288,7 +275,7 @@ class ShardPool:
         return self._run_parallel(sched)
 
     def _run_inline(self, sched: CriticalPathScheduler) -> Dict[str, Any]:
-        """Serial fallback: same kernels, critical-path order, in-process."""
+        """The local transport: critical-path order, in the calling process."""
         results: Dict[str, Any] = {}
         while not sched.done:
             shard = sched.pop_ready()
@@ -366,3 +353,20 @@ class ShardPool:
                     f"shard worker died (exitcode {proc.exitcode}) with "
                     f"shards in flight: {lost}"
                 )
+
+
+_DEFAULT: Optional[ShardPool] = None
+
+
+def default_pool() -> ShardPool:
+    """The process-default inline executor (one worker, created lazily).
+
+    What :func:`repro.parallel.current_pool` returns with no pool
+    scoped, and where stages that stay in the calling process run under
+    a parallel pool.  It owns no processes and no shared memory, so it
+    is never closed.
+    """
+    global _DEFAULT
+    if _DEFAULT is None:
+        _DEFAULT = ShardPool(1)
+    return _DEFAULT

@@ -214,7 +214,7 @@ class CriticalPathScheduler:
 
 
 def static_order(graph: ShardGraph, profile: Optional[StageProfile] = None) -> List[str]:
-    """The serial (one-worker) critical-path execution order."""
+    """The one-worker (inline) critical-path execution order."""
     sched = CriticalPathScheduler(graph, profile)
     out: List[str] = []
     while not sched.done:

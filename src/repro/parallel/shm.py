@@ -166,7 +166,7 @@ def resolve(obj):
 
     :class:`ShmRef` values are attached (any process); plain arrays and
     other values pass through, which is what makes the same kernels run
-    inline in the coordinator for the serial fallback.
+    inline in the calling process on the local transport.
     """
     if isinstance(obj, ShmRef):
         return _attach(obj)

@@ -12,10 +12,10 @@ cap observation order); this class owns the data plane:
 * :meth:`open_and_prove` evaluates the requested openings and runs the
   batch FRI opening proof over every batch committed so far.
 
-This is pure code motion: the kernels invoked, their order, the tracing
-spans, and therefore the operation counters and proof bytes are
-bit-identical to the pre-split pipeline (enforced by the perf-counter
-CI gate).
+Every commit and FRI stage is a shard graph from
+:mod:`repro.parallel.ops` run on :func:`repro.parallel.current_pool`;
+operation counters and proof bytes are pinned by the perf-counter CI
+gate.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from ..fri import (
 )
 from ..hashing import Challenger
 from ..merkle.tree import verify_proof
-from ..ntt import coset_intt
+from ..parallel import ops as par_ops
 from .base import PCS
 
 
@@ -101,34 +101,21 @@ class FriPCS(PCS):
         chunks, giving a ``2 * chunks``-polynomial batch -- the quotient
         layout both STARK and Plonk use.
 
-        Under an active shard pool the limb iNTTs, chunk LDEs and the
-        Merkle build fuse into one shard graph (no barrier between the
-        interpolation and the extensions); the resulting batch, cap and
-        counters are bit-identical to the serial path.
+        The limb iNTTs, chunk LDEs and the Merkle build are one shard
+        graph (no barrier between the interpolation and the extensions).
         """
-        pool = parallel.current_pool()
-        if pool is not None and pool.wants_commit(n << self.config.rate_bits):
-            from ..parallel import ops as par_ops
-
-            with tracing.span(f"commit:{label}", category="commit"):
-                batch = par_ops.sharded_commit_quotient(
-                    pool,
-                    ext_values,
-                    n,
-                    chunks,
-                    self.config.rate_bits,
-                    self.config.cap_height,
-                    f"commit:{label}",
-                )
-            return self.add_batch(batch)
-        with tracing.span("quotient:intt", category="quotient"):
-            chunk_rows = []
-            for limb in range(2):
-                coeffs = coset_intt(ext_values[:, limb], ws=self.ws)
-                for k in range(chunks):
-                    chunk_rows.append(coeffs[k * n : (k + 1) * n])
-            stacked = np.stack(chunk_rows)
-        return self.commit_coeffs(stacked, label)
+        with tracing.span(f"commit:{label}", category="commit"):
+            batch = par_ops.quotient_commit_graph(
+                parallel.current_pool(),
+                self.ws,
+                ext_values,
+                n,
+                chunks,
+                self.config.rate_bits,
+                self.config.cap_height,
+                label,
+            ).run()
+        return self.add_batch(batch)
 
     # -- openings + FRI --------------------------------------------------
 

@@ -9,11 +9,11 @@ accelerator-era proving is heading).
 
 Openings are plain index openings (leaf row + authentication path).
 The HyperPlonk-lite backend builds its *evaluation* argument on top:
-each sumcheck round's folded table is re-committed through this scheme
-(via :func:`repro.sumcheck.prove`'s ``on_fold`` hook) and query-time
-spot checks enforce fold consistency between adjacent levels, tying the
-sumcheck's final value to the base-table commitments -- a
-Basefold-flavoured construction.
+each sumcheck round's folded table is Merkle-committed the same way
+(fused with the fold, :func:`repro.parallel.ops.sumcheck_fold_graph`)
+and query-time spot checks enforce fold consistency between adjacent
+levels, tying the sumcheck's final value to the base-table commitments
+-- a Basefold-flavoured construction.
 
 Also home to the ``eq`` equality polynomial helpers shared by the
 multilinear prover and verifier.  Index bit 0 is the *most significant*
@@ -22,13 +22,14 @@ bit, matching :func:`repro.sumcheck.fold_table`'s high/low-half split.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .. import parallel, tracing
 from ..field import gl64, goldilocks as gl
 from ..merkle import MerkleProof, MerkleTree, verify_proof
+from ..parallel import ops as par_ops
 from .base import PCS
 
 
@@ -76,13 +77,13 @@ class MultilinearPCS(PCS):
 
         ``label`` tags the tracing span, so commit:wires / commit:z /
         commit:fold stages are distinguishable in ``--trace-out``
-        traces.  With ``slot`` set and a shard pool active
-        (:func:`repro.parallel.current_pool`), large tables commit
-        through ``merkle_subtree``/``merkle_top`` shard graphs instead
-        of hashing serially -- bit-identical digests, same sponge
-        counters.  Callers only pass a slot for proof-lifetime trees
-        (the arena slot is reused across proofs, so a setup-lifetime
-        commitment must stay serial and heap-backed).
+        traces.  The commit is a ``merkle_subtree`` shard graph on
+        :func:`repro.parallel.current_pool`.  With ``slot`` set, a pool
+        with worker processes fans large tables out over shared-memory
+        segments named after it; callers only pass a slot for
+        proof-lifetime trees (the segments are reused across proofs, so
+        a setup-lifetime commitment stays slot-less and owns its
+        buffers).
         """
         rows = np.asarray(rows, dtype=np.uint64)
         if rows.ndim == 1:
@@ -92,15 +93,9 @@ class MultilinearPCS(PCS):
             raise ValueError("table length must be a non-zero power of two")
         cap_height = min(self.cap_height, n.bit_length() - 1)
         with tracing.span("pcs:commit", category="commit", label=label, rows=n):
-            if slot is not None:
-                pool = parallel.current_pool()
-                if pool is not None and pool.wants_tree(n):
-                    from ..parallel import ops as par_ops
-
-                    return par_ops.sharded_multilinear_commit(
-                        pool, rows, cap_height, slot
-                    )
-            return MerkleTree(rows, cap_height)
+            return par_ops.multilinear_commit_graph(
+                parallel.current_pool(), rows, cap_height, slot
+            ).run()
 
     def open(self, commitment: MerkleTree, index: int) -> Tuple[np.ndarray, MerkleProof]:
         """Open one hypercube position: the leaf row plus its path."""
@@ -112,9 +107,3 @@ class MultilinearPCS(PCS):
     ) -> bool:
         """Check a leaf-row opening against a commitment cap."""
         return verify_proof(values, index, proof, cap)
-
-    def commit_fold_levels(
-        self, tables: List[np.ndarray]
-    ) -> List[MerkleTree]:
-        """Commit each folded sumcheck level (size > 1) of a table run."""
-        return [self.commit(t, "fold") for t in tables if t.shape[0] > 1]

@@ -137,8 +137,7 @@ class CommitmentPipeline:
         """Interpolate and commit a quotient evaluated on the LDE coset.
 
         See :meth:`repro.pcs.FriPCS.commit_quotient` for the data-plane
-        details (per-limb coset iNTT, chunking, the fused shard graph
-        under an active pool).
+        details (per-limb coset iNTT, chunking, one fused shard graph).
         """
         batch = self.pcs.commit_quotient(ext_values, n, chunks, label)
         if observe:

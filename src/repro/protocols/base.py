@@ -17,17 +17,9 @@ only adapts signatures and owns the workload -> setup plumbing.
 from __future__ import annotations
 
 import hashlib
-import logging
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional
-
-logger = logging.getLogger("repro.protocols")
-
-#: Backend names that already warned about an ignored ``pool`` (the
-#: default :meth:`ProofSystem.prove` warns once per backend, not per
-#: proof -- a ``prove --workers`` sweep should not spam the log).
-_UNUSED_POOL_WARNED: set = set()
 
 
 @dataclass
@@ -95,32 +87,15 @@ class ProofSystem(ABC):
     def setup(self, workload, scale: int, config: Any) -> ProtocolSetup:
         """Build the instance (circuit/AIR + preprocessing) to prove."""
 
+    @abstractmethod
     def prove(self, setup: ProtocolSetup, pool=None):
-        """Prove the instance; ``pool`` shards when the backend supports
-        it.
+        """Prove the instance.
 
-        The default implementation runs :meth:`prove_serial` and -- so
-        ``prove --workers N`` never *silently* degrades to a serial run
-        -- logs a one-time warning per backend when a pool was supplied
-        but the backend has no sharded path.  Backends with a sharded
-        prover override this method and thread ``pool`` through.
+        ``pool`` scopes a :class:`~repro.parallel.ShardPool` over the
+        proof; ``None`` inherits :func:`repro.parallel.current_pool`.
+        Every backend's stages are shard graphs, so the proof is
+        bit-identical whichever pool runs them.
         """
-        if pool is not None and self.name not in _UNUSED_POOL_WARNED:
-            _UNUSED_POOL_WARNED.add(self.name)
-            logger.warning(
-                "%s backend has no sharded prover; --workers pool is ignored "
-                "and this proof runs serial",
-                self.name,
-            )
-        return self.prove_serial(setup)
-
-    def prove_serial(self, setup: ProtocolSetup):
-        """The backend's serial prover (used by the default
-        :meth:`prove`); backends overriding :meth:`prove` need not
-        implement it."""
-        raise NotImplementedError(
-            f"{self.name} backend implements neither prove nor prove_serial"
-        )
 
     @abstractmethod
     def verify(self, setup: ProtocolSetup, proof) -> None:

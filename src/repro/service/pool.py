@@ -28,9 +28,9 @@ def _worker_main(
 ) -> None:
     """Worker loop: take a batch task, run every spec, ship results.
 
-    With ``shard_workers > 1`` the worker owns a
-    :class:`repro.parallel.ShardPool` and scopes it over every job it
-    executes, so each proof's commit/FRI stages fan out across shard
+    The worker owns a :class:`repro.parallel.ShardPool` of
+    ``shard_workers`` and scopes it over every job it executes: with
+    more than one, each proof's commit/FRI stages fan out across shard
     processes (stage-level parallelism nested inside job-level
     parallelism).  ``shard_config`` forwards pool thresholds.
     """
@@ -41,23 +41,21 @@ def _worker_main(
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     from .. import parallel
 
-    shard_pool = None
-    if shard_workers > 1:
-        shard_pool = parallel.ShardPool(shard_workers, **(shard_config or {}))
-    try:
+    with parallel.ShardPool(
+        shard_workers, **(shard_config or {})
+    ) as shard_pool, parallel.sharding(shard_pool):
         while True:
             task = task_q.get()
             if task is None:
                 break
             results = []
-            with parallel.sharding(shard_pool):
-                for spec in task["specs"]:
-                    try:
-                        results.append({"ok": True, **execute(spec)})
-                    except Exception as exc:  # noqa: BLE001 - report, don't die
-                        results.append(
-                            {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-                        )
+            for spec in task["specs"]:
+                try:
+                    results.append({"ok": True, **execute(spec)})
+                except Exception as exc:  # noqa: BLE001 - report, don't die
+                    results.append(
+                        {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+                    )
             result_q.put(
                 {
                     "worker_id": worker_id,
@@ -65,9 +63,6 @@ def _worker_main(
                     "results": results,
                 }
             )
-    finally:
-        if shard_pool is not None:
-            shard_pool.close()
 
 
 @dataclass

@@ -52,10 +52,11 @@ def prove(
     the per-shape precomputed tables and the workspace arena; one is
     looked up (and cached thread-locally) when not supplied.
 
-    ``pool`` shards the commit/FRI stages across worker processes
-    (:mod:`repro.parallel`); ``None`` inherits any pool scoped by
-    :func:`repro.parallel.sharding`.  Sharded proofs are bit-identical
-    to serial ones.
+    ``pool`` scopes a :class:`~repro.parallel.ShardPool` over the proof
+    (``None`` inherits :func:`repro.parallel.current_pool`): every
+    commit/FRI stage is a shard graph it runs, in this process with one
+    worker or fanned out across several.  Proofs are bit-identical at
+    every worker count.
     """
     trace = gl64.asarray(trace)  # untrusted caller input: full canonical scan
     n, width = trace.shape

@@ -28,6 +28,17 @@ class TestCounters:
             hash_batch(data)
             assert c.sponge_permutations == 8  # 4 rows x 2 chunks
 
+    def test_view_freezes_when_the_block_exits(self, rng):
+        data = gl64.random((4, 10), rng)
+        with counting() as c:
+            hash_batch(data)
+            assert c.sponge_permutations == 8  # live inside the block
+            hash_batch(data)
+            assert c.sponge_permutations == 16
+        hash_batch(data)  # after: must not leak into the measured region
+        assert c.sponge_permutations == 16
+        assert c.as_dict()["sponge_permutations"] == 16
+
     def test_nested_scopes(self, rng):
         with counting() as outer:
             ntt(gl64.random(16, rng))

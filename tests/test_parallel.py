@@ -1,9 +1,10 @@
-"""Stage-sharded proving tests: scheduler, shm plane, pool, bit-identity.
+"""Shard-graph execution tests: scheduler, shm plane, pool, bit-identity.
 
-The load-bearing contract is at the bottom: a proof sharded across
-worker processes must be *bit-identical* to the serial proof -- same
-digest, same operation counters -- for both protocols.  Everything
-above it unit-tests the pieces that make that hold (graph validation,
+The load-bearing contract is at the bottom: every proof is the same
+shard graphs whatever pool runs them, so its digest and operation
+counters must equal the pinned goldens at every worker count and
+threshold setting, for all three protocols.  Everything above it
+unit-tests the pieces that make that hold (graph validation,
 critical-path priorities, shared-memory round trips, worker clamping).
 """
 
@@ -12,34 +13,53 @@ import logging
 import numpy as np
 import pytest
 
-from repro import metrics, parallel, tracing
+from repro import metrics, parallel, protocols, tracing
 from repro.fri.config import FriConfig
 from repro.fri.prover import PolynomialBatch
-from repro.hyperplonk import HyperPlonkConfig
-from repro.hyperplonk import prove as hp_prove, setup as hp_setup
-from repro.hyperplonk import verify as hp_verify
 from repro.merkle import MerkleTree, level_sizes
+from repro.ntt import lde_coeffs
 from repro.parallel import ops as par_ops
-from repro.plonk import prove as plonk_prove, setup
-from repro.serialize import (
-    hyperplonk_proof_digest,
-    plonk_proof_digest,
-    stark_proof_digest,
-)
-from repro.stark import prove as stark_prove, verify as stark_verify
+from repro.parallel.kernels import KERNELS
+from repro.stark import prove as stark_prove
 from repro.workloads import fibonacci
 
 CONFIG = FriConfig(
     rate_bits=1, cap_height=1, num_queries=8, proof_of_work_bits=4, final_poly_len=4
 )
-PLONK_CONFIG = FriConfig(
-    rate_bits=3, cap_height=1, num_queries=8, proof_of_work_bits=4, final_poly_len=4
-)
-HP_CONFIG = HyperPlonkConfig(cap_height=1, num_queries=8)
 SCALE = 6
 
-#: Thresholds that force sharding even on tiny CI-sized proofs.
+#: Thresholds that fan out even tiny CI-sized proofs.
 TINY = {"min_rows": 1, "min_tree_leaves": 2, "min_queries": 1}
+
+#: Fibonacci scale 6 under each registry default config: the proof digest
+#: and prove-only operation counters.  The independent oracle for every
+#: pool below -- same values as tests/test_pipeline.py (stark, plonk) and
+#: benchmarks/check_perf_counters.py (all three), recorded before the
+#: respective optimisation passes.
+GOLDENS = {
+    "stark": (
+        "111c298a5fab5dd1368bbf070f5c9379ad28c1e1f2a671244cdeeb7d12d2dd22",
+        {"ntt_butterflies": 3096, "sponge_permutations": 364, "ntt_transforms": 10},
+    ),
+    "plonk": (
+        "96ef6472f512d48f2a64904b7d528ea83ba62f1ca3c5b5fa0eb49a54b65b5a17",
+        {
+            "ntt_butterflies": 7040,
+            "sponge_permutations": 598,
+            "challenger_permutations": 33,
+            "ntt_transforms": 22,
+        },
+    ),
+    "hyperplonk": (
+        "d52bd70ef17c57099b692406f5271cdf364953d3aabbd3e8c06a7336e49a801c",
+        {
+            "sponge_permutations": 36,
+            "challenger_permutations": 13,
+            "ntt_butterflies": 0,
+            "ntt_transforms": 0,
+        },
+    ),
+}
 
 
 def _pool(workers=2, **kw):
@@ -256,11 +276,16 @@ class TestShardPoolValidation:
 
 class TestInlineFallback:
     def test_single_worker_spawns_no_processes(self):
-        from repro.ntt import lde_coeffs
-
         with parallel.ShardPool(1, **TINY) as pool:
             assert not pool.parallel
-            assert not pool.wants_commit(1 << 20)
+            # However low the gates, one worker means one-part graphs.
+            stage = par_ops.from_coeffs_graph(
+                pool, None, np.arange(8, dtype=np.uint64).reshape(2, 4), 1, 1, "t"
+            )
+            assert stage.pool is pool
+            assert [s.kind for s in stage.graph.shards.values()] == [
+                "lde_rows", "merkle_subtree"
+            ]
             g = parallel.ShardGraph()
             coeffs = np.arange(4, dtype=np.uint64).reshape(1, 4)
             values = np.zeros((8, 1), dtype=np.uint64)
@@ -283,14 +308,16 @@ class TestInlineFallback:
 
 class TestContextScoping:
     def test_sharding_scopes_and_restores(self):
-        assert parallel.current_pool() is None
+        inline = parallel.default_pool()
+        assert parallel.current_pool() is inline
+        assert inline.workers == 1 and not inline.parallel
         with parallel.ShardPool(1) as pool:
             with parallel.sharding(pool):
                 assert parallel.current_pool() is pool
-                with parallel.sharding(None):
-                    assert parallel.current_pool() is None
+                with parallel.sharding(None) as scoped:
+                    assert scoped is inline and parallel.current_pool() is inline
                 assert parallel.current_pool() is pool
-        assert parallel.current_pool() is None
+        assert parallel.current_pool() is inline
 
     def test_maybe_sharding_inherits_enclosing_pool(self):
         with parallel.ShardPool(1) as pool:
@@ -316,7 +343,7 @@ class TestParallelExecution:
         with _pool(2) as pool, parallel.sharding(pool):
             with metrics.counting() as c, tracing.trace() as session:
                 stark_prove(air, trace, publics, CONFIG)
-            counts = dict(c.as_dict())
+            counts = c.as_dict()
         shard_spans = [s for s in session.walk() if s.name.startswith("shard:")]
         assert shard_spans, "sharded proof recorded no shard spans"
         kinds = {s.name for s in shard_spans}
@@ -349,87 +376,131 @@ class TestShardedMerkle:
     def test_sharded_commit_matches_serial(self):
         rng = np.random.default_rng(7)
         coeffs = rng.integers(0, 2**63, size=(3, 32), dtype=np.uint64)
-        serial = PolynomialBatch.from_coeffs(coeffs.copy(), rate_bits=1, cap_height=1)
-        with _pool(2) as pool:
-            batch = par_ops.sharded_from_coeffs(pool, coeffs, 1, 1, "commit:t")
-            assert np.array_equal(batch.values, serial.values)
-            assert np.array_equal(batch.tree.cap, serial.tree.cap)
-            assert np.array_equal(
-                batch.tree.prove(3).siblings, serial.tree.prove(3).siblings
-            )
+        values = lde_coeffs(coeffs, 1).T
+        whole = MerkleTree(values, cap_height=1)
+        inline = PolynomialBatch.from_coeffs(coeffs.copy(), rate_bits=1, cap_height=1)
+        with _pool(3) as pool:  # 4 subtrees + the cap climb
+            stage = par_ops.from_coeffs_graph(pool, None, coeffs, 1, 1, "t")
+            assert stage.pool is pool and len(stage.graph) == 3 + 4 + 1
+            fanned = stage.run()
+            for batch in (inline, fanned):
+                assert np.array_equal(batch.values, values)
+                assert np.array_equal(batch.tree.cap, whole.cap)
+                assert np.array_equal(
+                    batch.tree.prove(3).siblings, whole.prove(3).siblings
+                )
 
 
-def _stark_digest_and_counts(pool):
-    air, trace, publics = fibonacci.SPEC.build_air(SCALE)
-    with parallel.maybe_sharding(pool):
-        with metrics.counting() as c:
-            proof = stark_prove(air, trace, publics, CONFIG)
-        counts = dict(c.as_dict())  # snapshot: the proxy is a live delta
-    return proof, stark_proof_digest(proof), counts
+def _fib6(name):
+    system = protocols.get(name)
+    return system, system.setup(fibonacci.SPEC, SCALE, system.make_config())
 
 
-def _plonk_digest_and_counts(pool):
-    circuit, inputs, _ = fibonacci.SPEC.build_circuit(SCALE)
-    data = setup(circuit, PLONK_CONFIG)
-    with parallel.maybe_sharding(pool):
-        with metrics.counting() as c:
-            proof = plonk_prove(data, inputs)
-        counts = dict(c.as_dict())
-    return plonk_proof_digest(proof), counts
+def _prove_counted(system, setup, pool=None):
+    with metrics.counting() as c:
+        proof = system.prove(setup, pool=pool)
+    return proof, system.digest(proof), c.as_dict()
 
 
-def _hyperplonk_digest_and_counts(pool):
-    circuit, inputs, _ = fibonacci.SPEC.build_circuit(SCALE)
-    data = hp_setup(circuit, HP_CONFIG)
-    with parallel.maybe_sharding(pool):
-        with metrics.counting() as c:
-            proof = hp_prove(data, inputs)
-        counts = dict(c.as_dict())
-    return data, proof, hyperplonk_proof_digest(proof), counts
+def _assert_golden(name, digest, counts):
+    want_digest, want_counts = GOLDENS[name]
+    assert digest == want_digest
+    assert {k: counts[k] for k in want_counts} == want_counts
+
+
+def _stage_names(span):
+    """Depth-1 names in order, and each one's set of child names."""
+    return (
+        [c.name for c in span.children],
+        [sorted({g.name for g in c.children}) for c in span.children],
+    )
 
 
 class TestBitIdentity:
-    """The whole point: sharded == serial, bit for bit, op for op."""
+    """The whole point: one program, bit for bit, op for op, on any pool."""
+
+    @pytest.mark.parametrize("gates", [{}, TINY], ids=["default-gates", "low-gates"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(GOLDENS))
+    def test_matches_pinned_goldens(self, name, workers, gates):
+        system, setup = _fib6(name)
+        with parallel.ShardPool(workers, **gates) as pool:
+            _, digest, counts = _prove_counted(system, setup, pool)
+            # One worker runs every shard itself; more workers run none
+            # in the coordinator (small stages go to the default pool).
+            if workers == 1 or gates:
+                assert pool.stats["shards"] > 0
+            inline = pool.stats["shards"] if workers == 1 else 0
+            assert pool.stats["inline_shards"] == inline
+        _assert_golden(name, digest, counts)
 
     def test_stark_sharded_is_bit_identical(self):
-        air = fibonacci.SPEC.build_air(SCALE)[0]
-        _, serial_digest, serial_counts = _stark_digest_and_counts(None)
+        system, setup = _fib6("stark")
         with _pool(2) as pool:
-            proof, sharded_digest, sharded_counts = _stark_digest_and_counts(pool)
-        assert sharded_digest == serial_digest
-        assert sharded_counts == serial_counts
-        stark_verify(air, proof, CONFIG)
+            proof, digest, counts = _prove_counted(system, setup, pool)
+        _assert_golden("stark", digest, counts)
+        system.verify(setup, proof)
 
     def test_plonk_sharded_is_bit_identical(self):
-        serial_digest, serial_counts = _plonk_digest_and_counts(None)
+        system, setup = _fib6("plonk")
         with _pool(2) as pool:
-            sharded_digest, sharded_counts = _plonk_digest_and_counts(pool)
-        assert sharded_digest == serial_digest
-        assert sharded_counts == serial_counts
+            proof, digest, counts = _prove_counted(system, setup, pool)
+        _assert_golden("plonk", digest, counts)
+        system.verify(setup, proof)
 
     def test_hyperplonk_sharded_is_bit_identical(self):
-        data, _, serial_digest, serial_counts = _hyperplonk_digest_and_counts(None)
+        system, setup = _fib6("hyperplonk")
         with _pool(2) as pool:
-            _, proof, sharded_digest, sharded_counts = (
-                _hyperplonk_digest_and_counts(pool)
-            )
-        assert sharded_digest == serial_digest
-        assert sharded_counts == serial_counts
-        assert hp_verify(data.verifier_data, proof) is True
+            proof, digest, counts = _prove_counted(system, setup, pool)
+        _assert_golden("hyperplonk", digest, counts)
+        system.verify(setup, proof)
 
     def test_repeat_proof_reuses_segments(self):
-        _, serial_digest, _ = _stark_digest_and_counts(None)
-        with _pool(2) as pool:
-            _, first, _ = _stark_digest_and_counts(pool)
-            before = pool.arena.nbytes()
-            _, second, _ = _stark_digest_and_counts(pool)
-            assert first == second == serial_digest
-            # Same (slot, shape) keys -> no new segments on the rerun.
-            assert pool.arena.nbytes() == before
+        # Forced-low gates commit every batch in shared memory; default
+        # gates commit these small batches in-process and stage them into
+        # segments for the fanned-out query graph.  Neither may grow.
+        for name, gates in (("stark", TINY), ("stark", {}), ("plonk", {})):
+            system, setup = _fib6(name)
+            with parallel.ShardPool(2, **gates) as pool:
+                _, first, _ = _prove_counted(system, setup, pool)
+                before = pool.arena.nbytes()
+                assert before > 0
+                _, second, _ = _prove_counted(system, setup, pool)
+                assert first == second == GOLDENS[name][0]
+                # Same (slot, shape) keys -> no new segments on the rerun.
+                assert pool.arena.nbytes() == before
 
-    def test_inline_pool_matches_serial(self):
-        _, serial_digest, serial_counts = _stark_digest_and_counts(None)
-        with parallel.ShardPool(1, **TINY) as pool:
-            _, inline_digest, inline_counts = _stark_digest_and_counts(pool)
-        assert inline_digest == serial_digest
-        assert inline_counts == serial_counts
+    @pytest.mark.parametrize("name", sorted(GOLDENS))
+    def test_unscoped_prove_runs_inline_shards(self, name):
+        system, setup = _fib6(name)
+        inline = parallel.default_pool()
+        before = dict(inline.stats)
+        _, digest, counts = _prove_counted(system, setup)
+        _assert_golden(name, digest, counts)
+        ran = {k: inline.stats[k] - before[k] for k in before}
+        assert ran["graphs"] > 0
+        assert ran["inline_shards"] == ran["shards"] >= ran["graphs"]
+        assert inline._procs == [] and inline.arena.nbytes() == 0
+
+    def test_default_proves_reach_every_kernel(self):
+        reached = set()
+        for name in sorted(GOLDENS):
+            system, setup = _fib6(name)
+            with tracing.trace() as session:
+                system.prove(setup)
+            reached |= {
+                s.name[len("shard:"):] for s in session.walk()
+                if s.name.startswith("shard:")
+            }
+        assert reached == set(KERNELS)
+
+    @pytest.mark.parametrize("name", sorted(GOLDENS))
+    def test_stage_names_do_not_depend_on_workers(self, name):
+        system, setup = _fib6(name)
+        shapes = []
+        for workers in (1, 2):
+            with _pool(workers) as pool, tracing.trace() as session:
+                system.prove(setup, pool=pool)
+            (root,) = session.spans
+            shapes.append(_stage_names(root))
+        assert shapes[0] == shapes[1]

@@ -131,7 +131,13 @@ class TestSpans:
         child_names = [c.name for c in session.spans[0].children]
         assert child_names == [
             "witness", "commit:wires", "permutation", "commit:z",
-            "constraints", "quotient:intt", "commit:quotient", "open", "fri",
+            "constraints", "commit:quotient", "open", "fri",
+        ]
+        # The quotient's per-limb coset iNTTs are shards of its commit.
+        quotient = session.spans[0].children[5]
+        assert [c.name for c in quotient.children] == [
+            "shard:intt_limb", "shard:intt_limb", "shard:lde_rows",
+            "shard:merkle_subtree",
         ]
         fri = session.spans[0].children[-1]
         assert [c.name for c in fri.children] == [

@@ -56,12 +56,10 @@ class TestRegistry:
             assert config.num_queries == 3
 
 
-class TestUnusedPoolWarning:
-    def _dummy_system(self):
-        from repro.protocols import base
-
-        class Dummy(ProofSystem):
-            name = "dummy-serial"
+class TestProveIsAbstract:
+    def test_backend_must_implement_prove(self):
+        class NoProve(ProofSystem):
+            name = "no-prove"
 
             def default_config(self):  # pragma: no cover
                 return {}
@@ -72,33 +70,12 @@ class TestUnusedPoolWarning:
             def setup(self, workload, scale, config=None):  # pragma: no cover
                 raise NotImplementedError
 
-            def prove_serial(self, setup):
-                return "proof"
-
             def verify(self, setup, proof):  # pragma: no cover
                 pass
 
-        base._UNUSED_POOL_WARNED.discard(Dummy.name)
-        return Dummy()
-
-    def test_pool_without_sharded_prover_warns_once(self, caplog):
-        system = self._dummy_system()
-        with caplog.at_level("WARNING", logger="repro.protocols"):
-            assert system.prove(None, pool=object()) == "proof"
-            assert system.prove(None, pool=object()) == "proof"
-        hits = [
-            r for r in caplog.records if "no sharded prover" in r.getMessage()
-        ]
-        assert len(hits) == 1  # one-time per backend, not per call
-        assert "dummy-serial" in hits[0].getMessage()
-
-    def test_no_pool_no_warning(self, caplog):
-        system = self._dummy_system()
-        with caplog.at_level("WARNING", logger="repro.protocols"):
-            assert system.prove(None) == "proof"
-        assert not [
-            r for r in caplog.records if "no sharded prover" in r.getMessage()
-        ]
+        with pytest.raises(TypeError, match="prove"):
+            NoProve()
+        assert not hasattr(ProofSystem, "prove_serial")
 
 
 class TestEndToEnd:

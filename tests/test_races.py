@@ -63,7 +63,7 @@ def _combine_args(out, values, lo, hi):
 class TestGraphFindings:
     def test_shipped_graph_shapes_are_race_free(self):
         findings, checked = run_race_checks()
-        assert checked == [
+        shapes = [
             "commit:from_coeffs",
             "commit:from_values",
             "commit:quotient",
@@ -73,6 +73,8 @@ class TestGraphFindings:
             "mlpcs:commit",
             "sumcheck:round",
         ]
+        # Every shape as the inline executor builds it and fanned out.
+        assert checked == [f"{s}@{w}" for w in (1, 4) for s in shapes]
         assert findings == [], [f.format() for f in findings]
 
     def test_dependency_path_orders_transitively(self):
@@ -155,7 +157,7 @@ class TestPoolGating:
 
     def test_dep_deleted_commit_graph_is_rejected_at_submission(self):
         with ShardPool(workers=1) as pool:
-            graph, _ = ops.from_values_graph(pool, _rows(), 1, 1, "t")
+            graph = ops.from_values_graph(pool, None, _rows(), 1, 1, "t").graph
             assert graph_findings(graph) == []  # shipped topology is clean
             broken = _strip_deps(graph, "merkle_subtree")
             with pytest.raises(GraphRaceError) as err:
@@ -180,8 +182,10 @@ class TestPoolGating:
 
     def test_validated_sharded_commit_matches_serial(self):
         rows = _rows()
-        serial = PolynomialBatch.from_values(rows.copy(), 1, 1)
-        with ShardPool(workers=1) as pool:  # validate=True default
-            sharded = ops.sharded_from_values(pool, rows, 1, 1, "t")
-        assert np.array_equal(sharded.tree.cap, serial.tree.cap)
-        assert np.array_equal(sharded.values, serial.values)
+        inline = PolynomialBatch.from_values(rows.copy(), 1, 1)  # default pool
+        gates = {"min_rows": 1, "min_tree_leaves": 1, "min_queries": 1}
+        with ShardPool(workers=2, **gates) as pool:  # validate=True default
+            fanned = ops.from_values_graph(pool, None, rows, 1, 1, "t").run()
+            assert pool.stats["shards"] == 4
+            assert np.array_equal(fanned.tree.cap, inline.tree.cap)
+            assert np.array_equal(fanned.values, inline.values)
