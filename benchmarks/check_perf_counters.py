@@ -6,7 +6,11 @@ and Poseidon permutations -- match golden values recorded before the
 respective optimisation passes.  Kernel and pipeline rewrites may change *how* the
 work is executed (in place, fused, batched, shared sequencing) but
 never *how much* work the protocol does; a drift here means a rewrite
-silently changed the algorithm, not just the implementation.
+silently changed the algorithm, not just the implementation.  Every
+proof is then verified under its own goldens: the verifiers hash whole
+tree levels per call instead of walking one path at a time, and the
+sponge / challenger permutation counts of a verify are what they were
+when every path was walked alone.
 
 Every proof is the same shard graphs whatever pool runs them.  The
 first pass scopes no pool, so each protocol must execute at least one
@@ -79,6 +83,15 @@ HYPERPLONK_GOLDEN_DIGEST = (
 )
 
 
+#: Counters around ``system.verify`` of the proofs above, recorded at
+#: commit 12996fa, when every authentication path was still walked alone
+#: through the scalar permutation.
+VERIFY_GOLDEN = {
+    "stark": {"sponge_permutations": 260, "challenger_permutations": 13},
+    "plonk": {"sponge_permutations": 280, "challenger_permutations": 16},
+    "hyperplonk": {"sponge_permutations": 64, "challenger_permutations": 13},
+}
+
 #: (registry name, config, counter goldens, digest golden) per protocol.
 CASES = (
     ("stark", CONFIG, GOLDEN, GOLDEN_DIGEST),
@@ -87,19 +100,27 @@ CASES = (
 )
 
 
+def _diff(label: str, counts, golden: dict) -> list:
+    got = counts.as_dict()
+    return [
+        f"{label} {name}: expected {want}, got {got.get(name)}"
+        for name, want in golden.items()
+        if got.get(name) != want
+    ]
+
+
 def _prove_and_check(label: str, system, setup, golden: dict, want_digest: str, pool=None):
-    """Prove (setup excluded from the counters) and diff against the goldens."""
+    """Prove, then verify (setup excluded from the counters), and diff
+    each against its goldens."""
     with metrics.counting() as counts:
         proof = system.prove(setup, pool=pool)
-    got = counts.as_dict()
-    failures = []
-    for name, want in golden.items():
-        if got.get(name) != want:
-            failures.append(f"{label} {name}: expected {want}, got {got.get(name)}")
+    failures = _diff(label, counts, golden)
     digest = system.digest(proof)
     if digest != want_digest:
         failures.append(f"{label} proof digest drifted: {digest}")
-    return failures
+    with metrics.counting() as counts:
+        system.verify(setup, proof)  # raises if the proof is rejected
+    return failures + _diff(f"{label} verify", counts, VERIFY_GOLDEN[system.name])
 
 
 def main() -> int:
@@ -133,6 +154,8 @@ def main() -> int:
         return 1
     for name, _, golden, _ in CASES:
         print(f"{name} counters OK: {', '.join(f'{k}={v}' for k, v in golden.items())}")
+        verify = VERIFY_GOLDEN[name]
+        print(f"{name} verify counters OK: {', '.join(f'{k}={v}' for k, v in verify.items())}")
     print("proof digests OK (stark + plonk + hyperplonk)")
     print("no-pool proves ran inline shards (stark + plonk + hyperplonk)")
     print("sharded (2 workers) counters + digests OK (stark + plonk + hyperplonk)")

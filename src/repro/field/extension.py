@@ -248,9 +248,9 @@ def eval_polys_base(coeffs: np.ndarray, x: ExtArray, pws: ExtArray | None = None
 
 
 def eval_poly_ext(coeffs: ExtArray, x: ExtArray) -> ExtArray:
-    """Evaluate an extension coefficient vector (n, 2) at extension ``x``."""
-    x = x.reshape(D)
-    acc = zero()
+    """Evaluate an extension coefficient vector (n, 2) at extension
+    point(s) ``x`` (..., 2); one Horner chain over all points."""
+    acc = gl64.zeros(x.shape)
     for i in range(coeffs.shape[0] - 1, -1, -1):
         acc = add(mul(acc, x), coeffs[i])
     return acc

@@ -158,7 +158,7 @@ def lde_points(log_n: int, shift: int | None = None) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _fold_weights(log_n: int, shift: int) -> np.ndarray:
+def fold_weights(log_n: int, shift: int) -> np.ndarray:
     """Read-only cached ``1 / (2 x_i)`` over half a size-``2^log_n``
     fold domain (``-x_i`` covers the other half)."""
     half = 1 << (log_n - 1)
@@ -170,32 +170,34 @@ def _fold_weights(log_n: int, shift: int) -> np.ndarray:
 
 
 def combine_rows(
-    batch_values: Sequence[np.ndarray],
+    batch_rows: Sequence[np.ndarray],
+    xs: np.ndarray,
     openings: FriOpenings,
     alpha: np.ndarray,
-    lo: int,
-    hi: int,
 ) -> np.ndarray:
-    """Rows ``[lo, hi)`` of the combined quotient values.
+    """The combined quotient values at ``m`` domain points.
 
-    ``batch_values[b]`` is batch ``b``'s (N_lde, num_polys) LDE matrix.
-    Returns an (hi - lo, 2) extension array:
+    ``batch_rows[b]`` is an (m, num_polys) matrix: batch ``b``'s LDE
+    values at the points ``xs`` (m,).  The prover passes row ranges of
+    its LDE matrices with the matching slice of :func:`lde_points`; the
+    verifier passes the leaf rows its queries opened.  Returns an (m, 2)
+    extension array:
     ``sum_k [ (sum_j a^t F_t(x)) - (sum_j a^t y_t) ] / (x - z_k)``.
     This is exactly the element-wise polynomial kernel UniZK runs in
     vector mode before FRI folding; the alpha-power ladder is a scalar
     recurrence independent of the row, so any row split is bit-exact.
+    Raises :class:`ZeroDivisionError` when an opening point ``z_k`` is
+    one of ``xs``.
     """
-    m = hi - lo
+    m = xs.shape[0]
     alpha = np.asarray(alpha, dtype=np.uint64).reshape(2)
-    log_lde = batch_values[0].shape[0].bit_length() - 1
-    xs = lde_points(log_lde)[lo:hi]
     total = fext.from_base(gl64.zeros(m))
     alpha_t = fext.one()
     for point, cols, vals in zip(openings.points, openings.columns, openings.values):
         num = fext.from_base(gl64.zeros(m))
         const = fext.zero()
         for (b, c), y in zip(cols, np.atleast_2d(vals)):
-            f_vals = batch_values[b][lo:hi, c]
+            f_vals = batch_rows[b][:, c]
             num = fext.add(num, fext.scalar_mul(np.broadcast_to(alpha_t, (m, 2)), f_vals))
             const = fext.add(const, fext.mul(alpha_t, y))
             alpha_t = fext.mul(alpha_t, alpha)
@@ -212,23 +214,35 @@ def combine_openings(
 ) -> np.ndarray:
     """The combined quotient values over the whole LDE domain, (N_lde, 2)."""
     values = [b.values for b in batches]
-    return combine_rows(values, openings, alpha, 0, values[0].shape[0])
+    log_lde = values[0].shape[0].bit_length() - 1
+    return combine_rows(values, lde_points(log_lde), openings, alpha)
+
+
+def fold_pairs(
+    lo: np.ndarray, hi: np.ndarray, weights: np.ndarray, beta: np.ndarray
+) -> np.ndarray:
+    """The arity-2 FRI fold of value pairs ``(f(x), f(-x))``.
+
+    ``f'(x^2) = (f(x) + f(-x))/2 + beta * (f(x) - f(-x)) / (2x)`` with
+    ``weights = 1 / (2x)``: the whole layer for the prover, the queried
+    pairs for the verifier.
+    """
+    inv2 = np.uint64(gl.inverse(2))
+    even = fext.scalar_mul(fext.add(lo, hi), inv2)
+    odd = fext.scalar_mul(fext.sub(lo, hi), weights)
+    return fext.add(even, fext.mul(np.broadcast_to(beta.reshape(2), odd.shape), odd))
 
 
 def fold_values(values: np.ndarray, beta: np.ndarray, shift: int, log_n: int) -> np.ndarray:
     """One arity-2 FRI fold over the coset ``shift * <omega_N>``.
 
-    ``f'(x^2) = (f(x) + f(-x))/2 + beta * (f(x) - f(-x)) / (2x)``;
-    in natural order, ``-x_i`` lives at index ``i + N/2``.
+    In natural order ``-x_i`` lives at index ``i + N/2``, so the pairs
+    of :func:`fold_pairs` are the two halves of ``values``.
     """
-    n = values.shape[0]
-    half = n // 2
-    lo = values[:half]
-    hi = values[half:]
-    inv2 = np.uint64(gl.inverse(2))
-    even = fext.scalar_mul(fext.add(lo, hi), inv2)
-    odd = fext.scalar_mul(fext.sub(lo, hi), _fold_weights(log_n, int(shift)))
-    return fext.add(even, fext.mul(np.broadcast_to(beta.reshape(2), odd.shape), odd))
+    half = values.shape[0] // 2
+    return fold_pairs(
+        values[:half], values[half:], fold_weights(log_n, int(shift)), beta
+    )
 
 
 def grind(challenger: Challenger, pow_bits: int) -> int:

@@ -4,6 +4,15 @@ Mirrors :mod:`repro.fri.prover` step by step.  Any deviation -- a
 tampered cap, leaf, final polynomial, grinding witness, or a committed
 function that is far from low-degree -- makes verification fail (the
 test-suite injects each of these faults).
+
+The checks run *by level, not by query*: after the transcript replay
+and the structural checks, every opened leaf of every query goes
+through one :func:`repro.merkle.verify_paths` call, and the fold walk
+carries a query axis -- the combined quotient, each fold layer and the
+final-polynomial evaluation are one array expression over all queries,
+the same :func:`~repro.fri.prover.combine_rows` /
+:func:`~repro.fri.prover.fold_pairs` identities the prover runs over
+the whole domain.
 """
 
 from __future__ import annotations
@@ -12,48 +21,24 @@ from typing import List, Sequence
 
 import numpy as np
 
+from .. import tracing
 from ..field import extension as fext, gl64, goldilocks as gl
 from ..hashing import Challenger
-from ..merkle import verify_proof
+from ..merkle import PathOpening, verify_paths
 from .config import FriConfig
 from .proof import FriProof
-from .prover import FriOpenings, check_pow
+from .prover import (
+    FriOpenings,
+    check_pow,
+    combine_rows,
+    fold_pairs,
+    fold_weights,
+    lde_points,
+)
 
 
 class FriError(Exception):
     """Raised when a FRI proof fails verification."""
-
-
-def _combined_at_index(
-    leaves: Sequence[np.ndarray],
-    openings: FriOpenings,
-    alpha: np.ndarray,
-    x: int,
-) -> np.ndarray:
-    """Recompute the combined quotient value at one domain point."""
-    total = fext.zero()
-    alpha_t = fext.one()
-    for point, cols, vals in zip(openings.points, openings.columns, openings.values):
-        num = fext.zero()
-        const = fext.zero()
-        for (b, c), y in zip(cols, vals):
-            if not (0 <= b < len(leaves)):
-                raise FriError("opened batch index out of range")
-            leaf = leaves[b]
-            if not (0 <= c < leaf.shape[0]):
-                raise FriError("opened column exceeds initial leaf width")
-            f_val = int(leaf[c])
-            num = fext.add(num, fext.scalar_mul(alpha_t, np.uint64(f_val)))
-            const = fext.add(const, fext.mul(alpha_t, y))
-            alpha_t = fext.mul(alpha_t, alpha.reshape(2))
-        num = fext.sub(num, const)
-        denom = fext.sub(fext.from_base(np.uint64(x)), point.reshape(2))
-        if bool(fext.is_zero(denom)):
-            # Inverting zero would leak a ZeroDivisionError; an opening
-            # point on the evaluation domain is simply invalid.
-            raise FriError("opening point lies on the evaluation domain")
-        total = fext.add(total, fext.mul(num, fext.inv(denom)))
-    return total
 
 
 def fri_verify(
@@ -77,103 +62,120 @@ def fri_verify(
     the width pin an attacker could present a padded or truncated leaf
     whose digest still matches the commitment.
     """
-    challenger.observe_elements(openings.flat_values())
-    alpha = challenger.get_ext_challenge()
+    with tracing.span("verify:transcript", category="verify"):
+        challenger.observe_elements(openings.flat_values())
+        alpha = challenger.get_ext_challenge()
 
-    n_lde = degree_n << config.rate_bits
-    log_lde = n_lde.bit_length() - 1
-    num_rounds = config.num_fold_rounds(degree_n.bit_length() - 1)
-    if len(proof.commit_caps) != num_rounds:
-        raise FriError(f"expected {num_rounds} layer caps, got {len(proof.commit_caps)}")
+        n_lde = degree_n << config.rate_bits
+        log_lde = n_lde.bit_length() - 1
+        num_rounds = config.num_fold_rounds(degree_n.bit_length() - 1)
+        if len(proof.commit_caps) != num_rounds:
+            raise FriError(f"expected {num_rounds} layer caps, got {len(proof.commit_caps)}")
 
-    betas: List[np.ndarray] = []
-    for cap in proof.commit_caps:
-        challenger.observe_cap(cap)
-        betas.append(challenger.get_ext_challenge())
+        betas: List[np.ndarray] = []
+        for cap in proof.commit_caps:
+            challenger.observe_cap(cap)
+            betas.append(challenger.get_ext_challenge())
 
-    if proof.final_poly.ndim != 2 or proof.final_poly.shape[1] != 2:
-        raise FriError("malformed final polynomial")
-    final_len = max(1, degree_n >> num_rounds)
-    if proof.final_poly.shape[0] > final_len:
-        raise FriError("final polynomial exceeds the degree bound")
-    challenger.observe_elements(proof.final_poly)
+        if proof.final_poly.ndim != 2 or proof.final_poly.shape[1] != 2:
+            raise FriError("malformed final polynomial")
+        final_len = max(1, degree_n >> num_rounds)
+        if proof.final_poly.shape[0] > final_len:
+            raise FriError("final polynomial exceeds the degree bound")
+        challenger.observe_elements(proof.final_poly)
 
-    if not check_pow(challenger, proof.pow_witness, config.proof_of_work_bits):
-        raise FriError("proof-of-work witness is invalid")
-    challenger.observe_element(proof.pow_witness)
+        if not check_pow(challenger, proof.pow_witness, config.proof_of_work_bits):
+            raise FriError("proof-of-work witness is invalid")
+        challenger.observe_element(proof.pow_witness)
 
-    indices = challenger.get_indices(config.num_queries, n_lde)
-    if len(proof.query_rounds) != len(indices):
+        indices = challenger.get_indices(config.num_queries, n_lde)
+
+    # Structural checks, all before any hashing: what follows stacks the
+    # openings of all queries, so every count and shape is pinned first.
+    rounds = proof.query_rounds
+    if len(rounds) != len(indices):
         raise FriError("wrong number of query rounds")
-
-    omega = gl.primitive_root_of_unity(log_lde)
-    for idx, qr in zip(indices, proof.query_rounds):
+    if not rounds:
+        return
+    for idx, qr in zip(indices, rounds):
         if qr.index != idx:
             raise FriError("query index mismatch with transcript")
-        # Initial openings against every original commitment.  The
-        # leaves/proofs lists must pair off exactly -- ``zip`` would
-        # silently truncate the check loop (skipping Merkle checks for
-        # the unpaired leaves) if one list were shorter.
+        # The leaves/proofs lists must pair off exactly with the caps:
+        # a shorter list would leave a commitment unchecked.
         if len(qr.initial.leaves) != len(batch_caps):
             raise FriError("initial opening count mismatch")
         if len(qr.initial.proofs) != len(qr.initial.leaves):
             raise FriError("initial opening count mismatch")
-        for b, (leaf, prf, cap) in enumerate(
-            zip(qr.initial.leaves, qr.initial.proofs, batch_caps)
-        ):
-            if leaf.ndim != 1:
-                raise FriError("malformed initial leaf")
-            if leaf_widths is not None:
-                allowed = leaf_widths[b]
-                if isinstance(allowed, int):
-                    allowed = (allowed,)
-                if leaf.shape[0] not in allowed:
-                    raise FriError("malformed initial leaf")
-            if not verify_proof(leaf, idx, prf, cap):
-                raise FriError("initial Merkle proof failed")
-        x = gl.mul(gl.coset_shift(), gl.pow_mod(omega, idx))
-        value = _combined_at_index(qr.initial.leaves, openings, alpha, x)
-
-        # Walk the fold layers.
-        cur = idx
-        cur_size = n_lde
-        shift = gl.coset_shift()
-        cur_log = log_lde
         if len(qr.layers) != num_rounds:
             raise FriError("wrong number of layer openings")
-        for layer, beta, cap in zip(qr.layers, betas, proof.commit_caps):
-            half = cur_size // 2
-            pair = cur % half
-            # Validate the leaf shape before slicing: a truncated or
-            # reshaped leaf would otherwise be compared against silently
-            # empty ``[0:2]``/``[2:4]`` slices (or crash on a 0-d array),
-            # and ``hash_or_noop`` zero-pads 3-element rows into the same
-            # digest as a 4-element row ending in zero.
-            if layer.pair_leaf.shape != (4,):
-                raise FriError("malformed layer leaf")
-            if not verify_proof(layer.pair_leaf, pair, layer.proof, cap):
-                raise FriError("layer Merkle proof failed")
-            lo = layer.pair_leaf[0:2]
-            hi = layer.pair_leaf[2:4]
-            slot = lo if cur < half else hi
-            if not np.array_equal(slot, value.reshape(2)):
+        # A truncated or reshaped pair leaf would be sliced into
+        # silently empty halves, and ``hash_or_noop`` zero-pads a
+        # 3-element row into the digest of a 4-element row ending in 0.
+        if any(layer.pair_leaf.shape != (4,) for layer in qr.layers):
+            raise FriError("malformed layer leaf")
+    for b in range(len(batch_caps)):
+        # One width per batch across all queries (a tree has one leaf
+        # width; mixed widths are rejected, not stacked).
+        shape = rounds[0].initial.leaves[b].shape
+        if len(shape) != 1 or any(qr.initial.leaves[b].shape != shape for qr in rounds):
+            raise FriError("malformed initial leaf")
+        if leaf_widths is not None:
+            allowed = leaf_widths[b]
+            if shape[0] not in ((allowed,) if isinstance(allowed, int) else allowed):
+                raise FriError("malformed initial leaf")
+    for cols in openings.columns:
+        for b, c in cols:
+            if not 0 <= b < len(batch_caps):
+                raise FriError("opened batch index out of range")
+            if not 0 <= c < rounds[0].initial.leaves[b].shape[0]:
+                raise FriError("opened column exceeds initial leaf width")
+
+    # Position of each query in each fold layer's pair tree.
+    cur = np.asarray(indices, dtype=np.int64)
+    pairs = [cur % (n_lde >> (k + 1)) for k in range(num_rounds)]
+
+    with tracing.span("verify:merkle", category="verify", queries=len(rounds)):
+        paths = [
+            PathOpening([leaf], (qr.index,), prf.siblings, cap)
+            for qr in rounds
+            for leaf, prf, cap in zip(qr.initial.leaves, qr.initial.proofs, batch_caps)
+        ]
+        num_initial = len(paths)
+        paths += [
+            PathOpening([layer.pair_leaf], (int(pair[q]),), layer.proof.siblings, cap)
+            for q, qr in enumerate(rounds)
+            for layer, pair, cap in zip(qr.layers, pairs, proof.commit_caps)
+        ]
+        verdicts = verify_paths(paths)
+        if not verdicts[:num_initial].all():
+            raise FriError("initial Merkle proof failed")
+        if not verdicts.all():
+            raise FriError("layer Merkle proof failed")
+
+    with tracing.span("verify:fold", category="verify", rounds=num_rounds):
+        leaf_rows = [
+            gl64.asarray(np.stack([qr.initial.leaves[b] for qr in rounds]))
+            for b in range(len(batch_caps))
+        ]
+        try:
+            values = combine_rows(leaf_rows, lde_points(log_lde)[cur], openings, alpha)
+        except ZeroDivisionError as exc:
+            raise FriError("opening point lies on the evaluation domain") from exc
+
+        shift = gl.coset_shift()
+        cur_log = log_lde
+        for k, (beta, pair) in enumerate(zip(betas, pairs)):
+            pair_leaves = np.stack([qr.layers[k].pair_leaf for qr in rounds])
+            lo, hi = pair_leaves[:, 0:2], pair_leaves[:, 2:4]
+            mine = np.where((cur == pair)[:, None], lo, hi)
+            if not np.array_equal(mine, values):
                 raise FriError("fold consistency check failed")
-            x_pair = gl.mul(shift, gl.pow_mod(gl.primitive_root_of_unity(cur_log), pair))
-            inv2 = gl.inverse(2)
-            even = fext.scalar_mul(fext.add(lo, hi), np.uint64(inv2))
-            odd = fext.scalar_mul(
-                fext.sub(lo, hi), np.uint64(gl.mul(inv2, gl.inverse(x_pair)))
-            )
-            value = fext.add(even, fext.mul(beta.reshape(2), odd))
+            values = fold_pairs(lo, hi, fold_weights(cur_log, shift)[pair], beta)
             cur = pair
-            cur_size = half
             shift = gl.mul(shift, shift)
             cur_log -= 1
 
-        # Final polynomial check at the residual domain point.
-        x_final = fext.from_base(
-            np.uint64(gl.mul(shift, gl.pow_mod(gl.primitive_root_of_unity(cur_log), cur)))
-        )
-        expected = fext.eval_poly_ext(proof.final_poly, x_final)
-        if not np.array_equal(expected.reshape(2), value.reshape(2)):
+        # Final polynomial check at the residual domain points.
+        x_final = fext.from_base(lde_points(cur_log, shift)[cur])
+        if not np.array_equal(fext.eval_poly_ext(proof.final_poly, x_final), values):
             raise FriError("final polynomial evaluation mismatch")

@@ -224,9 +224,14 @@ def _scalar_tables():
 def permute_scalar(state: list[int]) -> list[int]:
     """Scalar (Python-int) permutation for single states.
 
-    NumPy's per-call overhead dominates on 12-element arrays, so Merkle
-    path verification and the duplex challenger use this path (~20x
-    faster for batch size 1).
+    NumPy's per-call overhead dominates on 12-element arrays, so the
+    duplex challenger -- one state at a time by construction -- runs
+    here (~20x faster for batch size 1), as does any
+    :func:`permute_into` batch at or below ``scalar_batch_limit``.  The
+    verifiers batch their Merkle checks by level
+    (:func:`repro.merkle.verify_paths`) and reach this path only where a
+    level has that few nodes left.  Also the differential oracles'
+    reference.
     """
     p = gl.P
     mds_t, pre_t, full, pre_c, rounds = _scalar_tables()

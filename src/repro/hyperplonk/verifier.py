@@ -10,8 +10,9 @@ committed folded levels with the sumcheck challenges.
 Openings arrive batched per tree (format v2): the verifier re-derives
 every index each query touches from the transcript
 (:func:`~repro.hyperplonk.proof.query_index_sets`), demands that each
-tree's multiproof covers exactly that sorted set, and checks the whole
-set against the cap in one :func:`repro.merkle.verify_multi` pass.  Any
+tree's multiproof covers exactly that sorted set, and authenticates
+the openings of all ``3 + (v - 1)`` trees against their caps in one
+:func:`repro.merkle.verify_paths` call.  Any
 tampering with the round polynomials, the committed tables, or the
 openings breaks either the running-claim check (in
 :func:`repro.sumcheck.verify`) or one of the Merkle /
@@ -24,13 +25,14 @@ enforces across every registered protocol.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence
+from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
+from .. import tracing
 from ..field import goldilocks as gl
 from ..hashing import Challenger
-from ..merkle import MerkleMultiProof, verify_multi
+from ..merkle import PathOpening, verify_paths
 from ..pcs import eq_at
 from ..plonk.permutation import coset_representatives
 from ..sumcheck import SumcheckError, verify as sumcheck_verify
@@ -78,13 +80,14 @@ def _check_opening(
     num_leaves: int,
     cap_height: int,
     what: str,
-) -> Dict[int, np.ndarray]:
-    """Validate one tree's batched opening; returns ``index -> row``.
+) -> Tuple[Dict[int, np.ndarray], PathOpening]:
+    """Validate one tree's batched opening (no hashing).
 
     The index set is *derived*, never trusted: the multiproof must open
     exactly the sorted positions the transcript's queries touch, with
-    one ``width``-wide row per position, and the whole set must
-    authenticate against the tree's cap.
+    one ``width``-wide row per position.  Returns ``index -> row`` and
+    the :class:`~repro.merkle.PathOpening` that must still authenticate
+    against the tree's cap.
     """
     expected_idx = tuple(sorted({int(i) for i in expected}))
     try:
@@ -103,10 +106,8 @@ def _check_opening(
     if cap.shape[0] != 1 << min(cap_height, depth):
         raise HyperPlonkError(f"{what} cap has the wrong height")
     leaves = {idx: rows[k] for k, idx in enumerate(expected_idx)}
-    clean = MerkleMultiProof(indices=expected_idx, nodes=nodes)
-    if not verify_multi(leaves, clean, cap, depth, min(cap_height, depth)):
-        raise HyperPlonkError(f"{what} fails its Merkle check")
-    return leaves
+    levels = depth - min(cap_height, depth)
+    return leaves, PathOpening(rows, expected_idx, nodes, cap, levels)
 
 
 def _base_q_value(
@@ -159,103 +160,121 @@ def verify(
     vdata: HyperPlonkVerifierData,
     proof: HyperPlonkProof,
     challenger: Challenger | None = None,
-) -> bool:
+) -> None:
     """Verify a HyperPlonk-lite proof; raises :class:`HyperPlonkError`."""
+    with tracing.span("verify", category="verify", protocol="hyperplonk", n=vdata.n):
+        _verify(vdata, proof, challenger or Challenger())
+
+
+def _verify(
+    vdata: HyperPlonkVerifierData, proof: HyperPlonkProof, challenger: Challenger
+) -> None:
     n = vdata.n
     v = n.bit_length() - 1
     config = vdata.config
-    challenger = challenger or Challenger()
 
-    publics = list(proof.public_inputs)
-    if len(publics) != vdata.num_public_inputs:
-        raise HyperPlonkError("wrong number of public inputs")
-    publics = [_check_elem(p, "public input") for p in publics]
-    pi_map = {
-        row: gl.neg(val) for row, val in zip(vdata.public_input_rows, publics)
-    }
-    wires_cap = _check_cap(proof.wires_cap, "wires cap")
-    z_cap = _check_cap(proof.z_cap, "Z cap")
+    with tracing.span("verify:transcript", category="verify"):
+        publics = list(proof.public_inputs)
+        if len(publics) != vdata.num_public_inputs:
+            raise HyperPlonkError("wrong number of public inputs")
+        publics = [_check_elem(p, "public input") for p in publics]
+        pi_map = {
+            row: gl.neg(val) for row, val in zip(vdata.public_input_rows, publics)
+        }
+        wires_cap = _check_cap(proof.wires_cap, "wires cap")
+        z_cap = _check_cap(proof.z_cap, "Z cap")
 
-    challenger.observe_cap(vdata.preprocessed_cap)
-    challenger.observe_elements(np.asarray(publics, dtype=np.uint64))
-    challenger.observe_cap(wires_cap)
-    beta = challenger.get_challenge()
-    gamma = challenger.get_challenge()
-    challenger.observe_cap(z_cap)
-    alpha = challenger.get_challenge()
-    tau = challenger.get_n_challenges(v)
+        challenger.observe_cap(vdata.preprocessed_cap)
+        challenger.observe_elements(np.asarray(publics, dtype=np.uint64))
+        challenger.observe_cap(wires_cap)
+        beta = challenger.get_challenge()
+        gamma = challenger.get_challenge()
+        challenger.observe_cap(z_cap)
+        alpha = challenger.get_challenge()
+        tau = challenger.get_n_challenges(v)
 
-    sc = proof.sumcheck
-    if gl.canonical(_check_elem(sc.claimed_sum, "claimed sum")) != 0:
-        raise HyperPlonkError("zerocheck claims a nonzero sum")
-    if len(proof.level_caps) != v - 1:
-        raise HyperPlonkError("wrong number of fold-level caps")
-    level_caps = [
-        _check_cap(cap, "fold-level cap") for cap in proof.level_caps
-    ]
+    with tracing.span("verify:sumcheck", category="verify", rounds=v):
+        sc = proof.sumcheck
+        if gl.canonical(_check_elem(sc.claimed_sum, "claimed sum")) != 0:
+            raise HyperPlonkError("zerocheck claims a nonzero sum")
+        if len(proof.level_caps) != v - 1:
+            raise HyperPlonkError("wrong number of fold-level caps")
+        level_caps = [
+            _check_cap(cap, "fold-level cap") for cap in proof.level_caps
+        ]
 
-    def absorb_level(k: int, _r: int) -> None:
-        # Mirror of the prover's per-fold commitment: levels of size > 1
-        # exist for every round but the last.
-        if k < v - 1:
-            challenger.observe_cap(level_caps[k])
+        def absorb_level(k: int, _r: int) -> None:
+            # Mirror of the prover's per-fold commitment: levels of size
+            # > 1 exist for every round but the last.
+            if k < v - 1:
+                challenger.observe_cap(level_caps[k])
 
-    try:
-        rs = sumcheck_verify(sc, v, challenger, on_challenge=absorb_level)
-    except SumcheckError as exc:
-        raise HyperPlonkError(f"sumcheck transcript rejected: {exc}") from exc
+        try:
+            rs = sumcheck_verify(sc, v, challenger, on_challenge=absorb_level)
+        except SumcheckError as exc:
+            raise HyperPlonkError(f"sumcheck transcript rejected: {exc}") from exc
 
-    # Queries sample the pair index j in [0, n/2) directly (the fold
-    # walk only ever consumes the pair (j, j + n/2)).
-    indices = challenger.get_indices(config.num_queries, n // 2)
-    num_levels = v - 1
-    if len(proof.level_openings) != num_levels:
-        raise HyperPlonkError("wrong number of fold-level openings")
-    base_set, z_set, level_sets = query_index_sets(indices, n, num_levels)
+        # Queries sample the pair index j in [0, n/2) directly (the fold
+        # walk only ever consumes the pair (j, j + n/2)).
+        indices = challenger.get_indices(config.num_queries, n // 2)
 
-    ch = config.cap_height
-    pre_map = _check_opening(
-        proof.pre_opening, base_set, 8, vdata.preprocessed_cap, n, ch,
-        "preprocessed opening",
-    )
-    wires_map = _check_opening(
-        proof.wires_opening, base_set, 3, wires_cap, n, ch, "wires opening"
-    )
-    z_map = _check_opening(proof.z_opening, z_set, 1, z_cap, n, ch, "Z opening")
-    level_maps = []
-    for k, (op, cap, s) in enumerate(
-        zip(proof.level_openings, level_caps, level_sets)
-    ):
-        level_maps.append(
-            _check_opening(op, s, 1, cap, (n // 2) >> k, ch, "fold-level opening")
-        )
+    with tracing.span("verify:merkle", category="verify", trees=v + 2):
+        num_levels = v - 1
+        if len(proof.level_openings) != num_levels:
+            raise HyperPlonkError("wrong number of fold-level openings")
+        base_set, z_set, level_sets = query_index_sets(indices, n, num_levels)
 
-    for j in indices:
-        lo_pos, hi_pos = j, j + n // 2
-        q_lo = _base_q_value(
-            vdata, pre_map[lo_pos], wires_map[lo_pos],
-            int(z_map[lo_pos][0]), int(z_map[(lo_pos + 1) % n][0]),
-            lo_pos, pi_map, beta, gamma, alpha, tau,
-        )
-        q_hi = _base_q_value(
-            vdata, pre_map[hi_pos], wires_map[hi_pos],
-            int(z_map[hi_pos][0]), int(z_map[(hi_pos + 1) % n][0]),
-            hi_pos, pi_map, beta, gamma, alpha, tau,
-        )
-        cur = gl.add(gl.mul(q_lo, gl.sub(1, rs[0])), gl.mul(q_hi, rs[0]))
-        pos = j
-        for k in range(num_levels):
-            half = (n // 4) >> k
-            p = pos % half
-            lo = int(level_maps[k][p][0])
-            hi = int(level_maps[k][p + half][0])
-            mine = lo if pos == p else hi
-            if gl.canonical(mine) != cur:
-                raise HyperPlonkError("fold consistency check failed")
-            cur = gl.add(gl.mul(lo, gl.sub(1, rs[k + 1])), gl.mul(hi, rs[k + 1]))
-            pos = p
-        if cur != gl.canonical(proof.sumcheck.final_value):
-            raise HyperPlonkError(
-                "fold chain does not reach the sumcheck final value"
+        # Every tree's opening is validated first; then all of them
+        # climb to their caps together.
+        ch = config.cap_height
+        trees = [
+            (proof.pre_opening, base_set, 8, vdata.preprocessed_cap, n,
+             "preprocessed opening"),
+            (proof.wires_opening, base_set, 3, wires_cap, n, "wires opening"),
+            (proof.z_opening, z_set, 1, z_cap, n, "Z opening"),
+        ] + [
+            (op, s, 1, cap, (n // 2) >> k, "fold-level opening")
+            for k, (op, cap, s) in enumerate(
+                zip(proof.level_openings, level_caps, level_sets)
             )
-    return True
+        ]
+        checked = [
+            _check_opening(op, s, width, cap, leaves, ch, what)
+            for op, s, width, cap, leaves, what in trees
+        ]
+        verdicts = verify_paths([path for _, path in checked])
+        for ok, (*_, what) in zip(verdicts, trees):
+            if not ok:
+                raise HyperPlonkError(f"{what} fails its Merkle check")
+        (pre_map, _), (wires_map, _), (z_map, _) = checked[:3]
+        level_maps = [leaves for leaves, _ in checked[3:]]
+
+    with tracing.span("verify:fold", category="verify", queries=len(indices)):
+        for j in indices:
+            lo_pos, hi_pos = j, j + n // 2
+            q_lo = _base_q_value(
+                vdata, pre_map[lo_pos], wires_map[lo_pos],
+                int(z_map[lo_pos][0]), int(z_map[(lo_pos + 1) % n][0]),
+                lo_pos, pi_map, beta, gamma, alpha, tau,
+            )
+            q_hi = _base_q_value(
+                vdata, pre_map[hi_pos], wires_map[hi_pos],
+                int(z_map[hi_pos][0]), int(z_map[(hi_pos + 1) % n][0]),
+                hi_pos, pi_map, beta, gamma, alpha, tau,
+            )
+            cur = gl.add(gl.mul(q_lo, gl.sub(1, rs[0])), gl.mul(q_hi, rs[0]))
+            pos = j
+            for k in range(num_levels):
+                half = (n // 4) >> k
+                p = pos % half
+                lo = int(level_maps[k][p][0])
+                hi = int(level_maps[k][p + half][0])
+                mine = lo if pos == p else hi
+                if gl.canonical(mine) != cur:
+                    raise HyperPlonkError("fold consistency check failed")
+                cur = gl.add(gl.mul(lo, gl.sub(1, rs[k + 1])), gl.mul(hi, rs[k + 1]))
+                pos = p
+            if cur != gl.canonical(proof.sumcheck.final_value):
+                raise HyperPlonkError(
+                    "fold chain does not reach the sumcheck final value"
+                )

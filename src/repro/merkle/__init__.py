@@ -2,6 +2,7 @@
 
 from . import multiproof
 from .multiproof import MerkleMultiProof, prove_multi, verify_multi
+from .paths import PathOpening, verify_paths
 from .tree import (
     MerkleProof,
     MerkleTree,
@@ -20,4 +21,6 @@ __all__ = [
     "MerkleMultiProof",
     "prove_multi",
     "verify_multi",
+    "PathOpening",
+    "verify_paths",
 ]

@@ -4,9 +4,10 @@ FRI opens every committed tree at ~28-84 query indices; individual
 authentication paths repeat the nodes near the root.  A *multiproof*
 sends each needed node once: walking levels bottom-up, a node is
 included only if it cannot be derived from the opened leaves and
-previously included nodes.  Production FRI implementations use exactly
-this to shave proof size; we provide it standalone with a size
-comparison exercised in the tests and benchmarks.
+previously included nodes.  HyperPlonk-lite ships one multiproof per
+tree (proof format v2); the FRI proofs keep one path per query, and the
+tests and benchmarks compare the two sizes.  Both shapes are checked by
+the same kernel, :func:`repro.merkle.verify_paths`.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..hashing import sponge
+from .paths import PathOpening, verify_paths
 from .tree import MerkleTree
 
 
@@ -76,42 +78,22 @@ def verify_multi(
 ) -> bool:
     """Verify a multiproof against a cap.
 
-    ``leaves`` maps each opened index to its raw leaf row; the digests
-    are recomputed, combined with ``proof.nodes`` in consumption order,
-    and the derived cap entries are compared.
+    ``leaves`` maps each opened index to its raw leaf row and must cover
+    exactly ``proof.indices``.  The one-opening call of
+    :func:`repro.merkle.verify_paths`, which recomputes the leaf
+    digests, combines them with ``proof.nodes`` in consumption order
+    (every node must be consumed) and compares the derived cap entries;
+    malformed input is ``False``, never an exception.
     """
-    if tuple(sorted(leaves)) != proof.indices:
-        return False
-    current: Dict[int, np.ndarray] = {
-        i: sponge.hash_or_noop(np.atleast_2d(np.asarray(row, dtype=np.uint64)))[0]
-        for i, row in leaves.items()
-    }
-    cursor = 0
-    levels = tree_depth - cap_height
-    for _ in range(levels):
-        nxt: Dict[int, np.ndarray] = {}
-        for i in sorted(current):
-            parent = i >> 1
-            if parent in nxt:
-                continue
-            sibling = i ^ 1
-            if sibling in current:
-                sib_digest = current[sibling]
-            else:
-                if cursor >= proof.nodes.shape[0]:
-                    return False
-                sib_digest = proof.nodes[cursor]
-                cursor += 1
-            left, right = (current[i], sib_digest) if i % 2 == 0 else (sib_digest, current[i])
-            nxt[parent] = sponge.two_to_one(left, right)
-        current = nxt
-    if cursor != proof.nodes.shape[0]:
-        return False
-    cap = np.atleast_2d(np.asarray(cap, dtype=np.uint64))
-    for slot, digest in current.items():
-        if slot >= cap.shape[0] or not np.array_equal(digest, cap[slot]):
+    try:
+        indices = tuple(proof.indices)
+        if sorted(leaves) != list(indices):
             return False
-    return True
+        rows = [leaves[i] for i in indices]
+    except TypeError:
+        return False
+    opening = PathOpening(rows, indices, proof.nodes, cap, tree_depth - cap_height)
+    return bool(verify_paths([opening])[0])
 
 
 def individual_paths_bytes(tree: MerkleTree, indices: Sequence[int]) -> int:

@@ -21,6 +21,7 @@ import numpy as np
 
 from ..field import gl64
 from ..hashing import sponge
+from .paths import PathOpening, verify_paths
 
 
 def level_sizes(num_leaves: int, cap_height: int) -> List[int]:
@@ -179,19 +180,13 @@ def verify_proof(
 ) -> bool:
     """Check an authentication path against a cap.
 
-    ``leaf_data`` is the raw leaf row (the verifier re-hashes it).
+    ``leaf_data`` is the raw 1-D leaf row (the verifier re-hashes it).
+    The one-opening call of :func:`repro.merkle.verify_paths`: any
+    malformed leaf, sibling array, cap or index is ``False``, never an
+    exception.
     """
-    digest = sponge.hash_or_noop(np.atleast_2d(np.asarray(leaf_data, dtype=np.uint64)))[0]
-    for sibling in proof.siblings:
-        if index & 1:
-            digest = sponge.two_to_one(sibling, digest)
-        else:
-            digest = sponge.two_to_one(digest, sibling)
-        index >>= 1
-    cap = np.atleast_2d(np.asarray(cap, dtype=np.uint64))
-    if index >= cap.shape[0]:
-        return False
-    return bool(np.array_equal(digest, cap[index]))
+    opening = PathOpening([leaf_data], (index,), proof.siblings, cap)
+    return bool(verify_paths([opening])[0])
 
 
 def merkle_permutation_count(num_leaves: int, leaf_width: int, cap_height: int = 0) -> int:

@@ -147,12 +147,13 @@ def fri_combine_range(args: Dict[str, Any]):
     scalar recurrence replayed identically in each shard), so disjoint
     row ranges compose to the bit-identical full array.
     """
-    from ..fri.prover import combine_rows
+    from ..fri.prover import combine_rows, lde_points
 
     lo, hi = int(args["lo"]), int(args["hi"])
-    values = [resolve(r) for r in args["values"]]
+    values = [resolve(r)[lo:hi] for r in args["values"]]
+    xs = lde_points(resolve(args["values"][0]).shape[0].bit_length() - 1)[lo:hi]
     resolve(args["out"])[lo:hi] = combine_rows(
-        values, args["openings"], args["alpha"], lo, hi
+        values, xs, args["openings"], args["alpha"]
     )
     return None
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import tracing
 from ..field import extension as fext, goldilocks as gl
 from ..fri import fri_verify
 from ..fri.verifier import FriError
@@ -31,22 +32,59 @@ def verify(
     vdata: VerifierData, proof: PlonkProof, challenger: Challenger | None = None
 ) -> None:
     """Verify a Plonk proof; raises :class:`PlonkError` on any failure."""
-    n = vdata.n
-    config = vdata.config
-    challenger = challenger or Challenger()
+    with tracing.span("verify", category="verify", protocol="plonk", n=vdata.n):
+        _verify(vdata, proof, challenger or Challenger())
 
+
+def _verify(vdata: VerifierData, proof: PlonkProof, challenger: Challenger) -> None:
     if len(proof.public_inputs) != vdata.num_public_inputs:
         raise PlonkError("wrong number of public inputs")
 
-    challenger.observe_cap(vdata.preprocessed_cap)
-    challenger.observe_elements(np.array(proof.public_inputs, dtype=np.uint64))
-    challenger.observe_cap(proof.wires_cap)
-    beta = challenger.get_challenge()
-    gamma = challenger.get_challenge()
-    challenger.observe_cap(proof.z_cap)
-    alpha = challenger.get_ext_challenge()
-    challenger.observe_cap(proof.quotient_cap)
-    zeta = challenger.get_ext_challenge()
+    with tracing.span("verify:transcript", category="verify"):
+        challenger.observe_cap(vdata.preprocessed_cap)
+        challenger.observe_elements(np.array(proof.public_inputs, dtype=np.uint64))
+        challenger.observe_cap(proof.wires_cap)
+        beta = challenger.get_challenge()
+        gamma = challenger.get_challenge()
+        challenger.observe_cap(proof.z_cap)
+        alpha = challenger.get_ext_challenge()
+        challenger.observe_cap(proof.quotient_cap)
+        zeta = challenger.get_ext_challenge()
+
+    with tracing.span("verify:identity", category="verify"):
+        _check_identity(vdata, proof, beta, gamma, alpha, zeta)
+
+    # --- FRI opening proof ----------------------------------------------------
+    caps = [vdata.preprocessed_cap, proof.wires_cap, proof.z_cap, proof.quotient_cap]
+    try:
+        fri_verify(
+            caps,
+            proof.openings,
+            proof.fri_proof,
+            challenger,
+            vdata.config,
+            vdata.n,
+            # The wires batch admits two widths: 3 bare columns, or
+            # 3 + ZK_SALT_COLUMNS when the prover committed with
+            # blinding salts.  Width 4 stays rejected -- that is the
+            # hash_or_noop zero-pad malleability the pin exists for.
+            leaf_widths=[8, (3, 3 + ZK_SALT_COLUMNS), 1, 2 * QUOTIENT_CHUNKS],
+        )
+    except FriError as exc:
+        raise PlonkError(f"FRI verification failed: {exc}") from exc
+
+
+def _check_identity(
+    vdata: VerifierData,
+    proof: PlonkProof,
+    beta: int,
+    gamma: int,
+    alpha: np.ndarray,
+    zeta: np.ndarray,
+) -> None:
+    """The opening set is the transcript's, and the gate / copy
+    constraint identity holds on the opened values at ``zeta``."""
+    n = vdata.n
 
     # --- structural checks on the opening set -------------------------------
     omega = gl.primitive_root_of_unity(n.bit_length() - 1)
@@ -146,22 +184,3 @@ def verify(
 
     if not np.array_equal(lhs.reshape(2), rhs.reshape(2)):
         raise PlonkError("constraint identity fails at zeta")
-
-    # --- FRI opening proof ----------------------------------------------------
-    caps = [vdata.preprocessed_cap, proof.wires_cap, proof.z_cap, proof.quotient_cap]
-    try:
-        fri_verify(
-            caps,
-            op,
-            proof.fri_proof,
-            challenger,
-            config,
-            n,
-            # The wires batch admits two widths: 3 bare columns, or
-            # 3 + ZK_SALT_COLUMNS when the prover committed with
-            # blinding salts.  Width 4 stays rejected -- that is the
-            # hash_or_noop zero-pad malleability the pin exists for.
-            leaf_widths=[8, (3, 3 + ZK_SALT_COLUMNS), 1, 2 * QUOTIENT_CHUNKS],
-        )
-    except FriError as exc:
-        raise PlonkError(f"FRI verification failed: {exc}") from exc

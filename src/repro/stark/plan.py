@@ -106,7 +106,7 @@ class ProverPlan:
         optimized._scalar_tables()
         shift = gl.coset_shift()
         for log_n in range(self.log_lde, 1, -1):
-            fri_prover._fold_weights(log_n, int(shift))
+            fri_prover.fold_weights(log_n, int(shift))
             shift = gl.mul(shift, shift)
         return self
 

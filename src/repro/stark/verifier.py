@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import tracing
 from ..field import extension as fext, goldilocks as gl
 from ..fri import fri_verify
 from ..fri.verifier import FriError
@@ -24,7 +25,11 @@ def verify(
     challenger: Challenger | None = None,
 ) -> None:
     """Verify a STARK proof; raises :class:`StarkError` on any failure."""
-    challenger = challenger or Challenger()
+    with tracing.span("verify", category="verify", protocol="stark"):
+        _verify(air, proof, config, challenger or Challenger())
+
+
+def _verify(air: Air, proof: StarkProof, config, challenger: Challenger) -> None:
     # Bound the claimed degree before ``1 << degree_bits`` can build a
     # multi-gigabyte integer from a hostile 32-bit value.
     if not 0 < proof.degree_bits <= gl.TWO_ADICITY:
@@ -33,12 +38,36 @@ def verify(
     width = air.width
     chunks = quotient_chunk_count(air)
 
-    challenger.observe_elements(np.asarray(proof.public_inputs, dtype=np.uint64))
-    challenger.observe_cap(proof.trace_cap)
-    alpha = challenger.get_ext_challenge()
-    challenger.observe_cap(proof.quotient_cap)
-    zeta = challenger.get_ext_challenge()
+    with tracing.span("verify:transcript", category="verify"):
+        challenger.observe_elements(np.asarray(proof.public_inputs, dtype=np.uint64))
+        challenger.observe_cap(proof.trace_cap)
+        alpha = challenger.get_ext_challenge()
+        challenger.observe_cap(proof.quotient_cap)
+        zeta = challenger.get_ext_challenge()
 
+    with tracing.span("verify:identity", category="verify"):
+        _check_identity(air, proof, n, chunks, alpha, zeta)
+
+    try:
+        fri_verify(
+            [proof.trace_cap, proof.quotient_cap],
+            proof.openings,
+            proof.fri_proof,
+            challenger,
+            config,
+            n,
+            leaf_widths=[width, 2 * chunks],
+        )
+    except FriError as exc:
+        raise StarkError(f"FRI verification failed: {exc}") from exc
+
+
+def _check_identity(
+    air: Air, proof: StarkProof, n: int, chunks: int, alpha: np.ndarray, zeta: np.ndarray
+) -> None:
+    """The opening set is the transcript's, and the constraint identity
+    holds on the opened values at ``zeta``."""
+    width = air.width
     omega = gl.primitive_root_of_unity(proof.degree_bits)
     zeta_next = fext.scalar_mul(zeta, np.uint64(omega))
 
@@ -120,17 +149,3 @@ def verify(
 
     if not np.array_equal(total.reshape(2), t_eval.reshape(2)):
         raise StarkError("constraint identity fails at zeta")
-
-    caps = [proof.trace_cap, proof.quotient_cap]
-    try:
-        fri_verify(
-            caps,
-            op,
-            proof.fri_proof,
-            challenger,
-            config,
-            n,
-            leaf_widths=[width, 2 * chunks],
-        )
-    except FriError as exc:
-        raise StarkError(f"FRI verification failed: {exc}") from exc

@@ -1,0 +1,283 @@
+"""The per-query scalar verifiers, kept as the independent test oracle.
+
+These are the bodies ``merkle.verify_proof``, ``merkle.verify_multi``
+and ``fri.fri_verify`` had before verification moved onto the batched
+plane (:func:`repro.merkle.verify_paths`, FRI checks on a query axis),
+moved here verbatim: one path walked at a time, one ``two_to_one`` per
+node, one extension inversion per query per opening point.  They share
+nothing with the batched code but the sponge primitives, so agreement
+between the two is evidence about both.
+
+:func:`reference_plane` swaps them in under the real protocol
+verifiers, which keeps the protocol-level structure checks and error
+wrapping and replaces only the Merkle / FRI plane underneath.
+
+One known difference is deliberate: the scalar ``verify_proof`` /
+``verify_multi`` accept a negative index whose low bits alias a real
+leaf (``cap[-1]`` wraps); the batched kernel rejects it.  No protocol
+verifier can pass one: query indices come from the transcript.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Sequence
+from unittest import mock
+
+import numpy as np
+
+from repro.field import extension as fext, goldilocks as gl
+from repro.fri.config import FriConfig
+from repro.fri.proof import FriProof
+from repro.fri.prover import FriOpenings, check_pow
+from repro.fri.verifier import FriError
+from repro.hashing import Challenger, sponge
+from repro.merkle import MerkleMultiProof, MerkleProof
+
+
+def verify_proof(
+    leaf_data: np.ndarray,
+    index: int,
+    proof: MerkleProof,
+    cap: np.ndarray,
+) -> bool:
+    """Check an authentication path against a cap.
+
+    ``leaf_data`` is the raw leaf row (the verifier re-hashes it).
+    """
+    digest = sponge.hash_or_noop(np.atleast_2d(np.asarray(leaf_data, dtype=np.uint64)))[0]
+    for sibling in proof.siblings:
+        if index & 1:
+            digest = sponge.two_to_one(sibling, digest)
+        else:
+            digest = sponge.two_to_one(digest, sibling)
+        index >>= 1
+    cap = np.atleast_2d(np.asarray(cap, dtype=np.uint64))
+    if index >= cap.shape[0]:
+        return False
+    return bool(np.array_equal(digest, cap[index]))
+
+
+def verify_multi(
+    leaves: Dict[int, np.ndarray],
+    proof: MerkleMultiProof,
+    cap: np.ndarray,
+    tree_depth: int,
+    cap_height: int = 0,
+) -> bool:
+    """Verify a multiproof against a cap.
+
+    ``leaves`` maps each opened index to its raw leaf row; the digests
+    are recomputed, combined with ``proof.nodes`` in consumption order,
+    and the derived cap entries are compared.
+    """
+    if tuple(sorted(leaves)) != proof.indices:
+        return False
+    current: Dict[int, np.ndarray] = {
+        i: sponge.hash_or_noop(np.atleast_2d(np.asarray(row, dtype=np.uint64)))[0]
+        for i, row in leaves.items()
+    }
+    cursor = 0
+    levels = tree_depth - cap_height
+    for _ in range(levels):
+        nxt: Dict[int, np.ndarray] = {}
+        for i in sorted(current):
+            parent = i >> 1
+            if parent in nxt:
+                continue
+            sibling = i ^ 1
+            if sibling in current:
+                sib_digest = current[sibling]
+            else:
+                if cursor >= proof.nodes.shape[0]:
+                    return False
+                sib_digest = proof.nodes[cursor]
+                cursor += 1
+            left, right = (current[i], sib_digest) if i % 2 == 0 else (sib_digest, current[i])
+            nxt[parent] = sponge.two_to_one(left, right)
+        current = nxt
+    if cursor != proof.nodes.shape[0]:
+        return False
+    cap = np.atleast_2d(np.asarray(cap, dtype=np.uint64))
+    for slot, digest in current.items():
+        if slot >= cap.shape[0] or not np.array_equal(digest, cap[slot]):
+            return False
+    return True
+
+
+def _combined_at_index(
+    leaves: Sequence[np.ndarray],
+    openings: FriOpenings,
+    alpha: np.ndarray,
+    x: int,
+) -> np.ndarray:
+    """Recompute the combined quotient value at one domain point."""
+    total = fext.zero()
+    alpha_t = fext.one()
+    for point, cols, vals in zip(openings.points, openings.columns, openings.values):
+        num = fext.zero()
+        const = fext.zero()
+        for (b, c), y in zip(cols, vals):
+            if not (0 <= b < len(leaves)):
+                raise FriError("opened batch index out of range")
+            leaf = leaves[b]
+            if not (0 <= c < leaf.shape[0]):
+                raise FriError("opened column exceeds initial leaf width")
+            f_val = int(leaf[c])
+            num = fext.add(num, fext.scalar_mul(alpha_t, np.uint64(f_val)))
+            const = fext.add(const, fext.mul(alpha_t, y))
+            alpha_t = fext.mul(alpha_t, alpha.reshape(2))
+        num = fext.sub(num, const)
+        denom = fext.sub(fext.from_base(np.uint64(x)), point.reshape(2))
+        if bool(fext.is_zero(denom)):
+            # Inverting zero would leak a ZeroDivisionError; an opening
+            # point on the evaluation domain is simply invalid.
+            raise FriError("opening point lies on the evaluation domain")
+        total = fext.add(total, fext.mul(num, fext.inv(denom)))
+    return total
+
+
+def fri_verify(
+    batch_caps: Sequence[np.ndarray],
+    openings: FriOpenings,
+    proof: FriProof,
+    challenger: Challenger,
+    config: FriConfig,
+    degree_n: int,
+    leaf_widths: Sequence[int | tuple[int, ...]] | None = None,
+) -> None:
+    """Verify a batch FRI opening proof; raises :class:`FriError` on failure.
+
+    ``batch_caps`` are the caps of the original commitments (in the same
+    order the prover used); ``degree_n`` is the claimed degree bound
+    (the pre-blowup domain size).  ``leaf_widths``, when given, pins the
+    number of elements each initial-opening leaf must carry (one entry
+    per batch, an int or a tuple of admissible ints -- a batch that may
+    carry optional blinding salt columns admits both widths):
+    ``hash_or_noop`` zero-pads rows shorter than a digest, so without
+    the width pin an attacker could present a padded or truncated leaf
+    whose digest still matches the commitment.
+    """
+    challenger.observe_elements(openings.flat_values())
+    alpha = challenger.get_ext_challenge()
+
+    n_lde = degree_n << config.rate_bits
+    log_lde = n_lde.bit_length() - 1
+    num_rounds = config.num_fold_rounds(degree_n.bit_length() - 1)
+    if len(proof.commit_caps) != num_rounds:
+        raise FriError(f"expected {num_rounds} layer caps, got {len(proof.commit_caps)}")
+
+    betas: List[np.ndarray] = []
+    for cap in proof.commit_caps:
+        challenger.observe_cap(cap)
+        betas.append(challenger.get_ext_challenge())
+
+    if proof.final_poly.ndim != 2 or proof.final_poly.shape[1] != 2:
+        raise FriError("malformed final polynomial")
+    final_len = max(1, degree_n >> num_rounds)
+    if proof.final_poly.shape[0] > final_len:
+        raise FriError("final polynomial exceeds the degree bound")
+    challenger.observe_elements(proof.final_poly)
+
+    if not check_pow(challenger, proof.pow_witness, config.proof_of_work_bits):
+        raise FriError("proof-of-work witness is invalid")
+    challenger.observe_element(proof.pow_witness)
+
+    indices = challenger.get_indices(config.num_queries, n_lde)
+    if len(proof.query_rounds) != len(indices):
+        raise FriError("wrong number of query rounds")
+
+    omega = gl.primitive_root_of_unity(log_lde)
+    for idx, qr in zip(indices, proof.query_rounds):
+        if qr.index != idx:
+            raise FriError("query index mismatch with transcript")
+        # Initial openings against every original commitment.  The
+        # leaves/proofs lists must pair off exactly -- ``zip`` would
+        # silently truncate the check loop (skipping Merkle checks for
+        # the unpaired leaves) if one list were shorter.
+        if len(qr.initial.leaves) != len(batch_caps):
+            raise FriError("initial opening count mismatch")
+        if len(qr.initial.proofs) != len(qr.initial.leaves):
+            raise FriError("initial opening count mismatch")
+        for b, (leaf, prf, cap) in enumerate(
+            zip(qr.initial.leaves, qr.initial.proofs, batch_caps)
+        ):
+            if leaf.ndim != 1:
+                raise FriError("malformed initial leaf")
+            if leaf_widths is not None:
+                allowed = leaf_widths[b]
+                if isinstance(allowed, int):
+                    allowed = (allowed,)
+                if leaf.shape[0] not in allowed:
+                    raise FriError("malformed initial leaf")
+            if not verify_proof(leaf, idx, prf, cap):
+                raise FriError("initial Merkle proof failed")
+        x = gl.mul(gl.coset_shift(), gl.pow_mod(omega, idx))
+        value = _combined_at_index(qr.initial.leaves, openings, alpha, x)
+
+        # Walk the fold layers.
+        cur = idx
+        cur_size = n_lde
+        shift = gl.coset_shift()
+        cur_log = log_lde
+        if len(qr.layers) != num_rounds:
+            raise FriError("wrong number of layer openings")
+        for layer, beta, cap in zip(qr.layers, betas, proof.commit_caps):
+            half = cur_size // 2
+            pair = cur % half
+            # Validate the leaf shape before slicing: a truncated or
+            # reshaped leaf would otherwise be compared against silently
+            # empty ``[0:2]``/``[2:4]`` slices (or crash on a 0-d array),
+            # and ``hash_or_noop`` zero-pads 3-element rows into the same
+            # digest as a 4-element row ending in zero.
+            if layer.pair_leaf.shape != (4,):
+                raise FriError("malformed layer leaf")
+            if not verify_proof(layer.pair_leaf, pair, layer.proof, cap):
+                raise FriError("layer Merkle proof failed")
+            lo = layer.pair_leaf[0:2]
+            hi = layer.pair_leaf[2:4]
+            slot = lo if cur < half else hi
+            if not np.array_equal(slot, value.reshape(2)):
+                raise FriError("fold consistency check failed")
+            x_pair = gl.mul(shift, gl.pow_mod(gl.primitive_root_of_unity(cur_log), pair))
+            inv2 = gl.inverse(2)
+            even = fext.scalar_mul(fext.add(lo, hi), np.uint64(inv2))
+            odd = fext.scalar_mul(
+                fext.sub(lo, hi), np.uint64(gl.mul(inv2, gl.inverse(x_pair)))
+            )
+            value = fext.add(even, fext.mul(beta.reshape(2), odd))
+            cur = pair
+            cur_size = half
+            shift = gl.mul(shift, shift)
+            cur_log -= 1
+
+        # Final polynomial check at the residual domain point.
+        x_final = fext.from_base(
+            np.uint64(gl.mul(shift, gl.pow_mod(gl.primitive_root_of_unity(cur_log), cur)))
+        )
+        expected = fext.eval_poly_ext(proof.final_poly, x_final)
+        if not np.array_equal(expected.reshape(2), value.reshape(2)):
+            raise FriError("final polynomial evaluation mismatch")
+
+
+def verify_paths(openings) -> np.ndarray:
+    """:func:`repro.merkle.verify_paths` by walking each opening alone."""
+    verdicts = []
+    for op in openings:
+        if op.levels is None:
+            (row,), (index,) = op.rows, op.indices
+            verdicts.append(verify_proof(row, index, MerkleProof(op.nodes), op.cap))
+        else:
+            leaves = dict(zip(op.indices, op.rows))
+            proof = MerkleMultiProof(tuple(op.indices), op.nodes)
+            verdicts.append(verify_multi(leaves, proof, op.cap, op.levels))
+    return np.array(verdicts, dtype=bool)
+
+
+@contextmanager
+def reference_plane() -> Iterator[None]:
+    """Run the protocol verifiers over the scalar Merkle / FRI plane."""
+    with mock.patch("repro.stark.verifier.fri_verify", fri_verify), mock.patch(
+        "repro.plonk.verifier.fri_verify", fri_verify
+    ), mock.patch("repro.hyperplonk.verifier.verify_paths", verify_paths):
+        yield

@@ -196,13 +196,15 @@ class TestRegressionVectors:
     ):
         # hash_or_noop zero-pads short rows, so a zero-padded leaf still
         # authenticates against the commitment; only the verifier's
-        # exact leaf-width pin rejects it.
+        # exact leaf-width pin rejects it.  (Every query's leaf is
+        # padded: one batch opened at two widths is rejected as
+        # malformed whatever the pin says.)
         tgt = target_for("stark")
         proof = tgt.decode(tgt.blob)
-        qr = proof.fri_proof.query_rounds[0]
-        qr.initial.leaves[0] = np.concatenate(
-            [qr.initial.leaves[0], np.zeros(1, dtype=np.uint64)]
-        )
+        for qr in proof.fri_proof.query_rounds:
+            qr.initial.leaves[0] = np.concatenate(
+                [qr.initial.leaves[0], np.zeros(1, dtype=np.uint64)]
+            )
         data = tgt.encode(proof)
 
         outcome, exc = classify_bytes(tgt, data)
@@ -244,29 +246,43 @@ class TestRegressionVectors:
         assert result.outcome == "rejected-verify"
 
     def test_zero_denominator_opening_typed(self):
-        # An opening point equal to the queried domain point would
-        # divide by zero in the quotient combination.  The STARK/Plonk
-        # zeta-binding check fires first on full proofs, so exercise
-        # the FRI combination helper in isolation.
+        # An opening point equal to a queried domain point would divide
+        # by zero in the quotient combination.  The STARK/Plonk
+        # zeta-binding check fires first on full proofs, so drive
+        # ``fri_verify`` directly: the transcript absorbs the opened
+        # *values*, not the points, so moving a point leaves every
+        # challenge and query index where the honest proof put them.
         from repro.field import goldilocks as gl
-        from repro.fri.prover import FriOpenings
-        from repro.fri.verifier import _combined_at_index
+        from repro.fri import FriOpenings, fri_verify
+        from repro.fuzz.targets import _STARK_CONFIG
+        from repro.hashing import Challenger
 
         tgt = target_for("stark")
         proof = tgt.decode(tgt.blob)
-        x0 = gl.mul(gl.coset_shift(), 1)  # a real LDE domain point
+        n_lde = (1 << proof.degree_bits) << _STARK_CONFIG.rate_bits
+        omega = gl.primitive_root_of_unity(n_lde.bit_length() - 1)
+        idx = proof.fri_proof.query_rounds[0].index
+        x0 = gl.mul(gl.coset_shift(), gl.pow_mod(omega, idx))  # a queried LDE point
         op = proof.openings
         doctored = FriOpenings(
             points=[np.array([x0, 0], dtype=np.uint64)] + op.points[1:],
             columns=op.columns,
             values=op.values,
         )
+        challenger = Challenger()
+        challenger.observe_elements(np.asarray(proof.public_inputs, dtype=np.uint64))
+        challenger.observe_cap(proof.trace_cap)
+        challenger.get_ext_challenge()
+        challenger.observe_cap(proof.quotient_cap)
+        challenger.get_ext_challenge()
         with pytest.raises(FriError, match="evaluation domain"):
-            _combined_at_index(
-                proof.fri_proof.query_rounds[0].initial.leaves,
+            fri_verify(
+                [proof.trace_cap, proof.quotient_cap],
                 doctored,
-                np.array([1, 0], dtype=np.uint64),
-                x0,
+                proof.fri_proof,
+                challenger,
+                _STARK_CONFIG,
+                1 << proof.degree_bits,
             )
 
 

@@ -61,7 +61,7 @@ class TestEndToEnd:
         stats = c.as_dict()
         assert stats.get("ntt_butterflies", 0) == 0
         assert stats.get("ntt_transforms", 0) == 0
-        assert verify(data.verifier_data, proof) is True
+        verify(data.verifier_data, proof)
 
     def test_proof_is_deterministic(self, cube):
         data, inputs, proof = cube
@@ -72,7 +72,7 @@ class TestEndToEnd:
         for x_val in (2, 5, 11):
             data, inputs = _cube_instance(x_val)
             proof = prove(data, inputs)
-            assert verify(data.verifier_data, proof) is True
+            verify(data.verifier_data, proof)
             assert proof.public_inputs == [pow(x_val, 3)]
 
     def test_claimed_sum_is_zero(self, cube):
@@ -240,7 +240,7 @@ class TestEdgeCases:
         assert proof.level_caps == []
         assert proof.level_openings == []
         assert len(proof.sumcheck.round_values) == 1
-        assert verify(data.verifier_data, proof) is True
+        verify(data.verifier_data, proof)
         body = hyperplonk_proof_to_bytes(proof)
         assert hyperplonk_proof_to_bytes(
             hyperplonk_proof_from_bytes(body)
@@ -261,7 +261,7 @@ class TestEdgeCases:
             num_leaves = (n // 2) >> k
             depth = num_leaves.bit_length() - 1
             assert np.atleast_2d(cap).shape[0] == 1 << min(3, depth)
-        assert verify(data.verifier_data, proof) is True
+        verify(data.verifier_data, proof)
 
     def test_duplicate_query_indices_dedup_in_openings(self):
         # num_queries=8 over n//2=2 possible indices forces collisions:
@@ -276,7 +276,7 @@ class TestEdgeCases:
         assert list(proof.wires_opening.proof.indices) == sorted(
             set(proof.wires_opening.proof.indices)
         )
-        assert verify(dup_data.verifier_data, proof) is True
+        verify(dup_data.verifier_data, proof)
         body = hyperplonk_proof_to_bytes(proof)
         assert hyperplonk_proof_to_bytes(
             hyperplonk_proof_from_bytes(body)

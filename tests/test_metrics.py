@@ -4,7 +4,7 @@ import numpy as np
 
 from repro.field import gl64
 from repro.hashing import Challenger, hash_batch, two_to_one
-from repro.merkle import MerkleTree
+from repro.merkle import MerkleTree, PathOpening, verify_paths, verify_proof
 from repro.metrics import GLOBAL, Counters, counting
 from repro.ntt import ntt
 
@@ -68,6 +68,19 @@ class TestCounters:
             MerkleTree(gl64.random((8, 100), rng))
             wide = c.sponge_permutations
         assert wide > narrow
+
+    def test_path_checks_count_one_permutation_per_node(self, rng):
+        # Width 10 -> 2 leaf permutations, then one per level climbed;
+        # checking three paths in one call counts exactly three walks.
+        leaves = gl64.random((16, 10), rng)
+        tree = MerkleTree(leaves, cap_height=1)
+        with counting() as c:
+            assert verify_proof(leaves[5], 5, tree.prove(5), tree.cap)
+            assert c.sponge_permutations == 2 + 3
+        paths = [PathOpening([leaves[i]], (i,), tree.prove(i).siblings, tree.cap) for i in (0, 5, 9)]
+        with counting() as c:
+            assert verify_paths(paths).all()
+            assert c.sponge_permutations == 3 * (2 + 3)
 
     def test_global_monotone(self, rng):
         before = GLOBAL.total_permutations

@@ -137,3 +137,28 @@ class TestHyperPlonkHotPath:
         assert stats.get("ntt_transforms", 0) == 0
         assert stats.get("sponge_permutations", 0) > 0  # Merkle work ran
         system.verify(psetup, proof)
+
+
+#: Fibonacci scale 6 under each registry default config: sponge and
+#: challenger permutations around ``verify`` alone.  Same values as
+#: ``VERIFY_GOLDEN`` in benchmarks/check_perf_counters.py, recorded at
+#: commit 12996fa when every authentication path was still walked alone.
+VERIFY_GOLDENS = {
+    "stark": {"sponge_permutations": 260, "challenger_permutations": 13},
+    "plonk": {"sponge_permutations": 280, "challenger_permutations": 16},
+    "hyperplonk": {"sponge_permutations": 64, "challenger_permutations": 13},
+}
+
+
+class TestVerifierCounters:
+    @pytest.mark.parametrize("protocol", sorted(VERIFY_GOLDENS))
+    def test_verify_hashes_what_it_always_hashed(self, protocol):
+        # Batching path checks by level changes how many states one
+        # Poseidon call carries, never how many states there are.
+        system = get(protocol)
+        psetup = system.setup(by_name("Fibonacci"), 6, system.make_config({}))
+        proof = system.prove(psetup)
+        with counting() as c:
+            assert system.verify(psetup, proof) is None
+        got = c.as_dict()
+        assert {k: got[k] for k in VERIFY_GOLDENS[protocol]} == VERIFY_GOLDENS[protocol]
