@@ -9,25 +9,19 @@ it replaced, at three levels:
 * **end-to-end STARK** -- full proofs of the Fibonacci and MVM AETs at
   scales 6-10 (``FriConfig(rate_bits=1, cap_height=1, num_queries=10,
   proof_of_work_bits=3, final_poly_len=4)``), with the per-shape
-  :class:`repro.stark.ProverPlan` warm, the way the proving service
-  runs them;
+  :class:`repro.fri.DomainPlan` warm, the way the proving service runs
+  them;
 * **end-to-end Plonk** -- service-path Plonk jobs at scales 6-8 with the
   executor's default config.  The baseline is what a job cost before the
   unified pipeline: ``setup()`` + ``prove()`` per job with no plan and
   no workspace threading into FRI.  "Now" is the cached-setup / warm
-  :class:`repro.plonk.PlonkPlan` prove, plus a per-stage span breakdown
-  from :mod:`repro.tracing`;
+  plan prove, plus a per-stage span breakdown from :mod:`repro.tracing`;
 * **stage sharding** -- serial vs 2-shard-worker proves of the largest
   STARK shapes, measured as *interleaved* A/B pairs so machine drift
   cancels, with the bit-identity contract asserted on every pair: the
   sharded proof must match the serial digest and operation counters
   exactly.  On a single effective CPU the row documents overhead, not
-  speedup (``effective_cpus`` is recorded);
-* **plan tuning** -- the software autotuner
-  (:mod:`repro.autotune.plan_tuner`) searches the
-  :class:`repro.tunables.PlanTuning` knobs against measured wall-clock
-  and the winner is re-measured against the default, digests and
-  counters pinned to the same goldens.
+  speedup (``effective_cpus`` is recorded).
 
 Every end-to-end row also checks that the proof digest and the
 operation counters are *unchanged* from the pre-refactor baseline:
@@ -56,10 +50,10 @@ from repro.fri.config import FriConfig
 from repro.hashing import optimized
 from repro.merkle import MerkleTree
 from repro.ntt import ntt
-from repro.plonk import plan_for as plonk_plan_for, prove as plonk_prove, setup
+from repro.fri import plan_for
+from repro.plonk import prove as plonk_prove, setup
 from repro.serialize import plonk_proof_digest, stark_proof_digest
-from repro.stark import plan_for, prove
-from repro.tunables import DEFAULT_TUNING
+from repro.stark import prove
 from repro.workloads import fibonacci, mvm
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_prover.json"
@@ -200,7 +194,7 @@ def bench_plonk() -> dict:
         for scale in PLONK_SCALES:
             circuit, inputs, _ = spec.build_circuit(scale)
             data = setup(circuit, PLONK_CONFIG)  # cached once, as in the executor
-            plan = plonk_plan_for(circuit.n, PLONK_CONFIG.rate_bits)
+            plan = plan_for(circuit.n, PLONK_CONFIG.rate_bits)
             plonk_prove(data, inputs, plan=plan)  # warm
             best, digest, counters = float("inf"), None, None
             for _ in range(3):
@@ -232,87 +226,6 @@ def bench_plonk() -> dict:
                 f"(e2e x{base['e2e_s']/best:.2f}, prove x{base['prove_s']/best:.2f})"
                 f"  [{status}]"
             )
-    return rows
-
-
-def bench_plan_tuning() -> dict:
-    """Software plan tuner: measured default vs tuned wall-clock.
-
-    Runs the wall-clock :class:`repro.autotune.plan_tuner.PlanTuner`
-    search for two Plonk shapes -- MVM/8 (the service-path headline) and
-    Image Crop/8 (n=2048, LDE length 16384: the biggest Merkle levels
-    of any shipped shape) -- then re-measures the default and the winning
-    :class:`repro.tunables.PlanTuning` as *interleaved* A/B pairs (best
-    of N pairs): the knob effects are percents-to-tens-of-percents, and
-    measuring the two arms minutes apart lets machine drift swamp them;
-    alternating them in one block cancels it.  The tuned proof digest
-    and operation counters must match a same-run default-tuning proof
-    bit for bit (and the pre-refactor golden where one is pinned) --
-    the knobs may only move time, never the proof.
-    """
-    from repro.autotune.plan_tuner import tune_plan
-    from repro.workloads import image_crop
-
-    rows = {}
-    shapes = [
-        ("MVM", mvm.SPEC, 8, 3, 7),
-        ("Image Crop", image_crop.SPEC, 8, 2, 5),
-    ]
-    for name, spec, scale, repeats, pairs in shapes:
-        search = tune_plan("plonk", name, scale, repeats=repeats, seed=0)
-        winner = search.winner
-        circuit, inputs, _ = spec.build_circuit(scale)
-        data = setup(circuit, PLONK_CONFIG)
-        plan = plonk_plan_for(circuit.n, PLONK_CONFIG.rate_bits)
-        saved = plan.tuning
-
-        plan.tuning = None
-        with metrics.counting() as c:
-            ref_digest = plonk_proof_digest(plonk_prove(data, inputs, plan=plan))
-            ref_counters = c.as_dict()
-        plan.tuning = winner
-        with metrics.counting() as c:
-            digest = plonk_proof_digest(plonk_prove(data, inputs, plan=plan))
-            counters = c.as_dict()
-
-        default_s = tuned_s = float("inf")
-        for _ in range(pairs):
-            plan.tuning = None
-            t0 = time.perf_counter()
-            plonk_prove(data, inputs, plan=plan)
-            default_s = min(default_s, time.perf_counter() - t0)
-            plan.tuning = winner
-            t0 = time.perf_counter()
-            plonk_prove(data, inputs, plan=plan)
-            tuned_s = min(tuned_s, time.perf_counter() - t0)
-        plan.tuning = saved
-
-        key = f"{name}/{scale}"
-        base = BASELINE_PLONK.get(key)
-        digest_ok = digest == ref_digest and (
-            base is None or digest == base["digest"]
-        )
-        counters_ok = counters == ref_counters and (
-            base is None
-            or all(counters.get(k) == v for k, v in base["counters"].items())
-        )
-        rows[key] = {
-            "winner": winner.to_dict(),
-            "default_s": round(default_s, 4),
-            "tuned_s": round(tuned_s, 4),
-            "speedup": round(default_s / tuned_s, 3),
-            # A default winner means the search (correctly) found no knob
-            # that helps this shape; don't count A/B noise as a win then.
-            "improved": tuned_s < default_s and winner != DEFAULT_TUNING,
-            "digest_unchanged": digest_ok,
-            "counters_unchanged": counters_ok,
-            "search_trials": len(search.trials),
-        }
-        status = "ok" if digest_ok and counters_ok else "MISMATCH"
-        print(
-            f"{key:14s} {default_s:7.4f} s -> {tuned_s:7.4f} s  "
-            f"(x{default_s/tuned_s:.2f})  winner={winner.to_dict()}  [{status}]"
-        )
     return rows
 
 
@@ -380,7 +293,7 @@ def bench_plonk_stages() -> dict:
     """Per-stage wall-time breakdown for the largest Plonk config (MVM/8)."""
     circuit, inputs, _ = mvm.SPEC.build_circuit(8)
     data = setup(circuit, PLONK_CONFIG)
-    plan = plonk_plan_for(circuit.n, PLONK_CONFIG.rate_bits)
+    plan = plan_for(circuit.n, PLONK_CONFIG.rate_bits)
     plonk_prove(data, inputs, plan=plan)  # warm
     with tracing.trace() as session:
         plonk_prove(data, inputs, plan=plan)
@@ -402,8 +315,6 @@ def main() -> dict:
     plonk_stages = bench_plonk_stages()
     print("== stage-sharded STARK prove (2 shard workers, scale 10) ==")
     sharded = bench_sharded()
-    print("== software plan tuning (measured wall-clock) ==")
-    plan_tuning = bench_plan_tuning()
     target = proofs["Fibonacci/8"]
     plonk_target = plonk_rows["MVM/8"]
     report = {
@@ -426,19 +337,15 @@ def main() -> dict:
         "plonk": plonk_rows,
         "plonk_stage_seconds_mvm_scale8": plonk_stages,
         "sharded": sharded,
-        "plan_tuning": plan_tuning,
-        "plan_tuning_improved_workloads": [
-            k for k, r in plan_tuning.items() if r["improved"]
-        ],
         "headline_speedup_fibonacci_scale8": target["speedup"],
         "headline_plonk_e2e_speedup_mvm_scale8": plonk_target["e2e_speedup"],
         "all_digests_unchanged": all(
             r["digest_unchanged"]
-            for r in [*proofs.values(), *plonk_rows.values(), *plan_tuning.values()]
+            for r in [*proofs.values(), *plonk_rows.values()]
         ),
         "all_counters_unchanged": all(
             r["counters_unchanged"]
-            for r in [*proofs.values(), *plonk_rows.values(), *plan_tuning.values()]
+            for r in [*proofs.values(), *plonk_rows.values()]
         ),
         "all_sharded_bit_identical": all(
             r["bit_identical"] for r in sharded.values()
@@ -458,7 +365,4 @@ if __name__ == "__main__":
     assert report["all_sharded_bit_identical"], "sharded proofs diverged"
     assert report["headline_plonk_e2e_speedup_mvm_scale8"] >= 1.3, (
         "Plonk service-path speedup regressed below 1.3x"
-    )
-    assert report["plan_tuning_improved_workloads"], (
-        "plan tuner found no measured wall-clock improvement"
     )

@@ -6,9 +6,9 @@ cheaply rejected by the PE-grid sanitizer where microcode is involved,
 scored on the cycle-accurate simulator (:mod:`repro.autotune.search`),
 and the best-per-``(kernel shape, hardware)`` winners are persisted in
 a versioned :class:`~repro.autotune.cache.TuningCache` that
-``schedule``/``simulate`` consult by default.  The software mirror
-(:mod:`repro.autotune.plan_tuner`) searches prover-plan knobs against
-measured wall-clock time.
+``schedule``/``simulate`` consult by default.  This is the
+hardware-mapping tuner only: the software prover has no tuning plane and
+never reads the cache.
 
 Submodules are imported lazily: the compiler backend imports
 ``repro.autotune.cache`` on its hot path, while ``search`` imports the
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 _EXPORTS = {
     "CACHE_VERSION": ".cache",
-    "SOFTWARE_HW_KEY": ".cache",
     "CACHE_ENV_VAR": ".cache",
     "TuningCache": ".cache",
     "TuningCacheError": ".cache",
@@ -28,15 +27,11 @@ _EXPORTS = {
     "load_default_cache": ".cache",
     "hw_key": ".cache",
     "node_key": ".cache",
-    "plan_key": ".cache",
     "Candidate": ".space",
     "candidate_spaces": ".space",
     "space_for_family": ".space",
     "TuneReport": ".search",
     "tune_workload": ".search",
-    "PlanTuner": ".plan_tuner",
-    "cached_tuning": ".plan_tuner",
-    "tune_plan": ".plan_tuner",
 }
 
 __all__ = sorted(_EXPORTS)

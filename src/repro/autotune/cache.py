@@ -31,13 +31,10 @@ from typing import Any, Dict, Optional
 from ..hw.config import HwConfig
 from ..mapping.params import DEFAULT_MAPPING, MappingParams
 
-#: Cache-format version; bump when the entry schema changes (2: the
-#: software tunings lost ``permute_chunk``, so stored winners that moved
-#: only that knob are stale).
+#: Cache-format version; bump when the entry schema changes.  Files
+#: written before the software tuning plane was retired may still hold
+#: entries under a ``"software"`` hardware key; no lookup reaches them.
 CACHE_VERSION = 2
-
-#: Pseudo hardware key for software-side (wall-clock) plan tunings.
-SOFTWARE_HW_KEY = "software"
 
 #: Environment variable overriding the default cache path.
 CACHE_ENV_VAR = "REPRO_TUNING_CACHE"
@@ -75,11 +72,6 @@ def node_key(node) -> Optional[str]:
             f"/ops{int(p['num_ops'])}/opr{int(p['num_operands'])}"
         )
     return None
-
-
-def plan_key(protocol: str, n: int, rate_bits: int) -> str:
-    """Cache key of one software plan-tuning decision."""
-    return f"plan.{protocol}/n{n}/r{rate_bits}"
 
 
 class TuningCache:
@@ -156,15 +148,12 @@ class TuningCache:
         hardware: str,
         params: Dict[str, Any],
         cycles: Optional[float] = None,
-        seconds: Optional[float] = None,
         meta: Optional[Dict[str, Any]] = None,
     ) -> None:
         """Record a winner (overwrites any previous entry for the key)."""
         entry: Dict[str, Any] = {"params": dict(params)}
         if cycles is not None:
             entry["cycles"] = float(cycles)
-        if seconds is not None:
-            entry["seconds"] = float(seconds)
         if meta:
             entry["meta"] = dict(meta)
         self.entries[self._entry_key(key, hardware)] = entry

@@ -1,6 +1,7 @@
 """FRI polynomial commitment scheme (commit, batch-open, verify)."""
 
 from .config import PLONKY2_CONFIG, STARKY_CONFIG, TEST_CONFIG, FriConfig
+from .plan import DomainPlan, plan_for
 from .proof import FriProof
 from .prover import (
     FriOpenings,
@@ -19,6 +20,8 @@ __all__ = [
     "STARKY_CONFIG",
     "TEST_CONFIG",
     "FriProof",
+    "DomainPlan",
+    "plan_for",
     "PolynomialBatch",
     "FriOpenings",
     "open_batches",

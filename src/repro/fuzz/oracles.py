@@ -96,8 +96,8 @@ def check_gl_kernels(rng: np.random.Generator) -> List[str]:
     return problems
 
 
-#: Batch sizes on both sides of the scalar/vector crossover (default
-#: ``scalar_batch_limit`` 8) and of the limb GEMM's 256-row block.
+#: Batch sizes on both sides of the scalar/vector crossover
+#: (``optimized._SCALAR_ROWS`` = 8) and of the limb GEMM's 256-row block.
 _POSEIDON_BATCHES = (8, 9, 255, 256, 257, 513)
 
 #: Lane values at the limb boundaries of the GEMM kernel: the ends of the

@@ -44,7 +44,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .. import tunables
 from ..field import gl64, goldilocks as gl, matrix as fm
 from .constants import PARTIAL_ROUNDS, WIDTH, mds_matrix, round_constants
 from .poseidon import FULL_ROUNDS, HALF_FULL, full_round
@@ -227,7 +226,7 @@ def permute_scalar(state: list[int]) -> list[int]:
     NumPy's per-call overhead dominates on 12-element arrays, so the
     duplex challenger -- one state at a time by construction -- runs
     here (~20x faster for batch size 1), as does any
-    :func:`permute_into` batch at or below ``scalar_batch_limit``.  The
+    :func:`permute_into` batch of at most ``_SCALAR_ROWS`` states.  The
     verifiers batch their Merkle checks by level
     (:func:`repro.merkle.verify_paths`) and reach this path only where a
     level has that few nodes left.  Also the differential oracles'
@@ -270,6 +269,11 @@ _GEMM_ROWS = 256
 #: (measured 19-26 us a permutation at 8k-32k rows unblocked, 15-16 in
 #: 2048-row blocks; at or below 2048 rows there is only one block).
 _PERMUTE_ROWS = 2048
+#: Batch size at or below which :func:`permute_into` runs the Python-int
+#: scalar permutation per state: the vectorised pass costs the same flat
+#: dispatch overhead for 1 to 16 states, and the two tie at 8 (measured,
+#: EXPERIMENTS.md "Poseidon dense layers as limb GEMMs").
+_SCALAR_ROWS = 8
 #: The addend row is stored as ``addend - 2**54`` and the bias is added
 #: back as a plain integer after the fold, which keeps the signed fold
 #: term non-negative (see :func:`_matmul_into`).
@@ -401,7 +405,7 @@ def permute_into(states: np.ndarray, ws: gl64.Workspace | None = None) -> np.nda
     if states.shape[-1] != WIDTH:
         raise ValueError(f"state width must be {WIDTH}, got {states.shape[-1]}")
     flat = states.reshape(-1, WIDTH)
-    if flat.shape[0] <= tunables.current().scalar_batch_limit:
+    if flat.shape[0] <= _SCALAR_ROWS:
         for i in range(flat.shape[0]):
             flat[i] = permute_scalar([int(v) for v in flat[i]])
         return states

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import tunables
 from ..field import gl64
 from ..metrics import GLOBAL as _METRICS
 from . import optimized
@@ -161,15 +160,5 @@ def hash_leaves_into(
     if length <= DIGEST_LEN:
         out.fill(0)
         out[:, :length] = values
-        return out
-    # Rows hash independently, so sweeping them in bounded chunks (the
-    # plan tuner's ``leaf_hash_chunk`` knob) yields bit-identical
-    # digests and the same permutation counts; it only caps the size of
-    # the transient sponge state.
-    chunk = tunables.current().leaf_hash_chunk
-    batch = values.shape[0]
-    if chunk and batch > chunk:
-        for start in range(0, batch, chunk):
-            hash_batch_into(values[start : start + chunk], out[start : start + chunk], ws)
         return out
     return hash_batch_into(values, out, ws)

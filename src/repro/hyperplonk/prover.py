@@ -75,8 +75,8 @@ def setup(circuit: Circuit, config: HyperPlonkConfig) -> HyperPlonkData:
     artifacts outlive any one proof, and a slot's buffers would be
     recycled by the next same-shape commit.
     """
-    sigmas = sigma_values(circuit)
     ids = id_values(circuit.n)
+    sigmas = sigma_values(circuit, ids)
     pre_rows = np.ascontiguousarray(
         np.concatenate([circuit.selectors, sigmas]).T
     )  # (n, 8): one leaf per gate row
@@ -115,7 +115,9 @@ def _constraint_table(
     n = circuit.n
     sel = circuit.selectors
     w = wires
-    pi = np.zeros(n, dtype=np.uint64)
+    ws = gl64.default_workspace()
+    pi = ws.temp((n,), "hp:pi")
+    pi.fill(0)
     for row, val in zip(circuit.public_input_rows, public_values):
         pi[row] = np.uint64(gl.neg(val))
     gate = gl64.add(
@@ -127,7 +129,8 @@ def _constraint_table(
     )
     z_next = np.roll(z, -1)
     perm = gl64.sub(gl64.mul(z, f), gl64.mul(z_next, g))
-    l0 = np.zeros(n, dtype=np.uint64)
+    l0 = ws.temp((n,), "hp:l0")
+    l0.fill(0)
     l0[0] = np.uint64(gl.sub(int(z[0]), 1))
     alpha_sq = np.uint64(gl.mul(alpha, alpha))
     return gl64.add(

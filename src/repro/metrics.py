@@ -51,8 +51,8 @@ class Counters:
     ntt_butterflies: int = 0
     #: NTT transforms executed (count of (batch, size) calls).
     ntt_transforms: int = 0
-    #: Prover plans dropped from the per-thread LRU caches
-    #: (:func:`repro.stark.plan.plan_for` and the Plonk analogue).
+    #: Prover plans dropped from the per-thread LRU cache
+    #: (:func:`repro.fri.plan.plan_for`).
     plan_evictions: int = 0
 
     def snapshot(self) -> "Counters":

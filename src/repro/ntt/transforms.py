@@ -34,7 +34,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .. import tunables
 from ..field import gl64, goldilocks as gl
 from ..metrics import GLOBAL as _METRICS
 
@@ -145,26 +144,6 @@ def _run_stages(
         gl64.butterfly_into(u, w, stages[i], u, w, dit=dit, ws=ws)
 
 
-def _blocked_stages(
-    a: np.ndarray, log_n: int, stages: tuple, dit: bool, ws: gl64.Workspace
-) -> None:
-    """Stage loop, optionally blocked over the leading (batch) axis.
-
-    Rows are independent under every butterfly stage, so running the
-    full stage pipeline per row block is bit-identical to the unblocked
-    sweep; only the working-set size (and hence wall-clock) changes.
-    The counters are charged by the caller, once, for the whole array.
-    """
-    block = tunables.current().ntt_row_block
-    rows = a.size >> log_n
-    if block <= 0 or rows <= block or a.ndim < 2:
-        _run_stages(a, log_n, stages, dit, ws)
-        return
-    flat = a.reshape(rows, 1 << log_n)
-    for start in range(0, rows, block):
-        _run_stages(flat[start : start + block], log_n, stages, dit, ws)
-
-
 def _dif_in_place(
     a: np.ndarray, log_n: int, inverse: bool, ws: gl64.Workspace | None = None
 ) -> np.ndarray:
@@ -175,7 +154,7 @@ def _dif_in_place(
     """
     _count_transform(a, log_n)
     ws = ws or gl64.default_workspace()
-    _blocked_stages(a, log_n, _stage_twiddles(log_n, inverse), dit=False, ws=ws)
+    _run_stages(a, log_n, _stage_twiddles(log_n, inverse), dit=False, ws=ws)
     return a
 
 
@@ -188,7 +167,7 @@ def _dit_in_place(
     """
     _count_transform(a, log_n)
     ws = ws or gl64.default_workspace()
-    _blocked_stages(a, log_n, _stage_twiddles(log_n, inverse), dit=True, ws=ws)
+    _run_stages(a, log_n, _stage_twiddles(log_n, inverse), dit=True, ws=ws)
     return a
 
 

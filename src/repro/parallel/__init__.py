@@ -8,11 +8,10 @@ worker, or fanned out across persistent shared-memory workers,
 scheduled longest-path-first from measured stage costs.
 
 Provers discover the pool through a context variable (:func:`sharding`
-/ :func:`current_pool`), mirroring how :mod:`repro.tunables` scopes plan
-tuning and :mod:`repro.metrics` scopes counters: no prover signature
-needs a pool, and nested proofs inherit the enclosing one.  With no
-pool scoped, :func:`current_pool` is the process-default inline
-executor (:func:`default_pool`) -- the same graphs, one worker.
+/ :func:`current_pool`), mirroring how :mod:`repro.metrics` scopes
+counters: no prover signature needs a pool, and nested proofs inherit
+the enclosing one.  With no pool scoped, :func:`current_pool` is the
+process-default inline executor (:func:`default_pool`) -- the same graphs, one worker.
 
 Correctness contract: proofs are bit-identical at every worker count
 -- same digests, same operation counters.  Fiat-Shamir order is pinned

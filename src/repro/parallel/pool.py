@@ -37,7 +37,7 @@ from typing import Any, Dict, List, Optional
 
 import multiprocessing as mp
 
-from .. import tracing, tunables
+from .. import tracing
 from ..metrics import counting, merge_counts
 from . import shm as shm_mod
 from .kernels import run_kernel
@@ -79,8 +79,8 @@ def _shard_worker_main(
 
     Mirrors the service worker's shutdown discipline: SIGINT is ignored
     (sentinels drive shutdown), and exceptions are reported, never
-    fatal.  Each task runs under the coordinator's plan tuning and a
-    local trace session whose spans ride back for re-attachment.
+    fatal.  Each task runs under a local trace session whose spans ride
+    back for re-attachment.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     shm_mod.UNREGISTER_ON_ATTACH = unregister_on_attach
@@ -91,9 +91,8 @@ def _shard_worker_main(
         t0 = time.perf_counter()
         base = {"worker_id": worker_id, "run": task["run"], "shard_id": task["shard_id"]}
         try:
-            tuning = tunables.PlanTuning.from_dict(task.get("tuning") or {})
             with counting() as counters, tracing.trace() as session:
-                with tunables.applied(tuning), tracing.span(
+                with tracing.span(
                     f"shard:{task['kind']}",
                     category="shard",
                     shard=task["shard_id"],
@@ -296,7 +295,6 @@ class ShardPool:
 
     def _run_parallel(self, sched: CriticalPathScheduler) -> Dict[str, Any]:
         run_id = next(self._run_seq)
-        tuning = tunables.current().to_dict()
         idle = list(range(self.workers))
         inflight: Dict[str, tuple] = {}  # shard_id -> (worker, shard, dispatch_s)
         results: Dict[str, Any] = {}
@@ -314,7 +312,6 @@ class ShardPool:
                         "kind": shard.kind,
                         "args": shard.args,
                         "units": shard.units,
-                        "tuning": tuning,
                     }
                 )
                 inflight[shard.id] = (wid, shard, time.perf_counter())

@@ -1,8 +1,7 @@
 """Polynomial commitment schemes (the pluggable commitment plane).
 
-Splits the FRI-specific commit/open sequencing out of the proof
-pipeline so univariate-FRI and multilinear commitment backends are
-interchangeable behind protocol backends (see :mod:`repro.protocols`).
+Univariate-FRI and multilinear commitment backends, interchangeable
+behind protocol backends (see :mod:`repro.protocols`).
 """
 
 from .base import PCS

@@ -1,10 +1,6 @@
 """Polynomial-commitment-scheme (PCS) interface.
 
-The proof pipeline used to hard-wire the univariate FRI sequencing
-(iNTT -> LDE -> Merkle -> batch FRI opening) into
-:class:`repro.pipeline.CommitmentPipeline`.  This package splits that
-sequencing out behind a small interface so protocol backends choose
-their commitment plane:
+A small interface so protocol backends choose their commitment plane:
 
 * :class:`repro.pcs.fri.FriPCS` -- the univariate scheme both the STARK
   and Plonk backends run on (low-degree extension + Merkle caps + batch

@@ -1,16 +1,26 @@
 """Univariate FRI polynomial commitment scheme.
 
-The commit / quotient-interpolate / open-and-FRI sequencing that used to
-live inside :class:`repro.pipeline.CommitmentPipeline`, split out as a
-PCS backend.  The pipeline still owns the transcript (challenger,
-cap observation order); this class owns the data plane:
+The data plane of a FRI-based proof (paper Figure 1), shared by the
+STARK and Plonk provers.  The prover owns the transcript -- it observes
+each returned batch's cap on its :class:`~repro.hashing.Challenger`
+before drawing the next challenge (the ``fs.*`` conformance rules of
+:mod:`repro.analysis.transcript` check that order end to end) -- and
+this class owns:
 
-* :meth:`commit_values` / :meth:`commit_coeffs` build a
+* :meth:`commit_values` builds a
   :class:`~repro.fri.prover.PolynomialBatch` (iNTT -> LDE -> Merkle);
 * :meth:`commit_quotient` interpolates an extension-field coset
   evaluation back to coefficients and commits the degree-``n`` chunks;
 * :meth:`open_and_prove` evaluates the requested openings and runs the
   batch FRI opening proof over every batch committed so far.
+
+Batches are opened by ``(batch_index, poly_index)`` pairs; the batch
+index is the order of ``add_batch`` / ``commit_*`` calls, so protocols
+control their layout by call order (Plonk registers its preprocessed
+setup batch first, then wires, Z, quotient).  One
+:class:`~repro.field.gl64.Workspace` arena (from the per-shape
+:class:`~repro.fri.DomainPlan`) is threaded into every commitment and
+the FRI call.
 
 Every commit and FRI stage is a shard graph from
 :mod:`repro.parallel.ops` run on :func:`repro.parallel.current_pool`;
@@ -66,18 +76,6 @@ class FriPCS(PCS):
         """Commit polynomials given by subgroup evaluations (rows)."""
         with tracing.span(f"commit:{label}", category="commit"):
             batch = PolynomialBatch.from_values(
-                rows,
-                self.config.rate_bits,
-                self.config.cap_height,
-                ws=self.ws,
-                slot=label,
-            )
-        return self.add_batch(batch)
-
-    def commit_coeffs(self, rows: np.ndarray, label: str) -> PolynomialBatch:
-        """Commit polynomials given by coefficient rows."""
-        with tracing.span(f"commit:{label}", category="commit"):
-            batch = PolynomialBatch.from_coeffs(
                 rows,
                 self.config.rate_bits,
                 self.config.cap_height,

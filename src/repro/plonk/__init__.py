@@ -1,5 +1,6 @@
 """Plonk protocol: circuits, permutation argument, prover, verifier."""
 
+from ..fri import plan_for
 from . import gadgets, gadgets_ext, recursion
 from .circuit import Circuit, CircuitBuilder, Variable
 from .permutation import (
@@ -11,7 +12,6 @@ from .permutation import (
     quotient_chunk_products,
     sigma_values,
 )
-from .plan import PlonkPlan, plan_for
 from .proof import CircuitData, PlonkProof, VerifierData
 from .prover import prove, setup
 from .verifier import PlonkError, verify
@@ -26,7 +26,6 @@ __all__ = [
     "CircuitData",
     "VerifierData",
     "PlonkProof",
-    "PlonkPlan",
     "plan_for",
     "setup",
     "prove",

@@ -45,11 +45,12 @@ def id_values(n: int) -> np.ndarray:
     return np.stack([gl64.mul(base, np.uint64(k)) for k in ks])
 
 
-def sigma_values(circuit: Circuit) -> np.ndarray:
-    """The (3, n) matrix of permuted labels ``sigma_j(omega^i)``."""
+def sigma_values(circuit: Circuit, ids: np.ndarray | None = None) -> np.ndarray:
+    """The (3, n) matrix of permuted labels ``sigma_j(omega^i)``
+    (``ids`` = a precomputed :func:`id_values` of the circuit's size)."""
     n = circuit.n
-    ids = id_values(n).reshape(-1)  # column-major position -> label
-    permuted = ids[circuit.sigma]
+    ids = id_values(n) if ids is None else ids
+    permuted = ids.reshape(-1)[circuit.sigma]  # column-major position -> label
     return permuted.reshape(NUM_WIRES, n)
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -18,14 +18,16 @@ class CircuitData:
 
     The preprocessed batch commits the 5 selector and 3 sigma
     polynomials; its cap acts as the circuit digest both parties bind to.
-    ``sigmas`` caches the permuted position labels computed during
-    setup, so the prover does not re-derive them per proof.
+    ``sigmas`` / ``ids`` cache the permuted and identity position
+    labels (``k_j * omega^i``, shape (3, n)) computed during setup, so
+    the prover does not re-derive them per proof.
     """
 
     circuit: Circuit
     preprocessed: PolynomialBatch
     config: FriConfig
-    sigmas: Optional[np.ndarray] = None
+    sigmas: np.ndarray
+    ids: np.ndarray
 
     @property
     def verifier_data(self) -> "VerifierData":

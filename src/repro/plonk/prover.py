@@ -10,13 +10,14 @@ Pipeline -- each stage is one of the kernels UniZK accelerates:
    evaluated on the LDE coset (element-wise polynomial ops);
 4. ``zeta`` + batch FRI opening proof.
 
-The commit / challenge / quotient / open sequencing itself lives in
-:class:`repro.pipeline.CommitmentPipeline` (shared with the STARK
-prover); this module only defines the Plonk-specific stages: witness
-generation, the permutation accumulator, and the gate/copy constraint
-blend.  Per-shape tables and the workspace arena come from a cached
-:class:`~repro.plonk.plan.PlonkPlan`, so repeated proofs of one
-circuit shape -- the service path -- pay no per-proof precompute.
+The commit / quotient / open data plane is :class:`repro.pcs.FriPCS`
+(shared with the STARK prover) and the transcript is a plain
+:class:`~repro.hashing.Challenger`; this module defines the
+Plonk-specific stages: witness generation, the permutation accumulator,
+and the gate/copy constraint blend.  Per-shape tables and the workspace
+arena come from a cached :class:`~repro.fri.DomainPlan`, so repeated
+proofs of one circuit shape -- the service path -- pay no per-proof
+precompute.
 """
 
 from __future__ import annotations
@@ -25,15 +26,14 @@ from typing import Dict
 
 import numpy as np
 
-from .. import parallel, tracing, tunables
+from .. import parallel, tracing
 from ..field import extension as fext, gl64, goldilocks as gl
-from ..fri import FriConfig, PolynomialBatch
+from ..fri import DomainPlan, FriConfig, PolynomialBatch, plan_for
 from ..hashing import Challenger
 from ..ntt import lde
-from ..pipeline import CommitmentPipeline
+from ..pcs import FriPCS
 from .circuit import Circuit
-from .permutation import compute_z, coset_representatives, sigma_values
-from .plan import PlonkPlan, plan_for
+from .permutation import compute_z, coset_representatives, id_values, sigma_values
 from .proof import CircuitData, PlonkProof
 
 #: Quotient chunks per extension limb (degree bound 4n after division).
@@ -42,13 +42,19 @@ QUOTIENT_CHUNKS = 4
 
 def setup(circuit: Circuit, config: FriConfig) -> CircuitData:
     """Preprocess a circuit: commit selectors and sigma polynomials."""
-    sigmas = sigma_values(circuit)
+    ids = id_values(circuit.n)
+    sigmas = sigma_values(circuit, ids)
     pre_rows = np.concatenate([circuit.selectors, sigmas])
     preprocessed = PolynomialBatch.from_values(
         pre_rows, config.rate_bits, config.cap_height
     )
+    ids.flags.writeable = False
     return CircuitData(
-        circuit=circuit, preprocessed=preprocessed, config=config, sigmas=sigmas
+        circuit=circuit,
+        preprocessed=preprocessed,
+        config=config,
+        sigmas=sigmas,
+        ids=ids,
     )
 
 
@@ -76,7 +82,7 @@ def prove(
     inputs: Dict[int, int],
     challenger: Challenger | None = None,
     blinding_seed: int | None = None,
-    plan: PlonkPlan | None = None,
+    plan: DomainPlan | None = None,
     pool: "parallel.ShardPool | None" = None,
 ) -> PlonkProof:
     """Generate a Plonk proof for the given input assignment.
@@ -113,7 +119,7 @@ def prove(
     elif plan.n != n or plan.rate_bits != rate_bits:
         raise ValueError("plan shape does not match the circuit/config")
 
-    with parallel.maybe_sharding(pool), tunables.applied(plan.tuning), tracing.span(
+    with parallel.maybe_sharding(pool), tracing.span(
         "prove:plonk", category="prove", n=n, rate_bits=rate_bits
     ):
         with tracing.span("witness", category="witness"):
@@ -121,9 +127,10 @@ def prove(
             wires = circuit.wire_values(witness)  # (3, n)
             public_values = [int(wires[0, row]) for row in circuit.public_input_rows]
 
-        pipe = CommitmentPipeline(config, challenger, ws=plan.ws)
-        pipe.add_batch(data.preprocessed)  # setup commitment joins the transcript
-        pipe.observe_publics(public_values)
+        pcs = FriPCS(config, ws=plan.ws)
+        pcs.add_batch(data.preprocessed)  # setup commitment joins the transcript
+        challenger.observe_cap(data.preprocessed.cap)
+        challenger.observe_elements(np.asarray(public_values, dtype=np.uint64))
 
         # Step 1: wires commitment (optionally salted for zero knowledge).
         committed_wires = wires
@@ -131,18 +138,19 @@ def prove(
             salt_rng = np.random.default_rng(blinding_seed)
             salts = gl64.random((ZK_SALT_COLUMNS, n), salt_rng)
             committed_wires = np.concatenate([wires, salts])
-        wires_batch = pipe.commit_values(committed_wires, "wires")
+        wires_batch = pcs.commit_values(committed_wires, "wires")
+        challenger.observe_cap(wires_batch.cap)
 
         # Step 2: permutation accumulator.
-        beta = pipe.challenge()
-        gamma = pipe.challenge()
+        beta = challenger.get_challenge()
+        gamma = challenger.get_challenge()
         with tracing.span("permutation", category="permutation"):
-            sigmas = data.sigmas if data.sigmas is not None else sigma_values(circuit)
-            z, _, _ = compute_z(wires, plan.ids, sigmas, beta, gamma)
-        z_batch = pipe.commit_values(z, "z")
+            z, _, _ = compute_z(wires, data.ids, data.sigmas, beta, gamma)
+        z_batch = pcs.commit_values(z, "z")
+        challenger.observe_cap(z_batch.cap)
 
         # Step 3: quotient polynomial on the LDE coset.
-        alpha = pipe.ext_challenge()
+        alpha = challenger.get_ext_challenge()
         with tracing.span("constraints", category="quotient"):
             n_lde = n << rate_bits
             blowup = 1 << rate_bits
@@ -192,10 +200,11 @@ def prove(
 
             t_vals = fext.scalar_mul(combined, plan.zh_inv)  # (N_lde, 2)
 
-        quotient_batch = pipe.commit_quotient(t_vals, n, QUOTIENT_CHUNKS)
+        quotient_batch = pcs.commit_quotient(t_vals, n, QUOTIENT_CHUNKS)
+        challenger.observe_cap(quotient_batch.cap)
 
         # Step 4: openings and FRI.
-        zeta = pipe.ext_challenge()
+        zeta = challenger.get_ext_challenge()
         zeta_next = fext.scalar_mul(zeta, np.uint64(plan.omega))
 
         columns_zeta = (
@@ -205,8 +214,8 @@ def prove(
             + [(3, c) for c in range(2 * QUOTIENT_CHUNKS)]
         )
         columns_next = [(2, 0)]
-        openings, fri_proof = pipe.open_and_prove(
-            [zeta, zeta_next], [columns_zeta, columns_next]
+        openings, fri_proof = pcs.open_and_prove(
+            [zeta, zeta_next], [columns_zeta, columns_next], challenger
         )
 
     return PlonkProof(

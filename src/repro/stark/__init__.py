@@ -1,8 +1,8 @@
 """Starky-style STARK: AIR definitions, prover, verifier."""
 
 from . import poseidon_air
+from ..fri import plan_for
 from .air import Air, BaseVecAlgebra, BoundaryConstraint, ExtAlgebra
-from .plan import ProverPlan, plan_for
 from .poseidon_air import PoseidonAir
 from .proof import StarkProof
 from .prover import prove, prove_batch, quotient_chunk_count
@@ -14,7 +14,6 @@ __all__ = [
     "BaseVecAlgebra",
     "ExtAlgebra",
     "StarkProof",
-    "ProverPlan",
     "plan_for",
     "PoseidonAir",
     "poseidon_air",

@@ -10,10 +10,11 @@ Starky runs with blowup 2 (``rate_bits = 1``), which is what makes its
 base proofs so much cheaper than Plonky2's (Table 5) at the cost of
 larger proofs.
 
-The commit / challenge / quotient / open sequencing lives in
-:class:`repro.pipeline.CommitmentPipeline` (shared with the Plonk
-prover); this module only defines the STARK-specific stages: the
-constraint blend over the LDE coset and the opening layout.
+The commit / quotient / open data plane is :class:`repro.pcs.FriPCS`
+(shared with the Plonk prover) and the transcript is a plain
+:class:`~repro.hashing.Challenger`; this module defines the
+STARK-specific stages: the constraint blend over the LDE coset and the
+opening layout.
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .. import parallel, tracing, tunables
+from .. import parallel, tracing
 from ..field import extension as fext, gl64, goldilocks as gl
-from ..fri import FriConfig
+from ..fri import DomainPlan, FriConfig, plan_for
 from ..hashing import Challenger
-from ..pipeline import CommitmentPipeline
+from ..pcs import FriPCS
 from .air import Air, BaseVecAlgebra
-from .plan import ProverPlan, plan_for
 from .proof import StarkProof
 
 
@@ -43,7 +43,7 @@ def prove(
     public_inputs: Sequence[int],
     config: FriConfig,
     challenger: Challenger | None = None,
-    plan: ProverPlan | None = None,
+    plan: DomainPlan | None = None,
     pool: "parallel.ShardPool | None" = None,
 ) -> StarkProof:
     """Prove that ``trace`` satisfies ``air`` with the given public values.
@@ -79,15 +79,16 @@ def prove(
     elif plan.n != n or plan.rate_bits != rate_bits:
         raise ValueError("plan shape does not match the trace/config")
 
-    with parallel.maybe_sharding(pool), tunables.applied(plan.tuning), tracing.span(
+    with parallel.maybe_sharding(pool), tracing.span(
         "prove:stark", category="prove", n=n, width=width
     ):
-        pipe = CommitmentPipeline(config, challenger, ws=plan.ws)
+        pcs = FriPCS(config, ws=plan.ws)
 
         # Commit the trace.
-        pipe.observe_publics(public_inputs)
-        trace_batch = pipe.commit_values(trace.T, "trace")
-        alpha = pipe.ext_challenge()
+        challenger.observe_elements(np.asarray(list(public_inputs), dtype=np.uint64))
+        trace_batch = pcs.commit_values(trace.T, "trace")
+        challenger.observe_cap(trace_batch.cap)
+        alpha = challenger.get_ext_challenge()
 
         # Constraint evaluations on the LDE coset.
         with tracing.span("constraints", category="quotient"):
@@ -130,17 +131,18 @@ def prove(
                 alpha_t = fext.mul(alpha_t, alpha.reshape(2))
 
         # Commit the composition quotient (2 limbs x `chunks` degree-n chunks).
-        quotient_batch = pipe.commit_quotient(combined, n, chunks)
+        quotient_batch = pcs.commit_quotient(combined, n, chunks)
+        challenger.observe_cap(quotient_batch.cap)
 
         # Openings at zeta and zeta * omega.
-        zeta = pipe.ext_challenge()
+        zeta = challenger.get_ext_challenge()
         zeta_next = fext.scalar_mul(zeta, np.uint64(omega))
         cols_zeta = [(0, c) for c in range(width)] + [
             (1, c) for c in range(2 * chunks)
         ]
         cols_next = [(0, c) for c in range(width)]
-        openings, fri_proof = pipe.open_and_prove(
-            [zeta, zeta_next], [cols_zeta, cols_next]
+        openings, fri_proof = pcs.open_and_prove(
+            [zeta, zeta_next], [cols_zeta, cols_next], challenger
         )
 
     return StarkProof(
@@ -161,15 +163,9 @@ def prove_batch(
     """Prove several ``(trace, public_inputs)`` instances of one AIR.
 
     Each proof uses a fresh transcript (they verify independently), but
-    every job shares one warm :class:`ProverPlan` -- tables, twiddles and
-    workspace arena -- the service-level analogue of the paper's
-    batched-NTT/Merkle amortisation.
+    jobs of one shape share one warm plan (:func:`repro.fri.plan_for`
+    is an LRU hit) -- tables, twiddles and workspace arena -- the
+    service-level analogue of the paper's batched-NTT/Merkle
+    amortisation.
     """
-    plan: ProverPlan | None = None
-    proofs = []
-    for trace, publics in jobs:
-        n = np.asarray(trace).shape[0]
-        if plan is None or plan.n != n:
-            plan = plan_for(n, config.rate_bits)
-        proofs.append(prove(air, trace, publics, config, plan=plan))
-    return proofs
+    return [prove(air, trace, publics, config) for trace, publics in jobs]

@@ -19,6 +19,16 @@ def _isolated_tuning_cache(tmp_path, monkeypatch):
 
 
 @pytest.fixture
+def fresh_plan_cache():
+    """An empty per-shape plan cache for this thread, dropped afterwards."""
+    from repro.fri import plan as fri_plan
+
+    fri_plan._LOCAL.plans = None
+    yield
+    fri_plan._LOCAL.plans = None
+
+
+@pytest.fixture
 def rng() -> np.random.Generator:
     """Deterministic NumPy generator."""
     return np.random.default_rng(0xC0FFEE)

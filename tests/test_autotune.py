@@ -1,9 +1,8 @@
-"""Mapping autotuner: enumeration, search, cache, tunables, CLI.
+"""Mapping autotuner: enumeration, search, cache, CLI.
 
 Covers the closed compiler loop -- candidate enumeration is
 deterministic, the sanitizer gate keeps unsafe microcode out of the
-simulator, winners round-trip through the on-disk cache, and the
-software tunables stay bit-identical to the reference path.
+simulator, and winners round-trip through the on-disk cache.
 """
 
 from __future__ import annotations
@@ -13,16 +12,13 @@ import json
 import numpy as np
 import pytest
 
-from repro import metrics, tunables
 from repro.autotune.cache import (
     CACHE_VERSION,
-    SOFTWARE_HW_KEY,
     MappingResolver,
     TuningCache,
     TuningCacheError,
     hw_key,
     load_default_cache,
-    plan_key,
 )
 from repro.autotune.search import tune_graph, tune_workload
 from repro.autotune.space import (
@@ -33,7 +29,6 @@ from repro.autotune.space import (
 from repro.compiler.frontend import PlonkParams, trace_plonky2
 from repro.hw import DEFAULT_CONFIG, HwConfig
 from repro.mapping.params import DEFAULT_MAPPING, MappingParams
-from repro.tunables import DEFAULT_TUNING, PlanTuning
 
 #: Small-but-representative workload: exercises every kernel family
 #: without paper-scale search times.
@@ -275,105 +270,19 @@ def test_sim_sweep_runs_each_point():
     assert reports[1].total_cycles >= reports[0].total_cycles
 
 
-# -- software tunables --------------------------------------------------------
+# -- fixed software blocking --------------------------------------------------
 
 
-def test_plan_tuning_defaults_and_validation():
-    assert tunables.current() == DEFAULT_TUNING
-    with pytest.raises(ValueError):
-        PlanTuning(ntt_row_block=-1)
-    with pytest.raises(ValueError):
-        PlanTuning(leaf_hash_chunk=-1)
-    # Unknown keys (incl. the retired permute_chunk a v1 cache may
-    # still carry) are ignored; known ones round-trip.
-    t = PlanTuning.from_dict({"ntt_row_block": 4, "bogus": 1, "permute_chunk": 512})
-    assert t.ntt_row_block == 4
-    assert PlanTuning.from_dict(t.to_dict()) == t
-
-
-def test_applied_scopes_the_tuning():
-    custom = PlanTuning(scalar_batch_limit=0, ntt_row_block=4, leaf_hash_chunk=64)
-    with tunables.applied(custom):
-        assert tunables.current() == custom
-        with tunables.applied(None):
-            assert tunables.current() == DEFAULT_TUNING
-        assert tunables.current() == custom
-    assert tunables.current() == DEFAULT_TUNING
-
-
-def test_tunables_are_bit_identical(rng, monkeypatch):
+def test_permute_row_blocking_is_bit_identical(rng, monkeypatch):
+    """The permutation's fixed row blocking must match one unblocked
+    pass, ragged tail and scalar-sized tail included."""
     from repro.field import goldilocks as gl
     from repro.hashing import optimized
-    from repro.hashing.sponge import hash_or_noop
-    from repro.ntt import transforms
 
-    rows = rng.integers(0, gl.P, size=(64, 256), dtype=np.uint64)
-    base_ntt = transforms.ntt(rows.copy())
-    base_leaves = hash_or_noop(rows.copy())
-    custom = PlanTuning(scalar_batch_limit=0, ntt_row_block=4, leaf_hash_chunk=16)
-    with tunables.applied(custom):
-        np.testing.assert_array_equal(transforms.ntt(rows.copy()), base_ntt)
-        np.testing.assert_array_equal(hash_or_noop(rows.copy()), base_leaves)
-
-    # The permutation's fixed row blocking (no longer a knob) must match
-    # one unblocked pass, ragged tail and scalar-sized tail included.
     states = rng.integers(0, gl.P, size=(53, 12), dtype=np.uint64)
     base_perm = optimized.permute_into(states.copy())
     monkeypatch.setattr(optimized, "_PERMUTE_ROWS", 16)
     np.testing.assert_array_equal(optimized.permute_into(states.copy()), base_perm)
-
-
-def test_stark_proof_digest_invariant_under_tuning(stark_test_config):
-    from repro.serialize import stark_proof_digest
-    from repro.stark import prove
-    from repro.workloads import by_name
-
-    spec = by_name("Fibonacci")
-    air, trace_rows, publics = spec.build_air(6)
-    base = stark_proof_digest(prove(air, trace_rows, publics, stark_test_config))
-    custom = PlanTuning(ntt_row_block=2, leaf_hash_chunk=8)
-    with tunables.applied(custom):
-        tuned = stark_proof_digest(
-            prove(air, trace_rows, publics, stark_test_config)
-        )
-    assert tuned == base
-
-
-def test_cached_tuning_round_trip(tmp_path, monkeypatch):
-    from repro.autotune.plan_tuner import cached_tuning
-
-    path = tmp_path / "tuning.json"
-    monkeypatch.setenv("REPRO_TUNING_CACHE", str(path))
-    key = plan_key("stark", 64, 1)
-    assert cached_tuning("stark", 64, 1) is None
-
-    cache = TuningCache.load(path, strict=False)
-    cache.store(key, SOFTWARE_HW_KEY, PlanTuning(ntt_row_block=4).to_dict())
-    cache.save(path)
-    assert cached_tuning("stark", 64, 1) == PlanTuning(ntt_row_block=4)
-
-    # Storing the default round-trips to "no override".
-    cache.store(key, SOFTWARE_HW_KEY, DEFAULT_TUNING.to_dict())
-    cache.save(path)
-    assert cached_tuning("stark", 64, 1) is None
-
-
-def test_plan_cache_is_lru_bounded(monkeypatch):
-    from repro.stark import plan as stark_plan
-
-    monkeypatch.setattr(stark_plan, "PLAN_CACHE_CAP", 2)
-    stark_plan._LOCAL.plans = None  # fresh cache for this thread
-    with metrics.counting() as got:
-        p8 = stark_plan.plan_for(8, 1)
-        stark_plan.plan_for(16, 1)
-        assert stark_plan.plan_for(8, 1) is p8  # hit refreshes recency
-        assert got.plan_evictions == 0
-        stark_plan.plan_for(32, 1)  # evicts (16, 1), the LRU entry
-        assert got.plan_evictions == 1
-        assert stark_plan.plan_for(8, 1) is p8  # survived: recently used
-        assert got.plan_evictions == 1
-        assert (16, 1) not in stark_plan._LOCAL.plans
-    stark_plan._LOCAL.plans = None
 
 
 # -- CLI ----------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Unified proof pipeline tests.
 
-Pins the refactor invariants: both provers build on
-:class:`repro.pipeline.CommitmentPipeline`, proof bytes and operation
-counters are unchanged from the pre-refactor goldens, and the stage
-tracing layer reports a deterministic, counter-consistent span tree.
+Pins the refactor invariants: both FRI provers commit and open through
+:class:`repro.pcs.FriPCS`, proof bytes and operation counters are
+unchanged from the pre-refactor goldens, and the stage tracing layer
+reports a deterministic, counter-consistent span tree.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ import pytest
 from repro import metrics, tracing
 from repro.fri import FriConfig
 from repro.hashing import Challenger
-from repro.pipeline import CommitmentPipeline
+from repro.pcs import FriPCS
 from repro.plonk import plan_for as plonk_plan_for, prove as plonk_prove, setup
 from repro.plonk import prover as plonk_prover_module
 from repro.serialize import plonk_proof_digest, stark_proof_digest
@@ -68,36 +68,39 @@ class TestGoldenProofs:
 
 
 class TestSharedSequencing:
-    """Both provers import the commit/open flow from repro.pipeline."""
+    """Both provers run the commit/open flow of repro.pcs.FriPCS."""
 
     def test_provers_do_not_duplicate_fri_sequencing(self):
         for module in (stark_prover_module, plonk_prover_module):
             assert not hasattr(module, "fri_prove")
             assert not hasattr(module, "open_batches")
 
-    def test_provers_use_the_pipeline(self):
-        for module in (stark_prover_module, plonk_prover_module):
-            assert module.CommitmentPipeline is CommitmentPipeline
-
     def test_pipeline_tracks_batches_in_transcript_order(self):
         rng = np.random.default_rng(7)
         rows = rng.integers(0, 2**63, size=(3, 16), dtype=np.uint64)
-        pipe = CommitmentPipeline(STARK_CONFIG, Challenger())
-        first = pipe.commit_values(rows, "a")
-        second = pipe.commit_values(rows, "b")
-        assert pipe.batches == [first, second]
+        pcs = FriPCS(STARK_CONFIG)
+        preset = pcs.commit_values(rows, "setup")
+        other = FriPCS(STARK_CONFIG)
+        assert other.add_batch(preset) is preset
+        first = other.commit_values(rows, "a")
+        ext_values = rng.integers(0, 2**63, size=(32, 2), dtype=np.uint64)
+        second = other.commit_quotient(ext_values, 16, 1, "q")
+        # Commitment order == FRI opening batch indices.
+        assert pcs.batches == [preset]
+        assert other.batches == [preset, first, second]
 
     def test_pipeline_challenges_depend_on_committed_caps(self):
         rng = np.random.default_rng(7)
         rows = rng.integers(0, 2**63, size=(3, 16), dtype=np.uint64)
-        pipe_a = CommitmentPipeline(STARK_CONFIG, Challenger())
-        pipe_a.commit_values(rows, "a")
-        pipe_b = CommitmentPipeline(STARK_CONFIG, Challenger())
-        pipe_b.commit_values(rows ^ np.uint64(1), "a")
-        assert pipe_a.challenge() != pipe_b.challenge()
+        challenges = []
+        for committed in (rows, rows ^ np.uint64(1)):
+            challenger = Challenger()
+            challenger.observe_cap(FriPCS(STARK_CONFIG).commit_values(committed, "a").cap)
+            challenges.append(challenger.get_challenge())
+        assert challenges[0] != challenges[1]
 
 
-class TestPlonkPlan:
+class TestPlonkOnSharedPlan:
     def test_plan_is_cached_per_shape(self):
         assert plonk_plan_for(16, 3) is plonk_plan_for(16, 3)
         assert plonk_plan_for(16, 3) is not plonk_plan_for(32, 3)

@@ -1,20 +1,27 @@
-"""Determinism regression tests for the per-shape prover plans.
+"""The per-shape prover plan: determinism, table definitions, the cache.
 
 Proofs must be byte-identical no matter which path produced them --
-direct, via a shared warm plan, or through the service's batch path --
-because every intermediate now lives in reused workspace arenas and an
-aliasing bug would show up as a digest change.  The golden digest and
-operation counts below were recorded on the allocating implementation
-this data plane replaced.
+direct, via a shared warm plan, interleaved with the other FRI protocol
+on the same plan, or through the service's batch path -- because every
+intermediate lives in reused workspace arenas and an aliasing bug would
+show up as a digest change.  The golden digest and operation counts
+below were recorded on the allocating implementation this data plane
+replaced.  The plan's tables are checked against their definitions in
+Python-int arithmetic.
 """
 
 import numpy as np
+import pytest
 
-from repro import metrics
+from repro import metrics, parallel, plonk, stark
+from repro.field import goldilocks as gl
+from repro.fri import DomainPlan, plan as fri_plan
 from repro.fri.config import FriConfig
-from repro.serialize import stark_proof_digest
-from repro.stark import ProverPlan, plan_for, prove, prove_batch, verify
+from repro.serialize import plonk_proof_digest, stark_proof_digest
+from repro.stark import plan_for, prove, prove_batch, verify
 from repro.workloads import fibonacci
+
+from .test_parallel import TINY
 
 CONFIG = FriConfig(
     rate_bits=1, cap_height=1, num_queries=10, proof_of_work_bits=3, final_poly_len=4
@@ -69,7 +76,7 @@ def test_interleaved_shapes_do_not_corrupt_workspaces():
 
 def test_plan_shape_mismatch_is_rejected():
     air, trace, publics = fibonacci.SPEC.build_air(6)
-    wrong = ProverPlan(2 * trace.shape[0], CONFIG.rate_bits)
+    wrong = DomainPlan(2 * trace.shape[0], CONFIG.rate_bits)
     try:
         prove(air, trace, publics, CONFIG, plan=wrong)
     except ValueError:
@@ -86,7 +93,119 @@ def test_plan_caches_are_read_only_and_reused():
     inv = plan.boundary_inverse(0)
     assert inv is plan.boundary_inverse(0)
     assert not inv.flags.writeable
-    assert plan.workspace_bytes() >= 0
+    assert plan.ws.nbytes() >= 0
+
+
+def test_plan_cache_is_lru_bounded(monkeypatch, fresh_plan_cache):
+    monkeypatch.setattr(fri_plan, "PLAN_CACHE_CAP", 2)
+    with metrics.counting() as got:
+        p8 = plan_for(8, 1)
+        plan_for(16, 1)
+        assert plan_for(8, 1) is p8  # hit refreshes recency
+        assert got.plan_evictions == 0
+        plan_for(32, 1)  # evicts (16, 1), the LRU entry
+        assert got.plan_evictions == 1
+        assert plan_for(8, 1) is p8  # survived: recently used
+        assert got.plan_evictions == 1
+        assert (16, 1) not in fri_plan._LOCAL.plans
+
+
+def test_stark_and_plonk_share_one_plan_per_shape():
+    assert stark.plan_for is plonk.plan_for is fri_plan.plan_for
+    assert stark.plan_for(16, 3) is plonk.plan_for(16, 3)
+    assert stark.plan_for(16, 3) is not plonk.plan_for(16, 1)
+
+
+def _domain(n, rate_bits):
+    """Python-int LDE coset points, subgroup generator and ``x^n - 1``."""
+    n_lde = n << rate_bits
+    w_lde = gl.primitive_root_of_unity(n_lde.bit_length() - 1)
+    xs = [gl.coset_shift() * pow(w_lde, i, gl.P) % gl.P for i in range(n_lde)]
+    omega = gl.primitive_root_of_unity(n.bit_length() - 1)
+    return xs, omega, [(pow(x, n, gl.P) - 1) % gl.P for x in xs]
+
+
+@pytest.mark.parametrize("rate_bits", [1, 3])
+@pytest.mark.parametrize("n", [8, 16])
+def test_plan_tables_match_their_definitions(n, rate_bits, rng):
+    plan = DomainPlan(n, rate_bits)
+    xs, omega, zh = _domain(n, rate_bits)
+    assert plan.omega == omega
+    assert [int(x) for x in plan.xs] == xs
+    last = pow(omega, n - 1, gl.P)
+    for i, x in enumerate(xs):
+        assert int(plan.zh_inv[i]) * zh[i] % gl.P == 1
+        assert int(plan.lagrange_first[i]) * n * (x - 1) % gl.P == zh[i]
+        assert int(plan.transition_div_inv[i]) * zh[i] % gl.P == (x - last) % gl.P
+    for row in (0, n - 1, -1):
+        point = pow(omega, row % n, gl.P)
+        inv = plan.boundary_inverse(row)
+        assert all(int(v) * (x - point) % gl.P == 1 for v, x in zip(inv, xs))
+    assert plan.boundary_inverse(-1) is plan.boundary_inverse(n - 1)
+
+    # const_lde: the degree-<n interpolant of each column over the
+    # subgroup, evaluated on the coset.
+    cols = rng.integers(0, gl.P, size=(2, n), dtype=np.uint64)
+    n_inv, w_inv = pow(n, -1, gl.P), pow(omega, -1, gl.P)
+    for col, got in zip(cols, plan.const_lde(cols)):
+        coeffs = [
+            n_inv * sum(int(v) * pow(w_inv, j * k, gl.P) for j, v in enumerate(col)) % gl.P
+            for k in range(n)
+        ]
+        want = [sum(c * pow(x, k, gl.P) for k, c in enumerate(coeffs)) % gl.P for x in xs]
+        assert [int(v) for v in got] == want
+
+
+def test_lazy_tables_are_read_only_and_built_once(rng):
+    plan = DomainPlan(8, 1)
+    for name in ("transition_div_inv", "lagrange_first"):
+        assert name not in vars(plan)  # not built until a prover asks
+        table = getattr(plan, name)
+        assert getattr(plan, name) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1
+    cols = rng.integers(0, gl.P, size=(1, 8), dtype=np.uint64)
+    lde = plan.const_lde(cols)
+    assert plan.const_lde(cols.copy()) is lde  # keyed by content
+    assert not lde.flags.writeable
+    assert plan.const_lde(cols ^ np.uint64(1)) is not lde
+
+
+#: Plonk-flavoured parameters (8x blowup) both protocols can prove under.
+SHARED_CONFIG = FriConfig(
+    rate_bits=3, cap_height=1, num_queries=8, proof_of_work_bits=4, final_poly_len=4
+)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_protocols_interleave_on_the_shared_plan(workers, fresh_plan_cache):
+    """STARK and Plonk at one (n, rate_bits), A-B-A-B on one thread and
+    one plan, each match the digest of a solo prove on a private plan."""
+    air, trace, publics = fibonacci.SPEC.build_air(4)
+    circuit, inputs, _ = fibonacci.SPEC.build_circuit(5)
+    n, rate_bits = circuit.n, SHARED_CONFIG.rate_bits
+    assert trace.shape[0] == n
+    data = plonk.setup(circuit, SHARED_CONFIG)
+
+    def prove_stark(**kw):
+        return stark_proof_digest(prove(air, trace, publics, SHARED_CONFIG, **kw))
+
+    def prove_plonk(**kw):
+        return plonk_proof_digest(plonk.prove(data, inputs, **kw))
+
+    solo_stark = prove_stark(plan=DomainPlan(n, rate_bits))
+    solo_plonk = prove_plonk(plan=DomainPlan(n, rate_bits))
+    with parallel.ShardPool(workers, **TINY) as pool:
+        got = [
+            prove_stark(pool=pool),
+            prove_plonk(pool=pool),
+            prove_stark(pool=pool),
+            prove_plonk(pool=pool),
+        ]
+    assert got == [solo_stark, solo_plonk, solo_stark, solo_plonk]
+    # Both provers drew the one plan of this shape from the one cache.
+    assert list(fri_plan._LOCAL.plans) == [(n, rate_bits)]
 
 
 def test_service_executor_digests_are_deterministic():
