@@ -44,7 +44,7 @@ GOLDEN = {
 }
 GOLDEN_DIGEST = "111c298a5fab5dd1368bbf070f5c9379ad28c1e1f2a671244cdeeb7d12d2dd22"
 
-#: Executor-default Plonk parameters (see ``service.executor.DEFAULT_CONFIGS``).
+#: Registry-default Plonk parameters (``protocols.get("plonk").default_config()``).
 PLONK_CONFIG = FriConfig(
     rate_bits=3, cap_height=1, num_queries=8, proof_of_work_bits=4, final_poly_len=4
 )

@@ -199,9 +199,9 @@ def record_case(system, setup):
     Returns ``(proof, prover_events, verifier_events)``.
     """
     prover = RecordingChallenger()
-    proof = system.prove_with_challenger(setup, prover)
+    proof = system.prove(setup, challenger=prover)
     verifier = RecordingChallenger()
-    system.verify_with_challenger(setup, proof, verifier)
+    system.verify(setup, proof, challenger=verifier)
     return proof, prover.events, verifier.events
 
 

@@ -201,7 +201,10 @@ def cmd_prove(args) -> int:
     overrides = {"num_queries": args.queries}
     if "proof_of_work_bits" in system.default_config():
         overrides["proof_of_work_bits"] = 8
-    config = system.make_config(overrides)
+    try:
+        config = system.make_config(overrides)
+    except ValueError as exc:  # e.g. --queries 0
+        raise CliError(str(exc)) from None
     psetup = system.setup(spec, args.scale, config)
     print(f"circuit: {psetup.rows} rows")
     print(f"proving on {workers} shard worker{'s' if workers > 1 else ''}")
@@ -281,9 +284,9 @@ def cmd_serve(args) -> int:
 
 
 def _spec_from_args(args) -> dict:
-    from .service.jobs import FAULT_KINDS, JOB_KINDS
+    from .service.jobs import FAULT_KINDS, job_kinds
 
-    submit_kinds = tuple(k for k in JOB_KINDS if k not in FAULT_KINDS)
+    submit_kinds = tuple(k for k in job_kinds() if k not in FAULT_KINDS)
     if args.kind not in submit_kinds:
         raise CliError(
             f"unknown job kind {args.kind!r} "
@@ -357,7 +360,7 @@ def _parse_budget(text: str) -> float:
 
 def cmd_fuzz(args) -> int:
     """Run a soundness fuzz campaign (or replay a stored artifact)."""
-    from .fuzz import PROTOCOLS, replay_artifact, run_fuzz
+    from .fuzz import replay_artifact, run_fuzz
 
     if args.replay:
         result = replay_artifact(args.replay)
@@ -371,9 +374,7 @@ def cmd_fuzz(args) -> int:
         return 0
 
     if args.protocol == "all":
-        protocols = PROTOCOLS
-    elif args.protocol == "both":  # historical spelling of the FRI pair
-        protocols = ("stark", "plonk")
+        protocols = None  # every registered backend
     else:
         _resolve_protocol(args.protocol)  # typed unknown-protocol error
         protocols = (args.protocol,)
@@ -537,8 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="replay one stored artifact instead of fuzzing "
                         "(exit 1 if it still reproduces)")
     p.add_argument("--protocol", default="all", metavar="NAME",
-                   help="proof system to target, 'both' (stark+plonk) "
-                        "or 'all' registered protocols")
+                   help="proof system to target, or 'all' registered protocols")
     p.add_argument("--oracle-iters", type=int, default=8,
                    help="differential-oracle iterations per kernel family")
     p.add_argument("--no-oracles", action="store_true",

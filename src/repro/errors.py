@@ -1,4 +1,4 @@
-"""Shared typed errors for registry lookups.
+"""Shared typed errors: registry lookups and verifier rejections.
 
 Every user-facing "unknown X" failure -- an unknown workload name, an
 unknown proof protocol -- flows through :class:`UnknownEntryError`, so
@@ -10,6 +10,10 @@ registry contents instead of hand-maintained per-call-site lists.
 and :class:`UnknownEntryError` subclasses :class:`ValueError`, so code
 written against the historical ``by_name`` / ``JobSpec`` error
 contracts keeps working unchanged.
+
+:class:`VerifierError` is the base of exactly ``FriError``,
+``StarkError``, ``PlonkError`` and ``HyperPlonkError``: "the verifier
+said no" is one ``except`` clause wherever hostile proofs are handled.
 """
 
 from __future__ import annotations
@@ -47,3 +51,7 @@ class UnknownProtocolError(UnknownEntryError):
     """An unknown proof-system name."""
 
     entry_kind = "protocol"
+
+
+class VerifierError(Exception):
+    """A proof verifier rejected a proof (base of the per-protocol errors)."""

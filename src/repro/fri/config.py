@@ -29,6 +29,10 @@ class FriConfig:
     def __post_init__(self) -> None:
         if self.rate_bits < 1:
             raise ValueError("rate_bits must be >= 1")
+        if self.cap_height < 0:
+            raise ValueError("cap_height must be >= 0")
+        if self.num_queries < 1:
+            raise ValueError("num_queries must be >= 1")
         if self.final_poly_len < 1 or self.final_poly_len & (self.final_poly_len - 1):
             raise ValueError("final_poly_len must be a power of two")
         if self.proof_of_work_bits < 0 or self.proof_of_work_bits > 32:
@@ -38,6 +42,14 @@ class FriConfig:
     def blowup(self) -> int:
         """The blowup factor ``k = 2**rate_bits``."""
         return 1 << self.rate_bits
+
+    def check_cap_fits(self, degree_bits: int) -> None:
+        """Reject a cap taller than a ``2**degree_bits``-row instance's LDE tree."""
+        if self.cap_height > degree_bits + self.rate_bits:
+            raise ValueError(
+                f"cap_height {self.cap_height} exceeds the "
+                f"{degree_bits + self.rate_bits}-level commitment tree"
+            )
 
     def num_fold_rounds(self, degree_bits: int) -> int:
         """Fold rounds to reduce degree ``2**degree_bits`` to the final size."""

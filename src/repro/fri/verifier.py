@@ -22,6 +22,7 @@ from typing import List, Sequence
 import numpy as np
 
 from .. import tracing
+from ..errors import VerifierError
 from ..field import extension as fext, gl64, goldilocks as gl
 from ..hashing import Challenger
 from ..merkle import PathOpening, verify_paths
@@ -37,7 +38,7 @@ from .prover import (
 )
 
 
-class FriError(Exception):
+class FriError(VerifierError):
     """Raised when a FRI proof fails verification."""
 
 

@@ -27,7 +27,7 @@ from .runner import (
     run_fuzz,
     shrink_bytes,
 )
-from .targets import PROTOCOLS, TYPED_REJECTIONS, FuzzTarget, target_for
+from .targets import TYPED_REJECTIONS, FuzzTarget, target_for
 
 __all__ = [
     "BAD_OUTCOMES",
@@ -39,7 +39,6 @@ __all__ = [
     "Mutant",
     "ORACLES",
     "OracleFinding",
-    "PROTOCOLS",
     "ReplayResult",
     "TYPED_REJECTIONS",
     "classify_bytes",

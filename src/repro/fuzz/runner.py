@@ -28,10 +28,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..protocols import names as protocol_names
 from .artifacts import BAD_OUTCOMES, Finding, load_finding, save_finding
 from .mutators import MUTATOR_NAMES, MUTATORS, Mutant
 from .oracles import OracleFinding, run_oracles
-from .targets import PROTOCOLS, TYPED_REJECTIONS, FuzzTarget, target_for
+from .targets import TYPED_REJECTIONS, FuzzTarget, target_for
 
 #: Cap on single-byte shrink probes per finding (keeps shrinking bounded
 #: even when a structural mutant re-encodes into a large diff).
@@ -126,7 +127,7 @@ def run_fuzz(
     seed: int = 0,
     iterations: Optional[int] = None,
     budget_s: Optional[float] = None,
-    protocols: Sequence[str] = PROTOCOLS,
+    protocols: Optional[Sequence[str]] = None,
     corpus_dir: Optional[str] = None,
     shrink: bool = True,
     oracle_iters: int = 0,
@@ -135,12 +136,15 @@ def run_fuzz(
     """Run a mutation-fuzz campaign (plus optional oracle iterations).
 
     Stops at ``iterations`` mutants or after ``budget_s`` seconds,
-    whichever comes first (1000 iterations if neither is given).
+    whichever comes first (1000 iterations if neither is given);
+    ``protocols`` defaults to every registered backend.
     Findings are shrunk (byte mutants of unchanged length) and, when
     ``corpus_dir`` is given, persisted as replayable artifacts.
     """
     if iterations is None and budget_s is None:
         iterations = 1000
+    if protocols is None:
+        protocols = protocol_names()
     report = FuzzReport(seed=seed)
     start = time.monotonic()
     i = 0

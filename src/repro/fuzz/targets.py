@@ -11,8 +11,9 @@ Target blobs are *tagged proof blobs* (magic + format version +
 protocol tag, see :func:`repro.serialize.proof_to_blob`), the same
 framing the proving service ships, so byte-level mutants exercise the
 envelope parser alongside the per-protocol codec.  The protocol list
-itself comes from the :mod:`repro.protocols` registry -- the fuzzer
-automatically covers every registered backend.
+is the :mod:`repro.protocols` registry itself: each backend's
+``fuzz_target()`` returns one of the targets built here, and
+:func:`target_for` just asks it.
 
 The proofs are deliberately tiny (scaled-down FRI parameters, small
 traces): a fuzz campaign spends its budget on *mutations*, not on
@@ -25,15 +26,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Tuple
 
+from ..errors import VerifierError
 from ..fri import FriConfig
-from ..fri.verifier import FriError
-from ..hyperplonk import HyperPlonkConfig, HyperPlonkError
+from ..hyperplonk import HyperPlonkConfig
 from ..hyperplonk import prove as hp_prove, setup as hp_setup, verify as hp_verify
-from ..plonk import CircuitBuilder, PlonkError
+from ..plonk import CircuitBuilder
 from ..plonk import prove as plonk_prove, setup as plonk_setup, verify as plonk_verify
-from ..protocols import names as _protocol_names
-from ..serialize import proof_format_version, proof_from_blob, proof_to_blob
-from ..stark import StarkError
+from ..protocols import get as get_protocol
+from ..serialize import proof_from_blob, proof_to_blob
 from ..stark import prove as stark_prove, verify as stark_verify
 from ..workloads import by_name
 
@@ -41,27 +41,10 @@ from ..workloads import by_name
 #: proof.  Anything else escaping decode or verify -- ``IndexError``,
 #: ``ZeroDivisionError``, ``MemoryError``, ... -- would kill a service
 #: worker and is reported as a finding, exactly like an accept.
-#: ``ProofFormatError`` (bad blob framing) is a ``ValueError``.
-TYPED_REJECTIONS: Tuple[type, ...] = (
-    ValueError,
-    FriError,
-    StarkError,
-    PlonkError,
-    HyperPlonkError,
-)
-
-#: Protocols the fuzzer targets: every registered proof backend.
-PROTOCOLS = _protocol_names()
-
-
-def proof_format_tag(protocol: str) -> str:
-    """Blob framing identifier recorded in finding artifacts.
-
-    Format versions are per protocol (the hyperplonk body moved to v2
-    with batched openings), so the tag carries the protocol's own
-    version rather than one blob-wide constant.
-    """
-    return f"uzkp-v{proof_format_version(protocol)}"
+#: ``ProofFormatError`` (bad blob framing) is a ``ValueError``;
+#: :class:`~repro.errors.VerifierError` is the base of exactly
+#: ``FriError`` / ``StarkError`` / ``PlonkError`` / ``HyperPlonkError``.
+TYPED_REJECTIONS: Tuple[type, ...] = (ValueError, VerifierError)
 
 
 _STARK_CONFIG = FriConfig(
@@ -86,17 +69,28 @@ class FuzzTarget:
     proof_format: str = "uzkp-v1"  # blob framing, for artifacts
 
 
-def _codecs(protocol: str):
-    """Tagged-blob decode/encode pair pinned to one protocol."""
+def _target(protocol: str, proof, alt_proof, run_verify) -> FuzzTarget:
+    """Frame two honest proofs as ``protocol``'s target (tagged blobs)."""
 
     def decode(data: bytes):
-        _, proof = proof_from_blob(data, expected_protocol=protocol)
-        return proof
+        _, decoded = proof_from_blob(data, expected_protocol=protocol)
+        return decoded
 
-    def encode(proof) -> bytes:
-        return proof_to_blob(protocol, proof)
+    def encode(p) -> bytes:
+        return proof_to_blob(protocol, p)
 
-    return decode, encode
+    run_verify(proof)  # sanity: the honest proof must pass
+    return FuzzTarget(
+        protocol=protocol,
+        # Format versions are per protocol (hyperplonk is at v2), so
+        # artifacts record the protocol's own rather than one constant.
+        proof_format=f"uzkp-v{get_protocol(protocol).format_version}",
+        blob=encode(proof),
+        alt_blob=encode(alt_proof),
+        decode=decode,
+        encode=encode,
+        run_verify=run_verify,
+    )
 
 
 def _cube_circuit():
@@ -116,20 +110,8 @@ def stark_target() -> FuzzTarget:
     proof = stark_prove(air, trace, publics, _STARK_CONFIG)
     alt_air, alt_trace, alt_publics = spec.build_air(6)
     alt_proof = stark_prove(alt_air, alt_trace, alt_publics, _STARK_CONFIG)
-    decode, encode = _codecs("stark")
-
-    def run_verify(p) -> None:
-        stark_verify(air, p, _STARK_CONFIG)
-
-    run_verify(proof)  # sanity: the honest proof must pass
-    return FuzzTarget(
-        protocol="stark",
-        proof_format=proof_format_tag("stark"),
-        blob=encode(proof),
-        alt_blob=encode(alt_proof),
-        decode=decode,
-        encode=encode,
-        run_verify=run_verify,
+    return _target(
+        "stark", proof, alt_proof, lambda p: stark_verify(air, p, _STARK_CONFIG)
     )
 
 
@@ -140,20 +122,8 @@ def plonk_target() -> FuzzTarget:
     data = plonk_setup(circuit, _PLONK_CONFIG)
     proof = plonk_prove(data, {x.index: 3, pub.index: 27})
     alt_proof = plonk_prove(data, {x.index: 5, pub.index: 125})
-    decode, encode = _codecs("plonk")
-
-    def run_verify(p) -> None:
-        plonk_verify(data.verifier_data, p)
-
-    run_verify(proof)
-    return FuzzTarget(
-        protocol="plonk",
-        proof_format=proof_format_tag("plonk"),
-        blob=encode(proof),
-        alt_blob=encode(alt_proof),
-        decode=decode,
-        encode=encode,
-        run_verify=run_verify,
+    return _target(
+        "plonk", proof, alt_proof, lambda p: plonk_verify(data.verifier_data, p)
     )
 
 
@@ -164,33 +134,11 @@ def hyperplonk_target() -> FuzzTarget:
     data = hp_setup(circuit, _HYPERPLONK_CONFIG)
     proof = hp_prove(data, {x.index: 3, pub.index: 27})
     alt_proof = hp_prove(data, {x.index: 5, pub.index: 125})
-    decode, encode = _codecs("hyperplonk")
-
-    def run_verify(p) -> None:
-        hp_verify(data.verifier_data, p)
-
-    run_verify(proof)
-    return FuzzTarget(
-        protocol="hyperplonk",
-        proof_format=proof_format_tag("hyperplonk"),
-        blob=encode(proof),
-        alt_blob=encode(alt_proof),
-        decode=decode,
-        encode=encode,
-        run_verify=run_verify,
+    return _target(
+        "hyperplonk", proof, alt_proof, lambda p: hp_verify(data.verifier_data, p)
     )
 
 
-_TARGET_BUILDERS = {
-    "stark": stark_target,
-    "plonk": plonk_target,
-    "hyperplonk": hyperplonk_target,
-}
-
-
 def target_for(protocol: str) -> FuzzTarget:
-    """Look up (and lazily build) the target for ``protocol``."""
-    builder = _TARGET_BUILDERS.get(protocol)
-    if builder is None:
-        raise ValueError(f"unknown fuzz protocol {protocol!r}")
-    return builder()
+    """The registered backend's target (built on first use)."""
+    return get_protocol(protocol).fuzz_target()

@@ -26,6 +26,7 @@ import numpy as np
 
 from ..merkle import MerkleMultiProof, MerkleTree
 from ..plonk.circuit import Circuit
+from ..serialize import ByteReader, ByteWriter, read_cap
 from ..sumcheck import SumcheckProof
 
 #: Serialized size of one Poseidon digest / one field element.
@@ -45,6 +46,12 @@ class HyperPlonkConfig:
 
     cap_height: int = 1
     num_queries: int = 16
+
+    def __post_init__(self) -> None:
+        if self.cap_height < 0:
+            raise ValueError("cap_height must be >= 0")
+        if self.num_queries < 1:
+            raise ValueError("num_queries must be >= 1")
 
 
 @dataclass
@@ -140,6 +147,33 @@ class HyperPlonkTreeOpening:
             + self.proof.size_bytes()
         )
 
+    def write(self, w: ByteWriter) -> None:
+        """Append the opening: indices, rows, shared path nodes."""
+        w.u32(len(self.proof.indices))
+        for idx in self.proof.indices:
+            w.u32(idx)
+        w.elems(self.rows)
+        w.elems(self.proof.nodes)
+
+    @classmethod
+    def read(cls, r: ByteReader, width: int, what: str) -> "HyperPlonkTreeOpening":
+        """Read one opening of ``width``-column leaves (``what`` labels errors)."""
+        indices = tuple(
+            r.u32() for _ in range(r.count(4, f"{what} index count"))
+        )
+        for a, b in zip(indices, indices[1:]):
+            if b <= a:
+                raise ValueError(f"malformed {what} (indices must be strictly ascending)")
+        rows = r.elems()
+        if rows.ndim != 2 or rows.shape != (len(indices), width):
+            raise ValueError(
+                f"malformed {what} (expected a ({len(indices)}, {width}) row array)"
+            )
+        nodes = r.elems()
+        if nodes.ndim != 2 or nodes.shape[1] != 4:
+            raise ValueError(f"malformed {what} (path nodes must be (k, 4))")
+        return cls(rows=rows, proof=MerkleMultiProof(indices=indices, nodes=nodes))
+
 
 @dataclass
 class HyperPlonkProof:
@@ -180,3 +214,70 @@ class HyperPlonkProof:
         total += (2 + 2 * len(self.sumcheck.round_values)) * ELEM_BYTES
         total += sum(op.size_bytes() for op in self.tree_openings())
         return total
+
+    def to_bytes(self) -> bytes:
+        """Raw canonical proof body (batched-opening format v2)."""
+        w = ByteWriter()
+        w.elems(self.wires_cap)
+        w.elems(self.z_cap)
+        w.u32(len(self.public_inputs))
+        for v in self.public_inputs:
+            w.u64(v)
+        sc = self.sumcheck
+        w.u64(sc.claimed_sum)
+        w.u32(len(sc.round_values))
+        for y0, y1 in sc.round_values:
+            w.u64(y0)
+            w.u64(y1)
+        w.u64(sc.final_value)
+        w.u32(len(self.level_caps))
+        for cap in self.level_caps:
+            w.elems(cap)
+        self.pre_opening.write(w)
+        self.wires_opening.write(w)
+        self.z_opening.write(w)
+        w.u32(len(self.level_openings))
+        for op in self.level_openings:
+            op.write(w)
+        return w.getvalue()
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "HyperPlonkProof":
+        """Decode a raw proof body (typed ``ValueError`` on bad input)."""
+        r = ByteReader(data)
+        wires_cap = read_cap(r, "wires cap")
+        z_cap = read_cap(r, "Z cap")
+        publics = [r.u64() for _ in range(r.count(8, "public input count"))]
+        claimed_sum = r.u64()
+        rounds = [
+            (r.u64(), r.u64()) for _ in range(r.count(16, "sumcheck round count"))
+        ]
+        final_value = r.u64()
+        sumcheck = SumcheckProof(
+            claimed_sum=claimed_sum, round_values=rounds, final_value=final_value
+        )
+        level_caps = [
+            read_cap(r, "fold-level cap")
+            for _ in range(r.count(8, "fold-level cap count"))
+        ]
+        read = HyperPlonkTreeOpening.read
+        pre_opening = read(r, 8, "preprocessed opening")
+        wires_opening = read(r, 3, "wires opening")
+        z_opening = read(r, 1, "Z opening")
+        level_openings = [
+            read(r, 1, "fold-level opening")
+            for _ in range(r.count(4, "fold-level opening count"))
+        ]
+        if not r.done():
+            raise ValueError("trailing bytes after HyperPlonk proof")
+        return cls(
+            wires_cap=wires_cap,
+            z_cap=z_cap,
+            public_inputs=publics,
+            sumcheck=sumcheck,
+            level_caps=level_caps,
+            pre_opening=pre_opening,
+            wires_opening=wires_opening,
+            z_opening=z_opening,
+            level_openings=level_openings,
+        )

@@ -30,6 +30,7 @@ from typing import Dict, Iterable, Sequence, Tuple
 import numpy as np
 
 from .. import tracing
+from ..errors import VerifierError
 from ..field import goldilocks as gl
 from ..hashing import Challenger
 from ..merkle import PathOpening, verify_paths
@@ -44,7 +45,7 @@ from .proof import (
 )
 
 
-class HyperPlonkError(Exception):
+class HyperPlonkError(VerifierError):
     """Raised when a HyperPlonk-lite proof fails verification."""
 
 

@@ -1,4 +1,4 @@
-"""Plonk proof container and setup artifacts."""
+"""Plonk proof container (with its body codec) and setup artifacts."""
 
 from __future__ import annotations
 
@@ -9,6 +9,15 @@ import numpy as np
 
 from ..fri import FriConfig, FriOpenings, FriProof, PolynomialBatch
 from ..fri.proof import DIGEST_BYTES, ELEM_BYTES
+from ..serialize import (
+    ByteReader,
+    ByteWriter,
+    read_cap,
+    read_fri_proof,
+    read_openings,
+    write_fri_proof,
+    write_openings,
+)
 from .circuit import Circuit
 
 
@@ -72,3 +81,37 @@ class PlonkProof:
         total += int(self.openings.flat_values().size) * ELEM_BYTES
         total += self.fri_proof.size_bytes()
         return total
+
+    def to_bytes(self) -> bytes:
+        """Raw canonical proof body (digests are defined over this)."""
+        w = ByteWriter()
+        w.elems(self.wires_cap)
+        w.elems(self.z_cap)
+        w.elems(self.quotient_cap)
+        w.u32(len(self.public_inputs))
+        for v in self.public_inputs:
+            w.u64(v)
+        write_openings(w, self.openings)
+        write_fri_proof(w, self.fri_proof)
+        return w.getvalue()
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "PlonkProof":
+        """Decode a raw proof body (typed ``ValueError`` on bad input)."""
+        r = ByteReader(data)
+        wires_cap = read_cap(r, "wires cap")
+        z_cap = read_cap(r, "Z cap")
+        quotient_cap = read_cap(r, "quotient cap")
+        publics = [r.u64() for _ in range(r.count(8, "public input count"))]
+        openings = read_openings(r)
+        fri_proof = read_fri_proof(r)
+        if not r.done():
+            raise ValueError("trailing bytes after Plonk proof")
+        return cls(
+            wires_cap=wires_cap,
+            z_cap=z_cap,
+            quotient_cap=quotient_cap,
+            public_inputs=publics,
+            openings=openings,
+            fri_proof=fri_proof,
+        )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import tracing
+from ..errors import VerifierError
 from ..field import extension as fext, goldilocks as gl
 from ..fri import fri_verify
 from ..fri.verifier import FriError
@@ -20,7 +21,7 @@ from .proof import PlonkProof, VerifierData
 from .prover import QUOTIENT_CHUNKS, ZK_SALT_COLUMNS
 
 
-class PlonkError(Exception):
+class PlonkError(VerifierError):
     """Raised when a Plonk proof fails verification."""
 
 

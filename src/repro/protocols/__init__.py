@@ -4,12 +4,12 @@ Importing this package registers the built-in backends in canonical
 order -- ``stark``, ``plonk``, ``hyperplonk`` -- and every consumer
 (CLI, proving service, fuzzer, benchmarks) resolves protocols through
 :func:`get`/:func:`names` instead of hard-coding the list.  Each name
-doubles as the job kind and the tagged proof-blob protocol tag
-(:data:`repro.serialize.PROOF_PROTOCOLS` must cover every registered
-name, asserted here at import time).
+doubles as the job kind, the tagged proof-blob protocol tag and (as
+``<name>-proof``) the result-envelope kind; the backend carries its own
+body codec and format version, so nothing outside this package lists
+protocols.
 """
 
-from ..serialize import PROOF_PROTOCOLS
 from .base import ProofSystem, ProtocolSetup
 from .hyperplonk_backend import HyperPlonkSystem
 from .plonk_backend import PlonkSystem
@@ -20,12 +20,6 @@ from .transcript import CapBinding, TranscriptSpec
 register(StarkSystem())
 register(PlonkSystem())
 register(HyperPlonkSystem())
-
-for _name in names():
-    if _name not in PROOF_PROTOCOLS:
-        raise RuntimeError(
-            f"protocol {_name!r} has no registered proof-blob codec"
-        )
 
 __all__ = [
     "ProofSystem",

@@ -1,12 +1,14 @@
 """The protocol-backend interface.
 
-A :class:`ProofSystem` is one registered proving protocol (STARK, Plonk,
-HyperPlonk-lite) with a uniform surface over its existing functional
-modules: build a setup, prove, verify, and move proofs across process
-boundaries.  The CLI (``repro prove --protocol``), the proving service
-(job kinds), and the soundness fuzzer all dispatch through the registry
-(:mod:`repro.protocols.registry`) instead of hard-coding per-protocol
-branches.
+A :class:`ProofSystem` is the one description of a registered proving
+protocol (STARK, Plonk, HyperPlonk-lite): its config knobs, how to
+build a setup, prove and verify, its proof-body codec and format
+version, and its fuzz target.  The CLI (``repro prove --protocol``),
+the proving service (job kinds, ``<name>-proof`` envelopes), the
+tagged-blob framing in :mod:`repro.serialize` and the soundness fuzzer
+all ask the registry (:mod:`repro.protocols.registry`) instead of
+keeping per-protocol tables of their own, so a new backend is one
+subclass plus :func:`~repro.protocols.register`.
 
 The interface deliberately wraps the existing ``prove``/``verify``
 functions rather than replacing them -- the functional modules stay the
@@ -43,12 +45,14 @@ class ProtocolSetup:
 class ProofSystem(ABC):
     """One registered proving protocol."""
 
-    #: Registry name; also the proof-blob protocol tag and job kind.
+    #: Registry name; also the proof-blob protocol tag, the job kind and
+    #: (as ``<name>-proof``) the result-envelope kind.
     name: str = "?"
     #: One-line description shown by ``repro prove --list-protocols``.
     description: str = ""
-    #: Result-envelope kind carrying this protocol's proofs.
-    envelope_kind: str = "?"
+    #: Proof-body format version, the tagged blob's version byte; bumped
+    #: when :meth:`to_bytes` changes incompatibly.
+    format_version: int = 1
     #: Whether the prover's hot path runs NTTs (False for the
     #: sumcheck-native backend -- asserted by its perf gate).
     uses_ntt: bool = True
@@ -64,7 +68,11 @@ class ProofSystem(ABC):
         """Build the frozen config object from a complete knob dict."""
 
     def make_config(self, overrides: Optional[Mapping[str, int]] = None) -> Any:
-        """Defaults + overrides -> frozen config; unknown keys rejected."""
+        """Defaults + overrides -> frozen config.
+
+        Unknown keys and values that are not plain ``int`` (``bool``
+        included) are rejected here; ranges by the config object itself.
+        """
         base = dict(self.default_config())
         overrides = dict(overrides or {})
         unknown = set(overrides) - set(base)
@@ -73,6 +81,9 @@ class ProofSystem(ABC):
                 f"unknown {self.name} config keys: {', '.join(sorted(unknown))} "
                 f"(valid: {', '.join(sorted(base))})"
             )
+        for key, value in overrides.items():
+            if type(value) is not int:
+                raise ValueError(f"{self.name} config {key} must be an int, got {value!r}")
         base.update(overrides)
         return self.config_from(base)
 
@@ -88,17 +99,19 @@ class ProofSystem(ABC):
         """Build the instance (circuit/AIR + preprocessing) to prove."""
 
     @abstractmethod
-    def prove(self, setup: ProtocolSetup, pool=None):
+    def prove(self, setup: ProtocolSetup, pool=None, challenger=None):
         """Prove the instance.
 
         ``pool`` scopes a :class:`~repro.parallel.ShardPool` over the
         proof; ``None`` inherits :func:`repro.parallel.current_pool`.
         Every backend's stages are shard graphs, so the proof is
-        bit-identical whichever pool runs them.
+        bit-identical whichever pool runs them.  ``challenger``
+        replaces the fresh Fiat-Shamir transcript (the conformance
+        analyzer passes a recording one).
         """
 
     @abstractmethod
-    def verify(self, setup: ProtocolSetup, proof) -> None:
+    def verify(self, setup: ProtocolSetup, proof, challenger=None) -> None:
         """Verify; raises the backend's typed error on any failure."""
 
     # -- transcript conformance ------------------------------------------
@@ -113,22 +126,6 @@ class ProofSystem(ABC):
         """
         return None
 
-    def prove_with_challenger(self, setup: ProtocolSetup, challenger):
-        """Prove with an externally supplied transcript challenger.
-
-        Used by the transcript-conformance analyzer to record the
-        prover's exact observe/challenge event stream.
-        """
-        raise NotImplementedError(
-            f"{self.name} backend does not support challenger injection"
-        )
-
-    def verify_with_challenger(self, setup: ProtocolSetup, proof, challenger) -> None:
-        """Verify with an externally supplied transcript challenger."""
-        raise NotImplementedError(
-            f"{self.name} backend does not support challenger injection"
-        )
-
     def cap_bindings(self, setup: ProtocolSetup, proof):
         """Cap-to-challenge deadlines for one proved instance.
 
@@ -141,23 +138,17 @@ class ProofSystem(ABC):
 
     def public_inputs_of(self, setup: ProtocolSetup, proof):
         """The public-input values bound into the transcript."""
-        raise NotImplementedError(
-            f"{self.name} backend does not expose its public inputs"
-        )
+        return list(proof.public_inputs)
 
     # -- serialization ---------------------------------------------------
 
+    @abstractmethod
     def to_bytes(self, proof) -> bytes:
         """Raw canonical proof body (digests are defined over this)."""
-        from ..serialize import proof_body_codec
 
-        return proof_body_codec(self.name)[0](proof)
-
+    @abstractmethod
     def from_bytes(self, data: bytes):
         """Decode a raw proof body (typed ``ValueError`` on bad input)."""
-        from ..serialize import proof_body_codec
-
-        return proof_body_codec(self.name)[1](data)
 
     def digest(self, proof) -> str:
         """Hex content address of the canonical proof body."""
@@ -165,9 +156,8 @@ class ProofSystem(ABC):
 
     # -- fuzzing ---------------------------------------------------------
 
+    @abstractmethod
     def fuzz_target(self):
-        """The soundness-fuzz target for this protocol (lazy import --
-        building a target proves small honest instances)."""
-        from ..fuzz.targets import target_for
-
-        return target_for(self.name)
+        """The soundness-fuzz target for this protocol (import
+        :mod:`repro.fuzz.targets` lazily -- building a target proves
+        small honest instances)."""

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping
+from typing import Dict, Mapping
 
 from ..hyperplonk import (
     HyperPlonkConfig,
+    HyperPlonkProof,
     prove as hp_prove,
     setup as hp_setup,
     verify as hp_verify,
@@ -19,7 +20,10 @@ class HyperPlonkSystem(ProofSystem):
 
     name = "hyperplonk"
     description = "sumcheck-native zerocheck over a multilinear PCS (no NTT)"
-    envelope_kind = "hyperplonk-proof"
+    #: 2: batched per-tree multiproof openings replaced v1's per-query paths.
+    format_version = 2
+    to_bytes = staticmethod(HyperPlonkProof.to_bytes)
+    from_bytes = staticmethod(HyperPlonkProof.from_bytes)
     uses_ntt = False
 
     def default_config(self) -> Dict[str, int]:
@@ -40,17 +44,18 @@ class HyperPlonkSystem(ProofSystem):
             rows=circuit.n,
         )
 
-    def prove(self, setup: ProtocolSetup, pool=None):
-        # Sharded path: the wires/Z commits and each sumcheck round's
-        # fold + fold-level commit fan out over the pool (``None``
-        # inherits the ambient repro.parallel pool, so service/CLI
-        # callers that scope one via parallel.sharding are covered).
+    def prove(self, setup: ProtocolSetup, pool=None, challenger=None):
         data, inputs = setup.data
-        return hp_prove(data, inputs, pool=pool)
+        return hp_prove(data, inputs, challenger=challenger, pool=pool)
 
-    def verify(self, setup: ProtocolSetup, proof) -> None:
+    def verify(self, setup: ProtocolSetup, proof, challenger=None) -> None:
         data, _ = setup.data
-        hp_verify(data.verifier_data, proof)
+        hp_verify(data.verifier_data, proof, challenger=challenger)
+
+    def fuzz_target(self):
+        from ..fuzz.targets import hyperplonk_target
+
+        return hyperplonk_target()
 
     # -- transcript conformance ------------------------------------------
 
@@ -61,14 +66,6 @@ class HyperPlonkSystem(ProofSystem):
             config_overrides=dict(num_queries=2),
             setup_caps=1,  # preprocessed (circuit-digest) cap, then publics
         )
-
-    def prove_with_challenger(self, setup: ProtocolSetup, challenger):
-        data, inputs = setup.data
-        return hp_prove(data, inputs, challenger=challenger)
-
-    def verify_with_challenger(self, setup: ProtocolSetup, proof, challenger) -> None:
-        data, _ = setup.data
-        hp_verify(data.verifier_data, proof, challenger=challenger)
 
     def cap_bindings(self, setup: ProtocolSetup, proof):
         # Base-challenge ordinals with v = log2(rows): beta #0, gamma
@@ -85,6 +82,3 @@ class HyperPlonkSystem(ProofSystem):
         for k, cap in enumerate(proof.level_caps):
             bindings.append(CapBinding(f"level_caps[{k}]", cap, v + 4 + k))
         return bindings
-
-    def public_inputs_of(self, setup: ProtocolSetup, proof):
-        return list(proof.public_inputs)

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping
+from typing import Dict, Mapping
 
 from ..fri import FriConfig
-from ..plonk import prove as plonk_prove, setup as plonk_setup, verify as plonk_verify
+from ..plonk import (
+    PlonkProof,
+    prove as plonk_prove,
+    setup as plonk_setup,
+    verify as plonk_verify,
+)
 from .base import ProofSystem, ProtocolSetup
 from .transcript import CapBinding, TranscriptSpec
 
@@ -15,7 +20,9 @@ class PlonkSystem(ProofSystem):
 
     name = "plonk"
     description = "Plonky2-style gates + permutation argument over FRI"
-    envelope_kind = "plonk-proof"
+    format_version = 1
+    to_bytes = staticmethod(PlonkProof.to_bytes)
+    from_bytes = staticmethod(PlonkProof.from_bytes)
     uses_ntt = True
 
     def default_config(self) -> Dict[str, int]:
@@ -32,6 +39,7 @@ class PlonkSystem(ProofSystem):
 
     def setup(self, workload, scale: int, config: FriConfig) -> ProtocolSetup:
         circuit, inputs, _ = workload.build_circuit(scale)
+        config.check_cap_fits(circuit.log_n)
         data = plonk_setup(circuit, config)
         return ProtocolSetup(
             protocol=self.name,
@@ -42,13 +50,18 @@ class PlonkSystem(ProofSystem):
             rows=circuit.n,
         )
 
-    def prove(self, setup: ProtocolSetup, pool=None):
+    def prove(self, setup: ProtocolSetup, pool=None, challenger=None):
         data, inputs = setup.data
-        return plonk_prove(data, inputs, pool=pool)
+        return plonk_prove(data, inputs, challenger=challenger, pool=pool)
 
-    def verify(self, setup: ProtocolSetup, proof) -> None:
+    def verify(self, setup: ProtocolSetup, proof, challenger=None) -> None:
         data, _ = setup.data
-        plonk_verify(data.verifier_data, proof)
+        plonk_verify(data.verifier_data, proof, challenger=challenger)
+
+    def fuzz_target(self):
+        from ..fuzz.targets import plonk_target
+
+        return plonk_target()
 
     # -- transcript conformance ------------------------------------------
 
@@ -59,14 +72,6 @@ class PlonkSystem(ProofSystem):
             config_overrides=dict(num_queries=2, proof_of_work_bits=1),
             setup_caps=1,  # preprocessed (circuit-digest) cap, then publics
         )
-
-    def prove_with_challenger(self, setup: ProtocolSetup, challenger):
-        data, inputs = setup.data
-        return plonk_prove(data, inputs, challenger=challenger)
-
-    def verify_with_challenger(self, setup: ProtocolSetup, proof, challenger) -> None:
-        data, _ = setup.data
-        plonk_verify(data.verifier_data, proof, challenger=challenger)
 
     def cap_bindings(self, setup: ProtocolSetup, proof):
         # Base-challenge ordinals: beta #0, gamma #1, alpha (ext) #2-3,
@@ -81,6 +86,3 @@ class PlonkSystem(ProofSystem):
         for k, cap in enumerate(proof.fri_proof.commit_caps):
             bindings.append(CapBinding(f"fri.commit_caps[{k}]", cap, 8 + 2 * k))
         return bindings
-
-    def public_inputs_of(self, setup: ProtocolSetup, proof):
-        return list(proof.public_inputs)

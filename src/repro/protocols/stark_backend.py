@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping
+from typing import Dict, Mapping
 
 from ..fri import FriConfig
-from ..stark import prove as stark_prove, verify as stark_verify
+from ..stark import StarkProof, prove as stark_prove, verify as stark_verify
 from .base import ProofSystem, ProtocolSetup
 from .transcript import CapBinding, TranscriptSpec
 
@@ -15,7 +15,9 @@ class StarkSystem(ProofSystem):
 
     name = "stark"
     description = "AIR transition constraints, LDE + batch FRI opening"
-    envelope_kind = "stark-proof"
+    format_version = 1
+    to_bytes = staticmethod(StarkProof.to_bytes)
+    from_bytes = staticmethod(StarkProof.from_bytes)
     uses_ntt = True
 
     def default_config(self) -> Dict[str, int]:
@@ -37,6 +39,7 @@ class StarkSystem(ProofSystem):
         if workload.build_air is None:
             raise ValueError(f"workload {workload.name!r} has no AET builder")
         air, trace, publics = workload.build_air(scale)
+        config.check_cap_fits(int(trace.shape[0]).bit_length() - 1)
         return ProtocolSetup(
             protocol=self.name,
             workload=workload.name,
@@ -46,13 +49,18 @@ class StarkSystem(ProofSystem):
             rows=int(trace.shape[0]),
         )
 
-    def prove(self, setup: ProtocolSetup, pool=None):
+    def prove(self, setup: ProtocolSetup, pool=None, challenger=None):
         air, trace, publics = setup.data
-        return stark_prove(air, trace, publics, setup.config, pool=pool)
+        return stark_prove(air, trace, publics, setup.config, challenger, pool=pool)
 
-    def verify(self, setup: ProtocolSetup, proof) -> None:
+    def verify(self, setup: ProtocolSetup, proof, challenger=None) -> None:
         air, _, _ = setup.data
-        stark_verify(air, proof, setup.config)
+        stark_verify(air, proof, setup.config, challenger=challenger)
+
+    def fuzz_target(self):
+        from ..fuzz.targets import stark_target
+
+        return stark_target()
 
     # -- transcript conformance ------------------------------------------
 
@@ -66,14 +74,6 @@ class StarkSystem(ProofSystem):
             setup_caps=0,
         )
 
-    def prove_with_challenger(self, setup: ProtocolSetup, challenger):
-        air, trace, publics = setup.data
-        return stark_prove(air, trace, publics, setup.config, challenger=challenger)
-
-    def verify_with_challenger(self, setup: ProtocolSetup, proof, challenger) -> None:
-        air, _, _ = setup.data
-        stark_verify(air, proof, setup.config, challenger=challenger)
-
     def cap_bindings(self, setup: ProtocolSetup, proof):
         # Base-challenge ordinals: alpha (ext) draws #0-1, zeta (ext)
         # #2-3, FRI alpha #4-5, then layer beta_k (ext) at #6+2k.
@@ -84,6 +84,3 @@ class StarkSystem(ProofSystem):
         for k, cap in enumerate(proof.fri_proof.commit_caps):
             bindings.append(CapBinding(f"fri.commit_caps[{k}]", cap, 6 + 2 * k))
         return bindings
-
-    def public_inputs_of(self, setup: ProtocolSetup, proof):
-        return list(proof.public_inputs)

@@ -1,4 +1,4 @@
-"""Binary serialization for proofs.
+"""Binary serialization for proofs: the protocol-agnostic half.
 
 A compact little-endian format so proofs can actually be shipped
 between a prover and verifier process: 8-byte field elements, 4-byte
@@ -6,6 +6,12 @@ length prefixes for variable-size structures.  The serialized sizes
 validate the structural ``size_bytes()`` accounting used by the
 Table 5 / Table 6 proof-size reproduction (the codec adds only small
 length-prefix overhead).
+
+This module holds what every protocol shares (reader/writer, Merkle /
+FRI / openings codecs, blob and envelope framing) and imports no
+protocol package.  A protocol's *body* codec lives beside its proof
+dataclass (``StarkProof.to_bytes`` ...); the framing functions resolve
+a tag to its codec and format version through :mod:`repro.protocols`.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from typing import List
 
 import numpy as np
 
+from .errors import UnknownProtocolError
 from .fri.proof import (
     FriInitialOpening,
     FriLayerOpening,
@@ -22,12 +29,7 @@ from .fri.proof import (
     FriQueryRound,
 )
 from .fri.prover import FriOpenings
-from .hyperplonk.proof import HyperPlonkProof, HyperPlonkTreeOpening
-from .merkle.multiproof import MerkleMultiProof
 from .merkle.tree import MerkleProof
-from .plonk.proof import PlonkProof
-from .stark.proof import StarkProof
-from .sumcheck import SumcheckProof
 
 
 class ByteWriter:
@@ -151,7 +153,7 @@ def _read_merkle_proof(r: ByteReader) -> MerkleProof:
     return MerkleProof(siblings=sib)
 
 
-def _read_cap(r: ByteReader, what: str = "Merkle cap") -> np.ndarray:
+def read_cap(r: ByteReader, what: str = "Merkle cap") -> np.ndarray:
     """Read a Merkle cap, enforcing the (c, 4) digest-row layout.
 
     The verifiers absorb caps into the Fiat-Shamir transcript and index
@@ -187,7 +189,7 @@ def write_fri_proof(w: ByteWriter, proof: FriProof) -> None:
 def read_fri_proof(r: ByteReader) -> FriProof:
     """Read a FRI proof."""
     caps = [
-        _read_cap(r, "FRI layer cap")
+        read_cap(r, "FRI layer cap")
         for _ in range(r.count(8, "FRI cap count"))
     ]
     final_poly = r.elems()
@@ -249,266 +251,44 @@ def read_openings(r: ByteReader) -> FriOpenings:
     return FriOpenings(points=points, columns=columns, values=values)
 
 
-# -- Plonk ---------------------------------------------------------------------
-
-
-def plonk_proof_to_bytes(proof: PlonkProof) -> bytes:
-    """Serialize a Plonk proof."""
-    w = ByteWriter()
-    w.elems(proof.wires_cap)
-    w.elems(proof.z_cap)
-    w.elems(proof.quotient_cap)
-    w.u32(len(proof.public_inputs))
-    for v in proof.public_inputs:
-        w.u64(v)
-    write_openings(w, proof.openings)
-    write_fri_proof(w, proof.fri_proof)
-    return w.getvalue()
-
-
-def plonk_proof_digest(proof: PlonkProof) -> str:
-    """Hex digest of the canonical serialized form (content address)."""
-    import hashlib
-
-    return hashlib.sha256(plonk_proof_to_bytes(proof)).hexdigest()
-
-
-def plonk_proof_from_bytes(data: bytes) -> PlonkProof:
-    """Deserialize a Plonk proof."""
-    r = ByteReader(data)
-    wires_cap = _read_cap(r, "wires cap")
-    z_cap = _read_cap(r, "Z cap")
-    quotient_cap = _read_cap(r, "quotient cap")
-    publics = [r.u64() for _ in range(r.count(8, "public input count"))]
-    openings = read_openings(r)
-    fri_proof = read_fri_proof(r)
-    if not r.done():
-        raise ValueError("trailing bytes after Plonk proof")
-    return PlonkProof(
-        wires_cap=wires_cap,
-        z_cap=z_cap,
-        quotient_cap=quotient_cap,
-        public_inputs=publics,
-        openings=openings,
-        fri_proof=fri_proof,
-    )
-
-
-# -- STARK ---------------------------------------------------------------------
-
-
-def stark_proof_to_bytes(proof: StarkProof) -> bytes:
-    """Serialize a STARK proof."""
-    w = ByteWriter()
-    w.elems(proof.trace_cap)
-    w.elems(proof.quotient_cap)
-    w.u32(proof.degree_bits)
-    w.u32(len(proof.public_inputs))
-    for v in proof.public_inputs:
-        w.u64(v)
-    write_openings(w, proof.openings)
-    write_fri_proof(w, proof.fri_proof)
-    return w.getvalue()
-
-
-def stark_proof_digest(proof: StarkProof) -> str:
-    """Hex digest of the canonical serialized form (content address)."""
-    import hashlib
-
-    return hashlib.sha256(stark_proof_to_bytes(proof)).hexdigest()
-
-
-def stark_proof_from_bytes(data: bytes) -> StarkProof:
-    """Deserialize a STARK proof."""
-    r = ByteReader(data)
-    trace_cap = _read_cap(r, "trace cap")
-    quotient_cap = _read_cap(r, "quotient cap")
-    degree_bits = r.u32()
-    publics = [r.u64() for _ in range(r.count(8, "public input count"))]
-    openings = read_openings(r)
-    fri_proof = read_fri_proof(r)
-    if not r.done():
-        raise ValueError("trailing bytes after STARK proof")
-    return StarkProof(
-        trace_cap=trace_cap,
-        quotient_cap=quotient_cap,
-        public_inputs=publics,
-        degree_bits=degree_bits,
-        openings=openings,
-        fri_proof=fri_proof,
-    )
-
-
-# -- HyperPlonk-lite -----------------------------------------------------------
-
-
-def _write_tree_opening(w: ByteWriter, op: HyperPlonkTreeOpening) -> None:
-    w.u32(len(op.proof.indices))
-    for idx in op.proof.indices:
-        w.u32(idx)
-    w.elems(op.rows)
-    w.elems(op.proof.nodes)
-
-
-def _read_tree_opening(r: ByteReader, width: int, what: str) -> HyperPlonkTreeOpening:
-    indices = tuple(
-        r.u32() for _ in range(r.count(4, f"{what} index count"))
-    )
-    for a, b in zip(indices, indices[1:]):
-        if b <= a:
-            raise ValueError(f"malformed {what} (indices must be strictly ascending)")
-    rows = r.elems()
-    if rows.ndim != 2 or rows.shape != (len(indices), width):
-        raise ValueError(
-            f"malformed {what} (expected a ({len(indices)}, {width}) row array)"
-        )
-    nodes = r.elems()
-    if nodes.ndim != 2 or nodes.shape[1] != 4:
-        raise ValueError(f"malformed {what} (path nodes must be (k, 4))")
-    return HyperPlonkTreeOpening(
-        rows=rows, proof=MerkleMultiProof(indices=indices, nodes=nodes)
-    )
-
-
-def hyperplonk_proof_to_bytes(proof: HyperPlonkProof) -> bytes:
-    """Serialize a HyperPlonk-lite proof (batched-opening format v2)."""
-    w = ByteWriter()
-    w.elems(proof.wires_cap)
-    w.elems(proof.z_cap)
-    w.u32(len(proof.public_inputs))
-    for v in proof.public_inputs:
-        w.u64(v)
-    sc = proof.sumcheck
-    w.u64(sc.claimed_sum)
-    w.u32(len(sc.round_values))
-    for y0, y1 in sc.round_values:
-        w.u64(y0)
-        w.u64(y1)
-    w.u64(sc.final_value)
-    w.u32(len(proof.level_caps))
-    for cap in proof.level_caps:
-        w.elems(cap)
-    _write_tree_opening(w, proof.pre_opening)
-    _write_tree_opening(w, proof.wires_opening)
-    _write_tree_opening(w, proof.z_opening)
-    w.u32(len(proof.level_openings))
-    for op in proof.level_openings:
-        _write_tree_opening(w, op)
-    return w.getvalue()
-
-
-def hyperplonk_proof_digest(proof: HyperPlonkProof) -> str:
-    """Hex digest of the canonical serialized form (content address)."""
-    import hashlib
-
-    return hashlib.sha256(hyperplonk_proof_to_bytes(proof)).hexdigest()
-
-
-def hyperplonk_proof_from_bytes(data: bytes) -> HyperPlonkProof:
-    """Deserialize a HyperPlonk-lite proof (batched-opening format v2)."""
-    r = ByteReader(data)
-    wires_cap = _read_cap(r, "wires cap")
-    z_cap = _read_cap(r, "Z cap")
-    publics = [r.u64() for _ in range(r.count(8, "public input count"))]
-    claimed_sum = r.u64()
-    rounds = [
-        (r.u64(), r.u64()) for _ in range(r.count(16, "sumcheck round count"))
-    ]
-    final_value = r.u64()
-    sumcheck = SumcheckProof(
-        claimed_sum=claimed_sum, round_values=rounds, final_value=final_value
-    )
-    level_caps = [
-        _read_cap(r, "fold-level cap")
-        for _ in range(r.count(8, "fold-level cap count"))
-    ]
-    pre_opening = _read_tree_opening(r, 8, "preprocessed opening")
-    wires_opening = _read_tree_opening(r, 3, "wires opening")
-    z_opening = _read_tree_opening(r, 1, "Z opening")
-    level_openings = [
-        _read_tree_opening(r, 1, "fold-level opening")
-        for _ in range(r.count(4, "fold-level opening count"))
-    ]
-    if not r.done():
-        raise ValueError("trailing bytes after HyperPlonk proof")
-    return HyperPlonkProof(
-        wires_cap=wires_cap,
-        z_cap=z_cap,
-        public_inputs=publics,
-        sumcheck=sumcheck,
-        level_caps=level_caps,
-        pre_opening=pre_opening,
-        wires_opening=wires_opening,
-        z_opening=z_opening,
-        level_openings=level_openings,
-    )
-
-
 # -- Tagged proof blobs --------------------------------------------------------
 #
-# The raw ``*_proof_to_bytes`` bodies carry no self-description: feeding
-# a Plonk body to the STARK decoder yields garbage or a confusing
+# A raw proof body (``ProofSystem.to_bytes``) carries no self-description:
+# feeding a Plonk body to the STARK decoder yields garbage or a confusing
 # structural error.  Everything that ships a proof across a boundary
 # (CLI files, service envelopes, fuzz artifacts) therefore wraps the
 # body in a tagged blob -- magic, a format-version byte, the protocol
 # tag, then the length-prefixed body -- so readers dispatch on the tag
 # and reject untagged bytes with a clear typed error.  Digests stay
 # defined over the *raw body* so the pinned golden digests are
-# unaffected by the framing.
+# unaffected by the framing.  The version byte is the tagged protocol's
+# ``ProofSystem.format_version``, bumped when its body codec changes
+# incompatibly.
 
 PROOF_BLOB_MAGIC = b"UZKP"
-#: Legacy blob-wide version (the version every protocol started at).
-PROOF_FORMAT_VERSION = 1
-
-#: Current body-format version per protocol tag.  Bumped when a body
-#: codec changes incompatibly; the blob's version byte must match the
-#: entry for its protocol.  hyperplonk is at 2: batched per-tree
-#: multiproof openings replaced the v1 per-query individual paths.
-PROOF_FORMAT_VERSIONS = {
-    "stark": 1,
-    "plonk": 1,
-    "hyperplonk": 2,
-}
 
 
 class ProofFormatError(ValueError):
     """A proof blob's framing (magic / version / protocol tag) is invalid."""
 
 
-#: Protocols with a registered body codec, in registry order.
-PROOF_PROTOCOLS = ("stark", "plonk", "hyperplonk")
+def _system_for(protocol: str):
+    """The registered backend behind a blob's protocol tag."""
+    from .protocols import get
 
-_BODY_CODECS = {
-    "stark": (stark_proof_to_bytes, stark_proof_from_bytes),
-    "plonk": (plonk_proof_to_bytes, plonk_proof_from_bytes),
-    "hyperplonk": (hyperplonk_proof_to_bytes, hyperplonk_proof_from_bytes),
-}
-
-
-def proof_format_version(protocol: str) -> int:
-    """The current body-format version for a protocol tag."""
     try:
-        return PROOF_FORMAT_VERSIONS[protocol]
-    except KeyError:
-        raise ProofFormatError(f"unknown proof protocol tag {protocol!r}") from None
-
-
-def proof_body_codec(protocol: str) -> tuple:
-    """The ``(to_bytes, from_bytes)`` body codec for a protocol tag."""
-    try:
-        return _BODY_CODECS[protocol]
-    except KeyError:
+        return get(protocol)
+    except UnknownProtocolError:
         raise ProofFormatError(f"unknown proof protocol tag {protocol!r}") from None
 
 
 def write_proof_blob(protocol: str, body: bytes) -> bytes:
     """Frame a raw proof body with its protocol tag and format version."""
-    if protocol not in _BODY_CODECS:
-        raise ProofFormatError(f"unknown proof protocol tag {protocol!r}")
+    version = _system_for(protocol).format_version
     tag = protocol.encode("utf-8")
     w = ByteWriter()
     w._chunks.append(PROOF_BLOB_MAGIC)
-    w._chunks.append(bytes([PROOF_FORMAT_VERSIONS[protocol]]))
+    w._chunks.append(bytes([version]))
     w.u32(len(tag))
     w._chunks.append(tag)
     w.u32(len(body))
@@ -541,22 +321,18 @@ def read_proof_blob(data: bytes) -> tuple:
         protocol = tag_raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ProofFormatError("malformed proof blob: bad protocol tag") from exc
-    if protocol not in _BODY_CODECS:
-        raise ProofFormatError(f"unknown proof protocol tag {protocol!r}")
-    if version != PROOF_FORMAT_VERSIONS[protocol]:
+    expected = _system_for(protocol).format_version
+    if version != expected:
         raise ProofFormatError(
             f"unsupported proof format version {version} for {protocol!r} "
-            f"(expected {PROOF_FORMAT_VERSIONS[protocol]})"
+            f"(expected {expected})"
         )
     return protocol, body
 
 
 def proof_to_blob(protocol: str, proof) -> bytes:
     """Serialize a proof object into a tagged blob."""
-    if protocol not in _BODY_CODECS:
-        raise ProofFormatError(f"unknown proof protocol tag {protocol!r}")
-    to_bytes, _ = _BODY_CODECS[protocol]
-    return write_proof_blob(protocol, to_bytes(proof))
+    return write_proof_blob(protocol, _system_for(protocol).to_bytes(proof))
 
 
 def proof_from_blob(data: bytes, expected_protocol: str | None = None) -> tuple:
@@ -571,8 +347,7 @@ def proof_from_blob(data: bytes, expected_protocol: str | None = None) -> tuple:
         raise ProofFormatError(
             f"proof blob carries protocol {protocol!r}, expected {expected_protocol!r}"
         )
-    _, from_bytes = _BODY_CODECS[protocol]
-    return protocol, from_bytes(body)
+    return protocol, _system_for(protocol).from_bytes(body)
 
 
 # -- Result envelopes ----------------------------------------------------------
@@ -581,25 +356,28 @@ def proof_from_blob(data: bytes, expected_protocol: str | None = None) -> tuple:
 # between processes and over sockets.  The envelope is a tiny typed
 # framing on top of the proof codecs: magic, version, a kind tag, the
 # workload name, and the payload bytes, so a reader can dispatch to the
-# right ``*_from_bytes`` without out-of-band context.
+# right decoder without out-of-band context.
 
 ENVELOPE_MAGIC = b"UZKR"
 ENVELOPE_VERSION = 1
 
-#: Payload kinds an envelope may carry.
-ENVELOPE_KINDS = (
-    "stark-proof",
-    "plonk-proof",
-    "hyperplonk-proof",
-    "sim-report",
-    "debug",
-)
+#: Payload kinds an envelope may carry besides ``<protocol>-proof``,
+#: which is valid exactly when ``<protocol>`` is a registered backend.
+ENVELOPE_KINDS = ("sim-report", "debug")
+
+
+def _check_envelope_kind(kind: str) -> None:
+    if kind in ENVELOPE_KINDS:
+        return
+    from .protocols import names
+
+    if not kind.endswith("-proof") or kind[: -len("-proof")] not in names():
+        raise ValueError(f"unknown envelope kind {kind!r}")
 
 
 def write_result_envelope(kind: str, workload: str, payload: bytes) -> bytes:
     """Frame a result payload with its kind tag and workload name."""
-    if kind not in ENVELOPE_KINDS:
-        raise ValueError(f"unknown envelope kind {kind!r}")
+    _check_envelope_kind(kind)
     w = ByteWriter()
     w._chunks.append(ENVELOPE_MAGIC)
     w.u32(ENVELOPE_VERSION)
@@ -625,6 +403,5 @@ def read_result_envelope(data: bytes) -> tuple:
     payload = r._take(r.u32())
     if not r.done():
         raise ValueError("trailing bytes after result envelope")
-    if kind not in ENVELOPE_KINDS:
-        raise ValueError(f"unknown envelope kind {kind!r}")
+    _check_envelope_kind(kind)
     return kind, workload, payload

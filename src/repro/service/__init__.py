@@ -19,7 +19,7 @@ the CLI, or :class:`ProvingService` in process::
 from .batching import Batch, coalesce, singletons
 from .cache import ProofCache
 from .client import ServiceClient, ServiceError, wait_for_server
-from .executor import execute, fri_config_for, validate_spec, verify_result
+from .executor import execute, validate_spec, verify_result
 from .jobs import Job, JobFailed, JobResult, JobSpec, JobState
 from .net import ServiceServer, serve_forever
 from .pool import WorkerPool
@@ -47,5 +47,4 @@ __all__ = [
     "execute",
     "verify_result",
     "validate_spec",
-    "fri_config_for",
 ]

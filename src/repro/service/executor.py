@@ -25,7 +25,6 @@ import time
 from typing import Any, Dict
 
 from .. import tracing
-from ..fri import FriConfig
 from ..metrics import counting
 from ..protocols import get as get_protocol
 from ..serialize import (
@@ -35,28 +34,6 @@ from ..serialize import (
     write_result_envelope,
 )
 from .jobs import FAULT_KINDS, JobSpec
-
-#: Small, fast parameters (NOT sound) per proving kind, sourced from the
-#: registered backends; overridable through ``JobSpec.config``.
-DEFAULT_CONFIGS = {
-    "stark": get_protocol("stark").default_config(),
-    "plonk": get_protocol("plonk").default_config(),
-}
-
-
-def fri_config_for(spec: JobSpec) -> FriConfig:
-    """The FRI parameters a stark/plonk spec resolves to (defaults +
-    overrides).  Kept for FRI-family callers; :func:`config_for` is the
-    protocol-generic path."""
-    base = dict(DEFAULT_CONFIGS.get(spec.kind, DEFAULT_CONFIGS["stark"]))
-    base.update(spec.config)
-    return FriConfig(**base)
-
-
-def config_for(spec: JobSpec):
-    """The backend config any protocol spec resolves to."""
-    return get_protocol(spec.kind).make_config(spec.config)
-
 
 def validate_spec(spec: JobSpec, fault_injection: bool = False) -> None:
     """Reject specs the executor cannot run (fail fast at submit time)."""
@@ -150,7 +127,7 @@ def _run(spec: JobSpec) -> bytes:
     psetup = _setup_for(system, workload, spec, config)
     proof = system.prove(psetup)
     return write_result_envelope(
-        system.envelope_kind, spec.workload, proof_to_blob(spec.kind, proof)
+        f"{spec.kind}-proof", spec.workload, proof_to_blob(spec.kind, proof)
     )
 
 
@@ -183,8 +160,8 @@ def verify_result(spec_dict: Dict[str, Any], envelope: bytes) -> bool:
     from ..workloads import by_name
 
     system = get_protocol(protocol)
-    _, proof = proof_from_blob(payload, expected_protocol=protocol)
     config = system.make_config(spec.config)
+    _, proof = proof_from_blob(payload, expected_protocol=protocol)
     psetup = system.setup(by_name(spec.workload), spec.scale, config)
     system.verify(psetup, proof)
     return True

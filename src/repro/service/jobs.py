@@ -22,18 +22,21 @@ import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import UnknownEntryError
 from ..protocols import names as _protocol_names
 
-#: Job kinds the executor understands: every registered proof protocol,
-#: the performance-model ``simulate`` kind, plus the fault-injection
-#: kinds (``sleep``/``crash``) used by the failure tests and benchmarks;
-#: the service only accepts the latter when started with
-#: ``fault_injection=True``.
-JOB_KINDS = _protocol_names() + ("simulate", "sleep", "crash")
+#: Fault-injection kinds used by the failure tests and benchmarks; the
+#: service only accepts them when started with ``fault_injection=True``.
 FAULT_KINDS = ("sleep", "crash")
+
+
+def job_kinds() -> Tuple[str, ...]:
+    """Job kinds the executor understands, read from the registry at
+    call time: every registered proof protocol, the performance-model
+    ``simulate`` kind, plus :data:`FAULT_KINDS`."""
+    return _protocol_names() + ("simulate",) + FAULT_KINDS
 
 
 class UnknownJobKindError(UnknownEntryError):
@@ -71,8 +74,8 @@ class JobSpec:
     params: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in JOB_KINDS:
-            raise UnknownJobKindError(self.kind, JOB_KINDS)
+        if self.kind not in job_kinds():
+            raise UnknownJobKindError(self.kind, job_kinds())
 
     def canonical(self) -> str:
         """Deterministic JSON form (sorted keys) used for hashing."""

@@ -1,4 +1,4 @@
-"""STARK proof container."""
+"""STARK proof container and its body codec."""
 
 from __future__ import annotations
 
@@ -9,6 +9,15 @@ import numpy as np
 
 from ..fri import FriOpenings, FriProof
 from ..fri.proof import DIGEST_BYTES, ELEM_BYTES
+from ..serialize import (
+    ByteReader,
+    ByteWriter,
+    read_cap,
+    read_fri_proof,
+    read_openings,
+    write_fri_proof,
+    write_openings,
+)
 
 
 @dataclass
@@ -30,3 +39,37 @@ class StarkProof:
         total += int(self.openings.flat_values().size) * ELEM_BYTES
         total += self.fri_proof.size_bytes()
         return total
+
+    def to_bytes(self) -> bytes:
+        """Raw canonical proof body (digests are defined over this)."""
+        w = ByteWriter()
+        w.elems(self.trace_cap)
+        w.elems(self.quotient_cap)
+        w.u32(self.degree_bits)
+        w.u32(len(self.public_inputs))
+        for v in self.public_inputs:
+            w.u64(v)
+        write_openings(w, self.openings)
+        write_fri_proof(w, self.fri_proof)
+        return w.getvalue()
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "StarkProof":
+        """Decode a raw proof body (typed ``ValueError`` on bad input)."""
+        r = ByteReader(data)
+        trace_cap = read_cap(r, "trace cap")
+        quotient_cap = read_cap(r, "quotient cap")
+        degree_bits = r.u32()
+        publics = [r.u64() for _ in range(r.count(8, "public input count"))]
+        openings = read_openings(r)
+        fri_proof = read_fri_proof(r)
+        if not r.done():
+            raise ValueError("trailing bytes after STARK proof")
+        return cls(
+            trace_cap=trace_cap,
+            quotient_cap=quotient_cap,
+            public_inputs=publics,
+            degree_bits=degree_bits,
+            openings=openings,
+            fri_proof=fri_proof,
+        )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import tracing
+from ..errors import VerifierError
 from ..field import extension as fext, goldilocks as gl
 from ..fri import fri_verify
 from ..fri.verifier import FriError
@@ -14,7 +15,7 @@ from .proof import StarkProof
 from .prover import quotient_chunk_count
 
 
-class StarkError(Exception):
+class StarkError(VerifierError):
     """Raised when a STARK proof fails verification."""
 
 

@@ -31,6 +31,15 @@ class TestUnknownWorkload:
         assert "'Mystery'" in err and "Fibonacci" in err
 
 
+class TestBadQueryCount:
+    def test_prove_rejects_zero_queries_in_one_line(self, capsys):
+        for protocol in ("stark", "plonk", "hyperplonk"):
+            assert main(["prove", "--protocol", protocol, "--queries", "0"]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.strip() == "error: num_queries must be >= 1"
+            assert "proved" not in captured.out
+
+
 class TestUnknownProtocol:
     def _check(self, capsys, argv):
         assert main(argv) == 2
@@ -42,6 +51,9 @@ class TestUnknownProtocol:
 
     def test_prove_unknown_protocol(self, capsys):
         self._check(capsys, ["prove", "--protocol", "groth16"])
+
+    def test_fuzz_both_is_no_longer_a_protocol(self, capsys):
+        self._check(capsys, ["fuzz", "--protocol", "both", "--iterations", "1"])
 
     def test_fuzz_unknown_protocol(self, capsys):
         self._check(capsys, ["fuzz", "--protocol", "groth16",

@@ -21,7 +21,6 @@ from repro.fuzz import (
     BAD_OUTCOMES,
     MUTATOR_NAMES,
     MUTATORS,
-    PROTOCOLS,
     Finding,
     classify_bytes,
     classify_object,
@@ -33,7 +32,10 @@ from repro.fuzz import (
     shrink_bytes,
     target_for,
 )
+from repro.protocols import names
 from repro.stark import StarkError
+
+PROTOCOLS = names()
 
 
 @pytest.fixture(scope="module", params=PROTOCOLS)

@@ -12,12 +12,7 @@ import pytest
 from repro.field import gl64
 from repro.fri import FriConfig
 from repro.plonk import CircuitBuilder, PlonkError, prove, setup, verify
-from repro.serialize import (
-    plonk_proof_from_bytes,
-    plonk_proof_to_bytes,
-    stark_proof_from_bytes,
-    stark_proof_to_bytes,
-)
+from repro.protocols import get
 from repro.stark import StarkError
 from repro.stark import prove as stark_prove, verify as stark_verify
 from repro.workloads import by_name
@@ -27,6 +22,7 @@ _CFG = FriConfig(rate_bits=3, cap_height=1, num_queries=5,
 _SCFG = FriConfig(rate_bits=1, cap_height=1, num_queries=8,
                   proof_of_work_bits=2, final_poly_len=4)
 _NUM_MUTATIONS = 24
+STARK, PLONK = get("stark"), get("plonk")
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +34,7 @@ def plonk_target():
     data = setup(b.build(), _CFG)
     proof = prove(data, {x.index: 3, pub.index: 27})
     verify(data.verifier_data, proof)  # sanity: honest proof passes
-    return data, plonk_proof_to_bytes(proof)
+    return data, PLONK.to_bytes(proof)
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +42,7 @@ def stark_target():
     air, trace, publics = by_name("Fibonacci").build_air(5)
     proof = stark_prove(air, trace, publics, _SCFG)
     stark_verify(air, proof, _SCFG)
-    return air, stark_proof_to_bytes(proof)
+    return air, STARK.to_bytes(proof)
 
 
 def _mutations(blob: bytes, count: int, seed: int):
@@ -68,7 +64,7 @@ class TestPlonkMutations:
         rejected = 0
         for pos, mutant in _mutations(blob, _NUM_MUTATIONS, seed=1001):
             try:
-                proof = plonk_proof_from_bytes(mutant)
+                proof = PLONK.from_bytes(mutant)
             except ValueError:
                 rejected += 1
                 continue
@@ -87,7 +83,7 @@ class TestStarkMutations:
         rejected = 0
         for pos, mutant in _mutations(blob, _NUM_MUTATIONS, seed=2002):
             try:
-                proof = stark_proof_from_bytes(mutant)
+                proof = STARK.from_bytes(mutant)
             except ValueError:
                 rejected += 1
                 continue

@@ -5,11 +5,14 @@ The software prover has no tuning plane: nothing under ``plan_for`` or
 (``$REPRO_TUNING_CACHE`` / ``~/.cache/repro/tuning.json``), whatever
 that file holds.  The second half pins where process-ambient state
 (``ContextVar`` / ``threading.local``) lives in ``src/repro``, so a new
-ambient is a reviewed edit to the lists below.
+ambient is a reviewed edit to the lists below.  The last part pins that
+a protocol is described in one place: the tables ``ProofSystem`` made
+redundant stay gone, and ``serialize.py`` imports no protocol package.
 """
 
 import ast
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -113,3 +116,56 @@ def _constructor_calls(name):
 @pytest.mark.parametrize("name", sorted(AMBIENT))
 def test_ambient_state_lives_where_pinned(name):
     assert _constructor_calls(name) == AMBIENT[name]
+
+
+# -- one description of a protocol ---------------------------------------------
+
+REPO = SRC.parent.parent
+
+#: Names retired when the body codecs, format versions, envelope kinds
+#: and fuzz targets moved onto ``ProofSystem`` (each split in two so
+#: this list does not find itself).
+RETIRED = "|".join(
+    head + tail
+    for head, tail in [
+        ("_proof", "_(to_bytes|from_bytes|digest)"),
+        ("proof_body", "_codec"),
+        ("proof_format", "_version"),
+        ("PROOF", "_PROTOCOLS"),
+        ("PROOF", "_FORMAT_VERSIONS?"),
+        ("_BODY", "_CODECS"),
+        ("_TARGET", "_BUILDERS"),
+        ("DEFAULT", "_CONFIGS"),
+        ("fri_config", "_for"),
+        ("(prove|verify)_with", "_challenger"),
+    ]
+)
+
+
+def test_retired_protocol_tables_stay_retired():
+    pattern = re.compile(RETIRED)
+    hits = [
+        f"{path.relative_to(REPO)}:{lineno}: {line.strip()}"
+        for top in ("src", "tests", "benchmarks", "examples")
+        for path in sorted((REPO / top).rglob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert hits == []
+
+
+def test_serialize_imports_no_protocol_package():
+    # Module level only: the framing functions reach the registry
+    # through a call-time import, which is what lets each protocol's
+    # proof module import this one.
+    imported = set()
+    for node in ast.parse((SRC / "serialize.py").read_text()).body:
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "repro." * node.level + (node.module or "")
+            imported.add(base.rstrip("."))
+            imported.update(f"{base.rstrip('.')}.{alias.name}" for alias in node.names)
+    banned = ("repro.stark", "repro.plonk", "repro.hyperplonk", "repro.protocols")
+    assert [m for m in sorted(imported) if m.startswith(banned)] == []
+    assert any(m.startswith("repro.fri") for m in imported)  # the scan sees relatives

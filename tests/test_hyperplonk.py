@@ -24,12 +24,10 @@ from repro.hyperplonk import (
 from repro.merkle import MerkleMultiProof
 from repro.metrics import counting
 from repro.plonk import CircuitBuilder
-from repro.serialize import (
-    hyperplonk_proof_digest,
-    hyperplonk_proof_from_bytes,
-    hyperplonk_proof_to_bytes,
-)
+from repro.protocols import get
 from repro.workloads import by_name
+
+HYPERPLONK = get("hyperplonk")
 
 CONFIG = HyperPlonkConfig(cap_height=1, num_queries=4)
 
@@ -66,7 +64,7 @@ class TestEndToEnd:
     def test_proof_is_deterministic(self, cube):
         data, inputs, proof = cube
         again = prove(data, inputs)
-        assert hyperplonk_proof_to_bytes(again) == hyperplonk_proof_to_bytes(proof)
+        assert HYPERPLONK.to_bytes(again) == HYPERPLONK.to_bytes(proof)
 
     def test_different_witnesses_verify(self):
         for x_val in (2, 5, 11):
@@ -87,7 +85,7 @@ class TestTamperRejection:
 
     def _decode(self, proof):
         # Fresh mutable copy via the codec.
-        return hyperplonk_proof_from_bytes(hyperplonk_proof_to_bytes(proof))
+        return HYPERPLONK.from_bytes(HYPERPLONK.to_bytes(proof))
 
     def test_wrong_public_input(self, cube):
         data, _, proof = cube
@@ -241,9 +239,9 @@ class TestEdgeCases:
         assert proof.level_openings == []
         assert len(proof.sumcheck.round_values) == 1
         verify(data.verifier_data, proof)
-        body = hyperplonk_proof_to_bytes(proof)
-        assert hyperplonk_proof_to_bytes(
-            hyperplonk_proof_from_bytes(body)
+        body = HYPERPLONK.to_bytes(proof)
+        assert HYPERPLONK.to_bytes(
+            HYPERPLONK.from_bytes(body)
         ) == body
 
     def test_cap_height_clamps_on_tiny_levels(self):
@@ -277,37 +275,37 @@ class TestEdgeCases:
             set(proof.wires_opening.proof.indices)
         )
         verify(dup_data.verifier_data, proof)
-        body = hyperplonk_proof_to_bytes(proof)
-        assert hyperplonk_proof_to_bytes(
-            hyperplonk_proof_from_bytes(body)
+        body = HYPERPLONK.to_bytes(proof)
+        assert HYPERPLONK.to_bytes(
+            HYPERPLONK.from_bytes(body)
         ) == body
 
 
 class TestCodec:
     def test_roundtrip_byte_stable(self, cube):
         _, _, proof = cube
-        body = hyperplonk_proof_to_bytes(proof)
-        again = hyperplonk_proof_from_bytes(body)
-        assert hyperplonk_proof_to_bytes(again) == body
-        assert hyperplonk_proof_digest(again) == hyperplonk_proof_digest(proof)
+        body = HYPERPLONK.to_bytes(proof)
+        again = HYPERPLONK.from_bytes(body)
+        assert HYPERPLONK.to_bytes(again) == body
+        assert HYPERPLONK.digest(again) == HYPERPLONK.digest(proof)
 
     def test_size_bytes_tracks_encoding(self, cube):
         _, _, proof = cube
         # size_bytes counts payload words; the wire form adds bounded
         # framing (magic-free body, count prefixes), so they agree to
         # within a small factor.
-        body = hyperplonk_proof_to_bytes(proof)
+        body = HYPERPLONK.to_bytes(proof)
         assert proof.size_bytes() <= len(body) <= 2 * proof.size_bytes()
 
     def test_truncated_body_rejected(self, cube):
         _, _, proof = cube
-        body = hyperplonk_proof_to_bytes(proof)
+        body = HYPERPLONK.to_bytes(proof)
         for cut in (0, 5, len(body) // 2, len(body) - 1):
             with pytest.raises(ValueError):
-                hyperplonk_proof_from_bytes(body[:cut])
+                HYPERPLONK.from_bytes(body[:cut])
 
     def test_trailing_bytes_rejected(self, cube):
         _, _, proof = cube
-        body = hyperplonk_proof_to_bytes(proof)
+        body = HYPERPLONK.to_bytes(proof)
         with pytest.raises(ValueError):
-            hyperplonk_proof_from_bytes(body + b"\x00")
+            HYPERPLONK.from_bytes(body + b"\x00")

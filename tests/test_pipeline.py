@@ -15,11 +15,13 @@ from repro.hashing import Challenger
 from repro.pcs import FriPCS
 from repro.plonk import plan_for as plonk_plan_for, prove as plonk_prove, setup
 from repro.plonk import prover as plonk_prover_module
-from repro.serialize import plonk_proof_digest, stark_proof_digest
+from repro.protocols import get
 from repro.stark import prove as stark_prove
 from repro.stark import prover as stark_prover_module
 from repro.tracing import load_trace, validate_trace_events, write_spans_trace
 from repro.workloads import fibonacci, mvm
+
+stark_digest, plonk_digest = get("stark").digest, get("plonk").digest
 
 STARK_CONFIG = FriConfig(
     rate_bits=1, cap_height=1, num_queries=10, proof_of_work_bits=3, final_poly_len=4
@@ -46,15 +48,15 @@ class TestGoldenProofs:
     def test_stark_digest_unchanged(self):
         air, trace, publics = fibonacci.SPEC.build_air(6)
         proof = stark_prove(air, trace, publics, STARK_CONFIG)
-        assert stark_proof_digest(proof) == STARK_GOLDEN_FIB6
+        assert stark_digest(proof) == STARK_GOLDEN_FIB6
 
     def test_plonk_fibonacci_digest_unchanged(self):
         proof = _plonk_proof(fibonacci.SPEC, 6)
-        assert plonk_proof_digest(proof) == PLONK_GOLDEN_FIB6
+        assert plonk_digest(proof) == PLONK_GOLDEN_FIB6
 
     def test_plonk_mvm_digest_unchanged(self):
         proof = _plonk_proof(mvm.SPEC, 6)
-        assert plonk_proof_digest(proof) == PLONK_GOLDEN_MVM6
+        assert plonk_digest(proof) == PLONK_GOLDEN_MVM6
 
     def test_plonk_counters_unchanged(self):
         circuit, inputs, _ = fibonacci.SPEC.build_circuit(6)
@@ -117,7 +119,7 @@ class TestPlonkOnSharedPlan:
         data = setup(circuit, PLONK_CONFIG)
         plan = plonk_plan_for(circuit.n, PLONK_CONFIG.rate_bits)
         with_plan = plonk_prove(data, inputs, plan=plan)
-        assert plonk_proof_digest(with_plan) == PLONK_GOLDEN_FIB6
+        assert plonk_digest(with_plan) == PLONK_GOLDEN_FIB6
 
 
 class TestSpans:

@@ -1,14 +1,26 @@
 """Protocol-backend registry: interface conformance, typed lookup
 errors, config handling, serialization round trips, and per-backend
 end-to-end prove/verify (including the sumcheck-native backend's
-zero-NTT guarantee)."""
+zero-NTT guarantee).  The registry is also the *only* description of a
+protocol: a backend registered under a fresh name must frame, ship,
+verify and fuzz with no other module touched."""
+
+import hashlib
 
 import pytest
 
 from repro.errors import UnknownProtocolError
+from repro.fuzz import FuzzTarget, target_for
 from repro.metrics import counting
-from repro.protocols import ProofSystem, ProtocolSetup, get, names
-from repro.serialize import PROOF_PROTOCOLS, proof_from_blob, proof_to_blob
+from repro.protocols import ProofSystem, ProtocolSetup, StarkSystem, get, names, registry
+from repro.serialize import (
+    ProofFormatError,
+    proof_from_blob,
+    proof_to_blob,
+    read_result_envelope,
+    write_result_envelope,
+)
+from repro.service import JobSpec, ProvingService, execute, validate_spec, verify_result
 from repro.workloads import by_name
 
 
@@ -18,7 +30,10 @@ class TestRegistry:
 
     def test_every_name_has_a_blob_codec(self):
         for name in names():
-            assert name in PROOF_PROTOCOLS
+            system = get(name)
+            assert type(system).to_bytes is not ProofSystem.to_bytes
+            assert type(system).from_bytes is not ProofSystem.from_bytes
+            assert 1 <= system.format_version <= 255  # one version byte
 
     def test_unknown_protocol_typed_error(self):
         with pytest.raises(UnknownProtocolError) as ei:
@@ -33,7 +48,8 @@ class TestRegistry:
             system = get(name)
             assert isinstance(system, ProofSystem)
             assert system.name == name
-            assert system.envelope_kind == f"{name}-proof"
+            blob = write_result_envelope(f"{name}-proof", "w", b"")
+            assert read_result_envelope(blob) == (f"{name}-proof", "w", b"")
             assert system.description
             cfg = system.default_config()
             assert isinstance(cfg, dict) and cfg
@@ -54,6 +70,64 @@ class TestRegistry:
             system = get(name)
             config = system.make_config({"num_queries": 3})
             assert config.num_queries == 3
+
+
+#: Knob values the shared config path once let through: wrong types
+#: died in a worker, zero/negative query counts "proved" and verified a
+#: proof with no query rounds at all.
+BAD_KNOBS = [
+    ("num_queries", "7"),
+    ("num_queries", 2.5),
+    ("num_queries", True),
+    ("num_queries", 0),
+    ("num_queries", -3),
+    ("cap_height", -1),
+    ("cap_height", 1.0),
+]
+
+
+@pytest.mark.parametrize("knob,value", BAD_KNOBS, ids=lambda v: repr(v))
+@pytest.mark.parametrize("protocol", names())
+class TestBadKnobValues:
+    def test_rejected_at_make_config(self, protocol, knob, value):
+        with pytest.raises(ValueError, match=knob):
+            get(protocol).make_config({knob: value})
+
+    def test_rejected_at_submit_before_any_worker(self, protocol, knob, value):
+        spec = {"workload": "Fibonacci", "kind": protocol, "scale": 5, "config": {knob: value}}
+        with pytest.raises(ValueError, match=knob):
+            validate_spec(JobSpec.from_dict(spec))
+        svc = ProvingService(workers=1)  # never started: no worker exists
+        with pytest.raises(ValueError, match=knob):
+            svc.submit(spec)
+        assert svc.totals["submitted"] == 0 and svc.stats()["queue_depth"] == 0
+        # ... and neither half of the executor runs such a spec directly.
+        with pytest.raises(ValueError, match=knob):
+            execute(spec)
+        with pytest.raises(ValueError, match=knob):
+            verify_result(spec, write_result_envelope(f"{protocol}-proof", "Fibonacci", b""))
+
+
+@pytest.mark.parametrize("protocol", names())
+def test_config_objects_check_their_own_ranges(protocol):
+    # Direct callers of FriConfig / HyperPlonkConfig get the range
+    # checks too, not just make_config callers.
+    config_type = type(get(protocol).make_config())
+    for bad in ({"num_queries": 0}, {"num_queries": -3}, {"cap_height": -1}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            config_type(**bad)
+
+
+@pytest.mark.parametrize("protocol", names())
+def test_cap_taller_than_the_tree_never_reaches_an_index_error(protocol):
+    system = get(protocol)
+    config = system.make_config({"cap_height": 40, "num_queries": 2})
+    try:
+        psetup = system.setup(by_name("Fibonacci"), 5, config)
+    except ValueError as exc:
+        assert "cap_height" in str(exc)
+    else:  # clamped per tree instead
+        system.verify(psetup, system.prove(psetup))
 
 
 class TestProveIsAbstract:
@@ -122,6 +196,88 @@ class TestEndToEnd:
             target = get(name).fuzz_target()
             assert target.protocol == name
             assert target.blob != target.alt_blob
+
+
+class ToySystem(StarkSystem):
+    """The STARK backend under a name no other module has heard of."""
+
+    name = "toy"
+    description = "registry-sufficiency probe"
+
+
+class TestRegistryIsSufficient:
+    """A fourth backend is one class plus ``register()``."""
+
+    @pytest.fixture
+    def toy(self, monkeypatch):
+        monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+        return registry.register(ToySystem())
+
+    def test_fresh_name_flows_through_every_consumer(self, toy):
+        assert names()[-1] == "toy"
+        psetup = toy.setup(by_name("Fibonacci"), 5, toy.make_config({"num_queries": 4}))
+        proof = toy.prove(psetup)
+        body = toy.to_bytes(proof)
+        assert toy.digest(proof) == hashlib.sha256(body).hexdigest()
+        # Same proof as the backend it renames, framed under its own tag.
+        assert body == get("stark").to_bytes(proof)
+        blob = proof_to_blob("toy", proof)
+        assert blob != proof_to_blob("stark", proof)
+        tag, decoded = proof_from_blob(blob, expected_protocol="toy")
+        assert tag == "toy" and toy.to_bytes(decoded) == body
+        # Service job kind, envelope kind, client-side verification.
+        spec = {"workload": "Fibonacci", "kind": "toy", "scale": 5, "config": {"num_queries": 4}}
+        validate_spec(JobSpec.from_dict(spec))
+        envelope = execute(spec)["envelope"]
+        kind, workload, payload = read_result_envelope(envelope)
+        assert (kind, workload, payload) == ("toy-proof", "Fibonacci", blob)
+        assert verify_result(spec, envelope) is True
+        # Fuzz target, transcript hooks.
+        assert isinstance(target_for("toy"), FuzzTarget)
+        assert toy.public_inputs_of(psetup, proof) == list(proof.public_inputs)
+
+    def test_name_is_unknown_again_once_unregistered(self, toy, monkeypatch):
+        proof_blob = get("stark").fuzz_target().blob
+        monkeypatch.undo()
+        assert "toy" not in names()
+        with pytest.raises(ProofFormatError, match="unknown proof protocol tag"):
+            proof_to_blob("toy", object())
+        with pytest.raises(ValueError, match="unknown envelope kind"):
+            write_result_envelope("toy-proof", "Fibonacci", proof_blob)
+        with pytest.raises(ValueError, match="job kind"):
+            JobSpec("Fibonacci", kind="toy")
+        with pytest.raises(UnknownProtocolError):
+            target_for("toy")
+
+
+#: sha256 of ``proof_to_blob`` / the service result envelope for the
+#: golden Fibonacci scale-6 proof under each default config, recorded at
+#: commit a2c3306 -- before the body codecs moved next to their proofs.
+FRAMED_GOLDENS = {
+    "stark": (
+        "c01220f1d055d1b3d2a841ff9ae6cc703edb059c38b69d178d4d94a2ab14ece9",
+        "dc8f15ccb5963e76465d76d1c88c0d9ebc73afd704d4cb9dc8068ce5c2bc4fd1",
+    ),
+    "plonk": (
+        "82abb7cbaa3ccfc11ad83e71d4d167d944bd410dd75c112a622ea63ff6c85e7c",
+        "cd632bce290c9ecffa9acfdee83d1acafcdd8b6f72133e82a85ba09c88778c9b",
+    ),
+    "hyperplonk": (
+        "9b90d5ce1826c31e85f425439f884f3ed77aeffcc9156da5ffcabb2e9951aa6a",
+        "7f3ec9d3d2874f02b92f45c3327152920a619f56c579421de61df96afb9587d2",
+    ),
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(FRAMED_GOLDENS))
+def test_framed_bytes_are_what_they_always_were(protocol):
+    system = get(protocol)
+    psetup = system.setup(by_name("Fibonacci"), 6, system.make_config())
+    blob = proof_to_blob(protocol, system.prove(psetup))
+    envelope = execute({"workload": "Fibonacci", "kind": protocol, "scale": 6})["envelope"]
+    assert read_result_envelope(envelope)[2] == blob
+    got = tuple(hashlib.sha256(b).hexdigest() for b in (blob, envelope))
+    assert got == FRAMED_GOLDENS[protocol]
 
 
 class TestHyperPlonkHotPath:

@@ -17,11 +17,13 @@ from repro import metrics, parallel, plonk, stark
 from repro.field import goldilocks as gl
 from repro.fri import DomainPlan, plan as fri_plan
 from repro.fri.config import FriConfig
-from repro.serialize import plonk_proof_digest, stark_proof_digest
+from repro.protocols import get
 from repro.stark import plan_for, prove, prove_batch, verify
 from repro.workloads import fibonacci
 
 from .test_parallel import TINY
+
+stark_digest, plonk_digest = get("stark").digest, get("plonk").digest
 
 CONFIG = FriConfig(
     rate_bits=1, cap_height=1, num_queries=10, proof_of_work_bits=3, final_poly_len=4
@@ -41,7 +43,7 @@ def test_shared_plan_proofs_are_identical_and_match_golden():
     plan = plan_for(trace.shape[0], CONFIG.rate_bits)
     first = prove(air, trace, publics, CONFIG, plan=plan)
     second = prove(air, trace, publics, CONFIG, plan=plan)
-    d1, d2 = stark_proof_digest(first), stark_proof_digest(second)
+    d1, d2 = stark_digest(first), stark_digest(second)
     assert d1 == d2 == GOLDEN_DIGEST
     verify(air, second, CONFIG)
 
@@ -59,18 +61,18 @@ def test_plan_counters_match_golden():
 
 def test_batch_path_matches_direct_path():
     air, trace, publics = fibonacci.SPEC.build_air(6)
-    direct = stark_proof_digest(prove(air, trace, publics, CONFIG))
+    direct = stark_digest(prove(air, trace, publics, CONFIG))
     batch = prove_batch(air, [(trace, publics), (trace, publics)], CONFIG)
-    digests = [stark_proof_digest(p) for p in batch]
+    digests = [stark_digest(p) for p in batch]
     assert digests == [direct, direct]
 
 
 def test_interleaved_shapes_do_not_corrupt_workspaces():
     air6, trace6, pub6 = fibonacci.SPEC.build_air(6)
     air7, trace7, pub7 = fibonacci.SPEC.build_air(7)
-    before = stark_proof_digest(prove(air6, trace6, pub6, CONFIG))
+    before = stark_digest(prove(air6, trace6, pub6, CONFIG))
     prove(air7, trace7, pub7, CONFIG)  # different shape reuses other arenas
-    after = stark_proof_digest(prove(air6, trace6, pub6, CONFIG))
+    after = stark_digest(prove(air6, trace6, pub6, CONFIG))
     assert before == after == GOLDEN_DIGEST
 
 
@@ -189,10 +191,10 @@ def test_protocols_interleave_on_the_shared_plan(workers, fresh_plan_cache):
     data = plonk.setup(circuit, SHARED_CONFIG)
 
     def prove_stark(**kw):
-        return stark_proof_digest(prove(air, trace, publics, SHARED_CONFIG, **kw))
+        return stark_digest(prove(air, trace, publics, SHARED_CONFIG, **kw))
 
     def prove_plonk(**kw):
-        return plonk_proof_digest(plonk.prove(data, inputs, **kw))
+        return plonk_digest(plonk.prove(data, inputs, **kw))
 
     solo_stark = prove_stark(plan=DomainPlan(n, rate_bits))
     solo_plonk = prove_plonk(plan=DomainPlan(n, rate_bits))
@@ -210,7 +212,7 @@ def test_protocols_interleave_on_the_shared_plan(workers, fresh_plan_cache):
 
 def test_service_executor_digests_are_deterministic():
     from repro.serialize import proof_from_blob, read_result_envelope
-    from repro.service.executor import DEFAULT_CONFIGS, execute
+    from repro.service.executor import execute
 
     spec = {"workload": "Fibonacci", "kind": "stark", "scale": 6}
     payloads = []
@@ -219,8 +221,6 @@ def test_service_executor_digests_are_deterministic():
         assert kind == "stark-proof"
         payloads.append(payload)
     assert payloads[0] == payloads[1]
-    if DEFAULT_CONFIGS["stark"] == dict(
-        rate_bits=1, cap_height=1, num_queries=10, proof_of_work_bits=3, final_poly_len=4
-    ):
+    if get("stark").make_config() == CONFIG:
         _, proof = proof_from_blob(payloads[0], expected_protocol="stark")
-        assert stark_proof_digest(proof) == GOLDEN_DIGEST
+        assert stark_digest(proof) == GOLDEN_DIGEST

@@ -7,14 +7,8 @@ import pytest
 from repro.field import gl64
 from repro.fri import FriConfig
 from repro.plonk import CircuitBuilder, prove, setup, verify
-from repro.serialize import (
-    ByteReader,
-    ByteWriter,
-    plonk_proof_from_bytes,
-    plonk_proof_to_bytes,
-    stark_proof_from_bytes,
-    stark_proof_to_bytes,
-)
+from repro.protocols import get
+from repro.serialize import ByteReader, ByteWriter
 from repro.stark import prove as stark_prove, verify as stark_verify
 from repro.workloads import by_name
 
@@ -22,6 +16,7 @@ _CFG = FriConfig(rate_bits=3, cap_height=1, num_queries=5,
                  proof_of_work_bits=2, final_poly_len=4)
 _SCFG = FriConfig(rate_bits=1, cap_height=1, num_queries=8,
                   proof_of_work_bits=2, final_poly_len=4)
+STARK, PLONK = get("stark"), get("plonk")
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +104,7 @@ class TestHostileLengths:
         # and degree_bits) with 0xFFFFFFFF: the reader must bound it by
         # the remaining buffer instead of looping 4 billion times.
         _, proof = stark_setup
-        blob = bytearray(stark_proof_to_bytes(proof))
+        blob = bytearray(STARK.to_bytes(proof))
         w = ByteWriter()
         w.elems(proof.trace_cap)
         w.elems(proof.quotient_cap)
@@ -117,7 +112,7 @@ class TestHostileLengths:
         offset = len(w.getvalue())
         blob[offset : offset + 4] = b"\xff\xff\xff\xff"
         with pytest.raises(ValueError, match="length-inflated"):
-            stark_proof_from_bytes(bytes(blob))
+            STARK.from_bytes(bytes(blob))
 
     def test_scalar_cap_rejected(self, plonk_setup):
         # Re-serialize with the wires cap written as a 0-d array: the
@@ -128,17 +123,17 @@ class TestHostileLengths:
         w.u32(0)  # ndim 0: a scalar "cap"
         w._chunks.append(b"\x07" + b"\x00" * 7)
         with pytest.raises(ValueError, match="cap"):
-            from repro.serialize import _read_cap
+            from repro.serialize import read_cap
 
-            _read_cap(ByteReader(w.getvalue()), "wires cap")
+            read_cap(ByteReader(w.getvalue()), "wires cap")
 
     def test_empty_cap_rejected(self):
-        from repro.serialize import _read_cap
+        from repro.serialize import read_cap
 
         w = ByteWriter()
         w.elems(np.zeros((0, 4), dtype=np.uint64))
         with pytest.raises(ValueError, match="cap"):
-            _read_cap(ByteReader(w.getvalue()), "trace cap")
+            read_cap(ByteReader(w.getvalue()), "trace cap")
 
     def test_malformed_merkle_siblings_rejected(self):
         from repro.serialize import _read_merkle_proof
@@ -152,13 +147,13 @@ class TestHostileLengths:
 class TestPlonkRoundTrip:
     def test_roundtrip_verifies(self, plonk_setup):
         data, proof = plonk_setup
-        blob = plonk_proof_to_bytes(proof)
-        restored = plonk_proof_from_bytes(blob)
+        blob = PLONK.to_bytes(proof)
+        restored = PLONK.from_bytes(blob)
         verify(data.verifier_data, restored)
 
     def test_roundtrip_fields_equal(self, plonk_setup):
         _, proof = plonk_setup
-        restored = plonk_proof_from_bytes(plonk_proof_to_bytes(proof))
+        restored = PLONK.from_bytes(PLONK.to_bytes(proof))
         assert np.array_equal(restored.wires_cap, proof.wires_cap)
         assert restored.public_inputs == proof.public_inputs
         assert restored.fri_proof.pow_witness == proof.fri_proof.pow_witness
@@ -166,25 +161,25 @@ class TestPlonkRoundTrip:
 
     def test_serialized_size_near_accounting(self, plonk_setup):
         _, proof = plonk_setup
-        blob = plonk_proof_to_bytes(proof)
+        blob = PLONK.to_bytes(proof)
         accounted = proof.size_bytes()
         # Codec overhead is length prefixes only: within 35%.
         assert accounted <= len(blob) <= accounted * 1.35
 
     def test_trailing_garbage_rejected(self, plonk_setup):
         _, proof = plonk_setup
-        blob = plonk_proof_to_bytes(proof) + b"\x00"
+        blob = PLONK.to_bytes(proof) + b"\x00"
         with pytest.raises(ValueError):
-            plonk_proof_from_bytes(blob)
+            PLONK.from_bytes(blob)
 
     def test_corrupted_payload_fails_verification(self, plonk_setup):
         data, proof = plonk_setup
-        blob = bytearray(plonk_proof_to_bytes(proof))
+        blob = bytearray(PLONK.to_bytes(proof))
         blob[len(blob) // 2] ^= 0xFF
         from repro.plonk import PlonkError
 
         try:
-            restored = plonk_proof_from_bytes(bytes(blob))
+            restored = PLONK.from_bytes(bytes(blob))
         except ValueError:
             return  # structural corruption detected at decode time
         with pytest.raises(PlonkError):
@@ -194,17 +189,17 @@ class TestPlonkRoundTrip:
 class TestStarkRoundTrip:
     def test_roundtrip_verifies(self, stark_setup):
         air, proof = stark_setup
-        restored = stark_proof_from_bytes(stark_proof_to_bytes(proof))
+        restored = STARK.from_bytes(STARK.to_bytes(proof))
         stark_verify(air, restored, _SCFG)
 
     def test_degree_bits_preserved(self, stark_setup):
         _, proof = stark_setup
-        restored = stark_proof_from_bytes(stark_proof_to_bytes(proof))
+        restored = STARK.from_bytes(STARK.to_bytes(proof))
         assert restored.degree_bits == proof.degree_bits
 
     def test_deterministic_bytes(self, stark_setup):
         _, proof = stark_setup
-        assert stark_proof_to_bytes(proof) == stark_proof_to_bytes(proof)
+        assert STARK.to_bytes(proof) == STARK.to_bytes(proof)
 
 
 class TestResultEnvelope:
@@ -234,19 +229,17 @@ class TestResultEnvelope:
         with pytest.raises(ValueError, match="trailing"):
             read_result_envelope(blob + b"\x00")
 
-    def test_stark_proof_digest_stable(self, stark_setup):
-        from repro.serialize import stark_proof_digest
-
+    def test_stark_digest_stable(self, stark_setup):
         _, proof = stark_setup
-        assert stark_proof_digest(proof) == stark_proof_digest(proof)
-        assert len(stark_proof_digest(proof)) == 64
+        assert STARK.digest(proof) == STARK.digest(proof)
+        assert len(STARK.digest(proof)) == 64
 
 
 class TestTaggedProofBlob:
     """Protocol tag + format-version framing around raw proof bodies."""
 
     def test_roundtrip_each_protocol(self, stark_setup, plonk_setup):
-        from repro.serialize import proof_body_codec, proof_from_blob, proof_to_blob
+        from repro.serialize import proof_from_blob, proof_to_blob
 
         for protocol, proof in (
             ("stark", stark_setup[1]), ("plonk", plonk_setup[1]),
@@ -256,25 +249,20 @@ class TestTaggedProofBlob:
             assert tag == protocol
             # Digest is defined over the raw body, so framing does not
             # perturb the pinned goldens.
-            encode = proof_body_codec(protocol)[0]
+            encode = get(protocol).to_bytes
             assert encode(decoded) == encode(proof)
 
     def test_blob_carries_magic_and_version(self, plonk_setup):
-        from repro.serialize import (
-            PROOF_BLOB_MAGIC,
-            PROOF_FORMAT_VERSION,
-            proof_to_blob,
-        )
+        from repro.serialize import PROOF_BLOB_MAGIC, proof_to_blob
 
         blob = proof_to_blob("plonk", plonk_setup[1])
         assert blob.startswith(PROOF_BLOB_MAGIC)
-        assert blob[len(PROOF_BLOB_MAGIC)] == PROOF_FORMAT_VERSION
+        assert blob[len(PROOF_BLOB_MAGIC)] == PLONK.format_version
 
     def test_untagged_blob_rejected(self, plonk_setup):
         from repro.serialize import ProofFormatError, proof_from_blob
-        from repro.serialize import plonk_proof_to_bytes as raw
 
-        body = raw(plonk_setup[1])  # a bare body, no UZKP framing
+        body = PLONK.to_bytes(plonk_setup[1])  # a bare body, no UZKP framing
         with pytest.raises(ProofFormatError, match="magic"):
             proof_from_blob(body)
 
@@ -304,13 +292,13 @@ class TestTaggedProofBlob:
         with pytest.raises(ValueError, match="protocol"):
             write_proof_blob("groth16", b"x")
         # Hand-craft a framed blob with a hostile tag.
-        from repro.serialize import PROOF_BLOB_MAGIC, PROOF_FORMAT_VERSION
+        from repro.serialize import PROOF_BLOB_MAGIC
         import struct
 
         tag = b"groth16"
         blob = (
             PROOF_BLOB_MAGIC
-            + bytes([PROOF_FORMAT_VERSION])
+            + bytes([1])
             + struct.pack("<I", len(tag)) + tag
             + struct.pack("<I", 1) + b"x"
         )

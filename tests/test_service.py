@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.metrics import counting
+from repro.protocols import get as get_protocol
 from repro.serialize import proof_from_blob, read_result_envelope
 from repro.service import (
     JobSpec,
@@ -146,10 +147,8 @@ class TestServiceEndToEnd:
             kind, workload, payload = read_result_envelope(result.envelope)
             assert kind == "stark-proof" and workload == "Fibonacci"
             air, _, _ = build_air(FIB["scale"])
-            from repro.service import fri_config_for
-
             _, proof = proof_from_blob(payload, expected_protocol="stark")
-            stark_verify(air, proof, fri_config_for(JobSpec(**FIB)))
+            stark_verify(air, proof, get_protocol("stark").make_config())
             assert verify_result(FIB, result.envelope)
             stats = svc.job(jid)
             assert stats["state"] == "done"
@@ -459,8 +458,6 @@ class TestStageWallMerge:
 
 class TestShardedService:
     def test_sharded_proof_round_trips(self):
-        from repro.service import fri_config_for
-
         svc = _service(
             workers=1,
             shard_workers=2,
@@ -474,7 +471,7 @@ class TestShardedService:
             assert kind == "stark-proof" and workload == "Fibonacci"
             air, _, _ = build_air(FIB["scale"])
             _, proof = proof_from_blob(payload, expected_protocol="stark")
-            stark_verify(air, proof, fri_config_for(JobSpec(**FIB)))
+            stark_verify(air, proof, get_protocol("stark").make_config())
             # Shard spans ride back nested inside the prove stages.
             shard = [
                 s

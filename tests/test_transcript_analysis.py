@@ -106,7 +106,7 @@ class TestProtocolConformance:
             system.make_config(spec.config_overrides),
         )
         plain = system.prove(setup)
-        recorded = system.prove_with_challenger(setup, RecordingChallenger())
+        recorded = system.prove(setup, challenger=RecordingChallenger())
         assert system.digest(recorded) == system.digest(plain)
 
     def test_runner_entry_point_is_clean(self):

@@ -15,7 +15,8 @@ import pytest
 
 from repro.fuzz.mutators import MUTATORS
 from repro.fuzz.runner import classify_object
-from repro.fuzz.targets import PROTOCOLS, TYPED_REJECTIONS, target_for
+from repro.fuzz.targets import TYPED_REJECTIONS, target_for
+from repro.protocols import names
 
 from .reference_verifiers import reference_plane
 
@@ -23,6 +24,7 @@ from .reference_verifiers import reference_plane
 #: (swap the two opening points, drop one of four query rounds, ...)
 #: repeat themselves long before this; repeats are verified once.
 SEEDS = 200
+PROTOCOLS = names()
 
 
 def _both(target, proof):
