@@ -19,6 +19,12 @@ under a forced 2-worker :class:`repro.parallel.ShardPool` against the
 *same* goldens: fanning the shards out across processes must not change
 the digest or a single operation count.
 
+Before any proof, the batched permutation is compared with the scalar
+one, state by state, at batch sizes on both sides of every regime
+boundary it has (scalar crossover, GEMM block, permutation block): a
+kernel rewrite that breaks one regime fails here, by name, before a
+digest golden does.
+
 Usage: PYTHONPATH=src python benchmarks/check_perf_counters.py
 """
 
@@ -26,8 +32,12 @@ from __future__ import annotations
 
 import sys
 
+import numpy as np
+
 from repro import metrics, parallel, protocols
+from repro.field import gl64
 from repro.fri.config import FriConfig
+from repro.hashing import optimized
 from repro.hyperplonk import HyperPlonkConfig
 from repro.workloads import fibonacci
 
@@ -123,8 +133,22 @@ def _prove_and_check(label: str, system, setup, golden: dict, want_digest: str, 
     return failures + _diff(f"{label} verify", counts, VERIFY_GOLDEN[system.name])
 
 
-def main() -> int:
+def _check_permutation_regimes() -> list:
+    """``permute_into`` against ``permute_scalar`` on every state of a
+    batch at, and one past, each regime boundary."""
+    rng = np.random.default_rng(0)
+    edges = (optimized._SCALAR_ROWS, optimized._GEMM_ROWS, optimized._PERMUTE_ROWS)
     failures = []
+    for batch in sorted({edge + step for edge in edges for step in (0, 1)}):
+        states = gl64.random((batch, optimized.WIDTH), rng)
+        want = [optimized.permute_scalar(row) for row in states.tolist()]
+        if optimized.permute_into(states).tolist() != want:
+            failures.append(f"permute_into diverges from permute_scalar at batch {batch}")
+    return failures
+
+
+def main() -> int:
+    failures = _check_permutation_regimes()
     inline = parallel.default_pool()
     instances = []
     for name, config, golden, want_digest in CASES:
@@ -152,6 +176,7 @@ def main() -> int:
         for line in failures:
             print(f"  {line}")
         return 1
+    print("permute_into == permute_scalar at every regime boundary")
     for name, _, golden, _ in CASES:
         print(f"{name} counters OK: {', '.join(f'{k}={v}' for k, v in golden.items())}")
         verify = VERIFY_GOLDEN[name]

@@ -97,8 +97,8 @@ def check_gl_kernels(rng: np.random.Generator) -> List[str]:
 
 
 #: Batch sizes on both sides of the scalar/vector crossover
-#: (``optimized._SCALAR_ROWS`` = 8) and of the limb GEMM's 256-row block.
-_POSEIDON_BATCHES = (8, 9, 255, 256, 257, 513)
+#: (``optimized._SCALAR_ROWS``) and of the limb GEMM's 256-row block.
+_POSEIDON_BATCHES = (optimized._SCALAR_ROWS, optimized._SCALAR_ROWS + 1, 255, 256, 257, 513)
 
 #: Lane values at the limb boundaries of the GEMM kernel: the ends of the
 #: canonical range, the 32-bit split, and words whose 16-bit limbs are
@@ -156,7 +156,7 @@ def check_poseidon(rng: np.random.Generator) -> List[str]:
     length = int(rng.integers(1, 2 * sponge.RATE + 2))
     inputs = _edge_rows((top, length), rng)
     ref_digests = _naive_hash_batch(inputs)
-    for batch in (int(rng.integers(1, 9)),) + _POSEIDON_BATCHES:
+    for batch in (int(rng.integers(1, optimized._SCALAR_ROWS + 1)),) + _POSEIDON_BATCHES:
         if not np.array_equal(optimized.permute(states[:batch]), ref[:batch]):
             problems.append(f"optimized.permute diverges from permute_naive (batch {batch})")
         buf = states[:batch].copy()

@@ -38,6 +38,7 @@ so that path keeps the plain round structure.
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -200,16 +201,31 @@ def sparse_round_apply(states: np.ndarray, rnd: SparseRound) -> np.ndarray:
     return out
 
 
+#: Bits per slot of the packed (Kronecker-substituted) MDS product: a
+#: slot sums ``WIDTH`` products of two 64-bit words, below ``2**132``.
+_SLOT = 136
+_SLOT_MASK = (1 << _SLOT) - 1
+#: Bit offset of output lane ``j`` in the packed product.
+_OUT_SHIFTS = tuple(_SLOT * (WIDTH - 1 + j) for j in range(WIDTH))
+
+
 @lru_cache(maxsize=1)
 def _scalar_tables():
     """Python-int copies of all round tensors for the scalar fast path.
 
-    Matrices are stored transposed (column-major tuples) so the row
-    vector x matrix products index them directly.
+    The Cauchy MDS matrix is Hankel -- ``M[i][j] = 1 / (i + j + 12) =
+    h[i + j]`` -- so ``state @ M`` is a polynomial product: with the
+    state packed high lane first (lane ``i`` in slot ``11 - i``) and
+    ``h`` packed low entry first, slot ``11 + j`` of the big-int product
+    is ``sum_i state[i] * h[i + j]``.  The pre-matrix is stored
+    transposed (column tuples) for the row-vector dot products.
     """
     params = optimized_params()
     full_rc, _ = round_constants()
-    mds_t = tuple(tuple(int(v) for v in col) for col in zip(*mds_matrix().tolist()))
+    mds = mds_matrix().tolist()
+    h = mds[0] + mds[-1][1:]
+    assert all(mds[i][j] == h[i + j] for i in range(WIDTH) for j in range(WIDTH))
+    hankel = sum(v << (_SLOT * k) for k, v in enumerate(h))
     pre_t = tuple(tuple(int(v) for v in col) for col in zip(*params.pre_matrix.tolist()))
     full = [tuple(int(v) for v in row) for row in full_rc.tolist()]
     pre_c = tuple(int(v) for v in params.pre_constants)
@@ -217,7 +233,7 @@ def _scalar_tables():
         (r.m00, tuple(int(v) for v in r.row), tuple(int(v) for v in r.col_hat), r.post_constant)
         for r in params.rounds
     ]
-    return mds_t, pre_t, full, pre_c, rounds
+    return hankel, pre_t, full, pre_c, rounds
 
 
 def permute_scalar(state: list[int]) -> list[int]:
@@ -225,7 +241,7 @@ def permute_scalar(state: list[int]) -> list[int]:
 
     NumPy's per-call overhead dominates on 12-element arrays, so the
     duplex challenger -- one state at a time by construction -- runs
-    here (~20x faster for batch size 1), as does any
+    here (~4x faster for batch size 1), as does any
     :func:`permute_into` batch of at most ``_SCALAR_ROWS`` states.  The
     verifiers batch their Merkle checks by level
     (:func:`repro.merkle.verify_paths`) and reach this path only where a
@@ -233,23 +249,26 @@ def permute_scalar(state: list[int]) -> list[int]:
     reference.
     """
     p = gl.P
-    mds_t, pre_t, full, pre_c, rounds = _scalar_tables()
-    rng = range(WIDTH)
+    hankel, pre_t, full, pre_c, rounds = _scalar_tables()
+    mul = operator.mul
 
     def full_rounds(s, lo, hi):
-        for r in range(lo, hi):
-            rc = full[r]
-            s = [pow((v + c) % p, 7, p) for v, c in zip(s, rc)]
-            s = [sum(s[i] * col[i] for i in rng) % p for col in mds_t]
+        for rc in full[lo:hi]:
+            packed = 0
+            for v, c in zip(s, rc):
+                packed = packed << _SLOT | pow(v + c, 7, p)
+            packed *= hankel
+            s = [(packed >> k & _SLOT_MASK) % p for k in _OUT_SHIFTS]
         return s
 
-    state = full_rounds(list(state), 0, HALF_FULL)
-    state = [(v + c) % p for v, c in zip(state, pre_c)]
-    state = [sum(state[i] * col[i] for i in rng) % p for col in pre_t]
+    state = full_rounds(state, 0, HALF_FULL)
+    state = [v + c for v, c in zip(state, pre_c)]
+    state = [sum(map(mul, state, col)) % p for col in pre_t]
     for m00, row, col_hat, post in rounds:
-        lane0 = (pow(state[0], 7, p) + post) % p
-        out0 = (lane0 * m00 + sum(state[i + 1] * col_hat[i] for i in range(WIDTH - 1))) % p
-        state = [out0] + [(lane0 * row[j] + state[j + 1]) % p for j in range(WIDTH - 1)]
+        lane0 = pow(state[0], 7, p) + post
+        rest = state[1:]
+        state = [(lane0 * m00 + sum(map(mul, rest, col_hat))) % p]
+        state += [(lane0 * r + v) % p for r, v in zip(row, rest)]
     return full_rounds(state, HALF_FULL, FULL_ROUNDS)
 
 
@@ -263,17 +282,21 @@ _GEMM_DEPTH = _LIMBS * WIDTH + 1
 #: as sixteen 256-row calls on a 2-vCPU host); small blocks stay on the
 #: calling thread, which also keeps a proof's CPU seconds honest.
 _GEMM_ROWS = 256
-#: Rows per pass of the whole permutation.  Rows are independent, so
-#: blocking is bit-exact; a layer's scratch is ~2.3 KB a row, so past
-#: ~8k rows an unblocked pass streams tens of MB through every kernel
-#: (measured 19-26 us a permutation at 8k-32k rows unblocked, 15-16 in
-#: 2048-row blocks; at or below 2048 rows there is only one block).
-_PERMUTE_ROWS = 2048
+#: Rows per pass of the whole permutation, and of the one scratch arena
+#: (:class:`_Scratch`, ~2.3 KB a row).  Rows are independent, so
+#: blocking is bit-exact.  Measured on 8192 states, best quartile us a
+#: state at 256 / 512 / 1024 / 2048 / 4096 rows: 12.7 / 9.8 / 9.4 /
+#: 10.3 / 12.4 -- below 512 the ~2 300 calls a block show, above 2048
+#: the scratch leaves this host's 2 MiB-a-core L2; 512 to 2048 tie
+#: within noise and 1024 keeps the arena at 2.3 MiB (EXPERIMENTS.md
+#: "Poseidon at the dispatch floor").
+_PERMUTE_ROWS = 1024
 #: Batch size at or below which :func:`permute_into` runs the Python-int
-#: scalar permutation per state: the vectorised pass costs the same flat
-#: dispatch overhead for 1 to 16 states, and the two tie at 8 (measured,
-#: EXPERIMENTS.md "Poseidon dense layers as limb GEMMs").
-_SCALAR_ROWS = 8
+#: scalar permutation per state.  Measured: the scalar path costs 215 us
+#: a state, the vectorised pass a flat ~0.90 ms for 2 to 8 states -- 4
+#: states 0.86 vs 0.93 ms, 5 states 1.08 vs 0.91 ms (EXPERIMENTS.md
+#: "Poseidon at the dispatch floor").
+_SCALAR_ROWS = 4
 #: The addend row is stored as ``addend - 2**54`` and the bias is added
 #: back as a plain integer after the fold, which keeps the signed fold
 #: term non-negative (see :func:`_matmul_into`).
@@ -281,10 +304,10 @@ _FOLD_BIAS = 1 << 54
 #: Layers of one permutation, each an S-box step and one affine map.
 _LAYERS = FULL_ROUNDS + PARTIAL_ROUNDS
 
-_I32 = np.int64(32)
-_U32 = np.uint64(32)
-_EPSILON_I64 = np.int64(gl.EPSILON)
-_FOLD_BIAS_I64 = np.int64(_FOLD_BIAS)
+_I32 = gl64.operand(32, np.int64)
+_U32 = gl64.operand(32)
+_EPSILON_I64 = gl64.operand(gl.EPSILON, np.int64)
+_FOLD_BIAS_I64 = gl64.operand(_FOLD_BIAS, np.int64)
 
 
 def _signed_limbs(value: int) -> tuple[int, int]:
@@ -349,79 +372,135 @@ def _fused_tables():
     return rc0, weights
 
 
-def _matmul_into(states: np.ndarray, weights: np.ndarray, ws: gl64.Workspace) -> None:
-    """``states <- states @ M + c`` in place on a canonical ``(B, 12)``
-    buffer, as one exact float64 GEMM with a single reduction per lane.
+class _Scratch:
+    """The batched permutation's scratch on one workspace: one arena
+    sized for ``_PERMUTE_ROWS`` rows, and per batch size the views of
+    it that a pass runs on (:meth:`block`), sliced once so a layer is a
+    straight run of ufunc calls on contiguous operands.  Every batch
+    size carves the same memory from the start, so nothing in the arena
+    outlives a pass -- except the limb buffer's constant-one column,
+    which no pass writes.
+    """
+
+    def __init__(self, ws: gl64.Workspace, rows: int) -> None:
+        self.sbox = ws.temp((gl64.POW7_PLANES * rows * WIDTH,), "permute:sbox")
+        self.limbs = ws.temp((rows, _GEMM_DEPTH), "permute:limbs", np.float64)
+        self.acc = ws.temp((rows, 2 * WIDTH), "permute:acc", np.float64)
+        self.fold = ws.temp((4 * rows * WIDTH,), "permute:fold", np.int64)
+        self.ones = 0  # rows whose constant-one limb is written
+        _, weights = _fused_tables()
+        partial = range(HALF_FULL, HALF_FULL + PARTIAL_ROUNDS)
+        #: ``(lane-0 S-box only?, limb-GEMM table)`` per layer.
+        self.layers = tuple((i in partial, w) for i, w in enumerate(weights))
+        self._blocks: dict = {}
+
+    def block(self, b: int) -> tuple:
+        """``(full-state S-box lanes, lane-0 S-box lanes, affine views,
+        a spare (b, 12) plane)`` for ``b <= _PERMUTE_ROWS`` states."""
+        blk = self._blocks.get(b)
+        if blk is None:
+            if b > self.ones:
+                self.limbs[self.ones : b, -1] = 1.0
+                self.ones = b
+            limbs, acc = self.limbs[:b], self.acc[:b]
+            gemms = tuple(
+                (limbs[i : i + _GEMM_ROWS], acc[i : i + _GEMM_ROWS])
+                for i in range(0, b, _GEMM_ROWS)
+            )
+            # The GEMM's (b, [S0 | S1]) columns land as two contiguous
+            # (b, 12) planes, with two more for the fold.
+            sums = self.fold[: 2 * b * WIDTH].reshape(2, b, WIDTH)
+            small, word = self.fold[2 * b * WIDTH : 4 * b * WIDTH].reshape(2, b, WIDTH)
+            affine = (
+                limbs[:, :-1], gemms, sums, np.moveaxis(acc.reshape(b, 2, WIDTH), 1, 0),
+                sums[0], sums[1], sums[1].view(np.uint64),
+                small, small.view(np.uint64), word.view(np.uint64),
+            )
+            planes = gl64.POW7_PLANES
+            blk = self._blocks[b] = (
+                gl64.pow7_lanes(self.sbox[: planes * b * WIDTH].reshape(planes, b, WIDTH)),
+                gl64.pow7_lanes(self.sbox[: planes * b].reshape(planes, b)),
+                affine,
+                affine[-1],
+            )
+        return blk
+
+
+def _matmul_into(states: np.ndarray, weights: np.ndarray, affine: tuple) -> None:
+    """``states <- `` a ``uint64`` representative of ``states @ M + c``
+    (mod p) per lane, in place on a ``(B, 12)`` buffer of *any*
+    ``uint64`` representatives, as one exact float64 GEMM with a single
+    lazy reduction per lane.  ``affine`` is the third item of
+    :meth:`_Scratch.block` for ``B`` rows.
 
     ``weights`` is the :func:`_limb_weights` table of ``(M, c)``.  The
-    state is viewed as ``4 * 12`` 16-bit limbs and multiplied, in
-    float64, by signed 32-bit weight limbs: every product is below
-    ``2**47`` in magnitude and an output limb sums 48 of them plus one
-    constant, so every partial sum is an integer below ``2**53`` and the
-    GEMM is exact whatever order BLAS adds in.  That leaves
-    ``S0 + S1 * 2**32`` per lane; writing ``S1 = h * 2**32 + l`` and
-    using ``2**64 = 2**32 - 1 (mod p)`` it equals
+    state is viewed as ``4 * 12`` 16-bit limbs -- of whatever 64-bit
+    word represents each lane, the table's rows carry the limbs' powers
+    of two mod p -- and multiplied, in float64, by signed 32-bit weight
+    limbs: every product is below ``2**47`` in magnitude and an output
+    limb sums 48 of them plus one constant, so every partial sum is an
+    integer below ``2**53`` and the GEMM is exact whatever order BLAS
+    adds in.  That leaves ``S0 + S1 * 2**32`` per lane; writing ``S1 =
+    h * 2**32 + l`` and using ``2**64 = 2**32 - 1 (mod p)`` it equals
     ``(l << 32) + (S0 + h * (2**32 - 1))``: a canonical word plus a term
     of magnitude below ``2**54``, made non-negative by the bias the table
-    builder subtracted, so one ``add_into`` finishes the lane.
+    builder subtracted, so one ``add_lazy_into`` finishes the lane.
 
     Aliasing: ``states`` is both input and output (it is fully consumed
     into the limb scratch before the final write) and must have
     contiguous rows; ``weights`` must not overlap it.
     """
-    b = states.shape[0]
-    limbs = ws.temp((b, _GEMM_DEPTH), "pm:limbs", np.float64)
-    np.copyto(limbs[:, :-1], states.view(np.uint16))
-    limbs[:, -1] = 1.0
-    acc = ws.temp((b, 2 * WIDTH), "pm:acc", np.float64)
-    for start in range(0, b, _GEMM_ROWS):
-        stop = start + _GEMM_ROWS
-        np.matmul(limbs[start:stop], weights, out=acc[start:stop])
-    sums = ws.temp((b, 2 * WIDTH), "pm:sums", np.int64)
-    np.copyto(sums, acc, casting="unsafe")
-    s0, s1 = sums[:, :WIDTH], sums[:, WIDTH:]
-    fold = ws.temp((2, b, WIDTH), "pm:fold", np.int64)
-    small, word = fold[0], fold[1].view(np.uint64)
-    np.right_shift(s1, _I32, out=small)  # h = floor(S1 / 2**32), signed
-    np.multiply(small, _EPSILON_I64, out=small)
-    np.add(small, s0, out=small)
-    np.add(small, _FOLD_BIAS_I64, out=small)  # now in [0, 2**55)
-    np.left_shift(s1.view(np.uint64), _U32, out=word)  # l << 32 <= p - 1
-    gl64.add_into(word, small.view(np.uint64), states, ws)
+    limbs, gemms, sums, halves, s0, s1, s1u, small, smallu, word = affine
+    np.copyto(limbs, states.view(np.uint16))
+    for rows, out in gemms:
+        np.matmul(rows, weights, out)
+    np.copyto(sums, halves, casting="unsafe")  # [S0, S1] as planes
+    np.right_shift(s1, _I32, small)  # h = floor(S1 / 2**32), signed
+    np.multiply(small, _EPSILON_I64, small)
+    np.add(small, s0, small)
+    np.add(small, _FOLD_BIAS_I64, small)  # now in [0, 2**55)
+    np.left_shift(s1u, _U32, word)  # l << 32 <= p - 1
+    gl64.add_lazy_into(smallu, word, states, s1u)
 
 
 def permute_into(states: np.ndarray, ws: gl64.Workspace | None = None) -> np.ndarray:
     """The Poseidon permutation, in place on a writable (..., 12) buffer
-    with contiguous rows.
+    of canonical states with contiguous rows.
 
     This is the zero-copy engine behind :func:`permute` and the fused
     Merkle level sweep: every layer is an S-box (all lanes in the full
     rounds, lane 0 in the partial block) followed by one
     :func:`_matmul_into`, with all round constants folded into the
-    layer tables, and every intermediate lives in the workspace arena.
-    Small batches dispatch to the Python-int scalar path (extensionally
-    equal).
+    layer tables, on scratch views planned once per batch size
+    (:class:`_Scratch`).  Between layers a lane is *any* ``uint64``
+    congruent to its value -- the S-box multiplies and the limb GEMM
+    are exact for every 64-bit representative -- and the state is
+    canonicalised once, after the last layer.  Small batches dispatch
+    to the Python-int scalar path (extensionally equal).
     """
     if states.shape[-1] != WIDTH:
         raise ValueError(f"state width must be {WIDTH}, got {states.shape[-1]}")
     flat = states.reshape(-1, WIDTH)
     if flat.shape[0] <= _SCALAR_ROWS:
         for i in range(flat.shape[0]):
-            flat[i] = permute_scalar([int(v) for v in flat[i]])
+            flat[i] = permute_scalar(flat[i].tolist())
         return states
     ws = ws or gl64.default_workspace()
     if flat.shape[0] > _PERMUTE_ROWS:
         for start in range(0, flat.shape[0], _PERMUTE_ROWS):
             permute_into(flat[start : start + _PERMUTE_ROWS], ws)
         return states
-    rc0, weights = _fused_tables()
+    scratch = ws.plan("permute", _PERMUTE_ROWS, _Scratch)
+    full, lane0_lanes, affine, spare = scratch.block(flat.shape[0])
     lane0 = flat[:, 0]
-    gl64.add_into(flat, rc0, flat, ws)
-    for layer in range(_LAYERS):
-        partial = HALF_FULL <= layer < HALF_FULL + PARTIAL_ROUNDS
-        sbox = lane0 if partial else flat
-        gl64.pow7_into(sbox, sbox, ws)
-        _matmul_into(flat, weights[layer], ws)
+    gl64.add_lazy_into(flat, _fused_tables()[0], flat, spare)
+    for partial, weights in scratch.layers:
+        if partial:
+            gl64.pow7_lazy_into(lane0, lane0, lane0_lanes)
+        else:
+            gl64.pow7_lazy_into(flat, flat, full)
+        _matmul_into(flat, weights, affine)
+    gl64.canonical_into(flat, flat, spare)
     return states
 
 

@@ -36,6 +36,7 @@ import time
 from typing import Any, Dict, List, Optional
 
 import multiprocessing as mp
+from multiprocessing import resource_tracker
 
 from .. import tracing
 from ..metrics import counting, merge_counts
@@ -200,6 +201,12 @@ class ShardPool:
             raise RuntimeError("shard pool is closed")
         if self._procs or not self.parallel:
             return self
+        if self._ctx.get_start_method() == "fork":
+            # A forked worker inherits the tracker only if it exists
+            # already; one forked before the first segment is created
+            # would start a private tracker on its first attach, which
+            # then "cleans up" the coordinator's segments at exit.
+            resource_tracker.ensure_running()
         self._result_q = self._ctx.Queue()
         for wid in range(self.workers):
             task_q = self._ctx.Queue()

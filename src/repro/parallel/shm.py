@@ -137,9 +137,10 @@ _ATTACHED: Dict[str, Tuple[shared_memory.SharedMemory, np.ndarray]] = {}
 #: tracker.  Needed under ``spawn`` (bpo-38119: the child's private
 #: tracker would unlink segments the coordinator still owns when the
 #: child exits).  Harmful under ``fork``, where children inherit the
-#: coordinator's tracker: a child-side unregister would make the
-#: owner's later ``unlink`` a double-unregister.  The pool sets this in
-#: each worker according to its start method.
+#: coordinator's tracker (``ShardPool.start`` starts it before the
+#: first fork): a child-side unregister would make the owner's later
+#: ``unlink`` a double-unregister.  The pool sets this in each worker
+#: according to its start method.
 UNREGISTER_ON_ATTACH = False
 
 

@@ -7,8 +7,16 @@ in-place workspace NTT must match a straightforward Python-int radix-2
 reference bit-for-bit across all layout variants.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.field import extension as fext, gl64, goldilocks as gl
 from repro.ntt import transforms
@@ -243,3 +251,161 @@ def test_eval_poly_base_matches_horner_reference():
     assert (int(got[0]), int(got[1])) == (a0, a1)
     batched = fext.eval_polys_base(np.stack([coeffs, coeffs]), x)
     assert np.array_equal(batched[0], got)
+
+
+# ---------------------------------------------------------------------------
+# Lazy representatives: the fused S-box and the kernels around it are
+# exact for *any* uint64 word, not only canonical ones.
+# ---------------------------------------------------------------------------
+
+#: Words at every boundary the limb arithmetic has.
+PINNED = [0, 1, gl.P - 1, gl.P, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+word_strategy = st.one_of(
+    st.sampled_from(PINNED),
+    st.integers(min_value=0, max_value=gl.P - 1),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+
+
+def _pow7_lazy(x, out):
+    """``gl64.pow7_lazy_into`` on scratch of ``x``'s shape."""
+    buf = np.empty((gl64.POW7_PLANES,) + x.shape, dtype=np.uint64)
+    return gl64.pow7_lazy_into(x, out, gl64.pow7_lanes(buf))
+
+
+@given(st.lists(word_strategy, min_size=1, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_fused_sbox_matches_python_pow_on_any_word(words):
+    x = np.array(PINNED + words, dtype=np.uint64)
+    want = [pow(int(v), 7, gl.P) for v in x]
+    lazy = _pow7_lazy(x, np.empty_like(x))
+    assert lazy.dtype == np.uint64  # below 2**64 by construction
+    assert [int(v) % gl.P for v in lazy] == want
+    assert gl64.pow7_into(x, np.empty_like(x), gl64.Workspace()).tolist() == want
+    aliased = x.copy()
+    assert _pow7_lazy(aliased, aliased) is aliased  # exact alias: out is x
+    assert [int(v) % gl.P for v in aliased] == want
+    aliased = x.copy()
+    gl64.pow7_into(aliased, aliased, gl64.Workspace())
+    assert aliased.tolist() == want
+
+
+@given(st.lists(st.tuples(word_strategy, word_strategy), min_size=1, max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_mul_and_square_into_accept_any_word(pairs):
+    a = np.array([p[0] for p in pairs], dtype=np.uint64)
+    b = np.array([p[1] for p in pairs], dtype=np.uint64)
+    ws = gl64.Workspace()
+    out = np.empty_like(a)
+    assert gl64.mul_into(a, b, out, ws).tolist() == [x * y % gl.P for x, y in pairs]
+    assert gl64.square_into(a, out, ws).tolist() == [x * x % gl.P for x, _ in pairs]
+
+
+def test_fused_sbox_on_strided_lane_and_broadcast_input():
+    states = RNG.integers(0, 2**64, size=(37, 12), dtype=np.uint64)
+    states[: len(PINNED), 0] = PINNED
+    want = [pow(int(v), 7, gl.P) for v in states[:, 0]]
+    rest = states[:, 1:].copy()
+    lane0 = states[:, 0]  # stride 96 bytes, in and out
+    _pow7_lazy(lane0, lane0)
+    assert [int(v) % gl.P for v in states[:, 0]] == want
+    assert np.array_equal(states[:, 1:], rest)  # neighbours untouched
+    # A broadcast (stride-0) input, as the public wrapper builds one.
+    row = np.array(PINNED, dtype=np.uint64)
+    out = np.empty((5, len(PINNED)), dtype=np.uint64)
+    gl64.pow7_into(row, out, gl64.Workspace())
+    assert out.tolist() == [[pow(v, 7, gl.P) for v in PINNED]] * 5
+
+
+def test_lazy_add_and_canonical_into():
+    a = np.array(PINNED * len(PINNED), dtype=np.uint64)
+    b = np.repeat(np.array(PINNED, dtype=np.uint64), len(PINNED))
+    keep = (b < np.uint64(gl.P)) | (b < np.uint64(2**63))  # the contract on b
+    a, b = a[keep], b[keep]
+    s = np.empty_like(a)
+    got = gl64.add_lazy_into(a, b, np.empty_like(a), s)
+    assert [int(v) % gl.P for v in got] == [(int(x) + int(y)) % gl.P for x, y in zip(a, b)]
+    assert gl64.canonical_into(a, np.empty_like(a), s).tolist() == [int(v) % gl.P for v in a]
+    aliased = a.copy()
+    gl64.canonical_into(aliased, aliased, s)
+    assert aliased.tolist() == [int(v) % gl.P for v in a]
+
+
+def test_large_multiplies_run_in_blocks_with_bounded_scratch():
+    """Past ``_BLOCK`` elements mul/square cut the leading axis; the
+    result is the same and the scratch does not grow with the array."""
+    ws = gl64.Workspace()
+    for shape in [(3 * gl64._BLOCK + 5,), (70, 1000)]:
+        a, b = _random_canonical(shape), _near_p(shape)
+        want = (a.astype(object) * b.astype(object) % gl.P).astype(np.uint64)
+        out = np.empty(shape, dtype=np.uint64)
+        assert np.array_equal(gl64.mul_into(a, b, out, ws), want)
+        a2 = a.copy()
+        gl64.mul_into(a2, b, a2, ws)  # exact alias survives the blocking
+        assert np.array_equal(a2, want)
+        assert np.array_equal(
+            gl64.square_into(a, out, ws), (a.astype(object) ** 2 % gl.P).astype(np.uint64)
+        )
+    # Both arrays together held less than one of them would need whole.
+    assert ws.nbytes() < 8 * 8 * 3 * gl64._BLOCK
+    # Rows longer than a block cannot be cut and run whole.
+    a = _random_canonical((2, gl64._BLOCK + 1))
+    assert np.array_equal(gl64.mul_into(a, a, np.empty_like(a), ws), gl64.square(a))
+
+
+def test_single_element_inverse_and_scalars_take_python_ints():
+    for value in (1, 2, gl.P - 1, 2**32):
+        want = pow(value, gl.P - 2, gl.P)
+        for arr in (np.uint64(value), np.array([value], dtype=np.uint64),
+                    np.array([[value]], dtype=np.uint64)):
+            got = gl64.inv_fast(arr)
+            assert np.shape(got) == np.shape(arr) and int(np.ravel(got)[0]) == want
+    for zero in (np.uint64(0), np.zeros(1, dtype=np.uint64)):
+        with pytest.raises(ZeroDivisionError):
+            gl64.inv_fast(zero)
+    x, y = np.uint64(gl.P - 1), np.uint64(2**63)
+    assert int(gl64.mul(x, y)) == (gl.P - 1) * 2**63 % gl.P
+    assert int(gl64.add(x, y)) == (gl.P - 1 + 2**63) % gl.P
+    assert int(gl64.sub(y, x)) == (2**63 - gl.P + 1) % gl.P
+    assert int(gl64.pow7(x)) == pow(gl.P - 1, 7, gl.P)
+    assert int(gl64.pow_scalar(y, 12345)) == pow(2**63, 12345, gl.P)
+    ext = np.array([gl.P - 2, 7], dtype=np.uint64)
+    assert np.array_equal(fext.mul(ext, fext.inv(ext)), fext.one())
+
+
+#: Bytes held by every live ``Workspace`` after proving and verifying
+#: the three bench shapes in turn (cumulative), at the commit before the
+#: permutation's scratch became one arena and the multiply scratch was
+#: keyed by size: the ceiling the data plane must stay under.
+WORKSPACE_BYTES_BEFORE = {"stark": 31_978_488, "plonk": 64_188_136, "hyperplonk": 66_923_040}
+
+_WORKSPACE_SCRIPT = """
+import gc, json
+from repro import protocols
+from repro.field import gl64
+from repro.workloads import by_name
+
+held = {}
+for name, workload, scale in (("stark", "Fibonacci", 12), ("plonk", "MVM", 11),
+                              ("hyperplonk", "MVM", 45)):
+    system = protocols.get(name)
+    setup = system.setup(by_name(workload), scale, system.make_config())
+    system.verify(setup, system.prove(setup))
+    held[name] = sum(o.nbytes() for o in gc.get_objects() if isinstance(o, gl64.Workspace))
+print(json.dumps(held))
+"""
+
+
+def test_workspaces_hold_no_more_than_before_at_bench_shapes():
+    done = subprocess.run(
+        [sys.executable, "-c", _WORKSPACE_SCRIPT],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+    assert done.returncode == 0, done.stderr
+    held = json.loads(done.stdout)
+    assert set(held) == set(WORKSPACE_BYTES_BEFORE)
+    for name, before in WORKSPACE_BYTES_BEFORE.items():
+        assert 0 < held[name] <= before, (name, held[name], before)

@@ -8,7 +8,12 @@ unit-tests the pieces that make that hold (graph validation,
 critical-path priorities, shared-memory round trips, worker clamping).
 """
 
+import glob
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -352,6 +357,41 @@ class TestParallelExecution:
         assert counts["sponge_permutations"] > 0  # merged from workers
         for kind in ("lde_rows", "merkle_subtree"):
             assert pool.profile.unit_cost(kind) != 1.0
+
+
+#: One sharded prove on a pool started *before* anything created a
+#: shared-memory segment (how ``bench/prover.py`` starts its pool), then
+#: ``close()`` and exit.  Prints the pool uid its segments were named by.
+_SHUTDOWN_SCRIPT = """
+from repro import parallel, protocols
+from repro.workloads import fibonacci
+
+system = protocols.get("stark")
+setup = system.setup(fibonacci.SPEC, 6, system.make_config())
+pool = parallel.ShardPool(2, min_rows=1, min_tree_leaves=2, min_queries=1).start()
+system.verify(setup, system.prove(setup, pool=pool))
+assert pool.stats["shards"] and not pool.stats["inline_shards"], pool.stats
+pool.close()
+print(pool.uid)
+"""
+
+
+def test_sharded_prove_then_close_exits_silently():
+    """Workers forked before the resource tracker existed each grew a
+    private tracker that re-registered every segment they attached and,
+    at exit, warned about (and tried to unlink) segments the coordinator
+    had already reclaimed: ~30 stderr lines after one prove."""
+    src_dir = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-W", "error::UserWarning", "-c", _SHUTDOWN_SCRIPT],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src_dir)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert not glob.glob(f"/dev/shm/repro-*-{done.stdout.strip()}-*")
 
 
 class TestShardedMerkle:

@@ -44,6 +44,31 @@ class TestConstants:
         assert math.gcd(pc.SBOX_EXPONENT, gl.P - 1) == 1
 
 
+def _permute_scalar_reference(state):
+    """The scalar permutation as it stood before the packed (Hankel)
+    MDS product: every dot a generator expression over Python ints."""
+    p = gl.P
+    params = optimized.optimized_params()
+    full_rc, _ = pc.round_constants()
+    mds_t = list(zip(*pc.mds_matrix().tolist()))
+    pre_t = list(zip(*params.pre_matrix.tolist()))
+
+    def full_rounds(s, lo, hi):
+        for rc in full_rc.tolist()[lo:hi]:
+            s = [pow((v + c) % p, 7, p) for v, c in zip(s, rc)]
+            s = [sum(s[i] * col[i] for i in range(12)) % p for col in mds_t]
+        return s
+
+    state = full_rounds(list(state), 0, pc.FULL_ROUNDS // 2)
+    state = [(v + int(c)) % p for v, c in zip(state, params.pre_constants)]
+    state = [sum(state[i] * col[i] for i in range(12)) % p for col in pre_t]
+    for r in params.rounds:
+        lane0 = (pow(state[0], 7, p) + r.post_constant) % p
+        out0 = (lane0 * r.m00 + sum(state[i + 1] * int(r.col_hat[i]) for i in range(11))) % p
+        state = [out0] + [(lane0 * int(r.row[j]) + state[j + 1]) % p for j in range(11)]
+    return full_rounds(state, pc.FULL_ROUNDS // 2, pc.FULL_ROUNDS)
+
+
 class TestPermutation:
     def test_naive_equals_optimized_batch(self, rng):
         s = gl64.random((7, 12), rng)
@@ -59,7 +84,7 @@ class TestPermutation:
         # One state takes the Python-int path; stacking it forces NumPy.
         s = gl64.random(12, rng)
         scalar_out = optimized.permute(s)
-        batch_out = optimized.permute(np.tile(s, (8, 1)))[0]
+        batch_out = optimized.permute(np.tile(s, (optimized._SCALAR_ROWS + 1, 1)))[0]
         assert np.array_equal(scalar_out, batch_out)
 
     def test_permute_scalar_direct(self, rng):
@@ -67,6 +92,12 @@ class TestPermutation:
         out = optimized.permute_scalar(s)
         ref = poseidon.permute_naive(np.array(s, dtype=np.uint64))
         assert out == [int(x) for x in ref]
+
+    @given(st.lists(state_strategy, min_size=1, max_size=4))
+    @settings(max_examples=25, deadline=None)
+    def test_hankel_product_rounds_match_the_generator_form(self, states):
+        for state in states + [[0] * 12, [gl.P - 1] * 12]:
+            assert optimized.permute_scalar(state) == _permute_scalar_reference(state)
 
     def test_wrong_width_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -155,6 +186,16 @@ def _weights(matrix, addend):
     return optimized._limb_weights(matrix, addend, out)
 
 
+def _matmul(buf, weights):
+    """``optimized._matmul_into`` on a fresh workspace's scratch, result
+    canonicalised (the kernel itself returns lazy representatives)."""
+    ws = gl64.Workspace()
+    scratch = ws.plan("permute", optimized._PERMUTE_ROWS, optimized._Scratch)
+    optimized._matmul_into(buf, weights, scratch.block(buf.shape[0])[2])
+    assert buf.dtype == np.uint64
+    buf %= np.uint64(gl.P)
+
+
 def _affine_reference(states, matrix, addend):
     """``(states @ matrix + addend) mod p`` with Python ints."""
     return [
@@ -172,6 +213,8 @@ lane_strategy = st.one_of(
     st.integers(min_value=0, max_value=gl.P - 1), st.sampled_from(LIMB_EDGES)
 )
 vector_strategy = st.lists(lane_strategy, min_size=12, max_size=12)
+#: Any 64-bit word: what a lane may hold between two layers.
+word_strategy = st.one_of(lane_strategy, st.integers(min_value=0, max_value=2**64 - 1))
 
 
 class TestLimbGemm:
@@ -218,7 +261,7 @@ class TestLimbGemm:
         else:
             matrix = gl64.random((12, 12), np.random.default_rng(seed)).tolist()
         buf = np.array(states, dtype=np.uint64)
-        optimized._matmul_into(buf, _weights(matrix, addend), gl64.Workspace())
+        _matmul(buf, _weights(matrix, addend))
         assert buf.tolist() == _affine_reference(states, matrix, addend)
 
     def test_matmul_into_extreme_matrices_across_gemm_blocks(self, rng):
@@ -230,7 +273,7 @@ class TestLimbGemm:
             matrix = [[entry] * 12 for _ in range(12)]
             addend = [gl.P - 1] * 12
             buf = states.copy()
-            optimized._matmul_into(buf, _weights(matrix, addend), gl64.Workspace())
+            _matmul(buf, _weights(matrix, addend))
             assert buf.tolist() == _affine_reference(states.tolist(), matrix, addend)
 
     @pytest.mark.parametrize("batch", [9, 255, 256, 257, 513])
@@ -238,6 +281,47 @@ class TestLimbGemm:
         s = gl64.random((batch, 12), rng)
         s[: len(LIMB_EDGES)] = np.array(LIMB_EDGES, dtype=np.uint64)[:batch, None]
         assert np.array_equal(optimized.permute(s), poseidon.permute_naive(s))
+
+    @pytest.mark.parametrize(
+        "batch",
+        sorted(
+            {1, 8, 9, 16, 255, 256, 257, 2048, 2049, 4097}
+            | {
+                edge + step
+                for edge in (optimized._SCALAR_ROWS, optimized._GEMM_ROWS, optimized._PERMUTE_ROWS)
+                for step in (0, 1)
+            }
+        ),
+    )
+    def test_permute_into_equals_naive_across_every_regime(self, batch, rng):
+        # Both sides of the scalar crossover, the GEMM block and the
+        # permutation block; output canonical after the lazy layers.
+        s = oracles._edge_rows((batch, 12), rng)
+        got = optimized.permute_into(s.copy(), gl64.Workspace())
+        assert np.array_equal(got, poseidon.permute_naive(s))
+        assert bool((got < np.uint64(gl.P)).all())
+
+    def test_batch_sizes_share_one_arena_without_leaking(self, rng):
+        # Every batch size carves the same scratch memory; a small pass
+        # between two large ones must not change the large one's result.
+        ws = gl64.Workspace()
+        big, small = gl64.random((300, 12), rng), gl64.random((16, 12), rng)
+        want_big, want_small = poseidon.permute_naive(big), poseidon.permute_naive(small)
+        assert np.array_equal(optimized.permute_into(big.copy(), ws), want_big)
+        held = ws.nbytes()
+        assert np.array_equal(optimized.permute_into(small.copy(), ws), want_small)
+        assert np.array_equal(optimized.permute_into(big.copy(), ws), want_big)
+        assert ws.nbytes() == held  # one arena, sized once
+
+    @given(st.lists(st.lists(word_strategy, min_size=12, max_size=12), min_size=1, max_size=5),
+           vector_strategy)
+    @settings(max_examples=40, deadline=None)
+    def test_matmul_into_accepts_any_representative(self, states, addend):
+        # Between layers a lane is any uint64 congruent to its value.
+        matrix = pc.mds_matrix().tolist()
+        buf = np.array(states, dtype=np.uint64)
+        _matmul(buf, _weights(matrix, addend))
+        assert buf.tolist() == _affine_reference(states, matrix, addend)
 
     def test_permute_into_allocates_nothing_when_warm(self, rng):
         ws = gl64.Workspace()
