@@ -1,13 +1,15 @@
-"""Budgeted mapping search: enumerate -> sanitize -> score -> cache.
+"""Mapping search: enumerate -> sanitize -> score.  A pure function.
 
 The tuner searches per *shape*, not per workload: every kernel family's
-candidates are scored against all graph nodes sharing one cache key
+candidates are scored against all graph nodes sharing one shape key
 (``ntt/log21``, ``merkle/l1048576/w160``, ...), because a node's
 simulated cost depends only on its own mapping (the schedule is a
-sequential sum of ``max(compute, memory)`` kernels).  The winner per
-shape is stored in the :class:`~repro.autotune.cache.TuningCache`, so a
-second ``repro tune`` -- and every later ``schedule``/``simulate`` --
-returns cached winners without re-simulation.
+sequential sum of ``max(compute, memory)`` kernels).  The search is
+exhaustive -- 29 candidates, 3-100 ms on a paper workload -- so its
+result depends on ``(graph, hw)`` alone: no budget, no seed, no state
+kept between calls.  The winners leave as :meth:`TuneReport.mapping_for`,
+which a caller hands to ``schedule`` / ``lower`` / ``simulate_graph``
+as their ``mapping`` argument.
 
 Rejection happens before scoring, in two cheap layers:
 
@@ -18,29 +20,61 @@ Rejection happens before scoring, in two cheap layers:
    scheme's initiation-interval-1 S-box pipeline double-drives the PE
    down latch.
 
-Determinism: one ``random.Random(seed)`` shuffles the non-default
-candidate order; everything else is pure enumeration, so a fixed seed
-reproduces the identical trial order and winners.  Ties keep the
-earlier candidate, and the default is always scored first, so a tied
-search never drifts from the static compiler.
+Candidates are tried in enumeration order, the default first; ties keep
+the earlier candidate, so a tied search never drifts from the static
+compiler.
 """
 
 from __future__ import annotations
 
-import random
-import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Any, Dict, List, Optional
 
-from ..analysis.sanitizer import sanitize, spec_for_emulator
+from ..analysis.sanitizer import sanitize
+from ..analysis.schedules import spec_of
 from ..compiler.frontend import PlonkParams, trace_plonky2
-from ..compiler.graph import ComputationGraph
+from ..compiler.graph import ComputationGraph, KernelNode
 from ..compiler.scheduler import map_node
 from ..hw.config import DEFAULT_CONFIG, HwConfig
-from ..mapping.params import DEFAULT_MAPPING
+from ..mapping.params import DEFAULT_MAPPING, MappingParams
 from ..sim.simulator import simulate_graph
-from .cache import TuningCache, hw_key, node_key
 from .space import Candidate, candidate_spaces
+
+#: The candidate family that covers each tunable node kind; every
+#: other kind (``poly_gate``, ``transform``, ...) has no mapping knob.
+_FAMILY_OF_KIND = {
+    "ntt": "ntt",
+    "intt": "ntt",
+    "lde": "ntt",
+    "merkle": "merkle",
+    "hash_misc": "poseidon",
+    "poly_elementwise": "poly",
+}
+
+
+def node_key(node: KernelNode) -> Optional[str]:
+    """Shape key of one computation-graph node's mapping decision.
+
+    Keys are shape-level, not instance-level: every ``ntt`` of one size
+    shares a winner regardless of which workload or stage it appears
+    in.  Returns ``None`` for kinds with no mapping knobs.
+    """
+    p = node.params
+    if node.kind in ("ntt", "intt"):
+        return f"ntt/log{int(p['log_n'])}"
+    if node.kind == "lde":
+        return f"lde/log{int(p['log_n'])}+r{int(p['rate_bits'])}"
+    if node.kind == "merkle":
+        return f"merkle/l{int(p['leaves'])}/w{int(p['width'])}"
+    if node.kind == "hash_misc":
+        return "poseidon/w12"
+    if node.kind == "poly_elementwise":
+        return (
+            f"polyew/len{int(p['vector_len'])}"
+            f"/ops{int(p['num_ops'])}/opr{int(p['num_operands'])}"
+        )
+    return None
 
 
 @dataclass
@@ -53,8 +87,7 @@ class ShapeResult:
     default_cycles: float
     best_cycles: float
     winner: str
-    winner_params: Dict[str, Any]
-    cached: bool = False
+    winner_params: MappingParams
     tried: List[str] = field(default_factory=list)
     rejected: List[Dict[str, Any]] = field(default_factory=list)
 
@@ -64,7 +97,7 @@ class ShapeResult:
         return self.best_cycles < self.default_cycles
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable form (report files, ``--json`` output)."""
+        """JSON-serialisable form (report files)."""
         return {
             "key": self.key,
             "family": self.family,
@@ -73,8 +106,7 @@ class ShapeResult:
             "best_cycles": self.best_cycles,
             "improved": self.improved,
             "winner": self.winner,
-            "winner_params": self.winner_params,
-            "cached": self.cached,
+            "winner_params": self.winner_params.to_dict(),
             "tried": list(self.tried),
             "rejected": list(self.rejected),
         }
@@ -82,17 +114,22 @@ class ShapeResult:
 
 @dataclass
 class TuneReport:
-    """One workload's tuning run: per-shape results + whole-graph check."""
+    """One graph's search: per-shape winners + whole-graph check."""
 
     workload: str
-    hw_key: str
-    seed: int
-    budget_s: Optional[float]
+    hw: HwConfig
     shapes: List[ShapeResult]
     default_total_cycles: float
     tuned_total_cycles: float
-    elapsed_s: float
-    budget_exhausted: bool = False
+
+    @cached_property
+    def _winners(self) -> Dict[Optional[str], MappingParams]:
+        return {s.key: s.winner_params for s in self.shapes}
+
+    def mapping_for(self, node: KernelNode) -> MappingParams:
+        """The winner of ``node``'s shape (the default where none was
+        searched): pass as ``mapping=report.mapping_for``."""
+        return self._winners.get(node_key(node), DEFAULT_MAPPING)
 
     @property
     def speedup(self) -> float:
@@ -102,20 +139,15 @@ class TuneReport:
         return self.default_total_cycles / self.tuned_total_cycles
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable form (report files, CI assertions)."""
+        """JSON-serialisable form (report files, test assertions)."""
         return {
             "workload": self.workload,
-            "hw_key": self.hw_key,
-            "seed": self.seed,
-            "budget_s": self.budget_s,
-            "budget_exhausted": self.budget_exhausted,
-            "elapsed_s": self.elapsed_s,
+            "hw": asdict(self.hw),
             "default_total_cycles": self.default_total_cycles,
             "tuned_total_cycles": self.tuned_total_cycles,
             "speedup": self.speedup,
             "num_shapes": len(self.shapes),
             "num_improved": sum(1 for s in self.shapes if s.improved),
-            "num_cached": sum(1 for s in self.shapes if s.cached),
             "num_rejected": sum(len(s.rejected) for s in self.shapes),
             "shapes": [s.to_dict() for s in self.shapes],
         }
@@ -123,199 +155,97 @@ class TuneReport:
     def summary_lines(self) -> List[str]:
         """Human-readable per-workload summary for the CLI."""
         d = self.to_dict()
-        lines = [
+        return [
             f"tuned {self.workload}: {d['num_improved']}/{d['num_shapes']} shapes "
-            f"improved ({d['num_cached']} cached, {d['num_rejected']} candidates "
+            f"improved ({d['num_rejected']} candidates "
             f"sanitizer/validity-rejected)",
             f"  default {self.default_total_cycles / 1e6:.2f} Mcycles -> "
             f"tuned {self.tuned_total_cycles / 1e6:.2f} Mcycles "
             f"({self.speedup:.3f}x)",
         ]
-        if self.budget_exhausted:
-            lines.append("  (budget exhausted; kept best-so-far winners)")
-        return lines
 
 
-def _sanitizer_findings(candidate: Candidate) -> List[str]:
-    """Static ``sched.*`` findings of the candidate's microcode (if any)."""
-    if candidate.built_schedule is None:
-        return []
-    built = candidate.built_schedule()
-    spec = spec_for_emulator(
-        built.emu,
-        built.programs,
-        built.left_inputs,
-        built.top_inputs,
-        built.num_cycles,
-        name=built.name,
-    )
-    return [f"{f.rule}: {f.message}" for f in sanitize(spec)]
+def _rejection(candidate: Candidate, hw: HwConfig) -> Optional[Dict[str, Any]]:
+    """Why ``candidate`` may not be scored on ``hw`` (``None``: it may)."""
+    reasons, stage = candidate.params.invalid_reasons(hw), "validity"
+    if not reasons and candidate.built_schedule is not None:
+        # Static ``sched.*`` findings of the microcode it would emit.
+        findings = sanitize(spec_of(candidate.built_schedule()))
+        reasons, stage = [f"{f.rule}: {f.message}" for f in findings], "sanitizer"
+    if not reasons:
+        return None
+    return {"label": candidate.label, "stage": stage, "reasons": reasons}
 
 
-def _score(nodes, candidate: Candidate, hw: HwConfig) -> float:
+def _score(nodes: List[KernelNode], candidate: Candidate, hw: HwConfig) -> float:
     """Summed elapsed cycles of ``nodes`` under one mapping point."""
     return sum(
         map_node(n, hw, candidate.params).elapsed_cycles(hw) for n in nodes
     )
 
 
-def tune_graph(
-    graph: ComputationGraph,
-    hw: HwConfig = DEFAULT_CONFIG,
-    cache: Optional[TuningCache] = None,
-    budget_s: Optional[float] = None,
-    seed: int = 0,
-) -> TuneReport:
+def tune_graph(graph: ComputationGraph, hw: HwConfig = DEFAULT_CONFIG) -> TuneReport:
     """Search the mapping space for every tunable shape in ``graph``.
 
-    Winners (including "default wins") are stored into ``cache``; the
-    caller decides whether/where to persist it.  ``budget_s`` bounds
-    wall-clock: when it runs out, remaining candidates are skipped and
-    the best-so-far winners stand.
+    Per shape: the arg-min of the summed ``map_node(...).elapsed_cycles``
+    over the candidates that are structurally valid on ``hw`` and
+    sanitizer-clean, in enumeration order.
     """
-    t0 = time.monotonic()
-    deadline = None if budget_s is None else t0 + budget_s
-    cache = cache if cache is not None else TuningCache()
-    hkey = hw_key(hw)
-    rng = random.Random(seed)
-
-    # Group tunable nodes by shape key (family inferred from the key).
-    groups: Dict[str, List] = {}
+    groups: Dict[str, List[KernelNode]] = {}
     for node in graph.topological_order():
         key = node_key(node)
         if key is not None:
             groups.setdefault(key, []).append(node)
 
     spaces = {s.family: s for s in candidate_spaces()}
-    # Sanitize each family's microcode-bearing candidates once, up
-    # front -- rejection is per candidate, not per shape.
-    sanitizer_rejects: Dict[str, Dict[str, List[str]]] = {}
-    for family, space in spaces.items():
-        rejects: Dict[str, List[str]] = {}
-        for cand in space.candidates:
-            findings = _sanitizer_findings(cand)
-            if findings:
-                rejects[cand.label] = findings
-        sanitizer_rejects[family] = rejects
-
-    def family_of(key: str) -> str:
-        prefix = key.split("/", 1)[0]
-        return {
-            "ntt": "ntt",
-            "lde": "ntt",
-            "merkle": "merkle",
-            "poseidon": "poseidon",
-            "polyew": "poly",
-        }[prefix]
-
+    # Rejection is per candidate, not per shape: decide each once.
+    rejections = {
+        c.label: _rejection(c, hw) for s in spaces.values() for c in s.candidates[1:]
+    }
     shapes: List[ShapeResult] = []
-    budget_exhausted = False
     for key in sorted(groups):
         nodes = groups[key]
-        family = family_of(key)
-        space = spaces[family]
-        default_cand = space.candidates[0]
-        default_cycles = _score(nodes, default_cand, hw)
-
-        stored = cache.lookup(key, hkey)
-        if stored is not None:
-            # Second run: serve the cached winner without re-searching.
-            from ..mapping.params import MappingParams
-
-            params = MappingParams.from_dict(stored.get("params", {}))
-            best_cycles = float(stored.get("cycles", default_cycles))
-            shapes.append(
-                ShapeResult(
-                    key=key,
-                    family=family,
-                    num_nodes=len(nodes),
-                    default_cycles=default_cycles,
-                    best_cycles=best_cycles,
-                    winner=str((stored.get("meta") or {}).get("label", "cached")),
-                    winner_params=params.to_dict(),
-                    cached=True,
-                )
-            )
-            continue
-
+        family = _FAMILY_OF_KIND[nodes[0].kind]
+        default, *others = spaces[family].candidates
+        default_cycles = _score(nodes, default, hw)
         result = ShapeResult(
             key=key,
             family=family,
             num_nodes=len(nodes),
             default_cycles=default_cycles,
             best_cycles=default_cycles,
-            winner=default_cand.label,
-            winner_params=default_cand.params.to_dict(),
+            winner=default.label,
+            winner_params=default.params,
+            tried=[default.label],
         )
-        result.tried.append(default_cand.label)
-
-        others = list(space.candidates[1:])
-        rng.shuffle(others)
         for cand in others:
-            if deadline is not None and time.monotonic() > deadline:
-                budget_exhausted = True
-                break
-            reasons = cand.params.invalid_reasons(hw)
-            if reasons:
-                result.rejected.append(
-                    {"label": cand.label, "stage": "validity", "reasons": reasons}
-                )
-                continue
-            findings = sanitizer_rejects[family].get(cand.label)
-            if findings:
-                result.rejected.append(
-                    {"label": cand.label, "stage": "sanitizer", "reasons": findings}
-                )
+            rejection = rejections[cand.label]
+            if rejection is not None:
+                result.rejected.append(rejection)
                 continue
             result.tried.append(cand.label)
             cycles = _score(nodes, cand, hw)
             if cycles < result.best_cycles:
                 result.best_cycles = cycles
                 result.winner = cand.label
-                result.winner_params = cand.params.to_dict()
-
-        cache.store(
-            key,
-            hkey,
-            result.winner_params,
-            cycles=result.best_cycles,
-            meta={"label": result.winner, "seed": seed},
-        )
+                result.winner_params = cand.params
         shapes.append(result)
-        if budget_exhausted:
-            break
 
-    # Whole-graph verification: score the tuned winners end to end
-    # against the pinned defaults through the real simulator.
-    default_report = simulate_graph(graph, hw, mapping=DEFAULT_MAPPING)
-    from .cache import MappingResolver
-
-    resolver = MappingResolver(hw, cache=cache)
-    tuned_total = 0.0
-    for node in graph.topological_order():
-        tuned_total += map_node(node, hw, resolver.for_node(node)).elapsed_cycles(hw)
-
-    return TuneReport(
+    # Whole-graph check: the winners against the static mapping, end to
+    # end through the real simulator.
+    report = TuneReport(
         workload=graph.name,
-        hw_key=hkey,
-        seed=seed,
-        budget_s=budget_s,
+        hw=hw,
         shapes=shapes,
-        default_total_cycles=default_report.total_cycles,
-        tuned_total_cycles=tuned_total,
-        elapsed_s=time.monotonic() - t0,
-        budget_exhausted=budget_exhausted,
+        default_total_cycles=simulate_graph(graph, hw).total_cycles,
+        tuned_total_cycles=0.0,
     )
+    report.tuned_total_cycles = simulate_graph(
+        graph, hw, mapping=report.mapping_for
+    ).total_cycles
+    return report
 
 
-def tune_workload(
-    params: PlonkParams,
-    hw: HwConfig = DEFAULT_CONFIG,
-    cache: Optional[TuningCache] = None,
-    budget_s: Optional[float] = None,
-    seed: int = 0,
-) -> TuneReport:
+def tune_workload(params: PlonkParams, hw: HwConfig = DEFAULT_CONFIG) -> TuneReport:
     """Tune one paper workload's Plonky2 proof-generation graph."""
-    return tune_graph(
-        trace_plonky2(params), hw, cache=cache, budget_s=budget_s, seed=seed
-    )
+    return tune_graph(trace_plonky2(params), hw)

@@ -1,9 +1,9 @@
 """Candidate enumeration: the mapping points the search may try.
 
 One :class:`CandidateSpace` per kernel family.  Enumeration is cheap
-and deterministic (no RNG here; the search owns the seeded shuffle);
-the *default* mapping is always the first candidate of every family, so
-a zero-budget search degrades to the static compiler.
+and deterministic; the *default* mapping is always the first candidate
+of every family, so a search in which nothing beats it returns the
+static compiler's mapping.
 
 Candidates carry two kinds of cheap rejection evidence, both consulted
 before any simulation:
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
-from ..field import goldilocks as gl
+from ..analysis.schedules import sample_values
 from ..mapping.microcode_schedules import BuiltSchedule, build_sbox_pipeline
 from ..mapping.params import (
     DEFAULT_MAPPING,
@@ -70,11 +70,6 @@ class CandidateSpace:
         return len(self.candidates)
 
 
-def _sbox_values(n: int = 5, seed: int = 3) -> list:
-    """Deterministic sanitizer inputs (mirrors analysis.schedules)."""
-    return [gl.canonical((seed + 1) * 0x9E37_79B9_7F4A_7C15 * (i + 1)) for i in range(n)]
-
-
 def ntt_space() -> CandidateSpace:
     """SAM decomposition shapes: tile exponent x dimensions per pass."""
     cands: List[Candidate] = [
@@ -100,7 +95,7 @@ def poseidon_space() -> CandidateSpace:
         mapping = DEFAULT_MAPPING.with_family("poseidon", PoseidonMapping(scheme=name))
 
         def _factory(ii: int = scheme.sbox_ii) -> BuiltSchedule:
-            return build_sbox_pipeline(_sbox_values(), post_constant=977, ii=ii)
+            return build_sbox_pipeline(sample_values(5, 3), post_constant=977, ii=ii)
 
         cands.append(
             Candidate("poseidon", f"poseidon:{name}", mapping, built_schedule=_factory)

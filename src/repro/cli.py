@@ -8,7 +8,7 @@
 * ``schedule``    -- print the compiler backend's detailed execution
   schedule for a workload;
 * ``tune``        -- search the kernel-mapping space for a workload and
-  cache the best-per-shape winners the compiler then uses by default;
+  report default vs tuned cycles (nothing is stored);
 * ``prove``       -- run a functional scaled-down proof of a workload
   end to end (prove + verify);
 * ``chip``        -- print the area/power budget for a configuration;
@@ -129,47 +129,23 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    """Search kernel mappings for a workload; cache the winners."""
-    from .autotune.cache import TuningCache, TuningCacheError, default_cache_path
-    from .autotune.search import tune_workload
+    """Search kernel mappings for a workload; report default vs tuned."""
+    from .autotune import tune_workload
 
     spec = _resolve_workload(args.workload)
     hw = _hw_from_args(args)
-    budget_s = _parse_budget(args.budget) if args.budget else None
-    cache_path = args.cache or default_cache_path()
-    try:
-        cache = TuningCache.load(cache_path)
-    except TuningCacheError as exc:
-        raise CliError(str(exc)) from None
-    report = tune_workload(
-        spec.plonk, hw, cache=cache, budget_s=budget_s, seed=args.seed
-    )
-    cache.save(cache_path)
+    report = tune_workload(spec.plonk, hw)
     for line in report.summary_lines():
         print(line)
-    print(f"tuning cache: {cache_path} ({len(cache)} entries)")
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"wrote tuning report to {args.out}")
     if args.trace_out:
-        import os
-
-        from .autotune.cache import CACHE_ENV_VAR
         from .sim.tracing import write_trace
 
-        # Lower against the just-saved cache even when --cache points
-        # somewhere other than the compiler's default location.
-        prev = os.environ.get(CACHE_ENV_VAR)
-        os.environ[CACHE_ENV_VAR] = str(cache_path)
-        try:
-            sched = lower(trace_plonky2(spec.plonk), hw)
-        finally:
-            if prev is None:
-                os.environ.pop(CACHE_ENV_VAR, None)
-            else:
-                os.environ[CACHE_ENV_VAR] = prev
+        sched = lower(trace_plonky2(spec.plonk), hw, mapping=report.mapping_for)
         write_trace(sched, args.trace_out)
         print(f"wrote tuned schedule trace to {args.trace_out}")
     return 0
@@ -444,15 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_hw_flags(p)
 
     p = sub.add_parser(
-        "tune", help="search kernel mappings and cache the per-shape winners"
+        "tune", help="search kernel mappings; report default vs tuned"
     )
     p.add_argument("--workload", default="Factorial", metavar="NAME")
-    p.add_argument("--budget", default=None, metavar="TIME",
-                   help="wall-clock budget, e.g. 60s or 2m (default: none)")
-    p.add_argument("--seed", type=int, default=0, help="search seed")
-    p.add_argument("--cache", default=None, metavar="PATH",
-                   help="tuning-cache file (default: REPRO_TUNING_CACHE or "
-                        "~/.cache/repro/tuning.json)")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="write the tuning report as JSON")
     p.add_argument("--trace-out", default=None, metavar="PATH",

@@ -10,7 +10,7 @@ from .frontend import (
 )
 from .graph import ComputationGraph, KernelNode
 from .lowering import DetailedSchedule, KernelSchedule, lower
-from .scheduler import ScheduledKernel, map_node, schedule
+from .scheduler import MappingLike, ScheduledKernel, map_node, schedule
 
 __all__ = [
     "ComputationGraph",
@@ -21,6 +21,7 @@ __all__ = [
     "trace_plonky2",
     "trace_starky",
     "trace_recursive_plonky2",
+    "MappingLike",
     "ScheduledKernel",
     "DetailedSchedule",
     "KernelSchedule",

@@ -21,8 +21,9 @@ from typing import List
 
 from ..hw.config import HwConfig
 from ..mapping.base import KIND_HASH, KIND_NTT, KIND_POLY
+from ..mapping.params import DEFAULT_MAPPING
 from .graph import ComputationGraph
-from .scheduler import ScheduledKernel, schedule
+from .scheduler import MappingLike, ScheduledKernel, schedule
 
 #: Execution modes of the VSAs.
 MODE_SYSTOLIC = "systolic"  # weight-stationary matmul (hash rounds)
@@ -147,13 +148,13 @@ class DetailedSchedule:
 
 
 def lower(
-    graph: ComputationGraph, hw: HwConfig, mapping=None
+    graph: ComputationGraph, hw: HwConfig, mapping: MappingLike = DEFAULT_MAPPING
 ) -> DetailedSchedule:
     """Lower a computation graph into a detailed execution schedule.
 
-    ``mapping`` follows :func:`repro.compiler.schedule`'s contract
-    (``None`` = tuned winners from the cache, explicit
-    :class:`~repro.mapping.params.MappingParams` = pinned).
+    ``mapping`` is :func:`repro.compiler.schedule`'s argument, and the
+    only way a mapping decision gets in (default: the paper's static
+    mapping).
     """
     kernels: List[KernelSchedule] = []
     clock = 0.0

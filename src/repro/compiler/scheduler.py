@@ -12,7 +12,7 @@ zero (paper Section 7.1), though the CPU/GPU baselines pay for them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Union
 
 from ..hw.config import HwConfig
 from ..mapping import (
@@ -30,6 +30,10 @@ from ..mapping import (
 )
 from .graph import ComputationGraph, KernelNode
 
+#: What ``schedule`` / ``lower`` / ``simulate_graph`` accept as
+#: ``mapping``: one point for every node, or a per-node choice.
+MappingLike = Union[MappingParams, Callable[[KernelNode], MappingParams]]
+
 
 @dataclass(frozen=True)
 class ScheduledKernel:
@@ -45,35 +49,34 @@ class ScheduledKernel:
 
 
 def map_node(
-    node: KernelNode, hw: HwConfig, mapping: Optional[MappingParams] = None
+    node: KernelNode, hw: HwConfig, mapping: MappingParams = DEFAULT_MAPPING
 ) -> KernelCost:
     """Dispatch one node to its mapping strategy.
 
     ``mapping`` carries the kernel-family knobs the autotuner searches
-    (:mod:`repro.mapping.params`); ``None`` uses the static defaults.
+    (:mod:`repro.mapping.params`); the default is the static mapping.
     """
-    m = mapping or DEFAULT_MAPPING
     p = node.params
     if node.kind in ("intt", "ntt"):
         return ntt_cost(
             int(p["log_n"]), int(p["batch"]), hw, name=node.name,
-            tile_log2=m.ntt.tile_log2, dims_per_pass=m.ntt.dims_per_pass,
+            tile_log2=mapping.ntt.tile_log2, dims_per_pass=mapping.ntt.dims_per_pass,
         )
     if node.kind == "lde":
         return lde_cost(
             int(p["log_n"]), int(p["rate_bits"]), int(p["batch"]), hw,
             name=node.name,
-            tile_log2=m.ntt.tile_log2, dims_per_pass=m.ntt.dims_per_pass,
+            tile_log2=mapping.ntt.tile_log2, dims_per_pass=mapping.ntt.dims_per_pass,
         )
     if node.kind == "merkle":
         return merkle_cost(
             int(p["leaves"]), int(p["width"]), hw, name=node.name,
-            subtree_div_log2=m.merkle.subtree_div_log2,
-            scheme=m.poseidon.scheme,
+            subtree_div_log2=mapping.merkle.subtree_div_log2,
+            scheme=mapping.poseidon.scheme,
         )
     if node.kind == "hash_misc":
         return poseidon_cost(
-            float(p["perms"]), hw, name=node.name, scheme=m.poseidon.scheme
+            float(p["perms"]), hw, name=node.name, scheme=mapping.poseidon.scheme
         )
     if node.kind == "poly_elementwise":
         return elementwise_cost(
@@ -82,7 +85,7 @@ def map_node(
             int(p["num_operands"]),
             hw,
             name=node.name,
-            chain_split=m.poly.chain_split,
+            chain_split=mapping.poly.chain_split,
         )
     if node.kind == "poly_gate":
         return gate_eval_cost(
@@ -117,28 +120,19 @@ def map_node(
 def schedule(
     graph: ComputationGraph,
     hw: HwConfig,
-    mapping: Optional[MappingParams] = None,
+    mapping: MappingLike = DEFAULT_MAPPING,
 ) -> List[ScheduledKernel]:
     """Map every node in (validated) topological order.
 
-    ``mapping=None`` consults the on-disk :class:`repro.autotune.cache.
-    TuningCache` for tuned per-shape winners (falling back to the static
-    defaults when no winner is stored -- a missing or broken cache file
-    never breaks compilation).  Pass an explicit
-    :class:`~repro.mapping.params.MappingParams` to pin every node to
-    one point of the mapping space (``DEFAULT_MAPPING`` reproduces the
-    pre-autotuner compiler bit for bit).
+    The schedule is a function of ``(graph, hw, mapping)`` and nothing
+    else: ``mapping`` is the only way a mapping decision gets in.  It is
+    either one :class:`~repro.mapping.params.MappingParams` applied to
+    every node -- the default, :data:`DEFAULT_MAPPING`, is the paper's
+    static mapping -- or a ``node -> MappingParams`` callable such as
+    :meth:`repro.autotune.TuneReport.mapping_for`.
     """
-    if mapping is None:
-        # Local import: repro.autotune imports this module for scoring.
-        from ..autotune.cache import MappingResolver
-
-        resolver = MappingResolver(hw)
-        return [
-            ScheduledKernel(node=n, cost=map_node(n, hw, resolver.for_node(n)))
-            for n in graph.topological_order()
-        ]
+    pick = mapping if callable(mapping) else (lambda node: mapping)
     return [
-        ScheduledKernel(node=n, cost=map_node(n, hw, mapping))
+        ScheduledKernel(node=n, cost=map_node(n, hw, pick(n)))
         for n in graph.topological_order()
     ]

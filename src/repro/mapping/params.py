@@ -4,9 +4,9 @@ The paper's core claim (Sections 4-5) is that kernel *mappings* -- how
 an NTT decomposes over the MDC pipelines, which Poseidon round scheme
 the PE grid runs, how Merkle subtrees and polynomial op-chains tile onto
 the scratchpad -- are flexible, not baked into the hardware.  This
-module gives every such choice an explicit, serialisable value so the
-compiler can be steered by the autotuner (:mod:`repro.autotune`) instead
-of hard-coded defaults.
+module gives every such choice an explicit value: the ``mapping``
+argument of :func:`repro.compiler.schedule` is the only way one reaches
+the compiler, and :mod:`repro.autotune` searches over them.
 
 A ``None`` field (or the family default) always reproduces the static
 mapping the compiler shipped before the autotuner existed, bit for bit:
@@ -15,7 +15,7 @@ mapping the compiler shipped before the autotuner existed, bit for bit:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
 from ..hw.config import HwConfig
@@ -123,36 +123,8 @@ class MappingParams:
         return replace(self, **{family: params})
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe form (stored in the tuning cache)."""
-        return {
-            "ntt": {
-                "tile_log2": self.ntt.tile_log2,
-                "dims_per_pass": self.ntt.dims_per_pass,
-            },
-            "poseidon": {"scheme": self.poseidon.scheme},
-            "merkle": {"subtree_div_log2": self.merkle.subtree_div_log2},
-            "poly": {"chain_split": self.poly.chain_split},
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "MappingParams":
-        """Inverse of :meth:`to_dict`; missing families take defaults."""
-        ntt = d.get("ntt", {})
-        return cls(
-            ntt=NttMapping(
-                tile_log2=ntt.get("tile_log2"),
-                dims_per_pass=ntt.get("dims_per_pass"),
-            ),
-            poseidon=PoseidonMapping(
-                scheme=d.get("poseidon", {}).get("scheme", POSEIDON_SCHEME_DEFAULT)
-            ),
-            merkle=MerkleMapping(
-                subtree_div_log2=int(d.get("merkle", {}).get("subtree_div_log2", 0))
-            ),
-            poly=PolyMapping(
-                chain_split=int(d.get("poly", {}).get("chain_split", 1))
-            ),
-        )
+        """JSON-safe nested form (``repro tune`` reports)."""
+        return asdict(self)
 
     def invalid_reasons(self, hw: HwConfig) -> List[str]:
         """All validity violations of this point on ``hw``."""

@@ -102,8 +102,9 @@ def effective_cpus() -> int:
 
     Uses the scheduler affinity mask (cgroup/container limits show up
     here) and falls back to ``os.cpu_count`` where affinity is not
-    exposed.  This is the honest parallelism bound BENCH_service runs
-    must report: ``os.cpu_count`` alone overstates it inside containers.
+    exposed.  This is the honest parallelism bound ``bench/`` records as
+    ``host.effective_cpus``: ``os.cpu_count`` alone overstates it inside
+    containers.
     """
     try:
         return len(os.sched_getaffinity(0)) or 1

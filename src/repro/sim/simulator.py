@@ -10,9 +10,9 @@ methodology.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
-from ..compiler import ComputationGraph, schedule
+from ..compiler import ComputationGraph, MappingLike, schedule
 from ..compiler.frontend import (
     PlonkParams,
     StarkParams,
@@ -21,21 +21,22 @@ from ..compiler.frontend import (
     trace_starky,
 )
 from ..hw.config import DEFAULT_CONFIG, HwConfig
-from ..mapping import MappingParams
+from ..mapping import DEFAULT_MAPPING
 from .stats import KernelRecord, SimReport
 
 
 def simulate_graph(
     graph: ComputationGraph,
     hw: HwConfig = DEFAULT_CONFIG,
-    mapping: Optional[MappingParams] = None,
+    mapping: MappingLike = DEFAULT_MAPPING,
 ) -> SimReport:
     """Run the scheduler and accumulate the per-kernel records.
 
-    ``mapping`` follows :func:`repro.compiler.schedule`'s contract:
-    ``None`` consults the tuning cache for per-shape winners, an
-    explicit :class:`~repro.mapping.params.MappingParams` pins every
-    kernel to that point.
+    ``mapping`` is :func:`repro.compiler.schedule`'s argument, and the
+    only way a mapping decision gets in: one
+    :class:`~repro.mapping.params.MappingParams` for every kernel (the
+    default is the paper's static mapping) or a ``node ->
+    MappingParams`` callable.
     """
     report = SimReport(workload=graph.name, hw=hw)
     for sk in schedule(graph, hw, mapping=mapping):

@@ -8,16 +8,6 @@ import pytest
 from repro.fri import FriConfig
 
 
-@pytest.fixture(autouse=True)
-def _isolated_tuning_cache(tmp_path, monkeypatch):
-    """Point the tuning cache at a per-test file.
-
-    The compiler consults ``REPRO_TUNING_CACHE`` on every schedule;
-    goldens and cost baselines must never see a developer's real cache.
-    """
-    monkeypatch.setenv("REPRO_TUNING_CACHE", str(tmp_path / "tuning.json"))
-
-
 @pytest.fixture
 def fresh_plan_cache():
     """An empty per-shape plan cache for this thread, dropped afterwards."""

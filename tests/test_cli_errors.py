@@ -1,5 +1,7 @@
 """CLI error-path tests: clean one-line failures, nonzero exit codes."""
 
+import pytest
+
 from repro.cli import main
 
 
@@ -21,6 +23,9 @@ class TestUnknownWorkload:
     def test_schedule(self, capsys):
         self._check(capsys, ["schedule", "--workload", "NoSuchWorkload"])
 
+    def test_tune(self, capsys):
+        self._check(capsys, ["tune", "--workload", "NoSuchWorkload"])
+
     def test_submit_fails_before_connecting(self, capsys):
         # Validation happens client-side: no server is running here.
         self._check(capsys, ["submit", "--workload", "NoSuchWorkload"])
@@ -29,6 +34,19 @@ class TestUnknownWorkload:
         main(["prove", "--workload", "Mystery"])
         err = capsys.readouterr().err
         assert "'Mystery'" in err and "Fibonacci" in err
+
+
+class TestRetiredTuneFlags:
+    """The search has no cache, budget or seed left to set."""
+
+    @pytest.mark.parametrize(
+        "flag", [["--cache", "X"], ["--budget", "1s"], ["--seed", "1"]], ids=" ".join
+    )
+    def test_argparse_rejects(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["tune", "--workload", "Fibonacci", *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestBadQueryCount:

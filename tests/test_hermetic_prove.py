@@ -1,9 +1,11 @@
-"""Prove time is a function of the repo and the host only.
+"""A run is a function of the repo, its arguments and the host.
 
-The software prover has no tuning plane: nothing under ``plan_for`` or
-``prove`` may consult the mapping autotuner's cache file
-(``$REPRO_TUNING_CACHE`` / ``~/.cache/repro/tuning.json``), whatever
-that file holds.  The second half pins where process-ambient state
+Neither the software prover nor the hardware model has an ambient
+input: nothing under ``prove``, ``schedule`` or ``simulate`` may consult
+a file outside the checkout (the retired mapping-tuner cache lived at
+``$REPRO_TUNING_CACHE`` / ``~/.cache/repro/tuning.json``), whatever that
+file holds, and nothing under ``src/repro`` reads the environment or the
+home directory at all.  The second half pins where process-ambient state
 (``ContextVar`` / ``threading.local``) lives in ``src/repro``, so a new
 ambient is a reviewed edit to the lists below.  The last part pins that
 a protocol is described in one place: the tables ``ProofSystem`` made
@@ -11,17 +13,22 @@ redundant stay gone, and ``serialize.py`` imports no protocol package.
 """
 
 import ast
+import hashlib
 import json
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 import repro
 from repro import metrics, protocols
-from repro.autotune import cache as tuning_cache
-from repro.autotune.cache import TuningCache
-from repro.workloads import fibonacci
+from repro.compiler import trace_plonky2
+from repro.experiments.tables import table3
+from repro.hw import DEFAULT_CONFIG
+from repro.mapping import DEFAULT_MAPPING
+from repro.sim import simulate_graph, simulate_plonky2
+from repro.workloads import factorial, fibonacci
 
 from .test_parallel import GOLDENS, SCALE
 
@@ -36,25 +43,6 @@ def _prove_all_and_check_goldens():
         assert system.digest(proof) == want_digest
         got = counts.as_dict()
         assert {k: got[k] for k in want_counts} == want_counts
-
-
-def test_prove_never_reads_the_tuning_cache(monkeypatch, fresh_plan_cache):
-    calls = []
-
-    def recorder(name, real):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-
-        return wrapper
-
-    # `default_cache_path` is looked up at call time by every default
-    # consult, so it also catches a caller that bound
-    # `load_default_cache` by name before this patch.
-    for name in ("load_default_cache", "default_cache_path"):
-        monkeypatch.setattr(tuning_cache, name, recorder(name, getattr(tuning_cache, name)))
-    _prove_all_and_check_goldens()
-    assert calls == []
 
 
 #: What a pre-retirement tuner could have stored for the STARK golden
@@ -80,11 +68,41 @@ def test_cache_file_contents_cannot_reach_the_prover(
     path.write_text(text[: len(text) // 2] if truncate else text)
     monkeypatch.setenv("REPRO_TUNING_CACHE", str(path))
     _prove_all_and_check_goldens()
-    # `repro tune` still reads such a file without complaint.
-    loaded = TuningCache.load(path, strict=False)
-    assert len(loaded) == (0 if truncate else 1)
-    if not truncate:
-        assert loaded.lookup("plan.stark/n64/r1", "software")["seconds"] == 0.1
+
+
+def _planted_winners():
+    """A cache file as the retired tuner wrote it (format version 2) for
+    the default chip: the real NTT winners of Factorial's two largest
+    shapes, and a hand-written entry naming the Poseidon scheme the
+    sanitizer rejects."""
+    blob = json.dumps(asdict(DEFAULT_CONFIG), sort_keys=True).encode()
+    hw = hashlib.sha256(blob).hexdigest()[:12]
+    tile6 = {"params": {"ntt": {"tile_log2": 6, "dims_per_pass": 2}}}
+    ii1 = {"params": {"poseidon": {"scheme": "sparse-12x3-ii1"}}}
+    entries = {
+        f"lde/log20+r3@{hw}": tile6,
+        f"ntt/log23@{hw}": tile6,
+        f"poseidon/w12@{hw}": ii1,
+    }
+    return json.dumps({"version": 2, "entries": entries})
+
+
+@pytest.mark.parametrize("door", ["env", "home"])
+def test_planted_tuning_file_cannot_move_the_model(door, tmp_path, monkeypatch):
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.delenv("REPRO_TUNING_CACHE", raising=False)
+    graph = trace_plonky2(factorial.SPEC.plonk)
+    pinned = simulate_graph(graph, mapping=DEFAULT_MAPPING).total_cycles
+    before = table3()
+
+    path = tmp_path / ".cache" / "repro" / "tuning.json"
+    path.parent.mkdir(parents=True)
+    path.write_text(_planted_winners())
+    if door == "env":
+        monkeypatch.setenv("HOME", str(tmp_path / "elsewhere"))
+        monkeypatch.setenv("REPRO_TUNING_CACHE", str(path))
+    assert simulate_plonky2(factorial.SPEC.plonk).total_cycles == pinned
+    assert table3() == before
 
 
 # -- ambient-state inventory ---------------------------------------------------
@@ -118,13 +136,35 @@ def test_ambient_state_lives_where_pinned(name):
     assert _constructor_calls(name) == AMBIENT[name]
 
 
+#: Ways to the process environment or the home directory, whatever
+#: object they hang off (``os``, ``os.path``, ``Path``).  No file under
+#: ``src/repro`` may use one: there is no allow-list.
+ENV_AND_HOME = {"environ", "getenv", "home", "expanduser", "expandvars"}
+
+
+def test_nothing_reads_the_environment_or_the_home_directory():
+    found = set()
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            where = f"{path.relative_to(SRC).as_posix()}:{node.lineno}"
+            found.update(f"{where}: {n}" for n in names if n in ENV_AND_HOME)
+    assert found == set()
+
+
 # -- one description of a protocol ---------------------------------------------
 
 REPO = SRC.parent.parent
 
 #: Names retired when the body codecs, format versions, envelope kinds
-#: and fuzz targets moved onto ``ProofSystem`` (each split in two so
-#: this list does not find itself).
+#: and fuzz targets moved onto ``ProofSystem``, and when the mapping
+#: tuner's disk cache went (each split in two so this list does not
+#: find itself).
 RETIRED = "|".join(
     head + tail
     for head, tail in [
@@ -138,6 +178,11 @@ RETIRED = "|".join(
         ("DEFAULT", "_CONFIGS"),
         ("fri_config", "_for"),
         ("(prove|verify)_with", "_challenger"),
+        ("Tuning", "Cache"),
+        ("Mapping", "Resolver"),
+        ("load_default", "_cache"),
+        ("default_cache", "_path"),
+        ("CACHE_ENV", "_VAR"),
     ]
 )
 
