@@ -220,10 +220,7 @@ def cmd_serve(args) -> int:
     )
     service = ProvingService(
         workers=args.workers,
-        enable_batching=not args.no_batch,
         enable_cache=not args.no_cache,
-        batch_window_s=args.batch_window,
-        max_batch=args.max_batch,
         default_timeout_s=args.job_timeout,
         max_retries=args.retries,
         fault_injection=args.fault_injection,
@@ -233,7 +230,6 @@ def cmd_serve(args) -> int:
     print(
         f"proving service on {args.host}:{args.port} "
         f"({args.workers} workers x {shard_workers} shard workers, "
-        f"batching {'off' if args.no_batch else 'on'}, "
         f"cache {'off' if args.no_cache else 'on'})",
         flush=True,
     )
@@ -456,11 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shard processes per proving worker (stage-level "
                         "parallelism inside each proof; 1 = shards run "
                         "in the proving worker itself)")
-    p.add_argument("--no-batch", action="store_true", help="disable batching")
     p.add_argument("--no-cache", action="store_true", help="disable result cache")
-    p.add_argument("--batch-window", type=float, default=0.05,
-                   help="seconds to wait for batchable peers")
-    p.add_argument("--max-batch", type=int, default=8, help="max jobs per batch")
     p.add_argument("--job-timeout", type=float, default=120.0,
                    help="per-job timeout seconds")
     p.add_argument("--retries", type=int, default=2, help="max retries per job")

@@ -137,8 +137,8 @@ def plan_for(n: int, rate_bits: int) -> DomainPlan:
     """Return this thread's (warmed) plan for a domain shape.
 
     Keyed on ``(n, rate_bits)``; repeated proofs of one shape -- of
-    either protocol, the service's batch path in particular -- share
-    tables and workspace.  The cache holds at most
+    either protocol, a service worker's successive jobs in particular --
+    share tables and workspace.  The cache holds at most
     :data:`PLAN_CACHE_CAP` plans per thread, evicting least-recently-used
     shapes.
     """

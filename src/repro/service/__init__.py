@@ -1,12 +1,11 @@
-"""Proving service: async job queue, worker pool, batching, caching.
+"""Proving service: async job queue, worker pool, in-flight merging, caching.
 
 The software half of the paper's throughput story: UniZK removes the
 per-proof bottleneck in hardware; this subsystem turns the repository's
 provers and simulator into a long-running concurrent service a fleet of
-clients can hit -- priority queueing, multiprocess workers, request
-batching (the service-level analogue of the batched NTT/Merkle
-kernels), a content-addressed result cache, and bounded-retry fault
-handling.
+clients can hit -- priority queueing, multiprocess workers, in-flight
+de-duplication (identical requests share one execution), a
+content-addressed result cache, and bounded-retry fault handling.
 
 Entry points: ``python -m repro serve`` / ``submit`` / ``status`` on
 the CLI, or :class:`ProvingService` in process::
@@ -16,7 +15,6 @@ the CLI, or :class:`ProvingService` in process::
         proof_envelope = svc.result(job_id).envelope
 """
 
-from .batching import Batch, coalesce, singletons
 from .cache import ProofCache
 from .client import ServiceClient, ServiceError, wait_for_server
 from .executor import execute, validate_spec, verify_result
@@ -41,9 +39,6 @@ __all__ = [
     "PriorityJobQueue",
     "ProofCache",
     "WorkerPool",
-    "Batch",
-    "coalesce",
-    "singletons",
     "execute",
     "verify_result",
     "validate_spec",

@@ -11,7 +11,7 @@ a given scale.  Jobs move through a small state machine::
 
 The :class:`JobSpec` is the content-addressable part -- two specs with
 the same canonical form are the *same work*, which is what the result
-cache and the request batcher key on.
+cache and the scheduler's in-flight merge key on.
 """
 
 from __future__ import annotations
@@ -96,20 +96,6 @@ class JobSpec:
         """Content address: same key == same proof bytes (deterministic)."""
         return hashlib.sha256(self.canonical().encode()).hexdigest()
 
-    @property
-    def compat_key(self) -> str:
-        """Batching compatibility: jobs sharing workload/kind/config may
-        ride in one worker dispatch (amortised precompute)."""
-        return json.dumps(
-            {
-                "workload": self.workload,
-                "kind": self.kind,
-                "config": dict(sorted(self.config.items())),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-
     def to_dict(self) -> Dict[str, Any]:
         """Wire form (JSON-safe)."""
         return {
@@ -162,7 +148,8 @@ class Job:
     attempts: int = 0
     error: Optional[str] = None
     result: Optional[JobResult] = None
-    #: Size of the batch the job last rode in (1 == solo).
+    #: Jobs that shared the execution this job last rode (1 == solo);
+    #: set when that execution ends.
     batch_size: int = 0
     done_event: threading.Event = field(default_factory=threading.Event, repr=False)
 

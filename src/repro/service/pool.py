@@ -26,7 +26,7 @@ def _worker_main(
     shard_workers: int = 1,
     shard_config: Optional[Dict[str, Any]] = None,
 ) -> None:
-    """Worker loop: take a batch task, run every spec, ship results.
+    """Worker loop: take a task, run its spec, ship the result.
 
     The worker owns a :class:`repro.parallel.ShardPool` of
     ``shard_workers`` and scopes it over every job it executes: with
@@ -37,7 +37,7 @@ def _worker_main(
     # A foreground `repro serve` shares its process group with the
     # workers, so a terminal Ctrl-C would hit them too.  Shutdown is
     # driven by sentinels (and SIGKILL for deadline kills), never
-    # SIGINT -- let the scheduler drain instead of dying mid-batch.
+    # SIGINT -- let the scheduler drain instead of dying mid-proof.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     from .. import parallel
 
@@ -48,20 +48,12 @@ def _worker_main(
             task = task_q.get()
             if task is None:
                 break
-            results = []
-            for spec in task["specs"]:
-                try:
-                    results.append({"ok": True, **execute(spec)})
-                except Exception as exc:  # noqa: BLE001 - report, don't die
-                    results.append(
-                        {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-                    )
+            try:
+                result = {"ok": True, **execute(task["spec"])}
+            except Exception as exc:  # noqa: BLE001 - report, don't die
+                result = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
             result_q.put(
-                {
-                    "worker_id": worker_id,
-                    "batch_id": task["batch_id"],
-                    "results": results,
-                }
+                {"worker_id": worker_id, "flight_id": task["flight_id"], **result}
             )
 
 
@@ -72,19 +64,19 @@ class WorkerHandle:
     id: int
     process: mp.Process
     task_q: Any
-    #: Batch id currently executing (None == idle).
+    #: Flight id currently executing (None == idle).
     busy: Optional[int] = None
-    #: Monotonic deadline for the in-flight batch.
+    #: Monotonic deadline for that flight.
     deadline: Optional[float] = None
     generation: int = 0
     #: Monotonic time this worker last became idle (spawn counts).
     idle_since: float = field(default_factory=time.monotonic)
-    #: Batches dispatched to this worker over its lifetime.
+    #: Flights dispatched to this worker over its lifetime.
     dispatches: int = 0
 
     @property
     def idle(self) -> bool:
-        """Whether the worker has no batch in flight."""
+        """Whether the worker has no flight to run."""
         return self.busy is None
 
     @property
@@ -98,7 +90,7 @@ class Casualty:
     """A worker the pool had to give up on, and why."""
 
     worker_id: int
-    batch_id: int
+    flight_id: int
     reason: str  # "crashed" | "timeout"
 
 
@@ -170,10 +162,10 @@ class WorkerPool:
     # -- dispatch --------------------------------------------------------
 
     def idle_workers(self) -> List[WorkerHandle]:
-        """Workers ready for a new batch, longest-idle first.
+        """Workers ready for a new flight, longest-idle first.
 
-        Ordering matters: the scheduler zips this list against ready
-        batches, so returning declaration order would always feed
+        Ordering matters: the scheduler fills this list front to back
+        from the queue, so returning declaration order would always feed
         worker 0 first, starving high-id workers under light load and
         skewing per-worker stats.  Longest-waiting-first spreads work
         evenly (and keeps every worker's caches warm).
@@ -182,14 +174,14 @@ class WorkerPool:
         idle.sort(key=lambda w: (w.idle_since, w.id))
         return idle
 
-    def assign(self, worker: WorkerHandle, batch_id: int, specs: List[dict],
+    def assign(self, worker: WorkerHandle, flight_id: int, spec: dict,
                timeout_s: float) -> None:
-        """Hand a batch to an idle worker and arm its deadline."""
+        """Hand one spec to an idle worker and arm its deadline."""
         assert worker.idle, "assigning to a busy worker"
-        worker.busy = batch_id
+        worker.busy = flight_id
         worker.deadline = time.monotonic() + timeout_s
         worker.dispatches += 1
-        worker.task_q.put({"batch_id": batch_id, "specs": specs})
+        worker.task_q.put({"flight_id": flight_id, "spec": spec})
 
     def mark_idle(self, worker_id: int) -> None:
         """Clear a worker's in-flight state after its result arrived."""
@@ -204,7 +196,7 @@ class WorkerPool:
         return {w.id: w.process.pid for w in self.workers if w.process.pid}
 
     def busy_workers(self) -> List[WorkerHandle]:
-        """Workers with a batch in flight."""
+        """Workers with a flight to run."""
         return [w for w in self.workers if not w.idle]
 
     # -- health ----------------------------------------------------------
@@ -214,7 +206,7 @@ class WorkerPool:
 
         A worker past its deadline is SIGKILLed (the prover does not
         poll for cancellation) and counted as a ``timeout`` casualty;
-        a worker that died with a batch in flight is a ``crash``.
+        a worker that died with a flight assigned is a ``crash``.
         """
         now = time.monotonic()
         casualties: List[Casualty] = []
@@ -234,7 +226,7 @@ class WorkerPool:
                     casualties.append(
                         Casualty(
                             worker_id=w.id,
-                            batch_id=w.busy,
+                            flight_id=w.busy,
                             reason="timeout" if timed_out else "crashed",
                         )
                     )

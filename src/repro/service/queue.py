@@ -1,11 +1,11 @@
 """Thread-safe priority queue with delayed (backoff) entries.
 
-Two heaps: a *delayed* heap ordered by ready time (retry backoff, the
-batching window) and a *ready* heap ordered by ``(priority, sequence)``
--- lowest priority number first, FIFO within a level.  Popping first
-matures any delayed entries whose time has come, so a high-priority
-retry still jumps ahead of older low-priority work.  Cancellation uses
-tombstones so it is O(1) regardless of queue depth.
+Two heaps: a *delayed* heap ordered by ready time (retry backoff) and a
+*ready* heap ordered by ``(priority, sequence)`` -- lowest priority
+number first, FIFO within a level.  Popping first matures any delayed
+entries whose time has come, so a high-priority retry still jumps ahead
+of older low-priority work.  Entries are never removed from the middle:
+the scheduler skips one whose flight is gone when it surfaces.
 """
 
 from __future__ import annotations
@@ -14,78 +14,42 @@ import heapq
 import itertools
 import threading
 import time
-from typing import List, Optional
+from typing import List
 
 
 class PriorityJobQueue:
-    """Priority queue of job ids with per-entry visibility delays."""
+    """Priority queue of keys with per-entry visibility delays."""
 
     def __init__(self) -> None:
-        self._delayed: List[tuple] = []  # (not_before, seq, priority, job_id)
-        self._ready: List[tuple] = []    # (priority, seq, job_id)
+        self._delayed: List[tuple] = []  # (not_before, seq, priority, key)
+        self._ready: List[tuple] = []    # (priority, seq, key)
         self._seq = itertools.count()
-        self._cancelled: set = set()
         self._lock = threading.Lock()
 
-    def push(self, job_id: str, priority: int = 0, delay_s: float = 0.0) -> None:
+    def push(self, key: str, priority: int = 0, delay_s: float = 0.0) -> None:
         """Enqueue; the entry becomes poppable after ``delay_s`` seconds."""
         with self._lock:
-            self._cancelled.discard(job_id)
             seq = next(self._seq)
             if delay_s > 0:
                 heapq.heappush(
                     self._delayed,
-                    (time.monotonic() + delay_s, seq, priority, job_id),
+                    (time.monotonic() + delay_s, seq, priority, key),
                 )
             else:
-                heapq.heappush(self._ready, (priority, seq, job_id))
-
-    def cancel(self, job_id: str) -> None:
-        """Mark a queued job id so it is skipped when it surfaces."""
-        with self._lock:
-            self._cancelled.add(job_id)
-
-    def _mature(self, now: float) -> None:
-        while self._delayed and self._delayed[0][0] <= now:
-            _, seq, priority, job_id = heapq.heappop(self._delayed)
-            heapq.heappush(self._ready, (priority, seq, job_id))
+                heapq.heappush(self._ready, (priority, seq, key))
 
     def pop_ready(self, max_n: int = 1) -> List[str]:
         """Dequeue up to ``max_n`` entries whose ready time has passed."""
         out: List[str] = []
         with self._lock:
-            self._mature(time.monotonic())
+            now = time.monotonic()
+            while self._delayed and self._delayed[0][0] <= now:
+                _, seq, priority, key = heapq.heappop(self._delayed)
+                heapq.heappush(self._ready, (priority, seq, key))
             while self._ready and len(out) < max_n:
-                _, _, job_id = heapq.heappop(self._ready)
-                if job_id in self._cancelled:
-                    self._cancelled.discard(job_id)
-                    continue
-                out.append(job_id)
+                out.append(heapq.heappop(self._ready)[2])
         return out
-
-    def next_ready_in(self) -> Optional[float]:
-        """Seconds until some entry becomes poppable (None if empty)."""
-        with self._lock:
-            self._mature(time.monotonic())
-            live_ready = any(
-                job_id not in self._cancelled for _, _, job_id in self._ready
-            )
-            if live_ready:
-                return 0.0
-            delayed = [
-                e for e in self._delayed if e[3] not in self._cancelled
-            ]
-            if not delayed:
-                return None
-            return max(0.0, min(e[0] for e in delayed) - time.monotonic())
 
     def __len__(self) -> int:
         with self._lock:
-            live = [
-                e for e in self._ready if e[2] not in self._cancelled
-            ] + [e for e in self._delayed if e[3] not in self._cancelled]
-            return len(live)
-
-    def empty(self) -> bool:
-        """Whether no live entries remain."""
-        return len(self) == 0
+            return len(self._ready) + len(self._delayed)

@@ -2,14 +2,21 @@
 
 ``ProvingService`` ties the pieces together:
 
-* :class:`~repro.service.queue.PriorityJobQueue` orders submitted jobs
-  (priority + backoff/batching delays);
-* :class:`~repro.service.cache.ProofCache` short-circuits duplicate
-  requests with byte-identical results;
-* :mod:`~repro.service.batching` coalesces compatible pending jobs into
-  one worker dispatch;
-* :class:`~repro.service.pool.WorkerPool` runs batches in worker
-  processes and reports crashes/timeouts.
+* :class:`~repro.service.cache.ProofCache` short-circuits requests whose
+  proof already exists with byte-identical results;
+* a :class:`Flight` is one proof in the making -- the spec a worker runs
+  and the jobs waiting on its result.  Identical requests are merged by
+  identity, not by time: a job whose cache key is already queued *or
+  already proving* rides that flight, so no spec executes twice while
+  its twin is outstanding and nothing waits for twins to arrive;
+* :class:`~repro.service.queue.PriorityJobQueue` orders the queued
+  flights' cache keys (priority + retry backoff);
+* :class:`~repro.service.pool.WorkerPool` runs one flight per worker
+  process and reports crashes/timeouts.
+
+Invariant: every non-terminal job rides exactly one flight, and at most
+one flight per cache key exists.  A key is either cached or in flight,
+both decided under the one lock.
 
 A single scheduler thread owns all state transitions, so there is one
 lock and no lost-update window: results, casualties, and dispatch all
@@ -24,17 +31,31 @@ import itertools
 import random
 import threading
 import time
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Union
 
 from ..metrics import merge_counts
-from . import batching
 from .cache import ProofCache
 from .executor import validate_spec
 from .jobs import Job, JobFailed, JobResult, JobSpec, JobState
-from .pool import WorkerPool
+from .pool import Casualty, WorkerPool
 from .queue import PriorityJobQueue
 
 _TICK_S = 0.005
+
+
+@dataclass
+class Flight:
+    """One execution of a spec and the jobs whose result it is."""
+
+    id: int
+    spec: JobSpec
+    #: Most urgent priority it sits in the queue at.
+    priority: int
+    #: Ids of the jobs riding; all ``PENDING`` while the flight is
+    #: queued, all ``RUNNING`` once a worker has it.
+    riders: List[str] = field(default_factory=list)
+    running: bool = False
 
 
 class ProvingService:
@@ -44,10 +65,7 @@ class ProvingService:
         self,
         workers: int = 2,
         *,
-        enable_batching: bool = True,
         enable_cache: bool = True,
-        batch_window_s: float = 0.05,
-        max_batch: int = 8,
         cache_entries: int = 256,
         cache_bytes: int = 64 << 20,
         default_timeout_s: float = 120.0,
@@ -60,10 +78,7 @@ class ProvingService:
         shard_workers: int = 1,
         shard_config: Optional[Dict[str, Any]] = None,
     ) -> None:
-        self.enable_batching = enable_batching
         self.enable_cache = enable_cache
-        self.batch_window_s = batch_window_s if enable_batching else 0.0
-        self.max_batch = max_batch
         self.default_timeout_s = default_timeout_s
         self.default_max_retries = max_retries
         self.backoff_base_s = backoff_base_s
@@ -83,9 +98,11 @@ class ProvingService:
         )
 
         self._jobs: Dict[str, Job] = {}
-        self._inflight: Dict[int, batching.Batch] = {}
+        #: cache key -> the one flight queued or proving for it.
+        self._flights: Dict[str, Flight] = {}
         self._lock = threading.RLock()
         self._job_seq = itertools.count(1)
+        self._flight_seq = itertools.count(1)
         self._rng = random.Random(jitter_seed)
         self._stop = threading.Event()
         self._scheduler: Optional[threading.Thread] = None
@@ -165,7 +182,7 @@ class ProvingService:
             if cached is not None:
                 self._complete(job, cached, cache_hit=True)
             else:
-                self.queue.push(job.id, priority=priority, delay_s=self.batch_window_s)
+                self._enqueue(job)
         return job.id
 
     def job(self, job_id: str) -> Dict[str, Any]:
@@ -190,7 +207,13 @@ class ProvingService:
             job = self._jobs[job_id]
             if job.state is not JobState.PENDING:
                 return False
-            self.queue.cancel(job_id)
+            # A pending job rides a queued flight; the last rider out
+            # drops it, and its queue entry is skipped when it surfaces.
+            key = job.spec.cache_key
+            riders = self._flights[key].riders
+            riders.remove(job_id)
+            if not riders:
+                del self._flights[key]
             job.state = JobState.CANCELLED
             job.finished_at = time.monotonic()
             self.totals["cancelled"] += 1
@@ -215,12 +238,13 @@ class ProvingService:
             by_state: Dict[str, int] = {}
             for j in self._jobs.values():
                 by_state[j.state.value] = by_state.get(j.state.value, 0) + 1
+            running = sum(f.running for f in self._flights.values())
             return {
                 **{k: (dict(v) if isinstance(v, dict) else v)
                    for k, v in self.totals.items()},
                 "jobs_by_state": by_state,
-                "queue_depth": len(self.queue),
-                "inflight_batches": len(self._inflight),
+                "queue_depth": len(self._flights) - running,
+                "inflight_batches": running,
                 "cache": self.cache.stats(),
                 "workers": len(self.pool.workers),
                 "worker_restarts": self.pool.restarts,
@@ -240,7 +264,7 @@ class ProvingService:
 
     def _tick(self) -> bool:
         did_work = False
-        # 1. Completed batches.
+        # 1. Landed flights.
         while True:
             try:
                 msg = self.pool.result_q.get_nowait()
@@ -257,102 +281,104 @@ class ProvingService:
         return did_work
 
     def _dispatch(self) -> bool:
-        idle = self.pool.idle_workers()
-        if not idle:
-            return False
+        """Hand one queued flight to each idle worker."""
+        dispatched = False
         with self._lock:
-            ready_ids = self.queue.pop_ready(max_n=len(idle) * self.max_batch)
-            ready: List[Job] = []
-            for job_id in ready_ids:
-                job = self._jobs[job_id]
-                if job.state is not JobState.PENDING:
-                    continue  # cancelled while queued
-                cached = (
-                    self.cache.get(job.spec.cache_key)
-                    if self.enable_cache else None
-                )
-                if cached is not None:
-                    self._complete(job, cached, cache_hit=True)
-                else:
-                    ready.append(job)
-            if not ready:
-                return False
-            batches = (
-                batching.coalesce(ready, max_batch=self.max_batch)
-                if self.enable_batching
-                else batching.singletons(ready)
-            )
-            for batch in batches[len(idle):]:
-                # More compat groups than free workers: requeue for the
-                # next tick, keeping priority.
-                for rider_ids in batch.riders:
-                    for job_id in rider_ids:
-                        self.queue.push(
-                            job_id, priority=self._jobs[job_id].priority
-                        )
-            now = time.monotonic()
-            for worker, batch in zip(idle, batches):
-                timeout = 0.0
-                for rider_ids in batch.riders:
-                    for job_id in rider_ids:
-                        job = self._jobs[job_id]
-                        job.state = JobState.RUNNING
-                        job.attempts += 1
-                        if job.started_at is None:
-                            job.started_at = now
-                        job.batch_size = batch.num_jobs
-                        timeout = max(timeout, job.timeout_s)
-                self._inflight[batch.id] = batch
+            for worker in self.pool.idle_workers():
+                flight = self._next_queued()
+                if flight is None:
+                    break
+                flight.running = True
+                # The deadline is fixed here: later riders share it.
+                timeout = max(self._jobs[j].timeout_s for j in flight.riders)
+                now = time.monotonic()
+                for job_id in flight.riders:
+                    self._board(self._jobs[job_id], now)
                 self.totals["batches_dispatched"] += 1
-                self.totals["jobs_dispatched"] += batch.num_jobs
-                self.pool.assign(worker, batch.id, batch.specs, timeout)
-        return True
+                self.pool.assign(worker, flight.id, flight.spec.to_dict(), timeout)
+                dispatched = True
+        return dispatched
+
+    def _next_queued(self) -> Optional[Flight]:
+        """Most urgent ready flight.  An entry whose flight was dropped
+        (every rider cancelled) or already left on another entry (a more
+        urgent twin pushed a second one) is stale: skip it."""
+        while keys := self.queue.pop_ready():
+            flight = self._flights.get(keys[0])
+            if flight is not None and not flight.running:
+                return flight
+        return None
+
+    def _land(self, flight_id: int) -> List[Job]:
+        """Take a flight a worker reported on out of ``_flights``; returns
+        its riders (none for a flight already given up on)."""
+        for key, flight in self._flights.items():
+            if flight.id == flight_id:
+                del self._flights[key]
+                riders = [self._jobs[j] for j in flight.riders]
+                for job in riders:
+                    job.batch_size = len(riders)
+                return riders
+        return []
 
     def _handle_result(self, msg: Dict[str, Any]) -> None:
         with self._lock:
             self.pool.mark_idle(msg["worker_id"])
-            batch = self._inflight.pop(msg["batch_id"], None)
-            if batch is None:
+            riders = self._land(msg["flight_id"])
+            if not riders:
                 return  # stale result from a worker we already gave up on
-            for spec_dict, rider_ids, res in zip(
-                batch.specs, batch.riders, msg["results"]
-            ):
-                if res.get("ok"):
-                    key = JobSpec.from_dict(spec_dict).cache_key
-                    if self.enable_cache:
-                        self.cache.put(key, res["envelope"])
-                    merge_counts(res.get("counters", {}))
-                    self._merge_totals(res.get("counters", {}))
-                    self._merge_stage_wall(res.get("spans", []))
-                    for job_id in rider_ids:
-                        job = self._jobs[job_id]
-                        if job.state is JobState.RUNNING:
-                            self._complete(
-                                job, res["envelope"],
-                                cache_hit=False,
-                                counters=res.get("counters", {}),
-                                spans=res.get("spans", []),
-                            )
-                else:
-                    for job_id in rider_ids:
-                        self._fail_or_retry(
-                            self._jobs[job_id], res.get("error", "unknown error")
-                        )
+            if not msg["ok"]:
+                for job in riders:
+                    self._fail_or_retry(job, msg["error"])
+                return
+            if self.enable_cache:
+                self.cache.put(riders[0].spec.cache_key, msg["envelope"])
+            merge_counts(msg["counters"])
+            self._merge_totals(msg["counters"])
+            self._merge_stage_wall(msg["spans"])
+            for job in riders:
+                self._complete(
+                    job, msg["envelope"], cache_hit=False,
+                    counters=msg["counters"], spans=msg["spans"],
+                )
 
-    def _handle_casualty(self, casualty) -> None:
+    def _handle_casualty(self, casualty: Casualty) -> None:
         with self._lock:
-            batch = self._inflight.pop(casualty.batch_id, None)
-            if batch is None:
+            riders = self._land(casualty.flight_id)
+            if not riders:
                 return
             key = "timeouts" if casualty.reason == "timeout" else "worker_crashes"
             self.totals[key] += 1
-            for rider_ids in batch.riders:
-                for job_id in rider_ids:
-                    job = self._jobs[job_id]
-                    if job.state is JobState.RUNNING:
-                        self._fail_or_retry(job, f"worker {casualty.reason}")
+            for job in riders:
+                self._fail_or_retry(job, f"worker {casualty.reason}")
 
     # -- state transitions (caller holds the lock) -----------------------
+
+    def _enqueue(self, job: Job, delay_s: float = 0.0) -> None:
+        """Put a pending job on the flight for its cache key, creating
+        and queueing the flight if there is none."""
+        key = job.spec.cache_key
+        flight = self._flights.get(key)
+        if flight is None:
+            flight = self._flights[key] = Flight(
+                next(self._flight_seq), job.spec, job.priority
+            )
+            self.queue.push(key, priority=job.priority, delay_s=delay_s)
+        elif flight.running:
+            self._board(job, time.monotonic())
+        elif job.priority < flight.priority:
+            # More urgent than the entry its flight waits on: add one.
+            flight.priority = job.priority
+            self.queue.push(key, priority=job.priority, delay_s=delay_s)
+        flight.riders.append(job.id)
+
+    def _board(self, job: Job, now: float) -> None:
+        """A worker has (or is being handed) this job's flight."""
+        job.state = JobState.RUNNING
+        job.attempts += 1
+        if job.started_at is None:
+            job.started_at = now
+        self.totals["jobs_dispatched"] += 1
 
     def _complete(
         self,
@@ -386,7 +412,7 @@ class ProvingService:
             delay = backoff * (1.0 + 0.25 * self._rng.random())
             job.state = JobState.PENDING
             self.totals["retried"] += 1
-            self.queue.push(job.id, priority=job.priority, delay_s=delay)
+            self._enqueue(job, delay_s=delay)
         else:
             job.state = JobState.FAILED
             job.finished_at = time.monotonic()

@@ -5,7 +5,7 @@ from ..fri import plan_for
 from .air import Air, BaseVecAlgebra, BoundaryConstraint, ExtAlgebra
 from .poseidon_air import PoseidonAir
 from .proof import StarkProof
-from .prover import prove, prove_batch, quotient_chunk_count
+from .prover import prove, quotient_chunk_count
 from .verifier import StarkError, verify
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "PoseidonAir",
     "poseidon_air",
     "prove",
-    "prove_batch",
     "verify",
     "StarkError",
     "quotient_chunk_count",

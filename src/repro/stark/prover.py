@@ -19,7 +19,7 @@ opening layout.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -153,19 +153,3 @@ def prove(
         openings=openings,
         fri_proof=fri_proof,
     )
-
-
-def prove_batch(
-    air: Air,
-    jobs: Sequence[Tuple[np.ndarray, Sequence[int]]],
-    config: FriConfig,
-) -> List[StarkProof]:
-    """Prove several ``(trace, public_inputs)`` instances of one AIR.
-
-    Each proof uses a fresh transcript (they verify independently), but
-    jobs of one shape share one warm plan (:func:`repro.fri.plan_for`
-    is an LRU hit) -- tables, twiddles and workspace arena -- the
-    service-level analogue of the paper's batched-NTT/Merkle
-    amortisation.
-    """
-    return [prove(air, trace, publics, config) for trace, publics in jobs]

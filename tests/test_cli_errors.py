@@ -49,6 +49,19 @@ class TestRetiredTuneFlags:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+class TestRetiredServeFlags:
+    """A dispatch is one proof: there is no batch to switch off or size."""
+
+    @pytest.mark.parametrize(
+        "flag", [["--no-batch"], ["--batch-window", "0.05"], ["--max-batch", "8"]], ids=" ".join
+    )
+    def test_argparse_rejects(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--port", "8399", *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestBadQueryCount:
     def test_prove_rejects_zero_queries_in_one_line(self, capsys):
         for protocol in ("stark", "plonk", "hyperplonk"):

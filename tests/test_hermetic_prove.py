@@ -162,9 +162,10 @@ def test_nothing_reads_the_environment_or_the_home_directory():
 REPO = SRC.parent.parent
 
 #: Names retired when the body codecs, format versions, envelope kinds
-#: and fuzz targets moved onto ``ProofSystem``, and when the mapping
-#: tuner's disk cache went (each split in two so this list does not
-#: find itself).
+#: and fuzz targets moved onto ``ProofSystem``, when the mapping
+#: tuner's disk cache went, and when the service's batching window gave
+#: way to single-flight (each split in two so this list does not find
+#: itself).
 RETIRED = "|".join(
     head + tail
     for head, tail in [
@@ -183,6 +184,11 @@ RETIRED = "|".join(
         ("load_default", "_cache"),
         ("default_cache", "_path"),
         ("CACHE_ENV", "_VAR"),
+        ("batch", "_window"),
+        ("enable", "_batching"),
+        ("compat", "_key"),
+        ("max", "_batch"),
+        ("prove", "_batch"),
     ]
 )
 

@@ -2,7 +2,7 @@
 
 Proofs must be byte-identical no matter which path produced them --
 direct, via a shared warm plan, interleaved with the other FRI protocol
-on the same plan, or through the service's batch path -- because every
+on the same plan, or through the service executor -- because every
 intermediate lives in reused workspace arenas and an aliasing bug would
 show up as a digest change.  The golden digest and operation counts
 below were recorded on the allocating implementation this data plane
@@ -18,7 +18,7 @@ from repro.field import goldilocks as gl
 from repro.fri import DomainPlan, plan as fri_plan
 from repro.fri.config import FriConfig
 from repro.protocols import get
-from repro.stark import plan_for, prove, prove_batch, verify
+from repro.stark import plan_for, prove, verify
 from repro.workloads import fibonacci
 
 from .test_parallel import TINY
@@ -60,10 +60,14 @@ def test_plan_counters_match_golden():
 
 
 def test_batch_path_matches_direct_path():
+    """A run of same-shape proves on the cached plan (what a service
+    worker's successive jobs do) matches a direct prove."""
     air, trace, publics = fibonacci.SPEC.build_air(6)
     direct = stark_digest(prove(air, trace, publics, CONFIG))
-    batch = prove_batch(air, [(trace, publics), (trace, publics)], CONFIG)
-    digests = [stark_digest(p) for p in batch]
+    plan = plan_for(trace.shape[0], CONFIG.rate_bits)
+    digests = [
+        stark_digest(prove(air, trace, publics, CONFIG, plan=plan)) for _ in range(2)
+    ]
     assert digests == [direct, direct]
 
 

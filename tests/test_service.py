@@ -1,5 +1,6 @@
-"""Proving-service tests: queue, cache, batching, end-to-end round trips."""
+"""Proving-service tests: queue, cache, single-flight, end-to-end round trips."""
 
+import random
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -11,16 +12,15 @@ from repro.protocols import get as get_protocol
 from repro.serialize import proof_from_blob, read_result_envelope
 from repro.service import (
     JobSpec,
+    JobState,
     PriorityJobQueue,
     ProofCache,
     ProvingService,
     ServiceClient,
-    coalesce,
     serve_forever,
     verify_result,
     wait_for_server,
 )
-from repro.service.jobs import Job
 from repro.stark import verify as stark_verify
 from repro.workloads.fibonacci import build_air
 
@@ -30,9 +30,35 @@ FIB = {"workload": "Fibonacci", "kind": "stark", "scale": 6}
 
 def _service(**kw):
     kw.setdefault("workers", 2)
-    kw.setdefault("batch_window_s", 0.0)
     kw.setdefault("jitter_seed", 0)
     return ProvingService(**kw)
+
+
+def _sleep(seconds, **kw):
+    """A ``sleep`` job (needs ``fault_injection=True``): milliseconds of CPU."""
+    return dict(workload="x", kind="sleep", params={"seconds": seconds}, **kw)
+
+
+def _wait_for(predicate, timeout_s=10.0):
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.002)
+
+
+def _check_flights(svc):
+    """Every non-terminal job rides exactly one flight, and at most one
+    flight per cache key exists."""
+    with svc._lock:
+        riding = sorted(j for f in svc._flights.values() for j in f.riders)
+        live = sorted(j.id for j in svc._jobs.values() if not j.state.terminal)
+        assert riding == live
+        for key, flight in svc._flights.items():
+            assert flight.riders and flight.spec.cache_key == key
+            want = JobState.RUNNING if flight.running else JobState.PENDING
+            for job_id in flight.riders:
+                job = svc._jobs[job_id]
+                assert job.spec.cache_key == key and job.state is want
 
 
 class TestPriorityJobQueue:
@@ -54,17 +80,9 @@ class TestPriorityJobQueue:
         q.push("later", delay_s=0.15)
         q.push("now")
         assert q.pop_ready(max_n=2) == ["now"]
-        assert not q.empty()
+        assert len(q) == 1
         time.sleep(0.2)
         assert q.pop_ready(max_n=2) == ["later"]
-
-    def test_cancel_skips(self):
-        q = PriorityJobQueue()
-        q.push("a")
-        q.push("b")
-        q.cancel("a")
-        assert q.pop_ready(max_n=2) == ["b"]
-        assert q.empty()
 
 
 class TestProofCache:
@@ -92,47 +110,16 @@ class TestProofCache:
         assert "a" not in c and "b" in c
 
 
-class TestBatching:
-    def _job(self, jid, **spec):
-        base = dict(FIB)
-        base.update(spec)
-        return Job(id=jid, spec=JobSpec(**base))
-
-    def test_duplicates_coalesce_into_one_spec(self):
-        jobs = [self._job("a"), self._job("b"), self._job("c")]
-        batches = coalesce(jobs)
-        assert len(batches) == 1
-        assert len(batches[0].specs) == 1
-        assert batches[0].riders == [["a", "b", "c"]]
-        assert batches[0].num_jobs == 3
-
-    def test_same_config_different_scale_share_batch(self):
-        jobs = [self._job("a", scale=5), self._job("b", scale=6)]
-        batches = coalesce(jobs)
-        assert len(batches) == 1 and len(batches[0].specs) == 2
-
-    def test_incompatible_configs_split(self):
-        jobs = [self._job("a"), self._job("b", config={"num_queries": 4})]
-        assert len(coalesce(jobs)) == 2
-
-    def test_max_batch_bounds_jobs(self):
-        jobs = [self._job(f"j{i}") for i in range(5)]
-        batches = coalesce(jobs, max_batch=2)
-        assert len(batches) == 3
-        assert all(b.num_jobs <= 2 for b in batches)
-
-
 class TestSpec:
     def test_cache_key_is_canonical(self):
         a = JobSpec("Fibonacci", config={"num_queries": 4, "rate_bits": 1})
         b = JobSpec("Fibonacci", config={"rate_bits": 1, "num_queries": 4})
         assert a.cache_key == b.cache_key
 
-    def test_scale_changes_cache_key_not_compat_key(self):
+    def test_scale_changes_cache_key(self):
         a = JobSpec("Fibonacci", scale=5)
         b = JobSpec("Fibonacci", scale=6)
         assert a.cache_key != b.cache_key
-        assert a.compat_key == b.compat_key
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -192,8 +179,8 @@ class TestServiceEndToEnd:
             assert svc.stats()["cache"]["hits"] == 0
 
     def test_concurrent_duplicates_batch(self):
-        # Submit before start(): all four are queued when the scheduler
-        # wakes, so coalescing is deterministic.
+        # Submit before start(): all four ride one queued flight when
+        # the scheduler wakes.
         svc = _service(workers=1)
         ids = [svc.submit(**FIB) for _ in range(4)]
         svc.start()
@@ -203,17 +190,6 @@ class TestServiceEndToEnd:
             stats = [svc.job(j) for j in ids]
             assert all(s["batch_size"] == 4 for s in stats)
             assert svc.stats()["batches_dispatched"] == 1
-        finally:
-            svc.close()
-
-    def test_batching_disabled_runs_solo(self):
-        svc = _service(workers=1, enable_batching=False, enable_cache=False)
-        ids = [svc.submit(**FIB) for _ in range(2)]
-        svc.start()
-        try:
-            for j in ids:
-                svc.result(j, timeout_s=60)
-            assert svc.stats()["batches_dispatched"] == 2
         finally:
             svc.close()
 
@@ -244,6 +220,110 @@ class TestServiceEndToEnd:
 
             report = json.loads(payload.decode())
             assert report["total_seconds"] > 0
+
+
+class TestSingleFlight:
+    """Identical requests share one execution, whenever they arrive."""
+
+    def test_late_twin_rides_the_running_flight(self):
+        with _service(fault_injection=True) as svc:
+            first = svc.submit(**_sleep(0.4))
+            _wait_for(lambda: svc.job(first)["state"] == "running")
+            second = svc.submit(**_sleep(0.4))
+            assert svc.job(second)["state"] == "running"
+            a = svc.result(first, timeout_s=30)
+            b = svc.result(second, timeout_s=30)
+            assert a.envelope == b.envelope and not b.cache_hit
+            assert svc.job(second)["batch_size"] == 2
+            stats = svc.stats()
+            assert stats["batches_dispatched"] == 1
+            assert stats["jobs_dispatched"] == 2
+
+    def test_cache_off_still_merges_concurrent_twins(self):
+        with _service(workers=1, fault_injection=True, enable_cache=False) as svc:
+            first = svc.submit(**_sleep(0.2))
+            _wait_for(lambda: svc.job(first)["state"] == "running")
+            second = svc.submit(**_sleep(0.2))
+            svc.result(second, timeout_s=30)
+            assert svc.stats()["batches_dispatched"] == 1
+            # ... but a re-submit after the flight landed runs again.
+            svc.result(svc.submit(**_sleep(0.2)), timeout_s=30)
+            assert svc.stats()["batches_dispatched"] == 2
+
+    def test_distinct_specs_spread_over_workers(self):
+        svc = _service(fault_injection=True)
+        ids = [svc.submit(**_sleep(s)) for s in (0.05, 0.06)]
+        with svc:
+            for j in ids:
+                svc.result(j, timeout_s=30)
+            dispatches = svc.stats()["worker_dispatches"]
+            assert sorted(dispatches.values()) == [1, 1]
+            assert [svc.job(j)["batch_size"] for j in ids] == [1, 1]
+
+    def test_idle_service_dispatches_without_a_window(self):
+        with ProvingService(workers=1, fault_injection=True) as svc:
+            jid = svc.submit(**_sleep(0.05))
+            svc.result(jid, timeout_s=30)
+            assert svc.job(jid)["queue_wait_s"] < 0.03
+
+    def test_cancelled_rider_leaves_the_other_to_complete(self):
+        svc = _service(workers=1, fault_injection=True)
+        keep, drop = svc.submit(**_sleep(0.05)), svc.submit(**_sleep(0.05))
+        assert svc.cancel(drop)
+        with svc:
+            assert svc.result(keep, timeout_s=30).envelope
+            assert svc.job(drop)["state"] == "cancelled"
+            assert svc.job(keep)["batch_size"] == 1
+            assert svc.stats()["batches_dispatched"] == 1
+
+    def test_cancelling_the_only_rider_drops_the_flight(self):
+        svc = _service(workers=1, fault_injection=True)
+        assert svc.cancel(svc.submit(**_sleep(0.05)))
+        assert svc.stats()["queue_depth"] == 0
+        with svc:
+            # The stale queue entry surfaces on a tick and is skipped.
+            _wait_for(lambda: len(svc.queue) == 0)
+            stats = svc.stats()
+            assert stats["batches_dispatched"] == 0
+            assert stats["queue_depth"] == 0
+
+    def test_urgent_twin_pulls_its_queued_flight_forward(self):
+        with _service(workers=1, fault_injection=True) as svc:
+            a = svc.submit(**_sleep(0.2))
+            _wait_for(lambda: svc.job(a)["state"] == "running")
+            b = svc.submit(**_sleep(0.05), priority=5)
+            c = svc.submit(**_sleep(0.06), priority=5)
+            c_urgent = svc.submit(**_sleep(0.06), priority=0)
+            for j in (b, c, c_urgent):
+                svc.result(j, timeout_s=30)
+            assert svc._jobs[c].started_at < svc._jobs[b].started_at
+            assert svc.job(c)["batch_size"] == 2
+            # C's second queue entry found it gone and dispatched nothing.
+            assert svc.stats()["batches_dispatched"] == 3
+
+    def test_random_schedule_keeps_the_flight_invariant(self):
+        rng = random.Random(7)
+        submitted, cancelled = [], 0
+        with _service(fault_injection=True, enable_cache=False) as svc:
+            for _ in range(40):
+                if submitted and rng.random() < 0.3:
+                    cancelled += svc.cancel(rng.choice(submitted))
+                else:
+                    submitted.append(svc.submit(
+                        **_sleep(rng.choice((0.01, 0.02, 0.03))),
+                        priority=rng.choice((0, 1, 5)),
+                    ))
+                _check_flights(svc)
+                time.sleep(rng.choice((0.0, 0.002, 0.01)))
+            assert svc.drain(timeout_s=30)
+            _check_flights(svc)
+            assert all(svc._jobs[j].state.terminal for j in submitted)
+            assert svc._flights == {}
+            stats = svc.stats()
+            assert stats["inflight_batches"] == 0 and stats["queue_depth"] == 0
+            assert stats["completed"] == len(submitted) - cancelled
+            assert 0 < stats["batches_dispatched"] <= len(submitted) - cancelled
+            assert stats["jobs_dispatched"] == stats["completed"]
 
 
 class TestSocketRoundTrip:
@@ -398,7 +478,7 @@ class TestIdleWorkerOrdering:
 
     def test_busy_workers_excluded(self):
         pool = self._pool_with_fakes()
-        pool.assign(pool.workers[0], batch_id=7, specs=[], timeout_s=60)
+        pool.assign(pool.workers[0], flight_id=7, spec={}, timeout_s=60)
         assert 0 not in [w.id for w in pool.idle_workers()]
         pool.mark_idle(0)
         # Freshly idled again -> back in the list, but at the end.
@@ -407,9 +487,9 @@ class TestIdleWorkerOrdering:
     def test_assign_counts_dispatches(self):
         pool = self._pool_with_fakes()
         w = pool.workers[1]
-        pool.assign(w, batch_id=1, specs=[], timeout_s=60)
+        pool.assign(w, flight_id=1, spec={}, timeout_s=60)
         pool.mark_idle(1)
-        pool.assign(w, batch_id=2, specs=[], timeout_s=60)
+        pool.assign(w, flight_id=2, spec={}, timeout_s=60)
         assert w.dispatches == 2
         assert len(w.task_q.items) == 2
 
@@ -462,7 +542,6 @@ class TestShardedService:
             workers=1,
             shard_workers=2,
             shard_config={"min_rows": 1, "min_tree_leaves": 2, "min_queries": 1},
-            enable_batching=False,
         )
         with svc:
             jid = svc.submit(**FIB)

@@ -14,7 +14,6 @@ FIB = {"workload": "Fibonacci", "kind": "stark", "scale": 5}
 
 def _service(**kw):
     kw.setdefault("workers", 2)
-    kw.setdefault("batch_window_s", 0.0)
     kw.setdefault("fault_injection", True)
     kw.setdefault("backoff_base_s", 0.02)
     kw.setdefault("jitter_seed", 0)
@@ -37,6 +36,23 @@ class TestWorkerCrash:
             assert service_stats["inflight_batches"] == 0
             assert service_stats["retried"] == 1
             assert service_stats["worker_crashes"] >= 2
+
+    def test_riders_retry_as_one_flight(self):
+        svc = _service(workers=1)
+        ids = [
+            svc.submit(workload="x", kind="crash", max_retries=1, timeout_s=30)
+            for _ in range(2)
+        ]
+        with svc:
+            for jid in ids:
+                with pytest.raises(JobFailed):
+                    svc.result(jid, timeout_s=60)
+                assert svc.job(jid)["attempts"] == 2
+            stats = svc.stats()
+            assert stats["retried"] == 2  # per job ...
+            assert stats["worker_crashes"] == 2  # ... but one flight, flown twice
+            assert stats["batches_dispatched"] == 2
+            assert stats["queue_depth"] == 0 and stats["inflight_batches"] == 0
 
     def test_pool_recovers_after_crash(self):
         with _service() as svc:
