@@ -35,7 +35,6 @@ import sys
 import numpy as np
 
 from repro import metrics, parallel, protocols
-from repro.field import gl64
 from repro.fri.config import FriConfig
 from repro.hashing import optimized
 from repro.hyperplonk import HyperPlonkConfig
@@ -135,12 +134,18 @@ def _prove_and_check(label: str, system, setup, golden: dict, want_digest: str, 
 
 def _check_permutation_regimes() -> list:
     """``permute_into`` against ``permute_scalar`` on every state of a
-    batch at, and one past, each regime boundary."""
+    batch at, and one past, each regime boundary; lanes are any 64-bit
+    words, which both accept."""
     rng = np.random.default_rng(0)
-    edges = (optimized._SCALAR_ROWS, optimized._GEMM_ROWS, optimized._PERMUTE_ROWS)
+    edges = (
+        optimized._SCALAR_ROWS,
+        optimized._SBOX_SCALAR_ROWS,
+        optimized._GEMM_ROWS,
+        optimized._PERMUTE_ROWS,
+    )
     failures = []
     for batch in sorted({edge + step for edge in edges for step in (0, 1)}):
-        states = gl64.random((batch, optimized.WIDTH), rng)
+        states = rng.integers(0, 2**64, size=(batch, optimized.WIDTH), dtype=np.uint64, endpoint=False)
         want = [optimized.permute_scalar(row) for row in states.tolist()]
         if optimized.permute_into(states).tolist() != want:
             failures.append(f"permute_into diverges from permute_scalar at batch {batch}")

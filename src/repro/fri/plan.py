@@ -103,8 +103,9 @@ class DomainPlan:
         """Touch every process-wide table the hot path will need.
 
         Builds the NTT stage twiddles and bit-reverse permutations for
-        the subgroup and LDE domains, the fused Poseidon round tensors,
-        and the FRI fold weights for every fold the config could run, so
+        the subgroup and LDE domains, the Poseidon tables (full layers
+        and the partial block's lane-0 chain; scalar path), and the FRI
+        fold weights for every fold the config could run, so
         the first proof through the plan pays no one-time costs.
         """
         for log_n in (self.n.bit_length() - 1, self.log_lde):

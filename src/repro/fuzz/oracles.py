@@ -97,8 +97,19 @@ def check_gl_kernels(rng: np.random.Generator) -> List[str]:
 
 
 #: Batch sizes on both sides of the scalar/vector crossover
-#: (``optimized._SCALAR_ROWS``) and of the limb GEMM's 256-row block.
-_POSEIDON_BATCHES = (optimized._SCALAR_ROWS, optimized._SCALAR_ROWS + 1, 255, 256, 257, 513)
+#: (``optimized._SCALAR_ROWS``), of the partial block's Python-``pow``
+#: S-box crossover (``optimized._SBOX_SCALAR_ROWS``) and of the limb
+#: GEMM's 256-row block.
+_POSEIDON_BATCHES = (
+    optimized._SCALAR_ROWS,
+    optimized._SCALAR_ROWS + 1,
+    optimized._SBOX_SCALAR_ROWS,
+    optimized._SBOX_SCALAR_ROWS + 1,
+    255,
+    256,
+    257,
+    513,
+)
 
 #: Lane values at the limb boundaries of the GEMM kernel: the ends of the
 #: canonical range, the 32-bit split, and words whose 16-bit limbs are

@@ -1,14 +1,21 @@
-"""HADES-optimised Poseidon: sparse partial rounds (paper Algorithm 1).
+"""Optimised Poseidon: the partial rounds in two derived forms.
 
-The naive partial round multiplies by the dense MDS matrix every round.
-Because only lane 0 passes through an S-box, the 22 dense multiplies can
-be refactored into one dense *pre-matrix* (``PreMDSMatrix``) followed by
-22 *sparse* matrices (``SparseMDSMatrix``) whose non-zeros sit only in
-the first row, first column, and diagonal -- precisely the structure
-UniZK's partial-round mapping exploits with its ``u`` / ``v`` / diagonal
-decomposition and reverse links (Figure 5b).
+The naive permutation (:mod:`.poseidon`) multiplies by the dense MDS
+matrix in every one of the 22 partial rounds although only lane 0
+passes through an S-box there.  This module derives two equivalent
+forms of that block, each for the machine it runs on, and the
+permutations built on them; equivalence with the naive permutation is
+property-tested for both.
 
-Derivation (row-vector convention, ``state <- state @ M``):
+**Sparse (HADES) rounds** -- for the scalar path
+(:func:`permute_scalar`) and the hardware mapping, where a multiply is
+the unit of cost.  The 22 dense multiplies are refactored into one
+dense *pre-matrix* (``PreMDSMatrix``) followed by 22 *sparse* matrices
+(``SparseMDSMatrix``) whose non-zeros sit only in the first row, first
+column, and diagonal -- precisely the structure UniZK's partial-round
+mapping exploits with its ``u`` / ``v`` / diagonal decomposition and
+reverse links (Figure 5b).  Derivation (row-vector convention, ``state
+<- state @ M``):
 
 * Matrices.  Factor ``M = M' @ M''`` with ``M' = [[1, 0], [0, Hat]]``
   (lane-0-preserving) and ``M'' = [[m00, r], [Hat^-1 c, I]]`` (sparse).
@@ -24,16 +31,22 @@ Derivation (row-vector convention, ``state <- state @ M``):
   by evaluating the transformed chain on unit vectors and solve it
   exactly over GF(p).
 
-Equivalence with the naive permutation is property-tested.
-
-The sparse form is what the scalar path (:func:`permute_scalar`) and the
-hardware mapping run: there a multiply is the unit of cost.  The batched
-path (:func:`permute_into`) maps every layer's linear part onto the
-host's matrix unit instead, as one exact float64 limb GEMM with a single
-reduction per output lane (:func:`_matmul_into`, the software analogue of
+**The lane-0 chain** -- for the batched path (:func:`permute_into`),
+where the unit of cost is a NumPy call and a matrix product runs on the
+host's matrix unit as one exact float64 limb GEMM with a single
+reduction per output (:func:`_matmul_into`, the software analogue of
 the VSA matrix product with the reduction at the array edge, paper
-Fig. 5a); a GEMM costs the same for a sparse matrix as for a dense one,
-so that path keeps the plain round structure.
+Fig. 5a).  A dense layer per partial round would spend a full 12x12
+GEMM on one non-linear lane; instead the block is unrolled around its
+22 S-box outputs (:func:`_chain_matrices`): one GEMM takes the state
+entering the block to every S-box-input *base* and to the linear part
+of the block's output, each round adds the earlier S-box outputs'
+feedback to its base with a skinny dot, S-boxes a ``(batch,)`` vector,
+and one closing GEMM adds the outputs' share of the final state
+(:func:`_partial_block_into`) -- 28 % of the dense layers'
+multiply-adds, and no ``(batch, 12)`` pass between the block's two
+ends.  It is what paper Algorithm 1 does in hardware: a 12x3 PE region
+for a partial round, because only lane 0 is non-linear.
 """
 
 from __future__ import annotations
@@ -272,37 +285,48 @@ def permute_scalar(state: list[int]) -> list[int]:
     return full_rounds(state, HALF_FULL, FULL_ROUNDS)
 
 
-#: 16-bit limbs per state lane (what a float64 GEMM can carry exactly).
+#: 16-bit limbs per 64-bit word (what a float64 GEMM can carry exactly).
 _LIMBS = 4
-#: GEMM depth: every lane limb plus the constant-one column whose weight
-#: row carries the layer's addend.
+#: GEMM depth of a state operand: every lane limb plus the constant-one
+#: column whose weight row carries the map's addend.
 _GEMM_DEPTH = _LIMBS * WIDTH + 1
+#: Most 64-bit words one limb GEMM contracts.  A 16-bit limb times a
+#: signed 32-bit weight limb is below ``2**47``, so a float64 sum is
+#: exact up to 63 terms: a state is 48 and a constant, and the partial
+#: block's 22 S-box outputs feed back 15 words (60 limbs) a GEMM, the
+#: GEMMs' sums added as ``int64``.
+_CHUNK_LANES = 15
 #: Rows per ``np.matmul`` call.  One GEMM over >= 1024 rows wakes
 #: OpenBLAS's thread pool (measured 7.4 ms for 4096 rows against 0.26 ms
 #: as sixteen 256-row calls on a 2-vCPU host); small blocks stay on the
 #: calling thread, which also keeps a proof's CPU seconds honest.
 _GEMM_ROWS = 256
 #: Rows per pass of the whole permutation, and of the one scratch arena
-#: (:class:`_Scratch`, ~2.3 KB a row).  Rows are independent, so
+#: (:class:`_Scratch`, ~3.7 KB a row).  Rows are independent, so
 #: blocking is bit-exact.  Measured on 8192 states, best quartile us a
-#: state at 256 / 512 / 1024 / 2048 / 4096 rows: 12.7 / 9.8 / 9.4 /
-#: 10.3 / 12.4 -- below 512 the ~2 300 calls a block show, above 2048
-#: the scratch leaves this host's 2 MiB-a-core L2; 512 to 2048 tie
-#: within noise and 1024 keeps the arena at 2.3 MiB (EXPERIMENTS.md
-#: "Poseidon at the dispatch floor").
+#: state at 256 / 512 / 1024 / 2048 / 4096 rows: 10.3 / 8.3 / 6.9 /
+#: 7.4 / 8.4 -- below 1024 the ~2 250 calls a block show, above it the
+#: scratch leaves this host's 2 MiB-a-core L2 (EXPERIMENTS.md
+#: "Poseidon's partial block as a lane-0 chain").
 _PERMUTE_ROWS = 1024
 #: Batch size at or below which :func:`permute_into` runs the Python-int
-#: scalar permutation per state.  Measured: the scalar path costs 215 us
-#: a state, the vectorised pass a flat ~0.90 ms for 2 to 8 states -- 4
-#: states 0.86 vs 0.93 ms, 5 states 1.08 vs 0.91 ms (EXPERIMENTS.md
-#: "Poseidon at the dispatch floor").
-_SCALAR_ROWS = 4
-#: The addend row is stored as ``addend - 2**54`` and the bias is added
-#: back as a plain integer after the fold, which keeps the signed fold
-#: term non-negative (see :func:`_matmul_into`).
-_FOLD_BIAS = 1 << 54
-#: Layers of one permutation, each an S-box step and one affine map.
-_LAYERS = FULL_ROUNDS + PARTIAL_ROUNDS
+#: scalar permutation per state.  Measured: the scalar path costs 278 us
+#: a state, the vectorised pass a flat 0.54-0.60 ms for 1 to 5 states --
+#: 2 states 0.548 vs 0.543 ms, 3 states 0.825 vs 0.566 ms (EXPERIMENTS.md
+#: "Poseidon's partial block as a lane-0 chain").
+_SCALAR_ROWS = 2
+#: Batch size at or below which the partial block's lane-0 S-box is a
+#: Python ``pow(x, 7, p)`` per row instead of the 62-call fused kernel
+#: on a ``(b,)`` vector.  Measured (a whole permutation, ms, kernel vs
+#: ``pow``, best quartile of 400 interleaved calls): 16 rows 1.13 vs
+#: 0.79, 32 rows 1.19 vs 1.09, 40 rows 1.39 vs 1.40, 48 rows 1.62 vs
+#: 1.79, 64 rows 1.58 vs 1.95 -- a ``pow`` is 0.55 us a row, the kernel
+#: ~26 us whatever it carries up to a few hundred rows.
+_SBOX_SCALAR_ROWS = 32
+#: Every table's addend row is stored as ``addend - 2**57`` and the bias
+#: is added back as a plain integer once the sums are ``int64``, which
+#: keeps the signed fold term non-negative (see :func:`_fold_into`).
+_FOLD_BIAS = 1 << 57
 
 _I32 = gl64.operand(32, np.int64)
 _U32 = gl64.operand(32)
@@ -322,54 +346,160 @@ def _signed_limbs(value: int) -> tuple[int, int]:
 
 
 def _limb_weights(matrix, addend, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` -- a ``(_GEMM_DEPTH, 2 * WIDTH)`` float64 table --
-    with the limb-GEMM weights of ``state -> state @ matrix + addend``.
+    """Fill ``out`` -- a float64 table -- with the limb-GEMM weights of
+    ``x -> x @ matrix + addend``, for ``matrix`` a list of rows of
+    Python ints (one row per 64-bit input word, ``n`` columns).
 
-    Row ``4 * i + a`` holds, for every output lane ``j``, the signed
-    32-bit limbs of ``matrix[i][j] * 2**(16 a) mod p`` (low limbs in
-    columns ``[:WIDTH]``, high limbs in ``[WIDTH:]``): the power of two
-    that limb ``a`` of lane ``i`` stands for is folded into the constant,
-    so the product needs only two output limbs per lane.  The last row
-    holds ``addend - 2**54`` the same way.  ``matrix`` is ``WIDTH`` rows
-    of Python ints, ``addend`` ``WIDTH`` Python ints.
+    Row ``4 * i + a`` holds, for every output ``j``, the signed 32-bit
+    limbs of ``matrix[i][j] * 2**(16 a) mod p`` (low limbs in columns
+    ``[:n]``, high limbs in ``[n:]``): the power of two that limb ``a``
+    of word ``i`` stands for is folded into the constant, so the product
+    needs only two output limbs per column.  The last row holds ``addend
+    - 2**57`` the same way, to meet a constant-one operand column; with
+    ``addend`` ``None`` the table has no such row (a feedback map, whose
+    sums join a biased one).
     """
+    n = len(matrix[0])
     little = sys.byteorder == "little"  # limb order of the uint16 view
     for i, row in enumerate(matrix):
         for a in range(_LIMBS):
             r = _LIMBS * i + (a if little else _LIMBS - 1 - a)
             for j, m in enumerate(row):
-                out[r, j], out[r, WIDTH + j] = _signed_limbs(m << (16 * a))
-    for j, c in enumerate(addend):
-        out[-1, j], out[-1, WIDTH + j] = _signed_limbs(c - _FOLD_BIAS)
+                out[r, j], out[r, n + j] = _signed_limbs(m << (16 * a))
+    if addend is not None:
+        for j, c in enumerate(addend):
+            out[-1, j], out[-1, n + j] = _signed_limbs(c - _FOLD_BIAS)
     return out
 
 
 @lru_cache(maxsize=1)
-def _fused_tables():
-    """``(rc0, weights)`` for the batched permutation.
+def _chain_matrices() -> tuple:
+    """The partial block as a *lane-0 chain*: ``(B, C, A, W, ku, kx)``,
+    lists of Python ints.
 
-    The batched path runs the permutation as ``state += rc0`` followed
-    by ``_LAYERS`` layers of *S-box, then one affine map*, and
-    ``weights[l]`` is layer ``l``'s map in :func:`_limb_weights` form:
-    the MDS matrix plus the *next* round's pre-S-box constants
-    (``(state @ M) + rc`` is exactly the next round's input; the last
-    layer adds nothing).  A GEMM costs the same whatever the matrix's
-    sparsity, so the partial rounds here are the plain ones -- lane-0
-    S-box, dense MDS -- and the sparse factorisation above serves the
-    scalar path and the hardware mapping, where multiplies are what
-    cost.
+    Let ``x_0`` be the state entering the block (the first partial
+    round's constants already added), ``y_r = x_r[0]**7`` the one
+    non-linear value of round ``r``, ``M0`` the MDS matrix with row 0
+    zeroed and ``c_r`` the next round's constants.  A partial round is
+    ``x_{r+1} = x_r @ M0 + y_r * M[0, :] + c_r`` -- affine in ``x_0``
+    and the ``y`` -- so by unrolling
+
+    * ``x_r[0] = x_0 @ B[:, r] + sum_j y_j * C[j][r] + ku[r]`` with
+      ``C[j][r] = 0`` for ``j >= r`` (an S-box input depends on earlier
+      S-box outputs only), and
+    * ``x_22 = x_0 @ A + y @ W + kx``.
+
+    ``B`` is ``12 x 22``, ``C`` ``22 x 22``, ``A`` ``12 x 12`` and ``W``
+    ``22 x 12``.  Only lane 0 is ever materialised between the block's
+    two ends: the software form of UniZK's 12x3 partial-round region
+    (paper Algorithm 1), where only lane 0 meets an S-box.
     """
     full_rc, partial_rc = round_constants()
-    consts = [*full_rc[:HALF_FULL], *partial_rc, *full_rc[HALF_FULL:]]
-    addends = [c.tolist() for c in consts[1:]] + [[0] * WIDTH]
+    addends = [*partial_rc[1:].tolist(), full_rc[HALF_FULL].tolist()]
+    m0 = mds_matrix().copy()
+    m0[0] = 0
+    power = [[int(i == j) for j in range(WIDTH)] for i in range(WIDTH)]  # M0**r
+    feed = mds_matrix()[0].tolist()  # M[0, :] @ M0**t
+    offset = [0] * WIDTH
+    columns, feeds, ku = [], [], []
+    for addend in addends:
+        columns.append([row[0] for row in power])
+        feeds.append(feed)
+        ku.append(offset[0])
+        power = [_vec_mat(row, m0) for row in power]
+        feed = _vec_mat(feed, m0)
+        offset = [gl.canonical(v + c) for v, c in zip(_vec_mat(offset, m0), addend)]
+    rounds = range(PARTIAL_ROUNDS)
+    b = [list(row) for row in zip(*columns)]
+    c = [[feeds[r - 1 - j][0] if j < r else 0 for r in rounds] for j in rounds]
+    w = [feeds[PARTIAL_ROUNDS - 1 - j] for j in rounds]
+    return b, c, power, w, ku, offset
+
+
+def _chunks(lanes: int) -> list:
+    """Limb-column ranges ``(lo, hi)`` that cut the first ``lanes``
+    S-box outputs into GEMM operands of at most ``_CHUNK_LANES``."""
+    return [
+        (_LIMBS * lo, _LIMBS * min(lo + _CHUNK_LANES, lanes))
+        for lo in range(0, lanes, _CHUNK_LANES)
+    ]
+
+
+@lru_cache(maxsize=1)
+def _fused_tables():
+    """``(rc0, full, base, feedback, closing)``: every constant of the
+    batched permutation, in :func:`_limb_weights` form.
+
+    The batched path runs ``state += rc0``, four layers of *S-box, then
+    one affine map*, the partial block, and four more such layers.
+    ``full[l]`` is full layer ``l``'s map: the MDS matrix plus the
+    *next* round's pre-S-box constants (``(state @ M) + rc`` is exactly
+    the next round's input; the last layer adds nothing).  The partial
+    block is :func:`_chain_matrices` as three kinds of table:
+
+    * ``base`` -- ``(49, 2 * 34)``, the state entering the block to all
+      22 S-box-input bases and ``x_0 @ A + kx``, ``[B | A]`` with addend
+      ``[ku | kx]``;
+    * ``feedback[r]`` -- per operand of :func:`_chunks`, ``(lo, hi,
+      table)`` with ``table`` the ``(hi - lo, 2)`` map from limbs
+      ``[lo, hi)`` of the earlier S-box outputs to round ``r``'s input;
+    * ``closing`` -- the same triples for ``y @ W``, tables ``(hi - lo,
+      2 * 12)``.
+
+    The sparse factorisation above serves the scalar path and the
+    hardware mapping, where multiplies are what cost; here a GEMM's
+    cost is its size, and the chain's are 28 % of the dense layers'.
+    """
+    full_rc, partial_rc = round_constants()
+    b, c, a, w, ku, kx = _chain_matrices()
     mds = mds_matrix().tolist()
-    weights = np.empty((_LAYERS, _GEMM_DEPTH, 2 * WIDTH), dtype=np.float64)
-    for table, addend in zip(weights, addends):
+    nexts = (*full_rc[1:HALF_FULL], partial_rc[0], *full_rc[HALF_FULL + 1 :])
+    addends = [c.tolist() for c in nexts] + [[0] * WIDTH]
+    y_limbs = _LIMBS * PARTIAL_ROUNDS
+    full, base, fed, closing = (
+        np.empty(shape, dtype=np.float64)
+        for shape in (
+            (FULL_ROUNDS, _GEMM_DEPTH, 2 * WIDTH),
+            (_GEMM_DEPTH, 2 * (PARTIAL_ROUNDS + WIDTH)),
+            (2, PARTIAL_ROUNDS, y_limbs),
+            (y_limbs, 2 * WIDTH),
+        )
+    )
+    for table, addend in zip(full, addends):
         _limb_weights(mds, addend, table)
-    rc0 = np.ascontiguousarray(consts[0])
-    for arr in (rc0, weights):
+    _limb_weights([bi + ai for bi, ai in zip(b, a)], ku + kx, base)
+    # Filled through its (limb, [S0 | S1] x round) view, so that a
+    # round's two weight columns are two contiguous rows.
+    _limb_weights(c, None, fed.reshape(2 * PARTIAL_ROUNDS, y_limbs).T)
+    _limb_weights(w, None, closing)
+    rc0 = np.ascontiguousarray(full_rc[0])
+    for arr in (rc0, full, base, fed, closing):
         arr.flags.writeable = False
-    return rc0, weights
+    return (
+        rc0,
+        full,
+        base,
+        tuple(
+            tuple((lo, hi, fed[:, r, lo:hi].T) for lo, hi in _chunks(r))
+            for r in range(PARTIAL_ROUNDS)
+        ),
+        tuple((lo, hi, closing[lo:hi]) for lo, hi in _chunks(PARTIAL_ROUNDS)),
+    )
+
+
+def _row_blocks(operand: np.ndarray, out: np.ndarray) -> tuple:
+    """``(operand rows, out rows)`` per ``_GEMM_ROWS`` block."""
+    return tuple(
+        (operand[i : i + _GEMM_ROWS], out[i : i + _GEMM_ROWS])
+        for i in range(0, len(out), _GEMM_ROWS)
+    )
+
+
+def _fold_views(sums: np.ndarray, small: np.ndarray, word: np.ndarray) -> tuple:
+    """:func:`_fold_into`'s operands: ``sums`` the ``[S0, S1]`` ``int64``
+    planes, ``small`` and ``word`` two ``int64`` scratch planes."""
+    s0, s1 = sums
+    return s0, s1, s1.view(np.uint64), small, small.view(np.uint64), word.view(np.uint64)
 
 
 class _Scratch:
@@ -385,52 +515,137 @@ class _Scratch:
     def __init__(self, ws: gl64.Workspace, rows: int) -> None:
         self.sbox = ws.temp((gl64.POW7_PLANES * rows * WIDTH,), "permute:sbox")
         self.limbs = ws.temp((rows, _GEMM_DEPTH), "permute:limbs", np.float64)
-        self.acc = ws.temp((rows, 2 * WIDTH), "permute:acc", np.float64)
+        self.fed = ws.temp((rows, _LIMBS * PARTIAL_ROUNDS), "permute:fed", np.float64)
+        self.acc = ws.temp((2 * rows * (PARTIAL_ROUNDS + WIDTH),), "permute:acc", np.float64)
         self.fold = ws.temp((4 * rows * WIDTH,), "permute:fold", np.int64)
+        self.bases = ws.temp((2 * PARTIAL_ROUNDS * rows,), "permute:bases", np.int64)
         self.ones = 0  # rows whose constant-one limb is written
-        _, weights = _fused_tables()
-        partial = range(HALF_FULL, HALF_FULL + PARTIAL_ROUNDS)
-        #: ``(lane-0 S-box only?, limb-GEMM table)`` per layer.
-        self.layers = tuple((i in partial, w) for i, w in enumerate(weights))
         self._blocks: dict = {}
 
     def block(self, b: int) -> tuple:
-        """``(full-state S-box lanes, lane-0 S-box lanes, affine views,
-        a spare (b, 12) plane)`` for ``b <= _PERMUTE_ROWS`` states."""
+        """``(full-state S-box lanes, full-layer views, partial-block
+        plan, a spare (b, 12) plane)`` for ``b <= _PERMUTE_ROWS``
+        states; the middle two are what :func:`_matmul_into` and
+        :func:`_partial_block_into` run on."""
         blk = self._blocks.get(b)
         if blk is None:
             if b > self.ones:
                 self.limbs[self.ones : b, -1] = 1.0
                 self.ones = b
-            limbs, acc = self.limbs[:b], self.acc[:b]
-            gemms = tuple(
-                (limbs[i : i + _GEMM_ROWS], acc[i : i + _GEMM_ROWS])
-                for i in range(0, b, _GEMM_ROWS)
-            )
-            # The GEMM's (b, [S0 | S1]) columns land as two contiguous
-            # (b, 12) planes, with two more for the fold.
-            sums = self.fold[: 2 * b * WIDTH].reshape(2, b, WIDTH)
-            small, word = self.fold[2 * b * WIDTH : 4 * b * WIDTH].reshape(2, b, WIDTH)
-            affine = (
-                limbs[:, :-1], gemms, sums, np.moveaxis(acc.reshape(b, 2, WIDTH), 1, 0),
-                sums[0], sums[1], sums[1].view(np.uint64),
-                small, small.view(np.uint64), word.view(np.uint64),
-            )
             planes = gl64.POW7_PLANES
+            limbs = self.limbs[:b]
+            # A full layer's GEMM lands as (b, [S0 | S1]) columns and is
+            # gathered into two contiguous (b, 12) planes, with two more
+            # for the fold.
+            acc = self.acc[: 2 * b * WIDTH].reshape(b, 2, WIDTH)
+            sums = self.fold[: 2 * b * WIDTH].reshape(2, b, WIDTH)
+            spare = self.fold[2 * b * WIDTH :]
+            parts = spare[: 2 * b * WIDTH].reshape(2, b, WIDTH)
+            halves = np.moveaxis(acc, 1, 0)
+            fold = _fold_views(sums, *parts)
+            acc_rows = acc.reshape(b, -1)
+            affine = (limbs[:, :-1], _row_blocks(limbs, acc_rows), (sums, halves, sums[0]), fold)
+
+            # The partial block.  The base GEMM's (b, [S0 | S1], [22
+            # rounds | 12 lanes]) columns are gathered round-major (a
+            # round's [S0, S1] are two contiguous (b,) vectors) and into
+            # the full layers' planes; a round's vectors live in the
+            # spare planes, as do the closing GEMMs' int64 parts.
+            _, _, base_table, feedback, closing = _fused_tables()
+            base_acc = self.acc[: 2 * b * (PARTIAL_ROUNDS + WIDTH)].reshape(b, 2, -1)
+            bases = self.bases[: 2 * PARTIAL_ROUNDS * b].reshape(2, PARTIAL_ROUNDS, b)
+            fed = self.fed[:b]
+            dot = self.acc[: 2 * b].reshape(b, 2)
+            part, small, word, lane0 = np.split(spare[: 5 * b], (2 * b, 3 * b, 4 * b))
+            part, lane0 = part.reshape(2, b), lane0.view(np.uint64)
+            rounds = tuple(
+                (
+                    tuple(
+                        (_row_blocks(fed[:, lo:hi], dot), table, part, dot.T, bases[:, r])
+                        for lo, hi, table in chunks
+                    ),
+                    _fold_views(bases[:, r], small, word),
+                    fed[:, _LIMBS * r : _LIMBS * (r + 1)],
+                )
+                for r, chunks in enumerate(feedback)
+            )
+            chain = (
+                limbs[:, :-1],
+                (_row_blocks(limbs, base_acc.reshape(b, -1)), base_table),
+                (
+                    (bases, np.moveaxis(base_acc[:, :, :PARTIAL_ROUNDS], 0, 2), bases[0]),
+                    (sums, np.moveaxis(base_acc[:, :, PARTIAL_ROUNDS:], 1, 0), sums[0]),
+                ),
+                rounds,
+                lane0,
+                lane0.view(np.uint16).reshape(b, _LIMBS),
+                None
+                if b <= _SBOX_SCALAR_ROWS
+                else gl64.pow7_lanes(self.sbox[: planes * b].reshape(planes, b)),
+                tuple(
+                    (_row_blocks(fed[:, lo:hi], acc_rows), table, parts, halves, sums)
+                    for lo, hi, table in closing
+                ),
+                fold,
+            )
             blk = self._blocks[b] = (
                 gl64.pow7_lanes(self.sbox[: planes * b * WIDTH].reshape(planes, b, WIDTH)),
-                gl64.pow7_lanes(self.sbox[: planes * b].reshape(planes, b)),
                 affine,
-                affine[-1],
+                chain,
+                fold[-1],
             )
         return blk
+
+
+def _gemm(blocks: tuple, table: np.ndarray) -> None:
+    """``out rows <- operand rows @ table`` per :func:`_row_blocks` pair."""
+    for rows, out in blocks:
+        np.matmul(rows, table, out)
+
+
+def _gather_into(planes: np.ndarray, columns: np.ndarray, s0: np.ndarray) -> None:
+    """``planes <- columns``, a GEMM's exact float64 sums as ``int64``
+    ``[S0, S1]`` planes; ``s0`` (``planes[0]``) gets the bias its table
+    left out."""
+    np.copyto(planes, columns, casting="unsafe")
+    np.add(s0, _FOLD_BIAS_I64, s0)
+
+
+def _feed_into(feeds: tuple) -> None:
+    """``sums += operand @ table`` per ``(GEMM blocks, table, int64
+    scratch, the GEMM's output as [S0, S1] planes, sums)``: each GEMM is
+    exact on its own and the ``int64`` sums take any number of them."""
+    for blocks, table, part, columns, sums in feeds:
+        _gemm(blocks, table)
+        np.copyto(part, columns, casting="unsafe")
+        np.add(sums, part, sums)
+
+
+def _fold_into(fold: tuple, out: np.ndarray) -> None:
+    """``out <- `` a ``uint64`` representative of ``S0 + S1 * 2**32 -
+    2**57`` (mod p) for the biased ``int64`` planes of
+    :func:`_fold_views`, with a single lazy reduction.
+
+    Writing ``S1 = h * 2**32 + l`` and using ``2**64 = 2**32 - 1 (mod
+    p)`` the value is ``(l << 32) + (S0 + h * (2**32 - 1))``: a
+    canonical word plus a term that the bias in ``S0`` makes
+    non-negative (and keeps below ``2**58``), so one ``add_lazy_into``
+    finishes it.  Aliasing: ``out`` must not alias the planes, which
+    are left clobbered.
+    """
+    s0, s1, s1u, small, smallu, word = fold
+    np.right_shift(s1, _I32, small)  # h = floor(S1 / 2**32), signed
+    np.multiply(small, _EPSILON_I64, small)
+    np.add(small, s0, small)  # now in [0, 2**58)
+    np.left_shift(s1u, _U32, word)  # l << 32 <= p - 1
+    gl64.add_lazy_into(smallu, word, out, s1u)
 
 
 def _matmul_into(states: np.ndarray, weights: np.ndarray, affine: tuple) -> None:
     """``states <- `` a ``uint64`` representative of ``states @ M + c``
     (mod p) per lane, in place on a ``(B, 12)`` buffer of *any*
     ``uint64`` representatives, as one exact float64 GEMM with a single
-    lazy reduction per lane.  ``affine`` is the third item of
+    lazy reduction per lane.  ``affine`` is the second item of
     :meth:`_Scratch.block` for ``B`` rows.
 
     ``weights`` is the :func:`_limb_weights` table of ``(M, c)``.  The
@@ -440,27 +655,57 @@ def _matmul_into(states: np.ndarray, weights: np.ndarray, affine: tuple) -> None
     limbs: every product is below ``2**47`` in magnitude and an output
     limb sums 48 of them plus one constant, so every partial sum is an
     integer below ``2**53`` and the GEMM is exact whatever order BLAS
-    adds in.  That leaves ``S0 + S1 * 2**32`` per lane; writing ``S1 =
-    h * 2**32 + l`` and using ``2**64 = 2**32 - 1 (mod p)`` it equals
-    ``(l << 32) + (S0 + h * (2**32 - 1))``: a canonical word plus a term
-    of magnitude below ``2**54``, made non-negative by the bias the table
-    builder subtracted, so one ``add_lazy_into`` finishes the lane.
+    adds in.  That leaves ``S0 + S1 * 2**32`` per lane, which
+    :func:`_fold_into` reduces.
 
     Aliasing: ``states`` is both input and output (it is fully consumed
     into the limb scratch before the final write) and must have
     contiguous rows; ``weights`` must not overlap it.
     """
-    limbs, gemms, sums, halves, s0, s1, s1u, small, smallu, word = affine
+    limbs, blocks, gather, fold = affine
     np.copyto(limbs, states.view(np.uint16))
-    for rows, out in gemms:
-        np.matmul(rows, weights, out)
-    np.copyto(sums, halves, casting="unsafe")  # [S0, S1] as planes
-    np.right_shift(s1, _I32, small)  # h = floor(S1 / 2**32), signed
-    np.multiply(small, _EPSILON_I64, small)
-    np.add(small, s0, small)
-    np.add(small, _FOLD_BIAS_I64, small)  # now in [0, 2**55)
-    np.left_shift(s1u, _U32, word)  # l << 32 <= p - 1
-    gl64.add_lazy_into(smallu, word, states, s1u)
+    _gemm(blocks, weights)
+    _gather_into(*gather)
+    _fold_into(fold, states)
+
+
+def _partial_block_into(states: np.ndarray, chain: tuple) -> None:
+    """The 22 partial rounds as the lane-0 chain of
+    :func:`_chain_matrices`, in place on the ``(B, 12)`` state entering
+    them (any ``uint64`` representatives in and out).  ``chain`` is the
+    third item of :meth:`_Scratch.block` for ``B`` rows.
+
+    One base GEMM on the state's limbs yields every round's S-box-input
+    base and ``x_0 @ A + kx``, gathered as biased ``int64`` sums.  Round
+    ``r`` adds to its base the feedback of the earlier S-box outputs --
+    a ``(4 r -> 2)`` limb GEMM, exact because an operand stops at 60
+    limbs, a second operand's sums joining as ``int64`` -- folds once,
+    S-boxes the ``(B,)`` lane-0 vector (at most ``_SBOX_SCALAR_ROWS``
+    rows: a Python ``pow`` each) and files the result's four limbs for
+    the rounds after it.  The closing GEMMs take all 88 filed limbs to
+    the 12 output lanes the same way.  A sum is at most 133 products
+    and a constant, below ``2**55``, and its fold term stays inside the
+    bias (``tests/test_poseidon.py`` derives both from the tables).
+
+    Aliasing: as :func:`_matmul_into`; a state never leaves its row of
+    any buffer, so row blocking stays bit-exact.
+    """
+    limbs, base, gathers, rounds, lane0, lane0_limbs, lanes, closing, fold = chain
+    np.copyto(limbs, states.view(np.uint16))
+    _gemm(*base)
+    for gather in gathers:
+        _gather_into(*gather)
+    p = gl.P
+    for feeds, lane0_fold, filed in rounds:
+        _feed_into(feeds)
+        _fold_into(lane0_fold, lane0)
+        if lanes is None:
+            lane0[:] = [pow(v, 7, p) for v in lane0.tolist()]
+        else:
+            gl64.pow7_lazy_into(lane0, lane0, lanes)
+        np.copyto(filed, lane0_limbs)
+    _feed_into(closing)
+    _fold_into(fold, states)
 
 
 def permute_into(states: np.ndarray, ws: gl64.Workspace | None = None) -> np.ndarray:
@@ -468,15 +713,15 @@ def permute_into(states: np.ndarray, ws: gl64.Workspace | None = None) -> np.nda
     of canonical states with contiguous rows.
 
     This is the zero-copy engine behind :func:`permute` and the fused
-    Merkle level sweep: every layer is an S-box (all lanes in the full
-    rounds, lane 0 in the partial block) followed by one
-    :func:`_matmul_into`, with all round constants folded into the
-    layer tables, on scratch views planned once per batch size
-    (:class:`_Scratch`).  Between layers a lane is *any* ``uint64``
-    congruent to its value -- the S-box multiplies and the limb GEMM
-    are exact for every 64-bit representative -- and the state is
-    canonicalised once, after the last layer.  Small batches dispatch
-    to the Python-int scalar path (extensionally equal).
+    Merkle level sweep: four full layers -- an S-box on every lane,
+    then one :func:`_matmul_into` -- the partial block as one
+    :func:`_partial_block_into`, and four more full layers, with all
+    round constants folded into the tables, on scratch views planned
+    once per batch size (:class:`_Scratch`).  Between layers a lane is
+    *any* ``uint64`` congruent to its value -- the S-box multiplies and
+    the limb GEMMs are exact for every 64-bit representative -- and the
+    state is canonicalised once, after the last layer.  Small batches
+    dispatch to the Python-int scalar path (extensionally equal).
     """
     if states.shape[-1] != WIDTH:
         raise ValueError(f"state width must be {WIDTH}, got {states.shape[-1]}")
@@ -491,15 +736,16 @@ def permute_into(states: np.ndarray, ws: gl64.Workspace | None = None) -> np.nda
             permute_into(flat[start : start + _PERMUTE_ROWS], ws)
         return states
     scratch = ws.plan("permute", _PERMUTE_ROWS, _Scratch)
-    full, lane0_lanes, affine, spare = scratch.block(flat.shape[0])
-    lane0 = flat[:, 0]
-    gl64.add_lazy_into(flat, _fused_tables()[0], flat, spare)
-    for partial, weights in scratch.layers:
-        if partial:
-            gl64.pow7_lazy_into(lane0, lane0, lane0_lanes)
-        else:
-            gl64.pow7_lazy_into(flat, flat, full)
-        _matmul_into(flat, weights, affine)
+    full, affine, chain, spare = scratch.block(flat.shape[0])
+    rc0, weights = _fused_tables()[:2]
+    gl64.add_lazy_into(flat, rc0, flat, spare)
+    for table in weights[:HALF_FULL]:
+        gl64.pow7_lazy_into(flat, flat, full)
+        _matmul_into(flat, table, affine)
+    _partial_block_into(flat, chain)
+    for table in weights[HALF_FULL:]:
+        gl64.pow7_lazy_into(flat, flat, full)
+        _matmul_into(flat, table, affine)
     gl64.canonical_into(flat, flat, spare)
     return states
 

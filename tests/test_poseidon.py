@@ -191,7 +191,7 @@ def _matmul(buf, weights):
     canonicalised (the kernel itself returns lazy representatives)."""
     ws = gl64.Workspace()
     scratch = ws.plan("permute", optimized._PERMUTE_ROWS, optimized._Scratch)
-    optimized._matmul_into(buf, weights, scratch.block(buf.shape[0])[2])
+    optimized._matmul_into(buf, weights, scratch.block(buf.shape[0])[1])
     assert buf.dtype == np.uint64
     buf %= np.uint64(gl.P)
 
@@ -217,27 +217,126 @@ vector_strategy = st.lists(lane_strategy, min_size=12, max_size=12)
 word_strategy = st.one_of(lane_strategy, st.integers(min_value=0, max_value=2**64 - 1))
 
 
+#: Both sides of every regime boundary of ``permute_into``: the scalar
+#: crossover, the partial block's Python-``pow`` S-box crossover, the
+#: GEMM row block and the permutation row block.
+REGIME_EDGES = sorted(
+    {
+        edge + step
+        for edge in (
+            optimized._SCALAR_ROWS,
+            optimized._SBOX_SCALAR_ROWS,
+            optimized._GEMM_ROWS,
+            optimized._PERMUTE_ROWS,
+        )
+        for step in (0, 1)
+    }
+)
+
+
+def _column_bounds(table):
+    """Per output column of a limb-GEMM table, the largest magnitude its
+    float64 sum can reach: every operand limb at ``2**16 - 1``, except
+    where the table is ``_GEMM_DEPTH`` deep and its last row meets the
+    constant-one column."""
+    assert np.array_equal(table, np.rint(table))
+    assert float(np.abs(table).max()) <= 2.0**31
+    mags = [[int(abs(v)) for v in col] for col in table.T]
+    if table.shape[0] == optimized._GEMM_DEPTH:
+        return [sum(col[:-1]) * 0xFFFF + col[-1] for col in mags]
+    return [sum(col) * 0xFFFF for col in mags]
+
+
+def _assert_folds(s0: int, s1: int):
+    """Worst ``|S0|`` and ``|S1|`` of one ``int64`` sum keep
+    ``_fold_into``'s term ``S0 + floor(S1 / 2**32) * (2**32 - 1)``
+    inside the bias, and the biased term inside ``add_lazy_into``'s
+    ``< 2**63`` operand."""
+    assert s0 + ((s1 >> 32) + 1) * gl.EPSILON < optimized._FOLD_BIAS
+    assert 2 * optimized._FOLD_BIAS < 1 << 63
+
+
 class TestLimbGemm:
-    """The dense layers as exact float64 GEMMs (``optimized._matmul_into``)."""
+    """The linear maps as exact float64 GEMMs (``optimized._matmul_into``,
+    ``optimized._partial_block_into``)."""
 
     def test_accumulators_stay_exact_for_the_real_tables(self):
-        # Worst case per output limb column: every state limb at 2**16-1
-        # against |weight|, plus the constant row.  Below 2**53 every
-        # partial sum is an exactly representable integer, so the GEMM
-        # is exact in any summation order; derived from the shipped
-        # tables so a constant or limb-width change that breaks the
-        # bound fails here rather than in a digest.
-        _, weights = optimized._fused_tables()
-        assert weights.shape == (pc.FULL_ROUNDS + pc.PARTIAL_ROUNDS,
-                                 4 * pc.WIDTH + 1, 2 * pc.WIDTH)
-        assert np.array_equal(weights, np.rint(weights))
-        assert float(np.abs(weights).max()) <= 2.0**31
-        mags = [[int(abs(v)) for v in row] for table in weights for row in table.T]
-        worst = max(sum(col[:-1]) * 0xFFFF + col[-1] for col in mags)
-        assert worst < 1 << 53
-        # The fold: |S0 + floor(S1 / 2**32) * (2**32 - 1)| must stay
-        # below the bias that makes it non-negative.
-        assert worst + ((worst >> 32) + 1) * gl.EPSILON < optimized._FOLD_BIAS
+        # Below 2**53 every partial sum of a GEMM is an exactly
+        # representable integer, so it is exact in any summation order;
+        # the int64 sums of several GEMMs must then fold inside the
+        # bias.  Both derived from every shipped table, so a constant,
+        # limb-width or chunking change that breaks a bound fails here
+        # rather than in a digest.
+        rc0, full, base, feedback, closing = optimized._fused_tables()
+        rounds, width = pc.PARTIAL_ROUNDS, pc.WIDTH
+        assert full.shape == (pc.FULL_ROUNDS, 4 * width + 1, 2 * width)
+        assert base.shape == (4 * width + 1, 2 * (rounds + width))
+        assert len(feedback) == rounds and not feedback[0]
+        for table in full:
+            bounds = _column_bounds(table)
+            assert max(bounds) < 1 << 53
+            _assert_folds(max(bounds[:width]), max(bounds[width:]))
+
+        base_bounds = _column_bounds(base)
+        assert max(base_bounds) < 1 << 53
+        outs = rounds + width
+        # Round r: its base columns plus every feedback GEMM's.
+        for r, chunks in enumerate(feedback):
+            assert [(lo, hi) for lo, hi, _ in chunks] == optimized._chunks(r)
+            s0, s1 = base_bounds[r], base_bounds[outs + r]
+            for lo, hi, table in chunks:
+                assert table.shape == (hi - lo, 2) and hi - lo <= 4 * optimized._CHUNK_LANES
+                part = _column_bounds(table)
+                assert max(part) < 1 << 53
+                s0, s1 = s0 + part[0], s1 + part[1]
+            _assert_folds(s0, s1)
+        # The block's output lanes: base columns plus the closing GEMMs'.
+        assert [(lo, hi) for lo, hi, _ in closing] == optimized._chunks(rounds)
+        s0 = base_bounds[rounds:outs]
+        s1 = base_bounds[outs + rounds :]
+        for lo, hi, table in closing:
+            assert table.shape == (hi - lo, 2 * width)
+            part = _column_bounds(table)
+            assert max(part) < 1 << 53
+            s0 = [a + b for a, b in zip(s0, part[:width])]
+            s1 = [a + b for a, b in zip(s1, part[width:])]
+        _assert_folds(max(s0), max(s1))
+        # 63 products below 2**47 are the most a float64 sum carries.
+        assert (4 * optimized._CHUNK_LANES + 1) * 0xFFFF * (1 << 31) < 1 << 53
+
+    def test_chain_matrices_unroll_the_naive_partial_rounds(self):
+        # The naive partial rounds with each S-box output a free
+        # variable y_r, in Python ints: x <- x with lane 0 := y_r, times
+        # the MDS matrix, plus the next round's constants.  The chain's
+        # B / C / A / W / k must reproduce every S-box input and the
+        # block's output on unit vectors (the map is affine, so that is
+        # all of it).
+        b, c, a, w, ku, kx = optimized._chain_matrices()
+        full_rc, partial_rc = pc.round_constants()
+        mds = pc.mds_matrix().tolist()
+        addends = partial_rc[1:].tolist() + [full_rc[pc.FULL_ROUNDS // 2].tolist()]
+        rounds, width = range(pc.PARTIAL_ROUNDS), range(pc.WIDTH)
+
+        def unroll(x, ys):
+            inputs = []
+            for y, addend in zip(ys, addends):
+                inputs.append(x[0])
+                x = [y] + x[1:]
+                x = [(sum(x[i] * mds[i][j] for i in width) + addend[j]) % gl.P for j in width]
+            return inputs, x
+
+        zero_x, zero_y = [0] * pc.WIDTH, [0] * pc.PARTIAL_ROUNDS
+        inputs, out = unroll(zero_x, zero_y)
+        assert (inputs, out) == (ku, kx)
+        for i in width:
+            inputs, out = unroll([int(i == k) for k in width], zero_y)
+            assert inputs == [(b[i][r] + ku[r]) % gl.P for r in rounds]
+            assert out == [(a[i][j] + kx[j]) % gl.P for j in width]
+        for j in rounds:
+            inputs, out = unroll(zero_x, [int(j == k) for k in rounds])
+            assert inputs == [(c[j][r] + ku[r]) % gl.P for r in rounds]
+            assert out == [(w[j][k] + kx[k]) % gl.P for k in width]
+            assert not any(c[j][: j + 1])  # an input sees earlier outputs only
 
     def test_limb_split_is_balanced_and_congruent(self):
         for value in LIMB_EDGES + [1 << 63, (1 << 63) - 1, gl.P - (1 << 31), -5]:
@@ -283,29 +382,32 @@ class TestLimbGemm:
         assert np.array_equal(optimized.permute(s), poseidon.permute_naive(s))
 
     @pytest.mark.parametrize(
-        "batch",
-        sorted(
-            {1, 8, 9, 16, 255, 256, 257, 2048, 2049, 4097}
-            | {
-                edge + step
-                for edge in (optimized._SCALAR_ROWS, optimized._GEMM_ROWS, optimized._PERMUTE_ROWS)
-                for step in (0, 1)
-            }
-        ),
+        "batch", sorted({1, 4, 5, 8, 9, 16, 255, 256, 257, 2048, 2049, 4097} | set(REGIME_EDGES))
     )
     def test_permute_into_equals_naive_across_every_regime(self, batch, rng):
-        # Both sides of the scalar crossover, the GEMM block and the
-        # permutation block; output canonical after the lazy layers.
+        # Both sides of every crossover and block; output canonical
+        # after the lazy layers.
         s = oracles._edge_rows((batch, 12), rng)
         got = optimized.permute_into(s.copy(), gl64.Workspace())
         assert np.array_equal(got, poseidon.permute_naive(s))
         assert bool((got < np.uint64(gl.P)).all())
 
+    @pytest.mark.parametrize("batch", REGIME_EDGES)
+    def test_permute_into_equals_scalar_on_any_words(self, batch, rng):
+        # A lane may arrive as any 64-bit word: constant rows of
+        # 2**64 - 1, p - 1, zero and every limb edge, then random words.
+        words = [2**64 - 1, gl.P - 1, 0] + LIMB_EDGES
+        s = rng.integers(0, 2**64, size=(batch, 12), dtype=np.uint64, endpoint=False)
+        rows = min(batch, len(words))
+        s[:rows] = np.array(words[:rows], dtype=np.uint64)[:, None]
+        want = [optimized.permute_scalar(row) for row in s.tolist()]
+        assert optimized.permute_into(s, gl64.Workspace()).tolist() == want
+
     def test_batch_sizes_share_one_arena_without_leaking(self, rng):
         # Every batch size carves the same scratch memory; a small pass
         # between two large ones must not change the large one's result.
         ws = gl64.Workspace()
-        big, small = gl64.random((300, 12), rng), gl64.random((16, 12), rng)
+        big, small = gl64.random((300, 12), rng), gl64.random((optimized._SBOX_SCALAR_ROWS, 12), rng)
         want_big, want_small = poseidon.permute_naive(big), poseidon.permute_naive(small)
         assert np.array_equal(optimized.permute_into(big.copy(), ws), want_big)
         held = ws.nbytes()

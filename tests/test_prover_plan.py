@@ -90,6 +90,16 @@ def test_plan_shape_mismatch_is_rejected():
     raise AssertionError("mismatched plan must be rejected")
 
 
+def test_warm_leaves_no_poseidon_table_for_the_first_proof():
+    from repro.hashing import optimized
+
+    caches = (optimized._chain_matrices, optimized._fused_tables, optimized._scalar_tables)
+    for cached in caches:
+        cached.cache_clear()
+    DomainPlan(16, 1).warm()
+    assert all(cached.cache_info().currsize == 1 for cached in caches)
+
+
 def test_plan_caches_are_read_only_and_reused():
     plan = plan_for(64, 1)
     assert plan is plan_for(64, 1)
