@@ -24,7 +24,7 @@ syntactic pass cannot see.  Four layers:
    (:mod:`repro.parallel.footprints`) prove every overlapping access
    pair in a :class:`~repro.parallel.scheduler.ShardGraph` is ordered
    by a dependency path (``race.*`` rules).  The pool runs the same
-   check at graph submission (``validate=True``).
+   check on every graph it is handed.
 
 All layers share :class:`~repro.analysis.findings.Finding` records,
 the justification-carrying suppression baseline

@@ -23,7 +23,7 @@ graph:
   :mod:`repro.parallel.ops`).
 
 :class:`~repro.parallel.pool.ShardPool` runs this check on every graph
-submission (``validate=True``), and :func:`run_race_checks` verifies
+submission, and :func:`run_race_checks` verifies
 representative instances of every *shipped* graph shape, as built for
 the inline executor and for a fanned-out pool, for ``repro analyze`` --
 so a refactor that breaks a builder's dependency topology fails the CI
@@ -242,7 +242,7 @@ def run_race_checks() -> Tuple[List[Finding], List[str]]:
     checked: List[str] = []
     for workers in _CHECKED_WORKERS:
         gates = {"min_rows": 1, "min_tree_leaves": 1, "min_queries": 1}
-        with ShardPool(workers=workers, validate=False, **gates) as pool:
+        with ShardPool(workers=workers, **gates) as pool:
             for label, graph in _representative_graphs(pool):
                 label = f"{label}@{workers}"
                 findings.extend(graph_findings(graph, name=label))

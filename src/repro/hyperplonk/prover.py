@@ -209,7 +209,7 @@ def prove(
     challenger = challenger or Challenger()
     pcs = MultilinearPCS(config.cap_height)
 
-    with parallel.maybe_sharding(pool), tracing.span(
+    with parallel.sharding(pool), tracing.span(
         "prove:hyperplonk", category="prove", n=n
     ):
         with tracing.span("witness", category="witness"):

@@ -4,13 +4,13 @@ One proof's independent work -- per-batch iNTT/LDE/Merkle commits,
 Merkle leaf ranges, FRI combine rows and query chunks, sumcheck folds --
 is expressed once, as the shard graphs of :mod:`repro.parallel.ops`,
 and run by a :class:`ShardPool`: inline in the calling process with one
-worker, or fanned out across persistent shared-memory workers,
-scheduled longest-path-first from measured stage costs.
+worker, or fanned out across persistent shared-memory workers -- either
+way in the order each graph was built.
 
 Provers discover the pool through a context variable (:func:`sharding`
 / :func:`current_pool`), mirroring how :mod:`repro.metrics` scopes
-counters: no prover signature needs a pool, and nested proofs inherit
-the enclosing one.  With no pool scoped, :func:`current_pool` is the
+counters: no prover signature needs a pool, and a prove given no pool
+inherits the enclosing one.  With no pool scoped, :func:`current_pool` is the
 process-default inline executor (:func:`default_pool`) -- the same graphs, one worker.
 
 Correctness contract: proofs are bit-identical at every worker count
@@ -18,7 +18,7 @@ Correctness contract: proofs are bit-identical at every worker count
 by the provers (caps observed in batch-index order between graph runs);
 shards only ever compute.  Every kernel declares its read/write
 footprint (:mod:`repro.parallel.footprints`) and the pool race-checks
-each graph at submission (``validate=True``, raising
+each graph at submission (raising
 :class:`~repro.parallel.pool.GraphRaceError`), so a missing dependency
 edge fails deterministically instead of corrupting an unlucky run.
 """
@@ -33,12 +33,11 @@ from typing import Iterator, Optional
 
 from .footprints import FOOTPRINTS, Access, buffer_key, footprint
 from .pool import GraphRaceError, ShardError, ShardPool, default_pool
-from .scheduler import CriticalPathScheduler, Shard, ShardGraph, StageProfile, static_order
+from .scheduler import Shard, ShardGraph
 from .shm import SharedArena, ShmRef, resolve
 
 __all__ = [
     "Access",
-    "CriticalPathScheduler",
     "FOOTPRINTS",
     "GraphRaceError",
     "Shard",
@@ -47,17 +46,14 @@ __all__ = [
     "ShardPool",
     "SharedArena",
     "ShmRef",
-    "StageProfile",
     "buffer_key",
     "current_pool",
     "default_pool",
     "effective_cpus",
     "footprint",
-    "maybe_sharding",
     "resolve",
     "resolve_workers",
     "sharding",
-    "static_order",
 ]
 
 logger = logging.getLogger("repro.parallel")
@@ -77,24 +73,17 @@ def current_pool() -> ShardPool:
 def sharding(pool: Optional[ShardPool]) -> Iterator[ShardPool]:
     """Scope a shard pool: provers inside the block run through it.
 
-    ``sharding(None)`` scopes the default inline executor (useful to
-    keep a region inside a fanned-out caller in this process).
+    ``sharding(None)`` inherits the enclosing pool (the inline executor
+    if none is scoped), which is what a prover's ``pool=None`` means.
     """
-    token = _ACTIVE.set(pool)
-    try:
-        yield current_pool()
-    finally:
-        _ACTIVE.reset(token)
-
-
-@contextlib.contextmanager
-def maybe_sharding(pool: Optional[ShardPool]) -> Iterator[ShardPool]:
-    """Like :func:`sharding`, but ``None`` inherits the enclosing pool."""
     if pool is None:
         yield current_pool()
         return
-    with sharding(pool) as p:
-        yield p
+    token = _ACTIVE.set(pool)
+    try:
+        yield pool
+    finally:
+        _ACTIVE.reset(token)
 
 
 def effective_cpus() -> int:

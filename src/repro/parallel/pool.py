@@ -1,23 +1,23 @@
-"""The shard-graph executor: one scheduler, two transports.
+"""The shard-graph executor: one dispatch rule, two transports.
 
 Provers express every commit / combine / fold / query stage as a
 :class:`~repro.parallel.scheduler.ShardGraph` and hand it to a
-:class:`ShardPool`, which race-checks it, dispatches ready shards
-longest-path-first (the
-:class:`~repro.parallel.scheduler.CriticalPathScheduler`) and records
-each shard's cost in its :class:`~repro.parallel.scheduler.StageProfile`.
+:class:`ShardPool`, which race-checks it and runs it in the order it
+was built: the next shard is always the first one in ``graph.order``
+whose dependencies are done.
 
 With ``workers=1`` -- what :func:`default_pool` (no pool scoped) and
 :func:`~repro.parallel.resolve_workers` on a single core give -- the
 pool is the *inline executor*: no processes, no shared memory, shards
-run in the calling process in critical-path order and counters and
+run in the calling process in build order and counters and
 ``shard:*`` spans accumulate directly.  With more workers it owns a
 :class:`~repro.parallel.shm.SharedArena` (the cross-process zero-copy
 plane) and persistent forked worker processes, and folds each shard's
 operation counters and trace spans back into the coordinator's context
 -- so a proof reports the same counter totals, and a traced proof shows
 ``shard:*`` spans nested under the stage that spawned them, on either
-transport.
+transport.  A worker that dies takes its graph down with a
+:class:`ShardError`, and the pool forks fresh workers for the next one.
 
 Determinism: shard completion order is non-deterministic, but every
 kernel writes a disjoint region of a shared buffer and the coordinator
@@ -40,9 +40,8 @@ from multiprocessing import resource_tracker
 
 from .. import tracing
 from ..metrics import counting, merge_counts
-from . import shm as shm_mod
 from .kernels import run_kernel
-from .scheduler import CriticalPathScheduler, ShardGraph, StageProfile
+from .scheduler import ShardGraph
 from .shm import SharedArena
 
 _POOL_SEQ = itertools.count()
@@ -73,9 +72,7 @@ class GraphRaceError(ShardError):
         )
 
 
-def _shard_worker_main(
-    worker_id: int, task_q, result_q, unregister_on_attach: bool = False
-) -> None:
+def _shard_worker_main(worker_id: int, task_q, result_q) -> None:
     """Worker loop: run one kernel per task, ship result + counters + spans.
 
     Mirrors the service worker's shutdown discipline: SIGINT is ignored
@@ -84,12 +81,10 @@ def _shard_worker_main(
     back for re-attachment.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    shm_mod.UNREGISTER_ON_ATTACH = unregister_on_attach
     while True:
         task = task_q.get()
         if task is None:
             break
-        t0 = time.perf_counter()
         base = {"worker_id": worker_id, "run": task["run"], "shard_id": task["shard_id"]}
         try:
             with counting() as counters, tracing.trace() as session:
@@ -108,22 +103,16 @@ def _shard_worker_main(
                     "result": result,
                     "counters": counters.as_dict(),
                     "spans": [s.as_dict() for s in session.spans],
-                    "wall_s": time.perf_counter() - t0,
                 }
             )
         except Exception as exc:  # noqa: BLE001 - report, don't die
             result_q.put(
-                {
-                    **base,
-                    "ok": False,
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "wall_s": time.perf_counter() - t0,
-                }
+                {**base, "ok": False, "error": f"{type(exc).__name__}: {exc}"}
             )
 
 
 class ShardPool:
-    """Persistent shard workers + shared arena + critical-path dispatch.
+    """Persistent shard workers + shared arena + build-order dispatch.
 
     ``workers`` defaults to the effective CPU count; validation mirrors
     the :class:`~repro.hw.HwConfig` style (typed errors, fail fast).
@@ -133,26 +122,21 @@ class ShardPool:
     force them low to fan small proofs out).  Construction is cheap:
     worker processes fork lazily on the first parallel :meth:`run`.
 
-    With ``validate=True`` (the default -- mirroring how the schedule
-    sanitizer arms :class:`repro.hw.GridEmulator`) every submitted
-    graph is checked by the race analyzer
+    Every submitted graph is checked by the race analyzer
     (:func:`repro.analysis.races.graph_findings`) before any shard
-    dispatches: unordered overlapping accesses, undeclared kernels and
-    challenger-carrying args raise :class:`GraphRaceError` instead of
-    racing.  ``validate=False`` opts out (the graphs are tiny, but the
-    check is pure Python bookkeeping on the coordinator).
+    dispatches -- mirroring how the schedule sanitizer arms
+    :class:`repro.hw.GridEmulator`: unordered overlapping accesses,
+    undeclared kernels and challenger-carrying args raise
+    :class:`GraphRaceError` instead of racing.
     """
 
     def __init__(
         self,
         workers: Optional[int] = None,
         *,
-        start_method: str = "fork",
         min_rows: int = 1024,
         min_tree_leaves: int = 1024,
         min_queries: int = 8,
-        profile: Optional[StageProfile] = None,
-        validate: bool = True,
     ) -> None:
         if workers is None:
             from . import effective_cpus
@@ -172,14 +156,11 @@ class ShardPool:
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
         self.workers = workers
-        self.validate = bool(validate)
         self.min_rows = min_rows
         self.min_tree_leaves = min_tree_leaves
         self.min_queries = min_queries
         self.uid = f"{os.getpid()}-{next(_POOL_SEQ)}"
         self.arena = SharedArena(self.uid)
-        self.profile = profile if profile is not None else StageProfile()
-        self._ctx = mp.get_context(start_method)
         self._procs: List[Any] = []
         self._task_qs: List[Any] = []
         self._result_q = None
@@ -201,29 +182,45 @@ class ShardPool:
             raise RuntimeError("shard pool is closed")
         if self._procs or not self.parallel:
             return self
-        if self._ctx.get_start_method() == "fork":
-            # A forked worker inherits the tracker only if it exists
-            # already; one forked before the first segment is created
-            # would start a private tracker on its first attach, which
-            # then "cleans up" the coordinator's segments at exit.
-            resource_tracker.ensure_running()
-        self._result_q = self._ctx.Queue()
+        # A forked worker inherits the tracker only if it exists already;
+        # one forked before the first segment is created would start a
+        # private tracker on its first attach, which then "cleans up" the
+        # coordinator's segments at exit.
+        resource_tracker.ensure_running()
+        ctx = mp.get_context("fork")
+        self._result_q = ctx.Queue()
         for wid in range(self.workers):
-            task_q = self._ctx.Queue()
-            proc = self._ctx.Process(
+            task_q = ctx.Queue()
+            proc = ctx.Process(
                 target=_shard_worker_main,
-                args=(
-                    wid,
-                    task_q,
-                    self._result_q,
-                    self._ctx.get_start_method() != "fork",
-                ),
+                args=(wid, task_q, self._result_q),
                 daemon=True,
             )
             proc.start()
             self._procs.append(proc)
             self._task_qs.append(task_q)
         return self
+
+    def _stop_workers(self) -> None:
+        """Terminate and reap every worker and drop every queue.
+
+        A worker killed mid-``put`` can leave the shared result queue's
+        lock held, so the queues go with the processes; the next
+        :meth:`start` builds new ones.  Arena segments belong to the
+        coordinator and stay valid.
+        """
+        for proc in self._procs:
+            if proc.is_alive():
+                proc.terminate()
+        for proc in self._procs:
+            proc.join(1.0)
+        for q in [*self._task_qs, self._result_q]:
+            if q is not None:
+                q.cancel_join_thread()  # a dead reader never drains it
+                q.close()
+        self._procs.clear()
+        self._task_qs.clear()
+        self._result_q = None
 
     def close(self, timeout_s: float = 5.0) -> None:
         """Stop workers (sentinel, then terminate) and unlink the arena."""
@@ -238,11 +235,7 @@ class ShardPool:
         deadline = time.monotonic() + timeout_s
         for proc in self._procs:
             proc.join(max(0.0, deadline - time.monotonic()))
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(1.0)
-        self._procs.clear()
-        self._task_qs.clear()
+        self._stop_workers()
         self.arena.close()
 
     def __enter__(self) -> "ShardPool":
@@ -264,29 +257,25 @@ class ShardPool:
             raise RuntimeError("shard pool is closed")
         if len(graph) == 0:
             return {}
-        if self.validate:
-            # Lazy import: repro.analysis imports this package for the
-            # shipped-graph pass; the deferred import breaks the cycle.
-            from ..analysis.races import graph_findings
+        # Lazy import: repro.analysis imports this package for the
+        # shipped-graph pass; the deferred import breaks the cycle.
+        from ..analysis.races import graph_findings
 
-            findings = graph_findings(graph)
-            if findings:
-                raise GraphRaceError(graph.name, findings)
-        sched = CriticalPathScheduler(graph, self.profile)
+        findings = graph_findings(graph)
+        if findings:
+            raise GraphRaceError(graph.name, findings)
         self.stats["graphs"] += 1
         self.stats["shards"] += len(graph)
         if not self.parallel:
-            return self._run_inline(sched)
+            return self._run_inline(graph)
         self.start()
-        return self._run_parallel(sched)
+        return self._run_parallel(graph)
 
-    def _run_inline(self, sched: CriticalPathScheduler) -> Dict[str, Any]:
-        """The local transport: critical-path order, in the calling process."""
+    def _run_inline(self, graph: ShardGraph) -> Dict[str, Any]:
+        """The local transport: build order, in the calling process."""
         results: Dict[str, Any] = {}
-        while not sched.done:
-            shard = sched.pop_ready()
-            assert shard is not None, "shard graph has unreachable shards"
-            t0 = time.perf_counter()
+        for sid in graph.order:
+            shard = graph.shards[sid]
             with tracing.span(
                 f"shard:{shard.kind}",
                 category="shard",
@@ -294,23 +283,24 @@ class ShardPool:
                 units=shard.units,
                 worker=-1,
             ):
-                results[shard.id] = run_kernel(shard.kind, shard.args)
-            self.profile.observe(shard.kind, shard.units, time.perf_counter() - t0)
+                results[sid] = run_kernel(shard.kind, shard.args)
             self.stats["inline_shards"] += 1
-            sched.complete(shard.id)
         return results
 
-    def _run_parallel(self, sched: CriticalPathScheduler) -> Dict[str, Any]:
+    def _run_parallel(self, graph: ShardGraph) -> Dict[str, Any]:
         run_id = next(self._run_seq)
         idle = list(range(self.workers))
+        waiting = list(graph.order)  # not yet dispatched, in build order
         inflight: Dict[str, tuple] = {}  # shard_id -> (worker, shard, dispatch_s)
         results: Dict[str, Any] = {}
-        total = len(sched.graph)
-        while len(results) < total:
-            while idle:
-                shard = sched.pop_ready()
-                if shard is None:
-                    break
+        while len(results) < len(graph):
+            ready = [
+                sid for sid in waiting
+                if all(dep in results for dep in graph.shards[sid].deps)
+            ]
+            for sid in ready[: len(idle)]:
+                waiting.remove(sid)
+                shard = graph.shards[sid]
                 wid = idle.pop()
                 self._task_qs[wid].put(
                     {
@@ -341,21 +331,24 @@ class ShardPool:
                 )
             merge_counts(msg.get("counters", {}))
             tracing.attach_spans(msg.get("spans", []), base_s=dispatched)
-            self.profile.observe(shard.kind, shard.units, msg.get("wall_s", 0.0))
             results[shard.id] = msg.get("result")
-            sched.complete(shard.id)
         return results
 
     def _check_liveness(self, inflight: Dict[str, tuple]) -> None:
-        """Fail loudly if a worker died with a shard in flight."""
+        """Fail loudly if a worker died with a shard in flight.
+
+        The surviving workers go too (one may be mid-shard, and the dead
+        one may have wedged the result queue), so the next :meth:`run`
+        forks a fresh set instead of waiting on a worker that is gone.
+        """
         if not inflight:
             return
         for proc in self._procs:
             if not proc.is_alive():
-                lost = sorted(sid for sid, (w, _, _) in inflight.items())
+                self._stop_workers()
                 raise ShardError(
                     f"shard worker died (exitcode {proc.exitcode}) with "
-                    f"shards in flight: {lost}"
+                    f"shards in flight: {sorted(inflight)}"
                 )
 
 

@@ -12,9 +12,9 @@ the array.
 
 Workers resolve refs through a process-local attach cache
 (:func:`resolve`): the first touch of a segment maps it, later touches
-are dictionary hits.  Attaching defensively unregisters the segment
-from the worker's ``resource_tracker`` (bpo-38119: the tracker would
-otherwise unlink segments it never owned when the worker exits).
+are dictionary hits.  Workers are forked after the coordinator has
+started its ``resource_tracker`` (:meth:`repro.parallel.ShardPool.start`),
+so they share it and never unlink a segment they merely attached.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
+from multiprocessing import shared_memory
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -133,27 +133,12 @@ class SharedArena:
 #: Process-local cache of attached segments: name -> (segment, base array).
 _ATTACHED: Dict[str, Tuple[shared_memory.SharedMemory, np.ndarray]] = {}
 
-#: Whether attaching should unregister from this process's resource
-#: tracker.  Needed under ``spawn`` (bpo-38119: the child's private
-#: tracker would unlink segments the coordinator still owns when the
-#: child exits).  Harmful under ``fork``, where children inherit the
-#: coordinator's tracker (``ShardPool.start`` starts it before the
-#: first fork): a child-side unregister would make the owner's later
-#: ``unlink`` a double-unregister.  The pool sets this in each worker
-#: according to its start method.
-UNREGISTER_ON_ATTACH = False
-
 
 def _attach(ref: ShmRef) -> np.ndarray:
     """Map a segment by name (cached per process)."""
     hit = _ATTACHED.get(ref.name)
     if hit is None:
         seg = shared_memory.SharedMemory(name=ref.name)
-        if UNREGISTER_ON_ATTACH:
-            try:
-                resource_tracker.unregister(seg._name, "shared_memory")  # noqa: SLF001
-            except Exception:  # pragma: no cover - tracker internals vary
-                pass
         arr = np.ndarray(ref.shape, dtype=np.uint64, buffer=seg.buf)
         _ATTACHED[ref.name] = hit = (seg, arr)
     seg, arr = hit

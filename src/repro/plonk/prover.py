@@ -119,7 +119,7 @@ def prove(
     elif plan.n != n or plan.rate_bits != rate_bits:
         raise ValueError("plan shape does not match the circuit/config")
 
-    with parallel.maybe_sharding(pool), tracing.span(
+    with parallel.sharding(pool), tracing.span(
         "prove:plonk", category="prove", n=n, rate_bits=rate_bits
     ):
         with tracing.span("witness", category="witness"):

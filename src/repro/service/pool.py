@@ -100,7 +100,6 @@ class WorkerPool:
     def __init__(
         self,
         num_workers: int = 2,
-        start_method: str = "fork",
         shard_workers: int = 1,
         shard_config: Optional[Dict[str, Any]] = None,
     ) -> None:
@@ -112,7 +111,7 @@ class WorkerPool:
             )
         if shard_workers < 1:
             raise ValueError(f"shard_workers must be >= 1, got {shard_workers}")
-        self._ctx = mp.get_context(start_method)
+        self._ctx = mp.get_context("fork")
         self._num_workers = num_workers
         self.shard_workers = shard_workers
         self.shard_config = dict(shard_config or {})

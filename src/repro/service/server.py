@@ -73,7 +73,6 @@ class ProvingService:
         backoff_base_s: float = 0.1,
         backoff_cap_s: float = 2.0,
         fault_injection: bool = False,
-        start_method: str = "fork",
         jitter_seed: Optional[int] = None,
         shard_workers: int = 1,
         shard_config: Optional[Dict[str, Any]] = None,
@@ -92,7 +91,6 @@ class ProvingService:
         # proof it runs fans its commit/FRI stages across them.
         self.pool = WorkerPool(
             num_workers=workers,
-            start_method=start_method,
             shard_workers=shard_workers,
             shard_config=shard_config,
         )

@@ -79,7 +79,7 @@ def prove(
     elif plan.n != n or plan.rate_bits != rate_bits:
         raise ValueError("plan shape does not match the trace/config")
 
-    with parallel.maybe_sharding(pool), tracing.span(
+    with parallel.sharding(pool), tracing.span(
         "prove:stark", category="prove", n=n, width=width
     ):
         pcs = FriPCS(config, ws=plan.ws)

@@ -163,9 +163,10 @@ REPO = SRC.parent.parent
 
 #: Names retired when the body codecs, format versions, envelope kinds
 #: and fuzz targets moved onto ``ProofSystem``, when the mapping
-#: tuner's disk cache went, and when the service's batching window gave
-#: way to single-flight (each split in two so this list does not find
-#: itself).
+#: tuner's disk cache went, when the service's batching window gave
+#: way to single-flight, and when shard graphs began to run in build
+#: order on forked workers only (each split in two so this list does
+#: not find itself).
 RETIRED = "|".join(
     head + tail
     for head, tail in [
@@ -189,6 +190,15 @@ RETIRED = "|".join(
         ("compat", "_key"),
         ("max", "_batch"),
         ("prove", "_batch"),
+        ("CriticalPath", "Scheduler"),
+        ("Stage", "Profile"),
+        ("static", "_order"),
+        ("observe", "_spans"),
+        ("unit", "_cost"),
+        ("maybe", "_sharding"),
+        ("start", "_method"),
+        ("UNREGISTER", "_ON_ATTACH"),
+        ("unregister", "_on_attach"),
     ]
 )
 

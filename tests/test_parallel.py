@@ -1,16 +1,17 @@
-"""Shard-graph execution tests: scheduler, shm plane, pool, bit-identity.
+"""Shard-graph execution tests: build order, shm plane, pool, bit-identity.
 
 The load-bearing contract is at the bottom: every proof is the same
 shard graphs whatever pool runs them, so its digest and operation
 counters must equal the pinned goldens at every worker count and
 threshold setting, for all three protocols.  Everything above it
 unit-tests the pieces that make that hold (graph validation,
-critical-path priorities, shared-memory round trips, worker clamping).
+build-order dispatch, shared-memory round trips, worker clamping).
 """
 
 import glob
 import logging
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +27,7 @@ from repro.ntt import lde_coeffs
 from repro.parallel import ops as par_ops
 from repro.parallel.kernels import KERNELS
 from repro.stark import prove as stark_prove
+from repro.sumcheck import fold_table
 from repro.workloads import fibonacci
 
 CONFIG = FriConfig(
@@ -122,82 +124,51 @@ class TestShardGraph:
         assert len(g) == 3
 
 
-class TestStageProfile:
-    def test_unit_cost_defaults_until_observed(self):
-        p = parallel.StageProfile()
-        assert p.unit_cost("lde_rows") == 1.0
-        p.observe("lde_rows", units=10, seconds=5.0)
-        assert p.unit_cost("lde_rows") == pytest.approx(0.5)
-        assert p.cost("lde_rows", 4) == pytest.approx(2.0)
+class TestBuildOrder:
+    """A graph runs in the order it was built, whatever its shards cost."""
 
-    def test_observe_accumulates(self):
-        p = parallel.StageProfile()
-        p.observe("merkle_subtree", 8, 2.0)
-        p.observe("merkle_subtree", 8, 6.0)
-        assert p.unit_cost("merkle_subtree") == pytest.approx(0.5)
-        snap = p.as_dict()["merkle_subtree"]
-        assert snap["units"] == 16 and snap["seconds"] == pytest.approx(8.0)
-
-    def test_observe_spans_walks_nested_shard_spans(self):
-        p = parallel.StageProfile()
-        spans = [{
-            "name": "prove:stark", "elapsed_s": 9.0, "args": {},
-            "children": [{
-                "name": "shard:lde_rows", "elapsed_s": 3.0,
-                "args": {"units": 6}, "children": [],
-            }],
-        }]
-        assert p.observe_spans(spans) == 1
-        assert p.unit_cost("lde_rows") == pytest.approx(0.5)
-
-
-class TestCriticalPathScheduler:
-    def _diamond(self):
+    def test_later_built_heavy_shard_still_runs_second(self):
         g = parallel.ShardGraph()
-        g.add("src", "k", {}, units=1)
-        g.add("cheap", "k", {}, deps=("src",), units=1)
-        g.add("long", "k", {}, deps=("src",), units=100)
-        g.add("sink", "k", {}, deps=("cheap", "long"), units=1)
-        return g
+        coeffs = np.arange(8, dtype=np.uint64).reshape(2, 4)
+        values = np.zeros((8, 2), dtype=np.uint64)
+        for sid, lo, units in (("light", 0, 1), ("heavy", 1, 100)):
+            g.add(sid, "lde_rows", {
+                "mode": "direct", "coeffs_out": coeffs, "values_out": values,
+                "lo": lo, "hi": lo + 1, "rate_bits": 1,
+            }, units=units)
+        with parallel.ShardPool(1) as pool, tracing.trace() as session:
+            pool.run(g)
+        ran = [(s.args["shard"], s.args["units"]) for s in session.walk()
+               if s.name.startswith("shard:")]
+        assert ran == [("light", 1.0), ("heavy", 100.0)]
+        assert np.array_equal(values.T, lde_coeffs(coeffs, 1))
 
-    def test_upward_rank_priorities(self):
-        sched = parallel.CriticalPathScheduler(self._diamond())
-        pr = sched.priorities
-        # src carries the whole critical path; the long branch outranks
-        # the cheap one; the sink only carries itself.
-        assert pr["src"] == pytest.approx(102.0)
-        assert pr["long"] == pytest.approx(101.0)
-        assert pr["cheap"] == pytest.approx(2.0)
-        assert pr["sink"] == pytest.approx(1.0)
+    def test_diamond_completes_on_workers(self):
+        # Three sumcheck folds of a 16-row table through shared memory:
+        # src folds 16 -> 8 rows, the two branches each fold half of
+        # those 8 -> 4, the sink folds 4 -> 2.  Only the dependency
+        # edges order the reads after the writes they need.
+        r = 7
+        table = np.arange(16, dtype=np.uint64).reshape(16, 1) * np.uint64(2**40 + 3)
+        with _pool(2) as pool:
+            bufs = {n: pool.arena.temp((rows, 1), n)
+                    for n, rows in (("a", 16), ("b", 8), ("c", 4), ("d", 2))}
+            bufs["a"][:] = table
+            ref = {n: pool.arena.ref_of(arr) for n, arr in bufs.items()}
 
-    def test_static_order_runs_long_branch_first(self):
-        assert parallel.static_order(self._diamond()) == [
-            "src", "long", "cheap", "sink"
-        ]
+            def fold(src, out, lo, hi):
+                return {"src": ref[src], "out": ref[out], "lo": lo, "hi": hi, "r": r}
 
-    def test_ties_break_on_insertion_order(self):
-        g = parallel.ShardGraph()
-        for name in ("z", "m", "a"):
-            g.add(name, "k", {}, units=1)
-        assert parallel.static_order(g) == ["z", "m", "a"]
-
-    def test_dependents_gate_readiness(self):
-        g = self._diamond()
-        sched = parallel.CriticalPathScheduler(g)
-        first = sched.pop_ready()
-        assert first.id == "src"
-        assert sched.pop_ready() is None  # everything else blocked on src
-        sched.complete("src")
-        assert {sched.pop_ready().id, sched.pop_ready().id} == {"cheap", "long"}
-
-    def test_profile_reorders_by_measured_cost(self):
-        g = parallel.ShardGraph()
-        g.add("hash", "merkle_subtree", {}, units=10)
-        g.add("ntt", "lde_rows", {}, units=10)
-        profile = parallel.StageProfile()
-        profile.observe("merkle_subtree", 1, 1.0)   # 1 s/unit
-        profile.observe("lde_rows", 1, 5.0)         # 5 s/unit
-        assert parallel.static_order(g, profile) == ["ntt", "hash"]
+            g = parallel.ShardGraph("diamond")
+            g.add("src", "sumcheck_fold", fold("a", "b", 0, 8))
+            g.add("cheap", "sumcheck_fold", fold("b", "c", 0, 2), deps=("src",))
+            g.add("long", "sumcheck_fold", fold("b", "c", 2, 4), deps=("src",), units=100)
+            g.add("sink", "sumcheck_fold", fold("c", "d", 0, 2), deps=("cheap", "long"))
+            results = pool.run(g)
+            assert sorted(results) == ["cheap", "long", "sink", "src"]
+            assert pool.stats["inline_shards"] == 0
+            want = fold_table(fold_table(fold_table(table, r), r), r)
+            assert np.array_equal(bufs["d"], want)
 
 
 class TestSharedArena:
@@ -303,7 +274,6 @@ class TestInlineFallback:
             assert np.array_equal(values[:, 0], lde_coeffs(coeffs, 1)[0])
             assert pool.stats["inline_shards"] == 1
             assert pool._procs == []
-            assert pool.profile.unit_cost("lde_rows") != 1.0  # observed
 
     def test_empty_graph_short_circuits(self):
         with parallel.ShardPool(1) as pool:
@@ -316,21 +286,25 @@ class TestContextScoping:
         inline = parallel.default_pool()
         assert parallel.current_pool() is inline
         assert inline.workers == 1 and not inline.parallel
-        with parallel.ShardPool(1) as pool:
-            with parallel.sharding(pool):
+        with parallel.ShardPool(1) as pool, parallel.ShardPool(1) as inner:
+            with parallel.sharding(pool) as scoped:
+                assert scoped is pool and parallel.current_pool() is pool
+                with parallel.sharding(inner):
+                    assert parallel.current_pool() is inner
                 assert parallel.current_pool() is pool
-                with parallel.sharding(None) as scoped:
-                    assert scoped is inline and parallel.current_pool() is inline
-                assert parallel.current_pool() is pool
+            assert parallel.current_pool() is inline
         assert parallel.current_pool() is inline
 
-    def test_maybe_sharding_inherits_enclosing_pool(self):
+    def test_sharding_none_inherits_enclosing_pool(self):
+        inline = parallel.default_pool()
+        with parallel.sharding(None) as scoped:
+            assert scoped is inline and parallel.current_pool() is inline
         with parallel.ShardPool(1) as pool:
-            with parallel.sharding(pool):
-                with parallel.maybe_sharding(None) as inherited:
-                    assert inherited is pool
-            with parallel.maybe_sharding(pool) as scoped:
-                assert scoped is pool and parallel.current_pool() is pool
+            with parallel.sharding(pool) as outer:
+                assert outer is pool
+                with parallel.sharding(None) as inherited:
+                    assert inherited is pool and parallel.current_pool() is pool
+                assert parallel.current_pool() is pool
 
 
 class TestParallelExecution:
@@ -355,8 +329,22 @@ class TestParallelExecution:
         assert "shard:lde_rows" in kinds and "shard:merkle_subtree" in kinds
         assert all(s.args["worker"] >= 0 for s in shard_spans)
         assert counts["sponge_permutations"] > 0  # merged from workers
-        for kind in ("lde_rows", "merkle_subtree"):
-            assert pool.profile.unit_cost(kind) != 1.0
+
+    def test_pool_heals_after_a_killed_worker(self):
+        system, setup = _fib6("stark")
+        with _pool(2) as pool:
+            system.prove(setup, pool=pool)
+            victim = pool._procs[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(5.0)
+            assert not victim.is_alive()
+            with pytest.raises(parallel.ShardError, match=r"in flight: \['[^']+'"):
+                system.prove(setup, pool=pool)
+            _, digest, counts = _prove_counted(system, setup, pool)
+            assert victim not in pool._procs
+            assert all(p.is_alive() for p in pool._procs)
+        _assert_golden("stark", digest, counts)
+        assert not glob.glob(f"/dev/shm/repro-*-{pool.uid}-*")
 
 
 #: One sharded prove on a pool started *before* anything created a

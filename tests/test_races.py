@@ -136,7 +136,7 @@ class TestGraphFindings:
 
 
 # ---------------------------------------------------------------------------
-# Pool gating: validate=True rejects broken graphs at submission
+# Pool gating: every submitted graph is race-checked before it runs
 # ---------------------------------------------------------------------------
 
 
@@ -151,10 +151,6 @@ def _strip_deps(graph, victim_kind):
 
 
 class TestPoolGating:
-    def test_validate_defaults_on(self):
-        with ShardPool(workers=1) as pool:
-            assert pool.validate
-
     def test_dep_deleted_commit_graph_is_rejected_at_submission(self):
         with ShardPool(workers=1) as pool:
             graph = ops.from_values_graph(pool, None, _rows(), 1, 1, "t").graph
@@ -168,23 +164,20 @@ class TestPoolGating:
             }
             assert "commit:t" in str(err.value)
 
-    def test_validate_false_opts_out(self):
+    def test_unknown_kernel_is_rejected_at_submission(self):
         g = ShardGraph("mystery")
         g.add("x", "warp_drive", {})
-        with ShardPool(workers=1, validate=True) as pool:
-            with pytest.raises(GraphRaceError):
+        with ShardPool(workers=1) as pool:
+            with pytest.raises(GraphRaceError) as err:
                 pool.run(g)
-        with ShardPool(workers=1, validate=False) as pool:
-            # Validation skipped: the failure is the kernel dispatch
-            # itself, not a race finding.
-            with pytest.raises(KeyError):
-                pool.run(g)
+            assert _rules(err.value.findings) == ["race.no-footprint"]
+            assert pool.stats["inline_shards"] == 0
 
     def test_validated_sharded_commit_matches_serial(self):
         rows = _rows()
         inline = PolynomialBatch.from_values(rows.copy(), 1, 1)  # default pool
         gates = {"min_rows": 1, "min_tree_leaves": 1, "min_queries": 1}
-        with ShardPool(workers=2, **gates) as pool:  # validate=True default
+        with ShardPool(workers=2, **gates) as pool:
             fanned = ops.from_values_graph(pool, None, rows, 1, 1, "t").run()
             assert pool.stats["shards"] == 4
             assert np.array_equal(fanned.tree.cap, inline.tree.cap)
