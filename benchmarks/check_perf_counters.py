@@ -2,8 +2,9 @@
 
 Runs one tiny Fibonacci proof per registered protocol (STARK, Plonk,
 HyperPlonk-lite) and asserts the operation counters -- NTT butterflies
-and Poseidon permutations -- match golden values recorded before the
-respective optimisation passes.  Kernel and pipeline rewrites may change *how* the
+and Poseidon permutations -- match the golden values of
+``tests/goldens.py``, the one table the test-suite pins too.  Kernel
+and pipeline rewrites may change *how* the
 work is executed (in place, fused, batched, shared sequencing) but
 never *how much* work the protocol does; a drift here means a rewrite
 silently changed the algorithm, not just the implementation.  Every
@@ -31,81 +32,27 @@ Usage: PYTHONPATH=src python benchmarks/check_perf_counters.py
 from __future__ import annotations
 
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from repro import metrics, parallel, protocols
-from repro.fri.config import FriConfig
 from repro.hashing import optimized
-from repro.hyperplonk import HyperPlonkConfig
 from repro.workloads import fibonacci
 
-CONFIG = FriConfig(
-    rate_bits=1, cap_height=1, num_queries=10, proof_of_work_bits=3, final_poly_len=4
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.goldens import (  # noqa: E402  (the repo root is on the path now)
+    CONFIGS,
+    DIGESTS,
+    PROVE_COUNTERS,
+    SCALE,
+    VERIFY_COUNTERS,
 )
-SCALE = 6
-
-#: Recorded at commit f1e91fc (pre-zero-copy prover), Fibonacci scale 6.
-GOLDEN = {
-    "ntt_butterflies": 3096,
-    "sponge_permutations": 364,
-    "ntt_transforms": 10,
-}
-GOLDEN_DIGEST = "111c298a5fab5dd1368bbf070f5c9379ad28c1e1f2a671244cdeeb7d12d2dd22"
-
-#: Registry-default Plonk parameters (``protocols.get("plonk").default_config()``).
-PLONK_CONFIG = FriConfig(
-    rate_bits=3, cap_height=1, num_queries=8, proof_of_work_bits=4, final_poly_len=4
-)
-
-#: Recorded at commit 56d0287 (pre-unified-pipeline prover), Fibonacci
-#: scale 6, measured around ``prove`` only (setup excluded).
-PLONK_GOLDEN = {
-    "ntt_butterflies": 7040,
-    "sponge_permutations": 598,
-    "challenger_permutations": 33,
-    "ntt_transforms": 22,
-}
-PLONK_GOLDEN_DIGEST = (
-    "96ef6472f512d48f2a64904b7d528ea83ba62f1ca3c5b5fa0eb49a54b65b5a17"
-)
-
-#: Executor-default HyperPlonk-lite parameters.
-HYPERPLONK_CONFIG = HyperPlonkConfig(cap_height=1, num_queries=16)
-
-#: Recorded when the sumcheck-native backend landed, Fibonacci scale 6,
-#: measured around ``prove`` only (setup excluded).  The zero NTT
-#: entries are the point: the sumcheck hot path must never touch the
-#: NTT kernels, so any nonzero count is a regression by definition.
-#: Digest re-pinned for batched-opening format v2 (queries sampled over
-#: ``n // 2``, per-tree multiproofs); the counters were unchanged by
-#: that move -- sharding and batching redistribute hashing, they never
-#: add any.
-HYPERPLONK_GOLDEN = {
-    "sponge_permutations": 36,
-    "challenger_permutations": 13,
-    "ntt_butterflies": 0,
-    "ntt_transforms": 0,
-}
-HYPERPLONK_GOLDEN_DIGEST = (
-    "d52bd70ef17c57099b692406f5271cdf364953d3aabbd3e8c06a7336e49a801c"
-)
-
-
-#: Counters around ``system.verify`` of the proofs above, recorded at
-#: commit 12996fa, when every authentication path was still walked alone
-#: through the scalar permutation.
-VERIFY_GOLDEN = {
-    "stark": {"sponge_permutations": 260, "challenger_permutations": 13},
-    "plonk": {"sponge_permutations": 280, "challenger_permutations": 16},
-    "hyperplonk": {"sponge_permutations": 64, "challenger_permutations": 13},
-}
 
 #: (registry name, config, counter goldens, digest golden) per protocol.
-CASES = (
-    ("stark", CONFIG, GOLDEN, GOLDEN_DIGEST),
-    ("plonk", PLONK_CONFIG, PLONK_GOLDEN, PLONK_GOLDEN_DIGEST),
-    ("hyperplonk", HYPERPLONK_CONFIG, HYPERPLONK_GOLDEN, HYPERPLONK_GOLDEN_DIGEST),
+CASES = tuple(
+    (name, CONFIGS[name], PROVE_COUNTERS[name], DIGESTS[name])
+    for name in ("stark", "plonk", "hyperplonk")
 )
 
 
@@ -129,7 +76,7 @@ def _prove_and_check(label: str, system, setup, golden: dict, want_digest: str, 
         failures.append(f"{label} proof digest drifted: {digest}")
     with metrics.counting() as counts:
         system.verify(setup, proof)  # raises if the proof is rejected
-    return failures + _diff(f"{label} verify", counts, VERIFY_GOLDEN[system.name])
+    return failures + _diff(f"{label} verify", counts, VERIFY_COUNTERS[system.name])
 
 
 def _check_permutation_regimes() -> list:
@@ -184,7 +131,7 @@ def main() -> int:
     print("permute_into == permute_scalar at every regime boundary")
     for name, _, golden, _ in CASES:
         print(f"{name} counters OK: {', '.join(f'{k}={v}' for k, v in golden.items())}")
-        verify = VERIFY_GOLDEN[name]
+        verify = VERIFY_COUNTERS[name]
         print(f"{name} verify counters OK: {', '.join(f'{k}={v}' for k, v in verify.items())}")
     print("proof digests OK (stark + plonk + hyperplonk)")
     print("no-pool proves ran inline shards (stark + plonk + hyperplonk)")

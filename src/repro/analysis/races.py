@@ -190,6 +190,7 @@ def _representative_graphs(pool):
     :mod:`repro.parallel.ops` ships at ``pool.workers``.  Yields
     ``(label, graph)`` pairs.
     """
+    from ..fri.config import FRI_ARITY_BITS
     from ..fri.prover import FriOpenings, PolynomialBatch
     from ..parallel import ops
 
@@ -203,8 +204,10 @@ def _representative_graphs(pool):
         pool, ws, ext, 16, 2, 1, 1, "chk:quotient"
     ).graph
 
-    layer_vals = np.arange(32 * 2, dtype=np.uint64).reshape(32, 2)
-    yield "fri:layer_tree", ops.layer_tree_graph(pool, ws, layer_vals, 1, 1).graph
+    layer_vals = np.arange(64 * 2, dtype=np.uint64).reshape(64, 2)
+    yield "fri:layer_tree", ops.layer_tree_graph(
+        pool, ws, layer_vals, FRI_ARITY_BITS, 1, 1
+    ).graph
 
     # Combine + queries need a committed batch and layer tree; tiny
     # in-process commits are enough (the graphs only reference their
@@ -218,7 +221,7 @@ def _representative_graphs(pool):
     alpha = np.array([7, 9], dtype=np.uint64)
     yield "fri:combine", ops.combine_graph(pool, ws, [batch], openings, alpha).graph
 
-    tree = ops.layer_tree_graph(default_pool(), ws, layer_vals, 1, 0).run()
+    tree = ops.layer_tree_graph(default_pool(), ws, layer_vals, FRI_ARITY_BITS, 1, 0).run()
     yield "fri:queries", ops.query_rounds_graph(
         pool, ws, [batch], [tree], list(range(6))
     ).graph

@@ -15,6 +15,8 @@
 * ``serve``       -- run the proving service (job queue + worker pool);
 * ``submit``      -- submit a job to a running service, optionally wait
   for and verify the proof;
+* ``verify``      -- verify a result envelope ``submit --out`` wrote
+  (a proof blob of an older format version is refused, typed);
 * ``status``      -- query a running service for job or service stats;
 * ``analyze``     -- run the soundness analysis (PE-grid schedule
   sanitizer, prover-invariant lint, Fiat-Shamir transcript
@@ -302,6 +304,27 @@ def cmd_submit(args) -> int:
     return 0
 
 
+def cmd_verify(args) -> int:
+    """Verify a result envelope written by ``submit --out``."""
+    from .errors import VerifierError
+    from .serialize import read_result_envelope
+    from .service import verify_result
+
+    try:
+        with open(args.envelope, "rb") as fh:
+            envelope = fh.read()
+    except OSError as exc:
+        raise CliError(f"cannot read {args.envelope} ({exc.strerror})") from None
+    try:
+        kind, workload, _ = read_result_envelope(envelope)
+        spec = {"workload": workload, "kind": kind.removesuffix("-proof"), "scale": args.scale}
+        verify_result(spec, envelope)
+    except (ValueError, VerifierError) as exc:
+        raise CliError(f"{type(exc).__name__}: {exc}") from None
+    print(f"{kind} for {workload} at scale {args.scale} verified OK")
+    return 0
+
+
 def cmd_analyze(args) -> int:
     """Run the static analysis (schedule sanitizer + repo lint)."""
     from .analysis import AnalysisError
@@ -479,6 +502,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="wait for the proof and verify it locally")
     p.add_argument("--out", default=None, help="write the result envelope here")
 
+    p = sub.add_parser(
+        "verify", help="verify a result envelope written by submit --out"
+    )
+    p.add_argument("envelope", metavar="PATH", help="result envelope file")
+    p.add_argument("--scale", type=int, default=8,
+                   help="workload size knob the job was submitted with")
+
     p = sub.add_parser("status", help="query a running service")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8347)
@@ -532,6 +562,7 @@ def main(argv=None) -> int:
         "chip": cmd_chip,
         "serve": cmd_serve,
         "submit": cmd_submit,
+        "verify": cmd_verify,
         "status": cmd_status,
         "fuzz": cmd_fuzz,
         "analyze": cmd_analyze,

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil
 
+from ..fri.config import FRI_ARITY_BITS
 from ..merkle import merkle_permutation_count
 from .graph import ComputationGraph
 
@@ -39,8 +40,9 @@ class PlonkParams:
     quotient_width: int = 0  # 0 -> derived: 16 * num_challenges
     #: Blinding salt columns added to the wires commitment (zero knowledge).
     salt_width: int = 4
-    #: FRI folding arity bits (Plonky2 reduces by 8 per round).
-    fri_arity_bits: int = 3
+    #: FRI folding arity bits (Plonky2 reduces by 8 per round, as the
+    #: functional FRI prover does).
+    fri_arity_bits: int = FRI_ARITY_BITS
     #: FRI query rounds.
     num_queries: int = 28
     #: Grinding bits.
@@ -85,7 +87,7 @@ class StarkParams:
     rate_bits: int = 1
     quotient_width: int = 4  # (constraint_degree - 1) chunks x 2 limbs
     constraint_ops_factor: int = 6
-    fri_arity_bits: int = 3
+    fri_arity_bits: int = FRI_ARITY_BITS
     num_queries: int = 84
     pow_bits: int = 16
 

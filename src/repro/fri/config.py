@@ -4,11 +4,20 @@ The two protocols differ only in parameters: Plonky2 uses a blowup
 factor of at least 8 (``rate_bits = 3``) with few queries; Starky uses
 blowup 2 (``rate_bits = 1``) with more queries.  Both target ~100 bits
 of conjectured security via ``queries * rate_bits + proof_of_work_bits``.
+
+Folding is committed every :data:`FRI_ARITY_BITS` arity-2 folds, as
+Plonky2/Starky's ``ConstantArityBits`` reduction strategy does: one
+Merkle tree per fold by 8, whose leaves are the 8-element cosets the
+next layer's value is interpolated from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
+
+#: log2 of the folding arity of one committed FRI layer (fold by 8).
+FRI_ARITY_BITS = 3
 
 
 @dataclass(frozen=True)
@@ -56,8 +65,32 @@ class FriConfig:
         final_bits = (self.final_poly_len - 1).bit_length()
         return max(0, degree_bits - final_bits)
 
+    def fold_schedule(self, degree_bits: int) -> Tuple[int, ...]:
+        """Arity bits of each committed layer, in commit order.
+
+        :data:`FRI_ARITY_BITS` per layer, the last layer taking whatever
+        of :meth:`num_fold_rounds` is left (1, 2 or 3 bits); empty when
+        the degree bound is already at most ``final_poly_len``.
+        """
+        rounds = self.num_fold_rounds(degree_bits)
+        return tuple(
+            min(FRI_ARITY_BITS, rounds - done) for done in range(0, rounds, FRI_ARITY_BITS)
+        )
+
     def conjectured_security_bits(self) -> int:
-        """Conjectured soundness: one ``rate_bits`` per query plus grinding."""
+        """Conjectured soundness: one ``rate_bits`` per query plus grinding.
+
+        The folding arity does not enter.  Under the conjecture every
+        query is a ``1 / blowup`` test of the whole fold chain, however
+        many arity-2 folds share one committed layer.  Arity only moves
+        the commit-phase error: a layer of arity ``2**a`` over a domain
+        ``D`` folds with one ``beta``, each folded value is a
+        degree-``(2**a - 1)`` polynomial in ``beta``, and a union bound
+        over ``D`` gives the provable per-layer term
+        ``(2**a - 1) * |D| / |F_ext|``.
+        For ``a = 3``, ``|D| <= 2**24`` and ``|F_ext| ~ 2**128`` that is
+        below ``2**-101`` a layer, far under the query term.
+        """
         return self.num_queries * self.rate_bits + self.proof_of_work_bits
 
 

@@ -31,9 +31,14 @@ class FriInitialOpening:
 
 @dataclass
 class FriLayerOpening:
-    """Opening of one commit-phase layer at one query index."""
+    """Opening of one commit-phase layer at one query index.
 
-    pair_leaf: np.ndarray  # (2 * ext) flattened: v_lo.c0, v_lo.c1, v_hi.c0, v_hi.c1
+    A layer of arity ``2**a`` over ``N`` values commits leaf ``i`` as
+    the coset ``v[i + j * N / 2**a]`` for ``j < 2**a``: ``2**(a + 1)``
+    elements, the two limbs of each extension value in ``j`` order.
+    """
+
+    coset_leaf: np.ndarray
     proof: "object"
 
 
@@ -67,6 +72,6 @@ class FriProof:
                 total += leaf.size * ELEM_BYTES
                 total += len(proof.siblings) * DIGEST_BYTES
             for layer in qr.layers:
-                total += layer.pair_leaf.size * ELEM_BYTES
+                total += layer.coset_leaf.size * ELEM_BYTES
                 total += len(layer.proof.siblings) * DIGEST_BYTES
         return total

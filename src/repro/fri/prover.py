@@ -9,8 +9,12 @@ Implements the commit / fold / grind / query pipeline of Figure 1
    (Section 2.2, step 3);
 2. opening at ``zeta`` reduces all claims to one low-degree test on the
    combined quotient ``sum_k alpha-weighted (F(x) - y) / (x - z_k)``;
-3. the combined values are folded layer by layer (arity 2), each layer
-   Merkle-committed, betas drawn through Fiat-Shamir;
+3. the combined values are folded along ``config.fold_schedule``: a
+   layer of arity ``2**a`` is Merkle-committed with the ``2**a``-value
+   cosets of the next layer as leaves, one beta is drawn through
+   Fiat-Shamir, and :func:`fold_values` runs ``a`` times with
+   ``beta, beta**2, beta**4, ...`` -- which is the arity-``2**a`` coset
+   interpolant evaluated at ``beta``;
 4. grinding (proof-of-work) and random query indices finish the proof.
 """
 
@@ -224,8 +228,8 @@ def fold_pairs(
     """The arity-2 FRI fold of value pairs ``(f(x), f(-x))``.
 
     ``f'(x^2) = (f(x) + f(-x))/2 + beta * (f(x) - f(-x)) / (2x)`` with
-    ``weights = 1 / (2x)``: the whole layer for the prover, the queried
-    pairs for the verifier.
+    ``weights = 1 / (2x)``: the whole layer for the prover, the halves
+    of each queried coset for the verifier.
     """
     inv2 = np.uint64(gl.inverse(2))
     even = fext.scalar_mul(fext.add(lo, hi), inv2)
@@ -237,7 +241,8 @@ def fold_values(values: np.ndarray, beta: np.ndarray, shift: int, log_n: int) ->
     """One arity-2 FRI fold over the coset ``shift * <omega_N>``.
 
     In natural order ``-x_i`` lives at index ``i + N/2``, so the pairs
-    of :func:`fold_pairs` are the two halves of ``values``.
+    of :func:`fold_pairs` are the two halves of ``values``.  A layer of
+    arity ``2**a`` is ``a`` of these folds, the k-th at ``beta**(2**k)``.
     """
     half = values.shape[0] // 2
     return fold_pairs(
@@ -290,20 +295,25 @@ def fri_prove(
     n = batches[0].degree_n
     log_lde = n_lde.bit_length() - 1
 
-    # Commit phase.
-    num_rounds = config.num_fold_rounds(n.bit_length() - 1)
+    # Commit phase: one tree and one beta per committed layer.
+    schedule = config.fold_schedule(n.bit_length() - 1)
+    num_rounds = sum(schedule)
     trees: List[MerkleTree] = []
     shift = gl.coset_shift()
     cur_log = log_lde
-    with tracing.span("fri:fold", category="fri", rounds=num_rounds):
-        for i in range(num_rounds):
-            tree = par_ops.layer_tree_graph(pool, ws, values, config.cap_height, i).run()
+    with tracing.span("fri:fold", category="fri", rounds=num_rounds, layers=len(schedule)):
+        for i, arity_bits in enumerate(schedule):
+            tree = par_ops.layer_tree_graph(
+                pool, ws, values, arity_bits, config.cap_height, i
+            ).run()
             trees.append(tree)
             challenger.observe_cap(tree.cap)
             beta = challenger.get_ext_challenge()
-            values = fold_values(values, beta, shift, cur_log)
-            shift = gl.mul(shift, shift)
-            cur_log -= 1
+            for _ in range(arity_bits):
+                values = fold_values(values, beta, shift, cur_log)
+                beta = fext.square(beta)
+                shift = gl.mul(shift, shift)
+                cur_log -= 1
 
         # Final polynomial (coefficients over the remaining coset).
         final_coeffs = coset_intt_ext(values, shift)

@@ -69,9 +69,10 @@ def fri_verify(
 
         n_lde = degree_n << config.rate_bits
         log_lde = n_lde.bit_length() - 1
-        num_rounds = config.num_fold_rounds(degree_n.bit_length() - 1)
-        if len(proof.commit_caps) != num_rounds:
-            raise FriError(f"expected {num_rounds} layer caps, got {len(proof.commit_caps)}")
+        schedule = config.fold_schedule(degree_n.bit_length() - 1)
+        num_rounds = sum(schedule)
+        if len(proof.commit_caps) != len(schedule):
+            raise FriError(f"expected {len(schedule)} layer caps, got {len(proof.commit_caps)}")
 
         betas: List[np.ndarray] = []
         for cap in proof.commit_caps:
@@ -107,12 +108,15 @@ def fri_verify(
             raise FriError("initial opening count mismatch")
         if len(qr.initial.proofs) != len(qr.initial.leaves):
             raise FriError("initial opening count mismatch")
-        if len(qr.layers) != num_rounds:
+        if len(qr.layers) != len(schedule):
             raise FriError("wrong number of layer openings")
-        # A truncated or reshaped pair leaf would be sliced into
-        # silently empty halves, and ``hash_or_noop`` zero-pads a
-        # 3-element row into the digest of a 4-element row ending in 0.
-        if any(layer.pair_leaf.shape != (4,) for layer in qr.layers):
+        # A truncated or reshaped coset leaf would put values in the
+        # wrong slots, and ``hash_or_noop`` zero-pads a 3-element row
+        # into the digest of a 4-element row ending in 0.
+        if any(
+            layer.coset_leaf.shape != (2 << bits,)
+            for layer, bits in zip(qr.layers, schedule)
+        ):
             raise FriError("malformed layer leaf")
     for b in range(len(batch_caps)):
         # One width per batch across all queries (a tree has one leaf
@@ -131,9 +135,14 @@ def fri_verify(
             if not 0 <= c < rounds[0].initial.leaves[b].shape[0]:
                 raise FriError("opened column exceeds initial leaf width")
 
-    # Position of each query in each fold layer's pair tree.
+    # Layer k has ``sizes[k]`` values in ``sizes[k + 1]`` coset leaves; a
+    # query at position p opens leaf ``p % sizes[k + 1]``, which is also
+    # its position in layer k + 1.
     cur = np.asarray(indices, dtype=np.int64)
-    pairs = [cur % (n_lde >> (k + 1)) for k in range(num_rounds)]
+    sizes = [n_lde]
+    for bits in schedule:
+        sizes.append(sizes[-1] >> bits)
+    leaf_ids = [cur % m for m in sizes[1:]]
 
     with tracing.span("verify:merkle", category="verify", queries=len(rounds)):
         paths = [
@@ -143,9 +152,9 @@ def fri_verify(
         ]
         num_initial = len(paths)
         paths += [
-            PathOpening([layer.pair_leaf], (int(pair[q]),), layer.proof.siblings, cap)
+            PathOpening([layer.coset_leaf], (int(ids[q]),), layer.proof.siblings, cap)
             for q, qr in enumerate(rounds)
-            for layer, pair, cap in zip(qr.layers, pairs, proof.commit_caps)
+            for layer, ids, cap in zip(qr.layers, leaf_ids, proof.commit_caps)
         ]
         verdicts = verify_paths(paths)
         if not verdicts[:num_initial].all():
@@ -165,16 +174,31 @@ def fri_verify(
 
         shift = gl.coset_shift()
         cur_log = log_lde
-        for k, (beta, pair) in enumerate(zip(betas, pairs)):
-            pair_leaves = np.stack([qr.layers[k].pair_leaf for qr in rounds])
-            lo, hi = pair_leaves[:, 0:2], pair_leaves[:, 2:4]
-            mine = np.where((cur == pair)[:, None], lo, hi)
-            if not np.array_equal(mine, values):
+        queries = np.arange(len(rounds))
+        for k, (beta, bits, ids) in enumerate(zip(betas, schedule, leaf_ids)):
+            m = sizes[k + 1]
+            # coset[q, j] is the value at position ids[q] + j * m.
+            coset = np.stack([qr.layers[k].coset_leaf for qr in rounds]).reshape(
+                len(rounds), 1 << bits, 2
+            )
+            if not np.array_equal(coset[queries, cur // m], values):
                 raise FriError("fold consistency check failed")
-            values = fold_pairs(lo, hi, fold_weights(cur_log, shift)[pair], beta)
-            cur = pair
-            shift = gl.mul(shift, shift)
-            cur_log -= 1
+            # The prover's ``bits`` arity-2 folds, on each coset alone:
+            # slots j and j + half hold x and -x.
+            for _ in range(bits):
+                half = coset.shape[1] // 2
+                weights = fold_weights(cur_log, shift)[ids[:, None] + m * np.arange(half)]
+                coset = fold_pairs(
+                    coset[:, :half].reshape(-1, 2),
+                    coset[:, half:].reshape(-1, 2),
+                    weights.reshape(-1),
+                    beta,
+                ).reshape(len(rounds), half, 2)
+                beta = fext.square(beta)
+                shift = gl.mul(shift, shift)
+                cur_log -= 1
+            values = coset[:, 0]
+            cur = ids
 
         # Final polynomial check at the residual domain points.
         x_final = fext.from_base(lde_points(cur_log, shift)[cur])

@@ -117,7 +117,7 @@ def _all_arrays(proof) -> list:
             arrays.extend(qr.initial.leaves)
             arrays.extend(p.siblings for p in qr.initial.proofs)
             for layer in qr.layers:
-                arrays.append(layer.pair_leaf)
+                arrays.append(layer.coset_leaf)
                 arrays.append(layer.proof.siblings)
     if hasattr(proof, "sumcheck"):  # hyperplonk shape
         for op in proof.tree_openings():
@@ -380,16 +380,55 @@ def reshape_initial_leaf(target: FuzzTarget, rng) -> Optional[Mutant]:
     return Mutant("reshape-initial-leaf", data=target.encode(proof))
 
 
-def truncate_pair_leaf(target: FuzzTarget, rng) -> Optional[Mutant]:
-    """Truncate one fold-layer pair leaf below its 4 elements."""
+def truncate_coset_leaf(target: FuzzTarget, rng) -> Optional[Mutant]:
+    """Truncate one fold-layer coset leaf below its full width."""
     proof = target.decode(target.blob)
     rounds = _fri_layer_rounds(proof)
     if not rounds:
         return None
     qr = _choice(rng, rounds)
     layer = _choice(rng, qr.layers)
-    layer.pair_leaf = layer.pair_leaf[: int(rng.integers(0, 4))]
-    return Mutant("truncate-pair-leaf", data=target.encode(proof))
+    layer.coset_leaf = layer.coset_leaf[: int(rng.integers(0, layer.coset_leaf.size))]
+    return Mutant("truncate-coset-leaf", data=target.encode(proof))
+
+
+def swap_coset_values(target: FuzzTarget, rng) -> Optional[Mutant]:
+    """Swap two extension values inside one opened coset leaf."""
+    proof = target.decode(target.blob)
+    rounds = _fri_layer_rounds(proof)
+    if not rounds:
+        return None
+    qr = _choice(rng, rounds)
+    layer = _choice(rng, qr.layers)
+    coset = layer.coset_leaf.reshape(-1, 2)
+    i, j = (int(k) for k in rng.choice(coset.shape[0], size=2, replace=False))
+    if np.array_equal(coset[i], coset[j]):
+        return None
+    coset[[i, j]] = coset[[j, i]]
+    return Mutant("swap-coset-values", data=target.encode(proof))
+
+
+def arity2_shaped_leaf(target: FuzzTarget, rng) -> Optional[Mutant]:
+    """Open an arity-4 or -8 layer with a 4-element (arity-2) leaf.
+
+    The leaf is one honest ``(x, -x)`` pair of the coset (slots ``j``
+    and ``j + half``), shaped as an arity-2 prover would commit it.
+    """
+    proof = target.decode(target.blob)
+    wide = [
+        layer
+        for qr in _fri_layer_rounds(proof)
+        for layer in qr.layers
+        if layer.coset_leaf.size > 4
+    ]
+    if not wide:
+        return None
+    layer = _choice(rng, wide)
+    coset = layer.coset_leaf.reshape(-1, 2)
+    half = coset.shape[0] // 2
+    j = int(rng.integers(0, half))
+    layer.coset_leaf = np.concatenate([coset[j], coset[j + half]])
+    return Mutant("arity2-shaped-leaf", data=target.encode(proof))
 
 
 # -- sumcheck mutators (hyperplonk-shaped proofs only) -------------------------
@@ -503,16 +542,16 @@ def mismatch_initial_proofs(target: FuzzTarget, rng) -> Optional[Mutant]:
     return Mutant("mismatch-initial-proofs", proof=proof)
 
 
-def scalar_pair_leaf(target: FuzzTarget, rng) -> Optional[Mutant]:
-    """Replace one pair leaf with a 0-d array (slicing would crash)."""
+def scalar_coset_leaf(target: FuzzTarget, rng) -> Optional[Mutant]:
+    """Replace one coset leaf with a 0-d array (slicing would crash)."""
     proof = copy.deepcopy(target.decode(target.blob))
     rounds = _fri_layer_rounds(proof)
     if not rounds:
         return None
     qr = _choice(rng, rounds)
     layer = _choice(rng, qr.layers)
-    layer.pair_leaf = np.uint64(_rand_elem(rng)).reshape(())
-    return Mutant("scalar-pair-leaf", proof=proof)
+    layer.coset_leaf = np.uint64(_rand_elem(rng)).reshape(())
+    return Mutant("scalar-coset-leaf", proof=proof)
 
 
 #: The full mutation catalogue, keyed by stable artifact-facing names.
@@ -539,7 +578,9 @@ MUTATORS: Dict[str, Callable[[FuzzTarget, np.random.Generator], Optional[Mutant]
     "splice-fri-proof": splice_fri_proof,
     "pad-initial-leaf": pad_initial_leaf,
     "reshape-initial-leaf": reshape_initial_leaf,
-    "truncate-pair-leaf": truncate_pair_leaf,
+    "truncate-coset-leaf": truncate_coset_leaf,
+    "swap-coset-values": swap_coset_values,
+    "arity2-shaped-leaf": arity2_shaped_leaf,
     "tamper-sumcheck-round": tamper_sumcheck_round,
     "perturb-final-value": perturb_final_value,
     "perturb-claimed-sum": perturb_claimed_sum,
@@ -547,7 +588,7 @@ MUTATORS: Dict[str, Callable[[FuzzTarget, np.random.Generator], Optional[Mutant]
     "drop-opened-row": drop_opened_row,
     "pad-opening-nodes": pad_opening_nodes,
     "mismatch-initial-proofs": mismatch_initial_proofs,
-    "scalar-pair-leaf": scalar_pair_leaf,
+    "scalar-coset-leaf": scalar_coset_leaf,
 }
 
 #: Stable ordering for seeded mutator choice.

@@ -16,8 +16,8 @@ Outcome classes:
 * ``untyped-decode`` / ``untyped-verify`` -- an exception outside the
   typed set escaped (``IndexError``, ``ZeroDivisionError``, ...): a
   robustness finding that would kill a service worker.
-* ``no-op`` / ``not-applicable`` -- the mutator produced the original
-  blob back (or declined); nothing was tested.
+* ``no-op`` / ``not-applicable`` -- the mutator produced one of the two
+  honest blobs back (or declined); nothing was tested.
 """
 
 from __future__ import annotations
@@ -166,7 +166,9 @@ def run_fuzz(
             _bump(report.outcomes, "not-applicable")
             _bump(mut_counters, "not-applicable")
             continue
-        if mutant.kind == "bytes" and mutant.data == target.blob:
+        # A splice cut inside the two honest blobs' common prefix
+        # rebuilds ``alt_blob`` exactly: honest bytes, not a mutant.
+        if mutant.kind == "bytes" and mutant.data in (target.blob, target.alt_blob):
             _bump(report.outcomes, "no-op")
             _bump(mut_counters, "no-op")
             continue

@@ -47,11 +47,14 @@ from ..workloads import by_name
 TYPED_REJECTIONS: Tuple[type, ...] = (ValueError, VerifierError)
 
 
+#: Both FRI targets fold their first committed layer by 8 (the STARK
+#: ``alt_blob`` adds an arity-2 tail layer), so every coset-leaf
+#: mutator applies to both.
 _STARK_CONFIG = FriConfig(
     rate_bits=1, cap_height=1, num_queries=4, proof_of_work_bits=2, final_poly_len=4
 )
 _PLONK_CONFIG = FriConfig(
-    rate_bits=3, cap_height=1, num_queries=4, proof_of_work_bits=2, final_poly_len=4
+    rate_bits=3, cap_height=1, num_queries=4, proof_of_work_bits=2, final_poly_len=1
 )
 _HYPERPLONK_CONFIG = HyperPlonkConfig(cap_height=1, num_queries=4)
 

@@ -173,8 +173,10 @@ def fri_query_chunk(args: Dict[str, Any]) -> List[Any]:
     """Gather the openings for a chunk of FRI query indices.
 
     Pure reads: initial leaves and Merkle paths from every batch, then
-    pair leaves and paths down the layer trees (leaf ``j`` of a layer
-    tree packs the pair ``(v[j], v[j + half])``) -- no hashing.
+    coset leaves and paths down the layer trees -- no hashing.  Leaf
+    ``j`` of a layer tree with ``m`` leaves packs the coset of ``v[j]``,
+    so a query at position ``p`` opens leaf ``p % m``, which is also its
+    position in the next, ``m``-value layer.
     Returns one :class:`~repro.fri.proof.FriQueryRound` per index, in
     the chunk's (transcript-pinned) index order.
     """
@@ -194,7 +196,7 @@ def fri_query_chunk(args: Dict[str, Any]) -> List[Any]:
         for t in layers:
             cur %= t.num_leaves()
             openings.append(
-                FriLayerOpening(pair_leaf=t.leaves[cur].copy(), proof=t.prove(cur))
+                FriLayerOpening(coset_leaf=t.leaves[cur].copy(), proof=t.prove(cur))
             )
         rounds.append(FriQueryRound(index=idx, initial=initial, layers=openings))
     return rounds

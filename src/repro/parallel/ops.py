@@ -427,27 +427,31 @@ def layer_tree_graph(
     pool: ShardPool,
     ws: Optional[gl64.Workspace],
     values: np.ndarray,
+    arity_bits: int,
     cap_height: int,
     layer: int,
 ) -> Stage:
-    """Commit one FRI fold layer: leaf ``i`` packs ``(v[i], v[i + N/2])``.
+    """Commit one FRI layer of arity ``2**a``: leaf ``i`` packs the
+    coset ``v[i + j * N / 2**a]`` for ``j < 2**a``.
 
-    The pair leaves land in the ``fri:leaves{layer}`` slot and the
+    The coset leaves land in the ``fri:leaves{layer}`` slot and the
     digests in ``fri:tree{layer}``, where :func:`query_rounds_graph`
     finds them again without copying.
     """
-    half, width = values.shape[0] // 2, values.shape[1]
-    plane = _Plane(pool, ws, "fri", half, pool.min_tree_leaves)
-    leaves = plane.buf((half, 2 * width), f"fri:leaves{layer}")
-    leaves[:, :width] = values[:half]
-    leaves[:, width:] = values[half:]
+    arity = 1 << arity_bits
+    num_leaves, width = values.shape[0] >> arity_bits, values.shape[1]
+    plane = _Plane(pool, ws, "fri", num_leaves, pool.min_tree_leaves)
+    leaves = plane.buf((num_leaves, arity * width), f"fri:leaves{layer}")
+    leaves.reshape(num_leaves, arity, width)[:] = values.reshape(
+        arity, num_leaves, width
+    ).swapaxes(0, 1)
     graph = ShardGraph(f"fri:tree{layer}")
     tree = _add_merkle_shards(
         plane,
         graph,
         f"fri:tree{layer}",
         leaves,
-        min(cap_height, half.bit_length() - 1),
+        min(cap_height, num_leaves.bit_length() - 1),
         f"fri:tree{layer}",
     )
     return Stage(plane.pool, graph, lambda _results: tree())

@@ -20,7 +20,8 @@ class PlonkSystem(ProofSystem):
 
     name = "plonk"
     description = "Plonky2-style gates + permutation argument over FRI"
-    format_version = 1
+    #: 2: FRI layers open arity-8 coset leaves, not v1's arity-2 pairs.
+    format_version = 2
     to_bytes = staticmethod(PlonkProof.to_bytes)
     from_bytes = staticmethod(PlonkProof.from_bytes)
     uses_ntt = True

@@ -15,7 +15,8 @@ class StarkSystem(ProofSystem):
 
     name = "stark"
     description = "AIR transition constraints, LDE + batch FRI opening"
-    format_version = 1
+    #: 2: FRI layers open arity-8 coset leaves, not v1's arity-2 pairs.
+    format_version = 2
     to_bytes = staticmethod(StarkProof.to_bytes)
     from_bytes = staticmethod(StarkProof.from_bytes)
     uses_ntt = True

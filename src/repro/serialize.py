@@ -182,7 +182,7 @@ def write_fri_proof(w: ByteWriter, proof: FriProof) -> None:
             _write_merkle_proof(w, prf)
         w.u32(len(qr.layers))
         for layer in qr.layers:
-            w.elems(layer.pair_leaf)
+            w.elems(layer.coset_leaf)
             _write_merkle_proof(w, layer.proof)
 
 
@@ -205,8 +205,8 @@ def read_fri_proof(r: ByteReader) -> FriProof:
             proofs.append(_read_merkle_proof(r))
         layers = []
         for _ in range(r.count(8, "FRI layer count")):
-            pair_leaf = r.elems()
-            layers.append(FriLayerOpening(pair_leaf=pair_leaf, proof=_read_merkle_proof(r)))
+            coset_leaf = r.elems()
+            layers.append(FriLayerOpening(coset_leaf=coset_leaf, proof=_read_merkle_proof(r)))
         rounds.append(
             FriQueryRound(
                 index=index,

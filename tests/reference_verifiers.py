@@ -2,11 +2,14 @@
 
 These are the bodies ``merkle.verify_proof``, ``merkle.verify_multi``
 and ``fri.fri_verify`` had before verification moved onto the batched
-plane (:func:`repro.merkle.verify_paths`, FRI checks on a query axis),
-moved here verbatim: one path walked at a time, one ``two_to_one`` per
-node, one extension inversion per query per opening point.  They share
-nothing with the batched code but the sponge primitives, so agreement
-between the two is evidence about both.
+plane (:func:`repro.merkle.verify_paths`, FRI checks on a query axis):
+one path walked at a time, one ``two_to_one`` per node, one extension
+inversion per query per opening point.  The FRI layer walk folds each
+opened coset by its own rule -- the coset's Lagrange interpolant at
+``beta``, in Python integers -- where the shipped verifier repeats the
+prover's arity-2 :func:`repro.fri.prover.fold_pairs`.  They share
+nothing with the batched code but the sponge primitives and the
+``fold_schedule``, so agreement between the two is evidence about both.
 
 :func:`reference_plane` swaps them in under the real protocol
 verifiers, which keeps the protocol-level structure checks and error
@@ -163,9 +166,10 @@ def fri_verify(
 
     n_lde = degree_n << config.rate_bits
     log_lde = n_lde.bit_length() - 1
-    num_rounds = config.num_fold_rounds(degree_n.bit_length() - 1)
-    if len(proof.commit_caps) != num_rounds:
-        raise FriError(f"expected {num_rounds} layer caps, got {len(proof.commit_caps)}")
+    schedule = config.fold_schedule(degree_n.bit_length() - 1)
+    num_rounds = sum(schedule)
+    if len(proof.commit_caps) != len(schedule):
+        raise FriError(f"expected {len(schedule)} layer caps, got {len(proof.commit_caps)}")
 
     betas: List[np.ndarray] = []
     for cap in proof.commit_caps:
@@ -188,6 +192,7 @@ def fri_verify(
         raise FriError("wrong number of query rounds")
 
     omega = gl.primitive_root_of_unity(log_lde)
+    betas = [fext.to_pair(beta) for beta in betas]
     for idx, qr in zip(indices, proof.query_rounds):
         if qr.index != idx:
             raise FriError("query index mismatch with transcript")
@@ -213,51 +218,76 @@ def fri_verify(
             if not verify_proof(leaf, idx, prf, cap):
                 raise FriError("initial Merkle proof failed")
         x = gl.mul(gl.coset_shift(), gl.pow_mod(omega, idx))
-        value = _combined_at_index(qr.initial.leaves, openings, alpha, x)
+        value = fext.to_pair(_combined_at_index(qr.initial.leaves, openings, alpha, x))
 
-        # Walk the fold layers.
+        # Walk the committed layers.
         cur = idx
-        cur_size = n_lde
+        size = n_lde
         shift = gl.coset_shift()
-        cur_log = log_lde
-        if len(qr.layers) != num_rounds:
+        if len(qr.layers) != len(schedule):
             raise FriError("wrong number of layer openings")
-        for layer, beta, cap in zip(qr.layers, betas, proof.commit_caps):
-            half = cur_size // 2
-            pair = cur % half
+        for layer, beta, cap, bits in zip(qr.layers, betas, proof.commit_caps, schedule):
+            m = size >> bits
+            leaf_index = cur % m
             # Validate the leaf shape before slicing: a truncated or
-            # reshaped leaf would otherwise be compared against silently
-            # empty ``[0:2]``/``[2:4]`` slices (or crash on a 0-d array),
-            # and ``hash_or_noop`` zero-pads 3-element rows into the same
-            # digest as a 4-element row ending in zero.
-            if layer.pair_leaf.shape != (4,):
+            # reshaped leaf would otherwise be read into the wrong slots
+            # (or crash on a 0-d array), and ``hash_or_noop`` zero-pads
+            # 3-element rows into the same digest as a 4-element row
+            # ending in zero.
+            if layer.coset_leaf.shape != (2 << bits,):
                 raise FriError("malformed layer leaf")
-            if not verify_proof(layer.pair_leaf, pair, layer.proof, cap):
+            if not verify_proof(layer.coset_leaf, leaf_index, layer.proof, cap):
                 raise FriError("layer Merkle proof failed")
-            lo = layer.pair_leaf[0:2]
-            hi = layer.pair_leaf[2:4]
-            slot = lo if cur < half else hi
-            if not np.array_equal(slot, value.reshape(2)):
+            coset = [
+                (int(layer.coset_leaf[2 * j]), int(layer.coset_leaf[2 * j + 1]))
+                for j in range(1 << bits)
+            ]
+            if coset[cur // m] != value:
                 raise FriError("fold consistency check failed")
-            x_pair = gl.mul(shift, gl.pow_mod(gl.primitive_root_of_unity(cur_log), pair))
-            inv2 = gl.inverse(2)
-            even = fext.scalar_mul(fext.add(lo, hi), np.uint64(inv2))
-            odd = fext.scalar_mul(
-                fext.sub(lo, hi), np.uint64(gl.mul(inv2, gl.inverse(x_pair)))
-            )
-            value = fext.add(even, fext.mul(beta.reshape(2), odd))
-            cur = pair
-            cur_size = half
-            shift = gl.mul(shift, shift)
-            cur_log -= 1
+            # Slot j holds the point shift * w^(leaf_index + j * m).
+            w = gl.primitive_root_of_unity(size.bit_length() - 1)
+            xs = [gl.mul(shift, gl.pow_mod(w, leaf_index + j * m)) for j in range(1 << bits)]
+            value = _interpolate_at(xs, coset, beta)
+            cur = leaf_index
+            size = m
+            shift = gl.pow_mod(shift, 1 << bits)
 
         # Final polynomial check at the residual domain point.
-        x_final = fext.from_base(
-            np.uint64(gl.mul(shift, gl.pow_mod(gl.primitive_root_of_unity(cur_log), cur)))
-        )
-        expected = fext.eval_poly_ext(proof.final_poly, x_final)
-        if not np.array_equal(expected.reshape(2), value.reshape(2)):
+        w = gl.primitive_root_of_unity(size.bit_length() - 1)
+        x_final = fext.from_base(np.uint64(gl.mul(shift, gl.pow_mod(w, cur))))
+        expected = fext.to_pair(fext.eval_poly_ext(proof.final_poly, x_final))
+        if expected != value:
             raise FriError("final polynomial evaluation mismatch")
+
+
+def _ext_mul(a, b):
+    """Product of two extension elements given as ``(c0, c1)`` ints."""
+    return (
+        (a[0] * b[0] + fext.non_residue() * a[1] * b[1]) % gl.P,
+        (a[0] * b[1] + a[1] * b[0]) % gl.P,
+    )
+
+
+def _interpolate_at(xs, ys, beta):
+    """The degree-``< len(xs)`` interpolant through ``(xs[j], ys[j])``
+    evaluated at the extension point ``beta``, in Lagrange form.
+
+    This is what folding a coset of arity ``len(xs)`` at ``beta`` means:
+    for ``f(X) = sum_r X^r f_r(X^len)`` the interpolant of ``f`` on the
+    coset of ``x`` is ``sum_r X^r f_r(x^len)``, and FRI's folded value
+    is that at ``X = beta``.  Shares nothing with ``fri.fold_pairs``.
+    """
+    total = (0, 0)
+    for j, (xj, yj) in enumerate(zip(xs, ys)):
+        num, den = (1, 0), 1
+        for i, xi in enumerate(xs):
+            if i != j:
+                num = _ext_mul(num, ((beta[0] - xi) % gl.P, beta[1]))
+                den = den * (xj - xi) % gl.P
+        term = _ext_mul(num, yj)
+        inv = pow(den, -1, gl.P)
+        total = ((total[0] + term[0] * inv) % gl.P, (total[1] + term[1] * inv) % gl.P)
+    return total
 
 
 def verify_paths(openings) -> np.ndarray:

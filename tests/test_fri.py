@@ -7,6 +7,9 @@ import pytest
 
 from repro.field import extension as ext, gl64, goldilocks as gl
 from repro.fri import (
+    PLONKY2_CONFIG,
+    STARKY_CONFIG,
+    TEST_CONFIG,
     FriConfig,
     FriError,
     FriOpenings,
@@ -18,8 +21,14 @@ from repro.fri import (
     grind,
     open_batches,
 )
+from repro import protocols
+from repro.fri import config as fri_config
+from repro.fri.config import FRI_ARITY_BITS
 from repro.fri.prover import check_pow
 from repro.hashing import Challenger
+from repro.workloads import fibonacci
+
+from .goldens import ARITY2_DIGESTS, CONFIGS, SCALE
 
 
 def _mk_batches(rng, cfg, n=64, widths=(4, 2)):
@@ -125,6 +134,67 @@ class TestFolding:
             )
             assert np.array_equal(folded[i], expect.reshape(2))
 
+    @pytest.mark.parametrize("arity_bits", [1, 2, 3])
+    def test_repeated_folds_are_the_coset_fold_at_beta(self, rng, arity_bits):
+        # f(X) = sum_r X^r f_r(X^k) with k = 2**a: folding a times with
+        # beta, beta^2, beta^4, ... gives sum_r beta^r f_r(y) at
+        # y = x^k -- the arity-k fold one committed layer stands for.
+        from repro.ntt import Polynomial, lde_coeffs
+
+        k = 1 << arity_bits
+        coeffs = gl64.random(64, rng)
+        values = ext.from_base(lde_coeffs(coeffs, 2))  # 256 points
+        beta = ext.make(0x1234, 0x5678)
+        shift, log_n, b = gl.coset_shift(), 8, beta
+        for _ in range(arity_bits):
+            values = fold_values(values, b, shift, log_n)
+            b, shift, log_n = ext.square(b), gl.mul(shift, shift), log_n - 1
+        parts = [Polynomial(coeffs[r::k]) for r in range(k)]
+        w = gl.primitive_root_of_unity(8)
+        for i in (0, 5, values.shape[0] - 1):
+            y = gl.pow_mod(gl.mul(gl.coset_shift(), gl.pow_mod(w, i)), k)
+            want, beta_r = ext.zero(), ext.one()
+            for part in parts:
+                want = ext.add(want, ext.scalar_mul(beta_r, np.uint64(part.eval(y))))
+                beta_r = ext.mul(beta_r, beta)
+            assert np.array_equal(values[i], want.reshape(2))
+
+
+class TestFoldSchedule:
+    @pytest.mark.parametrize("final_len", [1, 2, 4, 8, 16])
+    def test_schedule_covers_every_fold_in_layers_of_at_most_8(self, final_len):
+        cfg = FriConfig(rate_bits=1, final_poly_len=final_len)
+        for degree_bits in range(0, 24):
+            schedule = cfg.fold_schedule(degree_bits)
+            assert sum(schedule) == cfg.num_fold_rounds(degree_bits)
+            assert all(bits == FRI_ARITY_BITS for bits in schedule[:-1])
+            assert all(1 <= bits <= FRI_ARITY_BITS for bits in schedule)
+
+    def test_proof_opens_one_coset_leaf_per_committed_layer(self, rng, fri_test_config):
+        cfg = fri_test_config
+        n = 64  # 6 - 2 = 4 folds: one arity-8 layer, one arity-2 tail
+        batches = _mk_batches(rng, cfg, n)
+        proof = _prove(batches, _mk_openings(batches, n), cfg)
+        assert cfg.fold_schedule(6) == (3, 1)
+        assert len(proof.commit_caps) == 2
+        for qr in proof.query_rounds:
+            assert [layer.coset_leaf.shape for layer in qr.layers] == [(16,), (4,)]
+
+    @pytest.mark.parametrize("name", sorted(ARITY2_DIGESTS))
+    def test_arity_2_schedule_reproduces_the_pair_leaf_proofs(self, name, monkeypatch):
+        monkeypatch.setattr(fri_config, "FRI_ARITY_BITS", 1)
+        system = protocols.get(name)
+        setup = system.setup(fibonacci.SPEC, SCALE, CONFIGS[name])
+        proof = system.prove(setup)
+        assert system.digest(proof) == ARITY2_DIGESTS[name]
+        system.verify(setup, proof)
+
+    def test_security_is_what_it_was_at_arity_2(self):
+        # The arity enters no config and no security figure.
+        assert PLONKY2_CONFIG.conjectured_security_bits() == 100
+        assert STARKY_CONFIG.conjectured_security_bits() == 100
+        assert TEST_CONFIG.conjectured_security_bits() == 28
+
 
 class TestGrinding:
     def test_grind_satisfies_check(self):
@@ -228,14 +298,16 @@ class TestFaultInjection:
         with pytest.raises(FriError):
             _verify(batches, openings, p2, cfg, n)
 
-    def test_tampered_pair_leaf(self, setup):
+    def test_tampered_coset_leaf(self, setup):
+        # Every slot of a layer's coset leaf, queried or not, is bound
+        # by its Merkle path.
         batches, openings, proof, cfg, n = setup
-        p2 = copy.deepcopy(proof)
-        leaf = p2.query_rounds[0].layers[0].pair_leaf.copy()
-        leaf[0] ^= np.uint64(1)
-        p2.query_rounds[0].layers[0].pair_leaf = leaf
-        with pytest.raises(FriError):
-            _verify(batches, openings, p2, cfg, n)
+        width = proof.query_rounds[0].layers[0].coset_leaf.size
+        for slot in range(width):
+            p2 = copy.deepcopy(proof)
+            p2.query_rounds[0].layers[0].coset_leaf[slot] ^= np.uint64(1)
+            with pytest.raises(FriError):
+                _verify(batches, openings, p2, cfg, n)
 
     def test_bad_pow_witness(self, setup):
         batches, openings, proof, cfg, n = setup

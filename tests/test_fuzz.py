@@ -5,7 +5,7 @@ Covers the contract from three directions:
 * every mutator class produces mutants that are rejected with a *typed*
   error, for every registered protocol;
 * crafted regression vectors pin each verifier/deserializer hardening
-  fix (degree-bits bound, pair-leaf shape, leaf-width pin, leaves/proofs
+  fix (degree-bits bound, layer-leaf shape, leaf-width pin, leaves/proofs
   pairing, hostile lengths) -- including a revert simulation showing the
   fuzzer reproduces a finding from its stored artifact when a fix is
   removed;
@@ -73,9 +73,11 @@ _FRI_ONLY = {
     "splice-fri-proof",
     "pad-initial-leaf",
     "reshape-initial-leaf",
-    "truncate-pair-leaf",
+    "truncate-coset-leaf",
+    "swap-coset-values",
+    "arity2-shaped-leaf",
     "mismatch-initial-proofs",
-    "scalar-pair-leaf",
+    "scalar-coset-leaf",
 }
 _SUMCHECK_ONLY = {
     "tamper-sumcheck-round",
@@ -147,20 +149,20 @@ class TestRegressionVectors:
             with pytest.raises(StarkError, match="degree bits"):
                 tgt.run_verify(proof)
 
-    def test_scalar_pair_leaf_typed(self):
+    def test_scalar_coset_leaf_typed(self):
         tgt = target_for("stark")
         proof = tgt.decode(tgt.blob)
         layer = proof.fri_proof.query_rounds[0].layers[0]
-        layer.pair_leaf = np.uint64(5).reshape(())
+        layer.coset_leaf = np.uint64(5).reshape(())
         outcome, exc = classify_object(tgt, proof)
         assert outcome == "rejected-verify"
         assert "malformed layer leaf" in str(exc)
 
-    def test_truncated_pair_leaf_typed(self):
+    def test_truncated_coset_leaf_typed(self):
         tgt = target_for("plonk")
         proof = tgt.decode(tgt.blob)
         layer = proof.fri_proof.query_rounds[0].layers[0]
-        layer.pair_leaf = layer.pair_leaf[:3]
+        layer.coset_leaf = layer.coset_leaf[:3]
         outcome, exc = classify_bytes(tgt, tgt.encode(proof))
         assert outcome == "rejected-verify"
         assert "malformed layer leaf" in str(exc)
@@ -351,6 +353,22 @@ class TestCampaign:
         assert report.outcomes.get("no-op", 0) > 0
         assert report.findings == []
         monkeypatch.undo()
+
+    def test_splice_rebuilding_the_alt_proof_is_a_no_op(self, monkeypatch):
+        # The honest blobs share a prefix (framing, tag, leading fields),
+        # so a splice cut inside it rebuilds alt_blob byte for byte: an
+        # honest proof that verifies, not an accepted mutant.
+        from repro.fuzz import mutators as m, runner
+        from repro.fuzz.mutators import Mutant
+
+        def prefix_cut(tgt, rng):
+            return Mutant("splice-proofs", data=tgt.blob[:4] + tgt.alt_blob[4:])
+
+        monkeypatch.setitem(m.MUTATORS, "splice-proofs", prefix_cut)
+        monkeypatch.setattr(runner, "MUTATOR_NAMES", ("splice-proofs",))
+        report = run_fuzz(seed=0, iterations=6)
+        assert report.outcomes == {"no-op": 6}
+        assert report.findings == []
 
     def test_artifact_roundtrip(self, tmp_path):
         finding = Finding(

@@ -30,43 +30,14 @@ from repro.stark import prove as stark_prove
 from repro.sumcheck import fold_table
 from repro.workloads import fibonacci
 
+from .goldens import DIGESTS, PROVE_COUNTERS, SCALE
+
 CONFIG = FriConfig(
     rate_bits=1, cap_height=1, num_queries=8, proof_of_work_bits=4, final_poly_len=4
 )
-SCALE = 6
 
 #: Thresholds that fan out even tiny CI-sized proofs.
 TINY = {"min_rows": 1, "min_tree_leaves": 2, "min_queries": 1}
-
-#: Fibonacci scale 6 under each registry default config: the proof digest
-#: and prove-only operation counters.  The independent oracle for every
-#: pool below -- same values as tests/test_pipeline.py (stark, plonk) and
-#: benchmarks/check_perf_counters.py (all three), recorded before the
-#: respective optimisation passes.
-GOLDENS = {
-    "stark": (
-        "111c298a5fab5dd1368bbf070f5c9379ad28c1e1f2a671244cdeeb7d12d2dd22",
-        {"ntt_butterflies": 3096, "sponge_permutations": 364, "ntt_transforms": 10},
-    ),
-    "plonk": (
-        "96ef6472f512d48f2a64904b7d528ea83ba62f1ca3c5b5fa0eb49a54b65b5a17",
-        {
-            "ntt_butterflies": 7040,
-            "sponge_permutations": 598,
-            "challenger_permutations": 33,
-            "ntt_transforms": 22,
-        },
-    ),
-    "hyperplonk": (
-        "d52bd70ef17c57099b692406f5271cdf364953d3aabbd3e8c06a7336e49a801c",
-        {
-            "sponge_permutations": 36,
-            "challenger_permutations": 13,
-            "ntt_butterflies": 0,
-            "ntt_transforms": 0,
-        },
-    ),
-}
 
 
 def _pool(workers=2, **kw):
@@ -431,8 +402,8 @@ def _prove_counted(system, setup, pool=None):
 
 
 def _assert_golden(name, digest, counts):
-    want_digest, want_counts = GOLDENS[name]
-    assert digest == want_digest
+    want_counts = PROVE_COUNTERS[name]
+    assert digest == DIGESTS[name]
     assert {k: counts[k] for k in want_counts} == want_counts
 
 
@@ -449,7 +420,7 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("gates", [{}, TINY], ids=["default-gates", "low-gates"])
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("name", sorted(GOLDENS))
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
     def test_matches_pinned_goldens(self, name, workers, gates):
         system, setup = _fib6(name)
         with parallel.ShardPool(workers, **gates) as pool:
@@ -494,11 +465,11 @@ class TestBitIdentity:
                 before = pool.arena.nbytes()
                 assert before > 0
                 _, second, _ = _prove_counted(system, setup, pool)
-                assert first == second == GOLDENS[name][0]
+                assert first == second == DIGESTS[name]
                 # Same (slot, shape) keys -> no new segments on the rerun.
                 assert pool.arena.nbytes() == before
 
-    @pytest.mark.parametrize("name", sorted(GOLDENS))
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
     def test_unscoped_prove_runs_inline_shards(self, name):
         system, setup = _fib6(name)
         inline = parallel.default_pool()
@@ -512,7 +483,7 @@ class TestBitIdentity:
 
     def test_default_proves_reach_every_kernel(self):
         reached = set()
-        for name in sorted(GOLDENS):
+        for name in sorted(DIGESTS):
             system, setup = _fib6(name)
             with tracing.trace() as session:
                 system.prove(setup)
@@ -522,7 +493,7 @@ class TestBitIdentity:
             }
         assert reached == set(KERNELS)
 
-    @pytest.mark.parametrize("name", sorted(GOLDENS))
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
     def test_stage_names_do_not_depend_on_workers(self, name):
         system, setup = _fib6(name)
         shapes = []

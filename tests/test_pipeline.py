@@ -1,8 +1,8 @@
 """Unified proof pipeline tests.
 
 Pins the refactor invariants: both FRI provers commit and open through
-:class:`repro.pcs.FriPCS`, proof bytes and operation counters are
-unchanged from the pre-refactor goldens, and the stage tracing layer
+:class:`repro.pcs.FriPCS`, proof bytes and operation counters equal
+the pinned goldens (tests/goldens.py), and the stage tracing layer
 reports a deterministic, counter-consistent span tree.
 """
 
@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro import metrics, tracing
-from repro.fri import FriConfig
 from repro.hashing import Challenger
 from repro.pcs import FriPCS
 from repro.plonk import plan_for as plonk_plan_for, prove as plonk_prove, setup
@@ -21,19 +20,11 @@ from repro.stark import prover as stark_prover_module
 from repro.tracing import load_trace, validate_trace_events, write_spans_trace
 from repro.workloads import fibonacci, mvm
 
+from .goldens import CONFIGS, DIGESTS, PLONK_MVM_DIGEST, PROVE_COUNTERS, SCALE
+
 stark_digest, plonk_digest = get("stark").digest, get("plonk").digest
 
-STARK_CONFIG = FriConfig(
-    rate_bits=1, cap_height=1, num_queries=10, proof_of_work_bits=3, final_poly_len=4
-)
-PLONK_CONFIG = FriConfig(
-    rate_bits=3, cap_height=1, num_queries=8, proof_of_work_bits=4, final_poly_len=4
-)
-
-#: Pre-refactor proof digests (STARK at commit f1e91fc, Plonk at 56d0287).
-STARK_GOLDEN_FIB6 = "111c298a5fab5dd1368bbf070f5c9379ad28c1e1f2a671244cdeeb7d12d2dd22"
-PLONK_GOLDEN_FIB6 = "96ef6472f512d48f2a64904b7d528ea83ba62f1ca3c5b5fa0eb49a54b65b5a17"
-PLONK_GOLDEN_MVM6 = "8bfee2a3eebb0e8bc42f60835c4fb4da548559982d7323e35380f036b27c8862"
+STARK_CONFIG, PLONK_CONFIG = CONFIGS["stark"], CONFIGS["plonk"]
 
 
 def _plonk_proof(spec, scale, config=PLONK_CONFIG):
@@ -46,27 +37,26 @@ class TestGoldenProofs:
     """The refactor may change how work is executed, never what is proved."""
 
     def test_stark_digest_unchanged(self):
-        air, trace, publics = fibonacci.SPEC.build_air(6)
+        air, trace, publics = fibonacci.SPEC.build_air(SCALE)
         proof = stark_prove(air, trace, publics, STARK_CONFIG)
-        assert stark_digest(proof) == STARK_GOLDEN_FIB6
+        assert stark_digest(proof) == DIGESTS["stark"]
 
     def test_plonk_fibonacci_digest_unchanged(self):
-        proof = _plonk_proof(fibonacci.SPEC, 6)
-        assert plonk_digest(proof) == PLONK_GOLDEN_FIB6
+        proof = _plonk_proof(fibonacci.SPEC, SCALE)
+        assert plonk_digest(proof) == DIGESTS["plonk"]
 
     def test_plonk_mvm_digest_unchanged(self):
-        proof = _plonk_proof(mvm.SPEC, 6)
-        assert plonk_digest(proof) == PLONK_GOLDEN_MVM6
+        proof = _plonk_proof(mvm.SPEC, SCALE)
+        assert plonk_digest(proof) == PLONK_MVM_DIGEST
 
     def test_plonk_counters_unchanged(self):
-        circuit, inputs, _ = fibonacci.SPEC.build_circuit(6)
+        circuit, inputs, _ = fibonacci.SPEC.build_circuit(SCALE)
         data = setup(circuit, PLONK_CONFIG)
         with metrics.counting() as c:
             plonk_prove(data, inputs)
         got = c.as_dict()
-        assert got["sponge_permutations"] == 598
-        assert got["ntt_butterflies"] == 7040
-        assert got["ntt_transforms"] == 22
+        want = PROVE_COUNTERS["plonk"]
+        assert {k: got[k] for k in want} == want
 
 
 class TestSharedSequencing:
@@ -119,7 +109,7 @@ class TestPlonkOnSharedPlan:
         data = setup(circuit, PLONK_CONFIG)
         plan = plonk_plan_for(circuit.n, PLONK_CONFIG.rate_bits)
         with_plan = plonk_prove(data, inputs, plan=plan)
-        assert plonk_digest(with_plan) == PLONK_GOLDEN_FIB6
+        assert plonk_digest(with_plan) == DIGESTS["plonk"]
 
 
 class TestSpans:

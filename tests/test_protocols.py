@@ -23,6 +23,8 @@ from repro.serialize import (
 from repro.service import JobSpec, ProvingService, execute, validate_spec, verify_result
 from repro.workloads import by_name
 
+from .goldens import FRAMED, SCALE, VERIFY_COUNTERS
+
 
 class TestRegistry:
     def test_canonical_names_and_order(self):
@@ -250,34 +252,15 @@ class TestRegistryIsSufficient:
             target_for("toy")
 
 
-#: sha256 of ``proof_to_blob`` / the service result envelope for the
-#: golden Fibonacci scale-6 proof under each default config, recorded at
-#: commit a2c3306 -- before the body codecs moved next to their proofs.
-FRAMED_GOLDENS = {
-    "stark": (
-        "c01220f1d055d1b3d2a841ff9ae6cc703edb059c38b69d178d4d94a2ab14ece9",
-        "dc8f15ccb5963e76465d76d1c88c0d9ebc73afd704d4cb9dc8068ce5c2bc4fd1",
-    ),
-    "plonk": (
-        "82abb7cbaa3ccfc11ad83e71d4d167d944bd410dd75c112a622ea63ff6c85e7c",
-        "cd632bce290c9ecffa9acfdee83d1acafcdd8b6f72133e82a85ba09c88778c9b",
-    ),
-    "hyperplonk": (
-        "9b90d5ce1826c31e85f425439f884f3ed77aeffcc9156da5ffcabb2e9951aa6a",
-        "7f3ec9d3d2874f02b92f45c3327152920a619f56c579421de61df96afb9587d2",
-    ),
-}
-
-
-@pytest.mark.parametrize("protocol", sorted(FRAMED_GOLDENS))
+@pytest.mark.parametrize("protocol", sorted(FRAMED))
 def test_framed_bytes_are_what_they_always_were(protocol):
     system = get(protocol)
-    psetup = system.setup(by_name("Fibonacci"), 6, system.make_config())
+    psetup = system.setup(by_name("Fibonacci"), SCALE, system.make_config())
     blob = proof_to_blob(protocol, system.prove(psetup))
-    envelope = execute({"workload": "Fibonacci", "kind": protocol, "scale": 6})["envelope"]
+    envelope = execute({"workload": "Fibonacci", "kind": protocol, "scale": SCALE})["envelope"]
     assert read_result_envelope(envelope)[2] == blob
     got = tuple(hashlib.sha256(b).hexdigest() for b in (blob, envelope))
-    assert got == FRAMED_GOLDENS[protocol]
+    assert got == FRAMED[protocol]
 
 
 class TestHyperPlonkHotPath:
@@ -295,26 +278,16 @@ class TestHyperPlonkHotPath:
         system.verify(psetup, proof)
 
 
-#: Fibonacci scale 6 under each registry default config: sponge and
-#: challenger permutations around ``verify`` alone.  Same values as
-#: ``VERIFY_GOLDEN`` in benchmarks/check_perf_counters.py, recorded at
-#: commit 12996fa when every authentication path was still walked alone.
-VERIFY_GOLDENS = {
-    "stark": {"sponge_permutations": 260, "challenger_permutations": 13},
-    "plonk": {"sponge_permutations": 280, "challenger_permutations": 16},
-    "hyperplonk": {"sponge_permutations": 64, "challenger_permutations": 13},
-}
-
-
 class TestVerifierCounters:
-    @pytest.mark.parametrize("protocol", sorted(VERIFY_GOLDENS))
+    @pytest.mark.parametrize("protocol", sorted(VERIFY_COUNTERS))
     def test_verify_hashes_what_it_always_hashed(self, protocol):
         # Batching path checks by level changes how many states one
         # Poseidon call carries, never how many states there are.
         system = get(protocol)
-        psetup = system.setup(by_name("Fibonacci"), 6, system.make_config({}))
+        psetup = system.setup(by_name("Fibonacci"), SCALE, system.make_config({}))
         proof = system.prove(psetup)
         with counting() as c:
             assert system.verify(psetup, proof) is None
         got = c.as_dict()
-        assert {k: got[k] for k in VERIFY_GOLDENS[protocol]} == VERIFY_GOLDENS[protocol]
+        want = VERIFY_COUNTERS[protocol]
+        assert {k: got[k] for k in want} == want

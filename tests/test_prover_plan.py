@@ -5,8 +5,7 @@ direct, via a shared warm plan, interleaved with the other FRI protocol
 on the same plan, or through the service executor -- because every
 intermediate lives in reused workspace arenas and an aliasing bug would
 show up as a digest change.  The golden digest and operation counts
-below were recorded on the allocating implementation this data plane
-replaced.  The plan's tables are checked against their definitions in
+come from tests/goldens.py.  The plan's tables are checked against their definitions in
 Python-int arithmetic.
 """
 
@@ -21,21 +20,14 @@ from repro.protocols import get
 from repro.stark import plan_for, prove, verify
 from repro.workloads import fibonacci
 
+from .goldens import CONFIGS, DIGESTS, PROVE_COUNTERS
 from .test_parallel import TINY
 
 stark_digest, plonk_digest = get("stark").digest, get("plonk").digest
 
-CONFIG = FriConfig(
-    rate_bits=1, cap_height=1, num_queries=10, proof_of_work_bits=3, final_poly_len=4
-)
-
-#: Recorded from the pre-data-plane prover (commit f1e91fc) at scale 6.
-GOLDEN_DIGEST = "111c298a5fab5dd1368bbf070f5c9379ad28c1e1f2a671244cdeeb7d12d2dd22"
-GOLDEN_COUNTERS = {
-    "ntt_butterflies": 3096,
-    "sponge_permutations": 364,
-    "ntt_transforms": 10,
-}
+CONFIG = CONFIGS["stark"]
+GOLDEN_DIGEST = DIGESTS["stark"]
+GOLDEN_COUNTERS = PROVE_COUNTERS["stark"]
 
 
 def test_shared_plan_proofs_are_identical_and_match_golden():

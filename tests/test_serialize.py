@@ -318,3 +318,45 @@ class TestTaggedProofBlob:
         from repro.serialize import ProofFormatError
 
         assert issubclass(ProofFormatError, ValueError)
+
+
+def _as_version_1(blob: bytes) -> bytes:
+    """A current blob with its format-version byte rewritten to 1."""
+    from repro.serialize import PROOF_BLOB_MAGIC
+
+    old = bytearray(blob)
+    old[len(PROOF_BLOB_MAGIC)] = 1
+    return bytes(old)
+
+
+class TestFormatVersion1:
+    """Version 1 opened arity-2 pair leaves; a v1 STARK or Plonk blob is
+    refused with the typed version error, never fed to the v2 codec."""
+
+    @pytest.mark.parametrize("protocol", ["stark", "plonk"])
+    def test_v1_blob_raises_the_version_error(self, protocol, stark_setup, plonk_setup):
+        from repro.serialize import ProofFormatError, proof_from_blob, proof_to_blob
+
+        proof = {"stark": stark_setup, "plonk": plonk_setup}[protocol][1]
+        assert get(protocol).format_version == 2
+        with pytest.raises(ProofFormatError, match="version 1 .*expected 2"):
+            proof_from_blob(_as_version_1(proof_to_blob(protocol, proof)))
+
+    @pytest.mark.parametrize("protocol", ["stark", "plonk"])
+    def test_cli_verify_refuses_a_v1_envelope(self, protocol, tmp_path, capsys):
+        from repro.cli import main
+        from repro.serialize import read_result_envelope, write_result_envelope
+        from repro.service import execute
+
+        envelope = execute({"workload": "Fibonacci", "kind": protocol, "scale": 5})["envelope"]
+        current = tmp_path / "current.bin"
+        current.write_bytes(envelope)
+        assert main(["verify", str(current), "--scale", "5"]) == 0
+        assert "verified OK" in capsys.readouterr().out
+
+        kind, workload, blob = read_result_envelope(envelope)
+        old = tmp_path / "v1.bin"
+        old.write_bytes(write_result_envelope(kind, workload, _as_version_1(blob)))
+        assert main(["verify", str(old), "--scale", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "ProofFormatError" in err and "version 1" in err

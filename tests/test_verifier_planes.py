@@ -71,7 +71,7 @@ def _tamper_two(proof):
     if hasattr(proof, "fri_proof"):
         rounds = proof.fri_proof.query_rounds
         rounds[-1].initial.proofs[0].siblings[0, 0] ^= np.uint64(1)
-        rounds[0].layers[0].pair_leaf[0] ^= np.uint64(1)
+        rounds[0].layers[0].coset_leaf[0] ^= np.uint64(1)
     else:
         proof.level_openings[-1].rows[0, 0] ^= np.uint64(1)
         proof.wires_opening.rows[0, 0] ^= np.uint64(1)
