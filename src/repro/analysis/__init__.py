@@ -51,7 +51,7 @@ from .findings import (
     Finding,
     Rule,
 )
-from .lint import lint_package, lint_source
+from .lint import lint_source
 from .races import graph_findings, run_race_checks
 from .runner import AnalysisReport, main, run_analysis
 from .sanitizer import ScheduleSpec, sanitize, spec_for_emulator
@@ -80,7 +80,6 @@ __all__ = [
     "check_streams",
     "default_baseline_path",
     "graph_findings",
-    "lint_package",
     "lint_source",
     "load_baseline",
     "main",

@@ -20,7 +20,7 @@ passes turn them into checked invariants:
 
 Passes are pure functions of the source text: deterministic, no
 imports of the linted code.  :func:`lint_source` lints one module from
-a string (fixture-friendly); :func:`lint_package` walks the installed
+a string (fixture-friendly); :func:`iter_modules` walks the installed
 ``repro`` package in sorted order.
 """
 
@@ -303,13 +303,3 @@ def iter_modules(root: Optional[Path] = None) -> Iterator[tuple]:
     for path in sorted(root.rglob("*.py")):
         relpath = path.relative_to(root).as_posix()
         yield relpath, path.read_text()
-
-
-def lint_package(
-    root: Optional[Path] = None, rules: Optional[Sequence[str]] = None
-) -> List[Finding]:
-    """Run every enabled lint pass over the whole package."""
-    findings: List[Finding] = []
-    for relpath, source in iter_modules(root):
-        findings.extend(lint_source(relpath, source, rules))
-    return findings

@@ -57,11 +57,6 @@ class AnalysisReport:
     graphs_checked: List[str] = field(default_factory=list)
 
     @property
-    def new_findings(self) -> List[Finding]:
-        """Findings not absorbed by the suppression baseline."""
-        return self.match.new
-
-    @property
     def exit_code(self) -> int:
         """The strict-mode exit status this report implies."""
         if self.match.new or self.match.unjustified:

@@ -44,7 +44,7 @@ from .findings import Finding
 #: Event kinds that squeeze challenges; payload length == base draws.
 CHALLENGE_KINDS = frozenset({"challenge", "challenge_ext", "challenge_n", "indices"})
 #: Event kinds that absorb prover messages.
-OBSERVE_KINDS = frozenset({"obs_elem", "obs_vec", "obs_digest", "obs_ext", "obs_cap"})
+OBSERVE_KINDS = frozenset({"obs_elem", "obs_vec", "obs_digest", "obs_cap"})
 
 
 @dataclass(frozen=True)
@@ -130,14 +130,6 @@ class RecordingChallenger(Challenger):
         self._enter()
         try:
             super().observe_digest(digest)
-        finally:
-            self._exit()
-
-    def observe_ext(self, value: np.ndarray) -> None:
-        self._emit("obs_ext", _ints(value))
-        self._enter()
-        try:
-            super().observe_ext(value)
         finally:
             self._exit()
 

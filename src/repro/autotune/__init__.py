@@ -13,7 +13,7 @@ only: the software prover has no tuning plane.
 """
 
 from .search import ShapeResult, TuneReport, node_key, tune_graph, tune_workload
-from .space import Candidate, CandidateSpace, candidate_spaces, space_for_family
+from .space import Candidate, CandidateSpace, candidate_spaces
 
 __all__ = [
     "Candidate",
@@ -22,7 +22,6 @@ __all__ = [
     "TuneReport",
     "candidate_spaces",
     "node_key",
-    "space_for_family",
     "tune_graph",
     "tune_workload",
 ]

@@ -53,11 +53,6 @@ class Candidate:
         default=None, compare=False
     )
 
-    @property
-    def is_default(self) -> bool:
-        """True when this candidate is the shipped default mapping."""
-        return self.params == DEFAULT_MAPPING
-
 
 @dataclass(frozen=True)
 class CandidateSpace:
@@ -132,11 +127,3 @@ def poly_space() -> CandidateSpace:
 def candidate_spaces() -> Tuple[CandidateSpace, ...]:
     """Every family's space, in canonical family order."""
     return (ntt_space(), poseidon_space(), merkle_space(), poly_space())
-
-
-def space_for_family(family: str) -> CandidateSpace:
-    """The candidate space of one kernel family."""
-    for space in candidate_spaces():
-        if space.family == family:
-            return space
-    raise ValueError(f"unknown mapping family {family!r}")

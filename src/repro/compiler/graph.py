@@ -103,11 +103,3 @@ class ComputationGraph:
         if len(order) != len(self._nodes):
             raise ValueError("computation graph contains a cycle")
         return order
-
-    def stages(self) -> List[str]:
-        """Distinct stage labels in order of first appearance."""
-        seen: List[str] = []
-        for n in self._nodes.values():
-            if n.stage and n.stage not in seen:
-                seen.append(n.stage)
-        return seen

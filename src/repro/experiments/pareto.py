@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from ..hw import DEFAULT_CONFIG, HwConfig, chip_budget
-from ..sim import simulate_plonky2
+from ..sim import sweep
 from ..workloads import by_name
 
 #: Default sweep grids (multiples of the baseline configuration).
@@ -53,23 +53,23 @@ def sweep_design_space(
     bw_grid: Sequence[float] = BW_GRID,
 ) -> List[DesignPoint]:
     """Evaluate the full grid for one workload."""
-    params = by_name(workload).plonk
+    hws = [
+        DEFAULT_CONFIG.scaled(num_vsas=vsas, scratchpad_mb=spad, mem_bandwidth_gbps=bw)
+        for vsas in vsa_grid
+        for spad in spad_grid
+        for bw in bw_grid
+    ]
     points = []
-    for vsas in vsa_grid:
-        for spad in spad_grid:
-            for bw in bw_grid:
-                hw = DEFAULT_CONFIG.scaled(
-                    num_vsas=vsas, scratchpad_mb=spad, mem_bandwidth_gbps=bw
-                )
-                budget = chip_budget(hw)
-                points.append(
-                    DesignPoint(
-                        hw=hw,
-                        seconds=simulate_plonky2(params, hw).total_seconds,
-                        area_mm2=budget.total_area_mm2,
-                        power_w=budget.total_power_w,
-                    )
-                )
+    for hw, report in zip(hws, sweep(by_name(workload).plonk, hws)):
+        budget = chip_budget(hw)
+        points.append(
+            DesignPoint(
+                hw=hw,
+                seconds=report.total_seconds,
+                area_mm2=budget.total_area_mm2,
+                power_w=budget.total_power_w,
+            )
+        )
     return points
 
 

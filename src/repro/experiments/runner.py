@@ -1,16 +1,19 @@
-"""Run every experiment and render EXPERIMENTS.md.
+"""Run every experiment and render the report.
 
-``python -m repro.experiments.runner`` regenerates all tables and
-figures and writes the paper-vs-measured record.
+``python -m repro.experiments.runner`` (or ``repro experiments``)
+regenerates every paper table and figure, then the design-choice
+ablations and the design-space Pareto frontier, and prints the
+paper-vs-measured record.
 """
 
 from __future__ import annotations
 
-from . import figures, tables
+from . import ablations, figures, pareto, tables
 
 
 def run_all() -> str:
     """Execute every experiment; returns the full text report."""
+    points = pareto.sweep_design_space("MVM")
     sections = [
         tables.format_table1(tables.table1()),
         tables.format_table2(tables.table2()),
@@ -21,6 +24,12 @@ def run_all() -> str:
         figures.format_fig8(figures.fig8()),
         figures.format_fig9(figures.fig9()),
         figures.format_fig10(figures.fig10()),
+        ablations.format_section3(ablations.section3()),
+        ablations.format_dram_calibration(ablations.dram_calibration()),
+        ablations.format_ntt_mapping_sweep(ablations.ntt_mapping_sweep()),
+        ablations.format_poseidon_occupancy(ablations.poseidon_occupancy()),
+        "Pareto frontier: VSAs x scratchpad x bandwidth on MVM\n"
+        + pareto.format_frontier(points, pareto.pareto_frontier(points)),
     ]
     return "\n\n".join(sections)
 

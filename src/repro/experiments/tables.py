@@ -2,13 +2,12 @@
 
 Each ``tableN()`` returns structured rows; each ``format_tableN()``
 renders them next to the paper's reported numbers so deviations are
-visible at a glance.  The benchmark harness under ``benchmarks/`` calls
-these, and ``repro.experiments.runner`` writes EXPERIMENTS.md from them.
+visible at a glance.  ``repro.experiments.runner`` prints them all
+(``repro experiments``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List
 
 from ..baselines import (
@@ -248,12 +247,6 @@ def format_table5(rows: List[Dict]) -> str:
 # --------------------------------------------------------------------------
 # Table 6: UniZK vs PipeZK (Groth16)
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _PipezkRow:
-    app: str
-    constraints: int
 
 
 def table6() -> List[Dict]:

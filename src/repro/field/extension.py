@@ -87,11 +87,6 @@ def sub(a: ExtArray, b: ExtArray) -> ExtArray:
     return gl64.sub(a, b)
 
 
-def neg(a: ExtArray) -> ExtArray:
-    """Extension negation (limb-wise)."""
-    return gl64.neg(a)
-
-
 def mul(a: ExtArray, b: ExtArray) -> ExtArray:
     """Extension multiplication.
 
@@ -133,11 +128,6 @@ def inv(a: ExtArray) -> ExtArray:
     return make(gl64.mul(a0, norm_inv), gl64.mul(gl64.neg(a1), norm_inv))
 
 
-def div(a: ExtArray, b: ExtArray) -> ExtArray:
-    """Extension division ``a / b``."""
-    return mul(a, inv(b))
-
-
 def pow_scalar(a: ExtArray, e: int) -> ExtArray:
     """Extension exponentiation by a non-negative Python-int exponent."""
     if e < 0:
@@ -151,11 +141,6 @@ def pow_scalar(a: ExtArray, e: int) -> ExtArray:
         base = mul(base, base)
         e >>= 1
     return result
-
-
-def frobenius(a: ExtArray) -> ExtArray:
-    """The Frobenius map ``x -> x**p`` (conjugation: negates limb 1)."""
-    return make(a[..., 0], gl64.neg(a[..., 1]))
 
 
 def powers(base: ExtArray, count: int) -> ExtArray:

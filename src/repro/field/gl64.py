@@ -207,18 +207,6 @@ def sub_into(a: np.ndarray, b: np.ndarray, out: np.ndarray, ws: Workspace | None
     return out
 
 
-def neg_into(a: np.ndarray, out: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
-    """``out <- -a (mod p)``; ``out`` may alias ``a``."""
-    ws = ws or default_workspace()
-    shape = out.shape
-    a = _bcast(np.asarray(a, dtype=np.uint64), shape)
-    s0 = ws.temp(shape, "neg")
-    np.not_equal(a, _ZERO, out=s0, casting="unsafe")  # 1 where a != 0
-    np.subtract(P, a, out=out)
-    np.multiply(out, s0, out=out)  # -0 stays 0 instead of p
-    return out
-
-
 def _mul_lanes(a2: np.ndarray, b2: np.ndarray, prod: np.ndarray, sh: np.ndarray) -> tuple:
     """The views one :func:`_mul_lazy_into` runs on, sliced once.
 
@@ -510,20 +498,6 @@ def mul(a: ArrayLike, b: ArrayLike) -> GlArray:
     return mul_into(a, b, out)
 
 
-def square(a: ArrayLike) -> GlArray:
-    """Elementwise ``a**2 (mod p)``."""
-    a = np.asarray(a, dtype=np.uint64)
-    if a.shape == ():
-        return mul(a, a)
-    out = np.empty(a.shape, dtype=np.uint64)
-    return square_into(a, out)
-
-
-def mul_add(a: ArrayLike, b: ArrayLike, c: ArrayLike) -> GlArray:
-    """Elementwise ``a * b + c (mod p)`` (the PE's chained op)."""
-    return add(mul(a, b), c)
-
-
 def pow7(a: ArrayLike) -> GlArray:
     """Elementwise ``a**7``, the Poseidon S-box (4 multiplications)."""
     a = np.asarray(a, dtype=np.uint64)
@@ -531,25 +505,6 @@ def pow7(a: ArrayLike) -> GlArray:
         return np.uint64(gl.pow_mod(int(a), 7))
     out = np.empty(a.shape, dtype=np.uint64)
     return pow7_into(a, out)
-
-
-def pow_scalar(a: ArrayLike, e: int) -> GlArray:
-    """Elementwise ``a**e`` for a non-negative Python-int exponent."""
-    if e < 0:
-        raise ValueError("use inv_fast() + pow_scalar for negative exponents")
-    a = np.asarray(a, dtype=np.uint64)
-    if a.shape == ():
-        return np.uint64(gl.pow_mod(int(a), e))
-    result = np.broadcast_to(np.uint64(1), a.shape).copy()
-    base = a.copy()
-    ws = default_workspace()
-    while e:
-        if e & 1:
-            mul_into(result, base, result, ws)
-        e >>= 1
-        if e:
-            square_into(base, base, ws)
-    return result
 
 
 def inv_fast(a: ArrayLike) -> GlArray:
@@ -613,19 +568,6 @@ def powers(base: int, count: int) -> GlArray:
     return out
 
 
-def geometric(base: int, start: int, count: int) -> GlArray:
-    """Return ``start * base**i`` for ``i in range(count)``."""
-    return mul(powers(base, count), np.uint64(start % gl.P))
-
-
-def dot(a: GlArray, b: GlArray) -> np.uint64:
-    """Field dot-product of two 1-D arrays."""
-    if a.shape != b.shape:
-        raise ValueError("dot operands must have identical shapes")
-    prods = mul(a, b)
-    return sum_array(prods)
-
-
 def sum_along_axis(a: GlArray, axis: int = -1) -> GlArray:
     """Field-sum along one axis via pairwise tree reduction.
 
@@ -658,28 +600,7 @@ def sum_array(a: GlArray) -> np.uint64:
     return np.uint64(flat[0]) if flat.size else np.uint64(0)
 
 
-def matvec(matrix: GlArray, vec: GlArray) -> GlArray:
-    """Field matrix-vector product; ``matrix`` is (m, n), ``vec`` is (n,)
-    or a batch (..., n) -- the contraction is over the last axis."""
-    m, n = matrix.shape
-    if vec.shape[-1] != n:
-        raise ValueError("matvec dimension mismatch")
-    out = zeros(vec.shape[:-1] + (m,))
-    for j in range(m):
-        acc = zeros(vec.shape[:-1])
-        for k in range(n):
-            acc = add(acc, mul(vec[..., k], matrix[j, k]))
-        out[..., j] = acc
-    return out
-
-
 def random(shape, rng) -> GlArray:
     """Uniform random canonical field elements (``rng``: numpy Generator)."""
     raw = rng.integers(0, gl.P, size=shape, dtype=np.uint64)
     return raw
-
-
-def to_ints(a: GlArray):
-    """Convert a GL array to a nested list of Python ints (for hashing /
-    serialisation / reference checks)."""
-    return np.asarray(a, dtype=np.uint64).tolist()

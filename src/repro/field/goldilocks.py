@@ -14,7 +14,6 @@ Python integers.  The vectorised NumPy implementation in
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, List
 
 #: The Goldilocks prime, ``2**64 - 2**32 + 1``.
 P = 0xFFFF_FFFF_0000_0001
@@ -85,21 +84,11 @@ def inverse(a: int) -> int:
     return pow(a, P - 2, P)
 
 
-def div(a: int, b: int) -> int:
-    """Return ``a / b (mod p)``."""
-    return mul(a, inverse(b))
-
-
 def exp_power_of_2(a: int, log_exp: int) -> int:
     """Return ``a**(2**log_exp) (mod p)`` by repeated squaring."""
     for _ in range(log_exp):
         a = square(a)
     return a
-
-
-def is_canonical(a: int) -> bool:
-    """Return whether ``a`` is already in ``[0, p)``."""
-    return 0 <= a < P
 
 
 @lru_cache(maxsize=1)
@@ -139,42 +128,3 @@ def primitive_root_of_unity(log_n: int) -> int:
         raise ValueError(f"log_n must be in [0, {TWO_ADICITY}], got {log_n}")
     base = pow(multiplicative_generator(), (P - 1) >> TWO_ADICITY, P)
     return exp_power_of_2(base, TWO_ADICITY - log_n)
-
-
-def roots_of_unity(log_n: int) -> List[int]:
-    """Return all ``2**log_n`` powers of the primitive root, in order."""
-    omega = primitive_root_of_unity(log_n)
-    out = [1] * (1 << log_n)
-    for i in range(1, 1 << log_n):
-        out[i] = mul(out[i - 1], omega)
-    return out
-
-
-def batch_inverse(values: Iterable[int]) -> List[int]:
-    """Invert many field elements with a single modular exponentiation.
-
-    Uses Montgomery's trick: one inversion plus ``3 * (n - 1)``
-    multiplications.  Raises :class:`ZeroDivisionError` if any input is 0.
-    """
-    vals = [v % P for v in values]
-    n = len(vals)
-    if n == 0:
-        return []
-    prefix = [0] * n
-    acc = 1
-    for i, v in enumerate(vals):
-        if v == 0:
-            raise ZeroDivisionError("0 has no inverse in GF(p)")
-        prefix[i] = acc
-        acc = mul(acc, v)
-    inv_acc = inverse(acc)
-    out = [0] * n
-    for i in range(n - 1, -1, -1):
-        out[i] = mul(inv_acc, prefix[i])
-        inv_acc = mul(inv_acc, vals[i])
-    return out
-
-
-def rand_element(rng) -> int:
-    """Draw a uniform field element from ``rng`` (``random.Random``-like)."""
-    return rng.randrange(P)

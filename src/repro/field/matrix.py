@@ -16,17 +16,6 @@ import numpy as np
 from . import goldilocks as gl
 
 
-def as_matrix(rows: Sequence[Sequence[int]]) -> np.ndarray:
-    """Build a canonical GL matrix (uint64) from nested ints."""
-    arr = np.array([[v % gl.P for v in row] for row in rows], dtype=np.uint64)
-    return arr
-
-
-def identity(n: int) -> np.ndarray:
-    """The n x n identity matrix over GF(p)."""
-    return np.eye(n, dtype=np.uint64)
-
-
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact field matrix product (Python ints; fine for small sizes)."""
     n, k = a.shape
@@ -51,11 +40,6 @@ def matvec(a: np.ndarray, v: Sequence[int]) -> List[int]:
     a_int = a.tolist()
     v_int = [int(x) for x in v]
     return [sum(r * x for r, x in zip(row, v_int)) % gl.P for row in a_int]
-
-
-def transpose(a: np.ndarray) -> np.ndarray:
-    """Matrix transpose."""
-    return np.ascontiguousarray(a.T)
 
 
 def inverse(a: np.ndarray) -> np.ndarray:
@@ -86,28 +70,6 @@ def inverse(a: np.ndarray) -> np.ndarray:
     return np.array(inv, dtype=np.uint64)
 
 
-def determinant(a: np.ndarray) -> int:
-    """Determinant over GF(p) via elimination."""
-    n = a.shape[0]
-    m = [[int(x) for x in row] for row in a.tolist()]
-    det = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = gl.P - det if det else 0
-        det = det * m[col][col] % gl.P
-        pinv = gl.inverse(m[col][col])
-        for r in range(col + 1, n):
-            if m[r][col] == 0:
-                continue
-            factor = m[r][col] * pinv % gl.P
-            m[r] = [(v - factor * w) % gl.P for v, w in zip(m[r], m[col])]
-    return det
-
-
 def cauchy_mds(n: int) -> np.ndarray:
     """Construct an n x n MDS matrix via the Cauchy construction.
 
@@ -120,25 +82,3 @@ def cauchy_mds(n: int) -> np.ndarray:
     ys = list(range(n, 2 * n))
     rows = [[gl.inverse(x + y) for y in ys] for x in xs]
     return np.array(rows, dtype=np.uint64)
-
-
-def is_mds_upto(a: np.ndarray, max_minor: int = 2) -> bool:
-    """Spot-check the MDS property: all minors up to ``max_minor`` x
-    ``max_minor`` are non-singular.  (Full verification is exponential;
-    Cauchy matrices are MDS by construction, this is a sanity check.)
-    """
-    n = a.shape[0]
-    ints = [[int(x) for x in row] for row in a.tolist()]
-    # 1x1 minors: all entries non-zero.
-    if any(v == 0 for row in ints for v in row):
-        return False
-    if max_minor < 2:
-        return True
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                for l in range(k + 1, n):
-                    d = (ints[i][k] * ints[j][l] - ints[i][l] * ints[j][k]) % gl.P
-                    if d == 0:
-                        return False
-    return True

@@ -6,7 +6,6 @@ from .proof import FriProof
 from .prover import (
     FriOpenings,
     PolynomialBatch,
-    combine_openings,
     fold_values,
     fri_prove,
     grind,
@@ -25,7 +24,6 @@ __all__ = [
     "PolynomialBatch",
     "FriOpenings",
     "open_batches",
-    "combine_openings",
     "fold_values",
     "fri_prove",
     "grind",

@@ -47,11 +47,6 @@ class FriConfig:
         if self.proof_of_work_bits < 0 or self.proof_of_work_bits > 32:
             raise ValueError("proof_of_work_bits out of range")
 
-    @property
-    def blowup(self) -> int:
-        """The blowup factor ``k = 2**rate_bits``."""
-        return 1 << self.rate_bits
-
     def check_cap_fits(self, degree_bits: int) -> None:
         """Reject a cap taller than a ``2**degree_bits``-row instance's LDE tree."""
         if self.cap_height > degree_bits + self.rate_bits:

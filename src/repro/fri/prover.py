@@ -51,26 +51,6 @@ class PolynomialBatch:
     rate_bits: int
 
     @classmethod
-    def from_coeffs(
-        cls,
-        coeffs: np.ndarray,
-        rate_bits: int,
-        cap_height: int,
-        ws: gl64.Workspace | None = None,
-        slot: str | None = None,
-    ) -> "PolynomialBatch":
-        """Commit polynomials given by coefficient rows (num_polys, n).
-
-        The commit is one LDE -> Merkle shard graph run on the current
-        pool.  ``ws``/``slot`` let a prover plan pin the batch's buffers
-        in its reusable workspace (one live batch per slot per proof);
-        without both, the batch owns fresh buffers.
-        """
-        return par_ops.from_coeffs_graph(
-            parallel.current_pool(), ws, coeffs, rate_bits, cap_height, slot
-        ).run()
-
-    @classmethod
     def from_values(
         cls,
         subgroup_values: np.ndarray,
@@ -94,18 +74,9 @@ class PolynomialBatch:
         return self.coeffs.shape[1]
 
     @property
-    def num_polys(self) -> int:
-        """Number of polynomials in the batch."""
-        return self.coeffs.shape[0]
-
-    @property
     def cap(self) -> np.ndarray:
         """The Merkle cap committing this batch."""
         return self.tree.cap
-
-    def eval_at_ext(self, point: np.ndarray) -> np.ndarray:
-        """Evaluate every polynomial at an extension point: (num_polys, 2)."""
-        return fext.eval_polys_base(self.coeffs, point)
 
 
 @dataclass
@@ -149,7 +120,7 @@ def open_batches(
 def lde_points(log_n: int, shift: int | None = None) -> np.ndarray:
     """Read-only cached coset points ``shift * omega^i`` (natural order).
 
-    Shared by :func:`combine_openings`, the fold weights and the STARK
+    Shared by :func:`combine_rows`, the fold weights and the STARK
     prover's boundary/vanishing tables, so each domain is generated once
     per process instead of once per proof.
     """
@@ -209,17 +180,6 @@ def combine_rows(
         denom = fext.sub(fext.from_base(xs), np.broadcast_to(point.reshape(2), (m, 2)))
         total = fext.add(total, fext.mul(num, fext.inv(denom)))
     return total
-
-
-def combine_openings(
-    batches: Sequence[PolynomialBatch],
-    openings: FriOpenings,
-    alpha: np.ndarray,
-) -> np.ndarray:
-    """The combined quotient values over the whole LDE domain, (N_lde, 2)."""
-    values = [b.values for b in batches]
-    log_lde = values[0].shape[0].bit_length() - 1
-    return combine_rows(values, lde_points(log_lde), openings, alpha)
 
 
 def fold_pairs(

@@ -17,10 +17,7 @@ from .sponge import (
     DIGEST_LEN,
     RATE,
     hash_batch,
-    hash_no_pad,
-    hash_or_noop,
     permutation_count,
-    two_to_one,
 )
 
 __all__ = [
@@ -37,9 +34,6 @@ __all__ = [
     "permute",
     "permute_naive",
     "optimized_params",
-    "hash_no_pad",
     "hash_batch",
-    "hash_or_noop",
-    "two_to_one",
     "permutation_count",
 ]

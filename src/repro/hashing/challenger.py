@@ -50,12 +50,6 @@ class Challenger:
             raise ValueError("digest must have 4 elements")
         self.observe_elements(digest)
 
-    def observe_ext(self, value: np.ndarray) -> None:
-        """Absorb an extension-field element (both limbs)."""
-        pair = fext.to_pair(value)
-        self.observe_element(pair[0])
-        self.observe_element(pair[1])
-
     def observe_cap(self, cap: np.ndarray) -> None:
         """Absorb a Merkle cap (a (c, 4) array of digests)."""
         for digest in np.atleast_2d(np.asarray(cap, dtype=np.uint64)):

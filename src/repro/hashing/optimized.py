@@ -197,23 +197,6 @@ def optimized_params() -> OptimizedParams:
     )
 
 
-def sparse_round_apply(states: np.ndarray, rnd: SparseRound) -> np.ndarray:
-    """Apply one sparse partial round to a batch of states.
-
-    Mirrors the Figure 5b dataflow: lane 0 is S-boxed and shifted by the
-    post-constant (first PE column), output lane 0 is the ``v`` dot
-    product (second column, accumulated via reverse links), and the other
-    lanes get ``state[0] * u[j] + state[j]`` (third column).
-    """
-    lane0 = gl64.add(gl64.pow7(states[..., 0]), np.uint64(rnd.post_constant))
-    out = np.empty_like(states)
-    rest = states[..., 1:]
-    dot = gl64.sum_along_axis(gl64.mul(rest, rnd.col_hat), axis=-1)
-    out[..., 0] = gl64.add(gl64.mul(lane0, np.uint64(rnd.m00)), dot)
-    out[..., 1:] = gl64.add(gl64.mul(lane0[..., None], rnd.row), rest)
-    return out
-
-
 #: Bits per slot of the packed (Kronecker-substituted) MDS product: a
 #: slot sums ``WIDTH`` products of two 64-bit words, below ``2**132``.
 _SLOT = 136

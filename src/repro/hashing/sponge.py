@@ -50,12 +50,6 @@ def _state_buf(batch: int, ws: gl64.Workspace) -> np.ndarray:
     return state
 
 
-def hash_no_pad(inputs) -> np.ndarray:
-    """Hash a 1-D sequence of field elements to a 4-element digest."""
-    arr = np.atleast_2d(np.asarray(inputs, dtype=np.uint64))
-    return hash_batch(arr)[0]
-
-
 def hash_batch(inputs: np.ndarray, ws: gl64.Workspace | None = None) -> np.ndarray:
     """Hash a batch of equal-length rows: (B, L) -> (B, DIGEST_LEN).
 
@@ -95,35 +89,16 @@ def hash_batch_into(
     return out
 
 
-def two_to_one(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Compress two digests into one (internal Merkle nodes).
-
-    Batched: ``left`` and ``right`` are (..., DIGEST_LEN).
-    """
-    left = gl64.asarray(left, trusted=True)  # digests are canonical
-    right = gl64.asarray(right, trusted=True)
-    if left.shape != right.shape or left.shape[-1] != DIGEST_LEN:
-        raise ValueError("two_to_one expects matching (..., 4) digests")
-    ws = gl64.default_workspace()
-    lead = left.shape[:-1]
-    batch = int(np.prod(lead, dtype=np.int64))
-    state = _state_buf(batch, ws)
-    state[:, :DIGEST_LEN] = left.reshape(batch, DIGEST_LEN)
-    state[:, DIGEST_LEN : 2 * DIGEST_LEN] = right.reshape(batch, DIGEST_LEN)
-    _METRICS.sponge_permutations += batch
-    optimized.permute_into(state, ws)
-    return state[:, :DIGEST_LEN].reshape(lead + (DIGEST_LEN,)).copy()
-
-
 def compress_level_into(
     prev: np.ndarray, out: np.ndarray, ws: gl64.Workspace | None = None
 ) -> np.ndarray:
     """One fused Merkle level: (2k, 4) digests -> (k, 4) parents.
 
-    Equivalent to ``two_to_one(prev[0::2], prev[1::2])`` but interleaves
-    both children straight into the workspace state buffer and writes
-    the parents into ``out`` (normally a view of the tree's level-order
-    arena) -- no temporaries besides the shared sponge state.
+    Two-to-one compression: each parent is the permutation of its two
+    children placed in ``state[0:8]`` over a zero capacity.  Both
+    children go straight into the workspace state buffer and the parents
+    into ``out`` (normally a view of the tree's level-order arena) -- no
+    temporaries besides the shared sponge state.
 
     ``out`` may alias ``prev``: both children are copied into the
     workspace state before ``out`` is written.
@@ -139,18 +114,12 @@ def compress_level_into(
     return out
 
 
-def hash_or_noop(values: np.ndarray) -> np.ndarray:
-    """Plonky2-style leaf hashing: rows shorter than a digest are padded
-    into the digest directly (no permutation); longer rows are hashed."""
-    values = np.atleast_2d(np.asarray(values, dtype=np.uint64))
-    out = np.empty((values.shape[0], DIGEST_LEN), dtype=np.uint64)
-    return hash_leaves_into(values, out)
-
-
 def hash_leaves_into(
     values: np.ndarray, out: np.ndarray, ws: gl64.Workspace | None = None
 ) -> np.ndarray:
-    """:func:`hash_or_noop` semantics, writing digests into ``out``.
+    """Plonky2-style leaf hashing (``hash_or_noop``) into ``out``: rows
+    shorter than a digest are zero-padded into the digest directly (no
+    permutation); longer rows are hashed with :func:`hash_batch_into`.
 
     ``out`` must not alias ``values``: the short-row path zero-fills
     ``out`` before reading ``values``.

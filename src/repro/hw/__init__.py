@@ -5,7 +5,7 @@ from . import microcode
 from .area_power import ChipBudget, ComponentCost, chip_budget
 from .config import DEFAULT_CONFIG, HwConfig
 from .memory import DramModel, HbmTimings, measured_efficiencies
-from .scratchpad import LruScratchpad, TilePlan, tile_plan
+from .scratchpad import TilePlan, tile_plan
 from .transpose import TransposeBuffer
 from .twiddle import TwiddleGenerator
 from .vsa import PeSpec, SystolicResult, Vsa, VsaSpec
@@ -17,7 +17,6 @@ __all__ = [
     "DramModel",
     "HbmTimings",
     "measured_efficiencies",
-    "LruScratchpad",
     "TilePlan",
     "tile_plan",
     "TransposeBuffer",

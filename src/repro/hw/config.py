@@ -84,11 +84,6 @@ class HwConfig:
         return int(self.scratchpad_mb * (1 << 20))
 
     @property
-    def ntt_tile(self) -> int:
-        """Fixed small-NTT size each MDC pipeline handles."""
-        return 1 << self.ntt_tile_log2
-
-    @property
     def ntt_pipelines(self) -> int:
         """Independent MDC pipelines on the chip.
 

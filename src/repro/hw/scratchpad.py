@@ -1,73 +1,14 @@
-"""Scratchpad model: double buffering and LRU replacement.
+"""Scratchpad model: the compiler's vector tiling.
 
 UniZK's global scratchpad hides DRAM latency with double buffering and
-keeps element-wise operands on-chip (paper Sections 4 and 5.4: LRU
-replacement, compiler-directed vector tiling, and hand-crafted pinning
-for critical regions).  This module provides:
-
-* :class:`LruScratchpad` -- a functional line-granular LRU cache used to
-  measure hit rates of poly-op access traces;
-* :func:`tile_plan` -- the compiler's tiling calculation: how many
-  operand vectors fit on-chip and the resulting DRAM traffic.
+keeps element-wise operands on-chip (paper Sections 4 and 5.4).
+:func:`tile_plan` is the compiler's tiling calculation: how many operand
+vectors fit on-chip and the resulting DRAM traffic.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-
-
-class LruScratchpad:
-    """Line-granular LRU cache with hit/miss accounting."""
-
-    def __init__(self, capacity_bytes: int, line_bytes: int = 64) -> None:
-        if capacity_bytes < line_bytes:
-            raise ValueError("capacity must hold at least one line")
-        self.capacity_lines = capacity_bytes // line_bytes
-        self.line_bytes = line_bytes
-        self._lines: OrderedDict[int, bool] = OrderedDict()
-        self._pinned: set[int] = set()
-        self.hits = 0
-        self.misses = 0
-
-    def access(self, addr: int, size: int = 8) -> None:
-        """Touch ``[addr, addr + size)``; updates hit/miss counters."""
-        first = addr // self.line_bytes
-        last = (addr + size - 1) // self.line_bytes
-        for line in range(first, last + 1):
-            if line in self._lines:
-                self.hits += 1
-                self._lines.move_to_end(line)
-            else:
-                self.misses += 1
-                self._lines[line] = True
-                self._evict_if_needed()
-
-    def pin(self, addr: int, size: int) -> None:
-        """Pin a range (the compiler's hand-crafted policy for wire data)."""
-        first = addr // self.line_bytes
-        last = (addr + size - 1) // self.line_bytes
-        for line in range(first, last + 1):
-            self._pinned.add(line)
-            if line not in self._lines:
-                self.misses += 1
-                self._lines[line] = True
-        self._evict_if_needed()
-
-    def _evict_if_needed(self) -> None:
-        while len(self._lines) > self.capacity_lines:
-            for line in self._lines:
-                if line not in self._pinned:
-                    del self._lines[line]
-                    break
-            else:
-                raise RuntimeError("scratchpad over-pinned")
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of line touches served on-chip."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 1.0
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,9 @@ links in designated columns that the Poseidon partial-round mapping
 needs).  A *vector mode* turns each column into an independent vector
 unit for element-wise polynomial kernels.
 
-This module emulates the two execution modes functionally with cycle
-accounting; the per-kernel mappings in :mod:`repro.mapping` build on it
-and are validated against the reference implementations.
+This module emulates vector mode functionally with cycle accounting;
+the systolic mode runs as PE-grid microcode (:mod:`repro.hw.microcode`,
+:mod:`repro.mapping.microcode_schedules`).
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
-from ..field import gl64
-
 
 @dataclass(frozen=True)
 class PeSpec:
@@ -30,11 +28,6 @@ class PeSpec:
     multipliers: int = 1
     adders: int = 2
     register_words: int = 64
-
-    @property
-    def mul_throughput(self) -> int:
-        """Modular multiplies issued per cycle."""
-        return self.multipliers
 
 
 @dataclass(frozen=True)
@@ -54,10 +47,6 @@ class VsaSpec:
         """PEs in the array."""
         return self.rows * self.cols
 
-    def has_reverse_link(self, col: int) -> bool:
-        """Whether column ``col`` carries a bottom-up link."""
-        return col in self.reverse_link_cols
-
 
 @dataclass
 class SystolicResult:
@@ -73,40 +62,6 @@ class Vsa:
 
     def __init__(self, spec: VsaSpec | None = None) -> None:
         self.spec = spec or VsaSpec()
-
-    # -- systolic (weight-stationary) mode -----------------------------------
-
-    def matmul_weight_stationary(
-        self, weights: np.ndarray, inputs: np.ndarray
-    ) -> SystolicResult:
-        """Row-vector times matrix, streamed through the array.
-
-        ``weights`` (rows x cols) is pre-loaded (weight-stationary, one
-        weight per PE); ``inputs`` is (T, rows) -- one state per cycle.
-        Each PE multiplies its stationary weight with the value arriving
-        on its horizontal link and accumulates into the partial sum
-        moving down its column, exactly the classic systolic schedule.
-        Emulated wavefront by wavefront so the link discipline is real.
-        """
-        rows, cols = self.spec.rows, self.spec.cols
-        if weights.shape != (rows, cols):
-            raise ValueError(f"weights must be {rows}x{cols}")
-        inputs = np.atleast_2d(np.asarray(inputs, dtype=np.uint64))
-        t = inputs.shape[0]
-        if inputs.shape[1] != rows:
-            raise ValueError("input width must equal the row count")
-        out = gl64.zeros((t, cols))
-        # Wavefront emulation: input element i of state s reaches column j
-        # at cycle s + i + j; the column-j accumulator collects rows in
-        # order.  Numerically this is sum_i in[s,i] * W[i,j].
-        for j in range(cols):
-            acc = gl64.zeros(t)
-            for i in range(rows):
-                acc = gl64.add(acc, gl64.mul(inputs[:, i], weights[i, j]))
-            out[:, j] = acc
-        fill_latency = rows + cols  # skew in + skew out
-        cycles = t + fill_latency
-        return SystolicResult(values=out, cycles=cycles, pe_mul_ops=t * rows * cols)
 
     # -- vector mode -------------------------------------------------------------
 
@@ -134,16 +89,3 @@ class Vsa:
         cycles = -(-total_ops // throughput)
         return SystolicResult(values=values, cycles=cycles, pe_mul_ops=total_ops)
 
-    # -- reverse links -----------------------------------------------------------
-
-    def reverse_broadcast(self, col: int, value, num_rows: int | None = None):
-        """Carry a value bottom-up along a reverse-link column.
-
-        Used by the Poseidon partial round to distribute the S-boxed
-        ``state[0]`` to all rows and to accumulate the ``v`` dot product
-        upward (Figure 5b).  Raises if the column has no reverse link.
-        """
-        if not self.spec.has_reverse_link(col):
-            raise ValueError(f"column {col} has no reverse link")
-        rows = num_rows or self.spec.rows
-        return [value] * rows

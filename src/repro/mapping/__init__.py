@@ -31,7 +31,6 @@ from .poly_mapping import (
     gate_access_efficiency,
     gate_eval_cost,
     partial_products_cost,
-    partial_products_reference,
 )
 from .poseidon_mapping import (
     PERM_MULTS,
@@ -80,7 +79,6 @@ __all__ = [
     "gate_access_efficiency",
     "partial_products_cost",
     "emulate_partial_products_3step",
-    "partial_products_reference",
     "sumcheck_cost",
     "emulate_sumcheck_round",
 ]

@@ -62,18 +62,19 @@ def emulate_subtree_construction(
 ) -> np.ndarray:
     """Build the root by fully processing one subtree at a time.
 
-    Returns the root digest; must equal ``MerkleTree(leaves).root``.
+    Returns the root digest; must equal the monolithic tree's,
+    ``MerkleTree(leaves).cap[0]``.
     """
     num = leaves.shape[0]
     if num % subtree_leaves:
         raise ValueError("leaf count must divide into whole subtrees")
-    roots = []
-    for start in range(0, num, subtree_leaves):
-        sub = MerkleTree(leaves[start : start + subtree_leaves])
-        roots.append(sub.root)
-    level = np.stack(roots)
+    level = np.stack([
+        MerkleTree(leaves[start : start + subtree_leaves]).cap[0]
+        for start in range(0, num, subtree_leaves)
+    ])
     while level.shape[0] > 1:
-        level = sponge.two_to_one(level[0::2], level[1::2])
+        parents = np.empty((level.shape[0] // 2, sponge.DIGEST_LEN), dtype=np.uint64)
+        level = sponge.compress_level_into(level, parents)
     return level[0]
 
 

@@ -17,14 +17,13 @@ Two layers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import ceil, log2
+from math import ceil
 
 import numpy as np
 
-from ..field import gl64, goldilocks as gl
+from ..field import goldilocks as gl
 from ..hw.config import HwConfig
-from ..ntt import bit_reverse, ntt_nr
+from ..ntt import bit_reverse, ntt
 from .base import KIND_NTT, KernelCost
 
 #: Effective DRAM efficiency of the NTT's read+write streams.  Derived
@@ -33,14 +32,6 @@ from .base import KIND_NTT, KernelCost
 #: last pass shuffles bit-reversed groups, landing around 0.55 -- which
 #: reproduces the ~50% NTT memory utilisation of paper Table 4.
 NTT_MEM_EFFICIENCY = 0.55
-
-
-@dataclass
-class StageState:
-    """One MDC pipeline stage: its stride and delay buffer."""
-
-    stride: int
-    buffer: list
 
 
 class MdcPipeline:
@@ -97,10 +88,11 @@ class MdcPipeline:
 
 
 def emulate_pipeline_matches_reference(coeffs: np.ndarray) -> bool:
-    """The MDC pipeline output equals ``NTT^NR`` of the input."""
+    """The MDC pipeline output equals ``NTT^NR`` of the input: the
+    natural-order NTT, bit-reversed."""
     pipe = MdcPipeline(len(coeffs))
     out, _ = pipe.run(coeffs)
-    return bool(np.array_equal(out, ntt_nr(coeffs)))
+    return bool(np.array_equal(out, bit_reverse(ntt(coeffs))))
 
 
 def batched_ntt_index_major(matrix: np.ndarray, hw: HwConfig):
@@ -120,7 +112,6 @@ def batched_ntt_index_major(matrix: np.ndarray, hw: HwConfig):
     ``N`` into ``b`` rows.
     """
     from ..hw.transpose import TransposeBuffer
-    from ..ntt import ntt as _ntt_fn
 
     b = hw.transpose_dim
     n, batch = matrix.shape
@@ -135,7 +126,7 @@ def batched_ntt_index_major(matrix: np.ndarray, hw: HwConfig):
             poly_major[col_blk : col_blk + b, row_blk : row_blk + b] = (
                 buf.transpose_block(block)
             )
-    transformed = _ntt_fn(poly_major)
+    transformed = ntt(poly_major)
     # Writeback: transpose back to index-major.
     out = np.empty_like(matrix)
     for col_blk in range(0, batch, b):
@@ -256,15 +247,3 @@ def lde_cost(
         mult_ops=intt_part.mult_ops + ntt_part.mult_ops,
         detail={"log_n_in": log_n_in, "rate_bits": rate_bits, "batch": batch},
     )
-
-
-def bit_reverse_shuffle_groups(log_n: int, hw: HwConfig) -> int:
-    """Elements per on-chip shuffle group for NTT^NR writeback.
-
-    The decomposition's outermost dimension owns the high index bits, so
-    after bit reversal those become the low bits: a local shuffle of
-    ``2**(outermost dim)`` elements in the scratchpad restores long
-    sequential write bursts (paper Section 5.1 "NTT variants").
-    """
-    dims = ntt_dims(log_n, hw)
-    return 1 << dims[-1]

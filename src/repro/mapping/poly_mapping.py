@@ -179,16 +179,6 @@ def emulate_partial_products_3step(h: np.ndarray, num_pes: int | None = None) ->
     return gl64.mul(local, carry_in[:, None]).reshape(n)
 
 
-def partial_products_reference(h: np.ndarray) -> np.ndarray:
-    """Direct sequential prefix product (Equation (2))."""
-    out = np.empty_like(h)
-    acc = 1
-    for i, v in enumerate(np.asarray(h, dtype=np.uint64).tolist()):
-        acc = gl.mul(acc, v)
-        out[i] = acc
-    return out
-
-
 def partial_products_cost(
     n_rows: int, num_wires: int, hw: HwConfig, name: str = "poly.partial_products"
 ) -> KernelCost:

@@ -27,8 +27,8 @@ import numpy as np
 
 from ..field import gl64, goldilocks as gl
 from ..hashing.constants import WIDTH, mds_matrix, round_constants
-from ..hashing.optimized import SparseRound, optimized_params, sparse_round_apply
-from ..hashing.poseidon import full_round
+from ..hashing.optimized import SparseRound, optimized_params
+from ..hashing.poseidon import FULL_ROUNDS, HALF_FULL, apply_mds, full_round, permute_naive
 from ..hw.config import HwConfig
 from .base import KIND_HASH, KernelCost
 
@@ -149,16 +149,21 @@ def emulate_partial_round_region(state: np.ndarray, rnd: SparseRound) -> np.ndar
 
 
 def emulate_partial_rounds_match(state: np.ndarray) -> bool:
-    """All 22 emulated partial rounds equal the optimised sparse rounds."""
+    """The 22 emulated partial-round regions, between the reference full
+    rounds and the optimised pre-matrix, reproduce the naive permutation."""
     params = optimized_params()
-    a = np.asarray(state, dtype=np.uint64).reshape(WIDTH).copy()
-    b = a.copy()
+    full_rc, _ = round_constants()
+    start = np.asarray(state, dtype=np.uint64).reshape(1, WIDTH)
+    s = start
+    for r in range(HALF_FULL):
+        s = full_round(s, full_rc[r])
+    s = apply_mds(gl64.add(s, params.pre_constants), params.pre_matrix)[0]
     for rnd in params.rounds:
-        a = emulate_partial_round_region(a, rnd)
-        b = sparse_round_apply(b[None, :], rnd)[0]
-        if not np.array_equal(a, b):
-            return False
-    return True
+        s = emulate_partial_round_region(s, rnd)
+    s = s[None, :]
+    for r in range(HALF_FULL, FULL_ROUNDS):
+        s = full_round(s, full_rc[r])
+    return bool(np.array_equal(s, permute_naive(start)))
 
 
 def emulate_full_round_matches(states: np.ndarray, round_index: int) -> bool:

@@ -94,8 +94,3 @@ def verify_multi(
         return False
     opening = PathOpening(rows, indices, proof.nodes, cap, tree_depth - cap_height)
     return bool(verify_paths([opening])[0])
-
-
-def individual_paths_bytes(tree: MerkleTree, indices: Sequence[int]) -> int:
-    """Digest payload of separate per-index proofs (for comparison)."""
-    return sum(len(tree.prove(i).siblings) * 32 for i in set(indices))

@@ -148,13 +148,6 @@ class MerkleTree:
         """The commitment: ``2**cap_height`` digests, shape (c, 4)."""
         return self.levels[-1]
 
-    @property
-    def root(self) -> np.ndarray:
-        """The single root digest (requires ``cap_height == 0``)."""
-        if self.cap_height != 0:
-            raise ValueError("tree has a cap, not a single root")
-        return self.levels[-1][0]
-
     def num_leaves(self) -> int:
         """Number of leaves."""
         return self.leaves.shape[0]

@@ -83,11 +83,6 @@ class Counters:
         names = {f.name for f in fields(cls)}
         return cls(**{k: int(v) for k, v in d.items() if k in names})
 
-    @property
-    def total_permutations(self) -> int:
-        """All Poseidon permutations."""
-        return self.sponge_permutations + self.challenger_permutations
-
 
 _CURRENT: ContextVar[Counters] = ContextVar("repro_counters")
 

@@ -1,45 +1,26 @@
-"""NTT library: transforms (all order/coset variants), multi-dimensional
-decomposition, and polynomial algebra over the Goldilocks field."""
+"""NTT library: the natural-order and coset transforms the provers run,
+batched over the last axis, over the Goldilocks field."""
 
-from . import decomposition
 from .transforms import (
     bit_reverse,
     bit_reverse_indices,
     coset_intt,
     coset_intt_ext,
     coset_ntt,
-    coset_ntt_nr,
     intt,
-    intt_ext,
-    intt_nr,
-    intt_rn,
     lde,
     lde_coeffs,
     ntt,
-    ntt_ext,
-    ntt_nr,
-    ntt_rn,
 )
-from .polynomial import Polynomial, barycentric_eval
 
 __all__ = [
     "ntt",
-    "ntt_nr",
-    "ntt_rn",
     "intt",
-    "intt_nr",
-    "intt_rn",
     "coset_ntt",
-    "coset_ntt_nr",
     "coset_intt",
     "coset_intt_ext",
     "lde",
     "lde_coeffs",
-    "ntt_ext",
-    "intt_ext",
     "bit_reverse",
     "bit_reverse_indices",
-    "decomposition",
-    "Polynomial",
-    "barycentric_eval",
 ]

@@ -1,19 +1,19 @@
 """Number theoretic transforms over the Goldilocks field.
 
-Implements every variant the UniZK paper needs (Section 5.1):
+The transforms the provers run (paper Section 5.1):
 
-* forward/inverse transforms with **natural (N)** or **bit-reversed (R)**
-  input/output orders -- ``NN``, ``NR``, ``RN`` -- because FRI's LDE step
-  uses ``NTT^NR`` while the value->coefficient conversion uses
-  ``iNTT^NN``;
+* forward/inverse transforms with natural input and output order
+  (``NTT^NN`` / ``iNTT^NN``, the value<->coefficient conversions);
 * **coset** (i)NTTs, used by low-degree extension and quotient-polynomial
   evaluation, where the evaluation domain is ``g * <omega>``;
 * batched transforms over the last axis, mirroring how the hardware
   streams many polynomials through its MDC pipelines.
 
-Internally everything is the classic iterative radix-2 Cooley-Tukey pair:
-DIF (natural in, bit-reversed out) and DIT (bit-reversed in, natural
-out), each vectorised with NumPy over batch *and* butterfly axes.
+Internally every transform is the classic iterative radix-2 DIF
+Cooley-Tukey network (natural in, bit-reversed out) followed by one
+bit-reversal gather, vectorised with NumPy over batch *and* butterfly
+axes.  The hardware model's MDC pipeline (``mapping.ntt_mapping``)
+emits the bit-reversed ``NTT^NR`` order directly.
 
 Zero-copy data plane
 --------------------
@@ -128,22 +128,6 @@ def _count_transform(a: np.ndarray, log_n: int) -> None:
     _METRICS.ntt_butterflies += batch * (1 << max(0, log_n - 1)) * log_n
 
 
-def _run_stages(
-    a: np.ndarray, log_n: int, stages: tuple, dit: bool, ws: gl64.Workspace
-) -> None:
-    """Run all butterfly stages in place over ``a`` (last axis = 2**log_n)."""
-    n = 1 << log_n
-    lead = a.shape[:-1]
-    order = range(log_n) if dit else range(log_n - 1, -1, -1)
-    for i in order:
-        m = 1 << (i + 1)
-        mh = m >> 1
-        v = a.reshape(lead + (n // m, m))
-        u = v[..., :mh]
-        w = v[..., mh:]
-        gl64.butterfly_into(u, w, stages[i], u, w, dit=dit, ws=ws)
-
-
 def _dif_in_place(
     a: np.ndarray, log_n: int, inverse: bool, ws: gl64.Workspace | None = None
 ) -> np.ndarray:
@@ -154,20 +138,16 @@ def _dif_in_place(
     """
     _count_transform(a, log_n)
     ws = ws or gl64.default_workspace()
-    _run_stages(a, log_n, _stage_twiddles(log_n, inverse), dit=False, ws=ws)
-    return a
-
-
-def _dit_in_place(
-    a: np.ndarray, log_n: int, inverse: bool, ws: gl64.Workspace | None = None
-) -> np.ndarray:
-    """Decimation-in-time: bit-reversed input -> natural output.
-
-    Same in-place contract as :func:`_dif_in_place`.
-    """
-    _count_transform(a, log_n)
-    ws = ws or gl64.default_workspace()
-    _run_stages(a, log_n, _stage_twiddles(log_n, inverse), dit=True, ws=ws)
+    stages = _stage_twiddles(log_n, inverse)
+    n = 1 << log_n
+    lead = a.shape[:-1]
+    for i in range(log_n - 1, -1, -1):
+        m = 1 << (i + 1)
+        mh = m >> 1
+        v = a.reshape(lead + (n // m, m))
+        u = v[..., :mh]
+        w = v[..., mh:]
+        gl64.butterfly_into(u, w, stages[i], u, w, ws=ws)
     return a
 
 
@@ -181,15 +161,6 @@ def _workbuf(
     return work, ws
 
 
-def _finish(result: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """Return ``result`` as a caller-owned array (copying out of the
-    workspace unless the caller supplied its own buffer)."""
-    if out is None:
-        return result.copy()
-    np.copyto(out, result)
-    return out
-
-
 def ntt(a, out: np.ndarray | None = None, ws: gl64.Workspace | None = None) -> np.ndarray:
     """Forward NTT, natural input and output (``NTT^NN``)."""
     a = np.asarray(a, dtype=np.uint64)
@@ -199,29 +170,6 @@ def ntt(a, out: np.ndarray | None = None, ws: gl64.Workspace | None = None) -> n
     if out is None:
         out = np.empty(a.shape, dtype=np.uint64)
     return bit_reverse(work, out=out)
-
-
-def ntt_nr(a, out: np.ndarray | None = None, ws: gl64.Workspace | None = None) -> np.ndarray:
-    """Forward NTT, natural input, bit-reversed output (``NTT^NR``).
-
-    This is the LDE-phase transform in FRI (paper Figure 1, step 2):
-    skipping the final reorder keeps memory writes sequential per
-    decomposed dimension.
-    """
-    a = np.asarray(a, dtype=np.uint64)
-    log_n = _checked_log2(a.shape[-1])
-    work, ws = _workbuf(a, ws, "ntt:work")
-    _dif_in_place(work, log_n, inverse=False, ws=ws)
-    return _finish(work, out)
-
-
-def ntt_rn(a, out: np.ndarray | None = None, ws: gl64.Workspace | None = None) -> np.ndarray:
-    """Forward NTT, bit-reversed input, natural output (``NTT^RN``)."""
-    a = np.asarray(a, dtype=np.uint64)
-    log_n = _checked_log2(a.shape[-1])
-    work, ws = _workbuf(a, ws, "ntt:work")
-    _dit_in_place(work, log_n, inverse=False, ws=ws)
-    return _finish(work, out)
 
 
 def intt(a, out: np.ndarray | None = None, ws: gl64.Workspace | None = None) -> np.ndarray:
@@ -237,26 +185,6 @@ def intt(a, out: np.ndarray | None = None, ws: gl64.Workspace | None = None) -> 
         out = np.empty(a.shape, dtype=np.uint64)
     bit_reverse(work, out=out)
     return gl64.mul_into(out, _n_inv(a.shape[-1]), out, ws)
-
-
-def intt_nr(a, out: np.ndarray | None = None, ws: gl64.Workspace | None = None) -> np.ndarray:
-    """Inverse NTT, natural input, bit-reversed output (``iNTT^NR``)."""
-    a = np.asarray(a, dtype=np.uint64)
-    log_n = _checked_log2(a.shape[-1])
-    work, ws = _workbuf(a, ws, "intt:work")
-    _dif_in_place(work, log_n, inverse=True, ws=ws)
-    gl64.mul_into(work, _n_inv(a.shape[-1]), work, ws)
-    return _finish(work, out)
-
-
-def intt_rn(a, out: np.ndarray | None = None, ws: gl64.Workspace | None = None) -> np.ndarray:
-    """Inverse NTT, bit-reversed input, natural output (``iNTT^RN``)."""
-    a = np.asarray(a, dtype=np.uint64)
-    log_n = _checked_log2(a.shape[-1])
-    work, ws = _workbuf(a, ws, "intt:work")
-    _dit_in_place(work, log_n, inverse=True, ws=ws)
-    gl64.mul_into(work, _n_inv(a.shape[-1]), work, ws)
-    return _finish(work, out)
 
 
 def coset_ntt(
@@ -278,20 +206,6 @@ def coset_ntt(
     if out is None:
         out = np.empty(a.shape, dtype=np.uint64)
     return bit_reverse(work, out=out)
-
-
-def coset_ntt_nr(
-    a, shift: int | None = None, out: np.ndarray | None = None, ws: gl64.Workspace | None = None
-) -> np.ndarray:
-    """Coset NTT with bit-reversed output (the FRI LDE transform)."""
-    a = np.asarray(a, dtype=np.uint64)
-    log_n = _checked_log2(a.shape[-1])
-    shift = gl.coset_shift() if shift is None else shift
-    ws = ws or gl64.default_workspace()
-    work = ws.temp(a.shape, "ntt:work")
-    gl64.mul_into(a, _coset_scale(shift, a.shape[-1], False), work, ws)
-    _dif_in_place(work, log_n, inverse=False, ws=ws)
-    return _finish(work, out)
 
 
 def coset_intt(
@@ -344,24 +258,14 @@ def lde_coeffs(
     return coset_ntt(padded, shift, out=out, ws=ws)
 
 
-def ntt_ext(a: np.ndarray) -> np.ndarray:
-    """Forward NTT of extension-field values: shape (..., n, 2).
+def coset_intt_ext(a: np.ndarray, shift: int | None = None) -> np.ndarray:
+    """Coset inverse NTT of extension-field values: shape (..., n, 2).
 
     The extension is a 2-dimensional vector space over the base field and
     the NTT is GF(p)-linear, so transforming each limb independently is
     exact -- this is also how UniZK executes extension arithmetic on
     base-field PEs.
     """
-    return np.stack([ntt(a[..., 0]), ntt(a[..., 1])], axis=-1)
-
-
-def intt_ext(a: np.ndarray) -> np.ndarray:
-    """Inverse NTT of extension-field values: shape (..., n, 2)."""
-    return np.stack([intt(a[..., 0]), intt(a[..., 1])], axis=-1)
-
-
-def coset_intt_ext(a: np.ndarray, shift: int | None = None) -> np.ndarray:
-    """Coset inverse NTT of extension-field values."""
     return np.stack(
         [coset_intt(a[..., 0], shift), coset_intt(a[..., 1], shift)], axis=-1
     )

@@ -83,10 +83,3 @@ class ShardGraph:
     def __len__(self) -> int:
         return len(self.shards)
 
-    def dependents(self) -> Dict[str, List[str]]:
-        """Reverse edges: shard id -> ids that depend on it."""
-        out: Dict[str, List[str]] = {sid: [] for sid in self.order}
-        for sid in self.order:
-            for dep in self.shards[sid].deps:
-                out[dep].append(sid)
-        return out

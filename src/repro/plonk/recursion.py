@@ -56,11 +56,6 @@ class CircuitChallenger:
         if len(self._input_buffer) == RATE:
             self._duplex()
 
-    def observe_many(self, values: Sequence[Variable]) -> None:
-        """Absorb several variables in order."""
-        for v in values:
-            self.observe(v)
-
     def get_challenge(self) -> Variable:
         """Squeeze one challenge variable."""
         if self._input_buffer or not self._output_buffer:

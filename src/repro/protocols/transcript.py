@@ -23,7 +23,7 @@ i.e. the cap is in the duplex state that produces that challenge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -62,15 +62,3 @@ class TranscriptSpec:
     #: Caps observed before the public inputs (0 = publics first).
     setup_caps: int = 0
 
-
-def binding_error(binding: CapBinding, observed_at: Any) -> str:
-    """Human-readable description of a violated :class:`CapBinding`."""
-    where = (
-        "never observed"
-        if observed_at is None
-        else f"first observed at event {observed_at}"
-    )
-    return (
-        f"cap {binding.label!r} must be bound before base-challenge "
-        f"#{binding.before_challenge} but was {where}"
-    )

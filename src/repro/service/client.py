@@ -45,13 +45,16 @@ class ServiceClient:
         self.close()
 
     def call(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """One request/response round trip; raises on ``ok: false``."""
+        """One request/response round trip; raises on ``ok: false``, and
+        :class:`ValueError` on a reply that is not a JSON object."""
         self._file.write((json.dumps(request) + "\n").encode("utf-8"))
         self._file.flush()
         line = self._file.readline()
         if not line:
             raise ConnectionError("server closed the connection")
         response = json.loads(line.decode("utf-8"))
+        if not isinstance(response, dict):
+            raise ValueError(f"malformed reply {line[:80]!r}")
         if not response.get("ok"):
             raise ServiceError(response)
         return response
@@ -114,13 +117,21 @@ class ServiceClient:
 
 
 def wait_for_server(host: str, port: int, timeout_s: float = 10.0) -> bool:
-    """Poll until a server accepts connections (for scripts and CI)."""
+    """Poll until a proving service answers a ping (for scripts and CI);
+    ``False`` once ``timeout_s`` has passed.
+
+    A refused connection, a closed, malformed or ``ok: false`` reply and
+    a false pong all mean "not ready yet"; polls are 0.1 s apart.
+    """
     deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
+    while True:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            return False
         try:
-            with ServiceClient(host, port, timeout_s=1.0) as client:
+            with ServiceClient(host, port, timeout_s=min(1.0, remaining)) as client:
                 if client.ping():
                     return True
-        except OSError:
-            time.sleep(0.1)
-    return False
+        except (OSError, ValueError, ServiceError):
+            pass
+        time.sleep(min(0.1, max(0.0, deadline - time.monotonic())))

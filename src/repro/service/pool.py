@@ -190,14 +190,6 @@ class WorkerPool:
                 w.deadline = None
                 w.idle_since = time.monotonic()
 
-    def pids(self) -> Dict[int, int]:
-        """worker id -> OS pid (the failure tests kill these)."""
-        return {w.id: w.process.pid for w in self.workers if w.process.pid}
-
-    def busy_workers(self) -> List[WorkerHandle]:
-        """Workers with a flight to run."""
-        return [w for w in self.workers if not w.idle]
-
     # -- health ----------------------------------------------------------
 
     def check_health(self) -> List[Casualty]:

@@ -4,7 +4,6 @@ from .simulator import (
     simulate_graph,
     simulate_plonky2,
     simulate_starky,
-    simulate_starky_plonky2,
     sweep,
 )
 from .stats import KernelRecord, SimReport
@@ -14,7 +13,6 @@ __all__ = [
     "simulate_graph",
     "simulate_plonky2",
     "simulate_starky",
-    "simulate_starky_plonky2",
     "sweep",
     "SimReport",
     "KernelRecord",

@@ -10,14 +10,13 @@ methodology.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Sequence
 
 from ..compiler import ComputationGraph, MappingLike, schedule
 from ..compiler.frontend import (
     PlonkParams,
     StarkParams,
     trace_plonky2,
-    trace_recursive_plonky2,
     trace_starky,
 )
 from ..hw.config import DEFAULT_CONFIG, HwConfig
@@ -64,21 +63,6 @@ def simulate_plonky2(params: PlonkParams, hw: HwConfig = DEFAULT_CONFIG) -> SimR
 def simulate_starky(params: StarkParams, hw: HwConfig = DEFAULT_CONFIG) -> SimReport:
     """Simulate one Starky base-proof generation."""
     return simulate_graph(trace_starky(params), hw)
-
-
-def simulate_starky_plonky2(
-    params: StarkParams, hw: HwConfig = DEFAULT_CONFIG
-) -> Dict[str, SimReport]:
-    """Simulate the combined scheme: Starky base + Plonky2 recursion.
-
-    Starky proves the raw statement cheaply (blowup 2), then a
-    fixed-shape Plonky2 circuit compresses/aggregates it (paper
-    Sections 2.2 and 7.4).
-    """
-    return {
-        "base": simulate_starky(params, hw),
-        "recursive": simulate_graph(trace_recursive_plonky2(), hw),
-    }
 
 
 def sweep(

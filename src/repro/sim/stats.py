@@ -78,14 +78,6 @@ class SimReport:
             out[kind] = {"memory": mem, "vsa": vsa}
         return out
 
-    def cycles_by_stage(self) -> Dict[str, float]:
-        """Elapsed cycles per protocol stage (Figure 7 grouping)."""
-        out: Dict[str, float] = {}
-        for r in self.records:
-            key = r.stage or "(other)"
-            out[key] = out.get(key, 0.0) + r.elapsed_cycles
-        return out
-
     def to_dict(self) -> Dict[str, object]:
         """JSON-safe summary (used by the proving service and exports)."""
         return {

@@ -132,13 +132,6 @@ class Air:
         """Return the boundary constraints for the given public values."""
         return []
 
-    def num_transition_constraints(self) -> int:
-        """Count transition constraints (probes with a dummy algebra)."""
-        alg = ExtAlgebra()
-        dummy = [alg.constant(0) for _ in range(self.width)]
-        consts = [alg.constant(0) for _ in range(self.constant_columns(4).shape[0])]
-        return len(self.eval_transition_with_constants(dummy, dummy, consts, alg))
-
     def check_trace(self, trace: np.ndarray, public_inputs: Sequence[int]) -> bool:
         """Directly validate a trace against all constraints (test helper)."""
         trace = np.asarray(trace, dtype=np.uint64)

@@ -105,26 +105,10 @@ class TraceSession:
         for root in self.spans:
             yield from root.walk()
 
-    def stage_seconds(self) -> Dict[str, float]:
-        """Wall seconds per span name, roots and their direct stages.
-
-        Nested grandchildren (e.g. ``fri:fold`` under ``fri``) are not
-        double counted into their parents' rows; they get their own.
-        """
-        out: Dict[str, float] = {}
-        for s in self.walk():
-            out[s.name] = out.get(s.name, 0.0) + s.elapsed_s
-        return out
-
 
 _ACTIVE: ContextVar[Optional[TraceSession]] = ContextVar(
     "repro_trace_session", default=None
 )
-
-
-def active_session() -> Optional[TraceSession]:
-    """The context's live session, or ``None`` when tracing is off."""
-    return _ACTIVE.get()
 
 
 @contextmanager

@@ -8,8 +8,9 @@ inversion per query per opening point.  The FRI layer walk folds each
 opened coset by its own rule -- the coset's Lagrange interpolant at
 ``beta``, in Python integers -- where the shipped verifier repeats the
 prover's arity-2 :func:`repro.fri.prover.fold_pairs`.  They share
-nothing with the batched code but the sponge primitives and the
-``fold_schedule``, so agreement between the two is evidence about both.
+nothing with the batched code but the sponge primitives (through
+``tests/reference_oracles.py``) and the ``fold_schedule``, so agreement
+between the two is evidence about both.
 
 :func:`reference_plane` swaps them in under the real protocol
 verifiers, which keeps the protocol-level structure checks and error
@@ -34,8 +35,10 @@ from repro.fri.config import FriConfig
 from repro.fri.proof import FriProof
 from repro.fri.prover import FriOpenings, check_pow
 from repro.fri.verifier import FriError
-from repro.hashing import Challenger, sponge
+from repro.hashing import Challenger
 from repro.merkle import MerkleMultiProof, MerkleProof
+
+from .reference_oracles import hash_or_noop, two_to_one
 
 
 def verify_proof(
@@ -48,12 +51,12 @@ def verify_proof(
 
     ``leaf_data`` is the raw leaf row (the verifier re-hashes it).
     """
-    digest = sponge.hash_or_noop(np.atleast_2d(np.asarray(leaf_data, dtype=np.uint64)))[0]
+    digest = hash_or_noop(np.atleast_2d(np.asarray(leaf_data, dtype=np.uint64)))[0]
     for sibling in proof.siblings:
         if index & 1:
-            digest = sponge.two_to_one(sibling, digest)
+            digest = two_to_one(sibling, digest)
         else:
-            digest = sponge.two_to_one(digest, sibling)
+            digest = two_to_one(digest, sibling)
         index >>= 1
     cap = np.atleast_2d(np.asarray(cap, dtype=np.uint64))
     if index >= cap.shape[0]:
@@ -77,7 +80,7 @@ def verify_multi(
     if tuple(sorted(leaves)) != proof.indices:
         return False
     current: Dict[int, np.ndarray] = {
-        i: sponge.hash_or_noop(np.atleast_2d(np.asarray(row, dtype=np.uint64)))[0]
+        i: hash_or_noop(np.atleast_2d(np.asarray(row, dtype=np.uint64)))[0]
         for i, row in leaves.items()
     }
     cursor = 0
@@ -97,7 +100,7 @@ def verify_multi(
                 sib_digest = proof.nodes[cursor]
                 cursor += 1
             left, right = (current[i], sib_digest) if i % 2 == 0 else (sib_digest, current[i])
-            nxt[parent] = sponge.two_to_one(left, right)
+            nxt[parent] = two_to_one(left, right)
         current = nxt
     if cursor != proof.nodes.shape[0]:
         return False

@@ -13,11 +13,7 @@ import numpy as np
 import pytest
 
 from repro.autotune import node_key, tune_graph, tune_workload
-from repro.autotune.space import (
-    FAMILIES,
-    candidate_spaces,
-    space_for_family,
-)
+from repro.autotune.space import FAMILIES, candidate_spaces
 from repro.compiler.frontend import PlonkParams, trace_plonky2
 from repro.hw import DEFAULT_CONFIG, HwConfig
 from repro.mapping.params import DEFAULT_MAPPING
@@ -37,11 +33,11 @@ def test_spaces_cover_all_families_default_first():
     assert tuple(s.family for s in spaces) == FAMILIES
     for space in spaces:
         assert len(space) >= 2
-        assert space.candidates[0].is_default or space.family == "poseidon"
+        assert space.candidates[0].params == DEFAULT_MAPPING or space.family == "poseidon"
         labels = [c.label for c in space.candidates]
         assert len(labels) == len(set(labels)), "duplicate candidate labels"
     # Poseidon's first candidate is the shipped default scheme.
-    poseidon = space_for_family("poseidon")
+    poseidon = {s.family: s for s in spaces}["poseidon"]
     assert poseidon.candidates[0].label == "poseidon:sparse-12x3"
 
 
@@ -57,11 +53,6 @@ def test_enumeration_is_deterministic():
         for c in s.candidates
     ]
     assert first == second
-
-
-def test_space_for_family_rejects_unknown():
-    with pytest.raises(ValueError, match="unknown mapping family"):
-        space_for_family("fft")
 
 
 # -- search -------------------------------------------------------------------
@@ -86,7 +77,8 @@ def test_search_default_scored_first_and_never_beaten_by_rejects(small_report):
     for shape in small_report.shapes:
         # The family's default candidate is always scored first, the
         # others in enumeration order.
-        labels = [c.label for c in space_for_family(shape.family).candidates]
+        space = next(s for s in candidate_spaces() if s.family == shape.family)
+        labels = [c.label for c in space.candidates]
         assert shape.tried[0] == labels[0]
         assert shape.tried == [label for label in labels if label in shape.tried]
         assert shape.best_cycles <= shape.default_cycles

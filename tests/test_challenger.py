@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.field import extension as ext, gl64, goldilocks as gl
+from repro.field import gl64, goldilocks as gl
 from repro.hashing import Challenger
 
 
@@ -75,13 +75,6 @@ class TestOutputs:
         c = Challenger()
         with pytest.raises(ValueError):
             c.observe_digest(np.zeros(3, dtype=np.uint64))
-
-    def test_observe_ext(self):
-        a, b = Challenger(), Challenger()
-        a.observe_ext(ext.make(3, 4))
-        b.observe_element(3)
-        b.observe_element(4)
-        assert a.get_challenge() == b.get_challenge()
 
     def test_observe_cap(self, rng):
         cap = gl64.random((4, 4), rng)

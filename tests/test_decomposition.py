@@ -1,47 +1,20 @@
-"""Multi-dimensional NTT decomposition (SAM / Figure 4b) tests."""
+"""SAM decomposition (paper Section 5.1, Figure 4b): the dimension
+split the NTT mapping models, and the inter-dimension twiddles the
+on-chip generator must produce."""
 
-import numpy as np
 import pytest
 
-from repro.field import gl64
-from repro.ntt import ntt
-from repro.ntt.decomposition import decompose_size, inter_dim_twiddles, ntt_multidim
+from repro.field import goldilocks as gl
+from repro.hw import DEFAULT_CONFIG
+from repro.mapping import ntt_dims
 
+from .reference_oracles import inter_dim_twiddles
 
-class TestDecomposition:
-    @pytest.mark.parametrize(
-        "n,dims",
-        [
-            (16, [4, 4]),
-            (64, [8, 8]),
-            (64, [4, 4, 4]),
-            (512, [8, 8, 8]),  # the paper's Figure 4b example
-            (512, [32, 16]),
-            (256, [2, 128]),
-            (1024, [32, 32]),
-        ],
-    )
-    def test_matches_direct(self, n, dims, rng):
-        a = gl64.random(n, rng)
-        assert np.array_equal(ntt_multidim(a, dims), ntt(a))
-
-    def test_single_dim_is_plain(self, rng):
-        a = gl64.random(32, rng)
-        assert np.array_equal(ntt_multidim(a, [32]), ntt(a))
-
-    def test_wrong_factorisation_rejected(self, rng):
-        with pytest.raises(ValueError):
-            ntt_multidim(gl64.random(64, rng), [8, 4])
-
-    def test_non_power_dims_rejected(self, rng):
-        with pytest.raises(ValueError):
-            ntt_multidim(gl64.random(24, rng), [6, 4])
+HW = DEFAULT_CONFIG  # 2**5-point MDC pipeline tiles
 
 
 class TestTwiddles:
     def test_inter_dim_twiddles_formula(self):
-        from repro.field import goldilocks as gl
-
         tw = inter_dim_twiddles(6, 4, 8)
         w = gl.primitive_root_of_unity(6)
         for k1 in range(4):
@@ -50,16 +23,18 @@ class TestTwiddles:
 
 
 class TestDecomposeSize:
+    """Dimensions of at most ``2**tile_log2`` points each."""
+
     def test_even_split(self):
-        assert decompose_size(10, 5) == [32, 32]
+        assert ntt_dims(10, HW) == [5, 5]
 
     def test_remainder_dim(self):
-        assert decompose_size(9, 5) == [32, 16]
-        assert decompose_size(23, 5) == [32, 32, 32, 32, 8]
+        assert ntt_dims(9, HW) == [5, 4]
+        assert ntt_dims(23, HW) == [5, 5, 5, 5, 3]
 
     def test_small(self):
-        assert decompose_size(3, 5) == [8]
+        assert ntt_dims(3, HW) == [3]
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            decompose_size(0, 5)
+            ntt_dims(10, HW, tile_log2=0)

@@ -15,9 +15,11 @@ from repro.experiments import (
     table6,
     table6_throughput,
 )
+from repro.experiments import ablations
 from repro.experiments.figures import format_fig8, format_fig9, format_fig10
 from repro.experiments.paper_data import PAPER_TABLE3
 from repro.experiments.proof_size import plonk_proof_size, stark_proof_size
+from repro.experiments.runner import run_all
 from repro.experiments.tables import (
     format_table1,
     format_table2,
@@ -26,6 +28,7 @@ from repro.experiments.tables import (
     format_table5,
     format_table6,
 )
+from repro.mapping import NTT_MEM_EFFICIENCY
 
 
 @pytest.fixture(scope="module")
@@ -228,3 +231,53 @@ class TestProofSizes:
         base = StarkParams(name="b", degree_bits=16, width=100)
         more = replace(base, num_queries=base.num_queries * 2)
         assert stark_proof_size(more) > 1.5 * stark_proof_size(base)
+
+
+class TestAblations:
+    def test_section3_amdahl_and_equal_area(self):
+        rows = ablations.section3()
+        assert len(rows) == 6
+        for r in rows:
+            assert r["top2_speedup"] < 7.0  # the paper's Amdahl claim
+            assert r["dedicated_s"] > r["unified_s"]  # unified wins at equal area
+        assert "top-2-only" in ablations.format_section3(rows)
+
+    def test_dram_calibration_brackets_the_model_constants(self):
+        effs = ablations.dram_calibration()
+        assert effs["sequential"] > 0.8
+        assert effs["strided"] < 0.2
+        # The NTT constant sits between an interleaved read/write pass
+        # and a pure sequential stream.
+        assert effs["ntt_read_write"] <= NTT_MEM_EFFICIENCY <= effs["sequential"]
+        # Width-dependent chunk efficiency reproduces Table 4's poly column.
+        assert 0.10 <= effs["gate_w135"] <= 0.22
+        assert 0.17 <= effs["gate_w400"] <= 0.30
+        assert ablations.format_dram_calibration(effs)
+
+    def test_ntt_tiles_and_fusion(self):
+        sweep = ablations.ntt_mapping_sweep()
+        times = [r["ms"] for r in sweep["tiles"]]
+        assert times == sorted(times, reverse=True)  # bigger tiles never slower
+        big, small = sweep["fusion"]
+        assert small["passes"] == 2 * big["passes"]  # < 4 MB breaks the fusion
+        assert ablations.format_ntt_mapping_sweep(sweep)
+
+    def test_poseidon_occupancy(self):
+        occ = ablations.poseidon_occupancy()
+        sparse, dense = occ["schemes"]
+        assert sparse["occupancy"] > 0.85  # paper: 95-97%
+        assert sparse["pe_cycles"] < dense["pe_cycles"]
+        assert occ["perms_per_cycle"] == pytest.approx(4608 / 2472)
+        assert ablations.format_poseidon_occupancy(occ)
+
+
+def test_report_sections_in_order():
+    report = run_all()
+    headers = [
+        "Table 1:", "Table 2:", "Table 3:", "Table 4:", "Table 5:", "Table 6:",
+        "Figure 8:", "Figure 9:", "Figure 10:", "Section 3:",
+        "DRAM efficiency calibration", "NTT mapping:", "Poseidon on the PE grid:",
+        "Pareto frontier:",
+    ]
+    positions = [report.index(h) for h in headers]
+    assert positions == sorted(positions)

@@ -14,7 +14,6 @@ from repro.fri import (
     FriError,
     FriOpenings,
     PolynomialBatch,
-    combine_openings,
     fold_values,
     fri_prove,
     fri_verify,
@@ -24,16 +23,17 @@ from repro.fri import (
 from repro import protocols
 from repro.fri import config as fri_config
 from repro.fri.config import FRI_ARITY_BITS
-from repro.fri.prover import check_pow
+from repro.fri.prover import check_pow, combine_rows, lde_points
 from repro.hashing import Challenger
 from repro.workloads import fibonacci
 
 from .goldens import ARITY2_DIGESTS, CONFIGS, SCALE
+from .reference_oracles import Polynomial, commit_coeffs
 
 
 def _mk_batches(rng, cfg, n=64, widths=(4, 2)):
     return [
-        PolynomialBatch.from_coeffs(gl64.random((w, n), rng), cfg.rate_bits, cfg.cap_height)
+        commit_coeffs(gl64.random((w, n), rng), cfg.rate_bits, cfg.cap_height)
         for w in widths
     ]
 
@@ -43,8 +43,8 @@ def _mk_openings(batches, n):
     omega = gl.primitive_root_of_unity(n.bit_length() - 1)
     zeta_next = ext.scalar_mul(zeta, np.uint64(omega))
     columns = [
-        [(0, i) for i in range(batches[0].num_polys)]
-        + [(1, i) for i in range(batches[1].num_polys)],
+        [(0, i) for i in range(batches[0].coeffs.shape[0])]
+        + [(1, i) for i in range(batches[1].coeffs.shape[0])],
         [(1, 0)],
     ]
     return open_batches(batches, [zeta, zeta_next], columns)
@@ -68,9 +68,7 @@ class TestPolynomialBatch:
     def test_values_match_coset_evaluation(self, rng, fri_test_config):
         cfg = fri_test_config
         coeffs = gl64.random((2, 16), rng)
-        b = PolynomialBatch.from_coeffs(coeffs, cfg.rate_bits, cfg.cap_height)
-        from repro.ntt import Polynomial
-
+        b = commit_coeffs(coeffs, cfg.rate_bits, cfg.cap_height)
         p = Polynomial(coeffs[1])
         g = gl.coset_shift()
         w = gl.primitive_root_of_unity(4 + cfg.rate_bits)
@@ -83,16 +81,17 @@ class TestPolynomialBatch:
         coeffs = gl64.random((3, 16), rng)
         vals = ntt(coeffs)
         b1 = PolynomialBatch.from_values(vals, cfg.rate_bits, cfg.cap_height)
-        b2 = PolynomialBatch.from_coeffs(coeffs, cfg.rate_bits, cfg.cap_height)
+        b2 = commit_coeffs(coeffs, cfg.rate_bits, cfg.cap_height)
         assert np.array_equal(b1.cap, b2.cap)
 
     def test_eval_at_ext(self, rng, fri_test_config):
         cfg = fri_test_config
         coeffs = gl64.random((2, 16), rng)
-        b = PolynomialBatch.from_coeffs(coeffs, cfg.rate_bits, cfg.cap_height)
+        b = commit_coeffs(coeffs, cfg.rate_bits, cfg.cap_height)
         pt = ext.make(3, 4)
-        out = b.eval_at_ext(pt)
-        assert np.array_equal(out[0], ext.eval_poly_base(coeffs[0], pt).reshape(2))
+        out = open_batches([b], [pt], [[(0, 0), (0, 1)]]).values[0]
+        for i in range(2):
+            assert np.array_equal(out[i], ext.eval_poly_base(coeffs[i], pt).reshape(2))
 
 
 class TestFolding:
@@ -121,8 +120,6 @@ class TestFolding:
         beta = ext.make(7, 9)
         folded = fold_values(values, beta, gl.coset_shift(), 4)
         # Evaluate expected at y = (g w^i)^2
-        from repro.ntt import Polynomial
-
         pe, po = Polynomial(even), Polynomial(odd)
         w16 = gl.primitive_root_of_unity(4)
         for i in (0, 3):
@@ -139,7 +136,7 @@ class TestFolding:
         # f(X) = sum_r X^r f_r(X^k) with k = 2**a: folding a times with
         # beta, beta^2, beta^4, ... gives sum_r beta^r f_r(y) at
         # y = x^k -- the arity-k fold one committed layer stands for.
-        from repro.ntt import Polynomial, lde_coeffs
+        from repro.ntt import lde_coeffs
 
         k = 1 << arity_bits
         coeffs = gl64.random(64, rng)
@@ -226,7 +223,7 @@ class TestEndToEnd:
     def test_single_batch_single_point(self, rng, fri_test_config):
         cfg = fri_test_config
         n = 32
-        b = PolynomialBatch.from_coeffs(gl64.random((1, n), rng), cfg.rate_bits, cfg.cap_height)
+        b = commit_coeffs(gl64.random((1, n), rng), cfg.rate_bits, cfg.cap_height)
         openings = open_batches([b], [ext.make(5, 6)], [[(0, 0)]])
         ch = Challenger()
         ch.observe_cap(b.cap)
@@ -334,7 +331,7 @@ class TestFaultInjection:
         cfg = fri_test_config
         n = 32
         # Honest commit at degree 2n.
-        big = PolynomialBatch.from_coeffs(
+        big = commit_coeffs(
             gl64.random((1, 2 * n), rng), cfg.rate_bits, cfg.cap_height
         )
         zeta = ext.make(11, 22)
@@ -357,7 +354,7 @@ class TestCombine:
         batches = _mk_batches(rng, cfg, n, widths=(3,))
         openings = _mk_openings_single(batches, n)
         alpha = ext.make(5, 7)
-        combined = combine_openings(batches, openings, alpha)
+        combined = _combine(batches, openings, alpha)
         from repro.ntt import coset_intt_ext
 
         coeffs = coset_intt_ext(combined)
@@ -369,14 +366,21 @@ class TestCombine:
         batches = _mk_batches(rng, cfg, n, widths=(3,))
         openings = _mk_openings_single(batches, n)
         openings.values[0][0, 0] ^= np.uint64(1)
-        combined = combine_openings(batches, openings, ext.make(5, 7))
+        combined = _combine(batches, openings, ext.make(5, 7))
         from repro.ntt import coset_intt_ext
 
         coeffs = coset_intt_ext(combined)
         assert coeffs[n:].any()
 
 
+def _combine(batches, openings, alpha):
+    """The combined quotient over each batch's whole LDE domain."""
+    values = [b.values for b in batches]
+    log_lde = values[0].shape[0].bit_length() - 1
+    return combine_rows(values, lde_points(log_lde), openings, alpha)
+
+
 def _mk_openings_single(batches, n):
     zeta = ext.make(0xAAAA, 0xBBBB)
-    columns = [[(0, i) for i in range(batches[0].num_polys)]]
+    columns = [[(0, i) for i in range(batches[0].coeffs.shape[0])]]
     return open_batches(batches, [zeta], columns)

@@ -7,16 +7,17 @@ from repro.field import extension as fext, gl64
 from repro.fri import (
     FriConfig,
     FriError,
-    PolynomialBatch,
     fri_prove,
     fri_verify,
     open_batches,
 )
 from repro.hashing import Challenger
 
+from .reference_oracles import commit_coeffs
+
 
 def _roundtrip(cfg: FriConfig, n: int, rng) -> int:
-    batch = PolynomialBatch.from_coeffs(
+    batch = commit_coeffs(
         gl64.random((2, n), rng), cfg.rate_bits, cfg.cap_height
     )
     openings = open_batches([batch], [fext.make(9, 11)], [[(0, 0), (0, 1)]])
@@ -51,7 +52,7 @@ class TestConfigMatrix:
     def test_degree_equal_to_final_len_skips_folding(self, rng):
         cfg = FriConfig(rate_bits=2, cap_height=1, num_queries=3,
                         proof_of_work_bits=2, final_poly_len=8)
-        batch = PolynomialBatch.from_coeffs(
+        batch = commit_coeffs(
             gl64.random((1, 8), rng), cfg.rate_bits, cfg.cap_height
         )
         openings = open_batches([batch], [fext.make(3, 4)], [[(0, 0)]])
@@ -90,7 +91,7 @@ class TestConfigMatrix:
         cfg_b = FriConfig(rate_bits=2, cap_height=1, num_queries=6,
                           proof_of_work_bits=2, final_poly_len=4)
         n = 32
-        batch = PolynomialBatch.from_coeffs(
+        batch = commit_coeffs(
             gl64.random((1, n), rng), cfg_a.rate_bits, cfg_a.cap_height
         )
         openings = open_batches([batch], [fext.make(1, 2)], [[(0, 0)]])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.field import gl64, goldilocks as gl
-from repro.hashing import permute, two_to_one
+from repro.hashing import permute
 from repro.merkle import MerkleTree
 from repro.plonk import CircuitBuilder, check_copy_constraints
 from repro.plonk.gadgets import (
@@ -15,6 +15,8 @@ from repro.plonk.gadgets import (
     select,
     split_bits,
 )
+
+from .reference_oracles import two_to_one
 
 
 class TestSelect:
@@ -138,7 +140,7 @@ class TestMerkleGadget:
         for lvl in range(len(sibs)):
             for v, x in zip(sibs[lvl], proof.siblings[lvl]):
                 inputs[v.index] = int(x)
-        root_val = root_override if root_override is not None else tree.root
+        root_val = root_override if root_override is not None else tree.cap[0]
         for v, x in zip(root, root_val):
             inputs[v.index] = int(x)
         return inputs
@@ -154,7 +156,7 @@ class TestMerkleGadget:
     def test_wrong_root_fails(self, tree):
         leaves, t = tree
         c, leaf, bits, sibs, root = self._build()
-        bad_root = t.root.copy()
+        bad_root = t.cap[0].copy()
         bad_root[0] ^= np.uint64(1)
         w = c.generate_witness(
             self._inputs(leaves, t, 2, leaf, bits, sibs, root, root_override=bad_root)

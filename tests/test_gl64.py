@@ -56,11 +56,6 @@ class TestAgainstScalar:
     def test_pow7(self, a):
         assert int(gl64.pow7(np.uint64(a))) == gl.pow_mod(a, 7)
 
-    @given(elements, st.integers(min_value=0, max_value=1 << 20))
-    @settings(max_examples=30, deadline=None)
-    def test_pow_scalar(self, a, e):
-        assert int(gl64.pow_scalar(np.uint64(a), e)) == gl.pow_mod(a, e)
-
 
 def _inverses(values):
     """``pow(x, p - 2, p)`` per element, as a nested list."""
@@ -160,10 +155,6 @@ class TestHelpers:
         assert gl64.powers(5, 0).size == 0
         assert [int(x) for x in gl64.powers(5, 1)] == [1]
 
-    def test_geometric(self):
-        out = gl64.geometric(3, 7, 5)
-        assert [int(x) for x in out] == [gl.mul(7, gl.pow_mod(3, i)) for i in range(5)]
-
     def test_sum_array(self, rng):
         a = gl64.random(100, rng)
         assert int(gl64.sum_array(a)) == sum(int(x) for x in a) % gl.P
@@ -180,44 +171,9 @@ class TestHelpers:
         for j in range(7):
             assert int(out0[j]) == sum(int(a[i, j]) for i in range(4)) % gl.P
 
-    def test_dot(self, rng):
-        a = gl64.random(31, rng)
-        b = gl64.random(31, rng)
-        expect = sum(int(x) * int(y) for x, y in zip(a, b)) % gl.P
-        assert int(gl64.dot(a, b)) == expect
-
-    def test_dot_shape_mismatch(self, rng):
-        with pytest.raises(ValueError):
-            gl64.dot(gl64.random(3, rng), gl64.random(4, rng))
-
-    def test_mul_add(self, rng):
-        a, b, c = (gl64.random(10, rng) for _ in range(3))
-        out = gl64.mul_add(a, b, c)
-        for x, y, z, r in zip(a, b, c, out):
-            assert int(r) == gl.add(gl.mul(int(x), int(y)), int(z))
-
     def test_asarray_canonicalises(self):
         out = gl64.asarray([gl.P, gl.P + 5])
         assert [int(x) for x in out] == [0, 5]
-
-    def test_matvec_matches_reference(self, rng):
-        from repro.field import matrix as fm
-
-        m = gl64.random((4, 6), rng)
-        v = gl64.random(6, rng)
-        out = gl64.matvec(m, v)
-        assert [int(x) for x in out] == fm.matvec(m, v)
-
-    def test_matvec_batch(self, rng):
-        m = gl64.random((4, 6), rng)
-        vs = gl64.random((3, 6), rng)
-        out = gl64.matvec(m, vs)
-        for i in range(3):
-            assert np.array_equal(out[i], gl64.matvec(m, vs[i]))
-
-    def test_matvec_mismatch(self, rng):
-        with pytest.raises(ValueError):
-            gl64.matvec(gl64.random((4, 6), rng), gl64.random(5, rng))
 
     def test_random_is_canonical(self, rng):
         a = gl64.random(1000, rng)

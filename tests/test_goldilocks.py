@@ -2,11 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.field import goldilocks as gl
+from repro.field import gl64, goldilocks as gl
 
 elements = st.integers(min_value=0, max_value=gl.P - 1)
 
@@ -56,21 +57,12 @@ class TestBasicOps:
         with pytest.raises(ZeroDivisionError):
             gl.inverse(0)
 
-    def test_div(self):
-        assert gl.div(10, 2) == 5
-        assert gl.mul(gl.div(7, 13), 13) == 7
-
     def test_pow_mod_negative_exponent(self):
         x = 123456789
         assert gl.mul(gl.pow_mod(x, -3), gl.pow_mod(x, 3)) == 1
 
     def test_exp_power_of_2(self):
         assert gl.exp_power_of_2(3, 4) == pow(3, 16, gl.P)
-
-    def test_is_canonical(self):
-        assert gl.is_canonical(0) and gl.is_canonical(gl.P - 1)
-        assert not gl.is_canonical(gl.P)
-        assert not gl.is_canonical(-1)
 
 
 class TestFieldAxioms:
@@ -138,25 +130,29 @@ class TestGeneratorAndRoots:
             gl.primitive_root_of_unity(-1)
 
     def test_roots_of_unity_list(self):
-        roots = gl.roots_of_unity(3)
+        w = gl.primitive_root_of_unity(3)
+        roots = [gl.pow_mod(w, i) for i in range(8)]
         assert len(roots) == 8
         assert len(set(roots)) == 8
         assert all(gl.pow_mod(r, 8) == 1 for r in roots)
 
 
 class TestBatchInverse:
+    """The shipped batch inversion, ``gl64.inv_fast`` (Montgomery's trick
+    as a product tree), against scalar ``inverse``."""
+
     def test_matches_single(self):
         r = random.Random(2)
         vals = [r.randrange(1, gl.P) for _ in range(37)]
-        out = gl.batch_inverse(vals)
-        assert out == [gl.inverse(v) for v in vals]
+        out = gl64.inv_fast(np.array(vals, dtype=np.uint64))
+        assert out.tolist() == [gl.inverse(v) for v in vals]
 
     def test_empty(self):
-        assert gl.batch_inverse([]) == []
+        assert gl64.inv_fast(np.zeros(0, dtype=np.uint64)).size == 0
 
     def test_zero_raises(self):
         with pytest.raises(ZeroDivisionError):
-            gl.batch_inverse([1, 2, 0, 4])
+            gl64.inv_fast(np.array([1, 2, 0, 4], dtype=np.uint64))
 
     def test_single_element(self):
-        assert gl.batch_inverse([2]) == [gl.inverse(2)]
+        assert int(gl64.inv_fast(np.array([2], dtype=np.uint64))[0]) == gl.inverse(2)

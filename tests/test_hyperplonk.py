@@ -27,6 +27,8 @@ from repro.plonk import CircuitBuilder
 from repro.protocols import get
 from repro.workloads import by_name
 
+from .reference_oracles import individual_paths_bytes
+
 HYPERPLONK = get("hyperplonk")
 
 CONFIG = HyperPlonkConfig(cap_height=1, num_queries=4)
@@ -309,3 +311,18 @@ class TestCodec:
         body = HYPERPLONK.to_bytes(proof)
         with pytest.raises(ValueError):
             HYPERPLONK.from_bytes(body + b"\x00")
+
+    def test_batched_openings_shrink_proof(self):
+        # Proof-size gate for format v2: each tree's multiproof must stay
+        # strictly smaller than the per-query authentication paths it
+        # replaced (shared sibling nodes are the whole win; equality would
+        # mean the dedup stopped deduplicating).  The preprocessed tree is
+        # in the setup artifact, so it prices the per-index encoding exactly.
+        circuit, inputs, _ = by_name("Fibonacci").build_circuit(8)
+        data = setup(circuit, HyperPlonkConfig(cap_height=1, num_queries=16))
+        proof = prove(data, inputs)
+        indices = proof.pre_opening.proof.indices
+        assert len(indices) > 1  # 16 queries must open more than one leaf
+        batched = proof.pre_opening.proof.size_bytes()
+        individual = individual_paths_bytes(data.preprocessed, indices)
+        assert batched < individual, (batched, individual)

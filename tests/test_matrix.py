@@ -6,9 +6,13 @@ import pytest
 from repro.field import gl64, goldilocks as gl, matrix as fm
 
 
+def eye(n):
+    return np.eye(n, dtype=np.uint64)
+
+
 class TestBasics:
     def test_identity(self):
-        i3 = fm.identity(3)
+        i3 = eye(3)
         assert np.array_equal(fm.matmul(i3, i3), i3)
 
     def test_matmul_matches_int_math(self, rng):
@@ -31,14 +35,6 @@ class TestBasics:
         for i in range(3):
             assert out[i] == sum(int(a[i, k]) * v[k] for k in range(3)) % gl.P
 
-    def test_transpose(self, rng):
-        a = gl64.random((2, 5), rng)
-        assert np.array_equal(fm.transpose(a), a.T)
-
-    def test_as_matrix_canonicalises(self):
-        m = fm.as_matrix([[gl.P + 1, 2], [3, 4]])
-        assert int(m[0, 0]) == 1
-
 
 class TestInverse:
     def test_inverse_roundtrip(self, rng):
@@ -48,11 +44,11 @@ class TestInverse:
                 inv = fm.inverse(a)
             except ValueError:
                 continue  # singular random matrix (negligible probability)
-            assert np.array_equal(fm.matmul(a, inv), fm.identity(n))
-            assert np.array_equal(fm.matmul(inv, a), fm.identity(n))
+            assert np.array_equal(fm.matmul(a, inv), eye(n))
+            assert np.array_equal(fm.matmul(inv, a), eye(n))
 
     def test_singular_raises(self):
-        a = fm.as_matrix([[1, 2], [2, 4]])
+        a = np.array([[1, 2], [2, 4]], dtype=np.uint64)
         with pytest.raises(ValueError):
             fm.inverse(a)
 
@@ -60,29 +56,12 @@ class TestInverse:
         with pytest.raises(ValueError):
             fm.inverse(gl64.random((2, 3), rng))
 
-    def test_determinant_singular(self):
-        assert fm.determinant(fm.as_matrix([[1, 2], [2, 4]])) == 0
-
-    def test_determinant_2x2(self):
-        a = fm.as_matrix([[1, 2], [3, 4]])
-        assert fm.determinant(a) == gl.sub(4, 6)
-
-    def test_determinant_identity(self):
-        assert fm.determinant(fm.identity(7)) == 1
-
-    def test_determinant_multiplicative(self, rng):
-        a = gl64.random((4, 4), rng)
-        b = gl64.random((4, 4), rng)
-        assert fm.determinant(fm.matmul(a, b)) == gl.mul(
-            fm.determinant(a), fm.determinant(b)
-        )
-
 
 class TestCauchyMds:
     def test_shape_and_invertibility(self):
         m = fm.cauchy_mds(12)
         assert m.shape == (12, 12)
-        assert fm.determinant(m) != 0
+        assert np.array_equal(fm.matmul(m, fm.inverse(m)), eye(12))
 
     def test_entries_formula(self):
         m = fm.cauchy_mds(4)
@@ -91,18 +70,20 @@ class TestCauchyMds:
                 assert int(m[i, j]) == gl.inverse(i + 4 + j)
 
     def test_mds_property_small_minors(self):
-        assert fm.is_mds_upto(fm.cauchy_mds(6))
+        import itertools
 
-    def test_non_mds_detected(self):
-        assert not fm.is_mds_upto(fm.identity(4))  # zeros off-diagonal
+        m = fm.cauchy_mds(6)
+        for rows in itertools.combinations(range(6), 2):
+            for cols in itertools.combinations(range(6), 2):
+                fm.inverse(m[np.ix_(rows, cols)])
 
     def test_all_submatrices_nonsingular_small(self):
-        # Exhaustive 2x2 and 3x3 minor check for a small Cauchy matrix.
+        # Exhaustive 2x2 and 3x3 minor check for a small Cauchy matrix:
+        # the MDS property (inverse raises on a singular minor).
         import itertools
 
         m = fm.cauchy_mds(5)
         for size in (2, 3):
             for rows in itertools.combinations(range(5), size):
                 for cols in itertools.combinations(range(5), size):
-                    sub = m[np.ix_(rows, cols)]
-                    assert fm.determinant(sub) != 0
+                    fm.inverse(m[np.ix_(rows, cols)])

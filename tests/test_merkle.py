@@ -12,7 +12,7 @@ from repro.merkle import MerkleTree, merkle_permutation_count, verify_proof
 class TestConstruction:
     def test_root_deterministic(self, rng):
         leaves = gl64.random((16, 5), rng)
-        assert np.array_equal(MerkleTree(leaves).root, MerkleTree(leaves).root)
+        assert np.array_equal(MerkleTree(leaves).cap[0], MerkleTree(leaves).cap[0])
 
     def test_any_leaf_change_changes_root(self, rng):
         leaves = gl64.random((16, 5), rng)
@@ -20,7 +20,7 @@ class TestConstruction:
         for i in (0, 7, 15):
             mod = leaves.copy()
             mod[i, 0] ^= np.uint64(1)
-            assert not np.array_equal(t.root, MerkleTree(mod).root)
+            assert not np.array_equal(t.cap[0], MerkleTree(mod).cap[0])
 
     def test_level_sizes(self, rng):
         t = MerkleTree(gl64.random((32, 3), rng))
@@ -29,15 +29,13 @@ class TestConstruction:
     def test_cap(self, rng):
         t = MerkleTree(gl64.random((32, 3), rng), cap_height=3)
         assert t.cap.shape == (8, 4)
-        with pytest.raises(ValueError):
-            _ = t.root
 
     def test_cap_equals_subtree_roots(self, rng):
         leaves = gl64.random((16, 3), rng)
         t = MerkleTree(leaves, cap_height=2)
         for k in range(4):
             sub = MerkleTree(leaves[k * 4 : (k + 1) * 4])
-            assert np.array_equal(t.cap[k], sub.root)
+            assert np.array_equal(t.cap[k], sub.cap[0])
 
     def test_single_leaf_wide_cap(self, rng):
         leaves = gl64.random((4, 3), rng)

@@ -51,7 +51,7 @@ class TestCpuModelEdges:
 
 class TestHwConfigEdges:
     def test_ntt_tile(self):
-        assert DEFAULT_CONFIG.ntt_tile == 32
+        assert 1 << DEFAULT_CONFIG.ntt_tile_log2 == 32  # the MDC pipeline tile
 
     def test_scratchpad_bytes(self):
         assert DEFAULT_CONFIG.scratchpad_bytes == 8 << 20

@@ -5,11 +5,9 @@ import pytest
 
 from repro.field import gl64
 from repro.merkle import MerkleTree
-from repro.merkle.multiproof import (
-    individual_paths_bytes,
-    prove_multi,
-    verify_multi,
-)
+from repro.merkle.multiproof import prove_multi, verify_multi
+
+from .reference_oracles import individual_paths_bytes
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,4 @@
-"""NTT transforms: all order/coset variants versus the direct DFT."""
+"""NTT transforms: natural-order and coset variants versus the direct DFT."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro import ntt as N
 from repro.field import gl64, goldilocks as gl
+
+from .reference_oracles import Polynomial
 
 
 def dft_reference(a):
@@ -55,22 +57,6 @@ class TestForwardInverse:
 
 
 class TestOrders:
-    def test_nr_is_bitreversed_nn(self, rng):
-        a = gl64.random(32, rng)
-        assert np.array_equal(N.ntt_nr(a), N.bit_reverse(N.ntt(a)))
-
-    def test_rn_takes_bitreversed_input(self, rng):
-        a = gl64.random(32, rng)
-        assert np.array_equal(N.ntt_rn(N.bit_reverse(a)), N.ntt(a))
-
-    def test_intt_nr(self, rng):
-        a = gl64.random(32, rng)
-        assert np.array_equal(N.intt_nr(N.ntt(a)), N.bit_reverse(a))
-
-    def test_intt_rn(self, rng):
-        a = gl64.random(32, rng)
-        assert np.array_equal(N.intt_rn(N.bit_reverse(N.ntt(a))), a)
-
     def test_bit_reverse_involution(self, rng):
         a = gl64.random(64, rng)
         assert np.array_equal(N.bit_reverse(N.bit_reverse(a)), a)
@@ -93,8 +79,6 @@ class TestBatch:
 
 class TestCosetAndLde:
     def test_coset_evaluates_on_shifted_domain(self, rng):
-        from repro.ntt import Polynomial
-
         a = gl64.random(16, rng)
         p = Polynomial(a)
         out = N.coset_ntt(a)
@@ -111,10 +95,6 @@ class TestCosetAndLde:
         a = gl64.random(16, rng)
         assert np.array_equal(N.coset_intt(N.coset_ntt(a, 11), 11), a)
 
-    def test_coset_nr(self, rng):
-        a = gl64.random(32, rng)
-        assert np.array_equal(N.coset_ntt_nr(a), N.bit_reverse(N.coset_ntt(a)))
-
     def test_lde_preserves_polynomial(self, rng):
         values = N.ntt(gl64.random(16, rng))
         extended = N.lde(values, 3)
@@ -124,8 +104,6 @@ class TestCosetAndLde:
         assert not coeffs[16:].any()
 
     def test_lde_agrees_pointwise(self, rng):
-        from repro.ntt import Polynomial
-
         a = gl64.random(8, rng)
         values = N.ntt(a)
         extended = N.lde(values, 2)
@@ -170,16 +148,6 @@ class TestLinearity:
 
 
 class TestExtensionTransforms:
-    def test_roundtrip(self, rng):
-        a = np.stack([gl64.random(32, rng), gl64.random(32, rng)], axis=-1)
-        assert np.array_equal(N.intt_ext(N.ntt_ext(a)), a)
-
-    def test_limbwise(self, rng):
-        a = np.stack([gl64.random(16, rng), gl64.random(16, rng)], axis=-1)
-        out = N.ntt_ext(a)
-        assert np.array_equal(out[..., 0], N.ntt(a[..., 0]))
-        assert np.array_equal(out[..., 1], N.ntt(a[..., 1]))
-
     def test_coset_intt_ext(self, rng):
         a = np.stack([gl64.random(16, rng), gl64.random(16, rng)], axis=-1)
         fwd = np.stack([N.coset_ntt(a[..., 0]), N.coset_ntt(a[..., 1])], axis=-1)

@@ -21,7 +21,6 @@ import pytest
 
 from repro import metrics, parallel, protocols, tracing
 from repro.fri.config import FriConfig
-from repro.fri.prover import PolynomialBatch
 from repro.merkle import MerkleTree, level_sizes
 from repro.ntt import lde_coeffs
 from repro.parallel import ops as par_ops
@@ -31,6 +30,7 @@ from repro.sumcheck import fold_table
 from repro.workloads import fibonacci
 
 from .goldens import DIGESTS, PROVE_COUNTERS, SCALE
+from .reference_oracles import commit_coeffs
 
 CONFIG = FriConfig(
     rate_bits=1, cap_height=1, num_queries=8, proof_of_work_bits=4, final_poly_len=4
@@ -85,14 +85,6 @@ class TestShardGraph:
         g = parallel.ShardGraph()
         with pytest.raises(ValueError, match="unknown"):
             g.add("b", "k", {}, deps=("missing",))
-
-    def test_dependents_reverse_edges(self):
-        g = parallel.ShardGraph()
-        g.add("a", "k", {})
-        g.add("b", "k", {}, deps=("a",))
-        g.add("c", "k", {}, deps=("a", "b"))
-        assert g.dependents() == {"a": ["b", "c"], "b": ["c"], "c": []}
-        assert len(g) == 3
 
 
 class TestBuildOrder:
@@ -377,7 +369,7 @@ class TestShardedMerkle:
         coeffs = rng.integers(0, 2**63, size=(3, 32), dtype=np.uint64)
         values = lde_coeffs(coeffs, 1).T
         whole = MerkleTree(values, cap_height=1)
-        inline = PolynomialBatch.from_coeffs(coeffs.copy(), rate_bits=1, cap_height=1)
+        inline = commit_coeffs(coeffs.copy(), 1, 1)
         with _pool(3) as pool:  # 4 subtrees + the cap climb
             stage = par_ops.from_coeffs_graph(pool, None, coeffs, 1, 1, "t")
             assert stage.pool is pool and len(stage.graph) == 3 + 4 + 1

@@ -28,7 +28,7 @@ class TestLabels:
             n = 1 << n_bits
             for i in range(3):
                 for j in range(i + 1, 3):
-                    ratio = gl.div(ks[i], ks[j])
+                    ratio = gl.mul(ks[i], gl.inverse(ks[j]))
                     assert gl.pow_mod(ratio, n) != 1
 
     def test_id_values_distinct(self):
@@ -108,7 +108,7 @@ class TestZ:
         z, f, g = compute_z(wires, id_values(c.n), sigma_values(c), 123, 456)
         total = 1
         for i in range(c.n):
-            total = gl.mul(total, gl.div(int(f[i]), int(g[i])))
+            total = gl.mul(total, gl.mul(int(f[i]), gl.inverse(int(g[i]))))
         assert total == 1
 
     def test_z_recurrence(self):
@@ -116,7 +116,7 @@ class TestZ:
         wires = c.wire_values(w)
         z, f, g = compute_z(wires, id_values(c.n), sigma_values(c), 77, 88)
         for i in range(c.n - 1):
-            expect = gl.mul(int(z[i]), gl.div(int(f[i]), int(g[i])))
+            expect = gl.mul(int(z[i]), gl.mul(int(f[i]), gl.inverse(int(g[i]))))
             assert int(z[i + 1]) == expect
 
     def test_z_matches_direct_cumulative_product(self):
@@ -128,7 +128,7 @@ class TestZ:
         acc = 1
         direct = [1]
         for i in range(c.n - 1):
-            acc = gl.mul(acc, gl.div(int(f[i]), int(g[i])))
+            acc = gl.mul(acc, gl.mul(int(f[i]), gl.inverse(int(g[i]))))
             direct.append(acc)
         assert [int(v) for v in z] == direct
 
@@ -149,7 +149,7 @@ class TestZ:
         z, f, g = compute_z(wires, id_values(c.n), sigma_values(c), 123, 456)
         total = 1
         for i in range(c.n):
-            total = gl.mul(total, gl.div(int(f[i]), int(g[i])))
+            total = gl.mul(total, gl.mul(int(f[i]), gl.inverse(int(g[i]))))
         assert total != 1
 
     def test_blend(self, rng):

@@ -158,15 +158,10 @@ class TestSpans:
             assert child_sum <= span.elapsed_s + 1e-6
 
     def test_span_is_noop_without_session(self):
-        assert tracing.active_session() is None
+        assert tracing._ACTIVE.get() is None
         with tracing.span("orphan"):
             pass  # must not raise or record anywhere
-        assert tracing.active_session() is None
-
-    def test_stage_seconds_covers_all_names(self):
-        session, _ = self._traced_prove()
-        stages = session.stage_seconds()
-        assert set(stages) == {s.name for s in session.walk()}
+        assert tracing._ACTIVE.get() is None
 
     def test_roundtrip_through_dict(self):
         session, _ = self._traced_prove()
@@ -255,7 +250,7 @@ class TestSessionIsolation:
                 with tracing.trace() as inner:
                     with tracing.span("inner-stage"):
                         pass
-                assert tracing.active_session() is outer
+                assert tracing._ACTIVE.get() is outer
         assert [s.name for s in inner.walk()] == ["inner-stage"]
         assert [s.name for s in outer.walk()] == ["outer-stage"]
 
@@ -295,7 +290,7 @@ class TestAttachSpans:
         }]
 
     def test_noop_without_session(self):
-        assert tracing.active_session() is None
+        assert tracing._ACTIVE.get() is None
         assert tracing.attach_spans(self._worker_payload()) == 0
 
     def test_empty_payload_is_noop(self):

@@ -26,7 +26,8 @@ class TestCircuitChallenger:
         b = CircuitBuilder()
         vars_ = [b.add_variable() for _ in obs]
         cc = CircuitChallenger(b)
-        cc.observe_many(vars_)
+        for v in vars_:
+            cc.observe(v)
         challenges = [cc.get_challenge() for _ in range(3)]
         c = b.build()
         w = c.generate_witness({v.index: x for v, x in zip(vars_, obs)})

@@ -1,12 +1,15 @@
 """Service failure-path tests: crashes, timeouts, retries, drain."""
 
+import contextlib
 import os
 import signal
+import socketserver
+import threading
 import time
 
 import pytest
 
-from repro.service import JobFailed, ProvingService, verify_result
+from repro.service import JobFailed, ProvingService, verify_result, wait_for_server
 
 
 FIB = {"workload": "Fibonacci", "kind": "stark", "scale": 5}
@@ -74,7 +77,7 @@ class TestWorkerCrash:
             deadline = time.monotonic() + 10
             busy = []
             while not busy and time.monotonic() < deadline:
-                busy = svc.pool.busy_workers()
+                busy = [w for w in svc.pool.workers if not w.idle]
                 time.sleep(0.02)
             assert busy, "job never started"
             os.kill(busy[0].process.pid, signal.SIGKILL)
@@ -156,3 +159,58 @@ class TestDrain:
         svc.start()
         assert svc.drain(timeout_s=0.1) is False
         svc.close(drain=True, timeout_s=60)
+
+
+@contextlib.contextmanager
+def _foreign_listener(reply: bytes):
+    """A TCP server that is not a proving service: it answers every line
+    with ``reply``.  Yields its port and the list of accepted connections."""
+    connections = []
+
+    class Handler(socketserver.StreamRequestHandler):
+        def handle(self):
+            connections.append(self.client_address)
+            for _ in self.rfile:
+                self.wfile.write(reply)
+
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Handler)
+    server.daemon_threads = True
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server.server_address[1], connections
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(5)
+        assert not thread.is_alive()
+
+
+class TestWaitForServer:
+    """Anything but a pong is "not ready yet": polled, slept on, and
+    ``False`` at the deadline -- never an exception, never a busy loop."""
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            b"HTTP/1.0 400 Bad Request\r\n\r\n",
+            b'{"ok": false, "error": "starting"}\n',
+            b'{"ok": true, "pong": false}\n',
+            b"[1, 2, 3]\n",
+        ],
+        ids=["http", "refused", "no-pong", "not-an-object"],
+    )
+    def test_foreign_listener_times_out_false(self, reply):
+        with _foreign_listener(reply) as (port, connections):
+            start = time.monotonic()
+            assert wait_for_server("127.0.0.1", port, timeout_s=0.5) is False
+            elapsed = time.monotonic() - start
+        assert 0.5 <= elapsed < 1.5
+        assert 2 <= len(connections) <= 8  # one poll per ~0.1 s
+
+    def test_nothing_listening_times_out_false(self):
+        with socketserver.TCPServer(("127.0.0.1", 0), None) as probe:
+            port = probe.server_address[1]  # free once the probe closes
+        start = time.monotonic()
+        assert wait_for_server("127.0.0.1", port, timeout_s=0.3) is False
+        assert time.monotonic() - start < 1.0

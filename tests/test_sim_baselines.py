@@ -10,9 +10,15 @@ from repro.baselines import (
     PipeZkModel,
     SHA256_CONSTRAINTS,
 )
-from repro.compiler import PlonkParams, StarkParams, trace_plonky2, trace_starky
+from repro.compiler import (
+    PlonkParams,
+    StarkParams,
+    trace_plonky2,
+    trace_recursive_plonky2,
+    trace_starky,
+)
 from repro.hw import DEFAULT_CONFIG as HW
-from repro.sim import simulate_plonky2, simulate_starky, simulate_starky_plonky2
+from repro.sim import simulate_graph, simulate_plonky2, simulate_starky
 
 FACTORIAL = PlonkParams(name="Factorial", degree_bits=20, width=135)
 SMALL = PlonkParams(name="small", degree_bits=12, width=50)
@@ -76,14 +82,15 @@ class TestSimulator:
         assert s.total_cycles < p.total_cycles / 3
 
     def test_starky_plonky2_stages(self):
-        rep = simulate_starky_plonky2(StarkParams(name="x", degree_bits=14, width=64))
-        assert rep["base"].total_seconds > 0
-        assert rep["recursive"].total_seconds > 0
+        base = simulate_starky(StarkParams(name="x", degree_bits=14, width=64))
+        recursive = simulate_graph(trace_recursive_plonky2())
+        assert base.total_seconds > 0
+        assert recursive.total_seconds > 0
 
     def test_cycles_by_stage(self):
-        by_stage = simulate_plonky2(SMALL).cycles_by_stage()
-        assert "wires_commitment" in by_stage
-        assert "prove_openings" in by_stage
+        stages = {r.stage for r in simulate_plonky2(SMALL).records}
+        assert "wires_commitment" in stages
+        assert "prove_openings" in stages
 
     def test_summary_lines(self):
         lines = simulate_plonky2(SMALL).summary_lines()
