@@ -198,6 +198,9 @@ def _representative_graphs(pool):
     rows = np.arange(4 * 16, dtype=np.uint64).reshape(4, 16)
     yield "commit:from_coeffs", ops.from_coeffs_graph(pool, ws, rows, 1, 1, "chk:coeffs").graph
     yield "commit:from_values", ops.from_values_graph(pool, ws, rows, 1, 1, "chk:values").graph
+    yield "commit:coset_leaves", ops.from_values_graph(
+        pool, ws, rows, 1, 1, "chk:cosets", FRI_ARITY_BITS
+    ).graph
 
     ext = np.arange(32 * 2, dtype=np.uint64).reshape(32, 2)
     yield "commit:quotient", ops.quotient_commit_graph(

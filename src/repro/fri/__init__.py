@@ -1,6 +1,12 @@
 """FRI polynomial commitment scheme (commit, batch-open, verify)."""
 
-from .config import PLONKY2_CONFIG, STARKY_CONFIG, TEST_CONFIG, FriConfig
+from .config import (
+    PLONKY2_CONFIG,
+    STARKY_CONFIG,
+    TEST_CONFIG,
+    FriConfig,
+    initial_arity_bits,
+)
 from .plan import DomainPlan, plan_for
 from .proof import FriProof
 from .prover import (
@@ -18,6 +24,7 @@ __all__ = [
     "PLONKY2_CONFIG",
     "STARKY_CONFIG",
     "TEST_CONFIG",
+    "initial_arity_bits",
     "FriProof",
     "DomainPlan",
     "plan_for",

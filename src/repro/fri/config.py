@@ -9,12 +9,19 @@ Folding is committed every :data:`FRI_ARITY_BITS` arity-2 folds, as
 Plonky2/Starky's ``ConstantArityBits`` reduction strategy does: one
 Merkle tree per fold by 8, whose leaves are the 8-element cosets the
 next layer's value is interpolated from.
+
+The first layer may instead be *virtual* (:func:`initial_arity_bits`):
+the batch commitments themselves hash the coset of rows a first fold
+reads, so the verifier recomputes that layer from the opened rows and
+no layer-0 tree is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence, Tuple
+
+from .proof import DIGEST_BYTES, ELEM_BYTES
 
 #: log2 of the folding arity of one committed FRI layer (fold by 8).
 FRI_ARITY_BITS = 3
@@ -85,8 +92,45 @@ class FriConfig:
         ``(2**a - 1) * |D| / |F_ext|``.
         For ``a = 3``, ``|D| <= 2**24`` and ``|F_ext| ~ 2**128`` that is
         below ``2**-101`` a layer, far under the query term.
+        A virtual first layer (:func:`initial_arity_bits`) leaves both
+        terms as they are: the same ``a`` folds run with one ``beta``
+        over the same domain, and their inputs are bound by the batch
+        caps directly instead of by a layer-0 cap plus a one-slot check.
         """
         return self.num_queries * self.rate_bits + self.proof_of_work_bits
+
+
+def initial_arity_bits(
+    config: FriConfig, degree_bits: int, leaf_widths: Sequence[int]
+) -> int:
+    """Arity bits the batch commitments' leaves carry: 0 or the first
+    :meth:`FriConfig.fold_schedule` entry ``a``.
+
+    With ``a``, every batch commits leaf ``i`` as the LDE rows
+    ``i + j * N / 2**a`` for ``j < 2**a`` -- the coset the first fold
+    reads -- so FRI folds it ``a`` times without committing layer 0.
+    ``leaf_widths`` are the batches' public column counts (optional salt
+    columns excluded): the verifier derives the layout from them, never
+    from the proof.
+
+    ``a`` is chosen only when it makes the FRI proof smaller under the
+    :meth:`~repro.fri.proof.FriProof.size_bytes` count -- per query and
+    batch ``(2**a - 1) * w`` more elements and ``a`` fewer path digests,
+    against the layer-0 coset leaf, path and cap it removes (a tie keeps
+    row leaves) -- and only when the ``N / 2**a``-leaf tree still holds
+    ``cap_height``, so every config the row layout accepts still proves.
+    """
+    schedule = config.fold_schedule(degree_bits)
+    if not schedule:
+        return 0
+    a = schedule[0]
+    depth = degree_bits + config.rate_bits - a  # the coset trees' depth
+    if config.cap_height > depth:
+        return 0
+    grown = sum(((1 << a) - 1) * w * ELEM_BYTES - a * DIGEST_BYTES for w in leaf_widths)
+    layer0 = (2 << a) * ELEM_BYTES + (depth - config.cap_height) * DIGEST_BYTES
+    removed = config.num_queries * layer0 + (1 << config.cap_height) * DIGEST_BYTES
+    return a if config.num_queries * grown < removed else 0
 
 
 #: Plonky2's typical configuration (~100-bit conjectured security).

@@ -6,7 +6,9 @@ Implements the commit / fold / grind / query pipeline of Figure 1
 1. every polynomial batch is low-degree-extended (``iNTT^NN`` then
    zero-pad then coset ``NTT``) and Merkle-committed, with leaf ``i``
    concatenating the values of all batch polynomials at LDE point ``i``
-   (Section 2.2, step 3);
+   (Section 2.2, step 3) -- or, under the layout
+   :func:`~repro.fri.config.initial_arity_bits` picks, at the ``2**a``
+   points ``i + j * N / 2**a`` of the coset the first fold reads;
 2. opening at ``zeta`` reduces all claims to one low-degree test on the
    combined quotient ``sum_k alpha-weighted (F(x) - y) / (x - z_k)``;
 3. the combined values are folded along ``config.fold_schedule``: a
@@ -14,7 +16,9 @@ Implements the commit / fold / grind / query pipeline of Figure 1
    cosets of the next layer as leaves, one beta is drawn through
    Fiat-Shamir, and :func:`fold_values` runs ``a`` times with
    ``beta, beta**2, beta**4, ...`` -- which is the arity-``2**a`` coset
-   interpolant evaluated at ``beta``;
+   interpolant evaluated at ``beta``.  When the batches' leaves already
+   are those cosets, the first layer is virtual: its beta follows the
+   FRI alpha with no cap between, and no tree is built for it;
 4. grinding (proof-of-work) and random query indices finish the proof.
 """
 
@@ -41,8 +45,10 @@ class PolynomialBatch:
     """A batch of polynomials committed under one Merkle cap.
 
     ``coeffs`` is (num_polys, n); ``values`` is the (N_lde, num_polys)
-    LDE-value matrix in natural order over the coset ``g * <omega>``
-    (index-major leaf layout, exactly the paper's leaf formation).
+    LDE-value matrix in natural order over the coset ``g * <omega>``.
+    The tree's leaves are its rows (index-major, exactly the paper's
+    leaf formation) or, with :attr:`coset_bits` ``a > 0``, the cosets of
+    ``2**a`` rows a first FRI fold reads.
     """
 
     coeffs: np.ndarray
@@ -58,20 +64,34 @@ class PolynomialBatch:
         cap_height: int,
         ws: gl64.Workspace | None = None,
         slot: str | None = None,
+        coset_bits: int = 0,
     ) -> "PolynomialBatch":
         """Commit polynomials given by their subgroup evaluations.
 
         Each row shard interpolates (iNTT) its own rows before extending
-        them, so the two transforms pipeline per shard.
+        them, so the two transforms pipeline per shard.  ``coset_bits``
+        is the leaf layout :func:`~repro.fri.config.initial_arity_bits`
+        derived for the opening this batch joins.
         """
         return par_ops.from_values_graph(
-            parallel.current_pool(), ws, subgroup_values, rate_bits, cap_height, slot
+            parallel.current_pool(),
+            ws,
+            subgroup_values,
+            rate_bits,
+            cap_height,
+            slot,
+            coset_bits,
         ).run()
 
     @property
     def degree_n(self) -> int:
         """Original (pre-blowup) domain size."""
         return self.coeffs.shape[1]
+
+    @property
+    def coset_bits(self) -> int:
+        """log2 of the LDE rows one committed leaf holds."""
+        return (self.values.shape[0] // self.tree.num_leaves()).bit_length() - 1
 
     @property
     def cap(self) -> np.ndarray:
@@ -240,8 +260,17 @@ def fri_prove(
 
     The caller must already have observed the batch caps and any
     protocol messages; this function observes the claimed opening values
-    (mirrored by the verifier) and runs the FRI transcript.
+    (mirrored by the verifier) and runs the FRI transcript.  The batches
+    share one leaf layout: rows, or the first layer's cosets
+    (``coset_bits`` equal to ``config.fold_schedule``'s first entry),
+    which makes that layer virtual.
     """
+    n = batches[0].degree_n
+    schedule = config.fold_schedule(n.bit_length() - 1)
+    virtual = batches[0].coset_bits
+    if {b.coset_bits for b in batches} != {virtual} or virtual not in (0, *schedule[:1]):
+        raise ValueError("batch leaf layouts do not match the fold schedule")
+
     challenger.observe_elements(openings.flat_values())
     alpha = challenger.get_ext_challenge()
 
@@ -252,22 +281,22 @@ def fri_prove(
     n_lde = batches[0].values.shape[0]
     with tracing.span("fri:combine", category="fri"):
         values = par_ops.combine_graph(pool, ws, batches, openings, alpha).run()
-    n = batches[0].degree_n
     log_lde = n_lde.bit_length() - 1
 
-    # Commit phase: one tree and one beta per committed layer.
-    schedule = config.fold_schedule(n.bit_length() - 1)
+    # Commit phase: one tree and one beta per committed layer; a virtual
+    # first layer draws its beta straight after alpha.
     num_rounds = sum(schedule)
     trees: List[MerkleTree] = []
     shift = gl.coset_shift()
     cur_log = log_lde
     with tracing.span("fri:fold", category="fri", rounds=num_rounds, layers=len(schedule)):
         for i, arity_bits in enumerate(schedule):
-            tree = par_ops.layer_tree_graph(
-                pool, ws, values, arity_bits, config.cap_height, i
-            ).run()
-            trees.append(tree)
-            challenger.observe_cap(tree.cap)
+            if i or not virtual:
+                tree = par_ops.layer_tree_graph(
+                    pool, ws, values, arity_bits, config.cap_height, i
+                ).run()
+                trees.append(tree)
+                challenger.observe_cap(tree.cap)
             beta = challenger.get_ext_challenge()
             for _ in range(arity_bits):
                 values = fold_values(values, beta, shift, cur_log)

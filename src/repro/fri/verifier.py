@@ -12,7 +12,9 @@ carries a query axis -- the combined quotient, each fold layer and the
 final-polynomial evaluation are one array expression over all queries,
 the same :func:`~repro.fri.prover.combine_rows` /
 :func:`~repro.fri.prover.fold_pairs` identities the prover runs over
-the whole domain.
+the whole domain.  Under coset leaves the combined quotient is taken at
+every row an initial leaf holds, and that coset is folded like an
+opened layer leaf -- with no layer-0 cap or consistency slot to check.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from ..errors import VerifierError
 from ..field import extension as fext, gl64, goldilocks as gl
 from ..hashing import Challenger
 from ..merkle import PathOpening, verify_paths
-from .config import FriConfig
+from .config import FriConfig, initial_arity_bits
 from .proof import FriProof
 from .prover import (
     FriOpenings,
@@ -56,25 +58,40 @@ def fri_verify(
     ``batch_caps`` are the caps of the original commitments (in the same
     order the prover used); ``degree_n`` is the claimed degree bound
     (the pre-blowup domain size).  ``leaf_widths``, when given, pins the
-    number of elements each initial-opening leaf must carry (one entry
+    number of columns each batch's opened rows must carry (one entry
     per batch, an int or a tuple of admissible ints -- a batch that may
     carry optional blinding salt columns admits both widths):
     ``hash_or_noop`` zero-pads rows shorter than a digest, so without
     the width pin an attacker could present a padded or truncated leaf
     whose digest still matches the commitment.
+
+    The widths also fix the leaf layout: the batches commit cosets of
+    ``2**a`` rows, ``a = initial_arity_bits(config, log2(degree_n),
+    widths)`` over each entry's first (salt-free) width, and FRI's first
+    layer is then virtual.  Without ``leaf_widths`` the batches commit
+    one row a leaf.
     """
+    degree_bits = degree_n.bit_length() - 1
+    widths = [(w,) if isinstance(w, int) else tuple(w) for w in leaf_widths or ()]
+    a = initial_arity_bits(config, degree_bits, [w[0] for w in widths]) if widths else 0
     with tracing.span("verify:transcript", category="verify"):
         challenger.observe_elements(openings.flat_values())
         alpha = challenger.get_ext_challenge()
 
         n_lde = degree_n << config.rate_bits
         log_lde = n_lde.bit_length() - 1
-        schedule = config.fold_schedule(degree_n.bit_length() - 1)
+        schedule = config.fold_schedule(degree_bits)
         num_rounds = sum(schedule)
-        if len(proof.commit_caps) != len(schedule):
-            raise FriError(f"expected {len(schedule)} layer caps, got {len(proof.commit_caps)}")
+        # The walk below starts from layer 0: the batches' own ``2**a``-row
+        # leaves (virtual, no cap) or, with row leaves, a one-point coset
+        # that folds zero times; every later layer is committed.
+        arities = (a, *schedule[1:]) if a else (0, *schedule)
+        if len(proof.commit_caps) != len(arities) - 1:
+            raise FriError(
+                f"expected {len(arities) - 1} layer caps, got {len(proof.commit_caps)}"
+            )
 
-        betas: List[np.ndarray] = []
+        betas: List[np.ndarray | None] = [challenger.get_ext_challenge() if a else None]
         for cap in proof.commit_caps:
             challenger.observe_cap(cap)
             betas.append(challenger.get_ext_challenge())
@@ -108,14 +125,14 @@ def fri_verify(
             raise FriError("initial opening count mismatch")
         if len(qr.initial.proofs) != len(qr.initial.leaves):
             raise FriError("initial opening count mismatch")
-        if len(qr.layers) != len(schedule):
+        if len(qr.layers) != len(arities) - 1:
             raise FriError("wrong number of layer openings")
         # A truncated or reshaped coset leaf would put values in the
         # wrong slots, and ``hash_or_noop`` zero-pads a 3-element row
         # into the digest of a 4-element row ending in 0.
         if any(
             layer.coset_leaf.shape != (2 << bits,)
-            for layer, bits in zip(qr.layers, schedule)
+            for layer, bits in zip(qr.layers, arities[1:])
         ):
             raise FriError("malformed layer leaf")
     for b in range(len(batch_caps)):
@@ -124,37 +141,34 @@ def fri_verify(
         shape = rounds[0].initial.leaves[b].shape
         if len(shape) != 1 or any(qr.initial.leaves[b].shape != shape for qr in rounds):
             raise FriError("malformed initial leaf")
-        if leaf_widths is not None:
-            allowed = leaf_widths[b]
-            if shape[0] not in ((allowed,) if isinstance(allowed, int) else allowed):
-                raise FriError("malformed initial leaf")
+        if widths and shape[0] not in tuple(w << a for w in widths[b]):
+            raise FriError("malformed initial leaf")
     for cols in openings.columns:
         for b, c in cols:
             if not 0 <= b < len(batch_caps):
                 raise FriError("opened batch index out of range")
-            if not 0 <= c < rounds[0].initial.leaves[b].shape[0]:
+            if not 0 <= c < rounds[0].initial.leaves[b].shape[0] >> a:
                 raise FriError("opened column exceeds initial leaf width")
 
     # Layer k has ``sizes[k]`` values in ``sizes[k + 1]`` coset leaves; a
     # query at position p opens leaf ``p % sizes[k + 1]``, which is also
-    # its position in layer k + 1.
-    cur = np.asarray(indices, dtype=np.int64)
+    # its position in layer k + 1.  Layer 0's leaves are the batches'.
     sizes = [n_lde]
-    for bits in schedule:
+    for bits in arities:
         sizes.append(sizes[-1] >> bits)
-    leaf_ids = [cur % m for m in sizes[1:]]
+    leaf_ids = [np.asarray(indices, dtype=np.int64) % m for m in sizes[1:]]
 
     with tracing.span("verify:merkle", category="verify", queries=len(rounds)):
         paths = [
-            PathOpening([leaf], (qr.index,), prf.siblings, cap)
-            for qr in rounds
+            PathOpening([leaf], (int(leaf_ids[0][q]),), prf.siblings, cap)
+            for q, qr in enumerate(rounds)
             for leaf, prf, cap in zip(qr.initial.leaves, qr.initial.proofs, batch_caps)
         ]
         num_initial = len(paths)
         paths += [
             PathOpening([layer.coset_leaf], (int(ids[q]),), layer.proof.siblings, cap)
             for q, qr in enumerate(rounds)
-            for layer, ids, cap in zip(qr.layers, leaf_ids, proof.commit_caps)
+            for layer, ids, cap in zip(qr.layers, leaf_ids[1:], proof.commit_caps)
         ]
         verdicts = verify_paths(paths)
         if not verdicts[:num_initial].all():
@@ -163,26 +177,35 @@ def fri_verify(
             raise FriError("layer Merkle proof failed")
 
     with tracing.span("verify:fold", category="verify", rounds=num_rounds):
+        # coset[q, j] is the value at position leaf_ids[k][q] + j * sizes[k + 1];
+        # for layer 0 that is the combined quotient at the rows each
+        # initial leaf holds, slot j after slot j - 1.
+        num_q, arity = len(rounds), 1 << a
         leaf_rows = [
-            gl64.asarray(np.stack([qr.initial.leaves[b] for qr in rounds]))
+            gl64.asarray(np.stack([qr.initial.leaves[b] for qr in rounds])).reshape(
+                num_q * arity, -1
+            )
             for b in range(len(batch_caps))
         ]
+        points = leaf_ids[0][:, None] + sizes[1] * np.arange(arity)
         try:
-            values = combine_rows(leaf_rows, lde_points(log_lde)[cur], openings, alpha)
+            coset = combine_rows(
+                leaf_rows, lde_points(log_lde)[points.reshape(-1)], openings, alpha
+            ).reshape(num_q, arity, 2)
         except ZeroDivisionError as exc:
             raise FriError("opening point lies on the evaluation domain") from exc
 
         shift = gl.coset_shift()
         cur_log = log_lde
-        queries = np.arange(len(rounds))
-        for k, (beta, bits, ids) in enumerate(zip(betas, schedule, leaf_ids)):
+        queries = np.arange(num_q)
+        for k, (beta, bits, ids) in enumerate(zip(betas, arities, leaf_ids)):
             m = sizes[k + 1]
-            # coset[q, j] is the value at position ids[q] + j * m.
-            coset = np.stack([qr.layers[k].coset_leaf for qr in rounds]).reshape(
-                len(rounds), 1 << bits, 2
-            )
-            if not np.array_equal(coset[queries, cur // m], values):
-                raise FriError("fold consistency check failed")
+            if k:
+                coset = np.stack([qr.layers[k - 1].coset_leaf for qr in rounds]).reshape(
+                    num_q, 1 << bits, 2
+                )
+                if not np.array_equal(coset[queries, cur // m], values):
+                    raise FriError("fold consistency check failed")
             # The prover's ``bits`` arity-2 folds, on each coset alone:
             # slots j and j + half hold x and -x.
             for _ in range(bits):
@@ -193,7 +216,7 @@ def fri_verify(
                     coset[:, half:].reshape(-1, 2),
                     weights.reshape(-1),
                     beta,
-                ).reshape(len(rounds), half, 2)
+                ).reshape(num_q, half, 2)
                 beta = fext.square(beta)
                 shift = gl.mul(shift, shift)
                 cur_log -= 1

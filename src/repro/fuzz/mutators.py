@@ -431,6 +431,41 @@ def arity2_shaped_leaf(target: FuzzTarget, rng) -> Optional[Mutant]:
     return Mutant("arity2-shaped-leaf", data=target.encode(proof))
 
 
+def permute_coset_rows(target: FuzzTarget, rng) -> Optional[Mutant]:
+    """Permute the rows inside one opened initial coset leaf, path kept.
+
+    Under coset leaves an initial leaf holds the LDE rows a virtual
+    first FRI layer folds, one slot after another; reordered, it keeps
+    every width and shape the verifier pins, so only the commitment's
+    binding of the slot order can reject it.  A row is as wide as the
+    batch's opened columns; batches of one row a leaf do not apply.
+    """
+    proof = target.decode(target.blob)
+    if not hasattr(proof, "openings"):
+        return None
+    widths: Dict[int, int] = {}
+    for cols in proof.openings.columns:
+        for b, c in cols:
+            widths[b] = max(widths.get(b, 0), c + 1)
+    picks = [
+        (qr, b)
+        for qr in proof.fri_proof.query_rounds
+        for b, w in widths.items()
+        if qr.initial.leaves[b].size > w and qr.initial.leaves[b].size % w == 0
+    ]
+    if not picks:
+        return None
+    qr, b = _choice(rng, picks)
+    rows = qr.initial.leaves[b].reshape(-1, widths[b])
+    order = rng.permutation(rows.shape[0])
+    if np.array_equal(order, np.arange(rows.shape[0])):
+        order = order[::-1]
+    if np.array_equal(rows[order], rows):
+        return None
+    qr.initial.leaves[b] = rows[order].reshape(-1)
+    return Mutant("permute-coset-rows", data=target.encode(proof))
+
+
 # -- sumcheck mutators (hyperplonk-shaped proofs only) -------------------------
 
 
@@ -581,6 +616,7 @@ MUTATORS: Dict[str, Callable[[FuzzTarget, np.random.Generator], Optional[Mutant]
     "truncate-coset-leaf": truncate_coset_leaf,
     "swap-coset-values": swap_coset_values,
     "arity2-shaped-leaf": arity2_shaped_leaf,
+    "permute-coset-rows": permute_coset_rows,
     "tamper-sumcheck-round": tamper_sumcheck_round,
     "perturb-final-value": perturb_final_value,
     "perturb-claimed-sum": perturb_claimed_sum,

@@ -49,9 +49,10 @@ TYPED_REJECTIONS: Tuple[type, ...] = (ValueError, VerifierError)
 
 #: Both FRI targets fold their first committed layer by 8 (the STARK
 #: ``alt_blob`` adds an arity-2 tail layer), so every coset-leaf
-#: mutator applies to both.
+#: mutator applies to both.  The STARK target's batches commit 8-row
+#: coset leaves (a virtual first layer); Plonk's commit one row a leaf.
 _STARK_CONFIG = FriConfig(
-    rate_bits=1, cap_height=1, num_queries=4, proof_of_work_bits=2, final_poly_len=4
+    rate_bits=1, cap_height=1, num_queries=4, proof_of_work_bits=2, final_poly_len=1
 )
 _PLONK_CONFIG = FriConfig(
     rate_bits=3, cap_height=1, num_queries=4, proof_of_work_bits=2, final_poly_len=1
@@ -109,9 +110,9 @@ def _cube_circuit():
 def stark_target() -> FuzzTarget:
     """Fibonacci STARK target (two scales, so splices cross shapes)."""
     spec = by_name("Fibonacci")
-    air, trace, publics = spec.build_air(5)
+    air, trace, publics = spec.build_air(6)
     proof = stark_prove(air, trace, publics, _STARK_CONFIG)
-    alt_air, alt_trace, alt_publics = spec.build_air(6)
+    alt_air, alt_trace, alt_publics = spec.build_air(7)
     alt_proof = stark_prove(alt_air, alt_trace, alt_publics, _STARK_CONFIG)
     return _target(
         "stark", proof, alt_proof, lambda p: stark_verify(air, p, _STARK_CONFIG)

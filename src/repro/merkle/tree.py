@@ -59,6 +59,20 @@ def level_views(arena: np.ndarray, sizes) -> List[np.ndarray]:
     return views
 
 
+def gather_cosets(rows: np.ndarray, out: np.ndarray, start: int = 0) -> None:
+    """Fill ``out`` with the coset leaves ``start, start + 1, ...`` of ``rows``.
+
+    At arity ``k = out.shape[1] / rows.shape[1]``, leaf ``i`` of the
+    ``N``-row matrix ``rows`` concatenates rows ``i + j * N / k`` for
+    ``j < k``: the ``k`` points of the coset one FRI fold by ``k`` reads.
+    Arity 1 is a plain row copy.
+    """
+    count, width = out.shape[0], rows.shape[1]
+    arity = out.shape[1] // width
+    cosets = rows.reshape(arity, -1, width)[:, start : start + count]
+    out.reshape(count, arity, width)[:] = cosets.swapaxes(0, 1)
+
+
 def build_subtree(
     levels: List[np.ndarray],
     start: int,

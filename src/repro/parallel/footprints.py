@@ -142,11 +142,16 @@ def _fp_merkle_subtree(args: Dict[str, Any]) -> List[Access]:
     base = int(args.get("base", 0))
     arena = args["arena"]
     # With leaves the bottom row is hashed (written) from them; a climb
-    # from an already-filled level only reads its bottom row.
+    # from an already-filled level only reads its bottom row.  With rows
+    # too, the range's coset leaves are gathered first: a strided read of
+    # the whole rows matrix, then a write of the leaf range.
     hashes_leaves = "leaves" in args
     out: List[Access] = []
     if hashes_leaves:
-        out += _acc(args["leaves"], "r", axis=0, lo=start, hi=start + count)
+        gathers = "rows" in args
+        if gathers:
+            out += _acc(args["rows"], "r")
+        out += _acc(args["leaves"], "w" if gathers else "r", axis=0, lo=start, hi=start + count)
     # Aligned level ranges: the subtree fully owns rows [start>>k,
     # (start+count)>>k) of every level base+k it covers (count >> k >= 1).
     for k in range(len(sizes) - base):

@@ -98,20 +98,22 @@ def merkle_subtree(args: Dict[str, Any]):
     subtree starts from rows of the leaf matrix; without, from the
     already-filled rows of level ``base`` -- the cap climb over the row
     of subtree roots that finishes a tree split across several shards.
+    With ``rows`` as well, the range's coset leaves are first gathered
+    from those natural-order rows into ``leaves``
+    (:func:`repro.merkle.tree.gather_cosets`).
     """
     from ..field import gl64
-    from ..merkle.tree import build_subtree, level_views
+    from ..merkle.tree import build_subtree, gather_cosets, level_views
 
     levels = level_views(resolve(args["arena"]), args["sizes"])
     start, count = int(args["start"]), int(args["count"])
     leaves = args.get("leaves")
+    if leaves is not None:
+        leaves = resolve(leaves)[start : start + count]
+        if "rows" in args:
+            gather_cosets(resolve(args["rows"]), leaves, start)
     build_subtree(
-        levels,
-        start,
-        count,
-        gl64.default_workspace(),
-        None if leaves is None else resolve(leaves)[start : start + count],
-        int(args.get("base", 0)),
+        levels, start, count, gl64.default_workspace(), leaves, int(args.get("base", 0))
     )
     return None
 
@@ -174,9 +176,10 @@ def fri_query_chunk(args: Dict[str, Any]) -> List[Any]:
 
     Pure reads: initial leaves and Merkle paths from every batch, then
     coset leaves and paths down the layer trees -- no hashing.  Leaf
-    ``j`` of a layer tree with ``m`` leaves packs the coset of ``v[j]``,
-    so a query at position ``p`` opens leaf ``p % m``, which is also its
-    position in the next, ``m``-value layer.
+    ``j`` of a tree with ``m`` leaves packs the coset of ``v[j]`` (a
+    batch tree of row leaves has ``m = N``), so a query at position
+    ``p`` opens leaf ``p % m``, which is also its position in the next,
+    ``m``-value layer.
     Returns one :class:`~repro.fri.proof.FriQueryRound` per index, in
     the chunk's (transcript-pinned) index order.
     """
@@ -187,9 +190,10 @@ def fri_query_chunk(args: Dict[str, Any]) -> List[Any]:
     rounds: List[Any] = []
     for idx in args["indices"]:
         idx = int(idx)
+        leaf_ids = [idx % t.num_leaves() for t in batches]
         initial = FriInitialOpening(
-            leaves=[t.leaves[idx].copy() for t in batches],
-            proofs=[t.prove(idx) for t in batches],
+            leaves=[t.leaves[i].copy() for t, i in zip(batches, leaf_ids)],
+            proofs=[t.prove(i) for t, i in zip(batches, leaf_ids)],
         )
         openings = []
         cur = idx

@@ -39,7 +39,7 @@ import numpy as np
 
 from ..field import gl64
 from ..hashing import sponge
-from ..merkle.tree import MerkleTree, level_sizes
+from ..merkle.tree import MerkleTree, gather_cosets, level_sizes
 from .pool import ShardPool, default_pool
 from .scheduler import ShardGraph
 
@@ -125,18 +125,24 @@ def _add_merkle_shards(
     cap_height: int,
     slot: str,
     deps: Sequence[str] = (),
+    rows: Optional[np.ndarray] = None,
 ) -> Callable[[], MerkleTree]:
     """Add the shards that commit ``leaves`` (one row per leaf).
 
     One ``merkle_subtree`` shard per aligned leaf range -- the part
     count rounded up to a power of two, so sibling pairs never straddle
     shards -- plus, when that leaves levels above the subtree roots, the
-    climb from the root row to the cap.  Returns the tree assembler.
+    climb from the root row to the cap.  With ``rows``, each range
+    shard first gathers its coset leaves from those natural-order rows.
+    Returns the tree assembler.
     """
     num_leaves, leaf_width = leaves.shape
     sizes = level_sizes(num_leaves, cap_height)
     arena = plane.buf((sum(sizes), sponge.DIGEST_LEN), slot)
     args = {"arena": plane.ref(arena), "sizes": sizes}
+    leaf_args = {**args, "leaves": plane.ref(leaves)}
+    if rows is not None:
+        leaf_args["rows"] = plane.ref(rows)
     sub = min(1 << (plane.parts - 1).bit_length(), num_leaves)
     leaves_per = num_leaves // sub
     sub_depth = leaves_per.bit_length() - 1
@@ -144,7 +150,7 @@ def _add_merkle_shards(
         graph.add(
             f"{prefix}:sub{j}",
             "merkle_subtree",
-            {**args, "leaves": plane.ref(leaves), "start": j * leaves_per, "count": leaves_per},
+            {**leaf_args, "start": j * leaves_per, "count": leaves_per},
             deps=deps,
             units=leaves_per * leaf_width,
         )
@@ -172,13 +178,17 @@ def _commit_graph(
     cap_height: int,
     deps: Sequence[str] = (),
     coeffs: Optional[np.ndarray] = None,
+    coset_bits: int = 0,
 ) -> Stage:
     """The LDE-rows -> Merkle part of a batch commit.
 
     ``lde_args`` says where the coefficient rows come from (the
     ``lde_rows`` kernel's ``mode`` plus its source), unless the caller
     already holds them in ``coeffs``; the batch's ``values`` and tree
-    buffers are allocated here.
+    buffers are allocated here.  With ``coset_bits = a`` the tree's leaf
+    ``i`` is the coset of ``2**a`` LDE rows ``i + j * N / 2**a`` (a
+    contiguous copy beside ``values``, which stays in natural order for
+    the constraint blend and the FRI combine); with 0 it is row ``i``.
     """
     from ..fri.prover import PolynomialBatch
 
@@ -204,8 +214,12 @@ def _commit_graph(
         )
         for i, (lo, hi) in enumerate(_split(num_polys, plane.parts))
     ]
+    leaves, rows = values, None
+    if coset_bits:
+        leaves = plane.buf((n_lde >> coset_bits, num_polys << coset_bits), f"{slot}:leaves")
+        rows = values
     tree = _add_merkle_shards(
-        plane, graph, slot, values, cap_height, f"{slot}:tree", lde_ids
+        plane, graph, slot, leaves, cap_height, f"{slot}:tree", lde_ids, rows
     )
 
     def finish(_results) -> "PolynomialBatch":
@@ -253,6 +267,7 @@ def from_values_graph(
     rate_bits: int,
     cap_height: int,
     slot: Optional[str],
+    coset_bits: int = 0,
 ) -> Stage:
     """Commit subgroup evaluations: iNTT folded into the LDE shards."""
     rows = _rows(rows)
@@ -269,6 +284,7 @@ def from_values_graph(
         n,
         rate_bits,
         cap_height,
+        coset_bits=coset_bits,
     )
 
 
@@ -281,6 +297,7 @@ def quotient_commit_graph(
     rate_bits: int,
     cap_height: int,
     slot: str,
+    coset_bits: int = 0,
 ) -> Stage:
     """Interpolate and commit a quotient evaluated on the LDE coset.
 
@@ -314,6 +331,7 @@ def quotient_commit_graph(
         rate_bits,
         cap_height,
         deps=intt_ids,
+        coset_bits=coset_bits,
     )
 
 
@@ -407,13 +425,19 @@ def combine_graph(
     openings,
     alpha: np.ndarray,
 ) -> Stage:
-    """The combined FRI quotient values, split by LDE row range."""
+    """The combined FRI quotient values, split by LDE row range.
+
+    Reads every batch's natural-order ``values``, whatever its leaves.
+    """
     n_lde = batches[0].values.shape[0]
     plane = _Plane(pool, ws, "fri", n_lde, pool.min_rows)
     out = plane.buf((n_lde, 2), "fri:vals0")
     args = {
         "out": plane.ref(out),
-        "values": [refs["values"] for refs in _batch_refs(plane, batches)],
+        "values": [
+            plane.ref(plane.stage(b.values, f"fri:batch{i}:values"))
+            for i, b in enumerate(batches)
+        ],
         "openings": openings,
         "alpha": np.asarray(alpha, dtype=np.uint64).reshape(2),
     }
@@ -442,9 +466,7 @@ def layer_tree_graph(
     num_leaves, width = values.shape[0] >> arity_bits, values.shape[1]
     plane = _Plane(pool, ws, "fri", num_leaves, pool.min_tree_leaves)
     leaves = plane.buf((num_leaves, arity * width), f"fri:leaves{layer}")
-    leaves.reshape(num_leaves, arity, width)[:] = values.reshape(
-        arity, num_leaves, width
-    ).swapaxes(0, 1)
+    gather_cosets(values, leaves)
     graph = ShardGraph(f"fri:tree{layer}")
     tree = _add_merkle_shards(
         plane,

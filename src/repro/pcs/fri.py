@@ -72,8 +72,15 @@ class FriPCS(PCS):
         """PCS interface alias for :meth:`commit_values`."""
         return self.commit_values(rows, label)
 
-    def commit_values(self, rows: np.ndarray, label: str) -> PolynomialBatch:
-        """Commit polynomials given by subgroup evaluations (rows)."""
+    def commit_values(
+        self, rows: np.ndarray, label: str, coset_bits: int = 0
+    ) -> PolynomialBatch:
+        """Commit polynomials given by subgroup evaluations (rows).
+
+        ``coset_bits`` is the opening's leaf layout
+        (:func:`~repro.fri.config.initial_arity_bits`), shared by every
+        batch it opens.
+        """
         with tracing.span(f"commit:{label}", category="commit"):
             batch = PolynomialBatch.from_values(
                 rows,
@@ -81,6 +88,7 @@ class FriPCS(PCS):
                 self.config.cap_height,
                 ws=self.ws,
                 slot=label,
+                coset_bits=coset_bits,
             )
         return self.add_batch(batch)
 
@@ -90,6 +98,7 @@ class FriPCS(PCS):
         n: int,
         chunks: int,
         label: str = "quotient",
+        coset_bits: int = 0,
     ) -> PolynomialBatch:
         """Interpolate and commit a quotient evaluated on the LDE coset.
 
@@ -101,6 +110,7 @@ class FriPCS(PCS):
 
         The limb iNTTs, chunk LDEs and the Merkle build are one shard
         graph (no barrier between the interpolation and the extensions).
+        ``coset_bits`` is the leaf layout, as for :meth:`commit_values`.
         """
         with tracing.span(f"commit:{label}", category="commit"):
             batch = par_ops.quotient_commit_graph(
@@ -112,14 +122,16 @@ class FriPCS(PCS):
                 self.config.rate_bits,
                 self.config.cap_height,
                 label,
+                coset_bits,
             ).run()
         return self.add_batch(batch)
 
     # -- openings + FRI --------------------------------------------------
 
     def open(self, commitment: PolynomialBatch, index: int):
-        """Open one LDE row of a batch (single-position spot check)."""
-        return commitment.values[index], commitment.tree.prove(index)
+        """Open one committed leaf of a batch (single-position spot
+        check): LDE row ``index``, or the coset of rows it heads."""
+        return commitment.tree.leaves[index], commitment.tree.prove(index)
 
     @staticmethod
     def verify_opening(

@@ -28,7 +28,7 @@ import numpy as np
 
 from .. import parallel, tracing
 from ..field import extension as fext, gl64, goldilocks as gl
-from ..fri import DomainPlan, FriConfig, PolynomialBatch, plan_for
+from ..fri import DomainPlan, FriConfig, PolynomialBatch, initial_arity_bits, plan_for
 from ..hashing import Challenger
 from ..ntt import lde
 from ..pcs import FriPCS
@@ -46,7 +46,10 @@ def setup(circuit: Circuit, config: FriConfig) -> CircuitData:
     sigmas = sigma_values(circuit, ids)
     pre_rows = np.concatenate([circuit.selectors, sigmas])
     preprocessed = PolynomialBatch.from_values(
-        pre_rows, config.rate_bits, config.cap_height
+        pre_rows,
+        config.rate_bits,
+        config.cap_height,
+        coset_bits=initial_arity_bits(config, circuit.log_n, LEAF_WIDTHS),
     )
     ids.flags.writeable = False
     return CircuitData(
@@ -75,6 +78,11 @@ def _pi_poly_on_lde(
 
 #: Salt columns appended to the wires commitment when blinding.
 ZK_SALT_COLUMNS = 2
+
+#: Public columns of the preprocessed, wires, Z and quotient batches, in
+#: commitment order (salt excluded): the input to
+#: :func:`~repro.fri.config.initial_arity_bits`.
+LEAF_WIDTHS = (8, 3, 1, 2 * QUOTIENT_CHUNKS)
 
 
 def prove(
@@ -129,6 +137,7 @@ def prove(
 
         pcs = FriPCS(config, ws=plan.ws)
         pcs.add_batch(data.preprocessed)  # setup commitment joins the transcript
+        coset_bits = data.preprocessed.coset_bits  # the layout setup committed
         challenger.observe_cap(data.preprocessed.cap)
         challenger.observe_elements(np.asarray(public_values, dtype=np.uint64))
 
@@ -138,7 +147,7 @@ def prove(
             salt_rng = np.random.default_rng(blinding_seed)
             salts = gl64.random((ZK_SALT_COLUMNS, n), salt_rng)
             committed_wires = np.concatenate([wires, salts])
-        wires_batch = pcs.commit_values(committed_wires, "wires")
+        wires_batch = pcs.commit_values(committed_wires, "wires", coset_bits)
         challenger.observe_cap(wires_batch.cap)
 
         # Step 2: permutation accumulator.
@@ -146,7 +155,7 @@ def prove(
         gamma = challenger.get_challenge()
         with tracing.span("permutation", category="permutation"):
             z, _, _ = compute_z(wires, data.ids, data.sigmas, beta, gamma)
-        z_batch = pcs.commit_values(z, "z")
+        z_batch = pcs.commit_values(z, "z", coset_bits)
         challenger.observe_cap(z_batch.cap)
 
         # Step 3: quotient polynomial on the LDE coset.
@@ -200,7 +209,9 @@ def prove(
 
             t_vals = fext.scalar_mul(combined, plan.zh_inv)  # (N_lde, 2)
 
-        quotient_batch = pcs.commit_quotient(t_vals, n, QUOTIENT_CHUNKS)
+        quotient_batch = pcs.commit_quotient(
+            t_vals, n, QUOTIENT_CHUNKS, coset_bits=coset_bits
+        )
         challenger.observe_cap(quotient_batch.cap)
 
         # Step 4: openings and FRI.

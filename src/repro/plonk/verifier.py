@@ -18,7 +18,7 @@ from ..fri.verifier import FriError
 from ..hashing import Challenger
 from .permutation import coset_representatives
 from .proof import PlonkProof, VerifierData
-from .prover import QUOTIENT_CHUNKS, ZK_SALT_COLUMNS
+from .prover import LEAF_WIDTHS, QUOTIENT_CHUNKS, ZK_SALT_COLUMNS
 
 
 class PlonkError(VerifierError):
@@ -57,6 +57,7 @@ def _verify(vdata: VerifierData, proof: PlonkProof, challenger: Challenger) -> N
 
     # --- FRI opening proof ----------------------------------------------------
     caps = [vdata.preprocessed_cap, proof.wires_cap, proof.z_cap, proof.quotient_cap]
+    pre, wires, z, quotient = LEAF_WIDTHS
     try:
         fri_verify(
             caps,
@@ -69,7 +70,7 @@ def _verify(vdata: VerifierData, proof: PlonkProof, challenger: Challenger) -> N
             # 3 + ZK_SALT_COLUMNS when the prover committed with
             # blinding salts.  Width 4 stays rejected -- that is the
             # hash_or_noop zero-pad malleability the pin exists for.
-            leaf_widths=[8, (3, 3 + ZK_SALT_COLUMNS), 1, 2 * QUOTIENT_CHUNKS],
+            leaf_widths=[pre, (wires, wires + ZK_SALT_COLUMNS), z, quotient],
         )
     except FriError as exc:
         raise PlonkError(f"FRI verification failed: {exc}") from exc

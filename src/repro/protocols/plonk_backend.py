@@ -4,13 +4,14 @@ from __future__ import annotations
 
 from typing import Dict, Mapping
 
-from ..fri import FriConfig
+from ..fri import FriConfig, initial_arity_bits
 from ..plonk import (
     PlonkProof,
     prove as plonk_prove,
     setup as plonk_setup,
     verify as plonk_verify,
 )
+from ..plonk.prover import LEAF_WIDTHS
 from .base import ProofSystem, ProtocolSetup
 from .transcript import CapBinding, TranscriptSpec
 
@@ -76,8 +77,10 @@ class PlonkSystem(ProofSystem):
 
     def cap_bindings(self, setup: ProtocolSetup, proof):
         # Base-challenge ordinals: beta #0, gamma #1, alpha (ext) #2-3,
-        # zeta (ext) #4-5, FRI alpha #6-7, layer beta_k at #8+2k.
+        # zeta (ext) #4-5, FRI alpha #6-7, a virtual first layer's beta
+        # #8-9, then committed layer k's beta at #8+2k, or #10+2k after it.
         data, _ = setup.data
+        first = 10 if initial_arity_bits(setup.config, data.circuit.log_n, LEAF_WIDTHS) else 8
         bindings = [
             CapBinding("preprocessed_cap", data.preprocessed.cap, 0),
             CapBinding("wires_cap", proof.wires_cap, 0),
@@ -85,5 +88,5 @@ class PlonkSystem(ProofSystem):
             CapBinding("quotient_cap", proof.quotient_cap, 4),
         ]
         for k, cap in enumerate(proof.fri_proof.commit_caps):
-            bindings.append(CapBinding(f"fri.commit_caps[{k}]", cap, 8 + 2 * k))
+            bindings.append(CapBinding(f"fri.commit_caps[{k}]", cap, first + 2 * k))
         return bindings

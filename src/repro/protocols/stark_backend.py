@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from typing import Dict, Mapping
 
-from ..fri import FriConfig
+from ..fri import FriConfig, initial_arity_bits
 from ..stark import StarkProof, prove as stark_prove, verify as stark_verify
+from ..stark.prover import leaf_widths
 from .base import ProofSystem, ProtocolSetup
 from .transcript import CapBinding, TranscriptSpec
 
@@ -15,8 +16,9 @@ class StarkSystem(ProofSystem):
 
     name = "stark"
     description = "AIR transition constraints, LDE + batch FRI opening"
-    #: 2: FRI layers open arity-8 coset leaves, not v1's arity-2 pairs.
-    format_version = 2
+    #: 3: FRI's first layer may be virtual (the batches commit its
+    #: cosets); 2: FRI layers open arity-8 coset leaves, not v1's pairs.
+    format_version = 3
     to_bytes = staticmethod(StarkProof.to_bytes)
     from_bytes = staticmethod(StarkProof.from_bytes)
     uses_ntt = True
@@ -67,21 +69,26 @@ class StarkSystem(ProofSystem):
 
     def transcript_spec(self) -> TranscriptSpec:
         # scale is log2(rows) for AIR builders; queries/grinding shrunk
-        # because conformance is structural, not statistical.
+        # because conformance is structural, not statistical.  At 2^7
+        # rows a layer cap follows the virtual first layer.
         return TranscriptSpec(
             workload="Fibonacci",
-            scales=(3, 4),
+            scales=(3, 7),
             config_overrides=dict(num_queries=2, proof_of_work_bits=1),
             setup_caps=0,
         )
 
     def cap_bindings(self, setup: ProtocolSetup, proof):
         # Base-challenge ordinals: alpha (ext) draws #0-1, zeta (ext)
-        # #2-3, FRI alpha #4-5, then layer beta_k (ext) at #6+2k.
+        # #2-3, FRI alpha #4-5, a virtual first layer's beta #6-7, then
+        # committed layer k's beta (ext) at #6+2k, or #8+2k after it.
+        air = setup.data[0]
+        degree_bits = setup.rows.bit_length() - 1
+        first = 8 if initial_arity_bits(setup.config, degree_bits, leaf_widths(air)) else 6
         bindings = [
             CapBinding("trace_cap", proof.trace_cap, 0),
             CapBinding("quotient_cap", proof.quotient_cap, 2),
         ]
         for k, cap in enumerate(proof.fri_proof.commit_caps):
-            bindings.append(CapBinding(f"fri.commit_caps[{k}]", cap, 6 + 2 * k))
+            bindings.append(CapBinding(f"fri.commit_caps[{k}]", cap, first + 2 * k))
         return bindings

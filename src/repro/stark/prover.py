@@ -19,13 +19,13 @@ opening layout.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from .. import parallel, tracing
 from ..field import extension as fext, gl64, goldilocks as gl
-from ..fri import DomainPlan, FriConfig, plan_for
+from ..fri import DomainPlan, FriConfig, initial_arity_bits, plan_for
 from ..hashing import Challenger
 from ..pcs import FriPCS
 from .air import Air, BaseVecAlgebra
@@ -35,6 +35,12 @@ from .proof import StarkProof
 def quotient_chunk_count(air: Air) -> int:
     """Number of degree-n quotient chunks per extension limb."""
     return max(1, air.constraint_degree - 1)
+
+
+def leaf_widths(air: Air) -> List[int]:
+    """Columns of the trace and quotient batches, in commitment order:
+    the input to :func:`~repro.fri.config.initial_arity_bits`."""
+    return [air.width, 2 * quotient_chunk_count(air)]
 
 
 def prove(
@@ -83,10 +89,11 @@ def prove(
         "prove:stark", category="prove", n=n, width=width
     ):
         pcs = FriPCS(config, ws=plan.ws)
+        coset_bits = initial_arity_bits(config, n.bit_length() - 1, leaf_widths(air))
 
         # Commit the trace.
         challenger.observe_elements(np.asarray(list(public_inputs), dtype=np.uint64))
-        trace_batch = pcs.commit_values(trace.T, "trace")
+        trace_batch = pcs.commit_values(trace.T, "trace", coset_bits)
         challenger.observe_cap(trace_batch.cap)
         alpha = challenger.get_ext_challenge()
 
@@ -131,7 +138,7 @@ def prove(
                 alpha_t = fext.mul(alpha_t, alpha.reshape(2))
 
         # Commit the composition quotient (2 limbs x `chunks` degree-n chunks).
-        quotient_batch = pcs.commit_quotient(combined, n, chunks)
+        quotient_batch = pcs.commit_quotient(combined, n, chunks, coset_bits=coset_bits)
         challenger.observe_cap(quotient_batch.cap)
 
         # Openings at zeta and zeta * omega.

@@ -12,7 +12,7 @@ from ..fri.verifier import FriError
 from ..hashing import Challenger
 from .air import Air, ExtAlgebra
 from .proof import StarkProof
-from .prover import quotient_chunk_count
+from .prover import leaf_widths, quotient_chunk_count
 
 
 class StarkError(VerifierError):
@@ -36,7 +36,6 @@ def _verify(air: Air, proof: StarkProof, config, challenger: Challenger) -> None
     if not 0 < proof.degree_bits <= gl.TWO_ADICITY:
         raise StarkError("degree bits out of range")
     n = 1 << proof.degree_bits
-    width = air.width
     chunks = quotient_chunk_count(air)
 
     with tracing.span("verify:transcript", category="verify"):
@@ -57,7 +56,7 @@ def _verify(air: Air, proof: StarkProof, config, challenger: Challenger) -> None
             challenger,
             config,
             n,
-            leaf_widths=[width, 2 * chunks],
+            leaf_widths=leaf_widths(air),
         )
     except FriError as exc:
         raise StarkError(f"FRI verification failed: {exc}") from exc

@@ -7,10 +7,12 @@ one path walked at a time, one ``two_to_one`` per node, one extension
 inversion per query per opening point.  The FRI layer walk folds each
 opened coset by its own rule -- the coset's Lagrange interpolant at
 ``beta``, in Python integers -- where the shipped verifier repeats the
-prover's arity-2 :func:`repro.fri.prover.fold_pairs`.  They share
-nothing with the batched code but the sponge primitives (through
-``tests/reference_oracles.py``) and the ``fold_schedule``, so agreement
-between the two is evidence about both.
+prover's arity-2 :func:`repro.fri.prover.fold_pairs`; a virtual first
+layer is the same rule over the coset of rows one initial leaf holds,
+combined slot by slot.  They share nothing with the batched code but
+the sponge primitives (through ``tests/reference_oracles.py``), the
+``fold_schedule`` and the ``initial_arity_bits`` layout rule, so
+agreement between the two is evidence about both.
 
 :func:`reference_plane` swaps them in under the real protocol
 verifiers, which keeps the protocol-level structure checks and error
@@ -31,7 +33,7 @@ from unittest import mock
 import numpy as np
 
 from repro.field import extension as fext, goldilocks as gl
-from repro.fri.config import FriConfig
+from repro.fri.config import FriConfig, initial_arity_bits
 from repro.fri.proof import FriProof
 from repro.fri.prover import FriOpenings, check_pow
 from repro.fri.verifier import FriError
@@ -157,23 +159,32 @@ def fri_verify(
     ``batch_caps`` are the caps of the original commitments (in the same
     order the prover used); ``degree_n`` is the claimed degree bound
     (the pre-blowup domain size).  ``leaf_widths``, when given, pins the
-    number of elements each initial-opening leaf must carry (one entry
-    per batch, an int or a tuple of admissible ints -- a batch that may
-    carry optional blinding salt columns admits both widths):
+    number of columns each opened row must carry (one entry per batch,
+    an int or a tuple of admissible ints -- a batch that may carry
+    optional blinding salt columns admits both widths):
     ``hash_or_noop`` zero-pads rows shorter than a digest, so without
     the width pin an attacker could present a padded or truncated leaf
-    whose digest still matches the commitment.
+    whose digest still matches the commitment.  Each entry's first
+    width also feeds ``initial_arity_bits``: under its ``a > 0`` an
+    initial leaf holds the ``2**a`` rows of one coset and the first
+    layer is virtual (no cap, no layer opening).
     """
+    degree_bits = degree_n.bit_length() - 1
+    widths = [(w,) if isinstance(w, int) else tuple(w) for w in leaf_widths or ()]
+    a = initial_arity_bits(config, degree_bits, [w[0] for w in widths]) if widths else 0
+
     challenger.observe_elements(openings.flat_values())
     alpha = challenger.get_ext_challenge()
 
     n_lde = degree_n << config.rate_bits
     log_lde = n_lde.bit_length() - 1
-    schedule = config.fold_schedule(degree_n.bit_length() - 1)
+    schedule = config.fold_schedule(degree_bits)
+    committed = schedule[1:] if a else schedule
     num_rounds = sum(schedule)
-    if len(proof.commit_caps) != len(schedule):
-        raise FriError(f"expected {len(schedule)} layer caps, got {len(proof.commit_caps)}")
+    if len(proof.commit_caps) != len(committed):
+        raise FriError(f"expected {len(committed)} layer caps, got {len(proof.commit_caps)}")
 
+    beta0 = fext.to_pair(challenger.get_ext_challenge()) if a else None
     betas: List[np.ndarray] = []
     for cap in proof.commit_caps:
         challenger.observe_cap(cap)
@@ -196,6 +207,7 @@ def fri_verify(
 
     omega = gl.primitive_root_of_unity(log_lde)
     betas = [fext.to_pair(beta) for beta in betas]
+    m0 = n_lde >> a
     for idx, qr in zip(indices, proof.query_rounds):
         if qr.index != idx:
             raise FriError("query index mismatch with transcript")
@@ -207,29 +219,39 @@ def fri_verify(
             raise FriError("initial opening count mismatch")
         if len(qr.initial.proofs) != len(qr.initial.leaves):
             raise FriError("initial opening count mismatch")
+        leaf_index = idx % m0
         for b, (leaf, prf, cap) in enumerate(
             zip(qr.initial.leaves, qr.initial.proofs, batch_caps)
         ):
             if leaf.ndim != 1:
                 raise FriError("malformed initial leaf")
-            if leaf_widths is not None:
-                allowed = leaf_widths[b]
-                if isinstance(allowed, int):
-                    allowed = (allowed,)
-                if leaf.shape[0] not in allowed:
-                    raise FriError("malformed initial leaf")
-            if not verify_proof(leaf, idx, prf, cap):
+            if widths and leaf.shape[0] not in tuple(w << a for w in widths[b]):
+                raise FriError("malformed initial leaf")
+            if not verify_proof(leaf, leaf_index, prf, cap):
                 raise FriError("initial Merkle proof failed")
-        x = gl.mul(gl.coset_shift(), gl.pow_mod(omega, idx))
-        value = fext.to_pair(_combined_at_index(qr.initial.leaves, openings, alpha, x))
+
+        # Layer 0: slot j of every initial leaf is LDE row
+        # leaf_index + j * m0.  Combine each slot's rows, then fold the
+        # coset by its Lagrange interpolant at beta0 -- with row leaves a
+        # one-point coset, whose interpolant is its value.
+        xs = [
+            gl.mul(gl.coset_shift(), gl.pow_mod(omega, leaf_index + j * m0))
+            for j in range(1 << a)
+        ]
+        slots = [np.split(leaf, 1 << a) for leaf in qr.initial.leaves]
+        coset = [
+            fext.to_pair(_combined_at_index([s[j] for s in slots], openings, alpha, x))
+            for j, x in enumerate(xs)
+        ]
+        value = _interpolate_at(xs, coset, beta0)
 
         # Walk the committed layers.
-        cur = idx
-        size = n_lde
-        shift = gl.coset_shift()
-        if len(qr.layers) != len(schedule):
+        cur = leaf_index
+        size = m0
+        shift = gl.pow_mod(gl.coset_shift(), 1 << a)
+        if len(qr.layers) != len(committed):
             raise FriError("wrong number of layer openings")
-        for layer, beta, cap, bits in zip(qr.layers, betas, proof.commit_caps, schedule):
+        for layer, beta, cap, bits in zip(qr.layers, betas, proof.commit_caps, committed):
             m = size >> bits
             leaf_index = cur % m
             # Validate the leaf shape before slicing: a truncated or

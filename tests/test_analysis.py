@@ -475,7 +475,7 @@ class TestRepoGate:
         assert report.schedules_checked == 4
         assert report.modules_checked > 50
         assert report.protocols_checked == ["stark", "plonk", "hyperplonk"]
-        assert len(report.graphs_checked) == 16  # 8 shapes x workers {1, 4}
+        assert len(report.graphs_checked) == 18  # 9 shapes x workers {1, 4}
         new = [f.format() for f in report.match.new]
         assert not new, "non-baselined findings:\n" + "\n".join(new)
         unjust = [e.key for e in report.match.unjustified]

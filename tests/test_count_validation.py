@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.field import gl64
-from repro.fri import FriConfig
+from repro.fri import FriConfig, initial_arity_bits
 from repro.merkle import MerkleTree, merkle_permutation_count
 from repro.metrics import counting
 from repro.ntt import intt, lde, ntt
@@ -20,12 +20,16 @@ from repro.stark import prove as stark_prove
 from repro.workloads import by_name
 
 
-def _fri_layer_perms(cfg, degree_bits, n_lde):
+def _fri_layer_perms(cfg, degree_bits, n_lde, virtual_bits=0):
     """Sponge permutations of the FRI layer trees: one per committed
     layer of ``fold_schedule``, ``n >> a`` coset leaves of ``2 << a``
-    elements over a layer of ``n`` values."""
+    elements over a layer of ``n`` values.  A virtual first layer of
+    ``virtual_bits`` (the batches hold its cosets) builds no tree."""
+    schedule = cfg.fold_schedule(degree_bits)
+    if virtual_bits:
+        schedule, n_lde = schedule[1:], n_lde >> virtual_bits
     total = 0
-    for bits in cfg.fold_schedule(degree_bits):
+    for bits in schedule:
         leaves = n_lde >> bits
         total += merkle_permutation_count(
             leaves, 2 << bits, min(cfg.cap_height, leaves.bit_length() - 1)
@@ -145,11 +149,13 @@ class TestStarkProverCounts:
         cfg = FriConfig(rate_bits=1, cap_height=1, num_queries=4,
                         proof_of_work_bits=2, final_poly_len=4)
         n_lde = trace.shape[0] << cfg.rate_bits
+        a = initial_arity_bits(cfg, 6, [2, 2])
+        assert a == 3  # the batches commit 8-row cosets; FRI layer 0 is virtual
         with counting() as c:
             stark_prove(air, trace, publics, cfg)
-            predicted = merkle_permutation_count(n_lde, 2, 1)  # trace tree
-            predicted += merkle_permutation_count(n_lde, 2, 1)  # quotient (1 chunk x2)
-            predicted += _fri_layer_perms(cfg, 6, n_lde)
+            # trace tree, quotient tree (1 chunk x2): 2 columns a row
+            predicted = 2 * merkle_permutation_count(n_lde >> a, 2 << a, 1)
+            predicted += _fri_layer_perms(cfg, 6, n_lde, a)
             assert c.sponge_permutations == predicted
 
     def test_graph_merkle_prediction_matches_functional(self):

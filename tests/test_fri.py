@@ -21,13 +21,16 @@ from repro.fri import (
     open_batches,
 )
 from repro import protocols
-from repro.fri import config as fri_config
-from repro.fri.config import FRI_ARITY_BITS
+from repro.fri import config as fri_config, verifier as fri_verifier
+from repro.fri.config import FRI_ARITY_BITS, initial_arity_bits
 from repro.fri.prover import check_pow, combine_rows, lde_points
 from repro.hashing import Challenger
-from repro.workloads import fibonacci
+from repro.plonk import prover as plonk_prover
+from repro.plonk.prover import LEAF_WIDTHS as PLONK_WIDTHS
+from repro.stark import prover as stark_prover
+from repro.workloads import by_name, fibonacci
 
-from .goldens import ARITY2_DIGESTS, CONFIGS, SCALE
+from .goldens import ARITY2_DIGESTS, CONFIGS, ROW_LAYOUT_DIGESTS, SCALE
 from .reference_oracles import Polynomial, commit_coeffs
 
 
@@ -55,6 +58,13 @@ def _prove(batches, openings, cfg):
     for b in batches:
         ch.observe_cap(b.cap)
     return fri_prove(batches, openings, ch, cfg)
+
+
+def _force_row_leaves(monkeypatch):
+    """Make every prover and verifier commit one LDE row a leaf, and so
+    commit FRI layer 0, whatever ``initial_arity_bits`` would pick."""
+    for module in (stark_prover, plonk_prover, fri_verifier):
+        monkeypatch.setattr(module, "initial_arity_bits", lambda *args: 0)
 
 
 def _verify(batches, openings, proof, cfg, n):
@@ -180,10 +190,23 @@ class TestFoldSchedule:
     @pytest.mark.parametrize("name", sorted(ARITY2_DIGESTS))
     def test_arity_2_schedule_reproduces_the_pair_leaf_proofs(self, name, monkeypatch):
         monkeypatch.setattr(fri_config, "FRI_ARITY_BITS", 1)
+        _force_row_leaves(monkeypatch)
         system = protocols.get(name)
         setup = system.setup(fibonacci.SPEC, SCALE, CONFIGS[name])
         proof = system.prove(setup)
         assert system.digest(proof) == ARITY2_DIGESTS[name]
+        system.verify(setup, proof)
+
+    @pytest.mark.parametrize("name", sorted(ROW_LAYOUT_DIGESTS))
+    def test_row_leaves_reproduce_the_committed_layer_0_proof(self, name, monkeypatch):
+        # The virtual first layer extends the old prover: forced back to
+        # row leaves, the proof is byte for byte the one that committed
+        # FRI layer 0.
+        _force_row_leaves(monkeypatch)
+        system = protocols.get(name)
+        setup = system.setup(fibonacci.SPEC, SCALE, CONFIGS[name])
+        proof = system.prove(setup)
+        assert system.digest(proof) == ROW_LAYOUT_DIGESTS[name]
         system.verify(setup, proof)
 
     def test_security_is_what_it_was_at_arity_2(self):
@@ -191,6 +214,84 @@ class TestFoldSchedule:
         assert PLONKY2_CONFIG.conjectured_security_bits() == 100
         assert STARKY_CONFIG.conjectured_security_bits() == 100
         assert TEST_CONFIG.conjectured_security_bits() == 28
+
+
+def _force_coset_leaves(monkeypatch):
+    """Make every prover and verifier commit the first layer's cosets
+    whenever the coset tree holds the cap, whatever the size says."""
+
+    def first_fold(config, degree_bits, widths):
+        schedule = config.fold_schedule(degree_bits)
+        fits = schedule and config.cap_height <= degree_bits + config.rate_bits - schedule[0]
+        return schedule[0] if fits else 0
+
+    for module in (stark_prover, plonk_prover, fri_verifier):
+        monkeypatch.setattr(module, "initial_arity_bits", first_fold)
+
+
+class TestInitialArityBits:
+    @pytest.mark.parametrize("degree_bits", [6, 8, 10, 12])
+    def test_stark_fibonacci_commits_the_first_fold(self, degree_bits):
+        cfg = CONFIGS["stark"]
+        assert initial_arity_bits(cfg, degree_bits, [2, 2]) == cfg.fold_schedule(degree_bits)[0]
+
+    @pytest.mark.parametrize(
+        "workload, scale", [("Fibonacci", SCALE), ("MVM", 6), ("MVM", 11), ("Fibonacci", 64)]
+    )
+    def test_plonk_keeps_row_leaves_at_every_bench_shape(self, workload, scale):
+        log_n = by_name(workload).build_circuit(scale)[0].log_n
+        for extra_queries in range(4):
+            for cap_height in (1, 2, 3):
+                cfg = FriConfig(**{
+                    **protocols.get("plonk").default_config(),
+                    "num_queries": 8 + extra_queries,
+                    "cap_height": cap_height,
+                })
+                assert initial_arity_bits(cfg, log_n, PLONK_WIDTHS) == 0
+
+    def test_coset_tree_must_hold_the_cap(self):
+        # degree 6, blowup 2, first fold by 8: the coset trees are 4 deep.
+        fits = FriConfig(rate_bits=1, cap_height=4, num_queries=4, final_poly_len=1)
+        assert initial_arity_bits(fits, 6, [2, 2]) == 3
+        tall = FriConfig(rate_bits=1, cap_height=5, num_queries=4, final_poly_len=1)
+        assert initial_arity_bits(tall, 6, [2, 2]) == 0
+        assert initial_arity_bits(FriConfig(final_poly_len=64), 6, [2, 2]) == 0  # no fold
+
+    @pytest.mark.parametrize(
+        "protocol, scale, rate_bits, cap_height, num_queries, final_poly_len",
+        [
+            ("stark", 4, 1, 0, 3, 1),  # cosets: one fold by 8
+            ("stark", 6, 2, 1, 5, 2),  # cosets: one fold by 8, then by 4
+            ("stark", 5, 1, 4, 4, 1),  # rows: the 3-deep coset tree cannot hold cap 4
+            ("plonk", 4, 3, 1, 8, 4),  # cosets: 8 rows, one fold by 2
+            ("plonk", 6, 3, 1, 8, 1),  # rows: 20 columns outweigh a layer-0 path
+            ("plonk", 6, 2, 0, 3, 1),  # rows
+        ],
+    )
+    def test_cosets_are_chosen_exactly_when_the_proof_shrinks(
+        self, monkeypatch, protocol, scale, rate_bits, cap_height, num_queries, final_poly_len
+    ):
+        cfg = FriConfig(
+            rate_bits=rate_bits, cap_height=cap_height, num_queries=num_queries,
+            proof_of_work_bits=1, final_poly_len=final_poly_len,
+        )
+        system = protocols.get(protocol)
+        setup = system.setup(fibonacci.SPEC, scale, cfg)
+        chosen = system.prove(setup)
+        log_n = setup.rows.bit_length() - 1
+        widths = stark_prover.leaf_widths(setup.data[0]) if protocol == "stark" else PLONK_WIDTHS
+        picked = initial_arity_bits(cfg, log_n, widths)
+        sizes = {}
+        for layout, force in (("rows", _force_row_leaves), ("cosets", _force_coset_leaves)):
+            with monkeypatch.context() as patch:
+                force(patch)
+                forced_setup = system.setup(fibonacci.SPEC, scale, cfg)
+                proof = system.prove(forced_setup)
+                system.verify(forced_setup, proof)
+                sizes[layout] = proof.fri_proof.size_bytes()
+                if (layout == "cosets") == bool(picked):
+                    assert system.digest(proof) == system.digest(chosen)
+        assert bool(picked) == (sizes["cosets"] < sizes["rows"])
 
 
 class TestGrinding:

@@ -13,6 +13,8 @@ Covers the contract from three directions:
   round-trips, CLI exit codes) behaves as documented.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,8 @@ from repro.fuzz import (
 )
 from repro.protocols import names
 from repro.stark import StarkError
+
+from .reference_verifiers import reference_plane
 
 PROTOCOLS = names()
 
@@ -79,6 +83,8 @@ _FRI_ONLY = {
     "mismatch-initial-proofs",
     "scalar-coset-leaf",
 }
+#: Only the STARK target's batches commit coset leaves (Plonk's keep rows).
+_COSET_LEAF_ONLY = {"permute-coset-rows"}
 _SUMCHECK_ONLY = {
     "tamper-sumcheck-round",
     "perturb-final-value",
@@ -90,7 +96,7 @@ _SUMCHECK_ONLY = {
 
 
 def _applicable(protocol: str, name: str) -> bool:
-    if name in _STARK_ONLY:
+    if name in _STARK_ONLY or name in _COSET_LEAF_ONLY:
         return protocol == "stark"
     if name in _FRI_ONLY:
         return protocol in ("stark", "plonk")
@@ -167,6 +173,17 @@ class TestRegressionVectors:
         assert outcome == "rejected-verify"
         assert "malformed layer leaf" in str(exc)
 
+    def test_permuted_coset_rows_typed_on_both_planes(self):
+        # An initial leaf of 8 coset rows, reordered, keeps every width
+        # the verifier pins; only the batch cap binds the slot order.
+        tgt = target_for("stark")
+        mutant = MUTATORS["permute-coset-rows"](tgt, np.random.default_rng(0))
+        for plane in (contextlib.nullcontext(), reference_plane()):
+            with plane:
+                outcome, exc = classify_bytes(tgt, mutant.data)
+            assert outcome == "rejected-verify"
+            assert "initial Merkle proof failed" in str(exc)
+
     def test_leaves_proofs_mismatch_typed(self):
         # Unserializable state: reachable only through the object API,
         # where a truncating zip would silently skip Merkle checks.
@@ -202,12 +219,13 @@ class TestRegressionVectors:
         # authenticates against the commitment; only the verifier's
         # exact leaf-width pin rejects it.  (Every query's leaf is
         # padded: one batch opened at two widths is rejected as
-        # malformed whatever the pin says.)
-        tgt = target_for("stark")
+        # malformed whatever the pin says.)  The Plonk target commits
+        # one row a leaf; its one-column Z rows are the short ones.
+        tgt = target_for("plonk")
         proof = tgt.decode(tgt.blob)
         for qr in proof.fri_proof.query_rounds:
-            qr.initial.leaves[0] = np.concatenate(
-                [qr.initial.leaves[0], np.zeros(1, dtype=np.uint64)]
+            qr.initial.leaves[2] = np.concatenate(
+                [qr.initial.leaves[2], np.zeros(1, dtype=np.uint64)]
             )
         data = tgt.encode(proof)
 
@@ -216,21 +234,21 @@ class TestRegressionVectors:
         assert "malformed initial leaf" in str(exc)
 
         # Simulate reverting the fix: call FRI without the width pin.
-        import repro.stark.verifier as sv
+        import repro.plonk.verifier as pv
 
-        pinned = sv.fri_verify
+        pinned = pv.fri_verify
 
         def unpinned(*args, **kwargs):
             kwargs.pop("leaf_widths", None)
             return pinned(*args, **kwargs)
 
-        monkeypatch.setattr(sv, "fri_verify", unpinned)
+        monkeypatch.setattr(pv, "fri_verify", unpinned)
         outcome, _ = classify_bytes(tgt, data)
         assert outcome == "accepted"  # the soundness hole the pin closes
 
         # The stored artifact reproduces against the reverted code ...
         finding = Finding(
-            protocol="stark",
+            protocol="plonk",
             mutator="pad-initial-leaf",
             kind="bytes",
             seed=0,
@@ -287,6 +305,7 @@ class TestRegressionVectors:
                 challenger,
                 _STARK_CONFIG,
                 1 << proof.degree_bits,
+                leaf_widths=[2, 2],  # Fibonacci's trace and quotient columns
             )
 
 

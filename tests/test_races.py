@@ -66,6 +66,7 @@ class TestGraphFindings:
         shapes = [
             "commit:from_coeffs",
             "commit:from_values",
+            "commit:coset_leaves",
             "commit:quotient",
             "fri:layer_tree",
             "fri:combine",
@@ -164,6 +165,16 @@ class TestPoolGating:
             }
             assert "commit:t" in str(err.value)
 
+    def test_coset_gather_before_the_lde_is_rejected_at_submission(self):
+        # Coset leaves gather strided rows from every LDE column band, so
+        # each subtree shard must wait for all the LDE shards.
+        with ShardPool(workers=1) as pool:
+            graph = ops.from_values_graph(pool, None, _rows(), 1, 1, "t", 3).graph
+            assert graph_findings(graph) == []
+            with pytest.raises(GraphRaceError) as err:
+                pool.run(_strip_deps(graph, "merkle_subtree"))
+            assert "race.read-write" in _rules(err.value.findings)
+
     def test_unknown_kernel_is_rejected_at_submission(self):
         g = ShardGraph("mystery")
         g.add("x", "warp_drive", {})
@@ -181,4 +192,16 @@ class TestPoolGating:
             fanned = ops.from_values_graph(pool, None, rows, 1, 1, "t").run()
             assert pool.stats["shards"] == 4
             assert np.array_equal(fanned.tree.cap, inline.tree.cap)
+            assert np.array_equal(fanned.values, inline.values)
+
+    def test_sharded_coset_commit_matches_serial(self):
+        rows = _rows()
+        inline = PolynomialBatch.from_values(rows.copy(), 1, 1, coset_bits=3)
+        assert inline.coset_bits == 3
+        assert inline.tree.leaves.shape == (inline.values.shape[0] >> 3, rows.shape[0] << 3)
+        gates = {"min_rows": 1, "min_tree_leaves": 1, "min_queries": 1}
+        with ShardPool(workers=2, **gates) as pool:
+            fanned = ops.from_values_graph(pool, None, rows, 1, 1, "t", 3).run()
+            assert np.array_equal(fanned.tree.cap, inline.tree.cap)
+            assert np.array_equal(fanned.tree.leaves, inline.tree.leaves)
             assert np.array_equal(fanned.values, inline.values)

@@ -329,18 +329,39 @@ def _as_version_1(blob: bytes) -> bytes:
     return bytes(old)
 
 
+#: Current format versions: STARK is at 3 since its first FRI layer may
+#: be virtual; Plonk's bytes did not change and it stays at 2.
+CURRENT_VERSIONS = {"stark": 3, "plonk": 2}
+
+
 class TestFormatVersion1:
     """Version 1 opened arity-2 pair leaves; a v1 STARK or Plonk blob is
-    refused with the typed version error, never fed to the v2 codec."""
+    refused with the typed version error, never fed to the current codec."""
 
     @pytest.mark.parametrize("protocol", ["stark", "plonk"])
     def test_v1_blob_raises_the_version_error(self, protocol, stark_setup, plonk_setup):
         from repro.serialize import ProofFormatError, proof_from_blob, proof_to_blob
 
         proof = {"stark": stark_setup, "plonk": plonk_setup}[protocol][1]
-        assert get(protocol).format_version == 2
-        with pytest.raises(ProofFormatError, match="version 1 .*expected 2"):
+        version = CURRENT_VERSIONS[protocol]
+        assert get(protocol).format_version == version
+        with pytest.raises(ProofFormatError, match=f"version 1 .*expected {version}"):
             proof_from_blob(_as_version_1(proof_to_blob(protocol, proof)))
+
+    def test_v2_stark_blob_raises_the_version_error(self, stark_setup):
+        # v2 STARK blobs committed FRI layer 0; v3 may carry coset leaves
+        # and one layer fewer, so a v2 blob is refused, typed.
+        from repro.serialize import (
+            PROOF_BLOB_MAGIC,
+            ProofFormatError,
+            proof_from_blob,
+            proof_to_blob,
+        )
+
+        blob = bytearray(proof_to_blob("stark", stark_setup[1]))
+        blob[len(PROOF_BLOB_MAGIC)] = 2
+        with pytest.raises(ProofFormatError, match="version 2 .*expected 3"):
+            proof_from_blob(bytes(blob))
 
     @pytest.mark.parametrize("protocol", ["stark", "plonk"])
     def test_cli_verify_refuses_a_v1_envelope(self, protocol, tmp_path, capsys):

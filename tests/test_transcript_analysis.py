@@ -13,6 +13,7 @@ from repro.analysis.transcript import (
     run_transcript_checks,
 )
 from repro.hashing import Challenger
+from repro.protocols.transcript import CapBinding
 from repro.workloads import by_name
 
 
@@ -216,3 +217,30 @@ class TestInjectedViolations:
         events.insert(first_challenge + 1, events.pop(i))
         findings = _check(stark_case, events)
         assert "fs.publics-order" in _rules(findings)
+
+
+def test_layer_caps_bind_after_the_virtual_layer_beta():
+    # STARK Fibonacci commits 8-row cosets, so FRI's first layer is
+    # virtual: its beta (#6-7) follows alpha with no cap, and the first
+    # committed layer's cap binds beta #8.  Declaring the row layout's
+    # #6 instead is a binding violation the analyzer must report.
+    system = protocols.get("stark")
+    spec = system.transcript_spec()
+    setup = system.setup(
+        by_name(spec.workload), spec.scales[-1],
+        system.make_config(spec.config_overrides),
+    )
+    proof, prover_events, verifier_events = record_case(system, setup)
+    bindings = system.cap_bindings(setup, proof)
+    layer = [b for b in bindings if b.label.startswith("fri.commit_caps")]
+    assert [b.before_challenge for b in layer] == [8 + 2 * k for k in range(len(layer))]
+    assert layer
+    stale = [
+        CapBinding(b.label, b.cap, b.before_challenge - 2) if b in layer else b
+        for b in bindings
+    ]
+    args = (spec, system.public_inputs_of(setup, proof))
+    events = (prover_events, verifier_events)
+    assert check_streams("stark", "virtual", *args, bindings, *events) == []
+    findings = check_streams("stark", "virtual", *args, stale, *events)
+    assert "fs.binding-order" in _rules(findings)
