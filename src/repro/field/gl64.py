@@ -41,11 +41,11 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
 from typing import Union
 
 import numpy as np
 
+from ..context import RUN, Workspace
 from . import goldilocks as gl
 
 
@@ -71,69 +71,14 @@ ArrayLike = Union[np.ndarray, int]
 
 
 # ---------------------------------------------------------------------------
-# Workspace arena
+# Workspace arena (the class lives in repro.context, beside the run
+# that holds each thread's default one)
 # ---------------------------------------------------------------------------
-
-
-class Workspace:
-    """A pool of reusable scratch arrays for the in-place kernels.
-
-    Buffers are keyed by ``(slot, shape, dtype)`` so each call site gets stable
-    storage that is reused on the next call with the same shape -- the
-    software analogue of the fixed SRAM scratchpads a UniZK PE cluster
-    cycles through.  A workspace is *not* thread-safe; each proving
-    thread uses its own (see :func:`default_workspace`).
-    """
-
-    __slots__ = ("_bufs", "_plans")
-
-    def __init__(self) -> None:
-        self._bufs: dict = {}
-        self._plans: dict = {}
-
-    def temp(self, shape, slot: str, dtype=np.uint64) -> np.ndarray:
-        """Return a reusable scratch array of ``shape`` (uint64 unless
-        ``dtype`` says otherwise -- the limb GEMM keeps float64 there).
-
-        Contents are unspecified; the same ``(slot, shape, dtype)``
-        always returns the same storage.
-        """
-        key = (slot, shape, dtype)
-        buf = self._bufs.get(key)
-        if buf is None:
-            buf = self._bufs[key] = np.empty(shape, dtype=dtype)
-        return buf
-
-    def plan(self, slot: str, shape, build):
-        """The object cached under ``(slot, shape)``, made by
-        ``build(self, shape)`` on first use: a kernel's pre-sliced views
-        of its :meth:`temp` buffers, so a hot loop pays the slicing
-        once per shape, not per call.  Lives and dies with the buffers.
-        """
-        made = self._plans.get((slot, shape))
-        if made is None:
-            made = self._plans[slot, shape] = build(self, shape)
-        return made
-
-    def nbytes(self) -> int:
-        """Total bytes currently held by the arena (for introspection)."""
-        return sum(b.nbytes for b in self._bufs.values())
-
-    def clear(self) -> None:
-        """Drop every buffer (frees memory; next calls re-allocate)."""
-        self._plans.clear()
-        self._bufs.clear()
-
-
-_TLS = threading.local()
 
 
 def default_workspace() -> Workspace:
     """The calling thread's shared kernel workspace."""
-    ws = getattr(_TLS, "ws", None)
-    if ws is None:
-        ws = _TLS.ws = Workspace()
-    return ws
+    return RUN.workspace
 
 
 def _bcast(a: np.ndarray, shape) -> np.ndarray:

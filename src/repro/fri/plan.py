@@ -16,24 +16,23 @@ static, per-shape kernel-mapping preparation (paper Sections 4-5):
   twiddles, fused Poseidon tables and FRI fold weights.
 
 A plan is keyed on the domain shape only, so every trace or circuit of
-one size -- whatever the protocol -- shares it; the service batches jobs
-of one shape onto one warm plan.  Plans are NOT thread-safe (the arena
-is reused mutably per proof), so :func:`plan_for` hands out thread-local
-instances.
+one size -- whatever the protocol -- shares it; a service worker's
+successive jobs of one shape run on one warm plan.  Plans are NOT
+thread-safe (the arena is reused mutably per proof), so :func:`plan_for`
+draws them from the calling thread's ``RUN.plans``
+(:mod:`repro.context`).
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from functools import cached_property
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 
+from ..context import RUN
 from ..field import gl64, goldilocks as gl
 from ..hashing import optimized
-from ..metrics import GLOBAL as _METRICS
 from ..ntt import transforms
 from . import prover as fri_prover
 
@@ -126,11 +125,9 @@ def _frozen(table: np.ndarray) -> np.ndarray:
     return table
 
 
-_LOCAL = threading.local()
-
 #: Per-thread plan-cache capacity.  Plans pin multi-megabyte workspace
 #: arenas, so the cache is LRU-bounded; evictions are counted in
-#: :data:`repro.metrics.GLOBAL` (``plan_evictions``).
+#: :class:`repro.metrics.Counters` (``plan_evictions``).
 PLAN_CACHE_CAP = 8
 
 
@@ -143,16 +140,14 @@ def plan_for(n: int, rate_bits: int) -> DomainPlan:
     :data:`PLAN_CACHE_CAP` plans per thread, evicting least-recently-used
     shapes.
     """
-    cache: OrderedDict[Tuple[int, int], DomainPlan] = getattr(_LOCAL, "plans", None)
-    if cache is None:
-        cache = _LOCAL.plans = OrderedDict()
+    cache = RUN.plans
     key = (n, rate_bits)
     plan = cache.get(key)
     if plan is None:
         plan = cache[key] = DomainPlan(n, rate_bits).warm()
         while len(cache) > PLAN_CACHE_CAP:
             cache.popitem(last=False)
-            _METRICS.plan_evictions += 1
+            RUN.counters.plan_evictions += 1
     else:
         cache.move_to_end(key)
     return plan

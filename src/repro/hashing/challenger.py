@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..context import RUN
 from ..field import extension as fext, gl64, goldilocks as gl
-from ..metrics import GLOBAL as _METRICS
 from . import optimized
 from .constants import WIDTH
 from .sponge import DIGEST_LEN, RATE
@@ -102,6 +102,6 @@ class Challenger:
         for i, v in enumerate(self._input_buffer):
             self._state[i] = np.uint64(v)
         self._input_buffer.clear()
-        _METRICS.challenger_permutations += 1
+        RUN.counters.challenger_permutations += 1
         self._state = optimized.permute(self._state)
         self._output_buffer = [int(x) for x in self._state[:RATE]][::-1]

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..context import RUN
 from ..field import gl64
-from ..metrics import GLOBAL as _METRICS
 from . import optimized
 from .constants import WIDTH
 
@@ -76,14 +76,14 @@ def hash_batch_into(
     batch, length = inputs.shape
     state = _state_buf(batch, ws)
     if length == 0:
-        _METRICS.sponge_permutations += batch
+        RUN.counters.sponge_permutations += batch
         optimized.permute_into(state, ws)
         np.copyto(out, state[:, :DIGEST_LEN])
         return out
     for start in range(0, length, RATE):
         chunk = inputs[:, start : start + RATE]
         state[:, : chunk.shape[1]] = chunk
-        _METRICS.sponge_permutations += batch
+        RUN.counters.sponge_permutations += batch
         optimized.permute_into(state, ws)
     np.copyto(out, state[:, :DIGEST_LEN])
     return out
@@ -108,7 +108,7 @@ def compress_level_into(
     state = _state_buf(half, ws)
     state[:, :DIGEST_LEN] = prev[0::2]
     state[:, DIGEST_LEN : 2 * DIGEST_LEN] = prev[1::2]
-    _METRICS.sponge_permutations += half
+    RUN.counters.sponge_permutations += half
     optimized.permute_into(state, ws)
     np.copyto(out, state[:, :DIGEST_LEN])
     return out

@@ -34,8 +34,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from ..context import RUN
 from ..field import gl64, goldilocks as gl
-from ..metrics import GLOBAL as _METRICS
 
 
 @lru_cache(maxsize=None)
@@ -124,8 +124,9 @@ def _n_inv(n: int) -> np.uint64:
 
 def _count_transform(a: np.ndarray, log_n: int) -> None:
     batch = int(a.size >> log_n)
-    _METRICS.ntt_transforms += batch
-    _METRICS.ntt_butterflies += batch * (1 << max(0, log_n - 1)) * log_n
+    counters = RUN.counters
+    counters.ntt_transforms += batch
+    counters.ntt_butterflies += batch * (1 << max(0, log_n - 1)) * log_n
 
 
 def _dif_in_place(

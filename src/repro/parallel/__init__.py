@@ -7,10 +7,10 @@ and run by a :class:`ShardPool`: inline in the calling process with one
 worker, or fanned out across persistent shared-memory workers -- either
 way in the order each graph was built.
 
-Provers discover the pool through a context variable (:func:`sharding`
-/ :func:`current_pool`), mirroring how :mod:`repro.metrics` scopes
-counters: no prover signature needs a pool, and a prove given no pool
-inherits the enclosing one.  With no pool scoped, :func:`current_pool` is the
+Provers discover the pool through the calling thread's ``RUN.pool``
+(:mod:`repro.context`; :func:`sharding` / :func:`current_pool`): no
+prover signature needs a pool, and a prove given no pool inherits the
+enclosing one.  With no pool scoped, :func:`current_pool` is the
 process-default inline executor (:func:`default_pool`) -- the same graphs, one worker.
 
 Correctness contract: proofs are bit-identical at every worker count
@@ -26,11 +26,11 @@ edge fails deterministically instead of corrupting an unlucky run.
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import logging
 import os
 from typing import Iterator, Optional
 
+from ..context import RUN, scoped
 from .footprints import FOOTPRINTS, Access, buffer_key, footprint
 from .pool import GraphRaceError, ShardError, ShardPool, default_pool
 from .scheduler import Shard, ShardGraph
@@ -58,15 +58,11 @@ __all__ = [
 
 logger = logging.getLogger("repro.parallel")
 
-_ACTIVE: contextvars.ContextVar[Optional[ShardPool]] = contextvars.ContextVar(
-    "repro_shard_pool", default=None
-)
-
 
 def current_pool() -> ShardPool:
     """The pool provers run their graphs on: the scoped one, or the
     process-default inline executor."""
-    return _ACTIVE.get() or default_pool()
+    return RUN.pool or default_pool()
 
 
 @contextlib.contextmanager
@@ -76,14 +72,8 @@ def sharding(pool: Optional[ShardPool]) -> Iterator[ShardPool]:
     ``sharding(None)`` inherits the enclosing pool (the inline executor
     if none is scoped), which is what a prover's ``pool=None`` means.
     """
-    if pool is None:
+    with scoped("pool", RUN.pool if pool is None else pool):
         yield current_pool()
-        return
-    token = _ACTIVE.set(pool)
-    try:
-        yield pool
-    finally:
-        _ACTIVE.reset(token)
 
 
 def effective_cpus() -> int:

@@ -74,7 +74,7 @@ class _Plane:
             self.pool, self.parts, self._bufs = pool, pool.workers, pool.arena
             return
         # Work that stays in this process runs on the inline executor;
-        # a parallel pool's stats and profile describe its workers only.
+        # a parallel pool's shard stats describe its workers only.
         self.pool = default_pool() if pool.parallel else pool
         self.parts = 1
         # Reuse needs both a plan workspace and a slot naming the

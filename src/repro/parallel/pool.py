@@ -39,7 +39,8 @@ import multiprocessing as mp
 from multiprocessing import resource_tracker
 
 from .. import tracing
-from ..metrics import counting, merge_counts
+from ..context import RUN, Counters
+from ..metrics import counting
 from .kernels import run_kernel
 from .scheduler import ShardGraph
 from .shm import SharedArena
@@ -329,7 +330,7 @@ class ShardPool:
                     f"shard {shard.id!r} ({shard.kind}) failed in worker "
                     f"{msg.get('worker_id')}: {msg.get('error')}"
                 )
-            merge_counts(msg.get("counters", {}))
+            RUN.counters.merge(Counters.from_dict(msg.get("counters", {})))
             tracing.attach_spans(msg.get("spans", []), base_s=dispatched)
             results[shard.id] = msg.get("result")
         return results

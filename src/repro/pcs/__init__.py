@@ -1,15 +1,19 @@
-"""Polynomial commitment schemes (the pluggable commitment plane).
+"""Polynomial commitment schemes (the commitment plane).
 
-Univariate-FRI and multilinear commitment backends, interchangeable
-behind protocol backends (see :mod:`repro.protocols`).
+:class:`FriPCS` -- the univariate scheme both the STARK and Plonk
+backends run on (low-degree extension + Merkle caps + batch FRI opening
+proof) -- and :class:`MultilinearPCS` -- Merkle-committed hypercube
+tables with *no NTT anywhere*, which the sumcheck-native HyperPlonk-lite
+backend commits through.  The two open differently (a batch evaluation
+proof at out-of-domain points vs. index openings plus fold-consistency
+spot checks), so each protocol calls its scheme's own methods; what they
+share is ``verify_opening``, one opening checked against a cap.
 """
 
-from .base import PCS
 from .fri import FriPCS
 from .multilinear import MultilinearPCS, eq_at, eq_table
 
 __all__ = [
-    "PCS",
     "FriPCS",
     "MultilinearPCS",
     "eq_at",

@@ -47,13 +47,10 @@ from ..fri import (
 from ..hashing import Challenger
 from ..merkle.tree import verify_proof
 from ..parallel import ops as par_ops
-from .base import PCS
 
 
-class FriPCS(PCS):
+class FriPCS:
     """Batch commitments on the LDE domain with a FRI opening proof."""
-
-    name = "fri"
 
     def __init__(self, config: FriConfig, ws: gl64.Workspace | None = None) -> None:
         self.config = config
@@ -67,10 +64,6 @@ class FriPCS(PCS):
         """Register a pre-built batch (e.g. a setup-time commitment)."""
         self.batches.append(batch)
         return batch
-
-    def commit(self, rows: np.ndarray, label: str = "pcs") -> PolynomialBatch:
-        """PCS interface alias for :meth:`commit_values`."""
-        return self.commit_values(rows, label)
 
     def commit_values(
         self, rows: np.ndarray, label: str, coset_bits: int = 0
@@ -127,11 +120,6 @@ class FriPCS(PCS):
         return self.add_batch(batch)
 
     # -- openings + FRI --------------------------------------------------
-
-    def open(self, commitment: PolynomialBatch, index: int):
-        """Open one committed leaf of a batch (single-position spot
-        check): LDE row ``index``, or the coset of rows it heads."""
-        return commitment.tree.leaves[index], commitment.tree.prove(index)
 
     @staticmethod
     def verify_opening(

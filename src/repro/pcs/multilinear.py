@@ -22,7 +22,7 @@ bit, matching :func:`repro.sumcheck.fold_table`'s high/low-half split.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .. import parallel, tracing
 from ..field import gl64, goldilocks as gl
 from ..merkle import MerkleProof, MerkleTree, verify_proof
 from ..parallel import ops as par_ops
-from .base import PCS
 
 
 def eq_table(point: Sequence[int]) -> np.ndarray:
@@ -59,10 +58,8 @@ def eq_at(point: Sequence[int], index: int) -> int:
     return acc
 
 
-class MultilinearPCS(PCS):
+class MultilinearPCS:
     """Capped Merkle commitments over hypercube evaluation tables."""
-
-    name = "multilinear"
 
     def __init__(self, cap_height: int = 1) -> None:
         self.cap_height = cap_height
@@ -96,10 +93,6 @@ class MultilinearPCS(PCS):
             return par_ops.multilinear_commit_graph(
                 parallel.current_pool(), rows, cap_height, slot
             ).run()
-
-    def open(self, commitment: MerkleTree, index: int) -> Tuple[np.ndarray, MerkleProof]:
-        """Open one hypercube position: the leaf row plus its path."""
-        return commitment.leaves[index].copy(), commitment.prove(index)
 
     @staticmethod
     def verify_opening(

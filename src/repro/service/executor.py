@@ -121,9 +121,9 @@ def _run(spec: JobSpec) -> bytes:
 
     system = get_protocol(spec.kind)
     config = system.make_config(spec.config)
-    # Setup artifacts persist across jobs in a long-lived worker; the
-    # per-shape prover plans (tables + workspace arenas) are cached
-    # thread-locally inside the backends' prove paths.
+    # Setup artifacts persist across jobs in a long-lived worker, and so
+    # do the per-shape prover plans (tables + workspace arenas) the
+    # backends draw from the worker thread's run (repro.context).
     psetup = _setup_for(system, workload, spec, config)
     proof = system.prove(psetup)
     return write_result_envelope(

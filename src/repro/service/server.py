@@ -34,7 +34,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Union
 
-from ..metrics import merge_counts
 from .cache import ProofCache
 from .executor import validate_spec
 from .jobs import Job, JobFailed, JobResult, JobSpec, JobState
@@ -66,8 +65,6 @@ class ProvingService:
         workers: int = 2,
         *,
         enable_cache: bool = True,
-        cache_entries: int = 256,
-        cache_bytes: int = 64 << 20,
         default_timeout_s: float = 120.0,
         max_retries: int = 2,
         backoff_base_s: float = 0.1,
@@ -84,7 +81,7 @@ class ProvingService:
         self.backoff_cap_s = backoff_cap_s
         self.fault_injection = fault_injection
 
-        self.cache = ProofCache(max_entries=cache_entries, max_bytes=cache_bytes)
+        self.cache = ProofCache()
         self.queue = PriorityJobQueue()
         # ``shard_workers`` trades job-level for stage-level parallelism:
         # each proving worker owns that many shard processes and every
@@ -331,7 +328,6 @@ class ProvingService:
                 return
             if self.enable_cache:
                 self.cache.put(riders[0].spec.cache_key, msg["envelope"])
-            merge_counts(msg["counters"])
             self._merge_totals(msg["counters"])
             self._merge_stage_wall(msg["spans"])
             for job in riders:

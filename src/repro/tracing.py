@@ -2,12 +2,12 @@
 
 Two halves, one file:
 
-* **Spans** -- context-local structured timing of real proof runs.  A
+* **Spans** -- structured timing of real proof runs.  A
   :func:`span` context manager records wall time plus the
   :class:`repro.metrics.Counters` delta of everything executed inside
   it, nesting under the enclosing span.  Collection is off unless a
   :func:`trace` session is active, so the instrumented hot paths pay
-  one context-variable read when nobody is watching.
+  one thread-local read when nobody is watching.
 
 * **Chrome Trace Event export** -- a shared writer/validator for the
   `Trace Event Format`_ JSON consumed by ``chrome://tracing`` and
@@ -27,9 +27,9 @@ Usage::
         print(s.name, s.elapsed_s, s.counters)
     tracing.write_spans_trace(session.spans, "prove.json")
 
-Sessions are context-local (:mod:`contextvars`): concurrent proofs in
-different threads or asyncio tasks collect into separate sessions, the
-same model :mod:`repro.metrics` uses for its counters.
+The active session is the calling thread's ``RUN.session``
+(:mod:`repro.context`): concurrent proofs on different threads collect
+into separate sessions.
 """
 
 from __future__ import annotations
@@ -37,12 +37,11 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional
 
-from .metrics import GLOBAL
+from .context import RUN, scoped
 
 
 @dataclass
@@ -106,20 +105,11 @@ class TraceSession:
             yield from root.walk()
 
 
-_ACTIVE: ContextVar[Optional[TraceSession]] = ContextVar(
-    "repro_trace_session", default=None
-)
-
-
 @contextmanager
 def trace() -> Iterator[TraceSession]:
     """Activate span collection for the enclosed block."""
-    session = TraceSession()
-    token = _ACTIVE.set(session)
-    try:
+    with scoped("session", TraceSession()) as session:
         yield session
-    finally:
-        _ACTIVE.reset(token)
 
 
 @contextmanager
@@ -129,7 +119,7 @@ def span(name: str, category: str = "stage", **args: Any) -> Iterator[Optional[S
     Yields the live :class:`Span` (or ``None`` when collection is off);
     wall time and counter deltas are filled in at exit.
     """
-    session = _ACTIVE.get()
+    session = RUN.session
     if session is None:
         yield None
         return
@@ -137,14 +127,15 @@ def span(name: str, category: str = "stage", **args: Any) -> Iterator[Optional[S
     parent = session._stack[-1] if session._stack else None
     (parent.children if parent is not None else session.spans).append(s)
     session._stack.append(s)
-    before = GLOBAL.snapshot()
+    counters = RUN.counters
+    before = counters.snapshot()
     s.start_s = time.perf_counter()
     try:
         yield s
     finally:
         s.elapsed_s = time.perf_counter() - s.start_s
         s.counters = {
-            k: v for k, v in GLOBAL.delta(before).as_dict().items() if v
+            k: v for k, v in counters.delta(before).as_dict().items() if v
         }
         session._stack.pop()
 
@@ -165,7 +156,7 @@ def attach_spans(
     No-op (returning 0) when tracing is off; returns the number of
     roots attached otherwise.
     """
-    session = _ACTIVE.get()
+    session = RUN.session
     if session is None or not span_dicts:
         return 0
     roots = [Span.from_dict(d) for d in span_dicts]

@@ -2,20 +2,21 @@
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
+from repro.context import scoped
 from repro.fri import FriConfig
 
 
 @pytest.fixture
 def fresh_plan_cache():
-    """An empty per-shape plan cache for this thread, dropped afterwards."""
-    from repro.fri import plan as fri_plan
-
-    fri_plan._LOCAL.plans = None
-    yield
-    fri_plan._LOCAL.plans = None
+    """An empty per-shape plan cache for this thread; the thread's own
+    cache is back in place afterwards."""
+    with scoped("plans", OrderedDict()):
+        yield
 
 
 @pytest.fixture

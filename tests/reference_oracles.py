@@ -12,7 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro import metrics, parallel
+from repro import parallel
+from repro.context import RUN
 from repro.field import gl64, goldilocks as gl
 from repro.fri import PolynomialBatch
 from repro.hashing import optimized, sponge
@@ -67,7 +68,7 @@ def two_to_one(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     state[:, sponge.DIGEST_LEN : 2 * sponge.DIGEST_LEN] = right.reshape(
         batch, sponge.DIGEST_LEN
     )
-    metrics.GLOBAL.sponge_permutations += batch
+    RUN.counters.sponge_permutations += batch
     optimized.permute_into(state)
     return state[:, : sponge.DIGEST_LEN].reshape(lead + (sponge.DIGEST_LEN,))
 

@@ -110,30 +110,34 @@ def test_planted_tuning_file_cannot_move_the_model(door, tmp_path, monkeypatch):
 SRC = Path(repro.__file__).parent
 
 #: Files (relative to ``src/repro``) allowed to create process-ambient
-#: state.  The ROADMAP ``RunContext`` item starts from these lists.
+#: state: the one per-thread ``Run`` of ``repro.context``.
 AMBIENT = {
-    "ContextVar": {"metrics.py", "tracing.py", "parallel/__init__.py"},
-    "local": {"field/gl64.py", "fri/plan.py"},
+    "ContextVar": set(),
+    "local": {"context.py"},
 }
 
 
-def _constructor_calls(name):
-    """Files under ``src/repro`` that call ``name(...)`` or ``x.name(...)``."""
+def _ambient_uses(name):
+    """Files under ``src/repro`` that call ``name(...)`` / ``x.name(...)``
+    or subclass it."""
     found = set()
     for path in SRC.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(node, ast.Call):
+            if isinstance(node, ast.Call):
+                used = [node.func]
+            elif isinstance(node, ast.ClassDef):
+                used = node.bases
+            else:
                 continue
-            func = node.func
-            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if called == name:
-                found.add(path.relative_to(SRC).as_posix())
+            for ref in used:
+                if (ref.attr if isinstance(ref, ast.Attribute) else getattr(ref, "id", None)) == name:
+                    found.add(path.relative_to(SRC).as_posix())
     return found
 
 
 @pytest.mark.parametrize("name", sorted(AMBIENT))
 def test_ambient_state_lives_where_pinned(name):
-    assert _constructor_calls(name) == AMBIENT[name]
+    assert _ambient_uses(name) == AMBIENT[name]
 
 
 #: Ways to the process environment or the home directory, whatever
@@ -165,10 +169,12 @@ REPO = SRC.parent.parent
 #: and fuzz targets moved onto ``ProofSystem``, when the mapping
 #: tuner's disk cache went, when the service's batching window gave
 #: way to single-flight, when shard graphs began to run in build order
-#: on forked workers only, and when the code only its own tests reached
+#: on forked workers only, when the code only its own tests reached
 #: went (``tests/test_reachability.py``; the oracles among it live in
-#: ``tests/reference_oracles.py``).  Each is split in two so this list
-#: does not find itself.
+#: ``tests/reference_oracles.py``), and when five ambient stores and
+#: the uncalled PCS interface gave way to one per-thread run
+#: (``repro.context``).  Each is split in two so this list does not
+#: find itself.
 RETIRED = "|".join(
     head + tail
     for head, tail in [
@@ -250,6 +256,17 @@ RETIRED = "|".join(
         ("\\.num_transition", "_constraints\\("),
         ("stage", "_seconds"),
         ("active", "_session"),
+        ("\\bGLO", "BAL\\b"),
+        ("_Context", "Counters"),
+        ("merge", "_counts"),
+        ("_MET", "RICS\\b"),
+        ("\\b_ACT", "IVE\\b"),
+        ("\\b_LO", "CAL\\b"),
+        ("\\b_T", "LS\\b"),
+        ("import P", "CS\\b"),
+        ("\\(P", "CS\\)"),
+        ("def open\\(self, commit", "ment"),
+        ("cache_(entries|bytes)", "="),
     ]
 )
 

@@ -5,7 +5,8 @@ import numpy as np
 from repro.field import gl64
 from repro.hashing import Challenger, hash_batch, sponge
 from repro.merkle import MerkleTree, PathOpening, verify_paths, verify_proof
-from repro.metrics import GLOBAL, Counters, counting
+from repro.context import RUN
+from repro.metrics import Counters, counting
 from repro.ntt import ntt
 
 
@@ -81,6 +82,6 @@ class TestCounters:
             assert c.sponge_permutations == 3 * (2 + 3)
 
     def test_global_monotone(self, rng):
-        before = GLOBAL.sponge_permutations
+        before = RUN.counters.sponge_permutations
         hash_batch(gl64.random((2, 5), rng))
-        assert GLOBAL.sponge_permutations > before
+        assert RUN.counters.sponge_permutations > before

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro import metrics, tracing
+from repro.context import RUN
 from repro.hashing import Challenger
 from repro.pcs import FriPCS
 from repro.plonk import plan_for as plonk_plan_for, prove as plonk_prove, setup
@@ -158,10 +159,10 @@ class TestSpans:
             assert child_sum <= span.elapsed_s + 1e-6
 
     def test_span_is_noop_without_session(self):
-        assert tracing._ACTIVE.get() is None
+        assert RUN.session is None
         with tracing.span("orphan"):
             pass  # must not raise or record anywhere
-        assert tracing._ACTIVE.get() is None
+        assert RUN.session is None
 
     def test_roundtrip_through_dict(self):
         session, _ = self._traced_prove()
@@ -250,7 +251,7 @@ class TestSessionIsolation:
                 with tracing.trace() as inner:
                     with tracing.span("inner-stage"):
                         pass
-                assert tracing._ACTIVE.get() is outer
+                assert RUN.session is outer
         assert [s.name for s in inner.walk()] == ["inner-stage"]
         assert [s.name for s in outer.walk()] == ["outer-stage"]
 
@@ -290,7 +291,7 @@ class TestAttachSpans:
         }]
 
     def test_noop_without_session(self):
-        assert tracing._ACTIVE.get() is None
+        assert RUN.session is None
         assert tracing.attach_spans(self._worker_payload()) == 0
 
     def test_empty_payload_is_noop(self):

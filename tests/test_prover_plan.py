@@ -9,11 +9,15 @@ come from tests/goldens.py.  The plan's tables are checked against their definit
 Python-int arithmetic.
 """
 
+import contextvars
+import threading
+
 import numpy as np
 import pytest
 
 from repro import metrics, parallel, plonk, stark
-from repro.field import goldilocks as gl
+from repro.context import RUN
+from repro.field import gl64, goldilocks as gl
 from repro.fri import DomainPlan, plan as fri_plan
 from repro.fri.config import FriConfig
 from repro.protocols import get
@@ -115,7 +119,7 @@ def test_plan_cache_is_lru_bounded(monkeypatch, fresh_plan_cache):
         assert got.plan_evictions == 1
         assert plan_for(8, 1) is p8  # survived: recently used
         assert got.plan_evictions == 1
-        assert (16, 1) not in fri_plan._LOCAL.plans
+        assert (16, 1) not in RUN.plans
 
 
 def test_stark_and_plonk_share_one_plan_per_shape():
@@ -213,7 +217,47 @@ def test_protocols_interleave_on_the_shared_plan(workers, fresh_plan_cache):
         ]
     assert got == [solo_stark, solo_plonk, solo_stark, solo_plonk]
     # Both provers drew the one plan of this shape from the one cache.
-    assert list(fri_plan._LOCAL.plans) == [(n, rate_bits)]
+    assert list(RUN.plans) == [(n, rate_bits)]
+
+
+def test_concurrent_proves_of_one_shape_keep_their_own_run():
+    """Two threads prove one shape at once -- one started plainly, one in
+    a copied ``contextvars`` context.  Each has its own run: every digest
+    is the solo digest, each thread counts exactly three solo proves, and
+    neither shares the main thread's workspace or plan."""
+    system = get("stark")
+    setup = system.setup(fibonacci.SPEC, 8, system.make_config())
+    n, rate_bits = setup.rows, setup.config.rate_bits
+    system.prove(setup)  # warm this thread's plan: no eviction below
+    with metrics.counting() as counts:
+        solo = system.digest(system.prove(setup))
+    want = {k: 3 * v for k, v in counts.as_dict().items()}
+    main_ws, main_plan = gl64.default_workspace(), plan_for(n, rate_bits)
+    seen = {}
+
+    def prove_three(name):
+        with metrics.counting() as counts:
+            digests = [system.digest(system.prove(setup)) for _ in range(3)]
+        seen[name] = (
+            digests, counts.as_dict(), gl64.default_workspace(), plan_for(n, rate_bits)
+        )
+
+    threads = [
+        threading.Thread(target=prove_three, args=("plain",)),
+        threading.Thread(
+            target=contextvars.copy_context().run, args=(prove_three, "copied")
+        ),
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(120)
+        assert not t.is_alive()
+    assert sorted(seen) == ["copied", "plain"]
+    for digests, got, ws, plan in seen.values():
+        assert digests == [solo] * 3
+        assert got == want
+        assert ws is not main_ws and plan is not main_plan
 
 
 def test_service_executor_digests_are_deterministic():

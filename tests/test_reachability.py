@@ -65,10 +65,10 @@ ALLOWED: dict[str, str] = {
         "wire protocol has no cancel op)"
     ),
     "pcs.*.verify_opening": (
-        "Public API contract: the verify half of the PCS interface "
-        "(commit / open / verify) every scheme implements"
+        "Public API contract: each scheme's check of one opening against "
+        "a cap, for library callers"
     ),
-    "field.gl64.Workspace.nbytes": (
+    "context.Workspace.nbytes": (
         "ROADMAP item 8: the arena-bytes gauge; the memory tests read "
         "workspace sizes through it"
     ),
