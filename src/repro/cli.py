@@ -217,17 +217,20 @@ def cmd_serve(args) -> int:
     from . import parallel
     from .service import ProvingService, serve_forever
 
-    shard_workers = parallel.resolve_workers(
-        args.shard_workers, flag="shard-workers"
-    )
-    service = ProvingService(
-        workers=args.workers,
-        enable_cache=not args.no_cache,
-        default_timeout_s=args.job_timeout,
-        max_retries=args.retries,
-        fault_injection=args.fault_injection,
-        shard_workers=shard_workers,
-    )
+    try:
+        shard_workers = parallel.resolve_workers(
+            args.shard_workers, flag="shard-workers"
+        )
+        service = ProvingService(
+            workers=args.workers,
+            enable_cache=not args.no_cache,
+            default_timeout_s=args.job_timeout,
+            max_retries=args.retries,
+            fault_injection=args.fault_injection,
+            shard_workers=shard_workers,
+        )
+    except (TypeError, ValueError) as exc:
+        raise CliError(str(exc)) from None
     service.start()
     print(
         f"proving service on {args.host}:{args.port} "

@@ -35,6 +35,7 @@ from .footprints import FOOTPRINTS, Access, buffer_key, footprint
 from .pool import GraphRaceError, ShardError, ShardPool, default_pool
 from .scheduler import Shard, ShardGraph
 from .shm import SharedArena, ShmRef, resolve
+from .workers import Workers
 
 __all__ = [
     "Access",
@@ -46,6 +47,7 @@ __all__ = [
     "ShardPool",
     "SharedArena",
     "ShmRef",
+    "Workers",
     "buffer_key",
     "current_pool",
     "default_pool",

@@ -16,8 +16,9 @@ plane) and persistent forked worker processes, and folds each shard's
 operation counters and trace spans back into the coordinator's context
 -- so a proof reports the same counter totals, and a traced proof shows
 ``shard:*`` spans nested under the stage that spawned them, on either
-transport.  A worker that dies takes its graph down with a
-:class:`ShardError`, and the pool forks fresh workers for the next one.
+transport.  The workers are a :class:`~repro.parallel.workers.Workers`
+(a pipe each).  A dead worker is replaced on its own; one that dies with
+a shard in flight also takes its graph down with a :class:`ShardError`.
 
 Determinism: shard completion order is non-deterministic, but every
 kernel writes a disjoint region of a shared buffer and the coordinator
@@ -30,12 +31,9 @@ from __future__ import annotations
 
 import itertools
 import os
-import queue as queue_mod
-import signal
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
-import multiprocessing as mp
 from multiprocessing import resource_tracker
 
 from .. import tracing
@@ -44,6 +42,7 @@ from ..metrics import counting
 from .kernels import run_kernel
 from .scheduler import ShardGraph
 from .shm import SharedArena
+from .workers import Workers
 
 _POOL_SEQ = itertools.count()
 
@@ -73,43 +72,23 @@ class GraphRaceError(ShardError):
         )
 
 
-def _shard_worker_main(worker_id: int, task_q, result_q) -> None:
-    """Worker loop: run one kernel per task, ship result + counters + spans.
-
-    Mirrors the service worker's shutdown discipline: SIGINT is ignored
-    (sentinels drive shutdown), and exceptions are reported, never
-    fatal.  Each task runs under a local trace session whose spans ride
-    back for re-attachment.
-    """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    while True:
-        task = task_q.get()
-        if task is None:
-            break
-        base = {"worker_id": worker_id, "run": task["run"], "shard_id": task["shard_id"]}
-        try:
-            with counting() as counters, tracing.trace() as session:
-                with tracing.span(
-                    f"shard:{task['kind']}",
-                    category="shard",
-                    shard=task["shard_id"],
-                    units=task["units"],
-                    worker=worker_id,
-                ):
-                    result = run_kernel(task["kind"], task["args"])
-            result_q.put(
-                {
-                    **base,
-                    "ok": True,
-                    "result": result,
-                    "counters": counters.as_dict(),
-                    "spans": [s.as_dict() for s in session.spans],
-                }
-            )
-        except Exception as exc:  # noqa: BLE001 - report, don't die
-            result_q.put(
-                {**base, "ok": False, "error": f"{type(exc).__name__}: {exc}"}
-            )
+def _run_shard(worker_id: int, task: Dict[str, Any]) -> Dict[str, Any]:
+    """One shard in a worker: its result, and the counters and trace
+    spans it recorded, which ride back for re-attachment."""
+    with counting() as counters, tracing.trace() as session:
+        with tracing.span(
+            f"shard:{task['kind']}",
+            category="shard",
+            shard=task["shard_id"],
+            units=task["units"],
+            worker=worker_id,
+        ):
+            result = run_kernel(task["kind"], task["args"])
+    return {
+        "result": result,
+        "counters": counters.as_dict(),
+        "spans": [s.as_dict() for s in session.spans],
+    }
 
 
 class ShardPool:
@@ -162,9 +141,8 @@ class ShardPool:
         self.min_queries = min_queries
         self.uid = f"{os.getpid()}-{next(_POOL_SEQ)}"
         self.arena = SharedArena(self.uid)
-        self._procs: List[Any] = []
-        self._task_qs: List[Any] = []
-        self._result_q = None
+        #: The worker processes (none forked until the first parallel run).
+        self.forked = Workers(workers, _run_shard)
         self._run_seq = itertools.count()
         self._closed = False
         #: Lifetime stats (exported through service stats / benches).
@@ -181,62 +159,23 @@ class ShardPool:
         """Fork the worker processes (idempotent; implied by ``run``)."""
         if self._closed:
             raise RuntimeError("shard pool is closed")
-        if self._procs or not self.parallel:
+        if self.forked.procs or not self.parallel:
             return self
         # A forked worker inherits the tracker only if it exists already;
         # one forked before the first segment is created would start a
         # private tracker on its first attach, which then "cleans up" the
         # coordinator's segments at exit.
         resource_tracker.ensure_running()
-        ctx = mp.get_context("fork")
-        self._result_q = ctx.Queue()
-        for wid in range(self.workers):
-            task_q = ctx.Queue()
-            proc = ctx.Process(
-                target=_shard_worker_main,
-                args=(wid, task_q, self._result_q),
-                daemon=True,
-            )
-            proc.start()
-            self._procs.append(proc)
-            self._task_qs.append(task_q)
+        self.forked.start()
         return self
 
-    def _stop_workers(self) -> None:
-        """Terminate and reap every worker and drop every queue.
-
-        A worker killed mid-``put`` can leave the shared result queue's
-        lock held, so the queues go with the processes; the next
-        :meth:`start` builds new ones.  Arena segments belong to the
-        coordinator and stay valid.
-        """
-        for proc in self._procs:
-            if proc.is_alive():
-                proc.terminate()
-        for proc in self._procs:
-            proc.join(1.0)
-        for q in [*self._task_qs, self._result_q]:
-            if q is not None:
-                q.cancel_join_thread()  # a dead reader never drains it
-                q.close()
-        self._procs.clear()
-        self._task_qs.clear()
-        self._result_q = None
-
     def close(self, timeout_s: float = 5.0) -> None:
-        """Stop workers (sentinel, then terminate) and unlink the arena."""
+        """Stop the workers (EOF, then SIGKILL at the deadline) and
+        unlink the arena."""
         if self._closed:
             return
         self._closed = True
-        for task_q in self._task_qs:
-            try:
-                task_q.put_nowait(None)
-            except Exception:
-                pass
-        deadline = time.monotonic() + timeout_s
-        for proc in self._procs:
-            proc.join(max(0.0, deadline - time.monotonic()))
-        self._stop_workers()
+        self.forked.stop(timeout_s)
         self.arena.close()
 
     def __enter__(self) -> "ShardPool":
@@ -290,9 +229,14 @@ class ShardPool:
 
     def _run_parallel(self, graph: ShardGraph) -> Dict[str, Any]:
         run_id = next(self._run_seq)
+        forked = self.forked
+        # A worker that died idle is replaced before it is given a shard;
+        # replies still due from an aborted run are dropped by run id.
+        for wid in forked.wait(0)[1]:
+            forked.replace(wid)
         idle = list(range(self.workers))
         waiting = list(graph.order)  # not yet dispatched, in build order
-        inflight: Dict[str, tuple] = {}  # shard_id -> (worker, shard, dispatch_s)
+        inflight: Dict[int, tuple] = {}  # worker -> (shard, dispatch_s)
         results: Dict[str, Any] = {}
         while len(results) < len(graph):
             ready = [
@@ -303,54 +247,43 @@ class ShardPool:
                 waiting.remove(sid)
                 shard = graph.shards[sid]
                 wid = idle.pop()
-                self._task_qs[wid].put(
+                forked.send(
+                    wid,
+                    (run_id, shard.id),
                     {
-                        "run": run_id,
                         "shard_id": shard.id,
                         "kind": shard.kind,
                         "args": shard.args,
                         "units": shard.units,
-                    }
+                    },
                 )
-                inflight[shard.id] = (wid, shard, time.perf_counter())
-            try:
-                msg = self._result_q.get(timeout=0.5)
-            except queue_mod.Empty:
-                self._check_liveness(inflight)
-                continue
-            if msg.get("run") != run_id:
-                continue  # stale result from an aborted earlier run
-            entry = inflight.pop(msg["shard_id"], None)
-            if entry is None:
-                continue
-            wid, shard, dispatched = entry
-            idle.append(wid)
-            if not msg.get("ok"):
+                inflight[wid] = (shard, time.perf_counter())
+            replies, dead = forked.wait(None)
+            for wid, tag, msg in replies:
+                entry = inflight.get(wid)
+                if entry is None or tag != (run_id, entry[0].id):
+                    continue  # stale result from an aborted earlier run
+                shard, dispatched = inflight.pop(wid)
+                idle.append(wid)
+                if not msg["ok"]:
+                    raise ShardError(
+                        f"shard {shard.id!r} ({shard.kind}) failed in worker "
+                        f"{wid}: {msg['error']}"
+                    )
+                RUN.counters.merge(Counters.from_dict(msg["counters"]))
+                tracing.attach_spans(msg["spans"], base_s=dispatched)
+                results[shard.id] = msg["result"]
+            # A dead worker is replaced on its own; the graph fails only
+            # if it died with a shard in flight.
+            codes = {wid: forked.replace(wid) for wid in dead}
+            lost = [wid for wid in dead if wid in inflight]
+            if lost:
                 raise ShardError(
-                    f"shard {shard.id!r} ({shard.kind}) failed in worker "
-                    f"{msg.get('worker_id')}: {msg.get('error')}"
+                    f"shard worker {lost[0]} died (exitcode {codes[lost[0]]}) "
+                    f"with shards in flight: "
+                    f"{sorted(shard.id for shard, _ in inflight.values())}"
                 )
-            RUN.counters.merge(Counters.from_dict(msg.get("counters", {})))
-            tracing.attach_spans(msg.get("spans", []), base_s=dispatched)
-            results[shard.id] = msg.get("result")
         return results
-
-    def _check_liveness(self, inflight: Dict[str, tuple]) -> None:
-        """Fail loudly if a worker died with a shard in flight.
-
-        The surviving workers go too (one may be mid-shard, and the dead
-        one may have wedged the result queue), so the next :meth:`run`
-        forks a fresh set instead of waiting on a worker that is gone.
-        """
-        if not inflight:
-            return
-        for proc in self._procs:
-            if not proc.is_alive():
-                self._stop_workers()
-                raise ShardError(
-                    f"shard worker died (exitcode {proc.exitcode}) with "
-                    f"shards in flight: {sorted(inflight)}"
-                )
 
 
 _DEFAULT: Optional[ShardPool] = None

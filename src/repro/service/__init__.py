@@ -20,7 +20,6 @@ from .client import ServiceClient, ServiceError, wait_for_server
 from .executor import execute, validate_spec, verify_result
 from .jobs import Job, JobFailed, JobResult, JobSpec, JobState
 from .net import ServiceServer, serve_forever
-from .pool import WorkerPool
 from .queue import PriorityJobQueue
 from .server import ProvingService
 
@@ -38,7 +37,6 @@ __all__ = [
     "JobFailed",
     "PriorityJobQueue",
     "ProofCache",
-    "WorkerPool",
     "execute",
     "verify_result",
     "validate_spec",

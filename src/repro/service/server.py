@@ -11,8 +11,11 @@
   its twin is outstanding and nothing waits for twins to arrive;
 * :class:`~repro.service.queue.PriorityJobQueue` orders the queued
   flights' cache keys (priority + retry backoff);
-* :class:`~repro.service.pool.WorkerPool` runs one flight per worker
-  process and reports crashes/timeouts.
+* a :class:`~repro.parallel.workers.Workers` runs one flight per
+  worker process, a pipe each; the flight policy stays here: idle
+  workers are filled longest-idle first, a worker past its flight's
+  deadline is SIGKILLed, and a dead or killed worker is replaced and its
+  flight retried.
 
 Invariant: every non-terminal job rides exactly one flight, and at most
 one flight per cache key exists.  A key is either cached or in flight,
@@ -20,27 +23,64 @@ both decided under the one lock.
 
 A single scheduler thread owns all state transitions, so there is one
 lock and no lost-update window: results, casualties, and dispatch all
-happen on its tick.  Jobs are never lost -- a worker death or timeout
+happen on its tick, which waits on the workers' pipes and sentinels for
+at most ``_TICK_S``.  Jobs are never lost -- a worker death or timeout
 requeues every rider (bounded retries with exponential backoff and
 jitter) or fails it explicitly.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import math
 import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
+from ..parallel import ShardPool, sharding
+from ..parallel.shm import own_tracker
+from ..parallel.workers import Workers
 from .cache import ProofCache
-from .executor import validate_spec
+from .executor import execute, validate_spec
 from .jobs import Job, JobFailed, JobResult, JobSpec, JobState
-from .pool import Casualty, WorkerPool
 from .queue import PriorityJobQueue
 
 _TICK_S = 0.005
+
+
+def _prove(worker_id: int, spec: Dict[str, Any]) -> Dict[str, Any]:
+    return execute(spec)
+
+
+@contextlib.contextmanager
+def _proving_worker(shard_workers: int, shard_config: Dict[str, Any]) -> Iterator[None]:
+    """What a proving worker holds for its life: a ``ShardPool`` of
+    ``shard_workers``, scoped over every job it runs.  With more than one,
+    each proof's commit/FRI stages fan out across shard processes
+    (stage-level parallelism nested inside job-level parallelism), and
+    the worker's own resource tracker unlinks their segments if it is
+    killed."""
+    if shard_workers > 1:
+        own_tracker()
+    with ShardPool(shard_workers, **shard_config) as pool, sharding(pool):
+        yield
+
+
+def _check_int(name: str, value: Any, low: Optional[int] = None) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
+def _check_timeout(name: str, value: Any) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {type(value).__name__}")
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass
@@ -74,6 +114,10 @@ class ProvingService:
         shard_workers: int = 1,
         shard_config: Optional[Dict[str, Any]] = None,
     ) -> None:
+        _check_int("workers", workers, 1)
+        _check_int("shard_workers", shard_workers, 1)
+        _check_timeout("default_timeout_s", default_timeout_s)
+        _check_int("max_retries", max_retries, 0)
         self.enable_cache = enable_cache
         self.default_timeout_s = default_timeout_s
         self.default_max_retries = max_retries
@@ -86,11 +130,18 @@ class ProvingService:
         # ``shard_workers`` trades job-level for stage-level parallelism:
         # each proving worker owns that many shard processes and every
         # proof it runs fans its commit/FRI stages across them.
-        self.pool = WorkerPool(
-            num_workers=workers,
-            shard_workers=shard_workers,
-            shard_config=shard_config,
+        self.shard_workers = shard_workers
+        self.forked = Workers(
+            workers,
+            _prove,
+            lambda: _proving_worker(shard_workers, dict(shard_config or {})),
         )
+        #: worker -> (flight id, monotonic deadline) of what it runs.
+        self._running: Dict[int, Tuple[int, float]] = {}
+        #: Per worker slot: when it last became idle (a fresh worker
+        #: counts), and the flights it has been handed.
+        self._idle_since = [time.monotonic()] * workers
+        self._dispatches = [0] * workers
 
         self._jobs: Dict[str, Job] = {}
         #: cache key -> the one flight queued or proving for it.
@@ -115,7 +166,7 @@ class ProvingService:
         """Spawn workers and the scheduler thread."""
         if self._scheduler is not None:
             return self
-        self.pool.start()
+        self.forked.start()
         self._stop.clear()
         self._scheduler = threading.Thread(
             target=self._run_scheduler, name="proving-scheduler", daemon=True
@@ -131,7 +182,7 @@ class ProvingService:
         if self._scheduler is not None:
             self._scheduler.join(timeout_s)
             self._scheduler = None
-        self.pool.stop()
+        self.forked.stop()
 
     def __enter__(self) -> "ProvingService":
         return self.start()
@@ -152,9 +203,17 @@ class ProvingService:
     ) -> str:
         """Submit a job; returns its id immediately.
 
-        Raises ``KeyError`` for an unknown workload and ``ValueError``
-        for an invalid spec (both before the job enters the queue).
+        Raises ``KeyError`` for an unknown workload, ``ValueError`` for an
+        invalid spec, and ``TypeError`` / ``ValueError`` unless
+        ``priority`` is an int, ``timeout_s`` a finite number > 0 and
+        ``max_retries`` an int >= 0 (``bool`` is none of them) -- all
+        before the job is registered.
         """
+        _check_int("priority", priority)
+        if timeout_s is not None:
+            _check_timeout("timeout_s", timeout_s)
+        if max_retries is not None:
+            _check_int("max_retries", max_retries, 0)
         if spec is None:
             spec = JobSpec(**spec_kwargs)
         elif isinstance(spec, dict):
@@ -241,45 +300,53 @@ class ProvingService:
                 "queue_depth": len(self._flights) - running,
                 "inflight_batches": running,
                 "cache": self.cache.stats(),
-                "workers": len(self.pool.workers),
-                "worker_restarts": self.pool.restarts,
-                "shard_workers": self.pool.shard_workers,
-                "worker_dispatches": {
-                    w.id: w.dispatches for w in self.pool.workers
-                },
+                "workers": len(self.forked.procs),
+                "worker_restarts": self.forked.restarts,
+                "shard_workers": self.shard_workers,
+                "worker_dispatches": dict(enumerate(self._dispatches)),
             }
 
     # -- scheduler -------------------------------------------------------
 
     def _run_scheduler(self) -> None:
         while not self._stop.is_set():
-            did_work = self._tick()
-            if not did_work:
-                time.sleep(_TICK_S)
+            replies, dead = self.forked.wait(_TICK_S)
+            for worker_id, flight_id, msg in replies:
+                self._handle_result(worker_id, flight_id, msg)
+            self._heal(dead)
+            self._dispatch()
 
-    def _tick(self) -> bool:
-        did_work = False
-        # 1. Landed flights.
-        while True:
-            try:
-                msg = self.pool.result_q.get_nowait()
-            except Exception:
-                break
-            self._handle_result(msg)
-            did_work = True
-        # 2. Dead / timed-out workers.
-        for casualty in self.pool.check_health():
-            self._handle_casualty(casualty)
-            did_work = True
-        # 3. Dispatch ready work to idle workers.
-        did_work |= self._dispatch()
-        return did_work
-
-    def _dispatch(self) -> bool:
-        """Hand one queued flight to each idle worker."""
-        dispatched = False
+    def _heal(self, dead: List[int]) -> None:
+        """Replace dead workers and SIGKILL-and-replace those past their
+        flight's deadline (the prover does not poll for cancellation);
+        the flight each was running is a casualty."""
+        now = time.monotonic()
         with self._lock:
-            for worker in self.pool.idle_workers():
+            late = [w for w, (_, deadline) in self._running.items()
+                    if now > deadline and w not in dead]
+            for worker_id in [*dead, *late]:
+                self.forked.replace(worker_id)
+                self._idle_since[worker_id] = time.monotonic()
+                running = self._running.pop(worker_id, None)
+                if running is not None:
+                    self._lose(running[0], "timeout" if worker_id in late else "crashed")
+
+    def _idle_workers(self) -> List[int]:
+        """Workers ready for a new flight, longest-idle first.
+
+        Ordering matters: :meth:`_dispatch` fills this list front to
+        back, so slot order would always feed worker 0 first, starving
+        high-id workers under light load and skewing per-worker stats.
+        Longest-waiting-first spreads work evenly (and keeps every
+        worker's caches warm).
+        """
+        idle = [w for w in range(self.forked.count) if w not in self._running]
+        return sorted(idle, key=lambda w: (self._idle_since[w], w))
+
+    def _dispatch(self) -> None:
+        """Hand one queued flight to each idle worker."""
+        with self._lock:
+            for worker_id in self._idle_workers():
                 flight = self._next_queued()
                 if flight is None:
                     break
@@ -290,9 +357,9 @@ class ProvingService:
                 for job_id in flight.riders:
                     self._board(self._jobs[job_id], now)
                 self.totals["batches_dispatched"] += 1
-                self.pool.assign(worker, flight.id, flight.spec.to_dict(), timeout)
-                dispatched = True
-        return dispatched
+                self._running[worker_id] = (flight.id, now + timeout)
+                self._dispatches[worker_id] += 1
+                self.forked.send(worker_id, flight.id, flight.spec.to_dict())
 
     def _next_queued(self) -> Optional[Flight]:
         """Most urgent ready flight.  An entry whose flight was dropped
@@ -316,12 +383,13 @@ class ProvingService:
                 return riders
         return []
 
-    def _handle_result(self, msg: Dict[str, Any]) -> None:
+    def _handle_result(self, worker_id: int, flight_id: int, msg: Dict[str, Any]) -> None:
         with self._lock:
-            self.pool.mark_idle(msg["worker_id"])
-            riders = self._land(msg["flight_id"])
+            self._running.pop(worker_id, None)
+            self._idle_since[worker_id] = time.monotonic()
+            riders = self._land(flight_id)
             if not riders:
-                return  # stale result from a worker we already gave up on
+                return  # no such flight in the air
             if not msg["ok"]:
                 for job in riders:
                     self._fail_or_retry(job, msg["error"])
@@ -336,17 +404,17 @@ class ProvingService:
                     counters=msg["counters"], spans=msg["spans"],
                 )
 
-    def _handle_casualty(self, casualty: Casualty) -> None:
-        with self._lock:
-            riders = self._land(casualty.flight_id)
-            if not riders:
-                return
-            key = "timeouts" if casualty.reason == "timeout" else "worker_crashes"
-            self.totals[key] += 1
-            for job in riders:
-                self._fail_or_retry(job, f"worker {casualty.reason}")
-
     # -- state transitions (caller holds the lock) -----------------------
+
+    def _lose(self, flight_id: int, reason: str) -> None:
+        """A worker died (``crashed``) or was killed (``timeout``) with
+        this flight: retry or fail every rider."""
+        riders = self._land(flight_id)
+        if not riders:
+            return
+        self.totals["timeouts" if reason == "timeout" else "worker_crashes"] += 1
+        for job in riders:
+            self._fail_or_retry(job, f"worker {reason}")
 
     def _enqueue(self, job: Job, delay_s: float = 0.0) -> None:
         """Put a pending job on the flight for its cache key, creating

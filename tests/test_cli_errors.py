@@ -62,6 +62,21 @@ class TestRetiredServeFlags:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+class TestBadServeArgs:
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            (["--retries", "-1"], "max_retries must be >= 0, got -1"),
+            (["--job-timeout", "0"], "default_timeout_s must be finite and > 0, got 0.0"),
+            (["--workers", "0"], "workers must be >= 1, got 0"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else "",
+    )
+    def test_refused_in_one_line_before_any_worker_starts(self, flag, message, capsys):
+        assert main(["serve", "--port", "8399", *flag]) == 2
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
 class TestBadQueryCount:
     def test_prove_rejects_zero_queries_in_one_line(self, capsys):
         for protocol in ("stark", "plonk", "hyperplonk"):

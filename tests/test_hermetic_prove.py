@@ -173,8 +173,9 @@ REPO = SRC.parent.parent
 #: went (``tests/test_reachability.py``; the oracles among it live in
 #: ``tests/reference_oracles.py``), and when five ambient stores and
 #: the uncalled PCS interface gave way to one per-thread run
-#: (``repro.context``).  Each is split in two so this list does not
-#: find itself.
+#: (``repro.context``), and when the service's worker pool gave way to
+#: the one worker primitive (``repro.parallel.workers``).  Each is split
+#: in two so this list does not find itself.
 RETIRED = "|".join(
     head + tail
     for head, tail in [
@@ -267,6 +268,9 @@ RETIRED = "|".join(
         ("\\(P", "CS\\)"),
         ("def open\\(self, commit", "ment"),
         ("cache_(entries|bytes)", "="),
+        ("Worker", "Pool"),
+        ("Worker", "Handle"),
+        ("Casu", "alty"),
     ]
 )
 
@@ -298,3 +302,37 @@ def test_serialize_imports_no_protocol_package():
     banned = ("repro.stark", "repro.plonk", "repro.hyperplonk", "repro.protocols")
     assert [m for m in sorted(imported) if m.startswith(banned)] == []
     assert any(m.startswith("repro.fri") for m in imported)  # the scan sees relatives
+
+
+# -- one worker primitive ------------------------------------------------------
+
+
+def _calls(match):
+    """``file:line`` of every call under ``src/repro`` that ``match``es."""
+    return sorted(
+        f"{path.relative_to(SRC).as_posix()}:{node.lineno}"
+        for path in SRC.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and match(node)
+    )
+
+
+def _name(node):
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def test_no_multiprocessing_queue():
+    # One shared queue per pool let a killed writer wedge every reader;
+    # each worker has a pipe of its own instead.
+    queues = {"Queue", "SimpleQueue", "JoinableQueue"}
+    assert _calls(lambda call: _name(call.func) in queues) == []
+
+
+def test_exactly_one_worker_loop():
+    def ignores_sigint(call):
+        return _name(call.func) == "signal" and [_name(a) for a in call.args] == [
+            "SIGINT", "SIG_IGN"
+        ]
+
+    (site,) = _calls(ignores_sigint)
+    assert site.startswith("parallel/workers.py:")

@@ -14,6 +14,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from repro.fri.config import FriConfig
 from repro.merkle import MerkleTree, level_sizes
 from repro.ntt import lde_coeffs
 from repro.parallel import ops as par_ops
+from repro.parallel.footprints import FOOTPRINTS
 from repro.parallel.kernels import KERNELS
 from repro.stark import prove as stark_prove
 from repro.sumcheck import fold_table
@@ -236,7 +238,7 @@ class TestInlineFallback:
             assert set(results) == {"rows"}
             assert np.array_equal(values[:, 0], lde_coeffs(coeffs, 1)[0])
             assert pool.stats["inline_shards"] == 1
-            assert pool._procs == []
+            assert pool.forked.procs == []
 
     def test_empty_graph_short_circuits(self):
         with parallel.ShardPool(1) as pool:
@@ -294,20 +296,166 @@ class TestParallelExecution:
         assert counts["sponge_permutations"] > 0  # merged from workers
 
     def test_pool_heals_after_a_killed_worker(self):
+        """A worker killed while idle is replaced before the next graph
+        is dispatched: that prove succeeds (it used to fail typed)."""
         system, setup = _fib6("stark")
         with _pool(2) as pool:
             system.prove(setup, pool=pool)
-            victim = pool._procs[0]
+            victim = pool.forked.procs[0]
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(5.0)
             assert not victim.is_alive()
-            with pytest.raises(parallel.ShardError, match=r"in flight: \['[^']+'"):
-                system.prove(setup, pool=pool)
             _, digest, counts = _prove_counted(system, setup, pool)
-            assert victim not in pool._procs
-            assert all(p.is_alive() for p in pool._procs)
+            assert victim not in pool.forked.procs
+            assert all(p.is_alive() for p in pool.forked.procs)
+            assert pool.forked.restarts == 1
         _assert_golden("stark", digest, counts)
         assert not glob.glob(f"/dev/shm/repro-*-{pool.uid}-*")
+
+    def test_worker_dying_mid_graph_fails_that_graph_then_heals(self, monkeypatch):
+        # Registered before the pool forks, so only its workers know it.
+        monkeypatch.setitem(KERNELS, "die", _die)
+        monkeypatch.setitem(FOOTPRINTS, "die", lambda args: [])
+        system, setup = _fib6("stark")
+        with _pool(2) as pool:
+            system.prove(setup, pool=pool)
+            g = parallel.ShardGraph()
+            g.add("fatal", "die", {})
+            with pytest.raises(parallel.ShardError, match=r"exitcode -9\).*in flight: \['fatal'\]"):
+                pool.run(g)
+            _, digest, counts = _prove_counted(system, setup, pool)
+            assert pool.forked.restarts == 1
+        _assert_golden("stark", digest, counts)
+
+
+def _die(args):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _alive(pid):
+    """Whether a process runs (a zombie has ended; only its parent,
+    maybe init, has not reaped it yet)."""
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as fh:
+            return fh.read().rsplit(b")", 1)[1].split()[0] != b"Z"
+    except (OSError, IndexError):
+        return False
+
+
+#: A coordinator that proves forever on a two-worker pool, after it has
+#: printed the pool uid and its workers' pids.
+_COORDINATOR_SCRIPT = """
+from repro import parallel, protocols
+from repro.workloads import fibonacci
+
+system = protocols.get("stark")
+setup = system.setup(fibonacci.SPEC, 6, system.make_config())
+pool = parallel.ShardPool(2, min_rows=1, min_tree_leaves=2, min_queries=1)
+system.prove(setup, pool=pool)
+print(pool.uid, *(p.pid for p in pool.forked.procs), flush=True)
+while True:
+    system.prove(setup, pool=pool)
+"""
+
+
+def test_killed_coordinator_leaves_no_worker_and_no_segment():
+    """Workers read EOF when their coordinator dies and exit, and the
+    resource tracker then unlinks its segments (they used to stay, with
+    both workers blocked on their task queues)."""
+    src_dir = Path(__file__).resolve().parents[1] / "src"
+    coordinator = subprocess.Popen(
+        [sys.executable, "-c", _COORDINATOR_SCRIPT],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src_dir)},
+    )
+    try:
+        uid, *pids = coordinator.stdout.readline().split()
+        assert len(pids) == 2
+        assert glob.glob(f"/dev/shm/repro-*-{uid}-*")
+    finally:
+        coordinator.kill()
+        coordinator.wait()
+        coordinator.stdout.close()
+    deadline = time.monotonic() + 5
+    while time.monotonic() < deadline and (
+        any(map(_alive, pids)) or glob.glob(f"/dev/shm/repro-*-{uid}-*")
+    ):
+        time.sleep(0.05)
+    assert [pid for pid in pids if _alive(pid)] == []
+    assert glob.glob(f"/dev/shm/repro-*-{uid}-*") == []
+
+
+def _echo_or_flood(worker_id, payload):
+    if payload == "raise":
+        raise ValueError("asked to")
+    if payload == "hang":
+        time.sleep(60)
+    if payload == "flood":
+        return {"blob": b"x" * (8 << 20)}  # far beyond a pipe's buffer
+    return {"worker": worker_id, "echo": payload}
+
+
+class TestWorkers:
+    """The one worker primitive both pools stand on."""
+
+    def test_replies_errors_and_stop(self):
+        workers = parallel.Workers(2, _echo_or_flood).start()
+        try:
+            workers.send(0, "a", "hi")
+            workers.send(1, "b", "raise")
+            replies = []
+            while len(replies) < 2:
+                got, dead = workers.wait(10)
+                assert got and dead == []
+                replies += got
+            assert sorted(replies, key=lambda r: r[0]) == [
+                (0, "a", {"ok": True, "worker": 0, "echo": "hi"}),
+                (1, "b", {"ok": False, "error": "ValueError: asked to"}),
+            ]
+            pids = [p.pid for p in workers.procs]
+            start = time.monotonic()
+        finally:
+            workers.stop(timeout_s=5)
+        assert time.monotonic() - start < 2.0  # EOF ends the loop: no kill
+        assert workers.procs == [] and not any(map(_alive, pids))
+
+    def test_stop_kills_a_worker_still_busy_at_the_deadline(self):
+        workers = parallel.Workers(1, _echo_or_flood).start()
+        pid = workers.procs[0].pid
+        workers.send(0, "stuck", "hang")
+        start = time.monotonic()
+        workers.stop(timeout_s=0.2)
+        assert 0.2 <= time.monotonic() - start < 2.0
+        assert not _alive(pid)
+
+    def test_writer_killed_mid_reply_tears_only_its_own_pipe(self):
+        workers = parallel.Workers(2, _echo_or_flood).start()
+        try:
+            victim = workers.procs[0]
+            workers.send(0, "big", "flood")
+            # The reply has started and filled the pipe: the victim is
+            # blocked inside its send.
+            assert workers._conns[0].poll(10)
+            os.kill(victim.pid, signal.SIGKILL)
+            start = time.monotonic()
+            workers.send(1, "small", "ping")
+            replies, dead = [], set()
+            while not replies or 0 not in dead:
+                assert time.monotonic() - start < 2.0
+                got, gone = workers.wait(1.0)
+                replies += got
+                dead.update(gone)
+            assert replies == [(1, "small", {"ok": True, "worker": 1, "echo": "ping"})]
+            assert dead == {0}
+            assert workers.replace(0) == -signal.SIGKILL
+            workers.send(0, "again", "ping")
+            assert workers.wait(10) == (
+                [(0, "again", {"ok": True, "worker": 0, "echo": "ping"})], []
+            )
+        finally:
+            workers.stop(timeout_s=5)
 
 
 #: One sharded prove on a pool started *before* anything created a
@@ -471,7 +619,7 @@ class TestBitIdentity:
         ran = {k: inline.stats[k] - before[k] for k in before}
         assert ran["graphs"] > 0
         assert ran["inline_shards"] == ran["shards"] >= ran["graphs"]
-        assert inline._procs == [] and inline.arena.nbytes() == 0
+        assert inline.forked.procs == [] and inline.arena.nbytes() == 0
 
     def test_default_proves_reach_every_kernel(self):
         reached = set()

@@ -437,69 +437,119 @@ class TestCountersUnderConcurrency:
             assert totals["ntt_butterflies"] > 0
 
 
-class _FakeProc:
-    """Stands in for mp.Process where only liveness is consulted."""
-
-    def is_alive(self):
-        return True
-
-    @property
-    def pid(self):
-        return 0
-
-
-class _FakeQueue:
-    def __init__(self):
-        self.items = []
-
-    def put(self, item):
-        self.items.append(item)
-
-
 class TestIdleWorkerOrdering:
-    def _pool_with_fakes(self, n=3):
-        from repro.service.pool import WorkerHandle, WorkerPool
-
-        pool = WorkerPool(num_workers=n)
-        for wid in range(n):
-            pool.workers.append(
-                WorkerHandle(id=wid, process=_FakeProc(), task_q=_FakeQueue())
-            )
-        return pool
+    """The service's flight policy on the worker primitive.  No worker is
+    forked: only the per-slot bookkeeping the scheduler keeps is read."""
 
     def test_longest_waiting_worker_first(self):
-        pool = self._pool_with_fakes()
+        svc = _service(workers=3)
         # Refresh idle stamps in reverse id order: worker 2 has now been
         # idle the longest and must lead the list.
         for wid in (2, 1, 0):
-            pool.mark_idle(wid)
+            svc._handle_result(wid, -1, {"ok": False, "error": "stale"})
             time.sleep(0.002)
-        assert [w.id for w in pool.idle_workers()] == [2, 1, 0]
+        assert svc._idle_workers() == [2, 1, 0]
 
     def test_busy_workers_excluded(self):
-        pool = self._pool_with_fakes()
-        pool.assign(pool.workers[0], flight_id=7, spec={}, timeout_s=60)
-        assert 0 not in [w.id for w in pool.idle_workers()]
-        pool.mark_idle(0)
+        svc = _service(workers=3)
+        svc._running[0] = (7, float("inf"))
+        assert 0 not in svc._idle_workers()
+        svc._handle_result(0, 7, {"ok": False, "error": "stale"})
         # Freshly idled again -> back in the list, but at the end.
-        assert [w.id for w in pool.idle_workers()][-1] == 0
+        assert svc._idle_workers()[-1] == 0
 
     def test_assign_counts_dispatches(self):
-        pool = self._pool_with_fakes()
-        w = pool.workers[1]
-        pool.assign(w, flight_id=1, spec={}, timeout_s=60)
-        pool.mark_idle(1)
-        pool.assign(w, flight_id=2, spec={}, timeout_s=60)
-        assert w.dispatches == 2
-        assert len(w.task_q.items) == 2
+        svc = _service(workers=2, fault_injection=True)
+        sent = []
+        svc.forked.send = lambda *task: sent.append(task)
+        for seconds in (0.01, 0.02):
+            svc.submit(**_sleep(seconds))
+        svc._dispatch()
+        assert sorted(wid for wid, _, _ in sent) == [0, 1]
+        assert sorted(svc._running) == [0, 1]
+        assert svc.stats()["worker_dispatches"] == {0: 1, 1: 1}
 
     def test_shard_worker_args_validated(self):
-        from repro.service.pool import WorkerPool
-
         with pytest.raises(TypeError):
-            WorkerPool(shard_workers=2.0)
+            ProvingService(shard_workers=2.0)
         with pytest.raises(ValueError):
-            WorkerPool(shard_workers=0)
+            ProvingService(shard_workers=0)
+
+
+class TestSubmitArgsValidated:
+    """A bad per-job argument is refused at submit, before the job is
+    registered; one that got in used to kill the scheduler thread on its
+    first retry decision and leave every later job pending."""
+
+    #: Fails in setup (the cap is taller than the tree), so the
+    #: scheduler's retry decision reads ``max_retries``.
+    TALL_CAP = {**FIB, "scale": 5, "config": {"cap_height": 20}}
+
+    @pytest.mark.parametrize(
+        "kwargs, error",
+        [
+            ({"max_retries": "1"}, TypeError),
+            ({"max_retries": True}, TypeError),
+            ({"max_retries": 1.0}, TypeError),
+            ({"max_retries": -1}, ValueError),
+            ({"priority": "0"}, TypeError),
+            ({"priority": False}, TypeError),
+            ({"timeout_s": "5"}, TypeError),
+            ({"timeout_s": True}, TypeError),
+            ({"timeout_s": 0}, ValueError),
+            ({"timeout_s": float("inf")}, ValueError),
+            ({"timeout_s": float("nan")}, ValueError),
+        ],
+    )
+    def test_bad_job_args_raise_before_registration(self, kwargs, error):
+        svc = _service(workers=1)
+        with pytest.raises(error):
+            svc.submit(self.TALL_CAP, **kwargs)
+        assert svc.stats()["submitted"] == 0
+
+    def test_scheduler_survives_and_serves_the_next_job(self):
+        with _service(workers=1) as svc:
+            with pytest.raises(TypeError, match="max_retries"):
+                svc.submit(self.TALL_CAP, max_retries="1")
+            failing = svc.submit(self.TALL_CAP, max_retries=0)
+            good = svc.submit(**FIB)
+            assert verify_result(FIB, svc.result(good, timeout_s=60).envelope)
+            assert svc.job(failing)["state"] == "failed"
+
+    def test_bad_max_retries_over_the_socket(self):
+        import json
+        import socket
+
+        svc = _service(workers=1).start()
+        ready = threading.Event()
+        thread = threading.Thread(
+            target=serve_forever,
+            args=(svc,),
+            kwargs={"port": 8473, "ready_event": ready, "max_wait_s": 60.0},
+            daemon=True,
+        )
+        thread.start()
+        assert ready.wait(5) and wait_for_server("127.0.0.1", 8473)
+        try:
+            with socket.create_connection(("127.0.0.1", 8473), timeout=90) as sock:
+                f = sock.makefile("rwb")
+
+                def call(request):
+                    f.write(json.dumps(request).encode() + b"\n")
+                    f.flush()
+                    return json.loads(f.readline())
+
+                bad = call({"op": "submit", "spec": self.TALL_CAP,
+                            "max_retries": "1", "wait": True})
+                assert bad["ok"] is False and "max_retries" in bad["error"]
+                # The connection and the scheduler both still serve.
+                good = call({"op": "submit", "spec": FIB, "wait": True})
+                assert good["ok"] is True, good
+                assert verify_result(FIB, bytes.fromhex(good["envelope_hex"]))
+                assert call({"op": "shutdown"})["bye"] is True
+            thread.join(5)
+        finally:
+            svc.close()
 
 
 class TestStageWallMerge:

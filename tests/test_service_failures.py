@@ -1,6 +1,7 @@
 """Service failure-path tests: crashes, timeouts, retries, drain."""
 
 import contextlib
+import glob
 import os
 import signal
 import socketserver
@@ -9,7 +10,10 @@ import time
 
 import pytest
 
+from repro.protocols import get as get_protocol
+from repro.serialize import proof_from_blob, read_result_envelope
 from repro.service import JobFailed, ProvingService, verify_result, wait_for_server
+from repro.workloads import fibonacci
 
 
 FIB = {"workload": "Fibonacci", "kind": "stark", "scale": 5}
@@ -77,13 +81,74 @@ class TestWorkerCrash:
             deadline = time.monotonic() + 10
             busy = []
             while not busy and time.monotonic() < deadline:
-                busy = [w for w in svc.pool.workers if not w.idle]
+                busy = list(svc._running)
                 time.sleep(0.02)
             assert busy, "job never started"
-            os.kill(busy[0].process.pid, signal.SIGKILL)
+            os.kill(svc.forked.procs[busy[0]].pid, signal.SIGKILL)
             svc.result(jid, timeout_s=60)  # retried on a fresh worker
             assert svc.job(jid)["attempts"] == 2
             assert svc.job(jid)["state"] == "done"
+
+
+def _stat(pid):
+    """``(state, ppid)`` of a process, or ``None`` once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as fh:
+            fields = fh.read().rsplit(b")", 1)[1].split()
+    except (OSError, IndexError):
+        return None
+    return fields[0], int(fields[1])
+
+
+def _alive(pid):
+    stat = _stat(pid)
+    return stat is not None and stat[0] != b"Z"  # a zombie has ended
+
+
+def _children(pid):
+    return [int(p) for p in os.listdir("/proc")
+            if p.isdigit() and _alive(p) and _stat(p)[1] == pid]
+
+
+class TestShardedWorkerKilled:
+    def test_busy_worker_killed_is_retried_and_leaves_nothing(self):
+        """A worker owns two shard workers and a resource tracker; all
+        three used to outlive it and ``close()``, with its segments."""
+        spec = {"workload": "Fibonacci", "kind": "stark", "scale": 10}
+        system = get_protocol("stark")
+        setup = system.setup(fibonacci.SPEC, 10, system.make_config())
+        solo = system.digest(system.prove(setup))
+        svc = _service(
+            workers=1, enable_cache=False, shard_workers=2,
+            shard_config={"min_rows": 1, "min_tree_leaves": 2, "min_queries": 1},
+        )
+        with svc:
+            svc.result(svc.submit(spec), timeout_s=120)  # forks the shard pool
+            victim = svc.forked.procs[0].pid
+            tree = _children(victim)
+            assert len(tree) == 3, tree  # two shard workers + the tracker
+            assert glob.glob(f"/dev/shm/repro-{victim}-*")
+            jid = svc.submit(spec, max_retries=1)
+            deadline = time.monotonic() + 10
+            while not svc._running:
+                assert time.monotonic() < deadline, "job never started"
+                time.sleep(0.001)
+            time.sleep(0.02)  # into the prove (~0.1 s warm)
+            os.kill(victim, signal.SIGKILL)
+            result = svc.result(jid, timeout_s=120)
+            assert svc.job(jid)["attempts"] == 2
+            assert svc.stats()["worker_crashes"] == 1
+            assert verify_result(spec, result.envelope)
+            _, _, payload = read_result_envelope(result.envelope)
+            _, proof = proof_from_blob(payload, expected_protocol="stark")
+            assert system.digest(proof) == solo
+        deadline = time.monotonic() + 5
+        while time.monotonic() < deadline and (
+            any(map(_alive, tree)) or glob.glob(f"/dev/shm/repro-{victim}-*")
+        ):
+            time.sleep(0.05)
+        assert [pid for pid in tree if _alive(pid)] == []
+        assert glob.glob(f"/dev/shm/repro-{victim}-*") == []
 
 
 class TestTimeout:
