@@ -1,18 +1,14 @@
-"""Finding records and the static-analysis rule catalogue.
+"""Finding records and the analysis rule catalogue.
 
 Every check in the analysis subsystem -- schedule sanitizer rules,
-repo lint passes, transcript conformance and shard-graph race
-detection alike -- is registered here as a :class:`Rule` with a stable
-id.  Checks report :class:`Finding` records carrying the rule id plus
-a location (PE coordinate and cycle for schedule findings, file /
-scope for lint findings, protocol for transcript findings, graph for
-race findings); the runner matches findings against the suppression
-baseline by :meth:`Finding.fingerprint` first and :meth:`Finding.key`
-as the fallback.
+transcript conformance and shard-graph race detection alike -- is
+registered here as a :class:`Rule` with a stable id.  Checks report
+:class:`Finding` records carrying the rule id plus a location: PE
+coordinate and cycle for schedule findings, protocol for transcript
+findings, graph for race findings.
 
 Rule ids are namespaced: ``sched.*`` for the PE-grid schedule
-sanitizer (:mod:`repro.analysis.sanitizer`), ``prover.*`` for the AST
-lint passes (:mod:`repro.analysis.lint`), ``fs.*`` for Fiat-Shamir
+sanitizer (:mod:`repro.analysis.sanitizer`), ``fs.*`` for Fiat-Shamir
 transcript conformance (:mod:`repro.analysis.transcript`), and
 ``race.*`` for shard-graph race detection
 (:mod:`repro.analysis.races`).
@@ -20,8 +16,7 @@ transcript conformance (:mod:`repro.analysis.transcript`), and
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 
@@ -30,7 +25,7 @@ class Rule:
     """One registered static-analysis rule."""
 
     id: str
-    layer: str  # "schedule" or "lint"
+    layer: str  # "schedule", "transcript" or "races"
     summary: str
 
 
@@ -85,31 +80,7 @@ RULES: Dict[str, Rule] = {
             "read of an incoming latch that no upstream instruction "
             "drove in the previous cycle (and no boundary feed covers)",
         ),
-        # -- layer 2: repo lint -------------------------------------------
-        Rule(
-            "prover.raw-mod",
-            "lint",
-            "raw `% P` modular reduction outside the field/ modules",
-        ),
-        Rule(
-            "prover.hot-alloc",
-            "lint",
-            "fresh numpy allocation (np.zeros/np.empty/np.array/...) in "
-            "a hot-path module that must draw from Workspace arenas",
-        ),
-        Rule(
-            "prover.nondeterminism",
-            "lint",
-            "time/random nondeterminism imported or used in the "
-            "proving path",
-        ),
-        Rule(
-            "prover.into-aliasing-doc",
-            "lint",
-            "an *_into kernel taking an `out` buffer whose docstring "
-            "does not state the aliasing contract",
-        ),
-        # -- layer 3: Fiat-Shamir transcript conformance ------------------
+        # -- layer 2: Fiat-Shamir transcript conformance ------------------
         Rule(
             "fs.transcript-mismatch",
             "transcript",
@@ -147,7 +118,7 @@ RULES: Dict[str, Rule] = {
             "a prover message observed after the final challenge: no "
             "verifier randomness can depend on it",
         ),
-        # -- layer 4: shard-graph race detection --------------------------
+        # -- layer 3: shard-graph race detection --------------------------
         Rule(
             "race.write-write",
             "races",
@@ -177,8 +148,6 @@ RULES: Dict[str, Rule] = {
 
 #: Rule ids belonging to the schedule sanitizer layer.
 SCHEDULE_RULES = tuple(r.id for r in RULES.values() if r.layer == "schedule")
-#: Rule ids belonging to the repo lint layer.
-LINT_RULES = tuple(r.id for r in RULES.values() if r.layer == "lint")
 #: Rule ids belonging to the transcript conformance layer.
 TRANSCRIPT_RULES = tuple(r.id for r in RULES.values() if r.layer == "transcript")
 #: Rule ids belonging to the shard-graph race layer.
@@ -186,7 +155,7 @@ RACE_RULES = tuple(r.id for r in RULES.values() if r.layer == "races")
 
 
 class AnalysisError(Exception):
-    """User-facing analysis failure (unknown rule, malformed baseline).
+    """User-facing analysis failure (an unknown rule id).
 
     Rendered as a clean one-line error by the runner and the
     ``repro analyze`` CLI subcommand, mirroring :class:`repro.cli.CliError`.
@@ -207,24 +176,13 @@ def check_rule_ids(rule_ids) -> None:
 class Finding:
     """One structured analysis finding.
 
-    Schedule findings populate ``schedule``/``pe``/``cycle``; lint
-    findings populate ``path``/``line``/``scope``/``detail``;
+    Schedule findings populate ``schedule``/``pe``/``cycle``;
     transcript findings populate ``protocol``/``detail``; race findings
-    populate ``graph``/``detail``.  ``key()`` is the location identity
-    the suppression baseline falls back to: it deliberately excludes
-    line numbers and cycle-level detail where the surrounding scope is
-    stable, so baselines survive unrelated edits.  ``fingerprint()`` is
-    the content identity matched first: a hash of the rule id plus the
-    normalized source snippet (lint) or location key (other layers),
-    which survives even scope renames and file moves of unrelated code.
+    populate ``graph``/``detail``.
     """
 
     rule: str
     message: str
-    # lint location
-    path: Optional[str] = None
-    line: Optional[int] = None
-    scope: Optional[str] = None
     detail: Optional[str] = None
     # schedule location
     schedule: Optional[str] = None
@@ -234,42 +192,10 @@ class Finding:
     protocol: Optional[str] = None
     # race location
     graph: Optional[str] = None
-    #: Normalized source text the finding anchors to (lint findings).
-    snippet: Optional[str] = None
-
-    def key(self) -> str:
-        """The baseline-matching location key (excludes line numbers)."""
-        if self.path is not None:
-            return f"{self.path}::{self.scope or '<module>'}::{self.detail or ''}"
-        if self.protocol is not None:
-            return f"protocol:{self.protocol}::{self.detail or ''}"
-        if self.graph is not None:
-            return f"graph:{self.graph}::{self.detail or ''}"
-        pe = f"pe({self.pe[0]},{self.pe[1]})" if self.pe is not None else "pe(?)"
-        return f"{self.schedule or '<schedule>'}::{pe}"
-
-    def fingerprint(self) -> str:
-        """Content-based identity: hash of rule id + normalized snippet.
-
-        Findings without a source snippet (schedule, transcript, race)
-        hash their location key instead, so every finding has a stable
-        fingerprint the baseline can match on before falling back to
-        the key/line location.
-        """
-        basis = self.snippet if self.snippet else self.key()
-        normalized = " ".join(basis.split())
-        digest = hashlib.sha256(f"{self.rule}::{normalized}".encode())
-        return digest.hexdigest()[:16]
 
     def format(self) -> str:
         """One human-readable report line."""
-        if self.path is not None:
-            where = self.path
-            if self.line is not None:
-                where += f":{self.line}"
-            if self.scope:
-                where += f" ({self.scope})"
-        elif self.protocol is not None:
+        if self.protocol is not None:
             where = f"protocol {self.protocol}"
             if self.detail:
                 where += f" ({self.detail})"
@@ -287,16 +213,8 @@ class Finding:
 
     def to_dict(self) -> dict:
         """JSON-ready representation (for ``--json`` output)."""
-        out = {
-            "rule": self.rule,
-            "message": self.message,
-            "key": self.key(),
-            "fingerprint": self.fingerprint(),
-        }
-        for name in (
-            "path", "line", "scope", "detail", "schedule", "cycle",
-            "protocol", "graph", "snippet",
-        ):
+        out = {"rule": self.rule, "message": self.message}
+        for name in ("detail", "schedule", "cycle", "protocol", "graph"):
             value = getattr(self, name)
             if value is not None:
                 out[name] = value
@@ -311,8 +229,6 @@ def sort_findings(findings: List[Finding]) -> List[Finding]:
         findings,
         key=lambda f: (
             f.rule,
-            f.path or "",
-            f.line or 0,
             f.schedule or "",
             f.pe or (-1, -1),
             f.cycle if f.cycle is not None else -1,

@@ -2,8 +2,8 @@
 
 The analysis runner sanitizes every schedule the compiler backend ships
 (:mod:`repro.mapping.microcode_schedules`) without executing a single
-emulated cycle.  Instances are small and fully deterministic -- the
-proving-path lint rules apply to this module too, so no ``random``.
+emulated cycle.  Instances are small and fully deterministic: fixed
+inputs, no ``random``.
 """
 
 from __future__ import annotations

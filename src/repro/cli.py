@@ -19,8 +19,8 @@
   (a proof blob of an older format version is refused, typed);
 * ``status``      -- query a running service for job or service stats;
 * ``analyze``     -- run the soundness analysis (PE-grid schedule
-  sanitizer, prover-invariant lint, Fiat-Shamir transcript
-  conformance, shard-graph race detection) against the baseline;
+  sanitizer, Fiat-Shamir transcript conformance, shard-graph race
+  detection); exit 1 on any finding;
 * ``fuzz``        -- mutate honest proofs against the verifiers and
   cross-check the optimized kernels against slow references, failing
   on any accept or untyped crash.
@@ -329,7 +329,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    """Run the static analysis (schedule sanitizer + repo lint)."""
+    """Run the soundness analysis; exit 1 on any finding."""
     from .analysis import AnalysisError
     from .analysis.runner import execute
 
@@ -545,8 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "analyze",
-        help="run the soundness analysis (schedule sanitizer, prover lint, "
-        "transcript conformance, race detection)",
+        help="run the soundness analysis (schedule sanitizer, transcript "
+        "conformance, race detection); exit 1 on any finding",
     )
     add_analyze_arguments(p)
 

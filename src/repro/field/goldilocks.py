@@ -34,8 +34,8 @@ def canonical(a: int) -> int:
     """Reduce an arbitrary Python int to its canonical representative.
 
     The sanctioned scalar coercion for code outside ``repro.field``:
-    the ``prover.raw-mod`` lint rule flags ad-hoc ``% P`` reductions
-    elsewhere and points here instead.
+    the ``prover.raw-mod`` source rule (``tests/test_source_rules.py``)
+    fails on an ad-hoc ``% P`` reduction anywhere else.
     """
     return a % P
 

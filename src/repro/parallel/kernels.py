@@ -59,7 +59,7 @@ def lde_commit_rows(args: Dict[str, Any]):
         pass
     elif mode == "intt":
         src = resolve(args["src"])
-        coeffs_out[lo:hi] = intt(np.ascontiguousarray(src[lo:hi]))
+        intt(np.ascontiguousarray(src[lo:hi]), out=coeffs_out[lo:hi])
     elif mode == "chunks":
         src = resolve(args["src"])
         n = int(args["n"])
@@ -86,7 +86,7 @@ def coset_intt_limb(args: Dict[str, Any]):
     src = resolve(args["src"])
     out = resolve(args["out"])
     limb = int(args["limb"])
-    out[limb] = coset_intt(np.ascontiguousarray(src[:, limb]))
+    coset_intt(np.ascontiguousarray(src[:, limb]), out=out[limb])
     return None
 
 

@@ -182,11 +182,12 @@ def generate_trace(input_state: Sequence[int], num_perms: int = 1) -> np.ndarray
     pre = [[int(v) for v in r] for r in optimized_params().pre_matrix.tolist()]
     n = num_perms * BLOCK_ROWS
     trace = np.zeros((n, 2 * WIDTH), dtype=np.uint64)
-    state = [int(v) % gl.P for v in input_state]
+    state = [gl.canonical(int(v)) for v in input_state]
 
     def row_vec_mat(vec, mat):
         return [
-            sum(vec[i] * mat[i][j] for i in range(WIDTH)) % gl.P for j in range(WIDTH)
+            gl.canonical(sum(vec[i] * mat[i][j] for i in range(WIDTH)))
+            for j in range(WIDTH)
         ]
 
     for blk in range(num_perms):
@@ -196,27 +197,29 @@ def generate_trace(input_state: Sequence[int], num_perms: int = 1) -> np.ndarray
             trace[row, :WIDTH] = state
             if step in _FULL_FIRST or step in _FULL_SECOND:
                 r = step if step in _FULL_FIRST else 4 + (step - 27)
-                shifted = [(state[i] + int(full_rc[r][i])) % gl.P for i in range(WIDTH)]
+                shifted = [
+                    gl.canonical(state[i] + int(full_rc[r][i])) for i in range(WIDTH)
+                ]
                 for i in range(WIDTH):
                     trace[row, WIDTH + i] = pow(shifted[i], 3, gl.P)
                 sboxed = [pow(v, 7, gl.P) for v in shifted]
                 state = row_vec_mat(sboxed, mds)
             elif step == _PRE_ROW:
                 shifted = [
-                    (state[i] + int(params.pre_constants[i])) % gl.P
+                    gl.canonical(state[i] + int(params.pre_constants[i]))
                     for i in range(WIDTH)
                 ]
                 state = row_vec_mat(shifted, pre)
             else:  # partial
                 rnd = params.rounds[step - 5]
                 trace[row, WIDTH] = pow(state[0], 3, gl.P)
-                lane0 = (pow(state[0], 7, gl.P) + rnd.post_constant) % gl.P
-                out0 = (
+                lane0 = gl.canonical(pow(state[0], 7, gl.P) + rnd.post_constant)
+                out0 = gl.canonical(
                     lane0 * rnd.m00
                     + sum(int(rnd.col_hat[i]) * state[i + 1] for i in range(WIDTH - 1))
-                ) % gl.P
+                )
                 rest = [
-                    (lane0 * int(rnd.row[j]) + state[j + 1]) % gl.P
+                    gl.canonical(lane0 * int(rnd.row[j]) + state[j + 1])
                     for j in range(WIDTH - 1)
                 ]
                 state = [out0] + rest
@@ -231,4 +234,4 @@ def public_values(input_state: Sequence[int], num_perms: int = 1) -> List[int]:
     state = np.asarray(input_state, dtype=np.uint64)
     for _ in range(num_perms):
         state = permute(state)
-    return [int(v) % gl.P for v in input_state] + [int(v) for v in state]
+    return [gl.canonical(int(v)) for v in input_state] + [int(v) for v in state]

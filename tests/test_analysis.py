@@ -1,24 +1,18 @@
-"""Static analysis subsystem: sanitizer rules, lint passes, baseline."""
+"""Analysis subsystem: sanitizer rules, shipped schedules, the runner."""
 
-import json
+import runpy
 
 import pytest
 
 from repro.analysis import (
     AnalysisError,
-    BaselineEntry,
     Finding,
-    load_baseline,
-    match_baseline,
     run_analysis,
     sanitize,
-    save_baseline,
     shipped_schedules,
     shipped_specs,
-    update_baseline,
 )
 from repro.analysis.findings import check_rule_ids, sort_findings
-from repro.analysis.lint import lint_source
 from repro.analysis.sanitizer import ScheduleSpec, spec_for_emulator
 from repro.hw.microcode import (
     IN_BOTTOM,
@@ -163,71 +157,14 @@ class TestScheduleRules:
         with pytest.raises(AnalysisError, match="unknown rule id"):
             sanitize(_spec({(0, 0): [NOP]}), rules=["sched.nope"])
         with pytest.raises(AnalysisError, match="unknown rule id"):
-            check_rule_ids(["prover.bogus"])
+            check_rule_ids(["prover.raw-mod"])
 
     def test_findings_carry_location(self):
         bad = _spec({(0, 0): [(Instr("mov", ZERO, out_right=True),
                                Instr("mov", ZERO, out_right=True))]})
         (f,) = sanitize(bad)
         assert (f.schedule, f.pe, f.cycle) == ("fixture", (0, 0), 0)
-        assert f.key() == "fixture::pe(0,0)"
         assert "[sched.latch-double-drive]" in f.format()
-
-
-# ---------------------------------------------------------------------------
-# Layer 2: lint passes, one positive + negative fixture per rule
-# ---------------------------------------------------------------------------
-
-
-class TestLintRules:
-    def test_raw_mod(self):
-        src = "def f(x):\n    return x % P\n"
-        (f,) = lint_source("stark/foo.py", src)
-        assert f.rule == "prover.raw-mod"
-        assert (f.scope, f.detail) == ("f", "% P")
-        # Attribute moduli are caught too.
-        (g,) = lint_source("stark/foo.py", "y = x % gl.P\n")
-        assert g.detail == "% gl.P"
-        # field/ modules own raw reduction; literals are not moduli.
-        assert lint_source("field/foo.py", src) == []
-        assert lint_source("stark/foo.py", "y = x % 7\n") == []
-
-    def test_hot_alloc(self):
-        src = "import numpy as np\ndef f():\n    return np.zeros(4)\n"
-        (f,) = lint_source("ntt/foo.py", src)
-        assert f.rule == "prover.hot-alloc"
-        assert f.detail == "np.zeros"
-        assert f.key() == "ntt/foo.py::f::np.zeros"
-        # Only hot-path modules are in scope; workspace draws are fine.
-        assert lint_source("sim/foo.py", src) == []
-        ws_src = "def f(ws):\n    return ws.temp((4,), 'slot')\n"
-        assert lint_source("ntt/foo.py", ws_src) == []
-
-    def test_nondeterminism(self):
-        (f,) = lint_source("stark/foo.py", "import time\n")
-        assert (f.rule, f.detail) == ("prover.nondeterminism", "import time")
-        (g,) = lint_source("plonk/foo.py", "from random import random\n")
-        assert g.detail == "import random"
-        (h,) = lint_source(
-            "fri/foo.py", "def f(np):\n    return np.random.default_rng(0)\n"
-        )
-        assert h.detail == "np.random"
-        # Outside the proving path, timing code is fine.
-        assert lint_source("experiments/foo.py", "import time\n") == []
-
-    def test_into_aliasing_doc(self):
-        bare = "def add_into(a, out):\n    \"\"\"Add.\"\"\"\n    return out\n"
-        (f,) = lint_source("field/foo.py", bare)
-        assert f.rule == "prover.into-aliasing-doc"
-        assert f.detail == "add_into"
-        documented = (
-            "def add_into(a, out):\n"
-            "    \"\"\"Add; out may alias a.\"\"\"\n"
-            "    return out\n"
-        )
-        assert lint_source("field/foo.py", documented) == []
-        no_out = "def fan_into(a, b):\n    return a\n"
-        assert lint_source("field/foo.py", no_out) == []
 
 
 # ---------------------------------------------------------------------------
@@ -296,176 +233,7 @@ class TestShippedSchedules:
 
 
 # ---------------------------------------------------------------------------
-# Suppression baseline
-# ---------------------------------------------------------------------------
-
-
-def _entry(**kw):
-    kw.setdefault("rule", "prover.raw-mod")
-    kw.setdefault("key", "stark/foo.py::f::% P")
-    kw.setdefault("justification", "spec code")
-    return BaselineEntry(**kw)
-
-
-class TestBaseline:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "BASELINE.json"
-        entries = [
-            _entry(),
-            _entry(rule="prover.hot-alloc", key="ntt/foo.py::f::np.zeros",
-                   count=3, justification="escapes"),
-        ]
-        save_baseline(path, entries)
-        assert sorted(load_baseline(path), key=lambda e: e.rule) == sorted(
-            entries, key=lambda e: e.rule
-        )
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "absent.json") == []
-
-    @pytest.mark.parametrize(
-        "payload, fragment",
-        [
-            ("not json {", "not valid JSON"),
-            (json.dumps({"entries": []}), "version"),
-            (json.dumps({"version": 1}), "'entries'"),
-            (
-                json.dumps({"version": 1, "entries": [
-                    {"rule": "no.such", "key": "k", "justification": "j"}
-                ]}),
-                "unknown rule id",
-            ),
-            (
-                json.dumps({"version": 1, "entries": [
-                    {"rule": "prover.raw-mod", "key": "k"}
-                ]}),
-                "justification",
-            ),
-            (
-                json.dumps({"version": 1, "entries": [
-                    {"rule": "prover.raw-mod", "key": "k",
-                     "justification": "j", "count": 0}
-                ]}),
-                "positive integer",
-            ),
-            (
-                json.dumps({"version": 1, "entries": [
-                    {"rule": "prover.raw-mod", "key": "k",
-                     "justification": "j", "extra": 1}
-                ]}),
-                "unknown field",
-            ),
-            (
-                json.dumps({"version": 1, "entries": [
-                    {"rule": "prover.raw-mod", "key": "k", "justification": "j"},
-                    {"rule": "prover.raw-mod", "key": "k", "justification": "j"},
-                ]}),
-                "duplicate",
-            ),
-        ],
-    )
-    def test_malformed_baseline_is_a_clean_error(
-        self, tmp_path, payload, fragment
-    ):
-        path = tmp_path / "BASELINE.json"
-        path.write_text(payload)
-        with pytest.raises(AnalysisError, match=fragment):
-            load_baseline(path)
-
-    def test_match_budget_and_stale(self):
-        f = Finding(rule="prover.raw-mod", message="m",
-                    path="stark/foo.py", scope="f", detail="% P")
-        twice = [f, Finding(**{**f.__dict__})]
-        res = match_baseline(twice, [_entry(count=1)])
-        assert len(res.suppressed) == 1 and len(res.new) == 1
-        res = match_baseline(twice, [_entry(count=2)])
-        assert len(res.suppressed) == 2 and not res.new
-        stale = match_baseline([], [_entry()])
-        assert stale.stale and not stale.new
-
-    def test_unjustified_entries_are_reported(self):
-        res = match_baseline([], [_entry(justification="   ")])
-        assert res.unjustified
-
-    def test_update_preserves_justifications(self):
-        f = Finding(rule="prover.raw-mod", message="m",
-                    path="stark/foo.py", scope="f", detail="% P")
-        g = Finding(rule="prover.hot-alloc", message="m",
-                    path="ntt/foo.py", scope="g", detail="np.zeros")
-        merged = update_baseline([f, g], [_entry(justification="kept")])
-        by_rule = {e.rule: e for e in merged}
-        assert by_rule["prover.raw-mod"].justification == "kept"
-        assert by_rule["prover.hot-alloc"].justification == ""
-
-    def test_sort_findings_is_deterministic(self):
-        a = Finding(rule="b.rule", message="m", path="z.py", line=9)
-        b = Finding(rule="a.rule", message="m", schedule="s", pe=(1, 0), cycle=2)
-        assert sort_findings([a, b]) == sort_findings([b, a])
-        assert sort_findings([a, b])[0] is b
-
-
-# ---------------------------------------------------------------------------
-# Content fingerprints: baselines survive line drift and scope renames
-# ---------------------------------------------------------------------------
-
-
-class TestFingerprints:
-    SRC = "import numpy as np\ndef f():\n    return np.zeros(4)\n"
-
-    def _finding(self):
-        (f,) = lint_source("ntt/foo.py", self.SRC)
-        return f
-
-    def test_fingerprint_is_content_based(self):
-        f = self._finding()
-        assert f.snippet == "ntt/foo.py::return np.zeros(4)"
-        assert len(f.fingerprint()) == 16
-        # Line drift alone does not move the fingerprint.
-        drifted = Finding(**{**f.__dict__, "line": f.line + 40})
-        assert drifted.fingerprint() == f.fingerprint()
-        # A different rule on the same snippet is a different identity.
-        other = Finding(**{**f.__dict__, "rule": "prover.raw-mod"})
-        assert other.fingerprint() != f.fingerprint()
-
-    def test_snippetless_findings_fall_back_to_key(self):
-        f = Finding(rule="race.write-write", message="m",
-                    graph="commit:t", detail="a~b")
-        assert f.fingerprint() == Finding(**f.__dict__).fingerprint()
-
-    def test_baseline_matches_fingerprint_across_scope_rename(self):
-        f = self._finding()
-        entry = BaselineEntry(
-            rule=f.rule, key=f.key(), justification="j",
-            fingerprint=f.fingerprint(),
-        )
-        # The enclosing function was renamed: the key no longer matches
-        # but the content fingerprint still claims the entry.
-        renamed = Finding(**{**f.__dict__, "scope": "g"})
-        assert renamed.key() != f.key()
-        res = match_baseline([renamed], [entry])
-        assert res.suppressed == [renamed] and not res.new and not res.stale
-
-    def test_key_fallback_for_handwritten_entries(self):
-        f = self._finding()
-        bare = BaselineEntry(rule=f.rule, key=f.key(), justification="j")
-        res = match_baseline([f], [bare])
-        assert res.suppressed == [f] and not res.new
-
-    def test_update_preserves_justification_across_key_change(self):
-        f = self._finding()
-        entry = BaselineEntry(
-            rule=f.rule, key=f.key(), justification="kept",
-            fingerprint=f.fingerprint(),
-        )
-        renamed = Finding(**{**f.__dict__, "scope": "g"})
-        merged = update_baseline([renamed], [entry])
-        (out,) = merged
-        assert out.key == renamed.key()
-        assert out.justification == "kept"
-
-
-# ---------------------------------------------------------------------------
-# Repo-wide gate: the tree must be clean against its shipped baseline
+# Repo-wide gate: the tree has no finding, and any finding fails the run
 # ---------------------------------------------------------------------------
 
 
@@ -473,25 +241,42 @@ class TestRepoGate:
     def test_repo_is_clean_under_strict(self):
         report = run_analysis()
         assert report.schedules_checked == 4
-        assert report.modules_checked > 50
         assert report.protocols_checked == ["stark", "plonk", "hyperplonk"]
         assert len(report.graphs_checked) == 18  # 9 shapes x workers {1, 4}
-        new = [f.format() for f in report.match.new]
-        assert not new, "non-baselined findings:\n" + "\n".join(new)
-        unjust = [e.key for e in report.match.unjustified]
-        assert not unjust, "unjustified baseline entries: " + ", ".join(unjust)
-        assert not report.match.stale
+        found = [f.format() for f in report.findings]
+        assert not found, "findings:\n" + "\n".join(found)
         assert report.exit_code == 0
         payload = report.to_dict()
         assert payload["exit_code"] == 0
+        assert payload["findings"] == []
         assert payload["protocols_checked"] == report.protocols_checked
-        assert set(payload["rule_counts"]) <= set(
-            f.rule for f in report.findings
-        ) | set()
 
     def test_rule_subset_skips_other_layers(self):
-        report = run_analysis(rules=["prover.raw-mod"])
-        assert report.schedules_checked == 0
+        report = run_analysis(rules=["sched.pe-oob"])
+        assert report.schedules_checked == 4
         assert report.protocols_checked == []
         assert report.graphs_checked == []
-        assert report.modules_checked > 50
+
+    def test_a_planted_hazard_fails_the_module_entry_point(
+        self, monkeypatch, capsys
+    ):
+        import repro.analysis.schedules as schedules
+
+        hazard = _spec({(0, 5): [NOP]}, name="planted")
+        shipped = schedules.shipped_specs
+        monkeypatch.setattr(
+            schedules, "shipped_specs", lambda: [*shipped(), hazard]
+        )
+        monkeypatch.setattr("sys.argv", ["repro.analysis"])
+        with pytest.raises(SystemExit) as done:
+            runpy.run_module("repro.analysis", run_name="__main__")
+        assert done.value.code == 1
+        out = capsys.readouterr().out
+        assert "schedule sanitizer: 5 shipped schedules" in out
+        assert "findings: 1\n  [sched.pe-oob] planted PE(0, 5)" in out
+
+    def test_sort_findings_is_deterministic(self):
+        a = Finding(rule="b.rule", message="m", graph="g")
+        b = Finding(rule="a.rule", message="m", schedule="s", pe=(1, 0), cycle=2)
+        assert sort_findings([a, b]) == sort_findings([b, a])
+        assert sort_findings([a, b])[0] is b

@@ -147,13 +147,6 @@ class TestAnalyzeErrors:
         err = capsys.readouterr().err
         assert "'bogus.rule'" in err and "sched.latch-double-drive" in err
 
-    def test_malformed_baseline(self, capsys, tmp_path):
-        bad = tmp_path / "BASELINE.json"
-        bad.write_text("{ not json")
-        self._check(
-            capsys, ["analyze", "--baseline", str(bad)], "not valid JSON"
-        )
-
     def test_module_entry_point_matches(self, capsys, tmp_path):
         # ``python -m repro.analysis`` shares the CLI's error contract.
         from repro.analysis.runner import main as analysis_main

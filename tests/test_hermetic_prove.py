@@ -271,6 +271,11 @@ RETIRED = "|".join(
         ("Worker", "Pool"),
         ("Worker", "Handle"),
         ("Casu", "alty"),
+        ("lint", "_source"),
+        ("Baseline", "Entry"),
+        ("match", "_baseline"),
+        ("update", "_baseline"),
+        ("ANALYSIS", "_BASELINE"),
     ]
 )
 
