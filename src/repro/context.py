@@ -26,6 +26,7 @@ their counter deltas back as :meth:`Counters.as_dict` payloads.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -85,17 +86,26 @@ class Counters:
 class Workspace:
     """A pool of reusable scratch arrays for the in-place kernels.
 
-    Buffers are keyed by ``(slot, shape, dtype)`` so each call site gets stable
-    storage that is reused on the next call with the same shape -- the
-    software analogue of the fixed SRAM scratchpads a UniZK PE cluster
-    cycles through.  A workspace is *not* thread-safe; each proving
+    One buffer per ``(slot, dtype)``: the software analogue of the one
+    fixed scratchpad a UniZK PE cluster runs every kernel through.  A
+    slot's buffer grows to the largest request it has seen, and each
+    shape asked of it is a cached view of its start, so an NTT stage
+    reshape or a new batch size costs a view, not memory.
+
+    Contract: a slot holds one live shape at a time -- any request on a
+    slot may reuse (and a larger one replaces) the memory an earlier
+    request returned.  A call site that needs two arrays live at once
+    uses two slot names.  A workspace is *not* thread-safe; each proving
     thread uses its own (``RUN.workspace``).
     """
 
-    __slots__ = ("_bufs", "_plans")
+    __slots__ = ("_bases", "_views", "_plans")
 
     def __init__(self) -> None:
-        self._bufs: dict = {}
+        #: ``(slot, dtype)`` -> the slot's flat buffer.
+        self._bases: dict = {}
+        #: ``(slot, shape, dtype)`` -> the view of its slot's buffer.
+        self._views: dict = {}
         self._plans: dict = {}
 
     def temp(self, shape, slot: str, dtype=np.uint64) -> np.ndarray:
@@ -103,19 +113,28 @@ class Workspace:
         ``dtype`` says otherwise -- the limb GEMM keeps float64 there).
 
         Contents are unspecified; the same ``(slot, shape, dtype)``
-        always returns the same storage.
+        returns the same view until a larger request replaces the
+        slot's buffer.
         """
-        key = (slot, shape, dtype)
-        buf = self._bufs.get(key)
-        if buf is None:
-            buf = self._bufs[key] = np.empty(shape, dtype=dtype)
-        return buf
+        view = self._views.get((slot, shape, dtype))
+        if view is None:
+            key, size = (slot, dtype), math.prod(shape)
+            base = self._bases.get(key)
+            if base is None or base.size < size:
+                if base is not None:  # let the old buffer go
+                    self._views = {k: v for k, v in self._views.items() if (k[0], k[2]) != key}
+                    self._plans.clear()
+                base = self._bases[key] = np.empty(size, dtype=dtype)
+            view = self._views[slot, shape, dtype] = base[:size].reshape(shape)
+        return view
 
     def plan(self, slot: str, shape, build):
         """The object cached under ``(slot, shape)``, made by
         ``build(self, shape)`` on first use: a kernel's pre-sliced views
         of its :meth:`temp` buffers, so a hot loop pays the slicing
-        once per shape, not per call.  Lives and dies with the buffers.
+        once per shape, not per call.  Every plan is dropped when a
+        larger request replaces a buffer, so none keeps an old buffer
+        alive; a rebuild re-slices the cached views.
         """
         made = self._plans.get((slot, shape))
         if made is None:
@@ -123,13 +142,14 @@ class Workspace:
         return made
 
     def nbytes(self) -> int:
-        """Total bytes currently held by the arena (for introspection)."""
-        return sum(b.nbytes for b in self._bufs.values())
+        """Total bytes held by the arena: each slot's buffer once."""
+        return sum(b.nbytes for b in self._bases.values())
 
     def clear(self) -> None:
         """Drop every buffer (frees memory; next calls re-allocate)."""
         self._plans.clear()
-        self._bufs.clear()
+        self._views.clear()
+        self._bases.clear()
 
 
 class Run(threading.local):

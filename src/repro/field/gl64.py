@@ -39,7 +39,6 @@ next kernel call on the same workspace slot.
 
 from __future__ import annotations
 
-import math
 import sys
 from typing import Union
 
@@ -229,9 +228,11 @@ def add_lazy_into(a: np.ndarray, b: np.ndarray, out: np.ndarray, s: np.ndarray) 
 
 
 #: Elements per pass of :func:`mul_into` / :func:`square_into`: larger
-#: outputs are cut along their leading axis, so the 8 scratch planes
-#: stay inside L2 (1 MiB) whatever the array's size -- measured 12-13 ns
-#: an element in 8k-32k blocks against 21 ns for 2**18 elements whole.
+#: outputs are cut into runs of leading rows -- or, when one row is
+#: already larger, row by row and then along the row -- so the 8 scratch
+#: planes stay inside L2 (1 MiB) whatever the array's size -- measured
+#: 12-13 ns an element in 8k-32k blocks against 21 ns for 2**18 elements
+#: whole.
 _BLOCK = 1 << 14
 
 
@@ -239,9 +240,7 @@ def _mul_plan(ws: Workspace, shape: tuple) -> tuple:
     """``(a (lo, hi), b (lo, hi), mul lanes, square lanes, result,
     spare)`` over one 8-plane scratch block for :func:`mul_into` /
     :func:`square_into` on ``shape``."""
-    # Keyed by size, not shape: the NTT's stages reshape one array a
-    # dozen ways, and all of them can share one block.
-    buf = ws.temp((8 * math.prod(shape),), "mul").reshape((8,) + shape)
+    buf = ws.temp((8,) + shape, "mul")
     a_limbs, b_limbs = buf[:2], buf[2:4]
     prod = buf[4:].reshape((2, 2) + shape)
     return (
@@ -262,9 +261,11 @@ def mul_into(a: np.ndarray, b: np.ndarray, out: np.ndarray, ws: Workspace | None
     shape = out.shape
     a = _bcast(np.asarray(a, dtype=np.uint64), shape)
     b = _bcast(np.asarray(b, dtype=np.uint64), shape)
-    if out.size > _BLOCK and (step := _BLOCK * shape[0] // out.size):
-        for i in range(0, shape[0], step):
-            mul_into(a[i : i + step], b[i : i + step], out[i : i + step], ws)
+    if out.size > _BLOCK:
+        step = _BLOCK * shape[0] // out.size
+        for i in range(0, shape[0], step or 1):
+            cut = slice(i, i + step) if step else i
+            mul_into(a[cut], b[cut], out[cut], ws)
         return out
     (a_lo, a_hi), (b_lo, b_hi), lanes, _, res, spare = ws.plan("mul", shape, _mul_plan)
     np.bitwise_and(a, _MASK32, a_lo)
@@ -284,9 +285,11 @@ def square_into(a: np.ndarray, out: np.ndarray, ws: Workspace | None = None) -> 
     ws = ws or default_workspace()
     shape = out.shape
     a = _bcast(np.asarray(a, dtype=np.uint64), shape)
-    if out.size > _BLOCK and (step := _BLOCK * shape[0] // out.size):
-        for i in range(0, shape[0], step):
-            square_into(a[i : i + step], out[i : i + step], ws)
+    if out.size > _BLOCK:
+        step = _BLOCK * shape[0] // out.size
+        for i in range(0, shape[0], step or 1):
+            cut = slice(i, i + step) if step else i
+            square_into(a[cut], out[cut], ws)
         return out
     (a_lo, a_hi), _, _, lanes, res, spare = ws.plan("mul", shape, _mul_plan)
     np.bitwise_and(a, _MASK32, a_lo)
@@ -363,8 +366,7 @@ def pow7_into(a: np.ndarray, out: np.ndarray, ws: Workspace | None = None) -> np
 
 def _pow7_plan(ws: Workspace, shape: tuple) -> tuple:
     """:func:`pow7_lanes` over a workspace scratch block for ``shape``."""
-    buf = ws.temp((POW7_PLANES * math.prod(shape),), "pow7")
-    return pow7_lanes(buf.reshape((POW7_PLANES,) + shape))
+    return pow7_lanes(ws.temp((POW7_PLANES,) + shape, "pow7"))
 
 
 def butterfly_into(

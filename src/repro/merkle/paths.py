@@ -140,10 +140,6 @@ def verify_paths(openings: Sequence[PathOpening]) -> np.ndarray:
     exactly.
     """
     verdicts = np.zeros(len(openings), dtype=bool)
-    # Batch sizes follow this proof's query pattern, and a workspace
-    # keeps one scratch set per size: a shared one would grow with every
-    # new proof a long-lived verifier sees.  This one dies with the call.
-    ws = gl64.Workspace()
     live = []  # (opening number, plan, first pool slot)
     gathers: List[List[int]] = []  # per level, over all openings:
     outs: List[List[int]] = []  # child pool slots, parent pool slots
@@ -173,12 +169,12 @@ def verify_paths(openings: Sequence[PathOpening]) -> np.ndarray:
     for rows, slots in by_width.values():
         rows = np.concatenate(rows)
         digests = np.empty((rows.shape[0], sponge.DIGEST_LEN), dtype=np.uint64)
-        pool[np.concatenate(slots)] = sponge.hash_leaves_into(rows, digests, ws)
+        pool[np.concatenate(slots)] = sponge.hash_leaves_into(rows, digests)
 
     for gather, out in zip(gathers, outs):
         if out:
             digests = np.empty((len(out), sponge.DIGEST_LEN), dtype=np.uint64)
-            pool[out] = sponge.compress_level_into(pool[gather], digests, ws)
+            pool[out] = sponge.compress_level_into(pool[gather], digests)
 
     for number, plan, base in live:
         slots = [base + slot for slot, _ in plan.finals]

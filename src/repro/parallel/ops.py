@@ -17,8 +17,8 @@ A stage picks one of two transports (:class:`_Plane`):
 * **local** -- everything else (a one-worker pool, no pool scoped, a
   stage below threshold, a slot-less setup-lifetime commit): one part,
   run inline in the calling process, buffers from the calling plan's
-  :class:`~repro.field.gl64.Workspace` under the same ``(shape, slot)``
-  discipline, kernel args the arrays themselves.
+  :class:`~repro.field.gl64.Workspace` under the same slot names (one
+  buffer a slot there), kernel args the arrays themselves.
 
 The transcript-order invariant lives one level up: these builders never
 touch a challenger.  A prover runs them *between* Fiat-Shamir
@@ -82,7 +82,9 @@ class _Plane:
         self._bufs = ws if ws is not None and slot is not None else gl64.Workspace()
 
     def buf(self, shape, slot: str) -> np.ndarray:
-        """A shard-visible ``uint64`` buffer, stable per ``(shape, slot)``."""
+        """A shard-visible ``uint64`` buffer: ``slot`` names its one
+        live owner, and the same ``(shape, slot)`` is the same storage
+        on the next proof."""
         return self._bufs.temp(tuple(int(d) for d in shape), slot)
 
     def ref(self, arr: np.ndarray):

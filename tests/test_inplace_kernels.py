@@ -7,10 +7,13 @@ in-place workspace NTT must match a straightforward Python-int radix-2
 reference bit-for-bit across all layout variants.
 """
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import protocols
+from repro.context import RUN, scoped
 from repro.field import extension as fext, gl64, goldilocks as gl
+from repro.hashing import optimized
 from repro.ntt import transforms
+from repro.workloads import by_name
 
 RNG = np.random.default_rng(0xC0FFEE)
 
@@ -226,6 +233,125 @@ def test_workspace_temp_is_keyed_by_dtype():
     assert ws.nbytes() == 0
 
 
+def test_workspace_slot_is_one_buffer_whatever_its_shapes():
+    """A ``(slot, dtype)`` holds one buffer, sized to its largest
+    request; every shape is a cached contiguous view of its start, and
+    only a larger request replaces it."""
+    ws = gl64.Workspace()
+    first = ws.temp((6, 6), "slot")
+    shapes = [(36,), (2, 3, 6), (7,), (5, 7), (1,), (3, 4)]
+    views = [ws.temp(shape, "slot") for shape in shapes]
+    assert [v.shape for v in views] == shapes
+    assert all(v.flags.c_contiguous and np.shares_memory(v, first) for v in views)
+    assert all(ws.temp(shape, "slot") is v for shape, v in zip(shapes, views))
+    assert ws.nbytes() == 8 * 36
+    grown = ws.temp((40,), "slot")
+    assert ws.nbytes() == 8 * 40  # the old buffer is no longer held
+    assert not np.shares_memory(grown, first)
+    again = ws.temp((6, 6), "slot")
+    assert again is not first and np.shares_memory(again, grown)
+    ws.temp((40,), "other")
+    ws.temp((40,), "slot", np.float64)
+    assert ws.nbytes() == 3 * 8 * 40
+
+
+def test_nbytes_counts_each_buffer_once_and_plans_go_with_their_buffer():
+    """Plans built on one slot share its buffer and count once; when a
+    larger request replaces the buffer, the plans are dropped and the
+    old memory is freed.  A buffer only a plan reaches counts like any
+    other."""
+    ws = gl64.Workspace()
+    square = ws.plan("mul", (4, 8), gl64._mul_plan)
+    assert ws.plan("mul", (4, 8), gl64._mul_plan) is square
+    flat = ws.plan("mul", (32,), gl64._mul_plan)
+    assert np.shares_memory(square[4], flat[4])
+    assert ws.nbytes() == 8 * 8 * 32
+    old = weakref.ref(square[4].base)
+    del square, flat
+    ws.temp((8, 64), "mul")  # replaces the buffer both plans were built on
+    gc.collect()
+    assert old() is None
+    assert ws.nbytes() == 8 * 8 * 64
+    rebuilt = ws.plan("mul", (4, 8), gl64._mul_plan)
+    assert ws.nbytes() == 8 * 8 * 64 and rebuilt[4].base is ws.temp((8, 64), "mul").base
+    scratch = ws.plan("permute", optimized._PERMUTE_ROWS, optimized._Scratch)
+    held = sum(a.nbytes for a in (scratch.sbox, scratch.limbs, scratch.fed, scratch.acc, scratch.fold, scratch.bases))
+    assert ws.nbytes() == 8 * 8 * 64 + held
+
+
+def test_repeat_and_smaller_proves_add_no_workspace_bytes():
+    """Neither a repeat prove nor a smaller one after it adds a byte to
+    the thread's workspace or the larger domain's plan workspace (the
+    smaller domain's own plan workspace, holding its commitments, is
+    the only new one)."""
+    system = protocols.get("stark")
+    config = system.make_config()
+    with scoped("workspace", gl64.Workspace()) as ws, scoped("plans", OrderedDict()):
+        big = system.setup(by_name("Fibonacci"), 10, config)
+        system.verify(big, system.prove(big))
+        held = [ws] + [plan.ws for plan in RUN.plans.values()]
+        before = [w.nbytes() for w in held]
+        system.verify(big, system.prove(big))
+        assert [w.nbytes() for w in held] == before
+        small = system.setup(by_name("Fibonacci"), 8, config)
+        system.verify(small, system.prove(small))
+        assert [w.nbytes() for w in held] == before
+        assert len(RUN.plans) == 2
+
+
+_KERNELS = ("add", "sub", "mul", "square", "pow7", "dif", "dit")
+_SHAPES = st.one_of(
+    st.tuples(st.integers(1, 70)),
+    st.tuples(st.integers(1, 5), st.integers(1, 20)),
+    st.sampled_from([(2, 3, 4), (gl64._BLOCK + 7,), (2, gl64._BLOCK + 3)]),
+)
+
+
+def _run_kernel(name: str, ins: np.ndarray, ws: gl64.Workspace) -> list:
+    a, b, c = ins
+    out = np.empty_like(a)
+    if name in ("add", "sub", "mul"):
+        getattr(gl64, f"{name}_into")(a, b, out, ws)
+    elif name == "square":
+        gl64.square_into(a, out, ws)
+    elif name == "pow7":
+        gl64.pow7_into(a, out, ws)
+    else:
+        out_w = np.empty_like(a)
+        gl64.butterfly_into(a, b, c, out, out_w, dit=name == "dit", ws=ws)
+        return [out, out_w]
+    return [out]
+
+
+def _kernel_reference(name: str, ins: np.ndarray) -> list:
+    a, b, c = ins.astype(object)
+    want = {
+        "add": lambda: [a + b],
+        "sub": lambda: [a - b],
+        "mul": lambda: [a * b],
+        "square": lambda: [a * a],
+        "pow7": lambda: [a**7],
+        "dif": lambda: [a + b, (a - b) * c],
+        "dit": lambda: [a + b * c, a - b * c],
+    }[name]()
+    return [(w % gl.P).astype(np.uint64) for w in want]
+
+
+@given(st.lists(st.tuples(st.sampled_from(_KERNELS), _SHAPES, st.integers(0, 2**32)), min_size=1, max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_one_workspace_matches_fresh_ones_on_mixed_shapes(calls):
+    """Any sequence of kernels at mixed shapes on one workspace gives
+    the Python-int reference, as each call does on a fresh workspace:
+    no slot's reuse leaks into another call or aliases within one."""
+    shared = gl64.Workspace()
+    for name, shape, seed in calls:
+        ins = np.random.default_rng(seed).integers(0, gl.P, size=(3,) + shape, dtype=np.uint64)
+        want = _kernel_reference(name, ins)
+        for ws in (shared, gl64.Workspace()):
+            got = _run_kernel(name, ins, ws)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), (name, shape)
+
+
 def test_out_buffers_are_caller_owned():
     a = _random_canonical((4, 64))
     out = np.empty_like(a)
@@ -346,9 +472,29 @@ def test_large_multiplies_run_in_blocks_with_bounded_scratch():
         )
     # Both arrays together held less than one of them would need whole.
     assert ws.nbytes() < 8 * 8 * 3 * gl64._BLOCK
-    # Rows longer than a block cannot be cut and run whole.
+    # Rows longer than a block run row by row, each cut along the row.
     a = _random_canonical((2, gl64._BLOCK + 1))
     assert np.array_equal(gl64.mul_into(a, a, np.empty_like(a), ws), gl64.square_into(a, np.empty_like(a)))
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 3 * gl64._BLOCK + 5), (2, 2 * gl64._BLOCK), (3, gl64._BLOCK + 1), (2, 2, gl64._BLOCK + 3)]
+)
+def test_short_leading_axis_multiplies_still_run_in_blocks(shape):
+    """A leading axis shorter than the block count (the ``(2, 32768)``
+    limb planes ``lde_coeffs`` multiplies) is cut row by row and then
+    along the row: the result matches the reference and the multiply
+    scratch stays at one block of 8 planes."""
+    ws = gl64.Workspace()
+    a, b = _random_canonical(shape), _near_p(shape)
+    want = (a.astype(object) * b.astype(object) % gl.P).astype(np.uint64)
+    assert np.array_equal(gl64.mul_into(a, b, np.empty(shape, dtype=np.uint64), ws), want)
+    a2 = a.copy()
+    gl64.mul_into(a2, b, a2, ws)  # exact alias survives the cut
+    assert np.array_equal(a2, want)
+    square = (a.astype(object) ** 2 % gl.P).astype(np.uint64)
+    assert np.array_equal(gl64.square_into(a, np.empty(shape, dtype=np.uint64), ws), square)
+    assert ws.nbytes() <= 8 * 8 * gl64._BLOCK
 
 
 def test_single_element_inverse_and_scalars_take_python_ints():
@@ -375,6 +521,9 @@ def test_single_element_inverse_and_scalars_take_python_ints():
 #: permutation's scratch became one arena and the multiply scratch was
 #: keyed by size: the ceiling the data plane must stay under.
 WORKSPACE_BYTES_BEFORE = {"stark": 31_978_488, "plonk": 64_188_136, "hyperplonk": 66_923_040}
+#: The same bytes once a slot became one buffer whatever its shapes
+#: (measured 7_081_408 / 9_582_656 / 10_238_016), plus 5 %.
+WORKSPACE_BYTES_ONE_BUFFER_A_SLOT = {"stark": 7_435_478, "plonk": 10_061_789, "hyperplonk": 10_749_917}
 
 _WORKSPACE_SCRIPT = """
 import gc, json
@@ -406,3 +555,5 @@ def test_workspaces_hold_no_more_than_before_at_bench_shapes():
     assert set(held) == set(WORKSPACE_BYTES_BEFORE)
     for name, before in WORKSPACE_BYTES_BEFORE.items():
         assert 0 < held[name] <= before, (name, held[name], before)
+        ceiling = WORKSPACE_BYTES_ONE_BUFFER_A_SLOT[name]
+        assert held[name] <= ceiling, (name, held[name], ceiling)
