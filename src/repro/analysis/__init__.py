@@ -29,48 +29,9 @@ exits 1 on any finding.  Conventions of the prover's source text
 (``% P`` reductions, hot-path allocations, nondeterminism, ``*_into``
 aliasing docs) are tier-1 tests, not analysis layers:
 ``tests/test_source_rules.py``.
+
+The package re-exports nothing: import from the layer's module.  The
+shard pool imports :mod:`.races` on its first graph, and that must not
+pull in the sanitizer (and with it the hardware model), the shipped
+schedules, the transcript checker or the runner.
 """
-
-from .findings import (
-    RACE_RULES,
-    RULES,
-    SCHEDULE_RULES,
-    TRANSCRIPT_RULES,
-    AnalysisError,
-    Finding,
-    Rule,
-)
-from .races import graph_findings, run_race_checks
-from .runner import AnalysisReport, main, run_analysis
-from .sanitizer import ScheduleSpec, sanitize, spec_for_emulator
-from .schedules import shipped_schedules, shipped_specs
-from .transcript import (
-    RecordingChallenger,
-    TranscriptEvent,
-    check_streams,
-    run_transcript_checks,
-)
-
-__all__ = [
-    "AnalysisError",
-    "AnalysisReport",
-    "Finding",
-    "RACE_RULES",
-    "RecordingChallenger",
-    "Rule",
-    "RULES",
-    "SCHEDULE_RULES",
-    "ScheduleSpec",
-    "TRANSCRIPT_RULES",
-    "TranscriptEvent",
-    "check_streams",
-    "graph_findings",
-    "main",
-    "run_analysis",
-    "run_race_checks",
-    "run_transcript_checks",
-    "sanitize",
-    "shipped_schedules",
-    "shipped_specs",
-    "spec_for_emulator",
-]

@@ -16,6 +16,7 @@ transcript conformance (:mod:`repro.analysis.transcript`), and
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -170,6 +171,25 @@ def check_rule_ids(rule_ids) -> None:
             raise AnalysisError(
                 f"unknown rule id {rule_id!r} (choose from: {known})"
             )
+
+
+def add_analyze_arguments(parser: argparse.ArgumentParser) -> None:
+    """Shared flag definitions for ``repro analyze`` and ``-m repro.analysis``:
+    which rules of this catalogue to run and how to report them.  Here
+    rather than in the runner so that building the CLI's parser loads
+    none of the analysis layers."""
+    parser.add_argument(
+        "--rules",
+        default=None,
+        metavar="ID[,ID...]",
+        help="run only these rule ids (see --list-rules)",
+    )
+    parser.add_argument(
+        "--json", action="store_true", help="emit the report as JSON"
+    )
+    parser.add_argument(
+        "--list-rules", action="store_true", help="print the rule catalogue and exit"
+    )
 
 
 @dataclass

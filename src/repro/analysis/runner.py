@@ -26,6 +26,7 @@ from .findings import (
     TRANSCRIPT_RULES,
     AnalysisError,
     Finding,
+    add_analyze_arguments,
     check_rule_ids,
     sort_findings,
 )
@@ -134,22 +135,6 @@ def list_rules() -> str:
             if rule.layer == layer:
                 lines.append(f"  {rule.id:28s} {rule.summary}")
     return "\n".join(lines)
-
-
-def add_analyze_arguments(parser: argparse.ArgumentParser) -> None:
-    """Shared flag definitions for ``repro analyze`` and ``-m repro.analysis``."""
-    parser.add_argument(
-        "--rules",
-        default=None,
-        metavar="ID[,ID...]",
-        help="run only these rule ids (see --list-rules)",
-    )
-    parser.add_argument(
-        "--json", action="store_true", help="emit the report as JSON"
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true", help="print the rule catalogue and exit"
-    )
 
 
 def execute(args: argparse.Namespace) -> int:

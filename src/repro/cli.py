@@ -33,11 +33,7 @@ import json
 import sys
 import time
 
-from .baselines import CpuModel, GpuModel
-from .compiler import lower, trace_plonky2
 from .errors import UnknownEntryError
-from .hw import DEFAULT_CONFIG, chip_budget
-from .sim import simulate_plonky2
 from .workloads import by_name
 
 
@@ -69,6 +65,10 @@ def _resolve_protocol(name: str):
 
 
 def _hw_from_args(args) -> "object":
+    # The accelerator model loads only for the commands that use it, so
+    # ``prove`` never imports the hardware, mapping or compiler layers.
+    from .hw import DEFAULT_CONFIG
+
     overrides = {}
     if args.vsas is not None:
         overrides["num_vsas"] = args.vsas
@@ -95,6 +95,10 @@ def cmd_experiments(args) -> int:
 
 def cmd_simulate(args) -> int:
     """Simulate one workload on a (possibly overridden) chip."""
+    from .baselines import CpuModel, GpuModel
+    from .compiler import trace_plonky2
+    from .sim import simulate_plonky2
+
     spec = _resolve_workload(args.workload)
     hw = _hw_from_args(args)
     report = simulate_plonky2(spec.plonk, hw)
@@ -114,6 +118,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_schedule(args) -> int:
     """Print the lowered execution schedule."""
+    from .compiler import lower, trace_plonky2
+
     spec = _resolve_workload(args.workload)
     hw = _hw_from_args(args)
     sched = lower(trace_plonky2(spec.plonk), hw)
@@ -133,6 +139,7 @@ def cmd_schedule(args) -> int:
 def cmd_tune(args) -> int:
     """Search kernel mappings for a workload; report default vs tuned."""
     from .autotune import tune_workload
+    from .compiler import lower, trace_plonky2
 
     spec = _resolve_workload(args.workload)
     hw = _hw_from_args(args)
@@ -169,6 +176,8 @@ def cmd_prove(args) -> int:
     workers = parallel.resolve_workers(args.workers, flag="workers")
     spec = _resolve_workload(args.workload)
     print(f"{spec.name}: {spec.repro_note}")
+    if system.caveat:
+        print(f"warning: {system.name} is {system.caveat}")
     if not system.supports(spec):
         raise CliError(
             f"workload {spec.name!r} has no {system.name} builder"
@@ -206,6 +215,8 @@ def cmd_prove(args) -> int:
 
 def cmd_chip(args) -> int:
     """Print the area/power budget."""
+    from .hw import chip_budget
+
     hw = _hw_from_args(args)
     for name, area, power in chip_budget(hw).as_rows():
         print(f"{name:28s} {area:6.1f} mm2  {power:5.1f} W")
@@ -330,7 +341,7 @@ def cmd_verify(args) -> int:
 
 def cmd_analyze(args) -> int:
     """Run the soundness analysis; exit 1 on any finding."""
-    from .analysis import AnalysisError
+    from .analysis.findings import AnalysisError
     from .analysis.runner import execute
 
     try:
@@ -541,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-shrink", action="store_true",
                    help="keep findings unshrunk (faster on failure)")
 
-    from .analysis.runner import add_analyze_arguments
+    from .analysis.findings import add_analyze_arguments
 
     p = sub.add_parser(
         "analyze",

@@ -103,7 +103,8 @@ class DomainPlan:
 
         Builds the NTT stage twiddles and bit-reverse permutations for
         the subgroup and LDE domains, the Poseidon tables (full layers
-        and the partial block's lane-0 chain; scalar path), and the FRI
+        and the partial block's lane-0 chain, as limb-GEMM weights and
+        as the scalar path's packed ints), and the FRI
         fold weights for every fold the config could run, so
         the first proof through the plan pays no one-time costs.
         """

@@ -3,19 +3,19 @@
 The naive permutation (:mod:`.poseidon`) multiplies by the dense MDS
 matrix in every one of the 22 partial rounds although only lane 0
 passes through an S-box there.  This module derives two equivalent
-forms of that block, each for the machine it runs on, and the
-permutations built on them; equivalence with the naive permutation is
-property-tested for both.
+forms of that block and the permutations built on one of them;
+equivalence with the naive permutation is property-tested for both.
 
-**Sparse (HADES) rounds** -- for the scalar path
-(:func:`permute_scalar`) and the hardware mapping, where a multiply is
-the unit of cost.  The 22 dense multiplies are refactored into one
-dense *pre-matrix* (``PreMDSMatrix``) followed by 22 *sparse* matrices
-(``SparseMDSMatrix``) whose non-zeros sit only in the first row, first
-column, and diagonal -- precisely the structure UniZK's partial-round
-mapping exploits with its ``u`` / ``v`` / diagonal decomposition and
-reverse links (Figure 5b).  Derivation (row-vector convention, ``state
-<- state @ M``):
+**Sparse (HADES) rounds** (:func:`optimized_params`) -- for the
+hardware mapping, the Poseidon AIR and the in-circuit gadget, where a
+multiply or a constraint is the unit of cost; nothing on the prove or
+verify path derives them.  The 22 dense multiplies are refactored into
+one dense *pre-matrix* (``PreMDSMatrix``) followed by 22 *sparse*
+matrices (``SparseMDSMatrix``) whose non-zeros sit only in the first
+row, first column, and diagonal -- precisely the structure UniZK's
+partial-round mapping exploits with its ``u`` / ``v`` / diagonal
+decomposition and reverse links (Figure 5b).  Derivation (row-vector
+convention, ``state <- state @ M``):
 
 * Matrices.  Factor ``M = M' @ M''`` with ``M' = [[1, 0], [0, Hat]]``
   (lane-0-preserving) and ``M'' = [[m00, r], [Hat^-1 c, I]]`` (sparse).
@@ -31,8 +31,10 @@ reverse links (Figure 5b).  Derivation (row-vector convention, ``state
   by evaluating the transformed chain on unit vectors and solve it
   exactly over GF(p).
 
-**The lane-0 chain** -- for the batched path (:func:`permute_into`),
-where the unit of cost is a NumPy call and a matrix product runs on the
+**The lane-0 chain** -- for both software paths.  The scalar path
+(:func:`permute_scalar`) runs it in Python ints with every accumulator
+packed into one big int.  In the batched path (:func:`permute_into`)
+the unit of cost is a NumPy call and a matrix product runs on the
 host's matrix unit as one exact float64 limb GEMM with a single
 reduction per output (:func:`_matmul_into`, the software analogue of
 the VSA matrix product with the reduction at the array edge, paper
@@ -51,7 +53,6 @@ for a partial round, because only lane 0 is non-linear.
 
 from __future__ import annotations
 
-import operator
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -197,75 +198,114 @@ def optimized_params() -> OptimizedParams:
     )
 
 
-#: Bits per slot of the packed (Kronecker-substituted) MDS product: a
-#: slot sums ``WIDTH`` products of two 64-bit words, below ``2**132``.
+#: Bits per slot of a packed (Kronecker-substituted) accumulator: a
+#: slot sums at most 34 products of two canonical words and a constant,
+#: below ``35 * 2**128`` (see :func:`permute_scalar`).
 _SLOT = 136
 _SLOT_MASK = (1 << _SLOT) - 1
-#: Bit offset of output lane ``j`` in the packed product.
+#: Bit offset of lane ``j`` in a packed row or accumulator.
+_LANE_SHIFTS = tuple(_SLOT * j for j in range(WIDTH))
+#: Bit offset of output lane ``j`` in the Hankel product of
+#: :func:`_times_m0`.
 _OUT_SHIFTS = tuple(_SLOT * (WIDTH - 1 + j) for j in range(WIDTH))
+
+
+def _pack(values) -> int:
+    """``values`` as one big int, entry ``k`` in slot ``k``."""
+    return sum(v << (_SLOT * k) for k, v in enumerate(values))
+
+
+@lru_cache(maxsize=1)
+def _mds_hankel() -> int:
+    """The MDS matrix packed for one big-int product.
+
+    The Cauchy MDS matrix is Hankel -- ``M[i][j] = 1 / (i + j + 12) =
+    h[i + j]`` -- so ``x @ M`` is a polynomial product: with ``x``
+    packed high lane first (lane ``i`` in slot ``11 - i``) and ``h``
+    packed low entry first, slot ``11 + j`` of the product is ``sum_i
+    x[i] * h[i + j]``.
+    """
+    mds = mds_matrix().tolist()
+    h = mds[0] + mds[-1][1:]
+    assert all(mds[i][j] == h[i + j] for i in range(WIDTH) for j in range(WIDTH))
+    return _pack(h)
+
+
+def _times_m0(vec: list[int], hankel: int) -> list[int]:
+    """``vec @ M0`` (mod p) for canonical ``vec``, ``M0`` the MDS matrix
+    with row 0 zeroed, as one product with :func:`_mds_hankel`: lane 0
+    is left out of the packing."""
+    packed = 0
+    for v in vec[1:]:
+        packed = packed << _SLOT | v
+    packed *= hankel
+    return [gl.canonical(packed >> k & _SLOT_MASK) for k in _OUT_SHIFTS]
 
 
 @lru_cache(maxsize=1)
 def _scalar_tables():
-    """Python-int copies of all round tensors for the scalar fast path.
+    """``(rc0, rows, starts, base_rows, base_start, feeds)``: the
+    batched path's layers and lane-0 chain (:func:`_fused_tables`) as
+    packed Python ints for :func:`permute_scalar`, entry ``k`` of a
+    vector in slot ``k`` (:func:`_pack`).
 
-    The Cauchy MDS matrix is Hankel -- ``M[i][j] = 1 / (i + j + 12) =
-    h[i + j]`` -- so ``state @ M`` is a polynomial product: with the
-    state packed high lane first (lane ``i`` in slot ``11 - i``) and
-    ``h`` packed low entry first, slot ``11 + j`` of the big-int product
-    is ``sum_i state[i] * h[i + j]``.  The pre-matrix is stored
-    transposed (column tuples) for the row-vector dot products.
+    ``rows[i]`` is MDS row ``i``; ``starts[l]`` is full layer ``l``'s
+    addend (the next round's constants).  ``base_rows[i]`` is row ``i``
+    of ``[B | A]`` and ``base_start`` is ``[ku | kx]``, 34 slots;
+    ``feeds[r]`` is row ``r`` of ``[C | W]`` without the ``r + 1``
+    slots the chain has consumed when round ``r``'s output feeds back.
     """
-    params = optimized_params()
-    full_rc, _ = round_constants()
-    mds = mds_matrix().tolist()
-    h = mds[0] + mds[-1][1:]
-    assert all(mds[i][j] == h[i + j] for i in range(WIDTH) for j in range(WIDTH))
-    hankel = sum(v << (_SLOT * k) for k, v in enumerate(h))
-    pre_t = tuple(tuple(int(v) for v in col) for col in zip(*params.pre_matrix.tolist()))
-    full = [tuple(int(v) for v in row) for row in full_rc.tolist()]
-    pre_c = tuple(int(v) for v in params.pre_constants)
-    rounds = [
-        (r.m00, tuple(int(v) for v in r.row), tuple(int(v) for v in r.col_hat), r.post_constant)
-        for r in params.rounds
-    ]
-    return hankel, pre_t, full, pre_c, rounds
+    b, c, a, w, ku, kx = _chain_matrices()
+    rows = tuple(_pack(row) for row in mds_matrix().tolist())
+    starts = tuple(_pack(addend) for addend in _layer_addends())
+    base_rows = tuple(_pack(bi + ai) for bi, ai in zip(b, a))
+    feeds = tuple(_pack(c[r][r + 1 :] + w[r]) for r in range(PARTIAL_ROUNDS))
+    rc0 = tuple(round_constants()[0][0].tolist())
+    return rc0, rows, starts, base_rows, _pack(ku + kx), feeds
 
 
 def permute_scalar(state: list[int]) -> list[int]:
-    """Scalar (Python-int) permutation for single states.
+    """Scalar (Python-int) permutation for single states: the batched
+    path's layers and lane-0 chain (:func:`_chain_matrices`) with every
+    accumulator packed into ``_SLOT``-bit slots of one big int.
+
+    A full layer is 12 S-boxes and 12 ``s_i * row_i`` products on packed
+    MDS rows, started from the next round's packed constants: a slot
+    sums 12 products and a constant, below ``13 * 2**128``, and the next
+    S-box's ``pow`` reduces it.  The fourth layer's outputs are reduced
+    mod p before the partial block, whose 34-slot accumulator starts as
+    ``[ku | kx]`` plus 12 products on the rows of ``[B | A]``.  Round
+    ``r`` S-boxes slot 0, shifts it out and adds its output times
+    :func:`_scalar_tables`' ``feeds[r]``; a slot then sums at most 34
+    products and a constant, below ``35 * 2**128``.  The 12 slots left
+    are the block's output, already carrying the next round's constants.
 
     NumPy's per-call overhead dominates on 12-element arrays, so the
     duplex challenger -- one state at a time by construction -- runs
-    here (~4x faster for batch size 1), as does any
-    :func:`permute_into` batch of at most ``_SCALAR_ROWS`` states.  The
-    verifiers batch their Merkle checks by level
-    (:func:`repro.merkle.verify_paths`) and reach this path only where a
-    level has that few nodes left.  Also the differential oracles'
-    reference.
+    here, as does any :func:`permute_into` batch of at most
+    ``_SCALAR_ROWS`` states.  The verifiers batch their Merkle checks by
+    level (:func:`repro.merkle.verify_paths`) and reach this path only
+    where a level has that few nodes left.  Lanes may be any
+    non-negative ints; the output is canonical.
     """
     p = gl.P
-    hankel, pre_t, full, pre_c, rounds = _scalar_tables()
-    mul = operator.mul
+    rc0, rows, starts, base_rows, base_start, feeds = _scalar_tables()
 
-    def full_rounds(s, lo, hi):
-        for rc in full[lo:hi]:
-            packed = 0
-            for v, c in zip(s, rc):
-                packed = packed << _SLOT | pow(v + c, 7, p)
-            packed *= hankel
-            s = [(packed >> k & _SLOT_MASK) % p for k in _OUT_SHIFTS]
-        return s
+    def full_layers(x, starts):
+        for acc in starts:
+            for v, row in zip(x, rows):
+                acc += pow(v, 7, p) * row
+            x = [acc >> k & _SLOT_MASK for k in _LANE_SHIFTS]
+        return x
 
-    state = full_rounds(state, 0, HALF_FULL)
-    state = [v + c for v, c in zip(state, pre_c)]
-    state = [sum(map(mul, state, col)) % p for col in pre_t]
-    for m00, row, col_hat, post in rounds:
-        lane0 = pow(state[0], 7, p) + post
-        rest = state[1:]
-        state = [(lane0 * m00 + sum(map(mul, rest, col_hat))) % p]
-        state += [(lane0 * r + v) % p for r, v in zip(row, rest)]
-    return full_rounds(state, HALF_FULL, FULL_ROUNDS)
+    x = full_layers([v + c for v, c in zip(state, rc0)], starts[:HALF_FULL])
+    acc = base_start
+    for v, row in zip(x, base_rows):
+        acc += v % p * row
+    for feed in feeds:
+        acc = (acc >> _SLOT) + pow(acc & _SLOT_MASK, 7, p) * feed
+    x = full_layers([acc >> k & _SLOT_MASK for k in _LANE_SHIFTS], starts[HALF_FULL:])
+    return [v % p for v in x]
 
 
 #: 16-bit limbs per 64-bit word (what a float64 GEMM can carry exactly).
@@ -293,11 +333,13 @@ _GEMM_ROWS = 256
 #: "Poseidon's partial block as a lane-0 chain").
 _PERMUTE_ROWS = 1024
 #: Batch size at or below which :func:`permute_into` runs the Python-int
-#: scalar permutation per state.  Measured: the scalar path costs 278 us
-#: a state, the vectorised pass a flat 0.54-0.60 ms for 1 to 5 states --
-#: 2 states 0.548 vs 0.543 ms, 3 states 0.825 vs 0.566 ms (EXPERIMENTS.md
-#: "Poseidon's partial block as a lane-0 chain").
-_SCALAR_ROWS = 2
+#: scalar permutation per state.  Measured (ms, scalar vs vectorised,
+#: best quartile of 4 x 100 interleaved calls, 2-vCPU host): 1 state
+#: 0.169 vs 0.668, 2 states 0.328 vs 0.667, 3 states 0.477 vs 0.622, 4
+#: states 0.660 vs 0.668, 6 states 1.043 vs 0.768 -- the scalar path is
+#: 0.17 ms a state, the vectorised pass a flat ~0.65 ms up to a few
+#: states (EXPERIMENTS.md "Cold start").
+_SCALAR_ROWS = 3
 #: Batch size at or below which the partial block's lane-0 S-box is a
 #: Python ``pow(x, 7, p)`` per row instead of the 62-call fused kernel
 #: on a ``(b,)`` vector.  Measured (a whole permutation, ms, kernel vs
@@ -315,17 +357,24 @@ _I32 = gl64.operand(32, np.int64)
 _U32 = gl64.operand(32)
 _EPSILON_I64 = gl64.operand(gl.EPSILON, np.int64)
 _FOLD_BIAS_I64 = gl64.operand(_FOLD_BIAS, np.int64)
+_FOLD_BIAS_U64 = gl64.operand(_FOLD_BIAS)
+_HALF = gl64.operand(1 << 63)
+_LOW32 = gl64.operand(0xFFFF_FFFF, np.int64)
+_HALF32 = gl64.operand(1 << 31, np.int64)
+_TWO32 = gl64.operand(1 << 32, np.int64)
 
 
-def _signed_limbs(value: int) -> tuple[int, int]:
-    """``(lo, hi)`` with ``lo + hi * 2**32 = value (mod p)`` and both
-    limbs in ``[-2**31, 2**31]``: the balanced representative of
-    ``value`` split at bit 32 with a balanced low half."""
-    v = gl.canonical(value)
-    if v >= 1 << 63:
-        v -= gl.P
-    lo = ((v + (1 << 31)) & 0xFFFF_FFFF) - (1 << 31)
-    return lo, (v - lo) >> 32
+def _signed_limbs(values: np.ndarray) -> tuple:
+    """``(lo, hi)``, ``int64`` arrays with ``lo + hi * 2**32 = v (mod
+    p)`` and both limbs in ``[-2**31, 2**31]`` for every canonical ``v``
+    of ``values``: the balanced representative of ``v`` split at bit 32
+    with a balanced low half.  ``hi`` is ``v >> 32`` plus the low half's
+    borrow, because ``(v - lo) >> 32`` overflows ``int64`` at
+    ``v = 2**63 - 1``."""
+    v = np.where(values >= _HALF, values + gl64.EPSILON, values).view(np.int64)
+    low = v & _LOW32
+    borrow = low >= _HALF32
+    return np.where(borrow, low - _TWO32, low), (v >> _I32) + borrow
 
 
 def _limb_weights(matrix, addend, out: np.ndarray) -> np.ndarray:
@@ -340,19 +389,27 @@ def _limb_weights(matrix, addend, out: np.ndarray) -> np.ndarray:
     needs only two output limbs per column.  The last row holds ``addend
     - 2**57`` the same way, to meet a constant-one operand column; with
     ``addend`` ``None`` the table has no such row (a feedback map, whose
-    sums join a biased one).
+    sums join a biased one).  ``out`` may be any view, a transposed one
+    included.
     """
     n = len(matrix[0])
+    words = gl64.asarray(matrix)
     little = sys.byteorder == "little"  # limb order of the uint16 view
-    for i, row in enumerate(matrix):
-        for a in range(_LIMBS):
-            r = _LIMBS * i + (a if little else _LIMBS - 1 - a)
-            for j, m in enumerate(row):
-                out[r, j], out[r, n + j] = _signed_limbs(m << (16 * a))
+    for a in range(_LIMBS):
+        rows = out[(a if little else _LIMBS - 1 - a) : _LIMBS * len(matrix) : _LIMBS]
+        rows[:, :n], rows[:, n:] = _signed_limbs(gl64.mul(words, gl64.operand(1 << (16 * a))))
     if addend is not None:
-        for j, c in enumerate(addend):
-            out[-1, j], out[-1, n + j] = _signed_limbs(c - _FOLD_BIAS)
+        out[-1, :n], out[-1, n:] = _signed_limbs(gl64.sub(gl64.asarray(addend), _FOLD_BIAS_U64))
     return out
+
+
+def _layer_addends() -> list:
+    """Full layer ``l``'s addend: the constants of the round after it
+    (``(state @ M) + rc`` is exactly the next round's input; the last
+    layer adds nothing)."""
+    full_rc, partial_rc = round_constants()
+    nexts = (*full_rc[1:HALF_FULL], partial_rc[0], *full_rc[HALF_FULL + 1 :])
+    return [c.tolist() for c in nexts] + [[0] * WIDTH]
 
 
 @lru_cache(maxsize=1)
@@ -379,8 +436,7 @@ def _chain_matrices() -> tuple:
     """
     full_rc, partial_rc = round_constants()
     addends = [*partial_rc[1:].tolist(), full_rc[HALF_FULL].tolist()]
-    m0 = mds_matrix().copy()
-    m0[0] = 0
+    hankel = _mds_hankel()
     power = [[int(i == j) for j in range(WIDTH)] for i in range(WIDTH)]  # M0**r
     feed = mds_matrix()[0].tolist()  # M[0, :] @ M0**t
     offset = [0] * WIDTH
@@ -389,9 +445,9 @@ def _chain_matrices() -> tuple:
         columns.append([row[0] for row in power])
         feeds.append(feed)
         ku.append(offset[0])
-        power = [_vec_mat(row, m0) for row in power]
-        feed = _vec_mat(feed, m0)
-        offset = [gl.canonical(v + c) for v, c in zip(_vec_mat(offset, m0), addend)]
+        power = [_times_m0(row, hankel) for row in power]
+        feed = _times_m0(feed, hankel)
+        offset = [gl.add(v, c) for v, c in zip(_times_m0(offset, hankel), addend)]
     rounds = range(PARTIAL_ROUNDS)
     b = [list(row) for row in zip(*columns)]
     c = [[feeds[r - 1 - j][0] if j < r else 0 for r in rounds] for j in rounds]
@@ -429,15 +485,12 @@ def _fused_tables():
     * ``closing`` -- the same triples for ``y @ W``, tables ``(hi - lo,
       2 * 12)``.
 
-    The sparse factorisation above serves the scalar path and the
-    hardware mapping, where multiplies are what cost; here a GEMM's
-    cost is its size, and the chain's are 28 % of the dense layers'.
+    The sparse factorisation above serves the hardware mapping, where
+    multiplies are what cost; here a GEMM's cost is its size, and the
+    chain's are 28 % of the dense layers'.
     """
-    full_rc, partial_rc = round_constants()
     b, c, a, w, ku, kx = _chain_matrices()
     mds = mds_matrix().tolist()
-    nexts = (*full_rc[1:HALF_FULL], partial_rc[0], *full_rc[HALF_FULL + 1 :])
-    addends = [c.tolist() for c in nexts] + [[0] * WIDTH]
     y_limbs = _LIMBS * PARTIAL_ROUNDS
     full, base, fed, closing = (
         np.empty(shape, dtype=np.float64)
@@ -448,14 +501,14 @@ def _fused_tables():
             (y_limbs, 2 * WIDTH),
         )
     )
-    for table, addend in zip(full, addends):
+    for table, addend in zip(full, _layer_addends()):
         _limb_weights(mds, addend, table)
     _limb_weights([bi + ai for bi, ai in zip(b, a)], ku + kx, base)
     # Filled through its (limb, [S0 | S1] x round) view, so that a
     # round's two weight columns are two contiguous rows.
     _limb_weights(c, None, fed.reshape(2 * PARTIAL_ROUNDS, y_limbs).T)
     _limb_weights(w, None, closing)
-    rc0 = np.ascontiguousarray(full_rc[0])
+    rc0 = np.ascontiguousarray(round_constants()[0][0])
     for arr in (rc0, full, base, fed, closing):
         arr.flags.writeable = False
     return (

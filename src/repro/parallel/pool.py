@@ -197,7 +197,7 @@ class ShardPool:
             raise RuntimeError("shard pool is closed")
         if len(graph) == 0:
             return {}
-        # Lazy import: repro.analysis imports this package for the
+        # Lazy import: repro.analysis.races imports this module for the
         # shipped-graph pass; the deferred import breaks the cycle.
         from ..analysis.races import graph_findings
 

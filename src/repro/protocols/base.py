@@ -50,6 +50,8 @@ class ProofSystem(ABC):
     name: str = "?"
     #: One-line description shown by ``repro prove --list-protocols``.
     description: str = ""
+    #: A known soundness gap, printed by ``repro prove``; empty if none.
+    caveat: str = ""
     #: Proof-body format version, the tagged blob's version byte; bumped
     #: when :meth:`to_bytes` changes incompatibly.
     format_version: int = 1

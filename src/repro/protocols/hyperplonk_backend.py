@@ -19,7 +19,11 @@ class HyperPlonkSystem(ProofSystem):
     """Sumcheck-native prover over the multilinear PCS -- zero NTTs."""
 
     name = "hyperplonk"
-    description = "sumcheck-native zerocheck over a multilinear PCS (no NTT)"
+    caveat = (
+        "UNSOUND against a cheating prover: the committed sumcheck spot-checks "
+        "plain fold tables, so one altered entry goes unseen (ROADMAP item 12)"
+    )
+    description = f"sumcheck-native zerocheck over a multilinear PCS (no NTT); {caveat}"
     #: 2: batched per-tree multiproof openings replaced v1's per-query paths.
     format_version = 2
     to_bytes = staticmethod(HyperPlonkProof.to_bytes)

@@ -8,10 +8,9 @@ layer -- the standard "AES-shaped" ZK benchmark construction.
 
 from __future__ import annotations
 
-from ..compiler import PlonkParams, StarkParams
 from ..field import goldilocks as gl, matrix as fm
 from ..plonk import CircuitBuilder
-from .base import WorkloadSpec
+from .base import PlonkParams, StarkParams, WorkloadSpec
 
 #: SPN geometry: 4 field elements wide, 10 rounds like AES-128.
 STATE_WIDTH = 4

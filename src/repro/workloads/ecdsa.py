@@ -17,10 +17,9 @@ circuit size.
 
 from __future__ import annotations
 
-from ..compiler import PlonkParams
 from ..field import goldilocks as gl
 from ..plonk import CircuitBuilder
-from .base import WorkloadSpec
+from .base import PlonkParams, WorkloadSpec
 
 #: Fixed base point stand-in (a generator of the field).
 GENERATOR = 7

@@ -12,11 +12,10 @@ from math import factorial as _py_factorial
 
 import numpy as np
 
-from ..compiler import PlonkParams, StarkParams
 from ..field import goldilocks as gl
 from ..plonk import CircuitBuilder
 from ..stark import Air, BoundaryConstraint
-from .base import WorkloadSpec
+from .base import PlonkParams, StarkParams, WorkloadSpec
 
 
 def factorial_mod_p(k: int) -> int:

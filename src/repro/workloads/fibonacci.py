@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..compiler import PlonkParams, StarkParams
 from ..field import goldilocks as gl
 from ..plonk import CircuitBuilder
 from ..stark import Air, BoundaryConstraint
-from .base import WorkloadSpec
+from .base import PlonkParams, StarkParams, WorkloadSpec
 
 
 def fibonacci_mod_p(k: int) -> int:

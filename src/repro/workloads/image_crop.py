@@ -13,10 +13,9 @@ workload, and exposing the crop through public inputs.
 
 from __future__ import annotations
 
-from ..compiler import PlonkParams
 from ..field import goldilocks as gl
 from ..plonk import CircuitBuilder
-from .base import WorkloadSpec
+from .base import PlonkParams, WorkloadSpec
 from .sha256 import hash_reference
 
 

@@ -15,11 +15,10 @@ sequential chain across blocks) matches SHA-256's in-circuit layout.
 
 from __future__ import annotations
 
-from ..compiler import PlonkParams, StarkParams
 from ..field import goldilocks as gl
 from ..plonk import CircuitBuilder
 from ..stark import Air
-from .base import WorkloadSpec
+from .base import PlonkParams, StarkParams, WorkloadSpec
 
 #: Rounds per block in the stand-in compression function.
 ROUNDS_PER_BLOCK = 8

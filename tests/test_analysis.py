@@ -4,16 +4,10 @@ import runpy
 
 import pytest
 
-from repro.analysis import (
-    AnalysisError,
-    Finding,
-    run_analysis,
-    sanitize,
-    shipped_schedules,
-    shipped_specs,
-)
-from repro.analysis.findings import check_rule_ids, sort_findings
-from repro.analysis.sanitizer import ScheduleSpec, spec_for_emulator
+from repro.analysis.findings import AnalysisError, Finding, check_rule_ids, sort_findings
+from repro.analysis.runner import run_analysis
+from repro.analysis.sanitizer import ScheduleSpec, sanitize, spec_for_emulator
+from repro.analysis.schedules import shipped_schedules, shipped_specs
 from repro.hw.microcode import (
     IN_BOTTOM,
     IN_LEFT,

@@ -26,6 +26,7 @@ from repro import plonk, stark
 from repro.errors import VerifierError
 from repro.field import goldilocks as gl
 from repro.fri import FriConfig, initial_arity_bits
+from repro.hashing import optimized
 from repro.plonk import CircuitBuilder
 from repro.plonk.prover import LEAF_WIDTHS as PLONK_WIDTHS, ZK_SALT_COLUMNS
 from repro.serialize import proof_from_blob, proof_to_blob
@@ -116,7 +117,9 @@ def test_every_schedule_tail_proves_and_verifies(protocol, tail, data):
     cfg = FriConfig(
         rate_bits=rate_bits,
         cap_height=data.draw(st.integers(0, degree_bits + rate_bits), "cap_height"),
-        num_queries=3,
+        # One more query than the scalar Poseidon crossover, so the
+        # verifier's per-level Merkle batches fall on both sides of it.
+        num_queries=optimized._SCALAR_ROWS + 1,
         proof_of_work_bits=1,
         final_poly_len=final_len,
     )

@@ -89,6 +89,19 @@ class TestCli:
                      "--queries", "4"]) == 0
         out = capsys.readouterr().out
         assert "proved in" in out
+        assert "UNSOUND" not in out
+
+    def test_prove_hyperplonk_says_it_is_unsound(self, capsys):
+        assert main(["prove", "--protocol", "hyperplonk", "--workload", "MVM",
+                     "--scale", "3"]) == 0
+        out = capsys.readouterr().out
+        warnings = [line for line in out.splitlines() if line.startswith("warning:")]
+        assert warnings == [
+            "warning: hyperplonk is UNSOUND against a cheating prover: the committed "
+            "sumcheck spot-checks plain fold tables, so one altered entry goes unseen "
+            "(ROADMAP item 12)"
+        ]
+        assert "proved in" in out
 
     def test_unknown_workload_rejected(self, capsys):
         assert main(["simulate", "--workload", "nonsense"]) == 2

@@ -1,5 +1,7 @@
 """Poseidon permutation tests: naive, optimised, scalar fast path."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,13 @@ from repro.hashing import optimized, poseidon
 
 state_strategy = st.lists(
     st.integers(min_value=0, max_value=gl.P - 1), min_size=12, max_size=12
+)
+#: Lanes at the extremes of a packed slot's products.
+EDGE_LANES = [0, 1, gl.P - 1, 1 << 63]
+edge_state_strategy = st.lists(
+    st.one_of(st.integers(min_value=0, max_value=gl.P - 1), st.sampled_from(EDGE_LANES)),
+    min_size=12,
+    max_size=12,
 )
 
 
@@ -45,8 +54,9 @@ class TestConstants:
 
 
 def _permute_scalar_reference(state):
-    """The scalar permutation as it stood before the packed (Hankel)
-    MDS product: every dot a generator expression over Python ints."""
+    """The sparse HADES form (``optimized_params``) in Python ints,
+    every dot a generator expression: the scalar permutation as it stood
+    before it ran the lane-0 chain."""
     p = gl.P
     params = optimized.optimized_params()
     full_rc, _ = pc.round_constants()
@@ -93,11 +103,16 @@ class TestPermutation:
         ref = poseidon.permute_naive(np.array(s, dtype=np.uint64))
         assert out == [int(x) for x in ref]
 
-    @given(st.lists(state_strategy, min_size=1, max_size=4))
+    @given(st.lists(edge_state_strategy, min_size=1, max_size=4))
     @settings(max_examples=25, deadline=None)
-    def test_hankel_product_rounds_match_the_generator_form(self, states):
-        for state in states + [[0] * 12, [gl.P - 1] * 12]:
-            assert optimized.permute_scalar(state) == _permute_scalar_reference(state)
+    def test_chain_scalar_path_matches_naive_and_sparse_forms(self, states):
+        # The packed lane-0 chain against both other forms, with lanes at
+        # the values that stress a slot: 0, 1, p - 1 and 2**63.
+        for state in states + [[v] * 12 for v in EDGE_LANES]:
+            naive = poseidon.permute_naive(np.array(state, dtype=np.uint64))
+            want = [int(v) for v in naive]
+            assert optimized.permute_scalar(state) == want
+            assert _permute_scalar_reference(state) == want
 
     def test_wrong_width_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -184,6 +199,30 @@ def _weights(matrix, addend):
     """Limb-GEMM table of ``state -> state @ matrix + addend``."""
     out = np.empty((optimized._GEMM_DEPTH, 2 * pc.WIDTH), dtype=np.float64)
     return optimized._limb_weights(matrix, addend, out)
+
+
+def _limb_weights_reference(matrix, addend):
+    """``optimized._limb_weights``' table entry by entry in Python ints:
+    the balanced representative of ``m * 2**(16 a) mod p``, split at bit
+    32 with a balanced low half."""
+
+    def limbs(value):
+        v = value % gl.P
+        v = v - gl.P if v >= 1 << 63 else v
+        lo = ((v + (1 << 31)) & 0xFFFF_FFFF) - (1 << 31)
+        return lo, (v - lo) >> 32
+
+    n = len(matrix[0])
+    little = sys.byteorder == "little"
+    out = np.zeros((4 * len(matrix) + (addend is not None), 2 * n))
+    for i, row in enumerate(matrix):
+        for a in range(4):
+            r = 4 * i + (a if little else 3 - a)
+            for j, m in enumerate(row):
+                out[r, j], out[r, n + j] = limbs(m << (16 * a))
+    for j, c in enumerate(addend or ()):
+        out[-1, j], out[-1, n + j] = limbs(c - optimized._FOLD_BIAS)
+    return out
 
 
 def _matmul(buf, weights):
@@ -339,11 +378,34 @@ class TestLimbGemm:
             assert not any(c[j][: j + 1])  # an input sees earlier outputs only
 
     def test_limb_split_is_balanced_and_congruent(self):
-        for value in LIMB_EDGES + [1 << 63, (1 << 63) - 1, gl.P - (1 << 31), -5]:
-            lo, hi = optimized._signed_limbs(value)
+        values = LIMB_EDGES + [1 << 63, (1 << 63) - 1, gl.P - (1 << 31), gl.P - 5]
+        los, his = optimized._signed_limbs(np.array(values, dtype=np.uint64))
+        assert los.dtype == his.dtype == np.int64
+        for value, lo, hi in zip(values, los.tolist(), his.tolist()):
             assert (lo + (hi << 32) - value) % gl.P == 0
             assert -(1 << 31) <= lo < 1 << 31
             assert abs(hi) <= 1 << 31
+
+    @pytest.mark.parametrize("entry", [(1 << 63) - 1, 1 << 63, gl.P - 1, "random"])
+    def test_limb_weights_match_the_per_entry_formula(self, entry, rng):
+        # The vectorised table against the formula entry by entry, on a
+        # state map with an addend and on the partial block's feedback
+        # layout: a 22 x 22 map filled through a transposed view.
+        rounds = pc.PARTIAL_ROUNDS
+        for rows, cols, addend in ((12, 12, [entry] * 12), (rounds, rounds, None)):
+            if entry == "random":
+                matrix = gl64.random((rows, cols), rng).tolist()
+                addend = addend and gl64.random(12, rng).tolist()
+            else:
+                matrix = [[entry] * cols for _ in range(rows)]
+            want = _limb_weights_reference(matrix, addend)
+            if addend is None:
+                fed = np.full((2, rounds, 4 * rounds), np.nan)
+                optimized._limb_weights(matrix, None, fed.reshape(2 * rounds, -1).T)
+                got = fed.reshape(2 * rounds, -1).T
+            else:
+                got = _weights(matrix, addend)
+            assert np.array_equal(got, want)
 
     @given(
         st.lists(vector_strategy, min_size=1, max_size=5),
@@ -382,7 +444,7 @@ class TestLimbGemm:
         assert np.array_equal(optimized.permute(s), poseidon.permute_naive(s))
 
     @pytest.mark.parametrize(
-        "batch", sorted({1, 4, 5, 8, 9, 16, 255, 256, 257, 2048, 2049, 4097} | set(REGIME_EDGES))
+        "batch", sorted({1, 2, 4, 5, 8, 9, 16, 255, 256, 257, 2048, 2049, 4097} | set(REGIME_EDGES))
     )
     def test_permute_into_equals_naive_across_every_regime(self, batch, rng):
         # Both sides of every crossover and block; output canonical

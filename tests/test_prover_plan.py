@@ -87,13 +87,21 @@ def test_plan_shape_mismatch_is_rejected():
 
 
 def test_warm_leaves_no_poseidon_table_for_the_first_proof():
+    # Both permutation paths run on the lane-0 chain; the sparse HADES
+    # factorisation is for the hardware mapping and stays underived.
     from repro.hashing import optimized
 
-    caches = (optimized._chain_matrices, optimized._fused_tables, optimized._scalar_tables)
-    for cached in caches:
+    caches = (
+        optimized._mds_hankel,
+        optimized._chain_matrices,
+        optimized._fused_tables,
+        optimized._scalar_tables,
+    )
+    for cached in caches + (optimized.optimized_params,):
         cached.cache_clear()
     DomainPlan(16, 1).warm()
     assert all(cached.cache_info().currsize == 1 for cached in caches)
+    assert optimized.optimized_params.cache_info().currsize == 0
 
 
 def test_plan_caches_are_read_only_and_reused():
