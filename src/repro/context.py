@@ -13,15 +13,18 @@ accounting view (paper Sections 4 and 6).  The software analogue is
 * ``workspace`` -- the kernel scratch arena
   (:func:`repro.field.gl64.default_workspace`);
 * ``plans`` -- the per-shape :class:`repro.fri.DomainPlan` LRU
-  (:func:`repro.fri.plan.plan_for`).
+  (:func:`repro.fri.plan.plan_for`);
+* ``instances`` -- the preprocessed-instance LRU every
+  :meth:`repro.protocols.ProofSystem.setup` binds a config to
+  (:func:`repro.protocols.base.instance`).
 
 :func:`scoped` swaps one field for a block and restores it afterwards.
 
 The rule is per thread, not per :mod:`contextvars` context: a thread
 started in a copied context still gets a run of its own, so concurrent
-proves never share a counter, an arena or a plan.  A forked process
-starts from a copy of the forking thread's run; worker processes ship
-their counter deltas back as :meth:`Counters.as_dict` payloads.
+proves never share a counter, an arena, a plan or an instance.  A forked
+process starts from a copy of the forking thread's run; worker processes
+ship their counter deltas back as :meth:`Counters.as_dict` payloads.
 """
 
 from __future__ import annotations
@@ -161,6 +164,7 @@ class Run(threading.local):
         self.pool = None
         self.workspace = Workspace()
         self.plans: OrderedDict = OrderedDict()
+        self.instances: OrderedDict = OrderedDict()
 
 
 #: The calling thread's run.

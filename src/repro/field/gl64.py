@@ -114,6 +114,13 @@ def ones(shape) -> GlArray:
     return np.ones(shape, dtype=np.uint64)
 
 
+def freeze(*arrays: np.ndarray) -> None:
+    """Flag shared arrays read-only, so a stray write raises
+    ``ValueError`` instead of corrupting every later reader."""
+    for arr in arrays:
+        arr.flags.writeable = False
+
+
 # ---------------------------------------------------------------------------
 # In-place kernels
 # ---------------------------------------------------------------------------

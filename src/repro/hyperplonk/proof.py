@@ -20,7 +20,7 @@ purely structural (they pin the row order) and any divergence rejects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -62,13 +62,15 @@ class HyperPlonkData:
     selector values followed by the 3 sigma labels (no LDE -- the leaves
     are the subgroup rows themselves).  ``sigmas``/``ids`` cache the
     (3, n) permutation label matrices so proving never re-derives them.
+    Every array is read-only; ``config`` is ``None`` on an unbound
+    :func:`~repro.hyperplonk.prover.preprocess` result.
     """
 
     circuit: Circuit
     preprocessed: MerkleTree
     sigmas: np.ndarray
     ids: np.ndarray
-    config: HyperPlonkConfig
+    config: Optional[HyperPlonkConfig]
 
     @property
     def verifier_data(self) -> "HyperPlonkVerifierData":

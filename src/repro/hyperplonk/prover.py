@@ -44,6 +44,7 @@ hashing.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
@@ -67,28 +68,37 @@ from .proof import (
 
 
 def setup(circuit: Circuit, config: HyperPlonkConfig) -> HyperPlonkData:
-    """Preprocess a circuit: Merkle-commit selectors + sigmas row-wise.
+    """Preprocess a circuit: Merkle-commit selectors + sigmas row-wise."""
+    return bind(preprocess(circuit), config)
+
+
+def preprocess(circuit: Circuit) -> HyperPlonkData:
+    """The config-free part of :func:`setup`, all of it read-only.
 
     Unlike the univariate setup there is no low-degree extension -- the
     leaves are the ``(n, 8)`` subgroup rows themselves, so even setup
-    runs NTT-free.  The commitment deliberately has no ``slot``: setup
-    artifacts outlive any one proof, and a slot's buffers would be
-    recycled by the next same-shape commit.
+    runs NTT-free.  The tree is built to its root (cap height 0), so
+    :func:`bind` cuts it at any config's cap without hashing.  The
+    commitment deliberately has no ``slot``: setup artifacts outlive
+    any one proof, and a slot's buffers would be recycled by the next
+    same-shape commit.
     """
     ids = id_values(circuit.n)
     sigmas = sigma_values(circuit, ids)
     pre_rows = np.ascontiguousarray(
         np.concatenate([circuit.selectors, sigmas]).T
     )  # (n, 8): one leaf per gate row
-    pcs = MultilinearPCS(config.cap_height)
-    preprocessed = pcs.commit(pre_rows, "preprocessed")
-    return HyperPlonkData(
-        circuit=circuit,
-        preprocessed=preprocessed,
-        sigmas=sigmas,
-        ids=ids,
-        config=config,
-    )
+    tree = MultilinearPCS(0).commit(pre_rows, "preprocessed")
+    gl64.freeze(ids, sigmas, tree.leaves, tree.arena)
+    return HyperPlonkData(circuit=circuit, preprocessed=tree, sigmas=sigmas, ids=ids, config=None)
+
+
+def bind(data: HyperPlonkData, config: HyperPlonkConfig) -> HyperPlonkData:
+    """A :func:`preprocess` result bound to ``config``: its tree cut at
+    ``config.cap_height``, clamped to the tree's depth as every
+    :class:`~repro.pcs.MultilinearPCS` commit is."""
+    tree = data.preprocessed.capped(min(config.cap_height, data.circuit.log_n))
+    return replace(data, preprocessed=tree, config=config)
 
 
 def _constraint_table(

@@ -157,6 +157,19 @@ class MerkleTree:
         tree.levels = level_views(arena, sizes)
         return tree
 
+    def capped(self, cap_height: int) -> "MerkleTree":
+        """This tree cut at a cap of ``2**cap_height`` digests, no hashing.
+
+        Level ``k`` of the level-order arena does not depend on where
+        the tree stops, so the cut is a prefix of the arena; a tree
+        built to its root (cap height 0) serves every cap height.
+        """
+        depth = self.num_leaves().bit_length() - 1
+        if not self.cap_height <= cap_height <= depth:
+            raise ValueError(f"cap_height must be in [{self.cap_height}, {depth}]")
+        sizes = level_sizes(self.num_leaves(), cap_height)
+        return MerkleTree.from_levels(self.leaves, cap_height, self.arena[: sum(sizes)], sizes)
+
     @property
     def cap(self) -> np.ndarray:
         """The commitment: ``2**cap_height`` digests, shape (c, 4)."""

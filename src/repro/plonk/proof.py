@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -29,12 +29,14 @@ class CircuitData:
     polynomials; its cap acts as the circuit digest both parties bind to.
     ``sigmas`` / ``ids`` cache the permuted and identity position
     labels (``k_j * omega^i``, shape (3, n)) computed during setup, so
-    the prover does not re-derive them per proof.
+    the prover does not re-derive them per proof.  Every array is
+    read-only; ``config`` is ``None`` on an unbound
+    :func:`~repro.plonk.prover.preprocess` result.
     """
 
     circuit: Circuit
     preprocessed: PolynomialBatch
-    config: FriConfig
+    config: Optional[FriConfig]
     sigmas: np.ndarray
     ids: np.ndarray
 

@@ -22,6 +22,7 @@ precompute.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict
 
 import numpy as np
@@ -42,23 +43,34 @@ QUOTIENT_CHUNKS = 4
 
 def setup(circuit: Circuit, config: FriConfig) -> CircuitData:
     """Preprocess a circuit: commit selectors and sigma polynomials."""
+    return bind(preprocess(circuit, config.rate_bits, preprocessed_layout(circuit, config)), config)
+
+
+def preprocessed_layout(circuit: Circuit, config: FriConfig) -> int:
+    """The preprocessed batch's leaf layout (``coset_bits``) under ``config``."""
+    return initial_arity_bits(config, circuit.log_n, LEAF_WIDTHS)
+
+
+def preprocess(circuit: Circuit, rate_bits: int, coset_bits: int) -> CircuitData:
+    """The part of :func:`setup` that reads only ``rate_bits`` and the
+    leaf layout, all of it read-only.
+
+    The batch is committed to its root (cap height 0), so :func:`bind`
+    cuts it at any config's cap without hashing.
+    """
     ids = id_values(circuit.n)
     sigmas = sigma_values(circuit, ids)
     pre_rows = np.concatenate([circuit.selectors, sigmas])
-    preprocessed = PolynomialBatch.from_values(
-        pre_rows,
-        config.rate_bits,
-        config.cap_height,
-        coset_bits=initial_arity_bits(config, circuit.log_n, LEAF_WIDTHS),
-    )
-    ids.flags.writeable = False
-    return CircuitData(
-        circuit=circuit,
-        preprocessed=preprocessed,
-        config=config,
-        sigmas=sigmas,
-        ids=ids,
-    )
+    batch = PolynomialBatch.from_values(pre_rows, rate_bits, 0, coset_bits=coset_bits)
+    gl64.freeze(ids, sigmas, batch.coeffs, batch.values, batch.tree.leaves, batch.tree.arena)
+    return CircuitData(circuit=circuit, preprocessed=batch, config=None, sigmas=sigmas, ids=ids)
+
+
+def bind(data: CircuitData, config: FriConfig) -> CircuitData:
+    """A :func:`preprocess` result bound to ``config``: its tree cut at
+    ``config.cap_height``."""
+    batch = replace(data.preprocessed, tree=data.preprocessed.tree.capped(config.cap_height))
+    return replace(data, preprocessed=batch, config=config)
 
 
 def _pi_poly_on_lde(

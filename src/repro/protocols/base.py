@@ -21,7 +21,42 @@ from __future__ import annotations
 import hashlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional
+from types import MappingProxyType
+from typing import Any, Callable, Dict, Mapping, Optional
+
+from ..context import RUN
+from ..field import gl64
+
+#: Per-thread instance-cache capacity (``RUN.instances``, LRU).
+INSTANCE_CACHE_CAP = 16
+
+
+def instance(key, build: Callable[[], Any]) -> Any:
+    """This thread's cached instance under ``key``, made by ``build()``
+    on a miss.  ``key`` names exactly what ``build`` reads; the result
+    is shared by every later setup under it, so it must be read-only.
+    """
+    cache = RUN.instances
+    made = cache.get(key)
+    if made is None:
+        made = cache[key] = build()
+        while len(cache) > INSTANCE_CACHE_CAP:
+            cache.popitem(last=False)
+    else:
+        cache.move_to_end(key)
+    return made
+
+
+def circuit_instance(workload, scale: int):
+    """The cached ``(circuit, inputs)`` of ``workload.build_circuit(scale)``,
+    arrays read-only and inputs a read-only mapping."""
+
+    def build():
+        circuit, inputs, _ = workload.build_circuit(scale)
+        gl64.freeze(circuit.selectors, circuit.wire_vars, circuit.sigma)
+        return circuit, MappingProxyType(inputs)
+
+    return instance(("circuit", workload, scale), build)
 
 
 @dataclass
@@ -98,7 +133,8 @@ class ProofSystem(ABC):
 
     @abstractmethod
     def setup(self, workload, scale: int, config: Any) -> ProtocolSetup:
-        """Build the instance (circuit/AIR + preprocessing) to prove."""
+        """Bind ``config`` to the instance (circuit/AIR + preprocessing),
+        preprocessed once per thread (:func:`instance`) and read-only."""
 
     @abstractmethod
     def prove(self, setup: ProtocolSetup, pool=None, challenger=None):

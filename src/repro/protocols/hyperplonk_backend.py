@@ -8,10 +8,10 @@ from ..hyperplonk import (
     HyperPlonkConfig,
     HyperPlonkProof,
     prove as hp_prove,
-    setup as hp_setup,
+    prover as hp_prover,
     verify as hp_verify,
 )
-from .base import ProofSystem, ProtocolSetup
+from .base import ProofSystem, ProtocolSetup, circuit_instance, instance
 from .transcript import CapBinding, TranscriptSpec
 
 
@@ -37,8 +37,9 @@ class HyperPlonkSystem(ProofSystem):
         return HyperPlonkConfig(**dict(knobs))
 
     def setup(self, workload, scale: int, config: HyperPlonkConfig) -> ProtocolSetup:
-        circuit, inputs, _ = workload.build_circuit(scale)
-        data = hp_setup(circuit, config)
+        circuit, inputs = circuit_instance(workload, scale)
+        data = instance((self.name, workload, scale), lambda: hp_prover.preprocess(circuit))
+        data = hp_prover.bind(data, config)
         return ProtocolSetup(
             protocol=self.name,
             workload=workload.name,

@@ -4,15 +4,9 @@ from __future__ import annotations
 
 from typing import Dict, Mapping
 
-from ..fri import FriConfig, initial_arity_bits
-from ..plonk import (
-    PlonkProof,
-    prove as plonk_prove,
-    setup as plonk_setup,
-    verify as plonk_verify,
-)
-from ..plonk.prover import LEAF_WIDTHS
-from .base import ProofSystem, ProtocolSetup
+from ..fri import FriConfig
+from ..plonk import PlonkProof, prove as plonk_prove, prover as plonk_prover, verify as plonk_verify
+from .base import ProofSystem, ProtocolSetup, circuit_instance, instance
 from .transcript import CapBinding, TranscriptSpec
 
 
@@ -40,9 +34,14 @@ class PlonkSystem(ProofSystem):
         return FriConfig(**dict(knobs))
 
     def setup(self, workload, scale: int, config: FriConfig) -> ProtocolSetup:
-        circuit, inputs, _ = workload.build_circuit(scale)
+        circuit, inputs = circuit_instance(workload, scale)
         config.check_cap_fits(circuit.log_n)
-        data = plonk_setup(circuit, config)
+        layout = plonk_prover.preprocessed_layout(circuit, config)
+        data = instance(
+            (self.name, workload, scale, config.rate_bits, layout),
+            lambda: plonk_prover.preprocess(circuit, config.rate_bits, layout),
+        )
+        data = plonk_prover.bind(data, config)
         return ProtocolSetup(
             protocol=self.name,
             workload=workload.name,
@@ -80,7 +79,7 @@ class PlonkSystem(ProofSystem):
         # zeta (ext) #4-5, FRI alpha #6-7, a virtual first layer's beta
         # #8-9, then committed layer k's beta at #8+2k, or #10+2k after it.
         data, _ = setup.data
-        first = 10 if initial_arity_bits(setup.config, data.circuit.log_n, LEAF_WIDTHS) else 8
+        first = 10 if data.preprocessed.coset_bits else 8
         bindings = [
             CapBinding("preprocessed_cap", data.preprocessed.cap, 0),
             CapBinding("wires_cap", proof.wires_cap, 0),

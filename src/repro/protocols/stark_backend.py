@@ -4,11 +4,19 @@ from __future__ import annotations
 
 from typing import Dict, Mapping
 
+from ..field import gl64
 from ..fri import FriConfig, initial_arity_bits
 from ..stark import StarkProof, prove as stark_prove, verify as stark_verify
 from ..stark.prover import leaf_widths
-from .base import ProofSystem, ProtocolSetup
+from .base import ProofSystem, ProtocolSetup, instance
 from .transcript import CapBinding, TranscriptSpec
+
+
+def _air_instance(workload, scale: int):
+    """``workload.build_air(scale)`` with a read-only trace and publics."""
+    air, trace, publics = workload.build_air(scale)
+    gl64.freeze(trace)
+    return air, trace, tuple(publics)
 
 
 class StarkSystem(ProofSystem):
@@ -41,7 +49,7 @@ class StarkSystem(ProofSystem):
     def setup(self, workload, scale: int, config: FriConfig) -> ProtocolSetup:
         if workload.build_air is None:
             raise ValueError(f"workload {workload.name!r} has no AET builder")
-        air, trace, publics = workload.build_air(scale)
+        air, trace, publics = instance(("air", workload, scale), lambda: _air_instance(workload, scale))
         config.check_cap_fits(int(trace.shape[0]).bit_length() - 1)
         return ProtocolSetup(
             protocol=self.name,

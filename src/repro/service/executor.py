@@ -35,6 +35,7 @@ from ..serialize import (
 )
 from .jobs import FAULT_KINDS, JobSpec
 
+
 def validate_spec(spec: JobSpec, fault_injection: bool = False) -> None:
     """Reject specs the executor cannot run (fail fast at submit time)."""
     if spec.kind in FAULT_KINDS:
@@ -76,30 +77,6 @@ def execute(spec_dict: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-#: Per-process cache of protocol setup artifacts.  Workers serve many
-#: jobs of a few instance shapes, and ``setup()`` (sigma computation +
-#: the preprocessed commitment, or AET generation) dominates small-proof
-#: latency, so caching the :class:`~repro.protocols.ProtocolSetup` per
-#: (kind, workload, scale, config) turns repeat jobs into prove-only
-#: work.  Config objects are frozen/hashable, so they key directly.
-#: Size-capped FIFO: shapes are few, so eviction is rare.
-_SETUP_CAP = 16
-_SETUPS: Dict[Any, Any] = {}
-
-
-def _setup_for(system, workload, spec: JobSpec, config):
-    """Cached :class:`ProtocolSetup` for a protocol spec's shape."""
-    key = (spec.kind, spec.workload, spec.scale, config)
-    hit = _SETUPS.get(key)
-    if hit is not None:
-        return hit
-    psetup = system.setup(workload, spec.scale, config)
-    if len(_SETUPS) >= _SETUP_CAP:
-        _SETUPS.pop(next(iter(_SETUPS)))
-    _SETUPS[key] = psetup
-    return psetup
-
-
 def _run(spec: JobSpec) -> bytes:
     if spec.kind == "sleep":
         time.sleep(float(spec.params.get("seconds", 0.1)))
@@ -121,10 +98,10 @@ def _run(spec: JobSpec) -> bytes:
 
     system = get_protocol(spec.kind)
     config = system.make_config(spec.config)
-    # Setup artifacts persist across jobs in a long-lived worker, and so
-    # do the per-shape prover plans (tables + workspace arenas) the
-    # backends draw from the worker thread's run (repro.context).
-    psetup = _setup_for(system, workload, spec, config)
+    # Preprocessed instances persist across jobs in a long-lived worker,
+    # and so do the per-shape prover plans (tables + workspace arenas):
+    # the backends draw both from the worker thread's run (repro.context).
+    psetup = system.setup(workload, spec.scale, config)
     proof = system.prove(psetup)
     return write_result_envelope(
         f"{spec.kind}-proof", spec.workload, proof_to_blob(spec.kind, proof)
@@ -133,6 +110,9 @@ def _run(spec: JobSpec) -> bytes:
 
 def verify_result(spec_dict: Dict[str, Any], envelope: bytes) -> bool:
     """Re-derive the workload and verify a service-returned envelope.
+
+    The setup binds the calling thread's cached instance, so only the
+    first envelope of an instance pays its preprocessing.
 
     Raises the underlying verifier error on an invalid proof; returns
     True on success (sim reports / debug payloads just check framing).

@@ -20,12 +20,12 @@ import hashlib
 import json
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import UnknownEntryError
-from ..protocols import names as _protocol_names
+from ..protocols import get as get_protocol, names as _protocol_names
 
 #: Fault-injection kinds used by the failure tests and benchmarks; the
 #: service only accepts them when started with ``fault_injection=True``.
@@ -78,13 +78,21 @@ class JobSpec:
             raise UnknownJobKindError(self.kind, job_kinds())
 
     def canonical(self) -> str:
-        """Deterministic JSON form (sorted keys) used for hashing."""
+        """Deterministic JSON form (sorted keys) used for hashing.
+
+        A protocol kind's config is the resolved one (defaults filled
+        in), so overrides that name the same config name the same
+        proof; other kinds keep their overrides as given.
+        """
+        config = self.config
+        if self.kind in _protocol_names():
+            config = asdict(get_protocol(self.kind).make_config(config))
         return json.dumps(
             {
                 "workload": self.workload,
                 "kind": self.kind,
                 "scale": self.scale,
-                "config": dict(sorted(self.config.items())),
+                "config": dict(sorted(config.items())),
                 "params": dict(sorted(self.params.items())),
             },
             sort_keys=True,

@@ -20,6 +20,14 @@ def fresh_plan_cache():
 
 
 @pytest.fixture
+def fresh_instance_cache():
+    """An empty preprocessed-instance cache for this thread; the
+    thread's own cache is back in place afterwards."""
+    with scoped("instances", OrderedDict()):
+        yield
+
+
+@pytest.fixture
 def rng() -> np.random.Generator:
     """Deterministic NumPy generator."""
     return np.random.default_rng(0xC0FFEE)

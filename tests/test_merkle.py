@@ -37,6 +37,19 @@ class TestConstruction:
             sub = MerkleTree(leaves[k * 4 : (k + 1) * 4])
             assert np.array_equal(t.cap[k], sub.cap[0])
 
+    def test_a_root_built_tree_cut_at_any_cap_is_that_capped_tree(self, rng):
+        leaves = gl64.random((32, 3), rng)
+        full = MerkleTree(leaves)
+        for h in range(6):
+            cut, built = full.capped(h), MerkleTree(leaves, cap_height=h)
+            assert cut.cap_height == h and np.array_equal(cut.arena, built.arena)
+            assert all(np.array_equal(cut.prove(i).siblings, built.prove(i).siblings) for i in (0, 13, 31))
+        for bad in (-1, 6):
+            with pytest.raises(ValueError):
+                full.capped(bad)
+        with pytest.raises(ValueError):
+            MerkleTree(leaves, cap_height=2).capped(1)  # levels below the cap were never built
+
     def test_single_leaf_wide_cap(self, rng):
         leaves = gl64.random((4, 3), rng)
         t = MerkleTree(leaves, cap_height=2)

@@ -194,51 +194,46 @@ class TestTraceExport:
 
 
 class TestExecutorCache:
-    def test_plonk_setup_cached_across_jobs(self):
+    """Jobs draw setups from the worker thread's instance cache."""
+
+    SPEC = {
+        "workload": "Fibonacci", "kind": "plonk", "scale": 6,
+        "config": {}, "params": {},
+    }
+
+    def test_plonk_setup_cached_across_jobs(self, fresh_instance_cache):
         from repro.service import executor
 
-        spec = {
-            "workload": "Fibonacci", "kind": "plonk", "scale": 6,
-            "config": {}, "params": {},
-        }
-        executor._SETUPS.clear()
-        first = executor.execute(spec)
-        assert len(executor._SETUPS) == 1
-        psetup, = executor._SETUPS.values()
-        second = executor.execute(spec)
-        assert len(executor._SETUPS) == 1
-        psetup2, = executor._SETUPS.values()
-        # Same ProtocolSetup (and so the same CircuitData) reused.
-        assert psetup2 is psetup
-        assert psetup2.data[0] is psetup.data[0]
+        first = executor.execute(self.SPEC)
+        entries = dict(RUN.instances)
+        assert len(entries) == 2  # the circuit build and its committed batch
+        second = executor.execute(self.SPEC)
+        # The same instance objects (circuit, preprocessed batch) reused.
+        assert dict(RUN.instances) == entries
+        assert all(RUN.instances[k] is v for k, v in entries.items())
         assert first["envelope"] == second["envelope"]
 
     def test_execute_returns_span_tree(self):
         from repro.service import executor
 
-        spec = {
-            "workload": "Fibonacci", "kind": "plonk", "scale": 6,
-            "config": {}, "params": {},
-        }
-        res = executor.execute(spec)
+        executor.execute(self.SPEC)  # a cold instance's setup spans come first
+        res = executor.execute(self.SPEC)
         assert res["spans"][0]["name"] == "prove:plonk"
         children = [c["name"] for c in res["spans"][0]["children"]]
         assert "commit:wires" in children and "fri" in children
 
-    def test_cache_is_size_capped(self):
+    def test_cache_is_size_capped(self, fresh_instance_cache):
+        from repro.protocols.base import INSTANCE_CACHE_CAP, instance
         from repro.service import executor
 
-        executor._SETUPS.clear()
-        for i in range(executor._SETUP_CAP):
-            executor._SETUPS[("fake", i, None)] = None
-        spec = {
-            "workload": "Fibonacci", "kind": "plonk", "scale": 6,
-            "config": {}, "params": {},
-        }
-        executor.execute(spec)  # full cache: inserting evicts the oldest
-        assert len(executor._SETUPS) == executor._SETUP_CAP
-        assert ("fake", 0, None) not in executor._SETUPS
-        executor._SETUPS.clear()
+        for i in range(INSTANCE_CACHE_CAP):
+            instance(("fake", i), object)
+        instance(("fake", 0), object)  # a hit: now the most recently used
+        executor.execute(self.SPEC)  # full cache: two inserts evict two
+        assert len(RUN.instances) == INSTANCE_CACHE_CAP
+        assert ("fake", 0) in RUN.instances
+        assert ("fake", 1) not in RUN.instances and ("fake", 2) not in RUN.instances
+        assert ("fake", 3) in RUN.instances
 
 
 class TestSessionIsolation:

@@ -57,7 +57,7 @@ ALLOWED: dict[str, str] = {
     "hw.twiddle.TwiddleGenerator*": _ITEM_7,
     "hw.transpose.TransposeBuffer*": _ITEM_7,
     "fri.config.FriConfig.conjectured_security_bits": (
-        "ROADMAP item 1(c): the one security derivation the per-protocol "
+        "ROADMAP item 13(ii): the one security derivation the per-protocol "
         "security_bits accounting starts from"
     ),
     "service.server.ProvingService.cancel": (

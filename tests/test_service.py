@@ -121,6 +121,17 @@ class TestSpec:
         b = JobSpec("Fibonacci", scale=6)
         assert a.cache_key != b.cache_key
 
+    def test_cache_key_names_the_resolved_config(self):
+        default = JobSpec("Fibonacci", config={})
+        spelled = JobSpec("Fibonacci", config={"num_queries": 10})  # STARK's default
+        assert default.cache_key == spelled.cache_key
+        assert JobSpec("Fibonacci", config={"num_queries": 11}).cache_key != default.cache_key
+
+    def test_non_protocol_kinds_key_on_raw_overrides(self):
+        a = JobSpec("Fibonacci", kind="simulate", config={})
+        b = JobSpec("Fibonacci", kind="simulate", config={"num_queries": 10})
+        assert a.cache_key != b.cache_key
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             JobSpec("Fibonacci", kind="quantum")
@@ -190,6 +201,19 @@ class TestServiceEndToEnd:
             stats = [svc.job(j) for j in ids]
             assert all(s["batch_size"] == 4 for s in stats)
             assert svc.stats()["batches_dispatched"] == 1
+        finally:
+            svc.close()
+
+    def test_default_and_spelled_out_default_config_prove_once(self):
+        svc = _service(workers=1)
+        ids = [svc.submit(**FIB, config=config) for config in ({}, {"num_queries": 10})]
+        svc.start()
+        try:
+            envelopes = {svc.result(j, timeout_s=60).envelope for j in ids}
+            assert len(envelopes) == 1
+            assert svc.stats()["batches_dispatched"] == 1
+            again = svc.result(svc.submit(**FIB, config={"num_queries": 10}), timeout_s=10)
+            assert again.cache_hit and again.envelope in envelopes
         finally:
             svc.close()
 
