@@ -22,8 +22,10 @@ the digest or a single operation count.
 
 Before any proof, the batched permutation is compared with the scalar
 one, state by state, at batch sizes on both sides of every regime
-boundary it has (scalar crossover, GEMM block, permutation block): a
-kernel rewrite that breaks one regime fails here, by name, before a
+boundary it has (scalar crossover, GEMM block, permutation block), and
+every extension-field op with the other of its two paths (Python ints,
+``gl64`` kernels) one element below, at and one above their crossover:
+a kernel rewrite that breaks one regime fails here, by name, before a
 digest golden does.
 
 Usage: PYTHONPATH=src python benchmarks/check_perf_counters.py
@@ -33,10 +35,12 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
 from repro import metrics, parallel, protocols
+from repro.field import extension, gl64, goldilocks as gl
 from repro.hashing import optimized
 from repro.workloads import fibonacci
 
@@ -99,8 +103,37 @@ def _check_permutation_regimes() -> list:
     return failures
 
 
+def _check_extension_regimes() -> list:
+    """Every ``extension`` op one element below, at and one above its
+    crossover, on the path it ships against the other path."""
+    rng = np.random.default_rng(0)
+    crossover = extension._SHORT_ELEMS
+    failures = []
+    for length in (crossover - 1, crossover, crossover + 1):
+        a, b = gl64.random((length, 2), rng), gl64.random((length, 2), rng)
+        s = gl64.random((length,), rng)
+        ops = {
+            "add": lambda: extension.add(a, b),
+            "sub": lambda: extension.sub(a, b),
+            "mul": lambda: extension.mul(a, b),
+            "square": lambda: extension.square(a),
+            "scalar_mul": lambda: extension.scalar_mul(a, s),
+            "inv": lambda: extension.inv(a),
+            "pow_scalar": lambda: extension.pow_scalar(a, gl.P - 2),
+            "eval_poly_ext": lambda: extension.eval_poly_ext(b[:5], a),
+        }
+        # Python ints up to the crossover, so the other path is gl64.
+        other = -1 if length <= crossover else length
+        for name, op in ops.items():
+            shipped = op()
+            with mock.patch.object(extension, "_SHORT_ELEMS", other):
+                if not np.array_equal(shipped, op()):
+                    failures.append(f"extension.{name} paths diverge at {length} elements")
+    return failures
+
+
 def main() -> int:
-    failures = _check_permutation_regimes()
+    failures = _check_permutation_regimes() + _check_extension_regimes()
     inline = parallel.default_pool()
     instances = []
     for name, config, golden, want_digest in CASES:
@@ -129,6 +162,7 @@ def main() -> int:
             print(f"  {line}")
         return 1
     print("permute_into == permute_scalar at every regime boundary")
+    print(f"extension ops agree on both paths around {extension._SHORT_ELEMS} elements")
     for name, _, golden, _ in CASES:
         print(f"{name} counters OK: {', '.join(f'{k}={v}' for k, v in golden.items())}")
         verify = VERIFY_COUNTERS[name]

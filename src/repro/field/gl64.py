@@ -104,6 +104,24 @@ def asarray(values, trusted: bool = False) -> GlArray:
     return arr
 
 
+def all_canonical(*values) -> bool:
+    """Whether every word of ``values`` -- arrays, ints, or sequences of
+    them -- is a canonical field element: an integer in ``[0, p)``.
+
+    The verifiers' canonical-word contract.  A word ``v + p`` reads as
+    ``v`` to the Merkle leaf hash, the transcript and the arithmetic
+    alike, so a verifier that took it would accept a second encoding of
+    one proof; every protocol verifier refuses it first.  One
+    concatenation and one compare for the lot; a value that is not an
+    integer below ``2**64`` is not canonical either.
+    """
+    try:
+        words = np.concatenate([np.asarray(v, dtype=np.uint64).reshape(-1) for v in values])
+    except (TypeError, ValueError, OverflowError):
+        return not values  # no values at all: vacuously canonical
+    return not words.size or bool(words.max() < P)
+
+
 def zeros(shape) -> GlArray:
     """Return a zero-filled GL array."""
     return np.zeros(shape, dtype=np.uint64)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .. import tracing
 from ..errors import VerifierError
-from ..field import extension as fext, gl64, goldilocks as gl
+from ..field import extension as fext, goldilocks as gl
 from ..hashing import Challenger
 from ..merkle import PathOpening, verify_paths
 from .config import FriConfig, initial_arity_bits
@@ -42,6 +42,25 @@ from .prover import (
 
 class FriError(VerifierError):
     """Raised when a FRI proof fails verification."""
+
+
+def proof_words(openings: FriOpenings, proof: FriProof) -> list:
+    """Every field word an opening set and its FRI proof carry: opened
+    points and values, layer caps, the final polynomial, the grinding
+    witness, and each query's leaves, cosets and siblings.
+
+    A protocol verifier passes them to :func:`repro.field.gl64.all_canonical`
+    before it hashes anything; :func:`fri_verify` then computes on
+    canonical words only.
+    """
+    words = [*openings.points, *openings.values, *proof.commit_caps]
+    words += (proof.final_poly, proof.pow_witness)
+    for qr in proof.query_rounds:
+        words += qr.initial.leaves
+        words += [prf.siblings for prf in qr.initial.proofs]
+        for layer in qr.layers:
+            words += (layer.coset_leaf, layer.proof.siblings)
+    return words
 
 
 def fri_verify(
@@ -70,6 +89,10 @@ def fri_verify(
     widths)`` over each entry's first (salt-free) width, and FRI's first
     layer is then virtual.  Without ``leaf_widths`` the batches commit
     one row a leaf.
+
+    The words of ``openings`` and ``proof`` are taken as canonical: the
+    protocol verifiers refuse any other (:func:`proof_words`) before
+    they call this.
     """
     degree_bits = degree_n.bit_length() - 1
     widths = [(w,) if isinstance(w, int) else tuple(w) for w in leaf_widths or ()]
@@ -182,9 +205,7 @@ def fri_verify(
         # initial leaf holds, slot j after slot j - 1.
         num_q, arity = len(rounds), 1 << a
         leaf_rows = [
-            gl64.asarray(np.stack([qr.initial.leaves[b] for qr in rounds])).reshape(
-                num_q * arity, -1
-            )
+            np.stack([qr.initial.leaves[b] for qr in rounds]).reshape(num_q * arity, -1)
             for b in range(len(batch_caps))
         ]
         points = leaf_ids[0][:, None] + sizes[1] * np.arange(arity)

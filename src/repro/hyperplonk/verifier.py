@@ -31,7 +31,7 @@ import numpy as np
 
 from .. import tracing
 from ..errors import VerifierError
-from ..field import goldilocks as gl
+from ..field import gl64, goldilocks as gl
 from ..hashing import Challenger
 from ..merkle import PathOpening, verify_paths
 from ..pcs import eq_at
@@ -49,17 +49,35 @@ class HyperPlonkError(VerifierError):
     """Raised when a HyperPlonk-lite proof fails verification."""
 
 
-_U64_LIMIT = 1 << 64
-
-
 def _check_elem(value: object, what: str) -> int:
-    """A proof scalar must be a u64-representable integer."""
+    """A proof scalar must be a canonical field element."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise HyperPlonkError(f"{what} is not a field element")
     value = int(value)
-    if not 0 <= value < _U64_LIMIT:
+    if not 0 <= value < gl.P:
         raise HyperPlonkError(f"{what} out of range")
     return value
+
+
+def _check_words(proof: HyperPlonkProof) -> None:
+    """Every proof word is canonical, before anything is hashed: the
+    scalars one by one, the caps, rows and path nodes in one pass."""
+    sc = proof.sumcheck
+    _check_elem(sc.claimed_sum, "claimed sum")
+    _check_elem(sc.final_value, "sumcheck final value")
+    for pair in sc.round_values:
+        for value in pair:
+            _check_elem(value, "sumcheck round value")
+    openings = [proof.pre_opening, proof.wires_opening, proof.z_opening]
+    openings += proof.level_openings
+    if not gl64.all_canonical(
+        proof.wires_cap,
+        proof.z_cap,
+        *proof.level_caps,
+        *(op.rows for op in openings),
+        *(op.proof.nodes for op in openings),
+    ):
+        raise HyperPlonkError("proof word is not a canonical field element")
 
 
 def _check_cap(cap: np.ndarray, what: str) -> np.ndarray:
@@ -179,6 +197,7 @@ def _verify(
         if len(publics) != vdata.num_public_inputs:
             raise HyperPlonkError("wrong number of public inputs")
         publics = [_check_elem(p, "public input") for p in publics]
+        _check_words(proof)
         pi_map = {
             row: gl.neg(val) for row, val in zip(vdata.public_input_rows, publics)
         }
@@ -196,7 +215,7 @@ def _verify(
 
     with tracing.span("verify:sumcheck", category="verify", rounds=v):
         sc = proof.sumcheck
-        if gl.canonical(_check_elem(sc.claimed_sum, "claimed sum")) != 0:
+        if sc.claimed_sum != 0:
             raise HyperPlonkError("zerocheck claims a nonzero sum")
         if len(proof.level_caps) != v - 1:
             raise HyperPlonkError("wrong number of fold-level caps")
@@ -271,11 +290,11 @@ def _verify(
                 lo = int(level_maps[k][p][0])
                 hi = int(level_maps[k][p + half][0])
                 mine = lo if pos == p else hi
-                if gl.canonical(mine) != cur:
+                if mine != cur:
                     raise HyperPlonkError("fold consistency check failed")
                 cur = gl.add(gl.mul(lo, gl.sub(1, rs[k + 1])), gl.mul(hi, rs[k + 1]))
                 pos = p
-            if cur != gl.canonical(proof.sumcheck.final_value):
+            if cur != proof.sumcheck.final_value:
                 raise HyperPlonkError(
                     "fold chain does not reach the sumcheck final value"
                 )

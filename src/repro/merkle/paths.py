@@ -8,18 +8,24 @@ verifier can check them the same way.  :func:`verify_paths` takes
 *every* opening of a proof at once and runs in two phases:
 
 1. **Schedule** (integers only, no hashing).  Each opening is
-   validated and lowered to per-level lists of ``(left, right) ->
-   parent`` digest slots.  A single authentication path and a
-   deduplicated multiproof are the same thing here: a sorted frontier
-   of known nodes that, level by level, pairs neighbours with each
-   other or with the next supplied digest.  A single path is the
-   one-index frontier, whose supplied digests are exactly its siblings.
+   validated and given consecutive digest slots in one pool: its leaf
+   digests, then its supplied nodes.  A single-index opening -- a path,
+   every opening FRI sends -- needs no lowering: its running digest
+   stays in its leaf slot, and level ``l`` pairs it with supplied node
+   ``l`` on the side bit ``l`` of its index names, so one level of all
+   paths is a few array operations.  A multi-index opening is a sorted
+   frontier of known nodes that, level by level, pairs neighbours with
+   each other or with the next supplied digest; :func:`_schedule`
+   lowers it to per-level lists of ``(left, right) -> parent`` slots.
 2. **Climb**.  All leaves are hashed once, grouped by row width,
-   through :func:`~repro.hashing.sponge.hash_leaves_into`; then every
-   opening still below its cap advances one level per
+   through :func:`~repro.hashing.sponge.hash_leaves_into`, and all
+   supplied nodes land in the pool in one scatter; then every opening
+   still below its cap advances one level per
    :func:`~repro.hashing.sponge.compress_level_into` call.  Openings of
    unequal depth simply stop contributing pairs once they reach their
-   cap, and each is compared with its own cap rows at the end.
+   cap, and one comparison checks every derived cap digest against its
+   cap row.  Assembling the pool and comparing the caps take a fixed
+   number of NumPy calls, however many openings there are.
 
 The number of permutations is exactly that of walking every path
 alone -- the same nodes are compressed, only many per call.
@@ -27,6 +33,7 @@ alone -- the same nodes are compressed, only many per call.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
@@ -57,52 +64,53 @@ class PathOpening:
     levels: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """A well-formed opening lowered to digest-slot moves.
-
-    Slots are local: leaf digest ``k`` is slot ``k``, supplied node
-    ``j`` is slot ``len(rows) + j``.  A parent overwrites the slot of
-    its derived child (the first of a derived pair), so the slots of an
-    opening are all the storage its climb needs.
-    """
-
-    rows: np.ndarray
-    nodes: np.ndarray
-    cap: np.ndarray
-    #: per level: interleaved (left, right) child slots, parent slots
-    steps: List[Tuple[List[int], List[int]]]
-    #: (slot, cap row) pairs to compare once the climb is done
-    finals: List[Tuple[int, int]]
+#: Single-path indices stay below ``2**_MAX_BIT``, so every shift of one
+#: is defined on ``int64``; no tree that deep can be built.
+_MAX_BIT = 62
 
 
-def _schedule(op: PathOpening) -> Optional[_Plan]:
-    """Validate one opening and lower it; ``None`` if it is malformed.
-
-    Everything that can be rejected without hashing is rejected here:
-    array shapes, unsorted or duplicate or out-of-range indices (a
-    negative index would alias a real leaf's low bits and wrap the cap
-    lookup), too few supplied nodes, and nodes left over.
-    """
+def _coerce(op: PathOpening) -> Optional[tuple]:
+    """``(rows, nodes, indices, levels)`` of an opening whose arrays and
+    indices are well formed, else ``None``; the cap is checked apart
+    (caps are shared, so each is coerced once a call)."""
     try:
-        rows = gl64.asarray(op.rows)
-        nodes = gl64.asarray(op.nodes)
-        cap = np.atleast_2d(np.asarray(op.cap, dtype=np.uint64))
+        rows = np.asarray(op.rows, dtype=np.uint64)
+        nodes = np.asarray(op.nodes, dtype=np.uint64)
         indices = [int(i) for i in op.indices]
         levels = nodes.shape[0] if op.levels is None else int(op.levels)
     except (TypeError, ValueError, OverflowError, IndexError):
         return None
-    if rows.ndim != 2 or rows.shape[0] != len(indices):
+    if rows.ndim != 2 or rows.shape[0] != len(indices) or levels < 0:
         return None
     if nodes.ndim != 2 or nodes.shape[1] != sponge.DIGEST_LEN:
         return None
-    if cap.ndim != 2 or cap.shape[1] != sponge.DIGEST_LEN or levels < 0:
-        return None
     if any(b <= a for a, b in zip(indices, indices[1:])):
         return None
-    if indices and not (0 <= indices[0] and indices[-1] < cap.shape[0] << levels):
-        return None
+    return rows, nodes, indices, levels
 
+
+def _coerce_cap(cap) -> Optional[np.ndarray]:
+    """A cap as ``(c, DIGEST_LEN)`` words, else ``None``."""
+    try:
+        cap = np.atleast_2d(np.asarray(cap, dtype=np.uint64))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return cap if cap.ndim == 2 and cap.shape[1] == sponge.DIGEST_LEN else None
+
+
+def _schedule(
+    indices: List[int], num_nodes: int, levels: int
+) -> Optional[Tuple[List[Tuple[List[int], List[int]]], List[Tuple[int, int]]]]:
+    """Lower a multi-index opening to digest-slot moves; ``None`` if its
+    node count does not match the frontier's needs.
+
+    Slots are local: leaf digest ``k`` is slot ``k``, supplied node
+    ``j`` is slot ``len(indices) + j``.  A parent overwrites the slot of
+    its derived child (the first of a derived pair), so the slots of an
+    opening are all the storage its climb needs.  Returns, per level,
+    the interleaved ``(left, right)`` child slots and the parent slots,
+    then the ``(slot, cap row)`` pairs to compare once the climb is done.
+    """
     num_rows, cursor = len(indices), 0
     frontier = list(zip(indices, range(num_rows)))  # (node index, slot)
     steps: List[Tuple[List[int], List[int]]] = []
@@ -116,7 +124,7 @@ def _schedule(op: PathOpening) -> Optional[_Plan]:
                 gather += (slot, frontier[j + 1][1])
                 j += 2
             else:
-                if cursor == nodes.shape[0]:
+                if cursor == num_nodes:
                     return None
                 supplied = num_rows + cursor
                 cursor += 1
@@ -125,9 +133,9 @@ def _schedule(op: PathOpening) -> Optional[_Plan]:
             nxt.append((i >> 1, slot))
         steps.append((gather, [slot for _, slot in nxt]))
         frontier = nxt
-    if cursor != nodes.shape[0]:
+    if cursor != num_nodes:
         return None
-    return _Plan(rows, nodes, cap, steps, [(slot, i) for i, slot in frontier])
+    return steps, [(slot, i) for i, slot in frontier]
 
 
 def verify_paths(openings: Sequence[PathOpening]) -> np.ndarray:
@@ -138,46 +146,102 @@ def verify_paths(openings: Sequence[PathOpening]) -> np.ndarray:
     affects another opening's verdict.  Leaf rows and supplied digests
     are read modulo ``p``; a derived digest must equal its cap row
     exactly.
+
     """
     verdicts = np.zeros(len(openings), dtype=bool)
-    live = []  # (opening number, plan, first pool slot)
-    gathers: List[List[int]] = []  # per level, over all openings:
+    caps: dict = {}  # id(cap) -> (coerced cap or None, first pool row)
+    cap_arrays: List[np.ndarray] = []
+    cap_rows = 0
+    live: List[int] = []
+    by_width: dict = {}  # width -> (leaf rows, leaf slots)
+    node_arrays: List[np.ndarray] = []
+    node_slots: List[int] = []
+    paths: List[Tuple[int, int, int]] = []  # (depth, index, leaf slot)
+    gathers: List[List[int]] = []  # per level, over all multi-index openings:
     outs: List[List[int]] = []  # child pool slots, parent pool slots
+    finals: Tuple[List[int], List[int], List[int]] = ([], [], [])  # slot, cap row, owner
     total = 0
     for number, op in enumerate(openings):
-        plan = _schedule(op)
-        if plan is None:
+        coerced = _coerce(op)
+        if coerced is None:
             continue
-        live.append((number, plan, total))
-        for level, (children, parents) in enumerate(plan.steps):
-            if level == len(gathers):
-                gathers.append([])
-                outs.append([])
-            gathers[level] += [total + slot for slot in children]
-            outs[level] += [total + slot for slot in parents]
-        total += plan.rows.shape[0] + plan.nodes.shape[0]
+        rows, nodes, indices, levels = coerced
+        if id(op.cap) not in caps:
+            cap = _coerce_cap(op.cap)
+            caps[id(op.cap)] = (cap, cap_rows)
+            if cap is not None:
+                cap_arrays.append(cap)
+                cap_rows += cap.shape[0]
+        cap, first_row = caps[id(op.cap)]
+        if cap is None:
+            continue
+        if indices and not (0 <= indices[0] and indices[-1] < cap.shape[0] << levels):
+            continue
+        num_rows, num_nodes = len(indices), nodes.shape[0]
+        if num_rows == 1:
+            if num_nodes != levels or indices[0] >> _MAX_BIT:
+                continue
+            paths.append((levels, indices[0], total))
+            ends = [(0, indices[0] >> levels)]
+        else:
+            plan = _schedule(indices, num_nodes, levels)
+            if plan is None:
+                continue
+            steps, ends = plan
+            for level, (children, parents) in enumerate(steps):
+                if level == len(gathers):
+                    gathers.append([])
+                    outs.append([])
+                gathers[level] += [total + slot for slot in children]
+                outs[level] += [total + slot for slot in parents]
+        live.append(number)
+        for slot, row in ends:
+            finals[0].append(total + slot)
+            finals[1].append(first_row + row)
+            finals[2].append(number)
+        if num_rows:
+            group = by_width.setdefault(rows.shape[1], ([], []))
+            group[0].append(rows)
+            group[1].extend(range(total, total + num_rows))
+        if num_nodes:
+            node_arrays.append(nodes)
+            node_slots.extend(range(total + num_rows, total + num_rows + num_nodes))
+        total += num_rows + num_nodes
 
     pool = np.empty((total, sponge.DIGEST_LEN), dtype=np.uint64)
-    by_width: dict = {}
-    for _, plan, base in live:
-        num_rows = plan.rows.shape[0]
-        pool[base + num_rows : base + num_rows + plan.nodes.shape[0]] = plan.nodes
-        if num_rows:
-            group = by_width.setdefault(plan.rows.shape[1], ([], []))
-            group[0].append(plan.rows)
-            group[1].append(np.arange(base, base + num_rows))
+    if node_arrays:
+        pool[node_slots] = gl64.asarray(np.concatenate(node_arrays))
     for rows, slots in by_width.values():
-        rows = np.concatenate(rows)
+        rows = gl64.asarray(np.concatenate(rows))
         digests = np.empty((rows.shape[0], sponge.DIGEST_LEN), dtype=np.uint64)
-        pool[np.concatenate(slots)] = sponge.hash_leaves_into(rows, digests)
+        pool[slots] = sponge.hash_leaves_into(rows, digests)
 
-    for gather, out in zip(gathers, outs):
-        if out:
-            digests = np.empty((len(out), sponge.DIGEST_LEN), dtype=np.uint64)
+    # Paths deepest first, so the ones still climbing at a level are a
+    # prefix; a path's running digest never leaves its leaf slot.
+    paths.sort(reverse=True)
+    shallower = [-depth for depth, _, _ in paths]  # ascending
+    index = np.array([i for _, i, _ in paths], dtype=np.int64)
+    slot = np.array([s for _, _, s in paths], dtype=np.int64)
+    for level in range(max(-shallower[0] if paths else 0, len(gathers))):
+        count = bisect.bisect_left(shallower, -level)
+        cur = slot[:count]
+        sib = cur + (1 + level)
+        right = ((index[:count] >> min(level, _MAX_BIT)) & 1).astype(bool)
+        pairs = np.empty((count, 2), dtype=np.int64)
+        pairs[:, 0] = np.where(right, sib, cur)
+        pairs[:, 1] = np.where(right, cur, sib)
+        gather, out = pairs.reshape(-1), cur
+        if level < len(gathers):
+            gather = np.concatenate((gather, np.array(gathers[level], dtype=np.int64)))
+            out = np.concatenate((out, np.array(outs[level], dtype=np.int64)))
+        if out.size:
+            digests = np.empty((out.size, sponge.DIGEST_LEN), dtype=np.uint64)
             pool[out] = sponge.compress_level_into(pool[gather], digests)
 
-    for number, plan, base in live:
-        slots = [base + slot for slot, _ in plan.finals]
-        cap_rows = [row for _, row in plan.finals]
-        verdicts[number] = np.array_equal(pool[slots], plan.cap[cap_rows])
+    verdicts[live] = True
+    if finals[0]:
+        cap_pool = np.concatenate(cap_arrays)
+        digest_at, cap_at, owners = (np.array(f, dtype=np.int64) for f in finals)
+        match = (pool[digest_at] == cap_pool[cap_at]).all(axis=1)
+        verdicts[owners[~match]] = False
     return verdicts

@@ -12,9 +12,9 @@ import numpy as np
 
 from .. import tracing
 from ..errors import VerifierError
-from ..field import extension as fext, goldilocks as gl
+from ..field import extension as fext, gl64, goldilocks as gl
 from ..fri import fri_verify
-from ..fri.verifier import FriError
+from ..fri.verifier import FriError, proof_words
 from ..hashing import Challenger
 from .permutation import coset_representatives
 from .proof import PlonkProof, VerifierData
@@ -40,6 +40,14 @@ def verify(
 def _verify(vdata: VerifierData, proof: PlonkProof, challenger: Challenger) -> None:
     if len(proof.public_inputs) != vdata.num_public_inputs:
         raise PlonkError("wrong number of public inputs")
+    if not gl64.all_canonical(
+        proof.public_inputs,
+        proof.wires_cap,
+        proof.z_cap,
+        proof.quotient_cap,
+        *proof_words(proof.openings, proof.fri_proof),
+    ):
+        raise PlonkError("proof word is not a canonical field element")
 
     with tracing.span("verify:transcript", category="verify"):
         challenger.observe_cap(vdata.preprocessed_cap)

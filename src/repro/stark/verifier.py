@@ -6,9 +6,9 @@ import numpy as np
 
 from .. import tracing
 from ..errors import VerifierError
-from ..field import extension as fext, goldilocks as gl
+from ..field import extension as fext, gl64, goldilocks as gl
 from ..fri import fri_verify
-from ..fri.verifier import FriError
+from ..fri.verifier import FriError, proof_words
 from ..hashing import Challenger
 from .air import Air, ExtAlgebra
 from .proof import StarkProof
@@ -35,6 +35,13 @@ def _verify(air: Air, proof: StarkProof, config, challenger: Challenger) -> None
     # multi-gigabyte integer from a hostile 32-bit value.
     if not 0 < proof.degree_bits <= gl.TWO_ADICITY:
         raise StarkError("degree bits out of range")
+    if not gl64.all_canonical(
+        proof.public_inputs,
+        proof.trace_cap,
+        proof.quotient_cap,
+        *proof_words(proof.openings, proof.fri_proof),
+    ):
+        raise StarkError("proof word is not a canonical field element")
     n = 1 << proof.degree_bits
     chunks = quotient_chunk_count(air)
 

@@ -9,7 +9,11 @@ opened coset by its own rule -- the coset's Lagrange interpolant at
 ``beta``, in Python integers -- where the shipped verifier repeats the
 prover's arity-2 :func:`repro.fri.prover.fold_pairs`; a virtual first
 layer is the same rule over the coset of rows one initial leaf holds,
-combined slot by slot.  They share nothing with the batched code but
+combined slot by slot.  Every extension operation -- the combined
+quotient, the coset interpolation, the final polynomial -- is on
+``(c0, c1)`` Python-int pairs, never through ``repro.field.extension``,
+so a change to that module moves one side of the comparison only.
+They share nothing with the batched code but
 the sponge primitives (through ``tests/reference_oracles.py``), the
 ``fold_schedule`` and the ``initial_arity_bits`` layout rule, so
 agreement between the two is evidence about both.
@@ -116,32 +120,29 @@ def verify_multi(
 def _combined_at_index(
     leaves: Sequence[np.ndarray],
     openings: FriOpenings,
-    alpha: np.ndarray,
+    alpha: tuple,
     x: int,
-) -> np.ndarray:
+) -> tuple:
     """Recompute the combined quotient value at one domain point."""
-    total = fext.zero()
-    alpha_t = fext.one()
+    total, alpha_t = (0, 0), (1, 0)
     for point, cols, vals in zip(openings.points, openings.columns, openings.values):
-        num = fext.zero()
-        const = fext.zero()
+        num, const = (0, 0), (0, 0)
         for (b, c), y in zip(cols, vals):
             if not (0 <= b < len(leaves)):
                 raise FriError("opened batch index out of range")
             leaf = leaves[b]
             if not (0 <= c < leaf.shape[0]):
                 raise FriError("opened column exceeds initial leaf width")
-            f_val = int(leaf[c])
-            num = fext.add(num, fext.scalar_mul(alpha_t, np.uint64(f_val)))
-            const = fext.add(const, fext.mul(alpha_t, y))
-            alpha_t = fext.mul(alpha_t, alpha.reshape(2))
-        num = fext.sub(num, const)
-        denom = fext.sub(fext.from_base(np.uint64(x)), point.reshape(2))
-        if bool(fext.is_zero(denom)):
+            num = _ext_add(num, _ext_mul(alpha_t, (int(leaf[c]), 0)))
+            const = _ext_add(const, _ext_mul(alpha_t, (int(y[0]), int(y[1]))))
+            alpha_t = _ext_mul(alpha_t, alpha)
+        num = _ext_sub(num, const)
+        denom = _ext_sub((x, 0), fext.to_pair(point))
+        if denom == (0, 0):
             # Inverting zero would leak a ZeroDivisionError; an opening
             # point on the evaluation domain is simply invalid.
             raise FriError("opening point lies on the evaluation domain")
-        total = fext.add(total, fext.mul(num, fext.inv(denom)))
+        total = _ext_add(total, _ext_mul(num, _ext_inv(denom)))
     return total
 
 
@@ -174,7 +175,7 @@ def fri_verify(
     a = initial_arity_bits(config, degree_bits, [w[0] for w in widths]) if widths else 0
 
     challenger.observe_elements(openings.flat_values())
-    alpha = challenger.get_ext_challenge()
+    alpha = fext.to_pair(challenger.get_ext_challenge())
 
     n_lde = degree_n << config.rate_bits
     log_lde = n_lde.bit_length() - 1
@@ -240,7 +241,7 @@ def fri_verify(
         ]
         slots = [np.split(leaf, 1 << a) for leaf in qr.initial.leaves]
         coset = [
-            fext.to_pair(_combined_at_index([s[j] for s in slots], openings, alpha, x))
+            _combined_at_index([s[j] for s in slots], openings, alpha, x)
             for j, x in enumerate(xs)
         ]
         value = _interpolate_at(xs, coset, beta0)
@@ -279,18 +280,40 @@ def fri_verify(
 
         # Final polynomial check at the residual domain point.
         w = gl.primitive_root_of_unity(size.bit_length() - 1)
-        x_final = fext.from_base(np.uint64(gl.mul(shift, gl.pow_mod(w, cur))))
-        expected = fext.to_pair(fext.eval_poly_ext(proof.final_poly, x_final))
+        x_final = (gl.mul(shift, gl.pow_mod(w, cur)), 0)
+        expected = (0, 0)
+        for c0, c1 in proof.final_poly.tolist()[::-1]:
+            expected = _ext_add(_ext_mul(expected, x_final), (c0, c1))
         if expected != value:
             raise FriError("final polynomial evaluation mismatch")
+
+
+#: The extension's non-residue ``W``: the smallest one, found afresh.
+_W = next(w for w in range(2, 100) if pow(w, (gl.P - 1) // 2, gl.P) == gl.P - 1)
+
+
+def _ext_add(a, b):
+    """Sum of two extension elements given as ``(c0, c1)`` ints."""
+    return (a[0] + b[0]) % gl.P, (a[1] + b[1]) % gl.P
+
+
+def _ext_sub(a, b):
+    """Difference of two extension elements given as ``(c0, c1)`` ints."""
+    return (a[0] - b[0]) % gl.P, (a[1] - b[1]) % gl.P
 
 
 def _ext_mul(a, b):
     """Product of two extension elements given as ``(c0, c1)`` ints."""
     return (
-        (a[0] * b[0] + fext.non_residue() * a[1] * b[1]) % gl.P,
+        (a[0] * b[0] + _W * a[1] * b[1]) % gl.P,
         (a[0] * b[1] + a[1] * b[0]) % gl.P,
     )
+
+
+def _ext_inv(a):
+    """Inverse of a nonzero ``(c0, c1)`` element: conjugate over norm."""
+    norm_inv = pow((a[0] * a[0] - _W * a[1] * a[1]) % gl.P, -1, gl.P)
+    return a[0] * norm_inv % gl.P, -a[1] * norm_inv % gl.P
 
 
 def _interpolate_at(xs, ys, beta):

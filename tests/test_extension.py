@@ -1,5 +1,7 @@
 """Quadratic extension field GF(p^2) tests."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,3 +164,109 @@ class TestPolynomialEval:
         for i in range(8, -1, -1):
             acc = ext.add(ext.mul(acc, x), coeffs[i])
         assert np.array_equal(ext.eval_poly_ext(coeffs, x), acc)
+
+
+# -- the size rule: short operands in Python ints, the rest on gl64 ---------
+
+W = ext.non_residue()
+#: Words where carries, borrows and reductions change behaviour.
+EDGE_WORDS = (0, 1, gl.P - 1, 2**32 - 1, 2**32, 2**63, W, gl.P - W)
+CROSSOVER = ext._SHORT_ELEMS
+LENGTHS = (1, CROSSOVER, CROSSOVER + 1)
+
+
+def _on(path: str, op, *args):
+    """``op(*args)`` with every operand forced onto one path; the result
+    array, or the exception class it raised."""
+    limit = {"python": 1 << 62, "gl64": -1}[path]
+    with mock.patch.object(ext, "_SHORT_ELEMS", limit):
+        try:
+            return op(*args)
+        except ZeroDivisionError as exc:
+            return type(exc)
+
+
+def _agree(op, *args):
+    """The shipped dispatch and both forced paths give the same answer,
+    as a canonical writeable array of one shape (or the same error)."""
+    results = [_on("python", op, *args), _on("gl64", op, *args)]
+    try:
+        results.append(op(*args))
+    except ZeroDivisionError as exc:
+        results.append(type(exc))
+    first = results[0]
+    if first is ZeroDivisionError:
+        assert results == [ZeroDivisionError] * 3
+        return
+    for got in results:
+        assert isinstance(got, np.ndarray) and got.dtype == np.uint64
+        assert got.flags.writeable
+        assert got.shape == first.shape
+        assert (got < np.uint64(gl.P)).all()
+        assert np.array_equal(got, first)
+
+
+@st.composite
+def _elements(draw, length=None):
+    """``(length, 2)`` words (``(2,)`` for one element): random canonical
+    words with edge words mixed in at a drawn density."""
+    length = draw(st.sampled_from(LENGTHS)) if length is None else length
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    words = gl64.random((length, 2), rng)
+    edges = rng.random((length, 2)) < draw(st.sampled_from((0.0, 0.3, 1.0)))
+    words[edges] = rng.choice(np.array(EDGE_WORDS, dtype=np.uint64), size=int(edges.sum()))
+    return words.reshape(2) if length == 1 and draw(st.booleans()) else words
+
+
+class TestShortPathDispatch:
+    @given(_elements(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_binary_ops(self, a, data):
+        b = data.draw(_elements(length=a.size // 2))
+        for op in (ext.add, ext.sub, ext.mul):
+            _agree(op, a, b)
+        _agree(ext.square, a)
+
+    @given(_elements())
+    @settings(max_examples=30, deadline=None)
+    def test_unary_ops(self, a):
+        _agree(ext.inv, a)
+        _agree(ext.scalar_mul, a, a.reshape(-1, 2)[:, 0].reshape(a.shape[:-1]))
+        for e in (0, 1, 2, 3, 512, gl.P - 2, gl.P):
+            _agree(ext.pow_scalar, a, e)
+
+    @given(_elements(), st.integers(0, 5), st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_eval_poly_ext(self, x, degree, seed):
+        coeffs = gl64.random((degree, 2), np.random.default_rng(seed))
+        _agree(ext.eval_poly_ext, coeffs, x)
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_broadcasting(self, length, rng):
+        one = gl64.random((2,), rng)
+        many = gl64.random((length, 2), rng)
+        column = gl64.random((length,), rng)
+        view = np.broadcast_to(one, (length, 2))  # read-only, zero strides
+        assert not view.flags.writeable
+        for op in (ext.add, ext.sub, ext.mul):
+            _agree(op, one, many)
+            _agree(op, many, one)
+            _agree(op, view, many)
+        _agree(ext.scalar_mul, many, column)  # (m, 2) against an (m,) column
+        _agree(ext.scalar_mul, one, column)
+        _agree(ext.scalar_mul, view, column[0])
+        _agree(ext.inv, view)
+        _agree(ext.pow_scalar, view, 7)
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_zero_has_no_inverse_on_either_path(self, length, rng):
+        a = gl64.random((length, 2), rng)
+        a[length // 2] = 0
+        _agree(ext.inv, a)
+        assert _on("python", ext.inv, a) is ZeroDivisionError
+
+    def test_empty_operands(self):
+        empty = np.zeros((0, 2), dtype=np.uint64)
+        for op in (ext.add, ext.sub, ext.mul):
+            _agree(op, empty, empty)
+        _agree(ext.inv, empty)
