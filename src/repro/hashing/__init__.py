@@ -1,5 +1,5 @@
-"""Poseidon hashing: permutation (naive + HADES-optimised), sponge,
-and the duplex Fiat-Shamir challenger."""
+"""Poseidon hashing: permutation (naive + lane-0 chain), the sparse
+HADES form, sponge, and the duplex Fiat-Shamir challenger."""
 
 from .challenger import Challenger
 from .constants import (
@@ -10,8 +10,9 @@ from .constants import (
     mds_matrix,
     round_constants,
 )
-from .optimized import optimized_params, permute
+from .optimized import permute
 from .poseidon import permute_naive
+from .sparse import optimized_params
 from .sponge import (
     CAPACITY,
     DIGEST_LEN,

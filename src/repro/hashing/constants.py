@@ -57,7 +57,7 @@ def round_constants() -> tuple[np.ndarray, np.ndarray]:
     each full round.  ``partial_rc`` has shape (PARTIAL_ROUNDS, WIDTH):
     the *naive* per-lane constants of each partial round, added before
     the lane-0 S-box (the optimised equivalents are derived in
-    :mod:`repro.hashing.optimized`).
+    :mod:`repro.hashing.optimized` and :mod:`repro.hashing.sparse`).
     """
     total = (FULL_ROUNDS + PARTIAL_ROUNDS) * WIDTH
     stream = _constant_stream(total)

@@ -9,9 +9,10 @@ Poseidon processes a 12-lane Goldilocks state through 4 full rounds,
 * a **naive partial round** adds per-lane constants, applies the S-box to
   lane 0 only, and multiplies by the same MDS matrix.
 
-The optimised (sparse-matrix) form that UniZK maps to hardware lives in
-:mod:`repro.hashing.optimized` and is property-tested to be extensionally
-equal to this one.
+The optimised forms are property-tested to be extensionally equal to
+this one: the lane-0 chain both software paths run
+(:mod:`repro.hashing.optimized`) and the sparse-matrix form UniZK maps to
+hardware (:mod:`repro.hashing.sparse`).
 
 All functions are batched: ``states`` has shape ``(..., 12)``.
 """

@@ -1,13 +1,15 @@
 """UniZK hardware model: configuration, DRAM timing, scratchpad,
-VSA emulation, transpose buffer, twiddle generator, area/power."""
+VSA vector mode, PE-grid microcode, area/power.
+
+The transpose buffer and twiddle generator are configuration fields
+priced by :mod:`.area_power`; the NTT cost model
+(:mod:`repro.mapping.ntt_mapping`) assumes their throughput."""
 
 from . import microcode
 from .area_power import ChipBudget, ComponentCost, chip_budget
 from .config import DEFAULT_CONFIG, HwConfig
 from .memory import DramModel, HbmTimings, measured_efficiencies
 from .scratchpad import TilePlan, tile_plan
-from .transpose import TransposeBuffer
-from .twiddle import TwiddleGenerator
 from .vsa import PeSpec, SystolicResult, Vsa, VsaSpec
 
 __all__ = [
@@ -19,8 +21,6 @@ __all__ = [
     "measured_efficiencies",
     "TilePlan",
     "tile_plan",
-    "TransposeBuffer",
-    "TwiddleGenerator",
     "Vsa",
     "VsaSpec",
     "PeSpec",

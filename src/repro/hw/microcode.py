@@ -5,10 +5,10 @@ per-PE schedules*: every cycle, each PE reads its neighbour latches,
 fires at most one multiply and one add/sub, and drives its own output
 latches.  This module implements that machine faithfully enough to
 execute real kernel schedules at PE granularity -- it is the
-reproduction's stand-in for the paper's RTL validation: the high-level
-mapping emulators (:mod:`repro.mapping`) are checked against reference
-maths, and the grid schedules here are checked against the mapping
-emulators, closing the chain from algorithm to (modelled) silicon.
+reproduction's stand-in for the paper's RTL validation: the grid
+schedules (:mod:`repro.mapping.microcode_schedules`) are executed
+against reference maths in the tests and sanitized without executing
+by :mod:`repro.analysis.schedules`.
 
 Machine model
 -------------

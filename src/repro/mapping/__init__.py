@@ -1,4 +1,7 @@
-"""Kernel mapping strategies: functional emulators + cycle models."""
+"""Kernel mapping: closed-form cycle models that map a kernel's shape
+to cycles and DRAM traffic, the knobs the autotuner searches, the
+PE-grid microcode schedules the sanitizer vets, and one functional
+emulator (a sum-check round in the VSA's vector mode)."""
 
 from .base import (
     ALL_KINDS,
@@ -8,7 +11,7 @@ from .base import (
     KIND_TRANSFORM,
     KernelCost,
 )
-from .merkle_mapping import emulate_subtree_construction, merkle_cost, plan_subtrees
+from .merkle_mapping import merkle_cost, plan_subtrees
 from .params import (
     DEFAULT_MAPPING,
     MappingParams,
@@ -18,16 +21,13 @@ from .params import (
     PoseidonMapping,
 )
 from .ntt_mapping import (
-    MdcPipeline,
     NTT_MEM_EFFICIENCY,
-    emulate_pipeline_matches_reference,
     lde_cost,
     ntt_cost,
     ntt_dims,
 )
 from .poly_mapping import (
     elementwise_cost,
-    emulate_partial_products_3step,
     gate_access_efficiency,
     gate_eval_cost,
     partial_products_cost,
@@ -38,8 +38,6 @@ from .poseidon_mapping import (
     ROUND_SCHEMES,
     RoundScheme,
     chip_perm_throughput,
-    emulate_full_round_matches,
-    emulate_partial_rounds_match,
     poseidon_cost,
 )
 from .sumcheck_mapping import emulate_sumcheck_round, sumcheck_cost
@@ -59,26 +57,20 @@ __all__ = [
     "KIND_HASH",
     "KIND_POLY",
     "KIND_TRANSFORM",
-    "MdcPipeline",
     "ntt_cost",
     "lde_cost",
     "ntt_dims",
     "NTT_MEM_EFFICIENCY",
-    "emulate_pipeline_matches_reference",
     "poseidon_cost",
     "chip_perm_throughput",
     "PERM_PE_CYCLES",
     "PERM_MULTS",
-    "emulate_full_round_matches",
-    "emulate_partial_rounds_match",
     "merkle_cost",
     "plan_subtrees",
-    "emulate_subtree_construction",
     "elementwise_cost",
     "gate_eval_cost",
     "gate_access_efficiency",
     "partial_products_cost",
-    "emulate_partial_products_3step",
     "sumcheck_cost",
     "emulate_sumcheck_round",
 ]

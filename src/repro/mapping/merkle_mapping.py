@@ -5,20 +5,17 @@ fully on-chip, level by level; same-level hashes pipeline through the
 VSAs.  The level-order memory layout keeps both leaf reads and digest
 writes sequential.
 
-The subtree scheduler is emulated functionally (the subtree-built root
-must equal the monolithic tree's root) and the cost model counts the
-exact permutation total via :func:`repro.merkle.merkle_permutation_count`.
+The cost model sizes the subtrees to the scratchpad
+(:func:`plan_subtrees`) and counts the exact permutation total via
+:func:`repro.merkle.merkle_permutation_count`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..hashing import sponge
 from ..hw.config import HwConfig
-from ..merkle import MerkleTree, merkle_permutation_count
+from ..merkle import merkle_permutation_count
 from .base import KernelCost
 from .poseidon_mapping import poseidon_cost
 
@@ -55,27 +52,6 @@ def plan_subtrees(
     return SubtreePlan(
         subtree_leaves=subtree, num_subtrees=num_subtrees, top_levels=top_levels
     )
-
-
-def emulate_subtree_construction(
-    leaves: np.ndarray, subtree_leaves: int
-) -> np.ndarray:
-    """Build the root by fully processing one subtree at a time.
-
-    Returns the root digest; must equal the monolithic tree's,
-    ``MerkleTree(leaves).cap[0]``.
-    """
-    num = leaves.shape[0]
-    if num % subtree_leaves:
-        raise ValueError("leaf count must divide into whole subtrees")
-    level = np.stack([
-        MerkleTree(leaves[start : start + subtree_leaves]).cap[0]
-        for start in range(0, num, subtree_leaves)
-    ])
-    while level.shape[0] > 1:
-        parents = np.empty((level.shape[0] // 2, sponge.DIGEST_LEN), dtype=np.uint64)
-        level = sponge.compress_level_into(level, parents)
-    return level[0]
 
 
 def merkle_cost(

@@ -1,29 +1,29 @@
 """PE-grid schedules for the mapped kernels (compiler backend output).
 
 These are the static per-PE instruction schedules a UniZK compiler
-backend emits, executed on the cycle-stepped
-:class:`repro.hw.microcode.GridEmulator` and validated against the
-reference mathematics in the tests:
+backend emits for the cycle-stepped
+:class:`repro.hw.microcode.GridEmulator`:
 
-* :func:`run_matvec` -- the weight-stationary systolic matrix-vector
+* :func:`build_matvec` -- the weight-stationary systolic matrix-vector
   product behind every Poseidon MDS multiply (Figure 5a's second
   stage; Section 4's "standard matrix multiplications");
-* :func:`run_sbox_pipeline` -- the pipelined ``x^7`` scalar chain of
+* :func:`build_sbox_pipeline` -- the pipelined ``x^7`` scalar chain of
   the partial round's first PE column (Figure 5b), initiation
   interval 2 (the down link carries the partial and the original ``x``
   in alternate slots);
-* :func:`run_reverse_dot` -- the bottom-up dot-product accumulation
+* :func:`build_reverse_dot` -- the bottom-up dot-product accumulation
   over the reverse links (Figure 5b's ``v`` column);
-* :func:`run_vector_mac` -- vector mode: each column as an independent
-  vector unit running fused multiply-adds.
+* :func:`build_vector_mac` -- vector mode: each column as an
+  independent vector unit running fused multiply-adds.
 
-Each kernel is split into a ``build_*`` function producing a
-:class:`BuiltSchedule` (emulator + programs + boundary feeds, with
-stationary operands seeded through :meth:`GridEmulator.preload` so the
-sanitizer's use-before-def rule is armed) and a thin ``run_*`` wrapper
-that executes it and extracts the results.  The static-analysis runner
-sanitizes every built schedule without executing a cycle
-(:mod:`repro.analysis.schedules`).
+Each returns a :class:`BuiltSchedule` (emulator + programs + boundary
+feeds, with stationary operands seeded through
+:meth:`GridEmulator.preload` so the sanitizer's use-before-def rule is
+armed); its docstring says where the results land.  The static-analysis
+runner sanitizes every built schedule without executing a cycle
+(:mod:`repro.analysis.schedules`), the autotuner vets its candidate
+S-box schedules the same way, and the tests execute them against the
+reference mathematics.
 
 All schedules are accumulator-clean: chains that start from nothing use
 an explicit ``zero`` source rather than reading an undriven latch (the
@@ -86,7 +86,17 @@ def _pad(program: list, start: int) -> list:
 
 
 def build_matvec(weights: np.ndarray, states: np.ndarray) -> BuiltSchedule:
-    """Build the weight-stationary matvec schedule (see :func:`run_matvec`)."""
+    """Stream row-vector x matrix products through an ``n x n`` grid.
+
+    PE ``(i, j)`` holds ``W[i][j]`` stationary in register 0; state
+    element ``i`` of state ``s`` enters row ``i`` at cycle ``s + i``
+    (the classic input skew).  Each active PE fires one
+    ``mac(in_left, W, acc)`` down its column and forwards the state
+    element right -- exactly one multiplier and one adder-slot per
+    cycle.  Column ``j`` finishes state ``s`` at the bottom row on
+    cycle ``s + (n - 1) + j``, into register ``1 + s`` of PE
+    ``(n - 1, j)``: ``out[s][j] = sum_i states[s][i] * W[i][j]``.
+    """
     n = weights.shape[0]
     t_count = states.shape[0]
     emu = GridEmulator(rows=n, cols=n, register_words=max(64, t_count + 2))
@@ -128,31 +138,6 @@ def build_matvec(weights: np.ndarray, states: np.ndarray) -> BuiltSchedule:
     )
 
 
-def run_matvec(weights: np.ndarray, states: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Stream row-vector x matrix products through an ``n x n`` grid.
-
-    PE ``(i, j)`` holds ``W[i][j]`` stationary in register 0; state
-    element ``i`` of state ``s`` enters row ``i`` at cycle ``s + i``
-    (the classic input skew).  Each active PE fires one
-    ``mac(in_left, W, acc)`` down its column and forwards the state
-    element right -- exactly one multiplier and one adder-slot per
-    cycle.  Column ``j`` finishes state ``s`` at the bottom row on
-    cycle ``s + (n - 1) + j``.
-
-    Returns ``(outputs, cycles)`` with
-    ``out[s][j] = sum_i states[s][i] * W[i][j]``.
-    """
-    n = weights.shape[0]
-    t_count = states.shape[0]
-    built = build_matvec(weights, states)
-    cycles = built.run()
-    out = np.zeros((t_count, n), dtype=np.uint64)
-    for j in range(n):
-        for s in range(t_count):
-            out[s, j] = built.emu.regs[(n - 1, j)][1 + s]
-    return out, cycles
-
-
 # ---------------------------------------------------------------------------
 # S-box pipeline (partial round, first PE column of Figure 5b)
 # ---------------------------------------------------------------------------
@@ -161,11 +146,20 @@ def run_matvec(weights: np.ndarray, states: np.ndarray) -> Tuple[np.ndarray, int
 def build_sbox_pipeline(
     values: List[int], post_constant: int = 0, ii: int = 2
 ) -> BuiltSchedule:
-    """Build the pipelined S-box schedule (see :func:`run_sbox_pipeline`).
+    """Pipelined ``x^7 + post_constant`` on a 5-PE column.
+
+    Chain: ``a = x^2``, ``b = a*x``, ``c = b^2``, ``t = c*x``,
+    ``t + const`` -- four multiplies plus a constant add, one PE each
+    (the paper's "row of 4 PEs" plus the fused constant adder).  The
+    output for ``values[s]`` lands in register ``10 + s`` of PE
+    ``(4, 0)``.
 
     ``ii`` is the initiation interval between consecutive elements.  The
-    shipped schedule uses ``ii=2`` (the down link carries the partial
-    and the original ``x`` in alternate slots).  ``ii=1`` is the
+    single down link per PE carries two values per element (the running
+    partial and the original ``x`` needed again at stages 2 and 4), so
+    the shipped schedule runs at ``ii=2``: the even slot of element
+    ``s`` at row ``r`` (cycle ``2s + r``) transports/stashes ``x``, the
+    odd slot (cycle ``2s + r + 1``) computes.  ``ii=1`` is the
     candidate the autotuner enumerates for the ``sparse-12x3-ii1``
     round scheme: element ``s``'s compute cycle then coincides with
     element ``s+1``'s transport cycle, and both drive the down latch --
@@ -221,35 +215,20 @@ def build_sbox_pipeline(
     )
 
 
-def run_sbox_pipeline(values: List[int], post_constant: int = 0) -> Tuple[List[int], int]:
-    """Pipelined ``x^7 + post_constant`` on a 5-PE column.
-
-    Chain: ``a = x^2``, ``b = a*x``, ``c = b^2``, ``t = c*x``,
-    ``t + const`` -- four multiplies plus a constant add, one PE each
-    (the paper's "row of 4 PEs" plus the fused constant adder).
-
-    The single down link per PE carries two values per element (the
-    running partial and the original ``x`` needed again at stages 2 and
-    4), so the pipeline runs at initiation interval 2: even slot of
-    element ``s`` at row ``r`` (cycle ``2s + r``) transports/stashes
-    ``x``, the odd slot (cycle ``2s + r + 1``) computes.
-
-    Returns ``(outputs, cycles)``.
-    """
-    t_count = len(values)
-    built = build_sbox_pipeline(values, post_constant)
-    cycles = built.run()
-    outputs = [built.emu.regs[(4, 0)][10 + s] for s in range(t_count)]
-    return outputs, cycles
-
-
 # ---------------------------------------------------------------------------
 # Reverse-link dot-product accumulation (Figure 5b's `v` column)
 # ---------------------------------------------------------------------------
 
 
 def build_reverse_dot(state: List[int], coeffs: List[int]) -> BuiltSchedule:
-    """Build the reverse-link dot schedule (see :func:`run_reverse_dot`)."""
+    """Accumulate ``sum_r state[r] * coeffs[r]`` bottom-up via up links.
+
+    Row ``r`` holds ``coeffs[r]`` in register 0 and ``state[r]`` in
+    register 1; starting from the bottom row, each PE fires one
+    ``mac(state, coeff, acc)`` upward; the total exits at the top
+    boundary (the last entry of ``emu.top_outputs``) after ``n``
+    cycles.
+    """
     n = len(state)
     emu = GridEmulator(rows=n, cols=1, reverse_link_cols=(0,))
     for r in range(n):
@@ -269,22 +248,6 @@ def build_reverse_dot(state: List[int], coeffs: List[int]) -> BuiltSchedule:
     )
 
 
-def run_reverse_dot(state: List[int], coeffs: List[int]) -> Tuple[int, int]:
-    """Accumulate ``sum_r state[r] * coeffs[r]`` bottom-up via up links.
-
-    Row ``r`` holds ``coeffs[r]`` in register 0 and ``state[r]`` in
-    register 1; starting from the bottom row, each PE fires one
-    ``mac(state, coeff, acc)`` upward; the total exits at the top
-    boundary after ``n`` cycles.  Returns ``(dot_value, cycles)``.
-    """
-    built = build_reverse_dot(state, coeffs)
-    cycles = built.run()
-    if not built.emu.top_outputs:
-        raise RuntimeError("dot product never reached the top boundary")
-    _, _, value = built.emu.top_outputs[-1]
-    return value, cycles
-
-
 # ---------------------------------------------------------------------------
 # Vector mode: one column as a vector unit
 # ---------------------------------------------------------------------------
@@ -293,7 +256,14 @@ def run_reverse_dot(state: List[int], coeffs: List[int]) -> Tuple[int, int]:
 def build_vector_mac(
     xs: List[int], ys: List[int], zs: List[int]
 ) -> BuiltSchedule:
-    """Build the vector-mode mac schedule (see :func:`run_vector_mac`)."""
+    """Element-wise ``x*y + z`` across a 12-PE column in vector mode.
+
+    Elements strip-mine across rows (element ``e`` to lane ``e % 12``);
+    each lane streams its operands from the left boundary over three
+    cycles (x, y, z) and fires a fused ``mac`` on the third -- the
+    chained-operation pattern of Section 5.4.  The ``k``-th element of
+    lane ``r`` lands in register ``10 + k`` of PE ``(r, 0)``.
+    """
     n = len(xs)
     if not (len(ys) == len(zs) == n):
         raise ValueError("operand vectors must have equal length")
@@ -322,30 +292,3 @@ def build_vector_mac(
         left_inputs=feeds,
         num_cycles=total,
     )
-
-
-def run_vector_mac(
-    xs: List[int], ys: List[int], zs: List[int]
-) -> Tuple[List[int], int]:
-    """Element-wise ``x*y + z`` across a 12-PE column in vector mode.
-
-    Elements strip-mine across rows (element ``e`` to lane ``e % 12``);
-    each lane streams its operands from the left boundary over three
-    cycles (x, y, z) and fires a fused ``mac`` on the third -- the
-    chained-operation pattern of Section 5.4.
-
-    Returns ``(outputs, cycles)``.
-    """
-    n = len(xs)
-    built = build_vector_mac(xs, ys, zs)
-    if not built.programs:
-        return [], 0
-    cycles = built.run()
-    rows = built.emu.rows
-    out = [0] * n
-    counts = [0] * rows
-    for e in range(n):
-        r = e % rows
-        out[e] = built.emu.regs[(r, 0)][10 + counts[r]]
-        counts[r] += 1
-    return out, cycles

@@ -44,8 +44,8 @@ class NttMapping:
         if self.tile_log2 is not None:
             if self.tile_log2 < 1:
                 reasons.append("ntt.tile_log2 must be >= 1")
-            # Each MDC stage delays up to 2**tile / 2 elements in one
-            # PE's register file (see MdcPipeline.required_registers_per_pe).
+            # A 2**tile-point MDC pipeline's first stage delays 2**tile / 2
+            # elements in one PE's register file: 2**tile / 2 <= pe_registers.
             elif (1 << self.tile_log2) // 2 > hw.pe_registers:
                 reasons.append(
                     f"ntt.tile_log2={self.tile_log2} needs "

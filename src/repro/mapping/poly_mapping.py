@@ -11,17 +11,16 @@ Three sub-kernels:
   mechanism behind the paper's "MVM's width-400 circuit lifts poly
   bandwidth utilisation" observation, Section 7.1);
 * **partial products** (Equations (1)-(2)) -- the three-step group
-  scheme of Figure 6b, emulated functionally and validated against the
-  direct prefix product.
+  scheme of Figure 6b: (1) each PE holds ``PP_GROUP_SIZE`` chunk
+  products and forms their local prefixes, (2) the groups' last
+  products propagate along the neighbour links, and (3) each PE scales
+  its prefixes by the product that reached it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-import numpy as np
-
-from ..field import gl64, goldilocks as gl
 from ..hw.config import HwConfig
 from ..hw.memory import DramModel, random_chunks
 from ..hw.scratchpad import tile_plan
@@ -145,38 +144,6 @@ def gate_eval_cost(
         mult_ops=total_ops * 0.5,
         detail={"lde_size": lde_size, "ops_per_row": ops_per_row, "width": width},
     )
-
-
-# -- partial products (Figure 6) -----------------------------------------------
-
-
-def emulate_partial_products_3step(h: np.ndarray, num_pes: int | None = None) -> np.ndarray:
-    """The three-step group scheme for prefix products (Figure 6b).
-
-    Groups of ``PP_GROUP_SIZE`` chunk-products live in each PE's register
-    file.  Step 1: each PE computes its local prefix products.  Step 2:
-    the PEs' last products propagate through neighbour links, each PE
-    multiplying in everything before it.  Step 3: each PE scales its
-    local prefixes by the incoming product.  Matches the sequential
-    definition ``PP[i] = PP[i-1] * h[i]`` exactly.
-    """
-    h = np.asarray(h, dtype=np.uint64)
-    n = h.shape[0]
-    if n % PP_GROUP_SIZE:
-        raise ValueError("chunk count must divide into whole PE groups")
-    groups = h.reshape(-1, PP_GROUP_SIZE)
-    # Step 1: local prefix products inside every PE (parallel across PEs).
-    local = groups.copy()
-    for j in range(1, PP_GROUP_SIZE):
-        local[:, j] = gl64.mul(local[:, j - 1], groups[:, j])
-    # Step 2: propagate each PE's last product along the neighbour chain.
-    carry_in = np.ones(groups.shape[0], dtype=np.uint64)
-    carry = 1
-    for k in range(groups.shape[0]):
-        carry_in[k] = carry
-        carry = gl.mul(carry, int(local[k, -1]))
-    # Step 3: scale local prefixes by the received carry.
-    return gl64.mul(local, carry_in[:, None]).reshape(n)
 
 
 def partial_products_cost(

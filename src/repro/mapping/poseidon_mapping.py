@@ -1,8 +1,7 @@
 """Poseidon hash mapping (paper Section 5.2, Figure 5).
 
-Functional emulators for the three round schemes -- validated against
-the reference permutation -- plus the per-permutation cost constants the
-hash/Merkle cycle models use.
+The per-permutation cost constants the hash/Merkle cycle models use,
+and the round schemes the autotuner chooses between.
 
 Region budget per permutation (grid cells are PE-cycles at one state
 per cycle):
@@ -17,18 +16,16 @@ per cycle):
   reverse-link distribute/accumulate column, scalar-vector column),
   four consecutive rounds per 12x12 array -> 36 PE-cycles per round,
   22 rounds, 145-cycle latency per 4-round block.
+
+The sparse rounds are :func:`repro.hashing.sparse.optimized_params`;
+the S-box column, the reverse-link dot and the MDS multiply run as
+PE-grid microcode in :mod:`.microcode_schedules`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..field import gl64, goldilocks as gl
-from ..hashing.constants import WIDTH, mds_matrix, round_constants
-from ..hashing.optimized import SparseRound, optimized_params
-from ..hashing.poseidon import FULL_ROUNDS, HALF_FULL, apply_mds, full_round, permute_naive
 from ..hw.config import HwConfig
 from .base import KIND_HASH, KernelCost
 
@@ -80,97 +77,6 @@ ROUND_SCHEMES = {
 
 #: Sequential efficiency of level-order Merkle traffic.
 HASH_MEM_EFFICIENCY = 0.85
-
-
-def emulate_sbox_chain(x: int) -> int:
-    """The 4-PE S-box chain: ``a=x^2; b=a^2; c=b*a; out=c*x``.
-
-    Each step is one PE's multiplier; ``x`` rides the systolic link
-    alongside the partials.  Equals ``x**7``.
-    """
-    a = gl.mul(x, x)
-    b = gl.mul(a, a)
-    c = gl.mul(b, a)
-    return gl.mul(c, x)
-
-
-def emulate_full_round_region(states: np.ndarray, round_index: int) -> np.ndarray:
-    """Emulate the 12x8 folded full-round region on a batch of states.
-
-    Stage 1 (rows of S-box chains): add the round constant and run the
-    4-PE chain per lane.  Stage 2 (12x12 systolic, weight-stationary):
-    multiply by the MDS matrix with partial sums accumulating down the
-    columns.  Matches :func:`repro.hashing.poseidon.full_round`.
-    """
-    full_rc, _ = round_constants()
-    rc = full_rc[round_index]
-    states = np.atleast_2d(np.asarray(states, dtype=np.uint64))
-    after_sbox = np.empty_like(states)
-    for lane in range(WIDTH):
-        for s in range(states.shape[0]):
-            val = gl.add(int(states[s, lane]), int(rc[lane]))
-            after_sbox[s, lane] = emulate_sbox_chain(val)
-    # Weight-stationary systolic MDS: column j accumulates row partials.
-    mds = mds_matrix()
-    out = gl64.zeros(states.shape)
-    for j in range(WIDTH):
-        acc = gl64.zeros(states.shape[0])
-        for i in range(WIDTH):
-            acc = gl64.add(acc, gl64.mul(after_sbox[:, i], mds[i, j]))
-        out[:, j] = acc
-    return out
-
-
-def emulate_partial_round_region(state: np.ndarray, rnd: SparseRound) -> np.ndarray:
-    """Emulate the 12x3 partial-round scheme of Figure 5b for one state.
-
-    Column 1 (top-down pipeline): S-box ``state[0]`` and add the round
-    constant.  Column 2: the reverse links distribute the result to all
-    rows while the ``v`` (col_hat) dot product accumulates bottom-up to
-    the top PE, forming output lane 0.  Column 3: each row computes the
-    scalar-vector multiply-add ``state[0] * u[j] + state[j]``.
-    """
-    state = np.asarray(state, dtype=np.uint64).reshape(WIDTH)
-    # Column 1: scalar pipeline on lane 0.
-    lane0 = gl.add(emulate_sbox_chain(int(state[0])), rnd.post_constant)
-    # Column 2a: reverse links broadcast lane0 to every row.
-    distributed = [lane0] * (WIDTH - 1)
-    # Column 2b: dot product v . state[1:] accumulated bottom-up.
-    acc = 0
-    for i in range(WIDTH - 2, -1, -1):  # bottom row first, climbing up
-        acc = gl.add(acc, gl.mul(int(state[i + 1]), int(rnd.col_hat[i])))
-    out0 = gl.add(gl.mul(lane0, rnd.m00), acc)
-    # Column 3: scalar-vector multiply-add per row.
-    rest = [
-        gl.add(gl.mul(distributed[j], int(rnd.row[j])), int(state[j + 1]))
-        for j in range(WIDTH - 1)
-    ]
-    return np.array([out0] + rest, dtype=np.uint64)
-
-
-def emulate_partial_rounds_match(state: np.ndarray) -> bool:
-    """The 22 emulated partial-round regions, between the reference full
-    rounds and the optimised pre-matrix, reproduce the naive permutation."""
-    params = optimized_params()
-    full_rc, _ = round_constants()
-    start = np.asarray(state, dtype=np.uint64).reshape(1, WIDTH)
-    s = start
-    for r in range(HALF_FULL):
-        s = full_round(s, full_rc[r])
-    s = apply_mds(gl64.add(s, params.pre_constants), params.pre_matrix)[0]
-    for rnd in params.rounds:
-        s = emulate_partial_round_region(s, rnd)
-    s = s[None, :]
-    for r in range(HALF_FULL, FULL_ROUNDS):
-        s = full_round(s, full_rc[r])
-    return bool(np.array_equal(s, permute_naive(start)))
-
-
-def emulate_full_round_matches(states: np.ndarray, round_index: int) -> bool:
-    """The emulated full-round region equals the reference full round."""
-    full_rc, _ = round_constants()
-    ref = full_round(np.atleast_2d(np.asarray(states, dtype=np.uint64)), full_rc[round_index])
-    return bool(np.array_equal(emulate_full_round_region(states, round_index), ref))
 
 
 def chip_perm_throughput(hw: HwConfig) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..field import gl64, goldilocks as gl
+from ..field import gl64
 from ..hw.config import HwConfig
 from ..hw.vsa import Vsa
 from ..sumcheck import fold_table
@@ -19,13 +19,12 @@ from .base import KIND_POLY, KernelCost
 from .poly_mapping import STREAM_MEM_EFFICIENCY
 
 
-def emulate_sumcheck_round(table: np.ndarray, r: int, vsa: Vsa | None = None):
+def emulate_sumcheck_round(table: np.ndarray, r: int):
     """One sum-check round on the VSA: sums via links, update in vector mode.
 
     Returns ``(y0, y1, folded_table)``; validated against the protocol's
     reference implementation in the tests.
     """
-    vsa = vsa or Vsa()
     table = np.asarray(table, dtype=np.uint64)
     half = table.shape[0] // 2
     lo, hi = table[:half], table[half:]
@@ -33,7 +32,7 @@ def emulate_sumcheck_round(table: np.ndarray, r: int, vsa: Vsa | None = None):
     # fold pairwise along the links (log-depth tree, same as matmul sums).
     y0 = int(gl64.sum_array(lo))
     y1 = int(gl64.sum_array(hi))
-    res = vsa.vector_mode(
+    res = Vsa().vector_mode(
         lambda ops: fold_table(np.concatenate(ops), r), [lo, hi], ops_per_element=3
     )
     return y0, y1, res.values

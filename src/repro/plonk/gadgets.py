@@ -27,7 +27,7 @@ from typing import List, Sequence, Tuple
 
 from ..field import goldilocks as gl
 from ..hashing.constants import WIDTH, mds_matrix, round_constants
-from ..hashing.optimized import optimized_params
+from ..hashing.sparse import optimized_params
 from .circuit import CircuitBuilder, Variable
 
 

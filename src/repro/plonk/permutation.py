@@ -83,7 +83,7 @@ def partial_products(h: np.ndarray) -> np.ndarray:
     """Equation (2): prefix products ``PP[i] = PP[i-1] * h[i]``.
 
     Sequential in nature -- this is the dependency chain UniZK breaks
-    with its three-step group mapping (emulated and cycle-modelled in
+    with its three-step group mapping (cycle-modelled in
     :mod:`repro.mapping.poly_mapping`).
     """
     out = np.empty_like(h)

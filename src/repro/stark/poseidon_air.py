@@ -28,7 +28,7 @@ import numpy as np
 
 from ..field import gl64, goldilocks as gl
 from ..hashing.constants import WIDTH, mds_matrix, round_constants
-from ..hashing.optimized import optimized_params
+from ..hashing.sparse import optimized_params
 from .air import Air, BoundaryConstraint
 
 #: Rows per permutation block (31 steps + output row).

@@ -73,16 +73,6 @@ def two_to_one(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return state[:, : sponge.DIGEST_LEN].reshape(lead + (sponge.DIGEST_LEN,))
 
 
-def partial_products_reference(h: np.ndarray) -> np.ndarray:
-    """Direct sequential prefix product (paper Equation (2))."""
-    out = np.empty_like(h)
-    acc = 1
-    for i, v in enumerate(np.asarray(h, dtype=np.uint64).tolist()):
-        acc = gl.mul(acc, v)
-        out[i] = acc
-    return out
-
-
 def inter_dim_twiddles(log_n: int, rows: int, cols: int) -> np.ndarray:
     """The (rows x cols) matrix of decomposed-NTT twiddles ``w_N^(k1*j2)``
     (paper Figure 4b): ``rows`` indexes ``k1``, the first dimension's

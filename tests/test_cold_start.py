@@ -1,10 +1,11 @@
 """A fresh prover derives and imports only what proving needs.
 
 A Fibonacci STARK and Plonk prove plus verify in a new interpreter must
-leave the sparse HADES factorisation (``optimized_params``, the
-hardware mapping's form) underived, and must not import the accelerator
-model (``repro.hw``, ``repro.mapping``, ``repro.compiler``) or any
-analysis layer but the race check the shard pool runs on each graph.
+leave the sparse HADES factorisation (``sparse.optimized_params``, the
+Poseidon AIR's and the in-circuit gadget's form) underived, and must not
+import the accelerator model (``repro.hw``, ``repro.mapping``,
+``repro.compiler``) or any analysis layer but the race check the shard
+pool runs on each graph.
 """
 
 import json
@@ -30,7 +31,7 @@ NOT_LOADED = (
 
 _PROVE = """
 import json, sys
-from repro.hashing import optimized
+from repro.hashing import sparse
 from repro.protocols import get
 from repro.workloads import by_name
 
@@ -39,7 +40,7 @@ for name, scale in (("stark", 6), ("plonk", 4)):
     setup = system.setup(by_name("Fibonacci"), scale, system.make_config())
     system.verify(setup, system.prove(setup))
 print(json.dumps({
-    "sparse_tables": optimized.optimized_params.cache_info().currsize,
+    "sparse_tables": sparse.optimized_params.cache_info().currsize,
     "modules": sorted(m for m in sys.modules if m.startswith("repro.")),
 }))
 """

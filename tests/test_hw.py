@@ -1,5 +1,5 @@
-"""Hardware model tests: config, DRAM, scratchpad tiling, transpose,
-twiddle, VSA, area/power."""
+"""Hardware model tests: config, DRAM, scratchpad tiling, VSA,
+area/power."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,6 @@ from repro.hw import (
     DEFAULT_CONFIG,
     DramModel,
     HwConfig,
-    TransposeBuffer,
-    TwiddleGenerator,
     Vsa,
     VsaSpec,
     chip_budget,
@@ -85,54 +83,6 @@ class TestScratchpad:
         few = tile_plan(1 << 20, 4, 10, 8 << 20)
         many = tile_plan(1 << 20, 100, 10, 8 << 20)
         assert many.tile_elems < few.tile_elems
-
-
-class TestTransposeBuffer:
-    def test_block(self, rng):
-        tb = TransposeBuffer(16)
-        block = gl64.random((16, 16), rng)
-        assert np.array_equal(tb.transpose_block(block), block.T)
-
-    def test_matrix(self, rng):
-        tb = TransposeBuffer(16)
-        m = gl64.random((48, 32), rng)
-        assert np.array_equal(tb.transpose_matrix(m), m.T)
-        assert tb.blocks_processed == 6
-
-    def test_bad_dims(self, rng):
-        tb = TransposeBuffer(16)
-        with pytest.raises(ValueError):
-            tb.transpose_matrix(gl64.random((10, 16), rng))
-        with pytest.raises(ValueError):
-            tb.transpose_block(gl64.random((8, 8), rng))
-
-    def test_cycles(self):
-        assert TransposeBuffer(16).cycles_for(1600) == 100
-
-
-class TestTwiddleGenerator:
-    def test_matches_decomposition_reference(self):
-        from .reference_oracles import inter_dim_twiddles
-
-        tg = TwiddleGenerator()
-        assert np.array_equal(tg.inter_dim_block(10, 8, 16), inter_dim_twiddles(10, 8, 16))
-
-    def test_row_is_powers(self):
-        from repro.field import goldilocks as gl
-
-        tg = TwiddleGenerator()
-        row = tg.row(5, 10)
-        assert [int(x) for x in row] == [gl.pow_mod(5, i) for i in range(10)]
-
-    def test_counts_and_cycles(self):
-        tg = TwiddleGenerator(num_multipliers=8)
-        tg.row(3, 100)
-        assert tg.factors_generated == 100
-        assert tg.cycles_for(100) == 13
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            TwiddleGenerator(0)
 
 
 class TestVsa:

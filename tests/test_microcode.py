@@ -16,11 +16,54 @@ from repro.hw.microcode import (
     reg,
 )
 from repro.mapping.microcode_schedules import (
-    run_matvec,
-    run_reverse_dot,
-    run_sbox_pipeline,
-    run_vector_mac,
+    build_matvec,
+    build_reverse_dot,
+    build_sbox_pipeline,
+    build_vector_mac,
 )
+
+
+def matvec_outputs(weights, states):
+    """Execute :func:`build_matvec`; ``(out, cycles)`` with ``out[s][j]``
+    read from register ``1 + s`` of bottom-row PE ``(n - 1, j)``."""
+    built = build_matvec(weights, states)
+    cycles = built.run()
+    n = weights.shape[0]
+    regs = [built.emu.regs[(n - 1, j)] for j in range(n)]
+    out = np.array(
+        [[r[1 + s] for r in regs] for s in range(states.shape[0])], dtype=np.uint64
+    )
+    return out, cycles
+
+
+def sbox_outputs(values, post_constant=0):
+    """Execute :func:`build_sbox_pipeline`; ``(outputs, cycles)`` with
+    output ``s`` read from register ``10 + s`` of PE ``(4, 0)``."""
+    built = build_sbox_pipeline(values, post_constant)
+    cycles = built.run()
+    return [built.emu.regs[(4, 0)][10 + s] for s in range(len(values))], cycles
+
+
+def dot_output(state, coeffs):
+    """Execute :func:`build_reverse_dot`; ``(value, cycles)`` with the
+    value the last one to leave the top boundary."""
+    built = build_reverse_dot(state, coeffs)
+    cycles = built.run()
+    assert built.emu.top_outputs, "dot product never reached the top boundary"
+    return built.emu.top_outputs[-1][2], cycles
+
+
+def mac_outputs(xs, ys, zs):
+    """Execute :func:`build_vector_mac`; ``(outputs, cycles)`` with the
+    ``k``-th element of lane ``r`` read from register ``10 + k`` of PE
+    ``(r, 0)``.  An empty schedule runs nothing."""
+    built = build_vector_mac(xs, ys, zs)
+    if not built.programs:
+        return [], 0
+    cycles = built.run()
+    rows = built.emu.rows
+    out = [built.emu.regs[(e % rows, 0)][10 + e // rows] for e in range(len(xs))]
+    return out, cycles
 
 
 class TestMachine:
@@ -140,7 +183,7 @@ class TestSchedules:
     def test_matvec_matches_reference(self, rng):
         w = gl64.random((6, 6), rng)
         states = gl64.random((5, 6), rng)
-        out, cycles = run_matvec(w, states)
+        out, cycles = matvec_outputs(w, states)
         expect = np.stack(
             [np.array(fm.matvec(w.T, row), dtype=np.uint64) for row in states]
         )
@@ -151,47 +194,47 @@ class TestSchedules:
     def test_matvec_single_state(self, rng):
         w = gl64.random((3, 3), rng)
         states = gl64.random((1, 3), rng)
-        out, _ = run_matvec(w, states)
+        out, _ = matvec_outputs(w, states)
         assert [int(v) for v in out[0]] == fm.matvec(w.T, states[0])
 
     def test_matvec_12x12_poseidon_mds(self, rng):
         from repro.hashing.constants import mds_matrix
 
         states = gl64.random((3, 12), rng)
-        out, _ = run_matvec(mds_matrix(), states)
+        out, _ = matvec_outputs(mds_matrix(), states)
         from repro.hashing.poseidon import apply_mds
 
         assert np.array_equal(out, apply_mds(states))
 
     def test_sbox_pipeline(self, rng):
         vals = [int(x) for x in gl64.random(10, rng)]
-        outs, cycles = run_sbox_pipeline(vals, post_constant=999)
+        outs, cycles = sbox_outputs(vals, post_constant=999)
         assert outs == [gl.add(gl.pow_mod(v, 7), 999) for v in vals]
         # initiation interval 2 plus fixed pipeline latency
         assert cycles == 2 * len(vals) + 7
 
     def test_sbox_pipeline_single(self):
-        outs, _ = run_sbox_pipeline([3])
+        outs, _ = sbox_outputs([3])
         assert outs == [gl.pow_mod(3, 7)]
 
     def test_sbox_zero_and_one(self):
-        outs, _ = run_sbox_pipeline([0, 1])
+        outs, _ = sbox_outputs([0, 1])
         assert outs == [0, 1]
 
     def test_reverse_dot(self, rng):
         state = [int(x) for x in gl64.random(12, rng)]
         coeffs = [int(x) for x in gl64.random(12, rng)]
-        val, cycles = run_reverse_dot(state, coeffs)
+        val, cycles = dot_output(state, coeffs)
         assert val == sum(s * c for s, c in zip(state, coeffs)) % gl.P
         assert cycles == 13  # n + 1: one mac per row, bottom-up
 
     def test_reverse_dot_matches_sparse_round_column(self, rng):
         # The Figure 5b `v` column: col_hat dotted against state[1:].
-        from repro.hashing.optimized import optimized_params
+        from repro.hashing.sparse import optimized_params
 
         rnd = optimized_params().rounds[0]
         state = [int(x) for x in gl64.random(11, rng)]
-        val, _ = run_reverse_dot(state, [int(v) for v in rnd.col_hat])
+        val, _ = dot_output(state, [int(v) for v in rnd.col_hat])
         expect = sum(s * int(c) for s, c in zip(state, rnd.col_hat)) % gl.P
         assert val == expect
 
@@ -199,14 +242,14 @@ class TestSchedules:
         xs = [int(x) for x in gl64.random(30, rng)]
         ys = [int(x) for x in gl64.random(30, rng)]
         zs = [int(x) for x in gl64.random(30, rng)]
-        outs, cycles = run_vector_mac(xs, ys, zs)
+        outs, cycles = mac_outputs(xs, ys, zs)
         assert outs == [(x * y + z) % gl.P for x, y, z in zip(xs, ys, zs)]
         # 3 operand-stream cycles per element per lane
         assert cycles == 3 * (-(-30 // 12))
 
     def test_vector_mac_empty(self):
-        assert run_vector_mac([], [], []) == ([], 0)
+        assert mac_outputs([], [], []) == ([], 0)
 
     def test_vector_mac_length_mismatch(self):
         with pytest.raises(ValueError):
-            run_vector_mac([1], [2, 3], [4])
+            mac_outputs([1], [2, 3], [4])

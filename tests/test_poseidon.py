@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.field import gl64, goldilocks as gl, matrix as fm
 from repro.fuzz import oracles
 from repro.hashing import constants as pc
-from repro.hashing import optimized, poseidon
+from repro.hashing import optimized, poseidon, sparse
 
 state_strategy = st.lists(
     st.integers(min_value=0, max_value=gl.P - 1), min_size=12, max_size=12
@@ -54,11 +54,11 @@ class TestConstants:
 
 
 def _permute_scalar_reference(state):
-    """The sparse HADES form (``optimized_params``) in Python ints,
+    """The sparse HADES form (``sparse.optimized_params``) in Python ints,
     every dot a generator expression: the scalar permutation as it stood
     before it ran the lane-0 chain."""
     p = gl.P
-    params = optimized.optimized_params()
+    params = sparse.optimized_params()
     full_rc, _ = pc.round_constants()
     mds_t = list(zip(*pc.mds_matrix().tolist()))
     pre_t = list(zip(*params.pre_matrix.tolist()))
@@ -139,23 +139,23 @@ class TestPermutation:
 
 class TestHadesDerivation:
     def test_sparse_round_count(self):
-        params = optimized.optimized_params()
+        params = sparse.optimized_params()
         assert len(params.rounds) == pc.PARTIAL_ROUNDS
 
     def test_pre_matrix_is_lane0_preserving(self):
-        pre = optimized.optimized_params().pre_matrix
+        pre = sparse.optimized_params().pre_matrix
         assert int(pre[0, 0]) == 1
         assert not pre[0, 1:].any()
         assert not pre[1:, 0].any()
 
     def test_sparse_structure_nonzero(self):
-        for rnd in optimized.optimized_params().rounds:
+        for rnd in sparse.optimized_params().rounds:
             assert rnd.m00 != 0
             assert all(int(v) != 0 for v in rnd.row)
             assert all(int(v) != 0 for v in rnd.col_hat)
 
     def test_sparse_rounds_differ(self):
-        rounds = optimized.optimized_params().rounds
+        rounds = sparse.optimized_params().rounds
         assert rounds[0].m00 != rounds[1].m00 or not np.array_equal(
             rounds[0].row, rounds[1].row
         )
@@ -164,7 +164,7 @@ class TestHadesDerivation:
         # M' @ M'' must reconstruct the peeled matrix chain: verify the
         # first peel directly against the MDS matrix.
         mds = pc.mds_matrix()
-        params = optimized.optimized_params()
+        params = sparse.optimized_params()
         # Walk the recursion forward: M_k -> check last round's factors.
         m_k = mds.copy()
         for _ in range(pc.PARTIAL_ROUNDS, 1, -1):
@@ -418,7 +418,7 @@ class TestLimbGemm:
         if which == "mds":
             matrix = pc.mds_matrix().tolist()
         elif which == "pre":
-            matrix = optimized.optimized_params().pre_matrix.tolist()
+            matrix = sparse.optimized_params().pre_matrix.tolist()
         else:
             matrix = gl64.random((12, 12), np.random.default_rng(seed)).tolist()
         buf = np.array(states, dtype=np.uint64)

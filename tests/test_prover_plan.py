@@ -88,8 +88,9 @@ def test_plan_shape_mismatch_is_rejected():
 
 def test_warm_leaves_no_poseidon_table_for_the_first_proof():
     # Both permutation paths run on the lane-0 chain; the sparse HADES
-    # factorisation is for the hardware mapping and stays underived.
-    from repro.hashing import optimized
+    # factorisation (hashing.sparse) is for the Poseidon AIR and the
+    # in-circuit gadget and stays underived.
+    from repro.hashing import optimized, sparse
 
     caches = (
         optimized._mds_hankel,
@@ -97,11 +98,11 @@ def test_warm_leaves_no_poseidon_table_for_the_first_proof():
         optimized._fused_tables,
         optimized._scalar_tables,
     )
-    for cached in caches + (optimized.optimized_params,):
+    for cached in caches + (sparse.optimized_params,):
         cached.cache_clear()
     DomainPlan(16, 1).warm()
     assert all(cached.cache_info().currsize == 1 for cached in caches)
-    assert optimized.optimized_params.cache_info().currsize == 0
+    assert sparse.optimized_params.cache_info().currsize == 0
 
 
 def test_plan_caches_are_read_only_and_reused():

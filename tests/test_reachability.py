@@ -36,11 +36,6 @@ import repro
 SRC = Path(repro.__file__).parent
 REPO = SRC.parent.parent
 
-_ITEM_7 = (
-    "ROADMAP item 7: an emulator primitive the cycle model is to be "
-    "checked against once its kernels run on the executed schedules"
-)
-
 #: Definitions kept although nothing that runs reaches them: qualified
 #: name (``fnmatch`` pattern, without ``repro.``) -> the ROADMAP item,
 #: reference role or public-API contract it serves.
@@ -50,12 +45,6 @@ ALLOWED: dict[str, str] = {
         "Merkle, bit and extension-field gadgets an in-circuit FRI verifier "
         "is built from"
     ),
-    "mapping.microcode_schedules.run_*": _ITEM_7,
-    "mapping.*_mapping.emulate_*": _ITEM_7,
-    "mapping.ntt_mapping.MdcPipeline*": _ITEM_7,
-    "mapping.ntt_mapping.batched_ntt_index_major": _ITEM_7,
-    "hw.twiddle.TwiddleGenerator*": _ITEM_7,
-    "hw.transpose.TransposeBuffer*": _ITEM_7,
     "fri.config.FriConfig.conjectured_security_bits": (
         "ROADMAP item 13(ii): the one security derivation the per-protocol "
         "security_bits accounting starts from"
@@ -385,7 +374,7 @@ def test_what_ships_is_what_runs():
 
 
 def test_allow_list_is_short_and_justified():
-    assert len(ALLOWED) <= 15
+    assert len(ALLOWED) <= 6
     for reason in ALLOWED.values():
         assert re.match(r"(Parked )?ROADMAP item|Public API contract", reason), reason
 

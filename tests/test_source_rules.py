@@ -87,13 +87,13 @@ ALLOWED: dict[str, dict[str, str]] = {
             "columns are opened; never on the per-proof hot loop"
         ),
         "hashing/constants.py::round_constants": _ONE_TIME_TABLE,
-        "hashing/optimized.py::_derive_*": _ONE_TIME_TABLE,
         "hashing/optimized.py::_fused_tables": _ONE_TIME_TABLE,
         "hashing/optimized.py::permute": (
             "The returned state escapes to the caller: one 12-lane state per "
             "challenger duplex; batched hashing calls permute_into on "
             "workspace buffers"
         ),
+        "hashing/sparse.py::_derive_*": _ONE_TIME_TABLE,
         "hashing/sponge.py::hash_batch": (
             "The digest buffer escapes to the caller; only the fuzz "
             "cross-check calls it, the Merkle builders call hash_batch_into "
