@@ -1,11 +1,14 @@
 """Analytic proof-size models (paper Table 5's "Size" column).
 
-Sizes are computed from the same structural inventory our functional
-proofs serialise (:meth:`repro.fri.FriProof.size_bytes`): Merkle caps,
-claimed openings, per-query initial leaves + authentication paths,
-per-layer coset openings + paths, the final polynomial, and the
-grinding witness -- evaluated at paper-scale parameters (cap height 4,
-folding arity 8, as Plonky2/Starky configure them).
+Sizes model Plonky2's and Starky's proof format, which is the paper's:
+Merkle caps, claimed openings, per-query initial leaves +
+authentication paths, per-layer coset openings + paths, the final
+polynomial, and the grinding witness -- evaluated at paper-scale
+parameters (cap height 4, folding arity 8, as Plonky2/Starky configure
+them).  This repo's own FRI proofs are smaller than this model at the
+same parameters: they open each tree once as a shared-path multiproof
+(:class:`repro.merkle.TreeOpening`), so the nodes near each cap are
+sent once per tree rather than once per query.
 """
 
 from __future__ import annotations

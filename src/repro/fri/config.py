@@ -113,12 +113,20 @@ def initial_arity_bits(
     columns excluded): the verifier derives the layout from them, never
     from the proof.
 
-    ``a`` is chosen only when it makes the FRI proof smaller under the
-    :meth:`~repro.fri.proof.FriProof.size_bytes` count -- per query and
-    batch ``(2**a - 1) * w`` more elements and ``a`` fewer path digests,
-    against the layer-0 coset leaf, path and cap it removes (a tie keeps
-    row leaves) -- and only when the ``N / 2**a``-leaf tree still holds
-    ``cap_height``, so every config the row layout accepts still proves.
+    ``a`` is chosen only when it makes the FRI proof smaller under a
+    per-query path count -- per query and batch ``(2**a - 1) * w`` more
+    elements and ``a`` fewer path digests, against the layer-0 coset
+    leaf, path and cap it removes (a tie keeps row leaves) -- and only
+    when the ``N / 2**a``-leaf tree still holds ``cap_height``, so every
+    config the row layout accepts still proves.
+
+    The proof no longer sends one path per query: each tree is opened
+    once as a shared-path multiproof, whose node count depends on where
+    the queries land.  The per-path price is kept because it is a closed
+    form the verifier can evaluate from public numbers alone, and it
+    still picks the layout that is smaller under
+    :meth:`~repro.fri.proof.FriProof.size_bytes` at every shape the
+    tests pin (``test_cosets_are_chosen_exactly_when_the_proof_shrinks``).
     """
     schedule = config.fold_schedule(degree_bits)
     if not schedule:

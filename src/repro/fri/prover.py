@@ -19,7 +19,9 @@ Implements the commit / fold / grind / query pipeline of Figure 1
    interpolant evaluated at ``beta``.  When the batches' leaves already
    are those cosets, the first layer is virtual: its beta follows the
    FRI alpha with no cap between, and no tree is built for it;
-4. grinding (proof-of-work) and random query indices finish the proof.
+4. grinding (proof-of-work) and random query indices finish the proof:
+   every batch tree and every layer tree is opened once, at all the
+   leaves the queries reach in it, as one shared-path multiproof.
 """
 
 from __future__ import annotations
@@ -318,11 +320,14 @@ def fri_prove(
     # Query phase.
     with tracing.span("fri:query", category="fri", queries=config.num_queries):
         indices = challenger.get_indices(config.num_queries, n_lde)
-        query_rounds = par_ops.query_rounds_graph(pool, ws, batches, trees, indices).run()
+        batch_openings, layer_openings = par_ops.query_rounds_graph(
+            pool, ws, batches, trees, indices
+        ).run()
 
     return FriProof(
         commit_caps=[t.cap.copy() for t in trees],
         final_poly=final_poly,
         pow_witness=pow_witness,
-        query_rounds=query_rounds,
+        batch_openings=batch_openings,
+        layer_openings=layer_openings,
     )

@@ -5,12 +5,15 @@ tampered cap, leaf, final polynomial, grinding witness, or a committed
 function that is far from low-degree -- makes verification fail (the
 test-suite injects each of these faults).
 
-The checks run *by level, not by query*: after the transcript replay
-and the structural checks, every opened leaf of every query goes
-through one :func:`repro.merkle.verify_paths` call, and the fold walk
-carries a query axis -- the combined quotient, each fold layer and the
-final-polynomial evaluation are one array expression over all queries,
-the same :func:`~repro.fri.prover.combine_rows` /
+The checks run *by tree and by level, not by query*: after the
+transcript replay, the verifier derives from the query indices the
+leaves each batch and layer tree must open, checks that every tree's
+opening covers exactly that set (:func:`repro.merkle.check_opening`)
+and authenticates all of them in one :func:`repro.merkle.verify_paths`
+call.  Each query's row and coset are then looked up by index, and the
+fold walk carries a query axis -- the combined quotient, each fold
+layer and the final-polynomial evaluation are one array expression over
+all queries, the same :func:`~repro.fri.prover.combine_rows` /
 :func:`~repro.fri.prover.fold_pairs` identities the prover runs over
 the whole domain.  Under coset leaves the combined quotient is taken at
 every row an initial leaf holds, and that coset is folded like an
@@ -27,7 +30,7 @@ from .. import tracing
 from ..errors import VerifierError
 from ..field import extension as fext, goldilocks as gl
 from ..hashing import Challenger
-from ..merkle import PathOpening, verify_paths
+from ..merkle import check_opening, verify_paths
 from .config import FriConfig, initial_arity_bits
 from .proof import FriProof
 from .prover import (
@@ -47,7 +50,7 @@ class FriError(VerifierError):
 def proof_words(openings: FriOpenings, proof: FriProof) -> list:
     """Every field word an opening set and its FRI proof carry: opened
     points and values, layer caps, the final polynomial, the grinding
-    witness, and each query's leaves, cosets and siblings.
+    witness, and each tree opening's rows and nodes.
 
     A protocol verifier passes them to :func:`repro.field.gl64.all_canonical`
     before it hashes anything; :func:`fri_verify` then computes on
@@ -55,11 +58,8 @@ def proof_words(openings: FriOpenings, proof: FriProof) -> list:
     """
     words = [*openings.points, *openings.values, *proof.commit_caps]
     words += (proof.final_poly, proof.pow_witness)
-    for qr in proof.query_rounds:
-        words += qr.initial.leaves
-        words += [prf.siblings for prf in qr.initial.proofs]
-        for layer in qr.layers:
-            words += (layer.coset_leaf, layer.proof.siblings)
+    for op in proof.tree_openings():
+        words += (op.rows, op.proof.nodes)
     return words
 
 
@@ -132,47 +132,12 @@ def fri_verify(
 
         indices = challenger.get_indices(config.num_queries, n_lde)
 
-    # Structural checks, all before any hashing: what follows stacks the
-    # openings of all queries, so every count and shape is pinned first.
-    rounds = proof.query_rounds
-    if len(rounds) != len(indices):
-        raise FriError("wrong number of query rounds")
-    if not rounds:
-        return
-    for idx, qr in zip(indices, rounds):
-        if qr.index != idx:
-            raise FriError("query index mismatch with transcript")
-        # The leaves/proofs lists must pair off exactly with the caps:
-        # a shorter list would leave a commitment unchecked.
-        if len(qr.initial.leaves) != len(batch_caps):
-            raise FriError("initial opening count mismatch")
-        if len(qr.initial.proofs) != len(qr.initial.leaves):
-            raise FriError("initial opening count mismatch")
-        if len(qr.layers) != len(arities) - 1:
-            raise FriError("wrong number of layer openings")
-        # A truncated or reshaped coset leaf would put values in the
-        # wrong slots, and ``hash_or_noop`` zero-pads a 3-element row
-        # into the digest of a 4-element row ending in 0.
-        if any(
-            layer.coset_leaf.shape != (2 << bits,)
-            for layer, bits in zip(qr.layers, arities[1:])
-        ):
-            raise FriError("malformed layer leaf")
-    for b in range(len(batch_caps)):
-        # One width per batch across all queries (a tree has one leaf
-        # width; mixed widths are rejected, not stacked).
-        shape = rounds[0].initial.leaves[b].shape
-        if len(shape) != 1 or any(qr.initial.leaves[b].shape != shape for qr in rounds):
-            raise FriError("malformed initial leaf")
-        if widths and shape[0] not in tuple(w << a for w in widths[b]):
-            raise FriError("malformed initial leaf")
-    for cols in openings.columns:
-        for b, c in cols:
-            if not 0 <= b < len(batch_caps):
-                raise FriError("opened batch index out of range")
-            if not 0 <= c < rounds[0].initial.leaves[b].shape[0] >> a:
-                raise FriError("opened column exceeds initial leaf width")
-
+    # Structural checks, all before any hashing: every tree's opening
+    # must cover exactly the leaves the queries reach in it.
+    if len(proof.batch_openings) != len(batch_caps):
+        raise FriError("initial opening count mismatch")
+    if len(proof.layer_openings) != len(arities) - 1:
+        raise FriError("wrong number of layer openings")
     # Layer k has ``sizes[k]`` values in ``sizes[k + 1]`` coset leaves; a
     # query at position p opens leaf ``p % sizes[k + 1]``, which is also
     # its position in layer k + 1.  Layer 0's leaves are the batches'.
@@ -180,34 +145,49 @@ def fri_verify(
     for bits in arities:
         sizes.append(sizes[-1] >> bits)
     leaf_ids = [np.asarray(indices, dtype=np.int64) % m for m in sizes[1:]]
-
-    with tracing.span("verify:merkle", category="verify", queries=len(rounds)):
+    try:
         paths = [
-            PathOpening([leaf], (int(leaf_ids[0][q]),), prf.siblings, cap)
-            for q, qr in enumerate(rounds)
-            for leaf, prf, cap in zip(qr.initial.leaves, qr.initial.proofs, batch_caps)
+            check_opening(
+                op, leaf_ids[0], tuple(w << a for w in widths[b]) if widths else None,
+                cap, sizes[1], config.cap_height, "initial opening",
+            )
+            for b, (op, cap) in enumerate(zip(proof.batch_openings, batch_caps))
+        ] + [
+            # A truncated or reshaped coset leaf would put values in the
+            # wrong slots, and ``hash_or_noop`` zero-pads a 3-element row
+            # into the digest of a 4-element row ending in 0.
+            check_opening(op, ids, 2 << bits, cap, m, config.cap_height, "layer opening")
+            for op, cap, ids, bits, m in zip(
+                proof.layer_openings, proof.commit_caps, leaf_ids[1:], arities[1:], sizes[2:]
+            )
         ]
-        num_initial = len(paths)
-        paths += [
-            PathOpening([layer.coset_leaf], (int(ids[q]),), layer.proof.siblings, cap)
-            for q, qr in enumerate(rounds)
-            for layer, ids, cap in zip(qr.layers, leaf_ids[1:], proof.commit_caps)
-        ]
+    except ValueError as exc:
+        raise FriError(str(exc)) from exc
+    for cols in openings.columns:
+        for b, c in cols:
+            if not 0 <= b < len(batch_caps):
+                raise FriError("opened batch index out of range")
+            if not 0 <= c < paths[b].rows.shape[1] >> a:
+                raise FriError("opened column exceeds initial leaf width")
+
+    with tracing.span("verify:merkle", category="verify", trees=len(paths)):
         verdicts = verify_paths(paths)
-        if not verdicts[:num_initial].all():
+        if not verdicts[: len(batch_caps)].all():
             raise FriError("initial Merkle proof failed")
         if not verdicts.all():
             raise FriError("layer Merkle proof failed")
+    # Row q of ``opened[t]`` is the leaf query q reads in tree t.
+    tree_ids = [leaf_ids[0]] * len(batch_caps) + leaf_ids[1:]
+    opened = [
+        path.rows[np.searchsorted(path.indices, ids)] for path, ids in zip(paths, tree_ids)
+    ]
 
     with tracing.span("verify:fold", category="verify", rounds=num_rounds):
         # coset[q, j] is the value at position leaf_ids[k][q] + j * sizes[k + 1];
         # for layer 0 that is the combined quotient at the rows each
         # initial leaf holds, slot j after slot j - 1.
-        num_q, arity = len(rounds), 1 << a
-        leaf_rows = [
-            np.stack([qr.initial.leaves[b] for qr in rounds]).reshape(num_q * arity, -1)
-            for b in range(len(batch_caps))
-        ]
+        num_q, arity = len(indices), 1 << a
+        leaf_rows = [rows.reshape(num_q * arity, -1) for rows in opened[: len(batch_caps)]]
         points = leaf_ids[0][:, None] + sizes[1] * np.arange(arity)
         try:
             coset = combine_rows(
@@ -222,9 +202,7 @@ def fri_verify(
         for k, (beta, bits, ids) in enumerate(zip(betas, arities, leaf_ids)):
             m = sizes[k + 1]
             if k:
-                coset = np.stack([qr.layers[k - 1].coset_leaf for qr in rounds]).reshape(
-                    num_q, 1 << bits, 2
-                )
+                coset = opened[len(batch_caps) + k - 1].reshape(num_q, 1 << bits, 2)
                 if not np.array_equal(coset[queries, cur // m], values):
                     raise FriError("fold consistency check failed")
             # The prover's ``bits`` arity-2 folds, on each coset alone:

@@ -7,9 +7,9 @@ seeded ``numpy.random.Generator`` and produces a :class:`Mutant`:
   deserializer *and* the verifier (most structured mutators decode the
   honest proof, tamper with one structural element, and re-encode);
 * **object mutants** carry a mutated in-memory proof object -- they
-  exercise verifier states that the codec cannot even express (e.g. an
-  initial opening whose ``leaves`` and ``proofs`` lists disagree in
-  length, which ``write_fri_proof``'s ``zip`` would silently repair).
+  exercise verifier states that the codec cannot even express (e.g. a
+  0-d array where a tree opening's row matrix belongs, which the
+  codec's shape header would refuse).
 
 Mutators are deterministic in ``(target, rng)``: re-running one with
 the same per-iteration seed regenerates the identical mutant, which is
@@ -90,18 +90,16 @@ def _set_cap(proof, slot, value: np.ndarray) -> None:
         setattr(proof, name, value)
 
 
-def _query_rounds(proof) -> list:
-    """The proof's query rounds, whichever protocol shape it has."""
+def _tree_openings(proof) -> list:
+    """Every :class:`~repro.merkle.TreeOpening` of a proof, either shape."""
     if hasattr(proof, "fri_proof"):
-        return proof.fri_proof.query_rounds
-    return getattr(proof, "query_rounds", [])
+        return proof.fri_proof.tree_openings()
+    return proof.tree_openings()
 
 
-def _fri_layer_rounds(proof) -> list:
-    """FRI query rounds that carry fold-layer openings ([] otherwise)."""
-    if not hasattr(proof, "fri_proof"):
-        return []
-    return [qr for qr in proof.fri_proof.query_rounds if qr.layers]
+def _layer_openings(proof) -> list:
+    """FRI fold-layer tree openings ([] for other proof shapes)."""
+    return proof.fri_proof.layer_openings if hasattr(proof, "fri_proof") else []
 
 
 def _all_arrays(proof) -> list:
@@ -111,18 +109,10 @@ def _all_arrays(proof) -> list:
         arrays.extend(proof.openings.points)
         arrays.extend(proof.openings.values)
     if hasattr(proof, "fri_proof"):
-        fp = proof.fri_proof
-        arrays.append(fp.final_poly)
-        for qr in fp.query_rounds:
-            arrays.extend(qr.initial.leaves)
-            arrays.extend(p.siblings for p in qr.initial.proofs)
-            for layer in qr.layers:
-                arrays.append(layer.coset_leaf)
-                arrays.append(layer.proof.siblings)
-    if hasattr(proof, "sumcheck"):  # hyperplonk shape
-        for op in proof.tree_openings():
-            arrays.append(op.rows)
-            arrays.append(op.proof.nodes)
+        arrays.append(proof.fri_proof.final_poly)
+    for op in _tree_openings(proof):
+        arrays.append(op.rows)
+        arrays.append(op.proof.nodes)
     return [a for a in arrays if a.size]
 
 
@@ -237,47 +227,75 @@ def truncate_cap(target: FuzzTarget, rng) -> Mutant:
     return Mutant("truncate-cap", data=target.encode(proof))
 
 
-def drop_query_round(target: FuzzTarget, rng) -> Optional[Mutant]:
-    """Remove one query round (FRI or multilinear-PCS)."""
+def drop_sibling_node(target: FuzzTarget, rng) -> Optional[Mutant]:
+    """Remove one shared path node from one tree opening.
+
+    The frontier then runs out of supplied digests one level short of
+    the cap (or pairs the wrong ones), so the tree's Merkle check fails.
+    """
     proof = target.decode(target.blob)
-    rounds = _query_rounds(proof)
-    if not rounds:
+    ops = [op for op in _tree_openings(proof) if op.proof.nodes.shape[0]]
+    if not ops:
         return None
-    del rounds[int(rng.integers(0, len(rounds)))]
-    return Mutant("drop-query-round", data=target.encode(proof))
+    op = _choice(rng, ops)
+    op.proof.nodes = np.delete(op.proof.nodes, int(rng.integers(0, op.proof.nodes.shape[0])), axis=0)
+    return Mutant("drop-sibling-node", data=target.encode(proof))
 
 
-def duplicate_query_round(target: FuzzTarget, rng) -> Optional[Mutant]:
-    """Duplicate one query round in place (FRI or multilinear-PCS)."""
+def duplicate_opened_row(target: FuzzTarget, rng) -> Optional[Mutant]:
+    """Open one index of one tree twice, row and index both repeated.
+
+    Indices must be strictly ascending: the codec refuses the repeat,
+    and a verifier handed the object refuses an index set that is not
+    the transcript's.
+    """
     proof = target.decode(target.blob)
-    rounds = _query_rounds(proof)
-    if not rounds:
+    ops = [op for op in _tree_openings(proof) if op.proof.indices]
+    if not ops:
         return None
-    idx = int(rng.integers(0, len(rounds)))
-    rounds.insert(idx, rounds[idx])
-    return Mutant("duplicate-query-round", data=target.encode(proof))
+    op = _choice(rng, ops)
+    k = int(rng.integers(0, len(op.proof.indices)))
+    op.proof.indices = op.proof.indices[: k + 1] + op.proof.indices[k:]
+    op.rows = np.insert(op.rows, k, op.rows[k], axis=0)
+    return Mutant("duplicate-opened-row", data=target.encode(proof))
+
+
+def swap_opened_rows(target: FuzzTarget, rng) -> Optional[Mutant]:
+    """Swap two opened rows of one tree, indices left in order.
+
+    Every shape and index set the verifier pins still holds; only the
+    multiproof's binding of row ``k`` to ``indices[k]`` can reject it.
+    """
+    proof = target.decode(target.blob)
+    ops = [op for op in _tree_openings(proof) if op.rows.shape[0] >= 2]
+    if not ops:
+        return None
+    op = _choice(rng, ops)
+    i, j = (int(k) for k in rng.choice(op.rows.shape[0], size=2, replace=False))
+    if np.array_equal(op.rows[i], op.rows[j]):
+        return None
+    op.rows[[i, j]] = op.rows[[j, i]]
+    return Mutant("swap-opened-rows", data=target.encode(proof))
 
 
 def drop_layer(target: FuzzTarget, rng) -> Optional[Mutant]:
-    """Remove one fold-layer opening from one query round."""
+    """Remove one fold-layer tree opening."""
     proof = target.decode(target.blob)
-    rounds = _fri_layer_rounds(proof)
-    if not rounds:
+    layers = _layer_openings(proof)
+    if not layers:
         return None
-    qr = _choice(rng, rounds)
-    del qr.layers[int(rng.integers(0, len(qr.layers)))]
+    del layers[int(rng.integers(0, len(layers)))]
     return Mutant("drop-layer", data=target.encode(proof))
 
 
 def duplicate_layer(target: FuzzTarget, rng) -> Optional[Mutant]:
-    """Duplicate one fold-layer opening within its query round."""
+    """Duplicate one fold-layer tree opening in place."""
     proof = target.decode(target.blob)
-    rounds = _fri_layer_rounds(proof)
-    if not rounds:
+    layers = _layer_openings(proof)
+    if not layers:
         return None
-    qr = _choice(rng, rounds)
-    idx = int(rng.integers(0, len(qr.layers)))
-    qr.layers.insert(idx, qr.layers[idx])
+    idx = int(rng.integers(0, len(layers)))
+    layers.insert(idx, layers[idx])
     return Mutant("duplicate-layer", data=target.encode(proof))
 
 
@@ -347,60 +365,52 @@ def splice_fri_proof(target: FuzzTarget, rng) -> Optional[Mutant]:
 
 
 def pad_initial_leaf(target: FuzzTarget, rng) -> Optional[Mutant]:
-    """Append a zero element to one initial-opening leaf.
+    """Append a zero column to one batch opening's rows.
 
     For leaves shorter than a digest, ``hash_or_noop`` zero-pads -- so
-    the padded leaf still authenticates against the commitment and only
-    the verifier's exact leaf-width pin rejects it.
+    the padded rows still authenticate against the commitment and only
+    the verifier's exact leaf-width pin rejects them.
     """
     proof = target.decode(target.blob)
     if not hasattr(proof, "fri_proof"):
         return None
-    rounds = proof.fri_proof.query_rounds
-    if not rounds:
-        return None
-    qr = _choice(rng, rounds)
-    idx = int(rng.integers(0, len(qr.initial.leaves)))
-    leaf = qr.initial.leaves[idx]
-    qr.initial.leaves[idx] = np.concatenate([leaf, np.zeros(1, dtype=np.uint64)])
+    ops = proof.fri_proof.batch_openings
+    op = _choice(rng, ops)
+    op.rows = np.concatenate([op.rows, np.zeros((op.rows.shape[0], 1), dtype=np.uint64)], axis=1)
     return Mutant("pad-initial-leaf", data=target.encode(proof))
 
 
 def reshape_initial_leaf(target: FuzzTarget, rng) -> Optional[Mutant]:
-    """Serialize one initial leaf as a (1, n) matrix instead of a vector."""
+    """Serialize one batch opening's rows as a (1, k * w) matrix."""
     proof = target.decode(target.blob)
     if not hasattr(proof, "fri_proof"):
         return None
-    rounds = proof.fri_proof.query_rounds
-    if not rounds:
+    op = _choice(rng, proof.fri_proof.batch_openings)
+    if op.rows.shape[0] < 2:
         return None
-    qr = _choice(rng, rounds)
-    idx = int(rng.integers(0, len(qr.initial.leaves)))
-    qr.initial.leaves[idx] = qr.initial.leaves[idx].reshape(1, -1)
+    op.rows = op.rows.reshape(1, -1)
     return Mutant("reshape-initial-leaf", data=target.encode(proof))
 
 
 def truncate_coset_leaf(target: FuzzTarget, rng) -> Optional[Mutant]:
-    """Truncate one fold-layer coset leaf below its full width."""
+    """Truncate one fold-layer opening's coset rows below full width."""
     proof = target.decode(target.blob)
-    rounds = _fri_layer_rounds(proof)
-    if not rounds:
+    layers = _layer_openings(proof)
+    if not layers:
         return None
-    qr = _choice(rng, rounds)
-    layer = _choice(rng, qr.layers)
-    layer.coset_leaf = layer.coset_leaf[: int(rng.integers(0, layer.coset_leaf.size))]
+    op = _choice(rng, layers)
+    op.rows = np.ascontiguousarray(op.rows[:, : int(rng.integers(0, op.rows.shape[1]))])
     return Mutant("truncate-coset-leaf", data=target.encode(proof))
 
 
 def swap_coset_values(target: FuzzTarget, rng) -> Optional[Mutant]:
-    """Swap two extension values inside one opened coset leaf."""
+    """Swap two extension values inside one opened coset row."""
     proof = target.decode(target.blob)
-    rounds = _fri_layer_rounds(proof)
-    if not rounds:
+    layers = _layer_openings(proof)
+    if not layers:
         return None
-    qr = _choice(rng, rounds)
-    layer = _choice(rng, qr.layers)
-    coset = layer.coset_leaf.reshape(-1, 2)
+    op = _choice(rng, layers)
+    coset = op.rows[int(rng.integers(0, op.rows.shape[0]))].reshape(-1, 2)
     i, j = (int(k) for k in rng.choice(coset.shape[0], size=2, replace=False))
     if np.array_equal(coset[i], coset[j]):
         return None
@@ -409,30 +419,25 @@ def swap_coset_values(target: FuzzTarget, rng) -> Optional[Mutant]:
 
 
 def arity2_shaped_leaf(target: FuzzTarget, rng) -> Optional[Mutant]:
-    """Open an arity-4 or -8 layer with a 4-element (arity-2) leaf.
+    """Open an arity-4 or -8 layer with 4-element (arity-2) rows.
 
-    The leaf is one honest ``(x, -x)`` pair of the coset (slots ``j``
-    and ``j + half``), shaped as an arity-2 prover would commit it.
+    Each row keeps one honest ``(x, -x)`` pair of its coset (slots
+    ``j`` and ``j + half``), shaped as an arity-2 prover would commit it.
     """
     proof = target.decode(target.blob)
-    wide = [
-        layer
-        for qr in _fri_layer_rounds(proof)
-        for layer in qr.layers
-        if layer.coset_leaf.size > 4
-    ]
+    wide = [op for op in _layer_openings(proof) if op.rows.shape[1] > 4]
     if not wide:
         return None
-    layer = _choice(rng, wide)
-    coset = layer.coset_leaf.reshape(-1, 2)
-    half = coset.shape[0] // 2
+    op = _choice(rng, wide)
+    cosets = op.rows.reshape(op.rows.shape[0], -1, 2)
+    half = cosets.shape[1] // 2
     j = int(rng.integers(0, half))
-    layer.coset_leaf = np.concatenate([coset[j], coset[j + half]])
+    op.rows = np.concatenate([cosets[:, j], cosets[:, j + half]], axis=1)
     return Mutant("arity2-shaped-leaf", data=target.encode(proof))
 
 
 def permute_coset_rows(target: FuzzTarget, rng) -> Optional[Mutant]:
-    """Permute the rows inside one opened initial coset leaf, path kept.
+    """Permute the LDE rows inside one opened initial coset leaf.
 
     Under coset leaves an initial leaf holds the LDE rows a virtual
     first FRI layer folds, one slot after another; reordered, it keeps
@@ -447,22 +452,23 @@ def permute_coset_rows(target: FuzzTarget, rng) -> Optional[Mutant]:
     for cols in proof.openings.columns:
         for b, c in cols:
             widths[b] = max(widths.get(b, 0), c + 1)
+    ops = proof.fri_proof.batch_openings
     picks = [
-        (qr, b)
-        for qr in proof.fri_proof.query_rounds
+        (b, k)
         for b, w in widths.items()
-        if qr.initial.leaves[b].size > w and qr.initial.leaves[b].size % w == 0
+        if ops[b].rows.shape[1] > w and ops[b].rows.shape[1] % w == 0
+        for k in range(ops[b].rows.shape[0])
     ]
     if not picks:
         return None
-    qr, b = _choice(rng, picks)
-    rows = qr.initial.leaves[b].reshape(-1, widths[b])
+    b, k = _choice(rng, picks)
+    rows = ops[b].rows[k].reshape(-1, widths[b])
     order = rng.permutation(rows.shape[0])
     if np.array_equal(order, np.arange(rows.shape[0])):
         order = order[::-1]
     if np.array_equal(rows[order], rows):
         return None
-    qr.initial.leaves[b] = rows[order].reshape(-1)
+    ops[b].rows[k] = rows[order].reshape(-1)
     return Mutant("permute-coset-rows", data=target.encode(proof))
 
 
@@ -525,9 +531,7 @@ def drop_opened_row(target: FuzzTarget, rng) -> Optional[Mutant]:
     reject on the index-set comparison (before any hashing).
     """
     proof = target.decode(target.blob)
-    if not hasattr(proof, "sumcheck"):
-        return None
-    ops = [op for op in proof.tree_openings() if len(op.proof.indices) >= 2]
+    ops = [op for op in _tree_openings(proof) if len(op.proof.indices) >= 2]
     if not ops:
         return None
     op = _choice(rng, ops)
@@ -545,9 +549,7 @@ def pad_opening_nodes(target: FuzzTarget, rng) -> Optional[Mutant]:
     digest still matches the cap.
     """
     proof = target.decode(target.blob)
-    if not hasattr(proof, "sumcheck"):
-        return None
-    op = _choice(rng, proof.tree_openings())
+    op = _choice(rng, _tree_openings(proof))
     junk = np.array(
         [[_rand_elem(rng) for _ in range(4)]], dtype=np.uint64
     )
@@ -559,33 +561,26 @@ def pad_opening_nodes(target: FuzzTarget, rng) -> Optional[Mutant]:
 
 
 def mismatch_initial_proofs(target: FuzzTarget, rng) -> Optional[Mutant]:
-    """Hand the verifier fewer Merkle proofs than initial leaves.
+    """Hand the verifier fewer batch tree openings than batch caps.
 
-    Unserializable on purpose: ``write_fri_proof`` zips leaves with
-    proofs, so the only way this state reaches a verifier is through
-    the in-process object API -- where a truncating ``zip`` would have
-    skipped Merkle checks entirely.
+    Object-level: a truncating ``zip`` of openings with caps would
+    leave the last commitment unchecked, so the verifier must count
+    the openings before it pairs them off.
     """
     proof = copy.deepcopy(target.decode(target.blob))
     if not hasattr(proof, "fri_proof"):
         return None
-    rounds = [qr for qr in proof.fri_proof.query_rounds if qr.initial.proofs]
-    if not rounds:
-        return None
-    qr = _choice(rng, rounds)
-    qr.initial.proofs = qr.initial.proofs[:-1]
+    proof.fri_proof.batch_openings = proof.fri_proof.batch_openings[:-1]
     return Mutant("mismatch-initial-proofs", proof=proof)
 
 
 def scalar_coset_leaf(target: FuzzTarget, rng) -> Optional[Mutant]:
-    """Replace one coset leaf with a 0-d array (slicing would crash)."""
+    """Replace one layer opening's rows with a 0-d array (slicing would crash)."""
     proof = copy.deepcopy(target.decode(target.blob))
-    rounds = _fri_layer_rounds(proof)
-    if not rounds:
+    layers = _layer_openings(proof)
+    if not layers:
         return None
-    qr = _choice(rng, rounds)
-    layer = _choice(rng, qr.layers)
-    layer.coset_leaf = np.uint64(_rand_elem(rng)).reshape(())
+    _choice(rng, layers).rows = np.uint64(_rand_elem(rng)).reshape(())
     return Mutant("scalar-coset-leaf", proof=proof)
 
 
@@ -602,8 +597,9 @@ MUTATORS: Dict[str, Callable[[FuzzTarget, np.random.Generator], Optional[Mutant]
     "swap-opening-points": swap_opening_points,
     "swap-cap-entries": swap_cap_entries,
     "truncate-cap": truncate_cap,
-    "drop-query-round": drop_query_round,
-    "duplicate-query-round": duplicate_query_round,
+    "drop-sibling-node": drop_sibling_node,
+    "duplicate-opened-row": duplicate_opened_row,
+    "swap-opened-rows": swap_opened_rows,
     "drop-layer": drop_layer,
     "duplicate-layer": duplicate_layer,
     "resize-final-poly": resize_final_poly,

@@ -11,7 +11,6 @@ from .proof import (
     HyperPlonkConfig,
     HyperPlonkData,
     HyperPlonkProof,
-    HyperPlonkTreeOpening,
     HyperPlonkVerifierData,
 )
 from .prover import prove, setup
@@ -22,7 +21,6 @@ __all__ = [
     "HyperPlonkData",
     "HyperPlonkVerifierData",
     "HyperPlonkProof",
-    "HyperPlonkTreeOpening",
     "HyperPlonkError",
     "setup",
     "prove",

@@ -9,7 +9,7 @@ argument is the committed sumcheck itself.
 
 Query openings are *batched per tree* (format v2): instead of one
 authentication path per opened leaf per query, each committed tree
-ships a single :class:`HyperPlonkTreeOpening` -- the deduplicated
+ships a single :class:`~repro.merkle.TreeOpening` -- the deduplicated
 sorted index set, the opened leaf rows, and one
 :class:`~repro.merkle.MerkleMultiProof` whose sibling nodes are shared
 across every query that touches the tree.  The verifier re-derives the
@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..merkle import MerkleMultiProof, MerkleTree
+from ..merkle import MerkleTree, TreeOpening
 from ..plonk.circuit import Circuit
 from ..serialize import ByteReader, ByteWriter, read_cap
 from ..sumcheck import SumcheckProof
@@ -128,56 +128,6 @@ def query_index_sets(
 
 
 @dataclass
-class HyperPlonkTreeOpening:
-    """All of one tree's query openings, batched into a multiproof.
-
-    ``rows`` holds the opened leaf rows in ascending index order --
-    row ``k`` is the leaf at ``proof.indices[k]``.  The multiproof's
-    sibling nodes are deduplicated across the whole index set, which is
-    where the v2 format's proof-size win over per-query individual
-    paths comes from.
-    """
-
-    rows: np.ndarray  # (k, leaf_width), ascending proof.indices order
-    proof: MerkleMultiProof
-
-    def size_bytes(self) -> int:
-        """Payload bytes: indices, opened rows, and shared path nodes."""
-        return (
-            4 * len(self.proof.indices)
-            + int(self.rows.size) * ELEM_BYTES
-            + self.proof.size_bytes()
-        )
-
-    def write(self, w: ByteWriter) -> None:
-        """Append the opening: indices, rows, shared path nodes."""
-        w.u32(len(self.proof.indices))
-        for idx in self.proof.indices:
-            w.u32(idx)
-        w.elems(self.rows)
-        w.elems(self.proof.nodes)
-
-    @classmethod
-    def read(cls, r: ByteReader, width: int, what: str) -> "HyperPlonkTreeOpening":
-        """Read one opening of ``width``-column leaves (``what`` labels errors)."""
-        indices = tuple(
-            r.u32() for _ in range(r.count(4, f"{what} index count"))
-        )
-        for a, b in zip(indices, indices[1:]):
-            if b <= a:
-                raise ValueError(f"malformed {what} (indices must be strictly ascending)")
-        rows = r.elems()
-        if rows.ndim != 2 or rows.shape != (len(indices), width):
-            raise ValueError(
-                f"malformed {what} (expected a ({len(indices)}, {width}) row array)"
-            )
-        nodes = r.elems()
-        if nodes.ndim != 2 or nodes.shape[1] != 4:
-            raise ValueError(f"malformed {what} (path nodes must be (k, 4))")
-        return cls(rows=rows, proof=MerkleMultiProof(indices=indices, nodes=nodes))
-
-
-@dataclass
 class HyperPlonkProof:
     """A complete sumcheck-native proof (batched-opening format v2)."""
 
@@ -188,12 +138,12 @@ class HyperPlonkProof:
     level_caps: List[np.ndarray]
     #: Batched openings: preprocessed / wires / Z base trees, then one
     #: entry per committed fold level (same order as ``level_caps``).
-    pre_opening: HyperPlonkTreeOpening
-    wires_opening: HyperPlonkTreeOpening
-    z_opening: HyperPlonkTreeOpening
-    level_openings: List[HyperPlonkTreeOpening]
+    pre_opening: TreeOpening
+    wires_opening: TreeOpening
+    z_opening: TreeOpening
+    level_openings: List[TreeOpening]
 
-    def tree_openings(self) -> List[HyperPlonkTreeOpening]:
+    def tree_openings(self) -> List[TreeOpening]:
         """Every tree opening, base trees first then fold levels.
 
         (Named ``tree_openings`` rather than ``openings`` because the
@@ -262,7 +212,7 @@ class HyperPlonkProof:
             read_cap(r, "fold-level cap")
             for _ in range(r.count(8, "fold-level cap count"))
         ]
-        read = HyperPlonkTreeOpening.read
+        read = TreeOpening.read
         pre_opening = read(r, 8, "preprocessed opening")
         wires_opening = read(r, 3, "wires opening")
         z_opening = read(r, 1, "Z opening")

@@ -45,14 +45,14 @@ hashing.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .. import parallel, tracing
 from ..field import gl64, goldilocks as gl
 from ..hashing import Challenger
-from ..merkle import MerkleTree, prove_multi
+from ..merkle import MerkleTree, open_tree
 from ..pcs import MultilinearPCS, eq_table
 from ..plonk.circuit import Circuit
 from ..plonk.permutation import compute_z, id_values, sigma_values
@@ -62,7 +62,6 @@ from .proof import (
     HyperPlonkConfig,
     HyperPlonkData,
     HyperPlonkProof,
-    HyperPlonkTreeOpening,
     query_index_sets,
 )
 
@@ -192,13 +191,6 @@ def _committed_sumcheck(
     )
 
 
-def _tree_opening(tree: MerkleTree, indices: Iterable[int]) -> HyperPlonkTreeOpening:
-    """Batch-open one tree at a deduplicated index set (pure reads)."""
-    idx = sorted({int(i) for i in indices})
-    rows = np.stack([tree.leaves[i] for i in idx])
-    return HyperPlonkTreeOpening(rows=rows, proof=prove_multi(tree, idx))
-
-
 def prove(
     data: HyperPlonkData,
     inputs: Dict[int, int],
@@ -267,11 +259,11 @@ def prove(
             base_set, z_set, level_sets = query_index_sets(
                 indices, n, len(level_trees)
             )
-            pre_opening = _tree_opening(data.preprocessed, base_set)
-            wires_opening = _tree_opening(wires_tree, base_set)
-            z_opening = _tree_opening(z_tree, z_set)
+            pre_opening = open_tree(data.preprocessed, base_set)
+            wires_opening = open_tree(wires_tree, base_set)
+            z_opening = open_tree(z_tree, z_set)
             level_openings = [
-                _tree_opening(tree, s) for tree, s in zip(level_trees, level_sets)
+                open_tree(tree, s) for tree, s in zip(level_trees, level_sets)
             ]
 
     return HyperPlonkProof(

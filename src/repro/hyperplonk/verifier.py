@@ -10,7 +10,8 @@ committed folded levels with the sumcheck challenges.
 Openings arrive batched per tree (format v2): the verifier re-derives
 every index each query touches from the transcript
 (:func:`~repro.hyperplonk.proof.query_index_sets`), demands that each
-tree's multiproof covers exactly that sorted set, and authenticates
+tree's multiproof covers exactly that sorted set
+(:func:`repro.merkle.check_opening`), and authenticates
 the openings of all ``3 + (v - 1)`` trees against their caps in one
 :func:`repro.merkle.verify_paths` call.  Any
 tampering with the round polynomials, the committed tables, or the
@@ -25,7 +26,7 @@ enforces across every registered protocol.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -33,13 +34,12 @@ from .. import tracing
 from ..errors import VerifierError
 from ..field import gl64, goldilocks as gl
 from ..hashing import Challenger
-from ..merkle import PathOpening, verify_paths
+from ..merkle import check_opening, verify_paths
 from ..pcs import eq_at
 from ..plonk.permutation import coset_representatives
 from ..sumcheck import SumcheckError, verify as sumcheck_verify
 from .proof import (
     HyperPlonkProof,
-    HyperPlonkTreeOpening,
     HyperPlonkVerifierData,
     query_index_sets,
 )
@@ -89,44 +89,6 @@ def _check_cap(cap: np.ndarray, what: str) -> np.ndarray:
     if cap.ndim != 2 or cap.shape[1] != 4 or c == 0 or c & (c - 1):
         raise HyperPlonkError(f"malformed {what}")
     return cap
-
-
-def _check_opening(
-    opening: HyperPlonkTreeOpening,
-    expected: Iterable[int],
-    width: int,
-    cap: np.ndarray,
-    num_leaves: int,
-    cap_height: int,
-    what: str,
-) -> Tuple[Dict[int, np.ndarray], PathOpening]:
-    """Validate one tree's batched opening (no hashing).
-
-    The index set is *derived*, never trusted: the multiproof must open
-    exactly the sorted positions the transcript's queries touch, with
-    one ``width``-wide row per position.  Returns ``index -> row`` and
-    the :class:`~repro.merkle.PathOpening` that must still authenticate
-    against the tree's cap.
-    """
-    expected_idx = tuple(sorted({int(i) for i in expected}))
-    try:
-        indices = tuple(int(i) for i in opening.proof.indices)
-        rows = np.asarray(opening.rows, dtype=np.uint64)
-        nodes = np.asarray(opening.proof.nodes, dtype=np.uint64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise HyperPlonkError(f"malformed {what}") from exc
-    if indices != expected_idx:
-        raise HyperPlonkError(f"{what} does not open the queried indices")
-    if rows.ndim != 2 or rows.shape != (len(expected_idx), width):
-        raise HyperPlonkError(f"{what} has wrong shape")
-    if nodes.ndim != 2 or nodes.shape[1] != 4:
-        raise HyperPlonkError(f"malformed {what}")
-    depth = num_leaves.bit_length() - 1
-    if cap.shape[0] != 1 << min(cap_height, depth):
-        raise HyperPlonkError(f"{what} cap has the wrong height")
-    leaves = {idx: rows[k] for k, idx in enumerate(expected_idx)}
-    levels = depth - min(cap_height, depth)
-    return leaves, PathOpening(rows, expected_idx, nodes, cap, levels)
 
 
 def _base_q_value(
@@ -258,16 +220,20 @@ def _verify(
                 zip(proof.level_openings, level_caps, level_sets)
             )
         ]
-        checked = [
-            _check_opening(op, s, width, cap, leaves, ch, what)
-            for op, s, width, cap, leaves, what in trees
-        ]
-        verdicts = verify_paths([path for _, path in checked])
+        try:
+            paths = [
+                check_opening(op, s, width, cap, leaves, ch, what)
+                for op, s, width, cap, leaves, what in trees
+            ]
+        except ValueError as exc:
+            raise HyperPlonkError(str(exc)) from exc
+        verdicts = verify_paths(paths)
         for ok, (*_, what) in zip(verdicts, trees):
             if not ok:
                 raise HyperPlonkError(f"{what} fails its Merkle check")
-        (pre_map, _), (wires_map, _), (z_map, _) = checked[:3]
-        level_maps = [leaves for leaves, _ in checked[3:]]
+        pre_map, wires_map, z_map, *level_maps = (
+            dict(zip(path.indices, path.rows)) for path in paths
+        )
 
     with tracing.span("verify:fold", category="verify", queries=len(indices)):
         for j in indices:

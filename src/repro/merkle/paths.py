@@ -1,7 +1,7 @@
 """Batched authentication-path verification: schedule, then climb.
 
-A verifier checks many openings against many caps -- every query of
-every tree of a proof.  Walking each path alone hashes one state per
+A verifier checks many openings against many caps -- one per committed
+tree of a proof, each at many query indices.  Walking each path alone hashes one state per
 Poseidon call, which is the slowest way to run the permutation; the
 prover builds trees a level at a time (paper Section 5.3) and the
 verifier can check them the same way.  :func:`verify_paths` takes
@@ -9,14 +9,12 @@ verifier can check them the same way.  :func:`verify_paths` takes
 
 1. **Schedule** (integers only, no hashing).  Each opening is
    validated and given consecutive digest slots in one pool: its leaf
-   digests, then its supplied nodes.  A single-index opening -- a path,
-   every opening FRI sends -- needs no lowering: its running digest
-   stays in its leaf slot, and level ``l`` pairs it with supplied node
-   ``l`` on the side bit ``l`` of its index names, so one level of all
-   paths is a few array operations.  A multi-index opening is a sorted
-   frontier of known nodes that, level by level, pairs neighbours with
-   each other or with the next supplied digest; :func:`_schedule`
-   lowers it to per-level lists of ``(left, right) -> parent`` slots.
+   digests, then its supplied nodes.  An opening is a sorted frontier
+   of known nodes that, level by level, pairs neighbours with each
+   other or with the next supplied digest; :func:`_schedule` lowers it
+   to per-level lists of ``(left, right) -> parent`` slots.  A
+   one-index opening is the degenerate frontier: every level consumes
+   one supplied node, the path's sibling.
 2. **Climb**.  All leaves are hashed once, grouped by row width,
    through :func:`~repro.hashing.sponge.hash_leaves_into`, and all
    supplied nodes land in the pool in one scatter; then every opening
@@ -27,13 +25,12 @@ verifier can check them the same way.  :func:`verify_paths` takes
    cap row.  Assembling the pool and comparing the caps take a fixed
    number of NumPy calls, however many openings there are.
 
-The number of permutations is exactly that of walking every path
-alone -- the same nodes are compressed, only many per call.
+The number of permutations is exactly that of walking each opening's
+frontier alone -- the same nodes are compressed, only many per call.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
@@ -53,20 +50,14 @@ class PathOpening:
     frontier, one is consumed whenever a node's sibling is not itself on
     the frontier (:func:`~repro.merkle.prove_multi` emits them in this
     order; for a single index they are the path's siblings).  ``levels``
-    is the number of compressions between the leaves and ``cap``;
-    ``None`` means one per supplied node, i.e. a single path.
+    is the number of compressions between the leaves and ``cap``.
     """
 
     rows: Any  # (k, width) leaf rows
     indices: Sequence[int]
     nodes: Any  # (m, DIGEST_LEN) supplied digests
     cap: Any  # (c, DIGEST_LEN)
-    levels: Optional[int] = None
-
-
-#: Single-path indices stay below ``2**_MAX_BIT``, so every shift of one
-#: is defined on ``int64``; no tree that deep can be built.
-_MAX_BIT = 62
+    levels: int
 
 
 def _coerce(op: PathOpening) -> Optional[tuple]:
@@ -77,7 +68,7 @@ def _coerce(op: PathOpening) -> Optional[tuple]:
         rows = np.asarray(op.rows, dtype=np.uint64)
         nodes = np.asarray(op.nodes, dtype=np.uint64)
         indices = [int(i) for i in op.indices]
-        levels = nodes.shape[0] if op.levels is None else int(op.levels)
+        levels = int(op.levels)
     except (TypeError, ValueError, OverflowError, IndexError):
         return None
     if rows.ndim != 2 or rows.shape[0] != len(indices) or levels < 0:
@@ -101,7 +92,7 @@ def _coerce_cap(cap) -> Optional[np.ndarray]:
 def _schedule(
     indices: List[int], num_nodes: int, levels: int
 ) -> Optional[Tuple[List[Tuple[List[int], List[int]]], List[Tuple[int, int]]]]:
-    """Lower a multi-index opening to digest-slot moves; ``None`` if its
+    """Lower an opening to digest-slot moves; ``None`` if its
     node count does not match the frontier's needs.
 
     Slots are local: leaf digest ``k`` is slot ``k``, supplied node
@@ -146,7 +137,6 @@ def verify_paths(openings: Sequence[PathOpening]) -> np.ndarray:
     affects another opening's verdict.  Leaf rows and supplied digests
     are read modulo ``p``; a derived digest must equal its cap row
     exactly.
-
     """
     verdicts = np.zeros(len(openings), dtype=bool)
     caps: dict = {}  # id(cap) -> (coerced cap or None, first pool row)
@@ -156,8 +146,7 @@ def verify_paths(openings: Sequence[PathOpening]) -> np.ndarray:
     by_width: dict = {}  # width -> (leaf rows, leaf slots)
     node_arrays: List[np.ndarray] = []
     node_slots: List[int] = []
-    paths: List[Tuple[int, int, int]] = []  # (depth, index, leaf slot)
-    gathers: List[List[int]] = []  # per level, over all multi-index openings:
+    gathers: List[List[int]] = []  # per level, over all openings:
     outs: List[List[int]] = []  # child pool slots, parent pool slots
     finals: Tuple[List[int], List[int], List[int]] = ([], [], [])  # slot, cap row, owner
     total = 0
@@ -178,22 +167,16 @@ def verify_paths(openings: Sequence[PathOpening]) -> np.ndarray:
         if indices and not (0 <= indices[0] and indices[-1] < cap.shape[0] << levels):
             continue
         num_rows, num_nodes = len(indices), nodes.shape[0]
-        if num_rows == 1:
-            if num_nodes != levels or indices[0] >> _MAX_BIT:
-                continue
-            paths.append((levels, indices[0], total))
-            ends = [(0, indices[0] >> levels)]
-        else:
-            plan = _schedule(indices, num_nodes, levels)
-            if plan is None:
-                continue
-            steps, ends = plan
-            for level, (children, parents) in enumerate(steps):
-                if level == len(gathers):
-                    gathers.append([])
-                    outs.append([])
-                gathers[level] += [total + slot for slot in children]
-                outs[level] += [total + slot for slot in parents]
+        plan = _schedule(indices, num_nodes, levels)
+        if plan is None:
+            continue
+        steps, ends = plan
+        for level, (children, parents) in enumerate(steps):
+            if level == len(gathers):
+                gathers.append([])
+                outs.append([])
+            gathers[level] += [total + slot for slot in children]
+            outs[level] += [total + slot for slot in parents]
         live.append(number)
         for slot, row in ends:
             finals[0].append(total + slot)
@@ -216,26 +199,11 @@ def verify_paths(openings: Sequence[PathOpening]) -> np.ndarray:
         digests = np.empty((rows.shape[0], sponge.DIGEST_LEN), dtype=np.uint64)
         pool[slots] = sponge.hash_leaves_into(rows, digests)
 
-    # Paths deepest first, so the ones still climbing at a level are a
-    # prefix; a path's running digest never leaves its leaf slot.
-    paths.sort(reverse=True)
-    shallower = [-depth for depth, _, _ in paths]  # ascending
-    index = np.array([i for _, i, _ in paths], dtype=np.int64)
-    slot = np.array([s for _, _, s in paths], dtype=np.int64)
-    for level in range(max(-shallower[0] if paths else 0, len(gathers))):
-        count = bisect.bisect_left(shallower, -level)
-        cur = slot[:count]
-        sib = cur + (1 + level)
-        right = ((index[:count] >> min(level, _MAX_BIT)) & 1).astype(bool)
-        pairs = np.empty((count, 2), dtype=np.int64)
-        pairs[:, 0] = np.where(right, sib, cur)
-        pairs[:, 1] = np.where(right, cur, sib)
-        gather, out = pairs.reshape(-1), cur
-        if level < len(gathers):
-            gather = np.concatenate((gather, np.array(gathers[level], dtype=np.int64)))
-            out = np.concatenate((out, np.array(outs[level], dtype=np.int64)))
-        if out.size:
-            digests = np.empty((out.size, sponge.DIGEST_LEN), dtype=np.uint64)
+    # Openings of unequal depth share the early levels; a shallower one
+    # just stops contributing pairs once it reaches its cap.
+    for gather, out in zip(gathers, outs):
+        if out:
+            digests = np.empty((len(out), sponge.DIGEST_LEN), dtype=np.uint64)
             pool[out] = sponge.compress_level_into(pool[gather], digests)
 
     verdicts[live] = True

@@ -14,14 +14,13 @@ climbing levels (Section 5.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 import numpy as np
 
 from ..field import gl64
 from ..hashing import sponge
-from .paths import PathOpening, verify_paths
+from .multiproof import MerkleMultiProof, prove_multi
 
 
 def level_sizes(num_leaves: int, cap_height: int) -> List[int]:
@@ -37,16 +36,6 @@ def level_sizes(num_leaves: int, cap_height: int) -> List[int]:
         sizes.append(width)
         width //= 2
     return sizes
-
-
-@dataclass(frozen=True)
-class MerkleProof:
-    """Authentication path from a leaf to the cap."""
-
-    siblings: np.ndarray  # (path_len, DIGEST_LEN)
-
-    def __len__(self) -> int:
-        return len(self.siblings)
 
 
 def level_views(arena: np.ndarray, sizes) -> List[np.ndarray]:
@@ -179,34 +168,11 @@ class MerkleTree:
         """Number of leaves."""
         return self.leaves.shape[0]
 
-    def prove(self, index: int) -> MerkleProof:
-        """Return the authentication path for leaf ``index``."""
-        if not 0 <= index < self.num_leaves():
-            raise IndexError("leaf index out of range")
-        sibs = []
-        for level in self.levels[:-1]:
-            sibs.append(level[index ^ 1])
-            index >>= 1
-        if sibs:
-            return MerkleProof(siblings=np.stack(sibs))
-        return MerkleProof(siblings=np.zeros((0, sponge.DIGEST_LEN), dtype=np.uint64))
-
-
-def verify_proof(
-    leaf_data: np.ndarray,
-    index: int,
-    proof: MerkleProof,
-    cap: np.ndarray,
-) -> bool:
-    """Check an authentication path against a cap.
-
-    ``leaf_data`` is the raw 1-D leaf row (the verifier re-hashes it).
-    The one-opening call of :func:`repro.merkle.verify_paths`: any
-    malformed leaf, sibling array, cap or index is ``False``, never an
-    exception.
-    """
-    opening = PathOpening([leaf_data], (index,), proof.siblings, cap)
-    return bool(verify_paths([opening])[0])
+    def prove(self, index: int) -> MerkleMultiProof:
+        """The one-index opening of leaf ``index``: its path's siblings,
+        leaf to cap (``prove_multi(self, [index])``).  No protocol opens
+        one index; ``bench/layers.py`` times it as its single-path probe."""
+        return prove_multi(self, [index])
 
 
 def merkle_permutation_count(num_leaves: int, leaf_width: int, cap_height: int = 0) -> int:

@@ -188,14 +188,11 @@ def _fp_fri_combine(args: Dict[str, Any]) -> List[Access]:
 
 def _fp_fri_queries(args: Dict[str, Any]) -> List[Access]:
     # Pure gather over transcript-pinned indices: whole-buffer reads of
-    # every batch/layer values matrix and tree arena.
+    # the leaf matrix and arena of every tree in the shard's group.
     out: List[Access] = []
-    for batch in args["batches"]:
-        out += _acc(batch["values"], "r")
-        out += _acc(batch["arena"], "r")
-    for layer in args["layers"]:
-        out += _acc(layer["values"], "r")
-        out += _acc(layer["arena"], "r")
+    for tree in args["trees"]:
+        out += _acc(tree["values"], "r")
+        out += _acc(tree["arena"], "r")
     return out
 
 

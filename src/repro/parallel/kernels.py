@@ -8,8 +8,8 @@ in the coordinator); :func:`repro.parallel.shm.resolve` makes both look
 the same.
 
 Every kernel is the *row-range restriction* of one prover computation:
-iNTT/LDE rows, Merkle leaf/compress ranges, FRI combine rows and query
-index chunks are all independent across rows, so any split produces
+iNTT/LDE rows, Merkle leaf/compress ranges, FRI combine rows and the
+query openings of separate trees are all independent, so any split produces
 bit-identical field elements, digests and operation counters (the
 counters charge per row/leaf, so disjoint ranges sum to exactly the
 one-shard totals).  The arithmetic itself lives with its protocol
@@ -171,39 +171,22 @@ def _tree(ref: Dict[str, Any]):
     )
 
 
-def fri_query_chunk(args: Dict[str, Any]) -> List[Any]:
-    """Gather the openings for a chunk of FRI query indices.
+def fri_open_trees(args: Dict[str, Any]) -> List[Any]:
+    """Open a group of committed FRI trees at the whole query index set.
 
-    Pure reads: initial leaves and Merkle paths from every batch, then
-    coset leaves and paths down the layer trees -- no hashing.  Leaf
-    ``j`` of a tree with ``m`` leaves packs the coset of ``v[j]`` (a
-    batch tree of row leaves has ``m = N``), so a query at position
-    ``p`` opens leaf ``p % m``, which is also its position in the next,
-    ``m``-value layer.
-    Returns one :class:`~repro.fri.proof.FriQueryRound` per index, in
-    the chunk's (transcript-pinned) index order.
+    Pure reads, no hashing: a tree with ``m`` leaves packs the coset of
+    ``v[j]`` in leaf ``j`` (a batch tree of row leaves has ``m = N``),
+    so a query at position ``p`` opens leaf ``p % m`` of every tree.
+    Returns one :class:`~repro.merkle.TreeOpening` per tree of the
+    group, in order: its distinct opened leaves and their multiproof.
     """
-    from ..fri.proof import FriInitialOpening, FriLayerOpening, FriQueryRound
+    from ..merkle import open_tree
 
-    batches = [_tree(b) for b in args["batches"]]
-    layers = [_tree(layer) for layer in args["layers"]]
-    rounds: List[Any] = []
-    for idx in args["indices"]:
-        idx = int(idx)
-        leaf_ids = [idx % t.num_leaves() for t in batches]
-        initial = FriInitialOpening(
-            leaves=[t.leaves[i].copy() for t, i in zip(batches, leaf_ids)],
-            proofs=[t.prove(i) for t, i in zip(batches, leaf_ids)],
-        )
-        openings = []
-        cur = idx
-        for t in layers:
-            cur %= t.num_leaves()
-            openings.append(
-                FriLayerOpening(coset_leaf=t.leaves[cur].copy(), proof=t.prove(cur))
-            )
-        rounds.append(FriQueryRound(index=idx, initial=initial, layers=openings))
-    return rounds
+    indices = [int(i) for i in args["indices"]]
+    return [
+        open_tree(tree, [i % tree.num_leaves() for i in indices])
+        for tree in map(_tree, args["trees"])
+    ]
 
 
 #: Kernel registry: shard ``kind`` -> callable.
@@ -213,7 +196,7 @@ KERNELS: Dict[str, Callable[[Dict[str, Any]], Any]] = {
     "merkle_subtree": merkle_subtree,
     "sumcheck_fold": sumcheck_fold_range,
     "fri_combine": fri_combine_range,
-    "fri_queries": fri_query_chunk,
+    "fri_queries": fri_open_trees,
 }
 
 

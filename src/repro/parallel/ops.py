@@ -488,28 +488,30 @@ def query_rounds_graph(
     layer_trees: Sequence[MerkleTree],
     indices: Sequence[int],
 ) -> Stage:
-    """The FRI query phase, split by chunks of query indices.
+    """The FRI query phase: every batch and layer tree opened once, at
+    the whole index set, with the trees split over the plane's parts.
 
-    Queries are pure reads (no hashing, no transcript), so any split is
-    exact; rounds are assembled in the transcript-pinned index order.
+    Openings are pure reads (no hashing, no transcript), so any split
+    is exact.  Returns ``(batch_openings, layer_openings)``.
     """
     plane = _Plane(pool, ws, "fri", len(indices), pool.min_queries)
-    args = {
-        "batches": _batch_refs(plane, batches),
-        "layers": [
-            _tree_refs(plane, tree, f"fri:layer{i}") for i, tree in enumerate(layer_trees)
-        ],
-    }
+    trees = _batch_refs(plane, batches) + [
+        _tree_refs(plane, tree, f"fri:layer{i}") for i, tree in enumerate(layer_trees)
+    ]
+    args = {"indices": [int(x) for x in indices]}
     graph = ShardGraph("fri:queries")
     ids = [
         graph.add(
             f"fri:queries{i}",
             "fri_queries",
-            {**args, "indices": [int(x) for x in indices[lo:hi]]},
-            units=hi - lo,
+            {**args, "trees": trees[lo:hi]},
+            units=(hi - lo) * len(indices),
         )
-        for i, (lo, hi) in enumerate(_split(len(indices), plane.parts))
+        for i, (lo, hi) in enumerate(_split(len(trees), plane.parts))
     ]
-    return Stage(
-        plane.pool, graph, lambda results: [r for sid in ids for r in results[sid]]
-    )
+
+    def finish(results):
+        openings = [op for sid in ids for op in results[sid]]
+        return openings[: len(batches)], openings[len(batches) :]
+
+    return Stage(plane.pool, graph, finish)

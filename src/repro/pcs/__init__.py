@@ -7,7 +7,8 @@ tables with *no NTT anywhere*, which the sumcheck-native HyperPlonk-lite
 backend commits through.  The two open differently (a batch evaluation
 proof at out-of-domain points vs. index openings plus fold-consistency
 spot checks), so each protocol calls its scheme's own methods; what they
-share is ``verify_opening``, one opening checked against a cap.
+share is the opening shape, one :class:`~repro.merkle.TreeOpening` per
+opened tree, checked by :func:`repro.merkle.verify_paths`.
 """
 
 from .fri import FriPCS

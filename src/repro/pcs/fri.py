@@ -45,7 +45,6 @@ from ..fri import (
     open_batches,
 )
 from ..hashing import Challenger
-from ..merkle.tree import verify_proof
 from ..parallel import ops as par_ops
 
 
@@ -120,13 +119,6 @@ class FriPCS:
         return self.add_batch(batch)
 
     # -- openings + FRI --------------------------------------------------
-
-    @staticmethod
-    def verify_opening(
-        values: np.ndarray, index: int, proof, cap: np.ndarray
-    ) -> bool:
-        """Check one row opening against a batch cap."""
-        return verify_proof(values, index, proof, cap)
 
     def open_and_prove(
         self,

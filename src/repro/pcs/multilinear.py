@@ -7,7 +7,8 @@ Poseidon hashing, which is the whole point of the sumcheck-native
 proving path (Need-for-zkSpeed / zkPHIRE argue this is where
 accelerator-era proving is heading).
 
-Openings are plain index openings (leaf row + authentication path).
+Openings are index openings: each opened tree ships one
+:class:`~repro.merkle.TreeOpening` (rows plus a shared-path multiproof).
 The HyperPlonk-lite backend builds its *evaluation* argument on top:
 each sumcheck round's folded table is Merkle-committed the same way
 (fused with the fold, :func:`repro.parallel.ops.sumcheck_fold_graph`)
@@ -28,7 +29,7 @@ import numpy as np
 
 from .. import parallel, tracing
 from ..field import gl64, goldilocks as gl
-from ..merkle import MerkleProof, MerkleTree, verify_proof
+from ..merkle import MerkleTree
 from ..parallel import ops as par_ops
 
 
@@ -93,10 +94,3 @@ class MultilinearPCS:
             return par_ops.multilinear_commit_graph(
                 parallel.current_pool(), rows, cap_height, slot
             ).run()
-
-    @staticmethod
-    def verify_opening(
-        values: np.ndarray, index: int, proof: MerkleProof, cap: np.ndarray
-    ) -> bool:
-        """Check a leaf-row opening against a commitment cap."""
-        return verify_proof(values, index, proof, cap)

@@ -15,8 +15,9 @@ class PlonkSystem(ProofSystem):
 
     name = "plonk"
     description = "Plonky2-style gates + permutation argument over FRI"
+    #: 3: each FRI tree is opened once, as a shared-path multiproof;
     #: 2: FRI layers open arity-8 coset leaves, not v1's arity-2 pairs.
-    format_version = 2
+    format_version = 3
     to_bytes = staticmethod(PlonkProof.to_bytes)
     from_bytes = staticmethod(PlonkProof.from_bytes)
     uses_ntt = True

@@ -24,9 +24,10 @@ class StarkSystem(ProofSystem):
 
     name = "stark"
     description = "AIR transition constraints, LDE + batch FRI opening"
+    #: 4: each FRI tree is opened once, as a shared-path multiproof;
     #: 3: FRI's first layer may be virtual (the batches commit its
     #: cosets); 2: FRI layers open arity-8 coset leaves, not v1's pairs.
-    format_version = 3
+    format_version = 4
     to_bytes = staticmethod(StarkProof.to_bytes)
     from_bytes = staticmethod(StarkProof.from_bytes)
     uses_ntt = True

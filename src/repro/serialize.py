@@ -7,7 +7,7 @@ validate the structural ``size_bytes()`` accounting used by the
 Table 5 / Table 6 proof-size reproduction (the codec adds only small
 length-prefix overhead).
 
-This module holds what every protocol shares (reader/writer, Merkle /
+This module holds what every protocol shares (reader/writer, cap /
 FRI / openings codecs, blob and envelope framing) and imports no
 protocol package.  A protocol's *body* codec lives beside its proof
 dataclass (``StarkProof.to_bytes`` ...); the framing functions resolve
@@ -22,14 +22,9 @@ from typing import List
 import numpy as np
 
 from .errors import UnknownProtocolError
-from .fri.proof import (
-    FriInitialOpening,
-    FriLayerOpening,
-    FriProof,
-    FriQueryRound,
-)
+from .fri.proof import FriProof
 from .fri.prover import FriOpenings
-from .merkle.tree import MerkleProof
+from .merkle import TreeOpening
 
 
 class ByteWriter:
@@ -142,17 +137,6 @@ class ByteReader:
 # -- FRI -----------------------------------------------------------------------
 
 
-def _write_merkle_proof(w: ByteWriter, proof: MerkleProof) -> None:
-    w.elems(proof.siblings)
-
-
-def _read_merkle_proof(r: ByteReader) -> MerkleProof:
-    sib = r.elems()
-    if sib.ndim != 2 or sib.shape[1] != 4:
-        raise ValueError("malformed Merkle proof (siblings must be (k, 4))")
-    return MerkleProof(siblings=sib)
-
-
 def read_cap(r: ByteReader, what: str = "Merkle cap") -> np.ndarray:
     """Read a Merkle cap, enforcing the (c, 4) digest-row layout.
 
@@ -167,27 +151,21 @@ def read_cap(r: ByteReader, what: str = "Merkle cap") -> np.ndarray:
 
 
 def write_fri_proof(w: ByteWriter, proof: FriProof) -> None:
-    """Append a FRI proof."""
+    """Append a FRI proof: caps, final polynomial, grinding witness, then
+    one :class:`~repro.merkle.TreeOpening` per batch and per layer."""
     w.u32(len(proof.commit_caps))
     for cap in proof.commit_caps:
         w.elems(cap)
     w.elems(proof.final_poly)
     w.u64(proof.pow_witness)
-    w.u32(len(proof.query_rounds))
-    for qr in proof.query_rounds:
-        w.u64(qr.index)
-        w.u32(len(qr.initial.leaves))
-        for leaf, prf in zip(qr.initial.leaves, qr.initial.proofs):
-            w.elems(leaf)
-            _write_merkle_proof(w, prf)
-        w.u32(len(qr.layers))
-        for layer in qr.layers:
-            w.elems(layer.coset_leaf)
-            _write_merkle_proof(w, layer.proof)
+    for openings in (proof.batch_openings, proof.layer_openings):
+        w.u32(len(openings))
+        for op in openings:
+            op.write(w)
 
 
 def read_fri_proof(r: ByteReader) -> FriProof:
-    """Read a FRI proof."""
+    """Read a FRI proof (leaf widths are pinned by the verifier)."""
     caps = [
         read_cap(r, "FRI layer cap")
         for _ in range(r.count(8, "FRI cap count"))
@@ -196,29 +174,20 @@ def read_fri_proof(r: ByteReader) -> FriProof:
     if final_poly.ndim != 2 or final_poly.shape[1] != 2:
         raise ValueError("malformed final polynomial (expected an (n, 2) array)")
     pow_witness = r.u64()
-    rounds = []
-    for _ in range(r.count(8, "FRI query-round count")):
-        index = r.u64()
-        leaves, proofs = [], []
-        for _ in range(r.count(8, "initial opening count")):
-            leaves.append(r.elems())
-            proofs.append(_read_merkle_proof(r))
-        layers = []
-        for _ in range(r.count(8, "FRI layer count")):
-            coset_leaf = r.elems()
-            layers.append(FriLayerOpening(coset_leaf=coset_leaf, proof=_read_merkle_proof(r)))
-        rounds.append(
-            FriQueryRound(
-                index=index,
-                initial=FriInitialOpening(leaves=leaves, proofs=proofs),
-                layers=layers,
-            )
-        )
+    batch_openings = [
+        TreeOpening.read(r, None, "FRI batch opening")
+        for _ in range(r.count(8, "FRI batch opening count"))
+    ]
+    layer_openings = [
+        TreeOpening.read(r, None, "FRI layer opening")
+        for _ in range(r.count(8, "FRI layer opening count"))
+    ]
     return FriProof(
         commit_caps=caps,
         final_poly=final_poly,
         pow_witness=pow_witness,
-        query_rounds=rounds,
+        batch_openings=batch_openings,
+        layer_openings=layer_openings,
     )
 
 

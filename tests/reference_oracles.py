@@ -88,7 +88,7 @@ def inter_dim_twiddles(log_n: int, rows: int, cols: int) -> np.ndarray:
 def individual_paths_bytes(tree: MerkleTree, indices: Sequence[int]) -> int:
     """Digest payload of separate per-index proofs: what a Merkle
     multiproof replaces."""
-    return sum(len(tree.prove(i).siblings) * 32 for i in set(indices))
+    return (len(tree.levels) - 1) * 32 * len(set(indices))
 
 
 def commit_coeffs(coeffs: np.ndarray, rate_bits: int, cap_height: int) -> PolynomialBatch:

@@ -1,10 +1,13 @@
 """The per-query scalar verifiers, kept as the independent test oracle.
 
-These are the bodies ``merkle.verify_proof``, ``merkle.verify_multi``
-and ``fri.fri_verify`` had before verification moved onto the batched
-plane (:func:`repro.merkle.verify_paths`, FRI checks on a query axis):
-one path walked at a time, one ``two_to_one`` per node, one extension
-inversion per query per opening point.  The FRI layer walk folds each
+These are the bodies ``merkle.verify_multi`` and ``fri.fri_verify`` had
+before verification moved onto the batched plane
+(:func:`repro.merkle.verify_paths`, FRI checks on a query axis): one
+tree's frontier walked at a time in a dict of known nodes (no
+``_schedule``), one ``two_to_one`` per node, one extension inversion
+per query per opening point.  Each FRI tree opening is authenticated
+once, then each query reads its row by index and walks its fold chain
+alone.  The FRI layer walk folds each
 opened coset by its own rule -- the coset's Lagrange interpolant at
 ``beta``, in Python integers -- where the shipped verifier repeats the
 prover's arity-2 :func:`repro.fri.prover.fold_pairs`; a virtual first
@@ -22,10 +25,10 @@ agreement between the two is evidence about both.
 verifiers, which keeps the protocol-level structure checks and error
 wrapping and replaces only the Merkle / FRI plane underneath.
 
-One known difference is deliberate: the scalar ``verify_proof`` /
-``verify_multi`` accept a negative index whose low bits alias a real
-leaf (``cap[-1]`` wraps); the batched kernel rejects it.  No protocol
-verifier can pass one: query indices come from the transcript.
+One known difference is deliberate: the scalar ``verify_multi``
+accepts a negative index whose low bits alias a real leaf (``cap[-1]``
+wraps); the batched kernel rejects it.  No protocol verifier can pass
+one: query indices come from the transcript.
 """
 
 from __future__ import annotations
@@ -42,32 +45,9 @@ from repro.fri.proof import FriProof
 from repro.fri.prover import FriOpenings, check_pow
 from repro.fri.verifier import FriError
 from repro.hashing import Challenger
-from repro.merkle import MerkleMultiProof, MerkleProof
+from repro.merkle import MerkleMultiProof
 
 from .reference_oracles import hash_or_noop, two_to_one
-
-
-def verify_proof(
-    leaf_data: np.ndarray,
-    index: int,
-    proof: MerkleProof,
-    cap: np.ndarray,
-) -> bool:
-    """Check an authentication path against a cap.
-
-    ``leaf_data`` is the raw leaf row (the verifier re-hashes it).
-    """
-    digest = hash_or_noop(np.atleast_2d(np.asarray(leaf_data, dtype=np.uint64)))[0]
-    for sibling in proof.siblings:
-        if index & 1:
-            digest = two_to_one(sibling, digest)
-        else:
-            digest = two_to_one(digest, sibling)
-        index >>= 1
-    cap = np.atleast_2d(np.asarray(cap, dtype=np.uint64))
-    if index >= cap.shape[0]:
-        return False
-    return bool(np.array_equal(digest, cap[index]))
 
 
 def verify_multi(
@@ -203,33 +183,33 @@ def fri_verify(
     challenger.observe_element(proof.pow_witness)
 
     indices = challenger.get_indices(config.num_queries, n_lde)
-    if len(proof.query_rounds) != len(indices):
-        raise FriError("wrong number of query rounds")
+
+    # Every tree opening covers exactly the leaves the queries reach in
+    # it and authenticates against its cap; then each query reads its
+    # rows by index.
+    m0 = n_lde >> a
+    sizes = [m0]
+    for bits in committed:
+        sizes.append(sizes[-1] >> bits)
+    if len(proof.batch_openings) != len(batch_caps):
+        raise FriError("initial opening count mismatch")
+    if len(proof.layer_openings) != len(committed):
+        raise FriError("wrong number of layer openings")
+    batches = [
+        _opened_rows(op, cap, indices, m0, config.cap_height,
+                     tuple(w << a for w in widths[b]) if widths else None, "initial")
+        for b, (op, cap) in enumerate(zip(proof.batch_openings, batch_caps))
+    ]
+    layers = [
+        _opened_rows(op, cap, indices, m, config.cap_height, (2 << bits,), "layer")
+        for op, cap, m, bits in zip(proof.layer_openings, proof.commit_caps, sizes[1:], committed)
+    ]
 
     omega = gl.primitive_root_of_unity(log_lde)
     betas = [fext.to_pair(beta) for beta in betas]
-    m0 = n_lde >> a
-    for idx, qr in zip(indices, proof.query_rounds):
-        if qr.index != idx:
-            raise FriError("query index mismatch with transcript")
-        # Initial openings against every original commitment.  The
-        # leaves/proofs lists must pair off exactly -- ``zip`` would
-        # silently truncate the check loop (skipping Merkle checks for
-        # the unpaired leaves) if one list were shorter.
-        if len(qr.initial.leaves) != len(batch_caps):
-            raise FriError("initial opening count mismatch")
-        if len(qr.initial.proofs) != len(qr.initial.leaves):
-            raise FriError("initial opening count mismatch")
+    for idx in indices:
         leaf_index = idx % m0
-        for b, (leaf, prf, cap) in enumerate(
-            zip(qr.initial.leaves, qr.initial.proofs, batch_caps)
-        ):
-            if leaf.ndim != 1:
-                raise FriError("malformed initial leaf")
-            if widths and leaf.shape[0] not in tuple(w << a for w in widths[b]):
-                raise FriError("malformed initial leaf")
-            if not verify_proof(leaf, leaf_index, prf, cap):
-                raise FriError("initial Merkle proof failed")
+        leaves = [rows[leaf_index] for rows in batches]
 
         # Layer 0: slot j of every initial leaf is LDE row
         # leaf_index + j * m0.  Combine each slot's rows, then fold the
@@ -239,7 +219,7 @@ def fri_verify(
             gl.mul(gl.coset_shift(), gl.pow_mod(omega, leaf_index + j * m0))
             for j in range(1 << a)
         ]
-        slots = [np.split(leaf, 1 << a) for leaf in qr.initial.leaves]
+        slots = [np.split(leaf, 1 << a) for leaf in leaves]
         coset = [
             _combined_at_index([s[j] for s in slots], openings, alpha, x)
             for j, x in enumerate(xs)
@@ -250,24 +230,11 @@ def fri_verify(
         cur = leaf_index
         size = m0
         shift = gl.pow_mod(gl.coset_shift(), 1 << a)
-        if len(qr.layers) != len(committed):
-            raise FriError("wrong number of layer openings")
-        for layer, beta, cap, bits in zip(qr.layers, betas, proof.commit_caps, committed):
+        for rows, beta, bits in zip(layers, betas, committed):
             m = size >> bits
             leaf_index = cur % m
-            # Validate the leaf shape before slicing: a truncated or
-            # reshaped leaf would otherwise be read into the wrong slots
-            # (or crash on a 0-d array), and ``hash_or_noop`` zero-pads
-            # 3-element rows into the same digest as a 4-element row
-            # ending in zero.
-            if layer.coset_leaf.shape != (2 << bits,):
-                raise FriError("malformed layer leaf")
-            if not verify_proof(layer.coset_leaf, leaf_index, layer.proof, cap):
-                raise FriError("layer Merkle proof failed")
-            coset = [
-                (int(layer.coset_leaf[2 * j]), int(layer.coset_leaf[2 * j + 1]))
-                for j in range(1 << bits)
-            ]
+            leaf = rows[leaf_index]
+            coset = [(int(leaf[2 * j]), int(leaf[2 * j + 1])) for j in range(1 << bits)]
             if coset[cur // m] != value:
                 raise FriError("fold consistency check failed")
             # Slot j holds the point shift * w^(leaf_index + j * m).
@@ -286,6 +253,35 @@ def fri_verify(
             expected = _ext_add(_ext_mul(expected, x_final), (c0, c1))
         if expected != value:
             raise FriError("final polynomial evaluation mismatch")
+
+
+def _opened_rows(opening, cap, indices, num_leaves, cap_height, widths, what) -> Dict[int, np.ndarray]:
+    """``leaf index -> row`` of one tree opening, after checking that it
+    opens exactly ``{i % num_leaves}`` with admissible row widths and
+    authenticates against ``cap`` through :func:`verify_multi`.
+
+    Validate the row shape before anything slices it: a truncated or
+    reshaped leaf would otherwise be read into the wrong slots (or
+    crash on a 0-d array), and ``hash_or_noop`` zero-pads 3-element
+    rows into the same digest as a 4-element row ending in zero.
+    """
+    expected = tuple(sorted({int(i) % num_leaves for i in indices}))
+    rows, nodes = opening.rows, opening.proof.nodes
+    if tuple(opening.proof.indices) != expected:
+        raise FriError(f"{what} opening does not open the queried indices")
+    if not isinstance(rows, np.ndarray) or rows.ndim != 2 or rows.shape[0] != len(expected):
+        raise FriError(f"{what} opening has wrong shape")
+    if widths is not None and rows.shape[1] not in widths:
+        raise FriError(f"{what} opening has wrong shape")
+    depth = num_leaves.bit_length() - 1
+    cap = np.atleast_2d(np.asarray(cap, dtype=np.uint64))
+    if cap.shape[0] != 1 << min(cap_height, depth):
+        raise FriError(f"{what} opening cap has the wrong height")
+    leaves = dict(zip(expected, rows))
+    proof = MerkleMultiProof(expected, np.asarray(nodes, dtype=np.uint64))
+    if not verify_multi(leaves, proof, cap, depth, min(cap_height, depth)):
+        raise FriError(f"{what} Merkle proof failed")
+    return leaves
 
 
 #: The extension's non-residue ``W``: the smallest one, found afresh.
@@ -342,13 +338,9 @@ def verify_paths(openings) -> np.ndarray:
     """:func:`repro.merkle.verify_paths` by walking each opening alone."""
     verdicts = []
     for op in openings:
-        if op.levels is None:
-            (row,), (index,) = op.rows, op.indices
-            verdicts.append(verify_proof(row, index, MerkleProof(op.nodes), op.cap))
-        else:
-            leaves = dict(zip(op.indices, op.rows))
-            proof = MerkleMultiProof(tuple(op.indices), op.nodes)
-            verdicts.append(verify_multi(leaves, proof, op.cap, op.levels))
+        leaves = dict(zip(op.indices, op.rows))
+        proof = MerkleMultiProof(tuple(op.indices), op.nodes)
+        verdicts.append(verify_multi(leaves, proof, op.cap, op.levels))
     return np.array(verdicts, dtype=bool)
 
 

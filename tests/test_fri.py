@@ -184,8 +184,7 @@ class TestFoldSchedule:
         proof = _prove(batches, _mk_openings(batches, n), cfg)
         assert cfg.fold_schedule(6) == (3, 1)
         assert len(proof.commit_caps) == 2
-        for qr in proof.query_rounds:
-            assert [layer.coset_leaf.shape for layer in qr.layers] == [(16,), (4,)]
+        assert [op.rows.shape[1] for op in proof.layer_openings] == [16, 4]
 
     @pytest.mark.parametrize("name", sorted(ARITY2_DIGESTS))
     def test_arity_2_schedule_reproduces_the_pair_leaf_proofs(self, name, monkeypatch):
@@ -390,9 +389,7 @@ class TestFaultInjection:
     def test_tampered_initial_leaf(self, setup):
         batches, openings, proof, cfg, n = setup
         p2 = copy.deepcopy(proof)
-        leaf = p2.query_rounds[0].initial.leaves[0].copy()
-        leaf[0] ^= np.uint64(1)
-        p2.query_rounds[0].initial.leaves[0] = leaf
+        p2.batch_openings[0].rows[0, 0] ^= np.uint64(1)
         with pytest.raises(FriError):
             _verify(batches, openings, p2, cfg, n)
 
@@ -400,10 +397,10 @@ class TestFaultInjection:
         # Every slot of a layer's coset leaf, queried or not, is bound
         # by its Merkle path.
         batches, openings, proof, cfg, n = setup
-        width = proof.query_rounds[0].layers[0].coset_leaf.size
+        width = proof.layer_openings[0].rows.shape[1]
         for slot in range(width):
             p2 = copy.deepcopy(proof)
-            p2.query_rounds[0].layers[0].coset_leaf[slot] ^= np.uint64(1)
+            p2.layer_openings[0].rows[0, slot] ^= np.uint64(1)
             with pytest.raises(FriError):
                 _verify(batches, openings, p2, cfg, n)
 
@@ -417,8 +414,11 @@ class TestFaultInjection:
     def test_dropped_query_round(self, setup):
         batches, openings, proof, cfg, n = setup
         p2 = copy.deepcopy(proof)
-        p2.query_rounds = p2.query_rounds[:-1]
-        with pytest.raises(FriError):
+        # Every tree stops opening its last queried leaf.
+        for op in p2.tree_openings():
+            op.rows = op.rows[:-1]
+            op.proof.indices = op.proof.indices[:-1]
+        with pytest.raises(FriError, match="does not open the queried indices"):
             _verify(batches, openings, p2, cfg, n)
 
     def test_wrong_degree_bound_claim(self, setup):

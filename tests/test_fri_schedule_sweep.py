@@ -134,19 +134,17 @@ def test_every_schedule_tail_proves_and_verifies(protocol, tail, data):
     _, proof = proof_from_blob(proof_to_blob(protocol, proof), expected_protocol=protocol)
     fri_proof = proof.fri_proof
     assert len(fri_proof.commit_caps) == len(committed)
-    for qr in fri_proof.query_rounds:
-        assert [leaf.size for leaf in qr.initial.leaves] == [
-            (w + s) << a for w, s in zip(widths, salt)
-        ]
-        assert [layer.coset_leaf.size for layer in qr.layers] == [2 << b for b in committed]
+    assert [op.rows.shape[1] for op in fri_proof.batch_openings] == [
+        (w + s) << a for w, s in zip(widths, salt)
+    ]
+    assert [op.rows.shape[1] for op in fri_proof.layer_openings] == [2 << b for b in committed]
     verify(proof)
     with reference_plane():
         verify(proof)
 
-    q = data.draw(st.integers(0, len(fri_proof.query_rounds) - 1), "query")
-    qr = fri_proof.query_rounds[q]
-    opened = [*qr.initial.leaves, *(layer.coset_leaf for layer in qr.layers)]
-    leaf = opened[data.draw(st.integers(0, len(opened) - 1), "leaf")]
+    opened = fri_proof.tree_openings()
+    rows = opened[data.draw(st.integers(0, len(opened) - 1), "tree")].rows
+    leaf = rows[data.draw(st.integers(0, rows.shape[0] - 1), "leaf")]
     element = data.draw(st.integers(0, leaf.size - 1), "element")
     leaf[element] ^= np.uint64(1 << data.draw(st.integers(0, 7), "bit"))
     _, bad = proof_from_blob(proof_to_blob(protocol, proof), expected_protocol=protocol)

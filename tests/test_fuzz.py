@@ -68,8 +68,6 @@ _STARK_ONLY = {"perturb-degree-bits"}
 _FRI_ONLY = {
     "perturb-opening-value",
     "swap-opening-points",
-    "drop-query-round",
-    "duplicate-query-round",
     "drop-layer",
     "duplicate-layer",
     "resize-final-poly",
@@ -85,20 +83,21 @@ _FRI_ONLY = {
 }
 #: Only the STARK target's batches commit coset leaves (Plonk's keep rows).
 _COSET_LEAF_ONLY = {"permute-coset-rows"}
+#: The HyperPlonk-lite target's queries open every leaf of each of its
+#: small trees, so its openings carry no path node to drop.
+_PATH_NODES_ONLY = {"drop-sibling-node"}
 _SUMCHECK_ONLY = {
     "tamper-sumcheck-round",
     "perturb-final-value",
     "perturb-claimed-sum",
     "perturb-z-opening",
-    "drop-opened-row",
-    "pad-opening-nodes",
 }
 
 
 def _applicable(protocol: str, name: str) -> bool:
     if name in _STARK_ONLY or name in _COSET_LEAF_ONLY:
         return protocol == "stark"
-    if name in _FRI_ONLY:
+    if name in _FRI_ONLY or name in _PATH_NODES_ONLY:
         return protocol in ("stark", "plonk")
     if name in _SUMCHECK_ONLY:
         return protocol == "hyperplonk"
@@ -158,20 +157,19 @@ class TestRegressionVectors:
     def test_scalar_coset_leaf_typed(self):
         tgt = target_for("stark")
         proof = tgt.decode(tgt.blob)
-        layer = proof.fri_proof.query_rounds[0].layers[0]
-        layer.coset_leaf = np.uint64(5).reshape(())
+        proof.fri_proof.layer_openings[0].rows = np.uint64(5).reshape(())
         outcome, exc = classify_object(tgt, proof)
         assert outcome == "rejected-verify"
-        assert "malformed layer leaf" in str(exc)
+        assert "layer opening has wrong shape" in str(exc)
 
     def test_truncated_coset_leaf_typed(self):
         tgt = target_for("plonk")
         proof = tgt.decode(tgt.blob)
-        layer = proof.fri_proof.query_rounds[0].layers[0]
-        layer.coset_leaf = layer.coset_leaf[:3]
+        op = proof.fri_proof.layer_openings[0]
+        op.rows = np.ascontiguousarray(op.rows[:, :3])
         outcome, exc = classify_bytes(tgt, tgt.encode(proof))
         assert outcome == "rejected-verify"
-        assert "malformed layer leaf" in str(exc)
+        assert "layer opening has wrong shape" in str(exc)
 
     def test_permuted_coset_rows_typed_on_both_planes(self):
         # An initial leaf of 8 coset rows, reordered, keeps every width
@@ -189,8 +187,7 @@ class TestRegressionVectors:
         # where a truncating zip would silently skip Merkle checks.
         tgt = target_for("stark")
         proof = tgt.decode(tgt.blob)
-        qr = proof.fri_proof.query_rounds[0]
-        qr.initial.proofs = qr.initial.proofs[:-1]
+        proof.fri_proof.batch_openings = proof.fri_proof.batch_openings[:-1]
         outcome, exc = classify_object(tgt, proof)
         assert outcome == "rejected-verify"
         assert "initial opening count mismatch" in str(exc)
@@ -206,32 +203,28 @@ class TestRegressionVectors:
     def test_reshaped_initial_leaf_typed(self):
         tgt = target_for("plonk")
         proof = tgt.decode(tgt.blob)
-        qr = proof.fri_proof.query_rounds[0]
-        qr.initial.leaves[0] = qr.initial.leaves[0].reshape(1, -1)
+        op = proof.fri_proof.batch_openings[0]
+        op.rows = op.rows.reshape(1, -1)
         outcome, exc = classify_bytes(tgt, tgt.encode(proof))
-        assert outcome == "rejected-verify"
-        assert "malformed initial leaf" in str(exc)
+        assert outcome == "rejected-decode"
+        assert "malformed FRI batch opening" in str(exc)
 
     def test_padded_leaf_rejected_and_reproduces_without_width_pin(
         self, monkeypatch, tmp_path
     ):
         # hash_or_noop zero-pads short rows, so a zero-padded leaf still
         # authenticates against the commitment; only the verifier's
-        # exact leaf-width pin rejects it.  (Every query's leaf is
-        # padded: one batch opened at two widths is rejected as
-        # malformed whatever the pin says.)  The Plonk target commits
+        # exact leaf-width pin rejects it.  The Plonk target commits
         # one row a leaf; its one-column Z rows are the short ones.
         tgt = target_for("plonk")
         proof = tgt.decode(tgt.blob)
-        for qr in proof.fri_proof.query_rounds:
-            qr.initial.leaves[2] = np.concatenate(
-                [qr.initial.leaves[2], np.zeros(1, dtype=np.uint64)]
-            )
+        op = proof.fri_proof.batch_openings[2]
+        op.rows = np.concatenate([op.rows, np.zeros((op.rows.shape[0], 1), dtype=np.uint64)], axis=1)
         data = tgt.encode(proof)
 
         outcome, exc = classify_bytes(tgt, data)
         assert outcome == "rejected-verify"
-        assert "malformed initial leaf" in str(exc)
+        assert "initial opening has wrong shape" in str(exc)
 
         # Simulate reverting the fix: call FRI without the width pin.
         import repro.plonk.verifier as pv
@@ -283,7 +276,7 @@ class TestRegressionVectors:
         proof = tgt.decode(tgt.blob)
         n_lde = (1 << proof.degree_bits) << _STARK_CONFIG.rate_bits
         omega = gl.primitive_root_of_unity(n_lde.bit_length() - 1)
-        idx = proof.fri_proof.query_rounds[0].index
+        idx = proof.fri_proof.batch_openings[0].proof.indices[0]
         x0 = gl.mul(gl.coset_shift(), gl.pow_mod(omega, idx))  # a queried LDE point
         op = proof.openings
         doctored = FriOpenings(

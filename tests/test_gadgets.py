@@ -138,7 +138,7 @@ class TestMerkleGadget:
         for i, v in enumerate(bits):
             inputs[v.index] = (idx >> i) & 1
         for lvl in range(len(sibs)):
-            for v, x in zip(sibs[lvl], proof.siblings[lvl]):
+            for v, x in zip(sibs[lvl], proof.nodes[lvl]):
                 inputs[v.index] = int(x)
         root_val = root_override if root_override is not None else tree.cap[0]
         for v, x in zip(root, root_val):

@@ -16,12 +16,11 @@ from repro.field import goldilocks as gl
 from repro.hyperplonk import (
     HyperPlonkConfig,
     HyperPlonkError,
-    HyperPlonkTreeOpening,
     prove,
     setup,
     verify,
 )
-from repro.merkle import MerkleMultiProof
+from repro.merkle import MerkleMultiProof, TreeOpening
 from repro.metrics import counting
 from repro.plonk import CircuitBuilder
 from repro.protocols import get
@@ -144,7 +143,7 @@ class TestTamperRejection:
         data, _, proof = cube
         bad = self._decode(proof)
         op = bad.wires_opening
-        bad.wires_opening = HyperPlonkTreeOpening(
+        bad.wires_opening = TreeOpening(
             rows=op.rows[1:],
             proof=MerkleMultiProof(
                 indices=op.proof.indices[1:], nodes=op.proof.nodes

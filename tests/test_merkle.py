@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.field import gl64
-from repro.merkle import MerkleTree, merkle_permutation_count, verify_proof
+from repro.merkle import (
+    MerkleMultiProof,
+    MerkleTree,
+    merkle_permutation_count,
+    prove_multi,
+    verify_multi,
+)
 
 
 class TestConstruction:
@@ -43,7 +49,10 @@ class TestConstruction:
         for h in range(6):
             cut, built = full.capped(h), MerkleTree(leaves, cap_height=h)
             assert cut.cap_height == h and np.array_equal(cut.arena, built.arena)
-            assert all(np.array_equal(cut.prove(i).siblings, built.prove(i).siblings) for i in (0, 13, 31))
+            assert all(
+                np.array_equal(prove_multi(cut, [i]).nodes, prove_multi(built, [i]).nodes)
+                for i in (0, 13, 31)
+            )
         for bad in (-1, 6):
             with pytest.raises(ValueError):
                 full.capped(bad)
@@ -65,56 +74,62 @@ class TestConstruction:
             MerkleTree(gl64.random((8, 3), rng), cap_height=4)
 
 
+def _verify_one(tree, leaf, index, proof, cap=None):
+    """A one-index opening checked against ``tree``'s depth and cap height."""
+    depth = tree.num_leaves().bit_length() - 1
+    cap = tree.cap if cap is None else cap
+    return verify_multi({index: leaf}, proof, cap, depth, tree.cap_height)
+
+
 class TestProofs:
+    """One-index openings: ``prove_multi`` at one leaf is its path."""
+
     @pytest.mark.parametrize("cap_height", [0, 1, 2])
     def test_all_indices_verify(self, cap_height, rng):
         leaves = gl64.random((16, 6), rng)
         t = MerkleTree(leaves, cap_height=cap_height)
         for i in range(16):
-            proof = t.prove(i)
-            assert len(proof) == 4 - cap_height
-            assert verify_proof(leaves[i], i, proof, t.cap)
+            proof = prove_multi(t, [i])
+            assert len(proof.nodes) == 4 - cap_height
+            assert _verify_one(t, leaves[i], i, proof)
 
     def test_wrong_leaf_fails(self, rng):
         leaves = gl64.random((8, 6), rng)
         t = MerkleTree(leaves)
-        proof = t.prove(3)
-        assert not verify_proof(leaves[4], 3, proof, t.cap)
+        assert not _verify_one(t, leaves[4], 3, prove_multi(t, [3]))
 
     def test_wrong_index_fails(self, rng):
         leaves = gl64.random((8, 6), rng)
         t = MerkleTree(leaves)
-        assert not verify_proof(leaves[3], 5, t.prove(3), t.cap)
+        proof = prove_multi(t, [3])
+        moved = MerkleMultiProof(indices=(5,), nodes=proof.nodes)
+        assert not _verify_one(t, leaves[3], 5, moved)
 
     def test_tampered_sibling_fails(self, rng):
         leaves = gl64.random((8, 6), rng)
         t = MerkleTree(leaves)
-        proof = t.prove(3)
-        proof.siblings[1] = proof.siblings[1].copy()
-        proof.siblings[1][0] ^= np.uint64(1)
-        assert not verify_proof(leaves[3], 3, proof, t.cap)
+        proof = prove_multi(t, [3])
+        proof.nodes[1, 0] ^= np.uint64(1)
+        assert not _verify_one(t, leaves[3], 3, proof)
 
     def test_wrong_cap_fails(self, rng):
         leaves = gl64.random((8, 6), rng)
         t = MerkleTree(leaves)
         bad_cap = t.cap.copy()
         bad_cap[0, 0] ^= np.uint64(1)
-        assert not verify_proof(leaves[3], 3, t.prove(3), bad_cap)
+        assert not _verify_one(t, leaves[3], 3, prove_multi(t, [3]), bad_cap)
 
     def test_index_out_of_range(self, rng):
         t = MerkleTree(gl64.random((8, 2), rng))
         with pytest.raises(IndexError):
-            t.prove(8)
+            prove_multi(t, [8])
 
     def test_cap_index_overflow_fails_gracefully(self, rng):
         leaves = gl64.random((8, 6), rng)
         t = MerkleTree(leaves, cap_height=1)
-        proof = t.prove(0)
-        # Truncate the path so the final index exceeds the cap width.
-        from repro.merkle import MerkleProof
-
-        short = MerkleProof(siblings=proof.siblings[:0])
-        assert not verify_proof(leaves[0], 7, short, t.cap[:1])
+        # No nodes and no levels: index 7 would read past a 1-row cap.
+        short = MerkleMultiProof(indices=(7,), nodes=prove_multi(t, [0]).nodes[:0])
+        assert not verify_multi({7: leaves[0]}, short, t.cap[:1], 0)
 
     @given(st.integers(min_value=0, max_value=31))
     @settings(max_examples=12, deadline=None)
@@ -122,7 +137,7 @@ class TestProofs:
         rng = np.random.default_rng(5)
         leaves = gl64.random((32, 4), rng)
         t = MerkleTree(leaves, cap_height=1)
-        assert verify_proof(leaves[index], index, t.prove(index), t.cap)
+        assert _verify_one(t, leaves[index], index, prove_multi(t, [index]))
 
 
 class TestPermCount:

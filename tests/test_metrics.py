@@ -4,7 +4,7 @@ import numpy as np
 
 from repro.field import gl64
 from repro.hashing import Challenger, hash_batch, sponge
-from repro.merkle import MerkleTree, PathOpening, verify_paths, verify_proof
+from repro.merkle import MerkleTree, PathOpening, prove_multi, verify_multi, verify_paths
 from repro.context import RUN
 from repro.metrics import Counters, counting
 from repro.ntt import ntt
@@ -74,9 +74,12 @@ class TestCounters:
         leaves = gl64.random((16, 10), rng)
         tree = MerkleTree(leaves, cap_height=1)
         with counting() as c:
-            assert verify_proof(leaves[5], 5, tree.prove(5), tree.cap)
+            assert verify_multi({5: leaves[5]}, prove_multi(tree, [5]), tree.cap, 4, 1)
             assert c.sponge_permutations == 2 + 3
-        paths = [PathOpening([leaves[i]], (i,), tree.prove(i).siblings, tree.cap) for i in (0, 5, 9)]
+        paths = [
+            PathOpening([leaves[i]], (i,), prove_multi(tree, [i]).nodes, tree.cap, 3)
+            for i in (0, 5, 9)
+        ]
         with counting() as c:
             assert verify_paths(paths).all()
             assert c.sponge_permutations == 3 * (2 + 3)

@@ -501,7 +501,7 @@ class TestShardedMerkle:
         arena = np.concatenate([lvl for lvl in serial.levels])
         rebuilt = MerkleTree.from_levels(leaves, 1, arena, sizes)
         assert np.array_equal(rebuilt.cap, serial.cap)
-        assert np.array_equal(rebuilt.prove(5).siblings, serial.prove(5).siblings)
+        assert np.array_equal(rebuilt.prove(5).nodes, serial.prove(5).nodes)
 
     def test_from_levels_validates_sizes(self):
         leaves = np.zeros((16, 4), dtype=np.uint64)
@@ -526,7 +526,7 @@ class TestShardedMerkle:
                 assert np.array_equal(batch.values, values)
                 assert np.array_equal(batch.tree.cap, whole.cap)
                 assert np.array_equal(
-                    batch.tree.prove(3).siblings, whole.prove(3).siblings
+                    batch.tree.prove(3).nodes, whole.prove(3).nodes
                 )
 
 

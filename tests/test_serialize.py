@@ -136,12 +136,15 @@ class TestHostileLengths:
             read_cap(ByteReader(w.getvalue()), "trace cap")
 
     def test_malformed_merkle_siblings_rejected(self):
-        from repro.serialize import _read_merkle_proof
+        from repro.merkle import TreeOpening
 
         w = ByteWriter()
+        w.u32(1)  # one opened index
+        w.u32(5)
+        w.elems(np.zeros((1, 3), dtype=np.uint64))
         w.elems(np.zeros(8, dtype=np.uint64))  # flat, not (k, 4)
-        with pytest.raises(ValueError, match="Merkle"):
-            _read_merkle_proof(ByteReader(w.getvalue()))
+        with pytest.raises(ValueError, match="path nodes must be"):
+            TreeOpening.read(ByteReader(w.getvalue()), None, "FRI batch opening")
 
 
 class TestPlonkRoundTrip:
@@ -157,7 +160,9 @@ class TestPlonkRoundTrip:
         assert np.array_equal(restored.wires_cap, proof.wires_cap)
         assert restored.public_inputs == proof.public_inputs
         assert restored.fri_proof.pow_witness == proof.fri_proof.pow_witness
-        assert len(restored.fri_proof.query_rounds) == len(proof.fri_proof.query_rounds)
+        assert [op.proof.indices for op in restored.fri_proof.tree_openings()] == [
+            op.proof.indices for op in proof.fri_proof.tree_openings()
+        ]
 
     def test_serialized_size_near_accounting(self, plonk_setup):
         _, proof = plonk_setup
@@ -331,7 +336,7 @@ def _as_version_1(blob: bytes) -> bytes:
 
 #: Current format versions: STARK is at 3 since its first FRI layer may
 #: be virtual; Plonk's bytes did not change and it stays at 2.
-CURRENT_VERSIONS = {"stark": 3, "plonk": 2}
+CURRENT_VERSIONS = {"stark": 4, "plonk": 3}
 
 
 class TestFormatVersion1:
@@ -360,7 +365,20 @@ class TestFormatVersion1:
 
         blob = bytearray(proof_to_blob("stark", stark_setup[1]))
         blob[len(PROOF_BLOB_MAGIC)] = 2
-        with pytest.raises(ProofFormatError, match="version 2 .*expected 3"):
+        with pytest.raises(ProofFormatError, match="version 2 .*expected 4"):
+            proof_from_blob(bytes(blob))
+
+    @pytest.mark.parametrize("protocol", ["stark", "plonk"])
+    def test_per_query_path_blob_raises_the_version_error(self, protocol, stark_setup, plonk_setup):
+        # STARK v3 and Plonk v2 sent one Merkle path per query; the
+        # current format opens each tree once, so those blobs are refused.
+        from repro.serialize import PROOF_BLOB_MAGIC, ProofFormatError, proof_from_blob, proof_to_blob
+
+        proof = {"stark": stark_setup, "plonk": plonk_setup}[protocol][1]
+        version = CURRENT_VERSIONS[protocol]
+        blob = bytearray(proof_to_blob(protocol, proof))
+        blob[len(PROOF_BLOB_MAGIC)] = version - 1
+        with pytest.raises(ProofFormatError, match=f"version {version - 1} .*expected {version}"):
             proof_from_blob(bytes(blob))
 
     @pytest.mark.parametrize("protocol", ["stark", "plonk"])

@@ -160,7 +160,10 @@ class TestStarkyVsPlonkyProofSize:
         """Starky's tradeoff: cheaper proving, bigger proofs (Section 2.2)."""
         from repro.fri import FriConfig
 
-        air, trace, publics = build_fibonacci(6)
+        # 2^8 rows: at 2^6, 24 queries reach nearly all 16 coset leaves
+        # of each blowup-2 tree, and a tree opened everywhere needs no
+        # path nodes, so the shared-path openings hide the tradeoff.
+        air, trace, publics = build_fibonacci(8)
         small_cfg = FriConfig(rate_bits=1, cap_height=1, num_queries=24,
                               proof_of_work_bits=3, final_poly_len=4)
         big_cfg = FriConfig(rate_bits=3, cap_height=1, num_queries=8,

@@ -2,8 +2,8 @@
 
 Every registered protocol's verifier runs twice on the same mutated
 proof: once as shipped (``merkle.verify_paths`` + FRI checks on a query
-axis) and once over ``tests/reference_verifiers.py`` (one path, one
-query at a time).  The two must agree on accept / reject and on the
+axis) and once over ``tests/reference_verifiers.py`` (one tree's
+frontier, one query at a time).  The two must agree on accept / reject and on the
 exception class, for every mutator in :mod:`repro.fuzz.mutators`.
 """
 
@@ -21,7 +21,7 @@ from repro.protocols import names
 from .reference_verifiers import reference_plane
 
 #: Seeds per (protocol, mutator).  Mutators with a small mutant space
-#: (swap the two opening points, drop one of four query rounds, ...)
+#: (swap the two opening points, drop one of four layer openings, ...)
 #: repeat themselves long before this; repeats are verified once.
 SEEDS = 200
 PROTOCOLS = names()
@@ -65,13 +65,12 @@ def test_every_mutator_agrees_with_the_scalar_plane(protocol):
 
 
 def _tamper_two(proof):
-    """A bad path in the last query (or tree) and a fold inconsistency
-    in the first: whichever the verifier meets first, the proof falls."""
+    """A bad path node in one tree and a bad row in another: whichever
+    the verifier meets first, the proof falls."""
     proof = copy.deepcopy(proof)
     if hasattr(proof, "fri_proof"):
-        rounds = proof.fri_proof.query_rounds
-        rounds[-1].initial.proofs[0].siblings[0, 0] ^= np.uint64(1)
-        rounds[0].layers[0].coset_leaf[0] ^= np.uint64(1)
+        proof.fri_proof.batch_openings[-1].proof.nodes[0, 0] ^= np.uint64(1)
+        proof.fri_proof.layer_openings[0].rows[0, 0] ^= np.uint64(1)
     else:
         proof.level_openings[-1].rows[0, 0] ^= np.uint64(1)
         proof.wires_opening.rows[0, 0] ^= np.uint64(1)

@@ -1,10 +1,10 @@
 """``merkle.verify_paths``: one batched kernel under every path check.
 
-The kernel is compared with the per-path scalar walk it replaced
+The kernel is compared with the per-tree scalar walk it replaced
 (``tests/reference_verifiers.py``) on random trees, and the boolean
-entry points built on it (``verify_proof``, ``verify_multi``,
-``*.verify_opening``) must answer ``False`` -- never raise, never accept
--- for out-of-range indices and malformed arrays.
+entry points built on it (``verify_multi`` and the one-index
+``verify_proof``) must answer ``False`` -- never raise, never accept --
+for out-of-range indices and malformed arrays.
 """
 
 import numpy as np
@@ -15,7 +15,6 @@ from repro.field import gl64
 from repro.hashing import sponge
 from repro.merkle import (
     MerkleMultiProof,
-    MerkleProof,
     MerkleTree,
     PathOpening,
     prove_multi,
@@ -24,7 +23,6 @@ from repro.merkle import (
     verify_proof,
 )
 from repro.metrics import counting
-from repro.pcs import FriPCS, MultilinearPCS
 
 from . import reference_verifiers as ref
 
@@ -34,18 +32,25 @@ def _tree(rng, depth=3, width=6, cap_height=0):
     return leaves, MerkleTree(leaves, cap_height=cap_height)
 
 
+def one_index_multi(leaf, index, proof, cap):
+    """``verify_multi`` at one leaf of a depth-3 tree under ``cap``."""
+    levels = 3 - (np.shape(cap)[0].bit_length() - 1) if np.ndim(cap) == 2 else 3
+    return verify_multi({index: leaf}, MerkleMultiProof((index,), proof.nodes), cap, levels)
+
+
 class TestIndexRange:
     """A negative index shares its low bits with a real leaf and wraps
     the cap lookup; the scalar walk accepted it."""
 
-    ENTRY_POINTS = [verify_proof, FriPCS.verify_opening, MultilinearPCS.verify_opening]
+    ENTRY_POINTS = [verify_proof, one_index_multi]
 
     @pytest.mark.parametrize("check", ENTRY_POINTS)
     def test_negative_index_rejected(self, check, rng):
         leaves, t = _tree(rng)
         assert check(leaves[7], 7, t.prove(7), t.cap)
         assert not check(leaves[7], -1, t.prove(7), t.cap)
-        assert ref.verify_proof(leaves[7], -1, t.prove(7), t.cap)  # the old bug
+        forged = MerkleMultiProof((-1,), t.prove(7).nodes)
+        assert ref.verify_multi({-1: leaves[7]}, forged, t.cap, 3)  # the old bug
 
     @pytest.mark.parametrize("check", ENTRY_POINTS)
     @pytest.mark.parametrize("cap_height", [0, 1, 2])
@@ -78,16 +83,16 @@ class TestMalformedInputsAreFalse:
         leaves, t = _tree(rng)
         good = t.prove(3)
         assert verify_proof(leaves[3], 3, good, t.cap)
-        bad_siblings = [
-            good.siblings[:, :3],  # (k, 3): used to leak a bare ValueError
-            good.siblings.reshape(-1),
-            good.siblings[:-1],
-            np.vstack([good.siblings, good.siblings[:1]]),
+        bad_nodes = [
+            good.nodes[:, :3],  # (k, 3): used to leak a bare ValueError
+            good.nodes.reshape(-1),
+            good.nodes[:-1],
+            np.vstack([good.nodes, good.nodes[:1]]),
             np.uint64(7).reshape(()),
             None,
         ]
-        for siblings in bad_siblings:
-            assert not verify_proof(leaves[3], 3, MerkleProof(siblings), t.cap)
+        for nodes in bad_nodes:
+            assert not verify_proof(leaves[3], 3, MerkleMultiProof((3,), nodes), t.cap)
         for leaf in (leaves[3:5], leaves[3].reshape(1, -1), np.uint64(1).reshape(()), None):
             assert not verify_proof(leaf, 3, good, t.cap)
         for cap in (t.cap[:, :3], t.cap[:0], t.cap.reshape(-1)[:3], None):
@@ -110,8 +115,8 @@ class TestMalformedInputsAreFalse:
 
     def test_one_bad_opening_does_not_touch_its_neighbours(self, rng):
         leaves, t = _tree(rng)
-        good = [PathOpening([leaves[i]], (i,), t.prove(i).siblings, t.cap) for i in (1, 5)]
-        bad = PathOpening([leaves[2]], (2,), t.prove(2).siblings[:, :3], t.cap)
+        good = [PathOpening([leaves[i]], (i,), t.prove(i).nodes, t.cap, 3) for i in (1, 5)]
+        bad = PathOpening([leaves[2]], (2,), t.prove(2).nodes[:, :3], t.cap, 3)
         assert verify_paths([good[0], bad, good[1]]).tolist() == [True, False, True]
 
     def test_no_openings(self):
@@ -120,8 +125,8 @@ class TestMalformedInputsAreFalse:
 
 @st.composite
 def _batches(draw):
-    """A few trees of different shapes, each opened by single paths and
-    by one multiproof, with some openings tampered."""
+    """A few trees of different shapes, each opened at single indices
+    and by one multiproof, with some openings tampered."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     openings = []
     for _ in range(draw(st.integers(1, 3))):
@@ -133,7 +138,10 @@ def _batches(draw):
         for _ in range(draw(st.integers(0, 3))):
             i = draw(st.integers(0, (1 << depth) - 1))
             openings.append(
-                PathOpening(leaves[i : i + 1].copy(), (i,), tree.prove(i).siblings.copy(), tree.cap)
+                PathOpening(
+                    leaves[i : i + 1].copy(), (i,), tree.prove(i).nodes.copy(), tree.cap,
+                    depth - cap_height,
+                )
             )
         picked = draw(st.sets(st.integers(0, (1 << depth) - 1), min_size=1, max_size=6))
         mp = prove_multi(tree, picked)
@@ -181,7 +189,7 @@ class TestAgainstTheScalarWalk:
         for depth, cap_height, width in shapes:
             leaves, t = _tree(rng, depth, width, cap_height)
             i = int(rng.integers(0, 1 << depth))
-            openings.append(PathOpening([leaves[i]], (i,), t.prove(i).siblings, t.cap))
+            openings.append(PathOpening([leaves[i]], (i,), t.prove(i).nodes, t.cap, depth - cap_height))
         with counting() as c:
             assert verify_paths(openings).all()
         assert c.sponge_permutations == sum(
@@ -201,4 +209,4 @@ class TestAgainstTheScalarWalk:
         shifted[0] = np.uint64(5) + gl64.P
         proof = t.prove(3)
         assert verify_proof(shifted, 3, proof, t.cap)
-        assert ref.verify_proof(shifted, 3, proof, t.cap)
+        assert ref.verify_multi({3: shifted}, proof, t.cap, 3)

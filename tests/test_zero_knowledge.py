@@ -76,9 +76,11 @@ class TestBlinding:
         even though the blinded width (5) is legal."""
         d, _, x, pub = data
         proof = prove(d, {x.index: 6, pub.index: 36})
-        leaves = proof.fri_proof.query_rounds[0].initial.leaves
-        leaves[1] = np.concatenate([leaves[1], np.zeros(1, dtype=np.uint64)])
-        with pytest.raises(PlonkError, match="malformed initial leaf"):
+        wires = proof.fri_proof.batch_openings[1]
+        wires.rows = np.concatenate(
+            [wires.rows, np.zeros((wires.rows.shape[0], 1), dtype=np.uint64)], axis=1
+        )
+        with pytest.raises(PlonkError, match="initial opening has wrong shape"):
             verify(d.verifier_data, proof)
 
     def test_tampered_salt_column_rejected(self, data):
@@ -86,9 +88,7 @@ class TestBlinding:
         wires Merkle proof even though salts never enter constraints."""
         d, _, x, pub = data
         proof = prove(d, {x.index: 6, pub.index: 36}, blinding_seed=1)
-        leaves = proof.fri_proof.query_rounds[0].initial.leaves
-        leaves[1] = leaves[1].copy()
-        leaves[1][-1] ^= np.uint64(1)
+        proof.fri_proof.batch_openings[1].rows[0, -1] ^= np.uint64(1)
         with pytest.raises(PlonkError, match="Merkle"):
             verify(d.verifier_data, proof)
 
