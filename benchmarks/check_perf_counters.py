@@ -28,6 +28,12 @@ every extension-field op with the other of its two paths (Python ints,
 a kernel rewrite that breaks one regime fails here, by name, before a
 digest golden does.
 
+The STARK and Plonk instances' FRI layout -- ``fri.fri_layout``'s
+coset bits ``a`` and fold schedule -- is printed and compared with
+``LAYOUTS``, and each proof must commit one layer per schedule entry
+but a virtual first one: a change to the layout's size model fails
+here, by name, before a digest does.
+
 Usage: PYTHONPATH=src python benchmarks/check_perf_counters.py
 """
 
@@ -41,13 +47,17 @@ import numpy as np
 
 from repro import metrics, parallel, protocols
 from repro.field import extension, gl64, goldilocks as gl
+from repro.fri import fri_layout
 from repro.hashing import optimized
+from repro.plonk.prover import LEAF_WIDTHS
+from repro.stark.prover import leaf_widths
 from repro.workloads import fibonacci
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from tests.goldens import (  # noqa: E402  (the repo root is on the path now)
     CONFIGS,
     DIGESTS,
+    LAYOUTS,
     PROVE_COUNTERS,
     SCALE,
     VERIFY_COUNTERS,
@@ -81,6 +91,26 @@ def _prove_and_check(label: str, system, setup, golden: dict, want_digest: str, 
     with metrics.counting() as counts:
         system.verify(setup, proof)  # raises if the proof is rejected
     return failures + _diff(f"{label} verify", counts, VERIFY_COUNTERS[system.name])
+
+
+def layout_of(name: str, setup):
+    """``fri_layout`` of a STARK or Plonk setup: ``(a, schedule)``."""
+    if name == "stark":
+        return fri_layout(setup.config, setup.rows.bit_length() - 1, leaf_widths(setup.data[0]))
+    return fri_layout(setup.config, setup.data[0].circuit.log_n, LEAF_WIDTHS)
+
+
+def _check_layout(name: str, system, setup) -> list:
+    """The instance's ``(a, schedule)`` against ``LAYOUTS``, and its
+    proof's layer caps against the schedule."""
+    a, schedule = layout = layout_of(name, setup)
+    failures = []
+    if layout != LAYOUTS[name]:
+        failures.append(f"{name} FRI layout drifted: expected {LAYOUTS[name]}, got {layout}")
+    caps = len(system.prove(setup).fri_proof.commit_caps)
+    if caps != len(schedule) - (a > 0):
+        failures.append(f"{name} proof commits {caps} layers under schedule {schedule}, a={a}")
+    return failures
 
 
 def _check_permutation_regimes() -> list:
@@ -144,6 +174,8 @@ def main() -> int:
         failures += _prove_and_check(name, system, setup, golden, want_digest)
         if inline.stats["inline_shards"] == before:
             failures.append(f"{name}: the no-pool prove ran no inline shard")
+        if name in LAYOUTS:
+            failures += _check_layout(name, system, setup)
 
     # Same proofs, fanned out across 2 workers (thresholds forced low so
     # the tiny CI proofs actually leave the process) -- same goldens,
@@ -163,6 +195,10 @@ def main() -> int:
         return 1
     print("permute_into == permute_scalar at every regime boundary")
     print(f"extension ops agree on both paths around {extension._SHORT_ELEMS} elements")
+    for name, _, setup, _, _ in instances:
+        if name in LAYOUTS:
+            a, schedule = layout_of(name, setup)
+            print(f"{name} FRI layout OK: a={a}, schedule={schedule}")
     for name, _, golden, _ in CASES:
         print(f"{name} counters OK: {', '.join(f'{k}={v}' for k, v in golden.items())}")
         verify = VERIFY_COUNTERS[name]

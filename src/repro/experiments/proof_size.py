@@ -5,10 +5,14 @@ Merkle caps, claimed openings, per-query initial leaves +
 authentication paths, per-layer coset openings + paths, the final
 polynomial, and the grinding witness -- evaluated at paper-scale
 parameters (cap height 4, folding arity 8, as Plonky2/Starky configure
-them).  This repo's own FRI proofs are smaller than this model at the
-same parameters: they open each tree once as a shared-path multiproof
+them).  The per-query path prices are kept on purpose: they are what
+Plonky2's own format sends, and Table 5 compares with it.  This repo's
+own FRI proofs are smaller than this model at the same parameters:
+they open each tree once as a shared-path multiproof
 (:class:`repro.merkle.TreeOpening`), so the nodes near each cap are
-sent once per tree rather than once per query.
+sent once per tree rather than once per query, and their leaf layout
+is priced by that expected size instead
+(:func:`repro.fri.config.fri_layout`).
 """
 
 from __future__ import annotations

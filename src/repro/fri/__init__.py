@@ -5,7 +5,7 @@ from .config import (
     STARKY_CONFIG,
     TEST_CONFIG,
     FriConfig,
-    initial_arity_bits,
+    fri_layout,
 )
 from .plan import DomainPlan, plan_for
 from .proof import FriProof
@@ -24,7 +24,7 @@ __all__ = [
     "PLONKY2_CONFIG",
     "STARKY_CONFIG",
     "TEST_CONFIG",
-    "initial_arity_bits",
+    "fri_layout",
     "FriProof",
     "DomainPlan",
     "plan_for",

@@ -10,17 +10,20 @@ Plonky2/Starky's ``ConstantArityBits`` reduction strategy does: one
 Merkle tree per fold by 8, whose leaves are the 8-element cosets the
 next layer's value is interpolated from.
 
-The first layer may instead be *virtual* (:func:`initial_arity_bits`):
-the batch commitments themselves hash the coset of rows a first fold
-reads, so the verifier recomputes that layer from the opened rows and
-no layer-0 tree is built.
+The first layer may instead be *virtual* (:func:`fri_layout`): the
+batch commitments themselves hash the coset of rows a first fold by
+``2**a`` reads, so the verifier recomputes that layer from the opened
+rows and no layer-0 tree is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from fractions import Fraction
+from functools import lru_cache
+from typing import List, Sequence, Tuple
 
+from ..merkle import merkle_permutation_count
 from .proof import DIGEST_BYTES, ELEM_BYTES
 
 #: log2 of the folding arity of one committed FRI layer (fold by 8).
@@ -67,16 +70,23 @@ class FriConfig:
         final_bits = (self.final_poly_len - 1).bit_length()
         return max(0, degree_bits - final_bits)
 
-    def fold_schedule(self, degree_bits: int) -> Tuple[int, ...]:
-        """Arity bits of each committed layer, in commit order.
+    def fold_schedule(self, degree_bits: int, coset_bits: int = 0) -> Tuple[int, ...]:
+        """Arity bits of each FRI layer, in fold order.
 
-        :data:`FRI_ARITY_BITS` per layer, the last layer taking whatever
-        of :meth:`num_fold_rounds` is left (1, 2 or 3 bits); empty when
-        the degree bound is already at most ``final_poly_len``.
+        ``coset_bits`` ``a > 0`` puts a first entry ``a``: the virtual
+        layer the batches' ``2**a``-row coset leaves hold.  Every layer
+        after it is committed, :data:`FRI_ARITY_BITS` each, the last
+        taking whatever of :meth:`num_fold_rounds` is left (1, 2 or 3
+        bits); empty when the degree bound is already at most
+        ``final_poly_len``.  :func:`fri_layout` picks ``a``.
         """
         rounds = self.num_fold_rounds(degree_bits)
-        return tuple(
-            min(FRI_ARITY_BITS, rounds - done) for done in range(0, rounds, FRI_ARITY_BITS)
+        if not 0 <= coset_bits <= min(FRI_ARITY_BITS, rounds):
+            raise ValueError(f"coset_bits {coset_bits} outside [0, {min(FRI_ARITY_BITS, rounds)}]")
+        rest = rounds - coset_bits
+        head = (coset_bits,) if coset_bits else ()
+        return head + tuple(
+            min(FRI_ARITY_BITS, rest - done) for done in range(0, rest, FRI_ARITY_BITS)
         )
 
     def conjectured_security_bits(self) -> int:
@@ -92,53 +102,118 @@ class FriConfig:
         ``(2**a - 1) * |D| / |F_ext|``.
         For ``a = 3``, ``|D| <= 2**24`` and ``|F_ext| ~ 2**128`` that is
         below ``2**-101`` a layer, far under the query term.
-        A virtual first layer (:func:`initial_arity_bits`) leaves both
-        terms as they are: the same ``a`` folds run with one ``beta``
-        over the same domain, and their inputs are bound by the batch
-        caps directly instead of by a layer-0 cap plus a one-slot check.
+        A virtual first layer (:func:`fri_layout`) leaves both terms as
+        they are: its ``a <= 3`` folds run with one ``beta`` over the
+        same domain, and their inputs are bound by the batch caps
+        directly instead of by a layer-0 cap plus a one-slot check.
         """
         return self.num_queries * self.rate_bits + self.proof_of_work_bits
 
 
-def initial_arity_bits(
+def fri_layout(
     config: FriConfig, degree_bits: int, leaf_widths: Sequence[int]
-) -> int:
-    """Arity bits the batch commitments' leaves carry: 0 or the first
-    :meth:`FriConfig.fold_schedule` entry ``a``.
+) -> Tuple[int, Tuple[int, ...]]:
+    """The batches' leaf layout and the FRI fold schedule: ``(a, schedule)``.
 
-    With ``a``, every batch commits leaf ``i`` as the LDE rows
-    ``i + j * N / 2**a`` for ``j < 2**a`` -- the coset the first fold
-    reads -- so FRI folds it ``a`` times without committing layer 0.
-    ``leaf_widths`` are the batches' public column counts (optional salt
-    columns excluded): the verifier derives the layout from them, never
-    from the proof.
+    With ``a > 0`` every batch commits leaf ``i`` as the LDE rows
+    ``i + j * N / 2**a`` for ``j < 2**a`` -- the coset a first fold by
+    ``2**a`` reads -- so FRI folds it without committing a layer for
+    it, and ``schedule`` is :meth:`FriConfig.fold_schedule` of ``a``:
+    ``(a, 3, 3, ..., remainder)``.  With ``a = 0`` the batches commit
+    one row a leaf and every layer of ``(3, 3, ..., remainder)`` is
+    committed.  ``leaf_widths`` are the batches' public column counts
+    (optional salt columns excluded): the verifier derives the layout
+    from them and the config, never from the proof.
 
-    ``a`` is chosen only when it makes the FRI proof smaller under a
-    per-query path count -- per query and batch ``(2**a - 1) * w`` more
-    elements and ``a`` fewer path digests, against the layer-0 coset
-    leaf, path and cap it removes (a tie keeps row leaves) -- and only
-    when the ``N / 2**a``-leaf tree still holds ``cap_height``, so every
-    config the row layout accepts still proves.
-
-    The proof no longer sends one path per query: each tree is opened
-    once as a shared-path multiproof, whose node count depends on where
-    the queries land.  The per-path price is kept because it is a closed
-    form the verifier can evaluate from public numbers alone, and it
-    still picks the layout that is smaller under
-    :meth:`~repro.fri.proof.FriProof.size_bytes` at every shape the
-    tests pin (``test_cosets_are_chosen_exactly_when_the_proof_shrinks``).
+    ``a`` ranges over ``0 .. min(FRI_ARITY_BITS, num_fold_rounds)``,
+    less any ``a`` whose ``N / 2**a``-leaf tree cannot hold
+    ``cap_height``, and the one with the smallest expected proof wins
+    (:func:`expected_proof_bytes`, query positions uniform, every tree
+    opened as one shared-path multiproof); a tie goes to fewer prover
+    permutations (:func:`prover_permutations`), then to the smaller
+    ``a``.  The price is exact rational arithmetic over public numbers,
+    so every platform derives the same layout.
     """
-    schedule = config.fold_schedule(degree_bits)
-    if not schedule:
-        return 0
-    a = schedule[0]
-    depth = degree_bits + config.rate_bits - a  # the coset trees' depth
-    if config.cap_height > depth:
-        return 0
-    grown = sum(((1 << a) - 1) * w * ELEM_BYTES - a * DIGEST_BYTES for w in leaf_widths)
-    layer0 = (2 << a) * ELEM_BYTES + (depth - config.cap_height) * DIGEST_BYTES
-    removed = config.num_queries * layer0 + (1 << config.cap_height) * DIGEST_BYTES
-    return a if config.num_queries * grown < removed else 0
+    return _fri_layout(config, degree_bits, tuple(leaf_widths))
+
+
+@lru_cache(maxsize=256)
+def _fri_layout(
+    config: FriConfig, degree_bits: int, leaf_widths: Tuple[int, ...]
+) -> Tuple[int, Tuple[int, ...]]:
+    top = min(FRI_ARITY_BITS, config.num_fold_rounds(degree_bits))
+    fits = [
+        a for a in range(top + 1)
+        if not a or config.cap_height <= degree_bits + config.rate_bits - a
+    ]
+    a = min(fits, key=lambda a: (
+        expected_proof_bytes(config, degree_bits, leaf_widths, a),
+        prover_permutations(config, degree_bits, leaf_widths, a),
+        a,
+    ))
+    return a, config.fold_schedule(degree_bits, a)
+
+
+def _trees(
+    config: FriConfig, degree_bits: int, leaf_widths: Sequence[int], coset_bits: int
+) -> List[Tuple[int, int, int]]:
+    """``(leaves, leaf width, cap height)`` of every tree the layout
+    commits: the batches, then each committed FRI layer (extension
+    values, so two elements a slot)."""
+    size = 1 << (degree_bits + config.rate_bits)
+    trees = [(size >> coset_bits, w << coset_bits, config.cap_height) for w in leaf_widths]
+    for k, bits in enumerate(config.fold_schedule(degree_bits, coset_bits)):
+        size >>= bits
+        if k or not coset_bits:
+            trees.append((size, 2 << bits, min(config.cap_height, size.bit_length() - 1)))
+    return trees
+
+
+@lru_cache(maxsize=4096)
+def _untouched(num: int, den: int, queries: int) -> Fraction:
+    """``(1 - num/den)**queries``: the chance ``queries`` uniform draws
+    from ``den`` values all miss ``num`` given ones."""
+    return Fraction(den - num, den) ** queries
+
+
+def expected_opening_bytes(leaves: int, width: int, cap_height: int, queries: int) -> Fraction:
+    """Expected bytes of one tree's shared-path opening at ``queries``
+    uniform leaf indices: each distinct opened leaf sends its index and
+    ``width`` elements; a level of ``m`` nodes below the cap sends one
+    sibling digest per pair with exactly one child on a path,
+    ``m * ((1 - 1/m)**q - (1 - 2/m)**q)`` in expectation."""
+    distinct = leaves * (1 - _untouched(1, leaves, queries))
+    total = distinct * (4 + width * ELEM_BYTES)
+    m = leaves
+    while m > 1 << cap_height:
+        total += m * (_untouched(1, m, queries) - _untouched(2, m, queries)) * DIGEST_BYTES
+        m >>= 1
+    return total
+
+
+def expected_proof_bytes(
+    config: FriConfig, degree_bits: int, leaf_widths: Sequence[int], coset_bits: int
+) -> Fraction:
+    """Expected size of the parts of a FRI proof the layout moves: every
+    tree's opening (:func:`expected_opening_bytes`) plus each committed
+    layer's cap.  The final polynomial and grinding witness do not
+    depend on the layout, so they are left out."""
+    trees = _trees(config, degree_bits, leaf_widths, coset_bits)
+    caps = sum(1 << cap for _, _, cap in trees[len(leaf_widths):]) * DIGEST_BYTES
+    return caps + sum(
+        expected_opening_bytes(leaves, width, cap, config.num_queries)
+        for leaves, width, cap in trees
+    )
+
+
+def prover_permutations(
+    config: FriConfig, degree_bits: int, leaf_widths: Sequence[int], coset_bits: int
+) -> int:
+    """Sponge permutations that building the layout's trees costs."""
+    return sum(
+        merkle_permutation_count(leaves, width, cap)
+        for leaves, width, cap in _trees(config, degree_bits, leaf_widths, coset_bits)
+    )
 
 
 #: Plonky2's typical configuration (~100-bit conjectured security).

@@ -7,7 +7,7 @@ Implements the commit / fold / grind / query pipeline of Figure 1
    zero-pad then coset ``NTT``) and Merkle-committed, with leaf ``i``
    concatenating the values of all batch polynomials at LDE point ``i``
    (Section 2.2, step 3) -- or, under the layout
-   :func:`~repro.fri.config.initial_arity_bits` picks, at the ``2**a``
+   :func:`~repro.fri.config.fri_layout` picks, at the ``2**a``
    points ``i + j * N / 2**a`` of the coset the first fold reads;
 2. opening at ``zeta`` reduces all claims to one low-degree test on the
    combined quotient ``sum_k alpha-weighted (F(x) - y) / (x - z_k)``;
@@ -72,7 +72,7 @@ class PolynomialBatch:
 
         Each row shard interpolates (iNTT) its own rows before extending
         them, so the two transforms pipeline per shard.  ``coset_bits``
-        is the leaf layout :func:`~repro.fri.config.initial_arity_bits`
+        is the leaf layout :func:`~repro.fri.config.fri_layout`
         derived for the opening this batch joins.
         """
         return par_ops.from_values_graph(
@@ -263,15 +263,15 @@ def fri_prove(
     The caller must already have observed the batch caps and any
     protocol messages; this function observes the claimed opening values
     (mirrored by the verifier) and runs the FRI transcript.  The batches
-    share one leaf layout: rows, or the first layer's cosets
-    (``coset_bits`` equal to ``config.fold_schedule``'s first entry),
-    which makes that layer virtual.
+    share one leaf layout: rows, or the cosets of a first fold by
+    ``2**coset_bits``, which makes that layer virtual and sets the
+    schedule (``config.fold_schedule(degree_bits, coset_bits)``).
     """
     n = batches[0].degree_n
-    schedule = config.fold_schedule(n.bit_length() - 1)
     virtual = batches[0].coset_bits
-    if {b.coset_bits for b in batches} != {virtual} or virtual not in (0, *schedule[:1]):
-        raise ValueError("batch leaf layouts do not match the fold schedule")
+    if {b.coset_bits for b in batches} != {virtual}:
+        raise ValueError("batch leaf layouts do not match")
+    schedule = config.fold_schedule(n.bit_length() - 1, virtual)
 
     challenger.observe_elements(openings.flat_values())
     alpha = challenger.get_ext_challenge()

@@ -31,7 +31,7 @@ from ..errors import VerifierError
 from ..field import extension as fext, goldilocks as gl
 from ..hashing import Challenger
 from ..merkle import check_opening, verify_paths
-from .config import FriConfig, initial_arity_bits
+from .config import FriConfig, fri_layout
 from .proof import FriProof
 from .prover import (
     FriOpenings,
@@ -84,11 +84,11 @@ def fri_verify(
     the width pin an attacker could present a padded or truncated leaf
     whose digest still matches the commitment.
 
-    The widths also fix the leaf layout: the batches commit cosets of
-    ``2**a`` rows, ``a = initial_arity_bits(config, log2(degree_n),
-    widths)`` over each entry's first (salt-free) width, and FRI's first
-    layer is then virtual.  Without ``leaf_widths`` the batches commit
-    one row a leaf.
+    The widths also fix the leaf layout and the schedule, through
+    ``fri_layout(config, log2(degree_n), widths)`` over each entry's
+    first (salt-free) width: with its ``a > 0`` the batches commit
+    cosets of ``2**a`` rows and FRI's first layer is virtual.  Without
+    ``leaf_widths`` the batches commit one row a leaf.
 
     The words of ``openings`` and ``proof`` are taken as canonical: the
     protocol verifiers refuse any other (:func:`proof_words`) before
@@ -96,14 +96,17 @@ def fri_verify(
     """
     degree_bits = degree_n.bit_length() - 1
     widths = [(w,) if isinstance(w, int) else tuple(w) for w in leaf_widths or ()]
-    a = initial_arity_bits(config, degree_bits, [w[0] for w in widths]) if widths else 0
+    a, schedule = (
+        fri_layout(config, degree_bits, [w[0] for w in widths])
+        if widths
+        else (0, config.fold_schedule(degree_bits))
+    )
     with tracing.span("verify:transcript", category="verify"):
         challenger.observe_elements(openings.flat_values())
         alpha = challenger.get_ext_challenge()
 
         n_lde = degree_n << config.rate_bits
         log_lde = n_lde.bit_length() - 1
-        schedule = config.fold_schedule(degree_bits)
         num_rounds = sum(schedule)
         # The walk below starts from layer 0: the batches' own ``2**a``-row
         # leaves (virtual, no cap) or, with row leaves, a one-point coset

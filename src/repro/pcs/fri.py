@@ -70,7 +70,7 @@ class FriPCS:
         """Commit polynomials given by subgroup evaluations (rows).
 
         ``coset_bits`` is the opening's leaf layout
-        (:func:`~repro.fri.config.initial_arity_bits`), shared by every
+        (:func:`~repro.fri.config.fri_layout`), shared by every
         batch it opens.
         """
         with tracing.span(f"commit:{label}", category="commit"):

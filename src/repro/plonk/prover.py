@@ -29,7 +29,7 @@ import numpy as np
 
 from .. import parallel, tracing
 from ..field import extension as fext, gl64, goldilocks as gl
-from ..fri import DomainPlan, FriConfig, PolynomialBatch, initial_arity_bits, plan_for
+from ..fri import DomainPlan, FriConfig, PolynomialBatch, fri_layout, plan_for
 from ..hashing import Challenger
 from ..ntt import lde
 from ..pcs import FriPCS
@@ -48,7 +48,7 @@ def setup(circuit: Circuit, config: FriConfig) -> CircuitData:
 
 def preprocessed_layout(circuit: Circuit, config: FriConfig) -> int:
     """The preprocessed batch's leaf layout (``coset_bits``) under ``config``."""
-    return initial_arity_bits(config, circuit.log_n, LEAF_WIDTHS)
+    return fri_layout(config, circuit.log_n, LEAF_WIDTHS)[0]
 
 
 def preprocess(circuit: Circuit, rate_bits: int, coset_bits: int) -> CircuitData:
@@ -93,7 +93,7 @@ ZK_SALT_COLUMNS = 2
 
 #: Public columns of the preprocessed, wires, Z and quotient batches, in
 #: commitment order (salt excluded): the input to
-#: :func:`~repro.fri.config.initial_arity_bits`.
+#: :func:`~repro.fri.config.fri_layout`.
 LEAF_WIDTHS = (8, 3, 1, 2 * QUOTIENT_CHUNKS)
 
 

@@ -15,9 +15,10 @@ class PlonkSystem(ProofSystem):
 
     name = "plonk"
     description = "Plonky2-style gates + permutation argument over FRI"
+    #: 4: the batches may commit 2- or 4-row cosets (``fri.fri_layout``);
     #: 3: each FRI tree is opened once, as a shared-path multiproof;
     #: 2: FRI layers open arity-8 coset leaves, not v1's arity-2 pairs.
-    format_version = 3
+    format_version = 4
     to_bytes = staticmethod(PlonkProof.to_bytes)
     from_bytes = staticmethod(PlonkProof.from_bytes)
     uses_ntt = True

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Dict, Mapping
 
 from ..field import gl64
-from ..fri import FriConfig, initial_arity_bits
+from ..fri import FriConfig, fri_layout
 from ..stark import StarkProof, prove as stark_prove, verify as stark_verify
 from ..stark.prover import leaf_widths
 from .base import ProofSystem, ProtocolSetup, instance
@@ -24,10 +24,11 @@ class StarkSystem(ProofSystem):
 
     name = "stark"
     description = "AIR transition constraints, LDE + batch FRI opening"
+    #: 5: the batches may commit 2- or 4-row cosets (``fri.fri_layout``);
     #: 4: each FRI tree is opened once, as a shared-path multiproof;
     #: 3: FRI's first layer may be virtual (the batches commit its
     #: cosets); 2: FRI layers open arity-8 coset leaves, not v1's pairs.
-    format_version = 4
+    format_version = 5
     to_bytes = staticmethod(StarkProof.to_bytes)
     from_bytes = staticmethod(StarkProof.from_bytes)
     uses_ntt = True
@@ -93,7 +94,7 @@ class StarkSystem(ProofSystem):
         # committed layer k's beta (ext) at #6+2k, or #8+2k after it.
         air = setup.data[0]
         degree_bits = setup.rows.bit_length() - 1
-        first = 8 if initial_arity_bits(setup.config, degree_bits, leaf_widths(air)) else 6
+        first = 8 if fri_layout(setup.config, degree_bits, leaf_widths(air))[0] else 6
         bindings = [
             CapBinding("trace_cap", proof.trace_cap, 0),
             CapBinding("quotient_cap", proof.quotient_cap, 2),

@@ -25,7 +25,7 @@ import numpy as np
 
 from .. import parallel, tracing
 from ..field import extension as fext, gl64, goldilocks as gl
-from ..fri import DomainPlan, FriConfig, initial_arity_bits, plan_for
+from ..fri import DomainPlan, FriConfig, fri_layout, plan_for
 from ..hashing import Challenger
 from ..pcs import FriPCS
 from .air import Air, BaseVecAlgebra
@@ -39,7 +39,7 @@ def quotient_chunk_count(air: Air) -> int:
 
 def leaf_widths(air: Air) -> List[int]:
     """Columns of the trace and quotient batches, in commitment order:
-    the input to :func:`~repro.fri.config.initial_arity_bits`."""
+    the input to :func:`~repro.fri.config.fri_layout`."""
     return [air.width, 2 * quotient_chunk_count(air)]
 
 
@@ -89,7 +89,7 @@ def prove(
         "prove:stark", category="prove", n=n, width=width
     ):
         pcs = FriPCS(config, ws=plan.ws)
-        coset_bits = initial_arity_bits(config, n.bit_length() - 1, leaf_widths(air))
+        coset_bits, _ = fri_layout(config, n.bit_length() - 1, leaf_widths(air))
 
         # Commit the trace.
         challenger.observe_elements(np.asarray(list(public_inputs), dtype=np.uint64))

@@ -11,8 +11,8 @@ moved from committing every arity-2 fold to committing every third
 pre-zero-copy prover (STARK, commit f1e91fc) and the pre-unified
 pipeline (Plonk, commit 56d0287).  The STARK entries were regenerated
 once more when its batches began committing 8-row coset leaves and
-FRI's first layer became virtual (``fri.initial_arity_bits``); the
-Plonk entries were not, because Plonk's wider batches keep row leaves.
+FRI's first layer became virtual (then ``fri.initial_arity_bits``); the
+Plonk entries were not, because Plonk's wider batches kept row leaves.
 All STARK and Plonk entries (``DIGESTS``, ``ROW_LAYOUT_DIGESTS``,
 ``ARITY2_DIGESTS``, ``PLONK_MVM_DIGEST``, ``FRAMED``) were regenerated
 once more when FRI stopped sending one path per query and opened each
@@ -21,6 +21,15 @@ transcript did not move: caps, opened values, final polynomial,
 grinding witness and every opened leaf row decode equal to the old
 proofs' -- only the opening encoding changed, and with it
 ``VERIFY_COUNTERS`` (a node shared by several queries is hashed once).
+When ``fri.fri_layout`` began picking the first arity ``a`` in
+``0..3`` by the expected shared-path proof size (STARK format v5, Plonk
+v4), the STARK instance moved from 8-row to 4-row coset leaves
+(``LAYOUTS``) and ``DIGESTS["stark"]``, ``PLONK_MVM_DIGEST`` (Plonk MVM
+6 moved from rows to 2-row cosets), the STARK ``PROVE_COUNTERS`` and
+``VERIFY_COUNTERS`` and both ``FRAMED`` pairs (the version byte) were
+regenerated; the Plonk Fibonacci instance keeps row leaves, so its
+digest and counters held, and ``ROW_LAYOUT_DIGESTS`` and
+``ARITY2_DIGESTS`` held as they must: the row path did not change.
 The HyperPlonk-lite entries have no FRI and are unchanged since
 batched-opening format v2.  Counters are measured around ``prove`` or
 ``verify`` alone, setup excluded.
@@ -44,12 +53,19 @@ CONFIGS = {
 
 #: Proof digest (``system.digest``) per protocol.
 DIGESTS = {
-    "stark": "f34325b1f896256a2948070706acbea1d199502666c7e120ca0aa44c1780048d",
+    "stark": "789eaeb79bc430bbfdf1fb1d30e131bd78adbcf61c43cacd90cde99b89bc00e4",
     "plonk": "eed90ef01c8225406ba2d3b7973ac62a925ae16aec4fa7680227915a61f4c44e",
     "hyperplonk": "d52bd70ef17c57099b692406f5271cdf364953d3aabbd3e8c06a7336e49a801c",
 }
 
-#: The STARK proof with ``initial_arity_bits`` forced to 0 (row leaves,
+#: ``fri.fri_layout``'s ``(a, schedule)`` for the STARK and Plonk
+#: instances: ``a``-bit coset leaves (0: rows), then the fold schedule.
+LAYOUTS = {
+    "stark": (2, (2, 2)),
+    "plonk": (0, (2,)),
+}
+
+#: The STARK proof with ``fri_layout`` forced to ``a = 0`` (row leaves,
 #: FRI layer 0 committed): exactly the digest ``DIGESTS["stark"]`` held
 #: before the virtual first layer (both re-pinned together with the
 #: shared-path openings), so the coset layout extends the old prover
@@ -69,11 +85,11 @@ ARITY2_DIGESTS = {
 }
 
 #: Plonk over the MVM workload at scale 6, same config.
-PLONK_MVM_DIGEST = "631d705a3d23a2409b6874a92613cf5383f647ef411203b106e5d9df546e6803"
+PLONK_MVM_DIGEST = "c29bb2e26d0cd82955b54ad7f887a62387fbf00c94d3b7c57459522994a5f575"
 
 #: Operation counters around ``prove``.
 PROVE_COUNTERS = {
-    "stark": {"ntt_butterflies": 3096, "sponge_permutations": 98, "ntt_transforms": 10},
+    "stark": {"ntt_butterflies": 3096, "sponge_permutations": 138, "ntt_transforms": 10},
     "plonk": {
         "ntt_butterflies": 7040,
         "sponge_permutations": 568,
@@ -91,7 +107,7 @@ PROVE_COUNTERS = {
 #: Operation counters around ``verify``: the batched verifier plane must
 #: hash exactly what walking every tree opening's frontier alone would.
 VERIFY_COUNTERS = {
-    "stark": {"sponge_permutations": 66, "challenger_permutations": 10},
+    "stark": {"sponge_permutations": 80, "challenger_permutations": 10},
     "plonk": {"sponge_permutations": 181, "challenger_permutations": 15},
     "hyperplonk": {"sponge_permutations": 64, "challenger_permutations": 13},
 }
@@ -99,12 +115,12 @@ VERIFY_COUNTERS = {
 #: sha256 of ``proof_to_blob`` and of the service result envelope.
 FRAMED = {
     "stark": (
-        "b368590da0cb84e43326556d1ecd64bd35f9f6339e1a067d818e537889504db4",
-        "4db4e82a7f780b65816ad0cf8408836987d46f7fd58119acc5ef45d60c11d8a1",
+        "64fe8ab60b6d04e74190b11a6ba0e3deeef0dfffba408d86dcc22d817c64cc31",
+        "5a6c5228d9d3fbf22d44f2a7972065fdf7c07e94667e256e9ecba26c83bbf992",
     ),
     "plonk": (
-        "5f47d55d5bc81c6bbf74597dc99d63c8d7121fa59526f05b3848efa7156f3267",
-        "8652cf37b2d10d93509beffe92e19560aec04c1739790057e792a893506fee2b",
+        "89a0d3e5be227f89eb824aad0ff9e365ace455fb847744cd552a7647f2a1fc24",
+        "c73f5efe14548f75005f3d7a64d15aaa091b5dd2d0966cc15ae9d59660af821e",
     ),
     "hyperplonk": (
         "9b90d5ce1826c31e85f425439f884f3ed77aeffcc9156da5ffcabb2e9951aa6a",

@@ -17,8 +17,8 @@ quotient, the coset interpolation, the final polynomial -- is on
 ``(c0, c1)`` Python-int pairs, never through ``repro.field.extension``,
 so a change to that module moves one side of the comparison only.
 They share nothing with the batched code but
-the sponge primitives (through ``tests/reference_oracles.py``), the
-``fold_schedule`` and the ``initial_arity_bits`` layout rule, so
+the sponge primitives (through ``tests/reference_oracles.py``) and the
+``fri_layout`` rule (leaf layout and fold schedule), so
 agreement between the two is evidence about both.
 
 :func:`reference_plane` swaps them in under the real protocol
@@ -40,7 +40,7 @@ from unittest import mock
 import numpy as np
 
 from repro.field import extension as fext, goldilocks as gl
-from repro.fri.config import FriConfig, initial_arity_bits
+from repro.fri.config import FriConfig, fri_layout
 from repro.fri.proof import FriProof
 from repro.fri.prover import FriOpenings, check_pow
 from repro.fri.verifier import FriError
@@ -146,20 +146,23 @@ def fri_verify(
     ``hash_or_noop`` zero-pads rows shorter than a digest, so without
     the width pin an attacker could present a padded or truncated leaf
     whose digest still matches the commitment.  Each entry's first
-    width also feeds ``initial_arity_bits``: under its ``a > 0`` an
-    initial leaf holds the ``2**a`` rows of one coset and the first
-    layer is virtual (no cap, no layer opening).
+    width also feeds ``fri_layout``: under its ``a > 0`` an initial
+    leaf holds the ``2**a`` rows of one coset and the first layer is
+    virtual (no cap, no layer opening).
     """
     degree_bits = degree_n.bit_length() - 1
     widths = [(w,) if isinstance(w, int) else tuple(w) for w in leaf_widths or ()]
-    a = initial_arity_bits(config, degree_bits, [w[0] for w in widths]) if widths else 0
+    a, schedule = (
+        fri_layout(config, degree_bits, [w[0] for w in widths])
+        if widths
+        else (0, config.fold_schedule(degree_bits))
+    )
 
     challenger.observe_elements(openings.flat_values())
     alpha = fext.to_pair(challenger.get_ext_challenge())
 
     n_lde = degree_n << config.rate_bits
     log_lde = n_lde.bit_length() - 1
-    schedule = config.fold_schedule(degree_bits)
     committed = schedule[1:] if a else schedule
     num_rounds = sum(schedule)
     if len(proof.commit_caps) != len(committed):

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from repro.field import gl64
-from repro.fri import FriConfig, initial_arity_bits
+from repro.fri import FriConfig, fri_layout
 from repro.merkle import MerkleTree, merkle_permutation_count
 from repro.metrics import counting
 from repro.ntt import intt, lde, ntt
 from repro.plonk import CircuitBuilder, prove, setup
+from repro.plonk.prover import LEAF_WIDTHS
 from repro.stark import prove as stark_prove
 from repro.workloads import by_name
 
@@ -25,7 +26,7 @@ def _fri_layer_perms(cfg, degree_bits, n_lde, virtual_bits=0):
     layer of ``fold_schedule``, ``n >> a`` coset leaves of ``2 << a``
     elements over a layer of ``n`` values.  A virtual first layer of
     ``virtual_bits`` (the batches hold its cosets) builds no tree."""
-    schedule = cfg.fold_schedule(degree_bits)
+    schedule = cfg.fold_schedule(degree_bits, virtual_bits)
     if virtual_bits:
         schedule, n_lde = schedule[1:], n_lde >> virtual_bits
     total = 0
@@ -106,11 +107,13 @@ class TestPlonkProverCounts:
     def _predicted_tree_perms(self, circuit, cfg):
         n_lde = circuit.n << cfg.rate_bits
         cap = cfg.cap_height
+        a, _ = fri_layout(cfg, circuit.log_n, LEAF_WIDTHS)
         total = 0
-        # wires (3 cols), z (1 col), quotient (8 cols).
+        # wires (3 cols), z (1 col), quotient (8 cols), each leaf the
+        # coset of 2**a rows the layout picks.
         for width in (3, 1, 8):
-            total += merkle_permutation_count(n_lde, width, cap)
-        return total + _fri_layer_perms(cfg, circuit.log_n, n_lde)
+            total += merkle_permutation_count(n_lde >> a, width << a, cap)
+        return total + _fri_layer_perms(cfg, circuit.log_n, n_lde, a)
 
     def test_sponge_permutations_exact(self, run):
         circuit, cfg, (sponge, _, _) = run
@@ -149,8 +152,8 @@ class TestStarkProverCounts:
         cfg = FriConfig(rate_bits=1, cap_height=1, num_queries=4,
                         proof_of_work_bits=2, final_poly_len=4)
         n_lde = trace.shape[0] << cfg.rate_bits
-        a = initial_arity_bits(cfg, 6, [2, 2])
-        assert a == 3  # the batches commit 8-row cosets; FRI layer 0 is virtual
+        a, _ = fri_layout(cfg, 6, [2, 2])
+        assert a == 2  # the batches commit 4-row cosets; FRI layer 0 is virtual
         with counting() as c:
             stark_prove(air, trace, publics, cfg)
             # trace tree, quotient tree (1 chunk x2): 2 columns a row
@@ -158,11 +161,18 @@ class TestStarkProverCounts:
             predicted += _fri_layer_perms(cfg, 6, n_lde, a)
             assert c.sponge_permutations == predicted
 
-    def test_graph_merkle_prediction_matches_functional(self):
+    def test_graph_merkle_prediction_matches_functional(self, monkeypatch):
         """The compiler frontend's Merkle accounting, instantiated at the
         functional prover's exact parameters, predicts the same leaf-tree
-        permutations the prover executes."""
+        permutations the prover executes.  The frontend models Plonky2,
+        whose batches commit one row a leaf, so the prover is held to
+        that layout here (``fri_layout`` would pick 2-row cosets)."""
         from repro.compiler import PlonkParams, trace_plonky2
+        from repro.plonk import prover as plonk_prover
+
+        monkeypatch.setattr(
+            plonk_prover, "fri_layout", lambda cfg, bits, widths: (0, cfg.fold_schedule(bits))
+        )
 
         b = CircuitBuilder()
         x = b.add_variable()

@@ -1,6 +1,8 @@
 """FRI commitment scheme: honest proofs verify, every fault is caught."""
 
 import copy
+import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,15 +24,22 @@ from repro.fri import (
 )
 from repro import protocols
 from repro.fri import config as fri_config, verifier as fri_verifier
-from repro.fri.config import FRI_ARITY_BITS, initial_arity_bits
+from repro.fri.config import (
+    FRI_ARITY_BITS,
+    expected_opening_bytes,
+    expected_proof_bytes,
+    fri_layout,
+)
 from repro.fri.prover import check_pow, combine_rows, lde_points
 from repro.hashing import Challenger
+from repro.merkle import MerkleTree, open_tree
 from repro.plonk import prover as plonk_prover
 from repro.plonk.prover import LEAF_WIDTHS as PLONK_WIDTHS
 from repro.stark import prover as stark_prover
+from repro.serialize import proof_to_blob
 from repro.workloads import by_name, fibonacci
 
-from .goldens import ARITY2_DIGESTS, CONFIGS, ROW_LAYOUT_DIGESTS, SCALE
+from .goldens import ARITY2_DIGESTS, CONFIGS, LAYOUTS, ROW_LAYOUT_DIGESTS, SCALE
 from .reference_oracles import Polynomial, commit_coeffs
 
 
@@ -60,11 +69,21 @@ def _prove(batches, openings, cfg):
     return fri_prove(batches, openings, ch, cfg)
 
 
+def _force_layout(monkeypatch, coset_bits, modules=(stark_prover, plonk_prover, fri_verifier)):
+    """Make every prover and verifier commit ``2**coset_bits``-row coset
+    leaves under the matching schedule, whatever ``fri_layout`` would
+    pick; 0 commits one LDE row a leaf, and so FRI layer 0."""
+
+    def forced(config, degree_bits, widths):
+        return coset_bits, config.fold_schedule(degree_bits, coset_bits)
+
+    for module in modules:
+        monkeypatch.setattr(module, "fri_layout", forced)
+
+
 def _force_row_leaves(monkeypatch):
-    """Make every prover and verifier commit one LDE row a leaf, and so
-    commit FRI layer 0, whatever ``initial_arity_bits`` would pick."""
-    for module in (stark_prover, plonk_prover, fri_verifier):
-        monkeypatch.setattr(module, "initial_arity_bits", lambda *args: 0)
+    """:func:`_force_layout` at 0: the layout the row-leaf pins hold."""
+    _force_layout(monkeypatch, 0)
 
 
 def _verify(batches, openings, proof, cfg, n):
@@ -172,10 +191,16 @@ class TestFoldSchedule:
     def test_schedule_covers_every_fold_in_layers_of_at_most_8(self, final_len):
         cfg = FriConfig(rate_bits=1, final_poly_len=final_len)
         for degree_bits in range(0, 24):
-            schedule = cfg.fold_schedule(degree_bits)
-            assert sum(schedule) == cfg.num_fold_rounds(degree_bits)
-            assert all(bits == FRI_ARITY_BITS for bits in schedule[:-1])
-            assert all(1 <= bits <= FRI_ARITY_BITS for bits in schedule)
+            rounds = cfg.num_fold_rounds(degree_bits)
+            for a in range(min(FRI_ARITY_BITS, rounds) + 1):
+                schedule = cfg.fold_schedule(degree_bits, a)
+                committed = schedule[1:] if a else schedule
+                assert sum(schedule) == rounds
+                assert not a or schedule[0] == a
+                assert all(bits == FRI_ARITY_BITS for bits in committed[:-1])
+                assert all(1 <= bits <= FRI_ARITY_BITS for bits in schedule)
+            with pytest.raises(ValueError):
+                cfg.fold_schedule(degree_bits, min(FRI_ARITY_BITS, rounds) + 1)
 
     def test_proof_opens_one_coset_leaf_per_committed_layer(self, rng, fri_test_config):
         cfg = fri_test_config
@@ -215,61 +240,102 @@ class TestFoldSchedule:
         assert TEST_CONFIG.conjectured_security_bits() == 28
 
 
-def _force_coset_leaves(monkeypatch):
-    """Make every prover and verifier commit the first layer's cosets
-    whenever the coset tree holds the cap, whatever the size says."""
+def _first_arities(cfg, degree_bits):
+    """Every first arity ``fri_layout`` may pick: ``0 .. 3`` folds at
+    most, and a coset tree that still holds the cap."""
+    top = min(FRI_ARITY_BITS, cfg.num_fold_rounds(degree_bits))
+    return [
+        a for a in range(top + 1)
+        if not a or cfg.cap_height <= degree_bits + cfg.rate_bits - a
+    ]
 
-    def first_fold(config, degree_bits, widths):
-        schedule = config.fold_schedule(degree_bits)
-        fits = schedule and config.cap_height <= degree_bits + config.rate_bits - schedule[0]
-        return schedule[0] if fits else 0
 
-    for module in (stark_prover, plonk_prover, fri_verifier):
-        monkeypatch.setattr(module, "initial_arity_bits", first_fold)
+def _widths(protocol, setup):
+    return stark_prover.leaf_widths(setup.data[0]) if protocol == "stark" else PLONK_WIDTHS
 
 
 class TestInitialArityBits:
     @pytest.mark.parametrize("degree_bits", [6, 8, 10, 12])
     def test_stark_fibonacci_commits_the_first_fold(self, degree_bits):
+        # The batches commit the first fold's cosets at every shape; it
+        # is a fold by 4 at 2^6 rows and by 8 from 2^8 up.
         cfg = CONFIGS["stark"]
-        assert initial_arity_bits(cfg, degree_bits, [2, 2]) == cfg.fold_schedule(degree_bits)[0]
+        a = 2 if degree_bits == 6 else 3
+        assert fri_layout(cfg, degree_bits, [2, 2]) == (a, cfg.fold_schedule(degree_bits, a))
 
     @pytest.mark.parametrize(
-        "workload, scale", [("Fibonacci", SCALE), ("MVM", 6), ("MVM", 11), ("Fibonacci", 64)]
+        "protocol, workload, scale",
+        [
+            ("stark", "Fibonacci", 8),
+            ("stark", "Fibonacci", 10),
+            ("stark", "Fibonacci", 12),
+            ("plonk", "MVM", 6),
+            ("plonk", "MVM", 11),
+            ("plonk", "Fibonacci", 64),
+        ],
     )
-    def test_plonk_keeps_row_leaves_at_every_bench_shape(self, workload, scale):
-        log_n = by_name(workload).build_circuit(scale)[0].log_n
-        for extra_queries in range(4):
-            for cap_height in (1, 2, 3):
-                cfg = FriConfig(**{
-                    **protocols.get("plonk").default_config(),
-                    "num_queries": 8 + extra_queries,
-                    "cap_height": cap_height,
-                })
-                assert initial_arity_bits(cfg, log_n, PLONK_WIDTHS) == 0
+    def test_chosen_layout_gives_the_smallest_blob(self, monkeypatch, protocol, workload, scale):
+        # The benchmark and service shapes under the registry defaults:
+        # of every first arity, the one the rule picks proves the
+        # smallest blob, and it is the blob the unforced prover sends.
+        system = protocols.get(protocol)
+        setup = system.setup(by_name(workload), scale, system.make_config())
+        chosen = proof_to_blob(protocol, system.prove(setup))
+        log_n = setup.rows.bit_length() - 1
+        picked, _ = fri_layout(setup.config, log_n, _widths(protocol, setup))
+        sizes = {}
+        for a in _first_arities(setup.config, log_n):
+            with monkeypatch.context() as patch:
+                _force_layout(patch, a)
+                forced = system.setup(by_name(workload), scale, setup.config)
+                blob = proof_to_blob(protocol, system.prove(forced))
+                sizes[a] = len(blob)
+                if a == picked:
+                    assert blob == chosen
+        assert min(sizes, key=sizes.get) == picked, sizes
+
+    @pytest.mark.parametrize("protocol", sorted(LAYOUTS))
+    def test_golden_instances_take_the_pinned_layout(self, protocol):
+        system = protocols.get(protocol)
+        setup = system.setup(fibonacci.SPEC, SCALE, CONFIGS[protocol])
+        log_n = setup.rows.bit_length() - 1
+        a, schedule = LAYOUTS[protocol]
+        assert fri_layout(CONFIGS[protocol], log_n, _widths(protocol, setup)) == LAYOUTS[protocol]
+        proof = system.prove(setup)
+        assert len(proof.fri_proof.commit_caps) == len(schedule) - (a > 0)
 
     def test_coset_tree_must_hold_the_cap(self):
-        # degree 6, blowup 2, first fold by 8: the coset trees are 4 deep.
-        fits = FriConfig(rate_bits=1, cap_height=4, num_queries=4, final_poly_len=1)
-        assert initial_arity_bits(fits, 6, [2, 2]) == 3
-        tall = FriConfig(rate_bits=1, cap_height=5, num_queries=4, final_poly_len=1)
-        assert initial_arity_bits(tall, 6, [2, 2]) == 0
-        assert initial_arity_bits(FriConfig(final_poly_len=64), 6, [2, 2]) == 0  # no fold
+        # degree 6, blowup 2: the 2**a-row coset trees are 7 - a deep.
+        # Each cap height leaves the admissible arities, and the rule
+        # picks the one of smallest expected proof among them.
+        for cap_height in range(8):
+            cfg = FriConfig(rate_bits=1, cap_height=cap_height, num_queries=4, final_poly_len=1)
+            a, schedule = fri_layout(cfg, 6, [2, 2])
+            fits = [b for b in range(4) if not b or cap_height <= 7 - b]
+            assert a in fits and schedule == cfg.fold_schedule(6, a)
+            assert a == min(fits, key=lambda b: expected_proof_bytes(cfg, 6, [2, 2], b))
+        assert fri_layout(FriConfig(rate_bits=1, cap_height=7, final_poly_len=1), 6, [2, 2])[0] == 0
+        assert fri_layout(FriConfig(final_poly_len=64), 6, [2, 2]) == (0, ())  # no fold
 
     @pytest.mark.parametrize(
         "protocol, scale, rate_bits, cap_height, num_queries, final_poly_len",
         [
-            ("stark", 4, 1, 0, 3, 1),  # cosets: one fold by 8
-            ("stark", 6, 2, 1, 5, 2),  # cosets: one fold by 8, then by 4
-            ("stark", 5, 1, 4, 4, 1),  # rows: the 3-deep coset tree cannot hold cap 4
-            ("plonk", 4, 3, 1, 8, 4),  # cosets: 8 rows, one fold by 2
-            ("plonk", 6, 3, 1, 8, 1),  # rows: 20 columns outweigh a layer-0 path
-            ("plonk", 6, 2, 0, 3, 1),  # rows
+            ("stark", 4, 1, 0, 3, 1),  # 4-row cosets: one fold by 4, one by 2
+            ("stark", 6, 2, 1, 5, 2),  # 4-row cosets: one fold by 4, one by 8
+            ("stark", 5, 1, 4, 4, 1),  # 4-row cosets: the 8-row tree cannot hold cap 4
+            ("plonk", 4, 3, 1, 8, 4),  # 2-row cosets: the only fold is by 2
+            ("plonk", 6, 3, 1, 8, 1),  # 2-row cosets: 20 columns outweigh wider leaves
+            ("plonk", 6, 2, 0, 3, 1),  # 2-row cosets
         ],
     )
     def test_cosets_are_chosen_exactly_when_the_proof_shrinks(
         self, monkeypatch, protocol, scale, rate_bits, cap_height, num_queries, final_poly_len
     ):
+        # Every first arity proves and verifies; the rule picks the one
+        # whose proof is smallest on average over 16 transcripts (the
+        # rule prices an expectation over the query positions, and one
+        # transcript is one draw of them), and the unforced prover
+        # sends exactly that layout's proof.
         cfg = FriConfig(
             rate_bits=rate_bits, cap_height=cap_height, num_queries=num_queries,
             proof_of_work_bits=1, final_poly_len=final_poly_len,
@@ -278,19 +344,59 @@ class TestInitialArityBits:
         setup = system.setup(fibonacci.SPEC, scale, cfg)
         chosen = system.prove(setup)
         log_n = setup.rows.bit_length() - 1
-        widths = stark_prover.leaf_widths(setup.data[0]) if protocol == "stark" else PLONK_WIDTHS
-        picked = initial_arity_bits(cfg, log_n, widths)
-        sizes = {}
-        for layout, force in (("rows", _force_row_leaves), ("cosets", _force_coset_leaves)):
+        picked, _ = fri_layout(cfg, log_n, _widths(protocol, setup))
+
+        def seeded(k):
+            challenger = Challenger()
+            challenger.observe_element(k)
+            return challenger
+
+        mean = {}
+        for a in _first_arities(cfg, log_n):
             with monkeypatch.context() as patch:
-                force(patch)
-                forced_setup = system.setup(fibonacci.SPEC, scale, cfg)
-                proof = system.prove(forced_setup)
-                system.verify(forced_setup, proof)
-                sizes[layout] = proof.fri_proof.size_bytes()
-                if (layout == "cosets") == bool(picked):
+                _force_layout(patch, a)
+                forced = system.setup(fibonacci.SPEC, scale, cfg)
+                proof = system.prove(forced)
+                system.verify(forced, proof)
+                if a == picked:
                     assert system.digest(proof) == system.digest(chosen)
-        assert bool(picked) == (sizes["cosets"] < sizes["rows"])
+                sizes = [
+                    system.prove(forced, challenger=seeded(k)).fri_proof.size_bytes()
+                    for k in range(16)
+                ]
+                mean[a] = sum(sizes) / len(sizes)
+        assert min(mean, key=mean.get) == picked, mean
+
+
+class TestExpectedProofBytes:
+    @pytest.mark.parametrize("queries", [1, 2, 3])
+    @pytest.mark.parametrize("log_leaves", [0, 1, 2, 3, 4])
+    def test_closed_form_is_the_mean_over_every_query_tuple(self, queries, log_leaves):
+        # Every ``queries``-tuple of leaf indices equally likely: the
+        # mean size of the tree's shared-path opening is exactly the
+        # closed form, for every cap height the tree holds.
+        leaves, width = 1 << log_leaves, 3
+        tree = MerkleTree(gl64.random((leaves, width), np.random.default_rng(1)))
+        for cap_height in range(log_leaves + 1):
+            capped = tree.capped(cap_height)
+            total = sum(
+                open_tree(capped, draw).size_bytes()
+                for draw in itertools.product(range(leaves), repeat=queries)
+            )
+            want = expected_opening_bytes(leaves, width, cap_height, queries)
+            assert Fraction(total, leaves**queries) == want
+
+    def test_proof_price_sums_trees_and_layer_caps(self):
+        # Plonk MVM 11 under the registry defaults, rows: four batch
+        # trees of 4096 leaves, then layers of 512, 64 and 32 coset
+        # leaves, each with a two-digest cap.
+        cfg = CONFIGS["plonk"]
+        trees = [(4096, w, 1) for w in PLONK_WIDTHS]
+        trees += [(512, 16, 1), (64, 16, 1), (32, 4, 1)]
+        want = 3 * 2 * 32 + sum(
+            expected_opening_bytes(m, w, cap, cfg.num_queries) for m, w, cap in trees
+        )
+        assert expected_proof_bytes(cfg, 9, PLONK_WIDTHS, 0) == want
 
 
 class TestGrinding:

@@ -1,14 +1,17 @@
 """Completeness across the FRI fold schedule, for both FRI protocols.
 
-``FriConfig.fold_schedule`` commits one layer per three arity-2 folds,
-the last layer taking what is left, and ``initial_arity_bits`` may make
-the first layer virtual (the batches commit its cosets).  Every shape of
-that schedule -- no fold round at all, or a last layer of 1, 2 or 3
-bits -- is drawn here for STARK and Plonk, over degree bits 1-10, rate
-bits 1-3, every ``final_poly_len`` up to 16 and cap heights up to the
-full LDE tree's depth, so on both sides of the coset tree's.  STARK
+``fri_layout`` picks a first arity ``a`` in ``0..3``: with ``a > 0``
+the batches commit ``2**a``-row cosets and the first layer is virtual;
+every later layer folds by 8, the last taking what is left.  Every
+first arity and every shape of the schedule -- no fold round at all,
+or a last layer of 1, 2 or 3 bits -- is drawn here for STARK and Plonk
+(the first arity is forced on prover and both verifiers, and each
+example records it with ``event``), over degree bits 1-10, rate bits
+1-3, every ``final_poly_len`` up to 16 and cap heights up to the
+drawn layout's tree depth, so up to the full LDE tree's under rows.
+At every draw the rule's own pick must be an admissible layout.  STARK
 draws traces of 2-8 columns (Fibonacci column pairs) and Plonk blinding
-salt on or off, so leaf widths fall on both sides of the layout rule.
+salt on or off, so leaf widths vary around the rule's inputs.
 Each case goes prove -> tagged blob -> decode -> verify on the shipped
 verifier and on ``tests/reference_verifiers.py``, and a proof with one
 flipped bit in one opened leaf -- initial or layer -- must be rejected
@@ -18,6 +21,9 @@ Plonk's circuits have at least 4 rows and its 4-chunk quotient needs a
 blowup of at least 4, so its draws start at degree bits 2, rate bits 2.
 """
 
+from contextlib import ExitStack
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, event, given, settings, strategies as st
@@ -25,14 +31,17 @@ from hypothesis import HealthCheck, assume, event, given, settings, strategies a
 from repro import plonk, stark
 from repro.errors import VerifierError
 from repro.field import goldilocks as gl
-from repro.fri import FriConfig, initial_arity_bits
+from repro.fri import FriConfig, fri_layout, verifier as fri_verifier
+from repro.fri.config import FRI_ARITY_BITS
 from repro.hashing import optimized
 from repro.plonk import CircuitBuilder
 from repro.plonk.prover import LEAF_WIDTHS as PLONK_WIDTHS, ZK_SALT_COLUMNS
 from repro.serialize import proof_from_blob, proof_to_blob
 from repro.stark import Air, BoundaryConstraint
+from repro.stark import prover as stark_prover
 from repro.stark.prover import leaf_widths
 
+from . import reference_verifiers
 from .reference_verifiers import reference_plane
 
 #: Last-layer arity bits; 0 means the schedule is empty.
@@ -90,15 +99,28 @@ def _plonk_case(degree_bits, cfg, data):
 CASES = {"stark": (_stark_case, 1, 1), "plonk": (_plonk_case, 2, 2)}
 
 
-def _degree_bits_for(tail, final_len, lowest):
-    """Degree bits in ``[lowest, 10]`` whose schedule ends in ``tail``."""
-    final_bits = (final_len - 1).bit_length()
-    if tail == 0:
-        return [d for d in range(lowest, 11) if d <= final_bits]
-    return [
-        d for d in range(lowest, 11)
-        if d > final_bits and (d - final_bits - 1) % 3 + 1 == tail
-    ]
+def _degree_bits_for(tail, final_len, lowest, a):
+    """Degree bits in ``[lowest, 10]`` whose schedule under first arity
+    ``a`` ends in ``tail`` (0: no fold at all)."""
+    cfg = FriConfig(final_poly_len=final_len)
+    out = []
+    for d in range(lowest, 11):
+        if a <= cfg.num_fold_rounds(d):
+            schedule = cfg.fold_schedule(d, a)
+            if (schedule[-1] if schedule else 0) == tail:
+                out.append(d)
+    return out
+
+
+def _forced_layout(a):
+    """Patches making both provers and both verifiers use first arity
+    ``a``, whatever ``fri_layout`` would pick."""
+    stack = ExitStack()
+    for module in (stark_prover, plonk.prover, fri_verifier, reference_verifiers):
+        stack.enter_context(mock.patch.object(
+            module, "fri_layout", lambda cfg, bits, widths: (a, cfg.fold_schedule(bits, a))
+        ))
+    return stack
 
 
 @pytest.mark.parametrize("tail", TAILS)
@@ -110,26 +132,30 @@ def _degree_bits_for(tail, final_len, lowest):
 def test_every_schedule_tail_proves_and_verifies(protocol, tail, data):
     build, lowest_degree, lowest_rate = CASES[protocol]
     final_len = data.draw(st.sampled_from(FINAL_LENS), "final_poly_len")
-    candidates = _degree_bits_for(tail, final_len, lowest_degree)
+    a = data.draw(st.integers(0, FRI_ARITY_BITS if tail else 0), "first arity bits")
+    candidates = _degree_bits_for(tail, final_len, lowest_degree, a)
     assume(candidates)
     degree_bits = data.draw(st.sampled_from(candidates), "degree_bits")
     rate_bits = data.draw(st.integers(lowest_rate, 3), "rate_bits")
     cfg = FriConfig(
         rate_bits=rate_bits,
-        cap_height=data.draw(st.integers(0, degree_bits + rate_bits), "cap_height"),
+        cap_height=data.draw(st.integers(0, degree_bits + rate_bits - a), "cap_height"),
         # One more query than the scalar Poseidon crossover, so the
         # verifier's per-level Merkle batches fall on both sides of it.
         num_queries=optimized._SCALAR_ROWS + 1,
         proof_of_work_bits=1,
         final_poly_len=final_len,
     )
-    schedule = cfg.fold_schedule(degree_bits)
+    schedule = cfg.fold_schedule(degree_bits, a)
     assert (schedule[-1] if schedule else 0) == tail
+    event(f"first arity bits {a}")
 
-    proof, verify, widths, salt = build(degree_bits, cfg, data)
-    a = initial_arity_bits(cfg, degree_bits, widths)
-    assert a in (0, *schedule[:1])
-    event("coset leaves" if a else "row leaves")
+    with _forced_layout(a):
+        proof, verify, widths, salt = build(degree_bits, cfg, data)
+    picked, picked_schedule = fri_layout(cfg, degree_bits, widths)
+    assert cfg.cap_height <= degree_bits + rate_bits - picked or not picked
+    assert picked_schedule == cfg.fold_schedule(degree_bits, picked)
+    event("the rule's own layout" if picked == a else "a forced layout")
     committed = schedule[1:] if a else schedule
     _, proof = proof_from_blob(proof_to_blob(protocol, proof), expected_protocol=protocol)
     fri_proof = proof.fri_proof
@@ -138,9 +164,10 @@ def test_every_schedule_tail_proves_and_verifies(protocol, tail, data):
         (w + s) << a for w, s in zip(widths, salt)
     ]
     assert [op.rows.shape[1] for op in fri_proof.layer_openings] == [2 << b for b in committed]
-    verify(proof)
-    with reference_plane():
+    with _forced_layout(a):
         verify(proof)
+        with reference_plane():
+            verify(proof)
 
     opened = fri_proof.tree_openings()
     rows = opened[data.draw(st.integers(0, len(opened) - 1), "tree")].rows
@@ -148,7 +175,32 @@ def test_every_schedule_tail_proves_and_verifies(protocol, tail, data):
     element = data.draw(st.integers(0, leaf.size - 1), "element")
     leaf[element] ^= np.uint64(1 << data.draw(st.integers(0, 7), "bit"))
     _, bad = proof_from_blob(proof_to_blob(protocol, proof), expected_protocol=protocol)
-    with pytest.raises(VerifierError):
-        verify(bad)
-    with reference_plane(), pytest.raises(VerifierError):
-        verify(bad)
+    with _forced_layout(a):
+        with pytest.raises(VerifierError):
+            verify(bad)
+        with reference_plane(), pytest.raises(VerifierError):
+            verify(bad)
+
+
+@pytest.mark.parametrize("a", range(FRI_ARITY_BITS + 1))
+@pytest.mark.parametrize("protocol", sorted(CASES))
+def test_every_first_arity_proves_and_verifies(protocol, a):
+    # One fixed shape per first arity, so every arity is reached on
+    # every run whatever the sweep above draws.
+    build = CASES[protocol][0]
+    cfg = FriConfig(rate_bits=2, cap_height=1, num_queries=6, proof_of_work_bits=1, final_poly_len=1)
+    with _forced_layout(a):
+        proof, verify, widths, salt = build(5, cfg, _FixedDraws())
+        assert len(proof.fri_proof.commit_caps) == len(cfg.fold_schedule(5, a)) - (a > 0)
+        assert [op.rows.shape[1] for op in proof.fri_proof.batch_openings] == [w << a for w in widths]
+        verify(proof)
+        with reference_plane():
+            verify(proof)
+
+
+class _FixedDraws:
+    """Stands in for hypothesis' ``data`` in a case builder: each draw
+    returns a fixed value by its label (one column pair, no blinding)."""
+
+    def draw(self, strategy, label=None):
+        return {"column pairs": 1, "blinding": False}[label]

@@ -334,9 +334,9 @@ def _as_version_1(blob: bytes) -> bytes:
     return bytes(old)
 
 
-#: Current format versions: STARK is at 3 since its first FRI layer may
-#: be virtual; Plonk's bytes did not change and it stays at 2.
-CURRENT_VERSIONS = {"stark": 4, "plonk": 3}
+#: Current format versions: STARK is at 5 and Plonk at 4 since the
+#: first FRI layer's arity is picked by the expected shared-path size.
+CURRENT_VERSIONS = {"stark": 5, "plonk": 4}
 
 
 class TestFormatVersion1:
@@ -365,13 +365,29 @@ class TestFormatVersion1:
 
         blob = bytearray(proof_to_blob("stark", stark_setup[1]))
         blob[len(PROOF_BLOB_MAGIC)] = 2
-        with pytest.raises(ProofFormatError, match="version 2 .*expected 4"):
+        with pytest.raises(ProofFormatError, match="version 2 .*expected 5"):
             proof_from_blob(bytes(blob))
 
     @pytest.mark.parametrize("protocol", ["stark", "plonk"])
     def test_per_query_path_blob_raises_the_version_error(self, protocol, stark_setup, plonk_setup):
         # STARK v3 and Plonk v2 sent one Merkle path per query; the
         # current format opens each tree once, so those blobs are refused.
+        from repro.serialize import PROOF_BLOB_MAGIC, ProofFormatError, proof_from_blob, proof_to_blob
+
+        proof = {"stark": stark_setup, "plonk": plonk_setup}[protocol][1]
+        old = {"stark": 3, "plonk": 2}[protocol]
+        blob = bytearray(proof_to_blob(protocol, proof))
+        blob[len(PROOF_BLOB_MAGIC)] = old
+        with pytest.raises(ProofFormatError, match=f"version {old} .*expected {CURRENT_VERSIONS[protocol]}"):
+            proof_from_blob(bytes(blob))
+
+    @pytest.mark.parametrize("protocol", ["stark", "plonk"])
+    def test_bare_row_or_8_row_coset_blob_raises_the_version_error(
+        self, protocol, stark_setup, plonk_setup
+    ):
+        # STARK v4 and Plonk v3 committed bare rows or 8-row cosets only;
+        # the current format may carry 2- or 4-row coset leaves and
+        # another layer count at the same shape, so those blobs are refused.
         from repro.serialize import PROOF_BLOB_MAGIC, ProofFormatError, proof_from_blob, proof_to_blob
 
         proof = {"stark": stark_setup, "plonk": plonk_setup}[protocol][1]
