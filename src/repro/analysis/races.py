@@ -36,6 +36,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..context import Workspace, scoped
 from ..hashing import Challenger
 from ..parallel.footprints import Access, footprint
 from ..parallel.pool import ShardPool, default_pool
@@ -194,22 +195,21 @@ def _representative_graphs(pool):
     from ..fri.prover import FriOpenings, PolynomialBatch
     from ..parallel import ops
 
-    ws = None  # no plan workspace: every stage owns its buffers
     rows = np.arange(4 * 16, dtype=np.uint64).reshape(4, 16)
-    yield "commit:from_coeffs", ops.from_coeffs_graph(pool, ws, rows, 1, 1, "chk:coeffs").graph
-    yield "commit:from_values", ops.from_values_graph(pool, ws, rows, 1, 1, "chk:values").graph
+    yield "commit:from_coeffs", ops.from_coeffs_graph(pool, rows, 1, 1, "chk:coeffs").graph
+    yield "commit:from_values", ops.from_values_graph(pool, rows, 1, 1, "chk:values").graph
     yield "commit:coset_leaves", ops.from_values_graph(
-        pool, ws, rows, 1, 1, "chk:cosets", FRI_ARITY_BITS
+        pool, rows, 1, 1, "chk:cosets", FRI_ARITY_BITS
     ).graph
 
     ext = np.arange(32 * 2, dtype=np.uint64).reshape(32, 2)
     yield "commit:quotient", ops.quotient_commit_graph(
-        pool, ws, ext, 16, 2, 1, 1, "chk:quotient"
+        pool, ext, 16, 2, 1, 1, "chk:quotient"
     ).graph
 
     layer_vals = np.arange(64 * 2, dtype=np.uint64).reshape(64, 2)
     yield "fri:layer_tree", ops.layer_tree_graph(
-        pool, ws, layer_vals, FRI_ARITY_BITS, 1, 1
+        pool, layer_vals, FRI_ARITY_BITS, 1, 1
     ).graph
 
     # Combine + queries need a committed batch and layer tree; tiny
@@ -222,11 +222,11 @@ def _representative_graphs(pool):
         values=[np.array([[1, 2], [3, 4]], dtype=np.uint64)],
     )
     alpha = np.array([7, 9], dtype=np.uint64)
-    yield "fri:combine", ops.combine_graph(pool, ws, [batch], openings, alpha).graph
+    yield "fri:combine", ops.combine_graph(pool, [batch], openings, alpha).graph
 
-    tree = ops.layer_tree_graph(default_pool(), ws, layer_vals, FRI_ARITY_BITS, 1, 0).run()
+    tree = ops.layer_tree_graph(default_pool(), layer_vals, FRI_ARITY_BITS, 1, 0).run()
     yield "fri:queries", ops.query_rounds_graph(
-        pool, ws, [batch], [tree], list(range(6))
+        pool, [batch], [tree], list(range(6))
     ).graph
 
     # HyperPlonk-lite shapes: a multilinear-PCS commit and one fused
@@ -248,7 +248,9 @@ def run_race_checks() -> Tuple[List[Finding], List[str]]:
     checked: List[str] = []
     for workers in _CHECKED_WORKERS:
         gates = {"min_rows": 1, "min_tree_leaves": 1, "min_queries": 1}
-        with ShardPool(workers=workers, **gates) as pool:
+        # Slotted local buffers land in a throwaway arena, not the
+        # caller's RUN.workspace.
+        with ShardPool(workers=workers, **gates) as pool, scoped("workspace", Workspace()):
             for label, graph in _representative_graphs(pool):
                 label = f"{label}@{workers}"
                 findings.extend(graph_findings(graph, name=label))

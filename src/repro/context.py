@@ -10,8 +10,9 @@ accounting view (paper Sections 4 and 6).  The software analogue is
   ``None`` while nobody traces;
 * ``pool`` -- the scoped :class:`repro.parallel.ShardPool`, or ``None``
   for the process-default inline executor;
-* ``workspace`` -- the kernel scratch arena
-  (:func:`repro.field.gl64.default_workspace`);
+* ``workspace`` -- the one arena every kernel scratch and every
+  slotted local stage buffer of a prove comes from (a scoped fresh
+  :class:`Workspace` isolates one);
 * ``plans`` -- the per-shape :class:`repro.fri.DomainPlan` LRU
   (:func:`repro.fri.plan.plan_for`);
 * ``instances`` -- the preprocessed-instance LRU every

@@ -24,8 +24,10 @@ Zero-copy data plane
 The prover hot path goes through the ``*_into`` kernels
 (:func:`add_into`, :func:`sub_into`, :func:`mul_into`,
 :func:`butterfly_into`, ...), which write into caller-provided output
-buffers and draw every intermediate from a reusable :class:`Workspace`
-arena instead of allocating ~8 fresh temporaries per multiply.  The
+buffers and draw every intermediate from the calling thread's
+:class:`Workspace` arena (``RUN.workspace``; a caller isolates one with
+``repro.context.scoped("workspace", Workspace())``) instead of
+allocating ~8 fresh temporaries per multiply.  The
 pure functions (:func:`add`, :func:`mul`, ...) are thin wrappers that
 allocate only the output (a single element takes Python ints instead:
 a 0-d NumPy call costs more than the arithmetic).
@@ -67,17 +69,6 @@ _ZERO = operand(0)
 
 GlArray = np.ndarray
 ArrayLike = Union[np.ndarray, int]
-
-
-# ---------------------------------------------------------------------------
-# Workspace arena (the class lives in repro.context, beside the run
-# that holds each thread's default one)
-# ---------------------------------------------------------------------------
-
-
-def default_workspace() -> Workspace:
-    """The calling thread's shared kernel workspace."""
-    return RUN.workspace
 
 
 def _bcast(a: np.ndarray, shape) -> np.ndarray:
@@ -144,13 +135,12 @@ def freeze(*arrays: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 
-def add_into(a: np.ndarray, b: np.ndarray, out: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
+def add_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out <- a + b (mod p)`` for canonical inputs; ``out`` may alias."""
-    ws = ws or default_workspace()
     shape = out.shape
     a = _bcast(np.asarray(a, dtype=np.uint64), shape)
     b = _bcast(np.asarray(b, dtype=np.uint64), shape)
-    s = ws.temp((2,) + shape, "add")
+    s = RUN.workspace.temp((2,) + shape, "add")
     s0, s1 = s[0], s[1]
     np.add(a, b, out=s0)
     np.less(s0, a, out=s1, casting="unsafe")  # wrapped past 2**64?
@@ -162,13 +152,12 @@ def add_into(a: np.ndarray, b: np.ndarray, out: np.ndarray, ws: Workspace | None
     return out
 
 
-def sub_into(a: np.ndarray, b: np.ndarray, out: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
+def sub_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out <- a - b (mod p)`` for canonical inputs; ``out`` may alias."""
-    ws = ws or default_workspace()
     shape = out.shape
     a = _bcast(np.asarray(a, dtype=np.uint64), shape)
     b = _bcast(np.asarray(b, dtype=np.uint64), shape)
-    s0 = ws.temp(shape, "sub")
+    s0 = RUN.workspace.temp(shape, "sub")
     np.less(a, b, out=s0, casting="unsafe")  # borrow
     np.multiply(s0, EPSILON, out=s0)
     np.subtract(a, b, out=out)
@@ -278,11 +267,10 @@ def _mul_plan(ws: Workspace, shape: tuple) -> tuple:
     )
 
 
-def mul_into(a: np.ndarray, b: np.ndarray, out: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
+def mul_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out <- a * b (mod p)``, canonical, for any ``uint64`` inputs;
     ``out`` may alias an input exactly.  The limb decomposition runs
     inside one workspace scratch block (:func:`_mul_plan`)."""
-    ws = ws or default_workspace()
     shape = out.shape
     a = _bcast(np.asarray(a, dtype=np.uint64), shape)
     b = _bcast(np.asarray(b, dtype=np.uint64), shape)
@@ -290,9 +278,10 @@ def mul_into(a: np.ndarray, b: np.ndarray, out: np.ndarray, ws: Workspace | None
         step = _BLOCK * shape[0] // out.size
         for i in range(0, shape[0], step or 1):
             cut = slice(i, i + step) if step else i
-            mul_into(a[cut], b[cut], out[cut], ws)
+            mul_into(a[cut], b[cut], out[cut])
         return out
-    (a_lo, a_hi), (b_lo, b_hi), lanes, _, res, spare = ws.plan("mul", shape, _mul_plan)
+    planned = RUN.workspace.plan("mul", shape, _mul_plan)
+    (a_lo, a_hi), (b_lo, b_hi), lanes, _, res, spare = planned
     np.bitwise_and(a, _MASK32, a_lo)
     np.right_shift(a, _U32, a_hi)
     np.bitwise_and(b, _MASK32, b_lo)
@@ -301,22 +290,22 @@ def mul_into(a: np.ndarray, b: np.ndarray, out: np.ndarray, ws: Workspace | None
     return canonical_into(res, out, spare)
 
 
-def square_into(a: np.ndarray, out: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
+def square_into(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out <- a**2 (mod p)``; saves two limb splits over mul.
 
     ``out`` may alias ``a`` exactly: ``a`` is consumed into workspace
     limb temps before the first write to ``out``.
     """
-    ws = ws or default_workspace()
     shape = out.shape
     a = _bcast(np.asarray(a, dtype=np.uint64), shape)
     if out.size > _BLOCK:
         step = _BLOCK * shape[0] // out.size
         for i in range(0, shape[0], step or 1):
             cut = slice(i, i + step) if step else i
-            square_into(a[cut], out[cut], ws)
+            square_into(a[cut], out[cut])
         return out
-    (a_lo, a_hi), _, _, lanes, res, spare = ws.plan("mul", shape, _mul_plan)
+    planned = RUN.workspace.plan("mul", shape, _mul_plan)
+    (a_lo, a_hi), _, _, lanes, res, spare = planned
     np.bitwise_and(a, _MASK32, a_lo)
     np.right_shift(a, _U32, a_hi)
     _mul_lazy_into(a, a, lanes, res)
@@ -378,13 +367,12 @@ def pow7_lazy_into(x: np.ndarray, out: np.ndarray, lanes: tuple) -> np.ndarray:
     return out
 
 
-def pow7_into(a: np.ndarray, out: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
+def pow7_into(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out <- a**7 (mod p)`` (Poseidon S-box), canonical, for any
     ``uint64`` input; ``out`` may alias ``a`` exactly."""
-    ws = ws or default_workspace()
     shape = out.shape
     a = _bcast(np.asarray(a, dtype=np.uint64), shape)
-    lanes = ws.plan("pow7", shape, _pow7_plan)
+    lanes = RUN.workspace.plan("pow7", shape, _pow7_plan)
     pow7_lazy_into(a, out, lanes)
     return canonical_into(out, out, lanes[2])  # a word plane, dead by now
 
@@ -401,7 +389,6 @@ def butterfly_into(
     out_u: np.ndarray,
     out_w: np.ndarray,
     dit: bool = False,
-    ws: Workspace | None = None,
 ) -> None:
     """One radix-2 NTT butterfly layer, written into caller buffers.
 
@@ -413,16 +400,15 @@ def butterfly_into(
     in-place NTT passes exactly those views); other aliasings are
     undefined.
     """
-    ws = ws or default_workspace()
-    s0 = ws.temp(out_w.shape, "bfly")
+    s0 = RUN.workspace.temp(out_w.shape, "bfly")
     if not dit:
-        sub_into(u, w, s0, ws)
-        add_into(u, w, out_u, ws)  # reads u/w fully before writing out_u
-        mul_into(s0, tw, out_w, ws)
+        sub_into(u, w, s0)
+        add_into(u, w, out_u)  # reads u/w fully before writing out_u
+        mul_into(s0, tw, out_w)
     else:
-        mul_into(w, tw, s0, ws)  # t = w * tw
-        sub_into(u, s0, out_w, ws)  # u still intact (sub writes out_w only)
-        add_into(u, s0, out_u, ws)
+        mul_into(w, tw, s0)  # t = w * tw
+        sub_into(u, s0, out_w)  # u still intact (sub writes out_w only)
+        add_into(u, s0, out_u)
     return None
 
 
@@ -499,24 +485,23 @@ def inv_fast(a: ArrayLike) -> GlArray:
         return a.copy()
     if a.size == 1:  # 12 us of Python-int pow against ~100 NumPy calls
         return np.full(a.shape, gl.inverse(int(a.reshape(()))), dtype=np.uint64)[()]
-    ws = default_workspace()
     size = 1 << (a.size - 1).bit_length()
     # Level k (size >> k products) starts at 2 * size - (2 * size >> k).
-    up, down = ws.temp((2, 2 * size), "inv")
+    up, down = RUN.workspace.temp((2, 2 * size), "inv")
     np.copyto(up[: a.size].reshape(a.shape), a)
     up[a.size : size] = 1
     lo, n = 0, size
     while n > 1:
         half = n // 2
-        mul_into(up[lo : lo + half], up[lo + half : lo + n], up[lo + n : lo + n + half], ws)
+        mul_into(up[lo : lo + half], up[lo + half : lo + n], up[lo + n : lo + n + half])
         lo, n = lo + n, half
     down[lo] = gl.inverse(int(up[lo]))
     while lo:
         parent = down[lo : lo + n]
         lo, n = lo - 2 * n, 2 * n
         half = n // 2
-        mul_into(parent, up[lo + half : lo + n], down[lo : lo + half], ws)
-        mul_into(parent, up[lo : lo + half], down[lo + half : lo + n], ws)
+        mul_into(parent, up[lo + half : lo + n], down[lo : lo + half])
+        mul_into(parent, up[lo : lo + half], down[lo + half : lo + n])
     return down[: a.size].reshape(a.shape).copy()
 
 

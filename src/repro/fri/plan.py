@@ -1,4 +1,4 @@
-"""The per-shape prover plan: precomputed coset tables + one workspace.
+"""The per-shape prover plan: precomputed coset tables.
 
 A :class:`DomainPlan` gathers everything a FRI-based prover (STARK or
 Plonk) would otherwise re-derive on every proof over one
@@ -6,9 +6,8 @@ Plonk) would otherwise re-derive on every proof over one
 static, per-shape kernel-mapping preparation (paper Sections 4-5):
 
 * built eagerly, because both protocols use them: the coset points, the
-  vanishing-polynomial inverses ``1 / Z_H(x)``, the subgroup generator,
-  and one :class:`repro.field.gl64.Workspace` arena holding the NTT
-  scratch, sponge states and Merkle level arenas of a whole proof;
+  vanishing-polynomial inverses ``1 / Z_H(x)`` and the subgroup
+  generator;
 * built on first use, then cached read-only: the STARK transition /
   boundary divisor inverses and constant-column LDEs, and Plonk's first
   Lagrange polynomial;
@@ -17,10 +16,11 @@ static, per-shape kernel-mapping preparation (paper Sections 4-5):
 
 A plan is keyed on the domain shape only, so every trace or circuit of
 one size -- whatever the protocol -- shares it; a service worker's
-successive jobs of one shape run on one warm plan.  Plans are NOT
-thread-safe (the arena is reused mutably per proof), so :func:`plan_for`
-draws them from the calling thread's ``RUN.plans``
-(:mod:`repro.context`).
+successive jobs of one shape run on one warm plan.  A plan holds
+tables only: every scratch and stage buffer of a proof lives in the
+thread's one arena, ``RUN.workspace``.  A plan fills its lazy tables
+without a lock, so :func:`plan_for` draws plans from the calling
+thread's ``RUN.plans`` (:mod:`repro.context`).
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ class DomainPlan:
         self.rate_bits = rate_bits
         self.n_lde = n << rate_bits
         self.log_lde = self.n_lde.bit_length() - 1
-        self.ws = gl64.Workspace()
         #: Coset points g * omega^i over the LDE domain (read-only).
         self.xs = fri_prover.lde_points(self.log_lde)
         # x^n on the coset cycles with period `blowup`.
@@ -126,8 +125,8 @@ def _frozen(table: np.ndarray) -> np.ndarray:
     return table
 
 
-#: Per-thread plan-cache capacity.  Plans pin multi-megabyte workspace
-#: arenas, so the cache is LRU-bounded; evictions are counted in
+#: Per-thread plan-cache capacity.  Plans pin their coset-sized tables,
+#: so the cache is LRU-bounded; evictions are counted in
 #: :class:`repro.metrics.Counters` (``plan_evictions``).
 PLAN_CACHE_CAP = 8
 
@@ -137,7 +136,7 @@ def plan_for(n: int, rate_bits: int) -> DomainPlan:
 
     Keyed on ``(n, rate_bits)``; repeated proofs of one shape -- of
     either protocol, a service worker's successive jobs in particular --
-    share tables and workspace.  The cache holds at most
+    share tables.  The cache holds at most
     :data:`PLAN_CACHE_CAP` plans per thread, evicting least-recently-used
     shapes.
     """

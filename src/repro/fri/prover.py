@@ -64,7 +64,6 @@ class PolynomialBatch:
         subgroup_values: np.ndarray,
         rate_bits: int,
         cap_height: int,
-        ws: gl64.Workspace | None = None,
         slot: str | None = None,
         coset_bits: int = 0,
     ) -> "PolynomialBatch":
@@ -77,7 +76,6 @@ class PolynomialBatch:
         """
         return par_ops.from_values_graph(
             parallel.current_pool(),
-            ws,
             subgroup_values,
             rate_bits,
             cap_height,
@@ -256,7 +254,6 @@ def fri_prove(
     openings: FriOpenings,
     challenger: Challenger,
     config: FriConfig,
-    ws: gl64.Workspace | None = None,
 ) -> FriProof:
     """Produce a batch FRI opening proof.
 
@@ -282,7 +279,7 @@ def fri_prove(
     pool = parallel.current_pool()
     n_lde = batches[0].values.shape[0]
     with tracing.span("fri:combine", category="fri"):
-        values = par_ops.combine_graph(pool, ws, batches, openings, alpha).run()
+        values = par_ops.combine_graph(pool, batches, openings, alpha).run()
     log_lde = n_lde.bit_length() - 1
 
     # Commit phase: one tree and one beta per committed layer; a virtual
@@ -295,7 +292,7 @@ def fri_prove(
         for i, arity_bits in enumerate(schedule):
             if i or not virtual:
                 tree = par_ops.layer_tree_graph(
-                    pool, ws, values, arity_bits, config.cap_height, i
+                    pool, values, arity_bits, config.cap_height, i
                 ).run()
                 trees.append(tree)
                 challenger.observe_cap(tree.cap)
@@ -321,7 +318,7 @@ def fri_prove(
     with tracing.span("fri:query", category="fri", queries=config.num_queries):
         indices = challenger.get_indices(config.num_queries, n_lde)
         batch_openings, layer_openings = par_ops.query_rounds_graph(
-            pool, ws, batches, trees, indices
+            pool, batches, trees, indices
         ).run()
 
     return FriProof(

@@ -20,6 +20,7 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
+from ..context import scoped
 from ..field import extension as fext, gl64, goldilocks as gl
 from ..hashing import optimized, poseidon, sponge
 from ..ntt import intt, ntt
@@ -58,7 +59,6 @@ def check_gl_kernels(rng: np.random.Generator) -> List[str]:
     shape = _rand_shape(rng)
     a = gl64.random(shape, rng)
     b = gl64.random(shape, rng)
-    ws = gl64.Workspace()
 
     cases = [
         ("add_into", gl64.add_into, gl.add),
@@ -67,21 +67,21 @@ def check_gl_kernels(rng: np.random.Generator) -> List[str]:
     ]
     for name, kernel, ref_fn in cases:
         out = np.empty(shape, dtype=np.uint64)
-        kernel(a, b, out, ws)
+        kernel(a, b, out)
         ref = _scalar_map(ref_fn, a, b)
         if not np.array_equal(out, ref):
             problems.append(f"{name} diverges from scalar reference on shape {shape}")
         # Aliased form: out is the first input (the data plane's hot case).
         aliased = a.copy()
-        kernel(aliased, b, aliased, ws)
+        kernel(aliased, b, aliased)
         if not np.array_equal(aliased, ref):
             problems.append(f"{name} (aliased out=a) diverges on shape {shape}")
 
     out = np.empty(shape, dtype=np.uint64)
-    gl64.square_into(a, out, ws)
+    gl64.square_into(a, out)
     if not np.array_equal(out, _scalar_map(gl.square, a)):
         problems.append(f"square_into diverges on shape {shape}")
-    gl64.pow7_into(a, out, ws)
+    gl64.pow7_into(a, out)
     if not np.array_equal(out, _scalar_map(lambda v: gl.pow_mod(v, 7), a)):
         problems.append(f"pow7_into diverges on shape {shape}")
 
@@ -213,14 +213,13 @@ def check_ntt(rng: np.random.Generator) -> List[str]:
     log_n = int(rng.integers(1, 7))
     n = 1 << log_n
     a = gl64.random(n, rng)
-    ws = gl64.Workspace()
-    fwd = ntt(a, ws=ws)
+    fwd = ntt(a)
     if not np.array_equal(fwd, _naive_dft(a)):
         problems.append(f"ntt diverges from naive DFT at n={n}")
-    back = intt(fwd, ws=ws)
+    back = intt(fwd)
     if not np.array_equal(back, a):
         problems.append(f"intt(ntt(a)) != a at n={n}")
-    if not np.array_equal(intt(a, ws=ws), _naive_dft(a, inverse=True)):
+    if not np.array_equal(intt(a), _naive_dft(a, inverse=True)):
         problems.append(f"intt diverges from naive inverse DFT at n={n}")
     return problems
 
@@ -281,12 +280,15 @@ def run_oracles(seed: int, iterations: int) -> List[OracleFinding]:
 
     Iteration ``i`` of oracle ``name`` uses the generator seeded with
     ``[seed, index(name), i]`` -- rerunning with the same seed replays
-    the exact inputs of a reported finding.
+    the exact inputs of a reported finding.  Each run gets a fresh
+    kernel arena, so no oracle sees another's scratch.
     """
     findings: List[OracleFinding] = []
     for oi, (name, check) in enumerate(ORACLES.items()):
         for i in range(iterations):
             rng = np.random.default_rng([seed, oi, i])
-            for detail in check(rng):
+            with scoped("workspace", gl64.Workspace()):
+                details = check(rng)
+            for detail in details:
                 findings.append(OracleFinding(oracle=name, iteration=i, detail=detail))
     return findings

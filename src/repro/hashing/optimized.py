@@ -34,6 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ..context import RUN
 from ..field import gl64, goldilocks as gl
 from .constants import PARTIAL_ROUNDS, WIDTH, mds_matrix, round_constants
 from .poseidon import FULL_ROUNDS, HALF_FULL
@@ -586,7 +587,7 @@ def _partial_block_into(states: np.ndarray, chain: tuple) -> None:
     _fold_into(fold, states)
 
 
-def permute_into(states: np.ndarray, ws: gl64.Workspace | None = None) -> np.ndarray:
+def permute_into(states: np.ndarray) -> np.ndarray:
     """The Poseidon permutation, in place on a writable (..., 12) buffer
     of canonical states with contiguous rows.
 
@@ -608,12 +609,11 @@ def permute_into(states: np.ndarray, ws: gl64.Workspace | None = None) -> np.nda
         for i in range(flat.shape[0]):
             flat[i] = permute_scalar(flat[i].tolist())
         return states
-    ws = ws or gl64.default_workspace()
     if flat.shape[0] > _PERMUTE_ROWS:
         for start in range(0, flat.shape[0], _PERMUTE_ROWS):
-            permute_into(flat[start : start + _PERMUTE_ROWS], ws)
+            permute_into(flat[start : start + _PERMUTE_ROWS])
         return states
-    scratch = ws.plan("permute", _PERMUTE_ROWS, _Scratch)
+    scratch = RUN.workspace.plan("permute", _PERMUTE_ROWS, _Scratch)
     full, affine, chain, spare = scratch.block(flat.shape[0])
     rc0, weights = _fused_tables()[:2]
     gl64.add_lazy_into(flat, rc0, flat, spare)

@@ -44,13 +44,13 @@ def permutation_count(input_len: int) -> int:
     return (input_len + RATE - 1) // RATE
 
 
-def _state_buf(batch: int, ws: gl64.Workspace) -> np.ndarray:
-    state = ws.temp((batch, WIDTH), "sponge:state")
+def _state_buf(batch: int) -> np.ndarray:
+    state = RUN.workspace.temp((batch, WIDTH), "sponge:state")
     state.fill(0)
     return state
 
 
-def hash_batch(inputs: np.ndarray, ws: gl64.Workspace | None = None) -> np.ndarray:
+def hash_batch(inputs: np.ndarray) -> np.ndarray:
     """Hash a batch of equal-length rows: (B, L) -> (B, DIGEST_LEN).
 
     Overwrite-mode absorption, one permutation per RATE-element chunk
@@ -60,38 +60,33 @@ def hash_batch(inputs: np.ndarray, ws: gl64.Workspace | None = None) -> np.ndarr
     if inputs.ndim != 2:
         raise ValueError("hash_batch expects a 2-D (batch, length) array")
     out = np.empty((inputs.shape[0], DIGEST_LEN), dtype=np.uint64)
-    return hash_batch_into(inputs, out, ws)
+    return hash_batch_into(inputs, out)
 
 
-def hash_batch_into(
-    inputs: np.ndarray, out: np.ndarray, ws: gl64.Workspace | None = None
-) -> np.ndarray:
+def hash_batch_into(inputs: np.ndarray, out: np.ndarray) -> np.ndarray:
     """:func:`hash_batch`, writing digests into a caller-provided (B, 4)
     buffer.  The sponge state lives in the workspace arena.
 
     ``out`` may alias ``inputs``: every read of ``inputs`` completes
     before the single final write to ``out``.
     """
-    ws = ws or gl64.default_workspace()
     batch, length = inputs.shape
-    state = _state_buf(batch, ws)
+    state = _state_buf(batch)
     if length == 0:
         RUN.counters.sponge_permutations += batch
-        optimized.permute_into(state, ws)
+        optimized.permute_into(state)
         np.copyto(out, state[:, :DIGEST_LEN])
         return out
     for start in range(0, length, RATE):
         chunk = inputs[:, start : start + RATE]
         state[:, : chunk.shape[1]] = chunk
         RUN.counters.sponge_permutations += batch
-        optimized.permute_into(state, ws)
+        optimized.permute_into(state)
     np.copyto(out, state[:, :DIGEST_LEN])
     return out
 
 
-def compress_level_into(
-    prev: np.ndarray, out: np.ndarray, ws: gl64.Workspace | None = None
-) -> np.ndarray:
+def compress_level_into(prev: np.ndarray, out: np.ndarray) -> np.ndarray:
     """One fused Merkle level: (2k, 4) digests -> (k, 4) parents.
 
     Two-to-one compression: each parent is the permutation of its two
@@ -103,20 +98,17 @@ def compress_level_into(
     ``out`` may alias ``prev``: both children are copied into the
     workspace state before ``out`` is written.
     """
-    ws = ws or gl64.default_workspace()
     half = prev.shape[0] // 2
-    state = _state_buf(half, ws)
+    state = _state_buf(half)
     state[:, :DIGEST_LEN] = prev[0::2]
     state[:, DIGEST_LEN : 2 * DIGEST_LEN] = prev[1::2]
     RUN.counters.sponge_permutations += half
-    optimized.permute_into(state, ws)
+    optimized.permute_into(state)
     np.copyto(out, state[:, :DIGEST_LEN])
     return out
 
 
-def hash_leaves_into(
-    values: np.ndarray, out: np.ndarray, ws: gl64.Workspace | None = None
-) -> np.ndarray:
+def hash_leaves_into(values: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Plonky2-style leaf hashing (``hash_or_noop``) into ``out``: rows
     shorter than a digest are zero-padded into the digest directly (no
     permutation); longer rows are hashed with :func:`hash_batch_into`.
@@ -130,4 +122,4 @@ def hash_leaves_into(
         out.fill(0)
         out[:, :length] = values
         return out
-    return hash_batch_into(values, out, ws)
+    return hash_batch_into(values, out)

@@ -50,6 +50,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .. import parallel, tracing
+from ..context import RUN
 from ..field import gl64, goldilocks as gl
 from ..hashing import Challenger
 from ..merkle import MerkleTree, open_tree
@@ -124,7 +125,7 @@ def _constraint_table(
     n = circuit.n
     sel = circuit.selectors
     w = wires
-    ws = gl64.default_workspace()
+    ws = RUN.workspace
     pi = ws.temp((n,), "hp:pi")
     pi.fill(0)
     for row, val in zip(circuit.public_input_rows, public_values):
@@ -224,7 +225,7 @@ def prove(
 
         with tracing.span("commit:wires", category="commit"):
             wires_tree = pcs.commit(
-                np.ascontiguousarray(wires.T), "wires", slot="hp:wires"
+                np.ascontiguousarray(wires.T), "wires", slot="wires"
             )
         challenger.observe_cap(wires_tree.cap)
 
@@ -233,7 +234,7 @@ def prove(
         with tracing.span("permutation", category="permutation"):
             z, f, g = compute_z(wires, data.ids, data.sigmas, beta, gamma)
         with tracing.span("commit:z", category="commit"):
-            z_tree = pcs.commit(z, "z", slot="hp:z")
+            z_tree = pcs.commit(z, "z", slot="z")
         challenger.observe_cap(z_tree.cap)
 
         alpha = challenger.get_challenge()

@@ -66,7 +66,6 @@ def build_subtree(
     levels: List[np.ndarray],
     start: int,
     count: int,
-    ws: gl64.Workspace,
     leaf_rows: np.ndarray | None = None,
     base: int = 0,
 ) -> None:
@@ -83,24 +82,19 @@ def build_subtree(
     finish with one call over the row of subtree roots.
     """
     if leaf_rows is not None:
-        sponge.hash_leaves_into(leaf_rows, levels[base][start : start + count], ws)
+        sponge.hash_leaves_into(leaf_rows, levels[base][start : start + count])
     for k in range(1, len(levels) - base):
         if (count >> k) < 1:
             break
         prev = levels[base + k - 1][start >> (k - 1) : (start + count) >> (k - 1)]
         out = levels[base + k][start >> k : (start + count) >> k]
-        sponge.compress_level_into(prev, out, ws)
+        sponge.compress_level_into(prev, out)
 
 
 class MerkleTree:
     """Merkle tree over a (num_leaves, leaf_width) matrix of elements."""
 
-    def __init__(
-        self,
-        leaves: np.ndarray,
-        cap_height: int = 0,
-        ws: gl64.Workspace | None = None,
-    ) -> None:
+    def __init__(self, leaves: np.ndarray, cap_height: int = 0) -> None:
         leaves = np.atleast_2d(gl64.asarray(leaves, trusted=True))
         num_leaves = leaves.shape[0]
         if num_leaves == 0 or num_leaves & (num_leaves - 1):
@@ -116,9 +110,7 @@ class MerkleTree:
         self.arena = np.empty((sum(sizes), sponge.DIGEST_LEN), dtype=np.uint64)
         #: levels[0] = leaf digests; levels[-1] = the cap.
         self.levels: List[np.ndarray] = level_views(self.arena, sizes)
-        build_subtree(
-            self.levels, 0, num_leaves, ws or gl64.default_workspace(), leaves
-        )
+        build_subtree(self.levels, 0, num_leaves, leaves)
 
     @classmethod
     def from_levels(

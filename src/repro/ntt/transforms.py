@@ -23,9 +23,9 @@ The stages run truly in place on a workspace buffer through
 temporaries.  Twiddles are pre-sliced contiguously per ``(log_n,
 stage)`` and cached read-only; the final bit-reversal is one cached
 ``np.take`` gather into the output buffer.  Every public transform
-accepts ``out=`` (the result buffer) and ``ws=`` (a
-:class:`~repro.field.gl64.Workspace` scratch arena); with neither, it
-behaves exactly like the old allocating API.
+accepts ``out=`` (the result buffer) and takes its scratch from the
+calling thread's :class:`~repro.field.gl64.Workspace`
+(``RUN.workspace``); without ``out=`` it returns a fresh array.
 """
 
 from __future__ import annotations
@@ -129,16 +129,13 @@ def _count_transform(a: np.ndarray, log_n: int) -> None:
     counters.ntt_butterflies += batch * (1 << max(0, log_n - 1)) * log_n
 
 
-def _dif_in_place(
-    a: np.ndarray, log_n: int, inverse: bool, ws: gl64.Workspace | None = None
-) -> np.ndarray:
+def _dif_in_place(a: np.ndarray, log_n: int, inverse: bool) -> np.ndarray:
     """Decimation-in-frequency: natural input -> bit-reversed output.
 
     ``a`` must be a contiguous, writable uint64 array; it is transformed
-    in place with zero allocations (scratch comes from ``ws``).
+    in place with zero allocations (scratch comes from ``RUN.workspace``).
     """
     _count_transform(a, log_n)
-    ws = ws or gl64.default_workspace()
     stages = _stage_twiddles(log_n, inverse)
     n = 1 << log_n
     lead = a.shape[:-1]
@@ -148,49 +145,44 @@ def _dif_in_place(
         v = a.reshape(lead + (n // m, m))
         u = v[..., :mh]
         w = v[..., mh:]
-        gl64.butterfly_into(u, w, stages[i], u, w, ws=ws)
+        gl64.butterfly_into(u, w, stages[i], u, w)
     return a
 
 
-def _workbuf(
-    a: np.ndarray, ws: gl64.Workspace | None, slot: str
-) -> tuple[np.ndarray, gl64.Workspace]:
+def _workbuf(a: np.ndarray, slot: str) -> np.ndarray:
     """Copy ``a`` into a reusable transform buffer (never aliases ``a``)."""
-    ws = ws or gl64.default_workspace()
-    work = ws.temp(a.shape, slot)
+    work = RUN.workspace.temp(a.shape, slot)
     np.copyto(work, a)
-    return work, ws
+    return work
 
 
-def ntt(a, out: np.ndarray | None = None, ws: gl64.Workspace | None = None) -> np.ndarray:
+def ntt(a, out: np.ndarray | None = None) -> np.ndarray:
     """Forward NTT, natural input and output (``NTT^NN``)."""
     a = np.asarray(a, dtype=np.uint64)
     log_n = _checked_log2(a.shape[-1])
-    work, ws = _workbuf(a, ws, "ntt:work")
-    _dif_in_place(work, log_n, inverse=False, ws=ws)
+    work = _workbuf(a, "ntt:work")
+    _dif_in_place(work, log_n, inverse=False)
     if out is None:
         out = np.empty(a.shape, dtype=np.uint64)
     return bit_reverse(work, out=out)
 
 
-def intt(a, out: np.ndarray | None = None, ws: gl64.Workspace | None = None) -> np.ndarray:
+def intt(a, out: np.ndarray | None = None) -> np.ndarray:
     """Inverse NTT, natural input and output (``iNTT^NN``).
 
     This is FRI's value->coefficient conversion (paper Figure 1, step 1).
     """
     a = np.asarray(a, dtype=np.uint64)
     log_n = _checked_log2(a.shape[-1])
-    work, ws = _workbuf(a, ws, "intt:work")
-    _dif_in_place(work, log_n, inverse=True, ws=ws)
+    work = _workbuf(a, "intt:work")
+    _dif_in_place(work, log_n, inverse=True)
     if out is None:
         out = np.empty(a.shape, dtype=np.uint64)
     bit_reverse(work, out=out)
-    return gl64.mul_into(out, _n_inv(a.shape[-1]), out, ws)
+    return gl64.mul_into(out, _n_inv(a.shape[-1]), out)
 
 
-def coset_ntt(
-    a, shift: int | None = None, out: np.ndarray | None = None, ws: gl64.Workspace | None = None
-) -> np.ndarray:
+def coset_ntt(a, shift: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate coefficients on the coset ``shift * <omega>`` (natural order).
 
     Scales coefficient ``i`` by ``shift**i`` before the plain NTT -- the
@@ -200,26 +192,23 @@ def coset_ntt(
     a = np.asarray(a, dtype=np.uint64)
     log_n = _checked_log2(a.shape[-1])
     shift = gl.coset_shift() if shift is None else shift
-    ws = ws or gl64.default_workspace()
-    work = ws.temp(a.shape, "ntt:work")
-    gl64.mul_into(a, _coset_scale(shift, a.shape[-1], False), work, ws)
-    _dif_in_place(work, log_n, inverse=False, ws=ws)
+    work = RUN.workspace.temp(a.shape, "ntt:work")
+    gl64.mul_into(a, _coset_scale(shift, a.shape[-1], False), work)
+    _dif_in_place(work, log_n, inverse=False)
     if out is None:
         out = np.empty(a.shape, dtype=np.uint64)
     return bit_reverse(work, out=out)
 
 
-def coset_intt(
-    a, shift: int | None = None, out: np.ndarray | None = None, ws: gl64.Workspace | None = None
-) -> np.ndarray:
+def coset_intt(a, shift: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Recover coefficients from evaluations on ``shift * <omega>``.
 
     Post-multiplies by ``shift**-i`` -- the paper's ``N^-1 g^-i`` twiddle,
     fused into the idle last-round PEs of the DIF pipeline.
     """
-    out = intt(a, out=out, ws=ws)
+    out = intt(a, out=out)
     shift = gl.coset_shift() if shift is None else shift
-    return gl64.mul_into(out, _coset_scale(shift, out.shape[-1], True), out, ws)
+    return gl64.mul_into(out, _coset_scale(shift, out.shape[-1], True), out)
 
 
 def lde(
@@ -227,7 +216,6 @@ def lde(
     rate_bits: int,
     shift: int | None = None,
     out: np.ndarray | None = None,
-    ws: gl64.Workspace | None = None,
 ) -> np.ndarray:
     """Low-degree extension of subgroup evaluations onto a larger coset.
 
@@ -236,9 +224,8 @@ def lde(
     ``coset-NTT``.  Natural output order.
     """
     values = np.asarray(values, dtype=np.uint64)
-    ws = ws or gl64.default_workspace()
-    coeffs = intt(values, out=ws.temp(values.shape, "lde:coeffs"), ws=ws)
-    return lde_coeffs(coeffs, rate_bits, shift, out=out, ws=ws)
+    coeffs = intt(values, out=RUN.workspace.temp(values.shape, "lde:coeffs"))
+    return lde_coeffs(coeffs, rate_bits, shift, out=out)
 
 
 def lde_coeffs(
@@ -246,17 +233,15 @@ def lde_coeffs(
     rate_bits: int,
     shift: int | None = None,
     out: np.ndarray | None = None,
-    ws: gl64.Workspace | None = None,
 ) -> np.ndarray:
     """LDE starting from coefficients: zero-pad then coset-NTT."""
     coeffs = np.asarray(coeffs, dtype=np.uint64)
     n = coeffs.shape[-1]
     _checked_log2(n)
-    ws = ws or gl64.default_workspace()
-    padded = ws.temp(coeffs.shape[:-1] + (n << rate_bits,), "lde:pad")
+    padded = RUN.workspace.temp(coeffs.shape[:-1] + (n << rate_bits,), "lde:pad")
     np.copyto(padded[..., :n], coeffs)
     padded[..., n:] = 0
-    return coset_ntt(padded, shift, out=out, ws=ws)
+    return coset_ntt(padded, shift, out=out)
 
 
 def coset_intt_ext(a: np.ndarray, shift: int | None = None) -> np.ndarray:

@@ -102,7 +102,6 @@ def merkle_subtree(args: Dict[str, Any]):
     from those natural-order rows into ``leaves``
     (:func:`repro.merkle.tree.gather_cosets`).
     """
-    from ..field import gl64
     from ..merkle.tree import build_subtree, gather_cosets, level_views
 
     levels = level_views(resolve(args["arena"]), args["sizes"])
@@ -112,9 +111,7 @@ def merkle_subtree(args: Dict[str, Any]):
         leaves = resolve(leaves)[start : start + count]
         if "rows" in args:
             gather_cosets(resolve(args["rows"]), leaves, start)
-    build_subtree(
-        levels, start, count, gl64.default_workspace(), leaves, int(args.get("base", 0))
-    )
+    build_subtree(levels, start, count, leaves, int(args.get("base", 0)))
     return None
 
 

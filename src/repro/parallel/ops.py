@@ -11,23 +11,28 @@ A stage picks one of two transports (:class:`_Plane`):
 
 * **shared memory** -- on a pool with worker processes, for a stage at
   or above the pool's ``min_*`` threshold that has an arena slot: the
-  work splits into ``pool.workers`` parts, buffers are
-  :class:`~repro.parallel.shm.SharedArena` segments and kernel args are
+  work splits into ``pool.workers`` parts and kernel args are
   :class:`~repro.parallel.shm.ShmRef` handles;
 * **local** -- everything else (a one-worker pool, no pool scoped, a
   stage below threshold, a slot-less setup-lifetime commit): one part,
-  run inline in the calling process, buffers from the calling plan's
-  :class:`~repro.field.gl64.Workspace` under the same slot names (one
-  buffer a slot there), kernel args the arrays themselves.
+  run inline in the calling process, kernel args the arrays themselves.
+
+Buffers follow one rule on both: a buffer with a slot lives in the
+transport's one arena -- ``pool.arena``
+(:class:`~repro.parallel.shm.SharedArena`) under shared memory, the
+thread's ``RUN.workspace`` locally -- one buffer a slot; a slot-less
+buffer belongs to a setup-lifetime commit and comes from a private
+:class:`~repro.field.gl64.Workspace`.
 
 The transcript-order invariant lives one level up: these builders never
 touch a challenger.  A prover runs them *between* Fiat-Shamir
 interactions, so caps are observed in one order no matter how shards
 were split or scheduled.
 
-Buffers follow the arena discipline: slots are derived from the commit
-label (unique within a proof), so repeated proofs of one shape reuse
-their buffers -- a slot belongs to exactly one live batch per proof.
+Slots name roles, not protocols: they derive from the commit label
+(unique within a proof, ``commit:<label>`` for every proof-lifetime
+commit), so successive proofs reuse their buffers -- and a thread runs
+one proof at a time, so a slot never has two live owners.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..context import RUN
 from ..field import gl64
 from ..hashing import sponge
 from ..merkle.tree import MerkleTree, gather_cosets, level_sizes
@@ -62,12 +68,7 @@ class _Plane:
     """One stage's transport: who runs it and where its buffers live."""
 
     def __init__(
-        self,
-        pool: ShardPool,
-        ws: Optional[gl64.Workspace],
-        slot: Optional[str],
-        units: int,
-        threshold: int,
+        self, pool: ShardPool, slot: Optional[str], units: int, threshold: int
     ) -> None:
         self.shm = pool.parallel and slot is not None and units >= threshold
         if self.shm:
@@ -77,9 +78,9 @@ class _Plane:
         # a parallel pool's shard stats describe its workers only.
         self.pool = default_pool() if pool.parallel else pool
         self.parts = 1
-        # Reuse needs both a plan workspace and a slot naming the
-        # buffer's one owner; anything else gets buffers of its own.
-        self._bufs = ws if ws is not None and slot is not None else gl64.Workspace()
+        # A slot names its buffers' one live owner in the thread's arena;
+        # a slot-less (setup-lifetime) commit owns buffers of its own.
+        self._bufs = RUN.workspace if slot is not None else gl64.Workspace()
 
     def buf(self, shape, slot: str) -> np.ndarray:
         """A shard-visible ``uint64`` buffer: ``slot`` names its one
@@ -238,7 +239,6 @@ def _rows(rows) -> np.ndarray:
 
 def from_coeffs_graph(
     pool: ShardPool,
-    ws: Optional[gl64.Workspace],
     coeffs: np.ndarray,
     rate_bits: int,
     cap_height: int,
@@ -247,7 +247,7 @@ def from_coeffs_graph(
     """Commit coefficient rows: the :class:`PolynomialBatch` stage."""
     coeffs = _rows(coeffs)
     num_polys, n = coeffs.shape
-    plane = _Plane(pool, ws, slot, n << rate_bits, pool.min_rows)
+    plane = _Plane(pool, slot, n << rate_bits, pool.min_rows)
     slot = f"commit:{slot or 'batch'}"
     return _commit_graph(
         plane,
@@ -264,7 +264,6 @@ def from_coeffs_graph(
 
 def from_values_graph(
     pool: ShardPool,
-    ws: Optional[gl64.Workspace],
     rows: np.ndarray,
     rate_bits: int,
     cap_height: int,
@@ -274,7 +273,7 @@ def from_values_graph(
     """Commit subgroup evaluations: iNTT folded into the LDE shards."""
     rows = _rows(rows)
     num_polys, n = rows.shape
-    plane = _Plane(pool, ws, slot, n << rate_bits, pool.min_rows)
+    plane = _Plane(pool, slot, n << rate_bits, pool.min_rows)
     slot = f"commit:{slot or 'batch'}"
     src = plane.stage(rows, f"{slot}:src")
     return _commit_graph(
@@ -292,7 +291,6 @@ def from_values_graph(
 
 def quotient_commit_graph(
     pool: ShardPool,
-    ws: Optional[gl64.Workspace],
     ext_values: np.ndarray,
     n: int,
     chunks: int,
@@ -309,7 +307,7 @@ def quotient_commit_graph(
     """
     ext_values = np.asarray(ext_values, dtype=np.uint64)
     big_n = ext_values.shape[0]
-    plane = _Plane(pool, ws, slot, n << rate_bits, pool.min_rows)
+    plane = _Plane(pool, slot, n << rate_bits, pool.min_rows)
     slot = f"commit:{slot}"
     src = plane.stage(ext_values, f"{slot}:ext")
     limbs = plane.buf((2, big_n), f"{slot}:limbs")
@@ -346,10 +344,10 @@ def multilinear_commit_graph(
     of the sumcheck-native path), so the graph is pure Merkle work.
     """
     rows = _rows(rows)
-    plane = _Plane(pool, None, slot, rows.shape[0], pool.min_tree_leaves)
-    slot = slot or "table"
+    plane = _Plane(pool, slot, rows.shape[0], pool.min_tree_leaves)
+    slot = f"commit:{slot or 'table'}"
     leaves = plane.stage(rows, f"{slot}:leaves")
-    graph = ShardGraph(f"mlpcs:{slot}")
+    graph = ShardGraph(slot)
     tree = _add_merkle_shards(plane, graph, slot, leaves, cap_height, f"{slot}:tree")
     return Stage(plane.pool, graph, lambda _results: tree())
 
@@ -372,7 +370,7 @@ def sumcheck_fold_graph(
     finished cap after the run -- shards never see a challenger.
     """
     half = table.shape[0] // 2
-    plane = _Plane(pool, None, "sumcheck", half, max(2, pool.min_rows))
+    plane = _Plane(pool, "sumcheck", half, max(2, pool.min_rows))
     src = plane.stage(table, f"sumcheck:src{level}")
     out = plane.buf((half, 1), f"sumcheck:lvl{level}")
     graph = ShardGraph(f"sumcheck:round{level}")
@@ -422,7 +420,6 @@ def _batch_refs(plane: _Plane, batches: Sequence) -> List[Dict[str, Any]]:
 
 def combine_graph(
     pool: ShardPool,
-    ws: Optional[gl64.Workspace],
     batches: Sequence,
     openings,
     alpha: np.ndarray,
@@ -432,7 +429,7 @@ def combine_graph(
     Reads every batch's natural-order ``values``, whatever its leaves.
     """
     n_lde = batches[0].values.shape[0]
-    plane = _Plane(pool, ws, "fri", n_lde, pool.min_rows)
+    plane = _Plane(pool, "fri", n_lde, pool.min_rows)
     out = plane.buf((n_lde, 2), "fri:vals0")
     args = {
         "out": plane.ref(out),
@@ -451,7 +448,6 @@ def combine_graph(
 
 def layer_tree_graph(
     pool: ShardPool,
-    ws: Optional[gl64.Workspace],
     values: np.ndarray,
     arity_bits: int,
     cap_height: int,
@@ -466,7 +462,7 @@ def layer_tree_graph(
     """
     arity = 1 << arity_bits
     num_leaves, width = values.shape[0] >> arity_bits, values.shape[1]
-    plane = _Plane(pool, ws, "fri", num_leaves, pool.min_tree_leaves)
+    plane = _Plane(pool, "fri", num_leaves, pool.min_tree_leaves)
     leaves = plane.buf((num_leaves, arity * width), f"fri:leaves{layer}")
     gather_cosets(values, leaves)
     graph = ShardGraph(f"fri:tree{layer}")
@@ -483,7 +479,6 @@ def layer_tree_graph(
 
 def query_rounds_graph(
     pool: ShardPool,
-    ws: Optional[gl64.Workspace],
     batches: Sequence,
     layer_trees: Sequence[MerkleTree],
     indices: Sequence[int],
@@ -494,7 +489,7 @@ def query_rounds_graph(
     Openings are pure reads (no hashing, no transcript), so any split
     is exact.  Returns ``(batch_openings, layer_openings)``.
     """
-    plane = _Plane(pool, ws, "fri", len(indices), pool.min_queries)
+    plane = _Plane(pool, "fri", len(indices), pool.min_queries)
     trees = _batch_refs(plane, batches) + [
         _tree_refs(plane, tree, f"fri:layer{i}") for i, tree in enumerate(layer_trees)
     ]

@@ -17,10 +17,11 @@ this class owns:
 Batches are opened by ``(batch_index, poly_index)`` pairs; the batch
 index is the order of ``add_batch`` / ``commit_*`` calls, so protocols
 control their layout by call order (Plonk registers its preprocessed
-setup batch first, then wires, Z, quotient).  One
-:class:`~repro.field.gl64.Workspace` arena (from the per-shape
-:class:`~repro.fri.DomainPlan`) is threaded into every commitment and
-the FRI call.
+setup batch first, then wires, Z, quotient).  Every labelled commit
+and the FRI call keep their buffers under ``commit:<label>`` /
+``fri:*`` slots in the transport's one arena: the thread's
+:class:`~repro.field.gl64.Workspace` (``RUN.workspace``) in process,
+the pool's shared arena when a stage fans out.
 
 Every commit and FRI stage is a shard graph from
 :mod:`repro.parallel.ops` run on :func:`repro.parallel.current_pool`;
@@ -35,7 +36,6 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .. import parallel, tracing
-from ..field import gl64
 from ..fri import (
     FriConfig,
     FriOpenings,
@@ -51,9 +51,8 @@ from ..parallel import ops as par_ops
 class FriPCS:
     """Batch commitments on the LDE domain with a FRI opening proof."""
 
-    def __init__(self, config: FriConfig, ws: gl64.Workspace | None = None) -> None:
+    def __init__(self, config: FriConfig) -> None:
         self.config = config
-        self.ws = ws
         #: Batches in commitment order == FRI opening batch indices.
         self.batches: List[PolynomialBatch] = []
 
@@ -78,7 +77,6 @@ class FriPCS:
                 rows,
                 self.config.rate_bits,
                 self.config.cap_height,
-                ws=self.ws,
                 slot=label,
                 coset_bits=coset_bits,
             )
@@ -107,7 +105,6 @@ class FriPCS:
         with tracing.span(f"commit:{label}", category="commit"):
             batch = par_ops.quotient_commit_graph(
                 parallel.current_pool(),
-                self.ws,
                 ext_values,
                 n,
                 chunks,
@@ -134,7 +131,5 @@ class FriPCS:
         with tracing.span("open", category="open"):
             openings = open_batches(self.batches, points, columns)
         with tracing.span("fri", category="fri"):
-            proof = fri_prove(
-                self.batches, openings, challenger, self.config, ws=self.ws
-            )
+            proof = fri_prove(self.batches, openings, challenger, self.config)
         return openings, proof

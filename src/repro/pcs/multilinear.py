@@ -76,12 +76,13 @@ class MultilinearPCS:
         ``label`` tags the tracing span, so commit:wires / commit:z /
         commit:fold stages are distinguishable in ``--trace-out``
         traces.  The commit is a ``merkle_subtree`` shard graph on
-        :func:`repro.parallel.current_pool`.  With ``slot`` set, a pool
-        with worker processes fans large tables out over shared-memory
-        segments named after it; callers only pass a slot for
-        proof-lifetime trees (the segments are reused across proofs, so
-        a setup-lifetime commitment stays slot-less and owns its
-        buffers).
+        :func:`repro.parallel.current_pool`.  With ``slot`` set, the
+        tree's buffers live in the transport's one arena under
+        ``commit:<slot>`` -- shared-memory segments a pool with worker
+        processes fans large tables out over, else ``RUN.workspace`` --
+        and are reused by the next proof's commit in that role; callers
+        only pass a slot for proof-lifetime trees, so a setup-lifetime
+        commitment stays slot-less and owns its buffers.
         """
         rows = np.asarray(rows, dtype=np.uint64)
         if rows.ndim == 1:

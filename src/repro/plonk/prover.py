@@ -14,10 +14,10 @@ The commit / quotient / open data plane is :class:`repro.pcs.FriPCS`
 (shared with the STARK prover) and the transcript is a plain
 :class:`~repro.hashing.Challenger`; this module defines the
 Plonk-specific stages: witness generation, the permutation accumulator,
-and the gate/copy constraint blend.  Per-shape tables and the workspace
-arena come from a cached :class:`~repro.fri.DomainPlan`, so repeated
-proofs of one circuit shape -- the service path -- pay no per-proof
-precompute.
+and the gate/copy constraint blend.  Per-shape tables come from a cached
+:class:`~repro.fri.DomainPlan` and every buffer from the thread's one
+arena, so repeated proofs of one circuit shape -- the service path --
+pay no per-proof precompute.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ from typing import Dict
 import numpy as np
 
 from .. import parallel, tracing
+from ..context import RUN
 from ..field import extension as fext, gl64, goldilocks as gl
-from ..fri import DomainPlan, FriConfig, PolynomialBatch, fri_layout, plan_for
+from ..fri import FriConfig, PolynomialBatch, fri_layout, plan_for
 from ..hashing import Challenger
 from ..ntt import lde
 from ..pcs import FriPCS
@@ -73,19 +74,13 @@ def bind(data: CircuitData, config: FriConfig) -> CircuitData:
     return replace(data, preprocessed=batch, config=config)
 
 
-def _pi_poly_on_lde(
-    circuit: Circuit,
-    public_values: list[int],
-    rate_bits: int,
-    ws: gl64.Workspace | None = None,
-) -> np.ndarray:
+def _pi_poly_on_lde(circuit: Circuit, public_values: list[int], rate_bits: int) -> np.ndarray:
     """LDE values of the public-input polynomial ``-sum v_k L_rowk(x)``."""
-    ws = ws or gl64.default_workspace()
-    subgroup = ws.temp((circuit.n,), "plonk:pi")
+    subgroup = RUN.workspace.temp((circuit.n,), "plonk:pi")
     subgroup.fill(0)
     for row, val in zip(circuit.public_input_rows, public_values):
         subgroup[row] = gl.neg(val)
-    return lde(subgroup, rate_bits, ws=ws)
+    return lde(subgroup, rate_bits)
 
 
 #: Salt columns appended to the wires commitment when blinding.
@@ -102,7 +97,6 @@ def prove(
     inputs: Dict[int, int],
     challenger: Challenger | None = None,
     blinding_seed: int | None = None,
-    plan: DomainPlan | None = None,
     pool: "parallel.ShardPool | None" = None,
 ) -> PlonkProof:
     """Generate a Plonk proof for the given input assignment.
@@ -119,9 +113,9 @@ def prove(
     changes because salts ride the leaves without entering any
     constraint.)  ``None`` keeps the prover deterministic.
 
-    ``plan`` carries the per-shape precomputed tables and workspace
-    arena; one is looked up (and cached thread-locally) when not
-    supplied.
+    The per-shape tables come from the thread's cached
+    :func:`~repro.fri.plan_for` plan, and every scratch and stage
+    buffer from ``RUN.workspace``.
 
     ``pool`` scopes a :class:`~repro.parallel.ShardPool` over the proof
     (``None`` inherits :func:`repro.parallel.current_pool`): every
@@ -134,10 +128,7 @@ def prove(
     n = circuit.n
     rate_bits = config.rate_bits
     challenger = challenger or Challenger()
-    if plan is None:
-        plan = plan_for(n, rate_bits)
-    elif plan.n != n or plan.rate_bits != rate_bits:
-        raise ValueError("plan shape does not match the circuit/config")
+    plan = plan_for(n, rate_bits)
 
     with parallel.sharding(pool), tracing.span(
         "prove:plonk", category="prove", n=n, rate_bits=rate_bits
@@ -147,7 +138,7 @@ def prove(
             wires = circuit.wire_values(witness)  # (3, n)
             public_values = [int(wires[0, row]) for row in circuit.public_input_rows]
 
-        pcs = FriPCS(config, ws=plan.ws)
+        pcs = FriPCS(config)
         pcs.add_batch(data.preprocessed)  # setup commitment joins the transcript
         coset_bits = data.preprocessed.coset_bits  # the layout setup committed
         challenger.observe_cap(data.preprocessed.cap)
@@ -182,7 +173,7 @@ def prove(
             w = wires_batch.values.T  # (3, N_lde)
             z_lde = z_batch.values[:, 0]
             z_next = np.roll(z_lde, -blowup)
-            pi_lde = _pi_poly_on_lde(circuit, public_values, rate_bits, ws=plan.ws)
+            pi_lde = _pi_poly_on_lde(circuit, public_values, rate_bits)
 
             gate = gl64.add(
                 gl64.add(

@@ -99,8 +99,9 @@ def _run(spec: JobSpec) -> bytes:
     system = get_protocol(spec.kind)
     config = system.make_config(spec.config)
     # Preprocessed instances persist across jobs in a long-lived worker,
-    # and so do the per-shape prover plans (tables + workspace arenas):
-    # the backends draw both from the worker thread's run (repro.context).
+    # and so do the per-shape prover plans (tables) and the one workspace
+    # arena: the backends draw all three from the worker thread's run
+    # (repro.context).
     psetup = system.setup(workload, spec.scale, config)
     proof = system.prove(psetup)
     return write_result_envelope(

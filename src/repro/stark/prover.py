@@ -25,7 +25,7 @@ import numpy as np
 
 from .. import parallel, tracing
 from ..field import extension as fext, gl64, goldilocks as gl
-from ..fri import DomainPlan, FriConfig, fri_layout, plan_for
+from ..fri import FriConfig, fri_layout, plan_for
 from ..hashing import Challenger
 from ..pcs import FriPCS
 from .air import Air, BaseVecAlgebra
@@ -49,14 +49,13 @@ def prove(
     public_inputs: Sequence[int],
     config: FriConfig,
     challenger: Challenger | None = None,
-    plan: DomainPlan | None = None,
     pool: "parallel.ShardPool | None" = None,
 ) -> StarkProof:
     """Prove that ``trace`` satisfies ``air`` with the given public values.
 
-    ``trace`` is (n, width) with ``n`` a power of two.  ``plan`` carries
-    the per-shape precomputed tables and the workspace arena; one is
-    looked up (and cached thread-locally) when not supplied.
+    ``trace`` is (n, width) with ``n`` a power of two.  The per-shape
+    tables come from the thread's cached :func:`~repro.fri.plan_for`
+    plan, and every scratch and stage buffer from ``RUN.workspace``.
 
     ``pool`` scopes a :class:`~repro.parallel.ShardPool` over the proof
     (``None`` inherits :func:`repro.parallel.current_pool`): every
@@ -80,15 +79,12 @@ def prove(
     rate_bits = config.rate_bits
     blowup = 1 << rate_bits
     n_lde = n * blowup
-    if plan is None:
-        plan = plan_for(n, rate_bits)
-    elif plan.n != n or plan.rate_bits != rate_bits:
-        raise ValueError("plan shape does not match the trace/config")
+    plan = plan_for(n, rate_bits)
 
     with parallel.sharding(pool), tracing.span(
         "prove:stark", category="prove", n=n, width=width
     ):
-        pcs = FriPCS(config, ws=plan.ws)
+        pcs = FriPCS(config)
         coset_bits, _ = fri_layout(config, n.bit_length() - 1, leaf_widths(air))
 
         # Commit the trace.

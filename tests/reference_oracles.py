@@ -96,5 +96,5 @@ def commit_coeffs(coeffs: np.ndarray, rate_bits: int, cap_height: int) -> Polyno
     current pool: the coefficient-form LDE -> Merkle graph the race
     analysis checks (``commit:from_coeffs``)."""
     return par_ops.from_coeffs_graph(
-        parallel.current_pool(), None, coeffs, rate_bits, cap_height, None
+        parallel.current_pool(), coeffs, rate_bits, cap_height, None
     ).run()

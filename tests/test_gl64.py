@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.context import scoped
 from repro.field import gl64, goldilocks as gl
 
 elements = st.integers(min_value=0, max_value=gl.P - 1)
@@ -137,11 +138,11 @@ class TestInversion:
         assert out[picks].tolist() == _inverses(a[picks].tolist())
 
     def test_inv_fast_scratch_is_reused(self, rng):
-        ws = gl64.default_workspace()
         a = gl64.random(1000, rng) | np.uint64(1)
-        gl64.inv_fast(a)
-        held = ws.nbytes()
-        gl64.inv_fast(a[::-1])
+        with scoped("workspace", gl64.Workspace()) as ws:
+            gl64.inv_fast(a)
+            held = ws.nbytes()
+            gl64.inv_fast(a[::-1])
         assert ws.nbytes() == held
 
 

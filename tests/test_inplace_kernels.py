@@ -63,20 +63,20 @@ def _inputs(shape):
     ],
 )
 def test_binary_into_matches_pure(shape, into, pure):
-    ws = gl64.Workspace()
     for a, b in _inputs(shape):
         want = pure(a, b)
-        out = np.empty(shape, dtype=np.uint64)
-        got = into(a, b, out, ws)
-        assert got is out
-        assert np.array_equal(want, got)
-        # Exact aliasing: out is a, then out is b.
-        a2 = a.copy()
-        into(a2, b, a2, ws)
-        assert np.array_equal(want, a2)
-        b2 = b.copy()
-        into(a, b2, b2, ws)
-        assert np.array_equal(want, b2)
+        with scoped("workspace", gl64.Workspace()):
+            out = np.empty(shape, dtype=np.uint64)
+            got = into(a, b, out)
+            assert got is out
+            assert np.array_equal(want, got)
+            # Exact aliasing: out is a, then out is b.
+            a2 = a.copy()
+            into(a2, b, a2)
+            assert np.array_equal(want, a2)
+            b2 = b.copy()
+            into(a, b2, b2)
+            assert np.array_equal(want, b2)
 
 
 def square(a):
@@ -92,19 +92,18 @@ def square(a):
     ],
 )
 def test_unary_into_matches_pure(shape, into, pure):
-    ws = gl64.Workspace()
     for a, _ in _inputs(shape):
         want = pure(a)
-        out = np.empty(shape, dtype=np.uint64)
-        assert np.array_equal(want, into(a, out, ws))
-        a2 = a.copy()
-        into(a2, a2, ws)  # exact alias
-        assert np.array_equal(want, a2)
+        with scoped("workspace", gl64.Workspace()):
+            out = np.empty(shape, dtype=np.uint64)
+            assert np.array_equal(want, into(a, out))
+            a2 = a.copy()
+            into(a2, a2)  # exact alias
+            assert np.array_equal(want, a2)
 
 
 @pytest.mark.parametrize("dit", [False, True])
 def test_butterfly_into_matches_pure(dit):
-    ws = gl64.Workspace()
     for u, w in _inputs((32,)):
         tw = _random_canonical((32,))
         if dit:
@@ -114,20 +113,21 @@ def test_butterfly_into_matches_pure(dit):
             want_u, want_w = gl64.add(u, w), gl64.mul(gl64.sub(u, w), tw)
         # The aliasing pattern the in-place NTT uses: out_u <- u, out_w <- w.
         u2, w2 = u.copy(), w.copy()
-        gl64.butterfly_into(u2, w2, tw, u2, w2, dit=dit, ws=ws)
+        with scoped("workspace", gl64.Workspace()):
+            gl64.butterfly_into(u2, w2, tw, u2, w2, dit=dit)
         assert np.array_equal(want_u, u2)
         assert np.array_equal(want_w, w2)
 
 
 def test_into_kernels_accept_broadcast_operands():
-    ws = gl64.Workspace()
     a = _random_canonical((6, 8))
     b = _random_canonical((8,))
     out = np.empty((6, 8), dtype=np.uint64)
-    assert np.array_equal(gl64.add(a, b), gl64.add_into(a, b, out, ws))
-    assert np.array_equal(gl64.mul(a, b), gl64.mul_into(a, b, out, ws))
-    s = np.uint64(12345)
-    assert np.array_equal(gl64.mul(a, s), gl64.mul_into(a, s, out, ws))
+    with scoped("workspace", gl64.Workspace()):
+        assert np.array_equal(gl64.add(a, b), gl64.add_into(a, b, out))
+        assert np.array_equal(gl64.mul(a, b), gl64.mul_into(a, b, out))
+        s = np.uint64(12345)
+        assert np.array_equal(gl64.mul(a, s), gl64.mul_into(a, s, out))
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +206,12 @@ def test_batched_ntt_matches_rowwise(batch):
 
 def test_workspace_reuse_is_deterministic():
     """Re-running transforms on one workspace never changes results."""
-    ws = gl64.Workspace()
     a = _random_canonical((8, 512))
-    first = transforms.coset_ntt(a, ws=ws)
-    for _ in range(3):
-        transforms.ntt(_random_canonical((8, 512)), ws=ws)  # dirty the arena
-        assert np.array_equal(first, transforms.coset_ntt(a, ws=ws))
+    with scoped("workspace", gl64.Workspace()) as ws:
+        first = transforms.coset_ntt(a)
+        for _ in range(3):
+            transforms.ntt(_random_canonical((8, 512)))  # dirty the arena
+            assert np.array_equal(first, transforms.coset_ntt(a))
     assert ws.nbytes() > 0
 
 
@@ -279,23 +279,29 @@ def test_nbytes_counts_each_buffer_once_and_plans_go_with_their_buffer():
     assert ws.nbytes() == 8 * 8 * 64 + held
 
 
+def _live_workspace_bytes() -> int:
+    gc.collect()
+    return sum(o.nbytes() for o in gc.get_objects() if isinstance(o, gl64.Workspace))
+
+
 def test_repeat_and_smaller_proves_add_no_workspace_bytes():
     """Neither a repeat prove nor a smaller one after it adds a byte to
-    the thread's workspace or the larger domain's plan workspace (the
-    smaller domain's own plan workspace, holding its commitments, is
-    the only new one)."""
+    the thread's workspace, the one arena every kernel and stage buffer
+    of a prove comes from; the smaller domain's plan holds tables only."""
     system = protocols.get("stark")
     config = system.make_config()
-    with scoped("workspace", gl64.Workspace()) as ws, scoped("plans", OrderedDict()):
+    with scoped("workspace", gl64.Workspace()), scoped("plans", OrderedDict()):
         big = system.setup(by_name("Fibonacci"), 10, config)
         system.verify(big, system.prove(big))
-        held = [ws] + [plan.ws for plan in RUN.plans.values()]
+        held = [RUN.workspace]
         before = [w.nbytes() for w in held]
         system.verify(big, system.prove(big))
         assert [w.nbytes() for w in held] == before
+        everywhere = _live_workspace_bytes()
         small = system.setup(by_name("Fibonacci"), 8, config)
         system.verify(small, system.prove(small))
         assert [w.nbytes() for w in held] == before
+        assert _live_workspace_bytes() == everywhere  # no byte anywhere
         assert len(RUN.plans) == 2
 
 
@@ -310,16 +316,17 @@ _SHAPES = st.one_of(
 def _run_kernel(name: str, ins: np.ndarray, ws: gl64.Workspace) -> list:
     a, b, c = ins
     out = np.empty_like(a)
-    if name in ("add", "sub", "mul"):
-        getattr(gl64, f"{name}_into")(a, b, out, ws)
-    elif name == "square":
-        gl64.square_into(a, out, ws)
-    elif name == "pow7":
-        gl64.pow7_into(a, out, ws)
-    else:
-        out_w = np.empty_like(a)
-        gl64.butterfly_into(a, b, c, out, out_w, dit=name == "dit", ws=ws)
-        return [out, out_w]
+    with scoped("workspace", ws):
+        if name in ("add", "sub", "mul"):
+            getattr(gl64, f"{name}_into")(a, b, out)
+        elif name == "square":
+            gl64.square_into(a, out)
+        elif name == "pow7":
+            gl64.pow7_into(a, out)
+        else:
+            out_w = np.empty_like(a)
+            gl64.butterfly_into(a, b, c, out, out_w, dit=name == "dit")
+            return [out, out_w]
     return [out]
 
 
@@ -405,12 +412,14 @@ def test_fused_sbox_matches_python_pow_on_any_word(words):
     lazy = _pow7_lazy(x, np.empty_like(x))
     assert lazy.dtype == np.uint64  # below 2**64 by construction
     assert [int(v) % gl.P for v in lazy] == want
-    assert gl64.pow7_into(x, np.empty_like(x), gl64.Workspace()).tolist() == want
+    with scoped("workspace", gl64.Workspace()):
+        assert gl64.pow7_into(x, np.empty_like(x)).tolist() == want
     aliased = x.copy()
     assert _pow7_lazy(aliased, aliased) is aliased  # exact alias: out is x
     assert [int(v) % gl.P for v in aliased] == want
     aliased = x.copy()
-    gl64.pow7_into(aliased, aliased, gl64.Workspace())
+    with scoped("workspace", gl64.Workspace()):
+        gl64.pow7_into(aliased, aliased)
     assert aliased.tolist() == want
 
 
@@ -419,10 +428,10 @@ def test_fused_sbox_matches_python_pow_on_any_word(words):
 def test_mul_and_square_into_accept_any_word(pairs):
     a = np.array([p[0] for p in pairs], dtype=np.uint64)
     b = np.array([p[1] for p in pairs], dtype=np.uint64)
-    ws = gl64.Workspace()
     out = np.empty_like(a)
-    assert gl64.mul_into(a, b, out, ws).tolist() == [x * y % gl.P for x, y in pairs]
-    assert gl64.square_into(a, out, ws).tolist() == [x * x % gl.P for x, _ in pairs]
+    with scoped("workspace", gl64.Workspace()):
+        assert gl64.mul_into(a, b, out).tolist() == [x * y % gl.P for x, y in pairs]
+        assert gl64.square_into(a, out).tolist() == [x * x % gl.P for x, _ in pairs]
 
 
 def test_fused_sbox_on_strided_lane_and_broadcast_input():
@@ -437,7 +446,8 @@ def test_fused_sbox_on_strided_lane_and_broadcast_input():
     # A broadcast (stride-0) input, as the public wrapper builds one.
     row = np.array(PINNED, dtype=np.uint64)
     out = np.empty((5, len(PINNED)), dtype=np.uint64)
-    gl64.pow7_into(row, out, gl64.Workspace())
+    with scoped("workspace", gl64.Workspace()):
+        gl64.pow7_into(row, out)
     assert out.tolist() == [[pow(v, 7, gl.P) for v in PINNED]] * 5
 
 
@@ -458,23 +468,25 @@ def test_lazy_add_and_canonical_into():
 def test_large_multiplies_run_in_blocks_with_bounded_scratch():
     """Past ``_BLOCK`` elements mul/square cut the leading axis; the
     result is the same and the scratch does not grow with the array."""
-    ws = gl64.Workspace()
-    for shape in [(3 * gl64._BLOCK + 5,), (70, 1000)]:
-        a, b = _random_canonical(shape), _near_p(shape)
-        want = (a.astype(object) * b.astype(object) % gl.P).astype(np.uint64)
-        out = np.empty(shape, dtype=np.uint64)
-        assert np.array_equal(gl64.mul_into(a, b, out, ws), want)
-        a2 = a.copy()
-        gl64.mul_into(a2, b, a2, ws)  # exact alias survives the blocking
-        assert np.array_equal(a2, want)
-        assert np.array_equal(
-            gl64.square_into(a, out, ws), (a.astype(object) ** 2 % gl.P).astype(np.uint64)
-        )
-    # Both arrays together held less than one of them would need whole.
-    assert ws.nbytes() < 8 * 8 * 3 * gl64._BLOCK
+    with scoped("workspace", gl64.Workspace()) as ws:
+        for shape in [(3 * gl64._BLOCK + 5,), (70, 1000)]:
+            a, b = _random_canonical(shape), _near_p(shape)
+            want = (a.astype(object) * b.astype(object) % gl.P).astype(np.uint64)
+            out = np.empty(shape, dtype=np.uint64)
+            assert np.array_equal(gl64.mul_into(a, b, out), want)
+            a2 = a.copy()
+            gl64.mul_into(a2, b, a2)  # exact alias survives the blocking
+            assert np.array_equal(a2, want)
+            assert np.array_equal(
+                gl64.square_into(a, out), (a.astype(object) ** 2 % gl.P).astype(np.uint64)
+            )
+        # Both arrays together held less than one of them would need whole.
+        assert ws.nbytes() < 8 * 8 * 3 * gl64._BLOCK
     # Rows longer than a block run row by row, each cut along the row.
     a = _random_canonical((2, gl64._BLOCK + 1))
-    assert np.array_equal(gl64.mul_into(a, a, np.empty_like(a), ws), gl64.square_into(a, np.empty_like(a)))
+    with scoped("workspace", gl64.Workspace()):
+        product = gl64.mul_into(a, a, np.empty_like(a))
+    assert np.array_equal(product, gl64.square_into(a, np.empty_like(a)))
 
 
 @pytest.mark.parametrize(
@@ -485,15 +497,15 @@ def test_short_leading_axis_multiplies_still_run_in_blocks(shape):
     limb planes ``lde_coeffs`` multiplies) is cut row by row and then
     along the row: the result matches the reference and the multiply
     scratch stays at one block of 8 planes."""
-    ws = gl64.Workspace()
     a, b = _random_canonical(shape), _near_p(shape)
     want = (a.astype(object) * b.astype(object) % gl.P).astype(np.uint64)
-    assert np.array_equal(gl64.mul_into(a, b, np.empty(shape, dtype=np.uint64), ws), want)
-    a2 = a.copy()
-    gl64.mul_into(a2, b, a2, ws)  # exact alias survives the cut
-    assert np.array_equal(a2, want)
     square = (a.astype(object) ** 2 % gl.P).astype(np.uint64)
-    assert np.array_equal(gl64.square_into(a, np.empty(shape, dtype=np.uint64), ws), square)
+    with scoped("workspace", gl64.Workspace()) as ws:
+        assert np.array_equal(gl64.mul_into(a, b, np.empty(shape, dtype=np.uint64)), want)
+        a2 = a.copy()
+        gl64.mul_into(a2, b, a2)  # exact alias survives the cut
+        assert np.array_equal(a2, want)
+        assert np.array_equal(gl64.square_into(a, np.empty(shape, dtype=np.uint64)), square)
     assert ws.nbytes() <= 8 * 8 * gl64._BLOCK
 
 

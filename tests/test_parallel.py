@@ -221,7 +221,7 @@ class TestInlineFallback:
             assert not pool.parallel
             # However low the gates, one worker means one-part graphs.
             stage = par_ops.from_coeffs_graph(
-                pool, None, np.arange(8, dtype=np.uint64).reshape(2, 4), 1, 1, "t"
+                pool, np.arange(8, dtype=np.uint64).reshape(2, 4), 1, 1, "t"
             )
             assert stage.pool is pool
             assert [s.kind for s in stage.graph.shards.values()] == [
@@ -519,7 +519,7 @@ class TestShardedMerkle:
         whole = MerkleTree(values, cap_height=1)
         inline = commit_coeffs(coeffs.copy(), 1, 1)
         with _pool(3) as pool:  # 4 subtrees + the cap climb
-            stage = par_ops.from_coeffs_graph(pool, None, coeffs, 1, 1, "t")
+            stage = par_ops.from_coeffs_graph(pool, coeffs, 1, 1, "t")
             assert stage.pool is pool and len(stage.graph) == 3 + 4 + 1
             fanned = stage.run()
             for batch in (inline, fanned):

@@ -98,18 +98,12 @@ class TestPlonkOnSharedPlan:
         assert plonk_plan_for(16, 3) is plonk_plan_for(16, 3)
         assert plonk_plan_for(16, 3) is not plonk_plan_for(32, 3)
 
-    def test_mismatched_plan_rejected(self):
-        circuit, inputs, _ = fibonacci.SPEC.build_circuit(6)
-        data = setup(circuit, PLONK_CONFIG)
-        wrong = plonk_plan_for(circuit.n * 2, PLONK_CONFIG.rate_bits)
-        with pytest.raises(ValueError):
-            plonk_prove(data, inputs, plan=wrong)
-
     def test_plan_path_is_byte_identical(self):
         circuit, inputs, _ = fibonacci.SPEC.build_circuit(6)
         data = setup(circuit, PLONK_CONFIG)
         plan = plonk_plan_for(circuit.n, PLONK_CONFIG.rate_bits)
-        with_plan = plonk_prove(data, inputs, plan=plan)
+        with_plan = plonk_prove(data, inputs)
+        assert plonk_plan_for(circuit.n, PLONK_CONFIG.rate_bits) is plan
         assert plonk_digest(with_plan) == DIGESTS["plonk"]
 
 

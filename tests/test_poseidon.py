@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.context import scoped
 from repro.field import gl64, goldilocks as gl, matrix as fm
 from repro.fuzz import oracles
 from repro.hashing import constants as pc
@@ -450,7 +451,8 @@ class TestLimbGemm:
         # Both sides of every crossover and block; output canonical
         # after the lazy layers.
         s = oracles._edge_rows((batch, 12), rng)
-        got = optimized.permute_into(s.copy(), gl64.Workspace())
+        with scoped("workspace", gl64.Workspace()):
+            got = optimized.permute_into(s.copy())
         assert np.array_equal(got, poseidon.permute_naive(s))
         assert bool((got < np.uint64(gl.P)).all())
 
@@ -463,18 +465,19 @@ class TestLimbGemm:
         rows = min(batch, len(words))
         s[:rows] = np.array(words[:rows], dtype=np.uint64)[:, None]
         want = [optimized.permute_scalar(row) for row in s.tolist()]
-        assert optimized.permute_into(s, gl64.Workspace()).tolist() == want
+        with scoped("workspace", gl64.Workspace()):
+            assert optimized.permute_into(s).tolist() == want
 
     def test_batch_sizes_share_one_arena_without_leaking(self, rng):
         # Every batch size carves the same scratch memory; a small pass
         # between two large ones must not change the large one's result.
-        ws = gl64.Workspace()
         big, small = gl64.random((300, 12), rng), gl64.random((optimized._SBOX_SCALAR_ROWS, 12), rng)
         want_big, want_small = poseidon.permute_naive(big), poseidon.permute_naive(small)
-        assert np.array_equal(optimized.permute_into(big.copy(), ws), want_big)
-        held = ws.nbytes()
-        assert np.array_equal(optimized.permute_into(small.copy(), ws), want_small)
-        assert np.array_equal(optimized.permute_into(big.copy(), ws), want_big)
+        with scoped("workspace", gl64.Workspace()) as ws:
+            assert np.array_equal(optimized.permute_into(big.copy()), want_big)
+            held = ws.nbytes()
+            assert np.array_equal(optimized.permute_into(small.copy()), want_small)
+            assert np.array_equal(optimized.permute_into(big.copy()), want_big)
         assert ws.nbytes() == held  # one arena, sized once
 
     @given(st.lists(st.lists(word_strategy, min_size=12, max_size=12), min_size=1, max_size=5),
@@ -488,9 +491,9 @@ class TestLimbGemm:
         assert buf.tolist() == _affine_reference(states, matrix, addend)
 
     def test_permute_into_allocates_nothing_when_warm(self, rng):
-        ws = gl64.Workspace()
         s = gl64.random((300, 12), rng)
-        optimized.permute_into(s, ws)
-        held = ws.nbytes()
-        optimized.permute_into(s, ws)
+        with scoped("workspace", gl64.Workspace()) as ws:
+            optimized.permute_into(s)
+            held = ws.nbytes()
+            optimized.permute_into(s)
         assert ws.nbytes() == held

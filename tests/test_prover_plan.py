@@ -1,30 +1,33 @@
 """The per-shape prover plan: determinism, table definitions, the cache.
 
 Proofs must be byte-identical no matter which path produced them --
-direct, via a shared warm plan, interleaved with the other FRI protocol
-on the same plan, or through the service executor -- because every
-intermediate lives in reused workspace arenas and an aliasing bug would
-show up as a digest change.  The golden digest and operation counts
-come from tests/goldens.py.  The plan's tables are checked against their definitions in
-Python-int arithmetic.
+direct, via a shared warm plan, interleaved with the other protocols
+and other shapes on one thread, or through the service executor --
+because every intermediate lives in the thread's one reused workspace
+arena and an aliasing bug would show up as a digest change.  The
+golden digest and operation counts come from tests/goldens.py.  The
+plan's tables are checked against their definitions in Python-int
+arithmetic.
 """
 
 import contextvars
+import gc
 import threading
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
 from repro import metrics, parallel, plonk, stark
-from repro.context import RUN
+from repro.context import RUN, scoped
 from repro.field import gl64, goldilocks as gl
 from repro.fri import DomainPlan, plan as fri_plan
 from repro.fri.config import FriConfig
 from repro.protocols import get
 from repro.stark import plan_for, prove, verify
-from repro.workloads import fibonacci
+from repro.workloads import by_name, fibonacci
 
-from .goldens import CONFIGS, DIGESTS, PROVE_COUNTERS
+from .goldens import CONFIGS, DIGESTS, PLONK_MVM_DIGEST, PROVE_COUNTERS, SCALE
 from .test_parallel import TINY
 
 stark_digest, plonk_digest = get("stark").digest, get("plonk").digest
@@ -37,8 +40,9 @@ GOLDEN_COUNTERS = PROVE_COUNTERS["stark"]
 def test_shared_plan_proofs_are_identical_and_match_golden():
     air, trace, publics = fibonacci.SPEC.build_air(6)
     plan = plan_for(trace.shape[0], CONFIG.rate_bits)
-    first = prove(air, trace, publics, CONFIG, plan=plan)
-    second = prove(air, trace, publics, CONFIG, plan=plan)
+    first = prove(air, trace, publics, CONFIG)
+    second = prove(air, trace, publics, CONFIG)
+    assert plan_for(trace.shape[0], CONFIG.rate_bits) is plan
     d1, d2 = stark_digest(first), stark_digest(second)
     assert d1 == d2 == GOLDEN_DIGEST
     verify(air, second, CONFIG)
@@ -46,10 +50,9 @@ def test_shared_plan_proofs_are_identical_and_match_golden():
 
 def test_plan_counters_match_golden():
     air, trace, publics = fibonacci.SPEC.build_air(6)
-    plan = plan_for(trace.shape[0], CONFIG.rate_bits)
-    prove(air, trace, publics, CONFIG, plan=plan)  # warm everything
+    prove(air, trace, publics, CONFIG)  # warm everything
     with metrics.counting() as counts:
-        prove(air, trace, publics, CONFIG, plan=plan)
+        prove(air, trace, publics, CONFIG)
     got = counts.as_dict()
     for name, want in GOLDEN_COUNTERS.items():
         assert got[name] == want, name
@@ -59,31 +62,52 @@ def test_batch_path_matches_direct_path():
     """A run of same-shape proves on the cached plan (what a service
     worker's successive jobs do) matches a direct prove."""
     air, trace, publics = fibonacci.SPEC.build_air(6)
-    direct = stark_digest(prove(air, trace, publics, CONFIG))
-    plan = plan_for(trace.shape[0], CONFIG.rate_bits)
-    digests = [
-        stark_digest(prove(air, trace, publics, CONFIG, plan=plan)) for _ in range(2)
-    ]
+    with scoped("plans", OrderedDict()), scoped("workspace", gl64.Workspace()):
+        direct = stark_digest(prove(air, trace, publics, CONFIG))
+    digests = [stark_digest(prove(air, trace, publics, CONFIG)) for _ in range(2)]
     assert digests == [direct, direct]
 
 
+def _workspaces_holding_bytes(exclude=()) -> list:
+    """Every live ``Workspace`` holding a byte, bar those in ``exclude``."""
+    gc.collect()
+    skip = {id(ws) for ws in exclude}
+    return [
+        o for o in gc.get_objects()
+        if isinstance(o, gl64.Workspace) and id(o) not in skip and o.nbytes()
+    ]
+
+
 def test_interleaved_shapes_do_not_corrupt_workspaces():
-    air6, trace6, pub6 = fibonacci.SPEC.build_air(6)
-    air7, trace7, pub7 = fibonacci.SPEC.build_air(7)
-    before = stark_digest(prove(air6, trace6, pub6, CONFIG))
-    prove(air7, trace7, pub7, CONFIG)  # different shape reuses other arenas
-    after = stark_digest(prove(air6, trace6, pub6, CONFIG))
-    assert before == after == GOLDEN_DIGEST
+    """One thread proves the golden STARK, Plonk and HyperPlonk-lite
+    instances, then STARK Fibonacci 2^7 and Plonk MVM 6, then the golden
+    three again.  Every digest is its golden value; after the first
+    round the thread's arena is the only live workspace holding bytes,
+    and the second round adds none to it."""
+    golden = {name: get(name) for name in DIGESTS}
+    fib, mvm = by_name("Fibonacci"), by_name("MVM")
+    others = _workspaces_holding_bytes()  # earlier tests' arenas
+    with scoped("workspace", gl64.Workspace()) as ws, scoped("plans", OrderedDict()), \
+            scoped("instances", OrderedDict()):
 
+        def round_of_goldens():
+            for name, system in golden.items():
+                setup = system.setup(fib, SCALE, CONFIGS[name])
+                proof = system.prove(setup)
+                system.verify(setup, proof)
+                assert system.digest(proof) == DIGESTS[name], name
 
-def test_plan_shape_mismatch_is_rejected():
-    air, trace, publics = fibonacci.SPEC.build_air(6)
-    wrong = DomainPlan(2 * trace.shape[0], CONFIG.rate_bits)
-    try:
-        prove(air, trace, publics, CONFIG, plan=wrong)
-    except ValueError:
-        return
-    raise AssertionError("mismatched plan must be rejected")
+        round_of_goldens()
+        assert _workspaces_holding_bytes(others) == [ws]
+        stark_sys, plonk_sys = golden["stark"], golden["plonk"]
+        bigger = stark_sys.setup(fib, SCALE + 1, CONFIGS["stark"])
+        stark_sys.verify(bigger, stark_sys.prove(bigger))
+        other = plonk_sys.setup(mvm, SCALE, CONFIGS["plonk"])
+        assert plonk_sys.digest(plonk_sys.prove(other)) == PLONK_MVM_DIGEST
+        held = ws.nbytes()
+        round_of_goldens()
+        assert ws.nbytes() == held
+        assert _workspaces_holding_bytes(others) == [ws]
 
 
 def test_warm_leaves_no_poseidon_table_for_the_first_proof():
@@ -114,7 +138,7 @@ def test_plan_caches_are_read_only_and_reused():
     inv = plan.boundary_inverse(0)
     assert inv is plan.boundary_inverse(0)
     assert not inv.flags.writeable
-    assert plan.ws.nbytes() >= 0
+    assert not hasattr(plan, "ws")  # tables only: buffers live in RUN.workspace
 
 
 def test_plan_cache_is_lru_bounded(monkeypatch, fresh_plan_cache):
@@ -201,8 +225,9 @@ SHARED_CONFIG = FriConfig(
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_protocols_interleave_on_the_shared_plan(workers, fresh_plan_cache):
-    """STARK and Plonk at one (n, rate_bits), A-B-A-B on one thread and
-    one plan, each match the digest of a solo prove on a private plan."""
+    """STARK and Plonk at one (n, rate_bits), A-B-A-B on one thread, one
+    plan and one arena, each match the digest of a solo prove on a
+    private plan and arena."""
     air, trace, publics = fibonacci.SPEC.build_air(4)
     circuit, inputs, _ = fibonacci.SPEC.build_circuit(5)
     n, rate_bits = circuit.n, SHARED_CONFIG.rate_bits
@@ -215,8 +240,8 @@ def test_protocols_interleave_on_the_shared_plan(workers, fresh_plan_cache):
     def prove_plonk(**kw):
         return plonk_digest(plonk.prove(data, inputs, **kw))
 
-    solo_stark = prove_stark(plan=DomainPlan(n, rate_bits))
-    solo_plonk = prove_plonk(plan=DomainPlan(n, rate_bits))
+    with scoped("plans", OrderedDict()), scoped("workspace", gl64.Workspace()):
+        solo_stark, solo_plonk = prove_stark(), prove_plonk()
     with parallel.ShardPool(workers, **TINY) as pool:
         got = [
             prove_stark(pool=pool),
@@ -241,14 +266,14 @@ def test_concurrent_proves_of_one_shape_keep_their_own_run():
     with metrics.counting() as counts:
         solo = system.digest(system.prove(setup))
     want = {k: 3 * v for k, v in counts.as_dict().items()}
-    main_ws, main_plan = gl64.default_workspace(), plan_for(n, rate_bits)
+    main_ws, main_plan = RUN.workspace, plan_for(n, rate_bits)
     seen = {}
 
     def prove_three(name):
         with metrics.counting() as counts:
             digests = [system.digest(system.prove(setup)) for _ in range(3)]
         seen[name] = (
-            digests, counts.as_dict(), gl64.default_workspace(), plan_for(n, rate_bits)
+            digests, counts.as_dict(), RUN.workspace, plan_for(n, rate_bits)
         )
 
     threads = [

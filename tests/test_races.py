@@ -154,7 +154,7 @@ def _strip_deps(graph, victim_kind):
 class TestPoolGating:
     def test_dep_deleted_commit_graph_is_rejected_at_submission(self):
         with ShardPool(workers=1) as pool:
-            graph = ops.from_values_graph(pool, None, _rows(), 1, 1, "t").graph
+            graph = ops.from_values_graph(pool, _rows(), 1, 1, "t").graph
             assert graph_findings(graph) == []  # shipped topology is clean
             broken = _strip_deps(graph, "merkle_subtree")
             with pytest.raises(GraphRaceError) as err:
@@ -169,7 +169,7 @@ class TestPoolGating:
         # Coset leaves gather strided rows from every LDE column band, so
         # each subtree shard must wait for all the LDE shards.
         with ShardPool(workers=1) as pool:
-            graph = ops.from_values_graph(pool, None, _rows(), 1, 1, "t", 3).graph
+            graph = ops.from_values_graph(pool, _rows(), 1, 1, "t", 3).graph
             assert graph_findings(graph) == []
             with pytest.raises(GraphRaceError) as err:
                 pool.run(_strip_deps(graph, "merkle_subtree"))
@@ -189,7 +189,7 @@ class TestPoolGating:
         inline = PolynomialBatch.from_values(rows.copy(), 1, 1)  # default pool
         gates = {"min_rows": 1, "min_tree_leaves": 1, "min_queries": 1}
         with ShardPool(workers=2, **gates) as pool:
-            fanned = ops.from_values_graph(pool, None, rows, 1, 1, "t").run()
+            fanned = ops.from_values_graph(pool, rows, 1, 1, "t").run()
             assert pool.stats["shards"] == 4
             assert np.array_equal(fanned.tree.cap, inline.tree.cap)
             assert np.array_equal(fanned.values, inline.values)
@@ -201,7 +201,7 @@ class TestPoolGating:
         assert inline.tree.leaves.shape == (inline.values.shape[0] >> 3, rows.shape[0] << 3)
         gates = {"min_rows": 1, "min_tree_leaves": 1, "min_queries": 1}
         with ShardPool(workers=2, **gates) as pool:
-            fanned = ops.from_values_graph(pool, None, rows, 1, 1, "t", 3).run()
+            fanned = ops.from_values_graph(pool, rows, 1, 1, "t", 3).run()
             assert np.array_equal(fanned.tree.cap, inline.tree.cap)
             assert np.array_equal(fanned.tree.leaves, inline.tree.leaves)
             assert np.array_equal(fanned.values, inline.values)

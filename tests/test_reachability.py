@@ -53,14 +53,6 @@ ALLOWED: dict[str, str] = {
         "Public API contract: library callers cancel a queued job (the "
         "wire protocol has no cancel op)"
     ),
-    "context.Workspace.nbytes": (
-        "ROADMAP item 8: the arena-bytes gauge; the memory tests read "
-        "workspace sizes through it"
-    ),
-    "parallel.shm.*.nbytes": (
-        "ROADMAP item 8: the shared-memory bytes gauge; the pool tests "
-        "read segment sizes through it"
-    ),
 }
 
 _DISPATCHED = re.compile(r"__\w+__|visit_\w+|handle")

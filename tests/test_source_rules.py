@@ -1,7 +1,7 @@
 """Source rules: conventions of the prover code, checked over its text.
 
 The zero-copy data plane (workspace arenas, ``*_into`` aliasing
-kernels, transcript-seeded proving) is a set of conventions; four AST
+kernels, transcript-seeded proving) is a set of conventions; five AST
 rules over ``src/repro`` turn them into checked invariants:
 
 * ``prover.raw-mod`` -- an ad-hoc ``% P`` reduction outside
@@ -14,7 +14,14 @@ rules over ``src/repro`` turn them into checked invariants:
   ``np.random`` in the proving path (:data:`PROVING_PATH_PREFIXES`):
   proofs are transcript-seeded and replayable;
 * ``prover.into-aliasing-doc`` -- an ``*_into`` kernel taking an
-  ``out`` buffer whose docstring does not state its aliasing contract.
+  ``out`` buffer whose docstring does not state its aliasing contract;
+* ``prover.workspace-arg`` -- a function taking a workspace argument (a
+  parameter named ``ws`` or annotated ``Workspace``): every kernel and
+  stage buffer comes from the thread's one arena, ``RUN.workspace``,
+  and ``scoped("workspace", ...)`` is the one way to isolate another.
+  A ``Workspace.plan`` builder -- a function, or a class's
+  ``__init__``, that its module passes to ``.plan(slot, shape, build)``
+  -- is handed the arena by ``plan()`` and is exempt.
 
 A finding fails the test unless :data:`ALLOWED` names its
 ``path::qualname`` with a reason; an entry that matches no finding, has
@@ -70,6 +77,7 @@ SCOPES = {
     ),
     "prover.nondeterminism": lambda path: path.startswith(PROVING_PATH_PREFIXES),
     "prover.into-aliasing-doc": lambda path: True,
+    "prover.workspace-arg": lambda path: True,
 }
 
 _ONE_TIME_TABLE = (
@@ -123,6 +131,7 @@ ALLOWED: dict[str, dict[str, str]] = {
         ),
     },
     "prover.into-aliasing-doc": {},
+    "prover.workspace-arg": {},
 }
 
 _MODULI = frozenset({"P", "PRIME", "MODULUS"})
@@ -158,11 +167,21 @@ def _is_np(node: ast.AST) -> bool:
 class _Rules(ast.NodeVisitor):
     """One walk of a module, applying every rule in scope for its path."""
 
-    def __init__(self, path: str):
+    def __init__(self, path: str, tree: ast.AST):
         self.path = path
         self.rules = {rule for rule, applies in SCOPES.items() if applies(path)}
         self.stack: list[str] = []
         self.hits: list[Hit] = []
+        #: Names the module passes to ``.plan(slot, shape, build)``.
+        self.plan_builders = {
+            node.args[2].id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "plan"
+            and len(node.args) >= 3
+            and isinstance(node.args[2], ast.Name)
+        }
 
     def report(self, rule: str, node: ast.AST, detail: str) -> None:
         if rule in self.rules:
@@ -183,6 +202,13 @@ class _Rules(ast.NodeVisitor):
             and "alias" not in (ast.get_docstring(node) or "").lower()
         ):
             self.report("prover.into-aliasing-doc", node, node.name)
+        owner = self.stack[-2] if node.name == "__init__" and len(self.stack) > 1 else node.name
+        if owner not in self.plan_builders:
+            params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            for param in params:
+                annotation = ast.unparse(param.annotation) if param.annotation else ""
+                if param.arg == "ws" or "Workspace" in annotation:
+                    self.report("prover.workspace-arg", node, param.arg)
         self.generic_visit(node)
         self.stack.pop()
 
@@ -226,8 +252,9 @@ class _Rules(ast.NodeVisitor):
 def check(path: str, source: str) -> list[Hit]:
     """Every rule violation in one module; ``path`` is package-relative
     and decides which rules apply."""
-    walk = _Rules(path)
-    walk.visit(ast.parse(source, filename=path))
+    tree = ast.parse(source, filename=path)
+    walk = _Rules(path, tree)
+    walk.visit(tree)
     return walk.hits
 
 
@@ -352,7 +379,7 @@ class TestRuleFixtures:
         assert hit == Hit("prover.hot-alloc", "ntt/foo.py::f", 3, "np.zeros")
         # Only hot-path modules are in scope; workspace draws are fine.
         assert check("sim/foo.py", src) == []
-        assert check("ntt/foo.py", "def f(ws):\n    return ws.temp((4,), 'slot')\n") == []
+        assert check("ntt/foo.py", "def f():\n    return RUN.workspace.temp((4,), 'slot')\n") == []
 
     def test_nondeterminism(self):
         (hit,) = check("stark/foo.py", "import time\n")
@@ -372,6 +399,23 @@ class TestRuleFixtures:
         documented = bare.replace("Add.", "Add; out may alias a.")
         assert check("field/foo.py", documented) == []
         assert check("field/foo.py", "def fan_into(a, b):\n    return a\n") == []
+
+    def test_workspace_arg(self):
+        (hit,) = check("ntt/foo.py", "def f(a, ws=None):\n    return a\n")
+        assert hit == Hit("prover.workspace-arg", "ntt/foo.py::f", 1, "ws")
+        annotated = "class C:\n    def g(self, *, arena: 'gl64.Workspace | None'):\n        pass\n"
+        (hit,) = check("sim/foo.py", annotated)
+        assert (hit.where, hit.detail) == ("sim/foo.py::C.g", "arena")
+        # Plan builders -- a function or a class handed to .plan() -- are
+        # given the arena; reading RUN.workspace takes no argument.
+        builders = (
+            "def _lanes(ws: Workspace, shape):\n    return ws.temp(shape, 's')\n"
+            "class _Scratch:\n    def __init__(self, ws, rows):\n        pass\n"
+            "def kernel(a):\n"
+            "    RUN.workspace.plan('s', a.shape, _lanes)\n"
+            "    return RUN.workspace.plan('t', 8, _Scratch)\n"
+        )
+        assert check("field/foo.py", builders) == []
 
     def test_a_finding_names_its_enclosing_qualname(self):
         src = "class C:\n    def g(self):\n        def h():\n            return x % P\n"
