@@ -35,7 +35,7 @@ import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator, Tuple
 
 import numpy as np
 
@@ -100,10 +100,12 @@ class Workspace:
     slot may reuse (and a larger one replaces) the memory an earlier
     request returned.  A call site that needs two arrays live at once
     uses two slot names.  A workspace is *not* thread-safe; each proving
-    thread uses its own (``RUN.workspace``).
+    thread uses its own (``RUN.workspace``).  The shard pool's
+    :class:`~repro.parallel.shm.SharedArena` is the same arena with its
+    buffers in shared memory (:meth:`_allocate`).
     """
 
-    __slots__ = ("_bases", "_views", "_plans")
+    __slots__ = ("_bases", "_views", "_plans", "_closed")
 
     def __init__(self) -> None:
         #: ``(slot, dtype)`` -> the slot's flat buffer.
@@ -111,6 +113,7 @@ class Workspace:
         #: ``(slot, shape, dtype)`` -> the view of its slot's buffer.
         self._views: dict = {}
         self._plans: dict = {}
+        self._closed = False
 
     def temp(self, shape, slot: str, dtype=np.uint64) -> np.ndarray:
         """Return a reusable scratch array of ``shape`` (uint64 unless
@@ -125,12 +128,24 @@ class Workspace:
             key, size = (slot, dtype), math.prod(shape)
             base = self._bases.get(key)
             if base is None or base.size < size:
+                if self._closed:
+                    raise RuntimeError("arena is closed")
                 if base is not None:  # let the old buffer go
+                    del base, self._bases[key]
                     self._views = {k: v for k, v in self._views.items() if (k[0], k[2]) != key}
                     self._plans.clear()
-                base = self._bases[key] = np.empty(size, dtype=dtype)
+                base = self._bases[key] = self._allocate(key, size)
             view = self._views[slot, shape, dtype] = base[:size].reshape(shape)
         return view
+
+    def _allocate(self, key, size: int) -> np.ndarray:
+        """The one point the arena allocates: a flat buffer of ``size``
+        for ``key = (slot, dtype)``, whose old buffer is already out."""
+        return np.empty(size, dtype=key[1])
+
+    def ref_of(self, arr: np.ndarray):
+        """The kernel-args form of ``arr``: in process, the array itself."""
+        return arr
 
     def plan(self, slot: str, shape, build):
         """The object cached under ``(slot, shape)``, made by
@@ -149,11 +164,26 @@ class Workspace:
         """Total bytes held by the arena: each slot's buffer once."""
         return sum(b.nbytes for b in self._bases.values())
 
-    def clear(self) -> None:
-        """Drop every buffer (frees memory; next calls re-allocate)."""
+    def close(self) -> None:
+        """Drop every buffer; a closed arena refuses :meth:`temp`."""
+        self._closed = True
         self._plans.clear()
         self._views.clear()
         self._bases.clear()
+
+
+def lru(cache: OrderedDict, key, cap: int, build: Callable[[], Any]) -> Tuple[Any, int]:
+    """``cache[key]``, made by ``build()`` on a miss, and how many
+    least-recently-used entries were dropped to keep ``cache`` within
+    ``cap``.  A hit becomes the most recently used entry."""
+    made = cache.get(key)
+    if made is None:
+        made = cache[key] = build()
+    cache.move_to_end(key)
+    evicted = max(0, len(cache) - cap)
+    for _ in range(evicted):
+        cache.popitem(last=False)
+    return made, evicted
 
 
 class Run(threading.local):

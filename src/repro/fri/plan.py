@@ -30,7 +30,7 @@ from typing import Dict
 
 import numpy as np
 
-from ..context import RUN
+from ..context import RUN, lru
 from ..field import gl64, goldilocks as gl
 from ..hashing import optimized
 from ..ntt import transforms
@@ -140,14 +140,8 @@ def plan_for(n: int, rate_bits: int) -> DomainPlan:
     :data:`PLAN_CACHE_CAP` plans per thread, evicting least-recently-used
     shapes.
     """
-    cache = RUN.plans
-    key = (n, rate_bits)
-    plan = cache.get(key)
-    if plan is None:
-        plan = cache[key] = DomainPlan(n, rate_bits).warm()
-        while len(cache) > PLAN_CACHE_CAP:
-            cache.popitem(last=False)
-            RUN.counters.plan_evictions += 1
-    else:
-        cache.move_to_end(key)
+    plan, evicted = lru(
+        RUN.plans, (n, rate_bits), PLAN_CACHE_CAP, lambda: DomainPlan(n, rate_bits).warm()
+    )
+    RUN.counters.plan_evictions += evicted
     return plan

@@ -387,8 +387,8 @@ class _Scratch:
     it that a pass runs on (:meth:`block`), sliced once so a layer is a
     straight run of ufunc calls on contiguous operands.  Every batch
     size carves the same memory from the start, so nothing in the arena
-    outlives a pass -- except the limb buffer's constant-one column,
-    which no pass writes.
+    outlives a pass: even the limb buffer's constant-one column, which
+    no pass writes, is written afresh by every :meth:`block` call.
     """
 
     def __init__(self, ws: gl64.Workspace, rows: int) -> None:
@@ -398,7 +398,6 @@ class _Scratch:
         self.acc = ws.temp((2 * rows * (PARTIAL_ROUNDS + WIDTH),), "permute:acc", np.float64)
         self.fold = ws.temp((4 * rows * WIDTH,), "permute:fold", np.int64)
         self.bases = ws.temp((2 * PARTIAL_ROUNDS * rows,), "permute:bases", np.int64)
-        self.ones = 0  # rows whose constant-one limb is written
         self._blocks: dict = {}
 
     def block(self, b: int) -> tuple:
@@ -406,11 +405,9 @@ class _Scratch:
         plan, a spare (b, 12) plane)`` for ``b <= _PERMUTE_ROWS``
         states; the middle two are what :func:`_matmul_into` and
         :func:`_partial_block_into` run on."""
+        self.limbs[:b, -1] = 1.0
         blk = self._blocks.get(b)
         if blk is None:
-            if b > self.ones:
-                self.limbs[self.ones : b, -1] = 1.0
-                self.ones = b
             planes = gl64.POW7_PLANES
             limbs = self.limbs[:b]
             # A full layer's GEMM lands as (b, [S0 | S1]) columns and is

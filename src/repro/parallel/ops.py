@@ -20,9 +20,12 @@ A stage picks one of two transports (:class:`_Plane`):
 Buffers follow one rule on both: a buffer with a slot lives in the
 transport's one arena -- ``pool.arena``
 (:class:`~repro.parallel.shm.SharedArena`) under shared memory, the
-thread's ``RUN.workspace`` locally -- one buffer a slot; a slot-less
-buffer belongs to a setup-lifetime commit and comes from a private
-:class:`~repro.field.gl64.Workspace`.
+thread's ``RUN.workspace`` locally -- one buffer a slot, under one
+contract (:class:`~repro.context.Workspace`: a slot holds one live shape
+at a time); a slot-less buffer belongs to a setup-lifetime commit and
+comes from a private :class:`~repro.field.gl64.Workspace`.  A plane
+reads either arena through the same two calls: ``temp`` for a buffer,
+``ref_of`` for its kernel-args form.
 
 The transcript-order invariant lives one level up: these builders never
 touch a challenger.  A prover runs them *between* Fiat-Shamir
@@ -70,8 +73,7 @@ class _Plane:
     def __init__(
         self, pool: ShardPool, slot: Optional[str], units: int, threshold: int
     ) -> None:
-        self.shm = pool.parallel and slot is not None and units >= threshold
-        if self.shm:
+        if pool.parallel and slot is not None and units >= threshold:
             self.pool, self.parts, self._bufs = pool, pool.workers, pool.arena
             return
         # Work that stays in this process runs on the inline executor;
@@ -90,17 +92,14 @@ class _Plane:
 
     def ref(self, arr: np.ndarray):
         """The kernel-args form of a shard-visible array."""
-        if not self.shm:
-            return arr
-        ref = self.pool.arena.ref_of(arr)
-        assert ref is not None, "buffer must come from the pool arena"
+        ref = self._bufs.ref_of(arr)
+        assert ref is not None, "buffer must come from the plane's arena"
         return ref
 
     def stage(self, arr: np.ndarray, slot: str) -> np.ndarray:
-        """A shard-visible array holding ``arr``: itself when the graph
-        runs in this process or the arena already owns it, else a copy
-        in the ``slot`` segment."""
-        if not self.shm or self.pool.arena.ref_of(arr) is not None:
+        """A shard-visible array holding ``arr``: itself when the plane's
+        arena can ship it (``ref_of``), else a copy in the ``slot`` buffer."""
+        if self._bufs.ref_of(arr) is not None:
             return arr
         buf = self.buf(arr.shape, slot)
         buf[:] = arr

@@ -11,8 +11,9 @@ With ``workers=1`` -- what :func:`default_pool` (no pool scoped) and
 pool is the *inline executor*: no processes, no shared memory, shards
 run in the calling process in build order and counters and
 ``shard:*`` spans accumulate directly.  With more workers it owns a
-:class:`~repro.parallel.shm.SharedArena` (the cross-process zero-copy
-plane) and persistent forked worker processes, and folds each shard's
+:class:`~repro.parallel.shm.SharedArena` (the workspace contract in
+shared memory, one segment a slot: the cross-process zero-copy plane)
+and persistent forked worker processes, and folds each shard's
 operation counters and trace spans back into the coordinator's context
 -- so a proof reports the same counter totals, and a traced proof shows
 ``shard:*`` spans nested under the stage that spawned them, on either

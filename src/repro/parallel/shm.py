@@ -1,17 +1,19 @@
 """Shared-memory Goldilocks arrays: the zero-copy plane across processes.
 
-The in-process data plane keys reusable scratch buffers by ``(slot,
-shape)`` in a :class:`repro.field.gl64.Workspace`.  :class:`SharedArena`
-is the cross-process twin: the same keying discipline, but every buffer
-is backed by a named POSIX shared-memory segment
+:class:`SharedArena` is the thread's :class:`repro.context.Workspace`
+with its slot buffers in shared memory: the same contract -- one buffer
+a slot, grown to the largest request, every shape a view of its start
+-- but each buffer is a named POSIX shared-memory segment
 (:class:`multiprocessing.shared_memory.SharedMemory`), so a shard
 worker can map the *same* physical pages the coordinator writes --
 polynomial values, Merkle level arenas and FRI layer values cross the
 process boundary as a 16-byte :class:`ShmRef` instead of a pickle of
-the array.
+the array.  A slot that grows gets a new segment and the arena unlinks
+the one it replaces, so a long-lived pool holds one segment a slot.
 
 Workers resolve refs through a process-local attach cache
-(:func:`resolve`): the first touch of a segment maps it, later touches
+(:func:`resolve`) holding one mapping a slot: the first touch of a
+segment maps it (and unmaps the slot's replaced segment), later touches
 are dictionary hits.  Workers are forked after the coordinator has
 started its ``resource_tracker`` (:meth:`repro.parallel.ShardPool.start`),
 so they share it and never unlink a segment they merely attached.  The
@@ -24,12 +26,17 @@ segments with a tracker of its own (:func:`own_tracker`).
 from __future__ import annotations
 
 import itertools
+import math
 import os
+import weakref
+from contextlib import suppress
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
+
+from ..context import Workspace
 
 _SEGMENT_SEQ = itertools.count()
 
@@ -50,105 +57,87 @@ class ShmRef:
     @property
     def nbytes(self) -> int:
         """Segment payload size in bytes."""
-        n = 8
-        for dim in self.shape:
-            n *= int(dim)
-        return n
+        return 8 * math.prod(self.shape)
 
 
-class SharedArena:
-    """A ``(slot, shape)``-keyed pool of shared-memory uint64 arrays.
+class SharedArena(Workspace):
+    """The shard pool's :class:`~repro.context.Workspace`, one shared
+    segment a slot; :meth:`ref_of` gives a view's :class:`ShmRef`.
 
-    The coordinator-side analogue of :class:`repro.field.gl64.Workspace`:
-    ``temp`` returns stable storage per key so repeated proofs of one
-    shape reuse their segments, and :meth:`ref_of` maps a handed-out
-    array back to the :class:`ShmRef` a shard task ships to workers.
     Segment names embed the owning pid and an arena uid, so two pools
-    (or two processes) never collide.
+    (or two processes) never collide, and a slot's segments share a
+    stem (:func:`_stem`), so a worker keeps one mapping a slot.
     """
 
+    __slots__ = ("uid", "_segments")
+
     def __init__(self, uid: str) -> None:
+        super().__init__()
         self.uid = uid
-        self._segments: Dict[Tuple[str, Tuple[int, ...]], shared_memory.SharedMemory] = {}
-        self._arrays: Dict[Tuple[str, Tuple[int, ...]], np.ndarray] = {}
-        self._refs_by_id: Dict[int, ShmRef] = {}
-        self._closed = False
+        #: ``(slot, dtype)`` -> the segment behind the slot's buffer.
+        self._segments: Dict[Any, shared_memory.SharedMemory] = {}
 
-    def temp(self, shape, slot: str) -> np.ndarray:
-        """Return a reusable shared uint64 array of ``shape``.
-
-        Contents are unspecified; the same ``(slot, shape)`` always
-        returns the same storage (and the same underlying segment).
-        """
-        if self._closed:
-            raise RuntimeError("shared arena is closed")
-        shape = tuple(int(d) for d in shape)
-        key = (slot, shape)
-        arr = self._arrays.get(key)
-        if arr is None:
-            nbytes = 8
-            for dim in shape:
-                nbytes *= dim
-            name = f"repro-{os.getpid()}-{self.uid}-{next(_SEGMENT_SEQ)}"
-            seg = shared_memory.SharedMemory(name=name, create=True, size=max(8, nbytes))
-            arr = np.ndarray(shape, dtype=np.uint64, buffer=seg.buf)
-            self._segments[key] = seg
-            self._arrays[key] = arr
-            self._refs_by_id[id(arr)] = ShmRef(name=name, shape=shape)
-        return arr
+    def _allocate(self, key, size: int) -> np.ndarray:
+        """A new segment for slot ``key``; the one it replaces is unlinked."""
+        stale = self._segments.pop(key, None)
+        stem = _stem(stale.name) if stale else f"repro-{os.getpid()}-{self.uid}-{next(_SEGMENT_SEQ)}"
+        dtype = np.dtype(key[1])
+        seg = self._segments[key] = shared_memory.SharedMemory(
+            name=f"{stem}-{next(_SEGMENT_SEQ)}", create=True, size=max(8, size * dtype.itemsize)
+        )
+        if stale is not None:
+            _unlink(stale)
+        return _mapped(seg, size, dtype)
 
     def ref_of(self, arr: np.ndarray) -> Optional[ShmRef]:
-        """The :class:`ShmRef` for an array handed out by :meth:`temp`.
-
-        Returns ``None`` for arrays this arena does not own (the caller
-        then copies the data in via a fresh ``temp`` buffer).
-        """
-        return self._refs_by_id.get(id(arr))
-
-    def nbytes(self) -> int:
-        """Total shared bytes currently held (for introspection)."""
-        return sum(seg.size for seg in self._segments.values())
+        """The :class:`ShmRef` of a view :meth:`temp` handed out, or
+        ``None`` for any other array (a plane then copies it in)."""
+        for (slot, shape, dtype), view in self._views.items():
+            if view is arr:
+                return ShmRef(self._segments[slot, dtype].name, shape)
+        return None
 
     def close(self) -> None:
-        """Unlink every segment.  Idempotent.
-
-        Arrays already handed out keep their mappings alive until they
-        are garbage collected (``SharedMemory.close`` refuses to unmap
-        under exported buffers); unlinking here guarantees the names are
-        reclaimed once the last reference drops.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        self._arrays.clear()
-        self._refs_by_id.clear()
+        """Drop every buffer and unlink every segment (idempotent); a
+        view still alive keeps its pages until it is collected."""
+        super().close()
         for seg in self._segments.values():
-            try:
-                seg.close()
-            except BufferError:
-                pass  # a live ndarray still exports the buffer
-            try:
-                seg.unlink()
-            except FileNotFoundError:
-                pass
+            _unlink(seg)
         self._segments.clear()
 
 
-#: Process-local cache of attached segments: name -> (segment, base array).
-_ATTACHED: Dict[str, Tuple[shared_memory.SharedMemory, np.ndarray]] = {}
+def _stem(name: str) -> str:
+    """The part of a segment name every segment of its slot shares."""
+    return name.rpartition("-")[0]
+
+
+def _mapped(seg: shared_memory.SharedMemory, size: int, dtype=np.uint64) -> np.ndarray:
+    """A flat array over ``seg``, which stays mapped for as long as the
+    array or any view of it lives -- and no longer."""
+    base = np.ndarray(size, dtype=dtype, buffer=seg.buf)
+    weakref.finalize(base, seg.close)
+    return base
+
+
+def _unlink(seg: shared_memory.SharedMemory) -> None:
+    """Remove a segment's name; its pages go once nothing maps them."""
+    with suppress(FileNotFoundError):
+        seg.unlink()
+
+
+#: Process-local cache of attached segments: stem -> (name, flat array),
+#: one a slot.
+_ATTACHED: Dict[str, Tuple[str, np.ndarray]] = {}
 
 
 def _attach(ref: ShmRef) -> np.ndarray:
-    """Map a segment by name (cached per process)."""
-    hit = _ATTACHED.get(ref.name)
-    if hit is None:
+    """Map a segment by name, cached per process and slot."""
+    stem = _stem(ref.name)
+    name, base = _ATTACHED.get(stem, ("", None))
+    if name != ref.name:  # first touch, or the slot grew into a new segment
         seg = shared_memory.SharedMemory(name=ref.name)
-        arr = np.ndarray(ref.shape, dtype=np.uint64, buffer=seg.buf)
-        _ATTACHED[ref.name] = hit = (seg, arr)
-    seg, arr = hit
-    if arr.shape != ref.shape:
-        arr = np.ndarray(ref.shape, dtype=np.uint64, buffer=seg.buf)
-    return arr
+        name, base = _ATTACHED[stem] = (ref.name, _mapped(seg, seg.size // 8))
+    return base[: math.prod(ref.shape)].reshape(ref.shape)
 
 
 def resolve(obj):

@@ -36,6 +36,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .. import parallel, tracing
+from ..field import extension as fext
 from ..fri import (
     FriConfig,
     FriOpenings,
@@ -114,6 +115,19 @@ class FriPCS:
                 coset_bits,
             ).run()
         return self.add_batch(batch)
+
+    @staticmethod
+    def quotient_at(chunk_evals: np.ndarray, zeta_n: np.ndarray) -> np.ndarray:
+        """``t(zeta)`` from a :meth:`commit_quotient` batch opened at
+        ``zeta`` and ``zeta_n = zeta^n``, the inverse of its split:
+        ``t = sum_k zeta_n^k * (limb0_k + X * limb1_k)``, where
+        ``chunk_evals[limb * chunks + k]`` is ``limb{limb}_k``."""
+        chunks, x = len(chunk_evals) // 2, fext.make(0, 1)
+        t = fext.zero()
+        for k in range(chunks - 1, -1, -1):
+            chunk = fext.add(chunk_evals[k], fext.mul(chunk_evals[chunks + k], x))
+            t = fext.add(fext.mul(t, zeta_n), chunk)
+        return t
 
     # -- openings + FRI --------------------------------------------------
 

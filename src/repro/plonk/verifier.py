@@ -16,6 +16,7 @@ from ..field import extension as fext, gl64, goldilocks as gl
 from ..fri import fri_verify
 from ..fri.verifier import FriError, proof_words
 from ..hashing import Challenger
+from ..pcs import FriPCS
 from .permutation import coset_representatives
 from .proof import PlonkProof, VerifierData
 from .prover import LEAF_WIDTHS, QUOTIENT_CHUNKS, ZK_SALT_COLUMNS
@@ -126,7 +127,6 @@ def _check_identity(
     sig = [vals0[5 + i] for i in range(3)]
     wire = [vals0[8 + i] for i in range(3)]
     z_zeta = vals0[11]
-    t_chunks = [vals0[12 + i] for i in range(2 * QUOTIENT_CHUNKS)]
     z_next = vals1[0]
 
     # --- the polynomial identity at zeta -------------------------------------
@@ -178,18 +178,7 @@ def _check_identity(
         ),
     )
 
-    # Reassemble t(zeta) from limb chunks.
-    phi = fext.make(0, 1)  # the extension basis element X
-    t_eval = fext.zero()
-    for limb in range(2):
-        limb_val = fext.zero()
-        for k in range(QUOTIENT_CHUNKS - 1, -1, -1):
-            limb_val = fext.add(
-                fext.mul(limb_val, zeta_n), t_chunks[limb * QUOTIENT_CHUNKS + k]
-            )
-        if limb == 1:
-            limb_val = fext.mul(limb_val, phi)
-        t_eval = fext.add(t_eval, limb_val)
+    t_eval = FriPCS.quotient_at(vals0[12 : 12 + 2 * QUOTIENT_CHUNKS], zeta_n)
     rhs = fext.mul(zh, t_eval)
 
     if not np.array_equal(lhs.reshape(2), rhs.reshape(2)):

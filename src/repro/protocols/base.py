@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Callable, Dict, Mapping, Optional
 
-from ..context import RUN
+from ..context import RUN, lru
 from ..field import gl64
 
 #: Per-thread instance-cache capacity (``RUN.instances``, LRU).
@@ -36,15 +36,7 @@ def instance(key, build: Callable[[], Any]) -> Any:
     on a miss.  ``key`` names exactly what ``build`` reads; the result
     is shared by every later setup under it, so it must be read-only.
     """
-    cache = RUN.instances
-    made = cache.get(key)
-    if made is None:
-        made = cache[key] = build()
-        while len(cache) > INSTANCE_CACHE_CAP:
-            cache.popitem(last=False)
-    else:
-        cache.move_to_end(key)
-    return made
+    return lru(RUN.instances, key, INSTANCE_CACHE_CAP, build)[0]
 
 
 def circuit_instance(workload, scale: int):

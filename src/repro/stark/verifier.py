@@ -10,6 +10,7 @@ from ..field import extension as fext, gl64, goldilocks as gl
 from ..fri import fri_verify
 from ..fri.verifier import FriError, proof_words
 from ..hashing import Challenger
+from ..pcs import FriPCS
 from .air import Air, ExtAlgebra
 from .proof import StarkProof
 from .prover import leaf_widths, quotient_chunk_count
@@ -103,7 +104,6 @@ def _check_identity(
     ):
         raise StarkError("malformed opening set (values)")
     local = [vals0[c] for c in range(width)]
-    t_chunks = [vals0[width + i] for i in range(2 * chunks)]
     next_row = [vals1[c] for c in range(width)]
 
     zeta_n = fext.pow_scalar(zeta.reshape(2), n)
@@ -144,15 +144,7 @@ def _check_identity(
         alpha_t = fext.mul(alpha_t, alpha.reshape(2))
 
     # Reassemble the committed composition at zeta.
-    phi = fext.make(0, 1)
-    t_eval = fext.zero()
-    for limb in range(2):
-        limb_val = fext.zero()
-        for k in range(chunks - 1, -1, -1):
-            limb_val = fext.add(fext.mul(limb_val, zeta_n), t_chunks[limb * chunks + k])
-        if limb == 1:
-            limb_val = fext.mul(limb_val, phi)
-        t_eval = fext.add(t_eval, limb_val)
+    t_eval = FriPCS.quotient_at(vals0[width : width + 2 * chunks], zeta_n)
 
     if not np.array_equal(total.reshape(2), t_eval.reshape(2)):
         raise StarkError("constraint identity fails at zeta")

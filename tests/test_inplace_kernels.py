@@ -229,7 +229,7 @@ def test_workspace_temp_is_keyed_by_dtype():
     assert ws.temp((4, 6), "slot") is words
     assert ws.temp((4, 6), "slot", np.float64) is floats
     assert ws.nbytes() == 4 * 6 * (8 + 8 + 2)
-    ws.clear()
+    ws.close()
     assert ws.nbytes() == 0
 
 

@@ -15,6 +15,7 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,8 @@ from repro import metrics, parallel, protocols, tracing
 from repro.fri.config import FriConfig
 from repro.merkle import MerkleTree, level_sizes
 from repro.ntt import lde_coeffs
-from repro.parallel import ops as par_ops
+from repro.context import Workspace
+from repro.parallel import ops as par_ops, shm
 from repro.parallel.footprints import FOOTPRINTS
 from repro.parallel.kernels import KERNELS
 from repro.stark import prove as stark_prove
@@ -136,26 +138,59 @@ class TestBuildOrder:
             assert np.array_equal(bufs["d"], want)
 
 
-class TestSharedArena:
-    def test_temp_is_stable_per_key_and_refable(self):
-        arena = parallel.SharedArena("t0")
-        try:
-            a = arena.temp((4, 3), "x")
-            b = arena.temp((4, 3), "x")
-            assert a is b
-            ref = arena.ref_of(a)
-            assert ref is not None and ref.shape == (4, 3)
-            assert ref.nbytes == 4 * 3 * 8
-            assert arena.nbytes() >= ref.nbytes
-        finally:
-            arena.close()
+@pytest.fixture(params=["workspace", "shared"])
+def arena(request):
+    """Each transport's arena: the thread's kind and the shard pool's."""
+    made = Workspace() if request.param == "workspace" else parallel.SharedArena("contract")
+    yield made
+    made.close()
 
+
+class TestArenaContract:
+    """One slot contract on both transports: a slot holds one buffer,
+    grown to its largest request, and every shape is a view of its
+    start."""
+
+    def test_same_slot_and_shape_is_the_same_storage(self, arena):
+        a = arena.temp((4, 3), "x")
+        assert arena.temp((4, 3), "x") is a
+        assert arena.ref_of(a) is not None
+        assert arena.nbytes() == 4 * 3 * 8
+
+    def test_a_larger_request_replaces_the_buffer(self, arena):
+        small = arena.temp((6,), "x")
+        arena.temp((2, 3), "x")
+        arena.temp((4,), "y")
+        assert arena.nbytes() == 8 * (6 + 4)
+        grown = arena.temp((10,), "x")
+        assert not np.shares_memory(grown, small)
+        assert arena.nbytes() == 8 * (10 + 4)
+        assert np.shares_memory(arena.temp((6,), "x"), grown)
+
+    def test_a_smaller_shape_is_a_view_of_the_slot_start(self, arena):
+        whole = arena.temp((8,), "x")
+        part = arena.temp((2, 2), "x")
+        assert part.flags.c_contiguous and np.shares_memory(part, whole)
+        assert part.ctypes.data == whole.ctypes.data
+        assert arena.nbytes() == 8 * 8
+
+    def test_a_closed_arena_holds_no_bytes_refuses_temp(self, arena):
+        arena.temp((2,), "z")
+        arena.close()
+        arena.close()
+        assert arena.nbytes() == 0
+        with pytest.raises(RuntimeError):
+            arena.temp((2,), "z")
+
+
+class TestSharedArena:
     def test_resolve_round_trip_shares_storage(self):
         arena = parallel.SharedArena("t1")
         try:
             a = arena.temp((8,), "y")
             a[:] = np.arange(8, dtype=np.uint64)
             ref = arena.ref_of(a)
+            assert ref.shape == (8,) and ref.nbytes == 8 * 8
             view = parallel.resolve(ref)
             assert np.array_equal(view, a)
             view[0] = np.uint64(99)
@@ -172,16 +207,39 @@ class TestSharedArena:
         arena = parallel.SharedArena("t2")
         try:
             assert arena.ref_of(np.zeros(4, dtype=np.uint64)) is None
+            assert arena.ref_of(arena.temp((4,), "x")[1:]) is None
         finally:
             arena.close()
 
-    def test_close_is_idempotent_and_fatal_for_temp(self):
+    def test_a_grown_slot_unlinks_its_old_segment(self):
+        # The replaced segment's name goes at once; its pages stay
+        # mapped for as long as a view of it lives.
         arena = parallel.SharedArena("t3")
-        arena.temp((2,), "z")
-        arena.close()
-        arena.close()
-        with pytest.raises(RuntimeError):
-            arena.temp((2,), "z")
+        try:
+            kept = arena.temp((4, 3), "x")
+            old = arena.ref_of(kept).name
+            arena.temp((4,), "y")
+            new = arena.ref_of(arena.temp((40,), "x")).name
+            names = {Path(n).name for n in glob.glob(f"/dev/shm/repro-{os.getpid()}-t3-*")}
+            assert new in names and old not in names and len(names) == 2
+        finally:
+            arena.close()
+        assert glob.glob(f"/dev/shm/repro-{os.getpid()}-t3-*") == []
+        kept[:] = np.uint64(7)
+        assert (kept == 7).all()
+
+    def test_resolving_two_refs_of_one_slot_keeps_one_mapping(self):
+        arena = parallel.SharedArena("t4")
+        try:
+            first = arena.ref_of(arena.temp((4,), "w"))
+            mapping = weakref.ref(parallel.resolve(first).base)
+            second = arena.ref_of(arena.temp((64,), "w"))
+            parallel.resolve(second)
+            mapped = [name for name, _ in shm._ATTACHED.values()]
+            assert second.name in mapped and first.name not in mapped
+            assert mapping() is None  # the first segment is unmapped
+        finally:
+            arena.close()
 
 
 class TestShardPoolValidation:
@@ -606,8 +664,24 @@ class TestBitIdentity:
                 assert before > 0
                 _, second, _ = _prove_counted(system, setup, pool)
                 assert first == second == DIGESTS[name]
-                # Same (slot, shape) keys -> no new segments on the rerun.
+                # Same slots, same shapes -> no segment grows on the rerun.
                 assert pool.arena.nbytes() == before
+
+    def test_growing_proves_hold_one_segment_a_slot(self):
+        # STARK Fibonacci 2^6, 2^8 then 2^10 on one pool leave what a
+        # fresh pool holds after 2^10 alone: each slot grew into one new
+        # segment and the segment it replaced was unlinked.
+        system = protocols.get("stark")
+
+        def held(scales):
+            with _pool(2) as pool:
+                for scale in scales:
+                    setup = system.setup(fibonacci.SPEC, scale, system.make_config())
+                    system.prove(setup, pool=pool)
+                segments = len(glob.glob(f"/dev/shm/repro-*-{pool.uid}-*"))
+                return pool.arena.nbytes(), segments
+
+        assert held((6, 8, 10)) == held((10,))
 
     @pytest.mark.parametrize("name", sorted(DIGESTS))
     def test_unscoped_prove_runs_inline_shards(self, name):
