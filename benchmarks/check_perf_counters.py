@@ -180,7 +180,7 @@ def main() -> int:
     # Same proofs, fanned out across 2 workers (thresholds forced low so
     # the tiny CI proofs actually leave the process) -- same goldens,
     # bit for bit.
-    with parallel.ShardPool(2, min_rows=1, min_tree_leaves=2, min_queries=1) as pool:
+    with parallel.ShardPool(2, min_rows=1, min_tree_leaves=2) as pool:
         for name, system, setup, golden, want_digest in instances:
             failures += _prove_and_check(
                 f"{name}[sharded]", system, setup, golden, want_digest, pool=pool

@@ -39,7 +39,7 @@ import numpy as np
 from ..context import Workspace, scoped
 from ..hashing import Challenger
 from ..parallel.footprints import Access, footprint
-from ..parallel.pool import ShardPool, default_pool
+from ..parallel.pool import ShardPool
 from ..parallel.scheduler import ShardGraph
 from .findings import Finding
 
@@ -196,7 +196,6 @@ def _representative_graphs(pool):
     from ..parallel import ops
 
     rows = np.arange(4 * 16, dtype=np.uint64).reshape(4, 16)
-    yield "commit:from_coeffs", ops.from_coeffs_graph(pool, rows, 1, 1, "chk:coeffs").graph
     yield "commit:from_values", ops.from_values_graph(pool, rows, 1, 1, "chk:values").graph
     yield "commit:coset_leaves", ops.from_values_graph(
         pool, rows, 1, 1, "chk:cosets", FRI_ARITY_BITS
@@ -212,9 +211,8 @@ def _representative_graphs(pool):
         pool, layer_vals, FRI_ARITY_BITS, 1, 1
     ).graph
 
-    # Combine + queries need a committed batch and layer tree; tiny
-    # in-process commits are enough (the graphs only reference their
-    # buffers).
+    # Combine needs a committed batch; a tiny in-process commit is
+    # enough (the graph only references its buffers).
     batch = PolynomialBatch.from_values(rows, 1, 1)
     openings = FriOpenings(
         points=[np.array([3, 5], dtype=np.uint64)],
@@ -223,11 +221,6 @@ def _representative_graphs(pool):
     )
     alpha = np.array([7, 9], dtype=np.uint64)
     yield "fri:combine", ops.combine_graph(pool, [batch], openings, alpha).graph
-
-    tree = ops.layer_tree_graph(default_pool(), layer_vals, FRI_ARITY_BITS, 1, 0).run()
-    yield "fri:queries", ops.query_rounds_graph(
-        pool, [batch], [tree], list(range(6))
-    ).graph
 
     # HyperPlonk-lite shapes: a multilinear-PCS commit and one fused
     # sumcheck fold + fold-level commit round.
@@ -247,7 +240,7 @@ def run_race_checks() -> Tuple[List[Finding], List[str]]:
     findings: List[Finding] = []
     checked: List[str] = []
     for workers in _CHECKED_WORKERS:
-        gates = {"min_rows": 1, "min_tree_leaves": 1, "min_queries": 1}
+        gates = {"min_rows": 1, "min_tree_leaves": 1}
         # Slotted local buffers land in a throwaway arena, not the
         # caller's RUN.workspace.
         with ShardPool(workers=workers, **gates) as pool, scoped("workspace", Workspace()):

@@ -21,7 +21,9 @@ Implements the commit / fold / grind / query pipeline of Figure 1
    FRI alpha with no cap between, and no tree is built for it;
 4. grinding (proof-of-work) and random query indices finish the proof:
    every batch tree and every layer tree is opened once, at all the
-   leaves the queries reach in it, as one shared-path multiproof.
+   leaves the queries reach in it, as one shared-path multiproof --
+   pure reads of trees already built, so they run in the calling
+   process, not as a shard graph.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 from .. import parallel, tracing
 from ..field import extension as fext, gl64, goldilocks as gl
 from ..hashing import Challenger
-from ..merkle import MerkleTree
+from ..merkle import MerkleTree, open_tree
 from ..ntt import coset_intt_ext
 from ..parallel import ops as par_ops
 from .config import FriConfig
@@ -317,9 +319,12 @@ def fri_prove(
     # Query phase.
     with tracing.span("fri:query", category="fri", queries=config.num_queries):
         indices = challenger.get_indices(config.num_queries, n_lde)
-        batch_openings, layer_openings = par_ops.query_rounds_graph(
-            pool, batches, trees, indices
-        ).run()
+        # A tree of m leaves packs the coset of v[j] in leaf j (a batch
+        # tree of row leaves has m = N), so query p opens leaf p % m.
+        batch_openings, layer_openings = (
+            [open_tree(tree, [i % tree.num_leaves() for i in indices]) for tree in group]
+            for group in ([b.tree for b in batches], trees)
+        )
 
     return FriProof(
         commit_caps=[t.cap.copy() for t in trees],

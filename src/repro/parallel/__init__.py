@@ -1,11 +1,12 @@
 """The prover's execution layer: shard graphs and the pool that runs them.
 
-One proof's independent work -- per-batch iNTT/LDE/Merkle commits,
-Merkle leaf ranges, FRI combine rows and query chunks, sumcheck folds --
-is expressed once, as the shard graphs of :mod:`repro.parallel.ops`,
-and run by a :class:`ShardPool`: inline in the calling process with one
-worker, or fanned out across persistent shared-memory workers -- either
-way in the order each graph was built.
+One proof's independent work that hashes, transforms or does
+arithmetic -- per-batch iNTT/LDE/Merkle commits, Merkle leaf ranges,
+FRI combine rows, sumcheck folds -- is expressed once, as the shard
+graphs of :mod:`repro.parallel.ops`, and run by a :class:`ShardPool`:
+inline in the calling process with one worker, or fanned out across
+persistent shared-memory workers -- either way in the order each graph
+was built.
 
 Provers discover the pool through the calling thread's ``RUN.pool``
 (:mod:`repro.context`; :func:`sharding` / :func:`current_pool`): no

@@ -112,10 +112,7 @@ def _fp_lde_rows(args: Dict[str, Any]) -> List[Access]:
     lo, hi = int(args["lo"]), int(args["hi"])
     mode = args["mode"]
     out: List[Access] = []
-    if mode == "direct":
-        # Coefficient rows were filled by the coordinator before submit.
-        out += _acc(args["coeffs_out"], "r", axis=0, lo=lo, hi=hi)
-    elif mode == "intt":
+    if mode == "intt":
         out += _acc(args["src"], "r", axis=0, lo=lo, hi=hi)
         out += _acc(args["coeffs_out"], "w", axis=0, lo=lo, hi=hi)
     elif mode == "chunks":
@@ -186,16 +183,6 @@ def _fp_fri_combine(args: Dict[str, Any]) -> List[Access]:
     return out
 
 
-def _fp_fri_queries(args: Dict[str, Any]) -> List[Access]:
-    # Pure gather over transcript-pinned indices: whole-buffer reads of
-    # the leaf matrix and arena of every tree in the shard's group.
-    out: List[Access] = []
-    for tree in args["trees"]:
-        out += _acc(tree["values"], "r")
-        out += _acc(tree["arena"], "r")
-    return out
-
-
 #: Footprint registry: shard ``kind`` -> args -> accesses.  Covers every
 #: kernel in :data:`repro.parallel.kernels.KERNELS` (asserted by tests);
 #: a kind missing here is reported as ``race.no-footprint``.
@@ -205,7 +192,6 @@ FOOTPRINTS: Dict[str, Callable[[Dict[str, Any]], List[Access]]] = {
     "merkle_subtree": _fp_merkle_subtree,
     "sumcheck_fold": _fp_sumcheck_fold,
     "fri_combine": _fp_fri_combine,
-    "fri_queries": _fp_fri_queries,
 }
 
 

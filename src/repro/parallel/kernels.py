@@ -7,17 +7,17 @@ attaches) or plain ndarrays (the local transport: the graph runs inline
 in the coordinator); :func:`repro.parallel.shm.resolve` makes both look
 the same.
 
-Every kernel is the *row-range restriction* of one prover computation:
-iNTT/LDE rows, Merkle leaf/compress ranges, FRI combine rows and the
-query openings of separate trees are all independent, so any split produces
-bit-identical field elements, digests and operation counters (the
-counters charge per row/leaf, so disjoint ranges sum to exactly the
-one-shard totals).  The arithmetic itself lives with its protocol
-(:func:`repro.merkle.tree.build_subtree`,
+Every kernel is the *row-range restriction* of one prover computation
+that hashes, transforms or does arithmetic: iNTT/LDE rows, Merkle
+leaf/compress ranges, FRI combine rows and sumcheck fold rows are all
+independent, so any split produces bit-identical field elements,
+digests and operation counters (the counters charge per row/leaf, so
+disjoint ranges sum to exactly the one-shard totals).  The arithmetic
+itself lives with its protocol (:func:`repro.merkle.tree.build_subtree`,
 :func:`repro.fri.prover.combine_rows`, :func:`repro.sumcheck.fold_table`);
 the kernels only restrict it to a range.  Kernels write their outputs
-into disjoint regions of shared buffers and return only small gather
-results, keeping IPC off the data path.
+into disjoint regions of shared buffers and return nothing, keeping IPC
+off the data path.
 
 Imports from the proving modules happen lazily inside the kernels:
 those modules import :mod:`repro.parallel` to reach the active pool,
@@ -26,7 +26,7 @@ and the lazy imports break the cycle.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict
 
 import numpy as np
 
@@ -38,7 +38,6 @@ def lde_commit_rows(args: Dict[str, Any]):
 
     Modes select where the coefficient rows come from:
 
-    * ``direct`` -- rows already sit in ``coeffs_out``;
     * ``intt``   -- rows are subgroup evaluations in ``src``; iNTT them
       and store the coefficients into ``coeffs_out`` first;
     * ``chunks`` -- rows are degree-``n`` slices of per-limb quotient
@@ -55,9 +54,7 @@ def lde_commit_rows(args: Dict[str, Any]):
     coeffs_out = resolve(args["coeffs_out"])
     values_out = resolve(args["values_out"])
     mode = args["mode"]
-    if mode == "direct":
-        pass
-    elif mode == "intt":
+    if mode == "intt":
         src = resolve(args["src"])
         intt(np.ascontiguousarray(src[lo:hi]), out=coeffs_out[lo:hi])
     elif mode == "chunks":
@@ -157,35 +154,6 @@ def fri_combine_range(args: Dict[str, Any]):
     return None
 
 
-def _tree(ref: Dict[str, Any]):
-    """The committed tree behind a ``{values, arena, sizes}`` ref."""
-    from ..merkle.tree import MerkleTree
-
-    sizes = ref["sizes"]
-    cap_height = int(sizes[-1]).bit_length() - 1
-    return MerkleTree.from_levels(
-        resolve(ref["values"]), cap_height, resolve(ref["arena"]), sizes
-    )
-
-
-def fri_open_trees(args: Dict[str, Any]) -> List[Any]:
-    """Open a group of committed FRI trees at the whole query index set.
-
-    Pure reads, no hashing: a tree with ``m`` leaves packs the coset of
-    ``v[j]`` in leaf ``j`` (a batch tree of row leaves has ``m = N``),
-    so a query at position ``p`` opens leaf ``p % m`` of every tree.
-    Returns one :class:`~repro.merkle.TreeOpening` per tree of the
-    group, in order: its distinct opened leaves and their multiproof.
-    """
-    from ..merkle import open_tree
-
-    indices = [int(i) for i in args["indices"]]
-    return [
-        open_tree(tree, [i % tree.num_leaves() for i in indices])
-        for tree in map(_tree, args["trees"])
-    ]
-
-
 #: Kernel registry: shard ``kind`` -> callable.
 KERNELS: Dict[str, Callable[[Dict[str, Any]], Any]] = {
     "lde_rows": lde_commit_rows,
@@ -193,7 +161,6 @@ KERNELS: Dict[str, Callable[[Dict[str, Any]], Any]] = {
     "merkle_subtree": merkle_subtree,
     "sumcheck_fold": sumcheck_fold_range,
     "fri_combine": fri_combine_range,
-    "fri_queries": fri_open_trees,
 }
 
 

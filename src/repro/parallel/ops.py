@@ -1,9 +1,9 @@
 """Shard-graph builders: every prover stage, expressed once.
 
 A batch commit, quotient commit, multilinear commit, FRI combine, FRI
-layer commit, query gather or committed-sumcheck round is one function
-here that builds a :class:`Stage` -- the shard graph, the pool that
-runs it and the assembler of its result.  Provers call
+layer commit or committed-sumcheck round is one function here that
+builds a :class:`Stage` -- the shard graph, the pool that runs it and
+the assembler of its result.  Provers call
 ``builder(...).run()``; the race analyzer inspects ``.graph`` without
 executing a kernel.  There is no other implementation of these stages.
 
@@ -179,26 +179,22 @@ def _commit_graph(
     rate_bits: int,
     cap_height: int,
     deps: Sequence[str] = (),
-    coeffs: Optional[np.ndarray] = None,
     coset_bits: int = 0,
 ) -> Stage:
     """The LDE-rows -> Merkle part of a batch commit.
 
     ``lde_args`` says where the coefficient rows come from (the
-    ``lde_rows`` kernel's ``mode`` plus its source), unless the caller
-    already holds them in ``coeffs``; the batch's ``values`` and tree
-    buffers are allocated here.  With ``coset_bits = a`` the tree's leaf
-    ``i`` is the coset of ``2**a`` LDE rows ``i + j * N / 2**a`` (a
-    contiguous copy beside ``values``, which stays in natural order for
-    the constraint blend and the FRI combine); with 0 it is row ``i``.
+    ``lde_rows`` kernel's ``mode`` plus its source); the batch's
+    ``coeffs``, ``values`` and tree buffers are allocated here.  With
+    ``coset_bits = a`` the tree's leaf ``i`` is the coset of ``2**a``
+    LDE rows ``i + j * N / 2**a`` (a contiguous copy beside ``values``,
+    which stays in natural order for the constraint blend and the FRI
+    combine); with 0 it is row ``i``.
     """
     from ..fri.prover import PolynomialBatch
 
     n_lde = n << rate_bits
-    if coeffs is None:
-        coeffs = plane.buf((num_polys, n), f"{slot}:coeffs")
-    else:
-        coeffs = plane.stage(coeffs, f"{slot}:coeffs")
+    coeffs = plane.buf((num_polys, n), f"{slot}:coeffs")
     values = plane.buf((n_lde, num_polys), f"{slot}:values")
     lde_args = {
         **lde_args,
@@ -234,31 +230,6 @@ def _commit_graph(
 
 def _rows(rows) -> np.ndarray:
     return np.atleast_2d(np.asarray(rows, dtype=np.uint64))
-
-
-def from_coeffs_graph(
-    pool: ShardPool,
-    coeffs: np.ndarray,
-    rate_bits: int,
-    cap_height: int,
-    slot: Optional[str],
-) -> Stage:
-    """Commit coefficient rows: the :class:`PolynomialBatch` stage."""
-    coeffs = _rows(coeffs)
-    num_polys, n = coeffs.shape
-    plane = _Plane(pool, slot, n << rate_bits, pool.min_rows)
-    slot = f"commit:{slot or 'batch'}"
-    return _commit_graph(
-        plane,
-        ShardGraph(slot),
-        slot,
-        {"mode": "direct"},
-        num_polys,
-        n,
-        rate_bits,
-        cap_height,
-        coeffs=coeffs,
-    )
 
 
 def from_values_graph(
@@ -396,27 +367,6 @@ def sumcheck_fold_graph(
     return Stage(plane.pool, graph, lambda _results: (out, tree()))
 
 
-def _tree_refs(plane: _Plane, tree: MerkleTree, slot: str) -> Dict[str, Any]:
-    """Shard-visible ``{values, arena, sizes}`` refs for a committed tree.
-
-    A tree committed on this plane's transport resolves to its existing
-    buffers; under shared memory a foreign one (committed in-process
-    below threshold, or at setup) is copied into ``slot`` segments,
-    which the next proof's tree in the same role reuses.  The originals
-    are never mutated.
-    """
-    return {
-        "values": plane.ref(plane.stage(tree.leaves, f"{slot}:values")),
-        "arena": plane.ref(plane.stage(tree.arena, f"{slot}:tree")),
-        "sizes": [len(level) for level in tree.levels],
-    }
-
-
-def _batch_refs(plane: _Plane, batches: Sequence) -> List[Dict[str, Any]]:
-    """:func:`_tree_refs` per batch, slotted by FRI opening index."""
-    return [_tree_refs(plane, b.tree, f"fri:batch{i}") for i, b in enumerate(batches)]
-
-
 def combine_graph(
     pool: ShardPool,
     batches: Sequence,
@@ -456,8 +406,7 @@ def layer_tree_graph(
     coset ``v[i + j * N / 2**a]`` for ``j < 2**a``.
 
     The coset leaves land in the ``fri:leaves{layer}`` slot and the
-    digests in ``fri:tree{layer}``, where :func:`query_rounds_graph`
-    finds them again without copying.
+    digests in ``fri:tree{layer}``.
     """
     arity = 1 << arity_bits
     num_leaves, width = values.shape[0] >> arity_bits, values.shape[1]
@@ -474,38 +423,3 @@ def layer_tree_graph(
         f"fri:tree{layer}",
     )
     return Stage(plane.pool, graph, lambda _results: tree())
-
-
-def query_rounds_graph(
-    pool: ShardPool,
-    batches: Sequence,
-    layer_trees: Sequence[MerkleTree],
-    indices: Sequence[int],
-) -> Stage:
-    """The FRI query phase: every batch and layer tree opened once, at
-    the whole index set, with the trees split over the plane's parts.
-
-    Openings are pure reads (no hashing, no transcript), so any split
-    is exact.  Returns ``(batch_openings, layer_openings)``.
-    """
-    plane = _Plane(pool, "fri", len(indices), pool.min_queries)
-    trees = _batch_refs(plane, batches) + [
-        _tree_refs(plane, tree, f"fri:layer{i}") for i, tree in enumerate(layer_trees)
-    ]
-    args = {"indices": [int(x) for x in indices]}
-    graph = ShardGraph("fri:queries")
-    ids = [
-        graph.add(
-            f"fri:queries{i}",
-            "fri_queries",
-            {**args, "trees": trees[lo:hi]},
-            units=(hi - lo) * len(indices),
-        )
-        for i, (lo, hi) in enumerate(_split(len(trees), plane.parts))
-    ]
-
-    def finish(results):
-        openings = [op for sid in ids for op in results[sid]]
-        return openings[: len(batches)], openings[len(batches) :]
-
-    return Stage(plane.pool, graph, finish)

@@ -1,6 +1,6 @@
 """The shard-graph executor: one dispatch rule, two transports.
 
-Provers express every commit / combine / fold / query stage as a
+Provers express every commit / combine / fold stage as a
 :class:`~repro.parallel.scheduler.ShardGraph` and hand it to a
 :class:`ShardPool`, which race-checks it and runs it in the order it
 was built: the next shard is always the first one in ``graph.order``
@@ -23,7 +23,7 @@ a shard in flight also takes its graph down with a :class:`ShardError`.
 
 Determinism: shard completion order is non-deterministic, but every
 kernel writes a disjoint region of a shared buffer and the coordinator
-assembles gather results by shard id, so proofs are bit-identical
+assembles results by shard id, so proofs are bit-identical
 regardless of worker count or scheduling.  Fiat-Shamir interaction
 stays entirely in the coordinator (shards never touch a challenger).
 """
@@ -100,8 +100,11 @@ class ShardPool:
     The ``min_*`` thresholds set a stage's shard count: ``workers``
     parts at or above them, one part run in the calling process below
     (there per-shard IPC overhead exceeds the kernel work; tests and CI
-    force them low to fan small proofs out).  Construction is cheap:
-    worker processes fork lazily on the first parallel :meth:`run`.
+    force them low to fan small proofs out).  ``min_queries`` gates
+    nothing: no stage reads it, and it is validated only so that the
+    benchmark harness, which still passes it, keeps working.
+    Construction is cheap: worker processes fork lazily on the first
+    parallel :meth:`run`.
 
     Every submitted graph is checked by the race analyzer
     (:func:`repro.analysis.races.graph_findings`) before any shard
@@ -139,7 +142,6 @@ class ShardPool:
         self.workers = workers
         self.min_rows = min_rows
         self.min_tree_leaves = min_tree_leaves
-        self.min_queries = min_queries
         self.uid = f"{os.getpid()}-{next(_POOL_SEQ)}"
         self.arena = SharedArena(self.uid)
         #: The worker processes (none forked until the first parallel run).

@@ -32,7 +32,7 @@ class Shard:
     ``kind`` names a kernel in :mod:`repro.parallel.kernels`; ``args``
     is its (picklable) argument dict; ``deps`` are shard ids that must
     complete first; ``units`` is the shard's abstract work size (rows
-    hashed, butterflies, queries), recorded on its ``shard:*`` span.
+    hashed, butterflies, folded rows), recorded on its ``shard:*`` span.
     """
 
     id: str

@@ -12,14 +12,13 @@ from typing import Sequence
 
 import numpy as np
 
-from repro import parallel
 from repro.context import RUN
 from repro.field import gl64, goldilocks as gl
 from repro.fri import PolynomialBatch
 from repro.hashing import optimized, sponge
 from repro.hashing.constants import WIDTH
 from repro.merkle import MerkleTree
-from repro.parallel import ops as par_ops
+from repro.ntt import ntt
 
 
 class Polynomial:
@@ -93,8 +92,7 @@ def individual_paths_bytes(tree: MerkleTree, indices: Sequence[int]) -> int:
 
 def commit_coeffs(coeffs: np.ndarray, rate_bits: int, cap_height: int) -> PolynomialBatch:
     """Commit polynomials given by coefficient rows (num_polys, n) on the
-    current pool: the coefficient-form LDE -> Merkle graph the race
-    analysis checks (``commit:from_coeffs``)."""
-    return par_ops.from_coeffs_graph(
-        parallel.current_pool(), coeffs, rate_bits, cap_height, None
-    ).run()
+    current pool, through the values-form commit the provers run:
+    ``iNTT(NTT(c)) = c``, so the batch is bit for bit the coefficient
+    form's."""
+    return PolynomialBatch.from_values(ntt(coeffs), rate_bits, cap_height)

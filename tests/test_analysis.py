@@ -236,7 +236,7 @@ class TestRepoGate:
         report = run_analysis()
         assert report.schedules_checked == 4
         assert report.protocols_checked == ["stark", "plonk", "hyperplonk"]
-        assert len(report.graphs_checked) == 18  # 9 shapes x workers {1, 4}
+        assert len(report.graphs_checked) == 14  # 7 shapes x workers {1, 4}
         found = [f.format() for f in report.findings]
         assert not found, "findings:\n" + "\n".join(found)
         assert report.exit_code == 0

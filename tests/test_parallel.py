@@ -24,7 +24,7 @@ import pytest
 from repro import metrics, parallel, protocols, tracing
 from repro.fri.config import FriConfig
 from repro.merkle import MerkleTree, level_sizes
-from repro.ntt import lde_coeffs
+from repro.ntt import lde_coeffs, ntt
 from repro.context import Workspace
 from repro.parallel import ops as par_ops, shm
 from repro.parallel.footprints import FOOTPRINTS
@@ -41,7 +41,7 @@ CONFIG = FriConfig(
 )
 
 #: Thresholds that fan out even tiny CI-sized proofs.
-TINY = {"min_rows": 1, "min_tree_leaves": 2, "min_queries": 1}
+TINY = {"min_rows": 1, "min_tree_leaves": 2}
 
 
 def _pool(workers=2, **kw):
@@ -97,17 +97,20 @@ class TestBuildOrder:
     def test_later_built_heavy_shard_still_runs_second(self):
         g = parallel.ShardGraph()
         coeffs = np.arange(8, dtype=np.uint64).reshape(2, 4)
+        src = ntt(coeffs)
+        coeffs_out = np.zeros_like(coeffs)
         values = np.zeros((8, 2), dtype=np.uint64)
         for sid, lo, units in (("light", 0, 1), ("heavy", 1, 100)):
             g.add(sid, "lde_rows", {
-                "mode": "direct", "coeffs_out": coeffs, "values_out": values,
-                "lo": lo, "hi": lo + 1, "rate_bits": 1,
+                "mode": "intt", "src": src, "coeffs_out": coeffs_out,
+                "values_out": values, "lo": lo, "hi": lo + 1, "rate_bits": 1,
             }, units=units)
         with parallel.ShardPool(1) as pool, tracing.trace() as session:
             pool.run(g)
         ran = [(s.args["shard"], s.args["units"]) for s in session.walk()
                if s.name.startswith("shard:")]
         assert ran == [("light", 1.0), ("heavy", 100.0)]
+        assert np.array_equal(coeffs_out, coeffs)
         assert np.array_equal(values.T, lde_coeffs(coeffs, 1))
 
     def test_diamond_completes_on_workers(self):
@@ -278,7 +281,7 @@ class TestInlineFallback:
         with parallel.ShardPool(1, **TINY) as pool:
             assert not pool.parallel
             # However low the gates, one worker means one-part graphs.
-            stage = par_ops.from_coeffs_graph(
+            stage = par_ops.from_values_graph(
                 pool, np.arange(8, dtype=np.uint64).reshape(2, 4), 1, 1, "t"
             )
             assert stage.pool is pool
@@ -289,8 +292,8 @@ class TestInlineFallback:
             coeffs = np.arange(4, dtype=np.uint64).reshape(1, 4)
             values = np.zeros((8, 1), dtype=np.uint64)
             g.add("rows", "lde_rows", {
-                "mode": "direct", "coeffs_out": coeffs, "values_out": values,
-                "lo": 0, "hi": 1, "rate_bits": 1,
+                "mode": "intt", "src": ntt(coeffs), "coeffs_out": np.zeros_like(coeffs),
+                "values_out": values, "lo": 0, "hi": 1, "rate_bits": 1,
             })
             results = pool.run(g)
             assert set(results) == {"rows"}
@@ -408,7 +411,7 @@ from repro.workloads import fibonacci
 
 system = protocols.get("stark")
 setup = system.setup(fibonacci.SPEC, 6, system.make_config())
-pool = parallel.ShardPool(2, min_rows=1, min_tree_leaves=2, min_queries=1)
+pool = parallel.ShardPool(2, min_rows=1, min_tree_leaves=2)
 system.prove(setup, pool=pool)
 print(pool.uid, *(p.pid for p in pool.forked.procs), flush=True)
 while True:
@@ -525,7 +528,7 @@ from repro.workloads import fibonacci
 
 system = protocols.get("stark")
 setup = system.setup(fibonacci.SPEC, 6, system.make_config())
-pool = parallel.ShardPool(2, min_rows=1, min_tree_leaves=2, min_queries=1).start()
+pool = parallel.ShardPool(2, min_rows=1, min_tree_leaves=2).start()
 system.verify(setup, system.prove(setup, pool=pool))
 assert pool.stats["shards"] and not pool.stats["inline_shards"], pool.stats
 pool.close()
@@ -577,7 +580,7 @@ class TestShardedMerkle:
         whole = MerkleTree(values, cap_height=1)
         inline = commit_coeffs(coeffs.copy(), 1, 1)
         with _pool(3) as pool:  # 4 subtrees + the cap climb
-            stage = par_ops.from_coeffs_graph(pool, coeffs, 1, 1, "t")
+            stage = par_ops.from_values_graph(pool, ntt(coeffs), 1, 1, "t")
             assert stage.pool is pool and len(stage.graph) == 3 + 4 + 1
             fanned = stage.run()
             for batch in (inline, fanned):
@@ -653,15 +656,16 @@ class TestBitIdentity:
         system.verify(setup, proof)
 
     def test_repeat_proof_reuses_segments(self):
-        # Forced-low gates commit every batch in shared memory; default
-        # gates commit these small batches in-process and stage them into
-        # segments for the fanned-out query graph.  Neither may grow.
+        # Forced-low gates commit every batch in shared memory, and no
+        # segment may grow on a rerun.  Default gates run these small
+        # stages in-process and open the queries from the trees in
+        # place, so the pool holds no segment at all.
         for name, gates in (("stark", TINY), ("stark", {}), ("plonk", {})):
             system, setup = _fib6(name)
             with parallel.ShardPool(2, **gates) as pool:
                 _, first, _ = _prove_counted(system, setup, pool)
                 before = pool.arena.nbytes()
-                assert before > 0
+                assert before > 0 if gates else before == 0
                 _, second, _ = _prove_counted(system, setup, pool)
                 assert first == second == DIGESTS[name]
                 # Same slots, same shapes -> no segment grows on the rerun.

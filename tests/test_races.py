@@ -64,13 +64,11 @@ class TestGraphFindings:
     def test_shipped_graph_shapes_are_race_free(self):
         findings, checked = run_race_checks()
         shapes = [
-            "commit:from_coeffs",
             "commit:from_values",
             "commit:coset_leaves",
             "commit:quotient",
             "fri:layer_tree",
             "fri:combine",
-            "fri:queries",
             "mlpcs:commit",
             "sumcheck:round",
         ]
@@ -187,7 +185,7 @@ class TestPoolGating:
     def test_validated_sharded_commit_matches_serial(self):
         rows = _rows()
         inline = PolynomialBatch.from_values(rows.copy(), 1, 1)  # default pool
-        gates = {"min_rows": 1, "min_tree_leaves": 1, "min_queries": 1}
+        gates = {"min_rows": 1, "min_tree_leaves": 1}
         with ShardPool(workers=2, **gates) as pool:
             fanned = ops.from_values_graph(pool, rows, 1, 1, "t").run()
             assert pool.stats["shards"] == 4
@@ -199,7 +197,7 @@ class TestPoolGating:
         inline = PolynomialBatch.from_values(rows.copy(), 1, 1, coset_bits=3)
         assert inline.coset_bits == 3
         assert inline.tree.leaves.shape == (inline.values.shape[0] >> 3, rows.shape[0] << 3)
-        gates = {"min_rows": 1, "min_tree_leaves": 1, "min_queries": 1}
+        gates = {"min_rows": 1, "min_tree_leaves": 1}
         with ShardPool(workers=2, **gates) as pool:
             fanned = ops.from_values_graph(pool, rows, 1, 1, "t", 3).run()
             assert np.array_equal(fanned.tree.cap, inline.tree.cap)

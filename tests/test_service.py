@@ -615,7 +615,7 @@ class TestShardedService:
         svc = _service(
             workers=1,
             shard_workers=2,
-            shard_config={"min_rows": 1, "min_tree_leaves": 2, "min_queries": 1},
+            shard_config={"min_rows": 1, "min_tree_leaves": 2},
         )
         with svc:
             jid = svc.submit(**FIB)

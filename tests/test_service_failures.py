@@ -120,7 +120,7 @@ class TestShardedWorkerKilled:
         solo = system.digest(system.prove(setup))
         svc = _service(
             workers=1, enable_cache=False, shard_workers=2,
-            shard_config={"min_rows": 1, "min_tree_leaves": 2, "min_queries": 1},
+            shard_config={"min_rows": 1, "min_tree_leaves": 2},
         )
         with svc:
             svc.result(svc.submit(spec), timeout_s=120)  # forks the shard pool
