@@ -178,12 +178,13 @@ def _untouched(num: int, den: int, queries: int) -> Fraction:
 
 def expected_opening_bytes(leaves: int, width: int, cap_height: int, queries: int) -> Fraction:
     """Expected bytes of one tree's shared-path opening at ``queries``
-    uniform leaf indices: each distinct opened leaf sends its index and
-    ``width`` elements; a level of ``m`` nodes below the cap sends one
-    sibling digest per pair with exactly one child on a path,
-    ``m * ((1 - 1/m)**q - (1 - 2/m)**q)`` in expectation."""
+    uniform leaf indices: each distinct opened leaf sends its ``width``
+    elements (the verifier derives the indices); a level of ``m`` nodes
+    below the cap sends one sibling digest per pair with exactly one
+    child on a path, ``m * ((1 - 1/m)**q - (1 - 2/m)**q)`` in
+    expectation."""
     distinct = leaves * (1 - _untouched(1, leaves, queries))
-    total = distinct * (4 + width * ELEM_BYTES)
+    total = distinct * width * ELEM_BYTES
     m = leaves
     while m > 1 << cap_height:
         total += m * (_untouched(1, m, queries) - _untouched(2, m, queries)) * DIGEST_BYTES

@@ -35,8 +35,13 @@ class FriProof:
     (position ``p`` opens leaf ``p % num_leaves``).  A layer of arity
     ``2**a`` over ``N`` values commits leaf ``i`` as the coset
     ``v[i + j * N / 2**a]`` for ``j < 2**a``: ``2**(a + 1)`` elements,
-    the two limbs of each extension value in ``j`` order.  The query
-    indices themselves are not sent: the transcript fixes them.
+    the two limbs of each extension value in ``j`` order.
+
+    That is all a FRI proof carries: the layer caps, the final
+    polynomial, the grinding witness, and per tree its opened rows (in
+    ascending leaf order) and shared path nodes.  The query indices,
+    and with them which leaf each row is, are not sent: the verifier
+    draws them from the transcript.
     """
 
     commit_caps: List[np.ndarray]  # caps of the commit-phase layer trees

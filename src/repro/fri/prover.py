@@ -107,7 +107,10 @@ class FriOpenings:
 
     ``points[k]`` is an extension point; ``columns[k]`` lists
     ``(batch_index, poly_index)`` pairs opened there; ``values[k]`` is
-    the matching (len, 2) array of claimed evaluations.
+    the matching (len, 2) array of claimed evaluations.  A protocol
+    fixes the points by its transcript and the columns by its layout,
+    so a proof carries :meth:`flat_values` alone and the verifier
+    rebuilds the set with :meth:`from_flat`.
     """
 
     points: List[np.ndarray]
@@ -119,6 +122,25 @@ class FriOpenings:
         if not self.values:
             return np.zeros((0, 2), dtype=np.uint64)
         return np.concatenate([np.atleast_2d(v) for v in self.values])
+
+    @classmethod
+    def from_flat(
+        cls,
+        points: Sequence[np.ndarray],
+        columns: Sequence[Sequence[Tuple[int, int]]],
+        values: np.ndarray,
+    ) -> "FriOpenings":
+        """The set whose :meth:`flat_values` is ``values``, opened at
+        ``points`` under the ``columns`` layout; ``ValueError`` unless
+        ``values`` is a ``(k, 2)`` array of one row per opened column."""
+        sizes = [len(cols) for cols in columns]
+        if not isinstance(values, np.ndarray) or values.shape != (sum(sizes), 2):
+            raise ValueError("malformed opened values (one (c0, c1) row per opened column)")
+        return cls(
+            points=list(points),
+            columns=[list(cols) for cols in columns],
+            values=np.split(values, np.cumsum(sizes)[:-1]),
+        )
 
 
 def open_batches(

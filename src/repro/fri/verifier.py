@@ -47,19 +47,18 @@ class FriError(VerifierError):
     """Raised when a FRI proof fails verification."""
 
 
-def proof_words(openings: FriOpenings, proof: FriProof) -> list:
-    """Every field word an opening set and its FRI proof carry: opened
-    points and values, layer caps, the final polynomial, the grinding
-    witness, and each tree opening's rows and nodes.
+def proof_words(proof: FriProof) -> list:
+    """Every field word a FRI proof carries: layer caps, the final
+    polynomial, the grinding witness, and each tree opening's rows and
+    nodes.
 
-    A protocol verifier passes them to :func:`repro.field.gl64.all_canonical`
-    before it hashes anything; :func:`fri_verify` then computes on
-    canonical words only.
+    A protocol verifier passes them, with its opened values, to
+    :func:`repro.field.gl64.all_canonical` before it hashes anything;
+    :func:`fri_verify` then computes on canonical words only.
     """
-    words = [*openings.points, *openings.values, *proof.commit_caps]
-    words += (proof.final_poly, proof.pow_witness)
+    words = [*proof.commit_caps, proof.final_poly, proof.pow_witness]
     for op in proof.tree_openings():
-        words += (op.rows, op.proof.nodes)
+        words += (op.rows, op.nodes)
     return words
 
 
@@ -90,9 +89,11 @@ def fri_verify(
     cosets of ``2**a`` rows and FRI's first layer is virtual.  Without
     ``leaf_widths`` the batches commit one row a leaf.
 
-    The words of ``openings`` and ``proof`` are taken as canonical: the
-    protocol verifiers refuse any other (:func:`proof_words`) before
-    they call this.
+    ``openings`` is the verifier's own: the protocol fixes its points
+    and columns and only the values come from a proof.  Those values
+    and the words of ``proof`` are taken as canonical: the protocol
+    verifiers refuse any other (:func:`proof_words`) before they call
+    this.
     """
     degree_bits = degree_n.bit_length() - 1
     widths = [(w,) if isinstance(w, int) else tuple(w) for w in leaf_widths or ()]
@@ -166,12 +167,6 @@ def fri_verify(
         ]
     except ValueError as exc:
         raise FriError(str(exc)) from exc
-    for cols in openings.columns:
-        for b, c in cols:
-            if not 0 <= b < len(batch_caps):
-                raise FriError("opened batch index out of range")
-            if not 0 <= c < paths[b].rows.shape[1] >> a:
-                raise FriError("opened column exceeds initial leaf width")
 
     with tracing.span("verify:merkle", category="verify", trees=len(paths)):
         verdicts = verify_paths(paths)

@@ -105,14 +105,13 @@ def _layer_openings(proof) -> list:
 def _all_arrays(proof) -> list:
     """Every mutable field-element array reachable in a proof."""
     arrays = [_get_cap(proof, s) for s in _cap_slots(proof)]
-    if hasattr(proof, "openings"):
-        arrays.extend(proof.openings.points)
-        arrays.extend(proof.openings.values)
+    if hasattr(proof, "opened_values"):
+        arrays.append(proof.opened_values)
     if hasattr(proof, "fri_proof"):
         arrays.append(proof.fri_proof.final_poly)
     for op in _tree_openings(proof):
         arrays.append(op.rows)
-        arrays.append(op.proof.nodes)
+        arrays.append(op.nodes)
     return [a for a in arrays if a.size]
 
 
@@ -186,23 +185,12 @@ def flip_field_element(target: FuzzTarget, rng) -> Mutant:
 def perturb_opening_value(target: FuzzTarget, rng) -> Optional[Mutant]:
     """Perturb one claimed opening evaluation (FRI-family proofs)."""
     proof = target.decode(target.blob)
-    if not hasattr(proof, "openings"):
+    if not hasattr(proof, "opened_values"):
         return None
-    vals = _choice(rng, proof.openings.values)
-    flat = vals.reshape(-1)
+    flat = proof.opened_values.reshape(-1)
     idx = int(rng.integers(0, flat.size))
     flat[idx] = np.uint64(_rand_elem(rng, not_equal=int(flat[idx])))
     return Mutant("perturb-opening-value", data=target.encode(proof))
-
-
-def swap_opening_points(target: FuzzTarget, rng) -> Optional[Mutant]:
-    """Swap the two opening points (zeta and zeta * omega)."""
-    proof = target.decode(target.blob)
-    if not hasattr(proof, "openings"):
-        return None
-    pts = proof.openings.points
-    pts[0], pts[1] = pts[1], pts[0]
-    return Mutant("swap-opening-points", data=target.encode(proof))
 
 
 def swap_cap_entries(target: FuzzTarget, rng) -> Optional[Mutant]:
@@ -234,37 +222,35 @@ def drop_sibling_node(target: FuzzTarget, rng) -> Optional[Mutant]:
     the cap (or pairs the wrong ones), so the tree's Merkle check fails.
     """
     proof = target.decode(target.blob)
-    ops = [op for op in _tree_openings(proof) if op.proof.nodes.shape[0]]
+    ops = [op for op in _tree_openings(proof) if op.nodes.shape[0]]
     if not ops:
         return None
     op = _choice(rng, ops)
-    op.proof.nodes = np.delete(op.proof.nodes, int(rng.integers(0, op.proof.nodes.shape[0])), axis=0)
+    op.nodes = np.delete(op.nodes, int(rng.integers(0, op.nodes.shape[0])), axis=0)
     return Mutant("drop-sibling-node", data=target.encode(proof))
 
 
 def duplicate_opened_row(target: FuzzTarget, rng) -> Optional[Mutant]:
-    """Open one index of one tree twice, row and index both repeated.
+    """Repeat one opened row of one tree.
 
-    Indices must be strictly ascending: the codec refuses the repeat,
-    and a verifier handed the object refuses an index set that is not
-    the transcript's.
+    The tree then holds one row more than the transcript's queries
+    touch distinct leaves, so the verifier refuses its shape.
     """
     proof = target.decode(target.blob)
-    ops = [op for op in _tree_openings(proof) if op.proof.indices]
+    ops = [op for op in _tree_openings(proof) if op.rows.shape[0]]
     if not ops:
         return None
     op = _choice(rng, ops)
-    k = int(rng.integers(0, len(op.proof.indices)))
-    op.proof.indices = op.proof.indices[: k + 1] + op.proof.indices[k:]
+    k = int(rng.integers(0, op.rows.shape[0]))
     op.rows = np.insert(op.rows, k, op.rows[k], axis=0)
     return Mutant("duplicate-opened-row", data=target.encode(proof))
 
 
 def swap_opened_rows(target: FuzzTarget, rng) -> Optional[Mutant]:
-    """Swap two opened rows of one tree, indices left in order.
+    """Swap two opened rows of one tree.
 
-    Every shape and index set the verifier pins still holds; only the
-    multiproof's binding of row ``k`` to ``indices[k]`` can reject it.
+    Every shape the verifier pins still holds; only the binding of row
+    ``k`` to the ``k``-th derived index can reject it.
     """
     proof = target.decode(target.blob)
     ops = [op for op in _tree_openings(proof) if op.rows.shape[0] >= 2]
@@ -443,19 +429,17 @@ def permute_coset_rows(target: FuzzTarget, rng) -> Optional[Mutant]:
     first FRI layer folds, one slot after another; reordered, it keeps
     every width and shape the verifier pins, so only the commitment's
     binding of the slot order can reject it.  A row is as wide as the
-    batch's opened columns; batches of one row a leaf do not apply.
+    protocol's leaf width for the batch; batches of one row a leaf do
+    not apply.
     """
-    proof = target.decode(target.blob)
-    if not hasattr(proof, "openings"):
+    widths = target.leaf_widths
+    if not widths:
         return None
-    widths: Dict[int, int] = {}
-    for cols in proof.openings.columns:
-        for b, c in cols:
-            widths[b] = max(widths.get(b, 0), c + 1)
+    proof = target.decode(target.blob)
     ops = proof.fri_proof.batch_openings
     picks = [
         (b, k)
-        for b, w in widths.items()
+        for b, w in enumerate(widths)
         if ops[b].rows.shape[1] > w and ops[b].rows.shape[1] % w == 0
         for k in range(ops[b].rows.shape[0])
     ]
@@ -524,20 +508,18 @@ def perturb_z_opening(target: FuzzTarget, rng) -> Optional[Mutant]:
 
 
 def drop_opened_row(target: FuzzTarget, rng) -> Optional[Mutant]:
-    """Remove one index + row from a batched tree opening.
+    """Remove one row from a batched tree opening.
 
-    The verifier re-derives the expected index set from the transcript,
-    so a multiproof opening fewer positions than the queries touch must
-    reject on the index-set comparison (before any hashing).
+    The verifier derives the index set from the transcript, so a tree
+    opening fewer rows than the queries touch leaves must reject on its
+    shape (before any hashing).
     """
     proof = target.decode(target.blob)
-    ops = [op for op in _tree_openings(proof) if len(op.proof.indices) >= 2]
+    ops = [op for op in _tree_openings(proof) if op.rows.shape[0] >= 2]
     if not ops:
         return None
     op = _choice(rng, ops)
-    k = int(rng.integers(0, len(op.proof.indices)))
-    op.proof.indices = op.proof.indices[:k] + op.proof.indices[k + 1 :]
-    op.rows = np.delete(op.rows, k, axis=0)
+    op.rows = np.delete(op.rows, int(rng.integers(0, op.rows.shape[0])), axis=0)
     return Mutant("drop-opened-row", data=target.encode(proof))
 
 
@@ -553,7 +535,7 @@ def pad_opening_nodes(target: FuzzTarget, rng) -> Optional[Mutant]:
     junk = np.array(
         [[_rand_elem(rng) for _ in range(4)]], dtype=np.uint64
     )
-    op.proof.nodes = np.concatenate([op.proof.nodes, junk])
+    op.nodes = np.concatenate([op.nodes, junk])
     return Mutant("pad-opening-nodes", data=target.encode(proof))
 
 
@@ -594,7 +576,6 @@ MUTATORS: Dict[str, Callable[[FuzzTarget, np.random.Generator], Optional[Mutant]
     "splice-proofs": splice_proofs,
     "flip-field-element": flip_field_element,
     "perturb-opening-value": perturb_opening_value,
-    "swap-opening-points": swap_opening_points,
     "swap-cap-entries": swap_cap_entries,
     "truncate-cap": truncate_cap,
     "drop-sibling-node": drop_sibling_node,

@@ -32,9 +32,11 @@ from ..hyperplonk import HyperPlonkConfig
 from ..hyperplonk import prove as hp_prove, setup as hp_setup, verify as hp_verify
 from ..plonk import CircuitBuilder
 from ..plonk import prove as plonk_prove, setup as plonk_setup, verify as plonk_verify
+from ..plonk.prover import LEAF_WIDTHS
 from ..protocols import get as get_protocol
 from ..serialize import proof_from_blob, proof_to_blob
 from ..stark import prove as stark_prove, verify as stark_verify
+from ..stark.prover import leaf_widths as stark_leaf_widths
 from ..workloads import by_name
 
 #: Exception types that constitute a *valid* rejection of a hostile
@@ -73,9 +75,12 @@ class FuzzTarget:
     encode: Callable[[object], bytes]
     run_verify: Callable[[object], None]  # raises a typed error to reject
     proof_format: str = "uzkp-v1"  # blob framing, for artifacts
+    #: Public columns of each committed FRI batch, in commitment order
+    #: (the protocol's ``fri_layout`` input; empty without FRI).
+    leaf_widths: Tuple[int, ...] = ()
 
 
-def _target(protocol: str, proof, alt_proof, run_verify) -> FuzzTarget:
+def _target(protocol: str, proof, alt_proof, run_verify, leaf_widths=()) -> FuzzTarget:
     """Frame two honest proofs as ``protocol``'s target (tagged blobs)."""
 
     def decode(data: bytes):
@@ -88,14 +93,15 @@ def _target(protocol: str, proof, alt_proof, run_verify) -> FuzzTarget:
     run_verify(proof)  # sanity: the honest proof must pass
     return FuzzTarget(
         protocol=protocol,
-        # Format versions are per protocol (hyperplonk is at v2), so
-        # artifacts record the protocol's own rather than one constant.
+        # Format versions are per protocol, so artifacts record the
+        # protocol's own rather than one constant.
         proof_format=f"uzkp-v{get_protocol(protocol).format_version}",
         blob=encode(proof),
         alt_blob=encode(alt_proof),
         decode=decode,
         encode=encode,
         run_verify=run_verify,
+        leaf_widths=tuple(leaf_widths),
     )
 
 
@@ -117,7 +123,8 @@ def stark_target() -> FuzzTarget:
     alt_air, alt_trace, alt_publics = spec.build_air(7)
     alt_proof = stark_prove(alt_air, alt_trace, alt_publics, _STARK_CONFIG)
     return _target(
-        "stark", proof, alt_proof, lambda p: stark_verify(air, p, _STARK_CONFIG)
+        "stark", proof, alt_proof, lambda p: stark_verify(air, p, _STARK_CONFIG),
+        stark_leaf_widths(air),
     )
 
 
@@ -129,7 +136,7 @@ def plonk_target() -> FuzzTarget:
     proof = plonk_prove(data, {x.index: 3, pub.index: 27})
     alt_proof = plonk_prove(data, {x.index: 5, pub.index: 125})
     return _target(
-        "plonk", proof, alt_proof, lambda p: plonk_verify(data.verifier_data, p)
+        "plonk", proof, alt_proof, lambda p: plonk_verify(data.verifier_data, p), LEAF_WIDTHS
     )
 
 

@@ -7,14 +7,13 @@ per-round folded-level caps, and the query-time spot-check openings.
 There is no FRI proof and no quotient commitment -- the evaluation
 argument is the committed sumcheck itself.
 
-Query openings are *batched per tree* (format v2): instead of one
-authentication path per opened leaf per query, each committed tree
-ships a single :class:`~repro.merkle.TreeOpening` -- the deduplicated
-sorted index set, the opened leaf rows, and one
-:class:`~repro.merkle.MerkleMultiProof` whose sibling nodes are shared
-across every query that touches the tree.  The verifier re-derives the
-expected index set from the transcript, so the indices carried here are
-purely structural (they pin the row order) and any divergence rejects.
+Query openings are *batched per tree*: instead of one authentication
+path per opened leaf per query, each committed tree ships a single
+:class:`~repro.merkle.TreeOpening` -- the opened leaf rows in ascending
+index order and the multiproof's sibling nodes, shared across every
+query that touches the tree.  The indices are not sent (format v3):
+the verifier derives the index set from the transcript and binds row
+``k`` to its ``k``-th smallest index.
 """
 
 from __future__ import annotations
@@ -129,7 +128,7 @@ def query_index_sets(
 
 @dataclass
 class HyperPlonkProof:
-    """A complete sumcheck-native proof (batched-opening format v2)."""
+    """A complete sumcheck-native proof (format v3: openings without indices)."""
 
     wires_cap: np.ndarray
     z_cap: np.ndarray
@@ -144,12 +143,7 @@ class HyperPlonkProof:
     level_openings: List[TreeOpening]
 
     def tree_openings(self) -> List[TreeOpening]:
-        """Every tree opening, base trees first then fold levels.
-
-        (Named ``tree_openings`` rather than ``openings`` because the
-        FRI-family proofs carry an ``openings`` *attribute* the fuzzer
-        duck-types on.)
-        """
+        """Every tree opening, base trees first then fold levels."""
         return [
             self.pre_opening,
             self.wires_opening,
@@ -168,7 +162,7 @@ class HyperPlonkProof:
         return total
 
     def to_bytes(self) -> bytes:
-        """Raw canonical proof body (batched-opening format v2)."""
+        """Raw canonical proof body (format v3)."""
         w = ByteWriter()
         w.elems(self.wires_cap)
         w.elems(self.z_cap)

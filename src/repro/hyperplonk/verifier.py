@@ -7,13 +7,12 @@ out of openings of the preprocessed / wires / Z commitments, and the
 chain ``Q -> T1 -> T2 -> ... -> final_value`` is walked down the
 committed folded levels with the sumcheck challenges.
 
-Openings arrive batched per tree (format v2): the verifier re-derives
-every index each query touches from the transcript
-(:func:`~repro.hyperplonk.proof.query_index_sets`), demands that each
-tree's multiproof covers exactly that sorted set
-(:func:`repro.merkle.check_opening`), and authenticates
-the openings of all ``3 + (v - 1)`` trees against their caps in one
-:func:`repro.merkle.verify_paths` call.  Any
+Openings arrive batched per tree, rows and path nodes only: the
+verifier derives every index each query touches from the transcript
+(:func:`~repro.hyperplonk.proof.query_index_sets`), binds each tree's
+rows to that sorted set (:func:`repro.merkle.check_opening`), and
+authenticates the openings of all ``3 + (v - 1)`` trees against their
+caps in one :func:`repro.merkle.verify_paths` call.  Any
 tampering with the round polynomials, the committed tables, or the
 openings breaks either the running-claim check (in
 :func:`repro.sumcheck.verify`) or one of the Merkle /
@@ -75,7 +74,7 @@ def _check_words(proof: HyperPlonkProof) -> None:
         proof.z_cap,
         *proof.level_caps,
         *(op.rows for op in openings),
-        *(op.proof.nodes for op in openings),
+        *(op.nodes for op in openings),
     ):
         raise HyperPlonkError("proof word is not a canonical field element")
 

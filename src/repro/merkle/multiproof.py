@@ -6,10 +6,10 @@ sends each needed node once: walking levels bottom-up, a node is
 included only if it cannot be derived from the opened leaves and
 previously included nodes.  Every protocol ships one
 :class:`TreeOpening` per opened tree -- the distinct opened rows in
-ascending index order plus their multiproof -- and every verifier
-re-derives the index set from its transcript and checks it with
-:func:`check_opening` before :func:`repro.merkle.verify_paths` hashes
-anything.
+ascending index order plus the multiproof's nodes, never the indices.
+Every verifier derives the index set from its transcript, and
+:func:`check_opening` binds the rows to it before
+:func:`repro.merkle.verify_paths` hashes anything.
 """
 
 from __future__ import annotations
@@ -120,58 +120,47 @@ def verify_proof(leaf_data: np.ndarray, index: int, proof: MerkleMultiProof, cap
 class TreeOpening:
     """All of one tree's query openings, batched into a multiproof.
 
-    ``rows`` holds the opened leaf rows in ascending index order --
-    row ``k`` is the leaf at ``proof.indices[k]``.  The multiproof's
-    sibling nodes are shared by every index of the set, so the nodes
-    near the cap are sent once per tree rather than once per query.
+    ``rows`` holds the opened leaf rows in ascending index order and
+    ``nodes`` the multiproof's sibling digests in consumption order,
+    shared by every index of the set, so the nodes near the cap are
+    sent once per tree rather than once per query.  The indices are not
+    sent: :func:`check_opening` binds row ``k`` to the ``k``-th smallest
+    index the verifier derives.
     """
 
-    rows: np.ndarray  # (k, leaf_width), ascending proof.indices order
-    proof: MerkleMultiProof
+    rows: np.ndarray  # (k, leaf_width), ascending index order
+    nodes: np.ndarray  # (m, 4) digests in consumption order
 
     def size_bytes(self) -> int:
-        """Payload bytes: indices, opened rows, and shared path nodes."""
-        return (
-            4 * len(self.proof.indices)
-            + int(self.rows.size) * ELEM_BYTES
-            + self.proof.size_bytes()
-        )
+        """Payload bytes: opened rows and shared path nodes."""
+        return (int(self.rows.size) + int(self.nodes.size)) * ELEM_BYTES
 
     def write(self, w) -> None:
         """Append the opening to a :class:`~repro.serialize.ByteWriter`:
-        indices, rows, shared path nodes."""
-        w.u32(len(self.proof.indices))
-        for idx in self.proof.indices:
-            w.u32(idx)
+        rows, then shared path nodes."""
         w.elems(self.rows)
-        w.elems(self.proof.nodes)
+        w.elems(self.nodes)
 
     @classmethod
     def read(cls, r, width: int | None, what: str) -> "TreeOpening":
         """Read one opening of ``width``-column leaves from a
         :class:`~repro.serialize.ByteReader` (``None``: any width the
         verifier pins later); ``what`` labels the typed ``ValueError``."""
-        indices = tuple(
-            r.u32() for _ in range(r.count(4, f"{what} index count"))
-        )
-        for a, b in zip(indices, indices[1:]):
-            if b <= a:
-                raise ValueError(f"malformed {what} (indices must be strictly ascending)")
         rows = r.elems()
-        if rows.ndim != 2 or rows.shape[0] != len(indices) or width not in (None, rows.shape[1]):
-            shape = f"({len(indices)}, {'w' if width is None else width})"
+        if rows.ndim != 2 or width not in (None, rows.shape[1]):
+            shape = f"(k, {'w' if width is None else width})"
             raise ValueError(f"malformed {what} (expected a {shape} row array)")
         nodes = r.elems()
         if nodes.ndim != 2 or nodes.shape[1] != 4:
             raise ValueError(f"malformed {what} (path nodes must be (k, 4))")
-        return cls(rows=rows, proof=MerkleMultiProof(indices=indices, nodes=nodes))
+        return cls(rows=rows, nodes=nodes)
 
 
 def open_tree(tree: "MerkleTree", indices: Iterable[int]) -> TreeOpening:
     """Batch-open one tree at the distinct ``indices`` (pure reads)."""
     idx = sorted({int(i) for i in indices})
     rows = np.stack([tree.leaves[i] for i in idx])
-    return TreeOpening(rows=rows, proof=prove_multi(tree, idx))
+    return TreeOpening(rows=rows, nodes=prove_multi(tree, idx).nodes)
 
 
 def check_opening(
@@ -187,24 +176,21 @@ def check_opening(
     hashing); raises ``ValueError``, which each protocol re-raises as
     its own verifier error.
 
-    The index set is *derived*, never trusted: the opening must cover
-    exactly the sorted distinct positions ``expected`` the transcript's
-    queries touch, with one row per position of an admissible width
-    (an int, a tuple of ints, or ``None`` for any).  The cap must be the
-    ``2**min(cap_height, depth)`` rows such a tree commits to.  Returns
-    the :class:`~repro.merkle.PathOpening` that must still authenticate
-    against the cap.
+    The index set is *derived*, never sent: the opening must hold one
+    row per sorted distinct position ``expected`` the transcript's
+    queries touch -- row ``k`` is bound to the ``k``-th of them -- each
+    of an admissible width (an int, a tuple of ints, or ``None`` for
+    any).  The cap must be the ``2**min(cap_height, depth)`` rows such
+    a tree commits to.  Returns the :class:`~repro.merkle.PathOpening`
+    that must still authenticate against the cap.
     """
     expected_idx = tuple(sorted({int(i) for i in expected}))
     try:
-        indices = tuple(int(i) for i in opening.proof.indices)
         rows = np.asarray(opening.rows, dtype=np.uint64)
-        nodes = np.asarray(opening.proof.nodes, dtype=np.uint64)
+        nodes = np.asarray(opening.nodes, dtype=np.uint64)
         cap_rows = np.shape(cap)[0]
     except (AttributeError, TypeError, ValueError, OverflowError, IndexError) as exc:
         raise ValueError(f"malformed {what}") from exc
-    if indices != expected_idx:
-        raise ValueError(f"{what} does not open the queried indices")
     admissible = (widths,) if isinstance(widths, int) else widths
     if rows.ndim != 2 or rows.shape[0] != len(expected_idx) or (
         admissible is not None and rows.shape[1] not in admissible

@@ -7,16 +7,15 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..fri import FriConfig, FriOpenings, FriProof, PolynomialBatch
+from ..fri import FriConfig, FriProof, PolynomialBatch
 from ..fri.proof import DIGEST_BYTES, ELEM_BYTES
 from ..serialize import (
     ByteReader,
     ByteWriter,
     read_cap,
+    read_ext_array,
     read_fri_proof,
-    read_openings,
     write_fri_proof,
-    write_openings,
 )
 from .circuit import Circuit
 
@@ -65,13 +64,20 @@ class VerifierData:
 
 @dataclass
 class PlonkProof:
-    """A complete Plonk proof with FRI openings."""
+    """A complete Plonk proof with FRI openings.
+
+    ``opened_values`` is the opening set's
+    :meth:`~repro.fri.FriOpenings.flat_values`: one ``(c0, c1)`` row per
+    column of :data:`~repro.plonk.prover.OPENING_COLUMNS`, at ``zeta``
+    then at ``zeta * omega``.  The points and columns are not sent; the
+    verifier derives both.
+    """
 
     wires_cap: np.ndarray
     z_cap: np.ndarray
     quotient_cap: np.ndarray
     public_inputs: List[int]
-    openings: FriOpenings
+    opened_values: np.ndarray  # (k, 2)
     fri_proof: FriProof
 
     def size_bytes(self) -> int:
@@ -80,7 +86,7 @@ class PlonkProof:
         for cap in (self.wires_cap, self.z_cap, self.quotient_cap):
             total += cap.shape[0] * DIGEST_BYTES
         total += len(self.public_inputs) * ELEM_BYTES
-        total += int(self.openings.flat_values().size) * ELEM_BYTES
+        total += int(self.opened_values.size) * ELEM_BYTES
         total += self.fri_proof.size_bytes()
         return total
 
@@ -93,7 +99,7 @@ class PlonkProof:
         w.u32(len(self.public_inputs))
         for v in self.public_inputs:
             w.u64(v)
-        write_openings(w, self.openings)
+        w.elems(self.opened_values)
         write_fri_proof(w, self.fri_proof)
         return w.getvalue()
 
@@ -105,7 +111,7 @@ class PlonkProof:
         z_cap = read_cap(r, "Z cap")
         quotient_cap = read_cap(r, "quotient cap")
         publics = [r.u64() for _ in range(r.count(8, "public input count"))]
-        openings = read_openings(r)
+        opened_values = read_ext_array(r, "opened values")
         fri_proof = read_fri_proof(r)
         if not r.done():
             raise ValueError("trailing bytes after Plonk proof")
@@ -114,6 +120,6 @@ class PlonkProof:
             z_cap=z_cap,
             quotient_cap=quotient_cap,
             public_inputs=publics,
-            openings=openings,
+            opened_values=opened_values,
             fri_proof=fri_proof,
         )

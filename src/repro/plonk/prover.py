@@ -91,6 +91,16 @@ ZK_SALT_COLUMNS = 2
 #: :func:`~repro.fri.config.fri_layout`.
 LEAF_WIDTHS = (8, 3, 1, 2 * QUOTIENT_CHUNKS)
 
+#: The ``(batch, column)`` pairs opened at ``zeta`` -- every public
+#: column of every batch -- and at ``zeta * omega`` -- Z alone.  The one
+#: statement of the opening layout: the prover evaluates it, the
+#: verifier rebuilds the opening set from it, so a proof carries the
+#: opened values alone.
+OPENING_COLUMNS = (
+    tuple((b, c) for b, width in enumerate(LEAF_WIDTHS) for c in range(width)),
+    ((2, 0),),
+)
+
 
 def prove(
     data: CircuitData,
@@ -220,16 +230,8 @@ def prove(
         # Step 4: openings and FRI.
         zeta = challenger.get_ext_challenge()
         zeta_next = fext.scalar_mul(zeta, np.uint64(plan.omega))
-
-        columns_zeta = (
-            [(0, c) for c in range(8)]
-            + [(1, c) for c in range(3)]
-            + [(2, 0)]
-            + [(3, c) for c in range(2 * QUOTIENT_CHUNKS)]
-        )
-        columns_next = [(2, 0)]
         openings, fri_proof = pcs.open_and_prove(
-            [zeta, zeta_next], [columns_zeta, columns_next], challenger
+            [zeta, zeta_next], OPENING_COLUMNS, challenger
         )
 
     return PlonkProof(
@@ -237,6 +239,6 @@ def prove(
         z_cap=z_batch.cap.copy(),
         quotient_cap=quotient_batch.cap.copy(),
         public_inputs=public_values,
-        openings=openings,
+        opened_values=openings.flat_values(),
         fri_proof=fri_proof,
     )

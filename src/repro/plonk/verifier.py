@@ -13,13 +13,13 @@ import numpy as np
 from .. import tracing
 from ..errors import VerifierError
 from ..field import extension as fext, gl64, goldilocks as gl
-from ..fri import fri_verify
+from ..fri import FriOpenings, fri_verify
 from ..fri.verifier import FriError, proof_words
 from ..hashing import Challenger
 from ..pcs import FriPCS
 from .permutation import coset_representatives
 from .proof import PlonkProof, VerifierData
-from .prover import LEAF_WIDTHS, QUOTIENT_CHUNKS, ZK_SALT_COLUMNS
+from .prover import LEAF_WIDTHS, OPENING_COLUMNS, ZK_SALT_COLUMNS
 
 
 class PlonkError(VerifierError):
@@ -46,7 +46,8 @@ def _verify(vdata: VerifierData, proof: PlonkProof, challenger: Challenger) -> N
         proof.wires_cap,
         proof.z_cap,
         proof.quotient_cap,
-        *proof_words(proof.openings, proof.fri_proof),
+        proof.opened_values,
+        *proof_words(proof.fri_proof),
     ):
         raise PlonkError("proof word is not a canonical field element")
 
@@ -61,8 +62,15 @@ def _verify(vdata: VerifierData, proof: PlonkProof, challenger: Challenger) -> N
         challenger.observe_cap(proof.quotient_cap)
         zeta = challenger.get_ext_challenge()
 
+    omega = gl.primitive_root_of_unity(vdata.n.bit_length() - 1)
+    zeta_next = fext.scalar_mul(zeta, np.uint64(omega))
+    try:
+        openings = FriOpenings.from_flat([zeta, zeta_next], OPENING_COLUMNS, proof.opened_values)
+    except ValueError as exc:
+        raise PlonkError(str(exc)) from exc
+
     with tracing.span("verify:identity", category="verify"):
-        _check_identity(vdata, proof, beta, gamma, alpha, zeta)
+        _check_identity(vdata, proof, openings, omega, beta, gamma, alpha, zeta)
 
     # --- FRI opening proof ----------------------------------------------------
     caps = [vdata.preprocessed_cap, proof.wires_cap, proof.z_cap, proof.quotient_cap]
@@ -70,7 +78,7 @@ def _verify(vdata: VerifierData, proof: PlonkProof, challenger: Challenger) -> N
     try:
         fri_verify(
             caps,
-            proof.openings,
+            openings,
             proof.fri_proof,
             challenger,
             vdata.config,
@@ -88,46 +96,19 @@ def _verify(vdata: VerifierData, proof: PlonkProof, challenger: Challenger) -> N
 def _check_identity(
     vdata: VerifierData,
     proof: PlonkProof,
+    openings: FriOpenings,
+    omega: int,
     beta: int,
     gamma: int,
     alpha: np.ndarray,
     zeta: np.ndarray,
 ) -> None:
-    """The opening set is the transcript's, and the gate / copy
-    constraint identity holds on the opened values at ``zeta``."""
+    """The gate / copy constraint identity holds on the opened values
+    at ``zeta``."""
     n = vdata.n
-
-    # --- structural checks on the opening set -------------------------------
-    omega = gl.primitive_root_of_unity(n.bit_length() - 1)
-    zeta_next = fext.scalar_mul(zeta, np.uint64(omega))
-    expected_cols_zeta = (
-        [(0, c) for c in range(8)]
-        + [(1, c) for c in range(3)]
-        + [(2, 0)]
-        + [(3, c) for c in range(2 * QUOTIENT_CHUNKS)]
-    )
-    op = proof.openings
-    if len(op.points) != 2 or len(op.columns) != 2 or len(op.values) != 2:
-        raise PlonkError("malformed opening set (points)")
-    if op.points[0].size != 2 or op.points[1].size != 2:
-        raise PlonkError("malformed opening set (points)")
-    if not (
-        np.array_equal(op.points[0].reshape(2), zeta.reshape(2))
-        and np.array_equal(op.points[1].reshape(2), zeta_next.reshape(2))
-    ):
-        raise PlonkError("openings are not at the transcript's zeta")
-    if op.columns[0] != expected_cols_zeta or op.columns[1] != [(2, 0)]:
-        raise PlonkError("malformed opening set (columns)")
-
-    vals0 = np.atleast_2d(op.values[0])
-    vals1 = np.atleast_2d(op.values[1])
-    if vals0.shape != (len(expected_cols_zeta), 2) or vals1.shape != (1, 2):
-        raise PlonkError("malformed opening set (values)")
-    sel = [vals0[i] for i in range(5)]
-    sig = [vals0[5 + i] for i in range(3)]
-    wire = [vals0[8 + i] for i in range(3)]
-    z_zeta = vals0[11]
-    z_next = vals1[0]
+    at_zeta, (z_next,) = openings.values
+    pre, wire, (z_zeta,), quotient = np.split(at_zeta, np.cumsum(LEAF_WIDTHS)[:-1])
+    sel, sig = pre[:5], pre[5:]
 
     # --- the polynomial identity at zeta -------------------------------------
     zeta_n = _ext_pow(zeta, n)
@@ -178,7 +159,7 @@ def _check_identity(
         ),
     )
 
-    t_eval = FriPCS.quotient_at(vals0[12 : 12 + 2 * QUOTIENT_CHUNKS], zeta_n)
+    t_eval = FriPCS.quotient_at(quotient, zeta_n)
     rhs = fext.mul(zh, t_eval)
 
     if not np.array_equal(lhs.reshape(2), rhs.reshape(2)):

@@ -24,8 +24,9 @@ class HyperPlonkSystem(ProofSystem):
         "plain fold tables, so one altered entry goes unseen (ROADMAP item 12)"
     )
     description = f"sumcheck-native zerocheck over a multilinear PCS (no NTT); {caveat}"
+    #: 3: tree openings send rows and path nodes, not the leaf indices;
     #: 2: batched per-tree multiproof openings replaced v1's per-query paths.
-    format_version = 2
+    format_version = 3
     to_bytes = staticmethod(HyperPlonkProof.to_bytes)
     from_bytes = staticmethod(HyperPlonkProof.from_bytes)
     uses_ntt = False

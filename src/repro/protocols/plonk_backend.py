@@ -15,10 +15,12 @@ class PlonkSystem(ProofSystem):
 
     name = "plonk"
     description = "Plonky2-style gates + permutation argument over FRI"
+    #: 5: the proof sends opened values only, no opening points, column
+    #: lists or leaf indices (the verifier derives them);
     #: 4: the batches may commit 2- or 4-row cosets (``fri.fri_layout``);
     #: 3: each FRI tree is opened once, as a shared-path multiproof;
     #: 2: FRI layers open arity-8 coset leaves, not v1's arity-2 pairs.
-    format_version = 4
+    format_version = 5
     to_bytes = staticmethod(PlonkProof.to_bytes)
     from_bytes = staticmethod(PlonkProof.from_bytes)
     uses_ntt = True

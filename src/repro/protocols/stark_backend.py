@@ -24,11 +24,13 @@ class StarkSystem(ProofSystem):
 
     name = "stark"
     description = "AIR transition constraints, LDE + batch FRI opening"
+    #: 6: the proof sends opened values only, no opening points, column
+    #: lists or leaf indices (the verifier derives them);
     #: 5: the batches may commit 2- or 4-row cosets (``fri.fri_layout``);
     #: 4: each FRI tree is opened once, as a shared-path multiproof;
     #: 3: FRI's first layer may be virtual (the batches commit its
     #: cosets); 2: FRI layers open arity-8 coset leaves, not v1's pairs.
-    format_version = 5
+    format_version = 6
     to_bytes = staticmethod(StarkProof.to_bytes)
     from_bytes = staticmethod(StarkProof.from_bytes)
     uses_ntt = True

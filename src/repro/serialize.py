@@ -8,8 +8,8 @@ Table 5 / Table 6 proof-size reproduction (the codec adds only small
 length-prefix overhead).
 
 This module holds what every protocol shares (reader/writer, cap /
-FRI / openings codecs, blob and envelope framing) and imports no
-protocol package.  A protocol's *body* codec lives beside its proof
+extension-array / FRI codecs, blob and envelope framing) and imports
+no protocol package.  A protocol's *body* codec lives beside its proof
 dataclass (``StarkProof.to_bytes`` ...); the framing functions resolve
 a tag to its codec and format version through :mod:`repro.protocols`.
 """
@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import UnknownProtocolError
 from .fri.proof import FriProof
-from .fri.prover import FriOpenings
 from .merkle import TreeOpening
 
 
@@ -150,6 +149,15 @@ def read_cap(r: ByteReader, what: str = "Merkle cap") -> np.ndarray:
     return cap
 
 
+def read_ext_array(r: ByteReader, what: str) -> np.ndarray:
+    """Read an ``(n, 2)`` array of extension elements (opened values,
+    a final polynomial)."""
+    arr = r.elems()
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"malformed {what} (expected an (n, 2) array)")
+    return arr
+
+
 def write_fri_proof(w: ByteWriter, proof: FriProof) -> None:
     """Append a FRI proof: caps, final polynomial, grinding witness, then
     one :class:`~repro.merkle.TreeOpening` per batch and per layer."""
@@ -170,9 +178,7 @@ def read_fri_proof(r: ByteReader) -> FriProof:
         read_cap(r, "FRI layer cap")
         for _ in range(r.count(8, "FRI cap count"))
     ]
-    final_poly = r.elems()
-    if final_poly.ndim != 2 or final_poly.shape[1] != 2:
-        raise ValueError("malformed final polynomial (expected an (n, 2) array)")
+    final_poly = read_ext_array(r, "final polynomial")
     pow_witness = r.u64()
     batch_openings = [
         TreeOpening.read(r, None, "FRI batch opening")
@@ -189,35 +195,6 @@ def read_fri_proof(r: ByteReader) -> FriProof:
         batch_openings=batch_openings,
         layer_openings=layer_openings,
     )
-
-
-def write_openings(w: ByteWriter, op: FriOpenings) -> None:
-    """Append an opening set (points, columns, values)."""
-    w.u32(len(op.points))
-    for point, cols, vals in zip(op.points, op.columns, op.values):
-        w.elems(point)
-        w.u32(len(cols))
-        for b, c in cols:
-            w.u32(b)
-            w.u32(c)
-        w.elems(np.atleast_2d(vals))
-
-
-def read_openings(r: ByteReader) -> FriOpenings:
-    """Read an opening set."""
-    points, columns, values = [], [], []
-    for _ in range(r.count(8, "opening point count")):
-        point = r.elems()
-        if point.size != 2:
-            raise ValueError("malformed opening point (expected 2 limbs)")
-        points.append(point.reshape(2))
-        cols = [(r.u32(), r.u32()) for _ in range(r.count(8, "opened column count"))]
-        columns.append(cols)
-        vals = r.elems()
-        if vals.ndim != 2 or vals.shape[1] != 2:
-            raise ValueError("malformed opening values (expected an (n, 2) array)")
-        values.append(vals)
-    return FriOpenings(points=points, columns=columns, values=values)
 
 
 # -- Tagged proof blobs --------------------------------------------------------

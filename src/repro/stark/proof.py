@@ -7,28 +7,34 @@ from typing import List
 
 import numpy as np
 
-from ..fri import FriOpenings, FriProof
+from ..fri import FriProof
 from ..fri.proof import DIGEST_BYTES, ELEM_BYTES
 from ..serialize import (
     ByteReader,
     ByteWriter,
     read_cap,
+    read_ext_array,
     read_fri_proof,
-    read_openings,
     write_fri_proof,
-    write_openings,
 )
 
 
 @dataclass
 class StarkProof:
-    """A complete Starky-style proof with FRI openings."""
+    """A complete Starky-style proof with FRI openings.
+
+    ``opened_values`` is the opening set's
+    :meth:`~repro.fri.FriOpenings.flat_values`: one ``(c0, c1)`` row per
+    column of :func:`~repro.stark.prover.opening_columns`, at ``zeta``
+    then at ``zeta * omega``.  The points and columns are not sent; the
+    verifier derives both.
+    """
 
     trace_cap: np.ndarray
     quotient_cap: np.ndarray
     public_inputs: List[int]
     degree_bits: int
-    openings: FriOpenings
+    opened_values: np.ndarray  # (k, 2)
     fri_proof: FriProof
 
     def size_bytes(self) -> int:
@@ -36,7 +42,7 @@ class StarkProof:
         total = self.trace_cap.shape[0] * DIGEST_BYTES
         total += self.quotient_cap.shape[0] * DIGEST_BYTES
         total += len(self.public_inputs) * ELEM_BYTES
-        total += int(self.openings.flat_values().size) * ELEM_BYTES
+        total += int(self.opened_values.size) * ELEM_BYTES
         total += self.fri_proof.size_bytes()
         return total
 
@@ -49,7 +55,7 @@ class StarkProof:
         w.u32(len(self.public_inputs))
         for v in self.public_inputs:
             w.u64(v)
-        write_openings(w, self.openings)
+        w.elems(self.opened_values)
         write_fri_proof(w, self.fri_proof)
         return w.getvalue()
 
@@ -61,7 +67,7 @@ class StarkProof:
         quotient_cap = read_cap(r, "quotient cap")
         degree_bits = r.u32()
         publics = [r.u64() for _ in range(r.count(8, "public input count"))]
-        openings = read_openings(r)
+        opened_values = read_ext_array(r, "opened values")
         fri_proof = read_fri_proof(r)
         if not r.done():
             raise ValueError("trailing bytes after STARK proof")
@@ -70,6 +76,6 @@ class StarkProof:
             quotient_cap=quotient_cap,
             public_inputs=publics,
             degree_bits=degree_bits,
-            openings=openings,
+            opened_values=opened_values,
             fri_proof=fri_proof,
         )

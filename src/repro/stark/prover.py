@@ -19,7 +19,7 @@ opening layout.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +41,19 @@ def leaf_widths(air: Air) -> List[int]:
     """Columns of the trace and quotient batches, in commitment order:
     the input to :func:`~repro.fri.config.fri_layout`."""
     return [air.width, 2 * quotient_chunk_count(air)]
+
+
+def opening_columns(air: Air) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
+    """The ``(batch, column)`` pairs opened at ``zeta`` -- every trace
+    and quotient column -- and at ``zeta * omega`` -- the trace again.
+
+    The one statement of the opening layout: the prover evaluates it,
+    the verifier rebuilds the opening set from it, so a proof carries
+    the opened values alone.
+    """
+    trace, quotient = leaf_widths(air)
+    at_next = [(0, c) for c in range(trace)]
+    return at_next + [(1, c) for c in range(quotient)], at_next
 
 
 def prove(
@@ -140,12 +153,8 @@ def prove(
         # Openings at zeta and zeta * omega.
         zeta = challenger.get_ext_challenge()
         zeta_next = fext.scalar_mul(zeta, np.uint64(omega))
-        cols_zeta = [(0, c) for c in range(width)] + [
-            (1, c) for c in range(2 * chunks)
-        ]
-        cols_next = [(0, c) for c in range(width)]
         openings, fri_proof = pcs.open_and_prove(
-            [zeta, zeta_next], [cols_zeta, cols_next], challenger
+            [zeta, zeta_next], opening_columns(air), challenger
         )
 
     return StarkProof(
@@ -153,6 +162,6 @@ def prove(
         quotient_cap=quotient_batch.cap.copy(),
         public_inputs=[gl.canonical(int(v)) for v in public_inputs],
         degree_bits=n.bit_length() - 1,
-        openings=openings,
+        opened_values=openings.flat_values(),
         fri_proof=fri_proof,
     )

@@ -7,13 +7,13 @@ import numpy as np
 from .. import tracing
 from ..errors import VerifierError
 from ..field import extension as fext, gl64, goldilocks as gl
-from ..fri import fri_verify
+from ..fri import FriOpenings, fri_verify
 from ..fri.verifier import FriError, proof_words
 from ..hashing import Challenger
 from ..pcs import FriPCS
 from .air import Air, ExtAlgebra
 from .proof import StarkProof
-from .prover import leaf_widths, quotient_chunk_count
+from .prover import leaf_widths, opening_columns, quotient_chunk_count
 
 
 class StarkError(VerifierError):
@@ -40,7 +40,8 @@ def _verify(air: Air, proof: StarkProof, config, challenger: Challenger) -> None
         proof.public_inputs,
         proof.trace_cap,
         proof.quotient_cap,
-        *proof_words(proof.openings, proof.fri_proof),
+        proof.opened_values,
+        *proof_words(proof.fri_proof),
     ):
         raise StarkError("proof word is not a canonical field element")
     n = 1 << proof.degree_bits
@@ -53,13 +54,22 @@ def _verify(air: Air, proof: StarkProof, config, challenger: Challenger) -> None
         challenger.observe_cap(proof.quotient_cap)
         zeta = challenger.get_ext_challenge()
 
+    omega = gl.primitive_root_of_unity(proof.degree_bits)
+    zeta_next = fext.scalar_mul(zeta, np.uint64(omega))
+    try:
+        openings = FriOpenings.from_flat(
+            [zeta, zeta_next], opening_columns(air), proof.opened_values
+        )
+    except ValueError as exc:
+        raise StarkError(str(exc)) from exc
+
     with tracing.span("verify:identity", category="verify"):
-        _check_identity(air, proof, n, chunks, alpha, zeta)
+        _check_identity(air, proof, openings, n, omega, chunks, alpha, zeta)
 
     try:
         fri_verify(
             [proof.trace_cap, proof.quotient_cap],
-            proof.openings,
+            openings,
             proof.fri_proof,
             challenger,
             config,
@@ -71,38 +81,18 @@ def _verify(air: Air, proof: StarkProof, config, challenger: Challenger) -> None
 
 
 def _check_identity(
-    air: Air, proof: StarkProof, n: int, chunks: int, alpha: np.ndarray, zeta: np.ndarray
+    air: Air,
+    proof: StarkProof,
+    openings: FriOpenings,
+    n: int,
+    omega: int,
+    chunks: int,
+    alpha: np.ndarray,
+    zeta: np.ndarray,
 ) -> None:
-    """The opening set is the transcript's, and the constraint identity
-    holds on the opened values at ``zeta``."""
+    """The constraint identity holds on the opened values at ``zeta``."""
     width = air.width
-    omega = gl.primitive_root_of_unity(proof.degree_bits)
-    zeta_next = fext.scalar_mul(zeta, np.uint64(omega))
-
-    op = proof.openings
-    expected_cols_zeta = [(0, c) for c in range(width)] + [
-        (1, c) for c in range(2 * chunks)
-    ]
-    expected_cols_next = [(0, c) for c in range(width)]
-    if len(op.points) != 2 or len(op.columns) != 2 or len(op.values) != 2:
-        raise StarkError("malformed opening set (points)")
-    if op.points[0].size != 2 or op.points[1].size != 2:
-        raise StarkError("malformed opening set (points)")
-    if not (
-        np.array_equal(op.points[0].reshape(2), zeta.reshape(2))
-        and np.array_equal(op.points[1].reshape(2), zeta_next.reshape(2))
-    ):
-        raise StarkError("openings are not at the transcript's zeta")
-    if op.columns[0] != expected_cols_zeta or op.columns[1] != expected_cols_next:
-        raise StarkError("malformed opening set (columns)")
-
-    vals0 = np.atleast_2d(op.values[0])
-    vals1 = np.atleast_2d(op.values[1])
-    if vals0.shape != (len(expected_cols_zeta), 2) or vals1.shape != (
-        len(expected_cols_next),
-        2,
-    ):
-        raise StarkError("malformed opening set (values)")
+    vals0, vals1 = openings.values
     local = [vals0[c] for c in range(width)]
     next_row = [vals1[c] for c in range(width)]
 

@@ -30,9 +30,16 @@ v4), the STARK instance moved from 8-row to 4-row coset leaves
 regenerated; the Plonk Fibonacci instance keeps row leaves, so its
 digest and counters held, and ``ROW_LAYOUT_DIGESTS`` and
 ``ARITY2_DIGESTS`` held as they must: the row path did not change.
-The HyperPlonk-lite entries have no FRI and are unchanged since
-batched-opening format v2.  Counters are measured around ``prove`` or
-``verify`` alone, setup excluded.
+Every digest and framing entry (``DIGESTS``, ``ROW_LAYOUT_DIGESTS``,
+``ARITY2_DIGESTS``, ``PLONK_MVM_DIGEST``, ``FRAMED``), HyperPlonk-lite's
+included, was regenerated once more when a proof stopped sending what
+its verifier derives: the STARK and Plonk opening points and column
+lists, and every tree opening's leaf indices (STARK format v6, Plonk
+v5, HyperPlonk-lite v3).  Only the encoding changed: caps, opened
+values, final polynomial, grinding witness, opened rows and path nodes
+decode equal to the old proofs', at every pinned and forced layout, and
+``LAYOUTS``, ``PROVE_COUNTERS`` and ``VERIFY_COUNTERS`` held.  Counters
+are measured around ``prove`` or ``verify`` alone, setup excluded.
 """
 
 from repro.fri.config import FriConfig
@@ -53,9 +60,9 @@ CONFIGS = {
 
 #: Proof digest (``system.digest``) per protocol.
 DIGESTS = {
-    "stark": "789eaeb79bc430bbfdf1fb1d30e131bd78adbcf61c43cacd90cde99b89bc00e4",
-    "plonk": "eed90ef01c8225406ba2d3b7973ac62a925ae16aec4fa7680227915a61f4c44e",
-    "hyperplonk": "d52bd70ef17c57099b692406f5271cdf364953d3aabbd3e8c06a7336e49a801c",
+    "stark": "6f09ace28af0a1916bf308013a4393e19cf9561a47ddff73bc0d9521ab8714f0",
+    "plonk": "d659cef4bb916ec0efc81f38ccc2d572041491191c81775410e5eab9b3f283ed",
+    "hyperplonk": "f9f5273ff0cb634ea6ad97834b368fefbd1bfabd7fbd99b89ce6abf34b089d82",
 }
 
 #: ``fri.fri_layout``'s ``(a, schedule)`` for the STARK and Plonk
@@ -67,25 +74,25 @@ LAYOUTS = {
 
 #: The STARK proof with ``fri_layout`` forced to ``a = 0`` (row leaves,
 #: FRI layer 0 committed): exactly the digest ``DIGESTS["stark"]`` held
-#: before the virtual first layer (both re-pinned together with the
-#: shared-path openings), so the coset layout extends the old prover
+#: before the virtual first layer (both re-pinned together with each
+#: later encoding change), so the coset layout extends the old prover
 #: rather than replacing it.
 ROW_LAYOUT_DIGESTS = {
-    "stark": "3883d36070aa693030700597e362215b21699adec0769a713474b4c2c16d4904",
+    "stark": "491a66da14edf209f6c486ae61f17ce14f0d5c18e0c8c78175a3c3d8c9aa5562",
 }
 
 #: The same STARK and Plonk proofs with row leaves and
 #: ``fri.config.FRI_ARITY_BITS`` forced to 1 (one layer per arity-2
 #: fold): exactly the digests these entries held before the fold-by-8
-#: schedule (re-pinned with the shared-path openings), so the schedule
+#: schedule (re-pinned with each later encoding change), so the schedule
 #: generalises the old prover rather than replacing it.
 ARITY2_DIGESTS = {
-    "stark": "1c158d0eeb32afbb10445d4b7db828eab002de03bab3a887c9ff7c5d942fa058",
-    "plonk": "ab7552d82ca09a84692d7e6f4324b458c276cb400803fdee4d57f810b0126baf",
+    "stark": "9cef772355e7e641f9f651edaad490c05567011c1926a15110e53cfda68d82a8",
+    "plonk": "d4c53961ac29faedd9cb6252dc9f8ecb38904d9aa7698ef43c220d9d24761e9c",
 }
 
 #: Plonk over the MVM workload at scale 6, same config.
-PLONK_MVM_DIGEST = "c29bb2e26d0cd82955b54ad7f887a62387fbf00c94d3b7c57459522994a5f575"
+PLONK_MVM_DIGEST = "04841618d38aafeb14c20a1274ba5299f54390ec9dae8eb906418a834af58878"
 
 #: Operation counters around ``prove``.
 PROVE_COUNTERS = {
@@ -115,15 +122,15 @@ VERIFY_COUNTERS = {
 #: sha256 of ``proof_to_blob`` and of the service result envelope.
 FRAMED = {
     "stark": (
-        "64fe8ab60b6d04e74190b11a6ba0e3deeef0dfffba408d86dcc22d817c64cc31",
-        "5a6c5228d9d3fbf22d44f2a7972065fdf7c07e94667e256e9ecba26c83bbf992",
+        "260603bf15cb481736bef679559d825bc0dd35f62fef71b245b0da2c96d04d16",
+        "47a2e50a80a387887d933b205996fdd80bfff4160169baf395b19e8fff34109b",
     ),
     "plonk": (
-        "89a0d3e5be227f89eb824aad0ff9e365ace455fb847744cd552a7647f2a1fc24",
-        "c73f5efe14548f75005f3d7a64d15aaa091b5dd2d0966cc15ae9d59660af821e",
+        "4b4fd879729e101a361af4221082a2588a50fc467fc6c207419586f8d6d2e9bf",
+        "608b1c86c6d7024081426e4ff6469ef3f02cd85eb78388e474894f503702d698",
     ),
     "hyperplonk": (
-        "9b90d5ce1826c31e85f425439f884f3ed77aeffcc9156da5ffcabb2e9951aa6a",
-        "7f3ec9d3d2874f02b92f45c3327152920a619f56c579421de61df96afb9587d2",
+        "0c8705aed96c1fd15f74be7d6585f81b1009ba4342a587576e01f11209b8b7e8",
+        "4c085f36bb3d15b47605603e8290feb93b6795c3d65dd9d5dd6cfcd0595d3281",
     ),
 }

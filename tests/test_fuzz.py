@@ -67,7 +67,6 @@ class TestTargets:
 _STARK_ONLY = {"perturb-degree-bits"}
 _FRI_ONLY = {
     "perturb-opening-value",
-    "swap-opening-points",
     "drop-layer",
     "duplicate-layer",
     "resize-final-poly",
@@ -201,13 +200,16 @@ class TestRegressionVectors:
         assert "final polynomial" in str(exc)
 
     def test_reshaped_initial_leaf_typed(self):
+        # The blob sends no indices, so the codec cannot count the rows
+        # a tree owes; the verifier, which derives the index set, refuses
+        # the one long row.
         tgt = target_for("plonk")
         proof = tgt.decode(tgt.blob)
         op = proof.fri_proof.batch_openings[0]
         op.rows = op.rows.reshape(1, -1)
         outcome, exc = classify_bytes(tgt, tgt.encode(proof))
-        assert outcome == "rejected-decode"
-        assert "malformed FRI batch opening" in str(exc)
+        assert outcome == "rejected-verify"
+        assert "initial opening has wrong shape" in str(exc)
 
     def test_padded_leaf_rejected_and_reproduces_without_width_pin(
         self, monkeypatch, tmp_path
@@ -262,34 +264,47 @@ class TestRegressionVectors:
 
     def test_zero_denominator_opening_typed(self):
         # An opening point equal to a queried domain point would divide
-        # by zero in the quotient combination.  The STARK/Plonk
-        # zeta-binding check fires first on full proofs, so drive
+        # by zero in the quotient combination.  A proof carries no
+        # points -- the STARK/Plonk verifiers derive zeta -- so drive
         # ``fri_verify`` directly: the transcript absorbs the opened
         # *values*, not the points, so moving a point leaves every
         # challenge and query index where the honest proof put them.
-        from repro.field import goldilocks as gl
+        from unittest import mock
+
+        from repro.field import extension as fext, goldilocks as gl
         from repro.fri import FriOpenings, fri_verify
         from repro.fuzz.targets import _STARK_CONFIG
         from repro.hashing import Challenger
+        from repro.stark.prover import opening_columns
+        from repro.workloads import by_name
 
         tgt = target_for("stark")
         proof = tgt.decode(tgt.blob)
+        queried = []
+        get_indices = Challenger.get_indices
+
+        def spy(challenger, n, domain_size):
+            queried.extend(get_indices(challenger, n, domain_size))
+            return queried[-n:]
+
+        with mock.patch.object(Challenger, "get_indices", spy):
+            tgt.run_verify(proof)  # the honest proof: record its queries
         n_lde = (1 << proof.degree_bits) << _STARK_CONFIG.rate_bits
         omega = gl.primitive_root_of_unity(n_lde.bit_length() - 1)
-        idx = proof.fri_proof.batch_openings[0].proof.indices[0]
-        x0 = gl.mul(gl.coset_shift(), gl.pow_mod(omega, idx))  # a queried LDE point
-        op = proof.openings
-        doctored = FriOpenings(
-            points=[np.array([x0, 0], dtype=np.uint64)] + op.points[1:],
-            columns=op.columns,
-            values=op.values,
-        )
+        x0 = gl.mul(gl.coset_shift(), gl.pow_mod(omega, queried[0]))  # a queried LDE point
         challenger = Challenger()
         challenger.observe_elements(np.asarray(proof.public_inputs, dtype=np.uint64))
         challenger.observe_cap(proof.trace_cap)
         challenger.get_ext_challenge()
         challenger.observe_cap(proof.quotient_cap)
-        challenger.get_ext_challenge()
+        zeta = challenger.get_ext_challenge()
+        zeta_next = fext.scalar_mul(zeta, np.uint64(gl.primitive_root_of_unity(proof.degree_bits)))
+        air = by_name("Fibonacci").build_air(proof.degree_bits)[0]
+        doctored = FriOpenings.from_flat(
+            [np.array([x0, 0], dtype=np.uint64), zeta_next],
+            opening_columns(air),
+            proof.opened_values,
+        )
         with pytest.raises(FriError, match="evaluation domain"):
             fri_verify(
                 [proof.trace_cap, proof.quotient_cap],
@@ -298,7 +313,7 @@ class TestRegressionVectors:
                 challenger,
                 _STARK_CONFIG,
                 1 << proof.degree_bits,
-                leaf_widths=[2, 2],  # Fibonacci's trace and quotient columns
+                leaf_widths=tgt.leaf_widths,
             )
 
 

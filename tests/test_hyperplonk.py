@@ -20,7 +20,7 @@ from repro.hyperplonk import (
     setup,
     verify,
 )
-from repro.merkle import MerkleMultiProof, TreeOpening
+from repro.merkle import TreeOpening
 from repro.metrics import counting
 from repro.plonk import CircuitBuilder
 from repro.protocols import get
@@ -138,18 +138,13 @@ class TestTamperRejection:
         self._reject(data, bad)
 
     def test_dropped_opened_row(self, cube):
-        # Removing one (index, row) pair from a batched opening must
-        # fail the verifier's re-derived index-set comparison.
+        # Removing one row from a batched opening must fail against the
+        # index set the verifier derives from its transcript.
         data, _, proof = cube
         bad = self._decode(proof)
         op = bad.wires_opening
-        bad.wires_opening = TreeOpening(
-            rows=op.rows[1:],
-            proof=MerkleMultiProof(
-                indices=op.proof.indices[1:], nodes=op.proof.nodes
-            ),
-        )
-        self._reject(data, bad, match="indices")
+        bad.wires_opening = TreeOpening(rows=op.rows[1:], nodes=op.nodes)
+        self._reject(data, bad, match="wires opening has wrong shape")
 
     def test_dropped_level_opening(self, cube):
         data, _, proof = cube
@@ -264,17 +259,14 @@ class TestEdgeCases:
 
     def test_duplicate_query_indices_dedup_in_openings(self):
         # num_queries=8 over n//2=2 possible indices forces collisions:
-        # the batched openings must carry each index once and still
+        # the batched openings must carry each leaf's row once and still
         # verify and round-trip byte-stably.
         data, inputs = _cube_instance()
         cfg = HyperPlonkConfig(cap_height=1, num_queries=8)
         dup_data = setup(data.circuit, cfg)
         proof = prove(dup_data, inputs)
         n = dup_data.circuit.n
-        assert len(proof.wires_opening.proof.indices) <= n
-        assert list(proof.wires_opening.proof.indices) == sorted(
-            set(proof.wires_opening.proof.indices)
-        )
+        assert proof.wires_opening.rows.shape[0] <= n
         verify(dup_data.verifier_data, proof)
         body = HYPERPLONK.to_bytes(proof)
         assert HYPERPLONK.to_bytes(
@@ -320,8 +312,9 @@ class TestCodec:
         circuit, inputs, _ = by_name("Fibonacci").build_circuit(8)
         data = setup(circuit, HyperPlonkConfig(cap_height=1, num_queries=16))
         proof = prove(data, inputs)
-        indices = proof.pre_opening.proof.indices
-        assert len(indices) > 1  # 16 queries must open more than one leaf
-        batched = proof.pre_opening.proof.size_bytes()
-        individual = individual_paths_bytes(data.preprocessed, indices)
+        opened = proof.pre_opening.rows.shape[0]
+        assert opened > 1  # 16 queries must open more than one leaf
+        batched = proof.pre_opening.nodes.size * 8
+        # Separate paths cost the same whichever ``opened`` distinct leaves.
+        individual = individual_paths_bytes(data.preprocessed, range(opened))
         assert batched < individual, (batched, individual)

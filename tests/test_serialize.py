@@ -139,9 +139,7 @@ class TestHostileLengths:
         from repro.merkle import TreeOpening
 
         w = ByteWriter()
-        w.u32(1)  # one opened index
-        w.u32(5)
-        w.elems(np.zeros((1, 3), dtype=np.uint64))
+        w.elems(np.zeros((1, 3), dtype=np.uint64))  # one opened row
         w.elems(np.zeros(8, dtype=np.uint64))  # flat, not (k, 4)
         with pytest.raises(ValueError, match="path nodes must be"):
             TreeOpening.read(ByteReader(w.getvalue()), None, "FRI batch opening")
@@ -160,9 +158,10 @@ class TestPlonkRoundTrip:
         assert np.array_equal(restored.wires_cap, proof.wires_cap)
         assert restored.public_inputs == proof.public_inputs
         assert restored.fri_proof.pow_witness == proof.fri_proof.pow_witness
-        assert [op.proof.indices for op in restored.fri_proof.tree_openings()] == [
-            op.proof.indices for op in proof.fri_proof.tree_openings()
-        ]
+        assert np.array_equal(restored.opened_values, proof.opened_values)
+        for got, want in zip(restored.fri_proof.tree_openings(), proof.fri_proof.tree_openings()):
+            assert np.array_equal(got.rows, want.rows)
+            assert np.array_equal(got.nodes, want.nodes)
 
     def test_serialized_size_near_accounting(self, plonk_setup):
         _, proof = plonk_setup
@@ -334,14 +333,24 @@ def _as_version_1(blob: bytes) -> bytes:
     return bytes(old)
 
 
-#: Current format versions: STARK is at 5 and Plonk at 4 since the
-#: first FRI layer's arity is picked by the expected shared-path size.
-CURRENT_VERSIONS = {"stark": 5, "plonk": 4}
+#: Current format versions: STARK is at 6, Plonk at 5 and HyperPlonk-lite
+#: at 3 since a proof sends neither its opening points and columns nor
+#: its tree openings' leaf indices.
+CURRENT_VERSIONS = {"stark": 6, "plonk": 5, "hyperplonk": 3}
+
+
+@pytest.fixture(scope="module")
+def hyperplonk_proof():
+    from repro.hyperplonk import HyperPlonkConfig, prove as hp_prove, setup as hp_setup
+
+    circuit, inputs, _ = by_name("Fibonacci").build_circuit(5)
+    return hp_prove(hp_setup(circuit, HyperPlonkConfig(cap_height=1, num_queries=4)), inputs)
 
 
 class TestFormatVersion1:
-    """Version 1 opened arity-2 pair leaves; a v1 STARK or Plonk blob is
-    refused with the typed version error, never fed to the current codec."""
+    """Version 1 opened arity-2 pair leaves; a v1 STARK or Plonk blob, or a
+    blob of any later version before the current one, is refused with the
+    typed version error, never fed to the current codec."""
 
     @pytest.mark.parametrize("protocol", ["stark", "plonk"])
     def test_v1_blob_raises_the_version_error(self, protocol, stark_setup, plonk_setup):
@@ -365,7 +374,7 @@ class TestFormatVersion1:
 
         blob = bytearray(proof_to_blob("stark", stark_setup[1]))
         blob[len(PROOF_BLOB_MAGIC)] = 2
-        with pytest.raises(ProofFormatError, match="version 2 .*expected 5"):
+        with pytest.raises(ProofFormatError, match=f"version 2 .*expected {CURRENT_VERSIONS['stark']}"):
             proof_from_blob(bytes(blob))
 
     @pytest.mark.parametrize("protocol", ["stark", "plonk"])
@@ -391,11 +400,35 @@ class TestFormatVersion1:
         from repro.serialize import PROOF_BLOB_MAGIC, ProofFormatError, proof_from_blob, proof_to_blob
 
         proof = {"stark": stark_setup, "plonk": plonk_setup}[protocol][1]
-        version = CURRENT_VERSIONS[protocol]
+        old = {"stark": 4, "plonk": 3}[protocol]
         blob = bytearray(proof_to_blob(protocol, proof))
-        blob[len(PROOF_BLOB_MAGIC)] = version - 1
-        with pytest.raises(ProofFormatError, match=f"version {version - 1} .*expected {version}"):
+        blob[len(PROOF_BLOB_MAGIC)] = old
+        with pytest.raises(ProofFormatError, match=f"version {old} .*expected {CURRENT_VERSIONS[protocol]}"):
             proof_from_blob(bytes(blob))
+
+    @pytest.mark.parametrize("protocol", ["stark", "plonk", "hyperplonk"])
+    def test_previous_version_blob_is_refused_before_its_body_is_decoded(
+        self, protocol, stark_setup, plonk_setup, hyperplonk_proof
+    ):
+        # STARK v5, Plonk v4 and HyperPlonk-lite v2 sent what the verifier
+        # derives (opening points, column lists, leaf indices); the
+        # current format sends opened values, rows and path nodes only, so
+        # those blobs are refused, typed, and the body codec never runs.
+        from unittest import mock
+
+        from repro.serialize import PROOF_BLOB_MAGIC, ProofFormatError, proof_from_blob, proof_to_blob
+
+        proof = {
+            "stark": stark_setup[1], "plonk": plonk_setup[1], "hyperplonk": hyperplonk_proof
+        }[protocol]
+        old = {"stark": 5, "plonk": 4, "hyperplonk": 2}[protocol]
+        version = CURRENT_VERSIONS[protocol]
+        assert get(protocol).format_version == version == old + 1
+        blob = bytearray(proof_to_blob(protocol, proof))
+        blob[len(PROOF_BLOB_MAGIC)] = old
+        with mock.patch.object(get(protocol), "from_bytes", side_effect=AssertionError("decoded")):
+            with pytest.raises(ProofFormatError, match=f"version {old} .*expected {version}"):
+                proof_from_blob(bytes(blob))
 
     @pytest.mark.parametrize("protocol", ["stark", "plonk"])
     def test_cli_verify_refuses_a_v1_envelope(self, protocol, tmp_path, capsys):

@@ -103,8 +103,7 @@ class TestFaultInjection:
     def test_tampered_opening(self, proof_setup):
         air, proof, cfg = proof_setup
         p = copy.deepcopy(proof)
-        p.openings.values[0] = p.openings.values[0].copy()
-        p.openings.values[0][0, 0] ^= np.uint64(1)
+        p.opened_values[0, 0] ^= np.uint64(1)
         with pytest.raises(StarkError):
             verify(air, p, cfg)
 

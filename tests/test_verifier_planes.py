@@ -21,7 +21,7 @@ from repro.protocols import names
 from .reference_verifiers import reference_plane
 
 #: Seeds per (protocol, mutator).  Mutators with a small mutant space
-#: (swap the two opening points, drop one of four layer openings, ...)
+#: (drop one of four layer openings, ...)
 #: repeat themselves long before this; repeats are verified once.
 SEEDS = 200
 PROTOCOLS = names()
@@ -69,7 +69,7 @@ def _tamper_two(proof):
     the verifier meets first, the proof falls."""
     proof = copy.deepcopy(proof)
     if hasattr(proof, "fri_proof"):
-        proof.fri_proof.batch_openings[-1].proof.nodes[0, 0] ^= np.uint64(1)
+        proof.fri_proof.batch_openings[-1].nodes[0, 0] ^= np.uint64(1)
         proof.fri_proof.layer_openings[0].rows[0, 0] ^= np.uint64(1)
     else:
         proof.level_openings[-1].rows[0, 0] ^= np.uint64(1)
@@ -88,3 +88,19 @@ def test_two_faults_reject_with_the_typed_error(protocol):
     assert error.__name__ == {
         "stark": "StarkError", "plonk": "PlonkError", "hyperplonk": "HyperPlonkError"
     }[protocol]
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_first_tree_opening_with_two_rows_swapped_is_refused(protocol):
+    # A proof sends no leaf indices: the verifier binds row k to the
+    # k-th index it derives from its transcript, so two opened rows
+    # swapped keep every shape and must still fall, on both planes and
+    # with the same typed error.
+    target = target_for(protocol)
+    proof = target.decode(target.blob)
+    tree = (proof.fri_proof if hasattr(proof, "fri_proof") else proof).tree_openings()[0]
+    assert tree.rows.shape[0] >= 2 and not np.array_equal(tree.rows[0], tree.rows[1])
+    tree.rows[[0, 1]] = tree.rows[[1, 0]]
+    shipped, reference = _both(target, proof)
+    assert shipped == reference
+    assert shipped[0] == "rejected-verify"
