@@ -9,7 +9,8 @@ parallelism, and per-channel bus occupancy.
 Its purpose here is to *derive* the effective-bandwidth factors the
 fast analytic cost models use (sequential ~0.8-0.9, strided ~0.5,
 short random chunks ~0.15-0.25), rather than hard-coding them -- see
-``benchmarks/bench_ablation_dram.py`` and the unit tests.
+``repro.experiments.ablations.dram_calibration``, which derives them,
+and the unit tests.
 """
 
 from __future__ import annotations

@@ -54,11 +54,6 @@ class ShmRef:
     name: str
     shape: Tuple[int, ...]
 
-    @property
-    def nbytes(self) -> int:
-        """Segment payload size in bytes."""
-        return 8 * math.prod(self.shape)
-
 
 class SharedArena(Workspace):
     """The shard pool's :class:`~repro.context.Workspace`, one shared

@@ -14,7 +14,7 @@ import heapq
 import itertools
 import threading
 import time
-from typing import List
+from typing import List, Optional
 
 
 class PriorityJobQueue:
@@ -38,17 +38,15 @@ class PriorityJobQueue:
             else:
                 heapq.heappush(self._ready, (priority, seq, key))
 
-    def pop_ready(self, max_n: int = 1) -> List[str]:
-        """Dequeue up to ``max_n`` entries whose ready time has passed."""
-        out: List[str] = []
+    def pop_ready(self) -> Optional[str]:
+        """Dequeue the most urgent entry whose ready time has passed, or
+        ``None`` if there is none."""
         with self._lock:
             now = time.monotonic()
             while self._delayed and self._delayed[0][0] <= now:
                 _, seq, priority, key = heapq.heappop(self._delayed)
                 heapq.heappush(self._ready, (priority, seq, key))
-            while self._ready and len(out) < max_n:
-                out.append(heapq.heappop(self._ready)[2])
-        return out
+            return heapq.heappop(self._ready)[2] if self._ready else None
 
     def __len__(self) -> int:
         with self._lock:

@@ -365,8 +365,8 @@ class ProvingService:
         """Most urgent ready flight.  An entry whose flight was dropped
         (every rider cancelled) or already left on another entry (a more
         urgent twin pushed a second one) is stale: skip it."""
-        while keys := self.queue.pop_ready():
-            flight = self._flights.get(keys[0])
+        while (key := self.queue.pop_ready()) is not None:
+            flight = self._flights.get(key)
             if flight is not None and not flight.running:
                 return flight
         return None

@@ -59,23 +59,11 @@ class SumcheckProof:
     final_value: int
 
 
-def prove(
-    table: np.ndarray,
-    challenger: Challenger | None = None,
-    on_fold: Optional[Callable[[int, np.ndarray], None]] = None,
-) -> SumcheckProof:
+def prove(table: np.ndarray, challenger: Challenger | None = None) -> SumcheckProof:
     """Run the prover; returns the proof (Algorithm 2 with Fiat-Shamir).
 
     Each round reports ``y0 = sum(A[:m/2])`` and ``y1 = sum(A[m/2:])``,
     then folds with the transcript challenge.
-
-    ``on_fold(round_index, folded_table)`` is called right after each
-    fold, *before* the next round's values join the transcript.  A
-    committed-sumcheck caller (the HyperPlonk-lite backend) uses it to
-    Merkle-commit each folded level and absorb the cap into the shared
-    challenger; the verifier mirrors the absorption through
-    :func:`verify`'s ``on_challenge`` hook at the same transcript
-    position.
     """
     table = np.asarray(table, dtype=np.uint64).copy()
     n = table.shape[0]
@@ -94,8 +82,6 @@ def prove(
         challenger.observe_element(y1)
         r = challenger.get_challenge()
         table = fold_table(table, r)
-        if on_fold is not None:
-            on_fold(len(rounds) - 1, table)
     return SumcheckProof(
         claimed_sum=claimed, round_values=rounds, final_value=int(table[0])
     )
@@ -118,9 +104,10 @@ def verify(
     polynomial-commitment opening, or direct evaluation in tests).
 
     ``on_challenge(round_index, r)`` is called right after each round's
-    challenge is squeezed -- the mirror of :func:`prove`'s ``on_fold``
-    hook, where a committed-sumcheck verifier absorbs the prover's
-    per-level commitment caps at the identical transcript position.
+    challenge is squeezed, before the next round's values join the
+    transcript: the committed-sumcheck verifier (HyperPlonk-lite) absorbs
+    the prover's cap of each folded level there, where its prover
+    absorbed it.
     """
     if len(proof.round_values) != num_vars:
         raise SumcheckError("wrong number of rounds")

@@ -2,8 +2,9 @@
 
 The instance is Fibonacci at scale 6 under each protocol's registry
 default config (``protocols.get(name).make_config()``, spelled out
-below).  The tests and ``benchmarks/check_perf_counters.py`` import
-these; nothing else pins a digest or a counter.
+below).  Only the tests import these -- ``test_parallel.py`` among them
+checks every pool and OpenBLAS held to one thread -- and nothing else
+pins a digest or a counter.
 
 History: the STARK and Plonk entries were regenerated once when FRI
 moved from committing every arity-2 fold to committing every third

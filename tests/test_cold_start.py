@@ -1,9 +1,10 @@
 """A fresh prover derives and imports only what proving needs.
 
-A Fibonacci STARK and Plonk prove plus verify in a new interpreter must
-leave the sparse HADES factorisation (``sparse.optimized_params``, the
-Poseidon AIR's and the in-circuit gadget's form) underived, and must not
-import the accelerator model (``repro.hw``, ``repro.mapping``,
+A Fibonacci STARK and Plonk prove plus verify in a new interpreter,
+and two STARK proves through the CLI after them, must leave the sparse
+HADES factorisation (``sparse.optimized_params``, the Poseidon AIR's and
+the in-circuit gadget's form) underived, and must not import the
+accelerator model (``repro.hw``, ``repro.mapping``,
 ``repro.compiler``) or any analysis layer but the race check the shard
 pool runs on each graph.
 """
@@ -31,6 +32,7 @@ NOT_LOADED = (
 
 _PROVE = """
 import json, sys
+from repro.cli import main
 from repro.hashing import sparse
 from repro.protocols import get
 from repro.workloads import by_name
@@ -39,6 +41,8 @@ for name, scale in (("stark", 6), ("plonk", 4)):
     system = get(name)
     setup = system.setup(by_name("Fibonacci"), scale, system.make_config())
     system.verify(setup, system.prove(setup))
+argv = ["prove", "--protocol", "stark", "--workload", "Fibonacci", "--scale", "12"]
+assert main(argv) == 0 and main(argv) == 0
 print(json.dumps({
     "sparse_tables": sparse.optimized_params.cache_info().currsize,
     "modules": sorted(m for m in sys.modules if m.startswith("repro.")),

@@ -4,20 +4,24 @@
 preprocessed commitment, built to the root) in the thread's
 ``RUN.instances`` and binds a config by cutting the tree at its cap.
 These tests pin that binding to a cold setup bit for bit, that a second
-setup hashes nothing, and that shared setup data refuses writes.
+setup hashes nothing, that ``verify_result`` reaches one verdict warm or
+cold, and that shared setup data refuses writes.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
 
 from repro import metrics, protocols
-from repro.context import RUN
+from repro.context import RUN, scoped
 from repro.errors import VerifierError
 from repro.fri import config as fri_config
+from repro.fuzz.targets import TYPED_REJECTIONS
+from repro.service import execute, verify_result
 from repro.workloads import by_name
 
 from .goldens import ARITY2_DIGESTS, CONFIGS, DIGESTS, ROW_LAYOUT_DIGESTS, SCALE
@@ -78,6 +82,36 @@ def test_a_second_setup_of_an_instance_hashes_nothing(name, fresh_instance_cache
         psetup = system.setup(FIB, SCALE, system.make_config(moved))
     assert c.as_dict() == metrics.Counters().as_dict()
     system.verify(psetup, system.prove(psetup))
+
+
+def _verdict(spec, envelope) -> str:
+    try:
+        return str(verify_result(spec, envelope))
+    except TYPED_REJECTIONS as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("name", protocols.names())
+def test_verify_result_gives_one_verdict_warm_and_cold(name, fresh_instance_cache):
+    # The service's own check of an envelope binds the instance a
+    # default setup left warm; a cold instance must reach the same
+    # verdict on an honest envelope and on one with a byte flipped.
+    system = protocols.get(name)
+    knobs = system.default_config()
+    system.setup(FIB, SCALE, system.make_config())
+    moved = {"cap_height": knobs["cap_height"] + 1, "num_queries": knobs["num_queries"] + 1}
+    spec = {"workload": "Fibonacci", "kind": name, "scale": SCALE, "config": moved}
+    envelope = execute(spec)["envelope"]
+    flipped = bytearray(envelope)
+    flipped[len(flipped) * 3 // 4] ^= 0x01
+    verdicts = []
+    for env in (envelope, bytes(flipped)):
+        warm = _verdict(spec, env)
+        with scoped("instances", OrderedDict()):
+            cold = _verdict(spec, env)
+        assert warm == cold
+        verdicts.append(warm)
+    assert verdicts[0] == "True" and verdicts[1] != "True", verdicts
 
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))

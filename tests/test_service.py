@@ -67,22 +67,22 @@ class TestPriorityJobQueue:
         q.push("low", priority=5)
         q.push("high", priority=0)
         q.push("mid", priority=3)
-        assert q.pop_ready(max_n=3) == ["high", "mid", "low"]
+        assert [q.pop_ready() for _ in range(4)] == ["high", "mid", "low", None]
 
     def test_fifo_within_priority(self):
         q = PriorityJobQueue()
         for name in ("a", "b", "c"):
             q.push(name, priority=1)
-        assert q.pop_ready(max_n=3) == ["a", "b", "c"]
+        assert [q.pop_ready() for _ in range(4)] == ["a", "b", "c", None]
 
     def test_delay_hides_entry(self):
         q = PriorityJobQueue()
         q.push("later", delay_s=0.15)
         q.push("now")
-        assert q.pop_ready(max_n=2) == ["now"]
+        assert [q.pop_ready(), q.pop_ready()] == ["now", None]
         assert len(q) == 1
         time.sleep(0.2)
-        assert q.pop_ready(max_n=2) == ["later"]
+        assert [q.pop_ready(), q.pop_ready()] == ["later", None]
 
 
 class TestProofCache:

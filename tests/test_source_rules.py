@@ -61,7 +61,6 @@ PROVING_PATH_PREFIXES = (
     "fri/",
     "stark/",
     "plonk/",
-    "pipeline/",
     "sumcheck/",
     "parallel/",
     "hyperplonk/",

@@ -16,8 +16,11 @@ import pytest
 from repro.fuzz.mutators import MUTATORS
 from repro.fuzz.runner import classify_object
 from repro.fuzz.targets import TYPED_REJECTIONS, target_for
-from repro.protocols import names
+from repro.protocols import get as get_protocol, names
+from repro.serialize import ByteWriter, proof_from_blob, proof_to_blob
+from repro.workloads import fibonacci
 
+from .goldens import CONFIGS, SCALE
 from .reference_verifiers import reference_plane
 
 #: Seeds per (protocol, mutator).  Mutators with a small mutant space
@@ -104,3 +107,35 @@ def test_first_tree_opening_with_two_rows_swapped_is_refused(protocol):
     shipped, reference = _both(target, proof)
     assert shipped == reference
     assert shipped[0] == "rejected-verify"
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_a_byte_flipped_in_the_tree_openings_is_refused(protocol):
+    # The tree openings and their count words (two for FRI's batch and
+    # layer lists, one for HyperPlonk-lite's) end every blob and cover
+    # its byte at 3/4, so flipping that byte hits an opening the codec
+    # still reads: both planes must refuse it alike.
+    system = get_protocol(protocol)
+    setup = system.setup(fibonacci.SPEC, SCALE, CONFIGS[protocol])
+    proof = system.prove(setup)
+    fri = hasattr(proof, "fri_proof")
+    tail = ByteWriter()
+    for tree in (proof.fri_proof if fri else proof).tree_openings():
+        tree.write(tail)
+    blob = bytearray(proof_to_blob(protocol, proof))
+    first = len(blob) - len(tail.getvalue()) - (8 if fri else 4)
+    assert first <= len(blob) * 3 // 4, (first, len(blob))
+    blob[len(blob) * 3 // 4] ^= 0x01
+    _, bad = proof_from_blob(bytes(blob), expected_protocol=protocol)
+
+    def verdict():
+        try:
+            system.verify(setup, bad)
+        except TYPED_REJECTIONS as exc:
+            return type(exc)
+        return "accepted"
+
+    shipped = verdict()
+    with reference_plane():
+        reference = verdict()
+    assert shipped == reference != "accepted"
