@@ -166,9 +166,7 @@ class HyperPlonkProof:
         w = ByteWriter()
         w.elems(self.wires_cap)
         w.elems(self.z_cap)
-        w.u32(len(self.public_inputs))
-        for v in self.public_inputs:
-            w.u64(v)
+        w.u64s(self.public_inputs)
         sc = self.sumcheck
         w.u64(sc.claimed_sum)
         w.u32(len(sc.round_values))

@@ -12,11 +12,20 @@ extension-array / FRI codecs, blob and envelope framing) and imports
 no protocol package.  A protocol's *body* codec lives beside its proof
 dataclass (``StarkProof.to_bytes`` ...); the framing functions resolve
 a tag to its codec and format version through :mod:`repro.protocols`.
+
+The codec makes one pass over the bytes.  The writer packs each array
+header (size, rank, dims) with one ``struct.pack`` and joins its chunks
+once; a blob's framing is one more join around the body.  The reader
+walks one offset through the buffer: ``struct.unpack_from`` for header
+words and one NumPy view at the offset plus one copy per array, with no
+``bytes`` slice per field, and a blob's body reaches its decoder as a
+zero-copy view.  Every bound is checked before the read that needs it.
 """
 
 from __future__ import annotations
 
 import struct
+from functools import cache
 from typing import List
 
 import numpy as np
@@ -24,6 +33,21 @@ import numpy as np
 from .errors import UnknownProtocolError
 from .fri.proof import FriProof
 from .merkle import TreeOpening
+
+#: Maximum array rank the codec will decode.  Honest proofs only ever
+#: serialize 0/1/2-dimensional arrays; anything deeper is hostile.
+MAX_NDIM = 4
+
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+_TWO_U32 = struct.Struct("<II")
+#: A tagged blob's magic, version byte and tag length.
+_BLOB_HEAD = struct.Struct("<4sBI")
+_U64_DTYPE = np.dtype(np.uint64)
+#: An array header -- size, rank, then one word a dim -- and its dims
+#: alone, by rank.
+_HEADERS = tuple(struct.Struct(f"<{2 + n}I") for n in range(MAX_NDIM + 1))
+_DIMS = tuple(struct.Struct(f"<{n}I") for n in range(MAX_NDIM + 1))
 
 
 class ByteWriter:
@@ -34,33 +58,42 @@ class ByteWriter:
 
     def u32(self, v: int) -> None:
         """Write an unsigned 32-bit length/count."""
-        self._chunks.append(struct.pack("<I", v))
+        self._chunks.append(_U32.pack(v))
 
     def u64(self, v: int) -> None:
         """Write an unsigned 64-bit value (field element, witness)."""
-        self._chunks.append(struct.pack("<Q", int(v)))
+        self._chunks.append(_U64.pack(int(v)))
+
+    def u64s(self, values) -> None:
+        """Write a u32 count, then each value as a u64."""
+        self._chunks.append(_U32.pack(len(values)))
+        self._chunks += map(_U64.pack, map(int, values))
 
     def elems(self, arr) -> None:
         """Write a field-element array with its shape header."""
-        arr = np.ascontiguousarray(np.asarray(arr, dtype=np.uint64))
-        self.u32(arr.size)
-        self.u32(arr.ndim)
-        for d in arr.shape:
-            self.u32(d)
-        self._chunks.append(arr.tobytes())
+        if type(arr) is not np.ndarray or arr.dtype is not _U64_DTYPE:
+            arr = np.asarray(arr, dtype=np.uint64)
+        # A 0-d array goes on the wire as shape (1,).
+        shape = arr.shape or (1,)
+        ndim = len(shape)
+        header = _HEADERS[ndim] if ndim <= MAX_NDIM else struct.Struct(f"<{2 + ndim}I")
+        self._chunks += (header.pack(arr.size, ndim, *shape), arr.tobytes())
 
     def getvalue(self) -> bytes:
         """Concatenate everything written so far."""
         return b"".join(self._chunks)
 
 
-#: Maximum array rank the codec will decode.  Honest proofs only ever
-#: serialize 0/1/2-dimensional arrays; anything deeper is hostile.
-MAX_NDIM = 4
+def _inflated(what: str) -> ValueError:
+    return ValueError(f"length-inflated proof bytes ({what} exceeds remaining buffer)")
+
+
+def _truncated() -> ValueError:
+    return ValueError("truncated proof bytes")
 
 
 class ByteReader:
-    """Sequential reader matching :class:`ByteWriter`.
+    """Sequential reader matching :class:`ByteWriter`, from ``pos`` on.
 
     Every count and array length read from the wire is bounded by the
     number of bytes actually remaining in the buffer *before* any
@@ -68,31 +101,30 @@ class ByteReader:
     input always fails with a typed :class:`ValueError` instead of
     over-allocating or surfacing a raw ``struct``/NumPy error.  The
     proving service deserializes client-supplied bytes through this
-    reader.
+    reader.  ``data`` is any bytes-like object; nothing is sliced out
+    of it but the arrays' copies and :meth:`prefixed`'s views.
     """
 
-    def __init__(self, data: bytes) -> None:
+    def __init__(self, data, pos: int = 0) -> None:
         self._data = data
-        self._pos = 0
-
-    def _take(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
-            raise ValueError("truncated proof bytes")
-        out = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return out
-
-    def remaining(self) -> int:
-        """Bytes left in the buffer (bounds hostile counts)."""
-        return len(self._data) - self._pos
+        self._pos = pos
+        self._end = len(data)
 
     def u32(self) -> int:
         """Read an unsigned 32-bit length/count."""
-        return struct.unpack("<I", self._take(4))[0]
+        pos = self._pos
+        if pos + 4 > self._end:
+            raise _truncated()
+        self._pos = pos + 4
+        return _U32.unpack_from(self._data, pos)[0]
 
     def u64(self) -> int:
         """Read an unsigned 64-bit value."""
-        return struct.unpack("<Q", self._take(8))[0]
+        pos = self._pos
+        if pos + 8 > self._end:
+            raise _truncated()
+        self._pos = pos + 8
+        return _U64.unpack_from(self._data, pos)[0]
 
     def count(self, item_bytes: int, what: str = "count") -> int:
         """Read a u32 count whose items occupy ``>= item_bytes`` each.
@@ -102,35 +134,52 @@ class ByteReader:
         multi-gigabyte loop or allocation.
         """
         n = self.u32()
-        if n * item_bytes > self.remaining():
-            raise ValueError(
-                f"length-inflated proof bytes ({what} {n} exceeds remaining buffer)"
-            )
+        if n * item_bytes > self._end - self._pos:
+            raise _inflated(f"{what} {n}")
         return n
+
+    def prefixed(self) -> memoryview:
+        """Read a u32 length, then that many bytes as a zero-copy view."""
+        n = self.u32()
+        pos = self._pos
+        if pos + n > self._end:
+            raise _truncated()
+        self._pos = pos + n
+        return memoryview(self._data)[pos : pos + n]
 
     def elems(self) -> np.ndarray:
         """Read a field-element array written by :meth:`ByteWriter.elems`."""
-        size = self.u32()
-        if size * 8 > self.remaining():
-            raise ValueError(
-                f"length-inflated proof bytes (array of {size} elements "
-                "exceeds remaining buffer)"
-            )
-        ndim = self.u32()
+        data, pos, end = self._data, self._pos, self._end
+        if pos + 8 > end:  # fewer than two header words left
+            size, ndim = self.u32(), None
+        else:
+            size, ndim = _TWO_U32.unpack_from(data, pos)
+        if size * 8 > end - pos - 4:
+            raise _inflated(f"array of {size} elements")
+        if ndim is None:
+            raise _truncated()
         if ndim > MAX_NDIM:
             raise ValueError(f"array rank {ndim} out of range")
-        shape = tuple(self.u32() for _ in range(ndim))
+        start = pos + 8 + 4 * ndim
+        if start > end:
+            raise _truncated()
+        shape = _DIMS[ndim].unpack_from(data, pos + 8)
         expected = 1
         for d in shape:
             expected *= d
         if expected != size:
             raise ValueError("array shape does not match element count")
-        raw = self._take(size * 8)
-        return np.frombuffer(raw, dtype=np.uint64).reshape(shape).copy()
+        stop = start + 8 * size
+        if stop > end:
+            raise _truncated()
+        self._pos = stop
+        # A view at ``start`` (what ``np.frombuffer(data, count=size,
+        # offset=start).reshape(shape)`` gives, in one call), then a copy.
+        return np.ndarray(shape, _U64_DTYPE, data, start).copy()
 
     def done(self) -> bool:
         """Whether every byte has been consumed."""
-        return self._pos == len(self._data)
+        return self._pos == self._end
 
 
 # -- FRI -----------------------------------------------------------------------
@@ -218,12 +267,19 @@ class ProofFormatError(ValueError):
     """A proof blob's framing (magic / version / protocol tag) is invalid."""
 
 
+@cache
+def _registry():
+    """:mod:`repro.protocols`, imported once, on first use: it imports
+    the proof modules, which import this one."""
+    from . import protocols
+
+    return protocols
+
+
 def _system_for(protocol: str):
     """The registered backend behind a blob's protocol tag."""
-    from .protocols import get
-
     try:
-        return get(protocol)
+        return _registry().get(protocol)
     except UnknownProtocolError:
         raise ProofFormatError(f"unknown proof protocol tag {protocol!r}") from None
 
@@ -232,18 +288,13 @@ def write_proof_blob(protocol: str, body: bytes) -> bytes:
     """Frame a raw proof body with its protocol tag and format version."""
     version = _system_for(protocol).format_version
     tag = protocol.encode("utf-8")
-    w = ByteWriter()
-    w._chunks.append(PROOF_BLOB_MAGIC)
-    w._chunks.append(bytes([version]))
-    w.u32(len(tag))
-    w._chunks.append(tag)
-    w.u32(len(body))
-    w._chunks.append(body)
-    return w.getvalue()
+    head = _BLOB_HEAD.pack(PROOF_BLOB_MAGIC, version, len(tag))
+    return b"".join((head, tag, _U32.pack(len(body)), body))
 
 
 def read_proof_blob(data: bytes) -> tuple:
-    """Unframe a tagged blob; returns ``(protocol, body)``.
+    """Unframe a tagged blob; returns ``(protocol, body)``, ``body`` a
+    zero-copy ``memoryview`` into ``data``.
 
     Raises :class:`ProofFormatError` for untagged bytes, an unknown
     protocol tag, or a format version the tagged protocol's current
@@ -254,17 +305,16 @@ def read_proof_blob(data: bytes) -> tuple:
     if len(data) < 5 or data[:4] != PROOF_BLOB_MAGIC:
         raise ProofFormatError("untagged proof bytes (missing proof-blob magic)")
     version = data[4]
-    r = ByteReader(data[5:])
+    r = ByteReader(data, 5)
     try:
-        tag_raw = r._take(r.u32())
-        body = r._take(r.u32())
-        trailing = not r.done()
+        tag_raw = r.prefixed()
+        body = r.prefixed()
     except ValueError as exc:
         raise ProofFormatError(f"malformed proof blob: {exc}") from exc
-    if trailing:
+    if not r.done():
         raise ProofFormatError("trailing bytes after proof blob")
     try:
-        protocol = tag_raw.decode("utf-8")
+        protocol = str(tag_raw, "utf-8")
     except UnicodeDecodeError as exc:
         raise ProofFormatError("malformed proof blob: bad protocol tag") from exc
     expected = _system_for(protocol).format_version
@@ -315,38 +365,39 @@ ENVELOPE_KINDS = ("sim-report", "debug")
 def _check_envelope_kind(kind: str) -> None:
     if kind in ENVELOPE_KINDS:
         return
-    from .protocols import names
-
-    if not kind.endswith("-proof") or kind[: -len("-proof")] not in names():
+    if not kind.endswith("-proof") or kind[: -len("-proof")] not in _registry().names():
         raise ValueError(f"unknown envelope kind {kind!r}")
 
 
 def write_result_envelope(kind: str, workload: str, payload: bytes) -> bytes:
     """Frame a result payload with its kind tag and workload name."""
     _check_envelope_kind(kind)
-    w = ByteWriter()
-    w._chunks.append(ENVELOPE_MAGIC)
-    w.u32(ENVELOPE_VERSION)
-    for text in (kind, workload):
-        raw = text.encode("utf-8")
-        w.u32(len(raw))
-        w._chunks.append(raw)
-    w.u32(len(payload))
-    w._chunks.append(payload)
-    return w.getvalue()
+    kind_raw, workload_raw = kind.encode("utf-8"), workload.encode("utf-8")
+    return b"".join((
+        ENVELOPE_MAGIC,
+        _U32.pack(ENVELOPE_VERSION),
+        _U32.pack(len(kind_raw)),
+        kind_raw,
+        _U32.pack(len(workload_raw)),
+        workload_raw,
+        _U32.pack(len(payload)),
+        payload,
+    ))
 
 
 def read_result_envelope(data: bytes) -> tuple:
     """Read an envelope; returns ``(kind, workload, payload)``."""
-    r = ByteReader(data)
-    if r._take(4) != ENVELOPE_MAGIC:
+    if len(data) < 4:
+        raise _truncated()
+    if data[:4] != ENVELOPE_MAGIC:
         raise ValueError("not a result envelope (bad magic)")
+    r = ByteReader(data, 4)
     version = r.u32()
     if version != ENVELOPE_VERSION:
         raise ValueError(f"unsupported envelope version {version}")
-    kind = r._take(r.u32()).decode("utf-8")
-    workload = r._take(r.u32()).decode("utf-8")
-    payload = r._take(r.u32())
+    kind = str(r.prefixed(), "utf-8")
+    workload = str(r.prefixed(), "utf-8")
+    payload = bytes(r.prefixed())
     if not r.done():
         raise ValueError("trailing bytes after result envelope")
     _check_envelope_kind(kind)

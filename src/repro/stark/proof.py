@@ -52,9 +52,7 @@ class StarkProof:
         w.elems(self.trace_cap)
         w.elems(self.quotient_cap)
         w.u32(self.degree_bits)
-        w.u32(len(self.public_inputs))
-        for v in self.public_inputs:
-            w.u64(v)
+        w.u64s(self.public_inputs)
         w.elems(self.opened_values)
         write_fri_proof(w, self.fri_proof)
         return w.getvalue()
