@@ -1,9 +1,10 @@
 """Vectorised Goldilocks arithmetic on NumPy ``uint64`` arrays.
 
-Every protocol-side bulk computation (NTT butterflies, Poseidon rounds,
-FRI folds, quotient evaluation) runs through these kernels.  All inputs
-and outputs are canonical (``< p``) ``uint64`` arrays; the functions
-broadcast like ordinary NumPy ufuncs.
+Every protocol-side elementwise computation (NTT twiddles, Poseidon
+S-boxes, FRI scales, quotient evaluation) runs through these kernels;
+the linear maps run as exact limb GEMMs (:mod:`repro.field.gemm`).
+All inputs and outputs are canonical (``< p``) ``uint64`` arrays; the
+functions broadcast like ordinary NumPy ufuncs.
 
 The multiplication uses 32-bit limb decomposition so that every partial
 product fits in a ``uint64``, followed by the standard Goldilocks
@@ -22,9 +23,9 @@ Zero-copy data plane
 --------------------
 
 The prover hot path goes through the ``*_into`` kernels
-(:func:`add_into`, :func:`sub_into`, :func:`mul_into`,
-:func:`butterfly_into`, ...), which write into caller-provided output
-buffers and draw every intermediate from the calling thread's
+(:func:`add_into`, :func:`sub_into`, :func:`mul_into`, ...), which
+write into caller-provided output buffers and draw every intermediate
+from the calling thread's
 :class:`Workspace` arena (``RUN.workspace``; a caller isolates one with
 ``repro.context.scoped("workspace", Workspace())``) instead of
 allocating ~8 fresh temporaries per multiply.  The
@@ -382,36 +383,6 @@ def _pow7_plan(ws: Workspace, shape: tuple) -> tuple:
     return pow7_lanes(ws.temp((POW7_PLANES,) + shape, "pow7"))
 
 
-def butterfly_into(
-    u: np.ndarray,
-    w: np.ndarray,
-    tw: np.ndarray,
-    out_u: np.ndarray,
-    out_w: np.ndarray,
-    dit: bool = False,
-) -> None:
-    """One radix-2 NTT butterfly layer, written into caller buffers.
-
-    DIF (``dit=False``): ``out_u <- u + w``, ``out_w <- (u - w) * tw``.
-    DIT (``dit=True``):  ``t <- w * tw``; ``out_u <- u + t``,
-    ``out_w <- u - t``.
-
-    ``out_u`` may alias ``u`` and ``out_w`` may alias ``w`` (the
-    in-place NTT passes exactly those views); other aliasings are
-    undefined.
-    """
-    s0 = RUN.workspace.temp(out_w.shape, "bfly")
-    if not dit:
-        sub_into(u, w, s0)
-        add_into(u, w, out_u)  # reads u/w fully before writing out_u
-        mul_into(s0, tw, out_w)
-    else:
-        mul_into(w, tw, s0)  # t = w * tw
-        sub_into(u, s0, out_w)  # u still intact (sub writes out_w only)
-        add_into(u, s0, out_u)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Pure (allocating) wrappers
 # ---------------------------------------------------------------------------
@@ -465,37 +436,66 @@ def pow7(a: ArrayLike) -> GlArray:
     return pow7_into(a, out)
 
 
+#: Products at or below which :func:`inv_fast`'s tree stops climbing
+#: and inverts its top level by Montgomery's trick in Python ints: a
+#: level costs three ~25-call :func:`mul_into` whatever its size, so the
+#: small top of the tree cost more than its Python ints.  Measured (ms,
+#: 2-vCPU host, best quartile of 30; whole tree / this top), by size:
+#: 256 0.37 / 0.13, 1 024 0.47 / 0.24, 4 096 0.68 / 0.44, 16 384
+#: 1.31 / 1.04.
+_INV_TOP = 128
+
+
+def _inv_ints(values: list) -> list:
+    """Inverses of Python ints mod p by Montgomery's trick: prefix
+    products, one ``pow``, and back."""
+    p = gl.P
+    prefix, acc = [], 1
+    for v in values:
+        prefix.append(acc)
+        acc = acc * v % p
+    if not acc:
+        raise ZeroDivisionError("0 has no inverse mod p")
+    inverse = pow(acc, p - 2, p)
+    out = [0] * len(values)
+    for k in range(len(values) - 1, -1, -1):
+        out[k] = inverse * prefix[k] % p
+        inverse = inverse * values[k] % p
+    return out
+
+
 def inv_fast(a: ArrayLike) -> GlArray:
     """Elementwise inverse by Montgomery's trick as a vectorised product
     tree: ``3 n`` multiplies and one Python-int inverse for ``n``
     elements, where raising the array to ``p - 2`` took ~127 n.
 
     The elements, padded with ones to a power of two, are multiplied
-    pairwise -- each level's first half by its second -- up to the one
-    product of them all; that is inverted, and going back down a level's
-    inverses are its parent's times the pair's other half.  Every level
-    is contiguous in one workspace buffer, so each step is a
-    :func:`mul_into`.  Any ``uint64`` representatives, any strides; the
-    input is left unmodified and the result is a fresh canonical array
-    of its shape.  Raises :class:`ZeroDivisionError` if any element is
-    zero (the root is zero exactly then).
+    pairwise -- each level's first half by its second -- until a level
+    has at most :data:`_INV_TOP` products; those are inverted by
+    Montgomery's trick in Python ints (all of ``a`` when it is that
+    small), and going back down a level's inverses are its parent's
+    times the pair's other half.  Every level is contiguous in one
+    workspace buffer, so each step is a :func:`mul_into`.  Any
+    ``uint64`` representatives, any strides; the input is left
+    unmodified and the result is a fresh canonical array of its shape.
+    Raises :class:`ZeroDivisionError` if any element is zero (the top
+    level's product is zero exactly then).
     """
     a = np.asarray(a, dtype=np.uint64)
-    if a.size == 0:
-        return a.copy()
-    if a.size == 1:  # 12 us of Python-int pow against ~100 NumPy calls
-        return np.full(a.shape, gl.inverse(int(a.reshape(()))), dtype=np.uint64)[()]
+    if a.size <= _INV_TOP:
+        words = [v % gl.P for v in a.reshape(-1).tolist()]
+        return np.array(_inv_ints(words), dtype=np.uint64).reshape(a.shape)[()]
     size = 1 << (a.size - 1).bit_length()
     # Level k (size >> k products) starts at 2 * size - (2 * size >> k).
     up, down = RUN.workspace.temp((2, 2 * size), "inv")
     np.copyto(up[: a.size].reshape(a.shape), a)
     up[a.size : size] = 1
     lo, n = 0, size
-    while n > 1:
+    while n > _INV_TOP:
         half = n // 2
         mul_into(up[lo : lo + half], up[lo + half : lo + n], up[lo + n : lo + n + half])
         lo, n = lo + n, half
-    down[lo] = gl.inverse(int(up[lo]))
+    down[lo : lo + n] = _inv_ints(up[lo : lo + n].tolist())
     while lo:
         parent = down[lo : lo + n]
         lo, n = lo - 2 * n, 2 * n

@@ -12,7 +12,7 @@ static, per-shape kernel-mapping preparation (paper Sections 4-5):
   boundary divisor inverses and constant-column LDEs, and Plonk's first
   Lagrange polynomial;
 * touched once by :meth:`DomainPlan.warm`: the process-wide NTT
-  twiddles, fused Poseidon tables and FRI fold weights.
+  weights and twiddles, fused Poseidon tables and FRI fold tables.
 
 A plan is keyed on the domain shape only, so every trace or circuit of
 one size -- whatever the protocol -- shares it; a service worker's
@@ -35,6 +35,7 @@ from ..field import gl64, goldilocks as gl
 from ..hashing import optimized
 from ..ntt import transforms
 from . import prover as fri_prover
+from .config import FRI_ARITY_BITS
 
 
 class DomainPlan:
@@ -100,22 +101,27 @@ class DomainPlan:
     def warm(self) -> "DomainPlan":
         """Touch every process-wide table the hot path will need.
 
-        Builds the NTT stage twiddles and bit-reverse permutations for
-        the subgroup and LDE domains, the Poseidon tables (full layers
-        and the partial block's lane-0 chain, as limb-GEMM weights and
-        as the scalar path's packed ints), and the FRI
-        fold weights for every fold the config could run, so
-        the first proof through the plan pays no one-time costs.
+        Builds the NTT engine's DFT weights and twiddles for the
+        transforms a prove runs over this domain (the iNTT of the
+        subgroup values, the LDE and the quotient's coset iNTT), the
+        Poseidon tables (full layers and the partial block's lane-0
+        chain, as limb-GEMM weights and as the scalar path's packed
+        ints), and the FRI fold tables -- arity-2 weights and every
+        one-step arity the schedule can take -- for every fold the
+        config could run, so the first proof through the plan pays no
+        one-time costs.
         """
-        for log_n in (self.n.bit_length() - 1, self.log_lde):
-            transforms.bit_reverse_indices(log_n)
-            transforms._stage_twiddles(log_n, False)
-            transforms._stage_twiddles(log_n, True)
+        shift = gl.coset_shift()
+        transforms._levels(self.n.bit_length() - 1, 1, True)
+        transforms._levels(self.log_lde, shift, False)
+        transforms._levels(self.log_lde, shift, True)
         optimized._fused_tables()
         optimized._scalar_tables()
-        shift = gl.coset_shift()
         for log_n in range(self.log_lde, 1, -1):
             fri_prover.fold_weights(log_n, int(shift))
+            if 1 << log_n >= fri_prover._FOLD_GEMM_VALUES:
+                for bits in range(2, min(FRI_ARITY_BITS, log_n) + 1):
+                    fri_prover.fold_tables(log_n, int(shift), bits)
             shift = gl.mul(shift, shift)
         return self
 

@@ -23,7 +23,7 @@ import numpy as np
 from ..context import scoped
 from ..field import extension as fext, gl64, goldilocks as gl
 from ..hashing import optimized, poseidon, sponge
-from ..ntt import intt, ntt
+from ..ntt import coset_intt, coset_ntt, intt, lde_coeffs, ntt
 
 
 @dataclass(frozen=True)
@@ -185,42 +185,56 @@ def check_poseidon(rng: np.random.Generator) -> List[str]:
     return problems
 
 
-def _naive_dft(a: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """O(n^2) reference DFT over GF(p) with Python-int arithmetic."""
-    n = a.shape[0]
-    log_n = n.bit_length() - 1
-    omega = gl.primitive_root_of_unity(log_n)
-    if inverse:
-        omega = gl.inverse(omega)
-    vals = [int(v) for v in a]
-    out = np.empty(n, dtype=np.uint64)
-    for j in range(n):
-        wj = gl.pow_mod(omega, j)
-        acc, wji = 0, 1
-        for i in range(n):
-            acc = gl.add(acc, gl.mul(vals[i], wji))
-            wji = gl.mul(wji, wj)
-        out[j] = acc
-    if inverse:
-        n_inv = gl.inverse(n)
-        out = _scalar_map(lambda v: gl.mul(v, n_inv), out)
-    return out
+def _dft_at(row: np.ndarray, x: int) -> int:
+    """The naive DFT's entry at ``x``: ``sum_i row[i] * x**i``, one
+    multiply a term (vectorised, exact)."""
+    return int(gl64.sum_array(gl64.mul(row, gl64.powers(x, row.shape[0]))))
 
 
 def check_ntt(rng: np.random.Generator) -> List[str]:
-    """Workspace NTT / INTT vs the naive O(n^2) DFT."""
+    """The NTT engine vs the naive DFT: ``ntt``, ``intt``,
+    ``coset_ntt`` / ``coset_intt`` at a random shift and ``lde_coeffs``
+    at a random blowup, on 1-3 rows of ``2**1 .. 2**13`` points -- every
+    decomposition regime of :func:`repro.ntt.transforms._dims` -- each
+    checked at sampled outputs against its defining sum, plus the
+    ``intt(ntt(a)) = a`` round trip."""
     problems: List[str] = []
-    log_n = int(rng.integers(1, 7))
-    n = 1 << log_n
-    a = gl64.random(n, rng)
-    fwd = ntt(a)
-    if not np.array_equal(fwd, _naive_dft(a)):
-        problems.append(f"ntt diverges from naive DFT at n={n}")
-    back = intt(fwd)
-    if not np.array_equal(back, a):
+    log_n = int(rng.integers(1, 14))
+    n, rows = 1 << log_n, int(rng.integers(1, 4))
+    rate = int(rng.integers(0, min(3, 14 - log_n) + 1))
+    shift = int(rng.integers(1, gl.P, dtype=np.uint64))
+    a = gl64.random((rows, n), rng)
+    omega = gl.primitive_root_of_unity(log_n)
+    omega_inv, n_inv, shift_inv = gl.inverse(omega), gl.inverse(n), gl.inverse(shift)
+    omega_big = gl.primitive_root_of_unity(log_n + rate)
+    outputs = {
+        "ntt": (ntt(a), lambda r, k: _dft_at(r, gl.pow_mod(omega, k))),
+        "intt": (intt(a), lambda r, k: gl.mul(n_inv, _dft_at(r, gl.pow_mod(omega_inv, k)))),
+        "coset_ntt": (
+            coset_ntt(a, shift),
+            lambda r, k: _dft_at(r, gl.mul(shift, gl.pow_mod(omega, k))),
+        ),
+        "coset_intt": (
+            coset_intt(a, shift),
+            lambda r, k: gl.mul(
+                gl.mul(n_inv, gl.pow_mod(shift_inv, k)), _dft_at(r, gl.pow_mod(omega_inv, k))
+            ),
+        ),
+        "lde_coeffs": (
+            lde_coeffs(a, rate, shift),
+            lambda r, k: _dft_at(r, gl.mul(shift, gl.pow_mod(omega_big, k))),
+        ),
+    }
+    for name, (got, want) in outputs.items():
+        if got.shape != (rows, n << rate if name == "lde_coeffs" else n):
+            problems.append(f"{name} returned shape {got.shape} at n={n}")
+            continue
+        row = int(rng.integers(0, rows))
+        for k in rng.integers(0, got.shape[-1], size=3).tolist():
+            if int(got[row, k]) != want(a[row], k):
+                problems.append(f"{name} diverges from the naive DFT at n={n}, k={k}")
+    if not np.array_equal(intt(outputs["ntt"][0]), a):
         problems.append(f"intt(ntt(a)) != a at n={n}")
-    if not np.array_equal(intt(a), _naive_dft(a, inverse=True)):
-        problems.append(f"intt diverges from naive inverse DFT at n={n}")
     return problems
 
 

@@ -68,6 +68,21 @@ class Challenger:
         other._output_buffer = list(self._output_buffer)
         return other
 
+    def pow_states_into(self, witnesses: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out[i] <-`` the sponge state a :meth:`clone` would permute
+        for its first challenge after ``observe_element(witnesses[i])``:
+        this state with the pending inputs and then ``witnesses[i]``
+        written over its first lanes.  Lane 0 of the permuted row is
+        that challenge -- whether the witness fills the rate (the
+        observe duplexes) or not (the squeeze does).  ``witnesses``
+        must be canonical; ``out`` is ``(len(witnesses), 12)`` and must
+        not alias this challenger's state."""
+        pending = self._input_buffer
+        out[:] = self._state
+        out[:, : len(pending)] = pending
+        out[:, len(pending)] = witnesses
+        return out
+
     # -- squeezing verifier randomness -------------------------------------
 
     def get_challenge(self) -> int:

@@ -29,13 +29,12 @@ region for a partial round, because only lane 0 is non-linear.
 
 from __future__ import annotations
 
-import sys
 from functools import lru_cache
 
 import numpy as np
 
 from ..context import RUN
-from ..field import gl64, goldilocks as gl
+from ..field import gemm, gl64, goldilocks as gl
 from .constants import PARTIAL_ROUNDS, WIDTH, mds_matrix, round_constants
 from .poseidon import FULL_ROUNDS, HALF_FULL
 
@@ -150,22 +149,14 @@ def permute_scalar(state: list[int]) -> list[int]:
     return [v % p for v in x]
 
 
-#: 16-bit limbs per 64-bit word (what a float64 GEMM can carry exactly).
-_LIMBS = 4
 #: GEMM depth of a state operand: every lane limb plus the constant-one
 #: column whose weight row carries the map's addend.
-_GEMM_DEPTH = _LIMBS * WIDTH + 1
-#: Most 64-bit words one limb GEMM contracts.  A 16-bit limb times a
-#: signed 32-bit weight limb is below ``2**47``, so a float64 sum is
-#: exact up to 63 terms: a state is 48 and a constant, and the partial
-#: block's 22 S-box outputs feed back 15 words (60 limbs) a GEMM, the
-#: GEMMs' sums added as ``int64``.
-_CHUNK_LANES = 15
-#: Rows per ``np.matmul`` call.  One GEMM over >= 1024 rows wakes
-#: OpenBLAS's thread pool (measured 7.4 ms for 4096 rows against 0.26 ms
-#: as sixteen 256-row calls on a 2-vCPU host); small blocks stay on the
-#: calling thread, which also keeps a proof's CPU seconds honest.
-_GEMM_ROWS = 256
+_GEMM_DEPTH = gemm.LIMBS * WIDTH + 1
+#: Most 64-bit words one limb GEMM contracts with a constant-one column:
+#: a state is 48 limbs and a constant, and the partial block's 22 S-box
+#: outputs feed back 15 words (60 limbs) a GEMM, the GEMMs' sums added
+#: as ``int64`` (:data:`repro.field.gemm.CHUNK_WORDS` less one).
+_CHUNK_LANES = gemm.CHUNK_WORDS - 1
 #: Rows per pass of the whole permutation, and of the one scratch arena
 #: (:class:`_Scratch`, ~3.7 KB a row).  Rows are independent, so
 #: blocking is bit-exact.  Measured on 8192 states, best quartile us a
@@ -190,59 +181,7 @@ _SCALAR_ROWS = 3
 #: 1.79, 64 rows 1.58 vs 1.95 -- a ``pow`` is 0.55 us a row, the kernel
 #: ~26 us whatever it carries up to a few hundred rows.
 _SBOX_SCALAR_ROWS = 32
-#: Every table's addend row is stored as ``addend - 2**57`` and the bias
-#: is added back as a plain integer once the sums are ``int64``, which
-#: keeps the signed fold term non-negative (see :func:`_fold_into`).
-_FOLD_BIAS = 1 << 57
-
-_I32 = gl64.operand(32, np.int64)
-_U32 = gl64.operand(32)
-_EPSILON_I64 = gl64.operand(gl.EPSILON, np.int64)
-_FOLD_BIAS_I64 = gl64.operand(_FOLD_BIAS, np.int64)
-_FOLD_BIAS_U64 = gl64.operand(_FOLD_BIAS)
-_HALF = gl64.operand(1 << 63)
-_LOW32 = gl64.operand(0xFFFF_FFFF, np.int64)
-_HALF32 = gl64.operand(1 << 31, np.int64)
-_TWO32 = gl64.operand(1 << 32, np.int64)
-
-
-def _signed_limbs(values: np.ndarray) -> tuple:
-    """``(lo, hi)``, ``int64`` arrays with ``lo + hi * 2**32 = v (mod
-    p)`` and both limbs in ``[-2**31, 2**31]`` for every canonical ``v``
-    of ``values``: the balanced representative of ``v`` split at bit 32
-    with a balanced low half.  ``hi`` is ``v >> 32`` plus the low half's
-    borrow, because ``(v - lo) >> 32`` overflows ``int64`` at
-    ``v = 2**63 - 1``."""
-    v = np.where(values >= _HALF, values + gl64.EPSILON, values).view(np.int64)
-    low = v & _LOW32
-    borrow = low >= _HALF32
-    return np.where(borrow, low - _TWO32, low), (v >> _I32) + borrow
-
-
-def _limb_weights(matrix, addend, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` -- a float64 table -- with the limb-GEMM weights of
-    ``x -> x @ matrix + addend``, for ``matrix`` a list of rows of
-    Python ints (one row per 64-bit input word, ``n`` columns).
-
-    Row ``4 * i + a`` holds, for every output ``j``, the signed 32-bit
-    limbs of ``matrix[i][j] * 2**(16 a) mod p`` (low limbs in columns
-    ``[:n]``, high limbs in ``[n:]``): the power of two that limb ``a``
-    of word ``i`` stands for is folded into the constant, so the product
-    needs only two output limbs per column.  The last row holds ``addend
-    - 2**57`` the same way, to meet a constant-one operand column; with
-    ``addend`` ``None`` the table has no such row (a feedback map, whose
-    sums join a biased one).  ``out`` may be any view, a transposed one
-    included.
-    """
-    n = len(matrix[0])
-    words = gl64.asarray(matrix)
-    little = sys.byteorder == "little"  # limb order of the uint16 view
-    for a in range(_LIMBS):
-        rows = out[(a if little else _LIMBS - 1 - a) : _LIMBS * len(matrix) : _LIMBS]
-        rows[:, :n], rows[:, n:] = _signed_limbs(gl64.mul(words, gl64.operand(1 << (16 * a))))
-    if addend is not None:
-        out[-1, :n], out[-1, n:] = _signed_limbs(gl64.sub(gl64.asarray(addend), _FOLD_BIAS_U64))
-    return out
+_FOLD_BIAS_I64 = gl64.operand(gemm.FOLD_BIAS, np.int64)
 
 
 def _layer_addends() -> list:
@@ -301,7 +240,7 @@ def _chunks(lanes: int) -> list:
     """Limb-column ranges ``(lo, hi)`` that cut the first ``lanes``
     S-box outputs into GEMM operands of at most ``_CHUNK_LANES``."""
     return [
-        (_LIMBS * lo, _LIMBS * min(lo + _CHUNK_LANES, lanes))
+        (gemm.LIMBS * lo, gemm.LIMBS * min(lo + _CHUNK_LANES, lanes))
         for lo in range(0, lanes, _CHUNK_LANES)
     ]
 
@@ -309,7 +248,7 @@ def _chunks(lanes: int) -> list:
 @lru_cache(maxsize=1)
 def _fused_tables():
     """``(rc0, full, base, feedback, closing)``: every constant of the
-    batched permutation, in :func:`_limb_weights` form.
+    batched permutation, in :func:`~repro.field.gemm.limb_weights` form.
 
     The batched path runs ``state += rc0``, four layers of *S-box, then
     one affine map*, the partial block, and four more such layers.
@@ -334,7 +273,7 @@ def _fused_tables():
     """
     b, c, a, w, ku, kx = _chain_matrices()
     mds = mds_matrix().tolist()
-    y_limbs = _LIMBS * PARTIAL_ROUNDS
+    y_limbs = gemm.LIMBS * PARTIAL_ROUNDS
     full, base, fed, closing = (
         np.empty(shape, dtype=np.float64)
         for shape in (
@@ -345,12 +284,12 @@ def _fused_tables():
         )
     )
     for table, addend in zip(full, _layer_addends()):
-        _limb_weights(mds, addend, table)
-    _limb_weights([bi + ai for bi, ai in zip(b, a)], ku + kx, base)
+        gemm.limb_weights(mds, addend, table)
+    gemm.limb_weights([bi + ai for bi, ai in zip(b, a)], ku + kx, base)
     # Filled through its (limb, [S0 | S1] x round) view, so that a
     # round's two weight columns are two contiguous rows.
-    _limb_weights(c, None, fed.reshape(2 * PARTIAL_ROUNDS, y_limbs).T)
-    _limb_weights(w, None, closing)
+    gemm.limb_weights(c, None, fed.reshape(2 * PARTIAL_ROUNDS, y_limbs).T)
+    gemm.limb_weights(w, None, closing)
     rc0 = np.ascontiguousarray(round_constants()[0][0])
     for arr in (rc0, full, base, fed, closing):
         arr.flags.writeable = False
@@ -366,21 +305,6 @@ def _fused_tables():
     )
 
 
-def _row_blocks(operand: np.ndarray, out: np.ndarray) -> tuple:
-    """``(operand rows, out rows)`` per ``_GEMM_ROWS`` block."""
-    return tuple(
-        (operand[i : i + _GEMM_ROWS], out[i : i + _GEMM_ROWS])
-        for i in range(0, len(out), _GEMM_ROWS)
-    )
-
-
-def _fold_views(sums: np.ndarray, small: np.ndarray, word: np.ndarray) -> tuple:
-    """:func:`_fold_into`'s operands: ``sums`` the ``[S0, S1]`` ``int64``
-    planes, ``small`` and ``word`` two ``int64`` scratch planes."""
-    s0, s1 = sums
-    return s0, s1, s1.view(np.uint64), small, small.view(np.uint64), word.view(np.uint64)
-
-
 class _Scratch:
     """The batched permutation's scratch on one workspace: one arena
     sized for ``_PERMUTE_ROWS`` rows, and per batch size the views of
@@ -392,12 +316,13 @@ class _Scratch:
     """
 
     def __init__(self, ws: gl64.Workspace, rows: int) -> None:
+        limbs, acc, sums, spare = gemm.SLOTS  # shared with every limb GEMM
         self.sbox = ws.temp((gl64.POW7_PLANES * rows * WIDTH,), "permute:sbox")
-        self.limbs = ws.temp((rows, _GEMM_DEPTH), "permute:limbs", np.float64)
-        self.fed = ws.temp((rows, _LIMBS * PARTIAL_ROUNDS), "permute:fed", np.float64)
-        self.acc = ws.temp((2 * rows * (PARTIAL_ROUNDS + WIDTH),), "permute:acc", np.float64)
-        self.fold = ws.temp((4 * rows * WIDTH,), "permute:fold", np.int64)
-        self.bases = ws.temp((2 * PARTIAL_ROUNDS * rows,), "permute:bases", np.int64)
+        self.limbs = ws.temp((rows, _GEMM_DEPTH), limbs, np.float64)
+        self.fed = ws.temp((rows, gemm.LIMBS * PARTIAL_ROUNDS), "permute:fed", np.float64)
+        self.acc = ws.temp((2 * rows * (PARTIAL_ROUNDS + WIDTH),), acc, np.float64)
+        self.fold = ws.temp((4 * rows * WIDTH,), sums, np.int64)
+        self.bases = ws.temp((2 * PARTIAL_ROUNDS * rows,), spare, np.int64)
         self._blocks: dict = {}
 
     def block(self, b: int) -> tuple:
@@ -418,9 +343,9 @@ class _Scratch:
             spare = self.fold[2 * b * WIDTH :]
             parts = spare[: 2 * b * WIDTH].reshape(2, b, WIDTH)
             halves = np.moveaxis(acc, 1, 0)
-            fold = _fold_views(sums, *parts)
+            fold = gemm.fold_views(sums, *parts)
             acc_rows = acc.reshape(b, -1)
-            affine = (limbs[:, :-1], _row_blocks(limbs, acc_rows), (sums, halves, sums[0]), fold)
+            affine = (limbs[:, :-1], gemm.row_blocks(limbs, acc_rows), (sums, halves, sums[0]), fold)
 
             # The partial block.  The base GEMM's (b, [S0 | S1], [22
             # rounds | 12 lanes]) columns are gathered round-major (a
@@ -437,29 +362,29 @@ class _Scratch:
             rounds = tuple(
                 (
                     tuple(
-                        (_row_blocks(fed[:, lo:hi], dot), table, part, dot.T, bases[:, r])
+                        (gemm.row_blocks(fed[:, lo:hi], dot), table, part, dot.T, bases[:, r])
                         for lo, hi, table in chunks
                     ),
-                    _fold_views(bases[:, r], small, word),
-                    fed[:, _LIMBS * r : _LIMBS * (r + 1)],
+                    gemm.fold_views(bases[:, r], small, word),
+                    fed[:, gemm.LIMBS * r : gemm.LIMBS * (r + 1)],
                 )
                 for r, chunks in enumerate(feedback)
             )
             chain = (
                 limbs[:, :-1],
-                (_row_blocks(limbs, base_acc.reshape(b, -1)), base_table),
+                (gemm.row_blocks(limbs, base_acc.reshape(b, -1)), base_table),
                 (
                     (bases, np.moveaxis(base_acc[:, :, :PARTIAL_ROUNDS], 0, 2), bases[0]),
                     (sums, np.moveaxis(base_acc[:, :, PARTIAL_ROUNDS:], 1, 0), sums[0]),
                 ),
                 rounds,
                 lane0,
-                lane0.view(np.uint16).reshape(b, _LIMBS),
+                lane0.view(np.uint16).reshape(b, gemm.LIMBS),
                 None
                 if b <= _SBOX_SCALAR_ROWS
                 else gl64.pow7_lanes(self.sbox[: planes * b].reshape(planes, b)),
                 tuple(
-                    (_row_blocks(fed[:, lo:hi], acc_rows), table, parts, halves, sums)
+                    (gemm.row_blocks(fed[:, lo:hi], acc_rows), table, parts, halves, sums)
                     for lo, hi, table in closing
                 ),
                 fold,
@@ -471,12 +396,6 @@ class _Scratch:
                 fold[-1],
             )
         return blk
-
-
-def _gemm(blocks: tuple, table: np.ndarray) -> None:
-    """``out rows <- operand rows @ table`` per :func:`_row_blocks` pair."""
-    for rows, out in blocks:
-        np.matmul(rows, table, out)
 
 
 def _gather_into(planes: np.ndarray, columns: np.ndarray, s0: np.ndarray) -> None:
@@ -492,29 +411,9 @@ def _feed_into(feeds: tuple) -> None:
     scratch, the GEMM's output as [S0, S1] planes, sums)``: each GEMM is
     exact on its own and the ``int64`` sums take any number of them."""
     for blocks, table, part, columns, sums in feeds:
-        _gemm(blocks, table)
+        gemm.gemm(blocks, table)
         np.copyto(part, columns, casting="unsafe")
         np.add(sums, part, sums)
-
-
-def _fold_into(fold: tuple, out: np.ndarray) -> None:
-    """``out <- `` a ``uint64`` representative of ``S0 + S1 * 2**32 -
-    2**57`` (mod p) for the biased ``int64`` planes of
-    :func:`_fold_views`, with a single lazy reduction.
-
-    Writing ``S1 = h * 2**32 + l`` and using ``2**64 = 2**32 - 1 (mod
-    p)`` the value is ``(l << 32) + (S0 + h * (2**32 - 1))``: a
-    canonical word plus a term that the bias in ``S0`` makes
-    non-negative (and keeps below ``2**58``), so one ``add_lazy_into``
-    finishes it.  Aliasing: ``out`` must not alias the planes, which
-    are left clobbered.
-    """
-    s0, s1, s1u, small, smallu, word = fold
-    np.right_shift(s1, _I32, small)  # h = floor(S1 / 2**32), signed
-    np.multiply(small, _EPSILON_I64, small)
-    np.add(small, s0, small)  # now in [0, 2**58)
-    np.left_shift(s1u, _U32, word)  # l << 32 <= p - 1
-    gl64.add_lazy_into(smallu, word, out, s1u)
 
 
 def _matmul_into(states: np.ndarray, weights: np.ndarray, affine: tuple) -> None:
@@ -524,7 +423,8 @@ def _matmul_into(states: np.ndarray, weights: np.ndarray, affine: tuple) -> None
     lazy reduction per lane.  ``affine`` is the second item of
     :meth:`_Scratch.block` for ``B`` rows.
 
-    ``weights`` is the :func:`_limb_weights` table of ``(M, c)``.  The
+    ``weights`` is the :func:`~repro.field.gemm.limb_weights` table of
+    ``(M, c)``.  The
     state is viewed as ``4 * 12`` 16-bit limbs -- of whatever 64-bit
     word represents each lane, the table's rows carry the limbs' powers
     of two mod p -- and multiplied, in float64, by signed 32-bit weight
@@ -532,7 +432,7 @@ def _matmul_into(states: np.ndarray, weights: np.ndarray, affine: tuple) -> None
     limb sums 48 of them plus one constant, so every partial sum is an
     integer below ``2**53`` and the GEMM is exact whatever order BLAS
     adds in.  That leaves ``S0 + S1 * 2**32`` per lane, which
-    :func:`_fold_into` reduces.
+    :func:`~repro.field.gemm.fold_into` reduces.
 
     Aliasing: ``states`` is both input and output (it is fully consumed
     into the limb scratch before the final write) and must have
@@ -540,9 +440,9 @@ def _matmul_into(states: np.ndarray, weights: np.ndarray, affine: tuple) -> None
     """
     limbs, blocks, gather, fold = affine
     np.copyto(limbs, states.view(np.uint16))
-    _gemm(blocks, weights)
+    gemm.gemm(blocks, weights)
     _gather_into(*gather)
-    _fold_into(fold, states)
+    gemm.fold_into(fold, states)
 
 
 def _partial_block_into(states: np.ndarray, chain: tuple) -> None:
@@ -568,20 +468,20 @@ def _partial_block_into(states: np.ndarray, chain: tuple) -> None:
     """
     limbs, base, gathers, rounds, lane0, lane0_limbs, lanes, closing, fold = chain
     np.copyto(limbs, states.view(np.uint16))
-    _gemm(*base)
+    gemm.gemm(*base)
     for gather in gathers:
         _gather_into(*gather)
     p = gl.P
     for feeds, lane0_fold, filed in rounds:
         _feed_into(feeds)
-        _fold_into(lane0_fold, lane0)
+        gemm.fold_into(lane0_fold, lane0)
         if lanes is None:
             lane0[:] = [pow(v, 7, p) for v in lane0.tolist()]
         else:
             gl64.pow7_lazy_into(lane0, lane0, lanes)
         np.copyto(filed, lane0_limbs)
     _feed_into(closing)
-    _fold_into(fold, states)
+    gemm.fold_into(fold, states)
 
 
 def permute_into(states: np.ndarray) -> np.ndarray:

@@ -2,8 +2,6 @@
 batched over the last axis, over the Goldilocks field."""
 
 from .transforms import (
-    bit_reverse,
-    bit_reverse_indices,
     coset_intt,
     coset_intt_ext,
     coset_ntt,
@@ -21,6 +19,4 @@ __all__ = [
     "coset_intt_ext",
     "lde",
     "lde_coeffs",
-    "bit_reverse",
-    "bit_reverse_indices",
 ]

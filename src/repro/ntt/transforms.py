@@ -9,63 +9,71 @@ The transforms the provers run (paper Section 5.1):
 * batched transforms over the last axis, mirroring how the hardware
   streams many polynomials through its MDC pipelines.
 
-Internally every transform is the classic iterative radix-2 DIF
-Cooley-Tukey network (natural in, bit-reversed out) followed by one
-bit-reversal gather, vectorised with NumPy over batch *and* butterfly
-axes.  The hardware model's MDC pipeline (``mapping.ntt_mapping``)
-emits the bit-reversed ``NTT^NR`` order directly.
+One engine runs them all: UniZK's SAM multi-dimensional decomposition
+(paper Fig. 4b) on the host's matrix unit.  A ``2**k``-point transform
+is cut into dimensions of at most ``2**_DIM_BITS`` points
+(:func:`_dims`); each dimension is one exact limb GEMM on its DFT
+matrix (:func:`repro.field.gemm.contract_into`), whose output axis
+lands where the natural output order wants it, and an elementwise
+twiddle pass ``w_N'^(m k)`` joins consecutive dimensions.  The coset
+powers and ``N^-1`` ride in the first and last dimensions' weights and
+in the twiddles, so a transform is ``L`` GEMM levels and ``L - 1``
+multiplies with no bit-reversal gather.  An LDE contracts only the
+nonzero leading input digits of its zero-padded coefficients
+(:func:`lde_coeffs`).  The hardware model's mapping of the same split
+onto MDC pipelines is ``mapping.ntt_mapping``.
+
+Every output is the canonical field element the radix-2 network gave
+(``tests/reference_ntt.py`` keeps that network as the oracle), and the
+operation counters charge radix-2-equivalent work: ``N/2 * log N``
+butterflies a transform.
 
 Zero-copy data plane
 --------------------
 
-The stages run truly in place on a workspace buffer through
-:func:`repro.field.gl64.butterfly_into`: no per-stage copies, no fresh
-temporaries.  Twiddles are pre-sliced contiguously per ``(log_n,
-stage)`` and cached read-only; the final bit-reversal is one cached
-``np.take`` gather into the output buffer.  Every public transform
-accepts ``out=`` (the result buffer) and takes its scratch from the
-calling thread's :class:`~repro.field.gl64.Workspace`
-(``RUN.workspace``); without ``out=`` it returns a fresh array.
+The levels alternate between the output buffer and one workspace
+buffer; the GEMM scratch is the workspace's shared limb slots
+(:data:`repro.field.gemm.SLOTS`), cut into fixed passes, so a
+transform of any size holds one buffer of its own shape.  The DFT
+weights and twiddles are cached read-only per ``(log_n, shift,
+direction)``.  Every public transform accepts ``out=`` (the result
+buffer); without it, it returns a fresh array.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from ..context import RUN
-from ..field import gl64, goldilocks as gl
+from ..field import gemm, gl64, goldilocks as gl
+
+#: log2 of the largest dimension one GEMM level contracts: a 32-point
+#: dimension runs as two K-chunks of 16 words (:data:`gemm.CHUNK_WORDS`).
+#: Fewer levels mean fewer passes and twiddle multiplies, a wider one
+#: twice the multiply-adds a word.  Measured (ms, 2-vCPU host, best
+#: quartile of 40, one ``2**k``-point ``coset_ntt``, widest dimension
+#: 16 / 32 points): 2**8 0.064 / 0.073, 2**10 0.18 / 0.15, 2**12
+#: 0.47 / 0.47, 2**13 1.03 / 0.84, 2**14 2.12 / 1.76.
+_DIM_BITS = 5
 
 
-@lru_cache(maxsize=None)
-def bit_reverse_indices(log_n: int) -> np.ndarray:
-    """Return the bit-reversal permutation for size ``2**log_n``."""
-    n = 1 << log_n
-    idx = np.arange(n, dtype=np.uint64)
-    rev = np.zeros(n, dtype=np.uint64)
-    for b in range(log_n):
-        rev |= ((idx >> np.uint64(b)) & np.uint64(1)) << np.uint64(log_n - 1 - b)
-    out = rev.astype(np.int64)
-    out.flags.writeable = False
-    return out
+class _Level(NamedTuple):
+    """One dimension of a decomposed transform: ``n`` points contracted
+    over ``(B, n, m, kp)`` into ``(B, m, n, kp)`` -- ``m`` the later
+    dimensions' size, ``kp`` the earlier ones' -- by ``table`` (the
+    ``(4 n, 2 n)`` limb weights of its DFT matrix, as GEMM ``chunks``),
+    then multiplied by ``twiddle`` (``(m, n, kp or 1)``; ``None`` on the
+    last level)."""
 
-
-def bit_reverse(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Permute the last axis of ``a`` into bit-reversed order.
-
-    With ``out=`` the cached permutation is gathered directly into the
-    given buffer (which must not alias ``a``); otherwise a fresh array
-    is returned.
-    """
-    a = np.asarray(a, dtype=np.uint64)
-    n = a.shape[-1]
-    log_n = _checked_log2(n)
-    idx = bit_reverse_indices(log_n)
-    if out is None:
-        out = np.empty(a.shape, dtype=np.uint64)
-    np.take(a, idx, axis=-1, out=out, mode="clip")
-    return out
+    n: int
+    m: int
+    kp: int
+    table: np.ndarray
+    chunks: tuple
+    twiddle: np.ndarray | None
 
 
 def _checked_log2(n: int) -> int:
@@ -77,49 +85,63 @@ def _checked_log2(n: int) -> int:
     return log_n
 
 
+def _dims(log_n: int) -> tuple:
+    """log2 of each dimension, first contracted first: the fewest of at
+    most ``_DIM_BITS`` bits, as even as they go, widest first."""
+    if not log_n:
+        return ()
+    levels = -(-log_n // _DIM_BITS)
+    base, extra = divmod(log_n, levels)
+    return tuple(base + (i < extra) for i in range(levels))
+
+
 @lru_cache(maxsize=None)
-def _omega_powers(log_n: int, inverse: bool) -> np.ndarray:
-    """Powers ``omega**0 .. omega**(n/2 - 1)`` of the size-``2**log_n`` root."""
+def _levels(log_n: int, shift: int, inverse: bool) -> tuple:
+    """The levels of the size-``2**log_n`` transform, read-only.
+
+    With input index ``x = j m_1 + r`` and output ``k = k_1 + n_1 k'``,
+    level 1 is the ``n_1``-point DFT over ``j`` and the twiddle
+    ``w_N^(r k_1)``; the rest is the size-``m_1`` transform of each
+    ``k_1`` row, recursively.  A forward coset's ``g**x`` splits into
+    ``g**(j m_1)`` (level 1's weight rows) and ``g**r`` (its twiddle);
+    an inverse's ``N^-1 g**-k`` into the last level's weight columns
+    (``g**(-k_L N / n_L)``) and the twiddle before it (``g**-k`` of the
+    earlier output digits).
+    """
+    size = 1 << log_n
     omega = gl.primitive_root_of_unity(log_n)
     if inverse:
-        omega = gl.inverse(omega)
-    out = gl64.powers(omega, max(1, 1 << (log_n - 1)))
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=None)
-def _stage_twiddles(log_n: int, inverse: bool) -> tuple:
-    """Contiguous twiddle slices per butterfly stage, cached read-only.
-
-    Entry ``i`` serves the stage with half-block ``mh = 2**i`` (i.e.
-    ``m = 2**(i + 1)``): ``omega**(0, n/m, 2n/m, ...)`` -- the stride
-    slice the old code re-materialised from ``_omega_powers`` on every
-    stage of every transform.
-    """
-    n = 1 << log_n
-    tw_all = _omega_powers(log_n, inverse)
-    stages = []
-    for i in range(max(1, log_n)):
-        m = 1 << (i + 1)
-        tw = np.ascontiguousarray(tw_all[:: n // m][: m // 2])
-        tw.flags.writeable = False
-        stages.append(tw)
-    return tuple(stages)
-
-
-@lru_cache(maxsize=None)
-def _coset_scale(shift: int, n: int, inverse: bool) -> np.ndarray:
-    """Cached coset powers ``shift**i`` (or ``shift**-i``) for size ``n``."""
-    base = gl.inverse(shift) if inverse else shift
-    out = gl64.powers(base, n)
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=None)
-def _n_inv(n: int) -> np.uint64:
-    return np.uint64(gl.inverse(n))
+        omega, shift = gl.inverse(omega), gl.inverse(shift)
+    bits = _dims(log_n)
+    levels, kp, rest = [], 1, size
+    for i, b in enumerate(bits):
+        n, first, last = 1 << b, i == 0, i == len(bits) - 1
+        m = rest // n
+        w_rest = gl.pow_mod(omega, size // rest)  # a root of order `rest`
+        roots = gl64.powers(w_rest, rest)
+        grid = np.arange(n, dtype=np.int64)
+        matrix = roots[(np.outer(grid, grid) * m) % rest]  # w_n^(j k)
+        if first and not inverse:
+            gl64.mul_into(matrix, gl64.powers(gl.pow_mod(shift, m), n)[:, None], matrix)
+        if last and inverse:
+            scale = gl64.powers(gl.pow_mod(shift, size // n), n)
+            gl64.mul_into(scale, np.uint64(gl.inverse(size)), scale)
+            gl64.mul_into(matrix, scale[None, :], matrix)
+        table = gemm.limb_weights(matrix, None)
+        twiddle = None
+        if not last:
+            twiddle = roots[np.outer(np.arange(m, dtype=np.int64), grid)][:, :, None]
+            if first and not inverse:
+                gl64.mul_into(twiddle, gl64.powers(shift, m)[:, None, None], twiddle)
+            if i == len(bits) - 2 and inverse:
+                coset = gl64.powers(shift, n * kp).reshape(1, n, kp)
+                twiddle = gl64.mul(twiddle, coset)
+            twiddle = np.ascontiguousarray(twiddle)
+            gl64.freeze(twiddle)
+        gl64.freeze(table)
+        levels.append(_Level(n, m, kp, table, gemm.weight_chunks(table), twiddle))
+        kp, rest = kp * n, m
+    return tuple(levels)
 
 
 def _count_transform(a: np.ndarray, log_n: int) -> None:
@@ -129,42 +151,58 @@ def _count_transform(a: np.ndarray, log_n: int) -> None:
     counters.ntt_butterflies += batch * (1 << max(0, log_n - 1)) * log_n
 
 
-def _dif_in_place(a: np.ndarray, log_n: int, inverse: bool) -> np.ndarray:
-    """Decimation-in-frequency: natural input -> bit-reversed output.
+def _ntt(src: np.ndarray, out, log_n: int, shift: int, inverse: bool) -> np.ndarray:
+    """The engine: ``src`` holds the leading ``J`` digits of level 1's
+    input (all of them but for an LDE's zero padding) as ``(..., J *
+    m_1)``, any ``uint64`` words; the size-``2**log_n`` transform lands
+    in ``out`` (fresh when ``None``; any view, the input's own memory
+    included) in natural order, canonical.  The levels alternate
+    between the output and the ``ntt:work`` buffer so that the last
+    one writes the output."""
+    size = 1 << log_n
+    lead = src.shape[:-1]
+    if out is None:
+        out = np.empty(lead + (size,), dtype=np.uint64)
+    dst = out if out.flags.c_contiguous else RUN.workspace.temp(out.shape, "ntt:out")
+    _count_transform(dst, log_n)
+    batch = dst.size >> log_n
+    work = RUN.workspace.temp(dst.shape, "ntt:work")
+    levels = _levels(log_n, shift, inverse)
+    if not levels:
+        gl64.canonical_into(src, dst, work)
+    else:
+        bufs = (dst, work) if len(levels) % 2 else (work, dst)
+        src = np.ascontiguousarray(src)
+        if np.may_share_memory(src, bufs[0]):  # level 1 would overwrite it
+            staged = bufs[1].reshape(-1)[: src.size].reshape(src.shape)
+            np.copyto(staged, src)
+            src = staged
+        first = levels[0]
+        j = src.shape[-1] // first.m
+        chunks = first.chunks if j == first.n else gemm.weight_chunks(first.table[: gemm.LIMBS * j])
+        source = src.reshape(batch, j, first.m, 1)
+        for i, level in enumerate(levels):
+            if i:  # (B, m, n, kp) of the level before is (B, n', m', kp')
+                source = bufs[1 - i % 2].reshape(batch, level.n, level.m, level.kp)
+                chunks = level.chunks
+            target = bufs[i % 2].reshape(batch, level.m, level.n, level.kp)
+            gemm.contract_into(target, gemm.NO_ADDEND, (source, chunks))
+            if level.twiddle is not None:
+                gl64.mul_into(target, level.twiddle, target)
+        gl64.canonical_into(dst, dst, work)
+    if dst is not out:
+        np.copyto(out, dst)
+    return out
 
-    ``a`` must be a contiguous, writable uint64 array; it is transformed
-    in place with zero allocations (scratch comes from ``RUN.workspace``).
-    """
-    _count_transform(a, log_n)
-    stages = _stage_twiddles(log_n, inverse)
-    n = 1 << log_n
-    lead = a.shape[:-1]
-    for i in range(log_n - 1, -1, -1):
-        m = 1 << (i + 1)
-        mh = m >> 1
-        v = a.reshape(lead + (n // m, m))
-        u = v[..., :mh]
-        w = v[..., mh:]
-        gl64.butterfly_into(u, w, stages[i], u, w)
-    return a
 
-
-def _workbuf(a: np.ndarray, slot: str) -> np.ndarray:
-    """Copy ``a`` into a reusable transform buffer (never aliases ``a``)."""
-    work = RUN.workspace.temp(a.shape, slot)
-    np.copyto(work, a)
-    return work
+def _shift(shift: int | None) -> int:
+    return gl.coset_shift() if shift is None else int(shift)
 
 
 def ntt(a, out: np.ndarray | None = None) -> np.ndarray:
     """Forward NTT, natural input and output (``NTT^NN``)."""
     a = np.asarray(a, dtype=np.uint64)
-    log_n = _checked_log2(a.shape[-1])
-    work = _workbuf(a, "ntt:work")
-    _dif_in_place(work, log_n, inverse=False)
-    if out is None:
-        out = np.empty(a.shape, dtype=np.uint64)
-    return bit_reverse(work, out=out)
+    return _ntt(a, out, _checked_log2(a.shape[-1]), 1, False)
 
 
 def intt(a, out: np.ndarray | None = None) -> np.ndarray:
@@ -173,42 +211,28 @@ def intt(a, out: np.ndarray | None = None) -> np.ndarray:
     This is FRI's value->coefficient conversion (paper Figure 1, step 1).
     """
     a = np.asarray(a, dtype=np.uint64)
-    log_n = _checked_log2(a.shape[-1])
-    work = _workbuf(a, "intt:work")
-    _dif_in_place(work, log_n, inverse=True)
-    if out is None:
-        out = np.empty(a.shape, dtype=np.uint64)
-    bit_reverse(work, out=out)
-    return gl64.mul_into(out, _n_inv(a.shape[-1]), out)
+    return _ntt(a, out, _checked_log2(a.shape[-1]), 1, True)
 
 
 def coset_ntt(a, shift: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate coefficients on the coset ``shift * <omega>`` (natural order).
 
-    Scales coefficient ``i`` by ``shift**i`` before the plain NTT -- the
-    pre-NTT constant multiplication the paper fuses into the first (DIT)
-    pipeline stage.
+    Coefficient ``i``'s ``shift**i`` -- the pre-NTT constant
+    multiplication the paper fuses into the first (DIT) pipeline stage
+    -- rides in the first dimension's weights and twiddle.
     """
     a = np.asarray(a, dtype=np.uint64)
-    log_n = _checked_log2(a.shape[-1])
-    shift = gl.coset_shift() if shift is None else shift
-    work = RUN.workspace.temp(a.shape, "ntt:work")
-    gl64.mul_into(a, _coset_scale(shift, a.shape[-1], False), work)
-    _dif_in_place(work, log_n, inverse=False)
-    if out is None:
-        out = np.empty(a.shape, dtype=np.uint64)
-    return bit_reverse(work, out=out)
+    return _ntt(a, out, _checked_log2(a.shape[-1]), _shift(shift), False)
 
 
 def coset_intt(a, shift: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Recover coefficients from evaluations on ``shift * <omega>``.
 
-    Post-multiplies by ``shift**-i`` -- the paper's ``N^-1 g^-i`` twiddle,
-    fused into the idle last-round PEs of the DIF pipeline.
+    The paper's ``N^-1 g^-i`` post-multiplication rides in the last
+    dimension's weights and the twiddle before it.
     """
-    out = intt(a, out=out)
-    shift = gl.coset_shift() if shift is None else shift
-    return gl64.mul_into(out, _coset_scale(shift, out.shape[-1], True), out)
+    a = np.asarray(a, dtype=np.uint64)
+    return _ntt(a, out, _checked_log2(a.shape[-1]), _shift(shift), True)
 
 
 def lde(
@@ -234,14 +258,26 @@ def lde_coeffs(
     shift: int | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """LDE starting from coefficients: zero-pad then coset-NTT."""
+    """LDE starting from coefficients: the coset-NTT of the coefficients
+    zero-padded by ``2**rate_bits``.
+
+    The padding is never written: input ``x = j m_1 + r`` is nonzero
+    only for the first ``n_1 >> rate_bits`` digits ``j``, so level 1
+    contracts those alone -- unless the first dimension is narrower
+    than the blowup, when the coefficients are padded for real.
+    """
     coeffs = np.asarray(coeffs, dtype=np.uint64)
     n = coeffs.shape[-1]
     _checked_log2(n)
-    padded = RUN.workspace.temp(coeffs.shape[:-1] + (n << rate_bits,), "lde:pad")
-    np.copyto(padded[..., :n], coeffs)
-    padded[..., n:] = 0
-    return coset_ntt(padded, shift, out=out)
+    log_size = _checked_log2(n << rate_bits)
+    shift = _shift(shift)
+    levels = _levels(log_size, shift, False)
+    if levels and levels[0].n < 1 << rate_bits:
+        padded = RUN.workspace.temp(coeffs.shape[:-1] + (n << rate_bits,), "lde:pad")
+        np.copyto(padded[..., :n], coeffs)
+        padded[..., n:] = 0
+        coeffs = padded
+    return _ntt(coeffs, out, log_size, shift, False)
 
 
 def coset_intt_ext(a: np.ndarray, shift: int | None = None) -> np.ndarray:
@@ -250,8 +286,7 @@ def coset_intt_ext(a: np.ndarray, shift: int | None = None) -> np.ndarray:
     The extension is a 2-dimensional vector space over the base field and
     the NTT is GF(p)-linear, so transforming each limb independently is
     exact -- this is also how UniZK executes extension arithmetic on
-    base-field PEs.
+    base-field PEs.  Both limbs run as one ``(..., 2, n)`` batch.
     """
-    return np.stack(
-        [coset_intt(a[..., 0], shift), coset_intt(a[..., 1], shift)], axis=-1
-    )
+    limbs = np.moveaxis(np.asarray(a, dtype=np.uint64), -1, -2)
+    return np.moveaxis(coset_intt(limbs, shift), -2, -1)

@@ -58,12 +58,10 @@ def lde_commit_rows(args: Dict[str, Any]):
         src = resolve(args["src"])
         intt(np.ascontiguousarray(src[lo:hi]), out=coeffs_out[lo:hi])
     elif mode == "chunks":
-        src = resolve(args["src"])
-        n = int(args["n"])
-        chunks = int(args["chunks"])
-        for r in range(lo, hi):
-            limb, k = divmod(r, chunks)
-            coeffs_out[r] = src[limb, k * n : (k + 1) * n]
+        n, chunks = int(args["n"]), int(args["chunks"])
+        # Row r is chunk r % chunks of limb r // chunks.
+        rows = resolve(args["src"]).reshape(2, -1, n)[:, :chunks].reshape(2 * chunks, n)
+        np.copyto(coeffs_out[lo:hi], rows[lo:hi])
     else:
         raise ValueError(f"unknown lde_commit_rows mode {mode!r}")
     rows = np.ascontiguousarray(coeffs_out[lo:hi])

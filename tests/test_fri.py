@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from repro.context import RUN, Counters, scoped
 from repro.field import extension as ext, gl64, goldilocks as gl
 from repro.fri import (
     PLONKY2_CONFIG,
@@ -23,7 +24,7 @@ from repro.fri import (
     open_batches,
 )
 from repro import protocols
-from repro.fri import config as fri_config, verifier as fri_verifier
+from repro.fri import config as fri_config, prover as fri_prover, verifier as fri_verifier
 from repro.fri.config import (
     FRI_ARITY_BITS,
     expected_opening_bytes,
@@ -590,3 +591,109 @@ def _mk_openings_single(batches, n):
     zeta = ext.make(0xAAAA, 0xBBBB)
     columns = [[(0, i) for i in range(batches[0].coeffs.shape[0])]]
     return open_batches(batches, [zeta], columns)
+
+
+# ---------------------------------------------------------------------------
+# The one-step fold, the GEMM combine and the batched grind, each against
+# the code path it replaced.
+# ---------------------------------------------------------------------------
+
+#: Output rows from 1 to 2**14: both sides of the size rule, and of the
+#: combine's row blocks.
+ROWS = sorted({1 << k for k in range(15)} | {ext._SHORT_ELEMS + 1, fri_prover._COMBINE_ROWS + 1})
+
+
+def _fold_chain(values, beta, shift, log_n, arity_bits):
+    """The arity-2 chain the one-step fold replaced."""
+    for _ in range(arity_bits):
+        half = values.shape[0] // 2
+        weights = fri_prover.fold_weights(log_n, int(shift))
+        values = fri_prover.fold_pairs(values[:half], values[half:], weights, beta)
+        beta, shift, log_n = ext.square(beta), gl.mul(shift, shift), log_n - 1
+    return values
+
+
+@pytest.mark.parametrize("arity_bits", [1, 2, 3])
+def test_one_step_fold_is_the_fold_pairs_chain(arity_bits, rng):
+    for rows in (r for r in ROWS if r & (r - 1) == 0):
+        log_n = rows.bit_length() - 1 + arity_bits
+        shift = gl.pow_mod(gl.coset_shift(), 1 << int(rng.integers(0, 3)))
+        values = gl64.random((1 << log_n, 2), rng)
+        beta = gl64.random(2, rng)
+        got = fold_values(values, beta, shift, log_n, arity_bits)
+        assert np.array_equal(got, _fold_chain(values, beta, shift, log_n, arity_bits)), rows
+
+
+def test_fold_tables_scale_each_coset_by_its_point(rng):
+    """``x_i**-k / 2**a`` for the coset's first point ``x_i``."""
+    log_n, bits, shift = 7, 3, gl.coset_shift()
+    _, scale = fri_prover.fold_tables(log_n, shift, bits)
+    xs = lde_points(log_n, shift)
+    for i in rng.integers(0, 1 << (log_n - bits), size=5).tolist():
+        for k in range(1 << bits):
+            want = gl.mul(gl.inverse(1 << bits), gl.pow_mod(gl.inverse(int(xs[i])), k))
+            assert int(scale[i, 0, k]) == want
+
+
+@pytest.mark.parametrize("points", [1, 2, 3])
+def test_gemm_combine_is_the_per_point_combine(points, rng):
+    """The GEMM combine against the per-point ladder and inversion, on
+    batches of 1 to 240 columns (three 112-column groups) with repeated
+    and unopened columns."""
+    widths = (1, 5, 240)
+    columns = [
+        [(b, int(c)) for b in range(len(widths)) for c in rng.integers(0, widths[b], size=4)]
+        + [(2, 200), (2, 200)]
+        for _ in range(points)
+    ]
+    for rows in ROWS:
+        xs = lde_points(15)[rng.integers(0, 1 << 15, size=rows)]
+        batch_rows = [gl64.random((rows, w), rng) for w in widths]
+        openings = FriOpenings(
+            [gl64.random(2, rng) for _ in range(points)],
+            columns,
+            [gl64.random((len(c), 2), rng) for c in columns],
+        )
+        alpha = gl64.random(2, rng)
+        want = fri_prover._combine_short(batch_rows, xs, openings, alpha)
+        assert np.array_equal(combine_rows(batch_rows, xs, openings, alpha), want), rows
+
+
+def test_gemm_combine_refuses_a_point_on_the_domain(rng):
+    rows = 2 * ext._SHORT_ELEMS
+    xs = lde_points(10)[:rows]
+    openings = FriOpenings([ext.from_base(xs[7])], [[(0, 0)]], [gl64.random((1, 2), rng)])
+    with pytest.raises(ZeroDivisionError):
+        combine_rows([gl64.random((rows, 1), rng)], xs, openings, gl64.random(2, rng))
+
+
+def _grind_scalar(challenger, pow_bits):
+    """The one-candidate-at-a-time search the batched grind replaced."""
+    threshold = 1 << (64 - pow_bits)
+    witness = 0
+    while True:
+        fork = challenger.clone()
+        fork.observe_element(witness)
+        if fork.get_challenge() < threshold:
+            return witness
+        witness += 1
+
+
+@pytest.mark.parametrize("pow_bits", range(13))
+def test_batched_grind_finds_the_scalar_witness(pow_bits, rng):
+    """Same least witness, same counted permutations, on transcripts
+    with every pending-input length and a fresh squeeze buffer."""
+    for pending in rng.choice(8, size=2, replace=False).tolist():
+        challenger = Challenger()
+        challenger.observe_elements(gl64.random(8 + pending, rng))
+        if pending == 0:
+            challenger.get_challenge()  # an output buffer to discard
+        counts = []
+        for search in (_grind_scalar, grind):
+            with scoped("counters", Counters()):
+                witness = search(challenger, pow_bits)
+                counts.append(RUN.counters.challenger_permutations)
+            if search is grind:
+                assert witness == want and check_pow(challenger, witness, pow_bits)
+            want = witness
+        assert counts[0] == counts[1] == want + 1

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.context import scoped
-from repro.field import gl64, goldilocks as gl, matrix as fm
+from repro.field import gemm, gl64, goldilocks as gl, matrix as fm
 from repro.fuzz import oracles
 from repro.hashing import constants as pc
 from repro.hashing import optimized, poseidon, sparse
@@ -199,11 +199,11 @@ class TestHadesDerivation:
 def _weights(matrix, addend):
     """Limb-GEMM table of ``state -> state @ matrix + addend``."""
     out = np.empty((optimized._GEMM_DEPTH, 2 * pc.WIDTH), dtype=np.float64)
-    return optimized._limb_weights(matrix, addend, out)
+    return gemm.limb_weights(matrix, addend, out)
 
 
 def _limb_weights_reference(matrix, addend):
-    """``optimized._limb_weights``' table entry by entry in Python ints:
+    """``gemm.limb_weights``' table entry by entry in Python ints:
     the balanced representative of ``m * 2**(16 a) mod p``, split at bit
     32 with a balanced low half."""
 
@@ -222,7 +222,7 @@ def _limb_weights_reference(matrix, addend):
             for j, m in enumerate(row):
                 out[r, j], out[r, n + j] = limbs(m << (16 * a))
     for j, c in enumerate(addend or ()):
-        out[-1, j], out[-1, n + j] = limbs(c - optimized._FOLD_BIAS)
+        out[-1, j], out[-1, n + j] = limbs(c - gemm.FOLD_BIAS)
     return out
 
 
@@ -266,7 +266,7 @@ REGIME_EDGES = sorted(
         for edge in (
             optimized._SCALAR_ROWS,
             optimized._SBOX_SCALAR_ROWS,
-            optimized._GEMM_ROWS,
+            gemm.GEMM_ROWS,
             optimized._PERMUTE_ROWS,
         )
         for step in (0, 1)
@@ -292,8 +292,8 @@ def _assert_folds(s0: int, s1: int):
     ``_fold_into``'s term ``S0 + floor(S1 / 2**32) * (2**32 - 1)``
     inside the bias, and the biased term inside ``add_lazy_into``'s
     ``< 2**63`` operand."""
-    assert s0 + ((s1 >> 32) + 1) * gl.EPSILON < optimized._FOLD_BIAS
-    assert 2 * optimized._FOLD_BIAS < 1 << 63
+    assert s0 + ((s1 >> 32) + 1) * gl.EPSILON < gemm.FOLD_BIAS
+    assert 2 * gemm.FOLD_BIAS < 1 << 63
 
 
 class TestLimbGemm:
@@ -380,7 +380,7 @@ class TestLimbGemm:
 
     def test_limb_split_is_balanced_and_congruent(self):
         values = LIMB_EDGES + [1 << 63, (1 << 63) - 1, gl.P - (1 << 31), gl.P - 5]
-        los, his = optimized._signed_limbs(np.array(values, dtype=np.uint64))
+        los, his = gemm.signed_limbs(np.array(values, dtype=np.uint64))
         assert los.dtype == his.dtype == np.int64
         for value, lo, hi in zip(values, los.tolist(), his.tolist()):
             assert (lo + (hi << 32) - value) % gl.P == 0
@@ -402,7 +402,7 @@ class TestLimbGemm:
             want = _limb_weights_reference(matrix, addend)
             if addend is None:
                 fed = np.full((2, rounds, 4 * rounds), np.nan)
-                optimized._limb_weights(matrix, None, fed.reshape(2 * rounds, -1).T)
+                gemm.limb_weights(matrix, None, fed.reshape(2 * rounds, -1).T)
                 got = fed.reshape(2 * rounds, -1).T
             else:
                 got = _weights(matrix, addend)

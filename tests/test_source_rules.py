@@ -106,15 +106,19 @@ ALLOWED: dict[str, dict[str, str]] = {
             "cross-check calls it, the Merkle builders call hash_batch_into "
             "on their own buffers"
         ),
-        "ntt/transforms.py::bit_reverse_indices": _ONE_TIME_TABLE,
-        "ntt/transforms.py::bit_reverse": (
-            "out=None fallback whose result escapes to the caller; ntt, intt "
-            "and coset_ntt pass out= explicitly"
-        ),
         "ntt/transforms.py::*ntt": (
             "out=None fallback whose result escapes to the caller; the shard "
             "kernels and the LDE pass out= explicitly, and FRI inverts its "
             "small final polynomial with it once per proof"
+        ),
+        "fri/prover.py::combine_rows": (
+            "The combined values escape to the caller (the shard kernel "
+            "copies them into its row range, the verifier folds them); the "
+            "ladder's limb tables are a few KB, built once a call"
+        ),
+        "fri/prover.py::fold_values": (
+            "The folded layer escapes to the caller: it is the next "
+            "layer's values, which its Merkle tree and the next fold read"
         ),
     },
     "prover.nondeterminism": {
