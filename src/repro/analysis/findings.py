@@ -16,9 +16,11 @@ transcript conformance (:mod:`repro.analysis.transcript`), and
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+
+if TYPE_CHECKING:
+    import argparse
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,6 @@ accounting view (paper Sections 4 and 6).  The software analogue is
 * ``workspace`` -- the one arena every kernel scratch and every
   slotted local stage buffer of a prove comes from (a scoped fresh
   :class:`Workspace` isolates one);
-* ``plans`` -- the per-shape :class:`repro.fri.DomainPlan` LRU
-  (:func:`repro.fri.plan.plan_for`);
 * ``instances`` -- the preprocessed-instance LRU every
   :meth:`repro.protocols.ProofSystem.setup` binds a config to
   (:func:`repro.protocols.base.instance`).
@@ -23,9 +21,12 @@ accounting view (paper Sections 4 and 6).  The software analogue is
 
 The rule is per thread, not per :mod:`contextvars` context: a thread
 started in a copied context still gets a run of its own, so concurrent
-proves never share a counter, an arena, a plan or an instance.  A forked
-process starts from a copy of the forking thread's run; worker processes
-ship their counter deltas back as :meth:`Counters.as_dict` payloads.
+proves never share a counter, an arena or an instance.  What they do
+share are the read-only per-shape tables (coset points, divisor
+inverses, NTT and FRI fold weights): each is an ``lru_cache``-bounded
+function of its inputs, frozen once built.  A forked process starts
+from a copy of the forking thread's run; worker processes ship their
+counter deltas back as :meth:`Counters.as_dict` payloads.
 """
 
 from __future__ import annotations
@@ -54,9 +55,6 @@ class Counters:
     ntt_butterflies: int = 0
     #: NTT transforms executed (count of (batch, size) calls).
     ntt_transforms: int = 0
-    #: Prover plans dropped from the per-thread LRU cache
-    #: (:func:`repro.fri.plan.plan_for`).
-    plan_evictions: int = 0
 
     def snapshot(self) -> "Counters":
         """Copy the current totals."""
@@ -194,7 +192,6 @@ class Run(threading.local):
         self.session = None
         self.pool = None
         self.workspace = Workspace()
-        self.plans: OrderedDict = OrderedDict()
         self.instances: OrderedDict = OrderedDict()
 
 

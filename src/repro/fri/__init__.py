@@ -7,7 +7,6 @@ from .config import (
     FriConfig,
     fri_layout,
 )
-from .plan import DomainPlan, plan_for
 from .proof import FriProof
 from .prover import (
     FriOpenings,
@@ -26,8 +25,6 @@ __all__ = [
     "TEST_CONFIG",
     "fri_layout",
     "FriProof",
-    "DomainPlan",
-    "plan_for",
     "PolynomialBatch",
     "FriOpenings",
     "open_batches",

@@ -166,9 +166,9 @@ def open_batches(
 def lde_points(log_n: int, shift: int | None = None) -> np.ndarray:
     """Read-only cached coset points ``shift * omega^i`` (natural order).
 
-    Shared by :func:`combine_rows`, the fold weights and the STARK
-    prover's boundary/vanishing tables, so each domain is generated once
-    per process instead of once per proof.
+    Shared by :func:`combine_rows`, the FRI verifier and the provers'
+    divisor tables, so each domain is generated once per process instead
+    of once per proof.
     """
     shift = gl.coset_shift() if shift is None else shift
     xs = gl64.mul(
@@ -176,6 +176,22 @@ def lde_points(log_n: int, shift: int | None = None) -> np.ndarray:
     )
     xs.flags.writeable = False
     return xs
+
+
+@lru_cache(maxsize=16)
+def vanishing_inverse(n: int, rate_bits: int) -> np.ndarray:
+    """Read-only cached ``1 / Z_H(x) = 1 / (x^n - 1)`` over the
+    size-``n << rate_bits`` LDE coset: the divisor of both FRI
+    provers' quotients."""
+    log_lde = n.bit_length() - 1 + rate_bits
+    # x^n on the coset cycles with period `blowup`.
+    cycle = gl64.mul(
+        gl64.powers(gl.pow_mod(gl.primitive_root_of_unity(log_lde), n), 1 << rate_bits),
+        np.uint64(gl.pow_mod(gl.coset_shift(), n)),
+    )
+    table = gl64.inv_fast(np.tile(gl64.sub(cycle, np.uint64(1)), n))
+    gl64.freeze(table)
+    return table
 
 
 @lru_cache(maxsize=64)

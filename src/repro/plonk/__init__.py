@@ -1,6 +1,5 @@
 """Plonk protocol: circuits, permutation argument, prover, verifier."""
 
-from ..fri import plan_for
 from . import gadgets, gadgets_ext, recursion
 from .circuit import Circuit, CircuitBuilder, Variable
 from .permutation import (
@@ -26,7 +25,6 @@ __all__ = [
     "CircuitData",
     "VerifierData",
     "PlonkProof",
-    "plan_for",
     "setup",
     "prove",
     "verify",

@@ -14,15 +14,16 @@ The commit / quotient / open data plane is :class:`repro.pcs.FriPCS`
 (shared with the STARK prover) and the transcript is a plain
 :class:`~repro.hashing.Challenger`; this module defines the
 Plonk-specific stages: witness generation, the permutation accumulator,
-and the gate/copy constraint blend.  Per-shape tables come from a cached
-:class:`~repro.fri.DomainPlan` and every buffer from the thread's one
-arena, so repeated proofs of one circuit shape -- the service path --
-pay no per-proof precompute.
+and the gate/copy constraint blend.  Per-shape tables are cached
+functions of the shape, built on its first prove, and every buffer
+comes from the thread's one arena, so repeated proofs of one circuit
+shape -- the service path -- pay no per-proof precompute.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import lru_cache
 from typing import Dict
 
 import numpy as np
@@ -30,7 +31,8 @@ import numpy as np
 from .. import parallel, tracing
 from ..context import RUN
 from ..field import extension as fext, gl64, goldilocks as gl
-from ..fri import FriConfig, PolynomialBatch, fri_layout, plan_for
+from ..fri import FriConfig, PolynomialBatch, fri_layout
+from ..fri.prover import lde_points, vanishing_inverse
 from ..hashing import Challenger
 from ..ntt import lde
 from ..pcs import FriPCS
@@ -83,6 +85,17 @@ def _pi_poly_on_lde(circuit: Circuit, public_values: list[int], rate_bits: int) 
     return lde(subgroup, rate_bits)
 
 
+@lru_cache(maxsize=16)
+def lagrange_first(n: int, rate_bits: int) -> np.ndarray:
+    """Read-only cached ``L_1(x) = (x^n - 1) / (n (x - 1))`` over the
+    LDE coset."""
+    xs = lde_points(n.bit_length() - 1 + rate_bits)
+    denom = gl64.mul(gl64.sub(xs, np.uint64(1)), np.uint64(n))
+    table = gl64.inv_fast(gl64.mul(vanishing_inverse(n, rate_bits), denom))
+    gl64.freeze(table)
+    return table
+
+
 #: Salt columns appended to the wires commitment when blinding.
 ZK_SALT_COLUMNS = 2
 
@@ -123,9 +136,8 @@ def prove(
     changes because salts ride the leaves without entering any
     constraint.)  ``None`` keeps the prover deterministic.
 
-    The per-shape tables come from the thread's cached
-    :func:`~repro.fri.plan_for` plan, and every scratch and stage
-    buffer from ``RUN.workspace``.
+    The per-shape tables are cached functions of ``(n, rate_bits)``,
+    and every scratch and stage buffer comes from ``RUN.workspace``.
 
     ``pool`` scopes a :class:`~repro.parallel.ShardPool` over the proof
     (``None`` inherits :func:`repro.parallel.current_pool`): every
@@ -138,7 +150,6 @@ def prove(
     n = circuit.n
     rate_bits = config.rate_bits
     challenger = challenger or Challenger()
-    plan = plan_for(n, rate_bits)
 
     with parallel.sharding(pool), tracing.span(
         "prove:plonk", category="prove", n=n, rate_bits=rate_bits
@@ -176,7 +187,7 @@ def prove(
         with tracing.span("constraints", category="quotient"):
             n_lde = n << rate_bits
             blowup = 1 << rate_bits
-            xs = plan.xs
+            xs = lde_points(circuit.log_n + rate_bits)
 
             sel = data.preprocessed.values[:, 0:5].T  # (5, N_lde)
             sig = data.preprocessed.values[:, 5:8].T  # (3, N_lde)
@@ -209,7 +220,7 @@ def prove(
                     g_vals, gl64.add(gl64.add(w[j], gl64.mul(sig[j], beta_u)), gamma_u)
                 )
             copy1 = gl64.sub(gl64.mul(z_lde, f_vals), gl64.mul(z_next, g_vals))
-            copy2 = gl64.mul(plan.lagrange_first, gl64.sub(z_lde, np.uint64(1)))
+            copy2 = gl64.mul(lagrange_first(n, rate_bits), gl64.sub(z_lde, np.uint64(1)))
 
             alpha_sq = fext.mul(alpha, alpha)
             combined = fext.from_base(gate)
@@ -220,7 +231,7 @@ def prove(
                 combined, fext.scalar_mul(np.broadcast_to(alpha_sq, (n_lde, 2)), copy2)
             )
 
-            t_vals = fext.scalar_mul(combined, plan.zh_inv)  # (N_lde, 2)
+            t_vals = fext.scalar_mul(combined, vanishing_inverse(n, rate_bits))  # (N_lde, 2)
 
         quotient_batch = pcs.commit_quotient(
             t_vals, n, QUOTIENT_CHUNKS, coset_bits=coset_bits
@@ -229,7 +240,7 @@ def prove(
 
         # Step 4: openings and FRI.
         zeta = challenger.get_ext_challenge()
-        zeta_next = fext.scalar_mul(zeta, np.uint64(plan.omega))
+        zeta_next = fext.scalar_mul(zeta, np.uint64(gl.primitive_root_of_unity(circuit.log_n)))
         openings, fri_proof = pcs.open_and_prove(
             [zeta, zeta_next], OPENING_COLUMNS, challenger
         )

@@ -98,10 +98,10 @@ def _run(spec: JobSpec) -> bytes:
 
     system = get_protocol(spec.kind)
     config = system.make_config(spec.config)
-    # Preprocessed instances persist across jobs in a long-lived worker,
-    # and so do the per-shape prover plans (tables) and the one workspace
-    # arena: the backends draw all three from the worker thread's run
-    # (repro.context).
+    # Preprocessed instances and the one workspace arena persist across
+    # jobs in a long-lived worker: the backends draw both from the worker
+    # thread's run (repro.context).  The read-only per-shape tables are
+    # process-wide cached functions, built by a shape's first job.
     psetup = system.setup(workload, spec.scale, config)
     proof = system.prove(psetup)
     return write_result_envelope(

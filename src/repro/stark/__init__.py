@@ -1,7 +1,6 @@
 """Starky-style STARK: AIR definitions, prover, verifier."""
 
 from . import poseidon_air
-from ..fri import plan_for
 from .air import Air, BaseVecAlgebra, BoundaryConstraint, ExtAlgebra
 from .poseidon_air import PoseidonAir
 from .proof import StarkProof
@@ -14,7 +13,6 @@ __all__ = [
     "BaseVecAlgebra",
     "ExtAlgebra",
     "StarkProof",
-    "plan_for",
     "PoseidonAir",
     "poseidon_air",
     "prove",

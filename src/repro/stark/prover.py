@@ -19,14 +19,17 @@ opening layout.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .. import parallel, tracing
 from ..field import extension as fext, gl64, goldilocks as gl
-from ..fri import FriConfig, fri_layout, plan_for
+from ..fri import FriConfig, fri_layout
+from ..fri.prover import lde_points, vanishing_inverse
 from ..hashing import Challenger
+from ..ntt import lde
 from ..pcs import FriPCS
 from .air import Air, BaseVecAlgebra
 from .proof import StarkProof
@@ -56,6 +59,42 @@ def opening_columns(air: Air) -> Tuple[List[Tuple[int, int]], List[Tuple[int, in
     return at_next + [(1, c) for c in range(quotient)], at_next
 
 
+@lru_cache(maxsize=16)
+def transition_divisor_inverse(n: int, rate_bits: int) -> np.ndarray:
+    """Read-only cached ``(x - omega^(n-1)) / Z_H(x)`` over the LDE
+    coset: the inverse of the transition constraints' divisor."""
+    log_n = n.bit_length() - 1
+    last = np.uint64(gl.pow_mod(gl.primitive_root_of_unity(log_n), n - 1))
+    table = gl64.mul(
+        vanishing_inverse(n, rate_bits), gl64.sub(lde_points(log_n + rate_bits), last)
+    )
+    gl64.freeze(table)
+    return table
+
+
+@lru_cache(maxsize=64)
+def boundary_inverse(n: int, rate_bits: int, row: int) -> np.ndarray:
+    """Read-only cached ``1 / (x - omega^row)`` over the LDE coset, for
+    ``row`` in ``[0, n)``."""
+    log_n = n.bit_length() - 1
+    point = np.uint64(gl.pow_mod(gl.primitive_root_of_unity(log_n), row))
+    table = gl64.inv_fast(gl64.sub(lde_points(log_n + rate_bits), point))
+    gl64.freeze(table)
+    return table
+
+
+def constant_ldes(cols: np.ndarray, rate_bits: int) -> np.ndarray:
+    """Read-only cached LDE of public constant columns, keyed by content."""
+    return _constant_ldes(cols.tobytes(), cols.shape, rate_bits)
+
+
+@lru_cache(maxsize=8)
+def _constant_ldes(content: bytes, shape: Tuple[int, int], rate_bits: int) -> np.ndarray:
+    table = lde(np.frombuffer(content, dtype=np.uint64).reshape(shape), rate_bits)
+    gl64.freeze(table)
+    return table
+
+
 def prove(
     air: Air,
     trace: np.ndarray,
@@ -67,8 +106,9 @@ def prove(
     """Prove that ``trace`` satisfies ``air`` with the given public values.
 
     ``trace`` is (n, width) with ``n`` a power of two.  The per-shape
-    tables come from the thread's cached :func:`~repro.fri.plan_for`
-    plan, and every scratch and stage buffer from ``RUN.workspace``.
+    tables are the cached functions above, built on a shape's first
+    prove, and every scratch and stage buffer comes from
+    ``RUN.workspace``.
 
     ``pool`` scopes a :class:`~repro.parallel.ShardPool` over the proof
     (``None`` inherits :func:`repro.parallel.current_pool`): every
@@ -92,7 +132,6 @@ def prove(
     rate_bits = config.rate_bits
     blowup = 1 << rate_bits
     n_lde = n * blowup
-    plan = plan_for(n, rate_bits)
 
     with parallel.sharding(pool), tracing.span(
         "prove:stark", category="prove", n=n, width=width
@@ -108,14 +147,13 @@ def prove(
 
         # Constraint evaluations on the LDE coset.
         with tracing.span("constraints", category="quotient"):
-            xs = plan.xs
             locals_ = [trace_batch.values[:, c] for c in range(width)]
             nexts = [np.roll(col, -blowup) for col in locals_]
             alg = BaseVecAlgebra(n_lde)
             # Public constant columns (periodic-style): LDE without commitment.
             const_cols = air.constant_columns(n)
             if const_cols.shape[0]:
-                const_ldes = plan.const_lde(const_cols)
+                const_ldes = constant_ldes(const_cols, rate_bits)
                 consts = [const_ldes[k] for k in range(const_cols.shape[0])]
             else:
                 consts = []
@@ -123,9 +161,7 @@ def prove(
                 locals_, nexts, consts, alg
             )
 
-            omega = plan.omega
-            # Transition divisor: Z_H(x) / (x - w^(n-1)).
-            transition_div_inv = plan.transition_div_inv
+            transition_div_inv = transition_divisor_inverse(n, rate_bits)
 
             combined = fext.from_base(gl64.zeros(n_lde))
             alpha_t = fext.one()
@@ -138,7 +174,7 @@ def prove(
                 alpha_t = fext.mul(alpha_t, alpha.reshape(2))
             for bc in air.boundary_constraints(public_inputs):
                 numer = gl64.sub(locals_[bc.column], np.uint64(gl.canonical(bc.value)))
-                div_inv = plan.boundary_inverse(bc.row)
+                div_inv = boundary_inverse(n, rate_bits, bc.row % n)
                 term = gl64.mul(numer, div_inv)
                 combined = fext.add(
                     combined,
@@ -152,6 +188,7 @@ def prove(
 
         # Openings at zeta and zeta * omega.
         zeta = challenger.get_ext_challenge()
+        omega = gl.primitive_root_of_unity(n.bit_length() - 1)
         zeta_next = fext.scalar_mul(zeta, np.uint64(omega))
         openings, fri_proof = pcs.open_and_prove(
             [zeta, zeta_next], opening_columns(air), challenger

@@ -12,14 +12,6 @@ from repro.fri import FriConfig
 
 
 @pytest.fixture
-def fresh_plan_cache():
-    """An empty per-shape plan cache for this thread; the thread's own
-    cache is back in place afterwards."""
-    with scoped("plans", OrderedDict()):
-        yield
-
-
-@pytest.fixture
 def fresh_instance_cache():
     """An empty preprocessed-instance cache for this thread; the
     thread's own cache is back in place afterwards."""

@@ -61,7 +61,7 @@ HOSTILE = {
 
 @pytest.mark.parametrize("truncate", [False, True], ids=["hostile", "truncated"])
 def test_cache_file_contents_cannot_reach_the_prover(
-    truncate, tmp_path, monkeypatch, fresh_plan_cache
+    truncate, tmp_path, monkeypatch
 ):
     path = tmp_path / "hostile.json"
     text = json.dumps(HOSTILE)

@@ -13,7 +13,6 @@ import os
 import subprocess
 import sys
 import weakref
-from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -289,10 +288,10 @@ def _live_workspace_bytes() -> int:
 def test_repeat_and_smaller_proves_add_no_workspace_bytes():
     """Neither a repeat prove nor a smaller one after it adds a byte to
     the thread's workspace, the one arena every kernel and stage buffer
-    of a prove comes from; the smaller domain's plan holds tables only."""
+    of a prove comes from; the per-shape tables live outside it."""
     system = protocols.get("stark")
     config = system.make_config()
-    with scoped("workspace", gl64.Workspace()), scoped("plans", OrderedDict()):
+    with scoped("workspace", gl64.Workspace()):
         big = system.setup(by_name("Fibonacci"), 10, config)
         system.verify(big, system.prove(big))
         held = [RUN.workspace]
@@ -304,7 +303,6 @@ def test_repeat_and_smaller_proves_add_no_workspace_bytes():
         system.verify(small, system.prove(small))
         assert [w.nbytes() for w in held] == before
         assert _live_workspace_bytes() == everywhere  # no byte anywhere
-        assert len(RUN.plans) == 2
 
 
 _KERNELS = ("add", "sub", "mul", "square", "pow7", "dif", "dit")

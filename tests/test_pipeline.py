@@ -13,7 +13,7 @@ from repro import metrics, tracing
 from repro.context import RUN
 from repro.hashing import Challenger
 from repro.pcs import FriPCS
-from repro.plonk import plan_for as plonk_plan_for, prove as plonk_prove, setup
+from repro.plonk import prove as plonk_prove, setup
 from repro.plonk import prover as plonk_prover_module
 from repro.protocols import get
 from repro.stark import prove as stark_prove
@@ -94,17 +94,11 @@ class TestSharedSequencing:
 
 
 class TestPlonkOnSharedPlan:
-    def test_plan_is_cached_per_shape(self):
-        assert plonk_plan_for(16, 3) is plonk_plan_for(16, 3)
-        assert plonk_plan_for(16, 3) is not plonk_plan_for(32, 3)
-
     def test_plan_path_is_byte_identical(self):
         circuit, inputs, _ = fibonacci.SPEC.build_circuit(6)
         data = setup(circuit, PLONK_CONFIG)
-        plan = plonk_plan_for(circuit.n, PLONK_CONFIG.rate_bits)
-        with_plan = plonk_prove(data, inputs)
-        assert plonk_plan_for(circuit.n, PLONK_CONFIG.rate_bits) is plan
-        assert plonk_digest(with_plan) == DIGESTS["plonk"]
+        assert plonk_digest(plonk_prove(data, inputs)) == DIGESTS["plonk"]
+        assert plonk_digest(plonk_prove(data, inputs)) == DIGESTS["plonk"]
 
 
 class TestSpans:

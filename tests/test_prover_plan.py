@@ -1,13 +1,13 @@
-"""The per-shape prover plan: determinism, table definitions, the cache.
+"""The per-shape prover tables: determinism, definitions, the caches.
 
 Proofs must be byte-identical no matter which path produced them --
-direct, via a shared warm plan, interleaved with the other protocols
-and other shapes on one thread, or through the service executor --
-because every intermediate lives in the thread's one reused workspace
-arena and an aliasing bug would show up as a digest change.  The
-golden digest and operation counts come from tests/goldens.py.  The
-plan's tables are checked against their definitions in Python-int
-arithmetic.
+direct, on tables an earlier prove built, interleaved with the other
+protocols and other shapes on one thread, or through the service
+executor -- because every intermediate lives in the thread's one
+reused workspace arena and an aliasing bug would show up as a digest
+change.  The golden digest and operation counts come from
+tests/goldens.py.  Each table is a bounded ``lru_cache`` function of
+its shape, checked against its definition in Python-int arithmetic.
 """
 
 import contextvars
@@ -18,13 +18,17 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from repro import metrics, parallel, plonk, stark
+from repro import metrics, parallel, plonk
 from repro.context import RUN, scoped
 from repro.field import gl64, goldilocks as gl
-from repro.fri import DomainPlan, plan as fri_plan
+from repro.fri import prover as fri_prover
 from repro.fri.config import FriConfig
+from repro.fri.prover import lde_points, vanishing_inverse
+from repro.plonk import prover as plonk_prover
+from repro.plonk.prover import lagrange_first
 from repro.protocols import get
-from repro.stark import plan_for, prove, verify
+from repro.stark import prover as stark_prover, prove, verify
+from repro.stark.prover import boundary_inverse, constant_ldes, transition_divisor_inverse
 from repro.workloads import by_name, fibonacci
 
 from .goldens import CONFIGS, DIGESTS, PLONK_MVM_DIGEST, PROVE_COUNTERS, SCALE
@@ -37,12 +41,29 @@ GOLDEN_DIGEST = DIGESTS["stark"]
 GOLDEN_COUNTERS = PROVE_COUNTERS["stark"]
 
 
+#: Every per-shape table a FRI prover reads, as ``(n, rate_bits)`` functions.
+SHAPE_TABLES = (vanishing_inverse, transition_divisor_inverse, lagrange_first)
+
+
+def _stark_tables(n, rate_bits):
+    """The cached tables a STARK Fibonacci prove of ``n`` rows reads."""
+    return (
+        lde_points(n.bit_length() - 1 + rate_bits),
+        vanishing_inverse(n, rate_bits),
+        transition_divisor_inverse(n, rate_bits),
+        boundary_inverse(n, rate_bits, 0),
+        boundary_inverse(n, rate_bits, n - 1),
+    )
+
+
 def test_shared_plan_proofs_are_identical_and_match_golden():
     air, trace, publics = fibonacci.SPEC.build_air(6)
-    plan = plan_for(trace.shape[0], CONFIG.rate_bits)
     first = prove(air, trace, publics, CONFIG)
+    tables = _stark_tables(trace.shape[0], CONFIG.rate_bits)
     second = prove(air, trace, publics, CONFIG)
-    assert plan_for(trace.shape[0], CONFIG.rate_bits) is plan
+    assert all(
+        a is b for a, b in zip(_stark_tables(trace.shape[0], CONFIG.rate_bits), tables)
+    )
     d1, d2 = stark_digest(first), stark_digest(second)
     assert d1 == d2 == GOLDEN_DIGEST
     verify(air, second, CONFIG)
@@ -59,10 +80,10 @@ def test_plan_counters_match_golden():
 
 
 def test_batch_path_matches_direct_path():
-    """A run of same-shape proves on the cached plan (what a service
+    """A run of same-shape proves on the cached tables (what a service
     worker's successive jobs do) matches a direct prove."""
     air, trace, publics = fibonacci.SPEC.build_air(6)
-    with scoped("plans", OrderedDict()), scoped("workspace", gl64.Workspace()):
+    with scoped("workspace", gl64.Workspace()):
         direct = stark_digest(prove(air, trace, publics, CONFIG))
     digests = [stark_digest(prove(air, trace, publics, CONFIG)) for _ in range(2)]
     assert digests == [direct, direct]
@@ -87,8 +108,7 @@ def test_interleaved_shapes_do_not_corrupt_workspaces():
     golden = {name: get(name) for name in DIGESTS}
     fib, mvm = by_name("Fibonacci"), by_name("MVM")
     others = _workspaces_holding_bytes()  # earlier tests' arenas
-    with scoped("workspace", gl64.Workspace()) as ws, scoped("plans", OrderedDict()), \
-            scoped("instances", OrderedDict()):
+    with scoped("workspace", gl64.Workspace()) as ws, scoped("instances", OrderedDict()):
 
         def round_of_goldens():
             for name, system in golden.items():
@@ -110,55 +130,25 @@ def test_interleaved_shapes_do_not_corrupt_workspaces():
         assert _workspaces_holding_bytes(others) == [ws]
 
 
-def test_warm_leaves_no_poseidon_table_for_the_first_proof():
-    # Both permutation paths run on the lane-0 chain; the sparse HADES
-    # factorisation (hashing.sparse) is for the Poseidon AIR and the
-    # in-circuit gadget and stays underived.
-    from repro.hashing import optimized, sparse
-
-    caches = (
-        optimized._mds_hankel,
-        optimized._chain_matrices,
-        optimized._fused_tables,
-        optimized._scalar_tables,
-    )
-    for cached in caches + (sparse.optimized_params,):
-        cached.cache_clear()
-    DomainPlan(16, 1).warm()
-    assert all(cached.cache_info().currsize == 1 for cached in caches)
-    assert sparse.optimized_params.cache_info().currsize == 0
-
-
 def test_plan_caches_are_read_only_and_reused():
-    plan = plan_for(64, 1)
-    assert plan is plan_for(64, 1)
-    assert not plan.xs.flags.writeable
-    assert not plan.zh_inv.flags.writeable
-    assert not plan.transition_div_inv.flags.writeable
-    inv = plan.boundary_inverse(0)
-    assert inv is plan.boundary_inverse(0)
+    """Every per-shape table is a bounded cache: a second read returns
+    the object the first one built, and that object is read-only."""
+    cached = SHAPE_TABLES + (lde_points, boundary_inverse, stark_prover._constant_ldes)
+    assert all(f.cache_parameters()["maxsize"] for f in cached)
+    xs = lde_points(7)
+    assert lde_points(7) is xs
+    assert not xs.flags.writeable
+    inv = boundary_inverse(64, 1, 0)
+    assert inv is boundary_inverse(64, 1, 0)
     assert not inv.flags.writeable
-    assert not hasattr(plan, "ws")  # tables only: buffers live in RUN.workspace
-
-
-def test_plan_cache_is_lru_bounded(monkeypatch, fresh_plan_cache):
-    monkeypatch.setattr(fri_plan, "PLAN_CACHE_CAP", 2)
-    with metrics.counting() as got:
-        p8 = plan_for(8, 1)
-        plan_for(16, 1)
-        assert plan_for(8, 1) is p8  # hit refreshes recency
-        assert got.plan_evictions == 0
-        plan_for(32, 1)  # evicts (16, 1), the LRU entry
-        assert got.plan_evictions == 1
-        assert plan_for(8, 1) is p8  # survived: recently used
-        assert got.plan_evictions == 1
-        assert (16, 1) not in RUN.plans
 
 
 def test_stark_and_plonk_share_one_plan_per_shape():
-    assert stark.plan_for is plonk.plan_for is fri_plan.plan_for
-    assert stark.plan_for(16, 3) is plonk.plan_for(16, 3)
-    assert stark.plan_for(16, 3) is not plonk.plan_for(16, 1)
+    """Both FRI provers divide by the one cached ``1 / Z_H`` of a shape."""
+    assert stark_prover.vanishing_inverse is plonk_prover.vanishing_inverse
+    assert plonk_prover.vanishing_inverse is fri_prover.vanishing_inverse
+    assert vanishing_inverse(16, 3) is vanishing_inverse(16, 3)
+    assert vanishing_inverse(16, 3) is not vanishing_inverse(16, 1)
 
 
 def _domain(n, rate_bits):
@@ -173,26 +163,26 @@ def _domain(n, rate_bits):
 @pytest.mark.parametrize("rate_bits", [1, 3])
 @pytest.mark.parametrize("n", [8, 16])
 def test_plan_tables_match_their_definitions(n, rate_bits, rng):
-    plan = DomainPlan(n, rate_bits)
     xs, omega, zh = _domain(n, rate_bits)
-    assert plan.omega == omega
-    assert [int(x) for x in plan.xs] == xs
+    assert [int(x) for x in lde_points(n.bit_length() - 1 + rate_bits)] == xs
+    zh_inv = vanishing_inverse(n, rate_bits)
+    l_first = lagrange_first(n, rate_bits)
+    transition = transition_divisor_inverse(n, rate_bits)
     last = pow(omega, n - 1, gl.P)
     for i, x in enumerate(xs):
-        assert int(plan.zh_inv[i]) * zh[i] % gl.P == 1
-        assert int(plan.lagrange_first[i]) * n * (x - 1) % gl.P == zh[i]
-        assert int(plan.transition_div_inv[i]) * zh[i] % gl.P == (x - last) % gl.P
-    for row in (0, n - 1, -1):
-        point = pow(omega, row % n, gl.P)
-        inv = plan.boundary_inverse(row)
+        assert int(zh_inv[i]) * zh[i] % gl.P == 1
+        assert int(l_first[i]) * n * (x - 1) % gl.P == zh[i]
+        assert int(transition[i]) * zh[i] % gl.P == (x - last) % gl.P
+    for row in (0, n - 1):
+        point = pow(omega, row, gl.P)
+        inv = boundary_inverse(n, rate_bits, row)
         assert all(int(v) * (x - point) % gl.P == 1 for v, x in zip(inv, xs))
-    assert plan.boundary_inverse(-1) is plan.boundary_inverse(n - 1)
 
     # const_lde: the degree-<n interpolant of each column over the
     # subgroup, evaluated on the coset.
     cols = rng.integers(0, gl.P, size=(2, n), dtype=np.uint64)
     n_inv, w_inv = pow(n, -1, gl.P), pow(omega, -1, gl.P)
-    for col, got in zip(cols, plan.const_lde(cols)):
+    for col, got in zip(cols, constant_ldes(cols, rate_bits)):
         coeffs = [
             n_inv * sum(int(v) * pow(w_inv, j * k, gl.P) for j, v in enumerate(col)) % gl.P
             for k in range(n)
@@ -202,19 +192,17 @@ def test_plan_tables_match_their_definitions(n, rate_bits, rng):
 
 
 def test_lazy_tables_are_read_only_and_built_once(rng):
-    plan = DomainPlan(8, 1)
-    for name in ("transition_div_inv", "lagrange_first"):
-        assert name not in vars(plan)  # not built until a prover asks
-        table = getattr(plan, name)
-        assert getattr(plan, name) is table
-        assert not table.flags.writeable
+    for table in SHAPE_TABLES:
+        built = table(8, 1)
+        assert table(8, 1) is built
+        assert not built.flags.writeable
         with pytest.raises(ValueError):
-            table[0] = 1
+            built[0] = 1
     cols = rng.integers(0, gl.P, size=(1, 8), dtype=np.uint64)
-    lde = plan.const_lde(cols)
-    assert plan.const_lde(cols.copy()) is lde  # keyed by content
+    lde = constant_ldes(cols, 1)
+    assert constant_ldes(cols.copy(), 1) is lde  # keyed by content
     assert not lde.flags.writeable
-    assert plan.const_lde(cols ^ np.uint64(1)) is not lde
+    assert constant_ldes(cols ^ np.uint64(1), 1) is not lde
 
 
 #: Plonk-flavoured parameters (8x blowup) both protocols can prove under.
@@ -224,10 +212,11 @@ SHARED_CONFIG = FriConfig(
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_protocols_interleave_on_the_shared_plan(workers, fresh_plan_cache):
-    """STARK and Plonk at one (n, rate_bits), A-B-A-B on one thread, one
-    plan and one arena, each match the digest of a solo prove on a
-    private plan and arena."""
+def test_protocols_interleave_on_the_shared_plan(workers):
+    """STARK and Plonk at one (n, rate_bits), A-B-A-B on one thread and
+    one arena, each match the digest of a solo prove on a private
+    arena, and the four proves build no divisor table the solo ones did
+    not."""
     air, trace, publics = fibonacci.SPEC.build_air(4)
     circuit, inputs, _ = fibonacci.SPEC.build_circuit(5)
     n, rate_bits = circuit.n, SHARED_CONFIG.rate_bits
@@ -240,7 +229,8 @@ def test_protocols_interleave_on_the_shared_plan(workers, fresh_plan_cache):
     def prove_plonk(**kw):
         return plonk_digest(plonk.prove(data, inputs, **kw))
 
-    with scoped("plans", OrderedDict()), scoped("workspace", gl64.Workspace()):
+    vanishing_inverse.cache_clear()
+    with scoped("workspace", gl64.Workspace()):
         solo_stark, solo_plonk = prove_stark(), prove_plonk()
     with parallel.ShardPool(workers, **TINY) as pool:
         got = [
@@ -250,31 +240,31 @@ def test_protocols_interleave_on_the_shared_plan(workers, fresh_plan_cache):
             prove_plonk(pool=pool),
         ]
     assert got == [solo_stark, solo_plonk, solo_stark, solo_plonk]
-    # Both provers drew the one plan of this shape from the one cache.
-    assert list(RUN.plans) == [(n, rate_bits)]
+    # Both provers divided by the one 1 / Z_H of this shape.
+    info = vanishing_inverse.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
 
 
 def test_concurrent_proves_of_one_shape_keep_their_own_run():
-    """Two threads prove one shape at once -- one started plainly, one in
-    a copied ``contextvars`` context.  Each has its own run: every digest
-    is the solo digest, each thread counts exactly three solo proves, and
-    neither shares the main thread's workspace or plan."""
+    """Two threads prove the golden shape at once -- one started plainly,
+    one in a copied ``contextvars`` context.  Each has its own run: every
+    digest is the golden digest, each thread counts exactly three solo
+    proves, and neither shares the main thread's workspace.  All three
+    threads read the same table objects."""
     system = get("stark")
-    setup = system.setup(fibonacci.SPEC, 8, system.make_config())
+    setup = system.setup(fibonacci.SPEC, SCALE, CONFIG)
     n, rate_bits = setup.rows, setup.config.rate_bits
-    system.prove(setup)  # warm this thread's plan: no eviction below
+    system.prove(setup)  # build this shape's tables before the threads read them
     with metrics.counting() as counts:
-        solo = system.digest(system.prove(setup))
+        assert system.digest(system.prove(setup)) == GOLDEN_DIGEST
     want = {k: 3 * v for k, v in counts.as_dict().items()}
-    main_ws, main_plan = RUN.workspace, plan_for(n, rate_bits)
+    main_ws, main_tables = RUN.workspace, _stark_tables(n, rate_bits)
     seen = {}
 
     def prove_three(name):
         with metrics.counting() as counts:
             digests = [system.digest(system.prove(setup)) for _ in range(3)]
-        seen[name] = (
-            digests, counts.as_dict(), RUN.workspace, plan_for(n, rate_bits)
-        )
+        seen[name] = (digests, counts.as_dict(), RUN.workspace, _stark_tables(n, rate_bits))
 
     threads = [
         threading.Thread(target=prove_three, args=("plain",)),
@@ -288,10 +278,11 @@ def test_concurrent_proves_of_one_shape_keep_their_own_run():
         t.join(120)
         assert not t.is_alive()
     assert sorted(seen) == ["copied", "plain"]
-    for digests, got, ws, plan in seen.values():
-        assert digests == [solo] * 3
+    for digests, got, ws, tables in seen.values():
+        assert digests == [GOLDEN_DIGEST] * 3
         assert got == want
-        assert ws is not main_ws and plan is not main_plan
+        assert ws is not main_ws
+        assert all(a is b for a, b in zip(tables, main_tables))
 
 
 def test_service_executor_digests_are_deterministic():
