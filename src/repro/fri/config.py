@@ -65,6 +65,14 @@ class FriConfig:
                 f"{degree_bits + self.rate_bits}-level commitment tree"
             )
 
+    def check_quotient_fits(self, chunks: int) -> None:
+        """Reject a blowup smaller than a quotient's ``chunks`` chunks."""
+        if chunks > 1 << self.rate_bits:
+            raise ValueError(
+                "constraint degree too high for the blowup factor "
+                f"(need {chunks} chunks, blowup {1 << self.rate_bits})"
+            )
+
     def num_fold_rounds(self, degree_bits: int) -> int:
         """Fold rounds to reduce degree ``2**degree_bits`` to the final size."""
         final_bits = (self.final_poly_len - 1).bit_length()

@@ -1,11 +1,12 @@
 """Univariate FRI polynomial commitment scheme.
 
 The data plane of a FRI-based proof (paper Figure 1), shared by the
-STARK and Plonk provers.  The prover owns the transcript -- it observes
-each returned batch's cap on its :class:`~repro.hashing.Challenger`
-before drawing the next challenge (the ``fs.*`` conformance rules of
-:mod:`repro.analysis.transcript` check that order end to end) -- and
-this class owns:
+STARK and Plonk provers.  The transcript order is the protocol's one
+declaration (:mod:`repro.protocols.transcript`): the prover passes each
+returned batch's cap to its declared round, which observes it before
+drawing the next challenges (the ``fs.*`` conformance rules of
+:mod:`repro.analysis.transcript` check that order end to end).  This
+class touches the challenger only in :meth:`open_and_prove`, and owns:
 
 * :meth:`commit_values` builds a
   :class:`~repro.fri.prover.PolynomialBatch` (iNTT -> LDE -> Merkle);
@@ -25,8 +26,8 @@ the pool's shared arena when a stage fans out.
 
 Every commit and FRI stage is a shard graph from
 :mod:`repro.parallel.ops` run on :func:`repro.parallel.current_pool`;
-operation counters and proof bytes are pinned by the perf-counter CI
-gate.
+operation counters, digests and proof bytes are pinned in
+``tests/goldens.py`` and checked by ``tests/test_protocols.py``.
 """
 
 from __future__ import annotations

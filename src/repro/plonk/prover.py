@@ -11,8 +11,8 @@ Pipeline -- each stage is one of the kernels UniZK accelerates:
 4. ``zeta`` + batch FRI opening proof.
 
 The commit / quotient / open data plane is :class:`repro.pcs.FriPCS`
-(shared with the STARK prover) and the transcript is a plain
-:class:`~repro.hashing.Challenger`; this module defines the
+(shared with the STARK prover) and the transcript is the declared
+:data:`repro.protocols.transcript.PLONK`; this module defines the
 Plonk-specific stages: witness generation, the permutation accumulator,
 and the gate/copy constraint blend.  Per-shape tables are cached
 functions of the shape, built on its first prove, and every buffer
@@ -150,6 +150,8 @@ def prove(
     n = circuit.n
     rate_bits = config.rate_bits
     challenger = challenger or Challenger()
+    # Imported here: the protocols package imports this module.
+    from ..protocols.transcript import PLONK
 
     with parallel.sharding(pool), tracing.span(
         "prove:plonk", category="prove", n=n, rate_bits=rate_bits
@@ -162,8 +164,7 @@ def prove(
         pcs = FriPCS(config)
         pcs.add_batch(data.preprocessed)  # setup commitment joins the transcript
         coset_bits = data.preprocessed.coset_bits  # the layout setup committed
-        challenger.observe_cap(data.preprocessed.cap)
-        challenger.observe_elements(np.asarray(public_values, dtype=np.uint64))
+        commit = PLONK.start(challenger, (data.preprocessed.cap,), public_values)
 
         # Step 1: wires commitment (optionally salted for zero knowledge).
         committed_wires = wires
@@ -172,18 +173,15 @@ def prove(
             salts = gl64.random((ZK_SALT_COLUMNS, n), salt_rng)
             committed_wires = np.concatenate([wires, salts])
         wires_batch = pcs.commit_values(committed_wires, "wires", coset_bits)
-        challenger.observe_cap(wires_batch.cap)
 
         # Step 2: permutation accumulator.
-        beta = challenger.get_challenge()
-        gamma = challenger.get_challenge()
+        beta, gamma = commit("wires", wires_batch.cap)
         with tracing.span("permutation", category="permutation"):
             z, _, _ = compute_z(wires, data.ids, data.sigmas, beta, gamma)
         z_batch = pcs.commit_values(z, "z", coset_bits)
-        challenger.observe_cap(z_batch.cap)
 
         # Step 3: quotient polynomial on the LDE coset.
-        alpha = challenger.get_ext_challenge()
+        (alpha,) = commit("z", z_batch.cap)
         with tracing.span("constraints", category="quotient"):
             n_lde = n << rate_bits
             blowup = 1 << rate_bits
@@ -236,13 +234,11 @@ def prove(
         quotient_batch = pcs.commit_quotient(
             t_vals, n, QUOTIENT_CHUNKS, coset_bits=coset_bits
         )
-        challenger.observe_cap(quotient_batch.cap)
 
         # Step 4: openings and FRI.
-        zeta = challenger.get_ext_challenge()
-        zeta_next = fext.scalar_mul(zeta, np.uint64(gl.primitive_root_of_unity(circuit.log_n)))
+        (zeta,) = commit("quotient", quotient_batch.cap)
         openings, fri_proof = pcs.open_and_prove(
-            [zeta, zeta_next], OPENING_COLUMNS, challenger
+            PLONK.points(zeta, n), PLONK.columns, challenger
         )
 
     return PlonkProof(

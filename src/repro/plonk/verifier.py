@@ -1,33 +1,31 @@
 """Plonk verifier: transcript replay and the opening identity at zeta.
 
-The verifier re-derives every challenge, evaluates the gate/copy
-constraint blend from the *opened* polynomial values at ``zeta``, checks
-it against ``Z_H(zeta) * t(zeta)``, and then verifies the batch FRI
-proof that ties the opened values to the commitments.
+The shared tail re-derives every challenge, :func:`_check_identity`
+evaluates the gate/copy constraint blend from the *opened* polynomial
+values at ``zeta`` and checks it against ``Z_H(zeta) * t(zeta)``, and
+the tail then verifies the batch FRI proof that ties the opened values
+to the commitments.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
 from .. import tracing
 from ..errors import VerifierError
-from ..field import extension as fext, gl64, goldilocks as gl
-from ..fri import FriOpenings, fri_verify
-from ..fri.verifier import FriError, proof_words
+from ..field import extension as fext, goldilocks as gl
+from ..fri import FriOpenings
 from ..hashing import Challenger
 from ..pcs import FriPCS
 from .permutation import coset_representatives
 from .proof import PlonkProof, VerifierData
-from .prover import LEAF_WIDTHS, OPENING_COLUMNS, ZK_SALT_COLUMNS
+from .prover import LEAF_WIDTHS
 
 
 class PlonkError(VerifierError):
     """Raised when a Plonk proof fails verification."""
-
-
-def _ext_pow(base: np.ndarray, e: int) -> np.ndarray:
-    return fext.pow_scalar(base.reshape(2), e)
 
 
 def verify(
@@ -35,69 +33,21 @@ def verify(
 ) -> None:
     """Verify a Plonk proof; raises :class:`PlonkError` on any failure."""
     with tracing.span("verify", category="verify", protocol="plonk", n=vdata.n):
-        _verify(vdata, proof, challenger or Challenger())
+        if len(proof.public_inputs) != vdata.num_public_inputs:
+            raise PlonkError("wrong number of public inputs")
+        # Imported here: the protocols package imports this module.
+        from ..protocols.transcript import PLONK
 
-
-def _verify(vdata: VerifierData, proof: PlonkProof, challenger: Challenger) -> None:
-    if len(proof.public_inputs) != vdata.num_public_inputs:
-        raise PlonkError("wrong number of public inputs")
-    if not gl64.all_canonical(
-        proof.public_inputs,
-        proof.wires_cap,
-        proof.z_cap,
-        proof.quotient_cap,
-        proof.opened_values,
-        *proof_words(proof.fri_proof),
-    ):
-        raise PlonkError("proof word is not a canonical field element")
-
-    with tracing.span("verify:transcript", category="verify"):
-        challenger.observe_cap(vdata.preprocessed_cap)
-        challenger.observe_elements(np.array(proof.public_inputs, dtype=np.uint64))
-        challenger.observe_cap(proof.wires_cap)
-        beta = challenger.get_challenge()
-        gamma = challenger.get_challenge()
-        challenger.observe_cap(proof.z_cap)
-        alpha = challenger.get_ext_challenge()
-        challenger.observe_cap(proof.quotient_cap)
-        zeta = challenger.get_ext_challenge()
-
-    omega = gl.primitive_root_of_unity(vdata.n.bit_length() - 1)
-    zeta_next = fext.scalar_mul(zeta, np.uint64(omega))
-    try:
-        openings = FriOpenings.from_flat([zeta, zeta_next], OPENING_COLUMNS, proof.opened_values)
-    except ValueError as exc:
-        raise PlonkError(str(exc)) from exc
-
-    with tracing.span("verify:identity", category="verify"):
-        _check_identity(vdata, proof, openings, omega, beta, gamma, alpha, zeta)
-
-    # --- FRI opening proof ----------------------------------------------------
-    caps = [vdata.preprocessed_cap, proof.wires_cap, proof.z_cap, proof.quotient_cap]
-    pre, wires, z, quotient = LEAF_WIDTHS
-    try:
-        fri_verify(
-            caps,
-            openings,
-            proof.fri_proof,
-            challenger,
-            vdata.config,
-            vdata.n,
-            # The wires batch admits two widths: 3 bare columns, or
-            # 3 + ZK_SALT_COLUMNS when the prover committed with
-            # blinding salts.  Width 4 stays rejected -- that is the
-            # hash_or_noop zero-pad malleability the pin exists for.
-            leaf_widths=[pre, (wires, wires + ZK_SALT_COLUMNS), z, quotient],
+        PLONK.verify(
+            proof, (vdata.preprocessed_cap,), vdata.config, vdata.n, challenger or Challenger(),
+            partial(_check_identity, vdata, proof),
         )
-    except FriError as exc:
-        raise PlonkError(f"FRI verification failed: {exc}") from exc
 
 
 def _check_identity(
     vdata: VerifierData,
     proof: PlonkProof,
     openings: FriOpenings,
-    omega: int,
     beta: int,
     gamma: int,
     alpha: np.ndarray,
@@ -106,12 +56,13 @@ def _check_identity(
     """The gate / copy constraint identity holds on the opened values
     at ``zeta``."""
     n = vdata.n
+    omega = gl.primitive_root_of_unity(n.bit_length() - 1)
     at_zeta, (z_next,) = openings.values
     pre, wire, (z_zeta,), quotient = np.split(at_zeta, np.cumsum(LEAF_WIDTHS)[:-1])
     sel, sig = pre[:5], pre[5:]
 
     # --- the polynomial identity at zeta -------------------------------------
-    zeta_n = _ext_pow(zeta, n)
+    zeta_n = fext.pow_scalar(zeta.reshape(2), n)
     zh = fext.sub(zeta_n, fext.one())
     if bool(fext.is_zero(zh)):
         raise PlonkError("zeta landed inside the subgroup (reject)")

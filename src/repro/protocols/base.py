@@ -13,7 +13,8 @@ subclass plus :func:`~repro.protocols.register`.
 The interface deliberately wraps the existing ``prove``/``verify``
 functions rather than replacing them -- the functional modules stay the
 source of truth (and keep their pinned op-counter goldens); a backend
-only adapts signatures and owns the workload -> setup plumbing.
+only adapts signatures and owns the workload -> setup plumbing (a
+:class:`FriSystem` also names its :mod:`~repro.protocols.transcript`).
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ import hashlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from ..context import RUN, lru
 from ..field import gl64
+from .transcript import FriProtocol, TranscriptSpec
 
 #: Per-thread instance-cache capacity (``RUN.instances``, LRU).
 INSTANCE_CACHE_CAP = 16
@@ -191,3 +193,28 @@ class ProofSystem(ABC):
         """The soundness-fuzz target for this protocol (import
         :mod:`repro.fuzz.targets` lazily -- building a target proves
         small honest instances)."""
+
+
+class FriSystem(ProofSystem):
+    """A backend over the FRI PCS: its analyzer spec and cap bindings
+    are read from its :mod:`~repro.protocols.transcript` declaration."""
+
+    #: Fibonacci scales (``setup`` units) ``repro analyze`` proves at.
+    analyzed_scales: Tuple[int, ...] = ()
+
+    @abstractmethod
+    def transcript(self, setup: ProtocolSetup) -> Tuple[FriProtocol, tuple]:
+        """The instance's declaration and its setup batches' caps."""
+
+    def transcript_spec(self) -> TranscriptSpec:
+        from ..workloads import by_name
+
+        # Few queries, minimal grinding: conformance is structural.
+        overrides = dict(num_queries=2, proof_of_work_bits=1)
+        first = self.setup(by_name("Fibonacci"), self.analyzed_scales[0], self.make_config(overrides))
+        setup_caps = len(self.transcript(first)[0].setup)
+        return TranscriptSpec("Fibonacci", self.analyzed_scales, overrides, setup_caps)
+
+    def cap_bindings(self, setup: ProtocolSetup, proof):
+        protocol, setup_caps = self.transcript(setup)
+        return protocol.cap_bindings(setup_caps, proof, setup.config, setup.rows.bit_length() - 1)

@@ -6,11 +6,11 @@ from typing import Dict, Mapping
 
 from ..fri import FriConfig
 from ..plonk import PlonkProof, prove as plonk_prove, prover as plonk_prover, verify as plonk_verify
-from .base import ProofSystem, ProtocolSetup, circuit_instance, instance
-from .transcript import CapBinding, TranscriptSpec
+from . import transcript as fs
+from .base import FriSystem, ProtocolSetup, circuit_instance, instance
 
 
-class PlonkSystem(ProofSystem):
+class PlonkSystem(FriSystem):
     """Plonky2-style circuits: gate + copy constraints over FRI."""
 
     name = "plonk"
@@ -23,7 +23,6 @@ class PlonkSystem(ProofSystem):
     format_version = 5
     to_bytes = staticmethod(PlonkProof.to_bytes)
     from_bytes = staticmethod(PlonkProof.from_bytes)
-    uses_ntt = True
 
     def default_config(self) -> Dict[str, int]:
         return dict(
@@ -35,7 +34,9 @@ class PlonkSystem(ProofSystem):
         )
 
     def config_from(self, knobs: Mapping[str, int]) -> FriConfig:
-        return FriConfig(**dict(knobs))
+        config = FriConfig(**dict(knobs))
+        config.check_quotient_fits(plonk_prover.QUOTIENT_CHUNKS)
+        return config
 
     def setup(self, workload, scale: int, config: FriConfig) -> ProtocolSetup:
         circuit, inputs = circuit_instance(workload, scale)
@@ -70,26 +71,8 @@ class PlonkSystem(ProofSystem):
 
     # -- transcript conformance ------------------------------------------
 
-    def transcript_spec(self) -> TranscriptSpec:
-        return TranscriptSpec(
-            workload="Fibonacci",
-            scales=(4, 8),
-            config_overrides=dict(num_queries=2, proof_of_work_bits=1),
-            setup_caps=1,  # preprocessed (circuit-digest) cap, then publics
-        )
+    #: At 2^5 rows a layer cap follows the virtual first layer.
+    analyzed_scales = (4, 8, 16)
 
-    def cap_bindings(self, setup: ProtocolSetup, proof):
-        # Base-challenge ordinals: beta #0, gamma #1, alpha (ext) #2-3,
-        # zeta (ext) #4-5, FRI alpha #6-7, a virtual first layer's beta
-        # #8-9, then committed layer k's beta at #8+2k, or #10+2k after it.
-        data, _ = setup.data
-        first = 10 if data.preprocessed.coset_bits else 8
-        bindings = [
-            CapBinding("preprocessed_cap", data.preprocessed.cap, 0),
-            CapBinding("wires_cap", proof.wires_cap, 0),
-            CapBinding("z_cap", proof.z_cap, 2),
-            CapBinding("quotient_cap", proof.quotient_cap, 4),
-        ]
-        for k, cap in enumerate(proof.fri_proof.commit_caps):
-            bindings.append(CapBinding(f"fri.commit_caps[{k}]", cap, first + 2 * k))
-        return bindings
+    def transcript(self, setup: ProtocolSetup):
+        return fs.PLONK, (setup.data[0].preprocessed.cap,)

@@ -5,11 +5,10 @@ from __future__ import annotations
 from typing import Dict, Mapping
 
 from ..field import gl64
-from ..fri import FriConfig, fri_layout
+from ..fri import FriConfig
 from ..stark import StarkProof, prove as stark_prove, verify as stark_verify
-from ..stark.prover import leaf_widths
-from .base import ProofSystem, ProtocolSetup, instance
-from .transcript import CapBinding, TranscriptSpec
+from . import transcript as fs
+from .base import FriSystem, ProtocolSetup, instance
 
 
 def _air_instance(workload, scale: int):
@@ -19,7 +18,7 @@ def _air_instance(workload, scale: int):
     return air, trace, tuple(publics)
 
 
-class StarkSystem(ProofSystem):
+class StarkSystem(FriSystem):
     """Starky-style AIR proofs over the univariate FRI PCS."""
 
     name = "stark"
@@ -33,7 +32,6 @@ class StarkSystem(ProofSystem):
     format_version = 6
     to_bytes = staticmethod(StarkProof.to_bytes)
     from_bytes = staticmethod(StarkProof.from_bytes)
-    uses_ntt = True
 
     def default_config(self) -> Dict[str, int]:
         return dict(
@@ -79,28 +77,8 @@ class StarkSystem(ProofSystem):
 
     # -- transcript conformance ------------------------------------------
 
-    def transcript_spec(self) -> TranscriptSpec:
-        # scale is log2(rows) for AIR builders; queries/grinding shrunk
-        # because conformance is structural, not statistical.  At 2^7
-        # rows a layer cap follows the virtual first layer.
-        return TranscriptSpec(
-            workload="Fibonacci",
-            scales=(3, 7),
-            config_overrides=dict(num_queries=2, proof_of_work_bits=1),
-            setup_caps=0,
-        )
+    #: At 2^7 rows a layer cap follows the virtual first layer.
+    analyzed_scales = (3, 7)
 
-    def cap_bindings(self, setup: ProtocolSetup, proof):
-        # Base-challenge ordinals: alpha (ext) draws #0-1, zeta (ext)
-        # #2-3, FRI alpha #4-5, a virtual first layer's beta #6-7, then
-        # committed layer k's beta (ext) at #6+2k, or #8+2k after it.
-        air = setup.data[0]
-        degree_bits = setup.rows.bit_length() - 1
-        first = 8 if fri_layout(setup.config, degree_bits, leaf_widths(air))[0] else 6
-        bindings = [
-            CapBinding("trace_cap", proof.trace_cap, 0),
-            CapBinding("quotient_cap", proof.quotient_cap, 2),
-        ]
-        for k, cap in enumerate(proof.fri_proof.commit_caps):
-            bindings.append(CapBinding(f"fri.commit_caps[{k}]", cap, first + 2 * k))
-        return bindings
+    def transcript(self, setup: ProtocolSetup):
+        return fs.stark(setup.data[0]), ()

@@ -11,8 +11,8 @@ base proofs so much cheaper than Plonky2's (Table 5) at the cost of
 larger proofs.
 
 The commit / quotient / open data plane is :class:`repro.pcs.FriPCS`
-(shared with the Plonk prover) and the transcript is a plain
-:class:`~repro.hashing.Challenger`; this module defines the
+(shared with the Plonk prover) and the transcript is the declared
+:func:`repro.protocols.transcript.stark`; this module defines the
 STARK-specific stages: the constraint blend over the LDE coset and the
 opening layout.
 """
@@ -123,15 +123,14 @@ def prove(
     if width != air.width:
         raise ValueError("trace width does not match the AIR")
     chunks = quotient_chunk_count(air)
-    if chunks > (1 << config.rate_bits):
-        raise ValueError(
-            "constraint degree too high for the blowup factor "
-            f"(need {chunks} chunks, blowup {1 << config.rate_bits})"
-        )
+    config.check_quotient_fits(chunks)
     challenger = challenger or Challenger()
     rate_bits = config.rate_bits
     blowup = 1 << rate_bits
     n_lde = n * blowup
+
+    # Imported here: the protocols package imports this module.
+    from ..protocols.transcript import stark
 
     with parallel.sharding(pool), tracing.span(
         "prove:stark", category="prove", n=n, width=width
@@ -140,10 +139,10 @@ def prove(
         coset_bits, _ = fri_layout(config, n.bit_length() - 1, leaf_widths(air))
 
         # Commit the trace.
-        challenger.observe_elements(np.asarray(list(public_inputs), dtype=np.uint64))
+        protocol = stark(air)
+        commit = protocol.start(challenger, (), public_inputs)
         trace_batch = pcs.commit_values(trace.T, "trace", coset_bits)
-        challenger.observe_cap(trace_batch.cap)
-        alpha = challenger.get_ext_challenge()
+        (alpha,) = commit("trace", trace_batch.cap)
 
         # Constraint evaluations on the LDE coset.
         with tracing.span("constraints", category="quotient"):
@@ -184,14 +183,11 @@ def prove(
 
         # Commit the composition quotient (2 limbs x `chunks` degree-n chunks).
         quotient_batch = pcs.commit_quotient(combined, n, chunks, coset_bits=coset_bits)
-        challenger.observe_cap(quotient_batch.cap)
 
         # Openings at zeta and zeta * omega.
-        zeta = challenger.get_ext_challenge()
-        omega = gl.primitive_root_of_unity(n.bit_length() - 1)
-        zeta_next = fext.scalar_mul(zeta, np.uint64(omega))
+        (zeta,) = commit("quotient", quotient_batch.cap)
         openings, fri_proof = pcs.open_and_prove(
-            [zeta, zeta_next], opening_columns(air), challenger
+            protocol.points(zeta, n), protocol.columns, challenger
         )
 
     return StarkProof(

@@ -1,19 +1,20 @@
-"""STARK verifier: transcript replay, constraint identity at zeta, FRI."""
+"""STARK verifier: degree bound, constraint identity at zeta, shared tail."""
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
 from .. import tracing
 from ..errors import VerifierError
-from ..field import extension as fext, gl64, goldilocks as gl
-from ..fri import FriOpenings, fri_verify
-from ..fri.verifier import FriError, proof_words
+from ..field import extension as fext, goldilocks as gl
+from ..fri import FriOpenings
 from ..hashing import Challenger
 from ..pcs import FriPCS
 from .air import Air, ExtAlgebra
 from .proof import StarkProof
-from .prover import leaf_widths, opening_columns, quotient_chunk_count
+from .prover import quotient_chunk_count
 
 
 class StarkError(VerifierError):
@@ -28,69 +29,29 @@ def verify(
 ) -> None:
     """Verify a STARK proof; raises :class:`StarkError` on any failure."""
     with tracing.span("verify", category="verify", protocol="stark"):
-        _verify(air, proof, config, challenger or Challenger())
+        # Bound the claimed degree before ``1 << degree_bits`` can build a
+        # multi-gigabyte integer from a hostile 32-bit value.
+        if not 0 < proof.degree_bits <= gl.TWO_ADICITY:
+            raise StarkError("degree bits out of range")
+        # Imported here: the protocols package imports this module.
+        from ..protocols.transcript import stark
 
-
-def _verify(air: Air, proof: StarkProof, config, challenger: Challenger) -> None:
-    # Bound the claimed degree before ``1 << degree_bits`` can build a
-    # multi-gigabyte integer from a hostile 32-bit value.
-    if not 0 < proof.degree_bits <= gl.TWO_ADICITY:
-        raise StarkError("degree bits out of range")
-    if not gl64.all_canonical(
-        proof.public_inputs,
-        proof.trace_cap,
-        proof.quotient_cap,
-        proof.opened_values,
-        *proof_words(proof.fri_proof),
-    ):
-        raise StarkError("proof word is not a canonical field element")
-    n = 1 << proof.degree_bits
-    chunks = quotient_chunk_count(air)
-
-    with tracing.span("verify:transcript", category="verify"):
-        challenger.observe_elements(np.asarray(proof.public_inputs, dtype=np.uint64))
-        challenger.observe_cap(proof.trace_cap)
-        alpha = challenger.get_ext_challenge()
-        challenger.observe_cap(proof.quotient_cap)
-        zeta = challenger.get_ext_challenge()
-
-    omega = gl.primitive_root_of_unity(proof.degree_bits)
-    zeta_next = fext.scalar_mul(zeta, np.uint64(omega))
-    try:
-        openings = FriOpenings.from_flat(
-            [zeta, zeta_next], opening_columns(air), proof.opened_values
+        stark(air).verify(
+            proof, (), config, 1 << proof.degree_bits, challenger or Challenger(),
+            partial(_check_identity, air, proof),
         )
-    except ValueError as exc:
-        raise StarkError(str(exc)) from exc
-
-    with tracing.span("verify:identity", category="verify"):
-        _check_identity(air, proof, openings, n, omega, chunks, alpha, zeta)
-
-    try:
-        fri_verify(
-            [proof.trace_cap, proof.quotient_cap],
-            openings,
-            proof.fri_proof,
-            challenger,
-            config,
-            n,
-            leaf_widths=leaf_widths(air),
-        )
-    except FriError as exc:
-        raise StarkError(f"FRI verification failed: {exc}") from exc
 
 
 def _check_identity(
     air: Air,
     proof: StarkProof,
     openings: FriOpenings,
-    n: int,
-    omega: int,
-    chunks: int,
     alpha: np.ndarray,
     zeta: np.ndarray,
 ) -> None:
     """The constraint identity holds on the opened values at ``zeta``."""
+    n, omega = 1 << proof.degree_bits, gl.primitive_root_of_unity(proof.degree_bits)
+    chunks = quotient_chunk_count(air)
     width = air.width
     vals0, vals1 = openings.values
     local = [vals0[c] for c in range(width)]

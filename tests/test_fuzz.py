@@ -229,7 +229,7 @@ class TestRegressionVectors:
         assert "initial opening has wrong shape" in str(exc)
 
         # Simulate reverting the fix: call FRI without the width pin.
-        import repro.plonk.verifier as pv
+        import repro.protocols.transcript as pv
 
         pinned = pv.fri_verify
 

@@ -110,6 +110,20 @@ class TestBadKnobValues:
             verify_result(spec, write_result_envelope(f"{protocol}-proof", "Fibonacci", b""))
 
 
+def test_plonk_refuses_a_blowup_below_its_quotient_chunks():
+    # Four quotient chunks need blowup >= 4: refused at the config, not
+    # deep inside a prove's LDE kernel.
+    message = r"constraint degree too high for the blowup factor \(need 4 chunks, blowup 2\)"
+    with pytest.raises(ValueError, match=message):
+        get("plonk").make_config({"rate_bits": 1})
+    svc = ProvingService(workers=1)  # never started: no worker exists
+    spec = {"workload": "Fibonacci", "kind": "plonk", "scale": 8, "config": {"rate_bits": 1}}
+    with pytest.raises(ValueError, match=message):
+        svc.submit(spec)
+    assert svc.totals["submitted"] == 0
+    assert get("plonk").make_config({"rate_bits": 2}).rate_bits == 2
+
+
 @pytest.mark.parametrize("protocol", names())
 def test_config_objects_check_their_own_ranges(protocol):
     # Direct callers of FriConfig / HyperPlonkConfig get the range

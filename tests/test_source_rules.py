@@ -1,8 +1,9 @@
 """Source rules: conventions of the prover code, checked over its text.
 
 The zero-copy data plane (workspace arenas, ``*_into`` aliasing
-kernels, transcript-seeded proving) is a set of conventions; five AST
-rules over ``src/repro`` turn them into checked invariants:
+kernels, transcript-seeded proving, one declared transcript) is a set
+of conventions; six AST rules over ``src/repro`` turn them into checked
+invariants:
 
 * ``prover.raw-mod`` -- an ad-hoc ``% P`` reduction outside
   ``repro.field``; everything else goes through the field helpers
@@ -21,7 +22,12 @@ rules over ``src/repro`` turn them into checked invariants:
   and ``scoped("workspace", ...)`` is the one way to isolate another.
   A ``Workspace.plan`` builder -- a function, or a class's
   ``__init__``, that its module passes to ``.plan(slot, shape, build)``
-  -- is handed the arena by ``plan()`` and is exempt.
+  -- is handed the arena by ``plan()`` and is exempt;
+* ``prover.transcript`` -- a STARK or Plonk prover, verifier or backend
+  (:data:`TRANSCRIPT_FILES`) that calls a ``Challenger``'s
+  ``observe_*`` / ``get_*challenge*`` methods itself or builds a
+  ``CapBinding``: the Fiat-Shamir rounds and the cap bindings are read
+  from their one declaration in :mod:`repro.protocols.transcript`.
 
 A finding fails the test unless :data:`ALLOWED` names its
 ``path::qualname`` with a reason; an entry that matches no finding, has
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 import ast
 import fnmatch
+import re
 from pathlib import Path
 from typing import NamedTuple
 
@@ -68,6 +75,17 @@ PROVING_PATH_PREFIXES = (
     "protocols/",
 )
 
+#: Modules that step or replay a declared transcript, never the
+#: challenger itself.
+TRANSCRIPT_FILES = (
+    "stark/prover.py",
+    "stark/verifier.py",
+    "plonk/prover.py",
+    "plonk/verifier.py",
+    "protocols/stark_backend.py",
+    "protocols/plonk_backend.py",
+)
+
 #: Each rule -> whether it applies to a package-relative path.
 SCOPES = {
     "prover.raw-mod": lambda path: not path.startswith("field/"),
@@ -77,6 +95,7 @@ SCOPES = {
     "prover.nondeterminism": lambda path: path.startswith(PROVING_PATH_PREFIXES),
     "prover.into-aliasing-doc": lambda path: True,
     "prover.workspace-arg": lambda path: True,
+    "prover.transcript": lambda path: path in TRANSCRIPT_FILES,
 }
 
 _ONE_TIME_TABLE = (
@@ -135,6 +154,7 @@ ALLOWED: dict[str, dict[str, str]] = {
     },
     "prover.into-aliasing-doc": {},
     "prover.workspace-arg": {},
+    "prover.transcript": {},
 }
 
 _MODULI = frozenset({"P", "PRIME", "MODULUS"})
@@ -152,6 +172,8 @@ _ALLOCATORS = frozenset(
     }
 )
 _NONDET_MODULES = frozenset({"time", "random", "secrets"})
+#: Challenger methods that absorb or squeeze the transcript.
+_TRANSCRIPT_CALL = re.compile(r"observe_\w*|get_\w*challenge\w*")
 
 
 class Hit(NamedTuple):
@@ -232,6 +254,11 @@ class _Rules(ast.NodeVisitor):
             and _is_np(func.value)
         ):
             self.report("prover.hot-alloc", node, f"np.{func.attr}")
+        name = getattr(func, "attr", None) or getattr(func, "id", None)
+        if name == "CapBinding" or (
+            isinstance(func, ast.Attribute) and _TRANSCRIPT_CALL.fullmatch(name)
+        ):
+            self.report("prover.transcript", node, name)
         self.generic_visit(node)
 
     def visit_Import(self, node):
@@ -419,6 +446,21 @@ class TestRuleFixtures:
             "    return RUN.workspace.plan('t', 8, _Scratch)\n"
         )
         assert check("field/foo.py", builders) == []
+
+    def test_transcript(self):
+        (hit,) = check("stark/prover.py", "def prove(ch):\n    ch.observe_cap(cap)\n")
+        assert hit == Hit("prover.transcript", "stark/prover.py::prove", 2, "observe_cap")
+        draws = "a = ch.get_ext_challenge()\nb = ch.get_challenge()\nc = ch.get_n_challenges(2)\n"
+        assert [h.detail for h in check("plonk/verifier.py", draws)] == [
+            "get_ext_challenge", "get_challenge", "get_n_challenges",
+        ]
+        (hit,) = check("protocols/plonk_backend.py", "b = CapBinding('z_cap', cap, 2)\n")
+        assert (hit.rule, hit.detail) == ("prover.transcript", "CapBinding")
+        # Stepping the declared transcript is the allowed form; the
+        # declaration itself, FRI and HyperPlonk-lite are out of scope.
+        assert check("stark/prover.py", "(alpha,) = commit('trace', cap)\n") == []
+        assert check("protocols/transcript.py", "ch.observe_cap(cap)\n") == []
+        assert check("hyperplonk/verifier.py", "ch.observe_cap(cap)\n") == []
 
     def test_a_finding_names_its_enclosing_qualname(self):
         src = "class C:\n    def g(self):\n        def h():\n            return x % P\n"

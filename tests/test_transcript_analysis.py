@@ -13,7 +13,7 @@ from repro.analysis.transcript import (
     run_transcript_checks,
 )
 from repro.hashing import Challenger
-from repro.protocols.transcript import CapBinding
+from repro.protocols.transcript import PLONK, CapBinding
 from repro.workloads import by_name
 
 
@@ -98,6 +98,41 @@ class TestProtocolConformance:
                 verifier_events,
             )
             assert findings == [], [f.format() for f in findings]
+
+    @pytest.mark.parametrize(
+        "protocol, scale, ordinals",
+        [
+            ("stark", 3, [0, 2]),
+            ("stark", 7, [0, 2, 8]),
+            ("stark", 12, [0, 2, 8, 10, 12]),
+            ("plonk", 4, [0, 0, 2, 4]),
+            ("plonk", 8, [0, 0, 2, 4, 8]),
+            # 2^5 rows: a committed layer after a virtual first layer.
+            ("plonk", 16, [0, 0, 2, 4, 10]),
+        ],
+    )
+    def test_derived_cap_bindings_keep_the_written_ordinals(self, protocol, scale, ordinals):
+        # The labels, caps and ordinals the backends once wrote by hand.
+        system = protocols.get(protocol)
+        spec = system.transcript_spec()
+        setup = system.setup(
+            by_name(spec.workload), scale, system.make_config(spec.config_overrides)
+        )
+        proof = system.prove(setup)
+        if protocol == "stark":
+            named = [("trace_cap", proof.trace_cap), ("quotient_cap", proof.quotient_cap)]
+        else:
+            named = [
+                ("preprocessed_cap", setup.data[0].preprocessed.cap),
+                ("wires_cap", proof.wires_cap),
+                ("z_cap", proof.z_cap),
+                ("quotient_cap", proof.quotient_cap),
+            ]
+        named += [(f"fri.commit_caps[{k}]", cap) for k, cap in enumerate(proof.fri_proof.commit_caps)]
+        bindings = system.cap_bindings(setup, proof)
+        assert [b.label for b in bindings] == [label for label, _ in named]
+        assert all(np.array_equal(b.cap, cap) for b, (_, cap) in zip(bindings, named))
+        assert [b.before_challenge for b in bindings] == ordinals
 
     def test_recording_proof_is_bit_identical_to_plain(self):
         system = protocols.get("stark")
@@ -244,3 +279,35 @@ def test_layer_caps_bind_after_the_virtual_layer_beta():
     assert check_streams("stark", "virtual", *args, bindings, *events) == []
     findings = check_streams("stark", "virtual", *args, stale, *events)
     assert "fs.binding-order" in _rules(findings)
+
+
+# ---------------------------------------------------------------------------
+# The declared rounds: one driver for the prover's steps and the replay
+# ---------------------------------------------------------------------------
+
+
+class TestDeclaredRounds:
+    CAP = np.arange(8, dtype=np.uint64).reshape(2, 4)
+
+    def test_a_round_out_of_order_raises(self):
+        commit = PLONK.start(Challenger(), (self.CAP,), [1])
+        with pytest.raises(ValueError, match="'wires' is next, not 'z'"):
+            commit("z", self.CAP)
+
+    def test_a_round_after_the_last_raises(self):
+        commit = PLONK.start(Challenger(), (self.CAP,), [1])
+        for name in ("wires", "z", "quotient"):
+            commit(name, self.CAP)
+        with pytest.raises(ValueError, match="no round is next, not 'quotient'"):
+            commit("quotient", self.CAP)
+
+    def test_each_round_draws_its_declared_challenges(self):
+        commit = PLONK.start(Challenger(), (self.CAP,), [1, 2])
+        drawn = [commit(name, self.CAP) for name in ("wires", "z", "quotient")]
+        # beta and gamma are base elements, alpha and zeta extension ones.
+        assert [[np.shape(c) for c in round_] for round_ in drawn] == [[(), ()], [(2,)], [(2,)]]
+        plain = Challenger()
+        plain.observe_cap(self.CAP)
+        plain.observe_elements(np.array([1, 2], dtype=np.uint64))
+        plain.observe_cap(self.CAP)
+        assert list(drawn[0]) == [plain.get_challenge(), plain.get_challenge()]
