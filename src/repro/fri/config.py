@@ -2,8 +2,13 @@
 
 The two protocols differ only in parameters: Plonky2 uses a blowup
 factor of at least 8 (``rate_bits = 3``) with few queries; Starky uses
-blowup 2 (``rate_bits = 1``) with more queries.  Both target ~100 bits
-of conjectured security via ``queries * rate_bits + proof_of_work_bits``.
+blowup 2 (``rate_bits = 1``) with more queries.  Conjectured security
+is ``queries * rate_bits + proof_of_work_bits``
+(:meth:`FriConfig.conjectured_security_bits`): 100 bits for
+:data:`PLONKY2_CONFIG` and :data:`STARKY_CONFIG`, but the registry
+defaults (``repro.protocols``) ship only 13 bits (STARK) and 28 bits
+(Plonk), and a default STARK proof has been forged in 1.8 s (ROADMAP
+items 19 and 21).
 
 Folding is committed every :data:`FRI_ARITY_BITS` arity-2 folds, as
 Plonky2/Starky's ``ConstantArityBits`` reduction strategy does: one
@@ -135,14 +140,23 @@ def fri_layout(
 
     ``a`` ranges over ``0 .. min(FRI_ARITY_BITS, num_fold_rounds)``,
     less any ``a`` whose ``N / 2**a``-leaf tree cannot hold
-    ``cap_height``, and the one with the smallest expected proof wins
+    ``cap_height``.  Of those, the ones whose expected proof
     (:func:`expected_proof_bytes`, query positions uniform, every tree
-    opened as one shared-path multiproof); a tie goes to fewer prover
-    permutations (:func:`prover_permutations`), then to the smaller
-    ``a``.  The price is exact rational arithmetic over public numbers,
-    so every platform derives the same layout.
+    opened as one shared-path multiproof) is within
+    :data:`LAYOUT_BYTES_TOLERANCE` of the smallest compete, and the one
+    whose trees cost the fewest prover permutations
+    (:func:`prover_permutations`) wins; a tie goes to the fewer
+    expected bytes, then to the smaller ``a``.  The price is exact
+    rational arithmetic over public numbers, so every platform derives
+    the same layout.
     """
     return _fri_layout(config, degree_bits, tuple(leaf_widths))
+
+
+#: How far above the smallest expected proof :func:`fri_layout` may go
+#: for fewer prover permutations: 1 %, the ``proof_bytes`` bound a
+#: change may move a benchmarked proof by (ROADMAP item 19(ii)).
+LAYOUT_BYTES_TOLERANCE = Fraction(1, 100)
 
 
 @lru_cache(maxsize=256)
@@ -150,15 +164,16 @@ def _fri_layout(
     config: FriConfig, degree_bits: int, leaf_widths: Tuple[int, ...]
 ) -> Tuple[int, Tuple[int, ...]]:
     top = min(FRI_ARITY_BITS, config.num_fold_rounds(degree_bits))
-    fits = [
-        a for a in range(top + 1)
+    priced = {
+        a: expected_proof_bytes(config, degree_bits, leaf_widths, a)
+        for a in range(top + 1)
         if not a or config.cap_height <= degree_bits + config.rate_bits - a
-    ]
-    a = min(fits, key=lambda a: (
-        expected_proof_bytes(config, degree_bits, leaf_widths, a),
-        prover_permutations(config, degree_bits, leaf_widths, a),
-        a,
-    ))
+    }
+    ceiling = min(priced.values()) * (1 + LAYOUT_BYTES_TOLERANCE)
+    a = min(
+        (a for a, size in priced.items() if size <= ceiling),
+        key=lambda a: (prover_permutations(config, degree_bits, leaf_widths, a), priced[a], a),
+    )
     return a, config.fold_schedule(degree_bits, a)
 
 

@@ -53,13 +53,13 @@ TYPED_REJECTIONS: Tuple[type, ...] = (ValueError, VerifierError)
 #: target one by 8, its ``alt_blob`` one by 8 and one by 4; Plonk one
 #: by 4), so every coset-leaf mutator applies to both.  The STARK
 #: target's batches commit 8-row coset leaves (a virtual first layer;
-#: the ``alt_blob``'s 4-row ones); Plonk's commit one row a leaf, so its
-#: one-column Z rows are shorter than a digest.
+#: the ``alt_blob``'s 4-row ones); Plonk's commit 2-row coset leaves,
+#: a virtual fold by 2 ahead of its committed fold by 4.
 _STARK_CONFIG = FriConfig(
     rate_bits=1, cap_height=1, num_queries=4, proof_of_work_bits=2, final_poly_len=1
 )
 _PLONK_CONFIG = FriConfig(
-    rate_bits=3, cap_height=1, num_queries=4, proof_of_work_bits=2, final_poly_len=2
+    rate_bits=3, cap_height=1, num_queries=4, proof_of_work_bits=2, final_poly_len=1
 )
 _HYPERPLONK_CONFIG = HyperPlonkConfig(cap_height=1, num_queries=4)
 

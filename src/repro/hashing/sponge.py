@@ -70,20 +70,36 @@ def hash_batch_into(inputs: np.ndarray, out: np.ndarray) -> np.ndarray:
     ``out`` may alias ``inputs``: every read of ``inputs`` completes
     before the single final write to ``out``.
     """
-    batch, length = inputs.shape
-    state = _state_buf(batch)
-    if length == 0:
-        RUN.counters.sponge_permutations += batch
-        optimized.permute_into(state)
-        np.copyto(out, state[:, :DIGEST_LEN])
-        return out
-    for start in range(0, length, RATE):
-        chunk = inputs[:, start : start + RATE]
-        state[:, : chunk.shape[1]] = chunk
-        RUN.counters.sponge_permutations += batch
-        optimized.permute_into(state)
-    np.copyto(out, state[:, :DIGEST_LEN])
+    _absorb([(inputs, out)])
     return out
+
+
+def _absorb(jobs) -> None:
+    """The overwrite-mode sponge over ``(rows, out)`` pairs of any
+    widths, in one sweep: absorb step ``k`` permutes the rows of every
+    pair needing more than ``k`` permutations
+    (:func:`permutation_count`) in one
+    :func:`~repro.hashing.optimized.permute_into` call, so a sweep makes
+    as many calls as its widest rows need.  Every read of a ``rows``
+    completes before any ``out`` is written.
+    """
+    # Most permutations first, so the rows still absorbing are a prefix.
+    jobs = sorted(jobs, key=lambda job: -permutation_count(job[0].shape[1]))
+    state = _state_buf(sum(rows.shape[0] for rows, _ in jobs))
+    for step in range(permutation_count(jobs[0][0].shape[1])):
+        active = 0
+        for rows, _ in jobs:
+            if permutation_count(rows.shape[1]) <= step:
+                break
+            block = rows[:, step * RATE : (step + 1) * RATE]
+            state[active : active + rows.shape[0], : block.shape[1]] = block
+            active += rows.shape[0]
+        RUN.counters.sponge_permutations += active
+        optimized.permute_into(state[:active])
+    active = 0
+    for rows, out in jobs:
+        np.copyto(out, state[active : active + rows.shape[0], :DIGEST_LEN])
+        active += rows.shape[0]
 
 
 def compress_level_into(prev: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -108,18 +124,35 @@ def compress_level_into(prev: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def hash_leaves_into(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+def hash_leaves_into(values, out: np.ndarray) -> np.ndarray:
     """Plonky2-style leaf hashing (``hash_or_noop``) into ``out``: rows
     shorter than a digest are zero-padded into the digest directly (no
-    permutation); longer rows are hashed with :func:`hash_batch_into`.
+    permutation); longer rows are hashed as :func:`hash_batch_into`
+    hashes them.
+
+    ``values`` is one ``(B, L)`` array of rows, or a sequence of such
+    groups, each of its own width; their digests fill ``out`` group
+    after group.  All longer groups share one sponge sweep, so absorb
+    step ``k`` of every group longer than ``RATE * k`` runs in one
+    permutation call.  Digests and counted permutations are those of
+    hashing each group alone.
 
     ``out`` must not alias ``values``: the short-row path zero-fills
     ``out`` before reading ``values``.
     """
-    values = np.atleast_2d(np.asarray(values, dtype=np.uint64))
-    length = values.shape[1]
-    if length <= DIGEST_LEN:
-        out.fill(0)
-        out[:, :length] = values
-        return out
-    return hash_batch_into(values, out)
+    groups = list(values) if isinstance(values, (list, tuple)) else [values]
+    jobs = []
+    start = 0
+    for group in groups:
+        group = np.atleast_2d(np.asarray(group, dtype=np.uint64))
+        count, length = group.shape
+        digests = out[start : start + count]
+        start += count
+        if length <= DIGEST_LEN:
+            digests.fill(0)
+            digests[:, :length] = group
+        elif count:
+            jobs.append((group, digests))
+    if jobs:
+        _absorb(jobs)
+    return out

@@ -15,8 +15,9 @@ verifier can check them the same way.  :func:`verify_paths` takes
    to per-level lists of ``(left, right) -> parent`` slots.  A
    one-index opening is the degenerate frontier: every level consumes
    one supplied node, the path's sibling.
-2. **Climb**.  All leaves are hashed once, grouped by row width,
-   through :func:`~repro.hashing.sponge.hash_leaves_into`, and all
+2. **Climb**.  All leaves are hashed in one
+   :func:`~repro.hashing.sponge.hash_leaves_into` sweep, grouped by
+   row width (absorb step ``k`` of every width runs in one call), and all
    supplied nodes land in the pool in one scatter; then every opening
    still below its cap advances one level per
    :func:`~repro.hashing.sponge.compress_level_into` call.  Openings of
@@ -194,10 +195,10 @@ def verify_paths(openings: Sequence[PathOpening]) -> np.ndarray:
     pool = np.empty((total, sponge.DIGEST_LEN), dtype=np.uint64)
     if node_arrays:
         pool[node_slots] = gl64.asarray(np.concatenate(node_arrays))
-    for rows, slots in by_width.values():
-        rows = gl64.asarray(np.concatenate(rows))
-        digests = np.empty((rows.shape[0], sponge.DIGEST_LEN), dtype=np.uint64)
-        pool[slots] = sponge.hash_leaves_into(rows, digests)
+    groups = [gl64.asarray(np.concatenate(rows)) for rows, _ in by_width.values()]
+    slots = [slot for _, owned in by_width.values() for slot in owned]
+    digests = np.empty((len(slots), sponge.DIGEST_LEN), dtype=np.uint64)
+    pool[slots] = sponge.hash_leaves_into(groups, digests)
 
     # Openings of unequal depth share the early levels; a shallower one
     # just stops contributing pairs once it reaches its cap.

@@ -209,8 +209,10 @@ class FriSystem(ProofSystem):
     def transcript_spec(self) -> TranscriptSpec:
         from ..workloads import by_name
 
-        # Few queries, minimal grinding: conformance is structural.
-        overrides = dict(num_queries=2, proof_of_work_bits=1)
+        # Few queries, minimal grinding: conformance is structural.  A
+        # 4-coefficient final polynomial keeps a committed FRI layer at
+        # the small analyzed scales.
+        overrides = dict(num_queries=2, proof_of_work_bits=1, final_poly_len=4)
         first = self.setup(by_name("Fibonacci"), self.analyzed_scales[0], self.make_config(overrides))
         setup_caps = len(self.transcript(first)[0].setup)
         return TranscriptSpec("Fibonacci", self.analyzed_scales, overrides, setup_caps)

@@ -39,8 +39,18 @@ lists, and every tree opening's leaf indices (STARK format v6, Plonk
 v5, HyperPlonk-lite v3).  Only the encoding changed: caps, opened
 values, final polynomial, grinding witness, opened rows and path nodes
 decode equal to the old proofs', at every pinned and forced layout, and
-``LAYOUTS``, ``PROVE_COUNTERS`` and ``VERIFY_COUNTERS`` held.  Counters
-are measured around ``prove`` or ``verify`` alone, setup excluded.
+``LAYOUTS``, ``PROVE_COUNTERS`` and ``VERIFY_COUNTERS`` held.  When
+``fri.fri_layout`` began taking, among the first arities within 1 % of
+the smallest expected proof, the one of fewest prover permutations, and
+the Plonk default's final polynomial grew from 4 to 16 coefficients,
+every Plonk entry was regenerated (``DIGESTS``, ``LAYOUTS``,
+``PLONK_MVM_DIGEST``, ``PROVE_COUNTERS``, ``VERIFY_COUNTERS``,
+``FRAMED``): the 16-row Fibonacci instance now folds zero times, MVM
+scale 6 moved from ``(1, (1, 3, 1))`` to ``(1, (1, 2))``, and
+``ARITY2_DIGESTS["plonk"]`` moved to MVM scale 6, an instance that
+still folds (``ARITY2_WORKLOADS``).  The STARK and HyperPlonk-lite
+entries held.  Counters are measured around ``prove`` or ``verify``
+alone, setup excluded.
 """
 
 from repro.fri.config import FriConfig
@@ -54,7 +64,7 @@ CONFIGS = {
         rate_bits=1, cap_height=1, num_queries=10, proof_of_work_bits=3, final_poly_len=4
     ),
     "plonk": FriConfig(
-        rate_bits=3, cap_height=1, num_queries=8, proof_of_work_bits=4, final_poly_len=4
+        rate_bits=3, cap_height=1, num_queries=8, proof_of_work_bits=4, final_poly_len=16
     ),
     "hyperplonk": HyperPlonkConfig(cap_height=1, num_queries=16),
 }
@@ -62,7 +72,7 @@ CONFIGS = {
 #: Proof digest (``system.digest``) per protocol.
 DIGESTS = {
     "stark": "6f09ace28af0a1916bf308013a4393e19cf9561a47ddff73bc0d9521ab8714f0",
-    "plonk": "d659cef4bb916ec0efc81f38ccc2d572041491191c81775410e5eab9b3f283ed",
+    "plonk": "af20a69c38cd17954bc2d053e1bfb3ad85b1e25408cb461f24c508499eeab6cc",
     "hyperplonk": "f9f5273ff0cb634ea6ad97834b368fefbd1bfabd7fbd99b89ce6abf34b089d82",
 }
 
@@ -70,7 +80,7 @@ DIGESTS = {
 #: instances: ``a``-bit coset leaves (0: rows), then the fold schedule.
 LAYOUTS = {
     "stark": (2, (2, 2)),
-    "plonk": (0, (2,)),
+    "plonk": (0, ()),
 }
 
 #: The STARK proof with ``fri_layout`` forced to ``a = 0`` (row leaves,
@@ -82,26 +92,31 @@ ROW_LAYOUT_DIGESTS = {
     "stark": "491a66da14edf209f6c486ae61f17ce14f0d5c18e0c8c78175a3c3d8c9aa5562",
 }
 
-#: The same STARK and Plonk proofs with row leaves and
-#: ``fri.config.FRI_ARITY_BITS`` forced to 1 (one layer per arity-2
-#: fold): exactly the digests these entries held before the fold-by-8
-#: schedule (re-pinned with each later encoding change), so the schedule
-#: generalises the old prover rather than replacing it.
+#: The STARK and Plonk proofs of ``ARITY2_WORKLOADS`` at scale 6 with
+#: row leaves and ``fri.config.FRI_ARITY_BITS`` forced to 1 (one layer
+#: per arity-2 fold).  The STARK entry is exactly the digest its
+#: instance held before the fold-by-8 schedule (re-pinned with each
+#: later encoding change), so the schedule generalises the old prover
+#: rather than replacing it.
 ARITY2_DIGESTS = {
     "stark": "9cef772355e7e641f9f651edaad490c05567011c1926a15110e53cfda68d82a8",
-    "plonk": "d4c53961ac29faedd9cb6252dc9f8ecb38904d9aa7698ef43c220d9d24761e9c",
+    "plonk": "a46894de60c466161b8433ab0d4c57041fb3d5ef58228d5c1de5504f6d2aaf5f",
 }
 
+#: The workload each ``ARITY2_DIGESTS`` proof is of: one whose registry
+#: default still folds (the Plonk Fibonacci instance folds zero times).
+ARITY2_WORKLOADS = {"stark": "Fibonacci", "plonk": "MVM"}
+
 #: Plonk over the MVM workload at scale 6, same config.
-PLONK_MVM_DIGEST = "04841618d38aafeb14c20a1274ba5299f54390ec9dae8eb906418a834af58878"
+PLONK_MVM_DIGEST = "a1fdf94bcb080815114a442bf616d8dc53283bcc794867ae5c46f2856c186bae"
 
 #: Operation counters around ``prove``.
 PROVE_COUNTERS = {
     "stark": {"ntt_butterflies": 3096, "sponge_permutations": 138, "ntt_transforms": 10},
     "plonk": {
-        "ntt_butterflies": 7040,
-        "sponge_permutations": 568,
-        "challenger_permutations": 20,
+        "ntt_butterflies": 7776,
+        "sponge_permutations": 506,
+        "challenger_permutations": 61,
         "ntt_transforms": 22,
     },
     "hyperplonk": {
@@ -116,7 +131,7 @@ PROVE_COUNTERS = {
 #: hash exactly what walking every tree opening's frontier alone would.
 VERIFY_COUNTERS = {
     "stark": {"sponge_permutations": 80, "challenger_permutations": 10},
-    "plonk": {"sponge_permutations": 181, "challenger_permutations": 15},
+    "plonk": {"sponge_permutations": 140, "challenger_permutations": 17},
     "hyperplonk": {"sponge_permutations": 64, "challenger_permutations": 13},
 }
 
@@ -127,8 +142,8 @@ FRAMED = {
         "47a2e50a80a387887d933b205996fdd80bfff4160169baf395b19e8fff34109b",
     ),
     "plonk": (
-        "4b4fd879729e101a361af4221082a2588a50fc467fc6c207419586f8d6d2e9bf",
-        "608b1c86c6d7024081426e4ff6469ef3f02cd85eb78388e474894f503702d698",
+        "1f0eacd9277ea07655601873faff5bae24806554e4ec69361f881975e052f729",
+        "de8cdceeb33a0d54c53db682210364152ba544521863106b801cdd51a15b8955",
     ),
     "hyperplonk": (
         "0c8705aed96c1fd15f74be7d6585f81b1009ba4342a587576e01f11209b8b7e8",

@@ -18,6 +18,7 @@ import contextlib
 import numpy as np
 import pytest
 
+from repro.fri import FriConfig, fri_layout
 from repro.fri.verifier import FriError
 from repro.fuzz import (
     BAD_OUTCOMES,
@@ -34,6 +35,9 @@ from repro.fuzz import (
     shrink_bytes,
     target_for,
 )
+from repro.fuzz import runner as fuzz_runner, targets as fuzz_targets
+from repro.plonk import prove as plonk_prove, setup as plonk_setup, verify as plonk_verify
+from repro.plonk.prover import LEAF_WIDTHS
 from repro.protocols import names
 from repro.stark import StarkError
 
@@ -45,6 +49,21 @@ PROTOCOLS = names()
 @pytest.fixture(scope="module", params=PROTOCOLS)
 def target(request):
     return target_for(request.param)
+
+
+def _row_leaf_plonk_target():
+    """The Plonk target's cube circuit at ``final_poly_len`` 8: it folds
+    zero times, so its batches commit one row a leaf (``(0, ())``)."""
+    config = FriConfig(
+        rate_bits=3, cap_height=1, num_queries=4, proof_of_work_bits=2, final_poly_len=8
+    )
+    circuit, x, pub = fuzz_targets._cube_circuit()
+    assert fri_layout(config, circuit.log_n, LEAF_WIDTHS) == (0, ())
+    data = plonk_setup(circuit, config)
+    proof = plonk_prove(data, {x.index: 3, pub.index: 27})
+    return fuzz_targets._target(
+        "plonk", proof, proof, lambda p: plonk_verify(data.verifier_data, p), LEAF_WIDTHS
+    )
 
 
 class TestTargets:
@@ -79,9 +98,8 @@ _FRI_ONLY = {
     "arity2-shaped-leaf",
     "mismatch-initial-proofs",
     "scalar-coset-leaf",
+    "permute-coset-rows",
 }
-#: Only the STARK target's batches commit coset leaves (Plonk's keep rows).
-_COSET_LEAF_ONLY = {"permute-coset-rows"}
 #: The HyperPlonk-lite target's queries open every leaf of each of its
 #: small trees, so its openings carry no path node to drop.
 _PATH_NODES_ONLY = {"drop-sibling-node"}
@@ -94,7 +112,7 @@ _SUMCHECK_ONLY = {
 
 
 def _applicable(protocol: str, name: str) -> bool:
-    if name in _STARK_ONLY or name in _COSET_LEAF_ONLY:
+    if name in _STARK_ONLY:
         return protocol == "stark"
     if name in _FRI_ONLY or name in _PATH_NODES_ONLY:
         return protocol in ("stark", "plonk")
@@ -216,9 +234,10 @@ class TestRegressionVectors:
     ):
         # hash_or_noop zero-pads short rows, so a zero-padded leaf still
         # authenticates against the commitment; only the verifier's
-        # exact leaf-width pin rejects it.  The Plonk target commits
-        # one row a leaf; its one-column Z rows are the short ones.
-        tgt = target_for("plonk")
+        # exact leaf-width pin rejects it.  The instance commits one row
+        # a leaf; its one-column Z rows are the short ones.
+        tgt = _row_leaf_plonk_target()
+        monkeypatch.setattr(fuzz_runner, "target_for", lambda protocol: tgt)
         proof = tgt.decode(tgt.blob)
         op = proof.fri_proof.batch_openings[2]
         op.rows = np.concatenate([op.rows, np.zeros((op.rows.shape[0], 1), dtype=np.uint64)], axis=1)
@@ -237,27 +256,27 @@ class TestRegressionVectors:
             kwargs.pop("leaf_widths", None)
             return pinned(*args, **kwargs)
 
-        monkeypatch.setattr(pv, "fri_verify", unpinned)
-        outcome, _ = classify_bytes(tgt, data)
-        assert outcome == "accepted"  # the soundness hole the pin closes
+        with monkeypatch.context() as revert:
+            revert.setattr(pv, "fri_verify", unpinned)
+            outcome, _ = classify_bytes(tgt, data)
+            assert outcome == "accepted"  # the soundness hole the pin closes
 
-        # The stored artifact reproduces against the reverted code ...
-        finding = Finding(
-            protocol="plonk",
-            mutator="pad-initial-leaf",
-            kind="bytes",
-            seed=0,
-            iteration=0,
-            outcome="accepted",
-            exception_type=None,
-            exception_msg=None,
-            data_hex=data.hex(),
-        )
-        path = save_finding(finding, tmp_path)
-        assert replay_artifact(path).reproduced
+            # The stored artifact reproduces against the reverted code ...
+            finding = Finding(
+                protocol="plonk",
+                mutator="pad-initial-leaf",
+                kind="bytes",
+                seed=0,
+                iteration=0,
+                outcome="accepted",
+                exception_type=None,
+                exception_msg=None,
+                data_hex=data.hex(),
+            )
+            path = save_finding(finding, tmp_path)
+            assert replay_artifact(path).reproduced
 
         # ... and stops reproducing once the fix is back.
-        monkeypatch.undo()
         result = replay_artifact(path)
         assert not result.reproduced
         assert result.outcome == "rejected-verify"

@@ -24,7 +24,7 @@ from repro.fuzz.targets import TYPED_REJECTIONS
 from repro.service import execute, verify_result
 from repro.workloads import by_name
 
-from .goldens import ARITY2_DIGESTS, CONFIGS, DIGESTS, ROW_LAYOUT_DIGESTS, SCALE
+from .goldens import ARITY2_DIGESTS, ARITY2_WORKLOADS, CONFIGS, DIGESTS, ROW_LAYOUT_DIGESTS, SCALE
 from .test_fri import _force_row_leaves
 
 FIB = by_name("Fibonacci")
@@ -136,10 +136,11 @@ def test_row_layout_pin_reproduces_after_a_default_setup(name, monkeypatch, fres
 @pytest.mark.parametrize("name", sorted(ARITY2_DIGESTS))
 def test_arity_2_pin_reproduces_after_a_default_setup(name, monkeypatch, fresh_instance_cache):
     system = protocols.get(name)
-    system.setup(FIB, SCALE, CONFIGS[name])
+    workload = by_name(ARITY2_WORKLOADS[name])
+    system.setup(workload, SCALE, CONFIGS[name])
     monkeypatch.setattr(fri_config, "FRI_ARITY_BITS", 1)
     _force_row_leaves(monkeypatch)
-    psetup = system.setup(FIB, SCALE, CONFIGS[name])
+    psetup = system.setup(workload, SCALE, CONFIGS[name])
     proof = system.prove(psetup)
     assert system.digest(proof) == ARITY2_DIGESTS[name]
     system.verify(psetup, proof)

@@ -122,8 +122,8 @@ ALLOWED: dict[str, dict[str, str]] = {
         "hashing/sparse.py::_derive_*": _ONE_TIME_TABLE,
         "hashing/sponge.py::hash_batch": (
             "The digest buffer escapes to the caller; only the fuzz "
-            "cross-check calls it, the Merkle builders call hash_batch_into "
-            "on their own buffers"
+            "cross-check calls it, the Merkle builders hash into their own "
+            "buffers through hash_leaves_into"
         ),
         "ntt/transforms.py::*ntt": (
             "out=None fallback whose result escapes to the caller; the shard "

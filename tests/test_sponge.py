@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import protocols
+from repro.context import RUN, Counters, scoped
 from repro.field import gl64
-from repro.hashing import sponge
+from repro.hashing import optimized, poseidon, sponge
+from repro.workloads import by_name
 
 from .reference_oracles import two_to_one
 
@@ -118,3 +123,61 @@ class TestHashOrNoop:
     def test_long_rows_hashed(self, rng):
         rows = gl64.random((2, 9), rng)
         assert np.array_equal(hash_leaves(rows), sponge.hash_batch(rows))
+
+
+class TestGroupedLeaves:
+    """One ``hash_leaves_into`` sweep over groups of different widths."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_grouped_sweep_is_each_group_alone(self, data):
+        shapes = data.draw(
+            st.lists(st.tuples(st.integers(0, 5), st.integers(0, 40)), max_size=6), "groups"
+        )
+        shapes += [
+            (0, data.draw(st.integers(0, 40), "empty group width")),
+            (data.draw(st.integers(1, 5), "short rows"), data.draw(st.integers(0, 4), "short width")),
+        ]
+        order = data.draw(st.permutations(range(len(shapes))), "order")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+        groups = [gl64.random(shapes[k], rng) for k in order]
+
+        # Each group alone through the naive overwrite-mode sponge.
+        want, perms = [], 0
+        for group in groups:
+            count, width = group.shape
+            if width <= sponge.DIGEST_LEN:
+                want.append(np.pad(group, ((0, 0), (0, sponge.DIGEST_LEN - width))))
+                continue
+            state = np.zeros((count, poseidon.WIDTH), dtype=np.uint64)
+            for start in range(0, width, sponge.RATE):
+                chunk = group[:, start : start + sponge.RATE]
+                state[:, : chunk.shape[1]] = chunk
+                state = poseidon.permute_naive(state)
+                perms += count
+            want.append(state[:, : sponge.DIGEST_LEN])
+        out = np.empty((sum(g.shape[0] for g in groups), sponge.DIGEST_LEN), dtype=np.uint64)
+        with scoped("counters", Counters()):
+            got = sponge.hash_leaves_into(groups, out)
+            assert RUN.counters.sponge_permutations == perms
+        assert got is out
+        assert np.array_equal(got, np.concatenate(want))
+
+    def test_plonk_mvm_verify_permutes_in_few_vectorised_calls(self, monkeypatch):
+        # Absorb step k of every leaf width runs in one call: the
+        # registry-default Plonk MVM 11 verify (2^9 rows, 4-row coset
+        # leaves of 4 widths) makes at most 13 vectorised calls.
+        system = protocols.get("plonk")
+        setup = system.setup(by_name("MVM"), 11, system.make_config())
+        proof = system.prove(setup)
+        calls = []
+        permute_into = optimized.permute_into
+
+        def counted(states):
+            if states.reshape(-1, optimized.WIDTH).shape[0] > optimized._SCALAR_ROWS:
+                calls.append(states.shape)
+            return permute_into(states)
+
+        monkeypatch.setattr(optimized, "permute_into", counted)
+        system.verify(setup, proof)
+        assert 0 < len(calls) <= 13, calls

@@ -100,24 +100,31 @@ class TestProtocolConformance:
             assert findings == [], [f.format() for f in findings]
 
     @pytest.mark.parametrize(
-        "protocol, scale, ordinals",
+        "protocol, scale, cap_height, ordinals",
         [
-            ("stark", 3, [0, 2]),
-            ("stark", 7, [0, 2, 8]),
-            ("stark", 12, [0, 2, 8, 10, 12]),
-            ("plonk", 4, [0, 0, 2, 4]),
-            ("plonk", 8, [0, 0, 2, 4, 8]),
+            ("stark", 3, None, [0, 2]),
+            ("stark", 7, None, [0, 2, 8]),
+            ("stark", 12, None, [0, 2, 8, 10, 12]),
+            ("plonk", 4, None, [0, 0, 2, 4]),
+            # 2^4 rows: a committed layer after a virtual first layer.
+            ("plonk", 8, None, [0, 0, 2, 4, 10]),
+            # Row leaves and a committed layer: no coset tree holds a
+            # cap as tall as the 7-level LDE tree.
+            ("plonk", 8, 7, [0, 0, 2, 4, 8]),
             # 2^5 rows: a committed layer after a virtual first layer.
-            ("plonk", 16, [0, 0, 2, 4, 10]),
+            ("plonk", 16, None, [0, 0, 2, 4, 10]),
         ],
     )
-    def test_derived_cap_bindings_keep_the_written_ordinals(self, protocol, scale, ordinals):
+    def test_derived_cap_bindings_keep_the_written_ordinals(
+        self, protocol, scale, cap_height, ordinals
+    ):
         # The labels, caps and ordinals the backends once wrote by hand.
         system = protocols.get(protocol)
         spec = system.transcript_spec()
-        setup = system.setup(
-            by_name(spec.workload), scale, system.make_config(spec.config_overrides)
-        )
+        overrides = dict(spec.config_overrides)
+        if cap_height is not None:
+            overrides["cap_height"] = cap_height
+        setup = system.setup(by_name(spec.workload), scale, system.make_config(overrides))
         proof = system.prove(setup)
         if protocol == "stark":
             named = [("trace_cap", proof.trace_cap), ("quotient_cap", proof.quotient_cap)]
