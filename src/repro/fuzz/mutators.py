@@ -14,7 +14,7 @@ seeded ``numpy.random.Generator`` and produces a :class:`Mutant`:
 Mutators are deterministic in ``(target, rng)``: re-running one with
 the same per-iteration seed regenerates the identical mutant, which is
 how object-mutant findings are replayed from artifacts.  A mutator may
-return ``None`` when it does not apply (e.g. ``perturb-degree-bits`` on
+return ``None`` when it does not apply (e.g. ``perturb-claimed-sum`` on
 a Plonk proof).
 """
 
@@ -57,37 +57,33 @@ def _rand_elem(rng: np.random.Generator, not_equal: int | None = None) -> int:
 # -- access helpers over both proof shapes ------------------------------------
 
 
+def _cap_list(proof, name: str) -> list:
+    """A proof's list of caps called ``name`` (``[]`` if it has none)."""
+    if name == "commit_caps":
+        return proof.fri_proof.commit_caps if hasattr(proof, "fri_proof") else []
+    return getattr(proof, name, [])
+
+
 def _cap_slots(proof) -> list:
-    """Addressable Merkle-cap slots: ``(attr, index_or_None)`` pairs."""
-    slots = []
-    for name in ("trace_cap", "quotient_cap", "wires_cap", "z_cap"):
-        if hasattr(proof, name):
-            slots.append((name, None))
-    if hasattr(proof, "fri_proof"):
-        for i in range(len(proof.fri_proof.commit_caps)):
-            slots.append(("commit_caps", i))
-    for i in range(len(getattr(proof, "level_caps", ()))):
-        slots.append(("level_caps", i))
+    """Addressable Merkle-cap slots: ``(attr, None)`` for a named cap,
+    ``(list, index)`` for one of a list of caps."""
+    slots = [(name, None) for name in ("wires_cap", "z_cap") if hasattr(proof, name)]
+    for name in ("caps", "commit_caps", "level_caps"):
+        slots += [(name, i) for i in range(len(_cap_list(proof, name)))]
     return slots
 
 
 def _get_cap(proof, slot) -> np.ndarray:
     name, idx = slot
-    if name == "commit_caps":
-        return proof.fri_proof.commit_caps[idx]
-    if name == "level_caps":
-        return proof.level_caps[idx]
-    return getattr(proof, name)
+    return getattr(proof, name) if idx is None else _cap_list(proof, name)[idx]
 
 
 def _set_cap(proof, slot, value: np.ndarray) -> None:
     name, idx = slot
-    if name == "commit_caps":
-        proof.fri_proof.commit_caps[idx] = value
-    elif name == "level_caps":
-        proof.level_caps[idx] = value
-    else:
+    if idx is None:
         setattr(proof, name, value)
+    else:
+        _cap_list(proof, name)[idx] = value
 
 
 def _tree_openings(proof) -> list:
@@ -326,18 +322,6 @@ def perturb_public_input(target: FuzzTarget, rng) -> Optional[Mutant]:
     else:
         return None
     return Mutant("perturb-public-input", data=target.encode(proof))
-
-
-def perturb_degree_bits(target: FuzzTarget, rng) -> Optional[Mutant]:
-    """Lie about the trace degree (STARK only)."""
-    proof = target.decode(target.blob)
-    if not hasattr(proof, "degree_bits"):
-        return None
-    new = int(rng.integers(0, 51))
-    if new == proof.degree_bits:
-        new = proof.degree_bits + 1
-    proof.degree_bits = new
-    return Mutant("perturb-degree-bits", data=target.encode(proof))
 
 
 def splice_fri_proof(target: FuzzTarget, rng) -> Optional[Mutant]:
@@ -586,7 +570,6 @@ MUTATORS: Dict[str, Callable[[FuzzTarget, np.random.Generator], Optional[Mutant]
     "resize-final-poly": resize_final_poly,
     "corrupt-pow-witness": corrupt_pow_witness,
     "perturb-public-input": perturb_public_input,
-    "perturb-degree-bits": perturb_degree_bits,
     "splice-fri-proof": splice_fri_proof,
     "pad-initial-leaf": pad_initial_leaf,
     "reshape-initial-leaf": reshape_initial_leaf,

@@ -32,11 +32,11 @@ from ..hyperplonk import HyperPlonkConfig
 from ..hyperplonk import prove as hp_prove, setup as hp_setup, verify as hp_verify
 from ..plonk import CircuitBuilder
 from ..plonk import prove as plonk_prove, setup as plonk_setup, verify as plonk_verify
-from ..plonk.prover import LEAF_WIDTHS
+from ..plonk.protocol import PLONK
 from ..protocols import get as get_protocol
 from ..serialize import proof_from_blob, proof_to_blob
 from ..stark import prove as stark_prove, verify as stark_verify
-from ..stark.prover import leaf_widths as stark_leaf_widths
+from ..stark.protocol import stark
 from ..workloads import by_name
 
 #: Exception types that constitute a *valid* rejection of a hostile
@@ -123,8 +123,8 @@ def stark_target() -> FuzzTarget:
     alt_air, alt_trace, alt_publics = spec.build_air(7)
     alt_proof = stark_prove(alt_air, alt_trace, alt_publics, _STARK_CONFIG)
     return _target(
-        "stark", proof, alt_proof, lambda p: stark_verify(air, p, _STARK_CONFIG),
-        stark_leaf_widths(air),
+        "stark", proof, alt_proof, lambda p: stark_verify(air, len(trace), p, _STARK_CONFIG),
+        stark(air).widths,
     )
 
 
@@ -136,7 +136,7 @@ def plonk_target() -> FuzzTarget:
     proof = plonk_prove(data, {x.index: 3, pub.index: 27})
     alt_proof = plonk_prove(data, {x.index: 5, pub.index: 125})
     return _target(
-        "plonk", proof, alt_proof, lambda p: plonk_verify(data.verifier_data, p), LEAF_WIDTHS
+        "plonk", proof, alt_proof, lambda p: plonk_verify(data.verifier_data, p), PLONK.widths
     )
 
 

@@ -1,9 +1,10 @@
 """HyperPlonk-lite proof containers and setup artifacts.
 
-Mirrors :mod:`repro.plonk.proof` for the sumcheck-native backend: the
-setup output pairs the circuit with its Merkle-committed preprocessed
-table, and the proof carries caps, the sumcheck transcript, the
-per-round folded-level caps, and the query-time spot-check openings.
+The sumcheck-native backend's counterpart of :mod:`repro.plonk.proof`
+and :class:`repro.pcs.protocol.Proof`: the setup output pairs the
+circuit with its Merkle-committed preprocessed table, and the proof
+carries caps, the sumcheck transcript, the per-round folded-level caps,
+and the query-time spot-check openings.
 There is no FRI proof and no quotient commitment -- the evaluation
 argument is the committed sumcheck itself.
 

@@ -9,6 +9,8 @@ proof at out-of-domain points vs. index openings plus fold-consistency
 spot checks), so each protocol calls its scheme's own methods; what they
 share is the opening shape, one :class:`~repro.merkle.TreeOpening` per
 opened tree, checked by :func:`repro.merkle.verify_paths`.
+:mod:`repro.pcs.protocol` declares a protocol over :class:`FriPCS`
+once: its rounds, its proof and the proof's codec.
 """
 
 from .fri import FriPCS

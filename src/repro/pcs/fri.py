@@ -2,8 +2,8 @@
 
 The data plane of a FRI-based proof (paper Figure 1), shared by the
 STARK and Plonk provers.  The transcript order is the protocol's one
-declaration (:mod:`repro.protocols.transcript`): the prover passes each
-returned batch's cap to its declared round, which observes it before
+declaration (:class:`repro.pcs.protocol.FriProtocol`): the prover passes
+each returned batch's cap to its declared round, which observes it before
 drawing the next challenges (the ``fs.*`` conformance rules of
 :mod:`repro.analysis.transcript` check that order end to end).  This
 class touches the challenger only in :meth:`open_and_prove`, and owns:

@@ -11,9 +11,10 @@ from .permutation import (
     quotient_chunk_products,
     sigma_values,
 )
-from .proof import CircuitData, PlonkProof, VerifierData
+from .proof import CircuitData, VerifierData
+from .protocol import PlonkError
 from .prover import prove, setup
-from .verifier import PlonkError, verify
+from .verifier import verify
 
 __all__ = [
     "gadgets",
@@ -24,7 +25,6 @@ __all__ = [
     "Variable",
     "CircuitData",
     "VerifierData",
-    "PlonkProof",
     "setup",
     "prove",
     "verify",

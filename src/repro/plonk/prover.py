@@ -11,10 +11,10 @@ Pipeline -- each stage is one of the kernels UniZK accelerates:
 4. ``zeta`` + batch FRI opening proof.
 
 The commit / quotient / open data plane is :class:`repro.pcs.FriPCS`
-(shared with the STARK prover) and the transcript is the declared
-:data:`repro.protocols.transcript.PLONK`; this module defines the
-Plonk-specific stages: witness generation, the permutation accumulator,
-and the gate/copy constraint blend.  Per-shape tables are cached
+(shared with the STARK prover) and the transcript and opening layout
+are the declared :data:`repro.plonk.protocol.PLONK`; this module
+defines the Plonk-specific stages: witness generation, the permutation
+accumulator, and the gate/copy constraint blend.  Per-shape tables are cached
 functions of the shape, built on its first prove, and every buffer
 comes from the thread's one arena, so repeated proofs of one circuit
 shape -- the service path -- pay no per-proof precompute.
@@ -36,12 +36,11 @@ from ..fri.prover import lde_points, vanishing_inverse
 from ..hashing import Challenger
 from ..ntt import lde
 from ..pcs import FriPCS
+from ..pcs.protocol import Proof
 from .circuit import Circuit
 from .permutation import compute_z, coset_representatives, id_values, sigma_values
-from .proof import CircuitData, PlonkProof
-
-#: Quotient chunks per extension limb (degree bound 4n after division).
-QUOTIENT_CHUNKS = 4
+from .proof import CircuitData
+from .protocol import PLONK, QUOTIENT_CHUNKS, ZK_SALT_COLUMNS
 
 
 def setup(circuit: Circuit, config: FriConfig) -> CircuitData:
@@ -51,7 +50,7 @@ def setup(circuit: Circuit, config: FriConfig) -> CircuitData:
 
 def preprocessed_layout(circuit: Circuit, config: FriConfig) -> int:
     """The preprocessed batch's leaf layout (``coset_bits``) under ``config``."""
-    return fri_layout(config, circuit.log_n, LEAF_WIDTHS)[0]
+    return fri_layout(config, circuit.log_n, PLONK.widths)[0]
 
 
 def preprocess(circuit: Circuit, rate_bits: int, coset_bits: int) -> CircuitData:
@@ -96,32 +95,13 @@ def lagrange_first(n: int, rate_bits: int) -> np.ndarray:
     return table
 
 
-#: Salt columns appended to the wires commitment when blinding.
-ZK_SALT_COLUMNS = 2
-
-#: Public columns of the preprocessed, wires, Z and quotient batches, in
-#: commitment order (salt excluded): the input to
-#: :func:`~repro.fri.config.fri_layout`.
-LEAF_WIDTHS = (8, 3, 1, 2 * QUOTIENT_CHUNKS)
-
-#: The ``(batch, column)`` pairs opened at ``zeta`` -- every public
-#: column of every batch -- and at ``zeta * omega`` -- Z alone.  The one
-#: statement of the opening layout: the prover evaluates it, the
-#: verifier rebuilds the opening set from it, so a proof carries the
-#: opened values alone.
-OPENING_COLUMNS = (
-    tuple((b, c) for b, width in enumerate(LEAF_WIDTHS) for c in range(width)),
-    ((2, 0),),
-)
-
-
 def prove(
     data: CircuitData,
     inputs: Dict[int, int],
     challenger: Challenger | None = None,
     blinding_seed: int | None = None,
     pool: "parallel.ShardPool | None" = None,
-) -> PlonkProof:
+) -> Proof:
     """Generate a Plonk proof for the given input assignment.
 
     ``inputs`` maps variable indices (from ``Variable.index``) to values;
@@ -150,8 +130,6 @@ def prove(
     n = circuit.n
     rate_bits = config.rate_bits
     challenger = challenger or Challenger()
-    # Imported here: the protocols package imports this module.
-    from ..protocols.transcript import PLONK
 
     with parallel.sharding(pool), tracing.span(
         "prove:plonk", category="prove", n=n, rate_bits=rate_bits
@@ -241,10 +219,8 @@ def prove(
             PLONK.points(zeta, n), PLONK.columns, challenger
         )
 
-    return PlonkProof(
-        wires_cap=wires_batch.cap.copy(),
-        z_cap=z_batch.cap.copy(),
-        quotient_cap=quotient_batch.cap.copy(),
+    return Proof(
+        caps=[wires_batch.cap.copy(), z_batch.cap.copy(), quotient_batch.cap.copy()],
         public_inputs=public_values,
         opened_values=openings.flat_values(),
         fri_proof=fri_proof,

@@ -14,30 +14,23 @@ from functools import partial
 import numpy as np
 
 from .. import tracing
-from ..errors import VerifierError
 from ..field import extension as fext, goldilocks as gl
 from ..fri import FriOpenings
 from ..hashing import Challenger
 from ..pcs import FriPCS
+from ..pcs.protocol import Proof
 from .permutation import coset_representatives
-from .proof import PlonkProof, VerifierData
-from .prover import LEAF_WIDTHS
-
-
-class PlonkError(VerifierError):
-    """Raised when a Plonk proof fails verification."""
+from .proof import VerifierData
+from .protocol import PLONK, PlonkError
 
 
 def verify(
-    vdata: VerifierData, proof: PlonkProof, challenger: Challenger | None = None
+    vdata: VerifierData, proof: Proof, challenger: Challenger | None = None
 ) -> None:
     """Verify a Plonk proof; raises :class:`PlonkError` on any failure."""
     with tracing.span("verify", category="verify", protocol="plonk", n=vdata.n):
         if len(proof.public_inputs) != vdata.num_public_inputs:
             raise PlonkError("wrong number of public inputs")
-        # Imported here: the protocols package imports this module.
-        from ..protocols.transcript import PLONK
-
         PLONK.verify(
             proof, (vdata.preprocessed_cap,), vdata.config, vdata.n, challenger or Challenger(),
             partial(_check_identity, vdata, proof),
@@ -46,7 +39,7 @@ def verify(
 
 def _check_identity(
     vdata: VerifierData,
-    proof: PlonkProof,
+    proof: Proof,
     openings: FriOpenings,
     beta: int,
     gamma: int,
@@ -58,7 +51,7 @@ def _check_identity(
     n = vdata.n
     omega = gl.primitive_root_of_unity(n.bit_length() - 1)
     at_zeta, (z_next,) = openings.values
-    pre, wire, (z_zeta,), quotient = np.split(at_zeta, np.cumsum(LEAF_WIDTHS)[:-1])
+    pre, wire, (z_zeta,), quotient = np.split(at_zeta, np.cumsum(PLONK.widths)[:-1])
     sel, sig = pre[:5], pre[5:]
 
     # --- the polynomial identity at zeta -------------------------------------

@@ -14,7 +14,9 @@ The interface deliberately wraps the existing ``prove``/``verify``
 functions rather than replacing them -- the functional modules stay the
 source of truth (and keep their pinned op-counter goldens); a backend
 only adapts signatures and owns the workload -> setup plumbing (a
-:class:`FriSystem` also names its :mod:`~repro.protocols.transcript`).
+:class:`FriSystem` also names its protocol's
+:class:`~repro.pcs.protocol.FriProtocol` declaration, which gives it its
+proof codec and its transcript spec).
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from ..context import RUN, lru
 from ..field import gl64
-from .transcript import FriProtocol, TranscriptSpec
+from ..fri import fri_layout
+from ..pcs.protocol import FriProtocol, Proof
+from .transcript import CapBinding, TranscriptSpec
 
 #: Per-thread instance-cache capacity (``RUN.instances``, LRU).
 INSTANCE_CACHE_CAP = 16
@@ -168,10 +172,6 @@ class ProofSystem(ABC):
             f"{self.name} backend does not declare cap bindings"
         )
 
-    def public_inputs_of(self, setup: ProtocolSetup, proof):
-        """The public-input values bound into the transcript."""
-        return list(proof.public_inputs)
-
     # -- serialization ---------------------------------------------------
 
     @abstractmethod
@@ -196,9 +196,12 @@ class ProofSystem(ABC):
 
 
 class FriSystem(ProofSystem):
-    """A backend over the FRI PCS: its analyzer spec and cap bindings
-    are read from its :mod:`~repro.protocols.transcript` declaration."""
+    """A backend over the FRI PCS: its proof codec, analyzer spec and
+    cap bindings are read from its protocol's declaration."""
 
+    #: The declaration whose round names and label the codec reads (an
+    #: instance's widths may differ: see :meth:`transcript`).
+    protocol: FriProtocol
     #: Fibonacci scales (``setup`` units) ``repro analyze`` proves at.
     analyzed_scales: Tuple[int, ...] = ()
 
@@ -217,6 +220,26 @@ class FriSystem(ProofSystem):
         setup_caps = len(self.transcript(first)[0].setup)
         return TranscriptSpec("Fibonacci", self.analyzed_scales, overrides, setup_caps)
 
-    def cap_bindings(self, setup: ProtocolSetup, proof):
+    def cap_bindings(self, setup: ProtocolSetup, proof: Proof):
+        """Each cap's deadline, counted from the declared draws (an
+        extension challenge takes two): setup caps bind challenge 0, a
+        round's cap the first one after the rounds before it.  FRI then
+        draws alpha and, under a virtual first layer, its beta; each
+        committed layer's cap precedes its own beta."""
         protocol, setup_caps = self.transcript(setup)
-        return protocol.cap_bindings(setup_caps, proof, setup.config, setup.rows.bit_length() - 1)
+        bindings = [CapBinding(f"{r.name}_cap", cap, 0) for r, cap in zip(protocol.setup, setup_caps)]
+        draws = 0
+        for round_, cap in zip(protocol.rounds, proof.caps):
+            bindings.append(CapBinding(f"{round_.name}_cap", cap, draws))
+            draws += len(round_.base) + 2 * len(round_.ext)
+        virtual, _ = fri_layout(setup.config, setup.rows.bit_length() - 1, protocol.widths)
+        first = draws + (4 if virtual else 2)
+        for k, cap in enumerate(proof.fri_proof.commit_caps):
+            bindings.append(CapBinding(f"fri.commit_caps[{k}]", cap, first + 2 * k))
+        return bindings
+
+    def to_bytes(self, proof: Proof) -> bytes:
+        return proof.to_bytes()
+
+    def from_bytes(self, data) -> Proof:
+        return Proof.from_bytes(data, self.protocol)

@@ -5,8 +5,8 @@ from __future__ import annotations
 from typing import Dict, Mapping
 
 from ..fri import FriConfig
-from ..plonk import PlonkProof, prove as plonk_prove, prover as plonk_prover, verify as plonk_verify
-from . import transcript as fs
+from ..plonk import prove as plonk_prove, prover as plonk_prover, verify as plonk_verify
+from ..plonk.protocol import PLONK, QUOTIENT_CHUNKS
 from .base import FriSystem, ProtocolSetup, circuit_instance, instance
 
 
@@ -21,8 +21,7 @@ class PlonkSystem(FriSystem):
     #: 3: each FRI tree is opened once, as a shared-path multiproof;
     #: 2: FRI layers open arity-8 coset leaves, not v1's arity-2 pairs.
     format_version = 5
-    to_bytes = staticmethod(PlonkProof.to_bytes)
-    from_bytes = staticmethod(PlonkProof.from_bytes)
+    protocol = PLONK
 
     def default_config(self) -> Dict[str, int]:
         return dict(
@@ -38,7 +37,7 @@ class PlonkSystem(FriSystem):
 
     def config_from(self, knobs: Mapping[str, int]) -> FriConfig:
         config = FriConfig(**dict(knobs))
-        config.check_quotient_fits(plonk_prover.QUOTIENT_CHUNKS)
+        config.check_quotient_fits(QUOTIENT_CHUNKS)
         return config
 
     def setup(self, workload, scale: int, config: FriConfig) -> ProtocolSetup:
@@ -78,4 +77,4 @@ class PlonkSystem(FriSystem):
     analyzed_scales = (4, 8, 16)
 
     def transcript(self, setup: ProtocolSetup):
-        return fs.PLONK, (setup.data[0].preprocessed.cap,)
+        return PLONK, (setup.data[0].preprocessed.cap,)

@@ -6,8 +6,8 @@ from typing import Dict, Mapping
 
 from ..field import gl64
 from ..fri import FriConfig
-from ..stark import StarkProof, prove as stark_prove, verify as stark_verify
-from . import transcript as fs
+from ..stark import prove as stark_prove, verify as stark_verify
+from ..stark.protocol import STARK, stark
 from .base import FriSystem, ProtocolSetup, instance
 
 
@@ -23,15 +23,16 @@ class StarkSystem(FriSystem):
 
     name = "stark"
     description = "AIR transition constraints, LDE + batch FRI opening"
+    #: 7: the proof does not send the trace length (the verifier takes
+    #: it from its instance);
     #: 6: the proof sends opened values only, no opening points, column
     #: lists or leaf indices (the verifier derives them);
     #: 5: the batches may commit 2- or 4-row cosets (``fri.fri_layout``);
     #: 4: each FRI tree is opened once, as a shared-path multiproof;
     #: 3: FRI's first layer may be virtual (the batches commit its
     #: cosets); 2: FRI layers open arity-8 coset leaves, not v1's pairs.
-    format_version = 6
-    to_bytes = staticmethod(StarkProof.to_bytes)
-    from_bytes = staticmethod(StarkProof.from_bytes)
+    format_version = 7
+    protocol = STARK
 
     def default_config(self) -> Dict[str, int]:
         return dict(
@@ -68,7 +69,7 @@ class StarkSystem(FriSystem):
 
     def verify(self, setup: ProtocolSetup, proof, challenger=None) -> None:
         air, _, _ = setup.data
-        stark_verify(air, proof, setup.config, challenger=challenger)
+        stark_verify(air, setup.rows, proof, setup.config, challenger=challenger)
 
     def fuzz_target(self):
         from ..fuzz.targets import stark_target
@@ -81,4 +82,4 @@ class StarkSystem(FriSystem):
     analyzed_scales = (3, 7)
 
     def transcript(self, setup: ProtocolSetup):
-        return fs.stark(setup.data[0]), ()
+        return stark(setup.data[0]), ()

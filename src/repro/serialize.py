@@ -9,9 +9,10 @@ length-prefix overhead).
 
 This module holds what every protocol shares (reader/writer, cap /
 extension-array / FRI codecs, blob and envelope framing) and imports
-no protocol package.  A protocol's *body* codec lives beside its proof
-dataclass (``StarkProof.to_bytes`` ...); the framing functions resolve
-a tag to its codec and format version through :mod:`repro.protocols`.
+no protocol package.  A proof's *body* codec lives beside its dataclass
+(:class:`repro.pcs.protocol.Proof` for every FRI protocol,
+``HyperPlonkProof``); the framing functions resolve a tag to its codec
+and format version through :mod:`repro.protocols`.
 
 The codec makes one pass over the bytes.  The writer packs each array
 header (size, rank, dims) with one ``struct.pack`` and joins its chunks

@@ -11,16 +11,15 @@ base proofs so much cheaper than Plonky2's (Table 5) at the cost of
 larger proofs.
 
 The commit / quotient / open data plane is :class:`repro.pcs.FriPCS`
-(shared with the Plonk prover) and the transcript is the declared
-:func:`repro.protocols.transcript.stark`; this module defines the
-STARK-specific stages: the constraint blend over the LDE coset and the
-opening layout.
+(shared with the Plonk prover) and the transcript and opening layout are
+the declared :func:`repro.stark.protocol.stark`; this module defines the
+STARK-specific stage: the constraint blend over the LDE coset.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -31,32 +30,9 @@ from ..fri.prover import lde_points, vanishing_inverse
 from ..hashing import Challenger
 from ..ntt import lde
 from ..pcs import FriPCS
+from ..pcs.protocol import Proof
 from .air import Air, BaseVecAlgebra
-from .proof import StarkProof
-
-
-def quotient_chunk_count(air: Air) -> int:
-    """Number of degree-n quotient chunks per extension limb."""
-    return max(1, air.constraint_degree - 1)
-
-
-def leaf_widths(air: Air) -> List[int]:
-    """Columns of the trace and quotient batches, in commitment order:
-    the input to :func:`~repro.fri.config.fri_layout`."""
-    return [air.width, 2 * quotient_chunk_count(air)]
-
-
-def opening_columns(air: Air) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
-    """The ``(batch, column)`` pairs opened at ``zeta`` -- every trace
-    and quotient column -- and at ``zeta * omega`` -- the trace again.
-
-    The one statement of the opening layout: the prover evaluates it,
-    the verifier rebuilds the opening set from it, so a proof carries
-    the opened values alone.
-    """
-    trace, quotient = leaf_widths(air)
-    at_next = [(0, c) for c in range(trace)]
-    return at_next + [(1, c) for c in range(quotient)], at_next
+from .protocol import quotient_chunk_count, stark
 
 
 @lru_cache(maxsize=16)
@@ -102,7 +78,7 @@ def prove(
     config: FriConfig,
     challenger: Challenger | None = None,
     pool: "parallel.ShardPool | None" = None,
-) -> StarkProof:
+) -> Proof:
     """Prove that ``trace`` satisfies ``air`` with the given public values.
 
     ``trace`` is (n, width) with ``n`` a power of two.  The per-shape
@@ -129,17 +105,14 @@ def prove(
     blowup = 1 << rate_bits
     n_lde = n * blowup
 
-    # Imported here: the protocols package imports this module.
-    from ..protocols.transcript import stark
-
     with parallel.sharding(pool), tracing.span(
         "prove:stark", category="prove", n=n, width=width
     ):
         pcs = FriPCS(config)
-        coset_bits, _ = fri_layout(config, n.bit_length() - 1, leaf_widths(air))
+        protocol = stark(air)
+        coset_bits, _ = fri_layout(config, n.bit_length() - 1, protocol.widths)
 
         # Commit the trace.
-        protocol = stark(air)
         commit = protocol.start(challenger, (), public_inputs)
         trace_batch = pcs.commit_values(trace.T, "trace", coset_bits)
         (alpha,) = commit("trace", trace_batch.cap)
@@ -190,11 +163,9 @@ def prove(
             protocol.points(zeta, n), protocol.columns, challenger
         )
 
-    return StarkProof(
-        trace_cap=trace_batch.cap.copy(),
-        quotient_cap=quotient_batch.cap.copy(),
+    return Proof(
+        caps=[trace_batch.cap.copy(), quotient_batch.cap.copy()],
         public_inputs=[gl.canonical(int(v)) for v in public_inputs],
-        degree_bits=n.bit_length() - 1,
         opened_values=openings.flat_values(),
         fri_proof=fri_proof,
     )

@@ -1,4 +1,4 @@
-"""STARK verifier: degree bound, constraint identity at zeta, shared tail."""
+"""STARK verifier: the constraint identity at zeta inside the shared tail."""
 
 from __future__ import annotations
 
@@ -7,50 +7,41 @@ from functools import partial
 import numpy as np
 
 from .. import tracing
-from ..errors import VerifierError
 from ..field import extension as fext, goldilocks as gl
 from ..fri import FriOpenings
 from ..hashing import Challenger
 from ..pcs import FriPCS
+from ..pcs.protocol import Proof
 from .air import Air, ExtAlgebra
-from .proof import StarkProof
-from .prover import quotient_chunk_count
-
-
-class StarkError(VerifierError):
-    """Raised when a STARK proof fails verification."""
+from .protocol import StarkError, quotient_chunk_count, stark
 
 
 def verify(
     air: Air,
-    proof: StarkProof,
+    n: int,
+    proof: Proof,
     config,
     challenger: Challenger | None = None,
 ) -> None:
-    """Verify a STARK proof; raises :class:`StarkError` on any failure."""
+    """Verify a STARK proof that an ``n``-row trace satisfies ``air``;
+    raises :class:`StarkError` on any failure."""
     with tracing.span("verify", category="verify", protocol="stark"):
-        # Bound the claimed degree before ``1 << degree_bits`` can build a
-        # multi-gigabyte integer from a hostile 32-bit value.
-        if not 0 < proof.degree_bits <= gl.TWO_ADICITY:
-            raise StarkError("degree bits out of range")
-        # Imported here: the protocols package imports this module.
-        from ..protocols.transcript import stark
-
         stark(air).verify(
-            proof, (), config, 1 << proof.degree_bits, challenger or Challenger(),
-            partial(_check_identity, air, proof),
+            proof, (), config, n, challenger or Challenger(),
+            partial(_check_identity, air, n, proof),
         )
 
 
 def _check_identity(
     air: Air,
-    proof: StarkProof,
+    n: int,
+    proof: Proof,
     openings: FriOpenings,
     alpha: np.ndarray,
     zeta: np.ndarray,
 ) -> None:
     """The constraint identity holds on the opened values at ``zeta``."""
-    n, omega = 1 << proof.degree_bits, gl.primitive_root_of_unity(proof.degree_bits)
+    omega = gl.primitive_root_of_unity(n.bit_length() - 1)
     chunks = quotient_chunk_count(air)
     width = air.width
     vals0, vals1 = openings.values

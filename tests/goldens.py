@@ -49,8 +49,13 @@ every Plonk entry was regenerated (``DIGESTS``, ``LAYOUTS``,
 scale 6 moved from ``(1, (1, 3, 1))`` to ``(1, (1, 2))``, and
 ``ARITY2_DIGESTS["plonk"]`` moved to MVM scale 6, an instance that
 still folds (``ARITY2_WORKLOADS``).  The STARK and HyperPlonk-lite
-entries held.  Counters are measured around ``prove`` or ``verify``
-alone, setup excluded.
+entries held.  When the STARK proof stopped sending its trace length
+(format v7: its verifier takes ``n`` from its instance), the STARK
+``DIGESTS``, ``ROW_LAYOUT_DIGESTS``, ``ARITY2_DIGESTS`` and both
+``FRAMED`` entries were regenerated: each body is the old one without
+its 4-byte degree word; ``LAYOUTS`` and the counters held, and every
+Plonk and HyperPlonk-lite entry held.  Counters are measured around
+``prove`` or ``verify`` alone, setup excluded.
 """
 
 from repro.fri.config import FriConfig
@@ -71,7 +76,7 @@ CONFIGS = {
 
 #: Proof digest (``system.digest``) per protocol.
 DIGESTS = {
-    "stark": "6f09ace28af0a1916bf308013a4393e19cf9561a47ddff73bc0d9521ab8714f0",
+    "stark": "5dfb333407af41018d54bcde98ed2057f5aa85e27495331ac09d33a5692a82bd",
     "plonk": "af20a69c38cd17954bc2d053e1bfb3ad85b1e25408cb461f24c508499eeab6cc",
     "hyperplonk": "f9f5273ff0cb634ea6ad97834b368fefbd1bfabd7fbd99b89ce6abf34b089d82",
 }
@@ -89,7 +94,7 @@ LAYOUTS = {
 #: later encoding change), so the coset layout extends the old prover
 #: rather than replacing it.
 ROW_LAYOUT_DIGESTS = {
-    "stark": "491a66da14edf209f6c486ae61f17ce14f0d5c18e0c8c78175a3c3d8c9aa5562",
+    "stark": "c8952a5edfdfe0dd944a09ad55e3895aec385eebcb7bcd9beb7c2e594d1cb6d8",
 }
 
 #: The STARK and Plonk proofs of ``ARITY2_WORKLOADS`` at scale 6 with
@@ -99,7 +104,7 @@ ROW_LAYOUT_DIGESTS = {
 #: later encoding change), so the schedule generalises the old prover
 #: rather than replacing it.
 ARITY2_DIGESTS = {
-    "stark": "9cef772355e7e641f9f651edaad490c05567011c1926a15110e53cfda68d82a8",
+    "stark": "b93be9bd8fdc04336afd99f7b8231e6f61aeb3ea91c3a5d36c270d1c7f86444d",
     "plonk": "a46894de60c466161b8433ab0d4c57041fb3d5ef58228d5c1de5504f6d2aaf5f",
 }
 
@@ -138,8 +143,8 @@ VERIFY_COUNTERS = {
 #: sha256 of ``proof_to_blob`` and of the service result envelope.
 FRAMED = {
     "stark": (
-        "260603bf15cb481736bef679559d825bc0dd35f62fef71b245b0da2c96d04d16",
-        "47a2e50a80a387887d933b205996fdd80bfff4160169baf395b19e8fff34109b",
+        "bd89e9a9bcc07c6cb4b304e486b041beb306a9133d0a134d6fceb1d747804863",
+        "29b5a2fc99b895e20fc249e0e9babcec728ac59a261c610f39b96220ed6b021e",
     ),
     "plonk": (
         "1f0eacd9277ea07655601873faff5bae24806554e4ec69361f881975e052f729",

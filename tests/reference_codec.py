@@ -22,10 +22,9 @@ import numpy as np
 from repro.fri.proof import FriProof
 from repro.hyperplonk.proof import HyperPlonkProof
 from repro.merkle import TreeOpening
-from repro.plonk.proof import PlonkProof
+from repro.pcs.protocol import Proof
 from repro.protocols import get, names
 from repro.serialize import ENVELOPE_MAGIC, ENVELOPE_VERSION, PROOF_BLOB_MAGIC, ProofFormatError
-from repro.stark.proof import StarkProof
 from repro.sumcheck import SumcheckProof
 
 MAX_NDIM = 4
@@ -178,11 +177,11 @@ def read_fri_proof(r: ByteReader) -> FriProof:
 # -- protocol bodies -----------------------------------------------------------
 
 
-def stark_to_bytes(proof: StarkProof) -> bytes:
+def stark_to_bytes(proof: Proof) -> bytes:
+    trace_cap, quotient_cap = proof.caps
     w = ByteWriter()
-    w.elems(proof.trace_cap)
-    w.elems(proof.quotient_cap)
-    w.u32(proof.degree_bits)
+    w.elems(trace_cap)
+    w.elems(quotient_cap)
     w.u32(len(proof.public_inputs))
     for v in proof.public_inputs:
         w.u64(v)
@@ -191,31 +190,29 @@ def stark_to_bytes(proof: StarkProof) -> bytes:
     return w.getvalue()
 
 
-def stark_from_bytes(data: bytes) -> StarkProof:
+def stark_from_bytes(data: bytes) -> Proof:
     r = ByteReader(data)
     trace_cap = read_cap(r, "trace cap")
     quotient_cap = read_cap(r, "quotient cap")
-    degree_bits = r.u32()
     publics = [r.u64() for _ in range(r.count(8, "public input count"))]
     opened_values = read_ext_array(r, "opened values")
     fri_proof = read_fri_proof(r)
     if not r.done():
         raise ValueError("trailing bytes after STARK proof")
-    return StarkProof(
-        trace_cap=trace_cap,
-        quotient_cap=quotient_cap,
+    return Proof(
+        caps=[trace_cap, quotient_cap],
         public_inputs=publics,
-        degree_bits=degree_bits,
         opened_values=opened_values,
         fri_proof=fri_proof,
     )
 
 
-def plonk_to_bytes(proof: PlonkProof) -> bytes:
+def plonk_to_bytes(proof: Proof) -> bytes:
+    wires_cap, z_cap, quotient_cap = proof.caps
     w = ByteWriter()
-    w.elems(proof.wires_cap)
-    w.elems(proof.z_cap)
-    w.elems(proof.quotient_cap)
+    w.elems(wires_cap)
+    w.elems(z_cap)
+    w.elems(quotient_cap)
     w.u32(len(proof.public_inputs))
     for v in proof.public_inputs:
         w.u64(v)
@@ -224,20 +221,18 @@ def plonk_to_bytes(proof: PlonkProof) -> bytes:
     return w.getvalue()
 
 
-def plonk_from_bytes(data: bytes) -> PlonkProof:
+def plonk_from_bytes(data: bytes) -> Proof:
     r = ByteReader(data)
     wires_cap = read_cap(r, "wires cap")
-    z_cap = read_cap(r, "Z cap")
+    z_cap = read_cap(r, "z cap")
     quotient_cap = read_cap(r, "quotient cap")
     publics = [r.u64() for _ in range(r.count(8, "public input count"))]
     opened_values = read_ext_array(r, "opened values")
     fri_proof = read_fri_proof(r)
     if not r.done():
         raise ValueError("trailing bytes after Plonk proof")
-    return PlonkProof(
-        wires_cap=wires_cap,
-        z_cap=z_cap,
-        quotient_cap=quotient_cap,
+    return Proof(
+        caps=[wires_cap, z_cap, quotient_cap],
         public_inputs=publics,
         opened_values=opened_values,
         fri_proof=fri_proof,

@@ -344,7 +344,7 @@ def verify_paths(openings) -> np.ndarray:
 @contextmanager
 def reference_plane() -> Iterator[None]:
     """Run the protocol verifiers over the scalar Merkle / FRI plane."""
-    with mock.patch("repro.protocols.transcript.fri_verify", fri_verify), mock.patch(
+    with mock.patch("repro.pcs.protocol.fri_verify", fri_verify), mock.patch(
         "repro.hyperplonk.verifier.verify_paths", verify_paths
     ):
         yield

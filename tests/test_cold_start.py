@@ -79,7 +79,7 @@ import json
 from repro.field import goldilocks as gl
 from repro.fri import fri_layout, prover as fri
 from repro.protocols import get
-from repro.stark.prover import leaf_widths
+from repro.stark.protocol import stark
 from repro.workloads import by_name
 
 system = get("stark")
@@ -90,7 +90,7 @@ built = [fri.fold_tables.cache_info(), fri.fold_weights.cache_info()]
 
 # The schedule's folds: one table per one-step fold, one weight vector
 # per arity-2 step of a chained fold (fri.prover.fold_values).
-_, schedule = fri_layout(config, 12, leaf_widths(setup.data[0]))
+_, schedule = fri_layout(config, 12, stark(setup.data[0]).widths)
 log_n, shift, tables, weights = 12 + config.rate_bits, gl.coset_shift(), [], []
 for bits in schedule:
     if bits >= 2 and 1 << log_n >= fri._FOLD_GEMM_VALUES:

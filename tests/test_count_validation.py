@@ -16,7 +16,7 @@ from repro.merkle import MerkleTree, merkle_permutation_count
 from repro.metrics import counting
 from repro.ntt import intt, lde, ntt
 from repro.plonk import CircuitBuilder, prove, setup
-from repro.plonk.prover import LEAF_WIDTHS
+from repro.plonk.protocol import PLONK
 from repro.stark import prove as stark_prove
 from repro.workloads import by_name
 
@@ -107,7 +107,7 @@ class TestPlonkProverCounts:
     def _predicted_tree_perms(self, circuit, cfg):
         n_lde = circuit.n << cfg.rate_bits
         cap = cfg.cap_height
-        a, _ = fri_layout(cfg, circuit.log_n, LEAF_WIDTHS)
+        a, _ = fri_layout(cfg, circuit.log_n, PLONK.widths)
         total = 0
         # wires (3 cols), z (1 col), quotient (8 cols), each leaf the
         # coset of 2**a rows the layout picks.

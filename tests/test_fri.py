@@ -36,8 +36,9 @@ from repro.fri.prover import check_pow, combine_rows, lde_points
 from repro.hashing import Challenger
 from repro.merkle import MerkleTree, open_tree
 from repro.plonk import prover as plonk_prover
-from repro.plonk.prover import LEAF_WIDTHS as PLONK_WIDTHS
+from repro.plonk.protocol import PLONK
 from repro.stark import prover as stark_prover
+from repro.stark.protocol import stark
 from repro.serialize import proof_to_blob
 from repro.workloads import by_name, fibonacci
 
@@ -253,7 +254,7 @@ def _first_arities(cfg, degree_bits):
 
 
 def _widths(protocol, setup):
-    return stark_prover.leaf_widths(setup.data[0]) if protocol == "stark" else PLONK_WIDTHS
+    return stark(setup.data[0]).widths if protocol == "stark" else PLONK.widths
 
 
 class TestInitialArityBits:
@@ -428,16 +429,16 @@ class TestLayoutTable:
         assert cfg.final_poly_len == 16
         for degree_bits in range(5, 14):
             size, perms = _proof_price(
-                cfg, degree_bits, PLONK_WIDTHS, fri_layout(cfg, degree_bits, PLONK_WIDTHS)[0]
+                cfg, degree_bits, PLONK.widths, fri_layout(cfg, degree_bits, PLONK.widths)[0]
             )
             old_size, old_perms = _proof_price(
-                old, degree_bits, PLONK_WIDTHS, _bytes_first(old, degree_bits, PLONK_WIDTHS)
+                old, degree_bits, PLONK.widths, _bytes_first(old, degree_bits, PLONK.widths)
             )
             assert size <= Fraction(101, 100) * old_size, degree_bits
             assert perms <= Fraction(102, 100) * old_perms, degree_bits
             if degree_bits in (9, 12):
                 assert perms <= Fraction(77, 100) * old_perms, degree_bits
-        assert fri_layout(cfg, 9, PLONK_WIDTHS) == (2, (2, 3))
+        assert fri_layout(cfg, 9, PLONK.widths) == (2, (2, 3))
 
 
 class TestExpectedProofBytes:
@@ -463,12 +464,12 @@ class TestExpectedProofBytes:
         # trees of 4096 leaves, then layers of 512 and 128 coset leaves
         # (a fold by 8, then by 4), each with a two-digest cap.
         cfg = CONFIGS["plonk"]
-        trees = [(4096, w, 1) for w in PLONK_WIDTHS]
+        trees = [(4096, w, 1) for w in PLONK.widths]
         trees += [(512, 16, 1), (128, 8, 1)]
         want = 2 * 2 * 32 + sum(
             expected_opening_bytes(m, w, cap, cfg.num_queries) for m, w, cap in trees
         )
-        assert expected_proof_bytes(cfg, 9, PLONK_WIDTHS, 0) == want
+        assert expected_proof_bytes(cfg, 9, PLONK.widths, 0) == want
 
 
 class TestGrinding:

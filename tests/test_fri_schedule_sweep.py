@@ -35,11 +35,11 @@ from repro.fri import FriConfig, fri_layout, verifier as fri_verifier
 from repro.fri.config import FRI_ARITY_BITS
 from repro.hashing import optimized
 from repro.plonk import CircuitBuilder
-from repro.plonk.prover import LEAF_WIDTHS as PLONK_WIDTHS, ZK_SALT_COLUMNS
+from repro.plonk.protocol import PLONK, ZK_SALT_COLUMNS
 from repro.serialize import proof_from_blob, proof_to_blob
 from repro.stark import Air, BoundaryConstraint
 from repro.stark import prover as stark_prover
-from repro.stark.prover import leaf_widths
+from repro.stark.protocol import stark as stark_protocol
 
 from . import reference_verifiers
 from .reference_verifiers import reference_plane
@@ -79,7 +79,7 @@ def _stark_case(degree_bits, cfg, data):
     trace = np.array(rows, dtype=np.uint64)
     publics = list(range(air.width // 2))
     proof = stark.prove(air, trace, publics, cfg)
-    return proof, lambda p: stark.verify(air, p, cfg), leaf_widths(air), (0, 0)
+    return proof, lambda p: stark.verify(air, len(trace), p, cfg), stark_protocol(air).widths, (0, 0)
 
 
 def _plonk_case(degree_bits, cfg, data):
@@ -92,7 +92,7 @@ def _plonk_case(degree_bits, cfg, data):
     proof = plonk.prove(setup, {x.index: 3, pub.index: 9}, blinding_seed=1 if salted else None)
     # Salt widens the committed wires rows but not the layout rule's input.
     salt = (0, ZK_SALT_COLUMNS if salted else 0, 0, 0)
-    return proof, lambda p: plonk.verify(setup.verifier_data, p), list(PLONK_WIDTHS), salt
+    return proof, lambda p: plonk.verify(setup.verifier_data, p), list(PLONK.widths), salt
 
 
 #: protocol -> (case builder, lowest degree bits, lowest rate bits)

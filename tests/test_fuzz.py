@@ -5,7 +5,7 @@ Covers the contract from three directions:
 * every mutator class produces mutants that are rejected with a *typed*
   error, for every registered protocol;
 * crafted regression vectors pin each verifier/deserializer hardening
-  fix (degree-bits bound, layer-leaf shape, leaf-width pin, leaves/proofs
+  fix (statement binding, layer-leaf shape, leaf-width pin, leaves/proofs
   pairing, hostile lengths) -- including a revert simulation showing the
   fuzzer reproduces a finding from its stored artifact when a fix is
   removed;
@@ -37,7 +37,7 @@ from repro.fuzz import (
 )
 from repro.fuzz import runner as fuzz_runner, targets as fuzz_targets
 from repro.plonk import prove as plonk_prove, setup as plonk_setup, verify as plonk_verify
-from repro.plonk.prover import LEAF_WIDTHS
+from repro.plonk.protocol import PLONK
 from repro.protocols import names
 from repro.stark import StarkError
 
@@ -58,11 +58,11 @@ def _row_leaf_plonk_target():
         rate_bits=3, cap_height=1, num_queries=4, proof_of_work_bits=2, final_poly_len=8
     )
     circuit, x, pub = fuzz_targets._cube_circuit()
-    assert fri_layout(config, circuit.log_n, LEAF_WIDTHS) == (0, ())
+    assert fri_layout(config, circuit.log_n, PLONK.widths) == (0, ())
     data = plonk_setup(circuit, config)
     proof = plonk_prove(data, {x.index: 3, pub.index: 27})
     return fuzz_targets._target(
-        "plonk", proof, proof, lambda p: plonk_verify(data.verifier_data, p), LEAF_WIDTHS
+        "plonk", proof, proof, lambda p: plonk_verify(data.verifier_data, p), PLONK.widths
     )
 
 
@@ -83,7 +83,6 @@ class TestTargets:
 
 #: Structural mutators that only apply to some proof shapes: mutators
 #: must return None (not crash) on the protocols they do not cover.
-_STARK_ONLY = {"perturb-degree-bits"}
 _FRI_ONLY = {
     "perturb-opening-value",
     "drop-layer",
@@ -112,8 +111,6 @@ _SUMCHECK_ONLY = {
 
 
 def _applicable(protocol: str, name: str) -> bool:
-    if name in _STARK_ONLY:
-        return protocol == "stark"
     if name in _FRI_ONLY or name in _PATH_NODES_ONLY:
         return protocol in ("stark", "plonk")
     if name in _SUMCHECK_ONLY:
@@ -144,7 +141,7 @@ class TestMutatorsRejected:
                 f"({type(exc).__name__ if exc else 'accepted'}: {exc})"
             )
             if tried >= 2:
-                return
+                break
         if not _applicable(protocol, name):
             assert tried == 0  # shape-specific mutator, correctly inapplicable
         else:
@@ -163,13 +160,22 @@ class TestMutatorsRejected:
 class TestRegressionVectors:
     """Crafted vectors pinning each hardening fix in this PR."""
 
-    def test_hostile_degree_bits_rejected_cheaply(self):
+    def test_proof_of_another_instance_refused(self):
+        # The alt blob proves the 2^7-row instance; the target's verifier
+        # is bound to 2^6 rows, whatever the proof's own shape says.
+        tgt = target_for("stark")
+        with pytest.raises(StarkError):
+            tgt.run_verify(tgt.decode(tgt.alt_blob))
+
+    def test_missing_round_cap_typed(self):
+        # Object-level: one cap short, the replay would pair the caps off
+        # short and hand the identity check too few challenges.
         tgt = target_for("stark")
         proof = tgt.decode(tgt.blob)
-        for bits in (0, 40, 2**31):
-            proof.degree_bits = bits
-            with pytest.raises(StarkError, match="degree bits"):
-                tgt.run_verify(proof)
+        proof.caps = proof.caps[:-1]
+        outcome, exc = classify_object(tgt, proof)
+        assert outcome == "rejected-verify"
+        assert "wrong number of round caps" in str(exc)
 
     def test_scalar_coset_leaf_typed(self):
         tgt = target_for("stark")
@@ -248,7 +254,7 @@ class TestRegressionVectors:
         assert "initial opening has wrong shape" in str(exc)
 
         # Simulate reverting the fix: call FRI without the width pin.
-        import repro.protocols.transcript as pv
+        import repro.pcs.protocol as pv
 
         pinned = pv.fri_verify
 
@@ -294,7 +300,7 @@ class TestRegressionVectors:
         from repro.fri import FriOpenings, fri_verify
         from repro.fuzz.targets import _STARK_CONFIG
         from repro.hashing import Challenger
-        from repro.stark.prover import opening_columns
+        from repro.stark.protocol import stark
         from repro.workloads import by_name
 
         tgt = target_for("stark")
@@ -308,30 +314,32 @@ class TestRegressionVectors:
 
         with mock.patch.object(Challenger, "get_indices", spy):
             tgt.run_verify(proof)  # the honest proof: record its queries
-        n_lde = (1 << proof.degree_bits) << _STARK_CONFIG.rate_bits
+        degree_bits = 6  # the target's rows
+        n_lde = (1 << degree_bits) << _STARK_CONFIG.rate_bits
         omega = gl.primitive_root_of_unity(n_lde.bit_length() - 1)
         x0 = gl.mul(gl.coset_shift(), gl.pow_mod(omega, queried[0]))  # a queried LDE point
+        trace_cap, quotient_cap = proof.caps
         challenger = Challenger()
         challenger.observe_elements(np.asarray(proof.public_inputs, dtype=np.uint64))
-        challenger.observe_cap(proof.trace_cap)
+        challenger.observe_cap(trace_cap)
         challenger.get_ext_challenge()
-        challenger.observe_cap(proof.quotient_cap)
+        challenger.observe_cap(quotient_cap)
         zeta = challenger.get_ext_challenge()
-        zeta_next = fext.scalar_mul(zeta, np.uint64(gl.primitive_root_of_unity(proof.degree_bits)))
-        air = by_name("Fibonacci").build_air(proof.degree_bits)[0]
+        zeta_next = fext.scalar_mul(zeta, np.uint64(gl.primitive_root_of_unity(degree_bits)))
+        air = by_name("Fibonacci").build_air(degree_bits)[0]
         doctored = FriOpenings.from_flat(
             [np.array([x0, 0], dtype=np.uint64), zeta_next],
-            opening_columns(air),
+            stark(air).columns,
             proof.opened_values,
         )
         with pytest.raises(FriError, match="evaluation domain"):
             fri_verify(
-                [proof.trace_cap, proof.quotient_cap],
+                proof.caps,
                 doctored,
                 proof.fri_proof,
                 challenger,
                 _STARK_CONFIG,
-                1 << proof.degree_bits,
+                1 << degree_bits,
                 leaf_widths=tgt.leaf_widths,
             )
 

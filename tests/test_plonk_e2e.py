@@ -56,7 +56,7 @@ class TestHonestProver:
         data, xs = paper_data
         inputs = {xs[0].index: 2, xs[1].index: 9, xs[2].index: 3, xs[3].index: 3}
         p1, p2 = prove(data, inputs), prove(data, inputs)
-        assert np.array_equal(p1.wires_cap, p2.wires_cap)
+        assert np.array_equal(p1.caps[0], p2.caps[0])
         assert p1.fri_proof.pow_witness == p2.fri_proof.pow_witness
 
 
@@ -70,24 +70,21 @@ class TestSoundness:
     def test_tampered_wires_cap(self, paper_data, valid_proof):
         data, _ = paper_data
         p = copy.deepcopy(valid_proof)
-        p.wires_cap = p.wires_cap.copy()
-        p.wires_cap[0, 0] ^= np.uint64(1)
+        p.caps[0][0, 0] ^= np.uint64(1)
         with pytest.raises(PlonkError):
             verify(data.verifier_data, p)
 
     def test_tampered_z_cap(self, paper_data, valid_proof):
         data, _ = paper_data
         p = copy.deepcopy(valid_proof)
-        p.z_cap = p.z_cap.copy()
-        p.z_cap[0, 1] ^= np.uint64(1)
+        p.caps[1][0, 1] ^= np.uint64(1)
         with pytest.raises(PlonkError):
             verify(data.verifier_data, p)
 
     def test_tampered_quotient_cap(self, paper_data, valid_proof):
         data, _ = paper_data
         p = copy.deepcopy(valid_proof)
-        p.quotient_cap = p.quotient_cap.copy()
-        p.quotient_cap[0, 2] ^= np.uint64(1)
+        p.caps[2][0, 2] ^= np.uint64(1)
         with pytest.raises(PlonkError):
             verify(data.verifier_data, p)
 

@@ -66,7 +66,7 @@ def test_shared_plan_proofs_are_identical_and_match_golden():
     )
     d1, d2 = stark_digest(first), stark_digest(second)
     assert d1 == d2 == GOLDEN_DIGEST
-    verify(air, second, CONFIG)
+    verify(air, len(trace), second, CONFIG)
 
 
 def test_plan_counters_match_golden():

@@ -100,15 +100,14 @@ class TestHostileLengths:
             r.count(8, "test count")
 
     def test_inflated_public_input_count_rejected(self, stark_setup):
-        # Stomp the STARK public-input count (right after the two caps
-        # and degree_bits) with 0xFFFFFFFF: the reader must bound it by
-        # the remaining buffer instead of looping 4 billion times.
+        # Stomp the STARK public-input count (right after the two caps)
+        # with 0xFFFFFFFF: the reader must bound it by the remaining
+        # buffer instead of looping 4 billion times.
         _, proof = stark_setup
         blob = bytearray(STARK.to_bytes(proof))
         w = ByteWriter()
-        w.elems(proof.trace_cap)
-        w.elems(proof.quotient_cap)
-        w.u32(proof.degree_bits)
+        for cap in proof.caps:
+            w.elems(cap)
         offset = len(w.getvalue())
         blob[offset : offset + 4] = b"\xff\xff\xff\xff"
         with pytest.raises(ValueError, match="length-inflated"):
@@ -155,7 +154,7 @@ class TestPlonkRoundTrip:
     def test_roundtrip_fields_equal(self, plonk_setup):
         _, proof = plonk_setup
         restored = PLONK.from_bytes(PLONK.to_bytes(proof))
-        assert np.array_equal(restored.wires_cap, proof.wires_cap)
+        assert all(np.array_equal(a, b) for a, b in zip(restored.caps, proof.caps, strict=True))
         assert restored.public_inputs == proof.public_inputs
         assert restored.fri_proof.pow_witness == proof.fri_proof.pow_witness
         assert np.array_equal(restored.opened_values, proof.opened_values)
@@ -194,12 +193,7 @@ class TestStarkRoundTrip:
     def test_roundtrip_verifies(self, stark_setup):
         air, proof = stark_setup
         restored = STARK.from_bytes(STARK.to_bytes(proof))
-        stark_verify(air, restored, _SCFG)
-
-    def test_degree_bits_preserved(self, stark_setup):
-        _, proof = stark_setup
-        restored = STARK.from_bytes(STARK.to_bytes(proof))
-        assert restored.degree_bits == proof.degree_bits
+        stark_verify(air, 1 << 5, restored, _SCFG)  # the fixture's rows
 
     def test_deterministic_bytes(self, stark_setup):
         _, proof = stark_setup
@@ -333,10 +327,11 @@ def _as_version_1(blob: bytes) -> bytes:
     return bytes(old)
 
 
-#: Current format versions: STARK is at 6, Plonk at 5 and HyperPlonk-lite
-#: at 3 since a proof sends neither its opening points and columns nor
-#: its tree openings' leaf indices.
-CURRENT_VERSIONS = {"stark": 6, "plonk": 5, "hyperplonk": 3}
+#: Current format versions: Plonk is at 5 and HyperPlonk-lite at 3 since
+#: a proof sends neither its opening points and columns nor its tree
+#: openings' leaf indices; STARK is at 7 since it also stopped sending
+#: its trace length.
+CURRENT_VERSIONS = {"stark": 7, "plonk": 5, "hyperplonk": 3}
 
 
 @pytest.fixture(scope="module")
@@ -410,10 +405,11 @@ class TestFormatVersion1:
     def test_previous_version_blob_is_refused_before_its_body_is_decoded(
         self, protocol, stark_setup, plonk_setup, hyperplonk_proof
     ):
-        # STARK v5, Plonk v4 and HyperPlonk-lite v2 sent what the verifier
-        # derives (opening points, column lists, leaf indices); the
-        # current format sends opened values, rows and path nodes only, so
-        # those blobs are refused, typed, and the body codec never runs.
+        # STARK v6, Plonk v4 and HyperPlonk-lite v2 sent what the verifier
+        # derives (STARK v6 its trace length; Plonk v4 and HyperPlonk-lite
+        # v2 opening points, column lists, leaf indices); the current
+        # format sends none of it, so those blobs are refused, typed, and
+        # the body codec never runs.
         from unittest import mock
 
         from repro.serialize import PROOF_BLOB_MAGIC, ProofFormatError, proof_from_blob, proof_to_blob
@@ -421,7 +417,7 @@ class TestFormatVersion1:
         proof = {
             "stark": stark_setup[1], "plonk": plonk_setup[1], "hyperplonk": hyperplonk_proof
         }[protocol]
-        old = {"stark": 5, "plonk": 4, "hyperplonk": 2}[protocol]
+        old = {"stark": 6, "plonk": 4, "hyperplonk": 2}[protocol]
         version = CURRENT_VERSIONS[protocol]
         assert get(protocol).format_version == version == old + 1
         blob = bytearray(proof_to_blob(protocol, proof))

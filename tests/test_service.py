@@ -144,9 +144,9 @@ class TestServiceEndToEnd:
             result = svc.result(jid, timeout_s=60)
             kind, workload, payload = read_result_envelope(result.envelope)
             assert kind == "stark-proof" and workload == "Fibonacci"
-            air, _, _ = build_air(FIB["scale"])
+            air, trace, _ = build_air(FIB["scale"])
             _, proof = proof_from_blob(payload, expected_protocol="stark")
-            stark_verify(air, proof, get_protocol("stark").make_config())
+            stark_verify(air, len(trace), proof, get_protocol("stark").make_config())
             assert verify_result(FIB, result.envelope)
             stats = svc.job(jid)
             assert stats["state"] == "done"
@@ -622,9 +622,9 @@ class TestShardedService:
             result = svc.result(jid, timeout_s=120)
             kind, workload, payload = read_result_envelope(result.envelope)
             assert kind == "stark-proof" and workload == "Fibonacci"
-            air, _, _ = build_air(FIB["scale"])
+            air, trace, _ = build_air(FIB["scale"])
             _, proof = proof_from_blob(payload, expected_protocol="stark")
-            stark_verify(air, proof, get_protocol("stark").make_config())
+            stark_verify(air, len(trace), proof, get_protocol("stark").make_config())
             # Shard spans ride back nested inside the prove stages.
             shard = [
                 s

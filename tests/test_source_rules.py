@@ -27,7 +27,7 @@ invariants:
   (:data:`TRANSCRIPT_FILES`) that calls a ``Challenger``'s
   ``observe_*`` / ``get_*challenge*`` methods itself or builds a
   ``CapBinding``: the Fiat-Shamir rounds and the cap bindings are read
-  from their one declaration in :mod:`repro.protocols.transcript`.
+  from their one declaration, a :class:`repro.pcs.protocol.FriProtocol`.
 
 A finding fails the test unless :data:`ALLOWED` names its
 ``path::qualname`` with a reason; an entry that matches no finding, has
@@ -459,7 +459,7 @@ class TestRuleFixtures:
         # Stepping the declared transcript is the allowed form; the
         # declaration itself, FRI and HyperPlonk-lite are out of scope.
         assert check("stark/prover.py", "(alpha,) = commit('trace', cap)\n") == []
-        assert check("protocols/transcript.py", "ch.observe_cap(cap)\n") == []
+        assert check("pcs/protocol.py", "ch.observe_cap(cap)\n") == []
         assert check("hyperplonk/verifier.py", "ch.observe_cap(cap)\n") == []
 
     def test_a_finding_names_its_enclosing_qualname(self):

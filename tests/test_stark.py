@@ -50,14 +50,14 @@ class TestEndToEnd:
     def test_prove_verify(self, builder, stark_test_config):
         air, trace, publics = builder(5)
         proof = prove(air, trace, publics, stark_test_config)
-        verify(air, proof, stark_test_config)
+        verify(air, len(trace), proof, stark_test_config)
 
     def test_bad_trace_rejected(self, builder, stark_test_config):
         air, trace, publics = builder(5)
         bad = trace.copy()
         bad[3, -1] = np.uint64(int(bad[3, -1]) ^ 1)
         with pytest.raises(StarkError):
-            verify(air, prove(air, bad, publics, stark_test_config), stark_test_config)
+            verify(air, len(bad), prove(air, bad, publics, stark_test_config), stark_test_config)
 
     def test_wrong_public_rejected(self, builder, stark_test_config):
         air, trace, publics = builder(5)
@@ -65,6 +65,7 @@ class TestEndToEnd:
         with pytest.raises(StarkError):
             verify(
                 air,
+                len(trace),
                 prove(air, trace, bad_publics, stark_test_config),
                 stark_test_config,
             )
@@ -78,49 +79,48 @@ class TestFaultInjection:
         cfg = FriConfig(rate_bits=1, cap_height=1, num_queries=10,
                         proof_of_work_bits=3, final_poly_len=4)
         air, trace, publics = build_fibonacci(6)
-        return air, prove(air, trace, publics, cfg), cfg
+        return air, len(trace), prove(air, trace, publics, cfg), cfg
 
     def test_honest(self, proof_setup):
-        air, proof, cfg = proof_setup
-        verify(air, proof, cfg)
+        air, n, proof, cfg = proof_setup
+        verify(air, n, proof, cfg)
 
     def test_tampered_trace_cap(self, proof_setup):
-        air, proof, cfg = proof_setup
+        air, n, proof, cfg = proof_setup
         p = copy.deepcopy(proof)
-        p.trace_cap = p.trace_cap.copy()
-        p.trace_cap[0, 0] ^= np.uint64(1)
+        p.caps[0][0, 0] ^= np.uint64(1)
         with pytest.raises(StarkError):
-            verify(air, p, cfg)
+            verify(air, n, p, cfg)
 
     def test_tampered_quotient_cap(self, proof_setup):
-        air, proof, cfg = proof_setup
+        air, n, proof, cfg = proof_setup
         p = copy.deepcopy(proof)
-        p.quotient_cap = p.quotient_cap.copy()
-        p.quotient_cap[0, 0] ^= np.uint64(1)
+        p.caps[1][0, 0] ^= np.uint64(1)
         with pytest.raises(StarkError):
-            verify(air, p, cfg)
+            verify(air, n, p, cfg)
 
     def test_tampered_opening(self, proof_setup):
-        air, proof, cfg = proof_setup
+        air, n, proof, cfg = proof_setup
         p = copy.deepcopy(proof)
         p.opened_values[0, 0] ^= np.uint64(1)
         with pytest.raises(StarkError):
-            verify(air, p, cfg)
+            verify(air, n, p, cfg)
 
     def test_tampered_publics(self, proof_setup):
-        air, proof, cfg = proof_setup
+        air, n, proof, cfg = proof_setup
         p = copy.deepcopy(proof)
         p.public_inputs = list(p.public_inputs)
         p.public_inputs[1] = (p.public_inputs[1] + 1) % gl.P
         with pytest.raises(StarkError):
-            verify(air, p, cfg)
+            verify(air, n, p, cfg)
 
     def test_wrong_degree_claim(self, proof_setup):
-        air, proof, cfg = proof_setup
-        p = copy.deepcopy(proof)
-        p.degree_bits -= 1
-        with pytest.raises(StarkError):
-            verify(air, p, cfg)
+        # The verifier takes n from its instance: the proof of an n-row
+        # trace is refused at n / 2 and at 2n.
+        air, n, proof, cfg = proof_setup
+        for wrong in (n // 2, 2 * n):
+            with pytest.raises(StarkError):
+                verify(air, wrong, proof, cfg)
 
 
 class TestValidation:
@@ -151,7 +151,7 @@ class TestValidation:
         # MVM has a degree-2 transition: needs 1 chunk, allowed at blowup 2.
         air, trace, publics = build_mvm(4)
         proof = prove(air, trace, publics, stark_test_config)
-        verify(air, proof, stark_test_config)
+        verify(air, len(trace), proof, stark_test_config)
 
 
 class TestStarkyVsPlonkyProofSize:

@@ -13,7 +13,8 @@ from repro.analysis.transcript import (
     run_transcript_checks,
 )
 from repro.hashing import Challenger
-from repro.protocols.transcript import PLONK, CapBinding
+from repro.plonk.protocol import PLONK
+from repro.protocols.transcript import CapBinding
 from repro.workloads import by_name
 
 
@@ -92,7 +93,7 @@ class TestProtocolConformance:
                 protocol,
                 f"{spec.workload}@{scale}",
                 spec,
-                system.public_inputs_of(setup, proof),
+                list(proof.public_inputs),
                 system.cap_bindings(setup, proof),
                 prover_events,
                 verifier_events,
@@ -127,14 +128,10 @@ class TestProtocolConformance:
         setup = system.setup(by_name(spec.workload), scale, system.make_config(overrides))
         proof = system.prove(setup)
         if protocol == "stark":
-            named = [("trace_cap", proof.trace_cap), ("quotient_cap", proof.quotient_cap)]
+            named = list(zip(["trace_cap", "quotient_cap"], proof.caps))
         else:
-            named = [
-                ("preprocessed_cap", setup.data[0].preprocessed.cap),
-                ("wires_cap", proof.wires_cap),
-                ("z_cap", proof.z_cap),
-                ("quotient_cap", proof.quotient_cap),
-            ]
+            named = [("preprocessed_cap", setup.data[0].preprocessed.cap)]
+            named += zip(["wires_cap", "z_cap", "quotient_cap"], proof.caps)
         named += [(f"fri.commit_caps[{k}]", cap) for k, cap in enumerate(proof.fri_proof.commit_caps)]
         bindings = system.cap_bindings(setup, proof)
         assert [b.label for b in bindings] == [label for label, _ in named]
@@ -174,7 +171,7 @@ def stark_case():
     proof, prover_events, verifier_events = record_case(system, setup)
     return {
         "spec": spec,
-        "publics": system.public_inputs_of(setup, proof),
+        "publics": list(proof.public_inputs),
         "bindings": system.cap_bindings(setup, proof),
         "events": prover_events,
     }
@@ -281,7 +278,7 @@ def test_layer_caps_bind_after_the_virtual_layer_beta():
         CapBinding(b.label, b.cap, b.before_challenge - 2) if b in layer else b
         for b in bindings
     ]
-    args = (spec, system.public_inputs_of(setup, proof))
+    args = (spec, list(proof.public_inputs))
     events = (prover_events, verifier_events)
     assert check_streams("stark", "virtual", *args, bindings, *events) == []
     findings = check_streams("stark", "virtual", *args, stale, *events)

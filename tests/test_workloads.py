@@ -106,7 +106,7 @@ class TestStarkWorkloads:
         air, trace, publics = spec.build_air(5)
         assert air.check_trace(trace, publics)
         proof = stark_prove(air, trace, publics, _SCFG)
-        stark_verify(air, proof, _SCFG)
+        stark_verify(air, len(trace), proof, _SCFG)
 
     def test_factorial_air_result(self):
         spec = by_name("Factorial")

@@ -32,10 +32,10 @@ class TestBlinding:
         p1 = prove(d, inputs, blinding_seed=1)
         p2 = prove(d, inputs, blinding_seed=2)
         # Same witness, different randomness: no shared commitment data.
-        assert not np.array_equal(p1.wires_cap, p2.wires_cap)
+        assert not np.array_equal(p1.caps[0], p2.caps[0])
         # And the transcripts diverge entirely downstream.
         assert p1.fri_proof.pow_witness != p2.fri_proof.pow_witness or not np.array_equal(
-            p1.z_cap, p2.z_cap
+            p1.caps[1], p2.caps[1]
         )
 
     def test_same_seed_is_deterministic(self, data):
@@ -43,7 +43,7 @@ class TestBlinding:
         inputs = {x.index: 6, pub.index: 36}
         p1 = prove(d, inputs, blinding_seed=7)
         p2 = prove(d, inputs, blinding_seed=7)
-        assert np.array_equal(p1.wires_cap, p2.wires_cap)
+        assert np.array_equal(p1.caps[0], p2.caps[0])
 
     def test_unblinded_reveals_witness_equality(self, data):
         """Without blinding, identical witnesses produce identical
@@ -52,13 +52,13 @@ class TestBlinding:
         inputs = {x.index: 6, pub.index: 36}
         p1 = prove(d, inputs)
         p2 = prove(d, inputs)
-        assert np.array_equal(p1.wires_cap, p2.wires_cap)
+        assert np.array_equal(p1.caps[0], p2.caps[0])
 
     def test_blinded_vs_unblinded_differ(self, data):
         d, _, x, pub = data
         inputs = {x.index: 6, pub.index: 36}
         assert not np.array_equal(
-            prove(d, inputs).wires_cap, prove(d, inputs, blinding_seed=1).wires_cap
+            prove(d, inputs).caps[0], prove(d, inputs, blinding_seed=1).caps[0]
         )
 
     def test_blinded_bad_witness_still_rejected(self, data):
