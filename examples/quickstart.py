@@ -42,15 +42,15 @@ def main() -> None:
     proof = prove(data, witness)
     print(f"proved in {time.time() - t0:.2f}s, proof size {proof.size_bytes()} bytes")
 
-    # 4. Verify.
+    # 4. Verify (the statement has no public inputs: 99 is a constant).
     t0 = time.time()
-    verify(data.verifier_data, proof)
+    verify(data.verifier_data, [], proof)
     print(f"verified in {time.time() - t0:.2f}s")
 
     # 5. A cheating witness fails: (2+9) * (3*4) = 132 != 99.
     cheat = {x0.index: 2, x1.index: 9, x2.index: 3, x3.index: 4}
     try:
-        verify(data.verifier_data, prove(data, cheat))
+        verify(data.verifier_data, [], prove(data, cheat))
         raise SystemExit("BUG: cheating witness accepted")
     except PlonkError as exc:
         print(f"cheating witness rejected: {exc}")

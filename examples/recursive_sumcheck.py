@@ -65,7 +65,7 @@ def recursive_sumcheck() -> None:
     outer = prove(data, inputs)
     print(f"outer Plonk proof in {time.time() - t0:.1f}s, "
           f"{outer.size_bytes() / 1024:.0f} kB")
-    verify(data.verifier_data, outer)
+    verify(data.verifier_data, [], outer)
     print("outer proof verified: the chain attests to a verified sum-check")
 
 
@@ -80,7 +80,7 @@ def poseidon_chain() -> None:
                     proof_of_work_bits=8, final_poly_len=8)
     t0 = time.time()
     proof = stark_prove(air, trace, publics, cfg)
-    stark_verify(air, len(trace), proof, cfg)
+    stark_verify(air, len(trace), publics, proof, cfg)
     print(f"proved 4 chained permutations ({trace.shape[0]} rows x "
           f"{trace.shape[1]} cols) in {time.time() - t0:.1f}s, "
           f"{proof.size_bytes() / 1024:.0f} kB; verified")

@@ -32,7 +32,7 @@ def functional_proof() -> None:
     print(f"proved 2^10 Fibonacci steps in {time.time() - t0:.2f}s; "
           f"proof {proof.size_bytes() / 1024:.0f} kB "
           f"(blowup 2 -> big proofs, cheap proving)")
-    verify(air, len(trace), proof, config)
+    verify(air, len(trace), publics, proof, config)
     print(f"verified; claimed F_{publics[0] + 1} = {publics[1]}")
 
 

@@ -31,7 +31,7 @@ def functional_proof() -> None:
     data = setup(circuit, config)
     t0 = time.time()
     proof = prove(data, inputs)
-    verify(data.verifier_data, proof)
+    verify(data.verifier_data, publics, proof)
     print(f"proved + verified y = Mx in {time.time() - t0:.2f}s "
           f"(proof {proof.size_bytes()} bytes)")
 

@@ -213,7 +213,7 @@ def check_streams(
     """Check one recorded prove/verify pair against its spec.
 
     ``case`` labels the instance (workload + scale) in finding details;
-    ``publics`` are the proof's ``public_inputs`` and ``bindings`` come
+    ``publics`` are the instance's statement and ``bindings`` come
     from the backend's ``cap_bindings`` hook.  Pure function of
     the streams, so injected-violation fixtures tamper with event lists
     and assert the specific rule that fires.
@@ -377,7 +377,7 @@ def check_case(system, setup) -> List[Finding]:
         system.name,
         f"{setup.workload}@{setup.scale}",
         spec,
-        list(proof.public_inputs),
+        list(setup.publics),
         system.cap_bindings(setup, proof),
         prover_events,
         verifier_events,

@@ -203,7 +203,7 @@ def cmd_prove(args) -> int:
     system.verify(psetup, proof)
     t_verify = time.time() - t0
     print(f"proved in {t_prove:.2f}s, verified in {t_verify:.2f}s, "
-          f"proof {proof.size_bytes()} bytes, public inputs {proof.public_inputs}")
+          f"proof {proof.size_bytes()} bytes, public inputs {list(psetup.publics)}")
     if args.trace_out:
         tracing.write_spans_trace(
             session.spans, args.trace_out,

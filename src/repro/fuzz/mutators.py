@@ -307,23 +307,6 @@ def corrupt_pow_witness(target: FuzzTarget, rng) -> Optional[Mutant]:
     return Mutant("corrupt-pow-witness", data=target.encode(proof))
 
 
-def perturb_public_input(target: FuzzTarget, rng) -> Optional[Mutant]:
-    """Change, append, or drop a public input."""
-    proof = target.decode(target.blob)
-    publics = proof.public_inputs
-    action = int(rng.integers(0, 3))
-    if action == 0 and publics:
-        idx = int(rng.integers(0, len(publics)))
-        publics[idx] = _rand_elem(rng, not_equal=publics[idx])
-    elif action == 1:
-        publics.append(_rand_elem(rng))
-    elif publics:
-        del publics[int(rng.integers(0, len(publics)))]
-    else:
-        return None
-    return Mutant("perturb-public-input", data=target.encode(proof))
-
-
 def splice_fri_proof(target: FuzzTarget, rng) -> Optional[Mutant]:
     """Graft the FRI proof of a different honest proof onto this one."""
     proof = target.decode(target.blob)
@@ -569,7 +552,6 @@ MUTATORS: Dict[str, Callable[[FuzzTarget, np.random.Generator], Optional[Mutant]
     "duplicate-layer": duplicate_layer,
     "resize-final-poly": resize_final_poly,
     "corrupt-pow-witness": corrupt_pow_witness,
-    "perturb-public-input": perturb_public_input,
     "splice-fri-proof": splice_fri_proof,
     "pad-initial-leaf": pad_initial_leaf,
     "reshape-initial-leaf": reshape_initial_leaf,

@@ -123,20 +123,21 @@ def stark_target() -> FuzzTarget:
     alt_air, alt_trace, alt_publics = spec.build_air(7)
     alt_proof = stark_prove(alt_air, alt_trace, alt_publics, _STARK_CONFIG)
     return _target(
-        "stark", proof, alt_proof, lambda p: stark_verify(air, len(trace), p, _STARK_CONFIG),
-        stark(air).widths,
+        "stark", proof, alt_proof,
+        lambda p: stark_verify(air, len(trace), publics, p, _STARK_CONFIG), stark(air).widths,
     )
 
 
 @lru_cache(maxsize=1)
 def plonk_target() -> FuzzTarget:
-    """Tiny Plonk circuit target (``pub == x**3``, two witnesses)."""
+    """Tiny Plonk circuit target (``pub == x**3``, two witnesses; the
+    verifier's statement is the first's, ``pub == 27``)."""
     circuit, x, pub = _cube_circuit()
     data = plonk_setup(circuit, _PLONK_CONFIG)
     proof = plonk_prove(data, {x.index: 3, pub.index: 27})
     alt_proof = plonk_prove(data, {x.index: 5, pub.index: 125})
     return _target(
-        "plonk", proof, alt_proof, lambda p: plonk_verify(data.verifier_data, p), PLONK.widths
+        "plonk", proof, alt_proof, lambda p: plonk_verify(data.verifier_data, [27], p), PLONK.widths
     )
 
 
@@ -148,7 +149,7 @@ def hyperplonk_target() -> FuzzTarget:
     proof = hp_prove(data, {x.index: 3, pub.index: 27})
     alt_proof = hp_prove(data, {x.index: 5, pub.index: 125})
     return _target(
-        "hyperplonk", proof, alt_proof, lambda p: hp_verify(data.verifier_data, p)
+        "hyperplonk", proof, alt_proof, lambda p: hp_verify(data.verifier_data, [27], p)
     )
 
 

@@ -78,7 +78,6 @@ class HyperPlonkData:
         return HyperPlonkVerifierData(
             preprocessed_cap=self.preprocessed.cap.copy(),
             n=self.circuit.n,
-            num_public_inputs=len(self.circuit.public_input_rows),
             public_input_rows=list(self.circuit.public_input_rows),
             config=self.config,
         )
@@ -90,7 +89,6 @@ class HyperPlonkVerifierData:
 
     preprocessed_cap: np.ndarray
     n: int
-    num_public_inputs: int
     public_input_rows: List[int]
     config: HyperPlonkConfig
 
@@ -129,11 +127,10 @@ def query_index_sets(
 
 @dataclass
 class HyperPlonkProof:
-    """A complete sumcheck-native proof (format v3: openings without indices)."""
+    """A complete sumcheck-native proof (format v4: no publics, no leaf indices)."""
 
     wires_cap: np.ndarray
     z_cap: np.ndarray
-    public_inputs: List[int]
     sumcheck: SumcheckProof
     level_caps: List[np.ndarray]
     #: Batched openings: preprocessed / wires / Z base trees, then one
@@ -157,17 +154,15 @@ class HyperPlonkProof:
         total = 0
         for cap in (self.wires_cap, self.z_cap, *self.level_caps):
             total += int(np.atleast_2d(cap).shape[0]) * DIGEST_BYTES
-        total += len(self.public_inputs) * ELEM_BYTES
         total += (2 + 2 * len(self.sumcheck.round_values)) * ELEM_BYTES
         total += sum(op.size_bytes() for op in self.tree_openings())
         return total
 
     def to_bytes(self) -> bytes:
-        """Raw canonical proof body (format v3)."""
+        """Raw canonical proof body (format v4)."""
         w = ByteWriter()
         w.elems(self.wires_cap)
         w.elems(self.z_cap)
-        w.u64s(self.public_inputs)
         sc = self.sumcheck
         w.u64(sc.claimed_sum)
         w.u32(len(sc.round_values))
@@ -192,7 +187,6 @@ class HyperPlonkProof:
         r = ByteReader(data)
         wires_cap = read_cap(r, "wires cap")
         z_cap = read_cap(r, "Z cap")
-        publics = [r.u64() for _ in range(r.count(8, "public input count"))]
         claimed_sum = r.u64()
         rounds = [
             (r.u64(), r.u64()) for _ in range(r.count(16, "sumcheck round count"))
@@ -218,7 +212,6 @@ class HyperPlonkProof:
         return cls(
             wires_cap=wires_cap,
             z_cap=z_cap,
-            public_inputs=publics,
             sumcheck=sumcheck,
             level_caps=level_caps,
             pre_opening=pre_opening,

@@ -270,7 +270,6 @@ def prove(
     return HyperPlonkProof(
         wires_cap=wires_tree.cap.copy(),
         z_cap=z_tree.cap.copy(),
-        public_inputs=public_values,
         sumcheck=sc_proof,
         level_caps=[t.cap.copy() for t in level_trees],
         pre_opening=pre_opening,

@@ -138,30 +138,30 @@ def _base_q_value(
 
 def verify(
     vdata: HyperPlonkVerifierData,
+    publics: Sequence[int],
     proof: HyperPlonkProof,
     challenger: Challenger | None = None,
 ) -> None:
-    """Verify a HyperPlonk-lite proof; raises :class:`HyperPlonkError`."""
+    """Verify a HyperPlonk-lite proof of the statement ``publics`` (one
+    word a public-input row); raises :class:`HyperPlonkError`."""
     with tracing.span("verify", category="verify", protocol="hyperplonk", n=vdata.n):
-        _verify(vdata, proof, challenger or Challenger())
+        _verify(vdata, publics, proof, challenger or Challenger())
 
 
 def _verify(
-    vdata: HyperPlonkVerifierData, proof: HyperPlonkProof, challenger: Challenger
+    vdata: HyperPlonkVerifierData,
+    publics: Sequence[int],
+    proof: HyperPlonkProof,
+    challenger: Challenger,
 ) -> None:
     n = vdata.n
     v = n.bit_length() - 1
     config = vdata.config
 
     with tracing.span("verify:transcript", category="verify"):
-        publics = list(proof.public_inputs)
-        if len(publics) != vdata.num_public_inputs:
-            raise HyperPlonkError("wrong number of public inputs")
         publics = [_check_elem(p, "public input") for p in publics]
         _check_words(proof)
-        pi_map = {
-            row: gl.neg(val) for row, val in zip(vdata.public_input_rows, publics)
-        }
+        pi_map = dict(zip(vdata.public_input_rows, map(gl.neg, publics), strict=True))
         wires_cap = _check_cap(proof.wires_cap, "wires cap")
         z_cap = _check_cap(proof.z_cap, "Z cap")
 

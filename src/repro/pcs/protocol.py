@@ -7,7 +7,8 @@ its prover steps them, its verifier replays them in the shared tail
 the caps it carries, the columns it opens, the leaf widths FRI pins --
 is read from them.  A :class:`Proof` carries one cap a declared round
 and nothing its verifier can derive: no opening points, column lists,
-leaf indices or trace length.
+leaf indices, trace length or public inputs (the statement is the
+verifier's, from its instance).
 """
 
 from __future__ import annotations
@@ -99,26 +100,27 @@ class FriProtocol:
         self,
         proof: "Proof",
         setup_caps: Sequence[np.ndarray],
+        publics: Sequence[int],
         config: FriConfig,
         n: int,
         challenger: Challenger,
         check_identity: Callable[..., None],
     ) -> None:
-        """The verifier of an ``n``-row instance after a protocol's own
-        pre-check: one cap a round, canonical words before any hashing,
-        the transcript replay, the opening set at :meth:`points`,
-        ``check_identity(openings, *challenges)``, then FRI over the
-        declared leaf widths.  Raises ``error``."""
+        """The verifier of an ``n``-row instance with statement
+        ``publics``: one cap a round, canonical statement and proof
+        words before any hashing, the transcript replay, the opening
+        set at :meth:`points`, ``check_identity(openings, *challenges)``,
+        then FRI over the declared leaf widths.  Raises ``error``."""
         error, caps = self.error, proof.caps
         if len(caps) != len(self.rounds):
             raise error("wrong number of round caps")
-        if not gl64.all_canonical(
-            proof.public_inputs, *caps, proof.opened_values, *proof_words(proof.fri_proof)
-        ):
+        if not gl64.all_canonical(publics):
+            raise error("public input is not a canonical field element")
+        if not gl64.all_canonical(*caps, proof.opened_values, *proof_words(proof.fri_proof)):
             raise error("proof word is not a canonical field element")
 
         with tracing.span("verify:transcript", category="verify"):
-            commit = self.start(challenger, setup_caps, proof.public_inputs)
+            commit = self.start(challenger, setup_caps, publics)
             challenges = sum((commit(r.name, cap) for r, cap in zip(self.rounds, caps)), ())
 
         try:
@@ -147,20 +149,18 @@ class FriProtocol:
 @dataclass
 class Proof:
     """A FRI protocol's proof: ``caps``, one a declared round in order,
-    the publics, the opening set's
+    the opening set's
     :meth:`~repro.fri.FriOpenings.flat_values` -- one ``(c0, c1)`` row
     per column of :attr:`FriProtocol.columns`, at ``zeta`` then at
     ``zeta * omega`` -- and the FRI proof."""
 
     caps: List[np.ndarray]
-    public_inputs: List[int]
     opened_values: np.ndarray  # (k, 2)
     fri_proof: FriProof
 
     def size_bytes(self) -> int:
-        """Serialized proof size (caps + publics + openings + FRI proof)."""
+        """Serialized proof size (caps + openings + FRI proof)."""
         total = sum(cap.shape[0] for cap in self.caps) * DIGEST_BYTES
-        total += len(self.public_inputs) * ELEM_BYTES
         total += int(self.opened_values.size) * ELEM_BYTES
         return total + self.fri_proof.size_bytes()
 
@@ -169,7 +169,6 @@ class Proof:
         w = ByteWriter()
         for cap in self.caps:
             w.elems(cap)
-        w.u64s(self.public_inputs)
         w.elems(self.opened_values)
         write_fri_proof(w, self.fri_proof)
         return w.getvalue()
@@ -180,9 +179,8 @@ class Proof:
         bad input)."""
         r = ByteReader(data)
         caps = [read_cap(r, f"{round_.name} cap") for round_ in protocol.rounds]
-        publics = [r.u64() for _ in range(r.count(8, "public input count"))]
         opened_values = read_ext_array(r, "opened values")
         fri_proof = read_fri_proof(r)
         if not r.done():
             raise ValueError(f"trailing bytes after {protocol.name} proof")
-        return cls(caps=caps, public_inputs=publics, opened_values=opened_values, fri_proof=fri_proof)
+        return cls(caps=caps, opened_values=opened_values, fri_proof=fri_proof)

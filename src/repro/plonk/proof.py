@@ -36,7 +36,6 @@ class CircuitData:
         return VerifierData(
             preprocessed_cap=self.preprocessed.cap.copy(),
             n=self.circuit.n,
-            num_public_inputs=len(self.circuit.public_input_rows),
             public_input_rows=list(self.circuit.public_input_rows),
             config=self.config,
         )
@@ -48,6 +47,5 @@ class VerifierData:
 
     preprocessed_cap: np.ndarray
     n: int
-    num_public_inputs: int
     public_input_rows: List[int]
     config: FriConfig

@@ -221,7 +221,6 @@ def prove(
 
     return Proof(
         caps=[wires_batch.cap.copy(), z_batch.cap.copy(), quotient_batch.cap.copy()],
-        public_inputs=public_values,
         opened_values=openings.flat_values(),
         fri_proof=fri_proof,
     )

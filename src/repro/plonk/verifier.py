@@ -10,6 +10,7 @@ to the commitments.
 from __future__ import annotations
 
 from functools import partial
+from typing import Sequence
 
 import numpy as np
 
@@ -25,21 +26,20 @@ from .protocol import PLONK, PlonkError
 
 
 def verify(
-    vdata: VerifierData, proof: Proof, challenger: Challenger | None = None
+    vdata: VerifierData, publics: Sequence[int], proof: Proof, challenger: Challenger | None = None
 ) -> None:
-    """Verify a Plonk proof; raises :class:`PlonkError` on any failure."""
+    """Verify a Plonk proof of the statement ``publics`` (one word a
+    public-input row); raises :class:`PlonkError` on any failure."""
     with tracing.span("verify", category="verify", protocol="plonk", n=vdata.n):
-        if len(proof.public_inputs) != vdata.num_public_inputs:
-            raise PlonkError("wrong number of public inputs")
         PLONK.verify(
-            proof, (vdata.preprocessed_cap,), vdata.config, vdata.n, challenger or Challenger(),
-            partial(_check_identity, vdata, proof),
+            proof, (vdata.preprocessed_cap,), publics, vdata.config, vdata.n,
+            challenger or Challenger(), partial(_check_identity, vdata, publics),
         )
 
 
 def _check_identity(
     vdata: VerifierData,
-    proof: Proof,
+    publics: Sequence[int],
     openings: FriOpenings,
     beta: int,
     gamma: int,
@@ -70,7 +70,7 @@ def _check_identity(
     )
     pi_eval = fext.zero()
     n_inv = gl.inverse(n)
-    for row, value in zip(vdata.public_input_rows, proof.public_inputs):
+    for row, value in zip(vdata.public_input_rows, publics, strict=True):
         omega_row = gl.pow_mod(omega, row)
         denom = fext.sub(zeta.reshape(2), fext.from_base(np.uint64(omega_row)))
         lag = fext.mul(

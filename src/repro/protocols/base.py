@@ -46,13 +46,13 @@ def instance(key, build: Callable[[], Any]) -> Any:
 
 
 def circuit_instance(workload, scale: int):
-    """The cached ``(circuit, inputs)`` of ``workload.build_circuit(scale)``,
-    arrays read-only and inputs a read-only mapping."""
+    """The cached ``(circuit, inputs, publics)`` of ``workload.build_circuit(scale)``,
+    arrays read-only, inputs a read-only mapping and publics a tuple."""
 
     def build():
-        circuit, inputs, _ = workload.build_circuit(scale)
+        circuit, inputs, publics = workload.build_circuit(scale)
         gl64.freeze(circuit.selectors, circuit.wire_vars, circuit.sigma)
-        return circuit, MappingProxyType(inputs)
+        return circuit, MappingProxyType(inputs), tuple(publics)
 
     return instance(("circuit", workload, scale), build)
 
@@ -64,6 +64,8 @@ class ProtocolSetup:
     ``data`` is backend-specific (AIR + trace for STARK, circuit setup
     artifacts + inputs for the Plonk family); callers treat it as
     opaque and hand it back to the owning :class:`ProofSystem`.
+    ``publics`` is the statement (the workload builder's public
+    values): every verifier checks a proof against it.
     """
 
     protocol: str
@@ -71,6 +73,7 @@ class ProtocolSetup:
     scale: int
     config: Any
     data: Any
+    publics: Tuple[int, ...]
     #: Trace/circuit rows (display + sizing; a power of two).
     rows: int
 
@@ -148,7 +151,8 @@ class ProofSystem(ABC):
 
     @abstractmethod
     def verify(self, setup: ProtocolSetup, proof, challenger=None) -> None:
-        """Verify; raises the backend's typed error on any failure."""
+        """Verify ``proof`` of the instance's statement ``setup.publics``;
+        raises the backend's typed error on any failure."""
 
     # -- transcript conformance ------------------------------------------
 

@@ -24,9 +24,10 @@ class HyperPlonkSystem(ProofSystem):
         "plain fold tables, so one altered entry goes unseen (ROADMAP item 12)"
     )
     description = f"sumcheck-native zerocheck over a multilinear PCS (no NTT); {caveat}"
+    #: 4: the proof sends no public inputs (the statement is the instance's);
     #: 3: tree openings send rows and path nodes, not the leaf indices;
     #: 2: batched per-tree multiproof openings replaced v1's per-query paths.
-    format_version = 3
+    format_version = 4
     to_bytes = staticmethod(HyperPlonkProof.to_bytes)
     from_bytes = staticmethod(HyperPlonkProof.from_bytes)
     uses_ntt = False
@@ -38,7 +39,7 @@ class HyperPlonkSystem(ProofSystem):
         return HyperPlonkConfig(**dict(knobs))
 
     def setup(self, workload, scale: int, config: HyperPlonkConfig) -> ProtocolSetup:
-        circuit, inputs = circuit_instance(workload, scale)
+        circuit, inputs, publics = circuit_instance(workload, scale)
         data = instance((self.name, workload, scale), lambda: hp_prover.preprocess(circuit))
         data = hp_prover.bind(data, config)
         return ProtocolSetup(
@@ -47,6 +48,7 @@ class HyperPlonkSystem(ProofSystem):
             scale=scale,
             config=config,
             data=(data, inputs),
+            publics=publics,
             rows=circuit.n,
         )
 
@@ -56,7 +58,7 @@ class HyperPlonkSystem(ProofSystem):
 
     def verify(self, setup: ProtocolSetup, proof, challenger=None) -> None:
         data, _ = setup.data
-        hp_verify(data.verifier_data, proof, challenger=challenger)
+        hp_verify(data.verifier_data, setup.publics, proof, challenger=challenger)
 
     def fuzz_target(self):
         from ..fuzz.targets import hyperplonk_target

@@ -15,12 +15,13 @@ class PlonkSystem(FriSystem):
 
     name = "plonk"
     description = "Plonky2-style gates + permutation argument over FRI"
+    #: 6: the proof sends no public inputs (the statement is the instance's);
     #: 5: the proof sends opened values only, no opening points, column
     #: lists or leaf indices (the verifier derives them);
     #: 4: the batches may commit 2- or 4-row cosets (``fri.fri_layout``);
     #: 3: each FRI tree is opened once, as a shared-path multiproof;
     #: 2: FRI layers open arity-8 coset leaves, not v1's arity-2 pairs.
-    format_version = 5
+    format_version = 6
     protocol = PLONK
 
     def default_config(self) -> Dict[str, int]:
@@ -41,7 +42,7 @@ class PlonkSystem(FriSystem):
         return config
 
     def setup(self, workload, scale: int, config: FriConfig) -> ProtocolSetup:
-        circuit, inputs = circuit_instance(workload, scale)
+        circuit, inputs, publics = circuit_instance(workload, scale)
         config.check_cap_fits(circuit.log_n)
         layout = plonk_prover.preprocessed_layout(circuit, config)
         data = instance(
@@ -55,6 +56,7 @@ class PlonkSystem(FriSystem):
             scale=scale,
             config=config,
             data=(data, inputs),
+            publics=publics,
             rows=circuit.n,
         )
 
@@ -64,7 +66,7 @@ class PlonkSystem(FriSystem):
 
     def verify(self, setup: ProtocolSetup, proof, challenger=None) -> None:
         data, _ = setup.data
-        plonk_verify(data.verifier_data, proof, challenger=challenger)
+        plonk_verify(data.verifier_data, setup.publics, proof, challenger=challenger)
 
     def fuzz_target(self):
         from ..fuzz.targets import plonk_target

@@ -23,6 +23,7 @@ class StarkSystem(FriSystem):
 
     name = "stark"
     description = "AIR transition constraints, LDE + batch FRI opening"
+    #: 8: nor its public inputs (the statement is the instance's);
     #: 7: the proof does not send the trace length (the verifier takes
     #: it from its instance);
     #: 6: the proof sends opened values only, no opening points, column
@@ -31,7 +32,7 @@ class StarkSystem(FriSystem):
     #: 4: each FRI tree is opened once, as a shared-path multiproof;
     #: 3: FRI's first layer may be virtual (the batches commit its
     #: cosets); 2: FRI layers open arity-8 coset leaves, not v1's pairs.
-    format_version = 7
+    format_version = 8
     protocol = STARK
 
     def default_config(self) -> Dict[str, int]:
@@ -59,17 +60,18 @@ class StarkSystem(FriSystem):
             workload=workload.name,
             scale=scale,
             config=config,
-            data=(air, trace, publics),
+            data=(air, trace),
+            publics=publics,
             rows=int(trace.shape[0]),
         )
 
     def prove(self, setup: ProtocolSetup, pool=None, challenger=None):
-        air, trace, publics = setup.data
-        return stark_prove(air, trace, publics, setup.config, challenger, pool=pool)
+        air, trace = setup.data
+        return stark_prove(air, trace, setup.publics, setup.config, challenger, pool=pool)
 
     def verify(self, setup: ProtocolSetup, proof, challenger=None) -> None:
-        air, _, _ = setup.data
-        stark_verify(air, setup.rows, proof, setup.config, challenger=challenger)
+        air, _ = setup.data
+        stark_verify(air, setup.rows, setup.publics, proof, setup.config, challenger=challenger)
 
     def fuzz_target(self):
         from ..fuzz.targets import stark_target

@@ -65,11 +65,6 @@ class ByteWriter:
         """Write an unsigned 64-bit value (field element, witness)."""
         self._chunks.append(_U64.pack(int(v)))
 
-    def u64s(self, values) -> None:
-        """Write a u32 count, then each value as a u64."""
-        self._chunks.append(_U32.pack(len(values)))
-        self._chunks += map(_U64.pack, map(int, values))
-
     def elems(self, arr) -> None:
         """Write a field-element array with its shape header."""
         if type(arr) is not np.ndarray or arr.dtype is not _U64_DTYPE:

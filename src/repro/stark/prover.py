@@ -79,7 +79,8 @@ def prove(
     challenger: Challenger | None = None,
     pool: "parallel.ShardPool | None" = None,
 ) -> Proof:
-    """Prove that ``trace`` satisfies ``air`` with the given public values.
+    """Prove that ``trace`` satisfies ``air`` with the statement
+    ``public_inputs`` (canonical words, else ``ValueError``).
 
     ``trace`` is (n, width) with ``n`` a power of two.  The per-shape
     tables are the cached functions above, built on a shape's first
@@ -93,6 +94,8 @@ def prove(
     every worker count.
     """
     trace = gl64.asarray(trace)  # untrusted caller input: full canonical scan
+    if not gl64.all_canonical(public_inputs):
+        raise ValueError("public input is not a canonical field element")
     n, width = trace.shape
     if n & (n - 1):
         raise ValueError("trace length must be a power of two")
@@ -165,7 +168,6 @@ def prove(
 
     return Proof(
         caps=[trace_batch.cap.copy(), quotient_batch.cap.copy()],
-        public_inputs=[gl.canonical(int(v)) for v in public_inputs],
         opened_values=openings.flat_values(),
         fri_proof=fri_proof,
     )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from functools import partial
+from typing import Sequence
 
 import numpy as np
 
@@ -19,23 +20,25 @@ from .protocol import StarkError, quotient_chunk_count, stark
 def verify(
     air: Air,
     n: int,
+    publics: Sequence[int],
     proof: Proof,
     config,
     challenger: Challenger | None = None,
 ) -> None:
-    """Verify a STARK proof that an ``n``-row trace satisfies ``air``;
-    raises :class:`StarkError` on any failure."""
+    """Verify a STARK proof that an ``n``-row trace satisfies ``air``
+    with the statement ``publics``; raises :class:`StarkError` on any
+    failure."""
     with tracing.span("verify", category="verify", protocol="stark"):
         stark(air).verify(
-            proof, (), config, n, challenger or Challenger(),
-            partial(_check_identity, air, n, proof),
+            proof, (), publics, config, n, challenger or Challenger(),
+            partial(_check_identity, air, n, publics),
         )
 
 
 def _check_identity(
     air: Air,
     n: int,
-    proof: Proof,
+    publics: Sequence[int],
     openings: FriOpenings,
     alpha: np.ndarray,
     zeta: np.ndarray,
@@ -78,7 +81,7 @@ def _check_identity(
     for con in air.eval_transition_with_constants(local, next_row, consts, alg):
         total = fext.add(total, fext.mul(alpha_t, fext.mul(con, trans_div_inv)))
         alpha_t = fext.mul(alpha_t, alpha.reshape(2))
-    for bc in air.boundary_constraints(proof.public_inputs):
+    for bc in air.boundary_constraints(publics):
         point = gl.pow_mod(omega, bc.row)
         numer = fext.sub(local[bc.column], fext.from_base(np.uint64(gl.canonical(bc.value))))
         div_inv = fext.inv(fext.sub(zeta.reshape(2), fext.from_base(np.uint64(point))))

@@ -1,8 +1,8 @@
 """Every pinned proof digest and operation count, in one table.
 
-The instance is Fibonacci at scale 6 under each protocol's registry
-default config (``protocols.get(name).make_config()``, spelled out
-below).  Only the tests import these -- ``test_parallel.py`` among them
+The instance is ``WORKLOADS[name]`` (Fibonacci, MVM for Plonk) at scale
+6 under each protocol's registry default config
+(``protocols.get(name).make_config()``, spelled out below).  Only the tests import these -- ``test_parallel.py`` among them
 checks every pool and OpenBLAS held to one thread -- and nothing else
 pins a digest or a counter.
 
@@ -48,20 +48,36 @@ every Plonk entry was regenerated (``DIGESTS``, ``LAYOUTS``,
 ``FRAMED``): the 16-row Fibonacci instance now folds zero times, MVM
 scale 6 moved from ``(1, (1, 3, 1))`` to ``(1, (1, 2))``, and
 ``ARITY2_DIGESTS["plonk"]`` moved to MVM scale 6, an instance that
-still folds (``ARITY2_WORKLOADS``).  The STARK and HyperPlonk-lite
+still folds (then ``ARITY2_WORKLOADS``, now ``WORKLOADS``).  The STARK and HyperPlonk-lite
 entries held.  When the STARK proof stopped sending its trace length
 (format v7: its verifier takes ``n`` from its instance), the STARK
 ``DIGESTS``, ``ROW_LAYOUT_DIGESTS``, ``ARITY2_DIGESTS`` and both
 ``FRAMED`` entries were regenerated: each body is the old one without
 its 4-byte degree word; ``LAYOUTS`` and the counters held, and every
-Plonk and HyperPlonk-lite entry held.  Counters are measured around
-``prove`` or ``verify`` alone, setup excluded.
+Plonk and HyperPlonk-lite entry held.  When a proof stopped sending its
+public inputs (STARK format v8, Plonk v6, HyperPlonk-lite v4: every
+verifier takes its statement from its instance) and the Plonk golden
+instance moved from Fibonacci to MVM scale 6, which folds
+(``WORKLOADS``), every digest and framing entry was regenerated once
+(``DIGESTS``, ``ROW_LAYOUT_DIGESTS``, ``ARITY2_DIGESTS``, ``FRAMED``, all
+three protocols; ``PLONK_MVM_DIGEST`` became ``DIGESTS["plonk"]`` and
+the Plonk Fibonacci instance is pinned as ``PLONK_FIBONACCI_DIGEST``):
+each body is the old one without its public-input count word and
+words, and the transcript did not move.  The Plonk ``LAYOUTS``,
+``PROVE_COUNTERS`` and ``VERIFY_COUNTERS`` entries are MVM 6's, equal to
+what that instance counted before; every STARK and HyperPlonk-lite
+layout and counter held.  Counters are measured around ``prove`` or
+``verify`` alone, setup excluded.
 """
 
 from repro.fri.config import FriConfig
 from repro.hyperplonk import HyperPlonkConfig
 
 SCALE = 6
+
+#: The workload of each protocol's golden instance: one whose registry
+#: default folds (the Plonk Fibonacci instance folds zero times).
+WORKLOADS = {"stark": "Fibonacci", "plonk": "MVM", "hyperplonk": "Fibonacci"}
 
 #: Registry-default configs, per protocol.
 CONFIGS = {
@@ -76,16 +92,16 @@ CONFIGS = {
 
 #: Proof digest (``system.digest``) per protocol.
 DIGESTS = {
-    "stark": "5dfb333407af41018d54bcde98ed2057f5aa85e27495331ac09d33a5692a82bd",
-    "plonk": "af20a69c38cd17954bc2d053e1bfb3ad85b1e25408cb461f24c508499eeab6cc",
-    "hyperplonk": "f9f5273ff0cb634ea6ad97834b368fefbd1bfabd7fbd99b89ce6abf34b089d82",
+    "stark": "5187d2b28418d37db2dcf647a977ea0a01e5348256145e58678a2e6580210a9c",
+    "plonk": "5b2b18850bf3297c1db087939c390ec6c6f675a785081df683e1ebf388f1cf51",
+    "hyperplonk": "e3cf08f0507aeb484370387aae9e3ea9b7a08c40b9ef53296add6c892c165419",
 }
 
 #: ``fri.fri_layout``'s ``(a, schedule)`` for the STARK and Plonk
 #: instances: ``a``-bit coset leaves (0: rows), then the fold schedule.
 LAYOUTS = {
     "stark": (2, (2, 2)),
-    "plonk": (0, ()),
+    "plonk": (1, (1, 2)),
 }
 
 #: The STARK proof with ``fri_layout`` forced to ``a = 0`` (row leaves,
@@ -94,34 +110,31 @@ LAYOUTS = {
 #: later encoding change), so the coset layout extends the old prover
 #: rather than replacing it.
 ROW_LAYOUT_DIGESTS = {
-    "stark": "c8952a5edfdfe0dd944a09ad55e3895aec385eebcb7bcd9beb7c2e594d1cb6d8",
+    "stark": "ab684b2f2642327fc269c0ccc83a11fb73c9afeaac91f642e9c0f10a4264aa38",
 }
 
-#: The STARK and Plonk proofs of ``ARITY2_WORKLOADS`` at scale 6 with
+#: The STARK and Plonk golden instances' proofs with
 #: row leaves and ``fri.config.FRI_ARITY_BITS`` forced to 1 (one layer
 #: per arity-2 fold).  The STARK entry is exactly the digest its
 #: instance held before the fold-by-8 schedule (re-pinned with each
 #: later encoding change), so the schedule generalises the old prover
 #: rather than replacing it.
 ARITY2_DIGESTS = {
-    "stark": "b93be9bd8fdc04336afd99f7b8231e6f61aeb3ea91c3a5d36c270d1c7f86444d",
-    "plonk": "a46894de60c466161b8433ab0d4c57041fb3d5ef58228d5c1de5504f6d2aaf5f",
+    "stark": "82b74225fc4b7e7d1c7f84060a3c7903780778b30bf68880e1aab8b4e2d6e3d1",
+    "plonk": "2d9bb2c9827c8dd4241561975b2bbf6acffbfc14f00fd77fd9d7e0f9e24ebb81",
 }
 
-#: The workload each ``ARITY2_DIGESTS`` proof is of: one whose registry
-#: default still folds (the Plonk Fibonacci instance folds zero times).
-ARITY2_WORKLOADS = {"stark": "Fibonacci", "plonk": "MVM"}
-
-#: Plonk over the MVM workload at scale 6, same config.
-PLONK_MVM_DIGEST = "a1fdf94bcb080815114a442bf616d8dc53283bcc794867ae5c46f2856c186bae"
+#: Plonk over the Fibonacci workload at scale 6, same config: the
+#: instance that commits row leaves and folds zero times.
+PLONK_FIBONACCI_DIGEST = "0d8b5d2767c65bb36b0b33acd82daf0bf3b729058322f08b4528bd2641634d21"
 
 #: Operation counters around ``prove``.
 PROVE_COUNTERS = {
     "stark": {"ntt_butterflies": 3096, "sponge_permutations": 138, "ntt_transforms": 10},
     "plonk": {
-        "ntt_butterflies": 7776,
-        "sponge_permutations": 506,
-        "challenger_permutations": 61,
+        "ntt_butterflies": 79936,
+        "sponge_permutations": 3320,
+        "challenger_permutations": 41,
         "ntt_transforms": 22,
     },
     "hyperplonk": {
@@ -136,22 +149,22 @@ PROVE_COUNTERS = {
 #: hash exactly what walking every tree opening's frontier alone would.
 VERIFY_COUNTERS = {
     "stark": {"sponge_permutations": 80, "challenger_permutations": 10},
-    "plonk": {"sponge_permutations": 140, "challenger_permutations": 17},
+    "plonk": {"sponge_permutations": 227, "challenger_permutations": 18},
     "hyperplonk": {"sponge_permutations": 64, "challenger_permutations": 13},
 }
 
 #: sha256 of ``proof_to_blob`` and of the service result envelope.
 FRAMED = {
     "stark": (
-        "bd89e9a9bcc07c6cb4b304e486b041beb306a9133d0a134d6fceb1d747804863",
-        "29b5a2fc99b895e20fc249e0e9babcec728ac59a261c610f39b96220ed6b021e",
+        "786633f8a828c88b449e75c00e21c16dffb5f3e99d044f5c2cf06430b06aff12",
+        "330763326a6873a39ad54b87de15f4e44fb0f50de9db365523524009e58ad17d",
     ),
     "plonk": (
-        "1f0eacd9277ea07655601873faff5bae24806554e4ec69361f881975e052f729",
-        "de8cdceeb33a0d54c53db682210364152ba544521863106b801cdd51a15b8955",
+        "3e064b9b7e681481eeadb41c226cf17f70871b4e15498944220b14ef8bfc4df6",
+        "5685de7be8fb809a6335337a9f81e793c2fd7112d4473cb94ace459d90714c3f",
     ),
     "hyperplonk": (
-        "0c8705aed96c1fd15f74be7d6585f81b1009ba4342a587576e01f11209b8b7e8",
-        "4c085f36bb3d15b47605603e8290feb93b6795c3d65dd9d5dd6cfcd0595d3281",
+        "f6302b0a786c1c88f2f7303d9c8ff1aa82a02a5b245d94d574e63371ad7cefee",
+        "cabea382f3eaf7feb02f916fefa21c4cc87cfd83e51c0e8eb24cc8e853c863d0",
     ),
 }

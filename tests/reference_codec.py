@@ -182,9 +182,6 @@ def stark_to_bytes(proof: Proof) -> bytes:
     w = ByteWriter()
     w.elems(trace_cap)
     w.elems(quotient_cap)
-    w.u32(len(proof.public_inputs))
-    for v in proof.public_inputs:
-        w.u64(v)
     w.elems(proof.opened_values)
     write_fri_proof(w, proof.fri_proof)
     return w.getvalue()
@@ -194,14 +191,12 @@ def stark_from_bytes(data: bytes) -> Proof:
     r = ByteReader(data)
     trace_cap = read_cap(r, "trace cap")
     quotient_cap = read_cap(r, "quotient cap")
-    publics = [r.u64() for _ in range(r.count(8, "public input count"))]
     opened_values = read_ext_array(r, "opened values")
     fri_proof = read_fri_proof(r)
     if not r.done():
         raise ValueError("trailing bytes after STARK proof")
     return Proof(
         caps=[trace_cap, quotient_cap],
-        public_inputs=publics,
         opened_values=opened_values,
         fri_proof=fri_proof,
     )
@@ -213,9 +208,6 @@ def plonk_to_bytes(proof: Proof) -> bytes:
     w.elems(wires_cap)
     w.elems(z_cap)
     w.elems(quotient_cap)
-    w.u32(len(proof.public_inputs))
-    for v in proof.public_inputs:
-        w.u64(v)
     w.elems(proof.opened_values)
     write_fri_proof(w, proof.fri_proof)
     return w.getvalue()
@@ -226,14 +218,12 @@ def plonk_from_bytes(data: bytes) -> Proof:
     wires_cap = read_cap(r, "wires cap")
     z_cap = read_cap(r, "z cap")
     quotient_cap = read_cap(r, "quotient cap")
-    publics = [r.u64() for _ in range(r.count(8, "public input count"))]
     opened_values = read_ext_array(r, "opened values")
     fri_proof = read_fri_proof(r)
     if not r.done():
         raise ValueError("trailing bytes after Plonk proof")
     return Proof(
         caps=[wires_cap, z_cap, quotient_cap],
-        public_inputs=publics,
         opened_values=opened_values,
         fri_proof=fri_proof,
     )
@@ -243,9 +233,6 @@ def hyperplonk_to_bytes(proof: HyperPlonkProof) -> bytes:
     w = ByteWriter()
     w.elems(proof.wires_cap)
     w.elems(proof.z_cap)
-    w.u32(len(proof.public_inputs))
-    for v in proof.public_inputs:
-        w.u64(v)
     sc = proof.sumcheck
     w.u64(sc.claimed_sum)
     w.u32(len(sc.round_values))
@@ -268,7 +255,6 @@ def hyperplonk_from_bytes(data: bytes) -> HyperPlonkProof:
     r = ByteReader(data)
     wires_cap = read_cap(r, "wires cap")
     z_cap = read_cap(r, "Z cap")
-    publics = [r.u64() for _ in range(r.count(8, "public input count"))]
     claimed_sum = r.u64()
     rounds = [(r.u64(), r.u64()) for _ in range(r.count(16, "sumcheck round count"))]
     final_value = r.u64()
@@ -286,7 +272,6 @@ def hyperplonk_from_bytes(data: bytes) -> HyperPlonkProof:
     return HyperPlonkProof(
         wires_cap=wires_cap,
         z_cap=z_cap,
-        public_inputs=publics,
         sumcheck=sumcheck,
         level_caps=level_caps,
         pre_opening=pre_opening,

@@ -16,9 +16,9 @@ from repro import metrics, protocols
 from repro.field import gl64, goldilocks as gl
 from repro.fuzz.targets import TYPED_REJECTIONS
 from repro.serialize import ByteReader, proof_from_blob, proof_to_blob
-from repro.workloads import fibonacci
+from repro.workloads import by_name
 
-from .goldens import CONFIGS, SCALE
+from .goldens import CONFIGS, SCALE, WORKLOADS
 from .reference_verifiers import reference_plane
 
 #: The largest ``v`` whose ``v + p`` still fits a 64-bit word.
@@ -30,7 +30,7 @@ def golden(request):
     """``(name, system, setup, tagged blob)`` at the goldens shape."""
     name = request.param
     system = protocols.get(name)
-    setup = system.setup(fibonacci.SPEC, SCALE, CONFIGS[name])
+    setup = system.setup(by_name(WORKLOADS[name]), SCALE, CONFIGS[name])
     return name, system, setup, proof_to_blob(name, system.prove(setup))
 
 

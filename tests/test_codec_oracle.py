@@ -34,10 +34,10 @@ from repro.serialize import (
     write_proof_blob,
     write_result_envelope,
 )
-from repro.workloads import fibonacci
+from repro.workloads import by_name
 
 from . import reference_codec as ref
-from .goldens import CONFIGS, FRAMED, SCALE
+from .goldens import CONFIGS, FRAMED, SCALE, WORKLOADS
 
 #: Seeds drawn per mutator and protocol.
 SEEDS = 25
@@ -55,7 +55,7 @@ def golden(request):
     """``(name, proof, tagged blob)`` at the goldens shape."""
     name = request.param
     system = protocols.get(name)
-    setup = system.setup(fibonacci.SPEC, SCALE, CONFIGS[name])
+    setup = system.setup(by_name(WORKLOADS[name]), SCALE, CONFIGS[name])
     proof = system.prove(setup)
     return name, proof, proof_to_blob(name, proof)
 
@@ -96,11 +96,11 @@ def _golden_target(name: str, blob: bytes) -> FuzzTarget:
 
 def test_the_writer_reproduces_every_golden_blob_and_envelope(golden):
     name, proof, blob = golden
-    envelope = write_result_envelope(f"{name}-proof", "Fibonacci", blob)
+    envelope = write_result_envelope(f"{name}-proof", WORKLOADS[name], blob)
     pins = tuple(hashlib.sha256(b).hexdigest() for b in (blob, envelope))
     assert pins == FRAMED[name]
     assert ref.proof_to_blob(name, proof) == blob
-    assert ref.write_result_envelope(f"{name}-proof", "Fibonacci", blob) == envelope
+    assert ref.write_result_envelope(f"{name}-proof", WORKLOADS[name], blob) == envelope
     body = protocols.get(name).to_bytes(proof)
     assert ref.BODY_CODECS[name][0](proof) == body
     assert write_proof_blob(name, body) == blob == ref.write_proof_blob(name, body)
@@ -114,7 +114,7 @@ def test_both_readers_decode_the_golden_blob_alike(golden):
         protocols.get(name).to_bytes(proof)
     ))))
     assert read_proof_blob(blob) == ref.read_proof_blob(blob)
-    envelope = write_result_envelope(f"{name}-proof", "Fibonacci", blob)
+    envelope = write_result_envelope(f"{name}-proof", WORKLOADS[name], blob)
     assert read_result_envelope(envelope) == ref.read_result_envelope(envelope)
 
 
@@ -129,7 +129,7 @@ def test_both_readers_agree_on_every_seeded_mutant(golden):
                 continue
             shipped = _outcome(proof_from_blob, mutant.data)
             assert shipped == _outcome(ref.proof_from_blob, mutant.data), (name, mutator, seed)
-            envelope = ref.write_result_envelope(f"{name}-proof", "Fibonacci", mutant.data)
+            envelope = ref.write_result_envelope(f"{name}-proof", WORKLOADS[name], mutant.data)
             cut = envelope[: len(envelope) - seed]
             assert _outcome(_envelope_payload, cut) == _outcome(_reference_envelope_payload, cut)
             compared += 1

@@ -42,7 +42,7 @@ from repro.stark.protocol import stark
 from repro.serialize import proof_to_blob
 from repro.workloads import by_name, fibonacci
 
-from .goldens import ARITY2_DIGESTS, ARITY2_WORKLOADS, CONFIGS, LAYOUTS, ROW_LAYOUT_DIGESTS, SCALE
+from .goldens import ARITY2_DIGESTS, CONFIGS, LAYOUTS, ROW_LAYOUT_DIGESTS, SCALE, WORKLOADS
 from .reference_oracles import Polynomial, commit_coeffs
 
 
@@ -219,7 +219,7 @@ class TestFoldSchedule:
         monkeypatch.setattr(fri_config, "FRI_ARITY_BITS", 1)
         _force_row_leaves(monkeypatch)
         system = protocols.get(name)
-        setup = system.setup(by_name(ARITY2_WORKLOADS[name]), SCALE, CONFIGS[name])
+        setup = system.setup(by_name(WORKLOADS[name]), SCALE, CONFIGS[name])
         proof = system.prove(setup)
         assert system.digest(proof) == ARITY2_DIGESTS[name]
         system.verify(setup, proof)
@@ -308,7 +308,7 @@ class TestInitialArityBits:
     @pytest.mark.parametrize("protocol", sorted(LAYOUTS))
     def test_golden_instances_take_the_pinned_layout(self, protocol):
         system = protocols.get(protocol)
-        setup = system.setup(fibonacci.SPEC, SCALE, CONFIGS[protocol])
+        setup = system.setup(by_name(WORKLOADS[protocol]), SCALE, CONFIGS[protocol])
         log_n = setup.rows.bit_length() - 1
         a, schedule = LAYOUTS[protocol]
         assert fri_layout(CONFIGS[protocol], log_n, _widths(protocol, setup)) == LAYOUTS[protocol]

@@ -79,7 +79,7 @@ def _stark_case(degree_bits, cfg, data):
     trace = np.array(rows, dtype=np.uint64)
     publics = list(range(air.width // 2))
     proof = stark.prove(air, trace, publics, cfg)
-    return proof, lambda p: stark.verify(air, len(trace), p, cfg), stark_protocol(air).widths, (0, 0)
+    return proof, lambda p: stark.verify(air, len(trace), publics, p, cfg), stark_protocol(air).widths, (0, 0)
 
 
 def _plonk_case(degree_bits, cfg, data):
@@ -92,7 +92,7 @@ def _plonk_case(degree_bits, cfg, data):
     proof = plonk.prove(setup, {x.index: 3, pub.index: 9}, blinding_seed=1 if salted else None)
     # Salt widens the committed wires rows but not the layout rule's input.
     salt = (0, ZK_SALT_COLUMNS if salted else 0, 0, 0)
-    return proof, lambda p: plonk.verify(setup.verifier_data, p), list(PLONK.widths), salt
+    return proof, lambda p: plonk.verify(setup.verifier_data, [9], p), list(PLONK.widths), salt
 
 
 #: protocol -> (case builder, lowest degree bits, lowest rate bits)

@@ -62,7 +62,7 @@ def _row_leaf_plonk_target():
     data = plonk_setup(circuit, config)
     proof = plonk_prove(data, {x.index: 3, pub.index: 27})
     return fuzz_targets._target(
-        "plonk", proof, proof, lambda p: plonk_verify(data.verifier_data, p), PLONK.widths
+        "plonk", proof, proof, lambda p: plonk_verify(data.verifier_data, [27], p), PLONK.widths
     )
 
 
@@ -319,14 +319,14 @@ class TestRegressionVectors:
         omega = gl.primitive_root_of_unity(n_lde.bit_length() - 1)
         x0 = gl.mul(gl.coset_shift(), gl.pow_mod(omega, queried[0]))  # a queried LDE point
         trace_cap, quotient_cap = proof.caps
+        air, _, publics = by_name("Fibonacci").build_air(degree_bits)
         challenger = Challenger()
-        challenger.observe_elements(np.asarray(proof.public_inputs, dtype=np.uint64))
+        challenger.observe_elements(np.asarray(publics, dtype=np.uint64))
         challenger.observe_cap(trace_cap)
         challenger.get_ext_challenge()
         challenger.observe_cap(quotient_cap)
         zeta = challenger.get_ext_challenge()
         zeta_next = fext.scalar_mul(zeta, np.uint64(gl.primitive_root_of_unity(degree_bits)))
-        air = by_name("Fibonacci").build_air(degree_bits)[0]
         doctored = FriOpenings.from_flat(
             [np.array([x0, 0], dtype=np.uint64), zeta_next],
             stark(air).columns,

@@ -33,7 +33,7 @@ def plonk_target():
     b.assert_equal(pub, b.mul(b.mul(x, x), x))
     data = setup(b.build(), _CFG)
     proof = prove(data, {x.index: 3, pub.index: 27})
-    verify(data.verifier_data, proof)  # sanity: honest proof passes
+    verify(data.verifier_data, [27], proof)  # sanity: honest proof passes
     return data, PLONK.to_bytes(proof)
 
 
@@ -41,8 +41,8 @@ def plonk_target():
 def stark_target():
     air, trace, publics = by_name("Fibonacci").build_air(5)
     proof = stark_prove(air, trace, publics, _SCFG)
-    stark_verify(air, len(trace), proof, _SCFG)
-    return air, len(trace), STARK.to_bytes(proof)
+    stark_verify(air, len(trace), publics, proof, _SCFG)
+    return air, len(trace), publics, STARK.to_bytes(proof)
 
 
 def _mutations(blob: bytes, count: int, seed: int):
@@ -69,7 +69,7 @@ class TestPlonkMutations:
                 rejected += 1
                 continue
             try:
-                verify(data.verifier_data, proof)
+                verify(data.verifier_data, [27], proof)
             except (PlonkError, ValueError):
                 rejected += 1
                 continue
@@ -79,7 +79,7 @@ class TestPlonkMutations:
 
 class TestStarkMutations:
     def test_every_mutant_rejected_with_typed_error(self, stark_target):
-        air, n, blob = stark_target
+        air, n, publics, blob = stark_target
         rejected = 0
         for pos, mutant in _mutations(blob, _NUM_MUTATIONS, seed=2002):
             try:
@@ -88,7 +88,7 @@ class TestStarkMutations:
                 rejected += 1
                 continue
             try:
-                stark_verify(air, n, proof, _SCFG)
+                stark_verify(air, n, publics, proof, _SCFG)
             except (StarkError, ValueError):
                 rejected += 1
                 continue

@@ -204,4 +204,4 @@ class TestReducedRoundProving:
                         proof_of_work_bits=2, final_poly_len=4)
         data = setup(c, cfg)
         proof = prove(data, inputs)
-        verify(data.verifier_data, proof)
+        verify(data.verifier_data, [expected], proof)

@@ -28,15 +28,15 @@ from repro.experiments.tables import table3
 from repro.hw import DEFAULT_CONFIG
 from repro.mapping import DEFAULT_MAPPING
 from repro.sim import simulate_graph, simulate_plonky2
-from repro.workloads import factorial, fibonacci
+from repro.workloads import by_name, factorial
 
-from .goldens import DIGESTS, PROVE_COUNTERS, SCALE
+from .goldens import DIGESTS, PROVE_COUNTERS, SCALE, WORKLOADS
 
 
 def _prove_all_and_check_goldens():
     for name in protocols.names():
         system = protocols.get(name)
-        setup = system.setup(fibonacci.SPEC, SCALE, system.make_config())
+        setup = system.setup(by_name(WORKLOADS[name]), SCALE, system.make_config())
         with metrics.counting() as counts:
             proof = system.prove(setup)
         want_counts = PROVE_COUNTERS[name]

@@ -24,7 +24,7 @@ from repro.fuzz.targets import TYPED_REJECTIONS
 from repro.service import execute, verify_result
 from repro.workloads import by_name
 
-from .goldens import ARITY2_DIGESTS, ARITY2_WORKLOADS, CONFIGS, DIGESTS, ROW_LAYOUT_DIGESTS, SCALE
+from .goldens import ARITY2_DIGESTS, CONFIGS, DIGESTS, ROW_LAYOUT_DIGESTS, SCALE, WORKLOADS
 from .test_fri import _force_row_leaves
 
 FIB = by_name("Fibonacci")
@@ -116,9 +116,9 @@ def test_verify_result_gives_one_verdict_warm_and_cold(name, fresh_instance_cach
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_the_default_setup_still_proves_the_golden_digest_from_cache(name, fresh_instance_cache):
-    system = protocols.get(name)
-    system.setup(FIB, SCALE, system.make_config({"cap_height": 3}))
-    psetup = system.setup(FIB, SCALE, CONFIGS[name])
+    system, workload = protocols.get(name), by_name(WORKLOADS[name])
+    system.setup(workload, SCALE, system.make_config({"cap_height": 3}))
+    psetup = system.setup(workload, SCALE, CONFIGS[name])
     assert system.digest(system.prove(psetup)) == DIGESTS[name]
 
 
@@ -136,7 +136,7 @@ def test_row_layout_pin_reproduces_after_a_default_setup(name, monkeypatch, fres
 @pytest.mark.parametrize("name", sorted(ARITY2_DIGESTS))
 def test_arity_2_pin_reproduces_after_a_default_setup(name, monkeypatch, fresh_instance_cache):
     system = protocols.get(name)
-    workload = by_name(ARITY2_WORKLOADS[name])
+    workload = by_name(WORKLOADS[name])
     system.setup(workload, SCALE, CONFIGS[name])
     monkeypatch.setattr(fri_config, "FRI_ARITY_BITS", 1)
     _force_row_leaves(monkeypatch)
@@ -164,11 +164,12 @@ class TestSetupDataIsReadOnly:
 
     def test_stark_trace(self, fresh_instance_cache):
         system = protocols.get("stark")
-        _, trace, publics = system.setup(FIB, SCALE, system.make_config()).data
+        psetup = system.setup(FIB, SCALE, system.make_config())
+        _, trace = psetup.data
         with pytest.raises(ValueError, match="read-only"):
             trace[0, 0] = 1
         with pytest.raises(TypeError):
-            publics[0] = 1
+            psetup.publics[0] = 1
 
     def test_plonk_setup(self, fresh_instance_cache):
         system = protocols.get("plonk")
@@ -192,10 +193,10 @@ class TestSetupDataIsReadOnly:
     def test_an_altered_copy_leaves_the_instance_intact(self, fresh_instance_cache):
         system = protocols.get("stark")
         psetup = system.setup(FIB, SCALE, CONFIGS["stark"])
-        air, trace, publics = psetup.data
+        air, trace = psetup.data
         bad = trace.copy()
         bad[3, 0] ^= 1
-        altered = replace(psetup, data=(air, bad, publics))
+        altered = replace(psetup, data=(air, bad))
         with pytest.raises(VerifierError):
             system.verify(altered, system.prove(altered))
         again = system.setup(FIB, SCALE, CONFIGS["stark"])

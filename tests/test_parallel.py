@@ -32,9 +32,16 @@ from repro.parallel.footprints import FOOTPRINTS
 from repro.parallel.kernels import KERNELS
 from repro.stark import prove as stark_prove
 from repro.sumcheck import fold_table
-from repro.workloads import fibonacci
+from repro.workloads import by_name, fibonacci
 
-from .goldens import DIGESTS, PROVE_COUNTERS, SCALE, VERIFY_COUNTERS
+from .goldens import (
+    DIGESTS,
+    PLONK_FIBONACCI_DIGEST,
+    PROVE_COUNTERS,
+    SCALE,
+    VERIFY_COUNTERS,
+    WORKLOADS,
+)
 from .reference_oracles import commit_coeffs
 from .test_poseidon import REGIME_EDGES
 
@@ -361,7 +368,7 @@ class TestParallelExecution:
     def test_pool_heals_after_a_killed_worker(self):
         """A worker killed while idle is replaced before the next graph
         is dispatched: that prove succeeds (it used to fail typed)."""
-        system, setup = _fib6("stark")
+        system, setup = _golden("stark")
         with _pool(2) as pool:
             system.prove(setup, pool=pool)
             victim = pool.forked.procs[0]
@@ -379,7 +386,7 @@ class TestParallelExecution:
         # Registered before the pool forks, so only its workers know it.
         monkeypatch.setitem(KERNELS, "die", _die)
         monkeypatch.setitem(FOOTPRINTS, "die", lambda args: [])
-        system, setup = _fib6("stark")
+        system, setup = _golden("stark")
         with _pool(2) as pool:
             system.prove(setup, pool=pool)
             g = parallel.ShardGraph()
@@ -603,9 +610,9 @@ class TestShardedMerkle:
                 )
 
 
-def _fib6(name):
+def _golden(name):
     system = protocols.get(name)
-    return system, system.setup(fibonacci.SPEC, SCALE, system.make_config())
+    return system, system.setup(by_name(WORKLOADS[name]), SCALE, system.make_config())
 
 
 def _prove_counted(system, setup, pool=None):
@@ -635,7 +642,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("name", sorted(DIGESTS))
     def test_matches_pinned_goldens(self, name, workers, gates):
-        system, setup = _fib6(name)
+        system, setup = _golden(name)
         with parallel.ShardPool(workers, **gates) as pool:
             _, digest, counts = _prove_counted(system, setup, pool)
             # One worker runs every shard itself; more workers run none
@@ -647,21 +654,21 @@ class TestBitIdentity:
         _assert_golden(name, digest, counts)
 
     def test_stark_sharded_is_bit_identical(self):
-        system, setup = _fib6("stark")
+        system, setup = _golden("stark")
         with _pool(2) as pool:
             proof, digest, counts = _prove_counted(system, setup, pool)
         _assert_golden("stark", digest, counts)
         system.verify(setup, proof)
 
     def test_plonk_sharded_is_bit_identical(self):
-        system, setup = _fib6("plonk")
+        system, setup = _golden("plonk")
         with _pool(2) as pool:
             proof, digest, counts = _prove_counted(system, setup, pool)
         _assert_golden("plonk", digest, counts)
         system.verify(setup, proof)
 
     def test_hyperplonk_sharded_is_bit_identical(self):
-        system, setup = _fib6("hyperplonk")
+        system, setup = _golden("hyperplonk")
         with _pool(2) as pool:
             proof, digest, counts = _prove_counted(system, setup, pool)
         _assert_golden("hyperplonk", digest, counts)
@@ -670,16 +677,22 @@ class TestBitIdentity:
     def test_repeat_proof_reuses_segments(self):
         # Forced-low gates commit every batch in shared memory, and no
         # segment may grow on a rerun.  Default gates run these small
-        # stages in-process and open the queries from the trees in
-        # place, so the pool holds no segment at all.
-        for name, gates in (("stark", TINY), ("stark", {}), ("plonk", {})):
-            system, setup = _fib6(name)
+        # Fibonacci stages in-process and open the queries from the
+        # trees in place, so the pool holds no segment at all.
+        cases = (
+            ("stark", TINY, DIGESTS["stark"]),
+            ("stark", {}, DIGESTS["stark"]),
+            ("plonk", {}, PLONK_FIBONACCI_DIGEST),
+        )
+        for name, gates, digest in cases:
+            system = protocols.get(name)
+            setup = system.setup(fibonacci.SPEC, SCALE, system.make_config())
             with parallel.ShardPool(2, **gates) as pool:
                 _, first, _ = _prove_counted(system, setup, pool)
                 before = pool.arena.nbytes()
                 assert before > 0 if gates else before == 0
                 _, second, _ = _prove_counted(system, setup, pool)
-                assert first == second == DIGESTS[name]
+                assert first == second == digest
                 # Same slots, same shapes -> no segment grows on the rerun.
                 assert pool.arena.nbytes() == before
 
@@ -701,7 +714,7 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("name", sorted(DIGESTS))
     def test_unscoped_prove_runs_inline_shards(self, name):
-        system, setup = _fib6(name)
+        system, setup = _golden(name)
         inline = parallel.default_pool()
         before = dict(inline.stats)
         _, digest, counts = _prove_counted(system, setup)
@@ -714,7 +727,7 @@ class TestBitIdentity:
     def test_default_proves_reach_every_kernel(self):
         reached = set()
         for name in sorted(DIGESTS):
-            system, setup = _fib6(name)
+            system, setup = _golden(name)
             with tracing.trace() as session:
                 system.prove(setup)
             reached |= {
@@ -725,7 +738,7 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("name", sorted(DIGESTS))
     def test_stage_names_do_not_depend_on_workers(self, name):
-        system, setup = _fib6(name)
+        system, setup = _golden(name)
         shapes = []
         for workers in (1, 2):
             with _pool(workers) as pool, tracing.trace() as session:
@@ -743,8 +756,8 @@ import json, sys
 import numpy as np
 from repro import metrics, parallel, protocols
 from repro.hashing import optimized
-from repro.workloads import fibonacci
-from tests.goldens import CONFIGS, SCALE
+from repro.workloads import by_name
+from tests.goldens import CONFIGS, SCALE, WORKLOADS
 
 rng = np.random.default_rng(0)
 diverged = []
@@ -766,7 +779,7 @@ seen = {"diverged": diverged, "inline": {}, "pool": {}, "inline_shards": {}}
 with parallel.ShardPool(2, min_rows=1, min_tree_leaves=2) as pool:
     for name, config in CONFIGS.items():
         system = protocols.get(name)
-        setup = system.setup(fibonacci.SPEC, SCALE, config)
+        setup = system.setup(by_name(WORKLOADS[name]), SCALE, config)
         before = inline.stats["inline_shards"]
         seen["inline"][name] = run(system, setup)
         seen["inline_shards"][name] = inline.stats["inline_shards"] - before

@@ -21,7 +21,7 @@ from repro.stark import prover as stark_prover_module
 from repro.tracing import load_trace, validate_trace_events, write_spans_trace
 from repro.workloads import fibonacci, mvm
 
-from .goldens import CONFIGS, DIGESTS, PLONK_MVM_DIGEST, PROVE_COUNTERS, SCALE
+from .goldens import CONFIGS, DIGESTS, PLONK_FIBONACCI_DIGEST, PROVE_COUNTERS, SCALE
 
 stark_digest, plonk_digest = get("stark").digest, get("plonk").digest
 
@@ -44,14 +44,14 @@ class TestGoldenProofs:
 
     def test_plonk_fibonacci_digest_unchanged(self):
         proof = _plonk_proof(fibonacci.SPEC, SCALE)
-        assert plonk_digest(proof) == DIGESTS["plonk"]
+        assert plonk_digest(proof) == PLONK_FIBONACCI_DIGEST
 
     def test_plonk_mvm_digest_unchanged(self):
         proof = _plonk_proof(mvm.SPEC, SCALE)
-        assert plonk_digest(proof) == PLONK_MVM_DIGEST
+        assert plonk_digest(proof) == DIGESTS["plonk"]
 
     def test_plonk_counters_unchanged(self):
-        circuit, inputs, _ = fibonacci.SPEC.build_circuit(SCALE)
+        circuit, inputs, _ = mvm.SPEC.build_circuit(SCALE)
         data = setup(circuit, PLONK_CONFIG)
         with metrics.counting() as c:
             plonk_prove(data, inputs)
@@ -95,7 +95,7 @@ class TestSharedSequencing:
 
 class TestPlonkOnSharedPlan:
     def test_plan_path_is_byte_identical(self):
-        circuit, inputs, _ = fibonacci.SPEC.build_circuit(6)
+        circuit, inputs, _ = mvm.SPEC.build_circuit(SCALE)
         data = setup(circuit, PLONK_CONFIG)
         assert plonk_digest(plonk_prove(data, inputs)) == DIGESTS["plonk"]
         assert plonk_digest(plonk_prove(data, inputs)) == DIGESTS["plonk"]

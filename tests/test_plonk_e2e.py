@@ -7,6 +7,8 @@ import pytest
 
 from repro.field import goldilocks as gl
 from repro.plonk import CircuitBuilder, PlonkError, prove, setup, verify
+from repro.protocols import get as get_protocol
+from repro.workloads import by_name
 
 
 @pytest.fixture(scope="module")
@@ -41,13 +43,13 @@ def valid_proof(paper_data):
 class TestHonestProver:
     def test_paper_example_verifies(self, paper_data, valid_proof):
         data, _ = paper_data
-        verify(data.verifier_data, valid_proof)
+        verify(data.verifier_data, [], valid_proof)
 
     def test_other_witness_same_statement(self, paper_data):
         data, xs = paper_data
         # (1 + 10) * (9 * 1) = 99
         inputs = {xs[0].index: 1, xs[1].index: 10, xs[2].index: 9, xs[3].index: 1}
-        verify(data.verifier_data, prove(data, inputs))
+        verify(data.verifier_data, [], prove(data, inputs))
 
     def test_proof_size_reasonable(self, valid_proof):
         assert 1_000 < valid_proof.size_bytes() < 200_000
@@ -65,35 +67,35 @@ class TestSoundness:
         data, xs = paper_data
         inputs = {xs[0].index: 2, xs[1].index: 9, xs[2].index: 3, xs[3].index: 4}
         with pytest.raises(PlonkError):
-            verify(data.verifier_data, prove(data, inputs))
+            verify(data.verifier_data, [], prove(data, inputs))
 
     def test_tampered_wires_cap(self, paper_data, valid_proof):
         data, _ = paper_data
         p = copy.deepcopy(valid_proof)
         p.caps[0][0, 0] ^= np.uint64(1)
         with pytest.raises(PlonkError):
-            verify(data.verifier_data, p)
+            verify(data.verifier_data, [], p)
 
     def test_tampered_z_cap(self, paper_data, valid_proof):
         data, _ = paper_data
         p = copy.deepcopy(valid_proof)
         p.caps[1][0, 1] ^= np.uint64(1)
         with pytest.raises(PlonkError):
-            verify(data.verifier_data, p)
+            verify(data.verifier_data, [], p)
 
     def test_tampered_quotient_cap(self, paper_data, valid_proof):
         data, _ = paper_data
         p = copy.deepcopy(valid_proof)
         p.caps[2][0, 2] ^= np.uint64(1)
         with pytest.raises(PlonkError):
-            verify(data.verifier_data, p)
+            verify(data.verifier_data, [], p)
 
     def test_tampered_opening_value(self, paper_data, valid_proof):
         data, _ = paper_data
         p = copy.deepcopy(valid_proof)
         p.opened_values[9, 0] ^= np.uint64(1)
         with pytest.raises(PlonkError):
-            verify(data.verifier_data, p)
+            verify(data.verifier_data, [], p)
 
     def test_wrong_verifier_circuit(self, paper_data, valid_proof):
         # Verifying against a different circuit's data must fail.
@@ -108,7 +110,7 @@ class TestSoundness:
                       proof_of_work_bits=3, final_poly_len=4),
         )
         with pytest.raises(PlonkError):
-            verify(other.verifier_data, valid_proof)
+            verify(other.verifier_data, [], valid_proof)
 
 
 class TestPublicInputs:
@@ -129,27 +131,34 @@ class TestPublicInputs:
     def test_correct_public_value(self, pi_setup):
         data, x, pub = pi_setup
         proof = prove(data, {x.index: 11, pub.index: 121})
-        assert proof.public_inputs == [121]
-        verify(data.verifier_data, proof)
+        verify(data.verifier_data, [121], proof)
 
     def test_inconsistent_public_value(self, pi_setup):
         data, x, pub = pi_setup
         with pytest.raises(PlonkError):
-            verify(data.verifier_data, prove(data, {x.index: 11, pub.index: 120}))
+            verify(data.verifier_data, [120], prove(data, {x.index: 11, pub.index: 120}))
 
     def test_tampered_public_value_in_proof(self, pi_setup):
+        # The honest proof of 121, checked against the statement 144.
         data, x, pub = pi_setup
         proof = prove(data, {x.index: 11, pub.index: 121})
-        proof.public_inputs[0] = 144
         with pytest.raises(PlonkError):
-            verify(data.verifier_data, proof)
+            verify(data.verifier_data, [144], proof)
 
-    def test_wrong_pi_count(self, pi_setup):
-        data, x, pub = pi_setup
-        proof = prove(data, {x.index: 11, pub.index: 121})
-        proof.public_inputs.append(5)
+    def test_a_proof_of_another_product_is_refused(self):
+        # MVM 6 with M[0][0] raised by 1 and y_0 by x_0: an honest witness
+        # of another product, which verifies against its own statement
+        # but not against the instance's.
+        system = get_protocol("plonk")
+        psetup = system.setup(by_name("MVM"), 6, system.make_config())
+        data, inputs = psetup.data
+        keys = list(inputs)  # M row-major, then x, then y
+        m00, x0, y0 = keys[0], keys[36], keys[42]
+        cheat = {**inputs, m00: inputs[m00] + 1, y0: gl.add(inputs[y0], inputs[x0])}
+        proof = prove(data, cheat)
+        verify(data.verifier_data, [cheat[y0], *psetup.publics[1:]], proof)
         with pytest.raises(PlonkError):
-            verify(data.verifier_data, proof)
+            system.verify(psetup, proof)
 
 
 class TestLargerCircuit:
@@ -169,4 +178,4 @@ class TestLargerCircuit:
         data = setup(circuit, cfg)
         expected = gl.pow_mod(3, 1 << 50)
         proof = prove(data, {x.index: 3, pub.index: expected})
-        verify(data.verifier_data, proof)
+        verify(data.verifier_data, [expected], proof)

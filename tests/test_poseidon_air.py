@@ -103,29 +103,30 @@ class TestEndToEnd:
     def test_prove_verify_one_perm(self, one_perm):
         air, trace, publics, _ = one_perm
         proof = prove(air, trace, publics, _CFG)
-        verify(air, len(trace), proof, _CFG)
+        verify(air, len(trace), publics, proof, _CFG)
 
     def test_prove_verify_chained(self):
         rng = np.random.default_rng(24)
         state = [int(x) for x in gl64.random(12, rng)]
         air = PoseidonAir(num_perms=2)
         trace = generate_trace(state, 2)
-        proof = prove(air, trace, public_values(state, 2), _CFG)
-        verify(air, len(trace), proof, _CFG)
+        publics = public_values(state, 2)
+        proof = prove(air, trace, publics, _CFG)
+        verify(air, len(trace), publics, proof, _CFG)
 
     def test_wrong_output_claim_rejected(self, one_perm):
         air, trace, publics, _ = one_perm
         bad_publics = list(publics)
         bad_publics[12] = (bad_publics[12] + 1) % gl.P
         with pytest.raises(StarkError):
-            verify(air, len(trace), prove(air, trace, bad_publics, _CFG), _CFG)
+            verify(air, len(trace), bad_publics, prove(air, trace, bad_publics, _CFG), _CFG)
 
     def test_tampered_trace_rejected(self, one_perm):
         air, trace, publics, _ = one_perm
         bad = trace.copy()
         bad[10, 12] ^= np.uint64(1)
         with pytest.raises(StarkError):
-            verify(air, len(bad), prove(air, bad, publics, _CFG), _CFG)
+            verify(air, len(bad), publics, prove(air, bad, publics, _CFG), _CFG)
 
     def test_publics_validation(self, one_perm):
         air, trace, publics, _ = one_perm
@@ -152,7 +153,7 @@ class TestSha256Air:
         cfg = FriConfig(rate_bits=1, cap_height=1, num_queries=10,
                         proof_of_work_bits=2, final_poly_len=4)
         proof = prove(air, trace, publics, cfg)
-        verify(air, len(trace), proof, cfg)
+        verify(air, len(trace), publics, proof, cfg)
 
     def test_wrong_digest_rejected(self):
         from repro.workloads import by_name
@@ -163,4 +164,4 @@ class TestSha256Air:
                         proof_of_work_bits=2, final_poly_len=4)
         bad = [publics[0], (publics[1] + 1) % gl.P]
         with pytest.raises(StarkError):
-            verify(air, len(trace), prove(air, trace, bad, cfg), cfg)
+            verify(air, len(trace), bad, prove(air, trace, bad, cfg), cfg)

@@ -6,10 +6,12 @@ protocol: a backend registered under a fresh name must frame, ship,
 verify and fuzz with no other module touched."""
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
 from repro.errors import UnknownProtocolError
+from repro.field.goldilocks import P
 from repro.fuzz import FuzzTarget, target_for
 from repro.hyperplonk import HyperPlonkError
 from repro.plonk import PlonkError
@@ -26,7 +28,7 @@ from repro.service import JobSpec, ProvingService, execute, validate_spec, verif
 from repro.stark import StarkError
 from repro.workloads import by_name
 
-from .goldens import FRAMED, SCALE, VERIFY_COUNTERS
+from .goldens import FRAMED, SCALE, VERIFY_COUNTERS, WORKLOADS
 
 
 class TestRegistry:
@@ -213,6 +215,22 @@ class TestEndToEnd:
         with pytest.raises(error):
             verify_result({**job, "scale": 12}, envelope)
 
+    @pytest.mark.parametrize(
+        "protocol, error",
+        [("stark", StarkError), ("plonk", PlonkError), ("hyperplonk", HyperPlonkError)],
+    )
+    def test_a_non_canonical_statement_word_is_refused(self, protocol, error):
+        # A statement word ``v + p`` would read as ``v`` to the
+        # transcript and the arithmetic alike; it is refused, typed, as
+        # is one past 64 bits.
+        system = get(protocol)
+        psetup = system.setup(by_name("Fibonacci"), 6, system.make_config())
+        proof = system.prove(psetup)
+        first, *rest = psetup.publics
+        for word in (first + P, 1 << 64):
+            with pytest.raises(error, match="public input"):
+                system.verify(replace(psetup, publics=(word, *rest)), proof)
+
     def test_stark_rejects_plonk_only_workload(self):
         # A spec without an AIR builder is unsupported by the STARK
         # backend but fine for the plonk family.
@@ -290,9 +308,9 @@ class TestRegistryIsSufficient:
 @pytest.mark.parametrize("protocol", sorted(FRAMED))
 def test_framed_bytes_are_what_they_always_were(protocol):
     system = get(protocol)
-    psetup = system.setup(by_name("Fibonacci"), SCALE, system.make_config())
+    psetup = system.setup(by_name(WORKLOADS[protocol]), SCALE, system.make_config())
     blob = proof_to_blob(protocol, system.prove(psetup))
-    envelope = execute({"workload": "Fibonacci", "kind": protocol, "scale": SCALE})["envelope"]
+    envelope = execute({"workload": WORKLOADS[protocol], "kind": protocol, "scale": SCALE})["envelope"]
     assert read_result_envelope(envelope)[2] == blob
     got = tuple(hashlib.sha256(b).hexdigest() for b in (blob, envelope))
     assert got == FRAMED[protocol]
@@ -319,7 +337,7 @@ class TestVerifierCounters:
         # Batching path checks by level changes how many states one
         # Poseidon call carries, never how many states there are.
         system = get(protocol)
-        psetup = system.setup(by_name("Fibonacci"), SCALE, system.make_config({}))
+        psetup = system.setup(by_name(WORKLOADS[protocol]), SCALE, system.make_config({}))
         proof = system.prove(psetup)
         with counting() as c:
             assert system.verify(psetup, proof) is None

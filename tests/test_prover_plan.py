@@ -31,7 +31,7 @@ from repro.stark import prover as stark_prover, prove, verify
 from repro.stark.prover import boundary_inverse, constant_ldes, transition_divisor_inverse
 from repro.workloads import by_name, fibonacci
 
-from .goldens import CONFIGS, DIGESTS, PLONK_MVM_DIGEST, PROVE_COUNTERS, SCALE
+from .goldens import CONFIGS, DIGESTS, PLONK_FIBONACCI_DIGEST, PROVE_COUNTERS, SCALE, WORKLOADS
 from .test_parallel import TINY
 
 stark_digest, plonk_digest = get("stark").digest, get("plonk").digest
@@ -66,7 +66,7 @@ def test_shared_plan_proofs_are_identical_and_match_golden():
     )
     d1, d2 = stark_digest(first), stark_digest(second)
     assert d1 == d2 == GOLDEN_DIGEST
-    verify(air, len(trace), second, CONFIG)
+    verify(air, len(trace), publics, second, CONFIG)
 
 
 def test_plan_counters_match_golden():
@@ -101,18 +101,18 @@ def _workspaces_holding_bytes(exclude=()) -> list:
 
 def test_interleaved_shapes_do_not_corrupt_workspaces():
     """One thread proves the golden STARK, Plonk and HyperPlonk-lite
-    instances, then STARK Fibonacci 2^7 and Plonk MVM 6, then the golden
+    instances, then STARK Fibonacci 2^7 and Plonk Fibonacci 6, then the golden
     three again.  Every digest is its golden value; after the first
     round the thread's arena is the only live workspace holding bytes,
     and the second round adds none to it."""
     golden = {name: get(name) for name in DIGESTS}
-    fib, mvm = by_name("Fibonacci"), by_name("MVM")
+    fib = by_name("Fibonacci")
     others = _workspaces_holding_bytes()  # earlier tests' arenas
     with scoped("workspace", gl64.Workspace()) as ws, scoped("instances", OrderedDict()):
 
         def round_of_goldens():
             for name, system in golden.items():
-                setup = system.setup(fib, SCALE, CONFIGS[name])
+                setup = system.setup(by_name(WORKLOADS[name]), SCALE, CONFIGS[name])
                 proof = system.prove(setup)
                 system.verify(setup, proof)
                 assert system.digest(proof) == DIGESTS[name], name
@@ -122,8 +122,8 @@ def test_interleaved_shapes_do_not_corrupt_workspaces():
         stark_sys, plonk_sys = golden["stark"], golden["plonk"]
         bigger = stark_sys.setup(fib, SCALE + 1, CONFIGS["stark"])
         stark_sys.verify(bigger, stark_sys.prove(bigger))
-        other = plonk_sys.setup(mvm, SCALE, CONFIGS["plonk"])
-        assert plonk_sys.digest(plonk_sys.prove(other)) == PLONK_MVM_DIGEST
+        other = plonk_sys.setup(fib, SCALE, CONFIGS["plonk"])
+        assert plonk_sys.digest(plonk_sys.prove(other)) == PLONK_FIBONACCI_DIGEST
         held = ws.nbytes()
         round_of_goldens()
         assert ws.nbytes() == held

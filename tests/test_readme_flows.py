@@ -20,7 +20,7 @@ class TestReadmeSnippets:
                                                 proof_of_work_bits=2,
                                                 final_poly_len=4))
         proof = prove(data, {x0.index: 2, x1.index: 9, x2.index: 3, x3.index: 3})
-        verify(data.verifier_data, proof)
+        verify(data.verifier_data, [], proof)
 
     def test_accelerator_snippet(self):
         """The README's simulator snippet."""

@@ -34,7 +34,7 @@ def plonk_setup():
 def stark_setup():
     air, trace, publics = by_name("Fibonacci").build_air(5)
     proof = stark_prove(air, trace, publics, _SCFG)
-    return air, proof
+    return air, proof, publics
 
 
 class TestPrimitives:
@@ -99,20 +99,6 @@ class TestHostileLengths:
         with pytest.raises(ValueError, match="length-inflated"):
             r.count(8, "test count")
 
-    def test_inflated_public_input_count_rejected(self, stark_setup):
-        # Stomp the STARK public-input count (right after the two caps)
-        # with 0xFFFFFFFF: the reader must bound it by the remaining
-        # buffer instead of looping 4 billion times.
-        _, proof = stark_setup
-        blob = bytearray(STARK.to_bytes(proof))
-        w = ByteWriter()
-        for cap in proof.caps:
-            w.elems(cap)
-        offset = len(w.getvalue())
-        blob[offset : offset + 4] = b"\xff\xff\xff\xff"
-        with pytest.raises(ValueError, match="length-inflated"):
-            STARK.from_bytes(bytes(blob))
-
     def test_scalar_cap_rejected(self, plonk_setup):
         # Re-serialize with the wires cap written as a 0-d array: the
         # (c, 4) cap contract must be enforced at decode time.
@@ -149,13 +135,12 @@ class TestPlonkRoundTrip:
         data, proof = plonk_setup
         blob = PLONK.to_bytes(proof)
         restored = PLONK.from_bytes(blob)
-        verify(data.verifier_data, restored)
+        verify(data.verifier_data, [49], restored)
 
     def test_roundtrip_fields_equal(self, plonk_setup):
         _, proof = plonk_setup
         restored = PLONK.from_bytes(PLONK.to_bytes(proof))
         assert all(np.array_equal(a, b) for a, b in zip(restored.caps, proof.caps, strict=True))
-        assert restored.public_inputs == proof.public_inputs
         assert restored.fri_proof.pow_witness == proof.fri_proof.pow_witness
         assert np.array_equal(restored.opened_values, proof.opened_values)
         for got, want in zip(restored.fri_proof.tree_openings(), proof.fri_proof.tree_openings()):
@@ -186,17 +171,17 @@ class TestPlonkRoundTrip:
         except ValueError:
             return  # structural corruption detected at decode time
         with pytest.raises(PlonkError):
-            verify(data.verifier_data, restored)
+            verify(data.verifier_data, [49], restored)
 
 
 class TestStarkRoundTrip:
     def test_roundtrip_verifies(self, stark_setup):
-        air, proof = stark_setup
+        air, proof, publics = stark_setup
         restored = STARK.from_bytes(STARK.to_bytes(proof))
-        stark_verify(air, 1 << 5, restored, _SCFG)  # the fixture's rows
+        stark_verify(air, 1 << 5, publics, restored, _SCFG)  # the fixture's rows
 
     def test_deterministic_bytes(self, stark_setup):
-        _, proof = stark_setup
+        _, proof, _ = stark_setup
         assert STARK.to_bytes(proof) == STARK.to_bytes(proof)
 
 
@@ -228,7 +213,7 @@ class TestResultEnvelope:
             read_result_envelope(blob + b"\x00")
 
     def test_stark_digest_stable(self, stark_setup):
-        _, proof = stark_setup
+        _, proof, _ = stark_setup
         assert STARK.digest(proof) == STARK.digest(proof)
         assert len(STARK.digest(proof)) == 64
 
@@ -327,11 +312,12 @@ def _as_version_1(blob: bytes) -> bytes:
     return bytes(old)
 
 
-#: Current format versions: Plonk is at 5 and HyperPlonk-lite at 3 since
-#: a proof sends neither its opening points and columns nor its tree
-#: openings' leaf indices; STARK is at 7 since it also stopped sending
-#: its trace length.
-CURRENT_VERSIONS = {"stark": 7, "plonk": 5, "hyperplonk": 3}
+#: Current format versions: STARK 8, Plonk 6 and HyperPlonk-lite 4 since
+#: a proof stopped sending its public inputs (the verifier's statement
+#: is its instance's); before that a proof stopped sending its opening
+#: points and columns, its tree openings' leaf indices and (STARK) its
+#: trace length.
+CURRENT_VERSIONS = {"stark": 8, "plonk": 6, "hyperplonk": 4}
 
 
 @pytest.fixture(scope="module")
@@ -405,11 +391,10 @@ class TestFormatVersion1:
     def test_previous_version_blob_is_refused_before_its_body_is_decoded(
         self, protocol, stark_setup, plonk_setup, hyperplonk_proof
     ):
-        # STARK v6, Plonk v4 and HyperPlonk-lite v2 sent what the verifier
-        # derives (STARK v6 its trace length; Plonk v4 and HyperPlonk-lite
-        # v2 opening points, column lists, leaf indices); the current
-        # format sends none of it, so those blobs are refused, typed, and
-        # the body codec never runs.
+        # STARK v7, Plonk v5 and HyperPlonk-lite v3 sent what the verifier
+        # takes from its instance, the public inputs; the current format
+        # does not, so those blobs are refused, typed, and the body codec
+        # never runs.
         from unittest import mock
 
         from repro.serialize import PROOF_BLOB_MAGIC, ProofFormatError, proof_from_blob, proof_to_blob
@@ -417,7 +402,7 @@ class TestFormatVersion1:
         proof = {
             "stark": stark_setup[1], "plonk": plonk_setup[1], "hyperplonk": hyperplonk_proof
         }[protocol]
-        old = {"stark": 6, "plonk": 4, "hyperplonk": 2}[protocol]
+        old = {"stark": 7, "plonk": 5, "hyperplonk": 3}[protocol]
         version = CURRENT_VERSIONS[protocol]
         assert get(protocol).format_version == version == old + 1
         blob = bytearray(proof_to_blob(protocol, proof))

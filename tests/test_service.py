@@ -9,7 +9,12 @@ import pytest
 
 from repro.metrics import counting
 from repro.protocols import get as get_protocol
-from repro.serialize import proof_from_blob, read_result_envelope
+from repro.serialize import (
+    proof_from_blob,
+    proof_to_blob,
+    read_result_envelope,
+    write_result_envelope,
+)
 from repro.service import (
     JobSpec,
     JobState,
@@ -21,8 +26,8 @@ from repro.service import (
     verify_result,
     wait_for_server,
 )
-from repro.stark import verify as stark_verify
-from repro.workloads.fibonacci import build_air
+from repro.stark import StarkError, prove as stark_prove, verify as stark_verify
+from repro.workloads.fibonacci import build_air, fibonacci_mod_p
 
 
 FIB = {"workload": "Fibonacci", "kind": "stark", "scale": 6}
@@ -144,15 +149,27 @@ class TestServiceEndToEnd:
             result = svc.result(jid, timeout_s=60)
             kind, workload, payload = read_result_envelope(result.envelope)
             assert kind == "stark-proof" and workload == "Fibonacci"
-            air, trace, _ = build_air(FIB["scale"])
+            air, trace, publics = build_air(FIB["scale"])
             _, proof = proof_from_blob(payload, expected_protocol="stark")
-            stark_verify(air, len(trace), proof, get_protocol("stark").make_config())
+            stark_verify(air, len(trace), publics, proof, get_protocol("stark").make_config())
             assert verify_result(FIB, result.envelope)
             stats = svc.job(jid)
             assert stats["state"] == "done"
             assert stats["queue_wait_s"] >= 0
             assert stats["run_time_s"] > 0
             assert stats["counters"]["sponge_permutations"] > 0
+
+    def test_a_proof_of_another_statement_is_refused(self):
+        # The envelope is checked against the job's own instance: a proof
+        # whose prover was handed another statement true of the same
+        # trace (row 10 holds F_10, not row 63 F_63) is refused.
+        air, trace, _ = build_air(FIB["scale"])
+        proof = stark_prove(air, trace, [10, fibonacci_mod_p(10)], get_protocol("stark").make_config())
+        envelope = write_result_envelope(
+            "stark-proof", "Fibonacci", proof_to_blob("stark", proof)
+        )
+        with pytest.raises(StarkError):
+            verify_result(FIB, envelope)
 
     def test_hyperplonk_job_round_trips_and_verifies(self):
         spec = {"workload": "Fibonacci", "kind": "hyperplonk", "scale": 6,
@@ -622,9 +639,9 @@ class TestShardedService:
             result = svc.result(jid, timeout_s=120)
             kind, workload, payload = read_result_envelope(result.envelope)
             assert kind == "stark-proof" and workload == "Fibonacci"
-            air, trace, _ = build_air(FIB["scale"])
+            air, trace, publics = build_air(FIB["scale"])
             _, proof = proof_from_blob(payload, expected_protocol="stark")
-            stark_verify(air, len(trace), proof, get_protocol("stark").make_config())
+            stark_verify(air, len(trace), publics, proof, get_protocol("stark").make_config())
             # Shard spans ride back nested inside the prove stages.
             shard = [
                 s

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from repro.field import goldilocks as gl
+from repro.protocols import get as get_protocol
+from repro.serialize import proof_from_blob, proof_to_blob
 from repro.stark import Air, BoundaryConstraint, ExtAlgebra, StarkError, prove, verify
 from repro.workloads.factorial import FactorialAir, build_air as build_factorial
-from repro.workloads.fibonacci import FibonacciAir, build_air as build_fibonacci
+from repro.workloads import by_name
+from repro.workloads.fibonacci import FibonacciAir, build_air as build_fibonacci, fibonacci_mod_p
 from repro.workloads.mvm import MvmAir, build_air as build_mvm
 
 
@@ -50,14 +53,14 @@ class TestEndToEnd:
     def test_prove_verify(self, builder, stark_test_config):
         air, trace, publics = builder(5)
         proof = prove(air, trace, publics, stark_test_config)
-        verify(air, len(trace), proof, stark_test_config)
+        verify(air, len(trace), publics, proof, stark_test_config)
 
     def test_bad_trace_rejected(self, builder, stark_test_config):
         air, trace, publics = builder(5)
         bad = trace.copy()
         bad[3, -1] = np.uint64(int(bad[3, -1]) ^ 1)
         with pytest.raises(StarkError):
-            verify(air, len(bad), prove(air, bad, publics, stark_test_config), stark_test_config)
+            verify(air, len(bad), publics, prove(air, bad, publics, stark_test_config), stark_test_config)
 
     def test_wrong_public_rejected(self, builder, stark_test_config):
         air, trace, publics = builder(5)
@@ -66,6 +69,7 @@ class TestEndToEnd:
             verify(
                 air,
                 len(trace),
+                bad_publics,
                 prove(air, trace, bad_publics, stark_test_config),
                 stark_test_config,
             )
@@ -79,48 +83,71 @@ class TestFaultInjection:
         cfg = FriConfig(rate_bits=1, cap_height=1, num_queries=10,
                         proof_of_work_bits=3, final_poly_len=4)
         air, trace, publics = build_fibonacci(6)
-        return air, len(trace), prove(air, trace, publics, cfg), cfg
+        return air, len(trace), publics, prove(air, trace, publics, cfg), cfg
 
     def test_honest(self, proof_setup):
-        air, n, proof, cfg = proof_setup
-        verify(air, n, proof, cfg)
+        air, n, publics, proof, cfg = proof_setup
+        verify(air, n, publics, proof, cfg)
 
     def test_tampered_trace_cap(self, proof_setup):
-        air, n, proof, cfg = proof_setup
+        air, n, publics, proof, cfg = proof_setup
         p = copy.deepcopy(proof)
         p.caps[0][0, 0] ^= np.uint64(1)
         with pytest.raises(StarkError):
-            verify(air, n, p, cfg)
+            verify(air, n, publics, p, cfg)
 
     def test_tampered_quotient_cap(self, proof_setup):
-        air, n, proof, cfg = proof_setup
+        air, n, publics, proof, cfg = proof_setup
         p = copy.deepcopy(proof)
         p.caps[1][0, 0] ^= np.uint64(1)
         with pytest.raises(StarkError):
-            verify(air, n, p, cfg)
+            verify(air, n, publics, p, cfg)
 
     def test_tampered_opening(self, proof_setup):
-        air, n, proof, cfg = proof_setup
+        air, n, publics, proof, cfg = proof_setup
         p = copy.deepcopy(proof)
         p.opened_values[0, 0] ^= np.uint64(1)
         with pytest.raises(StarkError):
-            verify(air, n, p, cfg)
+            verify(air, n, publics, p, cfg)
 
     def test_tampered_publics(self, proof_setup):
-        air, n, proof, cfg = proof_setup
-        p = copy.deepcopy(proof)
-        p.public_inputs = list(p.public_inputs)
-        p.public_inputs[1] = (p.public_inputs[1] + 1) % gl.P
+        air, n, publics, proof, cfg = proof_setup
         with pytest.raises(StarkError):
-            verify(air, n, p, cfg)
+            verify(air, n, [publics[0], (publics[1] + 1) % gl.P], proof, cfg)
 
     def test_wrong_degree_claim(self, proof_setup):
         # The verifier takes n from its instance: the proof of an n-row
         # trace is refused at n / 2 and at 2n.
-        air, n, proof, cfg = proof_setup
+        air, n, publics, proof, cfg = proof_setup
         for wrong in (n // 2, 2 * n):
             with pytest.raises(StarkError):
-                verify(air, wrong, proof, cfg)
+                verify(air, wrong, publics, proof, cfg)
+
+
+class TestStatement:
+    """The statement is the verifier's: its instance's public values."""
+
+    def test_a_proof_of_another_statement_is_refused(self):
+        # The prover is handed the instance's trace and the statement
+        # "row 10 holds F_10", true of that trace, where the instance
+        # states "row 63 holds F_63"; after a blob round trip the
+        # instance's verifier refuses it.
+        system = get_protocol("stark")
+        setup = system.setup(by_name("Fibonacci"), 6, system.make_config())
+        air, trace = setup.data[:2]
+        proof = prove(air, trace, [10, fibonacci_mod_p(10)], setup.config)
+        _, decoded = proof_from_blob(proof_to_blob("stark", proof), expected_protocol="stark")
+        with pytest.raises(StarkError):
+            system.verify(setup, decoded)
+
+    @pytest.mark.parametrize("word", [63 + gl.P, 1 << 64, -1], ids=["63+p", "2^64", "-1"])
+    def test_prover_refuses_a_non_canonical_statement(self, word, stark_test_config):
+        # ``63 + p`` would be absorbed raw and read as row 63, and a word
+        # past 64 bits would die in the transcript: both are refused
+        # before any work, as is a negative one.
+        air, trace, publics = build_fibonacci(6)
+        with pytest.raises(ValueError, match="public input is not a canonical"):
+            prove(air, trace, [word, publics[1]], stark_test_config)
 
 
 class TestValidation:
@@ -151,7 +178,7 @@ class TestValidation:
         # MVM has a degree-2 transition: needs 1 chunk, allowed at blowup 2.
         air, trace, publics = build_mvm(4)
         proof = prove(air, trace, publics, stark_test_config)
-        verify(air, len(trace), proof, stark_test_config)
+        verify(air, len(trace), publics, proof, stark_test_config)
 
 
 class TestStarkyVsPlonkyProofSize:

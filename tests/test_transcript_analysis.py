@@ -93,7 +93,7 @@ class TestProtocolConformance:
                 protocol,
                 f"{spec.workload}@{scale}",
                 spec,
-                list(proof.public_inputs),
+                list(setup.publics),
                 system.cap_bindings(setup, proof),
                 prover_events,
                 verifier_events,
@@ -171,7 +171,7 @@ def stark_case():
     proof, prover_events, verifier_events = record_case(system, setup)
     return {
         "spec": spec,
-        "publics": list(proof.public_inputs),
+        "publics": list(setup.publics),
         "bindings": system.cap_bindings(setup, proof),
         "events": prover_events,
     }
@@ -278,7 +278,7 @@ def test_layer_caps_bind_after_the_virtual_layer_beta():
         CapBinding(b.label, b.cap, b.before_challenge - 2) if b in layer else b
         for b in bindings
     ]
-    args = (spec, list(proof.public_inputs))
+    args = (spec, list(setup.publics))
     events = (prover_events, verifier_events)
     assert check_streams("stark", "virtual", *args, bindings, *events) == []
     findings = check_streams("stark", "virtual", *args, stale, *events)

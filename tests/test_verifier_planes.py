@@ -18,9 +18,9 @@ from repro.fuzz.runner import classify_object
 from repro.fuzz.targets import TYPED_REJECTIONS, target_for
 from repro.protocols import get as get_protocol, names
 from repro.serialize import ByteWriter, proof_from_blob, proof_to_blob
-from repro.workloads import fibonacci
+from repro.workloads import by_name
 
-from .goldens import CONFIGS, SCALE
+from .goldens import CONFIGS, SCALE, WORKLOADS
 from .reference_verifiers import reference_plane
 
 #: Seeds per (protocol, mutator).  Mutators with a small mutant space
@@ -111,21 +111,21 @@ def test_first_tree_opening_with_two_rows_swapped_is_refused(protocol):
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_a_byte_flipped_in_the_tree_openings_is_refused(protocol):
-    # The tree openings and their count words (two for FRI's batch and
-    # layer lists, one for HyperPlonk-lite's) end every blob and cover
-    # its byte at 3/4, so flipping that byte hits an opening the codec
+    # The last tree opening ends every blob: a committed FRI layer's for
+    # STARK and Plonk, the last fold level's for HyperPlonk-lite.  Its
+    # first row word follows the rows' 16-byte header (size, rank, two
+    # dims), and flipping that word's low bit leaves a proof the codec
     # still reads: both planes must refuse it alike.
     system = get_protocol(protocol)
-    setup = system.setup(fibonacci.SPEC, SCALE, CONFIGS[protocol])
+    setup = system.setup(by_name(WORKLOADS[protocol]), SCALE, CONFIGS[protocol])
     proof = system.prove(setup)
-    fri = hasattr(proof, "fri_proof")
-    tail = ByteWriter()
-    for tree in (proof.fri_proof if fri else proof).tree_openings():
-        tree.write(tail)
+    trees = (proof.fri_proof if hasattr(proof, "fri_proof") else proof).tree_openings()
+    last = ByteWriter()
+    trees[-1].write(last)
     blob = bytearray(proof_to_blob(protocol, proof))
-    first = len(blob) - len(tail.getvalue()) - (8 if fri else 4)
-    assert first <= len(blob) * 3 // 4, (first, len(blob))
-    blob[len(blob) * 3 // 4] ^= 0x01
+    word = len(blob) - len(last.getvalue()) + 16
+    assert int.from_bytes(blob[word : word + 8], "little") == int(trees[-1].rows.flat[0])
+    blob[word] ^= 0x01
     _, bad = proof_from_blob(bytes(blob), expected_protocol=protocol)
 
     def verdict():

@@ -85,8 +85,7 @@ class TestFunctionalCircuits:
         circuit, inputs, publics = spec.build_circuit(_SCALES[spec.name])
         data = setup(circuit, _CFG)
         proof = prove(data, inputs)
-        verify(data.verifier_data, proof)
-        assert proof.public_inputs == [p % gl.P for p in publics]
+        verify(data.verifier_data, publics, proof)
 
     def test_wrong_witness_breaks_gates(self, spec):
         circuit, inputs, publics = spec.build_circuit(_SCALES[spec.name])
@@ -106,7 +105,7 @@ class TestStarkWorkloads:
         air, trace, publics = spec.build_air(5)
         assert air.check_trace(trace, publics)
         proof = stark_prove(air, trace, publics, _SCFG)
-        stark_verify(air, len(trace), proof, _SCFG)
+        stark_verify(air, len(trace), publics, proof, _SCFG)
 
     def test_factorial_air_result(self):
         spec = by_name("Factorial")
@@ -128,7 +127,7 @@ class TestAes:
         w = circuit.generate_witness(inputs)
         assert circuit.check_gates(w, publics)
         data = setup(circuit, _CFG)
-        verify(data.verifier_data, prove(data, inputs))
+        verify(data.verifier_data, publics, prove(data, inputs))
 
     def test_aes_two_blocks(self):
         spec = by_name("AES-128")

@@ -24,7 +24,7 @@ class TestBlinding:
     def test_blinded_proof_verifies(self, data):
         d, _, x, pub = data
         proof = prove(d, {x.index: 6, pub.index: 36}, blinding_seed=1)
-        verify(d.verifier_data, proof)
+        verify(d.verifier_data, [36], proof)
 
     def test_different_seeds_hide_commitments(self, data):
         d, _, x, pub = data
@@ -66,6 +66,7 @@ class TestBlinding:
         with pytest.raises(PlonkError):
             verify(
                 d.verifier_data,
+                [35],
                 prove(d, {x.index: 6, pub.index: 35}, blinding_seed=3),
             )
 
@@ -81,7 +82,7 @@ class TestBlinding:
             [wires.rows, np.zeros((wires.rows.shape[0], 1), dtype=np.uint64)], axis=1
         )
         with pytest.raises(PlonkError, match="initial opening has wrong shape"):
-            verify(d.verifier_data, proof)
+            verify(d.verifier_data, [36], proof)
 
     def test_tampered_salt_column_rejected(self, data):
         """Salts ride the committed leaves: altering one breaks the
@@ -90,7 +91,7 @@ class TestBlinding:
         proof = prove(d, {x.index: 6, pub.index: 36}, blinding_seed=1)
         proof.fri_proof.batch_openings[1].rows[0, -1] ^= np.uint64(1)
         with pytest.raises(PlonkError, match="Merkle"):
-            verify(d.verifier_data, proof)
+            verify(d.verifier_data, [36], proof)
 
     def test_blinded_proof_slightly_larger(self, data):
         d, _, x, pub = data
