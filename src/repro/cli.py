@@ -225,27 +225,22 @@ def cmd_chip(args) -> int:
 
 def cmd_serve(args) -> int:
     """Run the proving service until shutdown (or ``--max-jobs``)."""
-    from . import parallel
     from .service import ProvingService, serve_forever
 
     try:
-        shard_workers = parallel.resolve_workers(
-            args.shard_workers, flag="shard-workers"
-        )
         service = ProvingService(
             workers=args.workers,
             enable_cache=not args.no_cache,
             default_timeout_s=args.job_timeout,
             max_retries=args.retries,
             fault_injection=args.fault_injection,
-            shard_workers=shard_workers,
         )
     except (TypeError, ValueError) as exc:
         raise CliError(str(exc)) from None
     service.start()
     print(
         f"proving service on {args.host}:{args.port} "
-        f"({args.workers} workers x {shard_workers} shard workers, "
+        f"({args.workers} workers, "
         f"cache {'off' if args.no_cache else 'on'})",
         flush=True,
     )
@@ -485,10 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8347)
     p.add_argument("--workers", type=int, default=2, help="worker processes")
-    p.add_argument("--shard-workers", type=int, default=1, metavar="N",
-                   help="shard processes per proving worker (stage-level "
-                        "parallelism inside each proof; 1 = shards run "
-                        "in the proving worker itself)")
     p.add_argument("--no-cache", action="store_true", help="disable result cache")
     p.add_argument("--job-timeout", type=float, default=120.0,
                    help="per-job timeout seconds")

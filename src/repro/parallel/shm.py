@@ -19,8 +19,9 @@ started its ``resource_tracker`` (:meth:`repro.parallel.ShardPool.start`),
 so they share it and never unlink a segment they merely attached.  The
 tracker unlinks what is still registered once every process holding it
 has exited, so a coordinator that dies leaves no segment behind once its
-workers have read EOF and exited too; a forked coordinator tracks its
-segments with a tracker of its own (:func:`own_tracker`).
+workers have read EOF and exited too.  Only a process that owns a
+parallel pool creates segments: workers never do (a worker proves
+inline, :mod:`repro.parallel.workers`).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import os
 import weakref
 from contextlib import suppress
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
+from multiprocessing import shared_memory
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
@@ -146,19 +147,3 @@ def resolve(obj):
         return _attach(obj)
     return obj
 
-
-def own_tracker() -> None:
-    """Track this process's segments with a resource tracker of its own.
-
-    A forked process shares its parent's tracker, which unlinks a
-    registered segment only once every process holding it has exited:
-    the segments of a killed worker would outlive it for as long as its
-    parent runs.  A forked worker that will own a parallel
-    :class:`~repro.parallel.ShardPool` calls this before it creates a
-    segment, so its tracker is held by it and its shard workers only.
-    """
-    tracker = resource_tracker._resource_tracker
-    if tracker._fd is not None:
-        os.close(tracker._fd)  # the parent's copy stays open
-        tracker._fd = tracker._pid = None
-    resource_tracker.ensure_running()

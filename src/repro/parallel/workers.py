@@ -15,6 +15,10 @@ first closes every coordinator pipe end it inherited, so the
 coordinator is the only holder of the other end of each worker's pipe:
 when it exits or dies, its workers read EOF and exit, and the resource
 tracker they share with it then unlinks its shared-memory segments.
+There is one level of workers: a worker starts with no pool scoped
+(``RUN.pool`` is ``None``, even when its parent forked it inside
+:func:`repro.parallel.sharding`), so a proof it runs stays in it on the
+inline executor, and it forks nothing.
 
 A dead worker is detected one way: :meth:`Workers.wait` waits on the
 result pipes and the process sentinels together and returns ``(replies,
@@ -25,18 +29,18 @@ fresh worker into the slot.
 
 from __future__ import annotations
 
-import contextlib
 import multiprocessing as mp
 import signal
 import threading
 from multiprocessing import connection, util
-from typing import Any, Callable, ContextManager, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
+
+from ..context import RUN
 
 _CTX = mp.get_context("fork")
 
 #: Pipe ends a process forked from this one must close: the coordinator
-#: ends of every worker here and, inside a worker, its own end (so the
-#: workers it forks in turn do not keep it open).
+#: ends of every worker here.
 _INHERITED: set = set()
 #: Held from pipe creation to fork, so no thread forks a child that
 #: inherits a coordinator end not yet in :data:`_INHERITED`.
@@ -48,32 +52,29 @@ Handler = Callable[[int, Any], Dict[str, Any]]
 Reply = Tuple[int, Any, Dict[str, Any]]
 
 
-def _serve(worker_id: int, conn, handle: Handler, scope) -> None:
+def _serve(worker_id: int, conn, handle: Handler) -> None:
     """The worker loop: take a task, run it, send the reply."""
-    global _FORK_LOCK
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     for end in _INHERITED:
         end.close()
     _INHERITED.clear()
-    _INHERITED.add(conn)
-    _FORK_LOCK = threading.Lock()  # the copy may have been taken held
-    with scope():
-        while True:
-            try:
-                task = conn.recv()
-            except (EOFError, OSError):
-                break  # the coordinator is gone
-            if task is None:
-                break
-            tag, payload = task
-            try:
-                reply = {"ok": True, **handle(worker_id, payload)}
-            except Exception as exc:  # noqa: BLE001 - report, don't die
-                reply = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-            try:
-                conn.send((tag, reply))
-            except OSError:
-                break
+    RUN.pool = None  # a worker is never inside its parent's pool
+    while True:
+        try:
+            task = conn.recv()
+        except (EOFError, OSError):
+            break  # the coordinator is gone
+        if task is None:
+            break
+        tag, payload = task
+        try:
+            reply = {"ok": True, **handle(worker_id, payload)}
+        except Exception as exc:  # noqa: BLE001 - report, don't die
+            reply = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+        try:
+            conn.send((tag, reply))
+        except OSError:
+            break
 
 
 def _close_ends(conns: List[Any]) -> None:
@@ -86,20 +87,13 @@ class Workers:
     """``count`` forked workers, a duplex pipe each, one worker loop.
 
     ``handle(worker_id, payload)`` runs each task in a worker and returns
-    the reply's fields; ``scope()`` is a context manager a worker holds
-    for its whole life (what it owns across tasks).  :meth:`start` forks
-    the workers; until then, and after :meth:`stop`, there are none.
+    the reply's fields.  :meth:`start` forks the workers; until then, and
+    after :meth:`stop`, there are none.
     """
 
-    def __init__(
-        self,
-        count: int,
-        handle: Handler,
-        scope: Optional[Callable[[], ContextManager]] = None,
-    ) -> None:
+    def __init__(self, count: int, handle: Handler) -> None:
         self.count = count
         self._handle = handle
-        self._scope = scope or contextlib.nullcontext
         #: Worker processes by slot; a replaced worker's slot keeps its id.
         self.procs: List[Any] = []
         self._conns: List[Any] = []
@@ -113,9 +107,7 @@ class Workers:
         with _FORK_LOCK:
             ours, theirs = _CTX.Pipe()
             _INHERITED.add(ours)
-            proc = _CTX.Process(
-                target=_serve, args=(worker_id, theirs, self._handle, self._scope)
-            )
+            proc = _CTX.Process(target=_serve, args=(worker_id, theirs, self._handle))
             proc.start()
             theirs.close()
         return proc, ours

@@ -12,10 +12,10 @@
 * :class:`~repro.service.queue.PriorityJobQueue` orders the queued
   flights' cache keys (priority + retry backoff);
 * a :class:`~repro.parallel.workers.Workers` runs one flight per
-  worker process, a pipe each; the flight policy stays here: idle
-  workers are filled longest-idle first, a worker past its flight's
-  deadline is SIGKILLed, and a dead or killed worker is replaced and its
-  flight retried.
+  worker process, a pipe each, proving it inline in the worker; the
+  flight policy stays here: idle workers are filled longest-idle first,
+  a worker past its flight's deadline is SIGKILLed, and a dead or
+  killed worker is replaced and its flight retried.
 
 Invariant: every non-terminal job rides exactly one flight, and at most
 one flight per cache key exists.  A key is either cached or in flight,
@@ -31,17 +31,14 @@ jitter) or fails it explicitly.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
-from ..parallel import ShardPool, sharding
-from ..parallel.shm import own_tracker
 from ..parallel.workers import Workers
 from .cache import ProofCache
 from .executor import execute, validate_spec
@@ -53,20 +50,6 @@ _TICK_S = 0.005
 
 def _prove(worker_id: int, spec: Dict[str, Any]) -> Dict[str, Any]:
     return execute(spec)
-
-
-@contextlib.contextmanager
-def _proving_worker(shard_workers: int, shard_config: Dict[str, Any]) -> Iterator[None]:
-    """What a proving worker holds for its life: a ``ShardPool`` of
-    ``shard_workers``, scoped over every job it runs.  With more than one,
-    each proof's commit/FRI stages fan out across shard processes
-    (stage-level parallelism nested inside job-level parallelism), and
-    the worker's own resource tracker unlinks their segments if it is
-    killed."""
-    if shard_workers > 1:
-        own_tracker()
-    with ShardPool(shard_workers, **shard_config) as pool, sharding(pool):
-        yield
 
 
 def _check_int(name: str, value: Any, low: Optional[int] = None) -> None:
@@ -111,11 +94,8 @@ class ProvingService:
         backoff_cap_s: float = 2.0,
         fault_injection: bool = False,
         jitter_seed: Optional[int] = None,
-        shard_workers: int = 1,
-        shard_config: Optional[Dict[str, Any]] = None,
     ) -> None:
         _check_int("workers", workers, 1)
-        _check_int("shard_workers", shard_workers, 1)
         _check_timeout("default_timeout_s", default_timeout_s)
         _check_int("max_retries", max_retries, 0)
         self.enable_cache = enable_cache
@@ -127,15 +107,7 @@ class ProvingService:
 
         self.cache = ProofCache()
         self.queue = PriorityJobQueue()
-        # ``shard_workers`` trades job-level for stage-level parallelism:
-        # each proving worker owns that many shard processes and every
-        # proof it runs fans its commit/FRI stages across them.
-        self.shard_workers = shard_workers
-        self.forked = Workers(
-            workers,
-            _prove,
-            lambda: _proving_worker(shard_workers, dict(shard_config or {})),
-        )
+        self.forked = Workers(workers, _prove)
         #: worker -> (flight id, monotonic deadline) of what it runs.
         self._running: Dict[int, Tuple[int, float]] = {}
         #: Per worker slot: when it last became idle (a fresh worker
@@ -302,7 +274,6 @@ class ProvingService:
                 "cache": self.cache.stats(),
                 "workers": len(self.forked.procs),
                 "worker_restarts": self.forked.restarts,
-                "shard_workers": self.shard_workers,
                 "worker_dispatches": dict(enumerate(self._dispatches)),
             }
 

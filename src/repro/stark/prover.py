@@ -80,7 +80,8 @@ def prove(
     pool: "parallel.ShardPool | None" = None,
 ) -> Proof:
     """Prove that ``trace`` satisfies ``air`` with the statement
-    ``public_inputs`` (canonical words, else ``ValueError``).
+    ``public_inputs`` (trace and statement canonical words, else
+    ``ValueError``).
 
     ``trace`` is (n, width) with ``n`` a power of two.  The per-shape
     tables are the cached functions above, built on a shape's first
@@ -93,9 +94,11 @@ def prove(
     worker or fanned out across several.  Proofs are bit-identical at
     every worker count.
     """
-    trace = gl64.asarray(trace)  # untrusted caller input: full canonical scan
+    if not gl64.all_canonical(trace):
+        raise ValueError("trace word is not a canonical field element")
     if not gl64.all_canonical(public_inputs):
         raise ValueError("public input is not a canonical field element")
+    trace = gl64.asarray(trace, trusted=True)
     n, width = trace.shape
     if n & (n - 1):
         raise ValueError("trace length must be a power of two")

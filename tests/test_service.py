@@ -8,6 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.metrics import counting
+from repro.parallel import ShardPool, sharding
 from repro.protocols import get as get_protocol
 from repro.serialize import (
     proof_from_blob,
@@ -27,6 +28,7 @@ from repro.service import (
     wait_for_server,
 )
 from repro.stark import StarkError, prove as stark_prove, verify as stark_verify
+from repro.workloads import by_name
 from repro.workloads.fibonacci import build_air, fibonacci_mod_p
 
 
@@ -510,12 +512,6 @@ class TestIdleWorkerOrdering:
         assert sorted(svc._running) == [0, 1]
         assert svc.stats()["worker_dispatches"] == {0: 1, 1: 1}
 
-    def test_shard_worker_args_validated(self):
-        with pytest.raises(TypeError):
-            ProvingService(shard_workers=2.0)
-        with pytest.raises(ValueError):
-            ProvingService(shard_workers=0)
-
 
 class TestSubmitArgsValidated:
     """A bad per-job argument is refused at submit, before the job is
@@ -627,36 +623,18 @@ class TestStageWallMerge:
         assert svc.totals["stage_wall_s"]["fri"] == pytest.approx(1.0)
 
 
-class TestShardedService:
-    def test_sharded_proof_round_trips(self):
-        svc = _service(
-            workers=1,
-            shard_workers=2,
-            shard_config={"min_rows": 1, "min_tree_leaves": 2},
-        )
-        with svc:
-            jid = svc.submit(**FIB)
-            result = svc.result(jid, timeout_s=120)
-            kind, workload, payload = read_result_envelope(result.envelope)
-            assert kind == "stark-proof" and workload == "Fibonacci"
-            air, trace, publics = build_air(FIB["scale"])
-            _, proof = proof_from_blob(payload, expected_protocol="stark")
-            stark_verify(air, len(trace), publics, proof, get_protocol("stark").make_config())
-            # Shard spans ride back nested inside the prove stages.
-            shard = [
-                s
-                for root in result.spans
-                for s in _walk_span_dicts(root)
-                if s["name"].startswith("shard:")
-            ]
-            assert shard, "sharded service run recorded no shard spans"
-            stats = svc.stats()
-            assert stats["shard_workers"] == 2
-            assert sum(stats["worker_dispatches"].values()) >= 1
-            assert "shard:lde_rows" not in stats["stage_wall_s"]
-
-
-def _walk_span_dicts(root):
-    yield root
-    for child in root.get("children", []):
-        yield from _walk_span_dicts(child)
+class TestInheritedPool:
+    def test_worker_forked_inside_a_parallel_pool_proves_inline(self):
+        """A worker forked inside ``sharding(pool)`` inherits the forking
+        thread's ``RUN.pool``; it must not run graphs on its parent's
+        pool (whose pipes it closed), but inline, to the solo digest."""
+        system = get_protocol("stark")
+        setup = system.setup(by_name(FIB["workload"]), FIB["scale"], system.make_config())
+        with ShardPool(2, min_rows=1, min_tree_leaves=2) as pool, sharding(pool):
+            solo = system.digest(system.prove(setup))  # forks the pool's workers
+            assert pool.forked.procs
+            with _service(workers=1) as svc:
+                result = svc.result(svc.submit(**FIB), timeout_s=120)
+        _, _, payload = read_result_envelope(result.envelope)
+        _, proof = proof_from_blob(payload, expected_protocol="stark")
+        assert system.digest(proof) == solo

@@ -10,10 +10,8 @@ import time
 
 import pytest
 
-from repro.protocols import get as get_protocol
-from repro.serialize import proof_from_blob, read_result_envelope
+from repro.parallel import ShardPool, sharding
 from repro.service import JobFailed, ProvingService, verify_result, wait_for_server
-from repro.workloads import fibonacci
 
 
 FIB = {"workload": "Fibonacci", "kind": "stark", "scale": 5}
@@ -110,45 +108,20 @@ def _children(pid):
             if p.isdigit() and _alive(p) and _stat(p)[1] == pid]
 
 
-class TestShardedWorkerKilled:
-    def test_busy_worker_killed_is_retried_and_leaves_nothing(self):
-        """A worker owns two shard workers and a resource tracker; all
-        three used to outlive it and ``close()``, with its segments."""
+class TestOneProcessLevel:
+    def test_proving_worker_forks_nothing_and_maps_no_segment(self):
+        """A service worker proves inline: after a prove it has no child
+        process (no shard worker, no resource tracker of its own) and
+        has created no shared-memory segment -- even when the service
+        was started inside a parallel pool that has not forked yet."""
         spec = {"workload": "Fibonacci", "kind": "stark", "scale": 10}
-        system = get_protocol("stark")
-        setup = system.setup(fibonacci.SPEC, 10, system.make_config())
-        solo = system.digest(system.prove(setup))
-        svc = _service(
-            workers=1, enable_cache=False, shard_workers=2,
-            shard_config={"min_rows": 1, "min_tree_leaves": 2},
-        )
-        with svc:
-            svc.result(svc.submit(spec), timeout_s=120)  # forks the shard pool
-            victim = svc.forked.procs[0].pid
-            tree = _children(victim)
-            assert len(tree) == 3, tree  # two shard workers + the tracker
-            assert glob.glob(f"/dev/shm/repro-{victim}-*")
-            jid = svc.submit(spec, max_retries=1)
-            deadline = time.monotonic() + 10
-            while not svc._running:
-                assert time.monotonic() < deadline, "job never started"
-                time.sleep(0.001)
-            time.sleep(0.02)  # into the prove (~0.1 s warm)
-            os.kill(victim, signal.SIGKILL)
-            result = svc.result(jid, timeout_s=120)
-            assert svc.job(jid)["attempts"] == 2
-            assert svc.stats()["worker_crashes"] == 1
+        pool = ShardPool(2, min_rows=1, min_tree_leaves=2)
+        with pool, sharding(pool), _service(workers=1, enable_cache=False) as svc:
+            result = svc.result(svc.submit(spec), timeout_s=120)
             assert verify_result(spec, result.envelope)
-            _, _, payload = read_result_envelope(result.envelope)
-            _, proof = proof_from_blob(payload, expected_protocol="stark")
-            assert system.digest(proof) == solo
-        deadline = time.monotonic() + 5
-        while time.monotonic() < deadline and (
-            any(map(_alive, tree)) or glob.glob(f"/dev/shm/repro-{victim}-*")
-        ):
-            time.sleep(0.05)
-        assert [pid for pid in tree if _alive(pid)] == []
-        assert glob.glob(f"/dev/shm/repro-{victim}-*") == []
+            worker = svc.forked.procs[0].pid
+            assert _children(worker) == []
+            assert glob.glob(f"/dev/shm/repro-{worker}-*") == []
 
 
 class TestTimeout:

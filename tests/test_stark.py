@@ -14,6 +14,8 @@ from repro.workloads import by_name
 from repro.workloads.fibonacci import FibonacciAir, build_air as build_fibonacci, fibonacci_mod_p
 from repro.workloads.mvm import MvmAir, build_air as build_mvm
 
+from .goldens import DIGESTS, SCALE, WORKLOADS
+
 
 class TestAirInterface:
     def test_check_trace_accepts_valid(self):
@@ -151,6 +153,20 @@ class TestStatement:
 
 
 class TestValidation:
+    def test_non_canonical_trace_word_refused(self):
+        # A cell ``F + p`` reads as ``F`` to every kernel: reduced, it
+        # would prove the honest trace under a second encoding.  The
+        # honest trace keeps its digest.
+        system = get_protocol("stark")
+        setup = system.setup(by_name(WORKLOADS["stark"]), SCALE, system.make_config())
+        air, trace = setup.data[:2]
+        publics = setup.publics
+        bad = np.array(trace)
+        bad[3, 0] += np.uint64(gl.P)
+        with pytest.raises(ValueError, match="trace word is not a canonical field element"):
+            prove(air, bad, publics, setup.config)
+        assert system.digest(prove(air, trace, publics, setup.config)) == DIGESTS["stark"]
+
     def test_non_power_of_two_trace(self, stark_test_config):
         air, trace, publics = build_fibonacci(4)
         with pytest.raises(ValueError):
