@@ -173,7 +173,7 @@ def cmd_prove(args) -> int:
         return 0
 
     system = _resolve_protocol(args.protocol)
-    workers = parallel.resolve_workers(args.workers, flag="workers")
+    workers = parallel.resolve_workers(args.workers)
     spec = _resolve_workload(args.workload)
     print(f"{spec.name}: {spec.repro_note}")
     if system.caveat:

@@ -94,8 +94,8 @@ def effective_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def resolve_workers(requested: Optional[int], flag: str = "workers") -> int:
-    """Validate and clamp a worker-count flag (HwConfig-style).
+def resolve_workers(requested: Optional[int]) -> int:
+    """Validate and clamp the ``--workers`` flag (HwConfig-style).
 
     ``None`` means "use every effective CPU".  Non-integers raise
     ``TypeError`` and values below 1 raise ``ValueError`` (typed, fail
@@ -107,12 +107,12 @@ def resolve_workers(requested: Optional[int], flag: str = "workers") -> int:
     if requested is None:
         return cpus
     if isinstance(requested, bool) or not isinstance(requested, int):
-        raise TypeError(f"--{flag} must be an int, got {type(requested).__name__}")
+        raise TypeError(f"--workers must be an int, got {type(requested).__name__}")
     if requested < 1:
-        raise ValueError(f"--{flag} must be >= 1, got {requested}")
+        raise ValueError(f"--workers must be >= 1, got {requested}")
     if requested > cpus:
         logger.warning(
-            "--%s=%d exceeds effective CPUs (%d); clamping", flag, requested, cpus
+            "--workers=%d exceeds effective CPUs (%d); clamping", requested, cpus
         )
         return cpus
     return requested

@@ -41,8 +41,8 @@ def lde_commit_rows(args: Dict[str, Any]):
     * ``intt``   -- rows are subgroup evaluations in ``src``; iNTT them
       and store the coefficients into ``coeffs_out`` first;
     * ``chunks`` -- rows are degree-``n`` slices of per-limb quotient
-      coefficients in ``src`` (shape ``(2, n_lde)``), gathered into
-      ``coeffs_out`` first.
+      coefficients in ``src`` (shape ``(2, 2**bits * n)``), gathered
+      into ``coeffs_out`` first.
 
     Then every row is low-degree-extended and transposed into columns
     ``[lo, hi)`` of ``values_out`` (shape ``(n_lde, k)``).  Rows are
@@ -73,8 +73,8 @@ def lde_commit_rows(args: Dict[str, Any]):
 def coset_intt_limb(args: Dict[str, Any]):
     """Coset-iNTT one extension limb of the quotient evaluation.
 
-    Reads column ``limb`` of the ``(n_lde, 2)`` extension values in
-    ``src`` and writes the coefficient row ``out[limb]``.
+    Reads column ``limb`` of the ``(2**bits * n, 2)`` extension values
+    in ``src`` and writes the coefficient row ``out[limb]``.
     """
     from ..ntt import coset_intt
 

@@ -269,7 +269,8 @@ def quotient_commit_graph(
     slot: str,
     coset_bits: int = 0,
 ) -> Stage:
-    """Interpolate and commit a quotient evaluated on the LDE coset.
+    """Interpolate and commit a quotient evaluated on a coset of the
+    LDE domain (:meth:`repro.pcs.FriPCS.commit_quotient`).
 
     One fused graph: a coset iNTT per extension limb feeds the chunk
     LDE shards with no barrier, so on several workers the second limb's

@@ -10,6 +10,8 @@ class touches the challenger only in :meth:`open_and_prove`, and owns:
 
 * :meth:`commit_values` builds a
   :class:`~repro.fri.prover.PolynomialBatch` (iNTT -> LDE -> Merkle);
+* :meth:`quotient_shape` sizes a quotient by its constraint degree: the
+  chunks it commits and the coset a prover evaluates it on;
 * :meth:`commit_quotient` interpolates an extension-field coset
   evaluation back to coefficients and commits the degree-``n`` chunks;
 * :meth:`open_and_prove` evaluates the requested openings and runs the
@@ -84,6 +86,17 @@ class FriPCS:
             )
         return self.add_batch(batch)
 
+    @staticmethod
+    def quotient_shape(degree: int) -> Tuple[int, int]:
+        """``(chunks, bits)`` of the quotient of a degree-``degree``
+        constraint blend over ``n`` rows: it has degree below
+        ``(degree - 1) * n``, so ``chunks`` degree-``n`` chunks a limb
+        hold it, and the ``2**bits * n``-point coset -- the smallest
+        with at least ``chunks * n`` points -- is all a prover
+        evaluates the blend on."""
+        chunks = max(1, degree - 1)
+        return chunks, (chunks - 1).bit_length()
+
     def commit_quotient(
         self,
         ext_values: np.ndarray,
@@ -92,10 +105,12 @@ class FriPCS:
         label: str = "quotient",
         coset_bits: int = 0,
     ) -> PolynomialBatch:
-        """Interpolate and commit a quotient evaluated on the LDE coset.
+        """Interpolate and commit a quotient evaluated on a coset.
 
-        ``ext_values`` is the (N_lde, 2) extension-field evaluation of
-        the (already divisor-divided) constraint blend; each limb is
+        ``ext_values`` is the (``2**bits * n``, 2) extension-field
+        evaluation of the (already divisor-divided) constraint blend on
+        the LDE coset's every ``2**(rate_bits - bits)``-th point, with
+        ``(chunks, bits)`` from :meth:`quotient_shape`; each limb is
         coset-iNTT'd and split into ``chunks`` degree-``n`` coefficient
         chunks, giving a ``2 * chunks``-polynomial batch -- the quotient
         layout both STARK and Plonk use.

@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 from ..errors import VerifierError
+from ..pcs import FriPCS
 from ..pcs.protocol import FriProtocol, Round
+from .circuit import NUM_WIRES
 
 
 class PlonkError(VerifierError):
     """Raised when a Plonk proof fails verification."""
 
 
-#: Quotient chunks per extension limb (degree bound 4n after division).
-QUOTIENT_CHUNKS = 4
+#: The constraint blend's degree over ``n``: ``Z`` times one factor a
+#: wire (:meth:`~repro.pcs.FriPCS.quotient_shape` gives its quotient).
+CONSTRAINT_DEGREE = NUM_WIRES + 1
 
 #: Salt columns appended to the wires commitment when blinding.
 ZK_SALT_COLUMNS = 2
@@ -26,7 +29,7 @@ PLONK = FriProtocol(
     rounds=(
         Round("wires", 3, salt=ZK_SALT_COLUMNS, base=("beta", "gamma")),
         Round("z", 1, ext=("alpha",), at_next=True),
-        Round("quotient", 2 * QUOTIENT_CHUNKS, ext=("zeta",)),
+        Round("quotient", 2 * FriPCS.quotient_shape(CONSTRAINT_DEGREE)[0], ext=("zeta",)),
     ),
     error=PlonkError,
 )

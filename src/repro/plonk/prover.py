@@ -7,7 +7,8 @@ Pipeline -- each stage is one of the kernels UniZK accelerates:
 2. Fiat-Shamir ``beta``/``gamma`` + permutation accumulator ``Z`` via the
    chunked partial-product kernel;
 3. ``alpha`` + quotient construction: vanishing-divided constraint blend
-   evaluated on the LDE coset (element-wise polynomial ops);
+   evaluated on the smallest coset of the LDE that holds the quotient
+   (element-wise polynomial ops);
 4. ``zeta`` + batch FRI opening proof.
 
 The commit / quotient / open data plane is :class:`repro.pcs.FriPCS`
@@ -40,7 +41,7 @@ from ..pcs.protocol import Proof
 from .circuit import Circuit
 from .permutation import compute_z, coset_representatives, id_values, sigma_values
 from .proof import CircuitData
-from .protocol import PLONK, QUOTIENT_CHUNKS, ZK_SALT_COLUMNS
+from .protocol import CONSTRAINT_DEGREE, PLONK, ZK_SALT_COLUMNS
 
 
 def setup(circuit: Circuit, config: FriConfig) -> CircuitData:
@@ -76,7 +77,8 @@ def bind(data: CircuitData, config: FriConfig) -> CircuitData:
 
 
 def _pi_poly_on_lde(circuit: Circuit, public_values: list[int], rate_bits: int) -> np.ndarray:
-    """LDE values of the public-input polynomial ``-sum v_k L_rowk(x)``."""
+    """Values of the public-input polynomial ``-sum v_k L_rowk(x)`` on
+    the size-``n << rate_bits`` coset."""
     subgroup = RUN.workspace.temp((circuit.n,), "plonk:pi")
     subgroup.fill(0)
     for row, val in zip(circuit.public_input_rows, public_values):
@@ -87,7 +89,7 @@ def _pi_poly_on_lde(circuit: Circuit, public_values: list[int], rate_bits: int) 
 @lru_cache(maxsize=16)
 def lagrange_first(n: int, rate_bits: int) -> np.ndarray:
     """Read-only cached ``L_1(x) = (x^n - 1) / (n (x - 1))`` over the
-    LDE coset."""
+    size-``n << rate_bits`` coset."""
     xs = lde_points(n.bit_length() - 1 + rate_bits)
     denom = gl64.mul(gl64.sub(xs, np.uint64(1)), np.uint64(n))
     table = gl64.inv_fast(gl64.mul(vanishing_inverse(n, rate_bits), denom))
@@ -116,8 +118,9 @@ def prove(
     changes because salts ride the leaves without entering any
     constraint.)  ``None`` keeps the prover deterministic.
 
-    The per-shape tables are cached functions of ``(n, rate_bits)``,
-    and every scratch and stage buffer comes from ``RUN.workspace``.
+    The per-shape tables are cached functions of ``n`` and the
+    quotient's coset, and every scratch and stage buffer comes from
+    ``RUN.workspace``.
 
     ``pool`` scopes a :class:`~repro.parallel.ShardPool` over the proof
     (``None`` inherits :func:`repro.parallel.current_pool`): every
@@ -158,19 +161,21 @@ def prove(
             z, _, _ = compute_z(wires, data.ids, data.sigmas, beta, gamma)
         z_batch = pcs.commit_values(z, "z", coset_bits)
 
-        # Step 3: quotient polynomial on the LDE coset.
+        # Step 3: quotient polynomial on every 2^(rate_bits - bits)-th
+        # LDE point, the smallest coset that holds it.
         (alpha,) = commit("z", z_batch.cap)
+        chunks, bits = FriPCS.quotient_shape(CONSTRAINT_DEGREE)
         with tracing.span("constraints", category="quotient"):
-            n_lde = n << rate_bits
-            blowup = 1 << rate_bits
-            xs = lde_points(circuit.log_n + rate_bits)
+            n_q = n << bits
+            stride = 1 << (rate_bits - bits)
+            xs = lde_points(circuit.log_n + bits)
 
-            sel = data.preprocessed.values[:, 0:5].T  # (5, N_lde)
-            sig = data.preprocessed.values[:, 5:8].T  # (3, N_lde)
-            w = wires_batch.values.T  # (3, N_lde)
-            z_lde = z_batch.values[:, 0]
-            z_next = np.roll(z_lde, -blowup)
-            pi_lde = _pi_poly_on_lde(circuit, public_values, rate_bits)
+            sel = data.preprocessed.values[::stride, 0:5].T  # (5, n_q)
+            sig = data.preprocessed.values[::stride, 5:8].T  # (3, n_q)
+            w = wires_batch.values[::stride].T  # (3, n_q)
+            z_lde = z_batch.values[::stride, 0]
+            z_next = np.roll(z_lde, -(1 << bits))
+            pi_lde = _pi_poly_on_lde(circuit, public_values, bits)
 
             gate = gl64.add(
                 gl64.add(
@@ -183,8 +188,8 @@ def prove(
             ks = [np.uint64(k) for k in coset_representatives()]
             beta_u = np.uint64(beta)
             gamma_u = np.uint64(gamma)
-            f_vals = gl64.ones(n_lde)
-            g_vals = gl64.ones(n_lde)
+            f_vals = gl64.ones(n_q)
+            g_vals = gl64.ones(n_q)
             for j in range(3):
                 f_vals = gl64.mul(
                     f_vals,
@@ -196,22 +201,20 @@ def prove(
                     g_vals, gl64.add(gl64.add(w[j], gl64.mul(sig[j], beta_u)), gamma_u)
                 )
             copy1 = gl64.sub(gl64.mul(z_lde, f_vals), gl64.mul(z_next, g_vals))
-            copy2 = gl64.mul(lagrange_first(n, rate_bits), gl64.sub(z_lde, np.uint64(1)))
+            copy2 = gl64.mul(lagrange_first(n, bits), gl64.sub(z_lde, np.uint64(1)))
 
             alpha_sq = fext.mul(alpha, alpha)
             combined = fext.from_base(gate)
             combined = fext.add(
-                combined, fext.scalar_mul(np.broadcast_to(alpha, (n_lde, 2)), copy1)
+                combined, fext.scalar_mul(np.broadcast_to(alpha, (n_q, 2)), copy1)
             )
             combined = fext.add(
-                combined, fext.scalar_mul(np.broadcast_to(alpha_sq, (n_lde, 2)), copy2)
+                combined, fext.scalar_mul(np.broadcast_to(alpha_sq, (n_q, 2)), copy2)
             )
 
-            t_vals = fext.scalar_mul(combined, vanishing_inverse(n, rate_bits))  # (N_lde, 2)
+            t_vals = fext.scalar_mul(combined, vanishing_inverse(n, bits))  # (n_q, 2)
 
-        quotient_batch = pcs.commit_quotient(
-            t_vals, n, QUOTIENT_CHUNKS, coset_bits=coset_bits
-        )
+        quotient_batch = pcs.commit_quotient(t_vals, n, chunks, coset_bits=coset_bits)
 
         # Step 4: openings and FRI.
         (zeta,) = commit("quotient", quotient_batch.cap)

@@ -6,7 +6,8 @@ from typing import Dict, Mapping
 
 from ..fri import FriConfig
 from ..plonk import prove as plonk_prove, prover as plonk_prover, verify as plonk_verify
-from ..plonk.protocol import PLONK, QUOTIENT_CHUNKS
+from ..pcs import FriPCS
+from ..plonk.protocol import CONSTRAINT_DEGREE, PLONK
 from .base import FriSystem, ProtocolSetup, circuit_instance, instance
 
 
@@ -15,13 +16,14 @@ class PlonkSystem(FriSystem):
 
     name = "plonk"
     description = "Plonky2-style gates + permutation argument over FRI"
+    #: 7: the quotient commits 3 chunks a limb, not 4;
     #: 6: the proof sends no public inputs (the statement is the instance's);
     #: 5: the proof sends opened values only, no opening points, column
     #: lists or leaf indices (the verifier derives them);
     #: 4: the batches may commit 2- or 4-row cosets (``fri.fri_layout``);
     #: 3: each FRI tree is opened once, as a shared-path multiproof;
     #: 2: FRI layers open arity-8 coset leaves, not v1's arity-2 pairs.
-    format_version = 6
+    format_version = 7
     protocol = PLONK
 
     def default_config(self) -> Dict[str, int]:
@@ -38,7 +40,7 @@ class PlonkSystem(FriSystem):
 
     def config_from(self, knobs: Mapping[str, int]) -> FriConfig:
         config = FriConfig(**dict(knobs))
-        config.check_quotient_fits(QUOTIENT_CHUNKS)
+        config.check_quotient_fits(FriPCS.quotient_shape(CONSTRAINT_DEGREE)[0])
         return config
 
     def setup(self, workload, scale: int, config: FriConfig) -> ProtocolSetup:

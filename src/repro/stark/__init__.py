@@ -3,7 +3,7 @@
 from . import poseidon_air
 from .air import Air, BaseVecAlgebra, BoundaryConstraint, ExtAlgebra
 from .poseidon_air import PoseidonAir
-from .protocol import StarkError, quotient_chunk_count
+from .protocol import StarkError
 from .prover import prove
 from .verifier import verify
 
@@ -17,5 +17,4 @@ __all__ = [
     "prove",
     "verify",
     "StarkError",
-    "quotient_chunk_count",
 ]

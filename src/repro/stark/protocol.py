@@ -6,17 +6,13 @@ from dataclasses import replace
 from functools import lru_cache
 
 from ..errors import VerifierError
+from ..pcs import FriPCS
 from ..pcs.protocol import FriProtocol, Round
 from .air import Air
 
 
 class StarkError(VerifierError):
     """Raised when a STARK proof fails verification."""
-
-
-def quotient_chunk_count(air: Air) -> int:
-    """Number of degree-n quotient chunks per extension limb."""
-    return max(1, air.constraint_degree - 1)
 
 
 #: STARK: the publics; the trace cap (the trace is also opened at
@@ -32,8 +28,10 @@ STARK = FriProtocol(
 
 @lru_cache(maxsize=16)
 def stark(air: Air) -> FriProtocol:
-    """:data:`STARK` over ``air``'s trace and quotient columns."""
+    """:data:`STARK` over ``air``'s trace and quotient columns (two
+    limbs of :meth:`~repro.pcs.FriPCS.quotient_shape` chunks)."""
     trace, quotient = STARK.rounds
+    chunks, _ = FriPCS.quotient_shape(air.constraint_degree)
     return replace(STARK, rounds=(
-        replace(trace, width=air.width), replace(quotient, width=2 * quotient_chunk_count(air))
+        replace(trace, width=air.width), replace(quotient, width=2 * chunks)
     ))

@@ -3,8 +3,9 @@
 Same FRI machinery as Plonk but with AET arithmetisation (paper
 Section 2.2): commit the trace columns, blend all transition and
 boundary constraints with ``alpha`` powers, divide each by its vanishing
-divisor on the LDE coset, commit the composition quotient, and open
-everything at ``zeta`` / ``zeta * omega``.
+divisor on the smallest coset of the LDE that holds the quotient
+(:meth:`repro.pcs.FriPCS.quotient_shape`), commit the composition
+quotient, and open everything at ``zeta`` / ``zeta * omega``.
 
 Starky runs with blowup 2 (``rate_bits = 1``), which is what makes its
 base proofs so much cheaper than Plonky2's (Table 5) at the cost of
@@ -13,7 +14,7 @@ larger proofs.
 The commit / quotient / open data plane is :class:`repro.pcs.FriPCS`
 (shared with the Plonk prover) and the transcript and opening layout are
 the declared :func:`repro.stark.protocol.stark`; this module defines the
-STARK-specific stage: the constraint blend over the LDE coset.
+STARK-specific stage: the constraint blend over that coset.
 """
 
 from __future__ import annotations
@@ -32,13 +33,14 @@ from ..ntt import lde
 from ..pcs import FriPCS
 from ..pcs.protocol import Proof
 from .air import Air, BaseVecAlgebra
-from .protocol import quotient_chunk_count, stark
+from .protocol import stark
 
 
 @lru_cache(maxsize=16)
 def transition_divisor_inverse(n: int, rate_bits: int) -> np.ndarray:
-    """Read-only cached ``(x - omega^(n-1)) / Z_H(x)`` over the LDE
-    coset: the inverse of the transition constraints' divisor."""
+    """Read-only cached ``(x - omega^(n-1)) / Z_H(x)`` over the
+    size-``n << rate_bits`` coset: the inverse of the transition
+    constraints' divisor."""
     log_n = n.bit_length() - 1
     last = np.uint64(gl.pow_mod(gl.primitive_root_of_unity(log_n), n - 1))
     table = gl64.mul(
@@ -50,8 +52,8 @@ def transition_divisor_inverse(n: int, rate_bits: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def boundary_inverse(n: int, rate_bits: int, row: int) -> np.ndarray:
-    """Read-only cached ``1 / (x - omega^row)`` over the LDE coset, for
-    ``row`` in ``[0, n)``."""
+    """Read-only cached ``1 / (x - omega^row)`` over the
+    size-``n << rate_bits`` coset, for ``row`` in ``[0, n)``."""
     log_n = n.bit_length() - 1
     point = np.uint64(gl.pow_mod(gl.primitive_root_of_unity(log_n), row))
     table = gl64.inv_fast(gl64.sub(lde_points(log_n + rate_bits), point))
@@ -104,12 +106,12 @@ def prove(
         raise ValueError("trace length must be a power of two")
     if width != air.width:
         raise ValueError("trace width does not match the AIR")
-    chunks = quotient_chunk_count(air)
+    chunks, bits = FriPCS.quotient_shape(air.constraint_degree)
     config.check_quotient_fits(chunks)
     challenger = challenger or Challenger()
-    rate_bits = config.rate_bits
-    blowup = 1 << rate_bits
-    n_lde = n * blowup
+    # The blend is evaluated on every 2^(rate_bits - bits)-th LDE point.
+    stride = 1 << (config.rate_bits - bits)
+    n_q = n << bits
 
     with parallel.sharding(pool), tracing.span(
         "prove:stark", category="prove", n=n, width=width
@@ -123,15 +125,15 @@ def prove(
         trace_batch = pcs.commit_values(trace.T, "trace", coset_bits)
         (alpha,) = commit("trace", trace_batch.cap)
 
-        # Constraint evaluations on the LDE coset.
+        # Constraint evaluations on the quotient's coset.
         with tracing.span("constraints", category="quotient"):
-            locals_ = [trace_batch.values[:, c] for c in range(width)]
-            nexts = [np.roll(col, -blowup) for col in locals_]
-            alg = BaseVecAlgebra(n_lde)
+            locals_ = [trace_batch.values[::stride, c] for c in range(width)]
+            nexts = [np.roll(col, -(1 << bits)) for col in locals_]
+            alg = BaseVecAlgebra(n_q)
             # Public constant columns (periodic-style): LDE without commitment.
             const_cols = air.constant_columns(n)
             if const_cols.shape[0]:
-                const_ldes = constant_ldes(const_cols, rate_bits)
+                const_ldes = constant_ldes(const_cols, bits)
                 consts = [const_ldes[k] for k in range(const_cols.shape[0])]
             else:
                 consts = []
@@ -139,24 +141,24 @@ def prove(
                 locals_, nexts, consts, alg
             )
 
-            transition_div_inv = transition_divisor_inverse(n, rate_bits)
+            transition_div_inv = transition_divisor_inverse(n, bits)
 
-            combined = fext.from_base(gl64.zeros(n_lde))
+            combined = fext.from_base(gl64.zeros(n_q))
             alpha_t = fext.one()
             for con in transition_vals:
-                term = gl64.mul(np.broadcast_to(con, (n_lde,)), transition_div_inv)
+                term = gl64.mul(np.broadcast_to(con, (n_q,)), transition_div_inv)
                 combined = fext.add(
                     combined,
-                    fext.scalar_mul(np.broadcast_to(alpha_t, (n_lde, 2)), term),
+                    fext.scalar_mul(np.broadcast_to(alpha_t, (n_q, 2)), term),
                 )
                 alpha_t = fext.mul(alpha_t, alpha.reshape(2))
             for bc in air.boundary_constraints(public_inputs):
                 numer = gl64.sub(locals_[bc.column], np.uint64(gl.canonical(bc.value)))
-                div_inv = boundary_inverse(n, rate_bits, bc.row % n)
+                div_inv = boundary_inverse(n, bits, bc.row % n)
                 term = gl64.mul(numer, div_inv)
                 combined = fext.add(
                     combined,
-                    fext.scalar_mul(np.broadcast_to(alpha_t, (n_lde, 2)), term),
+                    fext.scalar_mul(np.broadcast_to(alpha_t, (n_q, 2)), term),
                 )
                 alpha_t = fext.mul(alpha_t, alpha.reshape(2))
 

@@ -14,7 +14,7 @@ from ..hashing import Challenger
 from ..pcs import FriPCS
 from ..pcs.protocol import Proof
 from .air import Air, ExtAlgebra
-from .protocol import StarkError, quotient_chunk_count, stark
+from .protocol import StarkError, stark
 
 
 def verify(
@@ -45,7 +45,6 @@ def _check_identity(
 ) -> None:
     """The constraint identity holds on the opened values at ``zeta``."""
     omega = gl.primitive_root_of_unity(n.bit_length() - 1)
-    chunks = quotient_chunk_count(air)
     width = air.width
     vals0, vals1 = openings.values
     local = [vals0[c] for c in range(width)]
@@ -89,7 +88,7 @@ def _check_identity(
         alpha_t = fext.mul(alpha_t, alpha.reshape(2))
 
     # Reassemble the committed composition at zeta.
-    t_eval = FriPCS.quotient_at(vals0[width : width + 2 * chunks], zeta_n)
+    t_eval = FriPCS.quotient_at(vals0[width:], zeta_n)
 
     if not np.array_equal(total.reshape(2), t_eval.reshape(2)):
         raise StarkError("constraint identity fails at zeta")

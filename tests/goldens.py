@@ -66,8 +66,19 @@ each body is the old one without its public-input count word and
 words, and the transcript did not move.  The Plonk ``LAYOUTS``,
 ``PROVE_COUNTERS`` and ``VERIFY_COUNTERS`` entries are MVM 6's, equal to
 what that instance counted before; every STARK and HyperPlonk-lite
-layout and counter held.  Counters are measured around ``prove`` or
-``verify`` alone, setup excluded.
+layout and counter held.  When the Plonk quotient stopped committing
+its fourth chunk, which is zero (Plonk format v7: 3 chunks a limb, the
+degree-4 blend's, from ``pcs.FriPCS.quotient_shape``), and both
+provers began evaluating their constraints on the smallest coset that
+holds the quotient, every Plonk digest and framing entry
+(``DIGESTS``, ``ARITY2_DIGESTS``, ``PLONK_FIBONACCI_DIGEST``,
+``FRAMED``) and the Plonk ``PROVE_COUNTERS`` and ``VERIFY_COUNTERS``
+were regenerated once: the quotient cap, ``zeta`` and every query
+position moved, so the verifier's shared paths (and its permutation
+count) moved with them.  ``LAYOUTS`` held, and every STARK and
+HyperPlonk-lite entry held but the STARK ``ntt_butterflies``: the
+quotient's coset iNTT is half as long.  Counters are measured around
+``prove`` or ``verify`` alone, setup excluded.
 """
 
 from repro.fri.config import FriConfig
@@ -93,7 +104,7 @@ CONFIGS = {
 #: Proof digest (``system.digest``) per protocol.
 DIGESTS = {
     "stark": "5187d2b28418d37db2dcf647a977ea0a01e5348256145e58678a2e6580210a9c",
-    "plonk": "5b2b18850bf3297c1db087939c390ec6c6f675a785081df683e1ebf388f1cf51",
+    "plonk": "6535bb768fea231ed0236ad89c2bd0f443985fdb20156d1b167b7f98eeff7949",
     "hyperplonk": "e3cf08f0507aeb484370387aae9e3ea9b7a08c40b9ef53296add6c892c165419",
 }
 
@@ -121,21 +132,21 @@ ROW_LAYOUT_DIGESTS = {
 #: rather than replacing it.
 ARITY2_DIGESTS = {
     "stark": "82b74225fc4b7e7d1c7f84060a3c7903780778b30bf68880e1aab8b4e2d6e3d1",
-    "plonk": "2d9bb2c9827c8dd4241561975b2bbf6acffbfc14f00fd77fd9d7e0f9e24ebb81",
+    "plonk": "ad926cdf0758465e6ecf2f4b9225bbaa692bc508170c6ca0e09449e0bf66f59c",
 }
 
 #: Plonk over the Fibonacci workload at scale 6, same config: the
 #: instance that commits row leaves and folds zero times.
-PLONK_FIBONACCI_DIGEST = "0d8b5d2767c65bb36b0b33acd82daf0bf3b729058322f08b4528bd2641634d21"
+PLONK_FIBONACCI_DIGEST = "3468c08cba0d14e532fcbbc39bdf1276b19cdaa3ea7c9b223fc296a5fae43735"
 
 #: Operation counters around ``prove``.
 PROVE_COUNTERS = {
-    "stark": {"ntt_butterflies": 3096, "sponge_permutations": 138, "ntt_transforms": 10},
+    "stark": {"ntt_butterflies": 2584, "sponge_permutations": 138, "ntt_transforms": 10},
     "plonk": {
-        "ntt_butterflies": 79936,
+        "ntt_butterflies": 61248,
         "sponge_permutations": 3320,
-        "challenger_permutations": 41,
-        "ntt_transforms": 22,
+        "challenger_permutations": 22,
+        "ntt_transforms": 20,
     },
     "hyperplonk": {
         "sponge_permutations": 36,
@@ -149,7 +160,7 @@ PROVE_COUNTERS = {
 #: hash exactly what walking every tree opening's frontier alone would.
 VERIFY_COUNTERS = {
     "stark": {"sponge_permutations": 80, "challenger_permutations": 10},
-    "plonk": {"sponge_permutations": 227, "challenger_permutations": 18},
+    "plonk": {"sponge_permutations": 284, "challenger_permutations": 17},
     "hyperplonk": {"sponge_permutations": 64, "challenger_permutations": 13},
 }
 
@@ -160,8 +171,8 @@ FRAMED = {
         "330763326a6873a39ad54b87de15f4e44fb0f50de9db365523524009e58ad17d",
     ),
     "plonk": (
-        "3e064b9b7e681481eeadb41c226cf17f70871b4e15498944220b14ef8bfc4df6",
-        "5685de7be8fb809a6335337a9f81e793c2fd7112d4473cb94ace459d90714c3f",
+        "01f6ae53b6d6f628088046667de9aeb9cabe925745a029dadad5108c7b4368bd",
+        "7ec754407ed3671215738cdcdd77eaf1781488b2a5f28ff85560de225fe1b0a4",
     ),
     "hyperplonk": (
         "f6302b0a786c1c88f2f7303d9c8ff1aa82a02a5b245d94d574e63371ad7cefee",

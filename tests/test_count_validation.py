@@ -109,9 +109,9 @@ class TestPlonkProverCounts:
         cap = cfg.cap_height
         a, _ = fri_layout(cfg, circuit.log_n, PLONK.widths)
         total = 0
-        # wires (3 cols), z (1 col), quotient (8 cols), each leaf the
+        # wires (3 cols), z (1 col), quotient (6 cols), each leaf the
         # coset of 2**a rows the layout picks.
-        for width in (3, 1, 8):
+        for width in (3, 1, 6):
             total += merkle_permutation_count(n_lde >> a, width << a, cap)
         return total + _fri_layer_perms(cfg, circuit.log_n, n_lde, a)
 
@@ -126,13 +126,15 @@ class TestPlonkProverCounts:
         n_lde = n << cfg.rate_bits
         small = n // 2 * log_n  # one size-n transform
         big = n_lde // 2 * lde_bits  # one size-n_lde transform
+        # One transform on the quotient's 4n-point coset (3 chunks).
+        quotient = 2 * n * (log_n + 2)
 
         predicted = 0
         predicted += 3 * (small + big)  # wires: iNTT + coset NTT per column
-        predicted += small + big  # public-input polynomial LDE
+        predicted += small + quotient  # public-input polynomial, on the quotient's coset
         predicted += small + big  # Z column
-        predicted += 2 * big  # quotient: coset iNTT of both extension limbs
-        predicted += 8 * big  # 8 chunk commitments (coeffs -> coset NTT)
+        predicted += 2 * quotient  # quotient: coset iNTT of both extension limbs
+        predicted += 6 * big  # 6 chunk commitments (coeffs -> coset NTT)
         # FRI final polynomial: coset iNTT of 2 limbs at the residual size.
         num_rounds = cfg.num_fold_rounds(log_n)
         final_size = n_lde >> num_rounds
@@ -190,7 +192,7 @@ class TestStarkProverCounts:
 
         params = PlonkParams(
             name="mirror", degree_bits=circuit.log_n, width=3, rate_bits=3,
-            num_challenges=1, zs_width=1, quotient_width=8, salt_width=0,
+            num_challenges=1, zs_width=1, quotient_width=6, salt_width=0,
             num_queries=4, pow_bits=2,
         )
         graph = trace_plonky2(params)

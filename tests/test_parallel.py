@@ -78,9 +78,9 @@ class TestResolveWorkers:
     def test_oversubscription_clamps_with_warning(self, caplog):
         cpus = parallel.effective_cpus()
         with caplog.at_level(logging.WARNING, logger="repro.parallel"):
-            got = parallel.resolve_workers(cpus + 7, flag="shard-workers")
+            got = parallel.resolve_workers(cpus + 7)
         assert got == cpus
-        assert any("shard-workers" in r.message and "clamping" in r.message
+        assert any("--workers" in r.message and "clamping" in r.message
                    for r in caplog.records)
 
     def test_in_range_passes_through(self):

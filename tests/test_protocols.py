@@ -116,9 +116,9 @@ class TestBadKnobValues:
 
 
 def test_plonk_refuses_a_blowup_below_its_quotient_chunks():
-    # Four quotient chunks need blowup >= 4: refused at the config, not
+    # Three quotient chunks need blowup >= 4: refused at the config, not
     # deep inside a prove's LDE kernel.
-    message = r"constraint degree too high for the blowup factor \(need 4 chunks, blowup 2\)"
+    message = r"constraint degree too high for the blowup factor \(need 3 chunks, blowup 2\)"
     with pytest.raises(ValueError, match=message):
         get("plonk").make_config({"rate_bits": 1})
     svc = ProvingService(workers=1)  # never started: no worker exists

@@ -216,7 +216,8 @@ def test_protocols_interleave_on_the_shared_plan(workers):
     """STARK and Plonk at one (n, rate_bits), A-B-A-B on one thread and
     one arena, each match the digest of a solo prove on a private
     arena, and the four proves build no divisor table the solo ones did
-    not."""
+    not: one ``1 / Z_H`` per quotient coset, STARK Fibonacci's ``n``
+    points and Plonk's ``4n``."""
     air, trace, publics = fibonacci.SPEC.build_air(4)
     circuit, inputs, _ = fibonacci.SPEC.build_circuit(5)
     n, rate_bits = circuit.n, SHARED_CONFIG.rate_bits
@@ -230,6 +231,7 @@ def test_protocols_interleave_on_the_shared_plan(workers):
         return plonk_digest(plonk.prove(data, inputs, **kw))
 
     vanishing_inverse.cache_clear()
+    transition_divisor_inverse.cache_clear()
     with scoped("workspace", gl64.Workspace()):
         solo_stark, solo_plonk = prove_stark(), prove_plonk()
     with parallel.ShardPool(workers, **TINY) as pool:
@@ -240,9 +242,9 @@ def test_protocols_interleave_on_the_shared_plan(workers):
             prove_plonk(pool=pool),
         ]
     assert got == [solo_stark, solo_plonk, solo_stark, solo_plonk]
-    # Both provers divided by the one 1 / Z_H of this shape.
+    # Each prover divided by its own coset's one 1 / Z_H.
     info = vanishing_inverse.cache_info()
-    assert (info.misses, info.currsize) == (1, 1)
+    assert (info.misses, info.currsize) == (2, 2)
 
 
 def test_concurrent_proves_of_one_shape_keep_their_own_run():

@@ -317,7 +317,7 @@ def _as_version_1(blob: bytes) -> bytes:
 #: is its instance's); before that a proof stopped sending its opening
 #: points and columns, its tree openings' leaf indices and (STARK) its
 #: trace length.
-CURRENT_VERSIONS = {"stark": 8, "plonk": 6, "hyperplonk": 4}
+CURRENT_VERSIONS = {"stark": 8, "plonk": 7, "hyperplonk": 4}
 
 
 @pytest.fixture(scope="module")
@@ -391,10 +391,10 @@ class TestFormatVersion1:
     def test_previous_version_blob_is_refused_before_its_body_is_decoded(
         self, protocol, stark_setup, plonk_setup, hyperplonk_proof
     ):
-        # STARK v7, Plonk v5 and HyperPlonk-lite v3 sent what the verifier
-        # takes from its instance, the public inputs; the current format
-        # does not, so those blobs are refused, typed, and the body codec
-        # never runs.
+        # STARK v7 and HyperPlonk-lite v3 sent what the verifier takes
+        # from its instance, the public inputs, and Plonk v6 a fourth
+        # quotient chunk; the current formats do not, so those blobs are
+        # refused, typed, and the body codec never runs.
         from unittest import mock
 
         from repro.serialize import PROOF_BLOB_MAGIC, ProofFormatError, proof_from_blob, proof_to_blob
@@ -402,7 +402,7 @@ class TestFormatVersion1:
         proof = {
             "stark": stark_setup[1], "plonk": plonk_setup[1], "hyperplonk": hyperplonk_proof
         }[protocol]
-        old = {"stark": 7, "plonk": 5, "hyperplonk": 3}[protocol]
+        old = {"stark": 7, "plonk": 6, "hyperplonk": 3}[protocol]
         version = CURRENT_VERSIONS[protocol]
         assert get(protocol).format_version == version == old + 1
         blob = bytearray(proof_to_blob(protocol, proof))

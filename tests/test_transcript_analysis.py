@@ -107,8 +107,9 @@ class TestProtocolConformance:
             ("stark", 7, None, [0, 2, 8]),
             ("stark", 12, None, [0, 2, 8, 10, 12]),
             ("plonk", 4, None, [0, 0, 2, 4]),
-            # 2^4 rows: a committed layer after a virtual first layer.
-            ("plonk", 8, None, [0, 0, 2, 4, 10]),
+            # 2^4 rows: 4-row coset leaves take both folds, so no FRI
+            # layer is committed.
+            ("plonk", 8, None, [0, 0, 2, 4]),
             # Row leaves and a committed layer: no coset tree holds a
             # cap as tall as the 7-level LDE tree.
             ("plonk", 8, 7, [0, 0, 2, 4, 8]),

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from repro.fri import FriConfig
+from repro.fri.proof import ELEM_BYTES
 from repro.plonk import CircuitBuilder, PlonkError, prove, setup, verify
+from repro.plonk.protocol import ZK_SALT_COLUMNS
 
 _CFG = FriConfig(rate_bits=3, cap_height=1, num_queries=5,
                  proof_of_work_bits=2, final_poly_len=4)
@@ -94,8 +96,20 @@ class TestBlinding:
             verify(d.verifier_data, [36], proof)
 
     def test_blinded_proof_slightly_larger(self, data):
+        """Salting widens each opened wires leaf by ``ZK_SALT_COLUMNS``
+        words for each of its ``2**a`` rows, and the salted proof's
+        bytes are exactly those words more than the same proof with
+        them cut out.  (A plain proof opens other query positions, so
+        its size is no yardstick.)"""
         d, _, x, pub = data
         inputs = {x.index: 6, pub.index: 36}
-        plain = prove(d, inputs).size_bytes()
-        salted = prove(d, inputs, blinding_seed=1).size_bytes()
-        assert plain < salted <= plain * 1.2
+        arity = 1 << d.preprocessed.coset_bits
+        plain = prove(d, inputs).fri_proof.batch_openings[1].rows
+        salted = prove(d, inputs, blinding_seed=1)
+        wires = salted.fri_proof.batch_openings[1]
+        leaves = len(wires.rows)
+        assert wires.rows.shape[1] == plain.shape[1] + ZK_SALT_COLUMNS * arity
+        body = salted.to_bytes()
+        wires.rows = wires.rows.reshape(leaves, arity, -1)[:, :, :-ZK_SALT_COLUMNS].reshape(leaves, -1)
+        assert wires.rows.shape[1] == plain.shape[1]
+        assert len(body) - len(salted.to_bytes()) == ELEM_BYTES * leaves * ZK_SALT_COLUMNS * arity
