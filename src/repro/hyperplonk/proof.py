@@ -24,8 +24,10 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from ..field import goldilocks as gl
 from ..merkle import MerkleTree, TreeOpening
 from ..plonk.circuit import Circuit
+from ..plonk.protocol import constraints
 from ..serialize import ByteReader, ByteWriter, read_cap
 from ..sumcheck import SumcheckProof
 
@@ -91,6 +93,15 @@ class HyperPlonkVerifierData:
     n: int
     public_input_rows: List[int]
     config: HyperPlonkConfig
+
+
+def zerocheck_values(alg, alpha: int, *domain):
+    """``C = gate + alpha * copy + alpha^2 * start``, Plonk's
+    :func:`~repro.plonk.protocol.constraints` over ``domain`` blended by
+    the base-field ``alpha``: the table the zerocheck proves zero, and
+    the value the verifier recomputes at each queried row."""
+    gate, copy, start = constraints(alg, *domain)
+    return alg.add(alg.add(gate, alg.mul_const(copy, alpha)), alg.mul_const(start, gl.mul(alpha, alpha)))
 
 
 def query_index_sets(

@@ -16,8 +16,9 @@ The hot path executes **zero NTT butterflies** (asserted in CI):
 2. Fiat-Shamir ``beta``/``gamma`` and the permutation accumulator ``Z``
    via the same chunked partial-product kernel Plonk uses, committed
    row-wise;
-3. ``alpha`` batches the gate / permutation / Z-start constraints into
-   one table ``C``; zerocheck multiplies by the ``eq(tau, x)``
+3. ``alpha`` batches the gate / permutation / Z-start constraints
+   (:func:`repro.plonk.protocol.constraints`, the ones Plonk proves)
+   into one table ``C``; zerocheck multiplies by the ``eq(tau, x)``
    indicator so ``sum_x eq(tau, x) C(x) = 0`` implies ``C == 0`` whp
    (Schwartz-Zippel over the random ``tau``);
 4. a *committed* sumcheck over ``Q = eq(tau, .) * C``: every folded
@@ -51,12 +52,14 @@ import numpy as np
 
 from .. import parallel, tracing
 from ..context import RUN
-from ..field import gl64, goldilocks as gl
+from ..field import gl64
+from ..field.algebra import BaseVecAlgebra
 from ..hashing import Challenger
 from ..merkle import MerkleTree, open_tree
 from ..pcs import MultilinearPCS, eq_table
 from ..plonk.circuit import Circuit
 from ..plonk.permutation import compute_z, id_values, sigma_values
+from ..plonk.prover import public_input_values
 from ..parallel import ops as par_ops
 from ..sumcheck import SumcheckProof
 from .proof import (
@@ -64,6 +67,7 @@ from .proof import (
     HyperPlonkData,
     HyperPlonkProof,
     query_index_sets,
+    zerocheck_values,
 )
 
 
@@ -99,54 +103,6 @@ def bind(data: HyperPlonkData, config: HyperPlonkConfig) -> HyperPlonkData:
     :class:`~repro.pcs.MultilinearPCS` commit is."""
     tree = data.preprocessed.capped(min(config.cap_height, data.circuit.log_n))
     return replace(data, preprocessed=tree, config=config)
-
-
-def _constraint_table(
-    circuit: Circuit,
-    wires: np.ndarray,
-    z: np.ndarray,
-    f: np.ndarray,
-    g: np.ndarray,
-    public_values: List[int],
-    alpha: int,
-) -> np.ndarray:
-    """The alpha-batched constraint table ``C`` over the subgroup rows.
-
-    ``C[i] = gate[i] + alpha * perm[i] + alpha^2 * l0[i]`` where
-
-    * ``gate`` is the Plonk row constraint including the public-input
-      term ``PI(row) = -v_k`` at public rows;
-    * ``perm[i] = Z[i] f[i] - Z[i+1 mod n] g[i]`` (the running-product
-      step, wrapping at the last row exactly like the subgroup version);
-    * ``l0`` pins ``Z[0] = 1`` at row 0.
-
-    An honest witness makes every entry zero.
-    """
-    n = circuit.n
-    sel = circuit.selectors
-    w = wires
-    ws = RUN.workspace
-    pi = ws.temp((n,), "hp:pi")
-    pi.fill(0)
-    for row, val in zip(circuit.public_input_rows, public_values):
-        pi[row] = np.uint64(gl.neg(val))
-    gate = gl64.add(
-        gl64.add(
-            gl64.add(gl64.mul(sel[0], w[0]), gl64.mul(sel[1], w[1])),
-            gl64.mul(sel[2], gl64.mul(w[0], w[1])),
-        ),
-        gl64.add(gl64.add(gl64.mul(sel[3], w[2]), sel[4]), pi),
-    )
-    z_next = np.roll(z, -1)
-    perm = gl64.sub(gl64.mul(z, f), gl64.mul(z_next, g))
-    l0 = ws.temp((n,), "hp:l0")
-    l0.fill(0)
-    l0[0] = np.uint64(gl.sub(int(z[0]), 1))
-    alpha_sq = np.uint64(gl.mul(alpha, alpha))
-    return gl64.add(
-        gl64.add(gate, gl64.mul(perm, np.uint64(gl.canonical(alpha)))),
-        gl64.mul(l0, alpha_sq),
-    )
 
 
 def _committed_sumcheck(
@@ -232,7 +188,7 @@ def prove(
         beta = challenger.get_challenge()
         gamma = challenger.get_challenge()
         with tracing.span("permutation", category="permutation"):
-            z, f, g = compute_z(wires, data.ids, data.sigmas, beta, gamma)
+            z, _, _ = compute_z(wires, data.ids, data.sigmas, beta, gamma)
         with tracing.span("commit:z", category="commit"):
             z_tree = pcs.commit(z, "z", slot="z")
         challenger.observe_cap(z_tree.cap)
@@ -241,7 +197,13 @@ def prove(
         tau = challenger.get_n_challenges(v)
 
         with tracing.span("zerocheck", category="quotient"):
-            c_table = _constraint_table(circuit, wires, z, f, g, public_values, alpha)
+            l1 = RUN.workspace.temp((n,), "hp:l1")  # L_1 on the subgroup rows
+            l1.fill(0)
+            l1[0] = 1
+            c_table = zerocheck_values(
+                BaseVecAlgebra(n), alpha, [*circuit.selectors, *data.sigmas], wires, data.ids,
+                z, np.roll(z, -1), public_input_values(circuit, public_values), l1, beta, gamma,
+            )
             q_table = gl64.mul(eq_table(tau), c_table)
 
         # Committed sumcheck: Merkle-commit every folded level (down to

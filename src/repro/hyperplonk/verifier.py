@@ -32,6 +32,7 @@ import numpy as np
 from .. import tracing
 from ..errors import VerifierError
 from ..field import gl64, goldilocks as gl
+from ..field.algebra import BaseVecAlgebra
 from ..hashing import Challenger
 from ..merkle import check_opening, verify_paths
 from ..pcs import eq_at
@@ -41,6 +42,7 @@ from .proof import (
     HyperPlonkProof,
     HyperPlonkVerifierData,
     query_index_sets,
+    zerocheck_values,
 )
 
 
@@ -88,52 +90,6 @@ def _check_cap(cap: np.ndarray, what: str) -> np.ndarray:
     if cap.ndim != 2 or cap.shape[1] != 4 or c == 0 or c & (c - 1):
         raise HyperPlonkError(f"malformed {what}")
     return cap
-
-
-def _base_q_value(
-    vdata: HyperPlonkVerifierData,
-    pre_row: np.ndarray,
-    wires_row: np.ndarray,
-    z_val: int,
-    z_next: int,
-    pos: int,
-    pi_map: dict,
-    beta: int,
-    gamma: int,
-    alpha: int,
-    tau: Sequence[int],
-) -> int:
-    """Recompute ``Q[pos] = eq(tau, pos) * C[pos]`` from opened rows."""
-    n = vdata.n
-    sel = [int(x) for x in pre_row[:5]]
-    sig = [int(x) for x in pre_row[5:8]]
-    w = [int(x) for x in wires_row]
-
-    gate = gl.add(
-        gl.add(
-            gl.add(gl.mul(sel[0], w[0]), gl.mul(sel[1], w[1])),
-            gl.mul(sel[2], gl.mul(w[0], w[1])),
-        ),
-        gl.add(gl.add(gl.mul(sel[3], w[2]), sel[4]), pi_map.get(pos, 0)),
-    )
-
-    omega = gl.primitive_root_of_unity(n.bit_length() - 1)
-    x = gl.pow_mod(omega, pos)
-    f_val = 1
-    g_val = 1
-    for j, k in enumerate(coset_representatives()):
-        f_val = gl.mul(
-            f_val, gl.add(gl.add(w[j], gl.mul(gl.mul(k, x), beta)), gamma)
-        )
-        g_val = gl.mul(g_val, gl.add(gl.add(w[j], gl.mul(sig[j], beta)), gamma))
-    perm = gl.sub(gl.mul(z_val, f_val), gl.mul(z_next, g_val))
-    l0 = gl.sub(z_val, 1) if pos == 0 else 0
-
-    c_val = gl.add(
-        gl.add(gate, gl.mul(alpha, perm)),
-        gl.mul(gl.mul(alpha, alpha), l0),
-    )
-    return gl.mul(eq_at(tau, pos), c_val)
 
 
 def verify(
@@ -235,18 +191,29 @@ def _verify(
         )
 
     with tracing.span("verify:fold", category="verify", queries=len(indices)):
+        # Q = eq(tau, .) * C at both positions of every query pair,
+        # C recomputed from the opened rows as one vector.
+        positions = [*indices, *(j + n // 2 for j in indices)]
+        omega = gl.primitive_root_of_unity(v)
+
+        def column(value_at) -> np.ndarray:
+            return np.array([value_at(pos) for pos in positions], dtype=np.uint64)
+
+        xs = column(lambda pos: gl.pow_mod(omega, pos))
+        c = zerocheck_values(
+            BaseVecAlgebra(len(positions)), alpha,
+            np.stack([pre_map[pos] for pos in positions], axis=1),
+            np.stack([wires_map[pos] for pos in positions], axis=1),
+            [gl64.mul(xs, np.uint64(k)) for k in coset_representatives()],
+            column(lambda pos: z_map[pos][0]),
+            column(lambda pos: z_map[(pos + 1) % n][0]),
+            column(lambda pos: pi_map.get(pos, 0)),
+            column(lambda pos: pos == 0),
+            beta, gamma,
+        )
+        q = {pos: gl.mul(eq_at(tau, pos), value) for pos, value in zip(positions, c.tolist())}
         for j in indices:
-            lo_pos, hi_pos = j, j + n // 2
-            q_lo = _base_q_value(
-                vdata, pre_map[lo_pos], wires_map[lo_pos],
-                int(z_map[lo_pos][0]), int(z_map[(lo_pos + 1) % n][0]),
-                lo_pos, pi_map, beta, gamma, alpha, tau,
-            )
-            q_hi = _base_q_value(
-                vdata, pre_map[hi_pos], wires_map[hi_pos],
-                int(z_map[hi_pos][0]), int(z_map[(hi_pos + 1) % n][0]),
-                hi_pos, pi_map, beta, gamma, alpha, tau,
-            )
+            q_lo, q_hi = q[j], q[j + n // 2]
             cur = gl.add(gl.mul(q_lo, gl.sub(1, rs[0])), gl.mul(q_hi, rs[0]))
             pos = j
             for k in range(num_levels):

@@ -2,8 +2,9 @@
 
 A :class:`FriProtocol` states a FRI protocol's rounds once
 (:data:`repro.stark.protocol.STARK`, :data:`repro.plonk.protocol.PLONK`):
-its prover steps them, its verifier replays them in the shared tail
-:meth:`FriProtocol.verify`, and everything a proof's shape depends on --
+its prover steps them and ends in :meth:`FriProtocol.finish`, its
+verifier replays them in the mirror tail :meth:`FriProtocol.verify`,
+and everything a proof's shape depends on --
 the caps it carries, the columns it opens, the leaf widths FRI pins --
 is read from them.  A :class:`Proof` carries one cap a declared round
 and nothing its verifier can derive: no opening points, column lists,
@@ -25,6 +26,7 @@ from ..fri.proof import DIGEST_BYTES, ELEM_BYTES
 from ..fri.verifier import FriError, proof_words
 from ..hashing import Challenger
 from ..serialize import ByteReader, ByteWriter, read_cap, read_ext_array, read_fri_proof, write_fri_proof
+from .fri import FriPCS
 
 
 @dataclass(frozen=True)
@@ -45,8 +47,9 @@ class Round:
 @dataclass(frozen=True)
 class FriProtocol:
     """The ``setup`` batches, observed before the publics, then the
-    ``rounds`` -- all of them FRI's batches in that order -- and the
-    verifier's ``error``; ``name`` labels the proof in codec errors."""
+    ``rounds`` -- all of them FRI's batches in that order, the last the
+    quotient's (:meth:`FriPCS.commit_quotient`) -- and the verifier's
+    ``error``; ``name`` labels the proof in codec errors."""
 
     name: str
     setup: Tuple[Round, ...]
@@ -96,6 +99,20 @@ class FriProtocol:
         omega = gl.primitive_root_of_unity(n.bit_length() - 1)
         return [zeta, fext.scalar_mul(zeta, np.uint64(omega))]
 
+    def finish(
+        self, pcs: FriPCS, commit, quotient: np.ndarray, n: int, challenger: Challenger
+    ) -> "Proof":
+        """The prover's tail, :meth:`verify`'s mirror: commit the
+        ``quotient`` coset evaluation at the declared width under the
+        layout of the batches before it, step ``commit`` to ``zeta``,
+        open :attr:`columns` at :meth:`points` and prove them."""
+        chunks = self.rounds[-1].width // 2
+        batch = pcs.commit_quotient(quotient, n, chunks, coset_bits=pcs.batches[-1].coset_bits)
+        (zeta,) = commit("quotient", batch.cap)
+        openings, fri_proof = pcs.open_and_prove(self.points(zeta, n), self.columns, challenger)
+        caps = [b.cap.copy() for b in pcs.batches[len(self.setup):]]
+        return Proof(caps=caps, opened_values=openings.flat_values(), fri_proof=fri_proof)
+
     def verify(
         self,
         proof: "Proof",
@@ -104,13 +121,18 @@ class FriProtocol:
         config: FriConfig,
         n: int,
         challenger: Challenger,
-        check_identity: Callable[..., None],
+        identity: Callable[..., np.ndarray],
     ) -> None:
         """The verifier of an ``n``-row instance with statement
         ``publics``: one cap a round, canonical statement and proof
         words before any hashing, the transcript replay, the opening
-        set at :meth:`points`, ``check_identity(openings, *challenges)``,
-        then FRI over the declared leaf widths.  Raises ``error``."""
+        set at :meth:`points`, the constraint identity at ``zeta``, then
+        FRI over the declared leaf widths.  Raises ``error``.
+
+        ``identity(at_zeta, at_next, zh, *challenges)`` returns the
+        constraint blend from the openings at ``zeta`` (one array a
+        batch), at ``zeta * omega`` and ``zh = Z_H(zeta)``: the quotient
+        there."""
         error, caps = self.error, proof.caps
         if len(caps) != len(self.rounds):
             raise error("wrong number of round caps")
@@ -123,15 +145,22 @@ class FriProtocol:
             commit = self.start(challenger, setup_caps, publics)
             challenges = sum((commit(r.name, cap) for r, cap in zip(self.rounds, caps)), ())
 
+        zeta = challenges[-1]
         try:
-            openings = FriOpenings.from_flat(
-                self.points(challenges[-1], n), self.columns, proof.opened_values
-            )
+            openings = FriOpenings.from_flat(self.points(zeta, n), self.columns, proof.opened_values)
         except ValueError as exc:
             raise error(str(exc)) from exc
 
         with tracing.span("verify:identity", category="verify"):
-            check_identity(openings, *challenges)
+            zeta_n = fext.pow_scalar(zeta, n)
+            zh = fext.sub(zeta_n, fext.one())
+            if bool(fext.is_zero(zh)):
+                raise error("zeta landed inside the subgroup (reject)")
+            at_zeta, at_next = openings.values
+            at_zeta = np.split(at_zeta, np.cumsum(self.widths)[:-1])
+            blended = identity(at_zeta, at_next, zh, *challenges)
+            if not np.array_equal(blended, FriPCS.quotient_at(at_zeta[-1], zeta_n)):
+                raise error("constraint identity fails at zeta")
 
         # A salted batch admits its bare and its salted width; any other
         # stays rejected -- that is the hash_or_noop zero-pad

@@ -9,7 +9,8 @@ Implements Figure 1's copy-constraint machinery:
 * the running product ``Z`` with
   ``Z(w^(i+1)) = Z(w^i) * f(w^i) / g(w^i)`` certifies ``f == g`` as
   multisets, where ``f``/``g`` blend wires with ``id``/``sigma`` under
-  the verifier randomness ``beta``, ``gamma``.
+  the verifier randomness ``beta``, ``gamma``
+  (:func:`repro.plonk.protocol.copy_product`).
 
 ``Z`` is computed through the paper's *partial products* kernel
 (Equations (1) and (2)): the quotients ``q[i] = f[i]/g[i]`` are grouped
@@ -25,7 +26,9 @@ from typing import Tuple
 import numpy as np
 
 from ..field import gl64, goldilocks as gl
+from ..field.algebra import BaseVecAlgebra
 from .circuit import NUM_WIRES, Circuit
+from .protocol import copy_product
 
 #: Chunk size of the quotient partial products (paper Equation (1)).
 CHUNK_SIZE = 8
@@ -52,19 +55,6 @@ def sigma_values(circuit: Circuit, ids: np.ndarray | None = None) -> np.ndarray:
     ids = id_values(n) if ids is None else ids
     permuted = ids.reshape(-1)[circuit.sigma]  # column-major position -> label
     return permuted.reshape(NUM_WIRES, n)
-
-
-def blend(
-    wires: np.ndarray, labels: np.ndarray, beta: int, gamma: int
-) -> np.ndarray:
-    """Per-row product ``prod_j (w_j + beta * label_j + gamma)``: shape (n,)."""
-    terms = gl64.add(
-        gl64.add(wires, gl64.mul(labels, np.uint64(beta))), np.uint64(gamma)
-    )
-    out = terms[0]
-    for j in range(1, terms.shape[0]):
-        out = gl64.mul(out, terms[j])
-    return out
 
 
 def quotient_chunk_products(quotients: np.ndarray, chunk: int = CHUNK_SIZE) -> np.ndarray:
@@ -110,15 +100,15 @@ def compute_z(
     """
     n = wires.shape[1]
     chunk = CHUNK_SIZE if n % CHUNK_SIZE == 0 else n
-    f = blend(wires, ids, beta, gamma)
-    g = blend(wires, sigmas, beta, gamma)
+    alg = BaseVecAlgebra(n)
+    f = copy_product(alg, wires, ids, beta, gamma)
+    g = copy_product(alg, wires, sigmas, beta, gamma)
     quotients = gl64.mul(f, gl64.inv_fast(g))
     # Prefix products of all quotients: chunk, three-step, then stitch.
     h = quotient_chunk_products(quotients, chunk)
     pp = partial_products(h)
     # Expand back: running product inside each chunk, scaled by PP of the
     # previous chunk.
-    run = np.empty(n, dtype=np.uint64)
     chunks = quotients.reshape(n // chunk, chunk)
     intra = chunks.copy()
     for j in range(1, chunk):

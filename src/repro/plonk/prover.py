@@ -31,17 +31,18 @@ import numpy as np
 
 from .. import parallel, tracing
 from ..context import RUN
-from ..field import extension as fext, gl64, goldilocks as gl
+from ..field import gl64, goldilocks as gl
+from ..field.algebra import BaseVecAlgebra, blend
 from ..fri import FriConfig, PolynomialBatch, fri_layout
 from ..fri.prover import lde_points, vanishing_inverse
 from ..hashing import Challenger
 from ..ntt import lde
 from ..pcs import FriPCS
 from ..pcs.protocol import Proof
-from .circuit import Circuit
+from .circuit import NUM_WIRES, Circuit
 from .permutation import compute_z, coset_representatives, id_values, sigma_values
 from .proof import CircuitData
-from .protocol import CONSTRAINT_DEGREE, PLONK, ZK_SALT_COLUMNS
+from .protocol import CONSTRAINT_DEGREE, PLONK, ZK_SALT_COLUMNS, constraints
 
 
 def setup(circuit: Circuit, config: FriConfig) -> CircuitData:
@@ -76,14 +77,14 @@ def bind(data: CircuitData, config: FriConfig) -> CircuitData:
     return replace(data, preprocessed=batch, config=config)
 
 
-def _pi_poly_on_lde(circuit: Circuit, public_values: list[int], rate_bits: int) -> np.ndarray:
-    """Values of the public-input polynomial ``-sum v_k L_rowk(x)`` on
-    the size-``n << rate_bits`` coset."""
-    subgroup = RUN.workspace.temp((circuit.n,), "plonk:pi")
-    subgroup.fill(0)
+def public_input_values(circuit: Circuit, public_values: list[int]) -> np.ndarray:
+    """The public-input polynomial ``-sum v_k L_rowk(x)`` over the
+    subgroup rows: ``-v_k`` at public row ``k``, else 0."""
+    values = RUN.workspace.temp((circuit.n,), "plonk:pi")
+    values.fill(0)
     for row, val in zip(circuit.public_input_rows, public_values):
-        subgroup[row] = gl.neg(val)
-    return lde(subgroup, rate_bits)
+        values[row] = gl.neg(val)
+    return values
 
 
 @lru_cache(maxsize=16)
@@ -164,66 +165,25 @@ def prove(
         # Step 3: quotient polynomial on every 2^(rate_bits - bits)-th
         # LDE point, the smallest coset that holds it.
         (alpha,) = commit("z", z_batch.cap)
-        chunks, bits = FriPCS.quotient_shape(CONSTRAINT_DEGREE)
+        _, bits = FriPCS.quotient_shape(CONSTRAINT_DEGREE)
         with tracing.span("constraints", category="quotient"):
-            n_q = n << bits
-            stride = 1 << (rate_bits - bits)
+            alg, stride = BaseVecAlgebra(n << bits), 1 << (rate_bits - bits)
             xs = lde_points(circuit.log_n + bits)
-
-            sel = data.preprocessed.values[::stride, 0:5].T  # (5, n_q)
-            sig = data.preprocessed.values[::stride, 5:8].T  # (3, n_q)
-            w = wires_batch.values[::stride].T  # (3, n_q)
             z_lde = z_batch.values[::stride, 0]
-            z_next = np.roll(z_lde, -(1 << bits))
-            pi_lde = _pi_poly_on_lde(circuit, public_values, bits)
-
-            gate = gl64.add(
-                gl64.add(
-                    gl64.add(gl64.mul(sel[0], w[0]), gl64.mul(sel[1], w[1])),
-                    gl64.mul(sel[2], gl64.mul(w[0], w[1])),
-                ),
-                gl64.add(gl64.add(gl64.mul(sel[3], w[2]), sel[4]), pi_lde),
+            values = constraints(
+                alg,
+                data.preprocessed.values[::stride].T,
+                wires_batch.values[::stride, :NUM_WIRES].T,
+                [gl64.mul(xs, np.uint64(k)) for k in coset_representatives()],
+                z_lde,
+                np.roll(z_lde, -(1 << bits)),
+                lde(public_input_values(circuit, public_values), bits),
+                lagrange_first(n, bits),
+                beta,
+                gamma,
             )
-
-            ks = [np.uint64(k) for k in coset_representatives()]
-            beta_u = np.uint64(beta)
-            gamma_u = np.uint64(gamma)
-            f_vals = gl64.ones(n_q)
-            g_vals = gl64.ones(n_q)
-            for j in range(3):
-                f_vals = gl64.mul(
-                    f_vals,
-                    gl64.add(
-                        gl64.add(w[j], gl64.mul(xs, gl64.mul(ks[j], beta_u))), gamma_u
-                    ),
-                )
-                g_vals = gl64.mul(
-                    g_vals, gl64.add(gl64.add(w[j], gl64.mul(sig[j], beta_u)), gamma_u)
-                )
-            copy1 = gl64.sub(gl64.mul(z_lde, f_vals), gl64.mul(z_next, g_vals))
-            copy2 = gl64.mul(lagrange_first(n, bits), gl64.sub(z_lde, np.uint64(1)))
-
-            alpha_sq = fext.mul(alpha, alpha)
-            combined = fext.from_base(gate)
-            combined = fext.add(
-                combined, fext.scalar_mul(np.broadcast_to(alpha, (n_q, 2)), copy1)
-            )
-            combined = fext.add(
-                combined, fext.scalar_mul(np.broadcast_to(alpha_sq, (n_q, 2)), copy2)
-            )
-
-            t_vals = fext.scalar_mul(combined, vanishing_inverse(n, bits))  # (n_q, 2)
-
-        quotient_batch = pcs.commit_quotient(t_vals, n, chunks, coset_bits=coset_bits)
+            zh_inv = vanishing_inverse(n, bits)
+            quotient = blend(alg, alpha, [(v, zh_inv) for v in values])
 
         # Step 4: openings and FRI.
-        (zeta,) = commit("quotient", quotient_batch.cap)
-        openings, fri_proof = pcs.open_and_prove(
-            PLONK.points(zeta, n), PLONK.columns, challenger
-        )
-
-    return Proof(
-        caps=[wires_batch.cap.copy(), z_batch.cap.copy(), quotient_batch.cap.copy()],
-        opened_values=openings.flat_values(),
-        fri_proof=fri_proof,
-    )
+        return PLONK.finish(pcs, commit, quotient, n, challenger)

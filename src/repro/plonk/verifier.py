@@ -1,10 +1,11 @@
 """Plonk verifier: transcript replay and the opening identity at zeta.
 
-The shared tail re-derives every challenge, :func:`_check_identity`
-evaluates the gate/copy constraint blend from the *opened* polynomial
-values at ``zeta`` and checks it against ``Z_H(zeta) * t(zeta)``, and
-the tail then verifies the batch FRI proof that ties the opened values
-to the commitments.
+The shared tail re-derives every challenge, :func:`_blend` evaluates
+the gate/copy constraints (:func:`repro.plonk.protocol.constraints`)
+from the *opened* polynomial values at ``zeta`` and blends them over
+``Z_H(zeta)``, the tail checks that against ``t(zeta)`` and then
+verifies the batch FRI proof that ties the opened values to the
+commitments.
 """
 
 from __future__ import annotations
@@ -16,13 +17,12 @@ import numpy as np
 
 from .. import tracing
 from ..field import extension as fext, goldilocks as gl
-from ..fri import FriOpenings
+from ..field.algebra import ExtAlgebra, blend
 from ..hashing import Challenger
-from ..pcs import FriPCS
 from ..pcs.protocol import Proof
 from .permutation import coset_representatives
 from .proof import VerifierData
-from .protocol import PLONK, PlonkError
+from .protocol import PLONK, constraints
 
 
 def verify(
@@ -33,78 +33,39 @@ def verify(
     with tracing.span("verify", category="verify", protocol="plonk", n=vdata.n):
         PLONK.verify(
             proof, (vdata.preprocessed_cap,), publics, vdata.config, vdata.n,
-            challenger or Challenger(), partial(_check_identity, vdata, publics),
+            challenger or Challenger(), partial(_blend, vdata, publics),
         )
 
 
-def _check_identity(
+def _blend(
     vdata: VerifierData,
     publics: Sequence[int],
-    openings: FriOpenings,
+    at_zeta: Sequence[np.ndarray],
+    at_next: np.ndarray,
+    zh: np.ndarray,
     beta: int,
     gamma: int,
     alpha: np.ndarray,
     zeta: np.ndarray,
-) -> None:
-    """The gate / copy constraint identity holds on the opened values
-    at ``zeta``."""
+) -> np.ndarray:
+    """The gate / copy constraint blend over ``Z_H`` on the opened
+    values at ``zeta``."""
     n = vdata.n
-    omega = gl.primitive_root_of_unity(n.bit_length() - 1)
-    at_zeta, (z_next,) = openings.values
-    pre, wire, (z_zeta,), quotient = np.split(at_zeta, np.cumsum(PLONK.widths)[:-1])
-    sel, sig = pre[:5], pre[5:]
+    omega, n_inv = gl.primitive_root_of_unity(n.bit_length() - 1), gl.inverse(n)
+    pre, wires, (z,), _ = at_zeta
+    (z_next,) = at_next
 
-    # --- the polynomial identity at zeta -------------------------------------
-    zeta_n = fext.pow_scalar(zeta.reshape(2), n)
-    zh = fext.sub(zeta_n, fext.one())
-    if bool(fext.is_zero(zh)):
-        raise PlonkError("zeta landed inside the subgroup (reject)")
+    def lagrange(row: int) -> np.ndarray:
+        """``L_row(zeta) = omega^row Z_H(zeta) / (n (zeta - omega^row))``."""
+        point = gl.pow_mod(omega, row)
+        denom = fext.sub(zeta, fext.from_base(np.uint64(point)))
+        return fext.mul(fext.scalar_mul(zh, np.uint64(gl.mul(point, n_inv))), fext.inv(denom))
 
-    # Gate constraint with the public-input polynomial.
-    gate = fext.add(
-        fext.add(fext.mul(sel[0], wire[0]), fext.mul(sel[1], wire[1])),
-        fext.add(
-            fext.mul(sel[2], fext.mul(wire[0], wire[1])),
-            fext.add(fext.mul(sel[3], wire[2]), sel[4]),
-        ),
-    )
-    pi_eval = fext.zero()
-    n_inv = gl.inverse(n)
+    pi = fext.zero()
     for row, value in zip(vdata.public_input_rows, publics, strict=True):
-        omega_row = gl.pow_mod(omega, row)
-        denom = fext.sub(zeta.reshape(2), fext.from_base(np.uint64(omega_row)))
-        lag = fext.mul(
-            fext.scalar_mul(zh, np.uint64(gl.mul(omega_row, n_inv))), fext.inv(denom)
-        )
-        pi_eval = fext.sub(pi_eval, fext.scalar_mul(lag, np.uint64(value)))
-    gate = fext.add(gate, pi_eval)
-
-    # Copy constraints.
-    ks = coset_representatives()
-    f_eval = fext.one()
-    g_eval = fext.one()
-    beta_u = np.uint64(beta)
-    gamma_e = fext.from_base(np.uint64(gamma))
-    for j in range(3):
-        id_j = fext.scalar_mul(zeta.reshape(2), np.uint64(gl.mul(ks[j], beta)))
-        f_eval = fext.mul(f_eval, fext.add(fext.add(wire[j], id_j), gamma_e))
-        sig_j = fext.scalar_mul(sig[j], beta_u)
-        g_eval = fext.mul(g_eval, fext.add(fext.add(wire[j], sig_j), gamma_e))
-    copy1 = fext.sub(fext.mul(z_zeta, f_eval), fext.mul(z_next, g_eval))
-
-    l1_denom = fext.scalar_mul(fext.sub(zeta.reshape(2), fext.one()), np.uint64(n))
-    l1 = fext.mul(zh, fext.inv(l1_denom))
-    copy2 = fext.mul(l1, fext.sub(z_zeta, fext.one()))
-
-    lhs = fext.add(
-        gate,
-        fext.add(
-            fext.mul(alpha, copy1), fext.mul(fext.mul(alpha, alpha), copy2)
-        ),
-    )
-
-    t_eval = FriPCS.quotient_at(quotient, zeta_n)
-    rhs = fext.mul(zh, t_eval)
-
-    if not np.array_equal(lhs.reshape(2), rhs.reshape(2)):
-        raise PlonkError("constraint identity fails at zeta")
+        pi = fext.sub(pi, fext.scalar_mul(lagrange(row), np.uint64(value)))
+    labels = [fext.scalar_mul(zeta, np.uint64(k)) for k in coset_representatives()]
+    alg = ExtAlgebra()
+    values = constraints(alg, pre, wires, labels, z, z_next, pi, lagrange(0), beta, gamma)
+    zh_inv = fext.inv(zh)
+    return blend(alg, alpha, [(v, zh_inv) for v in values])

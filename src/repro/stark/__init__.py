@@ -1,7 +1,7 @@
 """Starky-style STARK: AIR definitions, prover, verifier."""
 
 from . import poseidon_air
-from .air import Air, BaseVecAlgebra, BoundaryConstraint, ExtAlgebra
+from .air import Air, BoundaryConstraint
 from .poseidon_air import PoseidonAir
 from .protocol import StarkError
 from .prover import prove
@@ -10,8 +10,6 @@ from .verifier import verify
 __all__ = [
     "Air",
     "BoundaryConstraint",
-    "BaseVecAlgebra",
-    "ExtAlgebra",
     "PoseidonAir",
     "poseidon_air",
     "prove",

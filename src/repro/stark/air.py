@@ -9,9 +9,11 @@ declares:
 * **boundary constraints** -- pinned cell values (inputs/outputs), e.g.
   ``x0[0] = 0`` and ``x1[0] = 1`` for Fibonacci.
 
-Constraints are written once against an abstract *algebra* so the same
-definition evaluates vectorised over the whole LDE coset (prover side,
-base field) and at a single extension point ``zeta`` (verifier side).
+Constraints are written once against an abstract *algebra*
+(:mod:`repro.field.algebra`) so the same definition evaluates
+vectorised over the whole LDE coset (prover side, base field) and at a
+single extension point ``zeta`` (verifier side), and
+:meth:`Air.composition` blends them into the quotient both sides read.
 """
 
 from __future__ import annotations
@@ -21,58 +23,8 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..field import extension as fext, gl64, goldilocks as gl
-
-
-class BaseVecAlgebra:
-    """Vectorised base-field algebra over (N,) uint64 arrays."""
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-
-    def constant(self, c: int):
-        """Broadcast a constant over the domain."""
-        return np.broadcast_to(np.uint64(gl.canonical(c)), (self.n,))
-
-    def add(self, a, b):
-        """Field addition."""
-        return gl64.add(a, b)
-
-    def sub(self, a, b):
-        """Field subtraction."""
-        return gl64.sub(a, b)
-
-    def mul(self, a, b):
-        """Field multiplication."""
-        return gl64.mul(a, b)
-
-    def mul_const(self, a, c: int):
-        """Multiply by a Python-int constant."""
-        return gl64.mul(a, np.uint64(gl.canonical(c)))
-
-
-class ExtAlgebra:
-    """Extension-field algebra over (2,) arrays (verifier at zeta)."""
-
-    def constant(self, c: int):
-        """Embed a constant into the extension."""
-        return fext.from_base(np.uint64(gl.canonical(c)))
-
-    def add(self, a, b):
-        """Extension addition."""
-        return fext.add(a, b)
-
-    def sub(self, a, b):
-        """Extension subtraction."""
-        return fext.sub(a, b)
-
-    def mul(self, a, b):
-        """Extension multiplication."""
-        return fext.mul(a, b)
-
-    def mul_const(self, a, c: int):
-        """Multiply by a base-field constant."""
-        return fext.scalar_mul(a, np.uint64(gl.canonical(c)))
+from ..field import goldilocks as gl
+from ..field.algebra import BaseVecAlgebra, blend
 
 
 @dataclass(frozen=True)
@@ -131,6 +83,22 @@ class Air:
     def boundary_constraints(self, public_inputs: Sequence[int]) -> List[BoundaryConstraint]:
         """Return the boundary constraints for the given public values."""
         return []
+
+    def composition(
+        self, alg, alpha, local, next_row, constants, publics, transition_inv, boundary_inv
+    ):
+        """The quotient the constraints blend to
+        (:func:`~repro.field.algebra.blend`): every transition
+        constraint over ``transition_inv``, the inverse of its divisor
+        ``Z_H(x) / (x - omega^(n-1))``, then every boundary constraint
+        ``local[column] - value`` over ``boundary_inv(row)``, the inverse
+        of ``x - omega^row``."""
+        transitions = self.eval_transition_with_constants(local, next_row, constants, alg)
+        terms = [(con, transition_inv) for con in transitions] + [
+            (alg.sub(local[bc.column], alg.constant(bc.value)), boundary_inv(bc.row))
+            for bc in self.boundary_constraints(publics)
+        ]
+        return blend(alg, alpha, terms)
 
     def check_trace(self, trace: np.ndarray, public_inputs: Sequence[int]) -> bool:
         """Directly validate a trace against all constraints (test helper)."""

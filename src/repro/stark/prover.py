@@ -25,14 +25,15 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .. import parallel, tracing
-from ..field import extension as fext, gl64, goldilocks as gl
+from ..field import gl64, goldilocks as gl
+from ..field.algebra import BaseVecAlgebra
 from ..fri import FriConfig, fri_layout
 from ..fri.prover import lde_points, vanishing_inverse
 from ..hashing import Challenger
-from ..ntt import lde
+from ..ntt import intt, lde_coeffs
 from ..pcs import FriPCS
 from ..pcs.protocol import Proof
-from .air import Air, BaseVecAlgebra
+from .air import Air
 from .protocol import stark
 
 
@@ -61,6 +62,20 @@ def boundary_inverse(n: int, rate_bits: int, row: int) -> np.ndarray:
     return table
 
 
+def constant_coeffs(cols: np.ndarray) -> np.ndarray:
+    """Read-only cached coefficients of public constant columns over
+    their subgroup, keyed by content: the prover extends them, the
+    verifier evaluates them at ``zeta``."""
+    return _constant_coeffs(cols.tobytes(), cols.shape)
+
+
+@lru_cache(maxsize=8)
+def _constant_coeffs(content: bytes, shape: Tuple[int, int]) -> np.ndarray:
+    table = intt(np.frombuffer(content, dtype=np.uint64).reshape(shape))
+    gl64.freeze(table)
+    return table
+
+
 def constant_ldes(cols: np.ndarray, rate_bits: int) -> np.ndarray:
     """Read-only cached LDE of public constant columns, keyed by content."""
     return _constant_ldes(cols.tobytes(), cols.shape, rate_bits)
@@ -68,7 +83,7 @@ def constant_ldes(cols: np.ndarray, rate_bits: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _constant_ldes(content: bytes, shape: Tuple[int, int], rate_bits: int) -> np.ndarray:
-    table = lde(np.frombuffer(content, dtype=np.uint64).reshape(shape), rate_bits)
+    table = lde_coeffs(_constant_coeffs(content, shape), rate_bits)
     gl64.freeze(table)
     return table
 
@@ -129,50 +144,12 @@ def prove(
         with tracing.span("constraints", category="quotient"):
             locals_ = [trace_batch.values[::stride, c] for c in range(width)]
             nexts = [np.roll(col, -(1 << bits)) for col in locals_]
-            alg = BaseVecAlgebra(n_q)
             # Public constant columns (periodic-style): LDE without commitment.
-            const_cols = air.constant_columns(n)
-            if const_cols.shape[0]:
-                const_ldes = constant_ldes(const_cols, bits)
-                consts = [const_ldes[k] for k in range(const_cols.shape[0])]
-            else:
-                consts = []
-            transition_vals = air.eval_transition_with_constants(
-                locals_, nexts, consts, alg
+            consts = list(constant_ldes(air.constant_columns(n), bits))
+            quotient = air.composition(
+                BaseVecAlgebra(n_q), alpha, locals_, nexts, consts, public_inputs,
+                transition_divisor_inverse(n, bits),
+                lambda row: boundary_inverse(n, bits, row % n),
             )
 
-            transition_div_inv = transition_divisor_inverse(n, bits)
-
-            combined = fext.from_base(gl64.zeros(n_q))
-            alpha_t = fext.one()
-            for con in transition_vals:
-                term = gl64.mul(np.broadcast_to(con, (n_q,)), transition_div_inv)
-                combined = fext.add(
-                    combined,
-                    fext.scalar_mul(np.broadcast_to(alpha_t, (n_q, 2)), term),
-                )
-                alpha_t = fext.mul(alpha_t, alpha.reshape(2))
-            for bc in air.boundary_constraints(public_inputs):
-                numer = gl64.sub(locals_[bc.column], np.uint64(gl.canonical(bc.value)))
-                div_inv = boundary_inverse(n, bits, bc.row % n)
-                term = gl64.mul(numer, div_inv)
-                combined = fext.add(
-                    combined,
-                    fext.scalar_mul(np.broadcast_to(alpha_t, (n_q, 2)), term),
-                )
-                alpha_t = fext.mul(alpha_t, alpha.reshape(2))
-
-        # Commit the composition quotient (2 limbs x `chunks` degree-n chunks).
-        quotient_batch = pcs.commit_quotient(combined, n, chunks, coset_bits=coset_bits)
-
-        # Openings at zeta and zeta * omega.
-        (zeta,) = commit("quotient", quotient_batch.cap)
-        openings, fri_proof = pcs.open_and_prove(
-            protocol.points(zeta, n), protocol.columns, challenger
-        )
-
-    return Proof(
-        caps=[trace_batch.cap.copy(), quotient_batch.cap.copy()],
-        opened_values=openings.flat_values(),
-        fri_proof=fri_proof,
-    )
+        return protocol.finish(pcs, commit, quotient, n, challenger)

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from repro.field import gl64, goldilocks as gl
 from repro.plonk import CircuitBuilder
+from repro.plonk.protocol import copy_product
+from repro.field.algebra import BaseVecAlgebra
 from repro.plonk.permutation import (
     CHUNK_SIZE,
-    blend,
     compute_z,
     coset_representatives,
     id_values,
@@ -155,7 +156,7 @@ class TestZ:
     def test_blend(self, rng):
         wires = gl64.random((3, 4), rng)
         labels = gl64.random((3, 4), rng)
-        out = blend(wires, labels, 5, 7)
+        out = copy_product(BaseVecAlgebra(4), wires, labels, 5, 7)
         for i in range(4):
             expect = 1
             for j in range(3):

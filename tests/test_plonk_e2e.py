@@ -66,7 +66,7 @@ class TestSoundness:
     def test_bad_witness_rejected(self, paper_data):
         data, xs = paper_data
         inputs = {xs[0].index: 2, xs[1].index: 9, xs[2].index: 3, xs[3].index: 4}
-        with pytest.raises(PlonkError):
+        with pytest.raises(PlonkError, match="constraint identity fails at zeta"):
             verify(data.verifier_data, [], prove(data, inputs))
 
     def test_tampered_wires_cap(self, paper_data, valid_proof):

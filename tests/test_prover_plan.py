@@ -133,7 +133,9 @@ def test_interleaved_shapes_do_not_corrupt_workspaces():
 def test_plan_caches_are_read_only_and_reused():
     """Every per-shape table is a bounded cache: a second read returns
     the object the first one built, and that object is read-only."""
-    cached = SHAPE_TABLES + (lde_points, boundary_inverse, stark_prover._constant_ldes)
+    cached = SHAPE_TABLES + (
+        lde_points, boundary_inverse, stark_prover._constant_coeffs, stark_prover._constant_ldes
+    )
     assert all(f.cache_parameters()["maxsize"] for f in cached)
     xs = lde_points(7)
     assert lde_points(7) is xs
@@ -203,6 +205,22 @@ def test_lazy_tables_are_read_only_and_built_once(rng):
     assert constant_ldes(cols.copy(), 1) is lde  # keyed by content
     assert not lde.flags.writeable
     assert constant_ldes(cols ^ np.uint64(1), 1) is not lde
+
+
+def test_second_sha256_verify_runs_no_transform():
+    """The SHA-256 AIR's constant columns are interpolated once, into
+    the table the prover's LDE reads too: a verify on a warm table runs
+    no NTT."""
+    system = get("stark")
+    setup = system.setup(by_name("SHA-256"), 6, CONFIG)
+    proof = system.prove(setup)
+    stark_prover._constant_coeffs.cache_clear()
+    transforms = []
+    for _ in range(2):
+        with metrics.counting() as counts:
+            system.verify(setup, proof)
+        transforms.append(counts.as_dict()["ntt_transforms"])
+    assert transforms[0] > 0 and transforms[1] == 0
 
 
 #: Plonk-flavoured parameters (8x blowup) both protocols can prove under.

@@ -8,7 +8,8 @@ import pytest
 from repro.field import goldilocks as gl
 from repro.protocols import get as get_protocol
 from repro.serialize import proof_from_blob, proof_to_blob
-from repro.stark import Air, BoundaryConstraint, ExtAlgebra, StarkError, prove, verify
+from repro.field.algebra import ExtAlgebra
+from repro.stark import Air, BoundaryConstraint, StarkError, prove, verify
 from repro.workloads.factorial import FactorialAir, build_air as build_factorial
 from repro.workloads import by_name
 from repro.workloads.fibonacci import FibonacciAir, build_air as build_fibonacci, fibonacci_mod_p
@@ -59,15 +60,15 @@ class TestEndToEnd:
 
     def test_bad_trace_rejected(self, builder, stark_test_config):
         air, trace, publics = builder(5)
-        bad = trace.copy()
-        bad[3, -1] = np.uint64(int(bad[3, -1]) ^ 1)
-        with pytest.raises(StarkError):
+        bad, mid = trace.copy(), len(trace) // 2
+        bad[mid, -1] = np.uint64(int(bad[mid, -1]) ^ 1)
+        with pytest.raises(StarkError, match="constraint identity fails at zeta"):
             verify(air, len(bad), publics, prove(air, bad, publics, stark_test_config), stark_test_config)
 
     def test_wrong_public_rejected(self, builder, stark_test_config):
         air, trace, publics = builder(5)
         bad_publics = [publics[0], (publics[1] + 1) % gl.P]
-        with pytest.raises(StarkError):
+        with pytest.raises(StarkError, match="constraint identity fails at zeta"):
             verify(
                 air,
                 len(trace),
