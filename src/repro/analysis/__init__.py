@@ -10,7 +10,7 @@ cannot see.  Three layers:
 1. :mod:`repro.analysis.sanitizer` -- given a schedule spec destined
    for :class:`repro.hw.microcode.GridEmulator`, statically verify the
    structural and dataflow invariants (``sched.*`` rules).  The
-   emulator runs the same checks at program load (``validate=True``).
+   emulator runs the same checks at every program load.
 2. :mod:`repro.analysis.transcript` -- a recording
    :class:`~repro.hashing.Challenger` drives every registered
    :class:`~repro.protocols.ProofSystem`'s prove *and* verify paths at

@@ -28,9 +28,9 @@ values are visible exactly one cycle after being driven):
   architectural "undriven latch reads as zero" must say so with an
   explicit ``zero`` source.
 
-:class:`repro.hw.microcode.GridEmulator` runs the same checks at
-program load (``validate=True``), so a bad schedule fails up front with
-the rule id instead of silently misexecuting.
+:class:`repro.hw.microcode.GridEmulator` runs these checks at every
+program load, so a bad schedule fails up front with the rule id instead
+of silently misexecuting.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class ScheduleSpec:
     num_cycles: Optional[int] = None
 
     def horizon(self) -> int:
-        """Cycles the emulator would execute (mirrors ``GridEmulator.run``)."""
+        """Cycles ``GridEmulator.run`` executes."""
         if self.num_cycles is not None:
             return self.num_cycles
         return max(
@@ -107,10 +107,6 @@ def spec_for_emulator(
         preloaded_regs=set(preloaded) if preloaded else None,
         num_cycles=num_cycles,
     )
-
-
-def _as_ops(entry) -> tuple:
-    return entry if isinstance(entry, tuple) else (entry,)
 
 
 _LATCHES = ("out_right", "out_down", "out_up")
@@ -238,7 +234,7 @@ def sanitize(
         for pos, program in in_grid.items():
             if cycle >= len(program):
                 continue
-            ops = _as_ops(program[cycle])
+            ops = mc._normalise_cycle(program[cycle])
             muls = sum(1 for i in ops if i.op in mc._MUL_OPS)
             adds = sum(1 for i in ops if i.op in mc._ADD_OPS)
             if muls > 1:

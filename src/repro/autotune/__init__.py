@@ -7,8 +7,8 @@ and scored on the simulator's cost model (:mod:`repro.autotune.search`).
 The search is a pure function of ``(graph, hw)`` -- exhaustive, 3-100 ms
 on a paper workload -- and nothing it finds is kept anywhere: a caller
 that wants the tuned schedule passes ``mapping=report.mapping_for`` to
-``schedule`` / ``lower`` / ``simulate_graph``, whose only source of
-mapping decisions is that argument.  This is the hardware-mapping tuner
+``schedule`` / ``simulate_graph``, whose only source of mapping
+decisions is that argument.  This is the hardware-mapping tuner
 only: the software prover has no tuning plane.
 """
 

@@ -8,8 +8,8 @@ sequential sum of ``max(compute, memory)`` kernels).  The search is
 exhaustive -- 29 candidates, 3-100 ms on a paper workload -- so its
 result depends on ``(graph, hw)`` alone: no budget, no seed, no state
 kept between calls.  The winners leave as :meth:`TuneReport.mapping_for`,
-which a caller hands to ``schedule`` / ``lower`` / ``simulate_graph``
-as their ``mapping`` argument.
+which a caller hands to ``schedule`` / ``simulate_graph`` as their
+``mapping`` argument.
 
 Rejection happens before scoring, in two cheap layers:
 
@@ -35,10 +35,9 @@ from ..analysis.sanitizer import sanitize
 from ..analysis.schedules import spec_of
 from ..compiler.frontend import PlonkParams, trace_plonky2
 from ..compiler.graph import ComputationGraph, KernelNode
-from ..compiler.scheduler import map_node
+from ..compiler.scheduler import map_node, schedule
 from ..hw.config import DEFAULT_CONFIG, HwConfig
 from ..mapping.params import DEFAULT_MAPPING, MappingParams
-from ..sim.simulator import simulate_graph
 from .space import Candidate, candidate_spaces
 
 #: The candidate family that covers each tunable node kind; every
@@ -232,15 +231,15 @@ def tune_graph(graph: ComputationGraph, hw: HwConfig = DEFAULT_CONFIG) -> TuneRe
         shapes.append(result)
 
     # Whole-graph check: the winners against the static mapping, end to
-    # end through the real simulator.
+    # end through the one schedule the simulator reports.
     report = TuneReport(
         workload=graph.name,
         hw=hw,
         shapes=shapes,
-        default_total_cycles=simulate_graph(graph, hw).total_cycles,
+        default_total_cycles=schedule(graph, hw).total_cycles,
         tuned_total_cycles=0.0,
     )
-    report.tuned_total_cycles = simulate_graph(
+    report.tuned_total_cycles = schedule(
         graph, hw, mapping=report.mapping_for
     ).total_cycles
     return report

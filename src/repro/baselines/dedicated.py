@@ -50,7 +50,7 @@ class DedicatedChip:
     def run(self, graph: ComputationGraph) -> "DedicatedReport":
         """Execute the graph; each kernel only on its own unit."""
         report = DedicatedReport(workload=graph.name)
-        for sk in schedule(graph, self.hw):
+        for sk in schedule(graph, self.hw).kernels:
             cost = sk.cost
             share = self.shares.get(cost.kind, 1.0)
             if share <= 0:
@@ -112,10 +112,10 @@ class Top2Chip:
         accel_cycles = 0.0
         host_seconds = 0.0
         transfer_bytes = 0.0
-        for sk in schedule(graph, self.hw):
+        for sk in schedule(graph, self.hw).kernels:
             cost = sk.cost
             if cost.kind in (KIND_HASH, KIND_NTT):
-                accel_cycles += cost.elapsed_cycles(self.hw)
+                accel_cycles += sk.elapsed
                 continue
             _, secs = self.cpu.node_seconds(sk.node)
             host_seconds += secs

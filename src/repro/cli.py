@@ -103,7 +103,7 @@ def cmd_simulate(args) -> int:
     hw = _hw_from_args(args)
     report = simulate_plonky2(spec.plonk, hw)
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        print(json.dumps(report.report_dict(), indent=2, sort_keys=True))
         return 0
     for line in report.summary_lines():
         print(line)
@@ -117,14 +117,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_schedule(args) -> int:
-    """Print the lowered execution schedule."""
-    from .compiler import lower, trace_plonky2
+    """Print the execution schedule."""
+    from .compiler import schedule, trace_plonky2
 
     spec = _resolve_workload(args.workload)
     hw = _hw_from_args(args)
-    sched = lower(trace_plonky2(spec.plonk), hw)
+    sched = schedule(trace_plonky2(spec.plonk), hw)
     if args.json:
-        print(json.dumps(sched.to_dict(), indent=2, sort_keys=True))
+        print(json.dumps(sched.timeline_dict(), indent=2, sort_keys=True))
     else:
         print(sched.format(limit=args.limit))
         print(f"memory-bound fraction: {sched.bound_fraction() * 100:.0f}%")
@@ -132,14 +132,18 @@ def cmd_schedule(args) -> int:
         from .sim.tracing import write_trace
 
         write_trace(sched, args.trace_out)
-        print(f"wrote schedule trace to {args.trace_out}")
+        # Under --json, stdout carries the JSON document alone.
+        print(
+            f"wrote schedule trace to {args.trace_out}",
+            file=sys.stderr if args.json else sys.stdout,
+        )
     return 0
 
 
 def cmd_tune(args) -> int:
     """Search kernel mappings for a workload; report default vs tuned."""
     from .autotune import tune_workload
-    from .compiler import lower, trace_plonky2
+    from .compiler import schedule, trace_plonky2
 
     spec = _resolve_workload(args.workload)
     hw = _hw_from_args(args)
@@ -154,7 +158,7 @@ def cmd_tune(args) -> int:
     if args.trace_out:
         from .sim.tracing import write_trace
 
-        sched = lower(trace_plonky2(spec.plonk), hw, mapping=report.mapping_for)
+        sched = schedule(trace_plonky2(spec.plonk), hw, mapping=report.mapping_for)
         write_trace(sched, args.trace_out)
         print(f"wrote tuned schedule trace to {args.trace_out}")
     return 0

@@ -9,8 +9,7 @@ from .frontend import (
     trace_starky,
 )
 from .graph import ComputationGraph, KernelNode
-from .lowering import DetailedSchedule, KernelSchedule, lower
-from .scheduler import MappingLike, ScheduledKernel, map_node, schedule
+from .scheduler import MappingLike, Schedule, ScheduledKernel, map_node, schedule
 
 __all__ = [
     "ComputationGraph",
@@ -22,10 +21,8 @@ __all__ = [
     "trace_starky",
     "trace_recursive_plonky2",
     "MappingLike",
+    "Schedule",
     "ScheduledKernel",
-    "DetailedSchedule",
-    "KernelSchedule",
-    "lower",
     "map_node",
     "schedule",
 ]

@@ -12,19 +12,58 @@ functional provers execute -- evaluated at paper-scale parameters.
 
 from __future__ import annotations
 
-from ..merkle import merkle_permutation_count
 from ..workloads.base import PlonkParams, StarkParams
 from .graph import ComputationGraph
 
 
-def _fri_layers(lde_size: int, arity_bits: int, final_len: int = 8) -> list[int]:
-    """Sizes of the FRI commit-phase layers."""
+#: Coefficients in the final FRI polynomial (Plonky2's default).
+FRI_FINAL_POLY_LEN = 8
+
+
+def fri_layers(lde_size: int, arity_bits: int) -> list[int]:
+    """Sizes of the FRI commit-phase layers.
+
+    Folding stops once a layer holds at most ``8 * FRI_FINAL_POLY_LEN``
+    values.  The graph's ``fri.layer*`` nodes and the proof-size model
+    (:mod:`repro.experiments.proof_size`) both read this one list.
+    """
     sizes = []
     size = lde_size
-    while size > final_len * 8:
+    while size > FRI_FINAL_POLY_LEN * 8:
         sizes.append(size)
         size >>= arity_bits
     return sizes
+
+
+def _fri_tail(
+    g: ComputationGraph,
+    p: PlonkParams | StarkParams,
+    total_cols: int,
+) -> None:
+    """Append Prove Openings: combine, per layer a Merkle tree and a
+    fold, grinding, then the query openings."""
+    g.add("fri.combine", "poly_elementwise", stage="prove_openings",
+          deps=["challenges.zeta"], vector_len=p.lde_size,
+          num_ops=3 * total_cols + 12, num_operands=total_cols)
+    layers = fri_layers(p.lde_size, p.fri_arity_bits)
+    prev = "fri.combine"
+    for i, size in enumerate(layers):
+        leaf_width = 2 << p.fri_arity_bits  # arity cosets of extension values
+        g.add(f"fri.layer{i}.merkle", "merkle", stage="prove_openings",
+              deps=[prev], leaves=size >> p.fri_arity_bits, width=leaf_width)
+        g.add(f"fri.layer{i}.fold", "poly_elementwise", stage="prove_openings",
+              deps=[f"fri.layer{i}.merkle"], vector_len=size,
+              num_ops=9, num_operands=3)
+        prev = f"fri.layer{i}.fold"
+    g.add("fri.pow", "hash_misc", stage="prove_openings",
+          deps=[prev], perms=1 << p.pow_bits)
+    query_bytes = p.num_queries * (
+        total_cols * 8
+        + len(layers) * (2 << p.fri_arity_bits) * 8
+        + (p.degree_bits + p.rate_bits + len(layers)) * 32
+    )
+    g.add("fri.queries", "query_io", stage="prove_openings",
+          deps=["fri.pow"], bytes=query_bytes)
 
 
 def trace_plonky2(p: PlonkParams) -> ComputationGraph:
@@ -74,29 +113,7 @@ def trace_plonky2(p: PlonkParams) -> ComputationGraph:
           deps=["quotient.merkle"], perms=4)
 
     # -- Prove Openings: FRI --
-    total_cols = p.committed_columns
-    g.add("fri.combine", "poly_elementwise", stage="prove_openings",
-          deps=["challenges.zeta"], vector_len=p.lde_size,
-          num_ops=3 * total_cols + 12, num_operands=total_cols)
-    layers = _fri_layers(p.lde_size, p.fri_arity_bits)
-    prev = "fri.combine"
-    for i, size in enumerate(layers):
-        leaf_width = 2 << p.fri_arity_bits  # arity cosets of extension values
-        g.add(f"fri.layer{i}.merkle", "merkle", stage="prove_openings",
-              deps=[prev], leaves=size >> p.fri_arity_bits, width=leaf_width)
-        g.add(f"fri.layer{i}.fold", "poly_elementwise", stage="prove_openings",
-              deps=[f"fri.layer{i}.merkle"], vector_len=size,
-              num_ops=9, num_operands=3)
-        prev = f"fri.layer{i}.fold"
-    g.add("fri.pow", "hash_misc", stage="prove_openings",
-          deps=[prev], perms=1 << p.pow_bits)
-    query_bytes = p.num_queries * (
-        total_cols * 8
-        + len(layers) * (2 << p.fri_arity_bits) * 8
-        + (lde_bits + len(layers)) * 32
-    )
-    g.add("fri.queries", "query_io", stage="prove_openings",
-          deps=["fri.pow"], bytes=query_bytes)
+    _fri_tail(g, p, p.committed_columns)
     return g
 
 
@@ -127,29 +144,7 @@ def trace_starky(p: StarkParams) -> ComputationGraph:
     g.add("challenges.zeta", "hash_misc", stage="get_challenges",
           deps=["quotient.merkle"], perms=4)
 
-    total_cols = p.width + p.quotient_width
-    g.add("fri.combine", "poly_elementwise", stage="prove_openings",
-          deps=["challenges.zeta"], vector_len=p.lde_size,
-          num_ops=3 * total_cols + 12, num_operands=total_cols)
-    layers = _fri_layers(p.lde_size, p.fri_arity_bits)
-    prev = "fri.combine"
-    for i, size in enumerate(layers):
-        leaf_width = 2 << p.fri_arity_bits
-        g.add(f"fri.layer{i}.merkle", "merkle", stage="prove_openings",
-              deps=[prev], leaves=size >> p.fri_arity_bits, width=leaf_width)
-        g.add(f"fri.layer{i}.fold", "poly_elementwise", stage="prove_openings",
-              deps=[f"fri.layer{i}.merkle"], vector_len=size,
-              num_ops=9, num_operands=3)
-        prev = f"fri.layer{i}.fold"
-    g.add("fri.pow", "hash_misc", stage="prove_openings",
-          deps=[prev], perms=1 << p.pow_bits)
-    query_bytes = p.num_queries * (
-        total_cols * 8
-        + len(layers) * (2 << p.fri_arity_bits) * 8
-        + (n_bits + p.rate_bits + len(layers)) * 32
-    )
-    g.add("fri.queries", "query_io", stage="prove_openings",
-          deps=["fri.pow"], bytes=query_bytes)
+    _fri_tail(g, p, p.width + p.quotient_width)
     return g
 
 

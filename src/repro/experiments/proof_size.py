@@ -17,17 +17,14 @@ is priced by that expected size instead
 
 from __future__ import annotations
 
-from math import ceil
-
 from ..compiler import PlonkParams, StarkParams
+from ..compiler.frontend import FRI_FINAL_POLY_LEN, fri_layers
 
 #: Bytes per field element / digest.
 ELEM = 8
 DIGEST = 32
 #: Plonky2/Starky default Merkle cap height at paper scale.
 CAP_HEIGHT = 4
-#: Coefficients in the final FRI polynomial.
-FINAL_POLY_LEN = 8
 
 
 def _fri_query_bytes(
@@ -41,23 +38,22 @@ def _fri_query_bytes(
     path_len = max(0, lde_bits - CAP_HEIGHT)
     for width in tree_widths:
         total += width * ELEM + path_len * DIGEST
-    # Layer openings: arity-wide coset of extension values + path.
-    size_bits = lde_bits
-    final_bits = (FINAL_POLY_LEN - 1).bit_length() + 3
-    while size_bits > final_bits:
-        size_bits -= arity_bits
-        coset = (1 << arity_bits) * 2 * ELEM
-        total += coset + max(0, size_bits - CAP_HEIGHT) * DIGEST
+    # Layer openings: arity-wide coset of extension values + path in the
+    # tree over the folded layer.
+    coset = (1 << arity_bits) * 2 * ELEM
+    for size in fri_layers(1 << lde_bits, arity_bits):
+        folded_bits = (size >> arity_bits).bit_length() - 1
+        total += coset + max(0, folded_bits - CAP_HEIGHT) * DIGEST
     return total
 
 
 def _fri_common_bytes(lde_bits: int, arity_bits: int, num_trees: int) -> int:
-    """Caps, final polynomial, grinding witness."""
-    caps = num_trees * (1 << CAP_HEIGHT) * DIGEST
-    layers = max(0, (lde_bits - 6) // arity_bits + 1)
-    layer_caps = layers * (1 << CAP_HEIGHT) * DIGEST
-    final_poly = FINAL_POLY_LEN * 2 * ELEM
-    return caps + layer_caps + final_poly + ELEM
+    """Merkle caps (one per committed tree and per FRI layer), final
+    polynomial, grinding witness."""
+    layers = len(fri_layers(1 << lde_bits, arity_bits))
+    caps = (num_trees + layers) * (1 << CAP_HEIGHT) * DIGEST
+    final_poly = FRI_FINAL_POLY_LEN * 2 * ELEM
+    return caps + final_poly + ELEM
 
 
 def plonk_proof_size(p: PlonkParams) -> int:

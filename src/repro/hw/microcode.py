@@ -123,39 +123,17 @@ class ScheduleError(ValueError):
 
 
 def _normalise_cycle(entry) -> tuple:
-    # Runtime backstop for ``validate=False`` runs; messages carry the
-    # same rule ids the load-time sanitizer reports.
-    ops = entry if isinstance(entry, tuple) else (entry,)
-    muls = sum(1 for i in ops if i.op in _MUL_OPS)
-    adds = sum(1 for i in ops if i.op in _ADD_OPS)
-    if muls > 1:
-        raise ValueError(
-            "[sched.mul-overcommit] a PE has one multiplier: "
-            "at most one mul/mac per cycle"
-        )
-    if adds > 2:
-        raise ValueError(
-            "[sched.add-overcommit] a PE has two adders: "
-            "at most two add/sub/mov per cycle"
-        )
-    for latch in ("out_right", "out_down", "out_up"):
-        if sum(1 for i in ops if getattr(i, latch)) > 1:
-            raise ValueError(
-                f"[sched.latch-double-drive] latch {latch} driven by "
-                "multiple instructions"
-            )
-    return ops
+    """One cycle's program entry as a tuple of instructions."""
+    return entry if isinstance(entry, tuple) else (entry,)
 
 
 class GridEmulator:
     """Execute static per-PE programs cycle by cycle.
 
-    With ``validate=True`` (the default) every program handed to
-    :meth:`run` is first passed through the schedule sanitizer
-    (:mod:`repro.analysis.sanitizer`); hazards raise a
-    :class:`ScheduleError` naming the violated rule ids before any
-    cycle executes.  ``validate=False`` opts out and falls back to the
-    runtime backstop checks only.
+    Every program handed to :meth:`run` is first passed through the
+    schedule sanitizer (:mod:`repro.analysis.sanitizer`); hazards raise
+    a :class:`ScheduleError` naming the violated rule ids before any
+    cycle executes.
     """
 
     def __init__(
@@ -164,13 +142,11 @@ class GridEmulator:
         cols: int,
         reverse_link_cols: Sequence[int] = (),
         register_words: int = 64,
-        validate: bool = True,
     ) -> None:
         self.rows = rows
         self.cols = cols
         self.reverse_link_cols = set(reverse_link_cols)
         self.register_words = register_words
-        self.validate = validate
         self.reset()
 
     def reset(self) -> None:
@@ -226,28 +202,14 @@ class GridEmulator:
         """
         left_inputs = left_inputs or {}
         top_inputs = top_inputs or {}
-        if self.validate:
-            # Late import: repro.analysis.sanitizer imports this module.
-            from ..analysis.sanitizer import sanitize, spec_for_emulator
+        # Late import: repro.analysis.sanitizer imports this module.
+        from ..analysis.sanitizer import sanitize, spec_for_emulator
 
-            findings = sanitize(
-                spec_for_emulator(
-                    self, programs, left_inputs, top_inputs, num_cycles
-                )
-            )
-            if findings:
-                raise ScheduleError(findings)
-        for (r, c) in programs:
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise ValueError(f"[sched.pe-oob] program for PE outside grid: {(r, c)}")
-        horizon = num_cycles
-        if horizon is None:
-            horizon = max(
-                [len(p) for p in programs.values()]
-                + [len(s) for s in left_inputs.values()]
-                + [len(s) for s in top_inputs.values()]
-                + [1]
-            )
+        spec = spec_for_emulator(self, programs, left_inputs, top_inputs, num_cycles)
+        findings = sanitize(spec)
+        if findings:
+            raise ScheduleError(findings)
+        horizon = spec.horizon()
         for cycle in range(horizon):
             self._step(programs, left_inputs, top_inputs, cycle)
         self.cycles_run += horizon
@@ -334,11 +296,6 @@ class GridEmulator:
                 if instr.out_down:
                     new_down[pos] = result
                 if instr.out_up:
-                    if c not in self.reverse_link_cols:
-                        raise ValueError(
-                            f"[sched.reverse-link] PE {pos}: column {c} "
-                            "has no reverse link"
-                        )
                     if r == 0:
                         self.top_outputs.append((cycle, c, result))
                     else:

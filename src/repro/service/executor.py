@@ -93,7 +93,7 @@ def _run(spec: JobSpec) -> bytes:
         from ..sim import simulate_plonky2
 
         report = simulate_plonky2(workload.plonk, DEFAULT_CONFIG)
-        payload = json.dumps(report.to_dict(), sort_keys=True).encode()
+        payload = json.dumps(report.report_dict(), sort_keys=True).encode()
         return write_result_envelope("sim-report", spec.workload, payload)
 
     system = get_protocol(spec.kind)

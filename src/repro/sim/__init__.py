@@ -1,4 +1,8 @@
-"""Performance simulator, reports, and Chrome-trace export."""
+"""Performance simulator and Chrome-trace export.
+
+A simulation is the compiler's :class:`~repro.compiler.Schedule`: the
+timeline and every report derived from it.
+"""
 
 from .simulator import (
     simulate_graph,
@@ -6,7 +10,6 @@ from .simulator import (
     simulate_starky,
     sweep,
 )
-from .stats import KernelRecord, SimReport
 from .tracing import schedule_to_trace_events, write_trace
 
 __all__ = [
@@ -14,8 +17,6 @@ __all__ = [
     "simulate_plonky2",
     "simulate_starky",
     "sweep",
-    "SimReport",
-    "KernelRecord",
     "schedule_to_trace_events",
     "write_trace",
 ]

@@ -1,7 +1,8 @@
 """The UniZK performance simulator.
 
-Executes a scheduled computation graph on a hardware configuration and
-produces a :class:`SimReport`.  Elapsed time per kernel is
+Executes a computation graph on a hardware configuration: the result is
+the compiler's :class:`~repro.compiler.Schedule`, whose report methods
+give the per-class breakdowns.  Elapsed time per kernel is
 ``max(compute, memory)`` under the double-buffered scratchpad (see
 :mod:`repro.mapping.base`); kernels execute in dependency order, which
 matches the paper's static scheduling and its per-kernel breakdown
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..compiler import ComputationGraph, MappingLike, schedule
+from ..compiler import ComputationGraph, MappingLike, Schedule, schedule
 from ..compiler.frontend import (
     PlonkParams,
     StarkParams,
@@ -21,15 +22,14 @@ from ..compiler.frontend import (
 )
 from ..hw.config import DEFAULT_CONFIG, HwConfig
 from ..mapping import DEFAULT_MAPPING
-from .stats import KernelRecord, SimReport
 
 
 def simulate_graph(
     graph: ComputationGraph,
     hw: HwConfig = DEFAULT_CONFIG,
     mapping: MappingLike = DEFAULT_MAPPING,
-) -> SimReport:
-    """Run the scheduler and accumulate the per-kernel records.
+) -> Schedule:
+    """Schedule ``graph`` on ``hw``.
 
     ``mapping`` is :func:`repro.compiler.schedule`'s argument, and the
     only way a mapping decision gets in: one
@@ -37,30 +37,15 @@ def simulate_graph(
     default is the paper's static mapping) or a ``node ->
     MappingParams`` callable.
     """
-    report = SimReport(workload=graph.name, hw=hw)
-    for sk in schedule(graph, hw, mapping=mapping):
-        cost = sk.cost
-        report.records.append(
-            KernelRecord(
-                name=cost.name,
-                kind=cost.kind,
-                stage=sk.stage,
-                elapsed_cycles=cost.elapsed_cycles(hw),
-                mem_bytes=cost.mem_bytes,
-                mult_ops=cost.mult_ops,
-                memory_util=cost.memory_utilization(hw),
-                vsa_util=cost.vsa_utilization(hw),
-            )
-        )
-    return report
+    return schedule(graph, hw, mapping=mapping)
 
 
-def simulate_plonky2(params: PlonkParams, hw: HwConfig = DEFAULT_CONFIG) -> SimReport:
+def simulate_plonky2(params: PlonkParams, hw: HwConfig = DEFAULT_CONFIG) -> Schedule:
     """Simulate one Plonky2 proof generation."""
     return simulate_graph(trace_plonky2(params), hw)
 
 
-def simulate_starky(params: StarkParams, hw: HwConfig = DEFAULT_CONFIG) -> SimReport:
+def simulate_starky(params: StarkParams, hw: HwConfig = DEFAULT_CONFIG) -> Schedule:
     """Simulate one Starky base-proof generation."""
     return simulate_graph(trace_starky(params), hw)
 
@@ -68,6 +53,6 @@ def simulate_starky(params: StarkParams, hw: HwConfig = DEFAULT_CONFIG) -> SimRe
 def sweep(
     params: PlonkParams,
     hw_points: Sequence[HwConfig],
-) -> list[SimReport]:
+) -> list[Schedule]:
     """Simulate one workload across many hardware points (Figure 10)."""
     return [simulate_plonky2(params, hw) for hw in hw_points]

@@ -1,11 +1,11 @@
 """Chrome-trace export of execution schedules.
 
-Writes the compiler's lowered timeline in the Trace Event Format, so a
+Writes the compiler's timeline in the Trace Event Format, so a
 simulated proof generation can be inspected in ``chrome://tracing`` /
 Perfetto: one track per kernel class, DRAM traffic as counter events.
 
 The JSON framing and validation live in :mod:`repro.tracing`; this
-module only knows how to turn a :class:`DetailedSchedule` into events,
+module only knows how to turn a :class:`~repro.compiler.Schedule` into events,
 the same way real-run spans are turned into events by
 :func:`repro.tracing.spans_to_trace_events`.
 """
@@ -15,14 +15,14 @@ from __future__ import annotations
 from pathlib import Path
 from typing import List
 
-from ..compiler.lowering import DetailedSchedule
+from ..compiler import Schedule
 from ..tracing import write_trace_payload
 
 #: Track (thread) ids per kernel class.
 _TRACKS = {"ntt": 1, "hash": 2, "poly": 3, "transform": 4}
 
 
-def schedule_to_trace_events(sched: DetailedSchedule) -> List[dict]:
+def schedule_to_trace_events(sched: Schedule) -> List[dict]:
     """Convert a schedule to Trace Event Format dicts.
 
     Cycle timestamps map to microseconds 1:1 (at 1 GHz one cycle is
@@ -57,7 +57,7 @@ def schedule_to_trace_events(sched: DetailedSchedule) -> List[dict]:
                 "pid": 1,
                 "tid": tid,
                 "ts": k.start_cycle,
-                "dur": max(1.0, k.elapsed),
+                "dur": max(1.0, k.end_cycle - k.start_cycle),
                 "args": {
                     "mode": k.mode,
                     "vsas": k.vsas,
@@ -80,14 +80,14 @@ def schedule_to_trace_events(sched: DetailedSchedule) -> List[dict]:
     return events
 
 
-def write_trace(sched: DetailedSchedule, path: str | Path) -> Path:
+def write_trace(sched: Schedule, path: str | Path) -> Path:
     """Write the schedule as a ``chrome://tracing`` JSON file."""
     return write_trace_payload(
         schedule_to_trace_events(sched),
         path,
         other_data={
             "workload": sched.workload,
-            "total_cycles": sched.total_cycles,
+            "total_cycles": sched.end_cycle,
         },
         display_time_unit="ns",
     )

@@ -105,8 +105,8 @@ class TestScheduler:
     def test_every_node_mapped(self):
         g = trace_plonky2(PlonkParams(name="t", degree_bits=12, width=50))
         sched = schedule(g, HW)
-        assert len(sched) == len(g)
-        for sk in sched:
+        assert len(sched.kernels) == len(g)
+        for sk in sched.kernels:
             assert sk.cost.elapsed_cycles(HW) >= 1.0
 
     def test_transform_hidden(self):
@@ -132,4 +132,4 @@ class TestScheduler:
     def test_stage_propagated(self):
         g = trace_plonky2(PlonkParams(name="t", degree_bits=12, width=50))
         sched = schedule(g, HW)
-        assert any(sk.stage == "quotient" for sk in sched)
+        assert any(sk.stage == "quotient" for sk in sched.kernels)

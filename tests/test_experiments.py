@@ -233,6 +233,43 @@ class TestProofSizes:
         assert stark_proof_size(more) > 1.5 * stark_proof_size(base)
 
 
+def _size_model_cases():
+    from repro.compiler import trace_plonky2, trace_recursive_plonky2, trace_starky
+    from repro.compiler.frontend import RECURSION_PARAMS
+    from repro.workloads import PAPER_WORKLOADS, STARKY_WORKLOADS
+
+    cases = [(s.plonk, trace_plonky2(s.plonk)) for s in PAPER_WORKLOADS]
+    cases += [(s.stark, trace_starky(s.stark)) for s in STARKY_WORKLOADS]
+    cases.append((RECURSION_PARAMS, trace_recursive_plonky2()))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "params, graph", _size_model_cases(), ids=lambda v: getattr(v, "name", None)
+)
+def test_size_model_prices_the_graphs_fri_layers(params, graph):
+    """The proof-size model prices one Merkle cap and one coset opening
+    per ``fri.layer*.merkle`` node of the graph that proves the shape."""
+    from repro.compiler.frontend import FRI_FINAL_POLY_LEN
+    from repro.experiments import proof_size as ps
+
+    layer_trees = [
+        n for n in graph.nodes if n.name.startswith("fri.layer") and n.name.endswith(".merkle")
+    ]
+    lde_bits = params.degree_bits + params.rate_bits
+    arity_bits = params.fri_arity_bits
+    cap = (1 << ps.CAP_HEIGHT) * ps.DIGEST
+    final_poly_and_pow = FRI_FINAL_POLY_LEN * 2 * ps.ELEM + ps.ELEM
+    priced_caps = (ps._fri_common_bytes(lde_bits, arity_bits, 0) - final_poly_and_pow) / cap
+    assert priced_caps == len(layer_trees)
+    coset = (1 << arity_bits) * 2 * ps.ELEM
+    expected_openings = sum(
+        coset + max(0, int(n.params["leaves"]).bit_length() - 1 - ps.CAP_HEIGHT) * ps.DIGEST
+        for n in layer_trees
+    )
+    assert ps._fri_query_bytes(lde_bits, arity_bits, []) == expected_openings
+
+
 class TestAblations:
     def test_section3_amdahl_and_equal_area(self):
         rows = ablations.section3()

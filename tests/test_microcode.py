@@ -89,21 +89,26 @@ class TestMachine:
         assert emu.regs[(0, 0)][0] == 17
 
     def test_link_latency_one_cycle(self):
-        # PE (0,0) sends at cycle 0; PE (0,1) can read it at cycle 1.
-        # The cycle-0 read is a deliberate early read (it sees the reset
-        # zero), so the sanitizer must reject it and validate=False must
-        # preserve the runtime latency semantics.
-        programs = {
-            (0, 0): [Instr("mov", imm(42), out_right=True)],
-            (0, 1): [Instr("mov", IN_LEFT, dst_reg=0),
+        # PE (0,0) drives 42 at cycle 0 and 7 at cycle 1; PE (0,1) reads
+        # its left latch at cycles 1 and 2, so each value lands exactly
+        # one cycle after it was driven.  A cycle-0 read would see no
+        # driven value, and the sanitizer rejects it before any cycle.
+        emu = GridEmulator(1, 2)
+        emu.run({
+            (0, 0): [Instr("mov", imm(42), out_right=True),
+                     Instr("mov", imm(7), out_right=True)],
+            (0, 1): [NOP,
+                     Instr("mov", IN_LEFT, dst_reg=0),
                      Instr("mov", IN_LEFT, dst_reg=1)],
+        })
+        assert emu.regs[(0, 1)][0] == 42
+        assert emu.regs[(0, 1)][1] == 7
+        early = {
+            (0, 0): [Instr("mov", imm(42), out_right=True)],
+            (0, 1): [Instr("mov", IN_LEFT, dst_reg=0)],
         }
         with pytest.raises(ValueError, match="sched.latch-use-before-def"):
-            GridEmulator(1, 2).run(programs, num_cycles=2)
-        emu = GridEmulator(1, 2, validate=False)
-        emu.run(programs, num_cycles=2)
-        assert emu.regs[(0, 1)][0] == 0  # too early
-        assert emu.regs[(0, 1)][1] == 42  # one cycle later
+            GridEmulator(1, 2).run(early)
 
     def test_down_link(self):
         emu = GridEmulator(2, 1)

@@ -88,7 +88,7 @@ class TestSimulator:
         assert recursive.total_seconds > 0
 
     def test_cycles_by_stage(self):
-        stages = {r.stage for r in simulate_plonky2(SMALL).records}
+        stages = {k.stage for k in simulate_plonky2(SMALL).kernels}
         assert "wires_commitment" in stages
         assert "prove_openings" in stages
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro import protocols, tracing
-from repro.compiler import PlonkParams, lower, trace_plonky2
+from repro.compiler import PlonkParams, schedule, trace_plonky2
 from repro.hw import DEFAULT_CONFIG
 from repro.sim.tracing import schedule_to_trace_events, write_trace
 from repro.workloads import by_name
@@ -15,7 +15,7 @@ PARAMS = PlonkParams(name="trace-test", degree_bits=12, width=50)
 
 @pytest.fixture(scope="module")
 def sched():
-    return lower(trace_plonky2(PARAMS), DEFAULT_CONFIG)
+    return schedule(trace_plonky2(PARAMS), DEFAULT_CONFIG)
 
 
 class TestTraceEvents:
