@@ -29,7 +29,7 @@ from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 from ..merkle import merkle_permutation_count
-from .proof import DIGEST_BYTES, ELEM_BYTES
+from .proof import DIGEST_BYTES, ELEM_BYTES, WORD_BYTES
 
 #: log2 of the folding arity of one committed FRI layer (fold by 8).
 FRI_ARITY_BITS = 3
@@ -199,15 +199,26 @@ def _untouched(num: int, den: int, queries: int) -> Fraction:
     return Fraction(den - num, den) ** queries
 
 
-def expected_opening_bytes(leaves: int, width: int, cap_height: int, queries: int) -> Fraction:
+def expected_opening_bytes(
+    leaves: int, width: int, cap_height: int, queries: int, folded: bool = False
+) -> Fraction:
     """Expected bytes of one tree's shared-path opening at ``queries``
-    uniform leaf indices: each distinct opened leaf sends its ``width``
-    elements (the verifier derives the indices); a level of ``m`` nodes
-    below the cap sends one sibling digest per pair with exactly one
-    child on a path, ``m * ((1 - 1/m)**q - (1 - 2/m)**q)`` in
-    expectation."""
-    distinct = leaves * (1 - _untouched(1, leaves, queries))
-    total = distinct * width * ELEM_BYTES
+    uniform leaf indices, as the wire carries it: each distinct opened
+    leaf sends its ``width`` elements (the verifier derives the
+    indices); a level of ``m`` nodes below the cap sends one sibling
+    digest per pair with exactly one child on a path, ``m * ((1 -
+    1/m)**q - (1 - 2/m)**q)`` in expectation; and the shape words, the
+    rows' count and width and the nodes' count.
+
+    A committed FRI layer (``folded``) sends no width -- its reader
+    knows it -- and none of the values its queries fold from the layer
+    below: one extension value per distinct query position, ``s * (1 -
+    (1 - 1/s)**q)`` of the layer's ``s = leaves * width / 2`` values."""
+    total = leaves * (1 - _untouched(1, leaves, queries)) * width * ELEM_BYTES
+    total += (2 if folded else 3) * WORD_BYTES
+    if folded:
+        size = leaves * width // 2
+        total -= size * (1 - _untouched(1, size, queries)) * 2 * ELEM_BYTES
     m = leaves
     while m > 1 << cap_height:
         total += m * (_untouched(1, m, queries) - _untouched(2, m, queries)) * DIGEST_BYTES
@@ -219,14 +230,16 @@ def expected_proof_bytes(
     config: FriConfig, degree_bits: int, leaf_widths: Sequence[int], coset_bits: int
 ) -> Fraction:
     """Expected size of the parts of a FRI proof the layout moves: every
-    tree's opening (:func:`expected_opening_bytes`) plus each committed
-    layer's cap.  The final polynomial and grinding witness do not
-    depend on the layout, so they are left out."""
+    tree's opening (:func:`expected_opening_bytes`, each committed
+    layer's ``folded``) plus each committed layer's cap and its count
+    word.  The final polynomial and grinding witness do not depend on
+    the layout, so they are left out."""
     trees = _trees(config, degree_bits, leaf_widths, coset_bits)
-    caps = sum(1 << cap for _, _, cap in trees[len(leaf_widths):]) * DIGEST_BYTES
+    batches = len(leaf_widths)
+    caps = sum(WORD_BYTES + (1 << cap) * DIGEST_BYTES for _, _, cap in trees[batches:])
     return caps + sum(
-        expected_opening_bytes(leaves, width, cap, config.num_queries)
-        for leaves, width, cap in trees
+        expected_opening_bytes(leaves, width, cap, config.num_queries, folded=t >= batches)
+        for t, (leaves, width, cap) in enumerate(trees)
     )
 
 

@@ -4,7 +4,8 @@ The size accounting matters for reproduction: Table 5 of the paper
 reports proof sizes (hundreds of kB for Starky base proofs, ~155 kB for
 recursive Plonky2 proofs), and our sizes are computed from the same
 structural inventory (Merkle caps, query openings, final polynomial,
-grinding witness).  The paper's Plonky2 sends one authentication path
+grinding witness), shape words included: ``size_bytes()`` is the
+serialized length.  The paper's Plonky2 sends one authentication path
 per query per tree; this proof opens each tree once, at all of its
 queries, as a shared-path multiproof (:class:`~repro.merkle.TreeOpening`).
 """
@@ -18,9 +19,8 @@ from typing import List
 import numpy as np
 
 from ..merkle import TreeOpening
+from ..merkle.multiproof import ELEM_BYTES, WORD_BYTES, array_bytes
 
-#: Bytes per field element.
-ELEM_BYTES = 8
 #: Bytes per Poseidon digest (4 elements).
 DIGEST_BYTES = 4 * ELEM_BYTES
 
@@ -41,7 +41,11 @@ class FriProof:
     polynomial, the grinding witness, and per tree its opened rows (in
     ascending leaf order) and shared path nodes.  The query indices,
     and with them which leaf each row is, are not sent: the verifier
-    draws them from the transcript.
+    draws them from the transcript.  Nor is any value the verifier
+    folds: a layer opening's ``rows`` are the ``(m, 2)`` extension
+    values of its opened cosets less the slot each query folds from
+    the layer below (:func:`~repro.fri.prover.folded_slots`), leaf
+    after leaf and slot after slot.
     """
 
     commit_caps: List[np.ndarray]  # caps of the commit-phase layer trees
@@ -69,8 +73,8 @@ class FriProof:
         ]
 
     def size_bytes(self) -> int:
-        """Serialized size: every element/digest the verifier receives."""
-        total = sum(cap.shape[0] for cap in self.commit_caps) * DIGEST_BYTES
-        total += self.final_poly.size * ELEM_BYTES
-        total += ELEM_BYTES  # pow witness
-        return total + sum(op.size_bytes() for op in self.tree_openings())
+        """Serialized size: the bytes ``serialize.write_fri_proof`` writes."""
+        total = WORD_BYTES + sum(array_bytes(cap) for cap in self.commit_caps)
+        total += array_bytes(self.final_poly) + ELEM_BYTES  # and the pow witness
+        total += 2 * WORD_BYTES + sum(op.size_bytes() for op in self.batch_openings)
+        return total + sum(op.size_bytes(2) for op in self.layer_openings)

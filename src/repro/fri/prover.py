@@ -23,7 +23,9 @@ Implements the commit / fold / grind / query pipeline of Figure 1
    every batch tree and every layer tree is opened once, at all the
    leaves the queries reach in it, as one shared-path multiproof --
    pure reads of trees already built, so they run in the calling
-   process, not as a shard graph.
+   process, not as a shard graph.  A layer's opening leaves out the
+   value each query folds from the layer below (:func:`folded_slots`):
+   the verifier computes it and the layer's Merkle check binds it.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from ..context import RUN
 from ..field import extension as fext, gemm, gl64, goldilocks as gl
 from ..hashing import Challenger, optimized
 from ..hashing.constants import WIDTH
-from ..merkle import MerkleTree, open_tree
+from ..merkle import MerkleTree, TreeOpening, open_tree
 from ..ntt import coset_intt_ext
 from ..parallel import ops as par_ops
 from .config import FriConfig
@@ -518,6 +520,39 @@ def check_pow(challenger: Challenger, witness: int, pow_bits: int) -> bool:
     return fork.get_challenge() < (1 << (64 - pow_bits))
 
 
+def folded_slots(
+    indices: Sequence[int], size: int, leaves: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Where the values the verifier folds itself sit in a committed
+    layer's opening: ``(positions, first)`` for a layer of ``size``
+    values in ``leaves`` coset leaves, opened at the query positions
+    ``indices``.
+
+    Query ``p`` opens leaf ``p % leaves`` and folds, from the layer
+    below, the value in its slot ``(p % size) // leaves``.  With the
+    opened cosets flattened leaf after leaf (ascending leaf, then
+    slot), ``positions`` are the distinct places those values take,
+    ascending -- two queries may fold into one leaf, or into one slot
+    -- and ``first[i]`` is the first query that folds into
+    ``positions[i]``.
+    """
+    idx = np.asarray(indices, dtype=np.int64)
+    _, row = np.unique(idx % leaves, return_inverse=True)
+    return np.unique(row * (size // leaves) + (idx % size) // leaves, return_index=True)
+
+
+def layer_opening(tree: MerkleTree, indices: Sequence[int]) -> TreeOpening:
+    """A committed layer's opening at the query positions ``indices``:
+    the opened cosets less the values :func:`folded_slots` places, one
+    ``(m, 2)`` array leaf after leaf and slot after slot, plus the
+    shared path nodes."""
+    leaves = tree.num_leaves()
+    opened = open_tree(tree, [i % leaves for i in indices])
+    positions, _ = folded_slots(indices, leaves * opened.rows.shape[1] // 2, leaves)
+    sent = np.delete(opened.rows.reshape(-1, 2), positions, axis=0)
+    return TreeOpening(rows=sent, nodes=opened.nodes)
+
+
 def fri_prove(
     batches: Sequence[PolynomialBatch],
     openings: FriOpenings,
@@ -586,10 +621,10 @@ def fri_prove(
         indices = challenger.get_indices(config.num_queries, n_lde)
         # A tree of m leaves packs the coset of v[j] in leaf j (a batch
         # tree of row leaves has m = N), so query p opens leaf p % m.
-        batch_openings, layer_openings = (
-            [open_tree(tree, [i % tree.num_leaves() for i in indices]) for tree in group]
-            for group in ([b.tree for b in batches], trees)
-        )
+        batch_openings = [
+            open_tree(b.tree, [i % b.tree.num_leaves() for i in indices]) for b in batches
+        ]
+        layer_openings = [layer_opening(tree, indices) for tree in trees]
 
     return FriProof(
         commit_caps=[t.cap.copy() for t in trees],

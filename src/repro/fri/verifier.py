@@ -1,23 +1,28 @@
-"""FRI verifier: transcript replay, Merkle checks, fold consistency.
+"""FRI verifier: transcript replay, the fold walk, Merkle checks.
 
 Mirrors :mod:`repro.fri.prover` step by step.  Any deviation -- a
-tampered cap, leaf, final polynomial, grinding witness, or a committed
-function that is far from low-degree -- makes verification fail (the
-test-suite injects each of these faults).
+tampered cap, leaf, layer value, final polynomial, grinding witness,
+or a committed function that is far from low-degree -- makes
+verification fail (the test-suite injects each of these faults).
 
 The checks run *by tree and by level, not by query*: after the
 transcript replay, the verifier derives from the query indices the
-leaves each batch and layer tree must open, checks that every tree's
-opening covers exactly that set (:func:`repro.merkle.check_opening`)
-and authenticates all of them in one :func:`repro.merkle.verify_paths`
-call.  Each query's row and coset are then looked up by index, and the
-fold walk carries a query axis -- the combined quotient, each fold
-layer and the final-polynomial evaluation are one array expression over
-all queries, the same :func:`~repro.fri.prover.combine_rows` /
+leaves each batch and layer tree must open and checks that every
+opening has exactly that shape (:func:`repro.merkle.check_opening`).
+The fold walk then carries a query axis -- the combined quotient, each
+fold layer and the final-polynomial evaluation are one array
+expression over all queries, the same
+:func:`~repro.fri.prover.combine_rows` /
 :func:`~repro.fri.prover.fold_pairs` identities the prover runs over
-the whole domain.  Under coset leaves the combined quotient is taken at
-every row an initial leaf holds, and that coset is folded like an
-opened layer leaf -- with no layer-0 cap or consistency slot to check.
+the whole domain.  Under coset leaves the combined quotient is taken
+at every row an initial leaf holds, and that coset is folded like an
+opened layer leaf.  A committed layer does not send the values its
+queries fold from the layer below
+(:func:`~repro.fri.prover.folded_slots`): the walk writes each folded
+value into its slot and so rebuilds the layer's opened leaves, and one
+:func:`repro.merkle.verify_paths` call then authenticates every tree.
+A wrong fold changes a rebuilt leaf, so the layer's Merkle check
+binds the folded values.  The final-polynomial check comes last.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .. import tracing
 from ..errors import VerifierError
 from ..field import extension as fext, goldilocks as gl
 from ..hashing import Challenger
-from ..merkle import check_opening, verify_paths
+from ..merkle import TreeOpening, check_opening, verify_paths
 from .config import FriConfig, fri_layout
 from .proof import FriProof
 from .prover import (
@@ -38,6 +43,7 @@ from .prover import (
     check_pow,
     combine_rows,
     fold_pairs,
+    folded_slots,
     fold_weights,
     lde_points,
 )
@@ -149,6 +155,13 @@ def fri_verify(
     for bits in arities:
         sizes.append(sizes[-1] >> bits)
     leaf_ids = [np.asarray(indices, dtype=np.int64) % m for m in sizes[1:]]
+    # Each committed layer's opened leaves and the one each query reads,
+    # and where in them sit the values the walk folds; the proof sends
+    # the rest.
+    layers = [
+        (*np.unique(ids, return_inverse=True), *folded_slots(indices, size, m))
+        for ids, size, m in zip(leaf_ids[1:], sizes[1:], sizes[2:])
+    ]
     try:
         paths = [
             check_opening(
@@ -156,36 +169,22 @@ def fri_verify(
                 cap, sizes[1], config.cap_height, "initial opening",
             )
             for b, (op, cap) in enumerate(zip(proof.batch_openings, batch_caps))
-        ] + [
-            # A truncated or reshaped coset leaf would put values in the
-            # wrong slots, and ``hash_or_noop`` zero-pads a 3-element row
-            # into the digest of a 4-element row ending in 0.
-            check_opening(op, ids, 2 << bits, cap, m, config.cap_height, "layer opening")
-            for op, cap, ids, bits, m in zip(
-                proof.layer_openings, proof.commit_caps, leaf_ids[1:], arities[1:], sizes[2:]
-            )
         ]
     except ValueError as exc:
         raise FriError(str(exc)) from exc
-
-    with tracing.span("verify:merkle", category="verify", trees=len(paths)):
-        verdicts = verify_paths(paths)
-        if not verdicts[: len(batch_caps)].all():
-            raise FriError("initial Merkle proof failed")
-        if not verdicts.all():
-            raise FriError("layer Merkle proof failed")
-    # Row q of ``opened[t]`` is the leaf query q reads in tree t.
-    tree_ids = [leaf_ids[0]] * len(batch_caps) + leaf_ids[1:]
-    opened = [
-        path.rows[np.searchsorted(path.indices, ids)] for path, ids in zip(paths, tree_ids)
-    ]
+    for op, (leaves, _, positions, _), bits in zip(proof.layer_openings, layers, arities[1:]):
+        if np.shape(op.rows) != ((leaves.size << bits) - positions.size, 2):
+            raise FriError("layer opening has wrong shape")
 
     with tracing.span("verify:fold", category="verify", rounds=num_rounds):
         # coset[q, j] is the value at position leaf_ids[k][q] + j * sizes[k + 1];
         # for layer 0 that is the combined quotient at the rows each
         # initial leaf holds, slot j after slot j - 1.
         num_q, arity = len(indices), 1 << a
-        leaf_rows = [rows.reshape(num_q * arity, -1) for rows in opened[: len(batch_caps)]]
+        leaf_rows = [
+            path.rows[np.searchsorted(path.indices, leaf_ids[0])].reshape(num_q * arity, -1)
+            for path in paths
+        ]
         points = leaf_ids[0][:, None] + sizes[1] * np.arange(arity)
         try:
             coset = combine_rows(
@@ -196,13 +195,21 @@ def fri_verify(
 
         shift = gl.coset_shift()
         cur_log = log_lde
-        queries = np.arange(num_q)
+        layer_rows = []
         for k, (beta, bits, ids) in enumerate(zip(betas, arities, leaf_ids)):
             m = sizes[k + 1]
             if k:
-                coset = opened[len(batch_caps) + k - 1].reshape(num_q, 1 << bits, 2)
-                if not np.array_equal(coset[queries, cur // m], values):
-                    raise FriError("fold consistency check failed")
+                # Layer k's opened leaves: each folded value in its slot,
+                # the sent values in the others.
+                _, read, positions, first = layers[k - 1]
+                rows = np.insert(
+                    proof.layer_openings[k - 1].rows,
+                    positions - np.arange(positions.size),
+                    values[first],
+                    axis=0,
+                ).reshape(-1, 2 << bits)
+                layer_rows.append(rows)
+                coset = rows[read].reshape(num_q, 1 << bits, 2)
             # The prover's ``bits`` arity-2 folds, on each coset alone:
             # slots j and j + half hold x and -x.
             for _ in range(bits):
@@ -218,9 +225,34 @@ def fri_verify(
                 shift = gl.mul(shift, shift)
                 cur_log -= 1
             values = coset[:, 0]
-            cur = ids
+        # The final polynomial at the residual domain points, compared
+        # with the walk's values once every tree has authenticated.
+        final = fext.eval_poly_ext(
+            proof.final_poly, fext.from_base(lde_points(cur_log, shift)[leaf_ids[-1]])
+        )
 
-        # Final polynomial check at the residual domain points.
-        x_final = fext.from_base(lde_points(cur_log, shift)[cur])
-        if not np.array_equal(fext.eval_poly_ext(proof.final_poly, x_final), values):
-            raise FriError("final polynomial evaluation mismatch")
+    try:
+        paths += [
+            # The rebuilt leaves are whole by construction; this binds
+            # them to the derived leaves and checks the nodes and cap.
+            check_opening(
+                TreeOpening(rows, op.nodes), ids, 2 << bits, cap, m, config.cap_height,
+                "layer opening",
+            )
+            for rows, op, cap, ids, bits, m in zip(
+                layer_rows, proof.layer_openings, proof.commit_caps, leaf_ids[1:],
+                arities[1:], sizes[2:],
+            )
+        ]
+    except ValueError as exc:
+        raise FriError(str(exc)) from exc
+
+    with tracing.span("verify:merkle", category="verify", trees=len(paths)):
+        verdicts = verify_paths(paths)
+        if not verdicts[: len(batch_caps)].all():
+            raise FriError("initial Merkle proof failed")
+        if not verdicts.all():
+            raise FriError("layer Merkle proof failed")
+
+    if not np.array_equal(final, values):
+        raise FriError("final polynomial evaluation mismatch")

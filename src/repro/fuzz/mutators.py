@@ -8,8 +8,8 @@ seeded ``numpy.random.Generator`` and produces a :class:`Mutant`:
   honest proof, tamper with one structural element, and re-encode);
 * **object mutants** carry a mutated in-memory proof object -- they
   exercise verifier states that the codec cannot even express (e.g. a
-  0-d array where a tree opening's row matrix belongs, which the
-  codec's shape header would refuse).
+  0-d array where a tree opening's row matrix belongs: the wire carries
+  ``(k, w)`` matrices only).
 
 Mutators are deterministic in ``(target, rng)``: re-running one with
 the same per-iteration seed regenerates the identical mutant, which is
@@ -261,7 +261,7 @@ def swap_opened_rows(target: FuzzTarget, rng) -> Optional[Mutant]:
 
 
 def drop_layer(target: FuzzTarget, rng) -> Optional[Mutant]:
-    """Remove one fold-layer tree opening."""
+    """Remove one fold-layer tree opening: its values and path nodes."""
     proof = target.decode(target.blob)
     layers = _layer_openings(proof)
     if not layers:
@@ -271,7 +271,7 @@ def drop_layer(target: FuzzTarget, rng) -> Optional[Mutant]:
 
 
 def duplicate_layer(target: FuzzTarget, rng) -> Optional[Mutant]:
-    """Duplicate one fold-layer tree opening in place."""
+    """Duplicate one fold-layer tree opening (values and path nodes) in place."""
     proof = target.decode(target.blob)
     layers = _layer_openings(proof)
     if not layers:
@@ -346,47 +346,65 @@ def reshape_initial_leaf(target: FuzzTarget, rng) -> Optional[Mutant]:
 
 
 def truncate_coset_leaf(target: FuzzTarget, rng) -> Optional[Mutant]:
-    """Truncate one fold-layer opening's coset rows below full width."""
+    """Cut one fold-layer opening's ``(m, 2)`` values short.
+
+    A layer sends its opened cosets less the values the verifier folds;
+    fewer values leave a coset slot with nothing to fill it."""
     proof = target.decode(target.blob)
-    layers = _layer_openings(proof)
+    layers = [op for op in _layer_openings(proof) if op.rows.shape[0]]
     if not layers:
         return None
     op = _choice(rng, layers)
-    op.rows = np.ascontiguousarray(op.rows[:, : int(rng.integers(0, op.rows.shape[1]))])
+    op.rows = op.rows[: int(rng.integers(0, op.rows.shape[0]))]
     return Mutant("truncate-coset-leaf", data=target.encode(proof))
 
 
 def swap_coset_values(target: FuzzTarget, rng) -> Optional[Mutant]:
-    """Swap two extension values inside one opened coset row."""
+    """Swap two values of one fold-layer opening.
+
+    The count still fits, so the rebuilt cosets hold the values in the
+    wrong slots and only the layer's Merkle check can reject them."""
     proof = target.decode(target.blob)
-    layers = _layer_openings(proof)
+    layers = [op for op in _layer_openings(proof) if op.rows.shape[0] >= 2]
     if not layers:
         return None
-    op = _choice(rng, layers)
-    coset = op.rows[int(rng.integers(0, op.rows.shape[0]))].reshape(-1, 2)
-    i, j = (int(k) for k in rng.choice(coset.shape[0], size=2, replace=False))
-    if np.array_equal(coset[i], coset[j]):
+    values = _choice(rng, layers).rows
+    i, j = (int(k) for k in rng.choice(values.shape[0], size=2, replace=False))
+    if np.array_equal(values[i], values[j]):
         return None
-    coset[[i, j]] = coset[[j, i]]
+    values[[i, j]] = values[[j, i]]
     return Mutant("swap-coset-values", data=target.encode(proof))
 
 
 def arity2_shaped_leaf(target: FuzzTarget, rng) -> Optional[Mutant]:
-    """Open an arity-4 or -8 layer with 4-element (arity-2) rows.
-
-    Each row keeps one honest ``(x, -x)`` pair of its coset (slots
-    ``j`` and ``j + half``), shaped as an arity-2 prover would commit it.
-    """
+    """Send one fold layer's values as a layer of half its arity would:
+    every other value, starting at the first or the second."""
     proof = target.decode(target.blob)
-    wide = [op for op in _layer_openings(proof) if op.rows.shape[1] > 4]
-    if not wide:
+    layers = [op for op in _layer_openings(proof) if op.rows.shape[0] >= 2]
+    if not layers:
         return None
-    op = _choice(rng, wide)
-    cosets = op.rows.reshape(op.rows.shape[0], -1, 2)
-    half = cosets.shape[1] // 2
-    j = int(rng.integers(0, half))
-    op.rows = np.concatenate([cosets[:, j], cosets[:, j + half]], axis=1)
+    op = _choice(rng, layers)
+    op.rows = op.rows[int(rng.integers(0, 2)) :: 2]
     return Mutant("arity2-shaped-leaf", data=target.encode(proof))
+
+
+def reinsert_layer_value(target: FuzzTarget, rng) -> Optional[Mutant]:
+    """Put one more value into a fold-layer opening, or take one out.
+
+    An inserted value stands where a folded value went before the
+    proof stopped sending those: the verifier counts the values a layer
+    owes from its transcript and refuses any other count."""
+    proof = target.decode(target.blob)
+    layers = [op for op in _layer_openings(proof) if op.rows.shape[0]]
+    if not layers:
+        return None
+    op = _choice(rng, layers)
+    k = int(rng.integers(0, op.rows.shape[0]))
+    if int(rng.integers(0, 2)):
+        op.rows = np.insert(op.rows, k, op.rows[k], axis=0)
+    else:
+        op.rows = np.delete(op.rows, k, axis=0)
+    return Mutant("reinsert-layer-value", data=target.encode(proof))
 
 
 def permute_coset_rows(target: FuzzTarget, rng) -> Optional[Mutant]:
@@ -567,6 +585,7 @@ MUTATORS: Dict[str, Callable[[FuzzTarget, np.random.Generator], Optional[Mutant]
     "pad-opening-nodes": pad_opening_nodes,
     "mismatch-initial-proofs": mismatch_initial_proofs,
     "scalar-coset-leaf": scalar_coset_leaf,
+    "reinsert-layer-value": reinsert_layer_value,
 }
 
 #: Stable ordering for seeded mutator choice.

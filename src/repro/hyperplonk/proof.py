@@ -26,14 +26,15 @@ import numpy as np
 
 from ..field import goldilocks as gl
 from ..merkle import MerkleTree, TreeOpening
+from ..merkle.multiproof import ELEM_BYTES, WORD_BYTES, array_bytes
 from ..plonk.circuit import Circuit
 from ..plonk.protocol import constraints
 from ..serialize import ByteReader, ByteWriter, read_cap
 from ..sumcheck import SumcheckProof
 
-#: Serialized size of one Poseidon digest / one field element.
-DIGEST_BYTES = 32
-ELEM_BYTES = 8
+#: Leaf widths of the preprocessed, wires and Z trees: 5 selectors and
+#: 3 sigma labels, 3 wires, one grand-product column.
+BASE_WIDTHS = (8, 3, 1)
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,8 @@ def query_index_sets(
 
 @dataclass
 class HyperPlonkProof:
-    """A complete sumcheck-native proof (format v4: no publics, no leaf indices)."""
+    """A complete sumcheck-native proof (format v5: no publics, no leaf
+    indices, no shape word the reader knows)."""
 
     wires_cap: np.ndarray
     z_cap: np.ndarray
@@ -161,19 +163,20 @@ class HyperPlonkProof:
         ]
 
     def size_bytes(self) -> int:
-        """Serialized proof size (caps + sumcheck rounds + openings)."""
-        total = 0
-        for cap in (self.wires_cap, self.z_cap, *self.level_caps):
-            total += int(np.atleast_2d(cap).shape[0]) * DIGEST_BYTES
+        """Serialized proof size, ``len(self.to_bytes())``: caps,
+        sumcheck rounds, openings."""
+        caps = (self.wires_cap, self.z_cap, *self.level_caps)
+        total = sum(array_bytes(cap) for cap in caps) + 3 * WORD_BYTES
         total += (2 + 2 * len(self.sumcheck.round_values)) * ELEM_BYTES
-        total += sum(op.size_bytes() for op in self.tree_openings())
-        return total
+        bases = zip((self.pre_opening, self.wires_opening, self.z_opening), BASE_WIDTHS)
+        total += sum(op.size_bytes(width) for op, width in bases)
+        return total + sum(op.size_bytes(1) for op in self.level_openings)
 
     def to_bytes(self) -> bytes:
-        """Raw canonical proof body (format v4)."""
+        """Raw canonical proof body (format v5)."""
         w = ByteWriter()
-        w.elems(self.wires_cap)
-        w.elems(self.z_cap)
+        w.elems(self.wires_cap, 4)
+        w.elems(self.z_cap, 4)
         sc = self.sumcheck
         w.u64(sc.claimed_sum)
         w.u32(len(sc.round_values))
@@ -183,13 +186,12 @@ class HyperPlonkProof:
         w.u64(sc.final_value)
         w.u32(len(self.level_caps))
         for cap in self.level_caps:
-            w.elems(cap)
-        self.pre_opening.write(w)
-        self.wires_opening.write(w)
-        self.z_opening.write(w)
+            w.elems(cap, 4)
+        for op, width in zip((self.pre_opening, self.wires_opening, self.z_opening), BASE_WIDTHS):
+            op.write(w, width)
         w.u32(len(self.level_openings))
         for op in self.level_openings:
-            op.write(w)
+            op.write(w, 1)
         return w.getvalue()
 
     @classmethod
@@ -211,12 +213,13 @@ class HyperPlonkProof:
             for _ in range(r.count(8, "fold-level cap count"))
         ]
         read = TreeOpening.read
-        pre_opening = read(r, 8, "preprocessed opening")
-        wires_opening = read(r, 3, "wires opening")
-        z_opening = read(r, 1, "Z opening")
+        names = ("preprocessed opening", "wires opening", "Z opening")
+        pre_opening, wires_opening, z_opening = (
+            read(r, width, what) for width, what in zip(BASE_WIDTHS, names)
+        )
         level_openings = [
             read(r, 1, "fold-level opening")
-            for _ in range(r.count(4, "fold-level opening count"))
+            for _ in range(r.count(8, "fold-level opening count"))
         ]
         if not r.done():
             raise ValueError("trailing bytes after HyperPlonk proof")

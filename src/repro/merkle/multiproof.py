@@ -25,8 +25,16 @@ from .paths import PathOpening, verify_paths
 if TYPE_CHECKING:
     from .tree import MerkleTree
 
-#: Serialized size of one field element.
+#: Serialized size of one field element, and of one shape word (an
+#: array's row count or width).
 ELEM_BYTES = 8
+WORD_BYTES = 4
+
+
+def array_bytes(arr: np.ndarray, sized: bool = False) -> int:
+    """Serialized size of a field-element matrix: its row count, its
+    width when ``sized`` (when its reader does not know it), its words."""
+    return (1 + sized) * WORD_BYTES + int(arr.size) * ELEM_BYTES
 
 
 @dataclass
@@ -125,35 +133,32 @@ class TreeOpening:
     shared by every index of the set, so the nodes near the cap are
     sent once per tree rather than once per query.  The indices are not
     sent: :func:`check_opening` binds row ``k`` to the ``k``-th smallest
-    index the verifier derives.
+    index the verifier derives.  A committed FRI layer sends its rows
+    less the values its verifier folds itself, as ``(m, 2)`` extension
+    values (:class:`~repro.fri.FriProof`).
     """
 
     rows: np.ndarray  # (k, leaf_width), ascending index order
     nodes: np.ndarray  # (m, 4) digests in consumption order
 
-    def size_bytes(self) -> int:
-        """Payload bytes: opened rows and shared path nodes."""
-        return (int(self.rows.size) + int(self.nodes.size)) * ELEM_BYTES
+    def size_bytes(self, width: int | None = None) -> int:
+        """Bytes :meth:`write` sends with ``width``."""
+        return array_bytes(self.rows, sized=width is None) + array_bytes(self.nodes)
 
-    def write(self, w) -> None:
+    def write(self, w, width: int | None = None) -> None:
         """Append the opening to a :class:`~repro.serialize.ByteWriter`:
-        rows, then shared path nodes."""
-        w.elems(self.rows)
-        w.elems(self.nodes)
+        rows (with their width unless the reader knows it, ``width``),
+        then shared path nodes."""
+        w.elems(self.rows, width)
+        w.elems(self.nodes, 4)
 
     @classmethod
     def read(cls, r, width: int | None, what: str) -> "TreeOpening":
-        """Read one opening of ``width``-column leaves from a
-        :class:`~repro.serialize.ByteReader` (``None``: any width the
-        verifier pins later); ``what`` labels the typed ``ValueError``."""
-        rows = r.elems()
-        if rows.ndim != 2 or width not in (None, rows.shape[1]):
-            shape = f"(k, {'w' if width is None else width})"
-            raise ValueError(f"malformed {what} (expected a {shape} row array)")
-        nodes = r.elems()
-        if nodes.ndim != 2 or nodes.shape[1] != 4:
-            raise ValueError(f"malformed {what} (path nodes must be (k, 4))")
-        return cls(rows=rows, nodes=nodes)
+        """Read one opening of ``width``-column rows from a
+        :class:`~repro.serialize.ByteReader` (``None``: the width is on
+        the wire, and the verifier pins it later); ``what`` labels the
+        typed ``ValueError``."""
+        return cls(rows=r.elems(width, what), nodes=r.elems(4, f"{what} path nodes"))
 
 
 def open_tree(tree: "MerkleTree", indices: Iterable[int]) -> TreeOpening:

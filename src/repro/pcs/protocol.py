@@ -22,10 +22,10 @@ import numpy as np
 from .. import tracing
 from ..field import extension as fext, gl64, goldilocks as gl
 from ..fri import FriConfig, FriOpenings, FriProof, fri_verify
-from ..fri.proof import DIGEST_BYTES, ELEM_BYTES
 from ..fri.verifier import FriError, proof_words
 from ..hashing import Challenger
-from ..serialize import ByteReader, ByteWriter, read_cap, read_ext_array, read_fri_proof, write_fri_proof
+from ..merkle.multiproof import array_bytes
+from ..serialize import ByteReader, ByteWriter, read_cap, read_fri_proof, write_fri_proof
 from .fri import FriPCS
 
 
@@ -188,17 +188,17 @@ class Proof:
     fri_proof: FriProof
 
     def size_bytes(self) -> int:
-        """Serialized proof size (caps + openings + FRI proof)."""
-        total = sum(cap.shape[0] for cap in self.caps) * DIGEST_BYTES
-        total += int(self.opened_values.size) * ELEM_BYTES
-        return total + self.fri_proof.size_bytes()
+        """Serialized proof size, ``len(self.to_bytes())``: caps, opened
+        values, FRI proof."""
+        arrays = sum(array_bytes(arr) for arr in (*self.caps, self.opened_values))
+        return arrays + self.fri_proof.size_bytes()
 
     def to_bytes(self) -> bytes:
         """Raw canonical proof body (digests are defined over this)."""
         w = ByteWriter()
         for cap in self.caps:
-            w.elems(cap)
-        w.elems(self.opened_values)
+            w.elems(cap, 4)
+        w.elems(self.opened_values, 2)
         write_fri_proof(w, self.fri_proof)
         return w.getvalue()
 
@@ -208,7 +208,7 @@ class Proof:
         bad input)."""
         r = ByteReader(data)
         caps = [read_cap(r, f"{round_.name} cap") for round_ in protocol.rounds]
-        opened_values = read_ext_array(r, "opened values")
+        opened_values = r.elems(2, "opened values")
         fri_proof = read_fri_proof(r)
         if not r.done():
             raise ValueError(f"trailing bytes after {protocol.name} proof")

@@ -24,10 +24,12 @@ class HyperPlonkSystem(ProofSystem):
         "plain fold tables, so one altered entry goes unseen (ROADMAP item 12)"
     )
     description = f"sumcheck-native zerocheck over a multilinear PCS (no NTT); {caveat}"
+    #: 5: arrays send no shape word their reader knows (a cap's width,
+    #: a base tree's leaf width);
     #: 4: the proof sends no public inputs (the statement is the instance's);
     #: 3: tree openings send rows and path nodes, not the leaf indices;
     #: 2: batched per-tree multiproof openings replaced v1's per-query paths.
-    format_version = 4
+    format_version = 5
     to_bytes = staticmethod(HyperPlonkProof.to_bytes)
     from_bytes = staticmethod(HyperPlonkProof.from_bytes)
     uses_ntt = False

@@ -16,6 +16,8 @@ class PlonkSystem(FriSystem):
 
     name = "plonk"
     description = "Plonky2-style gates + permutation argument over FRI"
+    #: 8: FRI layers leave out each query's folded slot, and arrays send
+    #: no shape word their reader knows;
     #: 7: the quotient commits 3 chunks a limb, not 4;
     #: 6: the proof sends no public inputs (the statement is the instance's);
     #: 5: the proof sends opened values only, no opening points, column
@@ -23,7 +25,7 @@ class PlonkSystem(FriSystem):
     #: 4: the batches may commit 2- or 4-row cosets (``fri.fri_layout``);
     #: 3: each FRI tree is opened once, as a shared-path multiproof;
     #: 2: FRI layers open arity-8 coset leaves, not v1's arity-2 pairs.
-    format_version = 7
+    format_version = 8
     protocol = PLONK
 
     def default_config(self) -> Dict[str, int]:

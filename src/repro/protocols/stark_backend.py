@@ -23,6 +23,8 @@ class StarkSystem(FriSystem):
 
     name = "stark"
     description = "AIR transition constraints, LDE + batch FRI opening"
+    #: 9: nor any value its verifier folds (FRI layers leave out each
+    #: query's folded slot), nor a shape word its reader knows;
     #: 8: nor its public inputs (the statement is the instance's);
     #: 7: the proof does not send the trace length (the verifier takes
     #: it from its instance);
@@ -32,7 +34,7 @@ class StarkSystem(FriSystem):
     #: 4: each FRI tree is opened once, as a shared-path multiproof;
     #: 3: FRI's first layer may be virtual (the batches commit its
     #: cosets); 2: FRI layers open arity-8 coset leaves, not v1's pairs.
-    format_version = 8
+    format_version = 9
     protocol = STARK
 
     def default_config(self) -> Dict[str, int]:

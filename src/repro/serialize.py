@@ -2,25 +2,29 @@
 
 A compact little-endian format so proofs can actually be shipped
 between a prover and verifier process: 8-byte field elements, 4-byte
-length prefixes for variable-size structures.  The serialized sizes
-validate the structural ``size_bytes()`` accounting used by the
-Table 5 / Table 6 proof-size reproduction (the codec adds only small
-length-prefix overhead).
+counts for variable-size structures.  Every array a proof carries is a
+``(k, w)`` matrix of field elements, and the wire carries only the
+shape words its reader cannot know: the row count ``k`` always, the
+width ``w`` only where the proof's type leaves it open (a batch's
+opened leaf rows).  A cap or a node list is ``(k, 4)`` digests and an
+extension array ``(k, 2)``, so those send their count alone.  Each
+proof's ``size_bytes()`` is exactly the length of its body.
 
-This module holds what every protocol shares (reader/writer, cap /
-extension-array / FRI codecs, blob and envelope framing) and imports
+This module holds what every protocol shares (reader/writer, cap and
+FRI codecs, blob and envelope framing) and imports
 no protocol package.  A proof's *body* codec lives beside its dataclass
 (:class:`repro.pcs.protocol.Proof` for every FRI protocol,
 ``HyperPlonkProof``); the framing functions resolve a tag to its codec
 and format version through :mod:`repro.protocols`.
 
 The codec makes one pass over the bytes.  The writer packs each array
-header (size, rank, dims) with one ``struct.pack`` and joins its chunks
-once; a blob's framing is one more join around the body.  The reader
-walks one offset through the buffer: ``struct.unpack_from`` for header
-words and one NumPy view at the offset plus one copy per array, with no
-``bytes`` slice per field, and a blob's body reaches its decoder as a
-zero-copy view.  Every bound is checked before the read that needs it.
+header (count, then width if sent) with one ``struct.pack`` and joins
+its chunks once; a blob's framing is one more join around the body.
+The reader walks one offset through the buffer: ``struct.unpack_from``
+for header words and one NumPy view at the offset plus one copy per
+array, with no ``bytes`` slice per field, and a blob's body reaches its
+decoder as a zero-copy view.  Every bound is checked before the read
+that needs it.
 """
 
 from __future__ import annotations
@@ -35,20 +39,12 @@ from .errors import UnknownProtocolError
 from .fri.proof import FriProof
 from .merkle import TreeOpening
 
-#: Maximum array rank the codec will decode.  Honest proofs only ever
-#: serialize 0/1/2-dimensional arrays; anything deeper is hostile.
-MAX_NDIM = 4
-
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _TWO_U32 = struct.Struct("<II")
 #: A tagged blob's magic, version byte and tag length.
 _BLOB_HEAD = struct.Struct("<4sBI")
 _U64_DTYPE = np.dtype(np.uint64)
-#: An array header -- size, rank, then one word a dim -- and its dims
-#: alone, by rank.
-_HEADERS = tuple(struct.Struct(f"<{2 + n}I") for n in range(MAX_NDIM + 1))
-_DIMS = tuple(struct.Struct(f"<{n}I") for n in range(MAX_NDIM + 1))
 
 
 class ByteWriter:
@@ -65,15 +61,17 @@ class ByteWriter:
         """Write an unsigned 64-bit value (field element, witness)."""
         self._chunks.append(_U64.pack(int(v)))
 
-    def elems(self, arr) -> None:
-        """Write a field-element array with its shape header."""
+    def elems(self, arr, width: int | None = None) -> None:
+        """Write a ``(k, w)`` field-element matrix: its row count, its
+        width unless the reader knows it (``width``, which the matrix
+        must have), then its words.  ``ValueError`` for any other shape:
+        the wire has no way to carry it."""
         if type(arr) is not np.ndarray or arr.dtype is not _U64_DTYPE:
             arr = np.asarray(arr, dtype=np.uint64)
-        # A 0-d array goes on the wire as shape (1,).
-        shape = arr.shape or (1,)
-        ndim = len(shape)
-        header = _HEADERS[ndim] if ndim <= MAX_NDIM else struct.Struct(f"<{2 + ndim}I")
-        self._chunks += (header.pack(arr.size, ndim, *shape), arr.tobytes())
+        if arr.ndim != 2 or width not in (None, arr.shape[1]):
+            raise ValueError(f"cannot encode a {arr.shape} array as (k, {width or 'w'}) rows")
+        head = _TWO_U32.pack(*arr.shape) if width is None else _U32.pack(arr.shape[0])
+        self._chunks += (head, arr.tobytes())
 
     def getvalue(self) -> bytes:
         """Concatenate everything written so far."""
@@ -143,35 +141,22 @@ class ByteReader:
         self._pos = pos + n
         return memoryview(self._data)[pos : pos + n]
 
-    def elems(self) -> np.ndarray:
-        """Read a field-element array written by :meth:`ByteWriter.elems`."""
-        data, pos, end = self._data, self._pos, self._end
-        if pos + 8 > end:  # fewer than two header words left
-            size, ndim = self.u32(), None
-        else:
-            size, ndim = _TWO_U32.unpack_from(data, pos)
-        if size * 8 > end - pos - 4:
-            raise _inflated(f"array of {size} elements")
-        if ndim is None:
-            raise _truncated()
-        if ndim > MAX_NDIM:
-            raise ValueError(f"array rank {ndim} out of range")
-        start = pos + 8 + 4 * ndim
-        if start > end:
-            raise _truncated()
-        shape = _DIMS[ndim].unpack_from(data, pos + 8)
-        expected = 1
-        for d in shape:
-            expected *= d
-        if expected != size:
-            raise ValueError("array shape does not match element count")
-        stop = start + 8 * size
-        if stop > end:
-            raise _truncated()
+    def elems(self, width: int | None = None, what: str = "array") -> np.ndarray:
+        """Read a ``(k, w)`` matrix written by :meth:`ByteWriter.elems`
+        with the same ``width``; ``what`` labels the typed errors."""
+        k = self.u32()
+        if width is None:
+            width = self.u32()
+            if not width:
+                raise ValueError(f"malformed {what} (zero-width rows)")
+        start = self._pos
+        stop = start + 8 * k * width
+        if stop > self._end:
+            raise _inflated(f"{what} of {k} rows")
         self._pos = stop
-        # A view at ``start`` (what ``np.frombuffer(data, count=size,
-        # offset=start).reshape(shape)`` gives, in one call), then a copy.
-        return np.ndarray(shape, _U64_DTYPE, data, start).copy()
+        # A view at ``start`` (what ``np.frombuffer(data, count=k * width,
+        # offset=start).reshape(k, width)`` gives, in one call), then a copy.
+        return np.ndarray((k, width), _U64_DTYPE, self._data, start).copy()
 
     def done(self) -> bool:
         """Whether every byte has been consumed."""
@@ -182,55 +167,47 @@ class ByteReader:
 
 
 def read_cap(r: ByteReader, what: str = "Merkle cap") -> np.ndarray:
-    """Read a Merkle cap, enforcing the (c, 4) digest-row layout.
+    """Read a Merkle cap: a non-empty ``(c, 4)`` digest matrix.
 
     The verifiers absorb caps into the Fiat-Shamir transcript and index
-    them by reduced query position; a reshaped or empty cap must be
-    rejected here, with a typed error, before it reaches them.
+    them by reduced query position; an empty cap must be rejected here,
+    with a typed error, before it reaches them.
     """
-    cap = r.elems()
-    if cap.ndim != 2 or cap.shape[1] != 4 or cap.shape[0] == 0:
+    cap = r.elems(4, what)
+    if not cap.shape[0]:
         raise ValueError(f"malformed {what} (expected a non-empty (c, 4) array)")
     return cap
 
 
-def read_ext_array(r: ByteReader, what: str) -> np.ndarray:
-    """Read an ``(n, 2)`` array of extension elements (opened values,
-    a final polynomial)."""
-    arr = r.elems()
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"malformed {what} (expected an (n, 2) array)")
-    return arr
-
-
 def write_fri_proof(w: ByteWriter, proof: FriProof) -> None:
     """Append a FRI proof: caps, final polynomial, grinding witness, then
-    one :class:`~repro.merkle.TreeOpening` per batch and per layer."""
+    one :class:`~repro.merkle.TreeOpening` per batch (rows of any width)
+    and per committed layer (its ``(m, 2)`` values)."""
     w.u32(len(proof.commit_caps))
     for cap in proof.commit_caps:
-        w.elems(cap)
-    w.elems(proof.final_poly)
+        w.elems(cap, 4)
+    w.elems(proof.final_poly, 2)
     w.u64(proof.pow_witness)
-    for openings in (proof.batch_openings, proof.layer_openings):
+    for openings, width in ((proof.batch_openings, None), (proof.layer_openings, 2)):
         w.u32(len(openings))
         for op in openings:
-            op.write(w)
+            op.write(w, width)
 
 
 def read_fri_proof(r: ByteReader) -> FriProof:
-    """Read a FRI proof (leaf widths are pinned by the verifier)."""
+    """Read a FRI proof (batch leaf widths are pinned by the verifier)."""
     caps = [
         read_cap(r, "FRI layer cap")
         for _ in range(r.count(8, "FRI cap count"))
     ]
-    final_poly = read_ext_array(r, "final polynomial")
+    final_poly = r.elems(2, "final polynomial")
     pow_witness = r.u64()
     batch_openings = [
         TreeOpening.read(r, None, "FRI batch opening")
         for _ in range(r.count(8, "FRI batch opening count"))
     ]
     layer_openings = [
-        TreeOpening.read(r, None, "FRI layer opening")
+        TreeOpening.read(r, 2, "FRI layer opening")
         for _ in range(r.count(8, "FRI layer opening count"))
     ]
     return FriProof(

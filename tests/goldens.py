@@ -77,8 +77,20 @@ were regenerated once: the quotient cap, ``zeta`` and every query
 position moved, so the verifier's shared paths (and its permutation
 count) moved with them.  ``LAYOUTS`` held, and every STARK and
 HyperPlonk-lite entry held but the STARK ``ntt_butterflies``: the
-quotient's coset iNTT is half as long.  Counters are measured around
-``prove`` or ``verify`` alone, setup excluded.
+quotient's coset iNTT is half as long.  When a proof stopped sending
+what its verifier folds and the shape words its reader knows (STARK
+format v9, Plonk v8, HyperPlonk-lite v5: a committed FRI layer leaves
+out the value each query folds from the layer below, and an array
+sends its row count, plus its width only for a batch's opened rows),
+every digest and framing entry was regenerated once (``DIGESTS``,
+``ROW_LAYOUT_DIGESTS``, ``ARITY2_DIGESTS``, ``PLONK_FIBONACCI_DIGEST``,
+``FRAMED``, all three protocols) and ``BLOB_BYTES`` was added.  The
+transcript did not move: caps, opened values, final polynomial,
+grinding witness, batch rows and path nodes decode equal to the old
+proofs', each layer's values are its old coset rows less the folded
+slots, and ``LAYOUTS``, ``PROVE_COUNTERS`` and ``VERIFY_COUNTERS``
+held.  Counters are measured around ``prove`` or ``verify`` alone,
+setup excluded.
 """
 
 from repro.fri.config import FriConfig
@@ -103,9 +115,9 @@ CONFIGS = {
 
 #: Proof digest (``system.digest``) per protocol.
 DIGESTS = {
-    "stark": "5187d2b28418d37db2dcf647a977ea0a01e5348256145e58678a2e6580210a9c",
-    "plonk": "6535bb768fea231ed0236ad89c2bd0f443985fdb20156d1b167b7f98eeff7949",
-    "hyperplonk": "e3cf08f0507aeb484370387aae9e3ea9b7a08c40b9ef53296add6c892c165419",
+    "stark": "1ef4afb46757db91adcdf64d93e5b338b173d801ef3fd61eeea86aa2f8028e26",
+    "plonk": "06377f1ef383a5741c0e5feda5bc7490fc38682e5cb280537f12f6bed2313601",
+    "hyperplonk": "eb29885ed341800cb73396d12bd2ea1f7a44380ec129dd09f920c77a184dfe4e",
 }
 
 #: ``fri.fri_layout``'s ``(a, schedule)`` for the STARK and Plonk
@@ -121,7 +133,7 @@ LAYOUTS = {
 #: later encoding change), so the coset layout extends the old prover
 #: rather than replacing it.
 ROW_LAYOUT_DIGESTS = {
-    "stark": "ab684b2f2642327fc269c0ccc83a11fb73c9afeaac91f642e9c0f10a4264aa38",
+    "stark": "cc1eb3ded0e10027a05e5f79b9604827ae1dde91a108393833a5e79dfd3cdb05",
 }
 
 #: The STARK and Plonk golden instances' proofs with
@@ -131,13 +143,13 @@ ROW_LAYOUT_DIGESTS = {
 #: later encoding change), so the schedule generalises the old prover
 #: rather than replacing it.
 ARITY2_DIGESTS = {
-    "stark": "82b74225fc4b7e7d1c7f84060a3c7903780778b30bf68880e1aab8b4e2d6e3d1",
-    "plonk": "ad926cdf0758465e6ecf2f4b9225bbaa692bc508170c6ca0e09449e0bf66f59c",
+    "stark": "d69d9b0a9726010e3ccc45bb7de4f0153d64d240b5da324cb49cd95a0c3d7a22",
+    "plonk": "5f2d3023cf168b724913194c494849f81acf35a6c7fb2fd7e87db02f777b3b63",
 }
 
 #: Plonk over the Fibonacci workload at scale 6, same config: the
 #: instance that commits row leaves and folds zero times.
-PLONK_FIBONACCI_DIGEST = "3468c08cba0d14e532fcbbc39bdf1276b19cdaa3ea7c9b223fc296a5fae43735"
+PLONK_FIBONACCI_DIGEST = "020da0afc132d0e535db6bfb2855d2f2db842b7891a706eb61561ab0e3326011"
 
 #: Operation counters around ``prove``.
 PROVE_COUNTERS = {
@@ -167,15 +179,30 @@ VERIFY_COUNTERS = {
 #: sha256 of ``proof_to_blob`` and of the service result envelope.
 FRAMED = {
     "stark": (
-        "786633f8a828c88b449e75c00e21c16dffb5f3e99d044f5c2cf06430b06aff12",
-        "330763326a6873a39ad54b87de15f4e44fb0f50de9db365523524009e58ad17d",
+        "9cf4dc46d8bc6bba466b542ac20abd70d73b94b8ed31c8a06e0c2ef46bd6dc49",
+        "50ef6a1a2a32640fc8aa46d622f33d8f7edb8ff99847525986ddaa02f7a8e535",
     ),
     "plonk": (
-        "01f6ae53b6d6f628088046667de9aeb9cabe925745a029dadad5108c7b4368bd",
-        "7ec754407ed3671215738cdcdd77eaf1781488b2a5f28ff85560de225fe1b0a4",
+        "e4fceff157eb4c1ca934a2b7f119eb8634c3aa5219b67d3ab84f0078ff5d3573",
+        "671def413d94fb26712dec6b78ae46cc6e7ae83a2ce8425f891f5b0a9d73e00f",
     ),
     "hyperplonk": (
-        "f6302b0a786c1c88f2f7303d9c8ff1aa82a02a5b245d94d574e63371ad7cefee",
-        "cabea382f3eaf7feb02f916fefa21c4cc87cfd83e51c0e8eb24cc8e853c863d0",
+        "d701fcf049798d0cb3e4be15dbb2ce7d64fc761e816b223260ae1403b643338f",
+        "ec7863f676d4dd2f4a7862c0395d6b8e15a163d4a877be59dd9d2aff486774a7",
     ),
+}
+
+#: ``len(proof_to_blob(...))`` of each bench prover shape and each
+#: service warm-up shape (``bench/workloads.py``), ``(protocol, workload, scale)``, under the
+#: registry defaults: a change to what a proof carries shows here as a
+#: diff.
+BLOB_BYTES = {
+    ("stark", "Fibonacci", 12): 9682,
+    ("plonk", "MVM", 11): 14182,
+    ("hyperplonk", "MVM", 45): 54851,
+    ("stark", "Fibonacci", 8): 5018,
+    ("stark", "Fibonacci", 10): 7334,
+    ("plonk", "MVM", 6): 10214,
+    ("plonk", "Fibonacci", 64): 8278,
+    ("hyperplonk", "MVM", 16): 25311,
 }

@@ -1,15 +1,18 @@
 """The field-by-field proof codec, kept as the independent test oracle.
 
 These are the bodies ``repro.serialize`` and the proof dataclasses had
-before the codec moved to one pass over the buffer: a ``ByteReader``
-that slices a fresh ``bytes`` object for every ``u32`` and every array,
-a ``ByteWriter`` that packs each header word on its own, the cap /
-extension-array / FRI / tree-opening readers, each protocol's body
-codec, and the blob and envelope framing (which copied the blob before
-reading its two length words).  They share nothing with the shipped
-codec but the proof dataclasses they build, the exception classes and
-the registry's format versions, so a decode, an encode or a refusal on
-which the two agree is evidence about both.
+before the codec moved to one pass over the buffer, brought to the
+current wire: a ``ByteReader`` that slices a fresh ``bytes`` object for
+every ``u32`` and every array, a ``ByteWriter`` that packs each header
+word on its own, the cap / extension-array / FRI / tree-opening
+readers, each protocol's body codec, and the blob and envelope framing
+(which copied the blob before reading its two length words).  An array
+is a ``(k, w)`` matrix sent as its row count, its width only where the
+reader does not know it (a FRI batch's opened rows), then its words.
+They share nothing with the shipped codec but the proof dataclasses
+they build, the exception classes and the registry's format versions,
+so a decode, an encode or a refusal on which the two agree is evidence
+about both.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ from repro.protocols import get, names
 from repro.serialize import ENVELOPE_MAGIC, ENVELOPE_VERSION, PROOF_BLOB_MAGIC, ProofFormatError
 from repro.sumcheck import SumcheckProof
 
-MAX_NDIM = 4
-
 
 class ByteWriter:
     """Append-only little-endian byte sink."""
@@ -42,12 +43,13 @@ class ByteWriter:
     def u64(self, v: int) -> None:
         self._chunks.append(struct.pack("<Q", int(v)))
 
-    def elems(self, arr) -> None:
+    def elems(self, arr, width: int | None = None) -> None:
         arr = np.ascontiguousarray(np.asarray(arr, dtype=np.uint64))
-        self.u32(arr.size)
-        self.u32(arr.ndim)
-        for d in arr.shape:
-            self.u32(d)
+        if arr.ndim != 2 or (width is not None and arr.shape[1] != width):
+            raise ValueError(f"cannot encode a {arr.shape} array as (k, {width or 'w'}) rows")
+        self.u32(arr.shape[0])
+        if width is None:
+            self.u32(arr.shape[1])
         self._chunks.append(arr.tobytes())
 
     def getvalue(self) -> bytes:
@@ -85,24 +87,18 @@ class ByteReader:
             )
         return n
 
-    def elems(self) -> np.ndarray:
-        size = self.u32()
-        if size * 8 > self.remaining():
+    def elems(self, width: int | None = None, what: str = "array") -> np.ndarray:
+        rows = self.u32()
+        if width is None:
+            width = self.u32()
+            if width == 0:
+                raise ValueError(f"malformed {what} (zero-width rows)")
+        if rows * width * 8 > self.remaining():
             raise ValueError(
-                f"length-inflated proof bytes (array of {size} elements "
-                "exceeds remaining buffer)"
+                f"length-inflated proof bytes ({what} of {rows} rows exceeds remaining buffer)"
             )
-        ndim = self.u32()
-        if ndim > MAX_NDIM:
-            raise ValueError(f"array rank {ndim} out of range")
-        shape = tuple(self.u32() for _ in range(ndim))
-        expected = 1
-        for d in shape:
-            expected *= d
-        if expected != size:
-            raise ValueError("array shape does not match element count")
-        raw = self._take(size * 8)
-        return np.frombuffer(raw, dtype=np.uint64).reshape(shape).copy()
+        raw = self._take(rows * width * 8)
+        return np.frombuffer(raw, dtype=np.uint64).reshape(rows, width).copy()
 
     def done(self) -> bool:
         return self._pos == len(self._data)
@@ -112,45 +108,39 @@ class ByteReader:
 
 
 def read_cap(r: ByteReader, what: str) -> np.ndarray:
-    cap = r.elems()
-    if cap.ndim != 2 or cap.shape[1] != 4 or cap.shape[0] == 0:
+    cap = r.elems(4, what)
+    if cap.shape[0] == 0:
         raise ValueError(f"malformed {what} (expected a non-empty (c, 4) array)")
     return cap
 
 
 def read_ext_array(r: ByteReader, what: str) -> np.ndarray:
-    arr = r.elems()
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"malformed {what} (expected an (n, 2) array)")
-    return arr
+    return r.elems(2, what)
 
 
-def write_opening(w: ByteWriter, op: TreeOpening) -> None:
-    w.elems(op.rows)
-    w.elems(op.nodes)
+def write_opening(w: ByteWriter, op: TreeOpening, width: int | None) -> None:
+    w.elems(op.rows, width)
+    w.elems(op.nodes, 4)
 
 
 def read_opening(r: ByteReader, width: int | None, what: str) -> TreeOpening:
-    rows = r.elems()
-    if rows.ndim != 2 or width not in (None, rows.shape[1]):
-        shape = f"(k, {'w' if width is None else width})"
-        raise ValueError(f"malformed {what} (expected a {shape} row array)")
-    nodes = r.elems()
-    if nodes.ndim != 2 or nodes.shape[1] != 4:
-        raise ValueError(f"malformed {what} (path nodes must be (k, 4))")
+    rows = r.elems(width, what)
+    nodes = r.elems(4, f"{what} path nodes")
     return TreeOpening(rows=rows, nodes=nodes)
 
 
 def write_fri_proof(w: ByteWriter, proof: FriProof) -> None:
     w.u32(len(proof.commit_caps))
     for cap in proof.commit_caps:
-        w.elems(cap)
-    w.elems(proof.final_poly)
+        w.elems(cap, 4)
+    w.elems(proof.final_poly, 2)
     w.u64(proof.pow_witness)
-    for openings in (proof.batch_openings, proof.layer_openings):
-        w.u32(len(openings))
-        for op in openings:
-            write_opening(w, op)
+    w.u32(len(proof.batch_openings))
+    for op in proof.batch_openings:
+        write_opening(w, op, None)
+    w.u32(len(proof.layer_openings))
+    for op in proof.layer_openings:
+        write_opening(w, op, 2)
 
 
 def read_fri_proof(r: ByteReader) -> FriProof:
@@ -162,7 +152,7 @@ def read_fri_proof(r: ByteReader) -> FriProof:
         for _ in range(r.count(8, "FRI batch opening count"))
     ]
     layer_openings = [
-        read_opening(r, None, "FRI layer opening")
+        read_opening(r, 2, "FRI layer opening")
         for _ in range(r.count(8, "FRI layer opening count"))
     ]
     return FriProof(
@@ -180,9 +170,9 @@ def read_fri_proof(r: ByteReader) -> FriProof:
 def stark_to_bytes(proof: Proof) -> bytes:
     trace_cap, quotient_cap = proof.caps
     w = ByteWriter()
-    w.elems(trace_cap)
-    w.elems(quotient_cap)
-    w.elems(proof.opened_values)
+    w.elems(trace_cap, 4)
+    w.elems(quotient_cap, 4)
+    w.elems(proof.opened_values, 2)
     write_fri_proof(w, proof.fri_proof)
     return w.getvalue()
 
@@ -205,10 +195,10 @@ def stark_from_bytes(data: bytes) -> Proof:
 def plonk_to_bytes(proof: Proof) -> bytes:
     wires_cap, z_cap, quotient_cap = proof.caps
     w = ByteWriter()
-    w.elems(wires_cap)
-    w.elems(z_cap)
-    w.elems(quotient_cap)
-    w.elems(proof.opened_values)
+    w.elems(wires_cap, 4)
+    w.elems(z_cap, 4)
+    w.elems(quotient_cap, 4)
+    w.elems(proof.opened_values, 2)
     write_fri_proof(w, proof.fri_proof)
     return w.getvalue()
 
@@ -231,8 +221,8 @@ def plonk_from_bytes(data: bytes) -> Proof:
 
 def hyperplonk_to_bytes(proof: HyperPlonkProof) -> bytes:
     w = ByteWriter()
-    w.elems(proof.wires_cap)
-    w.elems(proof.z_cap)
+    w.elems(proof.wires_cap, 4)
+    w.elems(proof.z_cap, 4)
     sc = proof.sumcheck
     w.u64(sc.claimed_sum)
     w.u32(len(sc.round_values))
@@ -242,12 +232,13 @@ def hyperplonk_to_bytes(proof: HyperPlonkProof) -> bytes:
     w.u64(sc.final_value)
     w.u32(len(proof.level_caps))
     for cap in proof.level_caps:
-        w.elems(cap)
-    for op in (proof.pre_opening, proof.wires_opening, proof.z_opening):
-        write_opening(w, op)
+        w.elems(cap, 4)
+    write_opening(w, proof.pre_opening, 8)
+    write_opening(w, proof.wires_opening, 3)
+    write_opening(w, proof.z_opening, 1)
     w.u32(len(proof.level_openings))
     for op in proof.level_openings:
-        write_opening(w, op)
+        write_opening(w, op, 1)
     return w.getvalue()
 
 
@@ -265,7 +256,7 @@ def hyperplonk_from_bytes(data: bytes) -> HyperPlonkProof:
     z_opening = read_opening(r, 1, "Z opening")
     level_openings = [
         read_opening(r, 1, "fold-level opening")
-        for _ in range(r.count(4, "fold-level opening count"))
+        for _ in range(r.count(8, "fold-level opening count"))
     ]
     if not r.done():
         raise ValueError("trailing bytes after HyperPlonk proof")

@@ -5,9 +5,11 @@ before verification moved onto the batched plane
 (:func:`repro.merkle.verify_paths`, FRI checks on a query axis): one
 tree's frontier walked at a time in a dict of known nodes (no
 ``_schedule``), one ``two_to_one`` per node, one extension inversion
-per query per opening point.  Each FRI tree opening is authenticated
-once, then each query reads its row by index and walks its fold chain
-alone.  The FRI layer walk folds each
+per query per opening point.  The FRI walk goes a layer at a time:
+a committed layer's opened leaves are rebuilt in a dict of slots --
+each query's folded value at its position, the proof's values in the
+rest -- and authenticated once, then each query reads its coset by
+index and folds it alone.  The FRI layer walk folds each
 opened coset by its own rule -- the coset's Lagrange interpolant at
 ``beta``, in Python integers -- where the shipped verifier repeats the
 prover's arity-2 :func:`repro.fri.prover.fold_pairs`; a virtual first
@@ -194,17 +196,14 @@ def fri_verify(
     if len(proof.layer_openings) != len(committed):
         raise FriError("wrong number of layer openings")
     batches = [
-        _opened_rows(op, cap, indices, m0, config.cap_height,
+        _opened_rows(op.rows, op.nodes, cap, indices, m0, config.cap_height,
                      tuple(w << a for w in widths[b]) if widths else None, "initial")
         for b, (op, cap) in enumerate(zip(proof.batch_openings, batch_caps))
-    ]
-    layers = [
-        _opened_rows(op, cap, indices, m, config.cap_height, (2 << bits,), "layer")
-        for op, cap, m, bits in zip(proof.layer_openings, proof.commit_caps, sizes[1:], committed)
     ]
 
     omega = gl.primitive_root_of_unity(log_lde)
     betas = [fext.to_pair(beta) for beta in betas]
+    values, positions = [], []
     for idx in indices:
         leaf_index = idx % m0
         leaves = [rows[leaf_index] for rows in batches]
@@ -222,29 +221,33 @@ def fri_verify(
             _combined_at_index([s[j] for s in slots], openings, alpha, x)
             for j, x in enumerate(xs)
         ]
-        value = _interpolate_at(xs, coset, beta0)
+        values.append(_interpolate_at(xs, coset, beta0))
+        positions.append(leaf_index)
 
-        # Walk the committed layers.
-        cur = leaf_index
-        size = m0
-        shift = gl.pow_mod(gl.coset_shift(), 1 << a)
-        for rows, beta, bits in zip(layers, betas, committed):
-            m = size >> bits
-            leaf_index = cur % m
-            leaf = rows[leaf_index]
-            coset = [(int(leaf[2 * j]), int(leaf[2 * j + 1])) for j in range(1 << bits)]
-            if coset[cur // m] != value:
-                raise FriError("fold consistency check failed")
-            # Slot j holds the point shift * w^(leaf_index + j * m).
-            w = gl.primitive_root_of_unity(size.bit_length() - 1)
-            xs = [gl.mul(shift, gl.pow_mod(w, leaf_index + j * m)) for j in range(1 << bits)]
-            value = _interpolate_at(xs, coset, beta)
-            cur = leaf_index
-            size = m
-            shift = gl.pow_mod(shift, 1 << bits)
-
-        # Final polynomial check at the residual domain point.
+    # Walk the committed layers, one at a time: rebuild the layer's
+    # opened leaves with each query's folded value in its slot,
+    # authenticate them, then fold each query's coset.
+    size = m0
+    shift = gl.pow_mod(gl.coset_shift(), 1 << a)
+    for op, cap, beta, bits in zip(proof.layer_openings, proof.commit_caps, betas, committed):
+        m = size >> bits
+        rows = _rebuilt_rows(op.rows, positions, values, m, 1 << bits)
+        leaves = _opened_rows(rows, op.nodes, cap, indices, m, config.cap_height, (2 << bits,), "layer")
+        # Slot j holds the point shift * w^(leaf_index + j * m).
         w = gl.primitive_root_of_unity(size.bit_length() - 1)
+        for q, cur in enumerate(positions):
+            leaf_index = cur % m
+            leaf = leaves[leaf_index]
+            coset = [(int(leaf[2 * j]), int(leaf[2 * j + 1])) for j in range(1 << bits)]
+            xs = [gl.mul(shift, gl.pow_mod(w, leaf_index + j * m)) for j in range(1 << bits)]
+            values[q] = _interpolate_at(xs, coset, beta)
+            positions[q] = leaf_index
+        size = m
+        shift = gl.pow_mod(shift, 1 << bits)
+
+    # Final polynomial check at each query's residual domain point.
+    w = gl.primitive_root_of_unity(size.bit_length() - 1)
+    for value, cur in zip(values, positions):
         x_final = (gl.mul(shift, gl.pow_mod(w, cur)), 0)
         expected = (0, 0)
         for c0, c1 in proof.final_poly.tolist()[::-1]:
@@ -253,11 +256,32 @@ def fri_verify(
             raise FriError("final polynomial evaluation mismatch")
 
 
-def _opened_rows(opening, cap, indices, num_leaves, cap_height, widths, what) -> Dict[int, np.ndarray]:
+def _rebuilt_rows(values, positions, folded, num_leaves, arity) -> np.ndarray:
+    """The opened coset leaves of a committed layer of ``num_leaves``
+    leaves: the layer's values at ``positions`` are the queries'
+    ``folded`` values (position ``p`` is slot ``p // num_leaves`` of
+    leaf ``p % num_leaves``), and the proof's ``values`` fill every
+    other slot, leaf after leaf and slot after slot."""
+    at = {(p % num_leaves, p // num_leaves): value for p, value in zip(positions, folded)}
+    opened = sorted({p % num_leaves for p in positions})
+    if not isinstance(values, np.ndarray) or values.shape != (len(opened) * arity - len(at), 2):
+        raise FriError("layer opening has wrong shape")
+    sent = iter(values.tolist())
+    return np.array(
+        [
+            [word for slot in range(arity) for word in at.get((leaf, slot)) or next(sent)]
+            for leaf in opened
+        ],
+        dtype=np.uint64,
+    ).reshape(len(opened), 2 * arity)
+
+
+def _opened_rows(rows, nodes, cap, indices, num_leaves, cap_height, widths, what) -> Dict[int, np.ndarray]:
     """``leaf index -> row`` of one tree opening: row ``k`` is bound to
     the ``k``-th smallest of ``{i % num_leaves}`` (the proof sends no
     indices), after checking one row per index with admissible widths,
-    and the rows authenticate against ``cap`` through :func:`verify_multi`.
+    and the rows authenticate with the path ``nodes`` against ``cap``
+    through :func:`verify_multi`.
 
     Validate the row shape before anything slices it: a truncated or
     reshaped leaf would otherwise be read into the wrong slots (or
@@ -265,7 +289,6 @@ def _opened_rows(opening, cap, indices, num_leaves, cap_height, widths, what) ->
     rows into the same digest as a 4-element row ending in zero.
     """
     expected = tuple(sorted({int(i) % num_leaves for i in indices}))
-    rows, nodes = opening.rows, opening.nodes
     if not isinstance(rows, np.ndarray) or rows.ndim != 2 or rows.shape[0] != len(expected):
         raise FriError(f"{what} opening has wrong shape")
     if widths is not None and rows.shape[1] not in widths:

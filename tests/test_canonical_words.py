@@ -43,8 +43,8 @@ def _word_offsets(blob: bytes) -> list:
         offsets.append(self._pos)
         return u64(self)
 
-    def read_elems(self):
-        arr = elems(self)
+    def read_elems(self, *args):
+        arr = elems(self, *args)
         offsets.extend(range(self._pos - 8 * arr.size, self._pos, 8))
         return arr
 

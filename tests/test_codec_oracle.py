@@ -44,8 +44,7 @@ SEEDS = 25
 
 #: The start of every message the codec raises on malformed bytes.
 TYPED_MESSAGE = re.compile(
-    r"(length-inflated proof bytes|truncated proof bytes|array rank \d+ out of range"
-    r"|array shape does not match|malformed |trailing bytes after"
+    r"(length-inflated proof bytes|truncated proof bytes|malformed |trailing bytes after"
     r"|untagged proof bytes|unsupported proof format version|unknown proof protocol tag)"
 )
 
@@ -147,8 +146,9 @@ def _reference_envelope_payload(data: bytes) -> tuple:
 
 
 def _count_and_shape_words(name: str, body: bytes) -> list:
-    """Body offset of every count word and array-header word (size,
-    rank, each dim) the reference reader reads from ``body``."""
+    """Body offset of every count word and array-header word (row
+    count, and width where sent) the reference reader reads from
+    ``body``."""
     words = []
 
     class Recording(ref.ByteReader):
@@ -156,10 +156,10 @@ def _count_and_shape_words(name: str, body: bytes) -> list:
             words.append(self._pos)
             return super().count(item_bytes, what)
 
-        def elems(self):
+        def elems(self, width=None, what="array"):
             start = self._pos
-            arr = super().elems()
-            words.extend(range(start, start + 8 + 4 * arr.ndim, 4))
+            arr = super().elems(width, what)
+            words.extend(range(start, start + (8 if width is None else 4), 4))
             return arr
 
     with mock.patch.object(ref, "ByteReader", Recording):
@@ -186,13 +186,24 @@ def test_a_blob_cut_at_any_byte_is_refused_typed(golden):
         _assert_typed_refusal(write_proof_blob(name, body[:cut]), ("body", name, cut))
 
 
+def _shape_word_count(proof) -> int:
+    """The count and shape words a proof's body carries: one row count
+    an array, a width for each FRI batch's rows, one count a list."""
+    if hasattr(proof, "fri_proof"):
+        fri = proof.fri_proof
+        arrays = len(proof.caps) + 1 + len(fri.commit_caps) + 1
+        openings = 3 * len(fri.batch_openings) + 2 * len(fri.layer_openings)
+        return arrays + openings + 3
+    return 2 + len(proof.level_caps) + 2 * len(proof.tree_openings()) + 3
+
+
 def test_every_count_and_shape_word_set_to_its_maximum_is_refused_typed(golden):
-    name, _, blob = golden
+    name, proof, blob = golden
     body = bytes(read_proof_blob(blob)[1])
     head = len(blob) - len(body)
     tag_length, body_length = 5, head - 4
     words = [tag_length, body_length] + [head + w for w in _count_and_shape_words(name, body)]
-    assert len(words) > 20, words
+    assert len(words) == 2 + _shape_word_count(proof), words
     for offset in words:
         hostile = blob[:offset] + b"\xff\xff\xff\xff" + blob[offset + 4 :]
         _assert_typed_refusal(hostile, (name, offset))

@@ -1,13 +1,16 @@
 """FRI commitment scheme: honest proofs verify, every fault is caught."""
 
 import copy
+import dataclasses
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.context import RUN, Counters, scoped
+from repro.errors import VerifierError
 from repro.field import extension as ext, gl64, goldilocks as gl
 from repro.fri import (
     PLONKY2_CONFIG,
@@ -25,6 +28,7 @@ from repro.fri import (
 )
 from repro import protocols
 from repro.fri import config as fri_config, prover as fri_prover, verifier as fri_verifier
+from repro.pcs import fri as pcs_fri
 from repro.fri.config import (
     FRI_ARITY_BITS,
     expected_opening_bytes,
@@ -39,7 +43,7 @@ from repro.plonk import prover as plonk_prover
 from repro.plonk.protocol import PLONK
 from repro.stark import prover as stark_prover
 from repro.stark.protocol import stark
-from repro.serialize import proof_to_blob
+from repro.serialize import proof_from_blob, proof_to_blob
 from repro.workloads import by_name, fibonacci
 
 from .goldens import ARITY2_DIGESTS, CONFIGS, LAYOUTS, ROW_LAYOUT_DIGESTS, SCALE, WORKLOADS
@@ -209,10 +213,23 @@ class TestFoldSchedule:
         cfg = fri_test_config
         n = 64  # 6 - 2 = 4 folds: one arity-8 layer, one arity-2 tail
         batches = _mk_batches(rng, cfg, n)
-        proof = _prove(batches, _mk_openings(batches, n), cfg)
+        queried = []
+        get_indices = Challenger.get_indices
+
+        def spy(challenger, count, domain_size):
+            queried.extend(get_indices(challenger, count, domain_size))
+            return queried[-count:]
+
+        with mock.patch.object(Challenger, "get_indices", spy):
+            proof = _prove(batches, _mk_openings(batches, n), cfg)
         assert cfg.fold_schedule(6) == (3, 1)
         assert len(proof.commit_caps) == 2
-        assert [op.rows.shape[1] for op in proof.layer_openings] == [16, 4]
+        # Each layer sends its opened cosets of 8 and 2 values less the
+        # one value each distinct query position folds into them.
+        n_lde = n << cfg.rate_bits
+        for op, size, leaves in zip(proof.layer_openings, (n_lde, n_lde >> 3), (n_lde >> 3, n_lde >> 4)):
+            opened, folded = ({p % m for p in queried} for m in (leaves, size))
+            assert op.rows.shape == (len(opened) * (size // leaves) - len(folded), 2)
 
     @pytest.mark.parametrize("name", sorted(ARITY2_DIGESTS))
     def test_arity_2_schedule_reproduces_the_pair_leaf_proofs(self, name, monkeypatch):
@@ -414,9 +431,18 @@ class TestLayoutTable:
     """The tolerance rule over the modelled table, both protocols."""
 
     def test_stark_fibonacci_layout_is_the_bytes_first_one(self):
+        # But at 2^8: there 4-row cosets send the smallest expected
+        # proof, and the pick keeps 8-row ones, 0.6 % more bytes and 28 %
+        # fewer prover permutations.
         cfg = protocols.get("stark").make_config()
         for degree_bits in range(5, 15):
             a = _bytes_first(cfg, degree_bits, [2, 2])
+            if degree_bits == 8:
+                assert a == 2
+                size, perms = _proof_price(cfg, 8, [2, 2], 3)
+                least, more = _proof_price(cfg, 8, [2, 2], 2)
+                assert size <= Fraction(1006, 1000) * least and perms <= Fraction(72, 100) * more
+                a = 3
             assert fri_layout(cfg, degree_bits, [2, 2]) == (a, cfg.fold_schedule(degree_bits, a))
 
     def test_plonk_default_costs_no_more_than_the_4_coefficient_layout(self):
@@ -463,15 +489,36 @@ class TestExpectedProofBytes:
             want = expected_opening_bytes(leaves, width, cap_height, queries)
             assert Fraction(total, leaves**queries) == want
 
+    @pytest.mark.parametrize("queries", [1, 2, 3])
+    @pytest.mark.parametrize("log_leaves, arity_bits", [(0, 1), (1, 1), (2, 2), (1, 3)])
+    def test_folded_layer_closed_form_is_the_mean_over_every_query_tuple(
+        self, queries, log_leaves, arity_bits
+    ):
+        # A committed layer's opening leaves out the value each distinct
+        # query position folds: over every equally likely tuple of
+        # positions in the layer, the mean of the bytes it sends is
+        # exactly the closed form.
+        leaves, arity = 1 << log_leaves, 1 << arity_bits
+        tree = MerkleTree(gl64.random((leaves, 2 * arity), np.random.default_rng(2)))
+        for cap_height in range(log_leaves + 1):
+            capped = tree.capped(cap_height)
+            total = sum(
+                fri_prover.layer_opening(capped, draw).size_bytes(2)
+                for draw in itertools.product(range(leaves * arity), repeat=queries)
+            )
+            want = expected_opening_bytes(leaves, 2 * arity, cap_height, queries, folded=True)
+            assert Fraction(total, (leaves * arity) ** queries) == want
+
     def test_proof_price_sums_trees_and_layer_caps(self):
         # Plonk MVM 11 under the registry defaults, rows: four batch
         # trees of 4096 leaves, then layers of 512 and 128 coset leaves
         # (a fold by 8, then by 4), each with a two-digest cap.
         cfg = CONFIGS["plonk"]
-        trees = [(4096, w, 1) for w in PLONK.widths]
-        trees += [(512, 16, 1), (128, 8, 1)]
-        want = 2 * 2 * 32 + sum(
-            expected_opening_bytes(m, w, cap, cfg.num_queries) for m, w, cap in trees
+        trees = [(4096, w, 1, False) for w in PLONK.widths]
+        trees += [(512, 16, 1, True), (128, 8, 1, True)]
+        want = 2 * (4 + 2 * 32) + sum(
+            expected_opening_bytes(m, w, cap, cfg.num_queries, folded)
+            for m, w, cap, folded in trees
         )
         assert expected_proof_bytes(cfg, 9, PLONK.widths, 0) == want
 
@@ -773,3 +820,92 @@ def test_batched_grind_finds_the_scalar_witness(pow_bits, rng):
                 assert witness == want and check_pow(challenger, witness, pow_bits)
             want = witness
         assert counts[0] == counts[1] == want + 1
+
+
+class TestOneLayerFoldedWrongly:
+    """A cheater that answers Fiat-Shamir honestly and lies in one
+    place: the real FRI prover, run from the transcript state the
+    protocol hands it, with the first fold's output -- the first
+    committed layer's values -- changed at one position.  The verifier
+    folds that value itself from the layer below, so the layer's Merkle
+    check, which binds it, must refuse the proof.  The query positions
+    are the transcript's, so the harness retries positions until they
+    reach the changed value."""
+
+    ERRORS = {"stark": "StarkError", "plonk": "PlonkError"}
+
+    @staticmethod
+    def _cheater(name, monkeypatch):
+        """``(setup, honest proof, cheat)``; ``cheat(position, delta)``
+        returns the proof whose first fold moved value ``position`` by
+        ``delta``, whether a query folds into that value, and each
+        committed layer's whole opened cosets."""
+        system = protocols.get(name)
+        setup = system.setup(by_name(WORKLOADS[name]), SCALE, CONFIGS[name])
+        entry = []
+
+        def record(batches, openings, challenger, config):
+            entry.append((batches, openings, challenger.clone(), config))
+            return fri_prove(batches, openings, challenger, config)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pcs_fri, "fri_prove", record)
+            honest = system.prove(setup)
+        (batches, openings, challenger, config), = entry
+
+        def cheat(position, delta):
+            fold, layer_opening = fri_prover.fold_values, fri_prover.layer_opening
+            folds, queried, full = [], [], []
+
+            def folded(values, beta, shift, log_n, arity_bits=1):
+                out = fold(values, beta, shift, log_n, arity_bits)
+                if not folds:
+                    folds.append(out.shape[0])
+                    out = out.copy()
+                    out[position, 0] = gl.add(int(out[position, 0]), delta)
+                return out
+
+            def opening(tree, indices):
+                queried[:] = indices
+                full.append(open_tree(tree, [i % tree.num_leaves() for i in indices]).rows)
+                return layer_opening(tree, indices)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(fri_prover, "fold_values", folded)
+                patch.setattr(fri_prover, "layer_opening", opening)
+                fri_proof = fri_prove(batches, openings, challenger.clone(), config)
+            reached = any(int(p) % folds[0] == position for p in queried)
+            return dataclasses.replace(honest, fri_proof=fri_proof), reached, full
+
+        return setup, honest, cheat
+
+    @pytest.mark.parametrize("name", sorted(ERRORS))
+    def test_a_value_folded_wrongly_is_refused(self, name, monkeypatch):
+        system = protocols.get(name)
+        setup, honest, cheat = self._cheater(name, monkeypatch)
+        # The same harness with no change proves honestly.
+        proof, _, _ = cheat(0, 0)
+        assert system.to_bytes(proof) == system.to_bytes(honest)
+        system.verify(setup, proof)
+        for position in range(256):
+            proof, reached, _ = cheat(position, 1)
+            if reached:
+                break
+        assert reached, position
+        with pytest.raises(VerifierError, match="layer Merkle proof failed") as refused:
+            system.verify(setup, proof)
+        assert type(refused.value).__name__ == self.ERRORS[name]
+
+    @pytest.mark.parametrize("name", sorted(ERRORS))
+    def test_the_folded_values_put_back_are_refused(self, name, monkeypatch):
+        # Every opened coset whole, as the previous format sent it, is
+        # more values than the layer owes: refused typed, not a crash.
+        system = protocols.get(name)
+        setup, _, cheat = self._cheater(name, monkeypatch)
+        proof, _, full = cheat(0, 0)
+        for op, rows in zip(proof.fri_proof.layer_openings, full):
+            op.rows = rows.reshape(-1, 2)
+        _, back = proof_from_blob(proof_to_blob(name, proof), expected_protocol=name)
+        with pytest.raises(VerifierError, match="layer opening has wrong shape") as refused:
+            system.verify(setup, back)
+        assert type(refused.value).__name__ == self.ERRORS[name]

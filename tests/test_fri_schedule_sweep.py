@@ -14,8 +14,9 @@ draws traces of 2-8 columns (Fibonacci column pairs) and Plonk blinding
 salt on or off, so leaf widths vary around the rule's inputs.
 Each case goes prove -> tagged blob -> decode -> verify on the shipped
 verifier and on ``tests/reference_verifiers.py``, and a proof with one
-flipped bit in one opened leaf -- initial or layer -- must be rejected
-by both with a typed error.
+flipped bit in one sent value -- initial or layer -- must be rejected
+by both with a typed error.  A small last layer whose every value the
+queries fold from below sends an empty ``(0, 2)`` array and must verify.
 
 Plonk's circuits have at least 4 rows and its 4-chunk quotient needs a
 blowup of at least 4, so its draws start at degree bits 2, rate bits 2.
@@ -163,13 +164,16 @@ def test_every_schedule_tail_proves_and_verifies(protocol, tail, data):
     assert [op.rows.shape[1] for op in fri_proof.batch_openings] == [
         (w + s) << a for w, s in zip(widths, salt)
     ]
-    assert [op.rows.shape[1] for op in fri_proof.layer_openings] == [2 << b for b in committed]
+    # A layer sends (m, 2) values: its coset leaves less the folded slots.
+    assert [op.rows.shape[1] for op in fri_proof.layer_openings] == [2] * len(committed)
     with _forced_layout(a):
         verify(proof)
         with reference_plane():
             verify(proof)
 
-    opened = fri_proof.tree_openings()
+    # A layer whose every value a query folds from below sends none, so
+    # the flipped bit lands in a tree that sends at least one row.
+    opened = [op for op in fri_proof.tree_openings() if op.rows.shape[0]]
     rows = opened[data.draw(st.integers(0, len(opened) - 1), "tree")].rows
     leaf = rows[data.draw(st.integers(0, rows.shape[0] - 1), "leaf")]
     element = data.draw(st.integers(0, leaf.size - 1), "element")

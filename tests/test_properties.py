@@ -162,9 +162,10 @@ class TestSerializationProperties:
         from repro.serialize import ByteReader, ByteWriter
 
         rng = np.random.default_rng(pyrandom.randrange(2**32))
-        shape = tuple(int(rng.integers(1, 5)) for _ in range(int(rng.integers(1, 3))))
+        shape = tuple(int(rng.integers(1, 5)) for _ in range(2))
         arr = gl64.random(shape, rng)
+        width = shape[1] if rng.integers(0, 2) else None
         w = ByteWriter()
-        w.elems(arr)
-        out = ByteReader(w.getvalue()).elems()
+        w.elems(arr, width)
+        out = ByteReader(w.getvalue()).elems(width)
         assert out.shape == arr.shape and np.array_equal(out, arr)

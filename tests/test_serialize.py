@@ -7,10 +7,12 @@ import pytest
 from repro.field import gl64
 from repro.fri import FriConfig
 from repro.plonk import CircuitBuilder, prove, setup, verify
-from repro.protocols import get
-from repro.serialize import ByteReader, ByteWriter
+from repro.protocols import get, names
+from repro.serialize import ByteReader, ByteWriter, proof_to_blob, write_fri_proof
 from repro.stark import prove as stark_prove, verify as stark_verify
 from repro.workloads import by_name
+
+from .goldens import BLOB_BYTES, CONFIGS, SCALE, WORKLOADS
 
 _CFG = FriConfig(rate_bits=3, cap_height=1, num_queries=5,
                  proof_of_work_bits=2, final_poly_len=4)
@@ -48,13 +50,21 @@ class TestPrimitives:
         assert r.done()
 
     def test_elems_roundtrip_shapes(self, rng):
-        for shape in [(5,), (3, 4), (2,), (0,)]:
+        # With the width on the wire and with the reader knowing it.
+        for shape in [(5, 1), (3, 4), (2, 2), (0, 4)]:
             arr = gl64.random(shape, rng)
-            w = ByteWriter()
-            w.elems(arr)
-            out = ByteReader(w.getvalue()).elems()
-            assert out.shape == arr.shape
-            assert np.array_equal(out, arr)
+            for width in (None, shape[1]):
+                w = ByteWriter()
+                w.elems(arr, width)
+                out = ByteReader(w.getvalue()).elems(width)
+                assert out.shape == arr.shape
+                assert np.array_equal(out, arr)
+
+    def test_writer_refuses_a_shape_the_wire_cannot_carry(self):
+        w = ByteWriter()
+        for arr, width in [(np.zeros(3), None), (np.zeros((2, 3)), 4), (np.uint64(7), 2)]:
+            with pytest.raises(ValueError, match="cannot encode"):
+                w.elems(arr, width)
 
     def test_truncated_raises(self):
         w = ByteWriter()
@@ -75,21 +85,21 @@ class TestHostileLengths:
         with pytest.raises(ValueError, match="length-inflated"):
             ByteReader(w.getvalue()).elems()
 
-    def test_excessive_rank_rejected(self):
+    def test_zero_width_rejected(self):
+        # Zero-width rows take no bytes, so no bound on the buffer would
+        # stop their count.
         w = ByteWriter()
+        w.u32(2**32 - 1)
         w.u32(0)
-        w.u32(200)  # rank 200 "array"
-        with pytest.raises(ValueError, match="rank"):
+        with pytest.raises(ValueError, match="zero-width"):
             ByteReader(w.getvalue()).elems()
 
-    def test_shape_product_mismatch_rejected(self):
+    def test_inflated_width_rejected(self):
         w = ByteWriter()
         w.u32(4)
-        w.u32(2)
-        w.u32(3)  # 3 * 3 != 4
-        w.u32(3)
+        w.u32(2**31)  # 4 rows of 2**31 elements
         w._chunks.append(b"\x00" * 32)
-        with pytest.raises(ValueError, match="shape"):
+        with pytest.raises(ValueError, match="length-inflated"):
             ByteReader(w.getvalue()).elems()
 
     def test_inflated_count_rejected(self):
@@ -125,8 +135,8 @@ class TestHostileLengths:
 
         w = ByteWriter()
         w.elems(np.zeros((1, 3), dtype=np.uint64))  # one opened row
-        w.elems(np.zeros(8, dtype=np.uint64))  # flat, not (k, 4)
-        with pytest.raises(ValueError, match="path nodes must be"):
+        w.elems(np.zeros((2, 2), dtype=np.uint64))  # 4 words, not one (k, 4) digest
+        with pytest.raises(ValueError, match="FRI batch opening path nodes"):
             TreeOpening.read(ByteReader(w.getvalue()), None, "FRI batch opening")
 
 
@@ -183,6 +193,30 @@ class TestStarkRoundTrip:
     def test_deterministic_bytes(self, stark_setup):
         _, proof, _ = stark_setup
         assert STARK.to_bytes(proof) == STARK.to_bytes(proof)
+
+
+class TestWireSize:
+    """A proof's ``size_bytes()`` is its body's length, and the bench
+    shapes' blobs are pinned, so a change to what a proof carries shows
+    as a diff."""
+
+    @pytest.mark.parametrize("protocol", names())
+    def test_size_bytes_is_the_body_length(self, protocol):
+        system = get(protocol)
+        setup = system.setup(by_name(WORKLOADS[protocol]), SCALE, CONFIGS[protocol])
+        proof = system.prove(setup)
+        assert proof.size_bytes() == len(system.to_bytes(proof))
+        if hasattr(proof, "fri_proof"):
+            w = ByteWriter()
+            write_fri_proof(w, proof.fri_proof)
+            assert proof.fri_proof.size_bytes() == len(w.getvalue())
+
+    @pytest.mark.parametrize("shape", sorted(BLOB_BYTES), ids=lambda s: "-".join(map(str, s)))
+    def test_bench_shape_blob_bytes(self, shape):
+        protocol, workload, scale = shape
+        system = get(protocol)
+        proof = system.prove(system.setup(by_name(workload), scale, system.make_config()))
+        assert len(proof_to_blob(protocol, proof)) == BLOB_BYTES[shape]
 
 
 class TestResultEnvelope:
@@ -312,12 +346,13 @@ def _as_version_1(blob: bytes) -> bytes:
     return bytes(old)
 
 
-#: Current format versions: STARK 8, Plonk 6 and HyperPlonk-lite 4 since
-#: a proof stopped sending its public inputs (the verifier's statement
-#: is its instance's); before that a proof stopped sending its opening
-#: points and columns, its tree openings' leaf indices and (STARK) its
-#: trace length.
-CURRENT_VERSIONS = {"stark": 8, "plonk": 7, "hyperplonk": 4}
+#: Current format versions: STARK 9, Plonk 8 and HyperPlonk-lite 5 since
+#: a proof stopped sending the values its FRI verifier folds and the
+#: shape words its reader knows; before that a proof stopped sending its
+#: public inputs (the verifier's statement is its instance's), its
+#: opening points and columns, its tree openings' leaf indices and
+#: (STARK) its trace length.
+CURRENT_VERSIONS = {"stark": 9, "plonk": 8, "hyperplonk": 5}
 
 
 @pytest.fixture(scope="module")
@@ -391,9 +426,9 @@ class TestFormatVersion1:
     def test_previous_version_blob_is_refused_before_its_body_is_decoded(
         self, protocol, stark_setup, plonk_setup, hyperplonk_proof
     ):
-        # STARK v7 and HyperPlonk-lite v3 sent what the verifier takes
-        # from its instance, the public inputs, and Plonk v6 a fourth
-        # quotient chunk; the current formats do not, so those blobs are
+        # STARK v8 and Plonk v7 sent the values their FRI verifier
+        # folds, and all three previous formats sent every array's rank
+        # and dims; the current formats do not, so those blobs are
         # refused, typed, and the body codec never runs.
         from unittest import mock
 
@@ -402,7 +437,7 @@ class TestFormatVersion1:
         proof = {
             "stark": stark_setup[1], "plonk": plonk_setup[1], "hyperplonk": hyperplonk_proof
         }[protocol]
-        old = {"stark": 7, "plonk": 6, "hyperplonk": 3}[protocol]
+        old = {"stark": 8, "plonk": 7, "hyperplonk": 4}[protocol]
         version = CURRENT_VERSIONS[protocol]
         assert get(protocol).format_version == version == old + 1
         blob = bytearray(proof_to_blob(protocol, proof))

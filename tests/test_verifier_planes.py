@@ -112,18 +112,20 @@ def test_first_tree_opening_with_two_rows_swapped_is_refused(protocol):
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_a_byte_flipped_in_the_tree_openings_is_refused(protocol):
     # The last tree opening ends every blob: a committed FRI layer's for
-    # STARK and Plonk, the last fold level's for HyperPlonk-lite.  Its
-    # first row word follows the rows' 16-byte header (size, rank, two
-    # dims), and flipping that word's low bit leaves a proof the codec
-    # still reads: both planes must refuse it alike.
+    # STARK and Plonk (its (m, 2) values), the last fold level's
+    # one-column rows for HyperPlonk-lite.  Its first row word follows
+    # the rows' 4-byte count (the reader knows their width), and
+    # flipping that word's low bit leaves a proof the codec still
+    # reads: both planes must refuse it alike.
     system = get_protocol(protocol)
     setup = system.setup(by_name(WORKLOADS[protocol]), SCALE, CONFIGS[protocol])
     proof = system.prove(setup)
-    trees = (proof.fri_proof if hasattr(proof, "fri_proof") else proof).tree_openings()
+    fri = hasattr(proof, "fri_proof")
+    trees = (proof.fri_proof if fri else proof).tree_openings()
     last = ByteWriter()
-    trees[-1].write(last)
+    trees[-1].write(last, 2 if fri else 1)
     blob = bytearray(proof_to_blob(protocol, proof))
-    word = len(blob) - len(last.getvalue()) + 16
+    word = len(blob) - len(last.getvalue()) + 4
     assert int.from_bytes(blob[word : word + 8], "little") == int(trees[-1].rows.flat[0])
     blob[word] ^= 0x01
     _, bad = proof_from_blob(bytes(blob), expected_protocol=protocol)
